@@ -86,7 +86,7 @@ func main() {
 		flight   = flag.String("flight", "flight.jsonl.gz", "where a firing health detector dumps the flight record (.gz compresses)")
 		chunkKB  = flag.Int("disk-chunk-kb", 0, "run disk passes incrementally with this per-step read budget in KiB (0 = blocking)")
 		cacheMB  = flag.Int("spill-cache-mb", 0, "wrap the join's spill stores in an LRU block cache of this many MiB (0 = no cache)")
-		batchN   = flag.Int("batch", 0, "deliver items to operators in batches of up to this size (<= 1 = per item); punctuations and EOS always flush the batch")
+		batchN   = flag.Int("batch", 0, "deliver items to operators in batches of up to this size (<= 1 = batches of one); punctuations and EOS always flush the batch")
 		lingerMs = flag.Int("batch-linger-ms", 0, "bound how long a tuple may wait in an edge buffer before its batch is cut (0 = flush on every emit); only meaningful with -batch > 1")
 		tracePth = flag.String("trace", "", "write a provenance span trace (JSONL, .gz compresses) to this path; analyze with pjointrace")
 		traceN   = flag.Int("trace-sample", 64, "with -trace, admit one in N tuples into provenance tracing (1 = every tuple); punctuation and disk-pass spans are always recorded")

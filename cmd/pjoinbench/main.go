@@ -21,7 +21,7 @@
 //	                                        # quantiles per chunk budget + cache hit ratio
 //	pjoinbench -bench6 BENCH_6.json         # batched dataflow sweep: memoized-probe
 //	                                        # micro + pipeline throughput per batch x linger
-//	pjoinbench -bench6 b6.json -batch 256 -batch-linger-ms 1  # one cell vs per-item
+//	pjoinbench -bench6 b6.json -batch 256 -batch-linger-ms 1  # one cell vs batch size 1
 //	pjoinbench -bench7 BENCH_7.json         # provenance-tracing overhead sweep:
 //	                                        # detached / sampled 1-in-64 / full
 //	pjoinbench -fig 9 -disk-chunk-kb 64     # run any figure with incremental passes
@@ -66,7 +66,7 @@ func main() {
 
 		chunkKB  = flag.Int("disk-chunk-kb", 0, "run disk passes incrementally with this per-step read budget in KiB (0 = blocking)")
 		cacheMB  = flag.Int("spill-cache-mb", 0, "wrap spill stores in an LRU block cache of this many MiB (0 = no cache)")
-		batchN   = flag.Int("batch", 0, "exec batch size for the live-pipeline measurements (<=1 = per-item; with -bench6, restricts the sweep to this cell)")
+		batchN   = flag.Int("batch", 0, "exec batch size for the live-pipeline measurements (<=1 = batches of one; with -bench6, > 1 restricts the sweep to this cell)")
 		lingerMs = flag.Int("batch-linger-ms", 0, "bound on how long a tuple may wait in an edge batch buffer (0 = flush every emit)")
 
 		oracleN      = flag.Int("oracle", 0, "differential oracle soak: check this many seeds (starting at -seed) across the full config matrix")

@@ -62,13 +62,14 @@ type RunConfig struct {
 	// an LRU block cache of this many MiB (store.CachedSpill), so hot
 	// spilled partitions are re-joined from memory.
 	SpillCacheMB int
-	// Batch, when > 1, selects exec-level batch delivery for the
-	// wall-clock pipeline measurements (pjoinbench -batch); the simulated
-	// reproduction figures always run per item — the paper's regime.
+	// Batch is the exec batch size (exec.Pipeline.BatchSize; <= 1 =
+	// batches of one) for the wall-clock pipeline measurements
+	// (pjoinbench -batch); the simulated reproduction figures always
+	// call Process per item — the paper's regime.
 	Batch int
 	// BatchLingerMs bounds how long a tuple may wait in an edge buffer
 	// before its batch is cut (pjoinbench -batch-linger-ms). 0 flushes on
-	// every emit. Only meaningful with Batch > 1.
+	// every emit. No effect at Batch <= 1.
 	BatchLingerMs int
 }
 

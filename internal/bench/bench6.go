@@ -1,8 +1,8 @@
 package bench
 
 // This file implements the batched-dataflow sweep behind `pjoinbench
-// -bench6` (BENCH_6.json). The batch path exists to amortize per-tuple
-// overhead — channel sends, operator wakeups, and repeated hash+lookup
+// -bench6` (BENCH_6.json). Batches larger than one exist to amortize
+// per-tuple overhead — channel sends, operator wakeups, and repeated hash+lookup
 // work for runs of identical keys — without changing what the operator
 // computes (the oracle's batched matrix rows are the semantics proof;
 // this report is the performance receipt). Two measurements:
@@ -19,8 +19,8 @@ package bench
 //     (internal/exec) over the standard symmetric workload, swept over
 //     batch size × linger. Reports wall-clock tuples/sec, the
 //     punctuation-propagation delay distribution (linger 0 must stay
-//     within 2× of per-item — punctuations always cut batches), and the
-//     realized batch fill.
+//     within 2× of batch size 1 — punctuations always cut batches), and
+//     the realized batch fill.
 
 import (
 	"context"
@@ -69,12 +69,11 @@ type Bench6 struct {
 	Exec  []Bench6Exec  `json:"exec_sweep"`
 }
 
-// Bench6Batches is the probe-run / pipeline batch-size sweep (1 = the
-// per-item baseline in the exec sweep).
+// Bench6Batches is the probe-run batch-size sweep.
 var Bench6Batches = []int{8, 64, 256}
 
-// Bench6ExecCells is the pipeline sweep: per-item baseline, then batch ×
-// linger. Linger 0 flushes every Emit (latency-neutral batching), 1 ms
+// Bench6ExecCells is the pipeline sweep: the batch-size-1 baseline (the
+// exec default, one item per delivery), then batch × linger. Linger 0 flushes every Emit (latency-neutral batching), 1 ms
 // trades bounded added latency for fill.
 var Bench6ExecCells = []struct{ Batch, LingerMs int }{
 	{1, 0}, {8, 0}, {8, 1}, {256, 0}, {256, 1},
@@ -200,7 +199,7 @@ func bench6ExecOnce(rc RunConfig, batch, lingerMs int) (Bench6Exec, error) {
 
 // RunBench6 runs the batched-dataflow sweep at the given workload seed.
 // When rc.Batch > 1, the exec sweep runs only the {rc.Batch,
-// rc.BatchLingerMs} cell next to the per-item baseline (`pjoinbench
+// rc.BatchLingerMs} cell next to the batch-size-1 baseline (`pjoinbench
 // -bench6 out.json -batch 256 -batch-linger-ms 1`); otherwise it runs
 // the full grid. progress (optional) receives one line per cell.
 func RunBench6(rc RunConfig, progress io.Writer) (*Bench6, error) {
@@ -214,7 +213,7 @@ func RunBench6(rc RunConfig, progress io.Writer) (*Bench6, error) {
 			"two-source -> pjoin -> sink pipeline (eager purge, PropagateCount=1, indexed), " +
 			"wall-clock throughput and punct-propagation delay per batch x linger cell; " +
 			"linger 0 cuts a batch on every emit so its punct delay must stay within 2x of " +
-			"per-item, linger 1ms trades that bound for fill. batch_fill_mean is items per " +
+			"batch size 1, linger 1ms trades that bound for fill. batch_fill_mean is items per " +
 			"delivered batch as the operator saw them. exec cells are best-of-3 reps " +
 			"(fastest wall clock) to strip scheduler noise; outputs are identical on every rep.",
 		Seed: rc.seed(),

@@ -16,13 +16,36 @@ import (
 	"pjoin/internal/value"
 )
 
-// TestBatchedPipelineEquivalence pins the tentpole claim: batch-granular
-// delivery is observably identical to per-item delivery. The same
-// workload runs through per-item, batched (several batch × linger
-// cells), and sharded-batched pipelines; joined value multisets and
-// propagated punctuation multisets must match exactly (live restamps
-// differ, so timestamps are excluded — the same comparison
-// TestShardedPJoinPipeline uses).
+// tsAudit wraps the operator under test and checks the driver's
+// restamping contract on what it is handed: one strictly increasing
+// timestamp sequence across all ports, at every batch size. maxLen is
+// the largest batch delivered.
+type tsAudit struct {
+	op.Operator
+	last   stream.Time
+	maxLen int
+}
+
+func (a *tsAudit) ProcessBatch(port int, items []stream.Item, now stream.Time) error {
+	a.maxLen = max(a.maxLen, len(items))
+	for _, it := range items {
+		if it.Ts <= a.last {
+			return fmt.Errorf("port %d: %v stamped %d after %d", port, it.Kind, it.Ts, a.last)
+		}
+		a.last = it.Ts
+	}
+	return op.ProcessAll(a.Operator, port, items)
+}
+
+// TestBatchedPipelineEquivalence pins the tentpole claim: the batch size
+// is a value, not a mode. The same workload runs through every cell of
+// BatchSize {0, 1, 8, 256} × linger {0, 1 ms} × shards {1, 2}; joined
+// value multisets and propagated punctuation multisets must match the
+// first cell exactly (live restamps differ, so timestamps are excluded —
+// the same comparison TestShardedPJoinPipeline uses), EOS reaches the
+// sink exactly once and last, and the join is handed strictly increasing
+// timestamps in batches no larger than the batch size. BatchSize 0 and 1
+// are the same cell twice: both deliver batches of one.
 func TestBatchedPipelineEquivalence(t *testing.T) {
 	arrs, err := gen.Synthetic(gen.Config{
 		Seed:      17,
@@ -65,16 +88,23 @@ func TestBatchedPipelineEquivalence(t *testing.T) {
 		}
 		p.SourceItems(srcA, a, false)
 		p.SourceItems(srcB, b, false)
-		if err := p.Spawn(j, srcA, srcB); err != nil {
+		audit := &tsAudit{Operator: j}
+		if err := p.Spawn(audit, srcA, srcB); err != nil {
 			t.Fatal(err)
 		}
 		sink := p.Sink(out)
 		if err := p.Run(context.Background()); err != nil {
-			t.Fatal(err)
+			t.Fatalf("batch=%d linger=%v shards=%d: %v", batch, linger, shards, err)
 		}
-		if last := sink.Items[len(sink.Items)-1]; last.Kind != stream.KindEOS {
-			t.Errorf("batch=%d linger=%v shards=%d: last sink item is %v, want EOS",
-				batch, linger, shards, last.Kind)
+		if audit.maxLen > max(batch, 1) {
+			t.Errorf("batch=%d linger=%v shards=%d: delivered a batch of %d items",
+				batch, linger, shards, audit.maxLen)
+		}
+		for i, it := range sink.Items {
+			if (it.Kind == stream.KindEOS) != (i == len(sink.Items)-1) {
+				t.Errorf("batch=%d linger=%v shards=%d: sink item %d of %d is %v; want EOS exactly once, last",
+					batch, linger, shards, i, len(sink.Items), it.Kind)
+			}
 		}
 		vals := map[string]int{}
 		for _, tp := range sink.Tuples() {
@@ -91,34 +121,40 @@ func TestBatchedPipelineEquivalence(t *testing.T) {
 		return vals, puncts
 	}
 
-	wantVals, wantPuncts := run(1, 0, 1)
-	if len(wantVals) == 0 || len(wantPuncts) == 0 {
-		t.Fatalf("per-item baseline: %d results, %d punct patterns", len(wantVals), len(wantPuncts))
-	}
-	cells := []struct {
+	type cell struct {
 		batch  int
 		linger time.Duration
 		shards int
-	}{
-		{8, 0, 1},
-		{8, time.Millisecond, 1},
-		{256, 0, 1},
-		{256, time.Millisecond, 1},
-		{64, time.Millisecond, 2},
 	}
+	var cells []cell
+	for _, batch := range []int{0, 1, 8, 256} {
+		for _, linger := range []time.Duration{0, time.Millisecond} {
+			for _, shards := range []int{1, 2} {
+				cells = append(cells, cell{batch, linger, shards})
+			}
+		}
+	}
+	cells = append(cells, cell{64, time.Millisecond, 2})
 	diff := func(t *testing.T, name string, got, want map[string]int) {
 		t.Helper()
 		for k, n := range want {
 			if got[k] != n {
-				t.Errorf("%s %q: per-item %d, batched %d", name, k, n, got[k])
+				t.Errorf("%s %q: first cell %d, this cell %d", name, k, n, got[k])
 			}
 		}
 		if len(got) != len(want) {
-			t.Errorf("distinct %s: per-item %d, batched %d", name, len(want), len(got))
+			t.Errorf("distinct %s: first cell %d, this cell %d", name, len(want), len(got))
 		}
 	}
-	for _, c := range cells {
+	var wantVals, wantPuncts map[string]int
+	for i, c := range cells {
 		vals, puncts := run(c.batch, c.linger, c.shards)
+		if i == 0 {
+			wantVals, wantPuncts = vals, puncts
+			if len(wantVals) == 0 || len(wantPuncts) == 0 {
+				t.Fatalf("first cell: %d results, %d punct patterns", len(wantVals), len(wantPuncts))
+			}
+		}
 		t.Run(fmt.Sprintf("batch%d_linger%v_shards%d", c.batch, c.linger, c.shards), func(t *testing.T) {
 			diff(t, "result", vals, wantVals)
 			diff(t, "punct", puncts, wantPuncts)

@@ -1,8 +1,15 @@
 // Package exec runs operator pipelines live: one goroutine per operator,
-// items flowing through buffered channels, back-pressure by channel
-// blocking. It is the runtime half of the mini query engine (the
+// pooled item batches flowing through buffered channels, back-pressure by
+// channel blocking. It is the runtime half of the mini query engine (the
 // simulator in internal/sim is the measurement half — both drive the
 // same op.Operator implementations).
+//
+// There is one dataflow path. Edges carry batches of up to
+// Pipeline.BatchSize items and the operator driver hands each batch to
+// op.ProcessAll; per-item delivery is that same path at batch size 1 (the
+// default). The one rule the plan around a join relies on (paper §3.5,
+// Fig. 1: punctuations must reach the group-by early) lives in Edge: a
+// punctuation or EOS is never queued behind buffered tuples.
 //
 // The executor owns arrival timestamping: every item entering an
 // operator is restamped with a strictly increasing timestamp (never
@@ -32,27 +39,24 @@ import (
 // Edge is a channel between pipeline stages. It implements op.Emitter
 // for the upstream operator; the downstream operator reads from it.
 //
-// An edge runs in one of two modes, fixed at creation (Pipeline.Edge
-// reads BatchSize): per-item (ch carries one stream.Item per send — the
-// default, and the paper-figure regime) or batched (bch carries pooled
-// []stream.Item slices; Emit accumulates under mu and a cut sends the
-// whole buffer in one channel operation). Batch boundaries never cross
-// punctuations or EOS: any non-tuple item flushes the buffer with
-// itself as the last element, so constraint information is never
-// delayed behind buffered data. With BatchLinger > 0, tuples may wait
-// in the buffer for at most that long (a one-shot timer cuts the
-// batch); with linger zero every Emit flushes, which keeps batch-mode
-// latency identical to per-item at the cost of fill.
+// The channel carries pooled batches (stream.Batch): Emit accumulates
+// under mu and a cut sends the whole buffer in one channel operation. A
+// cut happens when the buffer reaches the batch size fixed at creation
+// (Pipeline.BatchSize; at size 1 every Emit is a cut, which is per-item
+// delivery), when a punctuation or EOS is emitted — it flushes the
+// buffer with itself as the last element, so constraint information is
+// never delayed behind buffered data — and when the linger budget runs
+// out: with BatchLinger > 0 a tuple may wait in the buffer for at most
+// that long (a one-shot timer cuts the batch); with linger zero every
+// Emit flushes, so a larger batch size adds no latency and no fill.
 type Edge struct {
-	p  *Pipeline
-	ch chan stream.Item
-	// Batched mode (nil ch):
-	bch    chan []stream.Item
+	p      *Pipeline
+	ch     chan *stream.Batch
 	size   int
 	linger time.Duration
 
 	mu     sync.Mutex //pjoin:lockrank leaf
-	buf    []stream.Item
+	buf    *stream.Batch
 	armed  bool // a linger timer callback is pending
 	closed bool
 	// sink marks an edge consumed by Sink rather than an operator. Sink
@@ -63,38 +67,29 @@ type Edge struct {
 	sink bool
 }
 
-// batched reports the edge's mode.
-func (e *Edge) batched() bool { return e.bch != nil }
-
 // Emit implements op.Emitter. It blocks under back-pressure and fails
-// when the pipeline has been cancelled.
+// when the pipeline has been cancelled or the edge closed.
 func (e *Edge) Emit(it stream.Item) error {
-	if !e.batched() {
-		select {
-		case e.ch <- it:
-			return nil
-		case <-e.p.ctx.Done():
-			return fmt.Errorf("exec: pipeline cancelled: %w", context.Cause(e.p.ctx))
-		}
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.buf == nil {
-		e.buf = e.p.getBatch()
+	if e.closed {
+		return fmt.Errorf("exec: emit on a closed edge")
 	}
-	e.buf = append(e.buf, it)
+	if e.buf == nil {
+		e.buf = e.p.pool.Get(e.size)
+	}
+	e.buf.Items = append(e.buf.Items, it)
 	switch {
 	case it.Kind != stream.KindTuple:
 		// Punctuations and EOS are batch boundaries: flush immediately
 		// so downstream purge/propagation latency is never queued
 		// behind buffered tuples.
 		return e.flushLocked(true)
-	case len(e.buf) >= e.size:
+	case len(e.buf.Items) >= e.size:
 		return e.flushLocked(false)
 	case e.linger <= 0:
-		// No linger budget: every Emit flushes. Fill comes only from
-		// multi-item emitters upstream of the same cut, so latency is
-		// per-item-identical.
+		// No linger budget: every Emit flushes, so latency is that of
+		// batch size 1 whatever the size.
 		return e.flushLocked(true)
 	default:
 		if !e.armed {
@@ -125,44 +120,45 @@ func (e *Edge) onLinger() {
 // marks cuts not caused by the batch filling (punctuation/EOS boundary,
 // linger expiry, close) for the provenance cut spans.
 func (e *Edge) flushLocked(forced bool) error {
-	if len(e.buf) == 0 {
+	b := e.buf
+	if b == nil {
 		return nil
 	}
-	b := e.buf
 	e.buf = nil
 	if !e.sink && e.p.Obs.SpansEnabled() {
 		m := int64(0)
 		if forced {
 			m = 1
 		}
-		for _, it := range b {
+		for _, it := range b.Items {
 			if it.Kind == stream.KindTuple && it.Tuple.Span != 0 {
-				e.p.Obs.Span(span.KindTupleCut, it.Tuple.Span, it.Ts, -1, int64(len(b)), m, 0, 0)
+				e.p.Obs.Span(span.KindTupleCut, it.Tuple.Span, it.Ts, -1, int64(len(b.Items)), m, 0, 0)
 			}
 		}
 	}
 	select {
-	case e.bch <- b:
+	case e.ch <- b:
 		return nil
 	case <-e.p.ctx.Done():
 		return fmt.Errorf("exec: pipeline cancelled: %w", context.Cause(e.p.ctx))
 	}
 }
 
-// close ends the edge's stream: sources call it when they are done. In
-// batched mode the remaining buffer is flushed first; a concurrently
-// firing linger callback observes closed under the mutex and cannot
-// send after the channel closes.
+// close ends the edge's stream: sources call it when they are done, and
+// Run closes whatever is still open on its way out (an operator never
+// closes its output edge), which is what ends the downstream fan-in
+// goroutine. The remaining buffer is flushed first; every send happens
+// under the mutex and after a closed check, so neither a late Emit nor a
+// concurrently firing linger callback can send on the closed channel.
 func (e *Edge) close() {
-	if !e.batched() {
-		close(e.ch)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed {
 		return
 	}
-	e.mu.Lock()
 	e.closed = true
 	_ = e.flushLocked(true)
-	e.mu.Unlock()
-	close(e.bch)
+	close(e.ch)
 }
 
 // Pipeline assembles sources, operators and sinks, then runs them all
@@ -183,27 +179,28 @@ type Pipeline struct {
 	// OnIdle call (0 disables; default 5ms). Set before Run.
 	IdlePoll time.Duration
 
-	// BufferSize is the channel capacity for new edges (default 256).
+	// BufferSize is the channel capacity for new edges, in batches
+	// (default 256).
 	BufferSize int
 
-	// BatchSize selects the dataflow granularity for edges created after
-	// it is set: ≤ 1 (the default) keeps today's per-item path exactly;
-	// > 1 makes edges carry batches of up to BatchSize items. Batch-mode
-	// semantics are observably identical to per-item — punctuations and
-	// EOS always cut batches, and operators see the same call sequence
-	// through op.ProcessAll — only the per-item channel and wakeup
-	// overhead is amortized. Set before creating edges.
+	// BatchSize is the dataflow granularity of edges created after it is
+	// set: each edge delivers batches of up to BatchSize items, and ≤ 1
+	// (the default) means batches of one — per-item delivery. The value
+	// changes only how much channel and wakeup overhead an item pays:
+	// punctuations and EOS always cut batches, and operators see the same
+	// items in the same order through op.ProcessAll at every size. Set
+	// before creating edges.
 	BatchSize int
 
 	// BatchLinger bounds how long a tuple may wait in an edge buffer
 	// before the batch is cut (0, the default, flushes on every Emit, so
-	// batching adds no latency; fill then comes only from bursts already
-	// queued upstream). Only meaningful when BatchSize > 1. Set before
+	// a larger BatchSize adds no latency). It has no effect at
+	// BatchSize ≤ 1, where every Emit already fills the batch. Set before
 	// creating edges.
 	BatchLinger time.Duration
 
-	// batchPool recycles batch buffers between edge cuts and consumers.
-	batchPool sync.Pool
+	// pool recycles batches between edge cuts and consumers.
+	pool stream.BatchPool
 
 	// Obs is the pipeline's observability handle; each spawned operator
 	// gets a derived handle stamped with its name, and the executor
@@ -225,6 +222,7 @@ type Pipeline struct {
 	Clock func() time.Duration
 
 	launched []func()
+	edges    []*Edge
 	pulls    map[op.Operator]*PullHandle
 }
 
@@ -238,43 +236,20 @@ func NewPipeline() *Pipeline {
 	}
 }
 
-// Edge allocates a new channel edge — per-item, or batched when
-// BatchSize > 1 (the mode is fixed at creation).
+// Edge allocates a new channel edge; its batch size and linger are fixed
+// here from BatchSize and BatchLinger.
 func (p *Pipeline) Edge() *Edge {
 	n := p.BufferSize
 	if n <= 0 {
 		n = 256
 	}
-	if p.BatchSize > 1 {
-		return &Edge{p: p, bch: make(chan []stream.Item, n), size: p.BatchSize, linger: p.BatchLinger}
+	size := p.BatchSize
+	if size < 1 {
+		size = 1
 	}
-	return &Edge{p: p, ch: make(chan stream.Item, n)}
-}
-
-// getBatch returns an empty batch buffer with capacity for a full batch.
-//
-//pjoin:pool get
-func (p *Pipeline) getBatch() []stream.Item {
-	if b, ok := p.batchPool.Get().(*[]stream.Item); ok {
-		return (*b)[:0]
-	}
-	n := p.BatchSize
-	if n < 1 {
-		n = 1
-	}
-	return make([]stream.Item, 0, n)
-}
-
-// putBatch recycles a consumed batch buffer, clearing the tuple pointers
-// so the pool does not pin them.
-//
-//pjoin:pool put
-func (p *Pipeline) putBatch(b []stream.Item) {
-	for i := range b {
-		b[i] = stream.Item{}
-	}
-	b = b[:0]
-	p.batchPool.Put(&b)
+	e := &Edge{p: p, ch: make(chan *stream.Batch, n), size: size, linger: p.BatchLinger}
+	p.edges = append(p.edges, e)
+	return e
 }
 
 // elapsed is the offset since pipeline start on the configured clock.
@@ -362,16 +337,10 @@ func (p *Pipeline) SourceItems(out *Edge, items []stream.Item, paced bool) {
 	p.Source(out, withEOS, paced)
 }
 
-// portItem tags an item with the input port it arrived on.
-type portItem struct {
-	port int
-	item stream.Item
-}
-
 // portBatch tags a batch with the input port it arrived on.
 type portBatch struct {
-	port  int
-	items []stream.Item
+	port int
+	b    *stream.Batch
 }
 
 // PropagationPuller is implemented by operators that can be asked to
@@ -435,22 +404,21 @@ func (p *Pipeline) Spawn(o op.Operator, inputs ...*Edge) error {
 	return nil
 }
 
+// runOperator is the operator driver: one wakeup drains a whole input
+// batch, restamps its items in place (the batch is owned by the consumer
+// once received), and dispatches through op.ProcessAll — an
+// op.BatchProcessor gets the slice in one call, any other operator sees
+// one Process call per item, in order.
 func (p *Pipeline) runOperator(o op.Operator, inputs []*Edge, pull *PullHandle) {
-	for _, in := range inputs {
-		if in.batched() {
-			p.runOperatorBatched(o, inputs, pull)
-			return
-		}
-	}
-	merged := make(chan portItem, len(inputs))
+	merged := make(chan portBatch, len(inputs))
 	var fanIn sync.WaitGroup
 	for port, in := range inputs {
 		fanIn.Add(1)
 		go func(port int, in *Edge) {
 			defer fanIn.Done()
-			for it := range in.ch {
+			for b := range in.ch {
 				select {
-				case merged <- portItem{port: port, item: it}:
+				case merged <- portBatch{port: port, b: b}:
 				case <-p.ctx.Done():
 					return
 				}
@@ -470,7 +438,8 @@ func (p *Pipeline) runOperator(o op.Operator, inputs []*Edge, pull *PullHandle) 
 		oin.Event(obs.KindOpStart, stream.Time(p.elapsed()), -1, 0, 0)
 		var lastTs stream.Time
 		// stamp assigns the system arrival timestamp: strictly
-		// increasing, at least the wall-clock offset since start. Item
+		// increasing, at least the wall-clock offset since start, so the
+		// items of one batch get consecutive clamped stamps. Item
 		// rebuilds preserve provenance: the tuple copy carries
 		// Tuple.Span, and the punctuation item's trace (Item.Span) is
 		// restamped onto the rebuilt item. A sampled tuple gets a
@@ -516,7 +485,7 @@ func (p *Pipeline) runOperator(o op.Operator, inputs []*Edge, pull *PullHandle) 
 		resetIdle()
 		for {
 			select {
-			case pi, ok := <-merged:
+			case pb, ok := <-merged:
 				if !ok {
 					// All input channels closed before every port sent
 					// EOS: a protocol violation upstream.
@@ -524,11 +493,16 @@ func (p *Pipeline) runOperator(o op.Operator, inputs []*Edge, pull *PullHandle) 
 						o.Name(), eosSeen, o.NumPorts()))
 					return
 				}
-				it := stamp(pi.port, pi.item)
-				if it.Kind == stream.KindEOS {
-					eosSeen++
+				items := pb.b.Items
+				for i := range items {
+					items[i] = stamp(pb.port, items[i])
+					if items[i].Kind == stream.KindEOS {
+						eosSeen++
+					}
 				}
-				if err := o.Process(pi.port, it, it.Ts); err != nil {
+				err := op.ProcessAll(o, pb.port, items)
+				p.pool.Put(pb.b)
+				if err != nil {
 					p.fail(fmt.Errorf("exec: %s: %w", o.Name(), err))
 					return
 				}
@@ -546,149 +520,6 @@ func (p *Pipeline) runOperator(o op.Operator, inputs []*Edge, pull *PullHandle) 
 				pp, ok := o.(PropagationPuller)
 				if !ok {
 					break // requests to non-pullers are ignored
-				}
-				if err := pp.RequestPropagation(p.sysNow(lastTs)); err != nil {
-					p.fail(fmt.Errorf("exec: %s pull: %w", o.Name(), err))
-					return
-				}
-			case <-idleC:
-				if _, err := o.OnIdle(p.sysNow(lastTs)); err != nil {
-					p.fail(fmt.Errorf("exec: %s idle: %w", o.Name(), err))
-					return
-				}
-				resetIdle()
-			case <-p.ctx.Done():
-				return
-			}
-		}
-	}()
-}
-
-// runOperatorBatched is the batch-granular driver: one wakeup drains a
-// whole input batch, restamps its items in place (the buffer is owned by
-// the consumer once received), and dispatches through op.ProcessAll — an
-// op.BatchProcessor gets the slice in one call, any other operator sees
-// exactly the per-item call sequence. Mixed wiring (a per-item edge into
-// an operator that also has batched inputs) is handled by wrapping each
-// item as a one-item batch at the fan-in.
-func (p *Pipeline) runOperatorBatched(o op.Operator, inputs []*Edge, pull *PullHandle) {
-	merged := make(chan portBatch, len(inputs))
-	var fanIn sync.WaitGroup
-	for port, in := range inputs {
-		fanIn.Add(1)
-		go func(port int, in *Edge) {
-			defer fanIn.Done()
-			if in.batched() {
-				for b := range in.bch {
-					select {
-					case merged <- portBatch{port: port, items: b}:
-					case <-p.ctx.Done():
-						return
-					}
-				}
-				return
-			}
-			for it := range in.ch {
-				b := append(p.getBatch(), it)
-				select {
-				case merged <- portBatch{port: port, items: b}:
-				case <-p.ctx.Done():
-					p.putBatch(b)
-					return
-				}
-			}
-		}(port, in)
-	}
-	go func() {
-		fanIn.Wait()
-		close(merged)
-	}()
-
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		oin := p.Obs.Derive(o.Name(), -1)
-		//pjoin:allow opcontract op-start is an executor lifecycle event stamped before any item exists to clamp against
-		oin.Event(obs.KindOpStart, stream.Time(p.elapsed()), -1, 0, 0)
-		var lastTs stream.Time
-		// stamp mirrors the per-item driver: strictly increasing system
-		// arrival timestamps, at least the wall-clock offset since start.
-		// Items in one batch get consecutive clamped stamps, exactly the
-		// sequence per-item delivery of the same burst would produce.
-		// Provenance survives the rebuild exactly as in the per-item
-		// driver (Tuple.Span via the copy, Item.Span restamped).
-		stamp := func(port int, it stream.Item) stream.Item {
-			ts := p.sysNow(lastTs)
-			lastTs = ts
-			switch it.Kind {
-			case stream.KindTuple:
-				t := *it.Tuple
-				t.Ts = ts
-				if t.Span != 0 && oin.SpansEnabled() {
-					d := int64(ts) - int64(it.Tuple.Ts)
-					if d < 0 {
-						d = 0
-					}
-					oin.Span(span.KindTupleDeliver, t.Span, ts, port, 0, 0, 0, d)
-				}
-				return stream.TupleItem(&t)
-			case stream.KindPunct:
-				out := stream.PunctItem(it.Punct, ts)
-				out.Span = it.Span
-				return out
-			default:
-				return stream.EOSItem(ts)
-			}
-		}
-		eosSeen := 0
-		var idleTimer *time.Timer
-		var idleC <-chan time.Time
-		resetIdle := func() {
-			if p.IdlePoll <= 0 {
-				return
-			}
-			if idleTimer == nil {
-				idleTimer = time.NewTimer(p.IdlePoll)
-			} else {
-				idleTimer.Reset(p.IdlePoll)
-			}
-			idleC = idleTimer.C
-		}
-		resetIdle()
-		for {
-			select {
-			case pb, ok := <-merged:
-				if !ok {
-					p.fail(fmt.Errorf("exec: %s: inputs closed with %d of %d EOS seen",
-						o.Name(), eosSeen, o.NumPorts()))
-					return
-				}
-				for i := range pb.items {
-					it := stamp(pb.port, pb.items[i])
-					pb.items[i] = it
-					if it.Kind == stream.KindEOS {
-						eosSeen++
-					}
-				}
-				err := op.ProcessAll(o, pb.port, pb.items)
-				p.putBatch(pb.items)
-				if err != nil {
-					p.fail(fmt.Errorf("exec: %s: %w", o.Name(), err))
-					return
-				}
-				if eosSeen == o.NumPorts() {
-					if err := o.Finish(lastTs + 1); err != nil {
-						p.fail(fmt.Errorf("exec: %s: %w", o.Name(), err))
-						return
-					}
-					oin.Event(obs.KindOpFinish, lastTs+1, -1, 0, 0)
-					return
-				}
-				resetIdle()
-			case <-pull.ch:
-				pp, ok := o.(PropagationPuller)
-				if !ok {
-					break
 				}
 				if err := pp.RequestPropagation(p.sysNow(lastTs)); err != nil {
 					p.fail(fmt.Errorf("exec: %s pull: %w", o.Name(), err))
@@ -754,33 +585,18 @@ func (p *Pipeline) Sink(in *Edge) *op.Collector {
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
-			if in.batched() {
-				for {
-					select {
-					case b, ok := <-in.bch:
-						if !ok {
-							return
-						}
-						c.Grow(len(b))
-						err := c.EmitBatch(b)
-						sawEOS := len(b) > 0 && b[len(b)-1].Kind == stream.KindEOS
-						p.putBatch(b)
-						if err != nil || sawEOS {
-							return
-						}
-					case <-p.ctx.Done():
-						return
-					}
-				}
-			}
 			for {
 				select {
-				case it, ok := <-in.ch:
+				case b, ok := <-in.ch:
 					if !ok {
 						return
 					}
-					c.Emit(it)
-					if it.Kind == stream.KindEOS {
+					c.Grow(len(b.Items))
+					err := c.EmitBatch(b.Items)
+					// EOS cuts its batch, so it can only be the last item.
+					sawEOS := b.Items[len(b.Items)-1].Kind == stream.KindEOS
+					p.pool.Put(b)
+					if err != nil || sawEOS {
 						return
 					}
 				case <-p.ctx.Done():
@@ -816,5 +632,8 @@ func (p *Pipeline) Run(ctx context.Context) error {
 	}
 	p.cancel(nil)
 	p.watchers.Wait()
+	for _, e := range p.edges {
+		e.close()
+	}
 	return p.err
 }

@@ -521,23 +521,12 @@ func TestOnIdleClockNeverRunsBackwards(t *testing.T) {
 	src, out := p.Edge(), p.Edge()
 	audit := &clockAudit{out: out}
 
-	// Feed a burst, stall long enough for idle pulses, then EOS. With
-	// the clock frozen, every item restamp rides the +1 bump, so item
-	// timestamps (1, 2, 3, ...) run ahead of the reported wall time (0).
-	p.launched = append(p.launched, func() {
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			defer close(src.ch)
-			for _, it := range items(t, 5) {
-				if src.Emit(it) != nil {
-					return
-				}
-			}
-			time.Sleep(20 * time.Millisecond) // let idle pulses fire
-			src.Emit(stream.EOSItem(0))
-		}()
-	})
+	// Feed a burst, stall long enough for idle pulses, then EOS: a paced
+	// source releases the EOS 20 ms of real time after start (pacing
+	// reads the wall, not Clock). With the clock frozen, every item
+	// restamp rides the +1 bump, so item timestamps (1, 2, 3, ...) run
+	// ahead of the reported wall time (0).
+	p.Source(src, append(items(t, 5), stream.EOSItem(stream.Time(20*time.Millisecond))), true)
 	if err := p.Spawn(audit, src); err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,120 @@
+package exec
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"runtime"
+	"testing"
+	"time"
+
+	"pjoin/internal/core"
+	"pjoin/internal/gen"
+	"pjoin/internal/op"
+	"pjoin/internal/parallel"
+	"pjoin/internal/stream"
+	"pjoin/internal/value"
+)
+
+// TestRunExitHygiene pins what Run leaves behind on each way out — clean
+// drain, an operator error, external cancellation — at batch size 1 and
+// 256, over a plan with an operator-fed edge (two sources → 2-shard
+// ShardedPJoin → select → sink): no goroutine Run started survives it,
+// and on a clean drain every batch taken from the pipeline's pool was put
+// back (the dynamic twin of the poolsafe lint; the join's own pool is
+// checked the same way in internal/parallel).
+func TestRunExitHygiene(t *testing.T) {
+	var a, b []stream.Item
+	for i := 0; i < 300; i++ {
+		k := value.Int(int64(i % 7))
+		a = append(a, stream.TupleItem(stream.MustTuple(gen.SchemaA, 0, k, value.Str("a"))))
+		b = append(b, stream.TupleItem(stream.MustTuple(gen.SchemaB, 0, k, value.Str("b"))))
+	}
+	never := []stream.Item{stream.TupleItem(stream.MustTuple(gen.SchemaA,
+		stream.Time(time.Hour), value.Int(1), value.Str("never")))}
+	boom := errors.New("boom")
+
+	const shards = 2
+	for _, batch := range []int{0, 256} {
+		for _, exit := range []string{"drain", "error", "cancel"} {
+			t.Run(fmt.Sprintf("batch%d_%s", batch, exit), func(t *testing.T) {
+				base := runtime.NumGoroutine()
+
+				p := NewPipeline()
+				p.BatchSize = batch
+				p.BatchLinger = time.Millisecond
+				srcA, srcB, joined, out := p.Edge(), p.Edge(), p.Edge(), p.Edge()
+				j, err := parallel.New(parallel.Config{Shards: shards,
+					Join: core.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB}}, joined)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var selOut op.Emitter = out
+				if exit == "error" {
+					selOut = op.EmitterFunc(func(stream.Item) error { return boom })
+				}
+				sel, err := op.NewSelect(j.OutSchema(), func(*stream.Tuple) bool { return true }, selOut)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if exit == "cancel" {
+					// A paced source an hour out keeps the pipeline alive.
+					p.SourceItems(srcA, never, true)
+				} else {
+					p.SourceItems(srcA, a, false)
+				}
+				p.SourceItems(srcB, b, false)
+				if err := p.Spawn(j, srcA, srcB); err != nil {
+					t.Fatal(err)
+				}
+				if err := p.Spawn(sel, joined); err != nil {
+					t.Fatal(err)
+				}
+				p.Sink(out)
+
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				if exit == "cancel" {
+					time.AfterFunc(20*time.Millisecond, cancel)
+				}
+				err = p.Run(ctx)
+				switch exit {
+				case "drain":
+					if err != nil {
+						t.Fatal(err)
+					}
+				case "error":
+					if !errors.Is(err, boom) {
+						t.Fatalf("err = %v, want boom", err)
+					}
+				case "cancel":
+					if !errors.Is(err, context.Canceled) {
+						t.Fatalf("err = %v, want context.Canceled", err)
+					}
+				}
+
+				// The shard goroutines belong to the join, not to Run:
+				// parallel.New starts them and only Finish stops them,
+				// which a failed or cancelled run never reaches.
+				want := base
+				if exit != "drain" {
+					want += shards
+				}
+				deadline := time.Now().Add(5 * time.Second)
+				for runtime.NumGoroutine() > want && time.Now().Before(deadline) {
+					time.Sleep(time.Millisecond)
+				}
+				if n := runtime.NumGoroutine(); n > want {
+					buf := make([]byte, 1<<16)
+					t.Errorf("%d goroutines after Run, want at most %d\n%s",
+						n, want, buf[:runtime.Stack(buf, true)])
+				}
+				if exit == "drain" {
+					if gets, puts := p.pool.Stats(); gets != puts || gets == 0 {
+						t.Errorf("pool: %d gets, %d puts after a clean run", gets, puts)
+					}
+				}
+			})
+		}
+	}
+}

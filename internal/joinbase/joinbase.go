@@ -57,7 +57,7 @@ type Metrics struct {
 	PurgeRuns     int64    // purge component invocations (PJoin)
 	DroppedOnFly  int64    // tuples never inserted thanks to punctuations
 	IndexScanned  int64    // tuples examined by punctuation index builds
-	Batches       int64    // ProcessBatch invocations (0 on the per-item path)
+	Batches       int64    // ProcessBatch invocations (0 when driven through Process directly)
 }
 
 // Add accumulates o into m field by field. Parallel joins (a sharded

@@ -1,11 +1,16 @@
 // Package poolsafe implements the pjoinlint analyzer for pooled-batch
-// discipline. The exec and parallel layers recycle []stream.Item
-// batches through sync.Pools behind accessors marked //pjoin:pool get
-// and //pjoin:pool put; every batch obtained from a get must, on every
-// path out of the obtaining function, either be recycled (put) or have
-// its ownership transferred — sent on a channel, returned, stored into
-// a longer-lived structure, or passed to another function. After a
-// put, the batch must not be touched again.
+// discipline. The exec and parallel layers recycle stream.Batch values
+// through one shared pool type, stream.BatchPool, whose Get and Put are
+// marked //pjoin:pool get and //pjoin:pool put; every batch obtained
+// from a get must, on every path out of the obtaining function, either
+// be recycled (put) or have its ownership transferred — sent on a
+// channel, returned, stored into a longer-lived structure, or passed to
+// another function. After a put, the batch must not be touched again.
+//
+// Accessors are the functions carrying the markers in the package under
+// analysis, plus BatchPool.Get/Put of an imported stream package: export
+// data carries no comments, so the shared pool's callers find it by
+// name, the way opcontract finds the stream types.
 //
 // The analysis is flow-sensitive within a function and purely
 // structural: branches fork the tracking state and fall-throughs merge
@@ -43,6 +48,16 @@ func run(pass *analysis.Pass) error {
 		}
 		if analysis.HasFuncDirective(fd, "pool", "put") {
 			puts[fn] = true
+		}
+	}
+	if streamPkg := analysis.ImportWithSuffix(pass.Pkg, "stream"); streamPkg != nil {
+		if tn, ok := streamPkg.Scope().Lookup("BatchPool").(*types.TypeName); ok {
+			for name, set := range map[string]map[*types.Func]bool{"Get": gets, "Put": puts} {
+				m, _, _ := types.LookupFieldOrMethod(types.NewPointer(tn.Type()), true, streamPkg, name)
+				if fn, ok := m.(*types.Func); ok {
+					set[fn] = true
+				}
+			}
 		}
 	}
 	if len(gets) == 0 {
@@ -332,9 +347,11 @@ func (w *walker) walkAssign(a *ast.AssignStmt, st *state) {
 		id, ok := ast.Unparen(lhs).(*ast.Ident)
 		if !ok || id.Name == "_" {
 			// Assigning into a field or element is an ownership
-			// transfer for any tracked batch on the RHS.
+			// transfer for any tracked batch on the RHS — except into
+			// the batch itself: b.Items = append(b.Items, it) keeps the
+			// obligation on b.
 			if len(a.Rhs) == len(a.Lhs) {
-				w.releaseTracked(a.Rhs[i], st)
+				w.releaseTracked(a.Rhs[i], st, w.rootObj(lhs))
 			}
 			continue
 		}
@@ -465,16 +482,35 @@ func (w *walker) retireTracked(e ast.Expr, st *state, putPos token.Pos) {
 }
 
 // releaseTracked drops obligations for variables inside e (ownership
-// moved somewhere the walker cannot follow).
-func (w *walker) releaseTracked(e ast.Expr, st *state) {
+// moved somewhere the walker cannot follow), except for keep.
+func (w *walker) releaseTracked(e ast.Expr, st *state, keep types.Object) {
 	ast.Inspect(e, func(n ast.Node) bool {
 		if id, ok := n.(*ast.Ident); ok {
-			if obj := w.pass.Info.Uses[id]; obj != nil {
+			if obj := w.pass.Info.Uses[id]; obj != nil && obj != keep {
 				delete(st.live, obj)
 			}
 		}
 		return true
 	})
+}
+
+// rootObj returns the variable a field, element or dereference
+// expression is rooted at (b for b.Items[0]), or nil.
+func (w *walker) rootObj(e ast.Expr) types.Object {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.Ident:
+			return w.pass.Info.Uses[x]
+		default:
+			return nil
+		}
+	}
 }
 
 func (w *walker) releaseCaptured(lit *ast.FuncLit, st *state) {

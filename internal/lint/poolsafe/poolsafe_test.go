@@ -7,5 +7,5 @@ import (
 )
 
 func TestPoolsafe(t *testing.T) {
-	linttest.Run(t, "testdata", Analyzer, "pool")
+	linttest.Run(t, "testdata", Analyzer, "pool", "sharedpool")
 }

@@ -35,9 +35,11 @@ type Lat struct {
 	// or chunked (start of the pass to its last chunk).
 	DiskPass *hist.Hist
 	// BatchFill: items per delivered batch (a count, not nanoseconds).
-	// One sample per ProcessBatch call; empty on the per-item path. Mean
-	// fill vs. the configured batch size shows whether the linger window
-	// or the size cap is cutting batches.
+	// One sample per ProcessBatch call, which is how the executor enters
+	// a join at every batch size (all ones at size 1); empty only when
+	// the operator is driven through Process directly (simulator,
+	// oracle). Mean fill vs. the configured batch size shows whether the
+	// linger window or the size cap is cutting batches.
 	BatchFill *hist.Hist
 }
 

@@ -98,7 +98,7 @@ func WriteProm(w io.Writer, prefix string, lat LatSnapshot, gauges map[string]fl
 		return err
 	}
 	if err := writePromHist(w, prefix+"_batch_fill",
-		"Items per delivered input batch (count; empty on the per-item path).", lat.BatchFill); err != nil {
+		"Items per delivered input batch (count; empty when driven through Process directly).", lat.BatchFill); err != nil {
 		return err
 	}
 	names := make([]string, 0, len(gauges))

@@ -26,6 +26,16 @@ func (c *lockedCollector) Emit(it stream.Item) error {
 	return nil
 }
 
+// snapshot returns what has been emitted so far. A drive that stops on
+// an error (a fault row) returns while healthy shards are still working
+// off their queues and emitting, so the read takes the lock and the
+// capped slice keeps later appends out of the caller's view.
+func (c *lockedCollector) snapshot() []stream.Item {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.items[:len(c.items):len(c.items)]
+}
+
 // Outcome is one run's audited output: the result-tuple multiset
 // (keyed by full rendering — values and timestamp, both deterministic
 // because a result's timestamp is the max of its constituents'), the
@@ -74,7 +84,7 @@ func Run(sc *Scenario, v Variant, disableFault bool) *Outcome {
 		return &Outcome{Err: err}
 	}
 	out := drive(j, sc, v)
-	out.Tuples, out.Puncts, out.EOS = summarize(sink.items)
+	out.Tuples, out.Puncts, out.EOS = summarize(sink.snapshot())
 	if jj, ok := j.(joinOp); ok {
 		out.Metrics = jj.Metrics()
 		out.Lat = jj.Latencies()
@@ -91,7 +101,7 @@ func RunOracle(sc *Scenario) *Outcome {
 		return &Outcome{Err: err}
 	}
 	out := drive(j, sc, Variant{})
-	out.Tuples, out.Puncts, out.EOS = summarize(sink.items)
+	out.Tuples, out.Puncts, out.EOS = summarize(sink.snapshot())
 	return out
 }
 

@@ -119,14 +119,15 @@ const (
 	msgFinish
 )
 
-// message is one unit of work queued to a shard. A msgBatch carries a
-// router-owned items slice (pool-recycled by the shard goroutine after
-// processing); all other kinds use item.
+// message is one unit of work queued to a shard. Tuples always travel as
+// a msgBatch: a pooled batch the router filled and the shard goroutine
+// recycles after processing. A msgItem carries one broadcast punctuation
+// or EOS in item.
 type message struct {
 	kind  msgKind
 	port  int
 	item  stream.Item
-	items []stream.Item
+	batch *stream.Batch
 	now   stream.Time
 }
 
@@ -175,12 +176,12 @@ type ShardedPJoin struct {
 	// shardBufs are the router's per-shard tuple accumulation buffers:
 	// ProcessBatch collects each shard's run of routed tuples here and
 	// flushes one msgBatch per shard instead of one channel send per
-	// tuple. Buffers are only ever non-empty inside one ProcessBatch
+	// tuple. Buffers are only ever non-nil inside one ProcessBatch
 	// call (every exit path flushes), so OnIdle / pull / Finish — which
 	// enqueue directly — can never overtake a buffered tuple and break
 	// the per-shard monotone timestamp contract. Router goroutine only.
-	shardBufs [][]stream.Item
-	batchPool sync.Pool
+	shardBufs []*stream.Batch
+	pool      stream.BatchPool
 
 	errMu sync.Mutex //pjoin:lockrank leaf
 	err   error
@@ -246,31 +247,9 @@ func New(cfg Config, out op.Emitter) (*ShardedPJoin, error) {
 		go j.runShard(sh)
 	}
 	j.outSc = j.shards[0].pj.OutSchema()
-	j.shardBufs = make([][]stream.Item, cfg.Shards)
+	j.shardBufs = make([]*stream.Batch, cfg.Shards)
 	j.registerGauges()
 	return j, nil
-}
-
-// getBatch takes a recycled items slice from the pool (or allocates).
-//
-//pjoin:pool get
-func (j *ShardedPJoin) getBatch() []stream.Item {
-	if b, ok := j.batchPool.Get().(*[]stream.Item); ok {
-		return (*b)[:0]
-	}
-	return make([]stream.Item, 0, 64)
-}
-
-// putBatch clears a batch (so it pins no tuples) and returns it to the
-// pool. Called by shard goroutines after processing a msgBatch.
-//
-//pjoin:pool put
-func (j *ShardedPJoin) putBatch(b []stream.Item) {
-	for i := range b {
-		b[i] = stream.Item{}
-	}
-	b = b[:0]
-	j.batchPool.Put(&b)
 }
 
 // registerGauges exposes the aggregated (cross-shard) live metrics. The
@@ -304,7 +283,7 @@ func (j *ShardedPJoin) runShard(sh *shard) {
 	for msg := range sh.in {
 		if sh.failed {
 			if msg.kind == msgBatch {
-				j.putBatch(msg.items)
+				j.pool.Put(msg.batch)
 			}
 			continue // drain so the router never blocks on a dead shard
 		}
@@ -314,7 +293,7 @@ func (j *ShardedPJoin) runShard(sh *shard) {
 		case msgItem:
 			err = sh.pj.Process(msg.port, msg.item, msg.now)
 		case msgBatch:
-			err = sh.pj.ProcessBatch(msg.port, msg.items, msg.now)
+			err = sh.pj.ProcessBatch(msg.port, msg.batch.Items, msg.now)
 		case msgIdle:
 			_, err = sh.pj.OnIdle(msg.now)
 		case msgPull:
@@ -324,7 +303,7 @@ func (j *ShardedPJoin) runShard(sh *shard) {
 		}
 		sh.mu.Unlock()
 		if msg.kind == msgBatch {
-			j.putBatch(msg.items)
+			j.pool.Put(msg.batch)
 		}
 		if err != nil {
 			sh.failed = true
@@ -371,10 +350,20 @@ func (j *ShardedPJoin) send(sh *shard, m message) {
 	}
 }
 
-// Process implements op.Operator: data tuples are routed to the shard
-// owning their join key; punctuations and EOS are broadcast to every
-// shard.
+// Process implements op.Operator: the item is routed as a batch of one.
 func (j *ShardedPJoin) Process(port int, it stream.Item, now stream.Time) error {
+	one := [1]stream.Item{it}
+	return j.ProcessBatch(port, one[:], now)
+}
+
+// ProcessBatch implements op.BatchProcessor for the router: data tuples
+// are routed to the shard owning their join key, accumulating each
+// shard's run into a per-shard buffer and sending one msgBatch per shard
+// instead of one queue operation per tuple. Punctuations and EOS are
+// batch boundaries: every buffered tuple is flushed to its shard first,
+// then the item is broadcast to every shard — which preserves the
+// per-shard FIFO of tuples before the punctuation.
+func (j *ShardedPJoin) ProcessBatch(port int, items []stream.Item, now stream.Time) error {
 	if err := op.ValidatePort(j.Name(), port, 2); err != nil {
 		return err
 	}
@@ -384,20 +373,51 @@ func (j *ShardedPJoin) Process(port int, it stream.Item, now stream.Time) error 
 	if err := j.errNow(); err != nil {
 		return fmt.Errorf("parallel: %s: shard failed: %w", j.Name(), err)
 	}
+	j.lat.RecordBatchFill(len(items))
 	// The router goroutine owns the live sampler: shard handles are
 	// trace-only (see Config.Instr), so the aggregated gauges run here.
 	j.instr.Tick(now)
-	switch it.Kind {
-	case stream.KindTuple:
-		attr := j.attrs[port]
+	attr := j.attrs[port]
+	for _, it := range items {
+		if it.Kind != stream.KindTuple {
+			j.flushShardBufs(port)
+			if err := j.broadcast(port, it); err != nil {
+				return err
+			}
+			continue
+		}
 		if len(it.Tuple.Values) <= attr {
+			j.flushShardBufs(port)
 			return fmt.Errorf("parallel: %s: tuple width %d lacks join attribute %d",
 				j.Name(), len(it.Tuple.Values), attr)
 		}
 		s := int(it.Tuple.Values[attr].Hash() % uint64(len(j.shards)))
 		j.shards[s].routed.Add(1)
-		j.instr.Event(obs.KindShardRoute, now, port, int64(s), 0)
-		j.send(j.shards[s], message{kind: msgItem, port: port, item: it, now: now})
+		j.instr.Event(obs.KindShardRoute, it.Ts, port, int64(s), 0)
+		if j.shardBufs[s] == nil {
+			j.shardBufs[s] = j.pool.Get(len(items))
+		}
+		j.shardBufs[s].Items = append(j.shardBufs[s].Items, it)
+	}
+	j.flushShardBufs(port)
+	return nil
+}
+
+// flushShardBufs sends every per-shard buffer as one msgBatch (ownership
+// passes to the shard goroutine, which recycles it).
+func (j *ShardedPJoin) flushShardBufs(port int) {
+	for s, b := range j.shardBufs {
+		if b == nil {
+			continue
+		}
+		j.shardBufs[s] = nil
+		j.send(j.shards[s], message{kind: msgBatch, port: port, batch: b, now: b.Items[len(b.Items)-1].Ts})
+	}
+}
+
+// broadcast sends a punctuation or EOS to every shard.
+func (j *ShardedPJoin) broadcast(port int, it stream.Item) error {
+	switch it.Kind {
 	case stream.KindPunct:
 		// Note the arrival time under the merge key BEFORE broadcasting,
 		// so the merger can measure arrival → alignment-complete delay
@@ -426,85 +446,18 @@ func (j *ShardedPJoin) Process(port int, it stream.Item, now stream.Time) error 
 			}
 			j.merge.notePunctArrival(outP.String(), it.Ts, trace)
 		}
-		for _, sh := range j.shards {
-			j.send(sh, message{kind: msgItem, port: port, item: it, now: now})
-		}
 	case stream.KindEOS:
 		if j.eos[port] {
 			return fmt.Errorf("parallel: %s: duplicate EOS on port %d", j.Name(), port)
 		}
 		j.eos[port] = true
-		for _, sh := range j.shards {
-			j.send(sh, message{kind: msgItem, port: port, item: it, now: now})
-		}
 	default:
 		return fmt.Errorf("parallel: %s: unknown item kind %v", j.Name(), it.Kind)
 	}
+	for _, sh := range j.shards {
+		j.send(sh, message{kind: msgItem, port: port, item: it, now: it.Ts})
+	}
 	return nil
-}
-
-// ProcessBatch implements op.BatchProcessor for the router: one call
-// routes a whole batch, accumulating each shard's run of tuples into a
-// per-shard buffer and sending one msgBatch per shard instead of one
-// queue operation per tuple. Punctuations and EOS are batch boundaries:
-// every buffered tuple is flushed to its shard first, then the item
-// goes through the per-item Process path unchanged — which preserves
-// both the notePunctArrival-before-broadcast ordering the merger's
-// delay accounting relies on and the per-shard FIFO of tuples before
-// the punctuation. Per-tuple routing observability (routed counters,
-// shard-route trace events) is identical to the per-item path.
-func (j *ShardedPJoin) ProcessBatch(port int, items []stream.Item, now stream.Time) error {
-	if err := op.ValidatePort(j.Name(), port, 2); err != nil {
-		return err
-	}
-	if j.finished {
-		return fmt.Errorf("parallel: %s: Process after Finish", j.Name())
-	}
-	if err := j.errNow(); err != nil {
-		return fmt.Errorf("parallel: %s: shard failed: %w", j.Name(), err)
-	}
-	j.lat.RecordBatchFill(len(items))
-	j.instr.Tick(now)
-	attr := j.attrs[port]
-	for _, it := range items {
-		if it.Kind != stream.KindTuple {
-			j.flushShardBufs(port)
-			if err := j.Process(port, it, it.Ts); err != nil {
-				return err
-			}
-			continue
-		}
-		if len(it.Tuple.Values) <= attr {
-			j.flushShardBufs(port)
-			return fmt.Errorf("parallel: %s: tuple width %d lacks join attribute %d",
-				j.Name(), len(it.Tuple.Values), attr)
-		}
-		s := int(it.Tuple.Values[attr].Hash() % uint64(len(j.shards)))
-		j.shards[s].routed.Add(1)
-		j.instr.Event(obs.KindShardRoute, it.Ts, port, int64(s), 0)
-		if j.shardBufs[s] == nil {
-			j.shardBufs[s] = j.getBatch()
-		}
-		j.shardBufs[s] = append(j.shardBufs[s], it)
-	}
-	j.flushShardBufs(port)
-	return nil
-}
-
-// flushShardBufs sends every non-empty per-shard buffer as one msgBatch
-// (ownership passes to the shard goroutine, which recycles it).
-func (j *ShardedPJoin) flushShardBufs(port int) {
-	for s, buf := range j.shardBufs {
-		if buf == nil {
-			continue
-		}
-		j.shardBufs[s] = nil
-		if len(buf) == 0 {
-			j.putBatch(buf)
-			continue
-		}
-		j.send(j.shards[s], message{kind: msgBatch, port: port, items: buf, now: buf[len(buf)-1].Ts})
-	}
 }
 
 // OnIdle implements op.Operator: the idle signal is offered to every

@@ -132,6 +132,10 @@ func runSharded(t *testing.T, cfg core.Config, shards int, arrs []gen.Arrival) (
 		t.Fatal(err)
 	}
 	drive(t, j, arrs)
+	// Finish has joined the shard goroutines: every routed batch is back.
+	if gets, puts := j.pool.Stats(); gets != puts || gets == 0 {
+		t.Errorf("shards=%d: batch pool has %d gets, %d puts after Finish", shards, gets, puts)
+	}
 	return summarize(sink.snapshot()), j
 }
 
