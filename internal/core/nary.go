@@ -32,6 +32,7 @@ type NaryPJoin struct {
 	tables []map[value.Value][]*naryTuple
 	sizes  []int
 	psets  []*punct.Set
+	hdrs   stream.Headers // arrival-stamped headers, see PJoin.hdrs
 
 	eos      []bool
 	eosSeen  int
@@ -146,7 +147,9 @@ func (j *NaryPJoin) Process(port int, it stream.Item, now stream.Time) error {
 	}
 	switch it.Kind {
 	case stream.KindTuple:
-		return j.processTuple(port, it.Tuple)
+		// Results carry the latest member's arrival, so the stored tuple
+		// must (see PJoin.Process).
+		return j.processTuple(port, j.hdrs.Stamp(it.Tuple, it.Ts))
 	case stream.KindPunct:
 		return j.processPunct(port, it.Punct, it.Ts)
 	case stream.KindEOS:

@@ -209,6 +209,10 @@ type PJoin struct {
 	// the inputs have run ahead of it.
 	lastPropTs stream.Time
 
+	// hdrs stamps arriving tuples whose header does not already carry
+	// their arrival time (see Process).
+	hdrs stream.Headers
+
 	now      stream.Time
 	eos      [2]bool
 	finished bool
@@ -276,8 +280,9 @@ func New(cfg Config, out op.Emitter) (*PJoin, error) {
 		lat: obs.NewLat(),
 	}
 	j.base, err = joinbase.New(stA, stB, outSc, func(t *stream.Tuple) error {
-		// A result's timestamp is the max of its constituents' (Tuple.Join),
-		// so now − Ts is how long the older partner waited in state.
+		// A result's timestamp is the later partner's arrival
+		// (Tuple.FillJoin), so now − Ts is zero for a memory-probe result
+		// and the wait for the disk pass for a left-over one.
 		j.lat.RecordResult(j.now, t.Ts)
 		if t.Span != 0 && j.resultSpanBudget > 0 && j.obs.SpansEnabled() {
 			j.resultSpanBudget--
@@ -469,6 +474,14 @@ func (j *PJoin) PunctSetSizes() (a, b int) {
 // increasing timestamps, and timestamps must be unique across ports (the
 // executor and simulator both guarantee this); the duplicate-avoidance
 // logic of the disk join relies on it.
+//
+// A tuple's arrival time is it.Ts, not the Ts its shared header carries:
+// the join keeps the arrival on the tuple it stores (StoredTuple.ATS,
+// window expiry, result timestamps), so when the two differ — under the
+// executor, which restamps items and never tuples — it stores a header
+// of its own. Drivers that deliver tuples stamped with their item time
+// (direct drives, the simulator, the oracle) keep their tuples as they
+// are.
 func (j *PJoin) Process(port int, it stream.Item, now stream.Time) error {
 	if err := op.ValidatePort(j.Name(), port, 2); err != nil {
 		return err
@@ -480,7 +493,7 @@ func (j *PJoin) Process(port int, it stream.Item, now stream.Time) error {
 	j.obs.Tick(j.now)
 	switch it.Kind {
 	case stream.KindTuple:
-		if err := j.processTuple(port, it.Tuple); err != nil {
+		if err := j.processTuple(port, j.hdrs.Stamp(it.Tuple, it.Ts)); err != nil {
 			return err
 		}
 		return j.pumpDisk(j.now)

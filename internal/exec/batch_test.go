@@ -47,24 +47,7 @@ func (a *tsAudit) ProcessBatch(port int, items []stream.Item, now stream.Time) e
 // timestamps in batches no larger than the batch size. BatchSize 0 and 1
 // are the same cell twice: both deliver batches of one.
 func TestBatchedPipelineEquivalence(t *testing.T) {
-	arrs, err := gen.Synthetic(gen.Config{
-		Seed:      17,
-		MaxTuples: 600,
-		Duration:  1 << 62,
-		A:         gen.SideSpec{TupleMean: stream.Millisecond, PunctMean: 8},
-		B:         gen.SideSpec{TupleMean: stream.Millisecond, PunctMean: 8},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var a, b []stream.Item
-	for _, ar := range arrs {
-		if ar.Port == 0 {
-			a = append(a, ar.Item)
-		} else {
-			b = append(b, ar.Item)
-		}
-	}
+	a, b := splitSynthetic(t, 17, 600, 8)
 
 	run := func(batch int, linger time.Duration, shards int) (map[string]int, map[string]int) {
 		p := NewPipeline()
@@ -78,6 +61,7 @@ func TestBatchedPipelineEquivalence(t *testing.T) {
 		// schedule-independent so it can be compared across cells.
 		cfg.RetainPropagated = true
 		var j op.Operator
+		var err error
 		if shards > 1 {
 			j, err = parallel.New(parallel.Config{Shards: shards, Join: cfg}, out)
 		} else {
@@ -108,11 +92,7 @@ func TestBatchedPipelineEquivalence(t *testing.T) {
 		}
 		vals := map[string]int{}
 		for _, tp := range sink.Tuples() {
-			key := ""
-			for _, v := range tp.Values {
-				key += v.String() + "|"
-			}
-			vals[key]++
+			vals[valuesKey(tp)]++
 		}
 		puncts := map[string]int{}
 		for _, it := range sink.Puncts() {

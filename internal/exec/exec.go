@@ -12,9 +12,16 @@
 // punctuation or EOS is never queued behind buffered tuples.
 //
 // The executor owns arrival timestamping: every item entering an
-// operator is restamped with a strictly increasing timestamp (never
-// below the wall-clock elapsed time), which is the property the join
-// operators' duplicate-avoidance bookkeeping requires.
+// operator has its Item.Ts overwritten with a strictly increasing
+// timestamp (never below the wall-clock elapsed time when its batch was
+// received), which is the property the join operators'
+// duplicate-avoidance bookkeeping requires. Tuples are immutable and
+// shared — the same *stream.Tuple may be in several batches, pipelines
+// and join states at once — so the executor never writes or copies one:
+// arrival time is Item.Ts, and an operator that retains a tuple and
+// needs the arrival time on it stamps its own header
+// (stream.Headers.Stamp; the joins do, a result's Ts is the later
+// partner's arrival).
 //
 // The restamping contract is shard-safe: a parallel operator such as
 // parallel.ShardedPJoin receives one strictly increasing sequence on its
@@ -404,11 +411,38 @@ func (p *Pipeline) Spawn(o op.Operator, inputs ...*Edge) error {
 	return nil
 }
 
+// restamp assigns the items of one received batch their arrival
+// timestamps, first, first+1, …, in place: the consumer owns the batch
+// once received, and only Item.Ts is written — never the tuple, which
+// other batches, pipelines and join states may share. It returns how
+// many EOS items the batch holds. A sampled tuple gets a deliver span
+// whose D is the restamp delta: its time queued on the edge (plus batch
+// linger) since the upstream hop stamped or emitted it.
+//
+//pjoin:hotpath
+func restamp(oin *obs.Instr, port int, items []stream.Item, first stream.Time) (eos int) {
+	spans := oin.SpansEnabled()
+	for i := range items {
+		it := &items[i]
+		ts := first + stream.Time(i)
+		switch it.Kind {
+		case stream.KindTuple:
+			if spans && it.Tuple.Span != 0 {
+				oin.Span(span.KindTupleDeliver, it.Tuple.Span, ts, port, 0, 0, 0, max(0, int64(ts-it.Ts)))
+			}
+		case stream.KindEOS:
+			eos++
+		}
+		it.Ts = ts
+	}
+	return eos
+}
+
 // runOperator is the operator driver: one wakeup drains a whole input
-// batch, restamps its items in place (the batch is owned by the consumer
-// once received), and dispatches through op.ProcessAll — an
-// op.BatchProcessor gets the slice in one call, any other operator sees
-// one Process call per item, in order.
+// batch, restamps its items (one clock read per batch: the items of a
+// batch arrived together and get consecutive stamps), and dispatches
+// through op.ProcessAll — an op.BatchProcessor gets the slice in one
+// call, any other operator sees one Process call per item, in order.
 func (p *Pipeline) runOperator(o op.Operator, inputs []*Edge, pull *PullHandle) {
 	merged := make(chan portBatch, len(inputs))
 	var fanIn sync.WaitGroup
@@ -434,40 +468,8 @@ func (p *Pipeline) runOperator(o op.Operator, inputs []*Edge, pull *PullHandle) 
 	go func() {
 		defer p.wg.Done()
 		oin := p.Obs.Derive(o.Name(), -1)
-		//pjoin:allow opcontract op-start is an executor lifecycle event stamped before any item exists to clamp against
-		oin.Event(obs.KindOpStart, stream.Time(p.elapsed()), -1, 0, 0)
 		var lastTs stream.Time
-		// stamp assigns the system arrival timestamp: strictly
-		// increasing, at least the wall-clock offset since start, so the
-		// items of one batch get consecutive clamped stamps. Item
-		// rebuilds preserve provenance: the tuple copy carries
-		// Tuple.Span, and the punctuation item's trace (Item.Span) is
-		// restamped onto the rebuilt item. A sampled tuple gets a
-		// deliver span whose D is the restamp delta — its time queued
-		// on the edge (plus batch linger).
-		stamp := func(port int, it stream.Item) stream.Item {
-			ts := p.sysNow(lastTs)
-			lastTs = ts
-			switch it.Kind {
-			case stream.KindTuple:
-				t := *it.Tuple
-				t.Ts = ts
-				if t.Span != 0 && oin.SpansEnabled() {
-					d := int64(ts) - int64(it.Tuple.Ts)
-					if d < 0 {
-						d = 0
-					}
-					oin.Span(span.KindTupleDeliver, t.Span, ts, port, 0, 0, 0, d)
-				}
-				return stream.TupleItem(&t)
-			case stream.KindPunct:
-				out := stream.PunctItem(it.Punct, ts)
-				out.Span = it.Span
-				return out
-			default:
-				return stream.EOSItem(ts)
-			}
-		}
+		oin.Event(obs.KindOpStart, p.sysNow(lastTs), -1, 0, 0)
 		eosSeen := 0
 		var idleTimer *time.Timer
 		var idleC <-chan time.Time
@@ -493,13 +495,12 @@ func (p *Pipeline) runOperator(o op.Operator, inputs []*Edge, pull *PullHandle) 
 						o.Name(), eosSeen, o.NumPorts()))
 					return
 				}
+				// Strictly increasing, at least the wall-clock offset
+				// since start.
 				items := pb.b.Items
-				for i := range items {
-					items[i] = stamp(pb.port, items[i])
-					if items[i].Kind == stream.KindEOS {
-						eosSeen++
-					}
-				}
+				first := p.sysNow(lastTs)
+				eosSeen += restamp(oin, pb.port, items, first)
+				lastTs = first + stream.Time(len(items)-1)
 				err := op.ProcessAll(o, pb.port, items)
 				p.pool.Put(pb.b)
 				if err != nil {

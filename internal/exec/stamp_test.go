@@ -1,0 +1,418 @@
+package exec
+
+import (
+	"context"
+	"fmt"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"pjoin/internal/core"
+	"pjoin/internal/gen"
+	"pjoin/internal/joinbase"
+	"pjoin/internal/op"
+	"pjoin/internal/parallel"
+	"pjoin/internal/punct"
+	"pjoin/internal/shj"
+	"pjoin/internal/stream"
+	"pjoin/internal/value"
+	"pjoin/internal/xjoin"
+)
+
+// The tests in this file pin the timestamp-ownership contract: tuples
+// are immutable and shared, arrival time is Item.Ts, an operator that
+// retains a tuple stamps its own header, and a join result's Ts is the
+// later partner's arrival.
+
+// splitSynthetic generates a punctuated two-stream workload and returns
+// each port's items. Payloads ("A17", "B4") identify tuples uniquely.
+func splitSynthetic(t testing.TB, seed uint64, tuples int, punctMean float64) (a, b []stream.Item) {
+	t.Helper()
+	arrs, err := gen.Synthetic(gen.Config{
+		Seed:      seed,
+		MaxTuples: tuples,
+		Duration:  1 << 62,
+		A:         gen.SideSpec{TupleMean: stream.Millisecond, PunctMean: punctMean},
+		B:         gen.SideSpec{TupleMean: stream.Millisecond, PunctMean: punctMean},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ar := range arrs {
+		if ar.Port == 0 {
+			a = append(a, ar.Item)
+		} else {
+			b = append(b, ar.Item)
+		}
+	}
+	return a, b
+}
+
+func valuesKey(t *stream.Tuple) string {
+	var sb strings.Builder
+	for _, v := range t.Values {
+		sb.WriteString(v.String())
+		sb.WriteByte('|')
+	}
+	return sb.String()
+}
+
+// shjMultiset is the brute-force reference: the joined value multiset of
+// the two inputs.
+func shjMultiset(t testing.TB, a, b []stream.Item) map[string]int {
+	t.Helper()
+	want := map[string]int{}
+	ref, err := shj.New(gen.SchemaA, gen.SchemaB, gen.KeyAttr, gen.KeyAttr, op.EmitterFunc(func(it stream.Item) error {
+		if it.Kind == stream.KindTuple {
+			want[valuesKey(it.Tuple)]++
+		}
+		return nil
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for port, items := range [][]stream.Item{a, b} {
+		for _, it := range items {
+			if err := ref.Process(port, it, it.Ts); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return want
+}
+
+func diffMultisets(t *testing.T, got, want map[string]int) {
+	t.Helper()
+	for k, n := range want {
+		if got[k] != n {
+			t.Errorf("result %q: got %d, want %d", k, got[k], n)
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("distinct results: got %d, want %d", len(got), len(want))
+	}
+}
+
+// arrivalAudit passes everything through to the join it wraps and
+// records the executor's arrival stamp of every tuple, by port and
+// payload.
+type arrivalAudit struct {
+	op.Operator
+	arrived [2]map[string]stream.Time
+}
+
+func newArrivalAudit(j op.Operator) *arrivalAudit {
+	return &arrivalAudit{Operator: j, arrived: [2]map[string]stream.Time{{}, {}}}
+}
+
+func (a *arrivalAudit) ProcessBatch(port int, items []stream.Item, now stream.Time) error {
+	for _, it := range items {
+		if it.Kind == stream.KindTuple {
+			a.arrived[port][it.Tuple.Values[1].StrVal()] = it.Ts
+		}
+	}
+	return op.ProcessAll(a.Operator, port, items)
+}
+
+// TestResultTsIsLaterPartnersArrival drives every join that retains
+// tuples through the live executor and checks, result by result, that
+// Ts is the later partner's executor arrival stamp — for memory-probe
+// results and for the left-over joins the disk passes produce. The
+// generated tuples carry virtual timestamps the executor never assigns,
+// so a join that reads a stale it.Tuple.Ts instead of it.Ts fails here
+// (an XJoin that skipped the ingress stamp passed every other test).
+func TestResultTsIsLaterPartnersArrival(t *testing.T) {
+	a, b := splitSynthetic(t, 23, 1200, 10)
+	want := shjMultiset(t, a, b)
+	if len(want) == 0 {
+		t.Fatal("workload joins nothing")
+	}
+
+	type metered interface{ Metrics() joinbase.Metrics }
+	joins := []struct {
+		name  string
+		spill bool
+		build func(out op.Emitter) (op.Operator, error)
+	}{
+		{"pjoin", false, func(out op.Emitter) (op.Operator, error) {
+			return core.New(core.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB}, out)
+		}},
+		{"xjoin_spill", true, func(out op.Emitter) (op.Operator, error) {
+			return xjoin.New(xjoin.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB, MemoryBytes: 4 << 10}, out)
+		}},
+		{"xjoin_spill_chunked", true, func(out op.Emitter) (op.Operator, error) {
+			return xjoin.New(xjoin.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB, MemoryBytes: 4 << 10, DiskChunkBytes: 512}, out)
+		}},
+		{"pjoin_spill", true, func(out op.Emitter) (op.Operator, error) {
+			cfg := core.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB}
+			cfg.Thresholds.MemoryBytes = 4 << 10
+			return core.New(cfg, out)
+		}},
+		{"sharded2", false, func(out op.Emitter) (op.Operator, error) {
+			return parallel.New(parallel.Config{Shards: 2, Join: core.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB}}, out)
+		}},
+	}
+	for _, jn := range joins {
+		for _, batch := range []int{1, 256} {
+			t.Run(fmt.Sprintf("%s_batch%d", jn.name, batch), func(t *testing.T) {
+				p := NewPipeline()
+				p.BatchSize = batch
+				srcA, srcB, out := p.Edge(), p.Edge(), p.Edge()
+				j, err := jn.build(out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				audit := newArrivalAudit(j)
+				p.SourceItems(srcA, a, false)
+				p.SourceItems(srcB, b, false)
+				if err := p.Spawn(audit, srcA, srcB); err != nil {
+					t.Fatal(err)
+				}
+				sink := p.Sink(out)
+				if err := p.Run(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+				got := map[string]int{}
+				bad := 0
+				for _, it := range sink.Items {
+					if it.Kind != stream.KindTuple {
+						continue
+					}
+					res := it.Tuple
+					got[valuesKey(res)]++
+					pa, pb := res.Values[1].StrVal(), res.Values[3].StrVal()
+					later := max(audit.arrived[0][pa], audit.arrived[1][pb])
+					if later == 0 {
+						t.Fatalf("result %s joins a tuple the audit never saw", res)
+					}
+					if (res.Ts != later || it.Ts != later) && bad < 5 {
+						bad++
+						t.Errorf("result (%s, %s): tuple Ts %d, item Ts %d, want the later arrival %d (A at %d, B at %d)",
+							pa, pb, res.Ts, it.Ts, later, audit.arrived[0][pa], audit.arrived[1][pb])
+					}
+				}
+				diffMultisets(t, got, want)
+				if m := j.(metered).Metrics(); jn.spill && (m.Relocations == 0 || m.DiskJoins == 0) {
+					t.Errorf("spill variant produced no left-over joins: %d relocations, %d disk joins", m.Relocations, m.DiskJoins)
+				}
+			})
+		}
+	}
+}
+
+// terminal is a counting terminal operator: it consumes tuples and emits
+// nothing. seen, when non-nil, collects the value multiset.
+type terminal struct {
+	in     *stream.Schema
+	tuples int
+	seen   map[string]int
+	eos    bool
+}
+
+func (c *terminal) Name() string              { return "terminal" }
+func (c *terminal) NumPorts() int             { return 1 }
+func (c *terminal) OutSchema() *stream.Schema { return c.in }
+
+func (c *terminal) Process(port int, it stream.Item, now stream.Time) error {
+	switch it.Kind {
+	case stream.KindTuple:
+		c.tuples++
+		if c.seen != nil {
+			c.seen[valuesKey(it.Tuple)]++
+		}
+	case stream.KindEOS:
+		c.eos = true
+	}
+	return nil
+}
+
+func (c *terminal) OnIdle(stream.Time) (bool, error) { return false, nil }
+
+func (c *terminal) Finish(now stream.Time) error {
+	if !c.eos {
+		return fmt.Errorf("terminal: Finish before EOS")
+	}
+	return nil
+}
+
+// TestPipelinesLeaveSharedInputUntouched runs one []stream.Item input
+// through two consecutive pipelines (sources → PJoin → select →
+// terminal). The benchmark and every replaying caller reuse one
+// generated input across runs, so the executor and the operators must
+// treat source tuples as read-only: afterwards every tuple's Ts, Span
+// and Values are what they were, and both runs join the same multiset.
+// Restamping the shared tuple in place instead of Item.Ts fails both
+// halves.
+func TestPipelinesLeaveSharedInputUntouched(t *testing.T) {
+	a, b := splitSynthetic(t, 29, 800, 12)
+	type frozen struct {
+		item  stream.Item
+		ts    stream.Time
+		span  uint64
+		vals  []value.Value
+		first *value.Value
+	}
+	var before []frozen
+	for _, items := range [][]stream.Item{a, b} {
+		for _, it := range items {
+			f := frozen{item: it}
+			if it.Kind == stream.KindTuple {
+				f.ts, f.span = it.Tuple.Ts, it.Tuple.Span
+				f.vals = append([]value.Value(nil), it.Tuple.Values...)
+				f.first = &it.Tuple.Values[0]
+			}
+			before = append(before, f)
+		}
+	}
+
+	run := func(batch int) map[string]int {
+		p := NewPipeline()
+		p.BatchSize = batch
+		srcA, srcB, joined, selected := p.Edge(), p.Edge(), p.Edge(), p.Edge()
+		cfg := core.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB}
+		cfg.Thresholds.PropagateCount = 1
+		j, err := core.New(cfg, joined)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel, err := op.NewSelect(j.OutSchema(), func(*stream.Tuple) bool { return true }, selected)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[string]int{}
+		p.SourceItems(srcA, a, false)
+		p.SourceItems(srcB, b, false)
+		for _, err := range []error{
+			p.Spawn(j, srcA, srcB), p.Spawn(sel, joined), p.Spawn(&terminal{in: j.OutSchema(), seen: seen}, selected),
+		} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := p.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return seen
+	}
+	first := run(256)
+	second := run(1)
+	if len(first) == 0 {
+		t.Fatal("workload joins nothing")
+	}
+	diffMultisets(t, second, first)
+	diffMultisets(t, first, shjMultiset(t, a, b))
+
+	i := 0
+	for _, items := range [][]stream.Item{a, b} {
+		for _, it := range items {
+			f := before[i]
+			i++
+			if it.Kind != f.item.Kind || it.Ts != f.item.Ts || it.Tuple != f.item.Tuple || it.Span != f.item.Span {
+				t.Fatalf("input item %d changed: %v, was %v", i-1, it, f.item)
+			}
+			if it.Kind != stream.KindTuple {
+				continue
+			}
+			tp := f.item.Tuple
+			if tp.Ts != f.ts || tp.Span != f.span || len(tp.Values) != len(f.vals) || &tp.Values[0] != f.first {
+				t.Fatalf("source tuple %d header changed: %v span %d, was Ts %d span %d", i-1, tp, tp.Span, f.ts, f.span)
+			}
+			for k, v := range tp.Values {
+				if v != f.vals[k] {
+					t.Fatalf("source tuple %d value %d changed: %v, was %v", i-1, k, v, f.vals[k])
+				}
+			}
+		}
+	}
+}
+
+// fanoutInput builds two punctuation-free streams over fanoutKeys keys,
+// fanoutPerKey tuples per key and side: fanoutKeys × fanoutPerKey²
+// results, the average arrival matching about 26 stored partners.
+const fanoutKeys, fanoutPerKey = 16, 52
+
+func fanoutInput() (a, b []stream.Item) {
+	ts := stream.Time(0)
+	for i := 0; i < fanoutKeys*fanoutPerKey; i++ {
+		k := value.Int(int64(i % fanoutKeys))
+		ts++
+		a = append(a, stream.TupleItem(stream.MustTuple(gen.SchemaA, ts, k, value.Str("a"))))
+		ts++
+		b = append(b, stream.TupleItem(stream.MustTuple(gen.SchemaB, ts, k, value.Str("b"))))
+	}
+	return a, b
+}
+
+// TestPipelineAllocsPerResult is the end-to-end allocation guard for the
+// dataflow around the probe: a fan-out ≈ 26 join at batch 256 (1 ms
+// linger, the fanout_sat shape) into a counting terminal operator.
+// Results come from chunks (2 allocations per 32) and the driver
+// restamps Item.Ts in place, so the whole Run — goroutines, edges, state,
+// index and pooled batches included — stays under a quarter of an
+// allocation per result. One tuple copy per hop or one Tuple.Join per
+// result is 1 to 3 per result.
+func TestPipelineAllocsPerResult(t *testing.T) {
+	a, b := fanoutInput()
+	p := NewPipeline()
+	p.BatchSize = 256
+	p.BatchLinger = time.Millisecond // without a linger every Emit cuts a batch of one
+	srcA, srcB, joined := p.Edge(), p.Edge(), p.Edge()
+	j, err := core.New(core.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB}, joined)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := &terminal{in: j.OutSchema()}
+	p.SourceItems(srcA, a, false)
+	p.SourceItems(srcB, b, false)
+	if err := p.Spawn(j, srcA, srcB); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Spawn(count, joined); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if err := p.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if want := fanoutKeys * fanoutPerKey * fanoutPerKey; count.tuples != want {
+		t.Fatalf("%d results, want %d", count.tuples, want)
+	}
+	perResult := float64(after.Mallocs-before.Mallocs) / float64(count.tuples)
+	t.Logf("%d inputs, %d results (fan-out %.1f), %d allocations: %.3f per result",
+		len(a)+len(b), count.tuples, float64(count.tuples)/float64(len(a)+len(b)),
+		after.Mallocs-before.Mallocs, perResult)
+	if perResult > 0.25 {
+		t.Errorf("%.3f allocations per result, want at most 0.25", perResult)
+	}
+}
+
+// TestRestampDoesNotAllocate pins the driver's restamp loop at zero
+// allocations on a batch mixing every item kind, and checks what it
+// writes: consecutive stamps on the items, nothing on the tuples.
+func TestRestampDoesNotAllocate(t *testing.T) {
+	batch := items(t, 254)
+	batch = append(batch,
+		stream.PunctItem(punct.MustKeyOnly(2, 0, punct.Const(value.Int(1))), 3),
+		stream.EOSItem(4))
+	tupleTs := batch[0].Tuple.Ts
+	allocs := testing.AllocsPerRun(100, func() {
+		if eos := restamp(nil, 0, batch, 1000); eos != 1 {
+			t.Fatalf("counted %d EOS items, want 1", eos)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("restamping a %d-item batch allocates %.1f objects, want 0", len(batch), allocs)
+	}
+	for i, it := range batch {
+		if it.Ts != 1000+stream.Time(i) {
+			t.Fatalf("item %d stamped %d, want %d", i, it.Ts, 1000+i)
+		}
+	}
+	if batch[0].Tuple.Ts != tupleTs {
+		t.Errorf("restamp wrote the tuple: Ts %d, was %d", batch[0].Tuple.Ts, tupleTs)
+	}
+}

@@ -12,9 +12,10 @@ import (
 // Allocation micro-benchmarks for the memory-join hot path. The probe
 // machinery itself (key extraction, bucket scan, match collection) must
 // not allocate: ProbeOpposite reuses a per-Base match buffer and
-// arrival scratch. Result construction inevitably allocates (one output
-// tuple per match), so the zero-allocation claim is benchmarked on the
-// probe-miss path, where no result is built.
+// arrival scratch. Result construction allocates a chunk of headers and
+// a chunk of values per resultChunk matches (resultchunk_test.go), so
+// the zero-allocation claim is benchmarked on the probe-miss path, where
+// no result is built.
 
 var benchSchemaA = stream.MustSchema("a",
 	stream.Field{Name: "k", Kind: value.KindInt},

@@ -32,6 +32,7 @@ import (
 	"pjoin/internal/obs"
 	"pjoin/internal/store"
 	"pjoin/internal/stream"
+	"pjoin/internal/value"
 )
 
 // EmitFunc receives one join result (the A-side tuple's values followed
@@ -103,8 +104,8 @@ type Base struct {
 
 	// probeCache and arrival are per-probe scratch reused across
 	// ProbeOpposite calls so the memory-join hot path performs no
-	// allocation of its own (result construction still allocates, the
-	// probe machinery does not). probeCache[s] memoizes the last probe
+	// allocation of its own (result construction draws on the result
+	// chunk below). probeCache[s] memoizes the last probe
 	// of States[s] (seq-guarded, see store.MemProbe), which turns a run
 	// of same-key probes against an unchanged state — the common shape
 	// inside a batch — into one hash + group lookup. Base is
@@ -112,7 +113,24 @@ type Base struct {
 	// driver), so one scratch set per Base suffices.
 	probeCache [2]store.MemProbe
 	arrival    store.StoredTuple
+
+	// resHdrs and resVals are the unused remainder of the current result
+	// chunk: every result's header and values are carved from them (see
+	// newResult).
+	resHdrs []stream.Tuple
+	resVals []value.Value
 }
+
+// resultChunk is how many join results share one allocation of headers
+// and one of values. It is a constant, not sized to the probe burst: a
+// hot key with 10,000 matches fills 313 chunks, it does not create one
+// 10,000-result slab that a single retained result would keep alive.
+// The price of chunking is that bound: a retained result pins at most
+// its own chunk, resultChunk × (40 B header + width × 32 B values) —
+// the amplification store.storedChunk already imposes on every
+// StoredTuple. A consumer that drops results, or keeps all of them,
+// sees no difference.
+const resultChunk = 32
 
 // New builds a Base over two freshly created states with the same bucket
 // count (required: a join key must land in the same bucket index on both
@@ -136,16 +154,35 @@ func New(a, b *store.State, out *stream.Schema, emit EmitFunc) (*Base, error) {
 }
 
 // emitPair emits the result for the pair, putting the side-0 tuple's
-// values first regardless of which side is "a" in the caller.
+// values first regardless of which side is "a" in the caller. It is the
+// one place results are built: the memory probe and both disk passes
+// come through here.
+//
+//pjoin:hotpath
 func (b *Base) emitPair(sideOfX int, x, y *store.StoredTuple) error {
-	var res *stream.Tuple
-	if sideOfX == 0 {
-		res = x.T.Join(y.T)
-	} else {
-		res = y.T.Join(x.T)
+	if sideOfX != 0 {
+		x, y = y, x
 	}
 	b.M.TuplesOut++
-	return b.Emit(res)
+	return b.Emit(b.newResult(x.T, y.T))
+}
+
+// newResult builds the join result of a (side 0) and c (side 1) in the
+// current result chunk. The values slice is capped at its own length, so
+// an append by a consumer reallocates instead of writing into the next
+// result's values.
+func (b *Base) newResult(a, c *stream.Tuple) *stream.Tuple {
+	w := len(a.Values) + len(c.Values)
+	if len(b.resHdrs) == 0 || len(b.resVals) < w {
+		//pjoin:allow hotpath slab refill: two allocations per resultChunk results, amortized to 1/16 per result (alloc guards pin it)
+		b.resHdrs, b.resVals = make([]stream.Tuple, resultChunk), make([]value.Value, resultChunk*w)
+	}
+	res := &b.resHdrs[0]
+	b.resHdrs = b.resHdrs[1:]
+	vals := b.resVals[:w:w]
+	b.resVals = b.resVals[w:]
+	res.FillJoin(vals, a, c)
+	return res
 }
 
 // ProbeOpposite joins a new arrival on side s against the opposite
@@ -155,9 +192,9 @@ func (b *Base) emitPair(sideOfX int, x, y *store.StoredTuple) error {
 // mutation in between (a hot-key run inside a batch) is answered from
 // the cache, with the examined count a fresh probe would have reported.
 //
-// The probe machinery itself is zero-alloc; result construction
-// (Tuple.Join inside emitPair) allocates the output tuple by design
-// and lives outside this package's call graph.
+// The probe machinery itself is zero-alloc, and result construction
+// (emitPair) allocates only when a result chunk runs out: twice per
+// resultChunk results.
 //
 //pjoin:hotpath
 func (b *Base) ProbeOpposite(s int, t *stream.Tuple) (int, error) {

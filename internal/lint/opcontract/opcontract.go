@@ -13,6 +13,10 @@
 //     wall-clock derived (time.Now/Since/Until, directly or through
 //     one intra-package call) are flagged; the executor's sanctioned
 //     wall→stream clamp carries an //pjoin:allow.
+//   - Arrival time is Item.Ts: code reachable from Process /
+//     ProcessBatch must not read <item>.Tuple.Ts. Tuples are shared and
+//     never restamped, so their Ts is whatever the tuple's creator set;
+//     the driver's stamp is the item's Ts (equally, the now argument).
 //
 // Reachability is the intra-package static call graph; dynamic
 // dispatch is invisible (DESIGN.md §14 documents the approximation).
@@ -101,6 +105,7 @@ func run(pass *analysis.Pass) error {
 	reachAll := g.Reachable(allRoots...)
 
 	checkEOSAndSends(pass, g, streamPkg, reachProcess, reachAll)
+	checkStaleTupleTs(pass, g, streamPkg, reachProcess)
 	for _, im := range impls {
 		checkPerType(pass, g, streamPkg, im)
 	}
@@ -168,6 +173,28 @@ func checkEOSAndSends(pass *analysis.Pass, g *analysis.CallGraph, streamPkg *typ
 	}
 }
 
+// checkStaleTupleTs flags <expr of type stream.Item>.Tuple.Ts in
+// Process-reachable code. A tuple held through some other
+// variable (a stored tuple, a header the operator stamped itself) is out
+// of the check's reach by design: only the incoming item's tuple is
+// known to carry a foreign timestamp.
+func checkStaleTupleTs(pass *analysis.Pass, g *analysis.CallGraph, streamPkg *types.Package, reachProcess map[*types.Func]bool) {
+	for fn := range reachProcess {
+		ast.Inspect(g.Decls[fn].Body, func(n ast.Node) bool {
+			ts, ok := n.(*ast.SelectorExpr)
+			if !ok || ts.Sel.Name != "Ts" {
+				return true
+			}
+			tup, ok := ast.Unparen(ts.X).(*ast.SelectorExpr)
+			if !ok || tup.Sel.Name != "Tuple" || !isStreamNamed(pass.Info.TypeOf(tup.X), streamPkg, "Item") {
+				return true
+			}
+			pass.Reportf(ts.Pos(), "reads the incoming item's Tuple.Ts: tuples are shared and never restamped, the arrival time is the item's Ts (or now)")
+			return true
+		})
+	}
+}
+
 // isStreamItemChan reports whether t is chan stream.Item or
 // chan []stream.Item (any direction).
 func isStreamItemChan(t types.Type, streamPkg *types.Package) bool {
@@ -182,8 +209,13 @@ func isStreamItemChan(t types.Type, streamPkg *types.Package) bool {
 	if sl, ok := elem.Underlying().(*types.Slice); ok {
 		elem = sl.Elem()
 	}
-	named, ok := elem.(*types.Named)
-	return ok && named.Obj().Pkg() == streamPkg && named.Obj().Name() == "Item"
+	return isStreamNamed(elem, streamPkg, "Item")
+}
+
+// isStreamNamed reports whether t is the named type stream.<name>.
+func isStreamNamed(t types.Type, streamPkg *types.Package, name string) bool {
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Pkg() == streamPkg && named.Obj().Name() == name
 }
 
 // checkPerType enforces the per-implementation obligations: Process
@@ -289,8 +321,7 @@ func isWallClockFunc(fn *types.Func) bool {
 }
 
 func isStreamTime(t types.Type, streamPkg *types.Package) bool {
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Pkg() == streamPkg && named.Obj().Name() == "Time"
+	return isStreamNamed(t, streamPkg, "Time")
 }
 
 func tainted(pass *analysis.Pass, wallDirect map[*types.Func]bool, e ast.Expr) bool {

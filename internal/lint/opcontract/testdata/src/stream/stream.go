@@ -15,10 +15,18 @@ const (
 // Time is virtual stream time.
 type Time int64
 
-// Item is one stream element.
+// Tuple is a shared, immutable data element; Ts is its creator's stamp.
+type Tuple struct {
+	Ts Time
+}
+
+// Item is one stream element; Ts is its arrival stamp at the operator
+// it is delivered to.
 type Item struct {
-	Kind Kind
-	At   Time
+	Kind  Kind
+	At    Time
+	Tuple *Tuple
+	Ts    Time
 }
 
 // EOSItem builds the end-of-stream item.

@@ -113,6 +113,17 @@ func (c *Collector) Reset() { c.Items = nil }
 //  5. OnIdle may be called at any point before Finish with the same
 //     non-decreasing now domain as Process (the executor clamps idle
 //     pulses so an operator's clock never runs backwards).
+//  6. Tuples are immutable and shared; an item's arrival time is it.Ts
+//     (every driver passes it as now), never it.Tuple.Ts, which is
+//     whatever the tuple's creator set — the live executor restamps
+//     items, not tuples. An operator may keep the *stream.Tuple it is
+//     handed but must not write it, and one that needs the arrival time
+//     on a tuple it retains stamps its own header
+//     (stream.Headers.Stamp): core.PJoin, xjoin and NaryPJoin do, so a
+//     join result's Ts is the later partner's arrival at the join (shj,
+//     the reference every driver feeds directly, does not). Drivers that
+//     deliver tuples whose Ts already equals the item's (direct drives,
+//     the simulator, the oracle) see the tuple retained as it is.
 //
 // Operators differ in what Finish means — shj ignores punctuations and
 // just emits EOS; PJoin runs a final purge/disk pass and propagates

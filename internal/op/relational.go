@@ -169,7 +169,7 @@ func (p *Project) Process(port int, it stream.Item, now stream.Time) error {
 		for _, k := range p.keep {
 			vs = append(vs, t.Values[k])
 		}
-		nt := &stream.Tuple{Values: vs, Ts: t.Ts}
+		nt := &stream.Tuple{Values: vs, Ts: it.Ts}
 		return p.emit.Emit(stream.TupleItem(nt))
 	case stream.KindPunct:
 		pt := it.Punct

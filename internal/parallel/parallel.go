@@ -52,6 +52,9 @@
 // queue is FIFO — so every shard observes a subsequence of a strictly
 // increasing sequence, which is again strictly increasing. This is what
 // makes the restamping contract shard-safe without any shared clock.
+// The stamp is Item.Ts: the router passes items through as they are,
+// tuples untouched, and the shard's PJoin stamps the header it stores
+// (core.PJoin.Process).
 //
 // # Metrics
 //

@@ -26,7 +26,10 @@ import (
 // — both removals stay O(1) per tuple.
 
 // storedChunk is the slab size for StoredTuple wrappers: one allocation
-// amortised over this many inserts.
+// amortised over this many inserts. A surviving wrapper keeps its whole
+// chunk reachable; the stamped tuple headers (stream.Headers) and the
+// join results (joinbase.resultChunk) are chunked the same way and accept
+// the same bounded amplification.
 const storedChunk = 256
 
 // alloc is the per-State slab allocator. StoredTuple wrappers are

@@ -29,6 +29,9 @@ type StoredTuple struct {
 }
 
 // ATS returns the tuple's arrival timestamp (start of memory residence).
+// It is T.Ts, so the join that owns the state inserts a tuple whose
+// header carries the arrival time — its own stamped header when the
+// incoming item's Ts differs from the shared tuple's (stream.Headers).
 func (s *StoredTuple) ATS() stream.Time { return s.T.Ts }
 
 // Resident reports whether the tuple is still memory-resident.

@@ -137,8 +137,13 @@ func (s *Schema) String() string {
 }
 
 // Tuple is one data element of a stream: the attribute values plus the
-// arrival timestamp assigned when it entered the system. Tuples are
-// treated as immutable once emitted.
+// timestamp its creator gave it. Tuples are immutable once emitted and
+// shared: a source may replay the same tuple through several pipelines,
+// and every operator on the way sees the same header. The time a tuple
+// arrived AT AN OPERATOR is therefore not a tuple field but Item.Ts; an
+// operator that retains a tuple and needs the arrival time on it (the
+// joins: state residence, window expiry, result timestamps) stamps its
+// own header copy with Headers.Stamp.
 //
 // Span, when non-zero, is a provenance trace ID (internal/obs/span)
 // assigned by a source-side sampler; it rides the tuple through state
@@ -179,22 +184,62 @@ func MustTuple(s *Schema, ts Time, vals ...value.Value) *Tuple {
 func (t *Tuple) Width() int { return len(t.Values) }
 
 // Join returns the concatenation of t and u as a fresh result tuple whose
-// timestamp is the later of the two inputs' timestamps.
+// timestamp is the later of the two inputs' timestamps. It is the
+// single-result form of FillJoin; the joins build their results through
+// FillJoin into chunked storage instead (see joinbase).
 func (t *Tuple) Join(u *Tuple) *Tuple {
-	vs := make([]value.Value, 0, len(t.Values)+len(u.Values))
-	vs = append(vs, t.Values...)
-	vs = append(vs, u.Values...)
-	ts := t.Ts
-	if u.Ts > ts {
-		ts = u.Ts
-	}
+	res := new(Tuple)
+	res.FillJoin(make([]value.Value, len(t.Values)+len(u.Values)), t, u)
+	return res
+}
+
+// FillJoin makes res the join result of t and u — the one construction
+// rule for results: vals receives t's values followed by u's and becomes
+// res.Values (the caller provides it with length t.Width()+u.Width() and
+// gives up ownership), Ts is the later of the two inputs' timestamps, and
+// Span the earliest non-zero trace.
+func (res *Tuple) FillJoin(vals []value.Value, t, u *Tuple) {
+	n := copy(vals, t.Values)
+	copy(vals[n:], u.Values)
+	res.Values = vals
+	res.Ts = max(t.Ts, u.Ts)
 	// A result descends from both inputs; when both are traced the
 	// earlier-assigned trace wins so attribution stays deterministic.
-	sp := t.Span
-	if sp == 0 || (u.Span != 0 && u.Span < sp) {
-		sp = u.Span
+	res.Span = t.Span
+	if res.Span == 0 || (u.Span != 0 && u.Span < res.Span) {
+		res.Span = u.Span
 	}
-	return &Tuple{Values: vs, Ts: ts, Span: sp}
+}
+
+// headerChunk is how many Tuple headers one Headers refill allocates.
+// It is the same device, size and rationale as the join state's
+// StoredTuple slab (store.storedChunk): one allocation per 256 retained
+// tuples instead of one each, at the price that a single surviving
+// header keeps its whole chunk (256 × 40 B) reachable.
+const headerChunk = 256
+
+// Headers hands out arrival-stamped Tuple headers carved from fixed-size
+// chunks. Headers are never recycled — they escape into operator state
+// and results — so a chunk is garbage once its last header is. The zero
+// value is ready to use; not safe for concurrent use.
+type Headers struct {
+	chunk []Tuple
+}
+
+// Stamp returns the tuple an operator should retain for an item that
+// arrived at ts: t itself when it already carries ts (direct drives, the
+// simulator and the oracle deliver tuples stamped by their generator),
+// otherwise a header sharing t's Values and Span with Ts = ts. t is never
+// written.
+func (h *Headers) Stamp(t *Tuple, ts Time) *Tuple {
+	if t.Ts == ts {
+		return t
+	}
+	if len(h.chunk) == cap(h.chunk) {
+		h.chunk = make([]Tuple, 0, headerChunk)
+	}
+	h.chunk = append(h.chunk, Tuple{Values: t.Values, Ts: ts, Span: t.Span})
+	return &h.chunk[len(h.chunk)-1]
 }
 
 // String renders "(v1, v2, ...)@ts".
@@ -238,11 +283,16 @@ func (k ItemKind) String() string {
 
 // Item is one element of a punctuated stream.
 //
+// Ts is the item's arrival time at the operator it is being delivered
+// to (equally, its emission time at the operator that produced it): the
+// executor overwrites it at every hop and never touches the tuple, so
+// for a tuple item Ts and Tuple.Ts agree only until the first restamp.
+//
 // Span, when non-zero on a KindPunct item, is the punctuation's
 // provenance trace ID (internal/obs/span): the sharded router stamps
 // it before broadcasting so every shard's lifecycle spans group under
 // one trace. Tuple provenance rides Tuple.Span instead — an item
-// rebuild (executor restamp, merger forward) must preserve both.
+// rebuild (merger forward) must preserve both.
 type Item struct {
 	Kind  ItemKind
 	Tuple *Tuple            // set when Kind == KindTuple

@@ -93,6 +93,10 @@ type XJoin struct {
 	// span.ResultCap; reset before each probe and disk-pass step.
 	resultSpanBudget int
 
+	// hdrs stamps arriving tuples whose header does not already carry
+	// their arrival time (see core.PJoin.Process).
+	hdrs stream.Headers
+
 	now      stream.Time
 	eos      [2]bool
 	finished bool
@@ -388,7 +392,8 @@ func (x *XJoin) pumpDisk(now stream.Time) error {
 }
 
 // Process implements op.Operator. Timestamps must be strictly
-// increasing across all items (see core.PJoin.Process).
+// increasing across all items, and a tuple's arrival time is it.Ts (see
+// core.PJoin.Process for both).
 func (x *XJoin) Process(port int, it stream.Item, now stream.Time) error {
 	if err := op.ValidatePort(x.Name(), port, 2); err != nil {
 		return err
@@ -400,26 +405,27 @@ func (x *XJoin) Process(port int, it stream.Item, now stream.Time) error {
 	x.base.Obs.Tick(x.now)
 	switch it.Kind {
 	case stream.KindTuple:
+		t := x.hdrs.Stamp(it.Tuple, it.Ts)
 		x.base.M.TuplesIn[port]++
-		x.base.Obs.Event(obs.KindTupleIn, it.Tuple.Ts, port, 0, 0)
-		if err := x.mon.TupleArrived(it.Tuple.Ts); err != nil {
+		x.base.Obs.Event(obs.KindTupleIn, t.Ts, port, 0, 0)
+		if err := x.mon.TupleArrived(t.Ts); err != nil {
 			return err
 		}
 		examBefore := x.base.M.Examined
 		x.resultSpanBudget = span.ResultCap
-		matches, err := x.base.ProbeOpposite(port, it.Tuple)
+		matches, err := x.base.ProbeOpposite(port, t)
 		if err != nil {
 			return err
 		}
-		x.base.Obs.Event(obs.KindProbe, it.Tuple.Ts, port, int64(matches), 0)
-		if it.Tuple.Span != 0 && x.cfg.Instr.SpansEnabled() {
-			x.cfg.Instr.Span(span.KindTupleProbe, it.Tuple.Span, it.Tuple.Ts, port,
+		x.base.Obs.Event(obs.KindProbe, t.Ts, port, int64(matches), 0)
+		if t.Span != 0 && x.cfg.Instr.SpansEnabled() {
+			x.cfg.Instr.Span(span.KindTupleProbe, t.Span, t.Ts, port,
 				int64(matches), x.base.M.Examined-examBefore, 0, 0)
 		}
-		if _, err := x.base.States[port].Insert(it.Tuple); err != nil {
+		if _, err := x.base.States[port].Insert(t); err != nil {
 			return err
 		}
-		if err := x.mon.StateSize(x.base.States[0].MemBytes()+x.base.States[1].MemBytes(), it.Tuple.Ts); err != nil {
+		if err := x.mon.StateSize(x.base.States[0].MemBytes()+x.base.States[1].MemBytes(), t.Ts); err != nil {
 			return err
 		}
 		return x.pumpDisk(x.now)
