@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint race check oracle traced-oracle fuzz bench bench-alloc bench-scaling flight-sample trace-sample
+.PHONY: build test vet lint race check loc oracle traced-oracle fuzz bench bench-alloc bench-scaling flight-sample trace-sample
 
 build:
 	$(GO) build ./...
@@ -28,10 +28,20 @@ race:
 
 check: build vet lint race
 
+# Non-test Go lines of the engine, commands and examples (not the
+# benchmark harness, the lint fixtures or build outputs): the number a
+# "net-negative" claim is made in. CI prints it for merge-base and head.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' \
+		! -path './.bench_build/*' ! -path './internal/lint/*/testdata/*' \
+		-exec cat {} + | wc -l
+
 # Differential oracle soak: ORACLE_SEEDS seeded scenarios, each run
-# through the full operator configuration matrix (PJoin/XJoin x index x
-# chunked passes x shards x spill cache x fault injection) against the
-# brute-force shj oracle and each other. Failures auto-shrink to a
+# through the full 90-row operator configuration matrix (PJoin/XJoin x
+# index x disk-pass schedule {drained, 512 B steps} x shards x spill
+# cache x fault injection, one 64 KiB-budget row per operator, and the
+# batched-delivery rows) against the brute-force shj oracle and each
+# other. Failures auto-shrink to a
 # one-line replay spec (feed it to `pjoinbench -oracle-replay`). See
 # DESIGN.md §11.
 ORACLE_SEEDS ?= 200
@@ -59,7 +69,7 @@ fuzz:
 # latency sweep — result-latency and punctuation-propagation-delay
 # quantiles (p50/p95/p99/max) across punctuation inter-arrival rates in
 # both regimes. BENCH_5.json: the incremental disk-join sweep —
-# result-latency quantiles per chunk budget (0 = blocking baseline)
+# result-latency quantiles per chunk budget (0 = each pass drained)
 # with spill-cache hit ratios. BENCH_6.json: the batched-dataflow sweep
 # — per-probe speedup of the seq-guarded memoizing probe over same-key
 # runs, plus wall-clock throughput and punctuation-propagation delay of

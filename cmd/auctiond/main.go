@@ -84,7 +84,7 @@ func main() {
 		lagSLO   = flag.Int64("lag-slo-ms", 0, "fire the health detector when punctuation lag exceeds this many ms (0 disables)")
 		stallMs  = flag.Int64("stall-ms", 0, "fire the health detector when no output progress happens for this many ms while input flows (0 disables)")
 		flight   = flag.String("flight", "flight.jsonl.gz", "where a firing health detector dumps the flight record (.gz compresses)")
-		chunkKB  = flag.Int("disk-chunk-kb", 0, "run disk passes incrementally with this per-step read budget in KiB (0 = blocking)")
+		chunkKB  = flag.Int("disk-chunk-kb", 0, "run disk passes incrementally with this per-step read budget in KiB (0 = run each pass to completion)")
 		cacheMB  = flag.Int("spill-cache-mb", 0, "wrap the join's spill stores in an LRU block cache of this many MiB (0 = no cache)")
 		batchN   = flag.Int("batch", 0, "deliver items to operators in batches of up to this size (<= 1 = batches of one); punctuations and EOS always flush the batch")
 		lingerMs = flag.Int("batch-linger-ms", 0, "bound how long a tuple may wait in an edge buffer before its batch is cut (0 = flush on every emit); only meaningful with -batch > 1")

@@ -64,7 +64,7 @@ func main() {
 		bench7 = flag.String("bench7", "", "write the provenance-tracing overhead sweep JSON (detached / sampled 1-in-64 / full, tuples/s regression vs detached) to this file")
 		flight = flag.String("flight-sample", "", "run the fault-injection flight-recorder scenario and write the dump to this file (.gz compresses)")
 
-		chunkKB  = flag.Int("disk-chunk-kb", 0, "run disk passes incrementally with this per-step read budget in KiB (0 = blocking)")
+		chunkKB  = flag.Int("disk-chunk-kb", 0, "run disk passes incrementally with this per-step read budget in KiB (0 = run each pass to completion)")
 		cacheMB  = flag.Int("spill-cache-mb", 0, "wrap spill stores in an LRU block cache of this many MiB (0 = no cache)")
 		batchN   = flag.Int("batch", 0, "exec batch size for the live-pipeline measurements (<=1 = batches of one; with -bench6, > 1 restricts the sweep to this cell)")
 		lingerMs = flag.Int("batch-linger-ms", 0, "bound on how long a tuple may wait in an edge batch buffer (0 = flush every emit)")

@@ -56,7 +56,7 @@ type RunConfig struct {
 	Work *WorkLog
 	// DiskChunkKB, when positive, runs every operator's disk passes as
 	// incremental background tasks with this per-step read budget in
-	// KiB (core.Config.DiskChunkBytes). 0 keeps passes blocking.
+	// KiB (core.Config.DiskChunkBytes). 0 runs each pass to completion.
 	DiskChunkKB int
 	// SpillCacheMB, when positive, wraps each operator's spill stores in
 	// an LRU block cache of this many MiB (store.CachedSpill), so hot

@@ -14,7 +14,7 @@ package bench
 // so the latency tail is set by pass *progress rate* instead of pass
 // *duration*; the cache absorbs re-reads of hot spilled partitions, and
 // its hit ratio is reported per cell. Chunk budget 0 is the blocking
-// baseline. Result multisets are invariant across every cell of one
+// baseline: the same pass, drained inside the call that schedules it. Result multisets are invariant across every cell of one
 // rate (the equivalence tests prove it; the sweep re-checks TuplesOut).
 
 import (
@@ -31,7 +31,8 @@ import (
 
 // Bench5Cell is one (punct rate, regime, chunk budget) measurement.
 type Bench5Cell struct {
-	// ChunkKB is the per-step disk read budget in KiB; 0 = blocking.
+	// ChunkKB is the per-step disk read budget in KiB; 0 = every pass
+	// run to completion (the blocking baseline).
 	ChunkKB       int        `json:"chunk_kb"`
 	TuplesOut     int64      `json:"tuples_out"`
 	PunctsOut     int64      `json:"puncts_out"`

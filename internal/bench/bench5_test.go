@@ -9,7 +9,7 @@ import (
 // TestBench5QuickRun checks the chunk-budget sweep's structural
 // invariants on the quick horizon: result counts invariant across chunk
 // budgets and regimes at every rate (scheduling never changes results),
-// chunked cells actually chunking, the cache observing lookups whenever
+// every pass counting its steps, the cache observing lookups whenever
 // passes ran, and — the headline — the sparse-punctuation latency tail
 // of every chunked cell staying below the blocking baseline's stall.
 func TestBench5QuickRun(t *testing.T) {
@@ -47,10 +47,7 @@ func TestBench5QuickRun(t *testing.T) {
 					r.PunctMean, c.ChunkKB, c.PunctsOut, ci.PunctsOut, base.PunctsOut)
 			}
 			checkDist(t, "result_latency", c.ResultLatency)
-			if c.ChunkKB == 0 && c.DiskChunks != 0 {
-				t.Errorf("punct-mean %d: blocking cell executed %d chunks", r.PunctMean, c.DiskChunks)
-			}
-			if c.ChunkKB > 0 && c.DiskPasses > 0 && c.DiskChunks < c.DiskPasses {
+			if c.DiskPasses > 0 && c.DiskChunks < c.DiskPasses {
 				t.Errorf("punct-mean %d chunk %dKiB: %d chunks over %d passes",
 					r.PunctMean, c.ChunkKB, c.DiskChunks, c.DiskPasses)
 			}

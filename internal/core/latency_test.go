@@ -58,12 +58,13 @@ func TestLatencyReconciliation(t *testing.T) {
 }
 
 // TestDiskLatencyReconciliation extends the histogram-count contract to
-// the disk join: one DiskPass sample per completed pass (blocking or
-// chunked) and one DiskChunk sample per executed incremental step, in
-// both scheduling modes and both state-index regimes. This is the
-// regression for the chunked sampling rule: a pass spanning N chunks
-// records N chunk samples AND exactly one end-to-end pass sample, never
-// one per chunk.
+// the disk join: one DiskPass sample per completed pass and one
+// DiskChunk sample per executed step, on both schedules (DiskChunkBytes
+// 0 drains each pass inside the call that starts it, a positive budget
+// steps it in the background) and both state-index regimes. This is the
+// regression for the sampling rule: a pass spanning N steps records N
+// chunk samples AND exactly one end-to-end pass sample, never one per
+// step.
 func TestDiskLatencyReconciliation(t *testing.T) {
 	for _, chunkBytes := range []int{0, 256} {
 		name := "blocking"
@@ -97,17 +98,11 @@ func TestDiskLatencyReconciliation(t *testing.T) {
 				if lat.DiskChunk.Count != m.DiskChunks {
 					t.Errorf("DiskChunk samples %d != DiskChunks %d", lat.DiskChunk.Count, m.DiskChunks)
 				}
-				if chunkBytes == 0 {
-					if m.DiskChunks != 0 {
-						t.Errorf("blocking mode executed %d chunks, want 0", m.DiskChunks)
-					}
-				} else {
-					// A 256-byte budget over this relocating workload must
-					// split every pass into several steps.
-					if m.DiskChunks < m.DiskPasses {
-						t.Errorf("chunked mode: %d chunks over %d passes, want at least one per pass",
-							m.DiskChunks, m.DiskPasses)
-					}
+				// Every pass over this relocating workload takes several
+				// steps, drained or budgeted.
+				if m.DiskChunks < m.DiskPasses {
+					t.Errorf("%d chunks over %d passes, want at least one per pass",
+						m.DiskChunks, m.DiskPasses)
 				}
 				// Purge sampling must be untouched by the scheduling mode.
 				if lat.Purge.Count != m.PurgeRuns {

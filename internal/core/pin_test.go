@@ -1,0 +1,131 @@
+package core_test
+
+import (
+	"fmt"
+	"hash/fnv"
+	"testing"
+
+	"pjoin/internal/core"
+	"pjoin/internal/event"
+	"pjoin/internal/gen"
+	"pjoin/internal/joinbase"
+	"pjoin/internal/op"
+	"pjoin/internal/oracle"
+	"pjoin/internal/stream"
+	"pjoin/internal/xjoin"
+)
+
+// pinned is what TestRunToCompletionPin holds fixed per (operator,
+// seed): the emitted result SEQUENCE and propagated-punctuation sequence
+// (FNV-1a over the renderings, in emission order) and the counters that
+// describe the disk join's work.
+type pinned struct {
+	results, puncts                                        uint64
+	diskPasses, diskExamined, diskJoins, purged, tuplesOut int64
+}
+
+// pinGoldens were captured at the commit before joinbase.PassDriver,
+// from the separate run-to-completion pass it replaced: draining the
+// one pass implementation must reproduce that schedule's output order
+// and work exactly.
+var pinGoldens = map[string]pinned{
+	"pjoin/seed=56":  {0xd9c47b726c59906b, 0x7c3612b4d9ceec7, 17, 4528, 848, 40, 1383},
+	"xjoin/seed=56":  {0x443428ddb9b4aba5, 0xcbf29ce484222325, 8, 6036, 910, 0, 1383},
+	"pjoin/seed=112": {0x10ec62f9038d46ec, 0x239150c147277a15, 25, 2083, 831, 203, 1292},
+	"xjoin/seed=112": {0x2fbd89a874722caa, 0xcbf29ce484222325, 5, 30332, 939, 0, 1292},
+	"pjoin/seed=143": {0xe0c702a655fe5ac3, 0xa0adfd0862fb2ae1, 96, 596, 471, 117, 726},
+	"xjoin/seed=143": {0x6c3e6d8d92e5c6a9, 0xcbf29ce484222325, 28, 10322, 602, 0, 726},
+}
+
+// TestRunToCompletionPin pins the DiskChunkBytes: 0 schedule — a pass
+// starts only from DiskJoinActivate, propagation, StreamEmpty or Finish
+// and completes inside that call — on three oracle seeds that spill,
+// for both operators. The differential oracle compares multisets; this
+// is the test that the run-to-completion pass also keeps emission order
+// and the pass's pair-check count.
+func TestRunToCompletionPin(t *testing.T) {
+	for _, seed := range []uint64{56, 112, 143} {
+		sc := oracle.FromSeed(seed)
+		for _, opName := range []string{"pjoin", "xjoin"} {
+			name := fmt.Sprintf("%s/seed=%d", opName, seed)
+			t.Run(name, func(t *testing.T) {
+				sink := &op.Collector{}
+				j, metrics := buildPinned(t, opName, sc, sink)
+				drivePinned(t, j, sc)
+				m := metrics()
+				if m.Relocations == 0 || m.DiskPasses == 0 {
+					t.Fatalf("seed does not spill: %d relocations, %d passes", m.Relocations, m.DiskPasses)
+				}
+				got := pinned{
+					diskPasses: m.DiskPasses, diskExamined: m.DiskExamined, diskJoins: m.DiskJoins,
+					purged: m.Purged, tuplesOut: m.TuplesOut,
+				}
+				hr, hp := fnv.New64a(), fnv.New64a()
+				for _, it := range sink.Items {
+					switch it.Kind {
+					case stream.KindTuple:
+						fmt.Fprintln(hr, it.Tuple)
+					case stream.KindPunct:
+						fmt.Fprintln(hp, it.Punct)
+					}
+				}
+				got.results, got.puncts = hr.Sum64(), hp.Sum64()
+				if want := pinGoldens[name]; got != want {
+					t.Errorf("run-to-completion schedule changed:\n got %+v\nwant %+v", got, want)
+				}
+			})
+		}
+	}
+}
+
+// buildPinned builds the operator the way the oracle's pjoin/idx and
+// xjoin/idx rows do, at DiskChunkBytes 0.
+func buildPinned(t *testing.T, opName string, sc *oracle.Scenario, out op.Emitter) (op.Operator, func() joinbase.Metrics) {
+	t.Helper()
+	if opName == "xjoin" {
+		x, err := xjoin.New(xjoin.Config{
+			SchemaA: gen.SchemaA, SchemaB: gen.SchemaB, AttrA: gen.KeyAttr, AttrB: gen.KeyAttr,
+			NumBuckets: sc.NumBuckets, MemoryBytes: sc.MemoryBytes, DiskJoinIdle: sc.DiskJoinIdle,
+		}, out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return x, x.Metrics
+	}
+	j, err := core.New(core.Config{
+		SchemaA: gen.SchemaA, SchemaB: gen.SchemaB, AttrA: gen.KeyAttr, AttrB: gen.KeyAttr,
+		NumBuckets: sc.NumBuckets,
+		Thresholds: event.Thresholds{
+			Purge: sc.Purge, MemoryBytes: sc.MemoryBytes,
+			DiskJoinIdle: sc.DiskJoinIdle, PropagateCount: sc.PropagateCount,
+		},
+		EagerIndex:         sc.EagerIndex,
+		RetainPropagated:   true,
+		VerifyPunctuations: true,
+	}, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return j, j.Metrics
+}
+
+// drivePinned is the oracle's per-item schedule: every arrival at its
+// own timestamp, an OnIdle pulse every IdleEvery arrivals, then Finish.
+func drivePinned(t *testing.T, j op.Operator, sc *oracle.Scenario) {
+	t.Helper()
+	var last stream.Time
+	for i, a := range sc.Arrivals {
+		if sc.IdleEvery > 0 && i%sc.IdleEvery == sc.IdleEvery-1 && a.Item.Ts > last+1 {
+			if _, err := j.OnIdle(a.Item.Ts - 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := j.Process(a.Port, a.Item, a.Item.Ts); err != nil {
+			t.Fatal(err)
+		}
+		last = a.Item.Ts
+	}
+	if err := j.Finish(last + 1); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -47,13 +47,14 @@ type Config struct {
 	// value disables relocation, disk-join activation and push-mode
 	// propagation, and sets eager purge (threshold 1).
 	Thresholds event.Thresholds
-	// DiskChunkBytes, when positive, makes the disk-join component
-	// incremental: instead of one stop-the-world pass, disk joins run as
-	// a resumable background task that reads spill data in chunks of at
-	// most this many bytes and yields to the hot path after every chunk.
-	// Process steps the task once per input item, so result latency is
-	// bounded by one chunk instead of one full pass. 0 keeps the
-	// blocking pass.
+	// DiskChunkBytes is the disk join's step budget (joinbase.PassDriver).
+	// When positive, disk joins run as a resumable background task that
+	// reads spill data in chunks of at most this many bytes and yields to
+	// the hot path after every chunk; Process steps the task once per
+	// input item, so result latency is bounded by one chunk instead of
+	// one full pass. 0 runs each pass to completion inside the call that
+	// schedules it (DiskJoinActivate, propagation, StreamEmpty, Finish) —
+	// the same steps, unbounded and drained.
 	DiskChunkBytes int
 	// EagerIndex selects eager punctuation index building (build on
 	// every punctuation arrival) instead of the default lazy building
@@ -85,11 +86,6 @@ type Config struct {
 	// late tuples it covers can still arrive. An extension beyond the
 	// paper.
 	RetainPropagated bool
-	// DisableDiskPurge stops disk passes from purging disk-resident
-	// tuples that match the opposite punctuation set (purging them is
-	// the default behaviour of the paper's disk join; disable for
-	// ablation).
-	DisableDiskPurge bool
 	// DisableStateIndex reverts the join states to the pre-index
 	// behaviour: probes scan the whole bucket and purge runs
 	// predicate-scan every bucket against the full punctuation set (for
@@ -163,35 +159,19 @@ type PJoin struct {
 	// need only the entries above the mark (see purgeState).
 	purgeMark [2]punct.PID
 
-	// diskTask is the in-flight incremental disk pass (nil when none, or
-	// when cfg.DiskChunkBytes == 0 — blocking mode). Process steps it one
-	// bounded chunk per input item and OnIdle steps it per idle tick, so
-	// left-over joins complete in the background.
-	diskTask      *joinbase.ChunkPass
-	diskTaskStart time.Time
-	// propPending records that a propagation release arrived while an
-	// incremental pass was in flight; the pass's completion re-runs it.
+	// disk schedules, times and traces the disk join: Process pumps it
+	// once per input item and OnIdle once per idle tick, so under a chunk
+	// budget left-over joins complete in the background.
+	disk *joinbase.PassDriver
+	// propPending records that a propagation release arrived while a
+	// pass was in flight; the pass's completion re-runs it (passDone).
 	propPending bool
-	// passTrace is the provenance trace of the in-flight (or, for the
-	// blocking path, current) disk pass; passIOBase / passWorkBase are
-	// the I/O and work counters at pass start, passStepIO at the start
-	// of the current chunk step. Maintained only when spans are on.
-	passTrace    uint64
-	passIOBase   passIO
-	passStepIO   passIO
-	passExamBase int64
-	passJoinBase int64
-	passStepExam int64
-	passStepJoin int64
-	// resultSpanBudget caps tuple_result spans per probe burst at
-	// span.ResultCap; reset before each memory probe and disk-pass step.
-	resultSpanBudget int
 	// dropBound, per side: the largest pid in that side's punctuation
 	// set when the current pass bucket opened. Disk purge only drops on
 	// entries at or below the bound — see passHooks.
 	dropBound [2]punct.PID
-	// pendBound, per side: the largest pid when the current incremental
-	// pass STARTED. Only disk-pending marks at or below it clear on the
+	// pendBound, per side: the largest pid when the current pass
+	// STARTED. Only disk-pending marks at or below it clear on the
 	// pass's completion — an entry index-built mid-pass may have missed
 	// disk tuples in buckets the pass had already read, so its count
 	// stays untrusted until the next pass completes.
@@ -284,8 +264,8 @@ func New(cfg Config, out op.Emitter) (*PJoin, error) {
 		// (Tuple.FillJoin), so now − Ts is zero for a memory-probe result
 		// and the wait for the disk pass for a left-over one.
 		j.lat.RecordResult(j.now, t.Ts)
-		if t.Span != 0 && j.resultSpanBudget > 0 && j.obs.SpansEnabled() {
-			j.resultSpanBudget--
+		if t.Span != 0 && j.base.ResultSpans > 0 && j.obs.SpansEnabled() {
+			j.base.ResultSpans--
 			j.obs.Span(span.KindTupleResult, t.Span, j.now, -1, 0, 0, 0, int64(j.now-t.Ts))
 		}
 		return out.Emit(stream.TupleItem(t))
@@ -298,6 +278,7 @@ func New(cfg Config, out op.Emitter) (*PJoin, error) {
 
 	j.obs = cfg.Instr
 	j.base.Obs = j.obs
+	j.disk = joinbase.NewPassDriver(j.base, j.lat, cfg.DiskChunkBytes, j.passHooks(), j.passDone)
 	j.registerGauges()
 
 	if err := j.buildRegistry(); err != nil {
@@ -381,7 +362,7 @@ func (j *PJoin) buildRegistry() error {
 		return j.relocate(e.At)
 	}}
 	diskJoin := event.ListenerFunc{ID: "disk-join", Fn: func(e event.Event) error {
-		return j.diskPass(e.At)
+		return j.disk.Activate(e.At)
 	}}
 	indexBuild := event.ListenerFunc{ID: "index-build", Fn: func(e event.Event) error {
 		j.indexBuild(0)
@@ -496,12 +477,12 @@ func (j *PJoin) Process(port int, it stream.Item, now stream.Time) error {
 		if err := j.processTuple(port, j.hdrs.Stamp(it.Tuple, it.Ts)); err != nil {
 			return err
 		}
-		return j.pumpDisk(j.now)
+		return j.disk.Pump(j.now)
 	case stream.KindPunct:
 		if err := j.processPunct(port, it.Punct, it.Ts, it.Span); err != nil {
 			return err
 		}
-		return j.pumpDisk(j.now)
+		return j.disk.Pump(j.now)
 	case stream.KindEOS:
 		if j.eos[port] {
 			return fmt.Errorf("core: pjoin: duplicate EOS on port %d", port)
@@ -565,7 +546,6 @@ func (j *PJoin) processTuple(s int, t *stream.Tuple) error {
 	}
 
 	examBefore := j.base.M.Examined
-	j.resultSpanBudget = span.ResultCap
 	matches, err := j.base.ProbeOpposite(s, t)
 	if err != nil {
 		return err
@@ -924,32 +904,32 @@ func (j *PJoin) indexDiskTuple(side int, sd *store.StoredTuple) {
 // punctuation propagation needs to finish up all the left-over joins,
 // will the disk join be scheduled to run").
 func (j *PJoin) propagate(now stream.Time) error {
-	if j.chunked() {
-		if j.diskTask != nil {
-			// An incremental pass is in flight: defer the release to its
-			// completion (stepDiskTask re-invokes propagate), which is
-			// when the disk-pending marks clear. With no pass in flight
-			// we release directly instead of forcing a blocking pass —
-			// entries whose counts may under-count disk-resident tuples
-			// are disk-pending and skipped below, so this is safe; the
-			// next completed pass releases them.
-			if !j.propPending && j.obs.SpansEnabled() {
-				// Record the deferral once per in-flight pass on every
-				// punctuation that would otherwise release now, so
-				// pjointrace can apportion propagation delay to the pass.
-				for s := 0; s < 2; s++ {
-					for _, e := range j.psets[s].Propagable() {
-						if e.TraceID != 0 && !j.diskPending[s][e.PID] {
-							j.obs.Span(span.KindPunctDefer, e.TraceID, now, s, int64(e.PID), 1, 0, 0)
-						}
+	if j.disk.InFlight() {
+		// A budgeted pass is in flight: defer the release to its
+		// completion (passDone re-invokes propagate), which is when the
+		// disk-pending marks clear.
+		if !j.propPending && j.obs.SpansEnabled() {
+			// Record the deferral once per in-flight pass on every
+			// punctuation that would otherwise release now, so
+			// pjointrace can apportion propagation delay to the pass.
+			for s := 0; s < 2; s++ {
+				for _, e := range j.psets[s].Propagable() {
+					if e.TraceID != 0 && !j.diskPending[s][e.PID] {
+						j.obs.Span(span.KindPunctDefer, e.TraceID, now, s, int64(e.PID), 1, 0, 0)
 					}
 				}
 			}
-			j.propPending = true
-			return nil
 		}
-	} else if j.base.NeedsPass() {
-		if err := j.diskPass(now); err != nil {
+		j.propPending = true
+		return nil
+	}
+	if j.cfg.DiskChunkBytes == 0 {
+		// Run-to-completion schedule: finish the left-over joins first.
+		// Under a budget we release directly instead of forcing a whole
+		// pass — entries whose counts may under-count disk-resident
+		// tuples are disk-pending and skipped below, so this is safe; the
+		// next completed pass releases them.
+		if err := j.disk.Activate(now); err != nil {
 			return err
 		}
 	}
@@ -1060,33 +1040,34 @@ func (j *PJoin) relocate(now stream.Time) error {
 	})
 }
 
-// chunked reports whether the disk join runs incrementally.
-func (j *PJoin) chunked() bool { return j.cfg.DiskChunkBytes > 0 }
-
-// passHooks assembles the disk-pass callbacks shared by the blocking
-// and the incremental pass: discard bookkeeping, disk-tuple indexing
-// (unless propagation is off) and disk purge (unless disabled).
+// passHooks assembles the disk-join component's callbacks (§3.2): on
+// top of finishing the left-over joins and clearing the purge buffers,
+// a PJoin pass purges disk-resident tuples that match the opposite
+// punctuation set (unless purge is off) and completes the punctuation
+// index over the disk portion (unless propagation is off).
 func (j *PJoin) passHooks() joinbase.PassHooks {
 	hooks := joinbase.PassHooks{
-		OnDiscard: func(side int, sd *store.StoredTuple) {
-			j.discard(side, sd)
+		OnPassStart: func() {
+			j.pendBound[0] = j.psets[0].MaxPID()
+			j.pendBound[1] = j.psets[1].MaxPID()
 		},
+		OnDiscard: j.discard,
 	}
 	if !j.cfg.DisablePropagation {
 		hooks.IndexDisk = j.indexDiskTuple
 	}
-	if !j.cfg.DisablePurge && !j.cfg.DisableDiskPurge {
+	if !j.cfg.DisablePurge {
 		// The drop decision is bounded by the punctuations present when
-		// the bucket opened (dropBound, captured in OnBucketOpen): an
-		// incremental pass's finalise runs after arrivals have
-		// interleaved with the bucket, and a punctuation that arrived
-		// mid-pass may still owe left-over joins between the disk tuples
-		// it matches and tuples parked after the bucket's snapshot —
-		// those pairs are the next pass's job, so the next pass is also
-		// the earliest allowed to drop the disk side of them.
-		// FirstMatchAttr returns the earliest-arrived matching entry, so
-		// comparing its pid against the bound is exact. For the blocking
-		// pass nothing can interleave and the bound is vacuous.
+		// the bucket opened (dropBound, captured in OnBucketOpen): a
+		// budgeted pass's finalise runs after arrivals have interleaved
+		// with the bucket, and a punctuation that arrived mid-pass may
+		// still owe left-over joins between the disk tuples it matches
+		// and tuples parked after the bucket's snapshot — those pairs are
+		// the next pass's job, so the next pass is also the earliest
+		// allowed to drop the disk side of them. FirstMatchAttr returns
+		// the earliest-arrived matching entry, so comparing its pid
+		// against the bound is exact. When a pass runs to completion
+		// nothing can interleave and the bound is vacuous.
 		hooks.OnBucketOpen = func() {
 			j.dropBound[0] = j.psets[0].MaxPID()
 			j.dropBound[1] = j.psets[1].MaxPID()
@@ -1104,147 +1085,11 @@ func (j *PJoin) passHooks() joinbase.PassHooks {
 	return hooks
 }
 
-// diskPass is the disk-join component (§3.2): it finishes every
-// left-over join that state relocation caused, clears the purge
-// buffers, purges disk-resident tuples that match the opposite
-// punctuation set, and completes the punctuation index over the disk
-// portion (clearing disk-pending entries). In chunked mode the call
-// advances the background task by one bounded step instead of running
-// the whole pass.
-func (j *PJoin) diskPass(now stream.Time) error {
-	if j.chunked() {
-		return j.stepDiskTask(now)
-	}
-	if !j.base.NeedsPass() {
-		return nil
-	}
-	start := time.Now()
-	j.beginPassTrace(now, false)
-	if err := j.base.DiskPass(now, j.passHooks()); err != nil {
-		return err
-	}
-	wall := time.Since(start).Nanoseconds()
-	j.lat.RecordDiskPass(wall)
-	j.endPassTrace(now, wall)
-	j.passComplete()
-	return nil
-}
-
-// passIO is the spill-side traffic picture a pass trace attributes:
-// read operations (seeks + chunk continuations), spill-cache hits and
-// bytes actually read (post-cache), summed over both states.
-type passIO struct {
-	reads, hits, bytes int64
-}
-
-func (j *PJoin) passIOSnapshot() passIO {
-	var p passIO
-	for s := 0; s < 2; s++ {
-		st := j.base.States[s]
-		if io, err := st.IOStats(); err == nil {
-			p.reads += io.ReadOps + io.ChunkReads
-			p.bytes += io.BytesRead
-		}
-		p.hits += st.SpillCacheStats().Hits
-	}
-	return p
-}
-
-// beginPassTrace opens a provenance trace for a disk pass; chunked
-// marks it resumable (pass_start N = 1). No-op with spans disabled, so
-// call sites stay unconditional (spanpair pairs them on all paths).
-//
-//pjoin:span begin pass
-func (j *PJoin) beginPassTrace(now stream.Time, chunked bool) {
-	if !j.obs.SpansEnabled() {
-		return
-	}
-	j.passTrace = span.NewID()
-	j.passIOBase = j.passIOSnapshot()
-	j.passExamBase = j.base.M.DiskExamined
-	j.passJoinBase = j.base.M.DiskJoins
-	var n int64
-	if chunked {
-		n = 1
-	}
-	j.obs.Span(span.KindPassStart, j.passTrace, now, -1, n, 0, 0, 0)
-}
-
-// endPassTrace closes a pass trace: one pass_io span attributing the
-// spill/cache traffic the pass caused, one pass_end span with the
-// pass's work totals and wall time. No-op with spans disabled.
-//
-//pjoin:span end pass
-func (j *PJoin) endPassTrace(now stream.Time, wall int64) {
-	if !j.obs.SpansEnabled() {
-		return
-	}
-	io := j.passIOSnapshot()
-	j.obs.Span(span.KindPassIO, j.passTrace, now, -1,
-		io.reads-j.passIOBase.reads, io.hits-j.passIOBase.hits,
-		io.bytes-j.passIOBase.bytes, 0)
-	j.obs.Span(span.KindPassEnd, j.passTrace, now, -1,
-		j.base.M.DiskExamined-j.passExamBase, j.base.M.DiskJoins-j.passJoinBase,
-		io.bytes-j.passIOBase.bytes, wall)
-}
-
-// passComplete runs once a disk pass — blocking or chunked — finished:
-// the pass read and indexed every disk-resident tuple, so punctuation
-// match counts are complete again.
-func (j *PJoin) passComplete() {
-	for s := 0; s < 2; s++ {
-		if len(j.diskPending[s]) > 0 {
-			j.diskPending[s] = make(map[punct.PID]bool)
-		}
-	}
-}
-
-// stepDiskTask advances the incremental disk pass by one bounded step,
-// starting a fresh pass first if none is in flight and the state has
-// left-over work. On pass completion it clears the disk-pending marks
-// and re-runs any propagation release that was deferred mid-pass.
-func (j *PJoin) stepDiskTask(now stream.Time) error {
-	spansOn := j.obs.SpansEnabled()
-	if j.diskTask == nil {
-		if !j.base.NeedsPass() {
-			return nil
-		}
-		j.diskTask = j.base.StartChunkPass(j.passHooks(), j.cfg.DiskChunkBytes)
-		j.diskTaskStart = time.Now()
-		j.pendBound[0] = j.psets[0].MaxPID()
-		j.pendBound[1] = j.psets[1].MaxPID()
-		j.beginPassTrace(now, true)
-	}
-	if spansOn {
-		j.passStepIO = j.passIOSnapshot()
-		j.passStepExam = j.base.M.DiskExamined
-		j.passStepJoin = j.base.M.DiskJoins
-	}
-	start := time.Now()
-	j.resultSpanBudget = span.ResultCap
-	done, err := j.diskTask.Step(now)
-	if err != nil {
-		j.diskTask = nil
-		return err
-	}
-	stepWall := time.Since(start).Nanoseconds()
-	if spansOn {
-		// One pass_chunk span per resumable step, so pjointrace can show
-		// how a pass's work spread across event-loop pumps.
-		io := j.passIOSnapshot()
-		j.obs.Span(span.KindPassChunk, j.passTrace, now, -1,
-			j.base.M.DiskExamined-j.passStepExam, j.base.M.DiskJoins-j.passStepJoin,
-			io.bytes-j.passStepIO.bytes, stepWall)
-	}
-	if !done {
-		j.lat.RecordDiskChunk(stepWall)
-		//pjoin:allow spanpair a resumable pass stays open across steps by design; the completing step closes it, EOS-close covers aborts
-		return nil
-	}
-	j.diskTask = nil
-	passWall := time.Since(j.diskTaskStart).Nanoseconds()
-	j.lat.RecordDiskPass(passWall)
-	j.endPassTrace(now, passWall)
+// passDone runs when a disk pass completes: the pass read and indexed
+// every disk-resident tuple, so the match counts of the punctuations
+// present at its start are complete again, and a propagation release
+// that was deferred mid-pass re-runs.
+func (j *PJoin) passDone(now stream.Time) error {
 	// Only marks present when the pass started are provably complete:
 	// an entry index-built mid-pass may have missed disk tuples in
 	// buckets the pass had already read past (see pendBound).
@@ -1264,52 +1109,21 @@ func (j *PJoin) stepDiskTask(now stream.Time) error {
 	return nil
 }
 
-// pumpDisk gives the incremental disk pass one step of background
-// progress; Process calls it after every input item. Free in blocking
-// mode and when there is no left-over work.
-func (j *PJoin) pumpDisk(now stream.Time) error {
-	if !j.chunked() {
-		return nil
-	}
-	if j.diskTask == nil && !j.base.NeedsPass() {
-		return nil
-	}
-	return j.stepDiskTask(now)
-}
-
-// drainDiskTask steps the in-flight incremental pass to completion.
-func (j *PJoin) drainDiskTask(now stream.Time) error {
-	for j.diskTask != nil {
-		if err := j.stepDiskTask(now); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // OnIdle implements op.Operator: it informs the monitor that the inputs
 // are stalled, which fires DiskJoinActivate once the activation
 // threshold elapses (§3.2's reactive scheduling).
 func (j *PJoin) OnIdle(now stream.Time) (bool, error) {
 	j.now = maxTime(j.now, now)
-	if j.chunked() {
-		// One chunk of background progress per idle tick; "worked" means
-		// a chunk actually executed, so the driver keeps ticking while
-		// left-over work remains.
-		before := j.base.M.DiskChunks
-		if err := j.mon.Idle(j.now); err != nil {
-			return false, err
-		}
-		if err := j.pumpDisk(j.now); err != nil {
-			return false, err
-		}
-		return j.base.M.DiskChunks > before, nil
-	}
-	before := j.base.M.DiskPasses
+	// "Worked" means a pass step actually executed, so the driver keeps
+	// ticking while left-over work remains.
+	before := j.base.M.DiskChunks
 	if err := j.mon.Idle(j.now); err != nil {
 		return false, err
 	}
-	return j.base.M.DiskPasses > before, nil
+	if err := j.disk.Pump(j.now); err != nil {
+		return false, err
+	}
+	return j.base.M.DiskChunks > before, nil
 }
 
 // RequestPropagation serves the pull propagation mode (§3.5): a
@@ -1368,22 +1182,7 @@ func (j *PJoin) Finish(now stream.Time) error {
 		j.indexBuild(0)
 		j.indexBuild(1)
 	}
-	if j.chunked() {
-		// Complete any in-flight incremental pass, then run one final
-		// pass to completion — the same single pass the blocking path
-		// runs here.
-		if err := j.drainDiskTask(j.now); err != nil {
-			return err
-		}
-		if j.base.NeedsPass() {
-			if err := j.stepDiskTask(j.now); err != nil {
-				return err
-			}
-			if err := j.drainDiskTask(j.now); err != nil {
-				return err
-			}
-		}
-	} else if err := j.diskPass(j.now); err != nil {
+	if err := j.disk.Finish(j.now); err != nil {
 		return err
 	}
 	if !j.cfg.DisablePropagation {

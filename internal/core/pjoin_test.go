@@ -721,7 +721,7 @@ func TestPurgeBufferViaDiskPath(t *testing.T) {
 		t.Fatalf("no results expected before the disk pass")
 	}
 	// Disk pass completes the left-over join and clears the buffer.
-	if err := j.diskPass(6); err != nil {
+	if err := j.disk.Activate(6); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(sink.Tuples()); got != 1 {
@@ -761,7 +761,7 @@ func TestDiskPurgeRemovesMatchedDiskTuples(t *testing.T) {
 	if b.DiskTuples != 2 {
 		t.Fatalf("disk purge should be lazy; disk = %d", b.DiskTuples)
 	}
-	if err := j.diskPass(5); err != nil {
+	if err := j.disk.Activate(5); err != nil {
 		t.Fatal(err)
 	}
 	_, b = j.StateStats()
@@ -866,11 +866,6 @@ func TestDifferentialAgainstOracle(t *testing.T) {
 		"no-drop-on-fly": func() Config {
 			cfg := defaultConfig()
 			cfg.DisableDropOnTheFly = true
-			return cfg
-		},
-		"no-disk-purge": func() Config {
-			cfg := spillConfig()
-			cfg.DisableDiskPurge = true
 			return cfg
 		},
 	}

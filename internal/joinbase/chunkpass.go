@@ -1,17 +1,23 @@
 package joinbase
 
 import (
+	"math"
+
 	"pjoin/internal/obs"
+	"pjoin/internal/obs/span"
 	"pjoin/internal/store"
 	"pjoin/internal/stream"
 )
 
-// ChunkPass is the incremental form of DiskPass: the same joins, purges
-// and rewrites, split into bounded steps that interleave with the memory
-// join instead of one stop-the-world pass. Each Step does one unit of
-// work — reads one spill chunk, checks one batch of candidate pairs, or
-// finalises one bucket — so the operator's hot path never stalls for
-// longer than the chunk budget.
+// ChunkPass is one disk pass (paper §3.2) in resumable steps: for every
+// bucket with disk-resident data or purge-buffer tuples on either side
+// it finishes all newly reachable left-over joins (see the package
+// comment for the exactly-once argument), clears the purge buffers, and
+// rewrites the disk portions minus what DropDisk rejects. Each Step does
+// one unit of work — reads one spill chunk, checks one batch of
+// candidate pairs, or finalises one bucket — so under a byte budget the
+// operator's hot path never stalls for longer than one chunk, and with
+// no budget the same steps run back to back (PassDriver drains them).
 //
 // # Correctness under interleaving
 //
@@ -35,8 +41,8 @@ import (
 //     safety) and the rewrite preserves them via the cursor's tail.
 //
 // Since reachability is monotone, every non-overlapping pair is still
-// emitted exactly once: by the first (chunked or blocking) pass whose
-// bucket-open time reaches it.
+// emitted exactly once: by the first pass whose bucket-open time
+// reaches it.
 type ChunkPass struct {
 	b      *Base
 	hooks  PassHooks
@@ -66,7 +72,7 @@ type chunkBucket struct {
 	disk       [2][]*store.StoredTuple
 	purge      [2][]*store.StoredTuple
 	mem        [2][]*store.StoredTuple // snapshotted at open (see doc above)
-	sides      [2][]*store.StoredTuple // disk ++ purge ++ mem, same order as DiskPass
+	sides      [2][]*store.StoredTuple // disk ++ purge ++ mem
 	indexDirty [2]bool                 // IndexDisk assigned a pid → rewrite must persist it
 
 	readSide  int // 0, 1 while reading chunks; 2 = join phase
@@ -84,14 +90,18 @@ func pairsPerStep(budget int) int {
 	return p
 }
 
-// StartChunkPass begins an incremental disk pass with the given chunk
-// budget in bytes (<= 0 falls back to store.DefaultScanChunk). The pass
-// counts as one DiskPass; the caller drives it with Step until done.
+// StartChunkPass begins a disk pass whose steps read at most budget
+// bytes each; budget <= 0 leaves the steps unbounded (a whole partition
+// per read, a whole bucket per join step). The pass counts as one
+// DiskPass; the caller drives it with Step until done.
 func (b *Base) StartChunkPass(hooks PassHooks, budget int) *ChunkPass {
 	if budget <= 0 {
-		budget = store.DefaultScanChunk
+		budget = math.MaxInt
 	}
 	b.M.DiskPasses++
+	if hooks.OnPassStart != nil {
+		hooks.OnPassStart()
+	}
 	return &ChunkPass{
 		b: b, hooks: hooks, budget: budget, pairs: pairsPerStep(budget),
 		startExamined: b.M.DiskExamined,
@@ -104,6 +114,7 @@ func (b *Base) StartChunkPass(hooks PassHooks, budget int) *ChunkPass {
 // buckets, assembling sides) rides along with the next real unit.
 func (p *ChunkPass) Step(now stream.Time) (bool, error) {
 	b := p.b
+	b.ResultSpans = span.ResultCap
 	exBefore, joBefore := b.M.DiskExamined, b.M.DiskJoins
 	for {
 		if p.cur == nil {
@@ -125,7 +136,7 @@ func (p *ChunkPass) Step(now stream.Time) (bool, error) {
 		cb := p.cur
 
 		// Read phase: one spill chunk per step, side 0 then side 1,
-		// indexing disk tuples in the same order as the blocking pass.
+		// indexing disk tuples in spill order.
 		if cb.readSide < 2 {
 			s := cb.readSide
 			ds := cb.scans[s]
@@ -170,8 +181,8 @@ func (p *ChunkPass) Step(now stream.Time) (bool, error) {
 		}
 
 		// Join phase: one batch of pair checks per step, resuming the
-		// nested loop where the last step left off. Identical predicates
-		// and iteration order to the blocking pass at time tPass.
+		// nested loop where the last step left off; every predicate is
+		// evaluated at the bucket-open time tPass.
 		if cb.xi < len(cb.sides[0]) && len(cb.sides[1]) > 0 {
 			pairs := p.pairs
 			for cb.xi < len(cb.sides[0]) && pairs > 0 {
@@ -288,10 +299,7 @@ func (p *ChunkPass) finishBucket(cb *chunkBucket, now stream.Time) error {
 			keep = append(keep, dt)
 		}
 		// Rewrite when tuples were dropped or a pid assignment must
-		// persist; a pure re-scan leaves the partition untouched (unlike
-		// the blocking pass, which rewrites whenever IndexDisk is set —
-		// incremental passes run far more often, so they only pay the
-		// write when the bytes actually changed).
+		// persist; a pure re-scan leaves the partition untouched.
 		rewrite := dropped || cb.indexDirty[s]
 		if err := b.States[s].FinishDiskScan(ds, keep, rewrite); err != nil {
 			b.Obs.SpillError(now, s, err)

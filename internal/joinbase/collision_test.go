@@ -51,7 +51,7 @@ func TestDiskPassFullHashCollisions(t *testing.T) {
 	if !b.NeedsPass() {
 		t.Fatal("disk pass not owed")
 	}
-	if err := b.DiskPass(ts, PassHooks{}); err != nil {
+	if err := runPass(b, ts, PassHooks{}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -30,6 +30,7 @@ import (
 	"fmt"
 
 	"pjoin/internal/obs"
+	"pjoin/internal/obs/span"
 	"pjoin/internal/store"
 	"pjoin/internal/stream"
 	"pjoin/internal/value"
@@ -100,6 +101,11 @@ type Base struct {
 	// spill relocations, disk-join passes, and spill-store failures.
 	Obs *obs.Instr
 
+	// ResultSpans is how many more tuple_result spans the owner's Emit may
+	// record for the current burst: ProbeOpposite and every disk-pass step
+	// reset it to span.ResultCap, the owner's Emit counts it down.
+	ResultSpans int
+
 	lastPass []stream.Time // per bucket; both states share the bucket space
 
 	// probeCache and arrival are per-probe scratch reused across
@@ -155,8 +161,8 @@ func New(a, b *store.State, out *stream.Schema, emit EmitFunc) (*Base, error) {
 
 // emitPair emits the result for the pair, putting the side-0 tuple's
 // values first regardless of which side is "a" in the caller. It is the
-// one place results are built: the memory probe and both disk passes
-// come through here.
+// one place results are built: the memory probe and the disk pass come
+// through here.
 //
 //pjoin:hotpath
 func (b *Base) emitPair(sideOfX int, x, y *store.StoredTuple) error {
@@ -198,6 +204,7 @@ func (b *Base) newResult(a, c *stream.Tuple) *stream.Tuple {
 //
 //pjoin:hotpath
 func (b *Base) ProbeOpposite(s int, t *stream.Tuple) (int, error) {
+	b.ResultSpans = span.ResultCap
 	opp := b.States[1-s]
 	key := b.States[s].Key(t)
 	matches, examined := opp.ProbeMemCached(key, &b.probeCache[1-s])
@@ -266,6 +273,10 @@ func (b *Base) Relocate(now stream.Time, memBytes int64, beforeSpill func(side, 
 
 // PassHooks customise a disk pass. All fields may be nil.
 type PassHooks struct {
+	// OnPassStart is called once when a pass starts, before its first
+	// bucket opens: what must be known about the moment the pass began
+	// (PJoin's disk-pending bound) is captured here.
+	OnPassStart func()
 	// OnBucketOpen is called when the pass opens a bucket for
 	// processing, before any of its tuples are read or joined. An
 	// incremental pass interleaves with arrivals, so hooks that consult
@@ -291,139 +302,15 @@ type PassHooks struct {
 }
 
 // NeedsPass reports whether a disk pass would do anything: some bucket
-// has disk-resident data or a non-empty purge buffer.
+// has disk-resident data or a non-empty purge buffer. Answered from the
+// states' running accounting — the pass driver asks once per input item.
 func (b *Base) NeedsPass() bool {
-	for s := 0; s < 2; s++ {
-		st := b.States[s]
-		if st.AnyDisk() {
+	for _, st := range b.States {
+		if st.AnyDisk() || st.Stats().PurgeTuples > 0 {
 			return true
-		}
-		for i := 0; i < st.NumBuckets(); i++ {
-			if len(st.Bucket(i).PurgeBuf) > 0 {
-				return true
-			}
 		}
 	}
 	return false
-}
-
-// DiskPass performs one full disk pass at time now: for every bucket
-// with disk-resident data or purge-buffer tuples on either side, it
-// finishes all newly reachable left-over joins (see the package comment
-// for the exactly-once argument), clears the purge buffers, and rewrites
-// the disk portions (minus tuples DropDisk rejects).
-func (b *Base) DiskPass(now stream.Time, hooks PassHooks) error {
-	b.M.DiskPasses++
-	examinedBefore, joinsBefore := b.M.DiskExamined, b.M.DiskJoins
-	for i := 0; i < b.States[0].NumBuckets(); i++ {
-		if err := b.passBucket(i, now, hooks); err != nil {
-			return err
-		}
-	}
-	b.Obs.Event(obs.KindDiskPass, now, -1,
-		b.M.DiskExamined-examinedBefore, b.M.DiskJoins-joinsBefore)
-	return nil
-}
-
-func (b *Base) passBucket(i int, now stream.Time, hooks PassHooks) error {
-	a, bb := b.States[0], b.States[1]
-	if !a.HasDisk(i) && !bb.HasDisk(i) &&
-		len(a.Bucket(i).PurgeBuf) == 0 && len(bb.Bucket(i).PurgeBuf) == 0 {
-		return nil
-	}
-	last := b.lastPass[i]
-	if hooks.OnBucketOpen != nil {
-		hooks.OnBucketOpen()
-	}
-
-	// Assemble each side's full population of the bucket: disk portion,
-	// purge buffer, and memory portion.
-	var sides [2][]*store.StoredTuple
-	var disk [2][]*store.StoredTuple
-	for s := 0; s < 2; s++ {
-		st := b.States[s]
-		d, err := st.ReadDisk(i)
-		if err != nil {
-			b.Obs.SpillError(now, s, err)
-			return err
-		}
-		if hooks.IndexDisk != nil {
-			for _, dt := range d {
-				hooks.IndexDisk(s, dt)
-			}
-		}
-		disk[s] = d
-		all := make([]*store.StoredTuple, 0, len(d)+st.Bucket(i).MemLen()+len(st.Bucket(i).PurgeBuf))
-		all = append(all, d...)
-		all = append(all, st.Bucket(i).PurgeBuf...)
-		all = st.Bucket(i).AppendMem(all)
-		sides[s] = all
-	}
-
-	// Join every newly reachable, non-overlapping pair.
-	for _, x := range sides[0] {
-		kx := b.States[0].Key(x.T)
-		for _, y := range sides[1] {
-			b.M.DiskExamined++
-			if !b.States[1].Key(y.T).Equal(kx) {
-				continue
-			}
-			if x.Overlaps(y) {
-				continue // already joined by the memory join
-			}
-			if reachable(x, y, last) {
-				continue // already joined by an earlier pass
-			}
-			if !reachable(x, y, now) {
-				continue // not this pass's responsibility (cannot happen for now >= all stamps, kept for safety)
-			}
-			if err := b.emitPair(0, x, y); err != nil {
-				return err
-			}
-			b.M.DiskJoins++
-		}
-	}
-
-	// The pass completed every join the purge-buffer tuples could still
-	// owe: discard them.
-	for s := 0; s < 2; s++ {
-		for _, pt := range b.States[s].TakePurgeBuffer(i) {
-			if hooks.OnDiscard != nil {
-				hooks.OnDiscard(s, pt)
-			}
-		}
-	}
-
-	// Rewrite the disk portions, dropping what DropDisk rejects.
-	for s := 0; s < 2; s++ {
-		if len(disk[s]) == 0 {
-			continue
-		}
-		keep := disk[s][:0]
-		dropped := false
-		for _, dt := range disk[s] {
-			if hooks.DropDisk != nil && hooks.DropDisk(s, dt) {
-				if hooks.OnDiscard != nil {
-					hooks.OnDiscard(s, dt)
-				}
-				b.M.Purged++
-				dropped = true
-				continue
-			}
-			keep = append(keep, dt)
-		}
-		// Rewrite when tuples were dropped, or when IndexDisk may have
-		// updated pids that must persist.
-		if dropped || hooks.IndexDisk != nil {
-			if err := b.States[s].RewriteDisk(i, keep); err != nil {
-				b.Obs.SpillError(now, s, err)
-				return err
-			}
-		}
-	}
-
-	b.lastPass[i] = now
-	return nil
 }
 
 // reachable reports whether pair (x, y) was reachable by a disk pass at

@@ -44,6 +44,12 @@ func newBase(t *testing.T, nbuckets int) (*Base, *[]*stream.Tuple) {
 	return b, results
 }
 
+// runPass runs one whole disk pass at time now through the pass driver,
+// the way the operators do at DiskChunkBytes 0.
+func runPass(b *Base, now stream.Time, hooks PassHooks) error {
+	return NewPassDriver(b, nil, 0, hooks, nil).Activate(now)
+}
+
 func aTup(k int64, ts stream.Time) *stream.Tuple {
 	return stream.MustTuple(scA, ts, value.Int(k), value.Str("a"))
 }
@@ -161,14 +167,14 @@ func TestDiskPassJoinsSpilledAgainstLater(t *testing.T) {
 	if !b.NeedsPass() {
 		t.Fatal("NeedsPass should be true with disk data")
 	}
-	if err := b.DiskPass(10, PassHooks{}); err != nil {
+	if err := runPass(b, 10, PassHooks{}); err != nil {
 		t.Fatal(err)
 	}
 	if len(*results) != 1 {
 		t.Fatalf("disk pass produced %d results, want 1", len(*results))
 	}
 	// A second pass must not duplicate the pair.
-	if err := b.DiskPass(20, PassHooks{}); err != nil {
+	if err := runPass(b, 20, PassHooks{}); err != nil {
 		t.Fatal(err)
 	}
 	if len(*results) != 1 {
@@ -194,7 +200,7 @@ func TestDiskPassSkipsMemoryJoinedPairs(t *testing.T) {
 	if _, err := b.States[0].SpillBucket(0, 5); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.DiskPass(10, PassHooks{}); err != nil {
+	if err := runPass(b, 10, PassHooks{}); err != nil {
 		t.Fatal(err)
 	}
 	if len(*results) != 1 {
@@ -209,13 +215,13 @@ func TestDiskPassBothSidesSpilled(t *testing.T) {
 	b.States[0].SpillBucket(0, 2)
 	b.States[1].Insert(bTup(1, 3))
 	b.States[1].SpillBucket(0, 4)
-	if err := b.DiskPass(10, PassHooks{}); err != nil {
+	if err := runPass(b, 10, PassHooks{}); err != nil {
 		t.Fatal(err)
 	}
 	if len(*results) != 1 {
 		t.Fatalf("disk-disk pair: %d results, want 1", len(*results))
 	}
-	if err := b.DiskPass(20, PassHooks{}); err != nil {
+	if err := runPass(b, 20, PassHooks{}); err != nil {
 		t.Fatal(err)
 	}
 	if len(*results) != 1 {
@@ -228,7 +234,7 @@ func TestDiskPassIncrementalBetweenPasses(t *testing.T) {
 	b.States[0].Insert(aTup(1, 1))
 	b.States[0].SpillBucket(0, 2)
 	// First pass with no opposite tuples: nothing.
-	if err := b.DiskPass(5, PassHooks{}); err != nil {
+	if err := runPass(b, 5, PassHooks{}); err != nil {
 		t.Fatal(err)
 	}
 	if len(*results) != 0 {
@@ -236,7 +242,7 @@ func TestDiskPassIncrementalBetweenPasses(t *testing.T) {
 	}
 	// b1 arrives after the first pass.
 	b.States[1].Insert(bTup(1, 7))
-	if err := b.DiskPass(10, PassHooks{}); err != nil {
+	if err := runPass(b, 10, PassHooks{}); err != nil {
 		t.Fatal(err)
 	}
 	if len(*results) != 1 {
@@ -262,7 +268,7 @@ func TestDiskPassHooks(t *testing.T) {
 			discarded = append(discarded, s.T.Values[0].IntVal())
 		},
 	}
-	if err := b.DiskPass(10, hooks); err != nil {
+	if err := runPass(b, 10, hooks); err != nil {
 		t.Fatal(err)
 	}
 	if len(indexed) != 2 {
@@ -293,7 +299,7 @@ func TestDiskPassClearsPurgeBuffers(t *testing.T) {
 	b.States[0].AddToPurgeBuffer(0, sd, 4)
 
 	dropped := 0
-	err := b.DiskPass(10, PassHooks{
+	err := runPass(b, 10, PassHooks{
 		OnDiscard: func(int, *store.StoredTuple) { dropped++ },
 	})
 	if err != nil {

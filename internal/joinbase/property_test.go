@@ -91,7 +91,7 @@ func TestRandomScheduleExactlyOnce(t *testing.T) {
 					}
 				case 9: // disk pass
 					ts++
-					if err := b.DiskPass(ts, PassHooks{}); err != nil {
+					if err := runPass(b, ts, PassHooks{}); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -103,7 +103,7 @@ func TestRandomScheduleExactlyOnce(t *testing.T) {
 			// the final pass first, which completes their left-over
 			// joins before discarding them.
 			ts++
-			if err := b.DiskPass(ts, PassHooks{}); err != nil {
+			if err := runPass(b, ts, PassHooks{}); err != nil {
 				t.Fatal(err)
 			}
 
@@ -193,7 +193,7 @@ func TestMetricsConsistency(t *testing.T) {
 		}
 	}
 	ts++
-	if err := b.DiskPass(ts, PassHooks{}); err != nil {
+	if err := runPass(b, ts, PassHooks{}); err != nil {
 		t.Fatal(err)
 	}
 	m := b.M

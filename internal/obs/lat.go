@@ -31,8 +31,8 @@ type Lat struct {
 	// bucket finalise). The chunk budget caps these — the histogram is
 	// the evidence the hot path never stalls longer than one chunk.
 	DiskChunk *hist.Hist
-	// DiskPass: wall-clock duration of one complete disk pass, blocking
-	// or chunked (start of the pass to its last chunk).
+	// DiskPass: wall-clock duration of one complete disk pass, drained
+	// or budgeted (start of the pass to its last step).
 	DiskPass *hist.Hist
 	// BatchFill: items per delivered batch (a count, not nanoseconds).
 	// One sample per ProcessBatch call, which is how the executor enters
@@ -86,7 +86,7 @@ func (l *Lat) RecordDiskChunk(ns int64) {
 }
 
 // RecordDiskPass records one complete disk pass's wall-clock duration in
-// ns (blocking passes and chunked passes alike).
+// ns (drained and budgeted passes alike).
 func (l *Lat) RecordDiskPass(ns int64) {
 	if l == nil {
 		return

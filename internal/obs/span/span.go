@@ -24,8 +24,8 @@
 //     matching punctuation — the same entry the purge logic resolves.
 //   - A tuple trace is allocated by the source-side sampler and rides
 //     stream.Tuple.Span; Tuple.Join propagates it to result tuples.
-//   - A pass trace is allocated per disk-join pass (blocking or
-//     chunked) and groups its start/chunk/io/end spans.
+//   - A pass trace is allocated per disk-join pass and groups its
+//     start/chunk/io/end spans.
 //
 // # Overhead budget
 //
@@ -86,10 +86,10 @@ const (
 	// lifecycle dangles. Side = input side, N = PID.
 	KindPunctEOSClose
 
-	// KindPassStart: a disk-join pass began. N = 1 for a chunked
-	// (resumable) pass, 0 for a blocking one.
+	// KindPassStart: a disk-join pass began. N = 1 for a budgeted
+	// (resumable) pass, 0 for one run to completion.
 	KindPassStart
-	// KindPassChunk: one bounded step of a chunked pass. N = candidate
+	// KindPassChunk: one step of a pass. N = candidate
 	// pairs examined this step, M = results produced this step,
 	// B = spill bytes read this step (both sides), D = step wall ns.
 	KindPassChunk

@@ -5,8 +5,8 @@ import "testing"
 // fuzzVariants is the diverse slice of the matrix each fuzz input is
 // checked against: full-matrix checking (CheckScenario) costs ~1s per
 // input, which starves the mutation engine, so the fuzz target covers
-// each mechanism once — indexed and scan-fallback state, blocking and
-// chunked disk passes, sharding, spill cache and fault injection — and
+// each mechanism once — indexed and scan-fallback state, drained and
+// budgeted disk passes, sharding, spill cache and fault injection — and
 // the seed soak (TestSoak / make oracle) covers the cross-product.
 var fuzzVariants = []Variant{
 	{Op: "pjoin", Index: true, Shards: 1},

@@ -2,7 +2,7 @@
 // it generates seeded adversarial workloads (skewed keys, mixed
 // constant/range/enum/wildcard punctuation patterns, bursty
 // interleavings, early end-of-stream) and drives every operator
-// configuration — PJoin and XJoin, index on/off, blocking and chunked
+// configuration — PJoin and XJoin, index on/off, drained and budgeted
 // disk passes, 1..N shards, cached and fault-injected spill stores —
 // over the same schedule, comparing each against the brute-force
 // symmetric hash join (internal/shj, the exact equi-join oracle) and

@@ -9,10 +9,10 @@ import (
 
 // TracedSlice is the mechanism-diverse variant slice the provenance
 // reconciliation runs over: every purge mechanism (indexed and scan),
-// blocking and chunked disk passes, cached spills, 2- and 4-shard
+// drained and budgeted disk passes, cached spills, 2- and 4-shard
 // parallel runs, batched delivery, and the XJoin baseline (pass traces
 // only — XJoin has no punctuation lifecycle). Small by design: the
-// full 120-row matrix is the correctness net; this slice is the
+// full 90-row matrix is the correctness net; this slice is the
 // provenance net, and each row exercises a distinct span-emission
 // path.
 func TracedSlice() []Variant {

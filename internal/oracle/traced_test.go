@@ -10,7 +10,7 @@ import (
 )
 
 // TestTracedOracle is the provenance soak: seeded scenarios through the
-// traced slice (blocking/chunked disk, scan/indexed purge, cached
+// traced slice (drained/budgeted disk passes, scan/indexed purge, cached
 // spills, 2/4 shards, batched delivery), every run's span stream
 // reconciled against the operator's own accounting by checkSpans —
 // purge attribution sums exactly to Metrics.Purged, drop-on-the-fly to

@@ -29,7 +29,7 @@ var ErrInjectedFault = errors.New("oracle: injected spill fault")
 type Variant struct {
 	Op     string      // "pjoin" or "xjoin"
 	Index  bool        // key-grouped state index on (off = scan fallback)
-	Chunk  int         // DiskChunkBytes: 0 blocking, else incremental passes
+	Chunk  int         // DiskChunkBytes: 0 runs each pass to completion, else the per-step budget
 	Shards int         // 1 = single instance; >1 = parallel.ShardedPJoin (pjoin only)
 	Cache  bool        // wrap spills in store.CachedSpill
 	Fault  bool        // wrap spills in store.NewFaultSpill(failAt = Scenario.FaultAt)
@@ -114,20 +114,24 @@ func ParseVariant(s string) (Variant, error) {
 	return v, nil
 }
 
-// Matrix returns the full configuration matrix the tentpole names:
-// PJoin × {index on/off} × {DiskChunkBytes ∈ {0, small, large}} ×
-// {1,2,4 shards} × {CachedSpill on/off} × {FaultSpill off/on}, plus
-// XJoin over the same non-sharded dimensions (XJoin has no sharded
-// wrapper): 72 PJoin rows + 24 XJoin rows, all driven per item. On top
-// of those, batched delivery (ProcessBatch with batch ∈ {8, 256} ×
-// linger ∈ {0, 1ms virtual}) over six representative configurations —
-// including a sharded row (router batching), a chunked+cached row, and
-// a fault row (the injected sentinel must surface identically through
-// the batch path): 24 more rows, 120 total.
+// Matrix returns the full configuration matrix: PJoin × {index on/off}
+// × {DiskChunkBytes ∈ {0, 512}} × {1,2,4 shards} × {CachedSpill on/off}
+// × {FaultSpill off/on}, plus XJoin over the same non-sharded dimensions
+// (XJoin has no sharded wrapper): 48 PJoin rows + 16 XJoin rows, all
+// driven per item. The chunk axis is two schedules of the one disk-pass
+// implementation — every pass drained inside the call that starts it,
+// and passes stepped in the background at a budget small enough to split
+// every partition read; one pjoin/idx and one xjoin/idx row add the
+// 64 KiB budget the spill benchmark runs. On top of those, batched
+// delivery (ProcessBatch with batch ∈ {8, 256} × linger ∈ {0, 1ms
+// virtual}) over six representative configurations — including a sharded
+// row (router batching), a chunked+cached row, and a fault row (the
+// injected sentinel must surface identically through the batch path):
+// 24 more rows, 90 total.
 func Matrix() []Variant {
 	var vs []Variant
 	for _, index := range []bool{true, false} {
-		for _, chunk := range []int{0, 512, 64 << 10} {
+		for _, chunk := range []int{0, 512} {
 			for _, cache := range []bool{false, true} {
 				for _, fault := range []bool{false, true} {
 					for _, shards := range []int{1, 2, 4} {
@@ -140,6 +144,9 @@ func Matrix() []Variant {
 			}
 		}
 	}
+	vs = append(vs,
+		Variant{Op: "pjoin", Index: true, Chunk: 64 << 10, Shards: 1},
+		Variant{Op: "xjoin", Index: true, Chunk: 64 << 10, Shards: 1})
 	reps := []Variant{
 		{Op: "pjoin", Index: true, Shards: 1},
 		{Op: "pjoin", Index: false, Shards: 1},

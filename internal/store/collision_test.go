@@ -114,12 +114,8 @@ func testCollisionIndependence(t *testing.T, st *State) {
 	if _, err := st.SpillBucket(bkt, 1<<30); err != nil {
 		t.Fatal(err)
 	}
-	disk, err := st.ReadDisk(bkt)
-	if err != nil {
-		t.Fatal(err)
-	}
 	got := map[int64]int{}
-	for _, s := range disk {
+	for _, s := range readDisk(t, st, bkt) {
 		got[s.T.Values[0].IntVal()]++
 	}
 	for k, n := range want {

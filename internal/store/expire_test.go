@@ -119,11 +119,7 @@ func TestStateWithFileSpill(t *testing.T) {
 	// Read everything back and verify the key multiset survived.
 	got := map[int64]int{}
 	for b := 0; b < st.NumBuckets(); b++ {
-		tuples, err := st.ReadDisk(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, s := range tuples {
+		for _, s := range readDisk(t, st, b) {
 			got[s.T.Values[0].IntVal()]++
 		}
 	}
@@ -137,16 +133,10 @@ func TestStateWithFileSpill(t *testing.T) {
 		}
 	}
 	// Rewrite one bucket with a filtered subset, re-read, verify.
-	tuples, _ := st.ReadDisk(0)
+	tuples := readDisk(t, st, 0)
 	if len(tuples) > 0 {
-		if err := st.RewriteDisk(0, tuples[:1]); err != nil {
-			t.Fatal(err)
-		}
-		back, err := st.ReadDisk(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(back) != 1 {
+		rewriteDisk(t, st, 0, tuples[:1])
+		if back := readDisk(t, st, 0); len(back) != 1 {
 			t.Errorf("rewritten bucket holds %d", len(back))
 		}
 	}

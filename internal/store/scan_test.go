@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"testing"
 
 	"pjoin/internal/stream"
@@ -243,6 +244,38 @@ func diskScanAll(t *testing.T, ds *DiskScan, budget int) []*StoredTuple {
 	}
 }
 
+// readDisk returns bucket i's whole on-disk portion in spill order (nil
+// if it has none): one unbounded read-only scan.
+func readDisk(t *testing.T, st *State, i int) []*StoredTuple {
+	t.Helper()
+	ds, err := st.OpenDiskScan(i)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds == nil {
+		return nil
+	}
+	out := diskScanAll(t, ds, math.MaxInt)
+	if err := st.FinishDiskScan(ds, nil, false); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// rewriteDisk replaces bucket i's on-disk portion with keep: one
+// unbounded scan finished with a rewrite.
+func rewriteDisk(t *testing.T, st *State, i int, keep []*StoredTuple) {
+	t.Helper()
+	ds, err := st.OpenDiskScan(i)
+	if err != nil || ds == nil {
+		t.Fatalf("bucket %d: no disk portion to rewrite (err %v)", i, err)
+	}
+	diskScanAll(t, ds, math.MaxInt)
+	if err := st.FinishDiskScan(ds, keep, true); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDiskScanMatchesReadDisk(t *testing.T) {
 	st := mkState(t, 4)
 	for i := int64(0); i < 40; i++ {
@@ -256,10 +289,7 @@ func TestDiskScanMatchesReadDisk(t *testing.T) {
 		}
 	}
 	for i := 0; i < 4; i++ {
-		want, err := st.ReadDisk(i)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := readDisk(t, st, i)
 		// A 5-byte budget is smaller than any record, forcing the
 		// carry-over reassembly path on every chunk.
 		ds, err := st.OpenDiskScan(i)
@@ -328,10 +358,7 @@ func TestFinishDiskScanRewritePreservesTail(t *testing.T) {
 	if err := st.FinishDiskScan(ds, keep, true); err != nil {
 		t.Fatal(err)
 	}
-	got, err := st.ReadDisk(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := readDisk(t, st, 0)
 	if want := len(keep) + 3; len(got) != want {
 		t.Fatalf("after rewrite: %d disk tuples, want %d", len(got), want)
 	}
@@ -374,10 +401,7 @@ func TestFinishDiskScanNoRewriteLeavesDiskAlone(t *testing.T) {
 	if st.Stats() != before {
 		t.Errorf("read-only scan changed accounting: %+v vs %+v", st.Stats(), before)
 	}
-	got, err := st.ReadDisk(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := readDisk(t, st, 0)
 	if len(got) != 6 {
 		t.Errorf("disk holds %d tuples after read-only scan, want 6", len(got))
 	}

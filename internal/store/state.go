@@ -442,66 +442,10 @@ func (st *State) SpillBucket(i int, now stream.Time) (int, error) {
 // scanning the bucket array.
 func (st *State) LargestMemBucket() int { return st.occ.largest() }
 
-// ReadDisk decodes and returns bucket i's on-disk portion in spill order.
-func (st *State) ReadDisk(i int) ([]*StoredTuple, error) {
-	b := &st.bkts[i]
-	if b.DiskTuples == 0 {
-		return nil, nil
-	}
-	raw, err := st.spill.Read(i)
-	if err != nil {
-		return nil, fmt.Errorf("store: state %s: read bucket %d: %w", st.name, i, err)
-	}
-	out := make([]*StoredTuple, 0, b.DiskTuples)
-	off := 0
-	for off < len(raw) {
-		s, n, err := decodeStored(raw[off:])
-		if err != nil {
-			return nil, fmt.Errorf("store: state %s: decode bucket %d at offset %d: %w", st.name, i, off, err)
-		}
-		out = append(out, s)
-		off += n
-	}
-	if len(out) != b.DiskTuples {
-		return nil, fmt.Errorf("store: state %s: bucket %d holds %d tuples, accounting says %d",
-			st.name, i, len(out), b.DiskTuples)
-	}
-	return out, nil
-}
-
-// RewriteDisk replaces bucket i's on-disk portion with the given tuples
-// (used by disk-side purge: read, filter, write back). Tuples keep their
-// existing DTS stamps.
-func (st *State) RewriteDisk(i int, tuples []*StoredTuple) error {
-	b := &st.bkts[i]
-	if err := st.spill.Truncate(i); err != nil {
-		return fmt.Errorf("store: state %s: truncate bucket %d: %w", st.name, i, err)
-	}
-	st.stats.DiskTuples -= b.DiskTuples
-	st.stats.DiskBytes -= b.DiskBytes
-	b.DiskTuples = 0
-	b.DiskBytes = 0
-	if len(tuples) == 0 {
-		return nil
-	}
-	var buf []byte
-	for _, s := range tuples {
-		buf = appendStored(buf, s)
-	}
-	if err := st.spill.Append(i, buf); err != nil {
-		return fmt.Errorf("store: state %s: rewrite bucket %d: %w", st.name, i, err)
-	}
-	b.DiskTuples = len(tuples)
-	b.DiskBytes = int64(len(buf))
-	st.stats.DiskTuples += len(tuples)
-	st.stats.DiskBytes += int64(len(buf))
-	return nil
-}
-
-// DiskScan is a resumable cursor over one bucket's on-disk portion: the
-// chunked counterpart of ReadDisk. The scan covers exactly the tuples
-// that were on disk when it opened; tuples spilled afterwards are left
-// alone (FinishDiskScan preserves them through the cursor's tail).
+// DiskScan is a resumable cursor over one bucket's on-disk portion, the
+// one way the disk portion is read back. The scan covers exactly the
+// tuples that were on disk when it opened; tuples spilled afterwards are
+// left alone (FinishDiskScan preserves them through the cursor's tail).
 type DiskScan struct {
 	st         *State
 	i          int
@@ -512,8 +456,8 @@ type DiskScan struct {
 	eof        bool
 }
 
-// OpenDiskScan opens a chunked scan of bucket i's on-disk portion, or
-// returns nil if the bucket has none.
+// OpenDiskScan opens a scan of bucket i's on-disk portion, or returns
+// nil if the bucket has none.
 func (st *State) OpenDiskScan(i int) (*DiskScan, error) {
 	b := &st.bkts[i]
 	if b.DiskTuples == 0 {
@@ -570,8 +514,8 @@ func (ds *DiskScan) Next(budget int, dst []*StoredTuple) ([]*StoredTuple, bool, 
 
 // FinishDiskScan closes the scan. With rewrite true, the bucket's on-disk
 // portion is replaced by keep plus whatever was spilled after the scan
-// opened (the cursor's tail) — the chunked counterpart of RewriteDisk,
-// safe against appends that raced with the scan.
+// opened (the cursor's tail), so the rewrite is safe against appends that
+// raced with the scan. Tuples keep their existing DTS stamps.
 func (st *State) FinishDiskScan(ds *DiskScan, keep []*StoredTuple, rewrite bool) error {
 	defer ds.cur.Close()
 	if !rewrite {

@@ -202,10 +202,7 @@ func TestSpillAndReadDisk(t *testing.T) {
 	if !st.HasDisk(0) || !st.AnyDisk() {
 		t.Error("HasDisk/AnyDisk false after spill")
 	}
-	back, err := st.ReadDisk(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := readDisk(t, st, 0)
 	if len(back) != 5 {
 		t.Fatalf("read %d tuples", len(back))
 	}
@@ -240,10 +237,7 @@ func TestMultipleSpillsAccumulate(t *testing.T) {
 	st.Insert(tup(t, 2, 11))
 	st.Insert(tup(t, 3, 12))
 	st.SpillBucket(0, 20)
-	back, err := st.ReadDisk(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := readDisk(t, st, 0)
 	if len(back) != 3 {
 		t.Fatalf("disk holds %d tuples", len(back))
 	}
@@ -258,7 +252,7 @@ func TestRewriteDisk(t *testing.T) {
 		st.Insert(tup(t, i, stream.Time(i)))
 	}
 	st.SpillBucket(0, 10)
-	all, _ := st.ReadDisk(0)
+	all := readDisk(t, st, 0)
 	// Keep only odd keys.
 	var keep []*StoredTuple
 	for _, s := range all {
@@ -266,28 +260,21 @@ func TestRewriteDisk(t *testing.T) {
 			keep = append(keep, s)
 		}
 	}
-	if err := st.RewriteDisk(0, keep); err != nil {
-		t.Fatal(err)
-	}
+	rewriteDisk(t, st, 0, keep)
 	if got := st.Stats().DiskTuples; got != 2 {
 		t.Errorf("DiskTuples = %d", got)
 	}
-	back, err := st.ReadDisk(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := readDisk(t, st, 0)
 	if len(back) != 2 || back[0].T.Values[0].IntVal() != 1 || back[1].T.Values[0].IntVal() != 3 {
 		t.Errorf("rewrite contents wrong: %v", back)
 	}
 	// Rewrite to empty.
-	if err := st.RewriteDisk(0, nil); err != nil {
-		t.Fatal(err)
-	}
+	rewriteDisk(t, st, 0, nil)
 	if st.AnyDisk() || st.Stats().DiskBytes != 0 {
 		t.Errorf("disk not empty after rewrite: %+v", st.Stats())
 	}
-	if got, _ := st.ReadDisk(0); got != nil {
-		t.Error("ReadDisk after empty rewrite should be nil")
+	if got := readDisk(t, st, 0); got != nil {
+		t.Error("disk read after empty rewrite should be nil")
 	}
 }
 

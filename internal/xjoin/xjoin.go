@@ -14,7 +14,6 @@ package xjoin
 
 import (
 	"fmt"
-	"time"
 
 	"pjoin/internal/event"
 	"pjoin/internal/joinbase"
@@ -44,11 +43,11 @@ type Config struct {
 	// DiskJoinIdle is the reactive disk-join activation threshold: how
 	// long the inputs must stall before a background disk pass runs.
 	DiskJoinIdle stream.Time
-	// DiskChunkBytes, when positive, makes the disk join incremental:
-	// passes run as a resumable background task reading spill data in
-	// chunks of at most this many bytes, stepped once per input item, so
-	// the hot path never stalls for a whole pass. 0 keeps the blocking
-	// pass. See core.Config.DiskChunkBytes.
+	// DiskChunkBytes is the disk join's step budget: when positive, passes
+	// run as a resumable background task reading spill data in chunks of
+	// at most this many bytes, stepped once per input item, so the hot
+	// path never stalls for a whole pass. 0 runs each pass to completion
+	// inside the call that schedules it. See core.Config.DiskChunkBytes.
 	DiskChunkBytes int
 	// DisableStateIndex reverts the join states to the pre-index probe
 	// behaviour (full-bucket scans, examined = occupancy). The paper-
@@ -75,23 +74,11 @@ type XJoin struct {
 	// signal is the baseline's story, same as the absent punct-lag gauge.
 	lat *obs.Lat
 
-	// diskTask is the in-flight incremental disk pass (nil when none or
-	// in blocking mode); see core.PJoin.diskTask.
-	diskTask      *joinbase.ChunkPass
-	diskTaskStart time.Time
-	// passTrace/passBase: provenance trace of the current disk pass and
-	// the I/O + work counters at its start (spans on only). XJoin has no
+	// disk schedules, times and traces the disk join. XJoin has no
 	// punctuation lifecycle — punctuations are discarded — so its span
 	// output is tuple and pass provenance only; the missing punct traces
 	// are, like the absent punct-lag gauge, the baseline's story.
-	passTrace    uint64
-	passIOBase   passIO
-	passStepIO   passIO
-	passExamBase int64
-	passJoinBase int64
-	// resultSpanBudget caps tuple_result spans per probe burst at
-	// span.ResultCap; reset before each probe and disk-pass step.
-	resultSpanBudget int
+	disk *joinbase.PassDriver
 
 	// hdrs stamps arriving tuples whose header does not already carry
 	// their arrival time (see core.PJoin.Process).
@@ -156,8 +143,8 @@ func New(cfg Config, out op.Emitter) (*XJoin, error) {
 	x := &XJoin{cfg: cfg, out: out, attrs: [2]int{cfg.AttrA, cfg.AttrB}, outSc: outSc, lat: obs.NewLat()}
 	x.base, err = joinbase.New(stA, stB, outSc, func(t *stream.Tuple) error {
 		x.lat.RecordResult(x.now, t.Ts)
-		if t.Span != 0 && x.resultSpanBudget > 0 && x.cfg.Instr.SpansEnabled() {
-			x.resultSpanBudget--
+		if t.Span != 0 && x.base.ResultSpans > 0 && x.cfg.Instr.SpansEnabled() {
+			x.base.ResultSpans--
 			x.cfg.Instr.Span(span.KindTupleResult, t.Span, x.now, -1, 0, 0, 0, int64(x.now-t.Ts))
 		}
 		return out.Emit(stream.TupleItem(t))
@@ -166,6 +153,7 @@ func New(cfg Config, out op.Emitter) (*XJoin, error) {
 		return nil, err
 	}
 	x.base.Obs = cfg.Instr
+	x.disk = joinbase.NewPassDriver(x.base, x.lat, cfg.DiskChunkBytes, joinbase.PassHooks{}, nil)
 	x.registerGauges()
 
 	reg := event.NewRegistry()
@@ -173,7 +161,7 @@ func New(cfg Config, out op.Emitter) (*XJoin, error) {
 		return x.base.Relocate(e.At+1, x.cfg.MemoryBytes, nil)
 	}}
 	diskJoin := event.ListenerFunc{ID: "disk-join", Fn: func(e event.Event) error {
-		return x.diskPass(e.At)
+		return x.disk.Activate(e.At)
 	}}
 	if err := reg.Register(event.StateFull, nil, "memory threshold reached", relocate); err != nil {
 		return nil, err
@@ -259,138 +247,6 @@ func (x *XJoin) StateTuples() int {
 	return a.TotalTuples() + b.TotalTuples()
 }
 
-// chunked reports whether the disk join runs incrementally.
-func (x *XJoin) chunked() bool { return x.cfg.DiskChunkBytes > 0 }
-
-// diskPass runs the disk-join stage: the whole blocking pass, or — in
-// chunked mode — one bounded step of the background task.
-func (x *XJoin) diskPass(now stream.Time) error {
-	if x.chunked() {
-		return x.stepDiskTask(now)
-	}
-	if !x.base.NeedsPass() {
-		return nil
-	}
-	start := time.Now()
-	x.beginPassTrace(now, false)
-	if err := x.base.DiskPass(now, joinbase.PassHooks{}); err != nil {
-		return err
-	}
-	wall := time.Since(start).Nanoseconds()
-	x.lat.RecordDiskPass(wall)
-	x.endPassTrace(now, wall)
-	return nil
-}
-
-// passIO mirrors core.PJoin's pass-attribution snapshot: spill read
-// operations, cache hits and bytes read, summed over both states.
-type passIO struct {
-	reads, hits, bytes int64
-}
-
-func (x *XJoin) passIOSnapshot() passIO {
-	var p passIO
-	for s := 0; s < 2; s++ {
-		st := x.base.States[s]
-		if io, err := st.IOStats(); err == nil {
-			p.reads += io.ReadOps + io.ChunkReads
-			p.bytes += io.BytesRead
-		}
-		p.hits += st.SpillCacheStats().Hits
-	}
-	return p
-}
-
-// beginPassTrace opens a provenance trace for a disk pass. No-op with
-// spans disabled, so call sites stay unconditional (spanpair pairs
-// them on all paths).
-//
-//pjoin:span begin pass
-func (x *XJoin) beginPassTrace(now stream.Time, chunked bool) {
-	if !x.cfg.Instr.SpansEnabled() {
-		return
-	}
-	x.passTrace = span.NewID()
-	x.passIOBase = x.passIOSnapshot()
-	x.passExamBase = x.base.M.DiskExamined
-	x.passJoinBase = x.base.M.DiskJoins
-	var n int64
-	if chunked {
-		n = 1
-	}
-	x.cfg.Instr.Span(span.KindPassStart, x.passTrace, now, -1, n, 0, 0, 0)
-}
-
-// endPassTrace closes a pass trace. No-op with spans disabled.
-//
-//pjoin:span end pass
-func (x *XJoin) endPassTrace(now stream.Time, wall int64) {
-	if !x.cfg.Instr.SpansEnabled() {
-		return
-	}
-	io := x.passIOSnapshot()
-	x.cfg.Instr.Span(span.KindPassIO, x.passTrace, now, -1,
-		io.reads-x.passIOBase.reads, io.hits-x.passIOBase.hits,
-		io.bytes-x.passIOBase.bytes, 0)
-	x.cfg.Instr.Span(span.KindPassEnd, x.passTrace, now, -1,
-		x.base.M.DiskExamined-x.passExamBase, x.base.M.DiskJoins-x.passJoinBase,
-		io.bytes-x.passIOBase.bytes, wall)
-}
-
-// stepDiskTask advances the incremental disk pass by one bounded step,
-// starting a fresh pass if none is in flight and left-over work exists.
-func (x *XJoin) stepDiskTask(now stream.Time) error {
-	spansOn := x.cfg.Instr.SpansEnabled()
-	if x.diskTask == nil {
-		if !x.base.NeedsPass() {
-			return nil
-		}
-		x.diskTask = x.base.StartChunkPass(joinbase.PassHooks{}, x.cfg.DiskChunkBytes)
-		x.diskTaskStart = time.Now()
-		x.beginPassTrace(now, true)
-	}
-	if spansOn {
-		x.passStepIO = x.passIOSnapshot()
-	}
-	stepExam, stepJoin := x.base.M.DiskExamined, x.base.M.DiskJoins
-	start := time.Now()
-	x.resultSpanBudget = span.ResultCap
-	done, err := x.diskTask.Step(now)
-	if err != nil {
-		x.diskTask = nil
-		return err
-	}
-	stepWall := time.Since(start).Nanoseconds()
-	if spansOn {
-		io := x.passIOSnapshot()
-		x.cfg.Instr.Span(span.KindPassChunk, x.passTrace, now, -1,
-			x.base.M.DiskExamined-stepExam, x.base.M.DiskJoins-stepJoin,
-			io.bytes-x.passStepIO.bytes, stepWall)
-	}
-	if !done {
-		x.lat.RecordDiskChunk(stepWall)
-		//pjoin:allow spanpair a resumable pass stays open across steps by design; the completing step closes it, EOS-close covers aborts
-		return nil
-	}
-	x.diskTask = nil
-	passWall := time.Since(x.diskTaskStart).Nanoseconds()
-	x.lat.RecordDiskPass(passWall)
-	x.endPassTrace(now, passWall)
-	return nil
-}
-
-// pumpDisk gives the incremental pass one step of background progress;
-// Process calls it after every input item.
-func (x *XJoin) pumpDisk(now stream.Time) error {
-	if !x.chunked() {
-		return nil
-	}
-	if x.diskTask == nil && !x.base.NeedsPass() {
-		return nil
-	}
-	return x.stepDiskTask(now)
-}
-
 // Process implements op.Operator. Timestamps must be strictly
 // increasing across all items, and a tuple's arrival time is it.Ts (see
 // core.PJoin.Process for both).
@@ -412,7 +268,6 @@ func (x *XJoin) Process(port int, it stream.Item, now stream.Time) error {
 			return err
 		}
 		examBefore := x.base.M.Examined
-		x.resultSpanBudget = span.ResultCap
 		matches, err := x.base.ProbeOpposite(port, t)
 		if err != nil {
 			return err
@@ -428,12 +283,12 @@ func (x *XJoin) Process(port int, it stream.Item, now stream.Time) error {
 		if err := x.mon.StateSize(x.base.States[0].MemBytes()+x.base.States[1].MemBytes(), t.Ts); err != nil {
 			return err
 		}
-		return x.pumpDisk(x.now)
+		return x.disk.Pump(x.now)
 	case stream.KindPunct:
 		// No constraint-exploiting mechanism: punctuations are ignored.
 		x.base.M.PunctsIn[port]++
 		x.base.Obs.Event(obs.KindPunctIn, it.Ts, port, 0, 0)
-		return x.pumpDisk(x.now)
+		return x.disk.Pump(x.now)
 	case stream.KindEOS:
 		if x.eos[port] {
 			return fmt.Errorf("xjoin: duplicate EOS on port %d", port)
@@ -465,21 +320,14 @@ func (x *XJoin) ProcessBatch(port int, items []stream.Item, now stream.Time) err
 // OnIdle implements op.Operator: XJoin's reactive background stage.
 func (x *XJoin) OnIdle(now stream.Time) (bool, error) {
 	x.now = max(x.now, now)
-	if x.chunked() {
-		before := x.base.M.DiskChunks
-		if err := x.mon.Idle(x.now); err != nil {
-			return false, err
-		}
-		if err := x.pumpDisk(x.now); err != nil {
-			return false, err
-		}
-		return x.base.M.DiskChunks > before, nil
-	}
-	before := x.base.M.DiskPasses
+	before := x.base.M.DiskChunks
 	if err := x.mon.Idle(x.now); err != nil {
 		return false, err
 	}
-	return x.base.M.DiskPasses > before, nil
+	if err := x.disk.Pump(x.now); err != nil {
+		return false, err
+	}
+	return x.base.M.DiskChunks > before, nil
 }
 
 // Finish implements op.Operator: the clean-up stage joins everything
@@ -492,33 +340,8 @@ func (x *XJoin) Finish(now stream.Time) error {
 		return fmt.Errorf("xjoin: Finish before EOS on both ports")
 	}
 	x.now = max(x.now, now)
-	if x.chunked() {
-		// Drain the in-flight pass, then run one final pass to
-		// completion — the same single pass the blocking path runs.
-		for x.diskTask != nil {
-			if err := x.stepDiskTask(x.now); err != nil {
-				return err
-			}
-		}
-		if x.base.NeedsPass() {
-			if err := x.stepDiskTask(x.now); err != nil {
-				return err
-			}
-			for x.diskTask != nil {
-				if err := x.stepDiskTask(x.now); err != nil {
-					return err
-				}
-			}
-		}
-	} else if x.base.NeedsPass() {
-		start := time.Now()
-		x.beginPassTrace(x.now, false)
-		if err := x.base.DiskPass(x.now, joinbase.PassHooks{}); err != nil {
-			return err
-		}
-		wall := time.Since(start).Nanoseconds()
-		x.lat.RecordDiskPass(wall)
-		x.endPassTrace(x.now, wall)
+	if err := x.disk.Finish(x.now); err != nil {
+		return err
 	}
 	x.finished = true
 	if lv := x.cfg.Instr.Live(); lv != nil {
