@@ -11,7 +11,7 @@
 //     distribution;
 //   - a critical-path summary for sampled tuples: batch linger, queue +
 //     restamp delay, probe work, and result latency;
-//   - a disk-pass summary: chunked vs blocking, candidate pairs,
+//   - a disk-pass summary: chunked vs drained, candidate pairs,
 //     spill/cache I/O;
 //   - with -flight, a stall root-cause table cross-referencing a
 //     flight-recorder dump (internal/obs/health): which passes were in
@@ -601,7 +601,7 @@ func analyze(w io.Writer, paths []string, flightPath string, top int) (problems 
 	}
 	sort.Slice(pls, func(i, j int) bool { return pls[i].trace < pls[j].trace })
 	var (
-		chunked, blocking, chunks, incomplete        int
+		chunked, drained, chunks, incomplete         int
 		pExamined, pResults, readOps, cacheHits, ioB int64
 		passWall                                     dist
 	)
@@ -613,7 +613,7 @@ func analyze(w io.Writer, paths []string, flightPath string, top int) (problems 
 		if p.chunked {
 			chunked++
 		} else {
-			blocking++
+			drained++
 		}
 		chunks += p.chunks
 		pExamined += p.examined
@@ -624,9 +624,9 @@ func analyze(w io.Writer, paths []string, flightPath string, top int) (problems 
 		passWall.add(p.wall)
 	}
 	fmt.Fprintf(w, "\n== disk passes ==\n")
-	fmt.Fprintf(w, " passes %d (chunked %d, blocking %d, incomplete %d), %d chunk step(s)\n",
-		len(pls), chunked, blocking, incomplete, chunks)
-	if chunked+blocking > 0 {
+	fmt.Fprintf(w, " passes %d (chunked %d, drained %d, incomplete %d), %d chunk step(s)\n",
+		len(pls), chunked, drained, incomplete, chunks)
+	if chunked+drained > 0 {
 		fmt.Fprintf(w, " examined %d candidate pair(s), %d result(s); %d read op(s), %d cache hit(s), %s read\n",
 			pExamined, pResults, readOps, cacheHits, fmtBytes(ioB))
 		fmt.Fprintf(w, " pass wall: %s\n", passWall.String())
@@ -654,7 +654,7 @@ func analyze(w io.Writer, paths []string, flightPath string, top int) (problems 
 				if !p.ended || p.endAt > at {
 					state = "OPEN at stall"
 				}
-				kind := "blocking"
+				kind := "drained"
 				if p.chunked {
 					kind = "chunked"
 				}

@@ -7,6 +7,7 @@ import (
 	"pjoin/internal/obs/span"
 	"pjoin/internal/store"
 	"pjoin/internal/stream"
+	"pjoin/internal/value"
 )
 
 // ChunkPass is one disk pass (paper §3.2) in resumable steps: for every
@@ -52,14 +53,16 @@ type ChunkPass struct {
 	startExamined int64
 	startJoins    int64
 
-	bucket int // next bucket index to open
-	cur    *chunkBucket
+	bucket int         // next bucket index to open
+	cur    chunkBucket // the bucket in flight, when open is set
+	open   bool
 
 	// Scratch reused across buckets: only one bucket is in flight at a
 	// time, and nothing below escapes a bucket's finalise.
 	diskBuf [2][]*store.StoredTuple
 	memBuf  [2][]*store.StoredTuple
 	sideBuf [2][]*store.StoredTuple
+	keys    keyIndex
 }
 
 // chunkBucket is the in-flight state of one bucket's pass.
@@ -77,11 +80,76 @@ type chunkBucket struct {
 
 	readSide  int // 0, 1 while reading chunks; 2 = join phase
 	assembled bool
-	xi, yi    int // resumable nested-loop position
+	// Resumable join position: sides[0][xi] is being joined; yi is the
+	// next same-key candidate in sides[1], chainStart before x's chain has
+	// been looked up, chainEnd once it is exhausted.
+	xi, yi int
 }
 
-// pairsPerStep converts the byte budget into a pair-check budget for the
-// join phase, so CPU-bound steps are bounded like I/O-bound ones.
+// keyIndex is the pass's scratch index over one assembled bucket side:
+// join key → the chain of that side's tuples carrying it, in side order.
+// It is what makes a bucket's join phase cost its same-key pairs instead
+// of |sides[0]| × |sides[1]| key comparisons. Open addressing over the
+// state's own value hash, equality confirmed on the chain head's key, so
+// colliding hashes only lengthen a lookup.
+type keyIndex struct {
+	st    *store.State         // the indexed side's state: its hash, its key attribute
+	ys    []*store.StoredTuple // the indexed side
+	slots []int32              // 1 + position of a chain's first tuple, 0 = empty
+	next  []int32              // next[j]: position of the next tuple with ys[j]'s key, or chainEnd
+	shift uint                 // 64 - log2(len(slots))
+}
+
+const (
+	chainStart = -2
+	chainEnd   = -1
+)
+
+// slot returns the slot holding key's chain, or the empty slot where it
+// would go. The bucket's tuples agree on hash % nbuckets, so the slot
+// comes from a multiplicative mix of the whole hash, not its low bits.
+func (ix *keyIndex) slot(key value.Value) int {
+	mask := len(ix.slots) - 1
+	for i := int(ix.st.Hash(key) * 0x9E3779B97F4A7C15 >> ix.shift); ; i = (i + 1) & mask {
+		head := ix.slots[i]
+		if head == 0 || ix.st.Key(ix.ys[head-1].T).Equal(key) {
+			return i
+		}
+	}
+}
+
+// build indexes ys (a side of st's bucket; fewer than 2^30 tuples).
+// Chains come out in ys order because the tuples are pushed back to
+// front.
+func (ix *keyIndex) build(st *store.State, ys []*store.StoredTuple) {
+	size, shift := 4, uint(62)
+	for size < 2*len(ys) {
+		size, shift = size<<1, shift-1
+	}
+	if cap(ix.slots) < size {
+		ix.slots = make([]int32, size)
+	} else {
+		ix.slots = ix.slots[:size]
+		clear(ix.slots)
+	}
+	if cap(ix.next) < len(ys) {
+		ix.next = make([]int32, len(ys))
+	}
+	ix.st, ix.ys, ix.next, ix.shift = st, ys, ix.next[:len(ys)], shift
+	for j := len(ys) - 1; j >= 0; j-- {
+		i := ix.slot(st.Key(ys[j].T))
+		ix.next[j] = ix.slots[i] - 1 // an empty slot's 0 becomes chainEnd
+		ix.slots[i] = int32(j) + 1
+	}
+}
+
+// first returns the position of the first indexed tuple with the given
+// key, or chainEnd.
+func (ix *keyIndex) first(key value.Value) int { return int(ix.slots[ix.slot(key)]) - 1 }
+
+// pairsPerStep converts the byte budget into the join phase's work
+// budget per step — same-key candidate pairs visited plus side-0 tuples
+// advanced past — so CPU-bound steps are bounded like I/O-bound ones.
 func pairsPerStep(budget int) int {
 	p := budget / 8
 	if p < 64 {
@@ -117,23 +185,22 @@ func (p *ChunkPass) Step(now stream.Time) (bool, error) {
 	b.ResultSpans = span.ResultCap
 	exBefore, joBefore := b.M.DiskExamined, b.M.DiskJoins
 	for {
-		if p.cur == nil {
+		if !p.open {
 			if p.bucket >= b.States[0].NumBuckets() {
 				b.Obs.Event(obs.KindDiskPass, now, -1,
 					b.M.DiskExamined-p.startExamined, b.M.DiskJoins-p.startJoins)
 				return true, nil
 			}
-			cb, err := p.openBucket(p.bucket, now)
+			err := p.openBucket(p.bucket, now)
 			if err != nil {
 				return false, err
 			}
 			p.bucket++
-			if cb == nil {
+			if !p.open {
 				continue
 			}
-			p.cur = cb
 		}
-		cb := p.cur
+		cb := &p.cur
 
 		// Read phase: one spill chunk per step, side 0 then side 1,
 		// indexing disk tuples in spill order.
@@ -177,26 +244,28 @@ func (p *ChunkPass) Step(now stream.Time) (bool, error) {
 				cb.sides[s] = all
 				p.sideBuf[s] = all
 			}
+			if len(cb.sides[0]) > 0 && len(cb.sides[1]) > 0 {
+				p.keys.build(b.States[1], cb.sides[1])
+			}
 			cb.assembled = true
 		}
 
-		// Join phase: one batch of pair checks per step, resuming the
-		// nested loop where the last step left off; every predicate is
-		// evaluated at the bucket-open time tPass.
-		if cb.xi < len(cb.sides[0]) && len(cb.sides[1]) > 0 {
-			pairs := p.pairs
-			for cb.xi < len(cb.sides[0]) && pairs > 0 {
-				x := cb.sides[0][cb.xi]
-				kx := b.States[0].Key(x.T)
-				ys := cb.sides[1]
-				for cb.yi < len(ys) && pairs > 0 {
+		// Join phase: one batch of candidate pairs per step. Every x of
+		// side 0, in order, meets the side-1 tuples with its key, in side
+		// order — the order a nested loop over both sides produces its
+		// matches in — resuming where the last step left off; every
+		// predicate is evaluated at the bucket-open time tPass.
+		if xs, ys := cb.sides[0], cb.sides[1]; cb.xi < len(xs) && len(ys) > 0 {
+			for pairs := p.pairs; cb.xi < len(xs) && pairs > 0; {
+				x := xs[cb.xi]
+				if cb.yi == chainStart {
+					cb.yi = p.keys.first(b.States[0].Key(x.T))
+				}
+				for cb.yi != chainEnd && pairs > 0 {
 					y := ys[cb.yi]
-					cb.yi++
+					cb.yi = int(p.keys.next[cb.yi])
 					pairs--
 					b.M.DiskExamined++
-					if !b.States[1].Key(y.T).Equal(kx) {
-						continue
-					}
 					if x.Overlaps(y) {
 						continue // already joined by the memory join
 					}
@@ -211,12 +280,13 @@ func (p *ChunkPass) Step(now stream.Time) (bool, error) {
 					}
 					b.M.DiskJoins++
 				}
-				if cb.yi >= len(ys) {
+				if cb.yi == chainEnd {
 					cb.xi++
-					cb.yi = 0
+					cb.yi = chainStart
+					pairs--
 				}
 			}
-			if cb.xi < len(cb.sides[0]) {
+			if cb.xi < len(xs) {
 				p.step(now, exBefore, joBefore)
 				return false, nil
 			}
@@ -227,7 +297,7 @@ func (p *ChunkPass) Step(now stream.Time) (bool, error) {
 		if err := p.finishBucket(cb, now); err != nil {
 			return false, err
 		}
-		p.cur = nil
+		p.open = false
 		p.step(now, exBefore, joBefore)
 		return false, nil
 	}
@@ -240,16 +310,17 @@ func (p *ChunkPass) step(now stream.Time, exBefore, joBefore int64) {
 		p.b.M.DiskExamined-exBefore, p.b.M.DiskJoins-joBefore)
 }
 
-// openBucket snapshots bucket i for the pass, or returns nil if the
+// openBucket snapshots bucket i into p.cur and sets p.open, unless the
 // bucket has nothing to do (no disk data, no purge buffer).
-func (p *ChunkPass) openBucket(i int, now stream.Time) (*chunkBucket, error) {
+func (p *ChunkPass) openBucket(i int, now stream.Time) error {
 	b := p.b
 	a, bb := b.States[0], b.States[1]
 	if !a.HasDisk(i) && !bb.HasDisk(i) &&
 		len(a.Bucket(i).PurgeBuf) == 0 && len(bb.Bucket(i).PurgeBuf) == 0 {
-		return nil, nil
+		return nil
 	}
-	cb := &chunkBucket{i: i, tPass: now, last: b.lastPass[i]}
+	p.cur = chunkBucket{i: i, tPass: now, last: b.lastPass[i], yi: chainStart}
+	cb := &p.cur
 	if p.hooks.OnBucketOpen != nil {
 		p.hooks.OnBucketOpen()
 	}
@@ -258,7 +329,7 @@ func (p *ChunkPass) openBucket(i int, now stream.Time) (*chunkBucket, error) {
 		ds, err := st.OpenDiskScan(i)
 		if err != nil {
 			b.Obs.SpillError(now, s, err)
-			return nil, err
+			return err
 		}
 		cb.scans[s] = ds
 		cb.purge[s] = st.TakePurgeBuffer(i)
@@ -266,7 +337,8 @@ func (p *ChunkPass) openBucket(i int, now stream.Time) (*chunkBucket, error) {
 		p.memBuf[s] = cb.mem[s]
 		cb.disk[s] = p.diskBuf[s][:0]
 	}
-	return cb, nil
+	p.open = true
+	return nil
 }
 
 // finishBucket discards the purge snapshot, filters the disk snapshot

@@ -48,7 +48,7 @@ type Metrics struct {
 	TuplesOut     int64    // join results emitted
 	PunctsOut     int64    // punctuations propagated
 	Examined      int64    // stored tuples examined by memory probes
-	DiskExamined  int64    // pair checks performed by disk passes
+	DiskExamined  int64    // same-key candidate pairs visited by disk passes (unequal-key pairs are never looked at: see keyIndex)
 	DiskJoins     int64    // results produced by disk passes
 	Relocations   int64    // buckets spilled
 	SpilledTuples int64    // tuples moved to disk

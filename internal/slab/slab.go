@@ -1,0 +1,78 @@
+// Package slab provides the recyclable chunked allocator behind the
+// spill-scan decode arena (store.State, stream.Arena): runs of T are
+// carved from fixed-size chunks, and the chunks are wiped and carved
+// again by the next scan instead of being left to the collector.
+//
+// It differs from the never-recycled slabs of the insert and result
+// paths (store.alloc, stream.Headers, joinbase's result chunks) in
+// exactly that: what it hands out has a stated lifetime, ending at the
+// owner's next Reset.
+package slab
+
+// Slab hands out runs of T. A Slab built by New carves them from chunks
+// of a fixed length; the zero Slab has chunk length 0, so every Take is
+// an allocation of its own that the slab never sees again — plain heap
+// allocation behind the same call, which is what a one-off decode wants.
+// Not safe for concurrent use.
+type Slab[T any] struct {
+	chunks [][]T // each of length size
+	ci     int   // chunk being carved; == len(chunks) when a fresh one is due
+	off    int   // first free element of chunks[ci]
+	size   int
+}
+
+// New returns a slab whose chunks hold chunkLen elements.
+func New[T any](chunkLen int) Slab[T] { return Slab[T]{size: chunkLen} }
+
+// Take returns n consecutive zero elements, capped at n so an append
+// reallocates instead of running into the neighbouring run. They stay
+// untouched by the slab until the next Reset. A run that does not fit in
+// the rest of the current chunk starts the next one (the remainder is
+// wasted until Reset).
+//
+//pjoin:hotpath
+func (s *Slab[T]) Take(n int) []T {
+	if n > s.size {
+		//pjoin:allow hotpath oversized run: a run longer than a chunk is its own allocation, one per such run and never retained (chunk lengths are sized so spill tuples never are one)
+		return make([]T, n)
+	}
+	if s.ci < len(s.chunks) && s.off+n > s.size {
+		s.ci++
+		s.off = 0
+	}
+	if s.ci == len(s.chunks) {
+		//pjoin:allow hotpath slab refill: one allocation per chunk of elements, and none once the retained chunks cover a scan
+		s.chunks = append(s.chunks, make([]T, s.size))
+	}
+	run := s.chunks[s.ci][s.off : s.off+n : s.off+n]
+	s.off += n
+	return run
+}
+
+// Reset ends the lifetime of everything taken so far: the chunks that
+// were carved are zeroed — a holder of a stale run reads zero values, and
+// nothing the runs pointed to stays reachable through the slab — and the
+// next Take starts over at the first chunk.
+func (s *Slab[T]) Reset() {
+	for i := 0; i <= s.ci && i < len(s.chunks); i++ {
+		clear(s.chunks[i])
+	}
+	s.ci, s.off = 0, 0
+}
+
+// Trim lets go of all but the first keep chunks. Runs already taken from
+// a dropped chunk stay valid (the holder keeps the chunk alive); the slab
+// just no longer retains it.
+func (s *Slab[T]) Trim(keep int) {
+	if len(s.chunks) <= keep {
+		return
+	}
+	clear(s.chunks[keep:])
+	s.chunks = s.chunks[:keep]
+	if s.ci >= keep {
+		s.ci, s.off = keep, 0
+	}
+}
+
+// Cap returns the number of elements in retained chunks.
+func (s *Slab[T]) Cap() int { return len(s.chunks) * s.size }

@@ -281,61 +281,53 @@ type cacheScan struct {
 	closed bool
 }
 
-// NextChunk implements ScanCursor.
-func (s *cacheScan) NextChunk(budget int) ([]byte, error) {
-	if budget <= 0 {
-		budget = DefaultScanChunk
-	}
-	s.c.mu.Lock()
-	defer s.c.mu.Unlock()
+// check reports why the cursor can no longer be read, if it cannot.
+func (s *cacheScan) check() error {
 	if s.closed {
-		return nil, fmt.Errorf("store: use of closed scan cursor")
+		return fmt.Errorf("store: use of closed scan cursor")
 	}
 	if s.c.gens[s.part] != s.gen {
-		return nil, ErrScanTruncated
+		return ErrScanTruncated
+	}
+	return nil
+}
+
+// Read implements ScanCursor.
+func (s *cacheScan) Read(p []byte) (int, error) {
+	s.c.mu.Lock()
+	defer s.c.mu.Unlock()
+	if err := s.check(); err != nil {
+		return 0, err
 	}
 	if s.off >= len(s.data) {
-		return nil, io.EOF
+		return 0, io.EOF
 	}
-	n := len(s.data) - s.off
-	if budget < n {
-		n = budget
-	}
-	out := make([]byte, n)
-	copy(out, s.data[s.off:s.off+n])
+	n := copy(p, s.data[s.off:])
 	s.off += n
-	return out, nil
+	return n, nil
 }
 
 // Tail implements ScanCursor: bytes appended after the open. If the entry
 // was evicted meanwhile the tail falls back to a full inner read.
-func (s *cacheScan) Tail() ([]byte, error) {
+func (s *cacheScan) Tail(dst []byte) ([]byte, error) {
 	s.c.mu.Lock()
 	defer s.c.mu.Unlock()
-	if s.closed {
-		return nil, fmt.Errorf("store: use of closed scan cursor")
+	if err := s.check(); err != nil {
+		return dst, err
 	}
-	if s.c.gens[s.part] != s.gen {
-		return nil, ErrScanTruncated
-	}
+	var full []byte
 	if e, ok := s.c.ent[s.part]; ok {
-		if len(e.data) <= len(s.data) {
-			return nil, nil
+		full = e.data
+	} else {
+		var err error
+		if full, err = s.c.inner.Read(s.part); err != nil {
+			return dst, err
 		}
-		out := make([]byte, len(e.data)-len(s.data))
-		copy(out, e.data[len(s.data):])
-		return out, nil
-	}
-	full, err := s.c.inner.Read(s.part)
-	if err != nil {
-		return nil, err
 	}
 	if len(full) <= len(s.data) {
-		return nil, nil
+		return dst, nil
 	}
-	out := make([]byte, len(full)-len(s.data))
-	copy(out, full[len(s.data):])
-	return out, nil
+	return append(dst, full[len(s.data):]...), nil
 }
 
 // Close implements ScanCursor.
@@ -358,19 +350,19 @@ type fillScan struct {
 	done  bool
 }
 
-// NextChunk implements ScanCursor.
-func (s *fillScan) NextChunk(budget int) ([]byte, error) {
-	chunk, err := s.inner.NextChunk(budget)
+// Read implements ScanCursor.
+func (s *fillScan) Read(p []byte) (int, error) {
+	n, err := s.inner.Read(p)
 	if err == io.EOF && !s.done {
 		s.done = true
 		s.tryInstall()
-		return nil, io.EOF
+		return 0, io.EOF
 	}
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	s.acc = append(s.acc, chunk...)
-	return chunk, nil
+	s.acc = append(s.acc, p[:n]...)
+	return n, nil
 }
 
 // tryInstall caches the accumulated snapshot if the partition still is
@@ -396,7 +388,7 @@ func (s *fillScan) tryInstall() {
 }
 
 // Tail implements ScanCursor.
-func (s *fillScan) Tail() ([]byte, error) { return s.inner.Tail() }
+func (s *fillScan) Tail(dst []byte) ([]byte, error) { return s.inner.Tail(dst) }
 
 // Close implements ScanCursor.
 func (s *fillScan) Close() error { return s.inner.Close() }

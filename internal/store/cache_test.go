@@ -139,7 +139,7 @@ func TestCachedSpillScanCompletionInstalls(t *testing.T) {
 	}
 	var got []byte
 	for {
-		chunk, err := sc.NextChunk(4)
+		chunk, err := nextChunk(sc, 4)
 		if errors.Is(err, io.EOF) {
 			break
 		}
@@ -162,7 +162,7 @@ func TestCachedSpillScanCompletionInstalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunk, err := sc2.NextChunk(0)
+	chunk, err := nextChunk(sc2, 0)
 	if err != nil || string(chunk) != "scan-me-in" {
 		t.Fatalf("hit scan read %q, %v", chunk, err)
 	}
@@ -227,7 +227,7 @@ func TestCachedSpillConcurrent(t *testing.T) {
 						return
 					}
 					for {
-						_, err := sc.NextChunk(8)
+						_, err := nextChunk(sc, 8)
 						if errors.Is(err, io.EOF) || errors.Is(err, ErrScanTruncated) {
 							break
 						}
@@ -237,7 +237,7 @@ func TestCachedSpillConcurrent(t *testing.T) {
 							return
 						}
 					}
-					if _, err := sc.Tail(); err != nil && !errors.Is(err, ErrScanTruncated) {
+					if _, err := sc.Tail(nil); err != nil && !errors.Is(err, ErrScanTruncated) {
 						report(fmt.Errorf("tail: %w", err))
 					}
 					sc.Close()

@@ -109,18 +109,18 @@ type faultScan struct {
 	inner ScanCursor
 }
 
-func (c *faultScan) NextChunk(budget int) ([]byte, error) {
+func (c *faultScan) Read(p []byte) (int, error) {
 	if err := c.f.tick(FaultRead); err != nil {
-		return nil, err
+		return 0, err
 	}
-	return c.inner.NextChunk(budget)
+	return c.inner.Read(p)
 }
 
-func (c *faultScan) Tail() ([]byte, error) {
+func (c *faultScan) Tail(dst []byte) ([]byte, error) {
 	if err := c.f.tick(FaultRead); err != nil {
-		return nil, err
+		return dst, err
 	}
-	return c.inner.Tail()
+	return c.inner.Tail(dst)
 }
 
 func (c *faultScan) Close() error { return c.inner.Close() }

@@ -8,7 +8,19 @@ import (
 	"testing"
 
 	"pjoin/internal/stream"
+	"pjoin/internal/value"
 )
+
+// nextChunk reads the cursor's next at-most-budget bytes into a fresh
+// buffer (DefaultScanChunk if budget <= 0).
+func nextChunk(sc ScanCursor, budget int) ([]byte, error) {
+	if budget <= 0 {
+		budget = DefaultScanChunk
+	}
+	p := make([]byte, budget)
+	n, err := sc.Read(p)
+	return p[:n], err
+}
 
 // scanSuite runs the ScanCursor contract against any implementation.
 func scanSuite(t *testing.T, mk func(t *testing.T) SpillStore) {
@@ -26,7 +38,7 @@ func scanSuite(t *testing.T, mk func(t *testing.T) SpillStore) {
 		defer sc.Close()
 		var got []byte
 		for {
-			chunk, err := sc.NextChunk(7)
+			chunk, err := nextChunk(sc, 7)
 			if errors.Is(err, io.EOF) {
 				break
 			}
@@ -42,8 +54,8 @@ func scanSuite(t *testing.T, mk func(t *testing.T) SpillStore) {
 			t.Errorf("chunks reassemble to %q, want %q", got, payload)
 		}
 		// EOF is sticky.
-		if _, err := sc.NextChunk(7); !errors.Is(err, io.EOF) {
-			t.Errorf("NextChunk after EOF = %v, want io.EOF", err)
+		if _, err := nextChunk(sc, 7); !errors.Is(err, io.EOF) {
+			t.Errorf("Read after EOF = %v, want io.EOF", err)
 		}
 	})
 
@@ -58,18 +70,18 @@ func scanSuite(t *testing.T, mk func(t *testing.T) SpillStore) {
 			t.Fatal(err)
 		}
 		defer sc.Close()
-		first, err := sc.NextChunk(4)
+		first, err := nextChunk(sc, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// An append racing with the scan must not leak into NextChunk...
+		// An append racing with the scan must not leak into Read...
 		if err := sp.Append(0, []byte("NEW")); err != nil {
 			t.Fatal(err)
 		}
 		var got []byte
 		got = append(got, first...)
 		for {
-			chunk, err := sc.NextChunk(4)
+			chunk, err := nextChunk(sc, 4)
 			if errors.Is(err, io.EOF) {
 				break
 			}
@@ -82,7 +94,7 @@ func scanSuite(t *testing.T, mk func(t *testing.T) SpillStore) {
 			t.Errorf("snapshot read %q, want %q", got, "old-bytes")
 		}
 		// ...and is exactly what Tail returns.
-		tail, err := sc.Tail()
+		tail, err := sc.Tail(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,10 +111,10 @@ func scanSuite(t *testing.T, mk func(t *testing.T) SpillStore) {
 			t.Fatal(err)
 		}
 		defer sc.Close()
-		if _, err := sc.NextChunk(0); !errors.Is(err, io.EOF) {
-			t.Errorf("NextChunk on empty partition = %v, want io.EOF", err)
+		if _, err := nextChunk(sc, 0); !errors.Is(err, io.EOF) {
+			t.Errorf("Read on empty partition = %v, want io.EOF", err)
 		}
-		tail, err := sc.Tail()
+		tail, err := sc.Tail(nil)
 		if err != nil || tail != nil {
 			t.Errorf("Tail on empty partition = %q, %v", tail, err)
 		}
@@ -119,16 +131,16 @@ func scanSuite(t *testing.T, mk func(t *testing.T) SpillStore) {
 			t.Fatal(err)
 		}
 		defer sc.Close()
-		if _, err := sc.NextChunk(4); err != nil {
+		if _, err := nextChunk(sc, 4); err != nil {
 			t.Fatal(err)
 		}
 		if err := sp.Truncate(2); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sc.NextChunk(4); !errors.Is(err, ErrScanTruncated) {
-			t.Errorf("NextChunk after Truncate = %v, want ErrScanTruncated", err)
+		if _, err := nextChunk(sc, 4); !errors.Is(err, ErrScanTruncated) {
+			t.Errorf("Read after Truncate = %v, want ErrScanTruncated", err)
 		}
-		if _, err := sc.Tail(); !errors.Is(err, ErrScanTruncated) {
+		if _, err := sc.Tail(nil); !errors.Is(err, ErrScanTruncated) {
 			t.Errorf("Tail after Truncate = %v, want ErrScanTruncated", err)
 		}
 		// A fresh cursor over the re-filled partition works.
@@ -140,7 +152,7 @@ func scanSuite(t *testing.T, mk func(t *testing.T) SpillStore) {
 			t.Fatal(err)
 		}
 		defer sc2.Close()
-		chunk, err := sc2.NextChunk(0)
+		chunk, err := nextChunk(sc2, 0)
 		if err != nil || string(chunk) != "fresh" {
 			t.Errorf("fresh cursor read %q, %v", chunk, err)
 		}
@@ -159,8 +171,8 @@ func scanSuite(t *testing.T, mk func(t *testing.T) SpillStore) {
 		if err := sc.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sc.NextChunk(0); err == nil || errors.Is(err, io.EOF) {
-			t.Errorf("NextChunk on closed cursor = %v, want error", err)
+		if _, err := nextChunk(sc, 0); err == nil || errors.Is(err, io.EOF) {
+			t.Errorf("Read on closed cursor = %v, want error", err)
 		}
 	})
 }
@@ -204,7 +216,7 @@ func TestScanStatsCounting(t *testing.T) {
 	}
 	defer sc.Close()
 	for {
-		if _, err := sc.NextChunk(40); errors.Is(err, io.EOF) {
+		if _, err := nextChunk(sc, 40); errors.Is(err, io.EOF) {
 			break
 		} else if err != nil {
 			t.Fatal(err)
@@ -244,8 +256,20 @@ func diskScanAll(t *testing.T, ds *DiskScan, budget int) []*StoredTuple {
 	}
 }
 
+// ownStored copies scanned tuples out of the state's decode arena, so
+// they outlive the next scan.
+func ownStored(in []*StoredTuple) []*StoredTuple {
+	out := make([]*StoredTuple, len(in))
+	for i, s := range in {
+		t := *s.T
+		t.Values = append([]value.Value(nil), t.Values...)
+		out[i] = &StoredTuple{T: &t, PID: s.PID, DTS: s.DTS}
+	}
+	return out
+}
+
 // readDisk returns bucket i's whole on-disk portion in spill order (nil
-// if it has none): one unbounded read-only scan.
+// if it has none): one unbounded read-only scan, copied out of the arena.
 func readDisk(t *testing.T, st *State, i int) []*StoredTuple {
 	t.Helper()
 	ds, err := st.OpenDiskScan(i)
@@ -255,7 +279,7 @@ func readDisk(t *testing.T, st *State, i int) []*StoredTuple {
 	if ds == nil {
 		return nil
 	}
-	out := diskScanAll(t, ds, math.MaxInt)
+	out := ownStored(diskScanAll(t, ds, math.MaxInt))
 	if err := st.FinishDiskScan(ds, nil, false); err != nil {
 		t.Fatal(err)
 	}

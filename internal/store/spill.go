@@ -16,6 +16,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 )
 
@@ -27,9 +28,21 @@ type IOStats struct {
 	BytesWritten int64
 	BytesRead    int64
 	// ChunkReads counts sequential continuation reads by scan cursors:
-	// the first chunk of a scan is a ReadOp (it pays the seek), every
-	// later NextChunk/Tail read of the same cursor is a ChunkRead.
+	// the first read of a scan is a ReadOp (it pays the seek), every
+	// later Read/Tail of the same cursor is a ChunkRead.
 	ChunkReads int64
+}
+
+// countScanRead counts one successful cursor Read of n bytes: the first
+// of a scan is a ReadOp, the rest are ChunkReads.
+func (s *IOStats) countScanRead(started *bool, n int) {
+	if *started {
+		s.ChunkReads++
+	} else {
+		s.ReadOps++
+		*started = true
+	}
+	s.BytesRead += int64(n)
 }
 
 // ErrScanTruncated is returned by a ScanCursor whose partition was
@@ -37,23 +50,29 @@ type IOStats struct {
 // longer exists, so the scan must be abandoned and restarted.
 var ErrScanTruncated = errors.New("store: partition truncated under scan")
 
-// DefaultScanChunk is the chunk size a ScanCursor uses when NextChunk is
+// DefaultScanChunk is the chunk size DiskScan.Next reads when it is
 // given a non-positive budget.
 const DefaultScanChunk = 64 << 10
 
 // ScanCursor reads one partition incrementally. OpenScan fixes the scan's
 // extent at the partition's size at open time, so a cursor is duplicate-
 // safe under concurrent appends: bytes appended after the open are never
-// returned by NextChunk, only by an explicit Tail call. Truncating the
+// returned by Read, only by an explicit Tail call. Truncating the
 // partition invalidates the cursor (ErrScanTruncated).
+//
+// Both methods write into memory the caller owns and allocate nothing of
+// their own: the copy out of the store is the read, and it is the only
+// copy. The caller sizes the buffer, so it also sets the chunk size.
 type ScanCursor interface {
-	// NextChunk returns the next at-most-budget bytes of the snapshot
-	// (DefaultScanChunk if budget <= 0), or io.EOF once the snapshot is
-	// exhausted. The returned slice is owned by the caller.
-	NextChunk(budget int) ([]byte, error)
-	// Tail returns the bytes appended to the partition after the cursor
-	// was opened (nil if none). The returned slice is owned by the caller.
-	Tail() ([]byte, error)
+	// Read fills p (not empty) with the next bytes of the snapshot and
+	// returns how many there were, at least one, or 0 and io.EOF once the
+	// snapshot is exhausted (the io.Reader shape). Each successful Read
+	// is one counted read of n bytes.
+	Read(p []byte) (n int, err error)
+	// Tail appends to dst the bytes appended to the partition after the
+	// cursor was opened, and returns the extended slice (dst itself if
+	// there are none).
+	Tail(dst []byte) ([]byte, error)
 	// Close releases the cursor. The cursor is unusable afterwards.
 	Close() error
 }
@@ -61,7 +80,9 @@ type ScanCursor interface {
 // SpillStore is the secondary-storage abstraction: an append-only byte
 // log per partition (one partition per hash bucket per state).
 type SpillStore interface {
-	// Append appends data to the partition's log.
+	// Append appends data to the partition's log. Implementations must
+	// not retain data: the caller reuses the slice as soon as Append
+	// returns (State encodes every spill into one scratch buffer).
 	Append(partition int, data []byte) error
 	// Read returns the partition's entire contents. The returned slice
 	// must not be retained across the next Append/Truncate.
@@ -175,52 +196,36 @@ func (c *memScan) check() error {
 	return nil
 }
 
-// NextChunk implements ScanCursor.
-func (c *memScan) NextChunk(budget int) ([]byte, error) {
-	if budget <= 0 {
-		budget = DefaultScanChunk
-	}
+// Read implements ScanCursor.
+func (c *memScan) Read(p []byte) (int, error) {
 	c.m.mu.Lock()
 	defer c.m.mu.Unlock()
 	if err := c.check(); err != nil {
-		return nil, err
+		return 0, err
 	}
 	if c.off >= c.end {
-		return nil, io.EOF
+		return 0, io.EOF
 	}
-	n := c.end - c.off
-	if int64(budget) < n {
-		n = int64(budget)
-	}
-	out := make([]byte, n)
-	copy(out, c.m.parts[c.part][c.off:c.off+n])
-	c.off += n
-	if c.started {
-		c.m.stats.ChunkReads++
-	} else {
-		c.m.stats.ReadOps++
-		c.started = true
-	}
-	c.m.stats.BytesRead += n
-	return out, nil
+	n := copy(p, c.m.parts[c.part][c.off:c.end])
+	c.off += int64(n)
+	c.m.stats.countScanRead(&c.started, n)
+	return n, nil
 }
 
 // Tail implements ScanCursor.
-func (c *memScan) Tail() ([]byte, error) {
+func (c *memScan) Tail(dst []byte) ([]byte, error) {
 	c.m.mu.Lock()
 	defer c.m.mu.Unlock()
 	if err := c.check(); err != nil {
-		return nil, err
+		return dst, err
 	}
 	p := c.m.parts[c.part]
 	if int64(len(p)) <= c.end {
-		return nil, nil
+		return dst, nil
 	}
-	out := make([]byte, int64(len(p))-c.end)
-	copy(out, p[c.end:])
 	c.m.stats.ChunkReads++
-	c.m.stats.BytesRead += int64(len(out))
-	return out, nil
+	c.m.stats.BytesRead += int64(len(p)) - c.end
+	return append(dst, p[c.end:]...), nil
 }
 
 // Close implements ScanCursor.
@@ -450,83 +455,73 @@ func (c *fileScan) check() error {
 	return nil
 }
 
-// readRange reads [off, off+n) of the partition, tolerating io.EOF on a
-// read that ends exactly at end-of-file (same contract as readAt).
-func (c *fileScan) readRange(off, n int64) ([]byte, error) {
+// readRange fills p from the partition starting at off, tolerating
+// io.EOF on a read that ends exactly at end-of-file (same contract as
+// readAt).
+func (c *fileScan) readRange(p []byte, off int64) error {
 	fh, ok := c.f.files[c.part]
 	if !ok {
 		// The snapshot said there were bytes but the file is gone without
 		// a generation bump; treat it as a truncation race.
-		return nil, ErrScanTruncated
+		return ErrScanTruncated
 	}
-	buf := make([]byte, n)
-	rn, err := fh.ReadAt(buf, off)
-	if errors.Is(err, io.EOF) && int64(rn) == n {
+	rn, err := fh.ReadAt(p, off)
+	if errors.Is(err, io.EOF) && rn == len(p) {
 		err = nil
 	}
 	if err != nil {
-		return nil, fmt.Errorf("store: scan partition %d: %w", c.part, err)
+		return fmt.Errorf("store: scan partition %d: %w", c.part, err)
 	}
-	return buf, nil
+	return nil
 }
 
-// NextChunk implements ScanCursor.
-func (c *fileScan) NextChunk(budget int) ([]byte, error) {
-	if budget <= 0 {
-		budget = DefaultScanChunk
-	}
+// Read implements ScanCursor.
+func (c *fileScan) Read(p []byte) (int, error) {
 	c.f.mu.Lock()
 	defer c.f.mu.Unlock()
 	if err := c.check(); err != nil {
-		return nil, err
+		return 0, err
 	}
 	if c.off >= c.end {
-		return nil, io.EOF
+		return 0, io.EOF
 	}
-	n := c.end - c.off
-	if int64(budget) < n {
-		n = int64(budget)
+	if left := c.end - c.off; int64(len(p)) > left {
+		p = p[:left]
 	}
-	buf, err := c.readRange(c.off, n)
-	if err != nil {
-		return nil, err
+	if err := c.readRange(p, c.off); err != nil {
+		return 0, err
 	}
-	c.off += n
-	if c.started {
-		c.f.stats.ChunkReads++
-	} else {
-		c.f.stats.ReadOps++
-		c.started = true
-	}
-	c.f.stats.BytesRead += n
-	return buf, nil
+	c.off += int64(len(p))
+	c.f.stats.countScanRead(&c.started, len(p))
+	return len(p), nil
 }
 
 // Tail implements ScanCursor.
-func (c *fileScan) Tail() ([]byte, error) {
+func (c *fileScan) Tail(dst []byte) ([]byte, error) {
 	c.f.mu.Lock()
 	defer c.f.mu.Unlock()
 	if err := c.check(); err != nil {
-		return nil, err
+		return dst, err
 	}
 	fh, ok := c.f.files[c.part]
 	if !ok {
-		return nil, nil // never appended to, or snapshot was empty
+		return dst, nil // never appended to, or snapshot was empty
 	}
 	st, err := fh.Stat()
 	if err != nil {
-		return nil, fmt.Errorf("store: stat partition %d: %w", c.part, err)
+		return dst, fmt.Errorf("store: stat partition %d: %w", c.part, err)
 	}
-	if st.Size() <= c.end {
-		return nil, nil
+	n := int(st.Size() - c.end)
+	if n <= 0 {
+		return dst, nil
 	}
-	buf, err := c.readRange(c.end, st.Size()-c.end)
-	if err != nil {
-		return nil, err
+	out := slices.Grow(dst, n)[:len(dst)+n]
+	if err := c.readRange(out[len(dst):], c.end); err != nil {
+		return dst, err
 	}
 	c.f.stats.ChunkReads++
-	c.f.stats.BytesRead += int64(len(buf))
-	return buf, nil
+	c.f.stats.BytesRead += int64(n)
+	return out, nil
 }
 
 // Close implements ScanCursor.

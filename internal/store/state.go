@@ -8,6 +8,7 @@ import (
 	"math"
 
 	"pjoin/internal/punct"
+	"pjoin/internal/slab"
 	"pjoin/internal/stream"
 	"pjoin/internal/value"
 )
@@ -109,6 +110,13 @@ type State struct {
 	occ  occTracker
 	hash func(value.Value) uint64
 
+	// The one scan a state can have open, the arena its tuples are
+	// decoded into, and the scratch every spill write is encoded in: all
+	// reused from scan to scan, all bounded between scans (scanRetain*).
+	scan  DiskScan
+	arena scanArena
+	enc   []byte
+
 	// seq counts mutations of the memory portion (inserts, purges,
 	// expiry, spills). A MemProbe memoized at sequence s is valid as
 	// long as seq == s: no tuple entered or left memory since, so a
@@ -137,9 +145,10 @@ func NewState(name string, attr, nbuckets int, spill SpillStore) (*State, error)
 	}
 	return &State{
 		name: name, attr: attr, spill: spill,
-		bkts: make([]Bucket, nbuckets),
-		occ:  newOccTracker(nbuckets),
-		hash: value.Value.Hash,
+		bkts:  make([]Bucket, nbuckets),
+		occ:   newOccTracker(nbuckets),
+		hash:  value.Value.Hash,
+		arena: newScanArena(),
 	}, nil
 }
 
@@ -191,6 +200,10 @@ func (st *State) SpillCacheStats() CacheStats {
 
 // Key returns t's join-attribute value.
 func (st *State) Key(t *stream.Tuple) value.Value { return t.Values[st.attr] }
+
+// Hash returns the state's 64-bit hash of a join value, the one its
+// buckets and key groups are placed by.
+func (st *State) Hash(key value.Value) uint64 { return st.hash(key) }
 
 // BucketOf returns the bucket index for a join value.
 func (st *State) BucketOf(key value.Value) int {
@@ -414,11 +427,17 @@ func (st *State) SpillBucket(i int, now stream.Time) (int, error) {
 		return 0, nil
 	}
 	st.seq++
-	var buf []byte
+	size, memBytes := 0, int64(0)
 	for nd := b.mem.ahead; nd != nil; nd = nd.anext {
 		nd.s.DTS = now
+		size += storedSize(nd.s)
+		memBytes += int64(nd.s.T.EncodedSize())
+	}
+	buf := st.scratch(size)
+	for nd := b.mem.ahead; nd != nil; nd = nd.anext {
 		buf = appendStored(buf, nd.s)
 	}
+	st.keepScratch(buf)
 	if err := st.spill.Append(i, buf); err != nil {
 		return 0, fmt.Errorf("store: state %s: spill bucket %d: %w", st.name, i, err)
 	}
@@ -428,9 +447,7 @@ func (st *State) SpillBucket(i int, now stream.Time) (int, error) {
 	st.stats.DiskBytes += int64(len(buf))
 	st.stats.MemTuples -= n
 	st.stats.MemGroups -= b.mem.ngroups
-	for nd := b.mem.ahead; nd != nil; nd = nd.anext {
-		st.stats.MemBytes -= int64(nd.s.T.EncodedSize())
-	}
+	st.stats.MemBytes -= memBytes
 	b.mem.reset(&st.al)
 	st.occ.set(i, 0)
 	return n, nil
@@ -442,69 +459,139 @@ func (st *State) SpillBucket(i int, now stream.Time) (int, error) {
 // scanning the bucket array.
 func (st *State) LargestMemBucket() int { return st.occ.largest() }
 
+// What a State keeps between scans, so that the next scan allocates
+// nothing: scanRetainChunks slab chunks of each kind in the decode arena
+// (room for 8,192 tuples of up to four attributes), and a read buffer
+// and an encode scratch of at most scanRetainBuf bytes each. Whatever a
+// larger bucket needed beyond that is released when its scan finishes.
+// scanRetainBytes is the resulting bound on a State's retained scan
+// memory (the arena's current 8 KiB string slab aside).
+const (
+	scanRetainChunks = 32
+	scanRetainBuf    = 512 << 10
+	scanRetainBytes  = scanRetainChunks*(storedChunk*24+stream.ArenaChunkBytes) + 2*scanRetainBuf
+)
+
+// scanArena is where a scan's tuples are decoded: StoredTuple wrappers
+// from a recyclable slab, the tuples themselves in a stream.Arena. The
+// zero scanArena decodes into ordinary heap allocations.
+type scanArena struct {
+	stored slab.Slab[StoredTuple]
+	tuples stream.Arena
+}
+
+func newScanArena() scanArena {
+	return scanArena{stored: slab.New[StoredTuple](storedChunk), tuples: stream.NewArena()}
+}
+
+// reset ends the lifetime of every tuple decoded so far and readies the
+// slabs for reuse: the recycled memory is zeroed, so a StoredTuple held
+// across it has a nil T.
+func (a *scanArena) reset() {
+	a.stored.Reset()
+	a.tuples.Reset()
+}
+
+// trim enforces the retention bound without touching decoded tuples.
+func (a *scanArena) trim() {
+	a.stored.Trim(scanRetainChunks)
+	a.tuples.Trim(scanRetainChunks)
+}
+
+// scratch returns the empty encode buffer with room for size bytes.
+func (st *State) scratch(size int) []byte {
+	if cap(st.enc) < size {
+		st.enc = make([]byte, 0, size)
+	}
+	return st.enc[:0]
+}
+
+// keepScratch takes the encode buffer back for the next write, unless
+// it has outgrown what a state retains; the caller may go on using buf
+// until then. (Append may not retain it: see SpillStore.)
+func (st *State) keepScratch(buf []byte) {
+	st.enc = nil
+	if cap(buf) <= scanRetainBuf {
+		st.enc = buf[:0]
+	}
+}
+
 // DiskScan is a resumable cursor over one bucket's on-disk portion, the
 // one way the disk portion is read back. The scan covers exactly the
 // tuples that were on disk when it opened; tuples spilled afterwards are
 // left alone (FinishDiskScan preserves them through the cursor's tail).
+//
+// A State owns one DiskScan and reuses it, with its read buffer, for
+// every scan, so a state has at most one scan open at a time.
 type DiskScan struct {
-	st         *State
-	i          int
-	cur        ScanCursor
-	carry      []byte // undecoded bytes of a record split across chunks
-	snapTuples int    // DiskTuples when the scan opened
+	st  *State
+	i   int
+	cur ScanCursor // nil when no scan is open
+	// buf is the read buffer (len == cap); buf[lo:hi] is read but not yet
+	// decoded — after a Next, the front of a record split across reads.
+	buf        []byte
+	lo, hi     int
+	snapTuples int   // DiskTuples when the scan opened
+	snapBytes  int64 // DiskBytes when the scan opened: sizes the reads
+	got        int64 // snapshot bytes read so far
 	read       int
 	eof        bool
 }
 
 // OpenDiskScan opens a scan of bucket i's on-disk portion, or returns
-// nil if the bucket has none.
+// nil if the bucket has none. Opening a scan recycles the state's decode
+// arena: every tuple returned by an earlier scan of this state is dead
+// from here on (see DiskScan.Next).
 func (st *State) OpenDiskScan(i int) (*DiskScan, error) {
 	b := &st.bkts[i]
 	if b.DiskTuples == 0 {
 		return nil, nil
 	}
+	ds := &st.scan
+	if ds.cur != nil {
+		return nil, fmt.Errorf("store: state %s: scan bucket %d: scan of bucket %d is still open", st.name, i, ds.i)
+	}
 	cur, err := st.spill.OpenScan(i)
 	if err != nil {
 		return nil, fmt.Errorf("store: state %s: scan bucket %d: %w", st.name, i, err)
 	}
-	return &DiskScan{st: st, i: i, cur: cur, snapTuples: b.DiskTuples}, nil
+	st.arena.reset()
+	*ds = DiskScan{st: st, i: i, cur: cur, buf: ds.buf, snapTuples: b.DiskTuples, snapBytes: b.DiskBytes}
+	return ds, nil
 }
 
-// Next reads up to budget more bytes of the snapshot, appends the decoded
-// tuples to dst, and reports whether the scan is exhausted. A record
-// split across the chunk boundary is carried over to the next call.
+// Next reads up to budget more bytes of the snapshot (DefaultScanChunk
+// if budget <= 0), appends the decoded tuples to dst, and reports whether
+// the scan is exhausted. A record split across the read boundary is kept
+// and completed by the next call.
+//
+// The tuples are decoded into the state's arena, not allocated: they
+// (StoredTuple, Tuple and Values) are valid until the next OpenDiskScan
+// on the same state and are zeroed by it, so a caller that wants one for
+// longer copies it. Attribute values copied out of a tuple (a join
+// result) stay valid: string payloads are never recycled.
 func (ds *DiskScan) Next(budget int, dst []*StoredTuple) ([]*StoredTuple, bool, error) {
-	if ds.eof && len(ds.carry) == 0 {
+	if ds.eof && ds.lo == ds.hi {
 		return dst, true, nil
 	}
 	if !ds.eof {
-		chunk, err := ds.cur.NextChunk(budget)
-		switch {
-		case errors.Is(err, io.EOF):
-			ds.eof = true
-		case err != nil:
+		if err := ds.fill(budget); err != nil {
 			return dst, false, fmt.Errorf("store: state %s: scan bucket %d: %w", ds.st.name, ds.i, err)
-		default:
-			ds.carry = append(ds.carry, chunk...)
 		}
 	}
-	consumed := 0
-	for consumed < len(ds.carry) {
-		s, n, err := decodeStored(ds.carry[consumed:])
+	for ds.lo < ds.hi {
+		s, n, err := ds.st.arena.decodeStored(ds.buf[ds.lo:ds.hi])
 		if err != nil {
 			if errors.Is(err, errShortRecord) && !ds.eof {
-				break // retry once the next chunk arrives
+				break // retry once the next read arrives
 			}
 			return dst, false, fmt.Errorf("store: state %s: decode bucket %d: %w", ds.st.name, ds.i, err)
 		}
 		dst = append(dst, s)
 		ds.read++
-		consumed += n
+		ds.lo += n
 	}
-	rest := len(ds.carry) - consumed
-	copy(ds.carry, ds.carry[consumed:])
-	ds.carry = ds.carry[:rest]
-	done := ds.eof && rest == 0
+	done := ds.eof && ds.lo == ds.hi
 	if done && ds.read != ds.snapTuples {
 		return dst, false, fmt.Errorf("store: state %s: bucket %d scan read %d tuples, accounting says %d",
 			ds.st.name, ds.i, ds.read, ds.snapTuples)
@@ -512,17 +599,65 @@ func (ds *DiskScan) Next(budget int, dst []*StoredTuple) ([]*StoredTuple, bool, 
 	return dst, done, nil
 }
 
+// fill moves the undecoded remainder to the front of the buffer and reads
+// the next at-most-budget bytes of the snapshot behind it. The read is
+// sized by what the bucket's accounting says is left, so an unbounded
+// budget reads the partition in one piece; the accounting is only a
+// hint — the cursor decides where the snapshot ends.
+func (ds *DiskScan) fill(budget int) error {
+	ds.hi = copy(ds.buf, ds.buf[ds.lo:ds.hi])
+	ds.lo = 0
+	if budget <= 0 {
+		budget = DefaultScanChunk
+	}
+	want := max(ds.snapBytes-ds.got, 1) // the read that finds io.EOF still needs room
+	if int64(budget) < want {
+		want = int64(budget)
+	}
+	need := ds.hi + int(want)
+	if len(ds.buf) < need {
+		grown := make([]byte, need)
+		copy(grown, ds.buf[:ds.hi])
+		ds.buf = grown
+	}
+	n, err := ds.cur.Read(ds.buf[ds.hi:need])
+	if errors.Is(err, io.EOF) {
+		ds.eof = true
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	ds.hi += n
+	ds.got += int64(n)
+	return nil
+}
+
 // FinishDiskScan closes the scan. With rewrite true, the bucket's on-disk
 // portion is replaced by keep plus whatever was spilled after the scan
 // opened (the cursor's tail), so the rewrite is safe against appends that
-// raced with the scan. Tuples keep their existing DTS stamps.
+// raced with the scan. Tuples keep their existing DTS stamps. Finishing
+// releases whatever the scan grew beyond the state's retention bound
+// (scanRetainBytes); the decoded tuples stay valid until the next open.
 func (st *State) FinishDiskScan(ds *DiskScan, keep []*StoredTuple, rewrite bool) error {
-	defer ds.cur.Close()
+	if ds != &st.scan || ds.cur == nil {
+		return fmt.Errorf("store: state %s: finish of a scan that is not open", st.name)
+	}
+	defer st.closeScan()
 	if !rewrite {
 		return nil
 	}
 	b := &st.bkts[ds.i]
-	tail, err := ds.cur.Tail()
+	size := 0
+	for _, s := range keep {
+		size += storedSize(s)
+	}
+	buf := st.scratch(size)
+	for _, s := range keep {
+		buf = appendStored(buf, s)
+	}
+	buf, err := ds.cur.Tail(buf)
+	st.keepScratch(buf)
 	if err != nil {
 		return fmt.Errorf("store: state %s: scan tail bucket %d: %w", st.name, ds.i, err)
 	}
@@ -534,11 +669,6 @@ func (st *State) FinishDiskScan(ds *DiskScan, keep []*StoredTuple, rewrite bool)
 	st.stats.DiskBytes -= b.DiskBytes
 	b.DiskTuples = 0
 	b.DiskBytes = 0
-	var buf []byte
-	for _, s := range keep {
-		buf = appendStored(buf, s)
-	}
-	buf = append(buf, tail...)
 	if len(buf) == 0 {
 		return nil
 	}
@@ -551,6 +681,18 @@ func (st *State) FinishDiskScan(ds *DiskScan, keep []*StoredTuple, rewrite bool)
 	st.stats.DiskTuples += n
 	st.stats.DiskBytes += int64(len(buf))
 	return nil
+}
+
+// closeScan closes the open scan's cursor and brings the scan memory
+// back under the retention bound.
+func (st *State) closeScan() {
+	ds := &st.scan
+	ds.cur.Close()
+	ds.cur = nil
+	if len(ds.buf) > scanRetainBuf {
+		ds.buf = nil
+	}
+	st.arena.trim()
 }
 
 // MemBucketSkew summarises hash-bucket balance: the ratio of the fullest
@@ -602,13 +744,33 @@ func appendStored(dst []byte, s *StoredTuple) []byte {
 	return s.T.AppendBinary(dst)
 }
 
-func decodeStored(b []byte) (*StoredTuple, int, error) {
+// storedSize returns the number of bytes appendStored emits for s.
+func storedSize(s *StoredTuple) int {
+	body := uvarintLen(uint64(s.PID)) + 8 + s.T.EncodedSize()
+	return uvarintLen(uint64(body)) + body
+}
+
+// Spill-record decode errors: fixed values, so a failed decode allocates
+// nothing either. DiskScan.Next adds the state and bucket.
+var (
+	errRecordLen      = errors.New("bad record length")
+	errRecordPID      = errors.New("bad pid varint")
+	errRecordDTS      = errors.New("truncated DTS")
+	errRecordMismatch = errors.New("record length does not match contents")
+)
+
+// decodeStored decodes the spill record at the front of b into the arena
+// and returns it with the number of bytes consumed. errShortRecord means
+// b ends inside the record.
+//
+//pjoin:hotpath
+func (a *scanArena) decodeStored(b []byte) (*StoredTuple, int, error) {
 	body, sz := binary.Uvarint(b)
 	if sz == 0 {
 		return nil, 0, errShortRecord
 	}
 	if sz < 0 || body == 0 || body > maxStoredRecord {
-		return nil, 0, fmt.Errorf("bad record length")
+		return nil, 0, errRecordLen
 	}
 	if len(b) < sz+int(body) {
 		return nil, 0, errShortRecord
@@ -616,20 +778,22 @@ func decodeStored(b []byte) (*StoredTuple, int, error) {
 	rec := b[sz : sz+int(body)]
 	pid, psz := binary.Uvarint(rec)
 	if psz <= 0 {
-		return nil, 0, fmt.Errorf("bad pid varint")
+		return nil, 0, errRecordPID
 	}
 	off := psz
 	if len(rec) < off+8 {
-		return nil, 0, fmt.Errorf("truncated DTS")
+		return nil, 0, errRecordDTS
 	}
 	dts := stream.Time(binary.LittleEndian.Uint64(rec[off:]))
 	off += 8
-	t, n, err := stream.DecodeTuple(rec[off:])
+	t, n, err := a.tuples.DecodeTuple(rec[off:])
 	if err != nil {
 		return nil, 0, err
 	}
 	if off+n != len(rec) {
-		return nil, 0, fmt.Errorf("record length %d does not match contents %d", len(rec), off+n)
+		return nil, 0, errRecordMismatch
 	}
-	return &StoredTuple{T: t, PID: punct.PID(pid), DTS: dts}, sz + int(body), nil
+	s := &a.stored.Take(1)[0]
+	*s = StoredTuple{T: t, PID: punct.PID(pid), DTS: dts}
+	return s, sz + int(body), nil
 }

@@ -2,8 +2,9 @@ package stream
 
 import (
 	"encoding/binary"
-	"fmt"
+	"errors"
 
+	"pjoin/internal/slab"
 	"pjoin/internal/value"
 )
 
@@ -40,30 +41,104 @@ func uvarintLen(x uint64) int {
 	return n
 }
 
+// Decode errors, fixed values so a failed decode allocates nothing; a
+// bad value surfaces the value package's own error.
+var (
+	errDecodeCount     = errors.New("stream: decode tuple: bad value count")
+	errDecodeManyVals  = errors.New("stream: decode tuple: implausible value count")
+	errDecodeTimestamp = errors.New("stream: decode tuple: truncated timestamp")
+)
+
+// Arena chunk lengths: tuple headers and attribute values per slab
+// chunk. A tuple wider than arenaValues gets a values slice of its own.
+// ArenaChunkBytes is what one chunk of each occupies (40-byte headers,
+// 32-byte values; a test pins the sizes).
+const (
+	arenaTuples     = 256
+	arenaValues     = 1024
+	ArenaChunkBytes = arenaTuples*40 + arenaValues*32
+)
+
+// Arena is where decoded tuples live: headers and value slices are
+// carved from recyclable slabs (internal/slab), string payloads from a
+// value.Strings. Everything decoded into an arena is valid until its
+// next Reset, which wipes the slabs for reuse: a tuple held across a
+// Reset reads as the zero Tuple. String payloads are the exception —
+// strings are immutable, so they stay valid for as long as anything
+// refers to them.
+//
+// The zero Arena recycles nothing: each decoded tuple is a header, a
+// values slice and one string per payload, all ordinary allocations
+// owned by whoever holds the tuple. That is DecodeTuple. An Arena must
+// not be copied after first use.
+type Arena struct {
+	hdrs slab.Slab[Tuple]
+	vals slab.Slab[value.Value]
+	strs value.Strings
+}
+
+// NewArena returns a recycling arena.
+func NewArena() Arena {
+	return Arena{
+		hdrs: slab.New[Tuple](arenaTuples),
+		vals: slab.New[value.Value](arenaValues),
+		strs: value.NewStrings(),
+	}
+}
+
+// Reset ends the lifetime of every tuple decoded so far.
+func (a *Arena) Reset() {
+	a.hdrs.Reset()
+	a.vals.Reset()
+}
+
+// Trim bounds what the arena retains for reuse to keep chunks of each
+// slab, keep × ArenaChunkBytes (plus the current string slab, 8 KiB);
+// tuples already decoded stay valid.
+func (a *Arena) Trim(keep int) {
+	a.hdrs.Trim(keep)
+	a.vals.Trim(keep)
+}
+
+// RetainedBytes returns the size of the slab chunks the arena holds on
+// to.
+func (a *Arena) RetainedBytes() int { return a.hdrs.Cap()*40 + a.vals.Cap()*32 }
+
 // DecodeTuple decodes one tuple from the front of b, returning the tuple
 // and the number of bytes consumed.
 func DecodeTuple(b []byte) (*Tuple, int, error) {
+	var heap Arena
+	return heap.DecodeTuple(b)
+}
+
+// DecodeTuple decodes one tuple from the front of b into the arena,
+// returning the tuple and the number of bytes consumed.
+//
+//pjoin:hotpath
+func (a *Arena) DecodeTuple(b []byte) (*Tuple, int, error) {
 	count, sz := binary.Uvarint(b)
 	if sz <= 0 {
-		return nil, 0, fmt.Errorf("stream: decode tuple: bad value count")
+		return nil, 0, errDecodeCount
 	}
 	if count > uint64(len(b)) { // each value takes at least one byte
-		return nil, 0, fmt.Errorf("stream: decode tuple: implausible value count %d", count)
+		return nil, 0, errDecodeManyVals
 	}
 	off := sz
 	if len(b) < off+8 {
-		return nil, 0, fmt.Errorf("stream: decode tuple: truncated timestamp")
+		return nil, 0, errDecodeTimestamp
 	}
 	ts := Time(binary.LittleEndian.Uint64(b[off:]))
 	off += 8
-	vals := make([]value.Value, 0, count)
-	for i := uint64(0); i < count; i++ {
-		v, n, err := value.Decode(b[off:])
+	vals := a.vals.Take(int(count))
+	for i := range vals {
+		v, n, err := a.strs.Decode(b[off:])
 		if err != nil {
-			return nil, 0, fmt.Errorf("stream: decode tuple value %d: %w", i, err)
+			return nil, 0, err
 		}
-		vals = append(vals, v)
+		vals[i] = v
 		off += n
 	}
-	return &Tuple{Values: vals, Ts: ts}, off, nil
+	t := &a.hdrs.Take(1)[0]
+	t.Values, t.Ts = vals, ts
+	return t, off, nil
 }

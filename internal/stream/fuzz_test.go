@@ -37,6 +37,60 @@ func FuzzDecodeTuple(f *testing.F) {
 	})
 }
 
+// FuzzDecodeTupleArena checks that decoding into a recycling arena
+// changes nothing observable: it accepts and rejects exactly what
+// DecodeTuple does, consumes the same bytes, yields an equal tuple and
+// re-encodes to the same bytes — on fresh slabs, behind an earlier tuple,
+// and on slabs recycled by Reset, where a failed decode may have left a
+// half-filled run behind.
+func FuzzDecodeTupleArena(f *testing.F) {
+	sc := MustSchema("S",
+		Field{Name: "a", Kind: value.KindInt},
+		Field{Name: "b", Kind: value.KindString},
+	)
+	f.Add(MustTuple(sc, 9, value.Int(1), value.Str("x")).AppendBinary(nil))
+	f.Add([]byte{0x80, 0x80})
+	f.Add([]byte{2, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{2, 0, 0, 0, 0, 0, 0, 0, 0, 4, 1, 4, 2}) // second value: bad bool
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8})             // no values at all
+	f.Fuzz(func(t *testing.T, b []byte) {
+		want, wantN, wantErr := DecodeTuple(b)
+		a := NewArena()
+		for round := 0; round < 3; round++ {
+			got, n, err := a.DecodeTuple(b)
+			if (err == nil) != (wantErr == nil) || n != wantN {
+				t.Fatalf("round %d: arena decode n=%d err=%v; plain decode n=%d err=%v", round, n, err, wantN, wantErr)
+			}
+			if err == nil {
+				if got.Ts != want.Ts || got.Span != 0 || !valuesEqual(got.Values, want.Values) {
+					t.Fatalf("round %d: arena decoded %v, plain %v", round, got, want)
+				}
+				if re, plain := got.AppendBinary(nil), want.AppendBinary(nil); string(re) != string(plain) {
+					t.Fatalf("round %d: arena tuple re-encodes to %x, plain to %x", round, re, plain)
+				}
+			}
+			if round == 1 {
+				a.Reset()
+				if err == nil && (got.Values != nil || got.Ts != 0) {
+					t.Fatalf("Reset left a decoded tuple readable: %v", got)
+				}
+			}
+		}
+	})
+}
+
+func valuesEqual(a, b []value.Value) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !a[i].Equal(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // FuzzReadItems checks the text-format reader never panics; accepted
 // inputs round-trip through WriteItems.
 func FuzzReadItems(f *testing.F) {

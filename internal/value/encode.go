@@ -2,7 +2,8 @@ package value
 
 import (
 	"encoding/binary"
-	"fmt"
+	"errors"
+	"strings"
 )
 
 // AppendBinary appends a compact binary encoding of v to dst and returns
@@ -23,40 +24,101 @@ func (v Value) AppendBinary(dst []byte) []byte {
 	return dst
 }
 
+// Decode errors. They are fixed values so the decode path allocates
+// nothing on failure either; callers add the context (which record,
+// which partition).
+var (
+	errDecodeEmpty     = errors.New("value: decode: empty buffer")
+	errDecodeTruncated = errors.New("value: decode: truncated payload")
+	errDecodeBool      = errors.New("value: decode: bad bool payload")
+	errDecodeStrLen    = errors.New("value: decode: bad string length")
+	errDecodeKind      = errors.New("value: decode: unknown kind byte")
+)
+
+// stringSlabBytes is the size of one Strings slab. A decoded string that
+// outlives its scan (a join result's attribute) keeps its whole slab
+// reachable, so this is also the most one retained string can pin.
+const stringSlabBytes = 8 << 10
+
+// Strings is the payload store of a decode arena: string payloads are
+// appended to a fixed-size slab and handed out as substrings of it, one
+// allocation per stringSlabBytes of payload instead of one per string.
+// A string, once handed out, is immutable and valid forever; the slab is
+// only ever appended to, and is dropped (not reused) when full.
+//
+// The zero Strings has no slab: every payload becomes its own string, as
+// a one-off Decode wants. NewStrings enables the slab. A Strings must
+// not be copied after first use.
+type Strings struct {
+	b    strings.Builder
+	slab int
+}
+
+// NewStrings returns a slab-backed Strings.
+func NewStrings() Strings { return Strings{slab: stringSlabBytes} }
+
+// intern returns p's bytes as a string.
+func (s *Strings) intern(p []byte) string {
+	if len(p) == 0 {
+		return ""
+	}
+	if len(p) > s.b.Cap()-s.b.Len() {
+		if len(p) > s.slab/4 {
+			//pjoin:allow hotpath oversized payload: a string longer than a quarter slab is its own allocation instead of wasting the slab's remainder; with no slab (the zero Strings) that is every string
+			return string(p)
+		}
+		// Slab refill: one allocation per stringSlabBytes of payload.
+		// Strings handed out so far keep the old slab alive.
+		s.b.Reset()
+		s.b.Grow(s.slab)
+	}
+	off := s.b.Len()
+	s.b.Write(p)
+	return s.b.String()[off:]
+}
+
 // Decode decodes one value from the front of b, returning the value and
-// the number of bytes consumed.
+// the number of bytes consumed. A string payload is a fresh string.
 func Decode(b []byte) (Value, int, error) {
+	var heap Strings
+	return heap.Decode(b)
+}
+
+// Decode decodes one value from the front of b like the package-level
+// Decode, placing a string payload in s.
+//
+//pjoin:hotpath
+func (s *Strings) Decode(b []byte) (Value, int, error) {
 	if len(b) == 0 {
-		return Value{}, 0, fmt.Errorf("value: decode: empty buffer")
+		return Value{}, 0, errDecodeEmpty
 	}
 	k := Kind(b[0])
 	rest := b[1:]
 	switch k {
 	case KindInt, KindFloat:
 		if len(rest) < 8 {
-			return Value{}, 0, fmt.Errorf("value: decode: truncated %s payload", k)
+			return Value{}, 0, errDecodeTruncated
 		}
 		return Value{kind: k, num: binary.LittleEndian.Uint64(rest)}, 9, nil
 	case KindBool:
 		if len(rest) < 1 {
-			return Value{}, 0, fmt.Errorf("value: decode: truncated bool payload")
+			return Value{}, 0, errDecodeTruncated
 		}
 		if rest[0] > 1 {
-			return Value{}, 0, fmt.Errorf("value: decode: bad bool payload %d", rest[0])
+			return Value{}, 0, errDecodeBool
 		}
 		return Value{kind: k, num: uint64(rest[0])}, 2, nil
 	case KindString:
 		n, sz := binary.Uvarint(rest)
 		if sz <= 0 {
-			return Value{}, 0, fmt.Errorf("value: decode: bad string length")
+			return Value{}, 0, errDecodeStrLen
 		}
 		if uint64(len(rest)-sz) < n {
-			return Value{}, 0, fmt.Errorf("value: decode: truncated string payload")
+			return Value{}, 0, errDecodeTruncated
 		}
-		s := string(rest[sz : sz+int(n)])
-		return Str(s), 1 + sz + int(n), nil
+		return Str(s.intern(rest[sz : sz+int(n)])), 1 + sz + int(n), nil
 	default:
-		return Value{}, 0, fmt.Errorf("value: decode: unknown kind byte %d", b[0])
+		return Value{}, 0, errDecodeKind
 	}
 }
 

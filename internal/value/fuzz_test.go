@@ -59,3 +59,63 @@ func FuzzDecode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeSlab checks that decoding string payloads into a slab changes
+// nothing observable: the slab-backed decoder accepts and rejects what
+// Decode does, consumes the same bytes and yields the same value — also
+// when the payload lands behind earlier ones in a part-filled slab.
+func FuzzDecodeSlab(f *testing.F) {
+	for _, v := range []Value{Int(-1), Float(3.5), Str("abc"), Str(""), Bool(true)} {
+		f.Add(v.AppendBinary(nil))
+	}
+	f.Add([]byte{byte(KindString), 0x80})
+	f.Add([]byte{byte(KindBool), 2})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		want, wantN, wantErr := Decode(b)
+		ss := NewStrings()
+		ss.intern([]byte("earlier payload"))
+		for round := 0; round < 2; round++ {
+			got, n, err := ss.Decode(b)
+			if (err == nil) != (wantErr == nil) || n != wantN || got != want {
+				t.Fatalf("slab decode %v, %d, %v; plain decode %v, %d, %v", got, n, err, want, wantN, wantErr)
+			}
+		}
+	})
+}
+
+func TestStringsSlab(t *testing.T) {
+	ss := NewStrings()
+	a := ss.intern([]byte("alpha"))
+	b := ss.intern([]byte("beta"))
+	if a != "alpha" || b != "beta" {
+		t.Fatalf("interned %q, %q", a, b)
+	}
+	// Filling the slab starts a new one; a payload that does not fit and
+	// is over a quarter slab becomes its own string instead and leaves
+	// the slab where it was. Every string handed out stays intact.
+	big := make([]byte, stringSlabBytes/4+1)
+	for i := range big {
+		big[i] = 'x'
+	}
+	for i := 0; i < 8; i++ {
+		used, room := ss.b.Len(), ss.b.Cap()-ss.b.Len()
+		s := ss.intern(big)
+		if s != string(big) {
+			t.Fatalf("payload %d corrupted", i)
+		}
+		if room < len(big) && ss.b.Len() != used {
+			t.Errorf("payload %d did not fit (%d free) but moved the slab %d -> %d", i, room, used, ss.b.Len())
+		}
+	}
+	for i := 0; i < 3*stringSlabBytes/64; i++ {
+		if s := ss.intern(big[:64]); s != string(big[:64]) {
+			t.Fatalf("short payload %d corrupted", i)
+		}
+	}
+	if a != "alpha" || b != "beta" {
+		t.Errorf("earlier strings changed to %q, %q after a slab refill", a, b)
+	}
+	if n := testing.AllocsPerRun(100, func() { ss.intern([]byte("k")) }); n > 0.01 {
+		t.Errorf("interning a short payload allocates %.2f objects, want ~0 (one per slab)", n)
+	}
+}
