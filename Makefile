@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint race check loc oracle traced-oracle fuzz bench bench-alloc bench-scaling flight-sample trace-sample
+.PHONY: build test vet lint allow-count race check loc oracle traced-oracle fuzz bench bench-alloc bench-scaling flight-sample trace-sample
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,20 @@ vet:
 # justification. See DESIGN.md §14.
 lint:
 	$(GO) run ./cmd/pjoinlint ./...
+
+# Suppression budget: the lines that spell //pjoin:allow in non-test Go
+# files — the markers themselves plus the nine places the linter's own
+# documentation and messages name the directive. The number is meant to
+# only go down: allow-count prints it and fails above ALLOW_CEILING (the
+# CI lint job runs it), and a change that retires a marker lowers the
+# ceiling with it.
+ALLOW_CEILING := 24
+allow-count:
+	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' \
+		! -path './internal/lint/*/testdata/*' -exec cat {} + | grep -c '//pjoin:allow'); \
+	echo $$n; \
+	test $$n -le $(ALLOW_CEILING) || \
+		{ echo "allow-count: $$n //pjoin:allow lines, the ceiling is $(ALLOW_CEILING)" >&2; exit 1; }
 
 race:
 	$(GO) test -race ./...

@@ -12,8 +12,8 @@ import (
 // Equivalence regression for the key-grouped state index: an indexed
 // PJoin and one forced onto the pre-index scan fallback
 // (DisableStateIndex) must emit identical result multisets and agree on
-// every work counter except the two the index is allowed to shrink
-// (Examined, PurgeScanned). The two joins are driven through identical
+// every work counter except the three the index is allowed to shrink
+// (Examined, PurgeScanned, IndexScanned). The two joins are driven through identical
 // Process/OnIdle/Finish sequences — no simulator, so the comparison is
 // about operator semantics, not cost feedback.
 
@@ -129,8 +129,11 @@ func TestIndexedScanEquivalence(t *testing.T) {
 				if mi.PurgeScanned > ms.PurgeScanned {
 					t.Errorf("seed %d: indexed PurgeScanned %d > scan %d", seed, mi.PurgeScanned, ms.PurgeScanned)
 				}
-				mi.Examined, mi.PurgeScanned = 0, 0
-				ms.Examined, ms.PurgeScanned = 0, 0
+				if mi.IndexScanned > ms.IndexScanned {
+					t.Errorf("seed %d: indexed IndexScanned %d > scan %d", seed, mi.IndexScanned, ms.IndexScanned)
+				}
+				mi.Examined, mi.PurgeScanned, mi.IndexScanned = 0, 0, 0
+				ms.Examined, ms.PurgeScanned, ms.IndexScanned = 0, 0, 0
 				if gi, gs := fmt.Sprintf("%+v", mi), fmt.Sprintf("%+v", ms); gi != gs {
 					t.Errorf("seed %d: metrics diverge\nindexed: %s\nscan:    %s", seed, gi, gs)
 				}

@@ -345,14 +345,7 @@ func (j *NaryPJoin) propagate(ts stream.Time) error {
 	}
 	for s, set := range j.psets {
 		for _, e := range set.Propagable() {
-			pats := make([]punct.Pattern, j.outSc.Width())
-			for i := range pats {
-				pats[i] = punct.Star()
-			}
-			for i := 0; i < e.P.Width(); i++ {
-				pats[offsets[s]+i] = e.P.PatternAt(i)
-			}
-			outP, err := punct.New(pats...)
+			outP, err := e.P.Widen(j.outSc.Width(), offsets[s])
 			if err != nil {
 				return err
 			}

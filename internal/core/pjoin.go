@@ -193,6 +193,9 @@ type PJoin struct {
 	// their arrival time (see Process).
 	hdrs stream.Headers
 
+	// idxGroup is indexKey's scratch for one key group.
+	idxGroup []*store.StoredTuple
+
 	now      stream.Time
 	eos      [2]bool
 	finished bool
@@ -845,15 +848,50 @@ func (j *PJoin) discard(side int, sd *store.StoredTuple) {
 // indexBuild runs the punctuation index building algorithm (paper
 // Fig. 3, Index-Build): tuples with a null pid are matched against the
 // not-yet-indexed punctuations of their own side; matching tuples get
-// that punctuation's pid and bump its count. If the state has
-// disk-resident tuples, the newly indexed punctuations are marked
-// disk-pending: their counts cannot be trusted until a disk pass indexes
-// the disk portion.
+// the pid of the first-arrived punctuation they match and bump its count.
+// If the state has disk-resident tuples, the newly indexed punctuations
+// are marked disk-pending: their counts cannot be trusted until a disk
+// pass indexes the disk portion.
+//
+// A batch whose every punctuation pins the join attribute to listed
+// values (constant or enumeration) is built from the key groups
+// (indexBuildKeyed); any other batch scans the state (indexBuildScan), as
+// does every batch under DisableStateIndex. Both assign the same pids and
+// counts; IndexScanned counts the stored tuples each one visits.
 func (j *PJoin) indexBuild(s int) {
 	pending := j.psets[s].Unindexed()
 	if len(pending) == 0 {
 		return
 	}
+	if !j.cfg.DisableStateIndex && keyedBatch(pending, j.attrs[s]) {
+		j.indexBuildKeyed(s, pending)
+	} else {
+		j.indexBuildScan(s, pending)
+	}
+	hasDisk := j.base.States[s].AnyDisk()
+	for _, e := range pending {
+		e.Indexed = true
+		if hasDisk {
+			j.diskPending[s][e.PID] = true
+		}
+	}
+}
+
+// keyedBatch reports whether every pending punctuation names its join
+// values outright, so the tuples it can match sit in known key groups.
+func keyedBatch(pending []*punct.Entry, attr int) bool {
+	for _, e := range pending {
+		if k := e.P.PatternAt(attr).Kind(); k != punct.Constant && k != punct.Enum {
+			return false
+		}
+	}
+	return true
+}
+
+// indexBuildScan walks every memory group and purge buffer of the side
+// and tries the pending punctuations, in arrival order, on each tuple
+// with a null pid.
+func (j *PJoin) indexBuildScan(s int, pending []*punct.Entry) {
 	st := j.base.States[s]
 	scanOne := func(sd *store.StoredTuple) {
 		j.base.M.IndexScanned++
@@ -874,12 +912,50 @@ func (j *PJoin) indexBuild(s int) {
 			scanOne(sd)
 		}
 	}
-	hasDisk := st.AnyDisk()
+}
+
+// indexBuildKeyed costs the batch its matches instead of the state: a
+// tuple can match a punctuation whose join pattern is a constant or an
+// enumeration only if its key is one of those values, so each punctuation
+// visits just its keys' memory groups and the purge buffers of their
+// buckets. Taking the punctuations in arrival order and skipping tuples
+// that already carry a pid gives every tuple the first-arrived match, as
+// the scan does.
+//
+//pjoin:hotpath
+func (j *PJoin) indexBuildKeyed(s int, pending []*punct.Entry) {
+	attr := j.attrs[s]
 	for _, e := range pending {
-		e.Indexed = true
-		if hasDisk {
-			j.diskPending[s][e.PID] = true
+		pat := e.P.PatternAt(attr)
+		if pat.Kind() == punct.Constant {
+			j.indexKey(s, e, pat.ConstVal())
+			continue
 		}
+		for _, v := range pat.Members() {
+			j.indexKey(s, e, v)
+		}
+	}
+}
+
+// indexKey tries punctuation e on the side-s tuples that carry key: its
+// memory group and whatever is parked in its bucket's purge buffer.
+func (j *PJoin) indexKey(s int, e *punct.Entry, key value.Value) {
+	st := j.base.States[s]
+	j.idxGroup, _ = st.ProbeMem(key, j.idxGroup[:0])
+	for _, sd := range j.idxGroup {
+		j.indexOne(e, sd)
+	}
+	clear(j.idxGroup) // pin no stored tuple between builds
+	for _, sd := range st.Bucket(st.BucketOf(key)).PurgeBuf {
+		j.indexOne(e, sd)
+	}
+}
+
+func (j *PJoin) indexOne(e *punct.Entry, sd *store.StoredTuple) {
+	j.base.M.IndexScanned++
+	if sd.PID == punct.NoPID && e.P.Matches(sd.T.Values) {
+		sd.PID = e.PID
+		e.Count++
 	}
 }
 
@@ -999,19 +1075,11 @@ func (j *PJoin) outputPunctuation(s int, p punct.Punctuation) (punct.Punctuation
 // same output form to key its merge-alignment bookkeeping before the
 // shards propagate.
 func OutputPunctuation(schemaA, schemaB *stream.Schema, s int, p punct.Punctuation) (punct.Punctuation, error) {
-	wa, wb := schemaA.Width(), schemaB.Width()
-	pats := make([]punct.Pattern, wa+wb)
-	for i := range pats {
-		pats[i] = punct.Star()
-	}
 	off := 0
 	if s == 1 {
-		off = wa
+		off = schemaA.Width()
 	}
-	for i := 0; i < p.Width(); i++ {
-		pats[off+i] = p.PatternAt(i)
-	}
-	return punct.New(pats...)
+	return p.Widen(schemaA.Width()+schemaB.Width(), off)
 }
 
 // relocate is the state-relocation component (§3.3): on StateFull, spill

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"pjoin/internal/op"
@@ -83,5 +84,68 @@ func TestTargetedPurgeScansOnlyMatches(t *testing.T) {
 	}
 	if m.PurgeScanned != 10 {
 		t.Errorf("fallback PurgeScanned = %d, want 10 (full scan)", m.PurgeScanned)
+	}
+}
+
+// TestMultiKeyPurgeParksInArrivalOrder covers the purge run that takes
+// several key groups: each group comes back in the state's one scratch
+// slice (store.State.TakeKeyGroup), so the run must have copied a group
+// out before it takes the next, and the purge buffer it leaves must be
+// the bucket-ordered scan's — every parked tuple once, in arrival order.
+func TestMultiKeyPurgeParksInArrivalOrder(t *testing.T) {
+	parked := func(disableIndex bool) []stream.Time {
+		cfg := defaultConfig()
+		cfg.NumBuckets = 1
+		cfg.Thresholds.Purge = 1
+		cfg.DisablePropagation = true
+		cfg.DisableStateIndex = disableIndex
+		j, err := New(cfg, &op.Collector{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := stream.Time(1)
+		if err := j.Process(0, tupA(9, "a", ts).item, ts); err != nil {
+			t.Fatal(err)
+		}
+		// Side A's bucket goes to disk: what B purges parks instead of
+		// being freed.
+		if _, err := j.base.States[0].SpillBucket(0, ts+1); err != nil {
+			t.Fatal(err)
+		}
+		ts++
+		for r := 0; r < 3; r++ { // keys interleaved, so groups are not contiguous
+			for k := int64(0); k < 6; k++ {
+				ts++
+				if err := j.Process(1, tupB(k, "b", ts).item, ts); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		ts++
+		enum := punct.MustKeyOnly(2, 0, punct.MustEnum(value.Int(4), value.Int(1), value.Int(3)))
+		if err := j.Process(0, stream.PunctItem(enum, ts), ts); err != nil {
+			t.Fatal(err)
+		}
+		var got []stream.Time
+		for _, sd := range j.base.States[1].Bucket(0).PurgeBuf {
+			if k := sd.T.Values[0].IntVal(); k != 1 && k != 3 && k != 4 {
+				t.Errorf("parked a tuple of key %d", k)
+			}
+			got = append(got, sd.ATS())
+		}
+		return got
+	}
+	indexed, scan := parked(false), parked(true)
+	if len(indexed) != 9 {
+		t.Fatalf("parked %d tuples, want 9 (three keys, three tuples each)", len(indexed))
+	}
+	for i := range indexed {
+		if i > 0 && indexed[i] <= indexed[i-1] {
+			t.Errorf("purge buffer out of arrival order: %v", indexed)
+			break
+		}
+	}
+	if fmt.Sprint(indexed) != fmt.Sprint(scan) {
+		t.Errorf("purge buffer differs from the scan's:\nindexed %v\nscan    %v", indexed, scan)
 	}
 }

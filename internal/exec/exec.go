@@ -54,8 +54,9 @@ import (
 // buffer with itself as the last element, so constraint information is
 // never delayed behind buffered data — and when the linger budget runs
 // out: with BatchLinger > 0 a tuple may wait in the buffer for at most
-// that long (a one-shot timer cuts the batch); with linger zero every
-// Emit flushes, so a larger batch size adds no latency and no fill.
+// that long (the edge's one timer, re-armed for each waiting buffer, cuts
+// the batch); with linger zero every Emit flushes, so a larger batch size
+// adds no latency and no fill.
 type Edge struct {
 	p      *Pipeline
 	ch     chan *stream.Batch
@@ -64,7 +65,8 @@ type Edge struct {
 
 	mu     sync.Mutex //pjoin:lockrank leaf
 	buf    *stream.Batch
-	armed  bool // a linger timer callback is pending
+	timer  *time.Timer // the linger timer: created at the first arming, Reset after
+	armed  bool        // its callback is pending
 	closed bool
 	// sink marks an edge consumed by Sink rather than an operator. Sink
 	// edges skip tuple_cut spans: result tuples inherit their sampled
@@ -101,7 +103,13 @@ func (e *Edge) Emit(it stream.Item) error {
 	default:
 		if !e.armed {
 			e.armed = true
-			time.AfterFunc(e.linger, e.onLinger)
+			if e.timer == nil {
+				e.timer = time.AfterFunc(e.linger, e.onLinger)
+			} else {
+				// Not armed means the last callback has run, so this
+				// schedules exactly one more.
+				e.timer.Reset(e.linger)
+			}
 		}
 		return nil
 	}
@@ -156,7 +164,9 @@ func (e *Edge) flushLocked(forced bool) error {
 // closes its output edge), which is what ends the downstream fan-in
 // goroutine. The remaining buffer is flushed first; every send happens
 // under the mutex and after a closed check, so neither a late Emit nor a
-// concurrently firing linger callback can send on the closed channel.
+// concurrently firing linger callback can send on the closed channel. The
+// linger timer is stopped; a callback already past Stop finds the edge
+// closed.
 func (e *Edge) close() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -164,6 +174,9 @@ func (e *Edge) close() {
 		return
 	}
 	e.closed = true
+	if e.timer != nil {
+		e.timer.Stop()
+	}
 	_ = e.flushLocked(true)
 	close(e.ch)
 }
@@ -305,12 +318,22 @@ func (p *Pipeline) Source(out *Edge, items []stream.Item, paced bool) {
 			defer p.wg.Done()
 			defer out.close()
 			sin := p.Obs.Derive("source", -1)
+			// pace is the one timer a paced source waits on. Every wait
+			// either receives from it or ends the source, so it is always
+			// expired and drained when it is re-armed.
+			var pace *time.Timer
 			for _, it := range items {
 				if paced {
 					target := p.start.Add(time.Duration(it.Ts))
 					if d := time.Until(target); d > 0 {
+						if pace == nil {
+							pace = time.NewTimer(d)
+							defer pace.Stop()
+						} else {
+							pace.Reset(d)
+						}
 						select {
-						case <-time.After(d):
+						case <-pace.C:
 						case <-p.ctx.Done():
 							return
 						}

@@ -63,6 +63,37 @@ func TestKeyedSetRemoveMaintainsIndex(t *testing.T) {
 	}
 }
 
+// TestKeyedSetRepeatedKey removes the entries of one repeated constant
+// in every order: whichever are left, the earliest-arrived answers, as in
+// an unkeyed set.
+func TestKeyedSetRepeatedKey(t *testing.T) {
+	orders := [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
+	for _, order := range orders {
+		keyed, plain := NewKeyedSet(0, false), NewSet()
+		var pids []PID
+		for i := 0; i < 3; i++ {
+			e, _ := keyed.Add(keyPunct(t, 1))
+			plain.Add(keyPunct(t, 1))
+			pids = append(pids, e.PID)
+		}
+		keyed.Add(keyPunct(t, 2))
+		plain.Add(keyPunct(t, 2))
+		for _, i := range order {
+			if k, p := keyed.FirstMatchAttr(0, iv(1)), plain.FirstMatchAttr(0, iv(1)); k == nil || k.PID != p.PID {
+				t.Fatalf("order %v before removing entry %d: keyed %v, plain pid %d", order, i, k, p.PID)
+			}
+			keyed.Remove(pids[i])
+			plain.Remove(pids[i])
+		}
+		if keyed.SetMatchAttr(0, iv(1)) {
+			t.Errorf("order %v: key 1 still matches after its three entries left", order)
+		}
+		if !keyed.SetMatchAttr(0, iv(2)) {
+			t.Errorf("order %v: key 2 lost", order)
+		}
+	}
+}
+
 func TestKeyedSetNonKeyAttrFallsBack(t *testing.T) {
 	s := NewKeyedSet(0, false)
 	s.Add(MustNew(Star(), Const(iv(9))))

@@ -64,6 +64,20 @@ func MustKeyOnly(width, attr int, pat Pattern) Punctuation {
 	return p
 }
 
+// Widen returns p's patterns placed at positions off, off+1, … of a
+// punctuation width attributes wide whose every other pattern is the
+// wildcard — the form a join gives an input punctuation over its output
+// schema. The result owns its pattern slice, the one thing Widen
+// allocates.
+func (p Punctuation) Widen(width, off int) (Punctuation, error) {
+	if p.IsZero() || off < 0 || off+len(p.patterns) > width {
+		return Punctuation{}, fmt.Errorf("punct: cannot widen %s to width %d at offset %d", p, width, off)
+	}
+	ps := make([]Pattern, width) // the zero Pattern is the wildcard
+	copy(ps[off:], p.patterns)
+	return Punctuation{patterns: ps}, nil
+}
+
 // IsZero reports whether p is the zero Punctuation (no patterns).
 func (p Punctuation) IsZero() bool { return p.patterns == nil }
 

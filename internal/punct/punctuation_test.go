@@ -54,6 +54,42 @@ func TestKeyOnly(t *testing.T) {
 	}
 }
 
+func TestWiden(t *testing.T) {
+	p := MustNew(Const(iv(5)), MustRange(iv(1), iv(3)))
+	for _, off := range []int{0, 1, 3} {
+		w, err := p.Widen(5, off)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.Width() != 5 {
+			t.Fatalf("offset %d: width %d", off, w.Width())
+		}
+		for i := 0; i < 5; i++ {
+			want := Star()
+			if i >= off && i < off+2 {
+				want = p.PatternAt(i - off)
+			}
+			if !w.PatternAt(i).Equal(want) {
+				t.Errorf("offset %d: pattern %d = %s, want %s", off, i, w.PatternAt(i), want)
+			}
+		}
+	}
+	if same, err := p.Widen(2, 0); err != nil || !same.Equal(p) {
+		t.Errorf("Widen to own width = %s, %v", same, err)
+	}
+	for _, bad := range [][2]int{{5, 4}, {1, 0}, {5, -1}} {
+		if _, err := p.Widen(bad[0], bad[1]); err == nil {
+			t.Errorf("Widen(%d, %d) of a 2-wide punctuation accepted", bad[0], bad[1])
+		}
+	}
+	if _, err := (Punctuation{}).Widen(3, 0); err == nil {
+		t.Error("Widen of the zero punctuation accepted")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = p.Widen(5, 1) }); allocs != 1 {
+		t.Errorf("Widen allocates %.0f objects, want 1", allocs)
+	}
+}
+
 func TestPunctuationAnd(t *testing.T) {
 	a := MustNew(MustRange(iv(0), iv(10)), Star())
 	b := MustNew(MustRange(iv(5), iv(20)), Const(value.Str("x")))

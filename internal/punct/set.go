@@ -2,7 +2,6 @@ package punct
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"pjoin/internal/value"
@@ -94,12 +93,71 @@ type Set struct {
 	// matching (drop-on-the-fly, purge scans) is then O(1) amortised for
 	// the common constant-punctuation workloads instead of O(set size).
 	keyAttr  int
-	constIdx map[value.Value][]*Entry
+	constIdx map[value.Value]keyEntries
 	nonConst []*Entry
 
 	// byPID resolves pids to entries in O(1); Get is on the per-purged-
 	// tuple path (count decrements).
 	byPID map[PID]*Entry
+
+	// ents and vals back the slices Unindexed, Propagable and PurgePlan
+	// hand out: each such slice is valid until the next of those calls on
+	// this set, so handling a punctuation allocates nothing for them.
+	ents []*Entry
+	vals []value.Value
+}
+
+// keyEntries is what constIdx holds per key value: the entries whose key
+// pattern is that constant, in arrival order. Nearly every key has exactly
+// one, which sits inline; only a repeated key pays for a slice.
+type keyEntries struct {
+	first *Entry
+	more  []*Entry
+}
+
+func (k keyEntries) insert(e *Entry) keyEntries {
+	if k.first == nil {
+		k.first = e
+		return k
+	}
+	if e.PID < k.first.PID {
+		e, k.first = k.first, e
+	}
+	k.more = insertByPID(k.more, e)
+	return k
+}
+
+func (k keyEntries) remove(e *Entry) keyEntries {
+	if k.first != e {
+		k.more = removeEntry(k.more, e)
+		return k
+	}
+	if len(k.more) == 0 {
+		return keyEntries{}
+	}
+	k.first = k.more[0]
+	k.more = removeEntry(k.more, k.first)
+	return k
+}
+
+// insertByPID adds e to the pid-ordered es. A newly arrived entry has the
+// largest pid, so Add appends; only Compact, whose merged entry keeps an
+// earlier pid, inserts further up.
+func insertByPID(es []*Entry, e *Entry) []*Entry {
+	es = append(es, e)
+	for i := len(es) - 1; i > 0 && es[i].PID < es[i-1].PID; i-- {
+		es[i], es[i-1] = es[i-1], es[i]
+	}
+	return es
+}
+
+func removeEntry(es []*Entry, e *Entry) []*Entry {
+	for i, x := range es {
+		if x == e {
+			return append(es[:i], es[i+1:]...)
+		}
+	}
+	return es
 }
 
 // NewSet returns an empty punctuation set with assumption verification
@@ -122,7 +180,7 @@ func NewKeyedSet(attr int, verify bool) *Set {
 	}
 	s := &Set{
 		next: 1, verifyAttr: -1, keyAttr: attr,
-		constIdx: make(map[value.Value][]*Entry),
+		constIdx: make(map[value.Value]keyEntries),
 		byPID:    make(map[PID]*Entry),
 	}
 	if verify {
@@ -168,18 +226,19 @@ func (s *Set) Add(p Punctuation) (*Entry, error) {
 	return e, nil
 }
 
-// addToIndex classifies an entry for the keyed fast path. Entries that
-// are not exhaustive on the key attribute are indexed NOWHERE: they can
-// never satisfy an attribute-exhaustion query.
+// addToIndex classifies an entry for the keyed fast path, keeping each
+// list in arrival (pid) order. Entries that are not exhaustive on the key
+// attribute are indexed NOWHERE: they can never satisfy an
+// attribute-exhaustion query.
 func (s *Set) addToIndex(e *Entry) {
 	if s.keyAttr < 0 || !exhaustiveOn(e.P, s.keyAttr) {
 		return
 	}
 	if e.P.PatternAt(s.keyAttr).Kind() == Constant {
 		v := e.P.PatternAt(s.keyAttr).ConstVal()
-		s.constIdx[v] = append(s.constIdx[v], e)
+		s.constIdx[v] = s.constIdx[v].insert(e)
 	} else {
-		s.nonConst = append(s.nonConst, e)
+		s.nonConst = insertByPID(s.nonConst, e)
 	}
 }
 
@@ -211,26 +270,14 @@ func (s *Set) dropFromIndex(e *Entry) {
 	}
 	if e.P.PatternAt(s.keyAttr).Kind() == Constant {
 		v := e.P.PatternAt(s.keyAttr).ConstVal()
-		es := s.constIdx[v]
-		for i, x := range es {
-			if x == e {
-				es = append(es[:i], es[i+1:]...)
-				break
-			}
-		}
-		if len(es) == 0 {
+		if es := s.constIdx[v].remove(e); es.first == nil {
 			delete(s.constIdx, v)
 		} else {
 			s.constIdx[v] = es
 		}
 		return
 	}
-	for i, x := range s.nonConst {
-		if x == e {
-			s.nonConst = append(s.nonConst[:i], s.nonConst[i+1:]...)
-			return
-		}
-	}
+	s.nonConst = removeEntry(s.nonConst, e)
 }
 
 // SetMatch implements setMatch(t, PS): whether any punctuation in the set
@@ -277,10 +324,7 @@ func (s *Set) FirstMatchAttr(attr int, v value.Value) *Entry {
 		}
 		return nil
 	}
-	var best *Entry
-	if es := s.constIdx[v]; len(es) > 0 {
-		best = es[0] // append order = arrival order
-	}
+	best := s.constIdx[v].first // the earliest-arrived constant on v, if any
 	for _, e := range s.nonConst {
 		if best != nil && e.PID >= best.PID {
 			break // nonConst is in arrival order; nothing earlier follows
@@ -322,50 +366,74 @@ func (s *Set) MaxPID() PID { return s.next - 1 }
 // previous purge run removed them and drop-on-the-fly has kept matching
 // arrivals out since) passes its watermark to plan only the new
 // punctuations. Pass NoPID to plan over the whole set. Entries are
-// PID-sorted, so the plan costs O(log n + new entries).
+// PID-sorted, so the plan costs O(log n + new entries). Both slices are
+// the set's scratch: valid until the next PurgePlan, Unindexed or
+// Propagable on this set.
+//
+//pjoin:hotpath
 func (s *Set) PurgePlan(attr int, after PID) (direct []value.Value, scan []*Entry) {
-	start := sort.Search(len(s.entries), func(i int) bool { return s.entries[i].PID > after })
-	for _, e := range s.entries[start:] {
+	lo, hi := 0, len(s.entries)
+	for lo < hi { // first entry with PID > after
+		mid := int(uint(lo+hi) >> 1)
+		if s.entries[mid].PID <= after {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	direct, scan = s.vals[:0], s.ents[:0]
+	for _, e := range s.entries[lo:] {
 		if !exhaustiveOn(e.P, attr) {
 			continue
 		}
-		switch p := e.P.PatternAt(attr); p.Kind() {
+		switch p := e.P.PatternAt(attr); p.kind {
 		case Constant:
-			direct = append(direct, p.ConstVal())
+			direct = append(direct, p.lo)
 		case Enum:
-			direct = append(direct, p.Members()...)
+			direct = append(direct, p.set...)
 		case Empty:
 			// Matches nothing; no purge power.
 		default: // Range, Wildcard
 			scan = append(scan, e)
 		}
 	}
+	s.vals, s.ents = direct, scan
 	return direct, scan
 }
 
 // Unindexed returns the entries not yet processed by index build, in
-// arrival order (the pIndexSet of Fig. 3, lines 2-6).
+// arrival order (the pIndexSet of Fig. 3, lines 2-6). The slice is the
+// set's scratch: valid until the next Unindexed, Propagable or PurgePlan
+// on this set.
+//
+//pjoin:hotpath
 func (s *Set) Unindexed() []*Entry {
-	var out []*Entry
+	out := s.ents[:0]
 	for _, e := range s.entries {
 		if !e.Indexed {
 			out = append(out, e)
 		}
 	}
+	s.ents = out
 	return out
 }
 
 // Propagable returns the indexed entries whose count is zero and that
 // have not been released yet: by Theorem 1 these punctuations can be
 // propagated downstream now. Entries retained after propagation
-// (Entry.Propagated) are excluded so they are released at most once.
+// (Entry.Propagated) are excluded so they are released at most once. The
+// slice is the set's scratch: valid until the next Propagable, Unindexed
+// or PurgePlan on this set (Remove does not disturb it).
+//
+//pjoin:hotpath
 func (s *Set) Propagable() []*Entry {
-	var out []*Entry
+	out := s.ents[:0]
 	for _, e := range s.entries {
 		if e.Indexed && e.Count == 0 && !e.Propagated {
 			out = append(out, e)
 		}
 	}
+	s.ents = out
 	return out
 }
 

@@ -107,6 +107,65 @@ func TestUnindexedAndPropagable(t *testing.T) {
 	}
 }
 
+// TestSetScratchLifetime pins what Unindexed, Propagable and PurgePlan
+// promise about the slices they return: right until the next of those
+// calls on the same set — Remove in between included, which is how
+// propagation uses Propagable — and costing no allocation once grown.
+func TestSetScratchLifetime(t *testing.T) {
+	s := NewKeyedSet(0, false)
+	var es []*Entry
+	for k := int64(0); k < 4; k++ {
+		e, _ := s.Add(keyPunct(t, k))
+		es = append(es, e)
+	}
+	rng, _ := s.Add(MustKeyOnly(2, 0, MustRange(iv(10), iv(20))))
+	es = append(es, rng)
+	for _, e := range s.Unindexed() {
+		e.Indexed = true
+	}
+	prop := s.Propagable()
+	if len(prop) != 5 {
+		t.Fatalf("Propagable = %d entries, want 5", len(prop))
+	}
+	for i, e := range prop { // remove while ranging, as propagate does
+		if e != es[i] {
+			t.Fatalf("Propagable[%d] = pid %d, want pid %d", i, e.PID, es[i].PID)
+		}
+		s.Remove(e.PID)
+	}
+	if s.Len() != 0 {
+		t.Fatalf("%d entries left", s.Len())
+	}
+
+	// Two sets share nothing: one's call leaves the other's slice alone.
+	a, b := NewKeyedSet(0, false), NewKeyedSet(0, false)
+	ea, _ := a.Add(keyPunct(t, 1))
+	b.Add(keyPunct(t, 2))
+	ua := a.Unindexed()
+	if ub := b.Unindexed(); len(ua) != 1 || ua[0] != ea || len(ub) != 1 {
+		t.Errorf("Unindexed on one set disturbed another's result")
+	}
+
+	// Steady state of the punctuation path: the entry is the one object.
+	p := keyPunct(t, 7)
+	allocs := testing.AllocsPerRun(100, func() {
+		e, _ := a.Add(p)
+		direct, scan := a.PurgePlan(0, e.PID-1)
+		if len(direct) != 1 || len(scan) != 0 {
+			t.Fatalf("PurgePlan = %v, %v", direct, scan)
+		}
+		for _, u := range a.Unindexed() {
+			u.Indexed = true
+		}
+		for _, r := range a.Propagable() {
+			a.Remove(r.PID)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("add, plan, index, propagate, remove allocates %.1f objects, want 1 (the entry)", allocs)
+	}
+}
+
 func TestVerifiedSetAcceptsDisjointAndNested(t *testing.T) {
 	s := NewVerifiedSet(0)
 	if _, err := s.Add(MustKeyOnly(2, 0, Const(iv(1)))); err != nil {

@@ -224,7 +224,7 @@ func (s *Set) Compact(attr int) int {
 			a.P = merged
 			s.entries = append(s.entries[:j], s.entries[j+1:]...)
 			delete(s.byPID, b.PID)
-			s.reindex(a)
+			s.addToIndex(a)
 			removed++
 		}
 	}
@@ -241,28 +241,4 @@ func samePatternsExcept(p, q Punctuation, attr int) bool {
 		}
 	}
 	return true
-}
-
-// reindex re-registers an entry whose punctuation changed in the keyed
-// fast-path index, preserving arrival order within each bucket.
-func (s *Set) reindex(e *Entry) {
-	if s.keyAttr < 0 || !exhaustiveOn(e.P, s.keyAttr) {
-		return
-	}
-	if e.P.PatternAt(s.keyAttr).Kind() == Constant {
-		v := e.P.PatternAt(s.keyAttr).ConstVal()
-		s.constIdx[v] = append(s.constIdx[v], e)
-		sortEntriesByPID(s.constIdx[v])
-		return
-	}
-	s.nonConst = append(s.nonConst, e)
-	sortEntriesByPID(s.nonConst)
-}
-
-func sortEntriesByPID(es []*Entry) {
-	for i := 1; i < len(es); i++ {
-		for j := i; j > 0 && es[j].PID < es[j-1].PID; j-- {
-			es[j], es[j-1] = es[j-1], es[j]
-		}
-	}
 }

@@ -266,17 +266,16 @@ func (m *memIndex) unlink(al *alloc, n *groupNode) (groupGone bool) {
 	return false
 }
 
-// takeGroup removes key's entire group, returning its tuples in arrival
-// order (nil if the key has no group).
-func (m *memIndex) takeGroup(al *alloc, key value.Value, h uint64) []*StoredTuple {
+// takeGroup removes key's entire group, appending its tuples to dst in
+// arrival order (dst comes back unchanged if the key has no group).
+func (m *memIndex) takeGroup(al *alloc, key value.Value, h uint64, dst []*StoredTuple) []*StoredTuple {
 	g := m.lookup(key, h)
 	if g == nil {
-		return nil
+		return dst
 	}
-	out := make([]*StoredTuple, 0, g.n)
 	for n := g.head; n != nil; {
 		next := n.gnext
-		out = append(out, n.s)
+		dst = append(dst, n.s)
 		// Unlink from the arrival list; the group chain dies wholesale.
 		if n.aprev != nil {
 			n.aprev.anext = n.anext
@@ -291,12 +290,12 @@ func (m *memIndex) takeGroup(al *alloc, key value.Value, h uint64) []*StoredTupl
 		al.freeNode(n)
 		n = next
 	}
-	m.ntuples -= len(out)
+	m.ntuples -= g.n
 	m.slots[g.slot] = tombstone
 	m.tombs++
 	m.ngroups--
 	al.freeGroup(g)
-	return out
+	return dst
 }
 
 // reset empties the index, recycling all nodes and groups but keeping

@@ -117,6 +117,9 @@ type State struct {
 	arena scanArena
 	enc   []byte
 
+	// taken backs the slice TakeKeyGroup returns.
+	taken []*StoredTuple
+
 	// seq counts mutations of the memory portion (inserts, purges,
 	// expiry, spills). A MemProbe memoized at sequence s is valid as
 	// long as seq == s: no tuple entered or left memory since, so a
@@ -354,12 +357,19 @@ func (st *State) FilterMem(i int, drop func(*StoredTuple) bool) []*StoredTuple {
 // TakeKeyGroup removes and returns the entire memory-resident group of
 // the given join value (in arrival order) together with its bucket
 // index. This is the O(matches) purge path for constant and enumeration
-// punctuation patterns: no other group is touched.
+// punctuation patterns: no other group is touched. The slice is the
+// state's scratch — valid until the next TakeKeyGroup on this state, so
+// a caller that collects several groups copies each out first — and nil
+// when the key has no group.
+//
+//pjoin:hotpath
 func (st *State) TakeKeyGroup(key value.Value) (bucket int, removed []*StoredTuple) {
 	h := st.hash(key)
 	bucket = int(h % uint64(len(st.bkts)))
 	b := &st.bkts[bucket]
-	removed = b.mem.takeGroup(&st.al, key, h)
+	clear(st.taken) // or a long group's tail stays pinned behind shorter ones
+	removed = b.mem.takeGroup(&st.al, key, h, st.taken[:0])
+	st.taken = removed
 	if len(removed) == 0 {
 		return bucket, nil
 	}

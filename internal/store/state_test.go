@@ -150,6 +150,62 @@ func TestFilterMem(t *testing.T) {
 	}
 }
 
+// TestTakeKeyGroupScratch pins the lifetime of what TakeKeyGroup
+// returns: each call hands out the state's one scratch slice, right for
+// its own key and in arrival order, and a group taken earlier survives
+// only as the copy its caller made.
+func TestTakeKeyGroupScratch(t *testing.T) {
+	st := mkState(t, 2)
+	const keys, per = 5, 4
+	fill := func() {
+		for r := 0; r < per; r++ {
+			for k := int64(0); k < keys; k++ {
+				st.Insert(tup(t, k, stream.Time(r*keys+int(k)+1)))
+			}
+		}
+	}
+	fill()
+	var kept [][]*StoredTuple
+	for k := int64(0); k < keys; k++ {
+		bucket, removed := st.TakeKeyGroup(value.Int(k))
+		if bucket != st.BucketOf(value.Int(k)) || len(removed) != per {
+			t.Fatalf("key %d: bucket %d, %d tuples", k, bucket, len(removed))
+		}
+		for r, s := range removed {
+			if s.T.Values[0].IntVal() != k || s.ATS() != stream.Time(r*keys+int(k)+1) {
+				t.Fatalf("key %d: tuple %d is %s", k, r, s.T)
+			}
+		}
+		kept = append(kept, append([]*StoredTuple(nil), removed...))
+	}
+	for k, g := range kept {
+		for _, s := range g {
+			if s.T.Values[0].IntVal() != int64(k) {
+				t.Fatalf("copied group %d holds key %d", k, s.T.Values[0].IntVal())
+			}
+		}
+	}
+	if _, removed := st.TakeKeyGroup(value.Int(99)); removed != nil {
+		t.Errorf("absent key returned %d tuples", len(removed))
+	}
+	if got := st.Stats(); got.MemTuples != 0 || got.MemGroups != 0 || got.MemBytes != 0 {
+		t.Errorf("after taking every group: %+v", got)
+	}
+
+	// Once the scratch has grown to the largest group, taking groups
+	// allocates nothing.
+	fill()
+	next := int64(0)
+	if allocs := testing.AllocsPerRun(keys-1, func() {
+		if _, removed := st.TakeKeyGroup(value.Int(next)); len(removed) != per {
+			t.Fatalf("key %d: %d tuples", next, len(removed))
+		}
+		next++
+	}); allocs != 0 {
+		t.Errorf("TakeKeyGroup allocates %.1f objects per call, want 0", allocs)
+	}
+}
+
 func TestPurgeBuffer(t *testing.T) {
 	st := mkState(t, 2)
 	s1, _ := st.Insert(tup(t, 0, 5))
