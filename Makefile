@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint allow-count race check loc oracle traced-oracle fuzz bench bench-alloc bench-scaling flight-sample trace-sample
+.PHONY: build test vet lint allow-count race check figures-check loc oracle traced-oracle fuzz bench bench-alloc bench-scaling flight-sample trace-sample
 
 build:
 	$(GO) build ./...
@@ -42,6 +42,24 @@ race:
 
 check: build vet lint race
 
+# Paper reproduction gate: the simulated figures and the two simulated
+# sweeps are deterministic — virtual clock, seeded workloads — so what is
+# committed must come back byte for byte: every plotted series of
+# `pjoinbench -all` (results.csv, scale1's cost-model rows included; its
+# wall-clock columns are not in the CSV), BENCH_4.json and BENCH_5.json.
+# About a minute (-all ~16 s, bench4 ~10 s, bench5 ~33 s). CI's check job
+# runs it after `make check`.
+figures-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o "$$tmp/pjoinbench" ./cmd/pjoinbench && \
+	"$$tmp/pjoinbench" -all -csv "$$tmp/results.csv" > /dev/null && \
+	cmp "$$tmp/results.csv" results.csv && \
+	"$$tmp/pjoinbench" -bench4 "$$tmp/BENCH_4.json" > /dev/null 2>&1 && \
+	cmp "$$tmp/BENCH_4.json" BENCH_4.json && \
+	"$$tmp/pjoinbench" -bench5 "$$tmp/BENCH_5.json" > /dev/null 2>&1 && \
+	cmp "$$tmp/BENCH_5.json" BENCH_5.json && \
+	echo "figures-check: results.csv, BENCH_4.json, BENCH_5.json reproduce byte for byte"
+
 # Non-test Go lines of the engine, commands and examples (not the
 # benchmark harness, the lint fixtures or build outputs): the number a
 # "net-negative" claim is made in. CI prints it for merge-base and head.
@@ -51,9 +69,9 @@ loc:
 		-exec cat {} + | wc -l
 
 # Differential oracle soak: ORACLE_SEEDS seeded scenarios, each run
-# through the full 90-row operator configuration matrix (PJoin/XJoin x
-# index x disk-pass schedule {drained, 512 B steps} x shards x spill
-# cache x fault injection, one 64 KiB-budget row per operator, and the
+# through the full 54-row operator configuration matrix (PJoin/XJoin x
+# disk-pass schedule {drained, 512 B steps} x shards x spill cache x
+# fault injection, one 64 KiB-budget row per operator, and the
 # batched-delivery rows) against the brute-force shj oracle and each
 # other. Failures auto-shrink to a
 # one-line replay spec (feed it to `pjoinbench -oracle-replay`). See
@@ -76,13 +94,15 @@ traced-oracle:
 fuzz:
 	$(GO) test ./internal/oracle/ -run='^$$' -fuzz FuzzOracle -fuzztime 60s
 
-# Performance summaries. BENCH_3.json: store-level probe
-# micro-benchmarks plus every simulated experiment's ns/op, allocs/op
-# and work counters (Examined, PurgeScanned, TuplesOut) in both the
-# pre-index scan regime and the indexed regime. BENCH_4.json: the
+# Performance summaries. BENCH_3.json: the store-level probe
+# micro-benchmark plus every simulated experiment's ns/op, allocs/op
+# and work counters (Examined, PurgeScanned, TuplesOut) under both price
+# lists — "scan" = the paper's table walk (every probe its bucket, every
+# purge run and index build the table; joinbase.Metrics.TableWalk),
+# "indexed" = what the one engine really examines. BENCH_4.json: the
 # latency sweep — result-latency and punctuation-propagation-delay
-# quantiles (p50/p95/p99/max) across punctuation inter-arrival rates in
-# both regimes. BENCH_5.json: the incremental disk-join sweep —
+# quantiles (p50/p95/p99/max) across punctuation inter-arrival rates
+# under both. BENCH_5.json: the incremental disk-join sweep —
 # result-latency quantiles per chunk budget (0 = each pass drained)
 # with spill-cache hit ratios. BENCH_6.json: the batched-dataflow sweep
 # — per-probe speedup of the seq-guarded memoizing probe over same-key

@@ -71,7 +71,7 @@ func main() {
 
 		oracleN      = flag.Int("oracle", 0, "differential oracle soak: check this many seeds (starting at -seed) across the full config matrix")
 		oracleOut    = flag.String("oracle-out", "", "oracle: write minimized replay specs of failing seeds to this file (CI failure artifact)")
-		oracleReplay = flag.String("oracle-replay", "", "replay one minimized oracle spec, e.g. \"seed=42 variant=pjoin/idx/shards=2 check=puncts prefix=107 drop=3,9\"")
+		oracleReplay = flag.String("oracle-replay", "", "replay one minimized oracle spec, e.g. \"seed=42 variant=pjoin/shards=2 check=puncts prefix=107 drop=3,9\"")
 	)
 	flag.Parse()
 

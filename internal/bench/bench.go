@@ -41,15 +41,16 @@ type RunConfig struct {
 	// (pjoinbench -live). Operators register gauges under distinct names,
 	// so one sampler serves a whole experiment.
 	Live *obs.Live
-	// Indexed runs the joins with the key-grouped state index enabled.
-	// The default (false) keeps the paper-reproduction figures in the
-	// pre-index regime: probes and purge runs scan buckets and the cost
-	// model prices that scanning — the physics the paper's shapes
-	// (XJoin's declining rate, the purge sweet spot) are made of. The
-	// indexed runs produce the same TuplesOut with far less work
-	// examined; `pjoinbench -bench3` records both so the saving is
-	// visible per experiment. The wall-clock scaling experiments always
-	// use the indexed path.
+	// Indexed selects which work counters the cost model prices. The
+	// engine is the same either way — one key-grouped state, one probe,
+	// purge and index-build path. The default (false) prices the paper's
+	// structure over it: every probe walks its bucket, every purge run
+	// and index build walks the table (joinbase.Metrics.TableWalk) — the
+	// physics the paper's shapes (XJoin's declining rate, the purge sweet
+	// spot) are made of. true prices what the engine really examines:
+	// the same TuplesOut for far less work; `pjoinbench -bench3` records
+	// both so the saving is visible per experiment. The wall-clock
+	// experiments (scale1, bench6, bench7) never consult it.
 	Indexed bool
 	// Work, when set, collects each simulated operator's final metrics
 	// (pjoinbench -bench3).
@@ -207,7 +208,6 @@ func pjoinFor(rc RunConfig, name string, purge int, mutate func(*core.Config)) (
 	}
 	cfg.Thresholds.Purge = purge
 	cfg.DisablePropagation = true // most experiments measure join-only behaviour
-	cfg.DisableStateIndex = !rc.Indexed
 	cfg.DiskChunkBytes = rc.DiskChunkKB << 10
 	cfg.SpillA, cfg.SpillB = rc.spillPair()
 	if mutate != nil {
@@ -231,23 +231,33 @@ func xjoinFor(rc RunConfig) (*xjoin.XJoin, error) {
 	cfg := xjoin.Config{
 		SchemaA: gen.SchemaA, SchemaB: gen.SchemaB,
 		AttrA: gen.KeyAttr, AttrB: gen.KeyAttr,
-		Instr:             rc.instr("xjoin"),
-		DisableStateIndex: !rc.Indexed,
-		DiskChunkBytes:    rc.DiskChunkKB << 10,
+		Instr:          rc.instr("xjoin"),
+		DiskChunkBytes: rc.DiskChunkKB << 10,
 	}
 	cfg.SpillA, cfg.SpillB = rc.spillPair()
 	return xjoin.New(cfg, &op.Collector{})
 }
 
-// simulate runs the join over the workload with default costs and a
-// sampling rate that yields a readable chart, logging the operator's
-// final work counters when the run collects them (rc.Work).
-func (rc RunConfig) simulate(j sim.MeteredJoin, arrs []gen.Arrival, horizon stream.Time) (*sim.Result, error) {
+// tableWalk is a join whose Examined, PurgeScanned and IndexScanned read
+// what the paper's hash table would have walked, so the simulator charges
+// — and the reports print — that regime's work.
+type tableWalk struct{ sim.MeteredJoin }
+
+func (w tableWalk) Metrics() joinbase.Metrics { return w.MeteredJoin.Metrics().TableWalk() }
+
+// simulate runs the join over the workload with default costs (spills,
+// if any, are charged for their I/O) and a sampling rate that yields a
+// readable chart, logging the operator's final work counters when the
+// run collects them (rc.Work).
+func (rc RunConfig) simulate(j sim.MeteredJoin, arrs []gen.Arrival, horizon stream.Time, spills ...store.SpillStore) (*sim.Result, error) {
 	sampleEvery := horizon / 60
 	if sampleEvery < stream.Millisecond {
 		sampleEvery = stream.Millisecond
 	}
-	res, err := sim.Run(j, arrs, sim.Config{SampleEvery: sampleEvery})
+	if !rc.Indexed {
+		j = tableWalk{j}
+	}
+	res, err := sim.Run(j, arrs, sim.Config{SampleEvery: sampleEvery, Spills: spills})
 	if err == nil && rc.Work != nil {
 		rc.Work.Rows = append(rc.Work.Rows, WorkRow{Op: j.Name(), M: res.Final})
 	}

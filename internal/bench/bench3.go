@@ -1,12 +1,12 @@
 package bench
 
 // This file implements the machine-readable performance summary behind
-// `make bench` (BENCH_3.json): store-level micro-benchmarks of the
-// key-grouped index against the pre-index scan, plus every simulated
-// reproduction experiment's wall time, allocation rate and final work
-// counters in both state regimes. The per-experiment rows are the
-// receipt for the index's contract — identical TuplesOut/Purged with
-// Examined and PurgeScanned collapsed.
+// `make bench` (BENCH_3.json): a store-level micro-benchmark of the
+// key-grouped probe, plus every simulated reproduction experiment's wall
+// time, allocation rate and final work counters under both price lists
+// (RunConfig.Indexed). The per-experiment rows are the receipt for the
+// index's contract — identical TuplesOut/Purged, with Examined and
+// PurgeScanned far below what the paper's table walk would examine.
 
 import (
 	"encoding/json"
@@ -23,13 +23,10 @@ import (
 // Bench3Probe is the probe micro-benchmark: one bucket at the given
 // occupancy, a key with the given number of matches.
 type Bench3Probe struct {
-	Occupancy       int     `json:"occupancy"`
-	Matches         int     `json:"matches"`
-	IndexedNsOp     int64   `json:"indexed_ns_op"`
-	IndexedAllocsOp int64   `json:"indexed_allocs_op"`
-	ScanNsOp        int64   `json:"scan_ns_op"`
-	ScanAllocsOp    int64   `json:"scan_allocs_op"`
-	Speedup         float64 `json:"speedup"`
+	Occupancy       int   `json:"occupancy"`
+	Matches         int   `json:"matches"`
+	IndexedNsOp     int64 `json:"indexed_ns_op"`
+	IndexedAllocsOp int64 `json:"indexed_allocs_op"`
 }
 
 // Bench3Work is one simulated operator's final work counters in one run.
@@ -43,7 +40,7 @@ type Bench3Work struct {
 	DroppedOnFly int64  `json:"dropped_on_fly"`
 }
 
-// Bench3Mode is one state regime's measurement of an experiment: the
+// Bench3Mode is one price list's measurement of an experiment: the
 // quick-horizon run benchmarked for wall time and allocations, and the
 // per-operator work counters of one such run.
 type Bench3Mode struct {
@@ -52,9 +49,9 @@ type Bench3Mode struct {
 	Work     []Bench3Work `json:"work"`
 }
 
-// Bench3Experiment is one reproduction experiment measured in both
-// regimes (scan = pre-index physics the figures are rendered under,
-// indexed = the key-grouped index).
+// Bench3Experiment is one reproduction experiment measured under both
+// price lists (scan = the paper's table walk, which the figures are
+// rendered under; indexed = what the key-grouped engine examines).
 type Bench3Experiment struct {
 	ID      string     `json:"id"`
 	Title   string     `json:"title"`
@@ -103,25 +100,17 @@ func bench3Probe() (Bench3Probe, error) {
 		return Bench3Probe{}, err
 	}
 	dst := make([]*store.StoredTuple, 0, 8)
-	run := func() testing.BenchmarkResult {
-		return testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				dst, _ = st.ProbeMem(key, dst[:0])
-			}
-		})
-	}
-	indexed := run()
-	st.SetScanFallback(true)
-	scan := run()
+	indexed := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			dst, _ = st.ProbeMem(key, dst[:0])
+		}
+	})
 	return Bench3Probe{
 		Occupancy:       occupancy,
 		Matches:         matches,
 		IndexedNsOp:     indexed.NsPerOp(),
 		IndexedAllocsOp: indexed.AllocsPerOp(),
-		ScanNsOp:        scan.NsPerOp(),
-		ScanAllocsOp:    scan.AllocsPerOp(),
-		Speedup:         float64(scan.NsPerOp()) / float64(indexed.NsPerOp()),
 	}, nil
 }
 
@@ -166,9 +155,10 @@ func RunBench3(seed uint64, progress io.Writer) (*Bench3, error) {
 		progress = io.Discard
 	}
 	out := &Bench3{
-		Note: "quick-horizon runs; scan = pre-index full-bucket physics (the regime the " +
-			"figures are rendered under), indexed = key-grouped state index. " +
-			"TuplesOut/Purged must agree across regimes; Examined/PurgeScanned shrink.",
+		Note: "quick-horizon runs of one engine under two price lists; scan = the paper's " +
+			"table walk (every probe walks its bucket, every purge run the table: the regime " +
+			"the figures are rendered under), indexed = what the key-grouped state examines. " +
+			"TuplesOut/Purged must agree across the two; Examined/PurgeScanned shrink.",
 		Seed: seed,
 	}
 	fmt.Fprintln(progress, "probe micro-benchmark (1024-occupancy bucket, 4 matches)...")
@@ -180,9 +170,9 @@ func RunBench3(seed uint64, progress io.Writer) (*Bench3, error) {
 	for _, e := range Experiments() {
 		if e.ID == "scale1" {
 			// scale1 measures real wall clock across shard counts (and
-			// always runs indexed); it has no simulated work counters to
-			// compare, so it stays out of this report — `make
-			// bench-scaling` covers it.
+			// always prices the engine's own counters); it has no pair of
+			// simulated runs to compare, so it stays out of this report —
+			// `make bench-scaling` covers it.
 			continue
 		}
 		fmt.Fprintf(progress, "%s: scan + indexed quick runs...\n", e.ID)

@@ -4,8 +4,9 @@ package bench
 // (BENCH_4.json): a sweep over punctuation inter-arrival rates,
 // recording result-latency and punctuation-propagation-delay
 // distributions (p50/p95/p99/max) from the operators' histograms
-// (internal/obs/hist) in both state regimes. It is the quantitative
-// half of the paper's responsiveness story. Punctuation delay: a
+// (internal/obs/hist) under both price lists (RunConfig.Indexed: scan =
+// the paper's table walk, indexed = what the engine examines). It is the
+// quantitative half of the paper's responsiveness story. Punctuation delay: a
 // punctuation can only propagate once the partner stream has
 // punctuated the same subset, so the later punct of each matched pair
 // is instant (median 0) and the earlier one's wait is the cross-stream
@@ -50,7 +51,7 @@ func bench4Dist(s hist.Snapshot) Bench4Dist {
 	}
 }
 
-// Bench4Regime is one state regime's measurement at one punctuation
+// Bench4Regime is one price list's measurement at one punctuation
 // rate.
 type Bench4Regime struct {
 	TuplesOut     int64      `json:"tuples_out"`
@@ -60,8 +61,8 @@ type Bench4Regime struct {
 	PunctDelay    Bench4Dist `json:"punct_delay"`
 }
 
-// Bench4Rate is one punctuation inter-arrival setting measured in both
-// regimes.
+// Bench4Rate is one punctuation inter-arrival setting measured under
+// both price lists.
 type Bench4Rate struct {
 	// PunctMean is the mean number of tuples between punctuations on
 	// each input (aligned across the two sides).

@@ -31,8 +31,8 @@ func TestBench4QuickRun(t *testing.T) {
 		t.Fatalf("swept %d punctuation rates, want >= 3", len(rep.Rates))
 	}
 	for _, r := range rep.Rates {
-		// Index regime changes work done, never results or punctuations:
-		// the distributions must agree in count.
+		// The price list changes what the work costs, never results or
+		// punctuations: the distributions must agree in count.
 		if r.Scan.TuplesOut != r.Indexed.TuplesOut {
 			t.Errorf("punct-mean %d: TuplesOut scan %d != indexed %d",
 				r.PunctMean, r.Scan.TuplesOut, r.Indexed.TuplesOut)

@@ -8,7 +8,7 @@ package bench
 // operator stalls for a whole pass while arrivals queue. This sweep
 // measures the fix: the same workload with the disk join running as an
 // incremental background task (Config.DiskChunkBytes), crossed over
-// per-step chunk budgets, in both state regimes, with the spill stores
+// per-step chunk budgets, under both price lists, with the spill stores
 // wrapped in an LRU block cache (store.CachedSpill). The chunk budget
 // bounds how long any single scheduling step can occupy the operator,
 // so the latency tail is set by pass *progress rate* instead of pass
@@ -24,12 +24,11 @@ import (
 
 	"pjoin/internal/core"
 	"pjoin/internal/gen"
-	"pjoin/internal/sim"
 	"pjoin/internal/store"
 	"pjoin/internal/stream"
 )
 
-// Bench5Cell is one (punct rate, regime, chunk budget) measurement.
+// Bench5Cell is one (punct rate, price list, chunk budget) measurement.
 type Bench5Cell struct {
 	// ChunkKB is the per-step disk read budget in KiB; 0 = every pass
 	// run to completion (the blocking baseline).
@@ -52,7 +51,7 @@ type Bench5Cell struct {
 }
 
 // Bench5Rate is one punctuation inter-arrival setting swept over chunk
-// budgets in both state regimes.
+// budgets under both price lists.
 type Bench5Rate struct {
 	PunctMean int          `json:"punct_mean"`
 	Scan      []Bench5Cell `json:"scan"`
@@ -109,19 +108,9 @@ func bench5Cell(rc RunConfig, punctMean, chunkKB int, indexed bool) (Bench5Cell,
 	// absorbed reads are visible in the latency column, not only in the
 	// hit ratio. CachedSpill.Stats reports the inner store's traffic —
 	// exactly the reads the cache did not absorb.
-	sampleEvery := horizon / 60
-	if sampleEvery < stream.Millisecond {
-		sampleEvery = stream.Millisecond
-	}
-	res, err := sim.Run(pj, arrs, sim.Config{
-		SampleEvery: sampleEvery,
-		Spills:      []store.SpillStore{spillA, spillB},
-	})
+	res, err := rc.simulate(pj, arrs, horizon, spillA, spillB)
 	if err != nil {
 		return Bench5Cell{}, err
-	}
-	if rc.Work != nil {
-		rc.Work.Rows = append(rc.Work.Rows, WorkRow{Op: pj.Name(), M: res.Final})
 	}
 	lat := pj.Latencies()
 	csA, csB := spillA.CacheStats(), spillB.CacheStats()

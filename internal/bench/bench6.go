@@ -164,7 +164,6 @@ func bench6ExecOnce(rc RunConfig, batch, lingerMs int) (Bench6Exec, error) {
 	}
 	cfg.Thresholds.Purge = 1          // eager purge: state stays small, per-tuple overhead dominates
 	cfg.Thresholds.PropagateCount = 1 // propagate as soon as the state allows
-	cfg.DisableStateIndex = !rc.Indexed
 	pj, err := core.New(cfg, out)
 	if err != nil {
 		return Bench6Exec{}, err
@@ -230,11 +229,9 @@ func RunBench6(rc RunConfig, progress io.Writer) (*Bench6, error) {
 	if rc.Batch > 1 {
 		cells = []struct{ Batch, LingerMs int }{{1, 0}, {rc.Batch, rc.BatchLingerMs}}
 	}
-	erc := rc
-	erc.Indexed = true
 	for _, c := range cells {
 		fmt.Fprintf(progress, "exec sweep: batch %d linger %dms...\n", c.Batch, c.LingerMs)
-		cell, err := bench6Exec(erc, c.Batch, c.LingerMs)
+		cell, err := bench6Exec(rc, c.Batch, c.LingerMs)
 		if err != nil {
 			return nil, fmt.Errorf("bench6: exec batch %d linger %dms: %w", c.Batch, c.LingerMs, err)
 		}

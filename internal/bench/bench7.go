@@ -173,7 +173,6 @@ func RunBench7(rc RunConfig, progress io.Writer) (*Bench7, error) {
 	if rc.Batch > 1 {
 		batch = rc.Batch
 	}
-	rc.Indexed = true
 	out := &Bench7{
 		Note: "provenance tracing overhead sweep. The bench6 live pipeline (two sources -> " +
 			"pjoin -> sink, indexed, eager purge) run detached (no tracer attached; the " +

@@ -18,7 +18,7 @@ import (
 // ratios are deliberately NOT asserted here — the ≤10% overhead bar is
 // a best-of-3 benchmark figure (BENCH_7.json), not a CI invariant.
 func TestBench7CellsReconcile(t *testing.T) {
-	rc := RunConfig{Seed: 1, Quick: true, Indexed: true}
+	rc := RunConfig{Seed: 1, Quick: true}
 	var cells []Bench7Cell
 	for _, m := range Bench7Modes {
 		cell, err := bench7Once(rc, 256, m.SampleEvery)

@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"pjoin/internal/core"
@@ -16,15 +15,17 @@ import (
 	"pjoin/internal/value"
 )
 
-// Differential test of the punctuation index build: a join that builds
-// from the key groups and one forced onto the state scan
-// (DisableStateIndex) are driven in lockstep, and after every step the
-// whole index must agree — the pid of every stored tuple (memory and
-// purge buffers, in bucket order) and the pid, count and indexed flag of
-// every set entry. Propagation order follows from those, and is compared
-// at the end.
+// Model test of the punctuation index build (paper Fig. 3, Index-Build).
+// The join builds from the key groups whenever a batch allows it; the
+// reference it is held to is the figure itself, by brute force, after
+// every step: every stored tuple of a side (memory, purge buffers, disk)
+// against that side's entries in arrival order gives the pid the tuple
+// must carry, the tuples carrying a pid give the entry's count, and the
+// entries that flipped to indexed must be a whole pending batch. What a
+// step propagates follows from those — the entries that reached count
+// zero, side by side in arrival order — and is compared as it is emitted.
 
-// idxStep is one lockstep action, applied to both joins at time ts.
+// idxStep is one action on the join at time ts.
 type idxStep func(j *core.PJoin, ts stream.Time) error
 
 func idxTuple(port int, key int64, payload string) idxStep {
@@ -78,93 +79,172 @@ func idxFill(keys, n int) []idxStep {
 	return steps
 }
 
-// indexSnapshot renders the punctuation index of j.
-func indexSnapshot(j *core.PJoin) string {
-	var b strings.Builder
-	states, sets := j.StatesForTest(), j.SetsForTest()
-	for s := 0; s < 2; s++ {
-		for i := 0; i < states[s].NumBuckets(); i++ {
-			bk := states[s].Bucket(i)
-			bk.ForEachMem(func(sd *store.StoredTuple) {
-				fmt.Fprintf(&b, "mem%d/%d@%d=pid%d\n", s, i, sd.ATS(), sd.PID)
-			})
-			for _, sd := range bk.PurgeBuf {
-				fmt.Fprintf(&b, "buf%d/%d@%d=pid%d\n", s, i, sd.ATS(), sd.PID)
-			}
-		}
-		for _, e := range sets[s].Entries() {
-			fmt.Fprintf(&b, "set%d pid%d %s count=%d indexed=%v\n", s, e.PID, e.P, e.Count, e.Indexed)
-		}
-	}
-	return b.String()
-}
-
-// idxPair is the keyed join, the scanning join and what each propagated.
-type idxPair struct {
-	joins [2]*core.PJoin
-	outs  [2]*op.Collector
-}
-
 // collide is a hash under which most keys share their full 64-bit hash,
 // so key groups are told apart by equality alone.
 func collide(v value.Value) uint64 { return uint64(v.IntVal()) % 3 }
 
-func newIdxPair(t *testing.T, cfg core.Config, colliding bool) *idxPair {
+// idxRun is the join under test, what it propagated, and what the last
+// check saw of its index: which entries were indexed and propagated, and
+// how much of the output had been read.
+type idxRun struct {
+	j                   *core.PJoin
+	out                 *op.Collector
+	indexed, propagated [2]map[punct.PID]bool
+	seen                int
+}
+
+func newIdxRun(t *testing.T, cfg core.Config, colliding bool) *idxRun {
 	t.Helper()
-	p := &idxPair{}
-	for i := range p.joins {
-		cfg.DisableStateIndex = i == 1
-		p.outs[i] = &op.Collector{}
-		j, err := core.New(cfg, p.outs[i])
-		if err != nil {
-			t.Fatal(err)
+	r := &idxRun{out: &op.Collector{}}
+	for s := range r.indexed {
+		r.indexed[s], r.propagated[s] = map[punct.PID]bool{}, map[punct.PID]bool{}
+	}
+	j, err := core.New(cfg, r.out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if colliding {
+		for _, st := range j.StatesForTest() {
+			st.SetHashFuncForTest(collide)
 		}
-		if colliding {
-			for _, st := range j.StatesForTest() {
-				st.SetHashFuncForTest(collide)
+	}
+	r.j = j
+	return r
+}
+
+// firstMatch is Fig. 3's assignment rule: the pid of the first-arrived
+// entry, among those the build has (or, with all set, will have)
+// processed, that matches the tuple.
+func firstMatch(entries []*punct.Entry, sd *store.StoredTuple, all bool) punct.PID {
+	for _, e := range entries {
+		if (all || e.Indexed) && e.P.Matches(sd.T.Values) {
+			return e.PID
+		}
+	}
+	return punct.NoPID
+}
+
+// do applies one action at time ts and holds the join's index to the
+// brute-force one.
+func (r *idxRun) do(t *testing.T, what string, ts stream.Time, act func(*core.PJoin) error) {
+	t.Helper()
+	if err := act(r.j); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	states, sets := r.j.StatesForTest(), r.j.SetsForTest()
+	var released []punct.Punctuation
+	for s := 0; s < 2; s++ {
+		st, entries := states[s], sets[s].Entries()
+		carried := map[punct.PID]int{}
+		// Memory and purge buffers are what every build walks: a tuple
+		// there carries the first indexed match, or nothing.
+		resident := func(where string, i int) func(*store.StoredTuple) {
+			return func(sd *store.StoredTuple) {
+				if want := firstMatch(entries, sd, false); sd.PID != want {
+					t.Fatalf("%s: side %d %s %d tuple @%d %v carries pid %d, the first indexed match is pid %d",
+						what, s, where, i, sd.ATS(), sd.T.Values, sd.PID, want)
+				}
+				carried[sd.PID]++
 			}
 		}
-		p.joins[i] = j
-	}
-	return p
-}
-
-// both applies one action to the two joins and holds their indexes equal.
-func (p *idxPair) both(t *testing.T, what string, do func(*core.PJoin) error) {
-	t.Helper()
-	for i, j := range p.joins {
-		if err := do(j); err != nil {
-			t.Fatalf("%s, join %d: %v", what, i, err)
+		for i := 0; i < st.NumBuckets(); i++ {
+			st.Bucket(i).ForEachMem(resident("bucket", i))
+			for _, sd := range st.Bucket(i).PurgeBuf {
+				resident("purge buffer", i)(sd)
+			}
+			// A disk tuple is indexed one at a time against the whole set,
+			// when it is relocated or when a pass reads it: until then it
+			// may carry nothing, never a later match.
+			core.ForEachDiskForTest(t, st, i, func(sd *store.StoredTuple) {
+				if want := firstMatch(entries, sd, true); sd.PID != punct.NoPID && sd.PID != want {
+					t.Fatalf("%s: side %d disk %d tuple @%d %v carries pid %d, the first match is pid %d",
+						what, s, i, sd.ATS(), sd.T.Values, sd.PID, want)
+				}
+				carried[sd.PID]++
+			})
+		}
+		built, pending := 0, 0
+		for _, e := range entries {
+			if e.Count != carried[e.PID] {
+				t.Fatalf("%s: side %d pid %d %s counts %d tuples, %d carry its pid", what, s, e.PID, e.P, e.Count, carried[e.PID])
+			}
+			switch {
+			case e.Indexed && !r.indexed[s][e.PID]:
+				built++
+				r.indexed[s][e.PID] = true
+			case !e.Indexed && r.indexed[s][e.PID]:
+				t.Fatalf("%s: side %d pid %d %s is no longer indexed", what, s, e.PID, e.P)
+			case !e.Indexed:
+				pending++
+			}
+			if e.Propagated && !r.propagated[s][e.PID] {
+				r.propagated[s][e.PID] = true
+				if !e.Indexed || e.Count != 0 {
+					t.Fatalf("%s: side %d pid %d %s propagated with indexed=%v count=%d", what, s, e.PID, e.P, e.Indexed, e.Count)
+				}
+				outP, err := core.OutputPunctuation(gen.SchemaA, gen.SchemaB, s, e.P)
+				if err != nil {
+					t.Fatal(err)
+				}
+				released = append(released, outP)
+			}
+		}
+		if built > 0 && pending > 0 {
+			t.Fatalf("%s: side %d build indexed %d entries and left %d pending: a build takes the whole batch", what, s, built, pending)
 		}
 	}
-	if keyed, scan := indexSnapshot(p.joins[0]), indexSnapshot(p.joins[1]); keyed != scan {
-		t.Fatalf("%s: punctuation index diverges\nkeyed build:\n%s\nscan build:\n%s", what, keyed, scan)
+	// Propagation order: side A's released entries in arrival order, then
+	// side B's, all stamped with the step's time.
+	for _, it := range r.out.Items[r.seen:] {
+		if it.Kind != stream.KindPunct {
+			continue
+		}
+		if len(released) == 0 {
+			t.Fatalf("%s: emitted %v, which no entry accounts for", what, it)
+		}
+		if !it.Punct.Equal(released[0]) || it.Ts != ts {
+			t.Fatalf("%s: emitted %v, the index releases %s at %d next", what, it, released[0], ts)
+		}
+		released = released[1:]
 	}
+	if len(released) != 0 {
+		t.Fatalf("%s: %d released entries were never emitted, first %s", what, len(released), released[0])
+	}
+	r.seen = len(r.out.Items)
 }
 
-// finish ends both joins and compares what they propagated, in order.
-func (p *idxPair) finish(t *testing.T, ts stream.Time) {
+// finish ends the join; with nothing left to wait for, every entry is
+// indexed and every entry no stored tuple carries has been propagated.
+func (r *idxRun) finish(t *testing.T, ts stream.Time) {
 	t.Helper()
 	for port := 0; port < 2; port++ {
 		ts++
-		p.both(t, fmt.Sprintf("EOS port %d", port), func(j *core.PJoin) error {
+		r.do(t, fmt.Sprintf("EOS port %d", port), ts, func(j *core.PJoin) error {
 			return j.Process(port, stream.EOSItem(ts), ts)
 		})
 	}
-	p.both(t, "Finish", func(j *core.PJoin) error { return j.Finish(ts + 1) })
-	keyed, scan := p.outs[0].Puncts(), p.outs[1].Puncts()
-	if len(keyed) != len(scan) {
-		t.Fatalf("keyed build propagated %d punctuations, scan build %d", len(keyed), len(scan))
-	}
-	for i := range keyed {
-		if !keyed[i].Punct.Equal(scan[i].Punct) || keyed[i].Ts != scan[i].Ts {
-			t.Fatalf("propagated punctuation %d: keyed build %v, scan build %v", i, keyed[i], scan[i])
+	ts++
+	r.do(t, "Finish", ts, func(j *core.PJoin) error { return j.Finish(ts) })
+	r.finished(t, "Finish")
+}
+
+func (r *idxRun) finished(t *testing.T, what string) {
+	t.Helper()
+	for s, set := range r.j.SetsForTest() {
+		for _, e := range set.Entries() {
+			if !e.Indexed || (e.Count == 0) != e.Propagated {
+				t.Errorf("%s: side %d pid %d %s ends indexed=%v count=%d propagated=%v",
+					what, s, e.PID, e.P, e.Indexed, e.Count, e.Propagated)
+			}
 		}
 	}
 }
 
-func (p *idxPair) indexScanned() (keyed, scan int64) {
-	return p.joins[0].Metrics().IndexScanned, p.joins[1].Metrics().IndexScanned
+// indexScanned returns what the join's builds visited and what builds
+// that walk the table would have.
+func (r *idxRun) indexScanned() (keyed, scan int64) {
+	m := r.j.Metrics()
+	return m.IndexScanned, m.IndexWalk
 }
 
 func TestIndexBuildKeyedMatchesScan(t *testing.T) {
@@ -173,8 +253,8 @@ func TestIndexBuildKeyedMatchesScan(t *testing.T) {
 		name           string
 		propagateCount int
 		steps          []idxStep
-		// wholeBatchScans: some batch holds a range, so the keyed join
-		// scans too and visits exactly what the scanning join visits.
+		// wholeBatchScans: every batch holds a range, so the join scans
+		// and visits exactly what a build that walks the table visits.
 		wholeBatchScans bool
 	}{
 		{name: "constant", propagateCount: 1, steps: append(idxFill(6, 2),
@@ -213,20 +293,20 @@ func TestIndexBuildKeyedMatchesScan(t *testing.T) {
 					NumBuckets: 4, RetainPropagated: true, VerifyPunctuations: true,
 					Thresholds: event.Thresholds{Purge: 1, PropagateCount: sh.propagateCount},
 				}
-				p := newIdxPair(t, cfg, colliding)
+				r := newIdxRun(t, cfg, colliding)
 				var ts stream.Time
 				for i, step := range sh.steps {
 					ts++
-					p.both(t, fmt.Sprintf("step %d", i), func(j *core.PJoin) error { return step(j, ts) })
+					r.do(t, fmt.Sprintf("step %d", i), ts, func(j *core.PJoin) error { return step(j, ts) })
 				}
-				keyed, scan := p.indexScanned()
+				keyed, scan := r.indexScanned()
 				if sh.wholeBatchScans && keyed != scan {
-					t.Errorf("a batch with a range scans whole: keyed build visited %d tuples, scan build %d", keyed, scan)
+					t.Errorf("a batch with a range scans whole: the build visited %d tuples, a table walk %d", keyed, scan)
 				}
 				if !sh.wholeBatchScans && (keyed == 0 || keyed >= scan) {
-					t.Errorf("keyed build visited %d tuples, scan build %d: want fewer, and some", keyed, scan)
+					t.Errorf("keyed build visited %d tuples, a table walk %d: want fewer, and some", keyed, scan)
 				}
-				p.finish(t, ts)
+				r.finish(t, ts)
 			})
 		}
 	}
@@ -234,7 +314,7 @@ func TestIndexBuildKeyedMatchesScan(t *testing.T) {
 
 // TestIndexBuildKeyedVisitsPurgeBuffers parks tuples in a purge buffer
 // before their own side's punctuation arrives: the keyed build must find
-// them there, as the scan does.
+// them there, as a build that walks the table does.
 func TestIndexBuildKeyedVisitsPurgeBuffers(t *testing.T) {
 	for _, colliding := range []bool{false, true} {
 		t.Run(fmt.Sprintf("colliding=%v", colliding), func(t *testing.T) {
@@ -245,7 +325,7 @@ func TestIndexBuildKeyedVisitsPurgeBuffers(t *testing.T) {
 				// purge buffers) before the builds under test have run.
 				EagerIndex: true,
 			}
-			p := newIdxPair(t, cfg, colliding)
+			r := newIdxRun(t, cfg, colliding)
 			var steps []idxStep
 			for k := int64(0); k < 3; k++ {
 				steps = append(steps, idxTuple(0, k, "a"))
@@ -260,12 +340,10 @@ func TestIndexBuildKeyedVisitsPurgeBuffers(t *testing.T) {
 			var ts stream.Time
 			for i, step := range steps {
 				ts++
-				p.both(t, fmt.Sprintf("step %d", i), func(j *core.PJoin) error { return step(j, ts) })
+				r.do(t, fmt.Sprintf("step %d", i), ts, func(j *core.PJoin) error { return step(j, ts) })
 			}
-			for i, j := range p.joins {
-				if _, b := j.StateStats(); b.PurgeTuples != 4 || b.MemTuples != 2 {
-					t.Fatalf("join %d: side B holds %d parked and %d resident tuples, want 4 and 2", i, b.PurgeTuples, b.MemTuples)
-				}
+			if _, b := r.j.StateStats(); b.PurgeTuples != 4 || b.MemTuples != 2 {
+				t.Fatalf("side B holds %d parked and %d resident tuples, want 4 and 2", b.PurgeTuples, b.MemTuples)
 			}
 			// B closes key 1 for payload b1 only, then keys 1 and 0 outright:
 			// every match but key 0's sits in the purge buffer.
@@ -275,20 +353,20 @@ func TestIndexBuildKeyedVisitsPurgeBuffers(t *testing.T) {
 				idxPunct(1, idxKey(0), punct.Star()),
 			} {
 				ts++
-				p.both(t, fmt.Sprintf("B punctuation %d", i), func(j *core.PJoin) error { return step(j, ts) })
+				r.do(t, fmt.Sprintf("B punctuation %d", i), ts, func(j *core.PJoin) error { return step(j, ts) })
 			}
 			for i, want := range []int{1, 1, 2} {
-				if e := p.joins[0].SetsForTest()[1].Entries()[i]; e.Count != want || !e.Indexed {
+				if e := r.j.SetsForTest()[1].Entries()[i]; e.Count != want || !e.Indexed {
 					t.Errorf("B entry %d (%s): count %d indexed %v, want count %d from the purge buffer",
 						i, e.P, e.Count, e.Indexed, want)
 				}
 			}
-			p.finish(t, ts)
+			r.finish(t, ts)
 		})
 	}
 }
 
-// TestIndexBuildKeyedOnOracleScenarios holds the two builds together over
+// TestIndexBuildKeyedOnOracleScenarios holds the build to the model over
 // the differential oracle's workloads — every pattern kind, relocation,
 // purge buffers, disk passes — per-item, with propagation after every
 // punctuation and in lazy batches of three.
@@ -308,24 +386,25 @@ func TestIndexBuildKeyedOnOracleScenarios(t *testing.T) {
 					RetainPropagated:   true,
 					VerifyPunctuations: true,
 				}
-				p := newIdxPair(t, cfg, colliding)
+				r := newIdxRun(t, cfg, colliding)
 				name := fmt.Sprintf("seed %d, propagate count %d, colliding %v", seed, propagateCount, colliding)
 				var last stream.Time
 				for i, a := range sc.Arrivals {
 					if sc.IdleEvery > 0 && i%sc.IdleEvery == sc.IdleEvery-1 && a.Item.Ts > last+1 {
-						p.both(t, fmt.Sprintf("%s: idle before arrival %d", name, i), func(j *core.PJoin) error {
+						r.do(t, fmt.Sprintf("%s: idle before arrival %d", name, i), a.Item.Ts-1, func(j *core.PJoin) error {
 							_, err := j.OnIdle(a.Item.Ts - 1)
 							return err
 						})
 					}
-					p.both(t, fmt.Sprintf("%s: arrival %d (%v)", name, i, a.Item), func(j *core.PJoin) error {
+					r.do(t, fmt.Sprintf("%s: arrival %d (%v)", name, i, a.Item), a.Item.Ts, func(j *core.PJoin) error {
 						return j.Process(a.Port, a.Item, a.Item.Ts)
 					})
 					last = a.Item.Ts
 				}
-				p.both(t, name+": Finish", func(j *core.PJoin) error { return j.Finish(last + 1) })
-				if keyed, scan := p.indexScanned(); keyed > scan {
-					t.Errorf("%s: keyed build visited %d tuples, scan build %d", name, keyed, scan)
+				r.do(t, name+": Finish", last+1, func(j *core.PJoin) error { return j.Finish(last + 1) })
+				r.finished(t, name)
+				if keyed, scan := r.indexScanned(); keyed > scan {
+					t.Errorf("%s: the build visited %d tuples, a table walk %d", name, keyed, scan)
 				}
 			}
 		}

@@ -14,14 +14,58 @@ import (
 // no double counting across the memory-probe, disk-pass and Finish
 // emit paths.
 func TestLatencyReconciliation(t *testing.T) {
-	for _, indexed := range []bool{true, false} {
-		name := "indexed"
-		if !indexed {
-			name = "scan"
+	t.Run("indexed", func(t *testing.T) {
+		cfg := obsConfig(obs.NewRecorder())
+		sink := &op.Collector{}
+		j, err := New(cfg, sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run(t, j, obsWorkload())
+
+		m := j.Metrics()
+		lat := j.Latencies()
+		if m.TuplesOut == 0 || m.PunctsOut == 0 || m.PurgeRuns == 0 {
+			t.Fatalf("workload vacuous: %+v", m)
+		}
+		if lat.Result.Count != m.TuplesOut {
+			t.Errorf("Result samples %d != TuplesOut %d", lat.Result.Count, m.TuplesOut)
+		}
+		if lat.PunctDelay.Count != m.PunctsOut {
+			t.Errorf("PunctDelay samples %d != PunctsOut %d", lat.PunctDelay.Count, m.PunctsOut)
+		}
+		if lat.Purge.Count != m.PurgeRuns {
+			t.Errorf("Purge samples %d != PurgeRuns %d", lat.Purge.Count, m.PurgeRuns)
+		}
+		// The emitted-result count in the sink is the ground truth.
+		var results int64
+		for _, it := range sink.Items {
+			if it.Kind == stream.KindTuple {
+				results++
+			}
+		}
+		if lat.Result.Count != results {
+			t.Errorf("Result samples %d != collected results %d", lat.Result.Count, results)
+		}
+	})
+}
+
+// TestDiskLatencyReconciliation extends the histogram-count contract to
+// the disk join: one DiskPass sample per completed pass and one
+// DiskChunk sample per executed step, on both schedules (DiskChunkBytes
+// 0 drains each pass inside the call that starts it, a positive budget
+// steps it in the background). This is the regression for the sampling
+// rule: a pass spanning N steps records N chunk samples AND exactly one
+// end-to-end pass sample, never one per step.
+func TestDiskLatencyReconciliation(t *testing.T) {
+	for _, chunkBytes := range []int{0, 256} {
+		name := "blocking-indexed"
+		if chunkBytes > 0 {
+			name = "chunked-indexed"
 		}
 		t.Run(name, func(t *testing.T) {
 			cfg := obsConfig(obs.NewRecorder())
-			cfg.DisableStateIndex = !indexed
+			cfg.DiskChunkBytes = chunkBytes
 			sink := &op.Collector{}
 			j, err := New(cfg, sink)
 			if err != nil {
@@ -31,85 +75,26 @@ func TestLatencyReconciliation(t *testing.T) {
 
 			m := j.Metrics()
 			lat := j.Latencies()
-			if m.TuplesOut == 0 || m.PunctsOut == 0 || m.PurgeRuns == 0 {
-				t.Fatalf("workload vacuous: %+v", m)
+			if m.DiskPasses == 0 {
+				t.Fatalf("workload ran no disk passes: %+v", m)
 			}
-			if lat.Result.Count != m.TuplesOut {
-				t.Errorf("Result samples %d != TuplesOut %d", lat.Result.Count, m.TuplesOut)
+			if lat.DiskPass.Count != m.DiskPasses {
+				t.Errorf("DiskPass samples %d != DiskPasses %d", lat.DiskPass.Count, m.DiskPasses)
 			}
-			if lat.PunctDelay.Count != m.PunctsOut {
-				t.Errorf("PunctDelay samples %d != PunctsOut %d", lat.PunctDelay.Count, m.PunctsOut)
+			if lat.DiskChunk.Count != m.DiskChunks {
+				t.Errorf("DiskChunk samples %d != DiskChunks %d", lat.DiskChunk.Count, m.DiskChunks)
 			}
+			// Every pass over this relocating workload takes several
+			// steps, drained or budgeted.
+			if m.DiskChunks < m.DiskPasses {
+				t.Errorf("%d chunks over %d passes, want at least one per pass",
+					m.DiskChunks, m.DiskPasses)
+			}
+			// Purge sampling must be untouched by the scheduling mode.
 			if lat.Purge.Count != m.PurgeRuns {
 				t.Errorf("Purge samples %d != PurgeRuns %d", lat.Purge.Count, m.PurgeRuns)
 			}
-			// The emitted-result count in the sink is the ground truth.
-			var results int64
-			for _, it := range sink.Items {
-				if it.Kind == stream.KindTuple {
-					results++
-				}
-			}
-			if lat.Result.Count != results {
-				t.Errorf("Result samples %d != collected results %d", lat.Result.Count, results)
-			}
 		})
-	}
-}
-
-// TestDiskLatencyReconciliation extends the histogram-count contract to
-// the disk join: one DiskPass sample per completed pass and one
-// DiskChunk sample per executed step, on both schedules (DiskChunkBytes
-// 0 drains each pass inside the call that starts it, a positive budget
-// steps it in the background) and both state-index regimes. This is the
-// regression for the sampling rule: a pass spanning N steps records N
-// chunk samples AND exactly one end-to-end pass sample, never one per
-// step.
-func TestDiskLatencyReconciliation(t *testing.T) {
-	for _, chunkBytes := range []int{0, 256} {
-		name := "blocking"
-		if chunkBytes > 0 {
-			name = "chunked"
-		}
-		for _, indexed := range []bool{true, false} {
-			iname := name + "-indexed"
-			if !indexed {
-				iname = name + "-scan"
-			}
-			t.Run(iname, func(t *testing.T) {
-				cfg := obsConfig(obs.NewRecorder())
-				cfg.DisableStateIndex = !indexed
-				cfg.DiskChunkBytes = chunkBytes
-				sink := &op.Collector{}
-				j, err := New(cfg, sink)
-				if err != nil {
-					t.Fatal(err)
-				}
-				run(t, j, obsWorkload())
-
-				m := j.Metrics()
-				lat := j.Latencies()
-				if m.DiskPasses == 0 {
-					t.Fatalf("workload ran no disk passes: %+v", m)
-				}
-				if lat.DiskPass.Count != m.DiskPasses {
-					t.Errorf("DiskPass samples %d != DiskPasses %d", lat.DiskPass.Count, m.DiskPasses)
-				}
-				if lat.DiskChunk.Count != m.DiskChunks {
-					t.Errorf("DiskChunk samples %d != DiskChunks %d", lat.DiskChunk.Count, m.DiskChunks)
-				}
-				// Every pass over this relocating workload takes several
-				// steps, drained or budgeted.
-				if m.DiskChunks < m.DiskPasses {
-					t.Errorf("%d chunks over %d passes, want at least one per pass",
-						m.DiskChunks, m.DiskPasses)
-				}
-				// Purge sampling must be untouched by the scheduling mode.
-				if lat.Purge.Count != m.PurgeRuns {
-					t.Errorf("Purge samples %d != PurgeRuns %d", lat.Purge.Count, m.PurgeRuns)
-				}
-			})
-		}
 	}
 }
 

@@ -86,13 +86,6 @@ type Config struct {
 	// late tuples it covers can still arrive. An extension beyond the
 	// paper.
 	RetainPropagated bool
-	// DisableStateIndex reverts the join states to the pre-index
-	// behaviour: probes scan the whole bucket and purge runs
-	// predicate-scan every bucket against the full punctuation set (for
-	// equivalence regression tests and baseline benchmarks; the grouped
-	// layout is still maintained, only the probe/purge paths and their
-	// cost accounting change).
-	DisableStateIndex bool
 	// CompactSets periodically merges not-yet-indexed punctuations whose
 	// join-attribute patterns union into one pattern (e.g. runs of
 	// per-key constants become one range). This keeps the punctuation
@@ -246,10 +239,6 @@ func New(cfg Config, out op.Emitter) (*PJoin, error) {
 	stB, err := store.NewState(cfg.SchemaB.Name(), cfg.AttrB, cfg.NumBuckets, cfg.SpillB)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.DisableStateIndex {
-		stA.SetScanFallback(true)
-		stB.SetScanFallback(true)
 	}
 
 	j := &PJoin{
@@ -644,22 +633,23 @@ func (j *PJoin) schema(s int) *stream.Schema {
 // opposite state's disk-resident portion go to the purge buffer instead
 // of being freed (§3.1); the disk join clears them.
 //
-// On the indexed path, punctuations whose join pattern is a constant or
-// an enumeration purge by direct key-group removal — cost O(tuples
-// removed), no non-matching group is touched — while range and wildcard
-// patterns fall back to an ordered scan of every bucket. With
-// drop-on-the-fly active the run is also incremental: after a run, no
-// state tuple matches any set entry (the run removed them and
-// drop-on-the-fly keeps later matching arrivals out — the entry stays
-// in the set as long as it is in force), so the next run only needs the
-// entries that arrived since (purgeMark). CompactSets preserves this:
-// Compact runs right after a purge run, when every entry — including
-// the ones it merges into an earlier pid — is already below the fresh
-// watermark. PurgeScanned counts work actually done: removed tuples on
-// the direct path, full occupancy on scans — the cost model prices what
-// the index saves.
+// Punctuations whose join pattern is a constant or an enumeration purge
+// by direct key-group removal — cost O(tuples removed), no non-matching
+// group is touched — while range and wildcard patterns fall back to an
+// ordered scan of every bucket. With drop-on-the-fly active the run is
+// also incremental: after a run, no state tuple matches any set entry
+// (the run removed them and drop-on-the-fly keeps later matching
+// arrivals out — the entry stays in the set as long as it is in force),
+// so the next run only needs the entries that arrived since (purgeMark).
+// CompactSets preserves this: Compact runs right after a purge run, when
+// every entry — including the ones it merges into an earlier pid — is
+// already below the fresh watermark. PurgeScanned counts work actually
+// done: removed tuples on the direct path, full occupancy on scans;
+// PurgeWalk counts the victim's whole memory portion every run, which is
+// what a purge that walks the table examines.
 func (j *PJoin) purgeState(victim int, now stream.Time) error {
 	j.base.M.PurgeRuns++
+	j.base.M.PurgeWalk += int64(j.base.States[victim].Stats().MemTuples)
 	// Purge duration is wall clock: virtual time cannot advance inside
 	// one operator call. Recorded at both exits; no defer closure, to
 	// keep the eager-purge path allocation-light.
@@ -730,26 +720,6 @@ func (j *PJoin) purgeState(victim int, now stream.Time) error {
 			}
 			j.base.M.Purged += int64(len(removed))
 		}
-	}
-
-	if j.cfg.DisableStateIndex {
-		// Pre-index behaviour: predicate-scan every bucket against the
-		// full set; the scan examines each bucket's whole occupancy.
-		for i := 0; i < st.NumBuckets(); i++ {
-			bucketLen := st.Bucket(i).MemLen()
-			if bucketLen == 0 {
-				continue
-			}
-			j.base.M.PurgeScanned += int64(bucketLen)
-			scannedRun += int64(bucketLen)
-			finish(i, st.FilterMem(i, func(sd *store.StoredTuple) bool {
-				return pset.SetMatchAttr(oppAttr, sd.T.Values[attr])
-			}))
-		}
-		emitPurgeSpans()
-		j.lat.RecordPurge(time.Since(purgeStart).Nanoseconds())
-		j.obs.Event(obs.KindPurge, now, victim, removedRun, scannedRun)
-		return nil
 	}
 
 	after := punct.NoPID
@@ -855,15 +825,17 @@ func (j *PJoin) discard(side int, sd *store.StoredTuple) {
 //
 // A batch whose every punctuation pins the join attribute to listed
 // values (constant or enumeration) is built from the key groups
-// (indexBuildKeyed); any other batch scans the state (indexBuildScan), as
-// does every batch under DisableStateIndex. Both assign the same pids and
-// counts; IndexScanned counts the stored tuples each one visits.
+// (indexBuildKeyed); any other batch scans the state (indexBuildScan).
+// Both assign the same pids and counts; IndexScanned counts the stored
+// tuples each one visits, IndexWalk the ones the scan would.
 func (j *PJoin) indexBuild(s int) {
 	pending := j.psets[s].Unindexed()
 	if len(pending) == 0 {
 		return
 	}
-	if !j.cfg.DisableStateIndex && keyedBatch(pending, j.attrs[s]) {
+	stats := j.base.States[s].Stats()
+	j.base.M.IndexWalk += int64(stats.MemTuples + stats.PurgeTuples)
+	if keyedBatch(pending, j.attrs[s]) {
 		j.indexBuildKeyed(s, pending)
 	} else {
 		j.indexBuildScan(s, pending)
@@ -966,6 +938,7 @@ func (j *PJoin) indexDiskTuple(side int, sd *store.StoredTuple) {
 		return
 	}
 	j.base.M.IndexScanned++
+	j.base.M.IndexWalk++
 	if e := j.psets[side].FirstMatch(sd.T.Values); e != nil {
 		sd.PID = e.PID
 		e.Count++
@@ -1099,6 +1072,7 @@ func (j *PJoin) relocate(now stream.Time) error {
 				return
 			}
 			j.base.M.IndexScanned++
+			j.base.M.IndexWalk++
 			if e := j.psets[side].FirstMatch(sd.T.Values); e != nil {
 				sd.PID = e.PID
 				e.Count++

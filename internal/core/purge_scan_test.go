@@ -12,35 +12,25 @@ import (
 
 // TestTargetedPurgeScansOnlyMatches pins the indexed purge's cost claim:
 // a constant punctuation resolves to one group removal, so PurgeScanned
-// grows by the number of tuples REMOVED, not by the bucket occupancy the
-// pre-index scan walked. Range punctuations still scan (the fallback the
-// cost model prices), and DisableStateIndex restores the old accounting
-// everywhere.
+// grows by the number of tuples REMOVED, not by the occupancy a purge
+// that walks the table examines. Range punctuations still scan, and
+// PurgeWalk keeps the table walk's accounting everywhere: the victim's
+// whole memory portion, every run.
 func TestTargetedPurgeScansOnlyMatches(t *testing.T) {
-	build := func(disableIndex bool) *PJoin {
-		cfg := defaultConfig()
-		cfg.NumBuckets = 1 // every key in one bucket: scans cost full occupancy
-		cfg.Thresholds.Purge = 1
-		cfg.DisableStateIndex = disableIndex
-		j, err := New(cfg, &op.Collector{})
-		if err != nil {
+	cfg := defaultConfig()
+	cfg.NumBuckets = 1 // every key in one bucket: scans cost full occupancy
+	cfg.Thresholds.Purge = 1
+	j, err := New(cfg, &op.Collector{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := stream.Time(0)
+	for k := int64(0); k < 10; k++ {
+		ts++
+		if err := j.Process(1, tupB(k, "b", ts).item, ts); err != nil {
 			t.Fatal(err)
 		}
-		return j
 	}
-	fill := func(j *PJoin) stream.Time {
-		ts := stream.Time(0)
-		for k := int64(0); k < 10; k++ {
-			ts++
-			if err := j.Process(1, tupB(k, "b", ts).item, ts); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return ts
-	}
-
-	j := build(false)
-	ts := fill(j)
 
 	// Constant punctuation from A for key 3: the B group is removed
 	// directly; the other nine tuples are not examined.
@@ -54,6 +44,10 @@ func TestTargetedPurgeScansOnlyMatches(t *testing.T) {
 	}
 	if m.PurgeScanned != 1 {
 		t.Errorf("PurgeScanned after constant punctuation = %d, want 1 (removed tuple only)", m.PurgeScanned)
+	}
+	// The table walk pays occupancy even for the constant case.
+	if m.PurgeWalk != 10 {
+		t.Errorf("PurgeWalk after constant punctuation = %d, want 10 (full occupancy)", m.PurgeWalk)
 	}
 
 	// Range punctuation covering keys 5..7: no direct resolution, the
@@ -70,20 +64,21 @@ func TestTargetedPurgeScansOnlyMatches(t *testing.T) {
 	if got := m.PurgeScanned - 1; got != 9 {
 		t.Errorf("range punctuation scanned %d, want 9 (full occupancy)", got)
 	}
+	if got := m.PurgeWalk - 10; got != 9 {
+		t.Errorf("range punctuation walked %d, want 9 (full occupancy)", got)
+	}
 
-	// The pre-index fallback pays occupancy even for the constant case.
-	j = build(true)
-	ts = fill(j)
+	// A run that finds nothing to remove still walks what is left.
 	ts++
-	if err := j.Process(0, punctFor(0, 3, ts).item, ts); err != nil {
+	if err := j.Process(0, punctFor(0, 42, ts).item, ts); err != nil {
 		t.Fatal(err)
 	}
 	m = j.Metrics()
-	if m.Purged != 1 {
-		t.Fatalf("fallback Purged = %d, want 1", m.Purged)
+	if m.Purged != 4 || m.PurgeScanned != 10 {
+		t.Errorf("empty run: Purged = %d, PurgeScanned = %d, want 4 and 10 unchanged", m.Purged, m.PurgeScanned)
 	}
-	if m.PurgeScanned != 10 {
-		t.Errorf("fallback PurgeScanned = %d, want 10 (full scan)", m.PurgeScanned)
+	if got := m.PurgeWalk - 19; got != 6 {
+		t.Errorf("empty run walked %d, want 6 (what the state still holds)", got)
 	}
 }
 
@@ -91,61 +86,52 @@ func TestTargetedPurgeScansOnlyMatches(t *testing.T) {
 // several key groups: each group comes back in the state's one scratch
 // slice (store.State.TakeKeyGroup), so the run must have copied a group
 // out before it takes the next, and the purge buffer it leaves must be
-// the bucket-ordered scan's — every parked tuple once, in arrival order.
+// what a bucket-ordered scan leaves — every matching tuple once, in
+// arrival order (want, collected as the tuples go in).
 func TestMultiKeyPurgeParksInArrivalOrder(t *testing.T) {
-	parked := func(disableIndex bool) []stream.Time {
-		cfg := defaultConfig()
-		cfg.NumBuckets = 1
-		cfg.Thresholds.Purge = 1
-		cfg.DisablePropagation = true
-		cfg.DisableStateIndex = disableIndex
-		j, err := New(cfg, &op.Collector{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := stream.Time(1)
-		if err := j.Process(0, tupA(9, "a", ts).item, ts); err != nil {
-			t.Fatal(err)
-		}
-		// Side A's bucket goes to disk: what B purges parks instead of
-		// being freed.
-		if _, err := j.base.States[0].SpillBucket(0, ts+1); err != nil {
-			t.Fatal(err)
-		}
-		ts++
-		for r := 0; r < 3; r++ { // keys interleaved, so groups are not contiguous
-			for k := int64(0); k < 6; k++ {
-				ts++
-				if err := j.Process(1, tupB(k, "b", ts).item, ts); err != nil {
-					t.Fatal(err)
-				}
+	cfg := defaultConfig()
+	cfg.NumBuckets = 1
+	cfg.Thresholds.Purge = 1
+	cfg.DisablePropagation = true
+	j, err := New(cfg, &op.Collector{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := stream.Time(1)
+	if err := j.Process(0, tupA(9, "a", ts).item, ts); err != nil {
+		t.Fatal(err)
+	}
+	// Side A's bucket goes to disk: what B purges parks instead of
+	// being freed.
+	if _, err := j.base.States[0].SpillBucket(0, ts+1); err != nil {
+		t.Fatal(err)
+	}
+	ts++
+	var want []stream.Time
+	for r := 0; r < 3; r++ { // keys interleaved, so groups are not contiguous
+		for k := int64(0); k < 6; k++ {
+			ts++
+			if err := j.Process(1, tupB(k, "b", ts).item, ts); err != nil {
+				t.Fatal(err)
+			}
+			if k == 1 || k == 3 || k == 4 {
+				want = append(want, ts)
 			}
 		}
-		ts++
-		enum := punct.MustKeyOnly(2, 0, punct.MustEnum(value.Int(4), value.Int(1), value.Int(3)))
-		if err := j.Process(0, stream.PunctItem(enum, ts), ts); err != nil {
-			t.Fatal(err)
-		}
-		var got []stream.Time
-		for _, sd := range j.base.States[1].Bucket(0).PurgeBuf {
-			if k := sd.T.Values[0].IntVal(); k != 1 && k != 3 && k != 4 {
-				t.Errorf("parked a tuple of key %d", k)
-			}
-			got = append(got, sd.ATS())
-		}
-		return got
 	}
-	indexed, scan := parked(false), parked(true)
-	if len(indexed) != 9 {
-		t.Fatalf("parked %d tuples, want 9 (three keys, three tuples each)", len(indexed))
+	ts++
+	enum := punct.MustKeyOnly(2, 0, punct.MustEnum(value.Int(4), value.Int(1), value.Int(3)))
+	if err := j.Process(0, stream.PunctItem(enum, ts), ts); err != nil {
+		t.Fatal(err)
 	}
-	for i := range indexed {
-		if i > 0 && indexed[i] <= indexed[i-1] {
-			t.Errorf("purge buffer out of arrival order: %v", indexed)
-			break
-		}
+	var got []stream.Time
+	for _, sd := range j.base.States[1].Bucket(0).PurgeBuf {
+		got = append(got, sd.ATS())
 	}
-	if fmt.Sprint(indexed) != fmt.Sprint(scan) {
-		t.Errorf("purge buffer differs from the scan's:\nindexed %v\nscan    %v", indexed, scan)
+	if len(want) != 9 {
+		t.Fatalf("fed %d matching tuples, want 9 (three keys, three tuples each)", len(want))
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("purge buffer differs from the bucket-ordered scan's:\ngot  %v\nwant %v", got, want)
 	}
 }

@@ -60,6 +60,26 @@ type Metrics struct {
 	DroppedOnFly  int64    // tuples never inserted thanks to punctuations
 	IndexScanned  int64    // tuples examined by punctuation index builds
 	Batches       int64    // ProcessBatch invocations (0 when driven through Process directly)
+
+	// The table-walk price list: what the same operations would have
+	// examined in the paper's structure — a chained hash bucket walked
+	// end to end by every probe, a purge and an index build that walk the
+	// whole table — counted from occupancies the state already keeps.
+	// TableWalk prices a run by them.
+	ProbeWalk int64 // memory occupancy of the probed bucket, summed over memory probes
+	PurgeWalk int64 // memory-resident tuples of the victim state, summed over purge runs (PJoin)
+	IndexWalk int64 // memory + purge-buffer tuples of the side, summed over index builds, plus the tuples indexed one at a time (relocation, disk passes) (PJoin)
+}
+
+// TableWalk returns m with the three table-walk counters exchanged for
+// Examined, PurgeScanned and IndexScanned, so that whatever reads those
+// — sim.CostModel, the experiment reports — prices and prints the
+// paper's regime instead of the key-grouped index's.
+func (m Metrics) TableWalk() Metrics {
+	m.Examined, m.ProbeWalk = m.ProbeWalk, m.Examined
+	m.PurgeScanned, m.PurgeWalk = m.PurgeWalk, m.PurgeScanned
+	m.IndexScanned, m.IndexWalk = m.IndexWalk, m.IndexScanned
+	return m
 }
 
 // Add accumulates o into m field by field. Parallel joins (a sharded
@@ -87,6 +107,9 @@ func (m *Metrics) Add(o Metrics) {
 	m.DroppedOnFly += o.DroppedOnFly
 	m.IndexScanned += o.IndexScanned
 	m.Batches += o.Batches
+	m.ProbeWalk += o.ProbeWalk
+	m.PurgeWalk += o.PurgeWalk
+	m.IndexWalk += o.IndexWalk
 }
 
 // Base is the symmetric two-state core of a binary equi-join.
@@ -209,6 +232,7 @@ func (b *Base) ProbeOpposite(s int, t *stream.Tuple) (int, error) {
 	key := b.States[s].Key(t)
 	matches, examined := opp.ProbeMemCached(key, &b.probeCache[1-s])
 	b.M.Examined += int64(examined)
+	b.M.ProbeWalk += int64(b.probeCache[1-s].Walked())
 	b.arrival = store.StoredTuple{T: t, DTS: store.InMemory}
 	for _, m := range matches {
 		if err := b.emitPair(1-s, m, &b.arrival); err != nil {

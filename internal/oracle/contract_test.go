@@ -19,13 +19,13 @@ func TestOperatorLifecycleContract(t *testing.T) {
 	builders := map[string]func(out op.Emitter) (op.Operator, error){
 		"shj": func(out op.Emitter) (op.Operator, error) { return buildOracle(out) },
 		"pjoin": func(out op.Emitter) (op.Operator, error) {
-			return build(sc, Variant{Op: "pjoin", Index: true, Shards: 1}, out, false, nil)
+			return build(sc, Variant{Op: "pjoin", Shards: 1}, out, false, nil)
 		},
 		"xjoin": func(out op.Emitter) (op.Operator, error) {
 			return build(sc, Variant{Op: "xjoin", Shards: 1}, out, false, nil)
 		},
 		"sharded": func(out op.Emitter) (op.Operator, error) {
-			return build(sc, Variant{Op: "pjoin", Index: true, Shards: 2}, out, false, nil)
+			return build(sc, Variant{Op: "pjoin", Shards: 2}, out, false, nil)
 		},
 	}
 	for name, mk := range builders {

@@ -5,15 +5,15 @@ import "testing"
 // fuzzVariants is the diverse slice of the matrix each fuzz input is
 // checked against: full-matrix checking (CheckScenario) costs ~1s per
 // input, which starves the mutation engine, so the fuzz target covers
-// each mechanism once — indexed and scan-fallback state, drained and
-// budgeted disk passes, sharding, spill cache and fault injection — and
-// the seed soak (TestSoak / make oracle) covers the cross-product.
+// each mechanism once — drained and budgeted disk passes, sharding,
+// spill cache and fault injection — and the seed soak (TestSoak / make
+// oracle) covers the cross-product.
 var fuzzVariants = []Variant{
-	{Op: "pjoin", Index: true, Shards: 1},
-	{Op: "pjoin", Index: false, Chunk: 512, Shards: 1, Cache: true},
-	{Op: "pjoin", Index: true, Chunk: 512, Shards: 2, Fault: true},
-	{Op: "pjoin", Index: true, Shards: 4},
-	{Op: "xjoin", Index: true, Chunk: 512},
+	{Op: "pjoin", Shards: 1},
+	{Op: "pjoin", Chunk: 512, Shards: 1, Cache: true},
+	{Op: "pjoin", Chunk: 512, Shards: 2, Fault: true},
+	{Op: "pjoin", Shards: 4},
+	{Op: "xjoin", Chunk: 512},
 }
 
 // FuzzOracle feeds raw fuzz bytes through the same scenario decoder as

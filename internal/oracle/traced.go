@@ -8,23 +8,21 @@ import (
 )
 
 // TracedSlice is the mechanism-diverse variant slice the provenance
-// reconciliation runs over: every purge mechanism (indexed and scan),
-// drained and budgeted disk passes, cached spills, 2- and 4-shard
-// parallel runs, batched delivery, and the XJoin baseline (pass traces
-// only — XJoin has no punctuation lifecycle). Small by design: the
-// full 90-row matrix is the correctness net; this slice is the
-// provenance net, and each row exercises a distinct span-emission
-// path.
+// reconciliation runs over: drained and budgeted disk passes, cached
+// spills, 2- and 4-shard parallel runs, batched delivery, and the XJoin
+// baseline (pass traces only — XJoin has no punctuation lifecycle).
+// Small by design: the full 54-row matrix is the correctness net; this
+// slice is the provenance net, and each row exercises a distinct
+// span-emission path.
 func TracedSlice() []Variant {
 	return []Variant{
-		{Op: "pjoin", Index: true, Shards: 1},
-		{Op: "pjoin", Index: false, Shards: 1},
-		{Op: "pjoin", Index: true, Chunk: 512, Shards: 1},
-		{Op: "pjoin", Index: true, Chunk: 512, Shards: 1, Cache: true},
-		{Op: "pjoin", Index: true, Shards: 4},
-		{Op: "pjoin", Index: true, Chunk: 512, Shards: 2},
-		{Op: "pjoin", Index: true, Shards: 1, Batch: 256},
-		{Op: "xjoin", Index: true, Chunk: 512, Shards: 1},
+		{Op: "pjoin", Shards: 1},
+		{Op: "pjoin", Chunk: 512, Shards: 1},
+		{Op: "pjoin", Chunk: 512, Shards: 1, Cache: true},
+		{Op: "pjoin", Shards: 4},
+		{Op: "pjoin", Chunk: 512, Shards: 2},
+		{Op: "pjoin", Shards: 1, Batch: 256},
+		{Op: "xjoin", Chunk: 512, Shards: 1},
 	}
 }
 

@@ -57,7 +57,7 @@ func TestTracedRunEmitsLifecycles(t *testing.T) {
 	if err := sc.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	out, rec := RunTraced(sc, Variant{Op: "pjoin", Index: true, Shards: 1})
+	out, rec := RunTraced(sc, Variant{Op: "pjoin", Shards: 1})
 	if out.Err != nil {
 		t.Fatal(out.Err)
 	}
@@ -80,7 +80,7 @@ func TestTracedRunEmitsLifecycles(t *testing.T) {
 	}
 
 	// Sharded: the router's trace groups spans from router AND shards.
-	out4, rec4 := RunTraced(sc, Variant{Op: "pjoin", Index: true, Shards: 4})
+	out4, rec4 := RunTraced(sc, Variant{Op: "pjoin", Shards: 4})
 	if out4.Err != nil {
 		t.Fatal(out4.Err)
 	}

@@ -28,7 +28,6 @@ var ErrInjectedFault = errors.New("oracle: injected spill fault")
 // Variant is one operator configuration in the differential matrix.
 type Variant struct {
 	Op     string      // "pjoin" or "xjoin"
-	Index  bool        // key-grouped state index on (off = scan fallback)
 	Chunk  int         // DiskChunkBytes: 0 runs each pass to completion, else the per-step budget
 	Shards int         // 1 = single instance; >1 = parallel.ShardedPJoin (pjoin only)
 	Cache  bool        // wrap spills in store.CachedSpill
@@ -38,13 +37,10 @@ type Variant struct {
 }
 
 // String renders the variant in the replay-spec grammar, e.g.
-// "pjoin/idx/chunk=512/shards=2/cache/batch=256/linger=1000000"
+// "pjoin/chunk=512/shards=2/cache/batch=256/linger=1000000"
 // (flags omitted when off).
 func (v Variant) String() string {
 	parts := []string{v.Op}
-	if v.Index {
-		parts = append(parts, "idx")
-	}
 	if v.Chunk > 0 {
 		parts = append(parts, "chunk="+strconv.Itoa(v.Chunk))
 	}
@@ -77,8 +73,6 @@ func ParseVariant(s string) (Variant, error) {
 	v.Shards = 1
 	for _, p := range parts[1:] {
 		switch {
-		case p == "idx":
-			v.Index = true
 		case p == "cache":
 			v.Cache = true
 		case p == "fault":
@@ -114,46 +108,43 @@ func ParseVariant(s string) (Variant, error) {
 	return v, nil
 }
 
-// Matrix returns the full configuration matrix: PJoin × {index on/off}
-// × {DiskChunkBytes ∈ {0, 512}} × {1,2,4 shards} × {CachedSpill on/off}
+// Matrix returns the full configuration matrix: PJoin ×
+// {DiskChunkBytes ∈ {0, 512}} × {1,2,4 shards} × {CachedSpill on/off}
 // × {FaultSpill off/on}, plus XJoin over the same non-sharded dimensions
-// (XJoin has no sharded wrapper): 48 PJoin rows + 16 XJoin rows, all
+// (XJoin has no sharded wrapper): 24 PJoin rows + 8 XJoin rows, all
 // driven per item. The chunk axis is two schedules of the one disk-pass
 // implementation — every pass drained inside the call that starts it,
 // and passes stepped in the background at a budget small enough to split
-// every partition read; one pjoin/idx and one xjoin/idx row add the
-// 64 KiB budget the spill benchmark runs. On top of those, batched
-// delivery (ProcessBatch with batch ∈ {8, 256} × linger ∈ {0, 1ms
-// virtual}) over six representative configurations — including a sharded
-// row (router batching), a chunked+cached row, and a fault row (the
-// injected sentinel must surface identically through the batch path):
-// 24 more rows, 90 total.
+// every partition read; one pjoin and one xjoin row add the 64 KiB budget
+// the spill benchmark runs. On top of those, batched delivery
+// (ProcessBatch with batch ∈ {8, 256} × linger ∈ {0, 1ms virtual}) over
+// five representative configurations — including a sharded row (router
+// batching), a chunked+cached row, and a fault row (the injected
+// sentinel must surface identically through the batch path): 20 more
+// rows, 54 total.
 func Matrix() []Variant {
 	var vs []Variant
-	for _, index := range []bool{true, false} {
-		for _, chunk := range []int{0, 512} {
-			for _, cache := range []bool{false, true} {
-				for _, fault := range []bool{false, true} {
-					for _, shards := range []int{1, 2, 4} {
-						vs = append(vs, Variant{Op: "pjoin", Index: index, Chunk: chunk,
-							Shards: shards, Cache: cache, Fault: fault})
-					}
-					vs = append(vs, Variant{Op: "xjoin", Index: index, Chunk: chunk,
-						Shards: 1, Cache: cache, Fault: fault})
+	for _, chunk := range []int{0, 512} {
+		for _, cache := range []bool{false, true} {
+			for _, fault := range []bool{false, true} {
+				for _, shards := range []int{1, 2, 4} {
+					vs = append(vs, Variant{Op: "pjoin", Chunk: chunk,
+						Shards: shards, Cache: cache, Fault: fault})
 				}
+				vs = append(vs, Variant{Op: "xjoin", Chunk: chunk,
+					Shards: 1, Cache: cache, Fault: fault})
 			}
 		}
 	}
 	vs = append(vs,
-		Variant{Op: "pjoin", Index: true, Chunk: 64 << 10, Shards: 1},
-		Variant{Op: "xjoin", Index: true, Chunk: 64 << 10, Shards: 1})
+		Variant{Op: "pjoin", Chunk: 64 << 10, Shards: 1},
+		Variant{Op: "xjoin", Chunk: 64 << 10, Shards: 1})
 	reps := []Variant{
-		{Op: "pjoin", Index: true, Shards: 1},
-		{Op: "pjoin", Index: false, Shards: 1},
-		{Op: "pjoin", Index: true, Chunk: 512, Shards: 1, Cache: true},
-		{Op: "pjoin", Index: true, Shards: 2},
-		{Op: "pjoin", Index: true, Shards: 1, Fault: true},
-		{Op: "xjoin", Index: true, Shards: 1},
+		{Op: "pjoin", Shards: 1},
+		{Op: "pjoin", Chunk: 512, Shards: 1, Cache: true},
+		{Op: "pjoin", Shards: 2},
+		{Op: "pjoin", Shards: 1, Fault: true},
+		{Op: "xjoin", Shards: 1},
 	}
 	for _, batch := range []int{8, 256} {
 		for _, linger := range []stream.Time{0, stream.Millisecond} {
@@ -223,8 +214,7 @@ func build(sc *Scenario, v Variant, out op.Emitter, disableFault bool, instr *ob
 			Thresholds: sc.thresholds(),
 			EagerIndex: sc.EagerIndex,
 
-			DiskChunkBytes:    fv.Chunk,
-			DisableStateIndex: !fv.Index,
+			DiskChunkBytes: fv.Chunk,
 
 			// The cross-variant punctuation comparison needs the exact
 			// propagation multiset to be schedule-independent: without
@@ -247,18 +237,17 @@ func build(sc *Scenario, v Variant, out op.Emitter, disableFault bool, instr *ob
 		return core.New(cfg, out)
 	case "xjoin":
 		cfg := xjoin.Config{
-			SchemaA:           gen.SchemaA,
-			SchemaB:           gen.SchemaB,
-			AttrA:             gen.KeyAttr,
-			AttrB:             gen.KeyAttr,
-			NumBuckets:        sc.NumBuckets,
-			MemoryBytes:       sc.MemoryBytes,
-			DiskJoinIdle:      sc.DiskJoinIdle,
-			DiskChunkBytes:    fv.Chunk,
-			DisableStateIndex: !fv.Index,
-			Instr:             instr,
-			SpillA:            spillStack(sc, fv),
-			SpillB:            spillStack(sc, fv),
+			SchemaA:        gen.SchemaA,
+			SchemaB:        gen.SchemaB,
+			AttrA:          gen.KeyAttr,
+			AttrB:          gen.KeyAttr,
+			NumBuckets:     sc.NumBuckets,
+			MemoryBytes:    sc.MemoryBytes,
+			DiskJoinIdle:   sc.DiskJoinIdle,
+			DiskChunkBytes: fv.Chunk,
+			Instr:          instr,
+			SpillA:         spillStack(sc, fv),
+			SpillB:         spillStack(sc, fv),
 		}
 		return xjoin.New(cfg, out)
 	default:

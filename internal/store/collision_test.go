@@ -75,18 +75,15 @@ func testCollisionIndependence(t *testing.T, st *State) {
 	// Probes resolve exactly their own group.
 	checkProbeIndependence(t, st, want)
 
-	// The scan fallback agrees on matches (examined becomes occupancy).
-	st.SetScanFallback(true)
-	for k, n := range want {
-		matches, examined := st.ProbeMem(value.Int(k), nil)
-		if len(matches) != n {
-			t.Fatalf("fallback key %d: %d matches, want %d", k, len(matches), n)
-		}
-		if examined != st.Bucket(st.BucketOf(value.Int(k))).MemLen() {
-			t.Errorf("fallback key %d: examined %d, want bucket occupancy", k, examined)
+	// The reference walk agrees on every key's matches, tuple for tuple,
+	// and the memoized probe reports the occupancy the walk visits.
+	var mp MemProbe
+	for k := range want {
+		sameProbe(t, st, value.Int(k), &mp)
+		if mp.Walked() != st.Bucket(st.BucketOf(value.Int(k))).MemLen() {
+			t.Errorf("key %d: walked %d, want bucket occupancy", k, mp.Walked())
 		}
 	}
-	st.SetScanFallback(false)
 
 	// Targeted purge removes one whole group and nothing else.
 	bkt, removed := st.TakeKeyGroup(value.Int(3))

@@ -14,8 +14,24 @@ import (
 // MemProbe across a whole batch and only the seq guard keeps a run of
 // same-key probes honest across the inserts the batch itself performs.
 
+// walkProbe is the reference probe the index is checked against: the
+// chained-bucket walk of the paper's hash table. It visits every
+// memory-resident tuple of key's bucket in arrival order, appends the
+// ones whose join value equals key to dst, and reports how many tuples
+// it walked — the bucket's occupancy.
+func walkProbe(st *State, key value.Value, dst []*StoredTuple) (matches []*StoredTuple, walked int) {
+	st.Bucket(st.BucketOf(key)).ForEachMem(func(s *StoredTuple) {
+		walked++
+		if st.Key(s.T).Equal(key) {
+			dst = append(dst, s)
+		}
+	})
+	return dst, walked
+}
+
 // sameProbe asserts the cached probe result equals a fresh probe for
-// key against st.
+// key against st, and both equal the reference walk: same matches in
+// the same order, examined = the matches, walked = the occupancy.
 func sameProbe(t *testing.T, st *State, key value.Value, mp *MemProbe) {
 	t.Helper()
 	got, gotEx := st.ProbeMemCached(key, mp)
@@ -23,12 +39,19 @@ func sameProbe(t *testing.T, st *State, key value.Value, mp *MemProbe) {
 	if gotEx != wantEx {
 		t.Fatalf("key %v: cached examined = %d, fresh = %d", key, gotEx, wantEx)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("key %v: cached matches = %d, fresh = %d", key, len(got), len(want))
+	ref, walked := walkProbe(st, key, nil)
+	if wantEx != len(ref) {
+		t.Fatalf("key %v: examined = %d, the walk matches %d", key, wantEx, len(ref))
+	}
+	if mp.Walked() != walked {
+		t.Fatalf("key %v: cached walked = %d, the walk visits %d", key, mp.Walked(), walked)
+	}
+	if len(got) != len(want) || len(got) != len(ref) {
+		t.Fatalf("key %v: cached matches = %d, fresh = %d, walk = %d", key, len(got), len(want), len(ref))
 	}
 	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("key %v: match %d differs: cached %v, fresh %v", key, i, got[i].T, want[i].T)
+		if got[i] != want[i] || got[i] != ref[i] {
+			t.Fatalf("key %v: match %d differs: cached %v, fresh %v, walk %v", key, i, got[i].T, want[i].T, ref[i].T)
 		}
 	}
 }
@@ -87,22 +110,27 @@ func TestProbeMemCachedTracksEveryMutation(t *testing.T) {
 	sameProbe(t, st, k, &mp)
 }
 
-func TestProbeMemCachedScanFallback(t *testing.T) {
+func TestProbeMemCachedWalked(t *testing.T) {
 	st := mkState(t, 1)
-	st.SetScanFallback(true)
 	var mp MemProbe
 	for i := int64(0); i < 10; i++ {
 		if _, err := st.Insert(tup(t, i%3, stream.Time(i+1))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Pre-index regime: examined = bucket occupancy, and the memoized
-	// result must reproduce that accounting exactly.
-	sameProbe(t, st, value.Int(0), &mp)
-	if mp.examined != 10 {
-		t.Fatalf("scan-fallback examined = %d, want full occupancy 10", mp.examined)
+	// The table-walk price of a probe is its bucket's occupancy, whatever
+	// the key matches, and a memoized hit must reproduce that accounting
+	// exactly.
+	for _, k := range []int64{0, 99} {
+		sameProbe(t, st, value.Int(k), &mp)
+		if mp.Walked() != 10 {
+			t.Fatalf("key %d: walked = %d, want full occupancy 10", k, mp.Walked())
+		}
+		sameProbe(t, st, value.Int(k), &mp)
+		if mp.Walked() != 10 {
+			t.Fatalf("key %d: memoized walked = %d, want 10", k, mp.Walked())
+		}
 	}
-	sameProbe(t, st, value.Int(0), &mp)
 }
 
 // TestProbeMemCachedHitDoesNotAllocate pins the batched probe budget:

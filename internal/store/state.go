@@ -126,12 +126,6 @@ type State struct {
 	// fresh probe would return the identical matches and examined
 	// count. This is what makes ProbeMemCached's hit path exact.
 	seq uint64
-
-	// scanProbe selects the pre-index fallback: probes walk the whole
-	// bucket (examined = occupancy) instead of resolving the key's group.
-	// The group index is still maintained; only the probe path and its
-	// cost accounting revert. See SetScanFallback.
-	scanProbe bool
 }
 
 // NewState creates a state named name (used in errors) hashing on
@@ -154,12 +148,6 @@ func NewState(name string, attr, nbuckets int, spill SpillStore) (*State, error)
 		arena: newScanArena(),
 	}, nil
 }
-
-// SetScanFallback switches probing to the pre-index full-bucket scan
-// (true) or back to the group index (false). It exists so the indexed
-// path can be compared against the old behaviour (equivalence tests,
-// baseline benchmarks) without keeping two states of code.
-func (st *State) SetScanFallback(on bool) { st.scanProbe = on }
 
 // SetHashFuncForTest replaces the value-hash function, so tests can force
 // full-hash collisions through the group index. The state must be empty.
@@ -241,32 +229,32 @@ func (st *State) Insert(t *stream.Tuple) (*StoredTuple, error) {
 
 // ProbeMem appends to dst the memory-resident tuples whose join attribute
 // equals key, in arrival order, and returns the extended slice along
-// with the number of tuples *examined*, for cost accounting. On the
-// indexed path the probe resolves the key's group directly, so examined
-// equals the number of matches (O(matches)); on the scan fallback the
-// whole bucket is walked and examined is its occupancy, like the
-// pre-index implementation.
+// with the number of tuples *examined*, for cost accounting: the probe
+// resolves the key's group directly, so examined equals the number of
+// matches (O(matches)).
 //
 //pjoin:hotpath
 func (st *State) ProbeMem(key value.Value, dst []*StoredTuple) (matches []*StoredTuple, examined int) {
+	matches, examined, _ = st.probe(key, dst)
+	return matches, examined
+}
+
+// probe is ProbeMem that also reports the probed bucket's memory
+// occupancy: what a chained hash table without the group index would
+// have walked to answer the same probe (Metrics.ProbeWalk).
+//
+//pjoin:hotpath
+func (st *State) probe(key value.Value, dst []*StoredTuple) (matches []*StoredTuple, examined, walked int) {
 	h := st.hash(key)
 	b := &st.bkts[h%uint64(len(st.bkts))]
-	if st.scanProbe {
-		for n := b.mem.ahead; n != nil; n = n.anext {
-			if st.Key(n.s.T).Equal(key) {
-				dst = append(dst, n.s)
-			}
-		}
-		return dst, b.mem.ntuples
-	}
 	g := b.mem.lookup(key, h)
 	if g == nil {
-		return dst, 0
+		return dst, 0, b.mem.ntuples
 	}
 	for n := g.head; n != nil; n = n.gnext {
 		dst = append(dst, n.s)
 	}
-	return dst, g.n
+	return dst, g.n, b.mem.ntuples
 }
 
 // MemProbe memoizes one ProbeMem result so a run of same-key probes
@@ -279,7 +267,12 @@ type MemProbe struct {
 	valid    bool
 	matches  []*StoredTuple
 	examined int
+	walked   int
 }
+
+// Walked returns the memory occupancy of the bucket the memoized probe
+// resolved in — like examined, what a fresh probe would report.
+func (mp *MemProbe) Walked() int { return mp.walked }
 
 // Release invalidates the memoized result and drops the stored-tuple
 // pointers (the slice capacity is kept). Call it when the probed state
@@ -310,7 +303,7 @@ func (st *State) ProbeMemCached(key value.Value, mp *MemProbe) (matches []*Store
 	for i := range mp.matches {
 		mp.matches[i] = nil
 	}
-	mp.matches, mp.examined = st.ProbeMem(key, mp.matches[:0])
+	mp.matches, mp.examined, mp.walked = st.probe(key, mp.matches[:0])
 	mp.seq = st.seq
 	mp.key = key
 	mp.valid = true

@@ -91,15 +91,13 @@ func TestProbeMissesOtherKeys(t *testing.T) {
 		t.Errorf("examined = %d, want 1 (the matching group)", examined)
 	}
 
-	// The scan fallback restores the pre-index accounting: the probe
-	// walks the whole bucket.
-	st.SetScanFallback(true)
-	matches, examined = st.ProbeMem(value.Int(1), nil)
-	if len(matches) != 1 {
-		t.Errorf("scan fallback: %d matches", len(matches))
+	// The reference walk agrees on the match and visits the whole bucket.
+	ref, walked := walkProbe(st, value.Int(1), nil)
+	if len(ref) != 1 || ref[0] != matches[0] {
+		t.Errorf("walk: %d matches, want the probe's one", len(ref))
 	}
-	if examined != 2 {
-		t.Errorf("scan fallback examined = %d, want full bucket 2", examined)
+	if walked != 2 {
+		t.Errorf("walk visited %d, want full bucket 2", walked)
 	}
 }
 

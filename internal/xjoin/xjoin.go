@@ -49,12 +49,6 @@ type Config struct {
 	// path never stalls for a whole pass. 0 runs each pass to completion
 	// inside the call that schedules it. See core.Config.DiskChunkBytes.
 	DiskChunkBytes int
-	// DisableStateIndex reverts the join states to the pre-index probe
-	// behaviour (full-bucket scans, examined = occupancy). The paper-
-	// reproduction experiments run in this mode so the simulator prices
-	// the scan-based physics the paper's figures exhibit; see
-	// core.Config.DisableStateIndex.
-	DisableStateIndex bool
 	// Instr is the observability handle (tracing + live metrics); nil
 	// disables observability (see internal/obs).
 	Instr *obs.Instr
@@ -135,10 +129,6 @@ func New(cfg Config, out op.Emitter) (*XJoin, error) {
 	stB, err := store.NewState(cfg.SchemaB.Name(), cfg.AttrB, cfg.NumBuckets, cfg.SpillB)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.DisableStateIndex {
-		stA.SetScanFallback(true)
-		stB.SetScanFallback(true)
 	}
 	x := &XJoin{cfg: cfg, out: out, attrs: [2]int{cfg.AttrA, cfg.AttrB}, outSc: outSc, lat: obs.NewLat()}
 	x.base, err = joinbase.New(stA, stB, outSc, func(t *stream.Tuple) error {
