@@ -149,7 +149,7 @@ func (j *NaryPJoin) Process(port int, it stream.Item, now stream.Time) error {
 	case stream.KindTuple:
 		// Results carry the latest member's arrival, so the stored tuple
 		// must (see PJoin.Process).
-		return j.processTuple(port, j.hdrs.Stamp(it.Tuple, it.Ts))
+		return j.processTuple(port, j.hdrs.Stamp(it))
 	case stream.KindPunct:
 		return j.processPunct(port, it.Punct, it.Ts)
 	case stream.KindEOS:

@@ -252,18 +252,20 @@ func New(cfg Config, out op.Emitter) (*PJoin, error) {
 		lat: obs.NewLat(),
 	}
 	j.base, err = joinbase.New(stA, stB, outSc, func(t *stream.Tuple) error {
-		// A result's timestamp is the later partner's arrival
-		// (Tuple.FillJoin), so now − Ts is zero for a memory-probe result
-		// and the wait for the disk pass for a left-over one.
-		j.lat.RecordResult(j.now, t.Ts)
-		if t.Span != 0 && j.base.ResultSpans > 0 && j.obs.SpansEnabled() {
-			j.base.ResultSpans--
-			j.obs.Span(span.KindTupleResult, t.Span, j.now, -1, 0, 0, 0, int64(j.now-t.Ts))
-		}
+		j.noteResult(t.Ts, t.Span)
 		return out.Emit(stream.TupleItem(t))
 	})
 	if err != nil {
 		return nil, err
+	}
+	if je, ok := out.(op.JoinEmitter); ok {
+		// The output builds results itself (an exec edge, in the batch it
+		// is filling): hand it the pair and account for the result it
+		// will make.
+		j.base.EmitPair = func(a, c *stream.Tuple) error {
+			j.noteResult(stream.JoinStamp(a, c))
+			return je.EmitJoin(a, c)
+		}
 	}
 	j.psets[0] = punct.NewKeyedSet(cfg.AttrA, cfg.VerifyPunctuations)
 	j.psets[1] = punct.NewKeyedSet(cfg.AttrB, cfg.VerifyPunctuations)
@@ -277,6 +279,18 @@ func New(cfg Config, out op.Emitter) (*PJoin, error) {
 		return nil, err
 	}
 	return j, nil
+}
+
+// noteResult records one emitted result, given the Ts and Span the
+// result carries. A result's timestamp is the later partner's arrival
+// (Tuple.FillJoin), so now − ts is zero for a memory-probe result and the
+// wait for the disk pass for a left-over one.
+func (j *PJoin) noteResult(ts stream.Time, sp uint64) {
+	j.lat.RecordResult(j.now, ts)
+	if sp != 0 && j.base.ResultSpans > 0 && j.obs.SpansEnabled() {
+		j.base.ResultSpans--
+		j.obs.Span(span.KindTupleResult, sp, j.now, -1, 0, 0, 0, int64(j.now-ts))
+	}
 }
 
 // registerGauges exposes the operator's live metrics through the
@@ -454,7 +468,8 @@ func (j *PJoin) PunctSetSizes() (a, b int) {
 // executor, which restamps items and never tuples — it stores a header
 // of its own. Drivers that deliver tuples stamped with their item time
 // (direct drives, the simulator, the oracle) keep their tuples as they
-// are.
+// are. A borrowed tuple (an upstream join's result, built in the batch
+// that delivers it) is copied by the same call.
 func (j *PJoin) Process(port int, it stream.Item, now stream.Time) error {
 	if err := op.ValidatePort(j.Name(), port, 2); err != nil {
 		return err
@@ -466,7 +481,7 @@ func (j *PJoin) Process(port int, it stream.Item, now stream.Time) error {
 	j.obs.Tick(j.now)
 	switch it.Kind {
 	case stream.KindTuple:
-		if err := j.processTuple(port, j.hdrs.Stamp(it.Tuple, it.Ts)); err != nil {
+		if err := j.processTuple(port, j.hdrs.Stamp(it)); err != nil {
 			return err
 		}
 		return j.disk.Pump(j.now)

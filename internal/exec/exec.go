@@ -23,6 +23,13 @@
 // (stream.Headers.Stamp; the joins do, a result's Ts is the later
 // partner's arrival).
 //
+// The one exception to "shared" is a join's output: an Edge implements
+// op.JoinEmitter and builds the results of the join feeding it inside the
+// batch it is filling, so they travel, and are recycled, with the batch.
+// Such an item is marked stream.Item.Borrowed: its tuple is valid until
+// the Process / ProcessBatch call that delivers it returns (op.Operator
+// rule 7, DESIGN.md §12).
+//
 // The restamping contract is shard-safe: a parallel operator such as
 // parallel.ShardedPJoin receives one strictly increasing sequence on its
 // driver goroutine, routes items to internal workers over FIFO queues,
@@ -57,9 +64,14 @@ import (
 // that long (the edge's one timer, re-armed for each waiting buffer, cuts
 // the batch); with linger zero every Emit flushes, so a larger batch size
 // adds no latency and no fill.
+//
+// Consumed batches come back through lane, the edge's own return path:
+// the batches of an edge, with the result slabs a join has grown in them,
+// stay on that edge.
 type Edge struct {
 	p      *Pipeline
 	ch     chan *stream.Batch
+	lane   *stream.Lane
 	size   int
 	linger time.Duration
 
@@ -76,20 +88,56 @@ type Edge struct {
 	sink bool
 }
 
+var (
+	_ op.Emitter     = (*Edge)(nil)
+	_ op.JoinEmitter = (*Edge)(nil)
+)
+
 // Emit implements op.Emitter. It blocks under back-pressure and fails
-// when the pipeline has been cancelled or the edge closed.
+// when the pipeline has been cancelled or the edge closed. A borrowed
+// item is re-homed into the batch being filled (stream.Batch.Append), so
+// operators that forward what they are handed need no copy of their own.
 func (e *Edge) Emit(it stream.Item) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if e.buf == nil {
+		if err := e.openLocked(); err != nil {
+			return err
+		}
+	}
+	e.buf.Append(it)
+	return e.cutLocked(it.Kind)
+}
+
+// EmitJoin implements op.JoinEmitter: the join result of a and c is
+// built in the batch being filled, under the mutex Emit takes, and
+// delivered borrowed.
+func (e *Edge) EmitJoin(a, c *stream.Tuple) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.buf == nil {
+		if err := e.openLocked(); err != nil {
+			return err
+		}
+	}
+	e.buf.AppendJoin(a, c)
+	return e.cutLocked(stream.KindTuple)
+}
+
+// openLocked starts the next batch; a closed edge never has one.
+func (e *Edge) openLocked() error {
 	if e.closed {
 		return fmt.Errorf("exec: emit on a closed edge")
 	}
-	if e.buf == nil {
-		e.buf = e.p.pool.Get(e.size)
-	}
-	e.buf.Items = append(e.buf.Items, it)
+	e.buf = e.lane.Get(e.size)
+	return nil
+}
+
+// cutLocked decides, after an item of the given kind was appended,
+// whether the buffer is cut now.
+func (e *Edge) cutLocked(kind stream.ItemKind) error {
 	switch {
-	case it.Kind != stream.KindTuple:
+	case kind != stream.KindTuple:
 		// Punctuations and EOS are batch boundaries: flush immediately
 		// so downstream purge/propagation latency is never queued
 		// behind buffered tuples.
@@ -131,9 +179,11 @@ func (e *Edge) onLinger() {
 
 // flushLocked cuts the buffer and sends it as one batch, holding e.mu
 // across the send so cut order equals channel order (the consumer never
-// takes e.mu, so this cannot deadlock). Empty cuts are no-ops. forced
-// marks cuts not caused by the batch filling (punctuation/EOS boundary,
-// linger expiry, close) for the provenance cut spans.
+// takes e.mu — not to receive, and not to return a batch: the lane is
+// lock-free for that reason — so this cannot deadlock). Empty cuts are
+// no-ops. forced marks cuts not caused by the batch filling
+// (punctuation/EOS boundary, linger expiry, close) for the provenance cut
+// spans.
 func (e *Edge) flushLocked(forced bool) error {
 	b := e.buf
 	if b == nil {
@@ -219,7 +269,8 @@ type Pipeline struct {
 	// creating edges.
 	BatchLinger time.Duration
 
-	// pool recycles batches between edge cuts and consumers.
+	// pool creates and counts the batches edges cut and consumers
+	// return; each edge recycles its own through a lane over it.
 	pool stream.BatchPool
 
 	// Obs is the pipeline's observability handle; each spawned operator
@@ -256,6 +307,17 @@ func NewPipeline() *Pipeline {
 	}
 }
 
+// laneSlack is how many batches an edge can have in flight around its
+// channel: the one being filled, one in the consumer's fan-in goroutine,
+// up to one per port in the driver's merged channel, the one being
+// processed — rounded up. The lane is that much deeper than the channel,
+// so that when a full edge drains every batch finds room on its way back:
+// a lane only as deep as the channel drops those few on every drain and
+// the edge allocates them, result slabs included, again on the next
+// build-up (a 12,000-tuple join on per-item edges allocated 7.1 MB that
+// way and 3.0 MB with the slack).
+const laneSlack = 8
+
 // Edge allocates a new channel edge; its batch size and linger are fixed
 // here from BatchSize and BatchLinger.
 func (p *Pipeline) Edge() *Edge {
@@ -267,7 +329,7 @@ func (p *Pipeline) Edge() *Edge {
 	if size < 1 {
 		size = 1
 	}
-	e := &Edge{p: p, ch: make(chan *stream.Batch, n), size: size, linger: p.BatchLinger}
+	e := &Edge{p: p, ch: make(chan *stream.Batch, n), lane: p.pool.Lane(n + laneSlack), size: size, linger: p.BatchLinger}
 	p.edges = append(p.edges, e)
 	return e
 }
@@ -525,7 +587,7 @@ func (p *Pipeline) runOperator(o op.Operator, inputs []*Edge, pull *PullHandle) 
 				eosSeen += restamp(oin, pb.port, items, first)
 				lastTs = first + stream.Time(len(items)-1)
 				err := op.ProcessAll(o, pb.port, items)
-				p.pool.Put(pb.b)
+				inputs[pb.port].lane.Put(pb.b)
 				if err != nil {
 					p.fail(fmt.Errorf("exec: %s: %w", o.Name(), err))
 					return
@@ -619,7 +681,7 @@ func (p *Pipeline) Sink(in *Edge) *op.Collector {
 					err := c.EmitBatch(b.Items)
 					// EOS cuts its batch, so it can only be the last item.
 					sawEOS := b.Items[len(b.Items)-1].Kind == stream.KindEOS
-					p.pool.Put(b)
+					in.lane.Put(b)
 					if err != nil || sawEOS {
 						return
 					}

@@ -19,10 +19,13 @@ import (
 // TestRunExitHygiene pins what Run leaves behind on each way out — clean
 // drain, an operator error, external cancellation — at batch size 1 and
 // 256, over a plan with an operator-fed edge (two sources → 2-shard
-// ShardedPJoin → select → sink): no goroutine Run started survives it,
-// and on a clean drain every batch taken from the pipeline's pool was put
-// back (the dynamic twin of the poolsafe lint; the join's own pool is
-// checked the same way in internal/parallel).
+// ShardedPJoin → select → sink): no goroutine Run started survives it
+// (the per-edge return lanes are free lists, not goroutines), and on a
+// clean drain every batch taken was put back — through an edge's lane or
+// from the pool behind it, both count in BatchPool.Stats, so a consumer
+// that returned a batch to nowhere, or a lane that handed one out twice,
+// shows as an imbalance (the dynamic twin of the poolsafe lint; the join's
+// own pool is checked the same way in internal/parallel).
 func TestRunExitHygiene(t *testing.T) {
 	var a, b []stream.Item
 	for i := 0; i < 300; i++ {
@@ -109,10 +112,15 @@ func TestRunExitHygiene(t *testing.T) {
 					t.Errorf("%d goroutines after Run, want at most %d\n%s",
 						n, want, buf[:runtime.Stack(buf, true)])
 				}
-				if exit == "drain" {
-					if gets, puts := p.pool.Stats(); gets != puts || gets == 0 {
-						t.Errorf("pool: %d gets, %d puts after a clean run", gets, puts)
-					}
+				gets, puts := p.pool.Stats()
+				if exit == "drain" && (gets != puts || gets == 0) {
+					t.Errorf("pool: %d gets, %d puts after a clean run", gets, puts)
+				}
+				// An error or a cancel strands what was queued on the edges,
+				// never more: a put without its get would be a batch
+				// recycled twice.
+				if puts > gets {
+					t.Errorf("pool: %d puts for %d gets", puts, gets)
 				}
 			})
 		}

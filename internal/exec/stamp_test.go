@@ -327,66 +327,127 @@ func TestPipelinesLeaveSharedInputUntouched(t *testing.T) {
 	}
 }
 
-// fanoutInput builds two punctuation-free streams over fanoutKeys keys,
-// fanoutPerKey tuples per key and side: fanoutKeys × fanoutPerKey²
-// results, the average arrival matching about 26 stored partners.
-const fanoutKeys, fanoutPerKey = 16, 52
+// fanoutInput builds two streams in fanoutWaves waves of fanoutKeys fresh
+// keys, fanoutPerKey tuples per key and side, each side closing every key
+// of a wave with a punctuation when the wave ends: fanoutWaves ×
+// fanoutKeys × fanoutPerKey² results, the average arrival matching about
+// 26 stored partners, and a state that purges and recycles wave by wave —
+// the fanout_sat shape.
+const fanoutWaves, fanoutKeys, fanoutPerKey = 8, 16, 52
+
+const fanoutResults = fanoutWaves * fanoutKeys * fanoutPerKey * fanoutPerKey
 
 func fanoutInput() (a, b []stream.Item) {
 	ts := stream.Time(0)
-	for i := 0; i < fanoutKeys*fanoutPerKey; i++ {
-		k := value.Int(int64(i % fanoutKeys))
-		ts++
-		a = append(a, stream.TupleItem(stream.MustTuple(gen.SchemaA, ts, k, value.Str("a"))))
-		ts++
-		b = append(b, stream.TupleItem(stream.MustTuple(gen.SchemaB, ts, k, value.Str("b"))))
+	for w := 0; w < fanoutWaves; w++ {
+		for i := 0; i < fanoutKeys*fanoutPerKey; i++ {
+			k := value.Int(int64(w*fanoutKeys + i%fanoutKeys))
+			ts++
+			a = append(a, stream.TupleItem(stream.MustTuple(gen.SchemaA, ts, k, value.Str("a"))))
+			ts++
+			b = append(b, stream.TupleItem(stream.MustTuple(gen.SchemaB, ts, k, value.Str("b"))))
+		}
+		for i := 0; i < fanoutKeys; i++ {
+			closed := punct.MustKeyOnly(2, gen.KeyAttr, punct.Const(value.Int(int64(w*fanoutKeys+i))))
+			ts++
+			a = append(a, stream.PunctItem(closed, ts))
+			ts++
+			b = append(b, stream.PunctItem(closed, ts))
+		}
 	}
 	return a, b
 }
 
-// TestPipelineAllocsPerResult is the end-to-end allocation guard for the
-// dataflow around the probe: a fan-out ≈ 26 join at batch 256 (1 ms
-// linger, the fanout_sat shape) into a counting terminal operator.
-// Results come from chunks (2 allocations per 32) and the driver
-// restamps Item.Ts in place, so the whole Run — goroutines, edges, state,
-// index and pooled batches included — stays under a quarter of an
-// allocation per result. One tuple copy per hop or one Tuple.Join per
-// result is 1 to 3 per result.
-func TestPipelineAllocsPerResult(t *testing.T) {
+// runFanout runs the fan-out join at batch 256 (1 ms linger: without one
+// every Emit cuts a batch of one) with consume attached to the join's
+// output edge, checks the consumer's result count, and returns what the
+// whole Run allocated — goroutines, edges, state, index and pooled
+// batches included — per result. It is the least of three runs: how far
+// one racing source gets ahead of the other decides how much state the
+// join builds (2,900 to 8,200 allocations in one session), and that is
+// not what the guards are about.
+func runFanout(t *testing.T, consume func(p *Pipeline, joined *Edge, out *stream.Schema) (results func() int)) (allocs, bytes float64) {
+	t.Helper()
 	a, b := fanoutInput()
-	p := NewPipeline()
-	p.BatchSize = 256
-	p.BatchLinger = time.Millisecond // without a linger every Emit cuts a batch of one
-	srcA, srcB, joined := p.Edge(), p.Edge(), p.Edge()
-	j, err := core.New(core.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB}, joined)
-	if err != nil {
-		t.Fatal(err)
+	for try := 0; try < 3; try++ {
+		p := NewPipeline()
+		p.BatchSize = 256
+		p.BatchLinger = time.Millisecond
+		// Eight batches per edge: at the default 256 the unpaced sources
+		// run a hundred batches ahead of the join, and those batches'
+		// 16 KB item arrays are the run's bytes whatever the result path
+		// does.
+		p.BufferSize = 8
+		srcA, srcB, joined := p.Edge(), p.Edge(), p.Edge()
+		j, err := core.New(core.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB}, joined)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.SourceItems(srcA, a, false)
+		p.SourceItems(srcB, b, false)
+		if err := p.Spawn(j, srcA, srcB); err != nil {
+			t.Fatal(err)
+		}
+		results := consume(p, joined, j.OutSchema())
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if err := p.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := results(); got != fanoutResults {
+			t.Fatalf("%d results, want %d", got, fanoutResults)
+		}
+		al := float64(after.Mallocs-before.Mallocs) / fanoutResults
+		by := float64(after.TotalAlloc-before.TotalAlloc) / fanoutResults
+		t.Logf("%d inputs, %d results (fan-out %.1f): %.4f allocations and %.1f B per result",
+			len(a)+len(b), fanoutResults, float64(fanoutResults)/float64(len(a)+len(b)), al, by)
+		if try == 0 || al < allocs {
+			allocs, bytes = al, by
+		}
 	}
-	count := &terminal{in: j.OutSchema()}
-	p.SourceItems(srcA, a, false)
-	p.SourceItems(srcB, b, false)
-	if err := p.Spawn(j, srcA, srcB); err != nil {
-		t.Fatal(err)
+	return allocs, bytes
+}
+
+// TestPipelineAllocsPerResult is the end-to-end allocation guard for the
+// dataflow around the probe, and for the reuse path in particular: a
+// fan-out ≈ 26 join into a counting terminal operator. The edge builds
+// the results in the batch it is filling and the batch comes back through
+// the edge's lane, so a result the consumer drops is no heap object at
+// all: the whole Run stays under 0.02 allocations and 16 B per result. It
+// reads 0.012 and 7 B; with heap-built results (2 allocations and 5.4 KB
+// per chunk of 31, what every plain emitter still gets) the same run read
+// 0.072 and 202 B at the parent commit, and one tuple copy per hop or one
+// Tuple.Join per result is 1 to 3 allocations.
+func TestPipelineAllocsPerResult(t *testing.T) {
+	allocs, bytes := runFanout(t, func(p *Pipeline, joined *Edge, out *stream.Schema) func() int {
+		count := &terminal{in: out}
+		if err := p.Spawn(count, joined); err != nil {
+			t.Fatal(err)
+		}
+		return func() int { return count.tuples }
+	})
+	if allocs > 0.02 || bytes > 16 {
+		t.Errorf("%.4f allocations and %.1f B per result, want at most 0.02 and 16", allocs, bytes)
 	}
-	if err := p.Spawn(count, joined); err != nil {
-		t.Fatal(err)
-	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	if err := p.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
-	if want := fanoutKeys * fanoutPerKey * fanoutPerKey; count.tuples != want {
-		t.Fatalf("%d results, want %d", count.tuples, want)
-	}
-	perResult := float64(after.Mallocs-before.Mallocs) / float64(count.tuples)
-	t.Logf("%d inputs, %d results (fan-out %.1f), %d allocations: %.3f per result",
-		len(a)+len(b), count.tuples, float64(count.tuples)/float64(len(a)+len(b)),
-		after.Mallocs-before.Mallocs, perResult)
-	if perResult > 0.25 {
-		t.Errorf("%.3f allocations per result, want at most 0.25", perResult)
+}
+
+// TestPipelineAllocsPerKeptResult is the twin with a consumer that keeps
+// every result (Pipeline.Sink): it pays the one copy Collector makes of a
+// borrowed tuple — chunked, 2 allocations per 31 results like the heap
+// results it replaces — on top of the collector's own growth, and no more
+// than the same run cost when the join built every result on the heap:
+// 0.0725 to 0.08 allocations and 371 B per result at the parent commit,
+// 0.075 to 0.085 and 350 B now (a chunk is 31 results, not 32, and wastes
+// no size class; the spread is how much state the racing sources build).
+func TestPipelineAllocsPerKeptResult(t *testing.T) {
+	allocs, bytes := runFanout(t, func(p *Pipeline, joined *Edge, _ *stream.Schema) func() int {
+		sink := p.Sink(joined)
+		return func() int { return len(sink.Tuples()) }
+	})
+	if allocs > 0.09 || bytes > 371 {
+		t.Errorf("%.4f allocations and %.1f B per result, want at most 0.09 and 371", allocs, bytes)
 	}
 }
 

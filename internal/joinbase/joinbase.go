@@ -33,12 +33,16 @@ import (
 	"pjoin/internal/obs/span"
 	"pjoin/internal/store"
 	"pjoin/internal/stream"
-	"pjoin/internal/value"
 )
 
 // EmitFunc receives one join result (the A-side tuple's values followed
 // by the B-side tuple's values).
 type EmitFunc func(*stream.Tuple) error
+
+// PairFunc receives one join result unbuilt, as the A-side tuple and the
+// B-side tuple, for an output that builds results itself (an
+// op.JoinEmitter: see Base.EmitPair).
+type PairFunc func(a, c *stream.Tuple) error
 
 // Metrics counts the work a join performed; the simulator charges costs
 // from these and the benches report them.
@@ -119,6 +123,11 @@ type Base struct {
 	Emit   EmitFunc
 	M      Metrics
 
+	// EmitPair, when the owner sets it, receives every result in place of
+	// Emit, as the pair it joins: the owner's output builds the result
+	// where it is going, and Base builds none.
+	EmitPair PairFunc
+
 	// Obs is the owning operator's instrumentation handle; nil (the
 	// default) disables observability. Base records the events it owns:
 	// spill relocations, disk-join passes, and spill-store failures.
@@ -134,7 +143,7 @@ type Base struct {
 	// probeCache and arrival are per-probe scratch reused across
 	// ProbeOpposite calls so the memory-join hot path performs no
 	// allocation of its own (result construction draws on the result
-	// chunk below). probeCache[s] memoizes the last probe
+	// slab below). probeCache[s] memoizes the last probe
 	// of States[s] (seq-guarded, see store.MemProbe), which turns a run
 	// of same-key probes against an unchanged state — the common shape
 	// inside a batch — into one hash + group lookup. Base is
@@ -143,23 +152,11 @@ type Base struct {
 	probeCache [2]store.MemProbe
 	arrival    store.StoredTuple
 
-	// resHdrs and resVals are the unused remainder of the current result
-	// chunk: every result's header and values are carved from them (see
-	// newResult).
-	resHdrs []stream.Tuple
-	resVals []value.Value
+	// res is where the results handed to Emit are built: the join's own
+	// slab, carved chunk by chunk and never rewound, so a result lives as
+	// long as its consumer keeps it.
+	res stream.ResultSlab
 }
-
-// resultChunk is how many join results share one allocation of headers
-// and one of values. It is a constant, not sized to the probe burst: a
-// hot key with 10,000 matches fills 313 chunks, it does not create one
-// 10,000-result slab that a single retained result would keep alive.
-// The price of chunking is that bound: a retained result pins at most
-// its own chunk, resultChunk × (40 B header + width × 32 B values) —
-// the amplification store.storedChunk already imposes on every
-// StoredTuple. A consumer that drops results, or keeps all of them,
-// sees no difference.
-const resultChunk = 32
 
 // New builds a Base over two freshly created states with the same bucket
 // count (required: a join key must land in the same bucket index on both
@@ -193,25 +190,10 @@ func (b *Base) emitPair(sideOfX int, x, y *store.StoredTuple) error {
 		x, y = y, x
 	}
 	b.M.TuplesOut++
-	return b.Emit(b.newResult(x.T, y.T))
-}
-
-// newResult builds the join result of a (side 0) and c (side 1) in the
-// current result chunk. The values slice is capped at its own length, so
-// an append by a consumer reallocates instead of writing into the next
-// result's values.
-func (b *Base) newResult(a, c *stream.Tuple) *stream.Tuple {
-	w := len(a.Values) + len(c.Values)
-	if len(b.resHdrs) == 0 || len(b.resVals) < w {
-		//pjoin:allow hotpath slab refill: two allocations per resultChunk results, amortized to 1/16 per result (alloc guards pin it)
-		b.resHdrs, b.resVals = make([]stream.Tuple, resultChunk), make([]value.Value, resultChunk*w)
+	if b.EmitPair != nil {
+		return b.EmitPair(x.T, y.T)
 	}
-	res := &b.resHdrs[0]
-	b.resHdrs = b.resHdrs[1:]
-	vals := b.resVals[:w:w]
-	b.resVals = b.resVals[w:]
-	res.FillJoin(vals, a, c)
-	return res
+	return b.Emit(b.res.Join(x.T, y.T))
 }
 
 // ProbeOpposite joins a new arrival on side s against the opposite
@@ -222,8 +204,8 @@ func (b *Base) newResult(a, c *stream.Tuple) *stream.Tuple {
 // the cache, with the examined count a fresh probe would have reported.
 //
 // The probe machinery itself is zero-alloc, and result construction
-// (emitPair) allocates only when a result chunk runs out: twice per
-// resultChunk results.
+// (emitPair) allocates only when a result chunk runs out (see
+// stream.ResultSlab), or not at all when the output builds the results.
 //
 //pjoin:hotpath
 func (b *Base) ProbeOpposite(s int, t *stream.Tuple) (int, error) {

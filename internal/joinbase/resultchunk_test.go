@@ -22,6 +22,11 @@ func hotKeyBase(tb testing.TB, n int, emit EmitFunc) (*Base, *stream.Tuple) {
 	return base, stream.MustTuple(benchSchemaA, 1<<40, value.Int(7), value.Str("p"))
 }
 
+// resultChunk is how many results of this file's width (4 values) share
+// one allocation of headers and one of values: stream.ResultSlab's chunk
+// lengths, 31 headers and 124 values.
+const resultChunk = 31
+
 // TestProbeBurstAllocsPerResultChunk is the result-construction guard: a
 // probe burst of fan-out 26 (the fan-out workloads' shape) allocates only
 // when a result chunk runs out — one header chunk and one value chunk per
@@ -32,7 +37,7 @@ func TestProbeBurstAllocsPerResultChunk(t *testing.T) {
 	if n, err := base.ProbeOpposite(0, probe); err != nil || n != fanout {
 		t.Fatalf("warm-up probe: %d matches, %v", n, err)
 	}
-	perBurst := testing.AllocsPerRun(320, func() {
+	perBurst := testing.AllocsPerRun(310, func() {
 		if _, err := base.ProbeOpposite(0, probe); err != nil {
 			t.Fatal(err)
 		}
@@ -43,23 +48,55 @@ func TestProbeBurstAllocsPerResultChunk(t *testing.T) {
 	}
 }
 
+// TestPairEmitBuildsNoResult: with EmitPair set the base hands every
+// result over as its pair, side 0 first, counts it, and builds nothing.
+func TestPairEmitBuildsNoResult(t *testing.T) {
+	const fanout = 26
+	base, probe := hotKeyBase(t, fanout, func(*stream.Tuple) error {
+		t.Fatal("Emit called with EmitPair set")
+		return nil
+	})
+	pairs := 0
+	base.EmitPair = func(a, c *stream.Tuple) error {
+		if a != probe || c == probe {
+			t.Fatalf("pair %d: side 0 is not the probing tuple", pairs)
+		}
+		pairs++
+		return nil
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := base.ProbeOpposite(0, probe); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("a %d-match burst through EmitPair allocates %.2f, want 0", fanout, allocs)
+	}
+	if pairs != 101*fanout || base.M.TuplesOut != int64(pairs) {
+		t.Errorf("%d pairs emitted, TuplesOut %d, want both %d", pairs, base.M.TuplesOut, 101*fanout)
+	}
+}
+
 // TestHotKeyBurstNeverGrowsTheSlab pins the chunk size as a constant: a
 // 10,000-match burst must fill many chunks, never one slab sized to the
 // burst that a single retained result would keep alive. Every refill is
-// followed by an emit, so checking the chunk remainders' capacity in the
-// emitter sees every slab ever allocated. It also checks that results
+// followed by an emit, so checking what the slab holds on to in the
+// emitter sees every chunk ever allocated: it must stay the one pair of
+// chunks the first result was carved from. It also checks that results
 // cannot append into their neighbours.
 func TestHotKeyBurstNeverGrowsTheSlab(t *testing.T) {
 	const matches = 10000
 	var base *Base
 	width := benchSchemaA.Width() + benchSchemaB.Width()
-	emitted := 0
+	emitted, oneChunk := 0, 0
 	var prev *stream.Tuple
 	base, probe := hotKeyBase(t, matches, func(res *stream.Tuple) error {
 		emitted++
-		if cap(base.resHdrs) >= resultChunk || cap(base.resVals) >= resultChunk*width {
-			t.Fatalf("result %d: chunk remainders hold %d headers and %d values; a slab is %d and %d",
-				emitted, cap(base.resHdrs), cap(base.resVals), resultChunk, resultChunk*width)
+		if emitted == 1 {
+			oneChunk = base.res.RetainedBytes()
+		}
+		if got := base.res.RetainedBytes(); got != oneChunk || got > resultChunk*(40+width*32) {
+			t.Fatalf("result %d: the slab retains %d B; one chunk of headers and one of values are %d B",
+				emitted, got, oneChunk)
 		}
 		if len(res.Values) != width || cap(res.Values) != width {
 			t.Fatalf("result %d: values len %d cap %d, want both %d", emitted, len(res.Values), cap(res.Values), width)

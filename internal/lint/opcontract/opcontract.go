@@ -17,6 +17,21 @@
 //     ProcessBatch must not read <item>.Tuple.Ts. Tuples are shared and
 //     never restamped, so their Ts is whatever the tuple's creator set;
 //     the driver's stamp is the item's Ts (equally, the now argument).
+//   - A delivered tuple may die with the call: code reachable from
+//     Process / ProcessBatch must not store a delivered item, its Tuple
+//     or the tuple's Values into a field, map, slice or channel that
+//     outlives the call. An item may be borrowed (stream.Item.Borrowed:
+//     the tuple lives in the batch that delivered it and is recycled
+//     when the call returns); what is retained goes through
+//     ResultSlab.Keep or Headers.Stamp, what is forwarded goes to the
+//     Emitter. Taint starts at the parameters that carry delivered items
+//     (stream.Item, *stream.Item, []stream.Item), follows local
+//     assignments, ranges, .Tuple / .Values selections, append and
+//     composite literals, and crosses intra-package calls through the
+//     callee's parameters; a call result is clean (Keep, Stamp and every
+//     constructor return storage of their own), a single value indexed
+//     out of Values is a plain value, and a tuple handed to a function
+//     of another package is that function's business.
 //
 // Reachability is the intra-package static call graph; dynamic
 // dispatch is invisible (DESIGN.md §14 documents the approximation).
@@ -106,6 +121,7 @@ func run(pass *analysis.Pass) error {
 
 	checkEOSAndSends(pass, g, streamPkg, reachProcess, reachAll)
 	checkStaleTupleTs(pass, g, streamPkg, reachProcess)
+	checkRetention(pass, g, streamPkg, reachProcess)
 	for _, im := range impls {
 		checkPerType(pass, g, streamPkg, im)
 	}
@@ -193,6 +209,234 @@ func checkStaleTupleTs(pass *analysis.Pass, g *analysis.CallGraph, streamPkg *ty
 			return true
 		})
 	}
+}
+
+// checkRetention flags stores of a delivered item, its tuple or the
+// tuple's values that outlive the Process / ProcessBatch call (see the
+// package comment for what is followed and what is not).
+func checkRetention(pass *analysis.Pass, g *analysis.CallGraph, streamPkg *types.Package, reachProcess map[*types.Func]bool) {
+	fns := make([]*types.Func, 0, len(reachProcess))
+	for fn := range reachProcess {
+		fns = append(fns, fn)
+	}
+	sort.Slice(fns, func(i, j int) bool { return g.Decls[fns[i]].Pos() < g.Decls[fns[j]].Pos() })
+
+	// tainted holds the variables that may refer to a delivered tuple.
+	// It only grows, so the passes below run to a fixed point.
+	tainted := make(map[types.Object]bool)
+	for _, fn := range fns {
+		params := fn.Type().(*types.Signature).Params()
+		for i := 0; i < params.Len(); i++ {
+			// A *stream.Tuple parameter is a seed only when a caller
+			// passes it a delivered tuple (below): the joins hand their
+			// helpers the tuple Stamp returned.
+			if t := params.At(i).Type(); carriesItems(t, streamPkg) && !isTuplePointer(t, streamPkg) {
+				tainted[params.At(i)] = true
+			}
+		}
+	}
+	var isTainted func(e ast.Expr) bool
+	isTainted = func(e ast.Expr) bool {
+		switch e := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			return tainted[pass.Info.Uses[e]]
+		case *ast.StarExpr:
+			return isTainted(e.X)
+		case *ast.UnaryExpr:
+			return e.Op.String() == "&" && isTainted(e.X)
+		case *ast.SliceExpr:
+			return isTainted(e.X)
+		case *ast.IndexExpr:
+			// An element of a delivered slice is a delivered item; a
+			// single attribute value is a plain value.
+			return isTainted(e.X) && carriesItems(pass.Info.TypeOf(e), streamPkg)
+		case *ast.SelectorExpr:
+			return (e.Sel.Name == "Tuple" || e.Sel.Name == "Values") && isTainted(e.X)
+		case *ast.CompositeLit:
+			for _, el := range e.Elts {
+				if kv, ok := el.(*ast.KeyValueExpr); ok {
+					el = kv.Value
+				}
+				if isTainted(el) {
+					return true
+				}
+			}
+		case *ast.CallExpr:
+			if id, ok := ast.Unparen(e.Fun).(*ast.Ident); ok {
+				if b, ok := pass.Info.Uses[id].(*types.Builtin); ok && b.Name() == "append" {
+					for _, arg := range e.Args {
+						if isTainted(arg) {
+							return true
+						}
+					}
+				}
+			}
+		}
+		return false
+	}
+	taint := func(lhs ast.Expr) bool {
+		id, ok := ast.Unparen(lhs).(*ast.Ident)
+		if !ok {
+			return false
+		}
+		obj := pass.Info.Defs[id]
+		if obj == nil {
+			obj = pass.Info.Uses[id]
+		}
+		if obj == nil || tainted[obj] || obj.Parent() == pass.Pkg.Scope() {
+			return false
+		}
+		tainted[obj] = true
+		return true
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, fn := range fns {
+			ast.Inspect(g.Decls[fn].Body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					if len(n.Lhs) == len(n.Rhs) {
+						for i, rhs := range n.Rhs {
+							if isTainted(rhs) && taint(n.Lhs[i]) {
+								changed = true
+							}
+						}
+					}
+				case *ast.ValueSpec:
+					if len(n.Names) == len(n.Values) {
+						for i, v := range n.Values {
+							if isTainted(v) && taint(n.Names[i]) {
+								changed = true
+							}
+						}
+					}
+				case *ast.RangeStmt:
+					if n.Value != nil && isTainted(n.X) && carriesItems(pass.Info.TypeOf(n.Value), streamPkg) && taint(n.Value) {
+						changed = true
+					}
+				case *ast.CallExpr:
+					callee := pass.FuncFor(n)
+					if callee == nil || !reachProcess[callee] {
+						return true
+					}
+					params := callee.Type().(*types.Signature).Params()
+					for i, arg := range n.Args {
+						if i < params.Len() && !tainted[params.At(i)] && isTainted(arg) &&
+							carriesItems(params.At(i).Type(), streamPkg) {
+							tainted[params.At(i)] = true
+							changed = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	const msg = "stores a delivered tuple past the call: a borrowed item's tuple is recycled with its batch when Process returns; retain it through ResultSlab.Keep or Headers.Stamp, or hand the item to the Emitter"
+	for _, fn := range fns {
+		sig := fn.Type().(*types.Signature)
+		ast.Inspect(g.Decls[fn].Body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				if len(n.Lhs) != len(n.Rhs) {
+					return true
+				}
+				for i, rhs := range n.Rhs {
+					if isTainted(rhs) && outlivesCall(pass, sig, tainted, n.Lhs[i]) {
+						pass.Reportf(n.Lhs[i].Pos(), msg)
+					}
+				}
+			case *ast.SendStmt:
+				// A send on a stream-item channel is already a raw send.
+				if isTainted(n.Value) && !isStreamItemChan(pass.Info.TypeOf(n.Chan), streamPkg) {
+					pass.Reportf(n.Pos(), msg)
+				}
+			}
+			return true
+		})
+	}
+}
+
+// carriesItems reports whether a value of type t holds delivered items
+// or tuples by reference: stream.Item, *stream.Item, *stream.Tuple, or a
+// slice or array of those. (A tuple's Values are followed by selector,
+// not by type.)
+func carriesItems(t types.Type, streamPkg *types.Package) bool {
+	switch u := t.(type) {
+	case *types.Pointer:
+		return isStreamNamed(u.Elem(), streamPkg, "Item") || isTuplePointer(t, streamPkg)
+	case *types.Slice:
+		return carriesItems(u.Elem(), streamPkg)
+	case *types.Array:
+		return carriesItems(u.Elem(), streamPkg)
+	}
+	return isStreamNamed(t, streamPkg, "Item")
+}
+
+func isTuplePointer(t types.Type, streamPkg *types.Package) bool {
+	p, ok := t.(*types.Pointer)
+	return ok && isStreamNamed(p.Elem(), streamPkg, "Tuple")
+}
+
+// outlivesCall reports whether an assignment to lhs stores into
+// something that is still there when the function returns: a
+// package-level variable, or memory reached from a parameter, the
+// receiver or a local pointer through a dereference, a map or a slice.
+// Writing into the delivered items themselves, or into a local slice,
+// map or struct, does not count.
+func outlivesCall(pass *analysis.Pass, sig *types.Signature, tainted map[types.Object]bool, lhs ast.Expr) bool {
+	indirect, viaPointer := false, false
+	e := ast.Unparen(lhs)
+	for {
+		switch x := e.(type) {
+		case *ast.SelectorExpr:
+			if _, ok := pass.Info.TypeOf(x.X).Underlying().(*types.Pointer); ok {
+				indirect, viaPointer = true, true
+			}
+			e = ast.Unparen(x.X)
+			continue
+		case *ast.IndexExpr:
+			switch pass.Info.TypeOf(x.X).Underlying().(type) {
+			case *types.Map, *types.Slice:
+				indirect = true
+			}
+			e = ast.Unparen(x.X)
+			continue
+		case *ast.StarExpr:
+			indirect, viaPointer = true, true
+			e = ast.Unparen(x.X)
+			continue
+		}
+		break
+	}
+	id, ok := e.(*ast.Ident)
+	if !ok {
+		return indirect
+	}
+	obj := pass.Info.Uses[id]
+	if obj == nil {
+		obj = pass.Info.Defs[id]
+	}
+	switch {
+	case obj == nil || tainted[obj]:
+		return false
+	case obj.Parent() == pass.Pkg.Scope():
+		return true
+	case obj == sig.Recv() || isParam(sig, obj):
+		return indirect
+	default:
+		return viaPointer
+	}
+}
+
+func isParam(sig *types.Signature, obj types.Object) bool {
+	for i := 0; i < sig.Params().Len(); i++ {
+		if sig.Params().At(i) == obj {
+			return true
+		}
+	}
+	return false
 }
 
 // isStreamItemChan reports whether t is chan stream.Item or

@@ -7,5 +7,5 @@ import (
 )
 
 func TestOpcontract(t *testing.T) {
-	linttest.Run(t, "testdata", Analyzer, "ops", "stamps")
+	linttest.Run(t, "testdata", Analyzer, "ops", "stamps", "keeps")
 }

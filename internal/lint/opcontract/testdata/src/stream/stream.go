@@ -15,19 +15,35 @@ const (
 // Time is virtual stream time.
 type Time int64
 
-// Tuple is a shared, immutable data element; Ts is its creator's stamp.
+// Tuple is a data element; Ts is its creator's stamp. It is shared and
+// immutable unless the item that delivers it is borrowed.
 type Tuple struct {
-	Ts Time
+	Ts     Time
+	Values []int
 }
 
 // Item is one stream element; Ts is its arrival stamp at the operator
-// it is delivered to.
+// it is delivered to. Borrowed marks a tuple that is recycled when the
+// delivering call returns.
 type Item struct {
-	Kind  Kind
-	At    Time
-	Tuple *Tuple
-	Ts    Time
+	Kind     Kind
+	Borrowed bool
+	At       Time
+	Tuple    *Tuple
+	Ts       Time
 }
+
+// ResultSlab stubs the keeper's storage.
+type ResultSlab struct{}
+
+// Keep returns an item that outlives the call that delivered it.
+func (r *ResultSlab) Keep(it Item) Item { return it }
+
+// Headers stubs the arrival-stamping keeper.
+type Headers struct{ kept ResultSlab }
+
+// Stamp returns the tuple to retain for it.
+func (h *Headers) Stamp(it Item) *Tuple { return h.kept.Keep(it).Tuple }
 
 // EOSItem builds the end-of-stream item.
 func EOSItem(at Time) Item { return Item{Kind: KindEOS, At: at} }

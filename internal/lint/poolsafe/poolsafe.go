@@ -8,9 +8,10 @@
 // another function. After a put, the batch must not be touched again.
 //
 // Accessors are the functions carrying the markers in the package under
-// analysis, plus BatchPool.Get/Put of an imported stream package: export
-// data carries no comments, so the shared pool's callers find it by
-// name, the way opcontract finds the stream types.
+// analysis, plus BatchPool.Get/Put and Lane.Get/Put (an edge's return
+// path in front of the pool) of an imported stream package: export data
+// carries no comments, so the shared pool's callers find it by name, the
+// way opcontract finds the stream types.
 //
 // The analysis is flow-sensitive within a function and purely
 // structural: branches fork the tracking state and fall-throughs merge
@@ -51,7 +52,11 @@ func run(pass *analysis.Pass) error {
 		}
 	}
 	if streamPkg := analysis.ImportWithSuffix(pass.Pkg, "stream"); streamPkg != nil {
-		if tn, ok := streamPkg.Scope().Lookup("BatchPool").(*types.TypeName); ok {
+		for _, typ := range []string{"BatchPool", "Lane"} {
+			tn, ok := streamPkg.Scope().Lookup(typ).(*types.TypeName)
+			if !ok {
+				continue
+			}
 			for name, set := range map[string]map[*types.Func]bool{"Get": gets, "Put": puts} {
 				m, _, _ := types.LookupFieldOrMethod(types.NewPointer(tn.Type()), true, streamPkg, name)
 				if fn, ok := m.(*types.Func); ok {

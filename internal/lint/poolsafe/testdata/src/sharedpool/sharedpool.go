@@ -33,3 +33,33 @@ func (r *router) consume() int {
 	r.pool.Put(b)
 	return len(b.Items) // want "use of pooled batch b after it was recycled at line \\d+"
 }
+
+// edge is the exec shape: batches come from, and go back to, a lane.
+type edge struct {
+	lane *stream.Lane
+	ch   chan *stream.Batch
+}
+
+// emit takes from the lane and sends: clean.
+func (e *edge) emit(it stream.Item) {
+	b := e.lane.Get(1)
+	b.Items = append(b.Items, it)
+	e.ch <- b
+}
+
+// peekAfterReturn gives the batch back to the lane and then reads it.
+func (e *edge) peekAfterReturn() int {
+	b := e.lane.Get(1)
+	e.lane.Put(b)
+	return len(b.Items) // want "use of pooled batch b after it was recycled at line \\d+"
+}
+
+// leak takes from the lane and forgets the batch.
+func (e *edge) leak(it stream.Item, skip bool) {
+	b := e.lane.Get(1)
+	b.Items = append(b.Items, it)
+	if skip {
+		return // want "^pooled batch b \\(obtained at line \\d+\\) is not recycled on this path"
+	}
+	e.ch <- b
+}

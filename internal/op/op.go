@@ -22,6 +22,18 @@ type Emitter interface {
 	Emit(stream.Item) error
 }
 
+// JoinEmitter is optionally implemented by emitters that can build a
+// join result where it is going: EmitJoin(a, c) is observably
+// Emit(stream.TupleItem(r)) with r the result stream.Tuple.FillJoin makes
+// of a (the join's side 0) and c, except that the emitter owns r's
+// storage and may deliver it borrowed (stream.Item.Borrowed). exec.Edge
+// builds it in the batch it is filling, so a result its consumer drops is
+// never a heap object. The binary joins probe for the interface once, at
+// construction; every other emitter gets heap-built results through Emit.
+type JoinEmitter interface {
+	EmitJoin(a, c *stream.Tuple) error
+}
+
 // EmitterFunc adapts a function to Emitter.
 type EmitterFunc func(stream.Item) error
 
@@ -29,14 +41,16 @@ type EmitterFunc func(stream.Item) error
 func (f EmitterFunc) Emit(it stream.Item) error { return f(it) }
 
 // Collector is an Emitter that stores everything it receives; the test
-// suites and examples use it as a sink.
+// suites and examples use it as a sink. A borrowed tuple is stored as a
+// copy of its own (stream.ResultSlab.Keep).
 type Collector struct {
 	Items []stream.Item
+	kept  stream.ResultSlab
 }
 
 // Emit implements Emitter.
 func (c *Collector) Emit(it stream.Item) error {
-	c.Items = append(c.Items, it)
+	c.Items = append(c.Items, c.kept.Keep(it))
 	return nil
 }
 
@@ -60,7 +74,13 @@ func (c *Collector) Grow(n int) {
 
 // EmitBatch stores a whole batch with a single append.
 func (c *Collector) EmitBatch(items []stream.Item) error {
+	n := len(c.Items)
 	c.Items = append(c.Items, items...)
+	for i, it := range c.Items[n:] {
+		if it.Borrowed {
+			c.Items[n+i] = c.kept.Keep(it)
+		}
+	}
 	return nil
 }
 
@@ -124,6 +144,17 @@ func (c *Collector) Reset() { c.Items = nil }
 //     the reference every driver feeds directly, does not). Drivers that
 //     deliver tuples whose Ts already equals the item's (direct drives,
 //     the simulator, the oracle) see the tuple retained as it is.
+//  7. An item marked Borrowed carries a tuple that lives in the batch
+//     that delivered it: the tuple and its Values may be read, and the
+//     item forwarded to the operator's Emitter, until the Process /
+//     ProcessBatch call returns — the lifetime the items slice of a
+//     batch already has — and are zeroed afterwards. An operator that
+//     stores the item, its Tuple or its Values anywhere that outlives the
+//     call first passes the item through stream.ResultSlab.Keep (a copy
+//     when borrowed, the item itself otherwise) or stream.Headers.Stamp,
+//     which does; pjoinlint's opcontract flags the stores that do not.
+//     Single attribute values copied out of Values are plain values and
+//     stay valid.
 //
 // Operators differ in what Finish means — shj ignores punctuations and
 // just emits EOS; PJoin runs a final purge/disk pass and propagates

@@ -54,7 +54,10 @@
 // makes the restamping contract shard-safe without any shared clock.
 // The stamp is Item.Ts: the router passes items through as they are,
 // tuples untouched, and the shard's PJoin stamps the header it stores
-// (core.PJoin.Process).
+// (core.PJoin.Process). The one item it does not pass through is a
+// borrowed one (an upstream join's result living in the batch that
+// delivered it): a shard processes it after ProcessBatch has returned,
+// so the router routes its own copy (stream.ResultSlab.Keep).
 //
 // # Metrics
 //
@@ -185,6 +188,9 @@ type ShardedPJoin struct {
 	// the per-shard monotone timestamp contract. Router goroutine only.
 	shardBufs []*stream.Batch
 	pool      stream.BatchPool
+	// kept holds the router's copies of borrowed tuples: a routed tuple
+	// is processed on a shard goroutine after ProcessBatch has returned.
+	kept stream.ResultSlab
 
 	errMu sync.Mutex //pjoin:lockrank leaf
 	err   error
@@ -400,7 +406,7 @@ func (j *ShardedPJoin) ProcessBatch(port int, items []stream.Item, now stream.Ti
 		if j.shardBufs[s] == nil {
 			j.shardBufs[s] = j.pool.Get(len(items))
 		}
-		j.shardBufs[s].Items = append(j.shardBufs[s].Items, it)
+		j.shardBufs[s].Items = append(j.shardBufs[s].Items, j.kept.Keep(it))
 	}
 	j.flushShardBufs(port)
 	return nil

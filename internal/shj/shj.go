@@ -23,6 +23,7 @@ type SHJ struct {
 	schemas  [2]*stream.Schema
 	outSc    *stream.Schema
 	tables   [2]map[value.Value][]*stream.Tuple
+	kept     stream.ResultSlab // copies of the borrowed tuples the tables hold
 	sizes    [2]int
 	eos      [2]bool
 	finished bool
@@ -86,7 +87,7 @@ func (j *SHJ) Process(port int, it stream.Item, now stream.Time) error {
 	}
 	switch it.Kind {
 	case stream.KindTuple:
-		t := it.Tuple
+		t := j.kept.Keep(it).Tuple
 		key := t.Values[j.attrs[port]]
 		for _, m := range j.tables[1-port][key] {
 			var res *stream.Tuple

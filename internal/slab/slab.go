@@ -1,28 +1,36 @@
-// Package slab provides the recyclable chunked allocator behind the
-// spill-scan decode arena (store.State, stream.Arena): runs of T are
-// carved from fixed-size chunks, and the chunks are wiped and carved
-// again by the next scan instead of being left to the collector.
+// Package slab provides the chunked allocator behind the spill-scan
+// decode arena (store.State, stream.Arena) and the join results
+// (stream.ResultSlab): runs of T are carved from fixed-size chunks.
 //
-// It differs from the never-recycled slabs of the insert and result
-// paths (store.alloc, stream.Headers, joinbase's result chunks) in
-// exactly that: what it hands out has a stated lifetime, ending at the
-// owner's next Reset.
+// A slab built by New is recyclable: the chunks are wiped and carved
+// again after the owner's next Reset instead of being left to the
+// collector, so what it hands out has a stated lifetime. A slab built by
+// NewOnce carves each chunk once and forgets it — the never-recycled
+// device of the insert path (store.alloc, stream.Headers) behind the same
+// call: a run lives as long as its holder keeps it, and a single
+// surviving run keeps its chunk, and only its chunk, reachable.
 package slab
 
-// Slab hands out runs of T. A Slab built by New carves them from chunks
-// of a fixed length; the zero Slab has chunk length 0, so every Take is
-// an allocation of its own that the slab never sees again — plain heap
-// allocation behind the same call, which is what a one-off decode wants.
-// Not safe for concurrent use.
+// Slab hands out runs of T. A Slab built by New or NewOnce carves them
+// from chunks of a fixed length; the zero Slab has chunk length 0, so
+// every Take is an allocation of its own that the slab never sees again —
+// plain heap allocation behind the same call, which is what a one-off
+// decode wants. Not safe for concurrent use.
 type Slab[T any] struct {
 	chunks [][]T // each of length size
 	ci     int   // chunk being carved; == len(chunks) when a fresh one is due
 	off    int   // first free element of chunks[ci]
 	size   int
+	once   bool // a carved-up chunk is forgotten, not kept for the next Reset
 }
 
-// New returns a slab whose chunks hold chunkLen elements.
+// New returns a recyclable slab whose chunks hold chunkLen elements.
 func New[T any](chunkLen int) Slab[T] { return Slab[T]{size: chunkLen} }
+
+// NewOnce returns a slab that retains nothing but the chunk it is
+// carving: Reset, which would wipe runs their holders still own, must not
+// be called on it.
+func NewOnce[T any](chunkLen int) Slab[T] { return Slab[T]{size: chunkLen, once: true} }
 
 // Take returns n consecutive zero elements, capped at n so an append
 // reallocates instead of running into the neighbouring run. They stay
@@ -39,9 +47,12 @@ func (s *Slab[T]) Take(n int) []T {
 	if s.ci < len(s.chunks) && s.off+n > s.size {
 		s.ci++
 		s.off = 0
+		if s.once {
+			s.chunks, s.ci = s.chunks[:0], 0
+		}
 	}
 	if s.ci == len(s.chunks) {
-		//pjoin:allow hotpath slab refill: one allocation per chunk of elements, and none once the retained chunks cover a scan
+		//pjoin:allow hotpath slab refill: one allocation per chunk of elements, and none once a recyclable slab's retained chunks cover its owner's use
 		s.chunks = append(s.chunks, make([]T, s.size))
 	}
 	run := s.chunks[s.ci][s.off : s.off+n : s.off+n]
@@ -49,13 +60,18 @@ func (s *Slab[T]) Take(n int) []T {
 	return run
 }
 
-// Reset ends the lifetime of everything taken so far: the chunks that
-// were carved are zeroed — a holder of a stale run reads zero values, and
-// nothing the runs pointed to stays reachable through the slab — and the
-// next Take starts over at the first chunk.
+// Reset ends the lifetime of everything taken so far: what was carved is
+// zeroed — a holder of a stale run reads zero values, and nothing the runs
+// pointed to stays reachable through the slab — and the next Take starts
+// over at the first chunk. Only the carved part is written (elements
+// never handed out since the last Reset are still zero), so a Reset costs
+// what was taken, not what is retained.
 func (s *Slab[T]) Reset() {
-	for i := 0; i <= s.ci && i < len(s.chunks); i++ {
+	for i := 0; i < s.ci; i++ {
 		clear(s.chunks[i])
+	}
+	if s.ci < len(s.chunks) {
+		clear(s.chunks[s.ci][:s.off])
 	}
 	s.ci, s.off = 0, 0
 }

@@ -28,7 +28,7 @@ import (
 // storedChunk is the slab size for StoredTuple wrappers: one allocation
 // amortised over this many inserts. A surviving wrapper keeps its whole
 // chunk reachable; the stamped tuple headers (stream.Headers) and the
-// join results (joinbase.resultChunk) are chunked the same way and accept
+// join results (stream.ResultSlab) are chunked the same way and accept
 // the same bounded amplification.
 const storedChunk = 256
 

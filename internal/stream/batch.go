@@ -7,12 +7,47 @@ import (
 
 // Batch is a pooled run of items: the unit exec edges and the sharded
 // router move between goroutines. The receiver of a *Batch owns it and
-// recycles it with BatchPool.Put once the items have been processed. The
-// pointer, not the slice, is what travels and what the pool holds, so a
-// Put never boxes a slice header — recycling is allocation-free even
-// when every batch holds a single item.
+// recycles it (Lane.Put, BatchPool.Put) once the items have been
+// processed. The pointer, not the slice, is what travels and what the
+// pool holds, so a Put never boxes a slice header — recycling is
+// allocation-free even when every batch holds a single item.
+//
+// A batch also carries the storage of the tuples that were built for it
+// (AppendJoin, and Append of a borrowed item): they are valid until the
+// batch is recycled, which is what Item.Borrowed says of them.
 type Batch struct {
 	Items []Item
+	res   ResultSlab
+}
+
+// AppendJoin appends the join result of a and c as a borrowed tuple
+// item, built in the batch's own slab: a result the consumer drops costs
+// no heap, one it keeps (ResultSlab.Keep) costs the copy.
+//
+//pjoin:hotpath
+func (b *Batch) AppendJoin(a, c *Tuple) {
+	t := b.res.Join(a, c)
+	b.Items = append(b.Items, Item{Kind: KindTuple, Borrowed: true, Tuple: t, Ts: t.Ts})
+}
+
+// Append appends it. A borrowed tuple is re-homed — copied into this
+// batch's slab and still borrowed — so an operator that forwards the
+// items it is handed needs no copy of its own and allocates nothing.
+//
+//pjoin:hotpath
+func (b *Batch) Append(it Item) {
+	if it.Borrowed {
+		it.Tuple = b.res.copyOf(it.Tuple)
+	}
+	b.Items = append(b.Items, it)
+}
+
+// recycle empties a consumed batch: the items are cleared so the pool
+// pins no tuples, and the slab is rewound and zeroed.
+func (b *Batch) recycle() {
+	clear(b.Items)
+	b.Items = b.Items[:0]
+	b.res.rewind()
 }
 
 // BatchPool recycles batches between the goroutines that fill them and
@@ -24,6 +59,9 @@ type Batch struct {
 type BatchPool struct {
 	pool       sync.Pool
 	gets, puts atomic.Int64
+
+	mu    sync.Mutex //pjoin:lockrank leaf
+	lanes []*Lane    // guarded by mu
 }
 
 // Get returns an empty batch with room for at least n items.
@@ -33,7 +71,7 @@ func (p *BatchPool) Get(n int) *Batch {
 	p.gets.Add(1)
 	b, _ := p.pool.Get().(*Batch)
 	if b == nil {
-		b = new(Batch)
+		b = &Batch{res: ResultSlab{recycled: true}}
 	}
 	if cap(b.Items) < n {
 		b.Items = make([]Item, 0, n)
@@ -41,20 +79,103 @@ func (p *BatchPool) Get(n int) *Batch {
 	return b
 }
 
-// Put recycles a consumed batch, clearing its items so the pool pins no
-// tuples. The caller must not touch b afterwards.
+// Put recycles a consumed batch. The caller must not touch b afterwards.
 //
 //pjoin:pool put
 func (p *BatchPool) Put(b *Batch) {
-	clear(b.Items)
-	b.Items = b.Items[:0]
+	b.recycle()
 	p.puts.Add(1)
 	p.pool.Put(b)
 }
 
 // Stats returns how many batches have been taken from and returned to
-// the pool. The two are equal whenever no batch is in flight: the
-// dynamic twin of the poolsafe lint.
+// the pool, through the pool itself or through one of its lanes. The two
+// are equal whenever no batch is in flight: the dynamic twin of the
+// poolsafe lint.
 func (p *BatchPool) Stats() (gets, puts int64) {
-	return p.gets.Load(), p.puts.Load()
+	gets, puts = p.gets.Load(), p.puts.Load()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, l := range p.lanes {
+		gets += l.taken.Load()
+		puts += l.kept.Load() + l.dropped.Load()
+	}
+	return gets, puts
+}
+
+// Lane is the return path of one producer–consumer pair (an exec edge):
+// the consumer puts a batch back where the producer takes its next one,
+// so batches — and the result slabs they have grown — stay on the edge
+// they were sized for, change hands without a sync.Pool's cross-P steal,
+// and survive the GC cycles that empty one. It is a ring of idle batches
+// of bounded depth in front of a BatchPool, counted in the pool's Stats:
+// Get falls back to the pool when the ring is empty, Put leaves the batch
+// to the collector when it is full.
+//
+// Neither blocks, takes a lock or writes a word the other side writes, so
+// a consumer may Put while the producer holds its own mutex across a
+// send, and on per-item edges a batch changes hands for one atomic store
+// and one load of the other side's counter each way. The price is the
+// single-producer, single-consumer contract: Get is called by one
+// goroutine at a time (an edge calls it under its mutex) and Put by one
+// goroutine at a time (the edge's one consumer: an operator's driver, or
+// Sink).
+type Lane struct {
+	pool *BatchPool
+	ring []*Batch // a power of two long; slot i&mask holds the i-th batch kept
+	mask int64
+	_    [64]byte // what follows is written: keep it off the line read by both sides
+
+	taken atomic.Int64 // batches taken from the ring; written by the taker only
+	_     [56]byte
+
+	kept    atomic.Int64 // batches put into the ring; written by the returner only
+	dropped atomic.Int64 // batches that found the ring full
+}
+
+// Lane returns a lane over p that retains up to depth idle batches,
+// rounded up to a power of two. A depth below what the pair can have in
+// flight at once costs a fresh batch for each one over it every time the
+// traffic between them drains and builds up again.
+func (p *BatchPool) Lane(depth int) *Lane {
+	size := 1
+	for size < depth {
+		size <<= 1
+	}
+	l := &Lane{pool: p, ring: make([]*Batch, size), mask: int64(size - 1)}
+	p.mu.Lock()
+	p.lanes = append(p.lanes, l)
+	p.mu.Unlock()
+	return l
+}
+
+// Get returns an empty batch with room for at least n items.
+//
+//pjoin:pool get
+func (l *Lane) Get(n int) *Batch {
+	i := l.taken.Load()
+	if i == l.kept.Load() {
+		return l.pool.Get(n)
+	}
+	b := l.ring[i&l.mask]
+	l.ring[i&l.mask] = nil
+	l.taken.Store(i + 1)
+	if cap(b.Items) < n {
+		b.Items = make([]Item, 0, n)
+	}
+	return b
+}
+
+// Put recycles a consumed batch. The caller must not touch b afterwards.
+//
+//pjoin:pool put
+func (l *Lane) Put(b *Batch) {
+	b.recycle()
+	i := l.kept.Load()
+	if i-l.taken.Load() > l.mask {
+		l.dropped.Add(1)
+		return
+	}
+	l.ring[i&l.mask] = b
+	l.kept.Store(i + 1)
 }

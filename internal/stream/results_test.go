@@ -1,0 +1,285 @@
+package stream
+
+import (
+	"fmt"
+	"testing"
+	"unsafe"
+
+	"pjoin/internal/value"
+)
+
+func pairOf(k int64) (a, c *Tuple) {
+	a = &Tuple{Values: []value.Value{value.Int(k), value.Str("a")}, Ts: Time(10 + k), Span: 7}
+	c = &Tuple{Values: []value.Value{value.Int(k), value.Str("c")}, Ts: Time(20 + k), Span: 3}
+	return a, c
+}
+
+func sameTuple(t *testing.T, what string, got, want *Tuple) {
+	t.Helper()
+	if got.Ts != want.Ts || got.Span != want.Span || len(got.Values) != len(want.Values) {
+		t.Fatalf("%s: %v span %d, want %v span %d", what, got, got.Span, want, want.Span)
+	}
+	for i := range want.Values {
+		if got.Values[i] != want.Values[i] {
+			t.Fatalf("%s: value %d is %v, want %v", what, i, got.Values[i], want.Values[i])
+		}
+	}
+}
+
+// TestItemSizeUnchangedByBorrowed: the lifetime mark sits in the padding
+// after Kind.
+func TestItemSizeUnchangedByBorrowed(t *testing.T) {
+	type before struct {
+		Kind  ItemKind
+		Tuple *Tuple
+		Punct [3]uintptr // punct.Punctuation is one slice
+		Ts    Time
+		Span  uint64
+	}
+	if got, want := unsafe.Sizeof(Item{}), unsafe.Sizeof(before{}); got != want {
+		t.Errorf("Item is %d bytes, %d without the mark", got, want)
+	}
+}
+
+// TestSlabJoinIsFillJoin: a result built in a slab, a holder's or a
+// batch's, is the tuple Tuple.Join builds.
+func TestSlabJoinIsFillJoin(t *testing.T) {
+	a, c := pairOf(1)
+	var own ResultSlab
+	sameTuple(t, "holder's slab", own.Join(a, c), a.Join(c))
+
+	var pool BatchPool
+	b := pool.Get(4)
+	b.AppendJoin(a, c)
+	it := b.Items[0]
+	if it.Kind != KindTuple || !it.Borrowed || it.Ts != it.Tuple.Ts {
+		t.Fatalf("AppendJoin item: %+v", it)
+	}
+	sameTuple(t, "batch slab", it.Tuple, a.Join(c))
+	if ts, sp := JoinStamp(a, c); ts != it.Tuple.Ts || sp != it.Tuple.Span {
+		t.Errorf("JoinStamp = (%d, %d), the result carries (%d, %d)", ts, sp, it.Tuple.Ts, it.Tuple.Span)
+	}
+	pool.Put(b)
+}
+
+// TestKeepCopiesOnlyBorrowed is the retention rule: an item that is not
+// borrowed is kept as it is, for free; a borrowed one is copied into the
+// keeper's slab, the copy is no longer borrowed, and it still reads the
+// same after the batch that lent the original has been recycled — when
+// the original reads as the zero header.
+func TestKeepCopiesOnlyBorrowed(t *testing.T) {
+	var keeper ResultSlab
+	src := TupleItem(&Tuple{Values: []value.Value{value.Int(1)}, Ts: 5})
+	if got := keeper.Keep(src); got.Tuple != src.Tuple || got.Borrowed {
+		t.Fatalf("Keep of a source item returned %+v, want the item itself", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { src = keeper.Keep(src) }); allocs != 0 {
+		t.Errorf("Keep of a source item allocates %.1f, want 0", allocs)
+	}
+
+	a, c := pairOf(2)
+	want := a.Join(c)
+	var pool BatchPool
+	lane := pool.Lane(1)
+	b := lane.Get(4)
+	b.AppendJoin(a, c)
+	lent := b.Items[0]
+	kept := keeper.Keep(lent)
+	if kept.Borrowed || kept.Tuple == lent.Tuple || kept.Ts != lent.Ts || kept.Kind != KindTuple {
+		t.Fatalf("Keep of a borrowed item returned %+v (original %+v)", kept, lent)
+	}
+	if &kept.Tuple.Values[0] == &lent.Tuple.Values[0] {
+		t.Fatal("the kept copy shares the batch's values")
+	}
+	lane.Put(b)
+	if lent.Tuple.Values != nil || lent.Tuple.Ts != 0 || lent.Tuple.Span != 0 {
+		t.Errorf("stale tuple after recycling reads %v span %d, want the zero header", lent.Tuple, lent.Tuple.Span)
+	}
+	sameTuple(t, "kept copy after recycling", kept.Tuple, want)
+
+	// Punctuations and EOS are never borrowed.
+	if got := keeper.Keep(EOSItem(9)); got.Tuple != nil || got.Borrowed {
+		t.Errorf("Keep(EOS) = %+v", got)
+	}
+}
+
+// TestBatchAppendRehomesBorrowed: forwarding a borrowed item into another
+// batch copies the tuple into that batch's slab — still borrowed, now
+// with the new batch's lifetime — and costs no allocation once the slab
+// has grown; an item that is not borrowed is appended as it is.
+func TestBatchAppendRehomesBorrowed(t *testing.T) {
+	a, c := pairOf(3)
+	want := a.Join(c)
+	var pool BatchPool
+	up, down := pool.Lane(1), pool.Lane(1)
+
+	src := TupleItem(a)
+	b1 := up.Get(4)
+	b1.AppendJoin(a, c)
+	b2 := down.Get(4)
+	b2.Append(b1.Items[0])
+	b2.Append(src)
+	up.Put(b1)
+	moved := b2.Items[0]
+	if !moved.Borrowed {
+		t.Fatal("re-homed item lost its mark")
+	}
+	sameTuple(t, "re-homed tuple after its first batch was recycled", moved.Tuple, want)
+	if b2.Items[1].Tuple != a || b2.Items[1].Borrowed {
+		t.Errorf("source item was not appended as it is: %+v", b2.Items[1])
+	}
+	down.Put(b2)
+	if moved.Tuple.Values != nil {
+		t.Error("re-homed tuple outlived its second batch")
+	}
+
+	if allocs := testing.AllocsPerRun(100, func() {
+		b1 := up.Get(4)
+		b1.AppendJoin(a, c)
+		b2 := down.Get(4)
+		b2.Append(b1.Items[0])
+		up.Put(b1)
+		down.Put(b2)
+	}); allocs != 0 {
+		t.Errorf("forwarding a borrowed item allocates %.1f per hop, want 0", allocs)
+	}
+}
+
+// TestBatchSlabGrowsOnDemand: a batch's slab is never sized to the batch
+// capacity up front — a batch that holds eight results retains one chunk
+// of each kind — it grows to what the batch holds, and from then on
+// filling the batch allocates nothing: held 8, then 256, the third use is
+// free. Every result of every use is intact until its batch is recycled.
+func TestBatchSlabGrowsOnDemand(t *testing.T) {
+	a, c := pairOf(4)
+	want := a.Join(c)
+	var pool BatchPool
+	lane := pool.Lane(1)
+	fill := func(n int) *Batch {
+		b := lane.Get(256)
+		for i := 0; i < n; i++ {
+			b.AppendJoin(a, c)
+		}
+		return b
+	}
+	b := fill(8)
+	oneChunk := resultHdrs*40 + resultVals*32
+	if got := b.res.RetainedBytes(); got != oneChunk {
+		t.Errorf("a batch of 8 results retains %d B of slab, want one chunk of each kind, %d B", got, oneChunk)
+	}
+	lane.Put(b)
+	b = fill(256)
+	grown := b.res.RetainedBytes()
+	if grown < 256*(40+4*32) || grown > 256*(40+4*32)+oneChunk {
+		t.Errorf("a batch of 256 results retains %d B of slab", grown)
+	}
+	for i, it := range b.Items {
+		sameTuple(t, "result", it.Tuple, want)
+		if i > 0 && &it.Tuple.Values[0] == &b.Items[i-1].Tuple.Values[0] {
+			t.Fatalf("results %d and %d share their values", i-1, i)
+		}
+	}
+	lane.Put(b)
+	if allocs := testing.AllocsPerRun(50, func() { lane.Put(fill(256)) }); allocs != 0 {
+		t.Errorf("the third use of a grown batch allocates %.1f, want 0", allocs)
+	}
+	if b := fill(256); b.res.RetainedBytes() != grown {
+		t.Errorf("slab kept growing: %d B, was %d", b.res.RetainedBytes(), grown)
+	}
+}
+
+// TestLaneCountsInThePool: lane hits, pool fallbacks and drops on a full
+// lane all count in the pool's two counters, so gets == puts says no
+// batch is in flight whichever way the batches went.
+func TestLaneCountsInThePool(t *testing.T) {
+	var pool BatchPool
+	lane := pool.Lane(1)
+	b1, b2 := lane.Get(2), lane.Get(2) // both from the pool: the lane is empty
+	if b1 == b2 {
+		t.Fatal("one batch handed out twice")
+	}
+	lane.Put(b1)
+	lane.Put(b2) // the lane holds one: this one is dropped
+	if got := lane.Get(2); got != b1 {
+		t.Error("lane did not return the batch put first")
+	}
+	if got := lane.Get(2); got == b1 || got == b2 {
+		t.Error("a dropped batch came back")
+	}
+	if gets, puts := pool.Stats(); gets != 4 || puts != 2 {
+		t.Errorf("stats: %d gets, %d puts; want 4 and 2", gets, puts)
+	}
+}
+
+// TestStampKeepsBorrowedTuples: Headers.Stamp is Keep plus the arrival
+// stamp — a borrowed tuple comes back as the join's own copy with Ts =
+// the item's, in one header.
+func TestStampKeepsBorrowedTuples(t *testing.T) {
+	a, c := pairOf(5)
+	want := a.Join(c)
+	var pool BatchPool
+	b := pool.Get(1)
+	b.AppendJoin(a, c)
+	it := b.Items[0]
+	it.Ts = 99 // the driver's restamp
+	var h Headers
+	got := h.Stamp(it)
+	pool.Put(b)
+	want.Ts = 99
+	sameTuple(t, "stamped copy", got, want)
+
+	own := &Tuple{Values: []value.Value{value.Int(1)}, Ts: 4}
+	if h.Stamp(TupleItem(own)) != own {
+		t.Error("a tuple already carrying its arrival time was not retained as it is")
+	}
+	shared := Item{Kind: KindTuple, Tuple: own, Ts: 8}
+	if st := h.Stamp(shared); st == own || st.Ts != 8 || &st.Values[0] != &own.Values[0] || own.Ts != 4 {
+		t.Errorf("restamped shared tuple: %v (source now %v)", st, own)
+	}
+}
+
+// TestLaneHandsEachBatchToOneOwner runs the lane the way an edge does — a
+// producer taking batches and sending them down a channel, a consumer
+// receiving and returning them — with a lane shallower than the traffic,
+// so hits, pool fallbacks and drops all happen, and checks that a batch is
+// never in two hands (the race detector watches the unsynchronised mark),
+// comes back empty, and that the pool's counters balance at the end.
+func TestLaneHandsEachBatchToOneOwner(t *testing.T) {
+	const rounds, depth = 20000, 4
+	var pool BatchPool
+	lane := pool.Lane(depth)
+	ch := make(chan *Batch, 3*depth)
+	done := make(chan error, 1)
+	go func() {
+		for b := range ch {
+			if len(b.Items) != 1 || b.Items[0].Ts != 1 {
+				done <- fmt.Errorf("consumer received %v", b.Items)
+				return
+			}
+			b.Items[0].Ts = 2 // the consumer owns the batch now
+			lane.Put(b)
+		}
+		done <- nil
+	}()
+	a, c := pairOf(6)
+	for i := 0; i < rounds; i++ {
+		b := lane.Get(1)
+		if len(b.Items) != 0 {
+			t.Fatalf("round %d: Get handed out a batch holding %v", i, b.Items)
+		}
+		b.AppendJoin(a, c)
+		b.Items[0].Ts = 1
+		ch <- b
+	}
+	close(ch)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	gets, puts := pool.Stats()
+	if gets != rounds || puts != rounds {
+		t.Errorf("stats: %d gets, %d puts; want %d and %d", gets, puts, rounds, rounds)
+	}
+	if lane.dropped.Load() == 0 || lane.taken.Load() == 0 {
+		t.Errorf("the run exercised %d lane hits and %d drops; want both", lane.taken.Load(), lane.dropped.Load())
+	}
+}

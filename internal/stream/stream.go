@@ -143,7 +143,9 @@ func (s *Schema) String() string {
 // arrived AT AN OPERATOR is therefore not a tuple field but Item.Ts; an
 // operator that retains a tuple and needs the arrival time on it (the
 // joins: state residence, window expiry, result timestamps) stamps its
-// own header copy with Headers.Stamp.
+// own header copy with Headers.Stamp. (One kind of tuple is not shared: a
+// join result an exec edge built inside a batch, delivered by an item
+// marked Borrowed — see Item.)
 //
 // Span, when non-zero, is a provenance trace ID (internal/obs/span)
 // assigned by a source-side sampler; it rides the tuple through state
@@ -186,7 +188,7 @@ func (t *Tuple) Width() int { return len(t.Values) }
 // Join returns the concatenation of t and u as a fresh result tuple whose
 // timestamp is the later of the two inputs' timestamps. It is the
 // single-result form of FillJoin; the joins build their results through
-// FillJoin into chunked storage instead (see joinbase).
+// FillJoin into chunked storage instead (see ResultSlab).
 func (t *Tuple) Join(u *Tuple) *Tuple {
 	res := new(Tuple)
 	res.FillJoin(make([]value.Value, len(t.Values)+len(u.Values)), t, u)
@@ -202,13 +204,20 @@ func (res *Tuple) FillJoin(vals []value.Value, t, u *Tuple) {
 	n := copy(vals, t.Values)
 	copy(vals[n:], u.Values)
 	res.Values = vals
-	res.Ts = max(t.Ts, u.Ts)
+	res.Ts, res.Span = JoinStamp(t, u)
+}
+
+// JoinStamp returns the Ts and Span FillJoin gives the join result of t
+// and u, for a join that accounts for a result it hands to its emitter as
+// a pair (op.JoinEmitter) and never sees built.
+func JoinStamp(t, u *Tuple) (Time, uint64) {
 	// A result descends from both inputs; when both are traced the
 	// earlier-assigned trace wins so attribution stays deterministic.
-	res.Span = t.Span
-	if res.Span == 0 || (u.Span != 0 && u.Span < res.Span) {
-		res.Span = u.Span
+	sp := t.Span
+	if sp == 0 || (u.Span != 0 && u.Span < sp) {
+		sp = u.Span
 	}
+	return max(t.Ts, u.Ts), sp
 }
 
 // headerChunk is how many Tuple headers one Headers refill allocates.
@@ -224,21 +233,32 @@ const headerChunk = 256
 // value is ready to use; not safe for concurrent use.
 type Headers struct {
 	chunk []Tuple
+	kept  ResultSlab // copies of borrowed tuples
 }
 
-// Stamp returns the tuple an operator should retain for an item that
-// arrived at ts: t itself when it already carries ts (direct drives, the
-// simulator and the oracle deliver tuples stamped by their generator),
-// otherwise a header sharing t's Values and Span with Ts = ts. t is never
-// written.
-func (h *Headers) Stamp(t *Tuple, ts Time) *Tuple {
-	if t.Ts == ts {
+// Stamp returns the tuple an operator should retain for the tuple item
+// it was handed: the item's tuple itself when it already carries the
+// arrival time it.Ts (direct drives, the simulator and the oracle deliver
+// tuples stamped by their generator), otherwise a header with Ts = it.Ts
+// that shares the tuple's Values and Span — or, when the tuple is
+// borrowed, owns a copy of them (ResultSlab.Keep). The item's tuple is
+// never written.
+func (h *Headers) Stamp(it Item) *Tuple {
+	t := it.Tuple
+	if it.Borrowed {
+		// The copy is this holder's own until it is handed out, so the
+		// arrival time is written into it instead of a second header.
+		t = h.kept.Keep(it).Tuple
+		t.Ts = it.Ts
+		return t
+	}
+	if t.Ts == it.Ts {
 		return t
 	}
 	if len(h.chunk) == cap(h.chunk) {
 		h.chunk = make([]Tuple, 0, headerChunk)
 	}
-	h.chunk = append(h.chunk, Tuple{Values: t.Values, Ts: ts, Span: t.Span})
+	h.chunk = append(h.chunk, Tuple{Values: t.Values, Ts: it.Ts, Span: t.Span})
 	return &h.chunk[len(h.chunk)-1]
 }
 
@@ -293,12 +313,24 @@ func (k ItemKind) String() string {
 // it before broadcasting so every shard's lifecycle spans group under
 // one trace. Tuple provenance rides Tuple.Span instead — an item
 // rebuild (merger forward) must preserve both.
+//
+// Borrowed marks a tuple that lives in the Batch that delivers the item
+// (Batch.AppendJoin: an exec edge builds a join's results there): the
+// tuple and its Values are valid until the Process / ProcessBatch call
+// that delivered the item returns — the lifetime of the items slice
+// itself — after which the batch is recycled and the header reads zero
+// (Values == nil). Reading it, or forwarding the item to an op.Emitter,
+// inside that call needs no care; retaining the item, the tuple or its
+// Values past it goes through ResultSlab.Keep (or Headers.Stamp, which
+// calls it). An item that is not borrowed — everything a source, a direct
+// drive or a plain emitter delivers — is shared and immutable as before.
 type Item struct {
-	Kind  ItemKind
-	Tuple *Tuple            // set when Kind == KindTuple
-	Punct punct.Punctuation // set when Kind == KindPunct
-	Ts    Time              // arrival/emission timestamp of the item
-	Span  uint64            // punctuation trace ID, 0 when untraced
+	Kind     ItemKind
+	Borrowed bool              // the tuple is valid only until the delivering call returns
+	Tuple    *Tuple            // set when Kind == KindTuple
+	Punct    punct.Punctuation // set when Kind == KindPunct
+	Ts       Time              // arrival/emission timestamp of the item
+	Span     uint64            // punctuation trace ID, 0 when untraced
 }
 
 // TupleItem wraps a tuple as a stream item.

@@ -132,15 +132,18 @@ func New(cfg Config, out op.Emitter) (*XJoin, error) {
 	}
 	x := &XJoin{cfg: cfg, out: out, attrs: [2]int{cfg.AttrA, cfg.AttrB}, outSc: outSc, lat: obs.NewLat()}
 	x.base, err = joinbase.New(stA, stB, outSc, func(t *stream.Tuple) error {
-		x.lat.RecordResult(x.now, t.Ts)
-		if t.Span != 0 && x.base.ResultSpans > 0 && x.cfg.Instr.SpansEnabled() {
-			x.base.ResultSpans--
-			x.cfg.Instr.Span(span.KindTupleResult, t.Span, x.now, -1, 0, 0, 0, int64(x.now-t.Ts))
-		}
+		x.noteResult(t.Ts, t.Span)
 		return out.Emit(stream.TupleItem(t))
 	})
 	if err != nil {
 		return nil, err
+	}
+	if je, ok := out.(op.JoinEmitter); ok {
+		// See core.New: the output builds the results.
+		x.base.EmitPair = func(a, c *stream.Tuple) error {
+			x.noteResult(stream.JoinStamp(a, c))
+			return je.EmitJoin(a, c)
+		}
 	}
 	x.base.Obs = cfg.Instr
 	x.disk = joinbase.NewPassDriver(x.base, x.lat, cfg.DiskChunkBytes, joinbase.PassHooks{}, nil)
@@ -170,6 +173,15 @@ func New(cfg Config, out op.Emitter) (*XJoin, error) {
 		return nil, err
 	}
 	return x, nil
+}
+
+// noteResult records one emitted result (see core.PJoin.noteResult).
+func (x *XJoin) noteResult(ts stream.Time, sp uint64) {
+	x.lat.RecordResult(x.now, ts)
+	if sp != 0 && x.base.ResultSpans > 0 && x.cfg.Instr.SpansEnabled() {
+		x.base.ResultSpans--
+		x.cfg.Instr.Span(span.KindTupleResult, sp, x.now, -1, 0, 0, 0, int64(x.now-ts))
+	}
 }
 
 // registerGauges exposes XJoin's live metrics through the attached
@@ -251,7 +263,7 @@ func (x *XJoin) Process(port int, it stream.Item, now stream.Time) error {
 	x.base.Obs.Tick(x.now)
 	switch it.Kind {
 	case stream.KindTuple:
-		t := x.hdrs.Stamp(it.Tuple, it.Ts)
+		t := x.hdrs.Stamp(it)
 		x.base.M.TuplesIn[port]++
 		x.base.Obs.Event(obs.KindTupleIn, t.Ts, port, 0, 0)
 		if err := x.mon.TupleArrived(t.Ts); err != nil {
