@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint allow-count race check figures-check loc oracle traced-oracle fuzz bench bench-alloc bench-scaling flight-sample trace-sample
+.PHONY: build test vet lint allow-count race exec-stress check figures-check loc oracle traced-oracle fuzz bench bench-alloc bench-scaling flight-sample trace-sample
 
 build:
 	$(GO) build ./...
@@ -29,7 +29,7 @@ lint:
 # only go down: allow-count prints it and fails above ALLOW_CEILING (the
 # CI lint job runs it), and a change that retires a marker lowers the
 # ceiling with it.
-ALLOW_CEILING := 23
+ALLOW_CEILING := 20
 allow-count:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' \
 		! -path './internal/lint/*/testdata/*' -exec cat {} + | grep -c '//pjoin:allow'); \
@@ -39,6 +39,20 @@ allow-count:
 
 race:
 	$(GO) test -race ./...
+
+# Short edges make the once-rare interleavings of an exec edge the common
+# ones: a send blocked under the edge mutex while the linger callback
+# fires, close during a blocked send, cancel while blocked. The tests that
+# reach them — exit hygiene, borrowed results, batched equivalence, the
+# in-flight bound and back-pressure — run twenty times under the race
+# detector on one, two and four Ps. About four minutes; CI's check job
+# runs it after `make check`.
+exec-stress:
+	@for procs in 1 2 4; do \
+		echo "GOMAXPROCS=$$procs"; \
+		GOMAXPROCS=$$procs $(GO) test -race -count=20 -timeout 900s ./internal/exec/ \
+			-run 'Hygiene|Borrowed|Batched|InFlight|Skew' || exit 1; \
+	done
 
 check: build vet lint race
 

@@ -1,8 +1,9 @@
-// Package exec runs operator pipelines live: one goroutine per operator,
-// pooled item batches flowing through buffered channels, back-pressure by
-// channel blocking. It is the runtime half of the mini query engine (the
-// simulator in internal/sim is the measurement half — both drive the
-// same op.Operator implementations).
+// Package exec runs operator pipelines live: one goroutine per operator
+// reading its input edges itself, pooled item batches flowing through
+// short buffered channels (edgeDepth batches), back-pressure by channel
+// blocking. It is the runtime half of the mini query engine (the simulator
+// in internal/sim is the measurement half — both drive the same
+// op.Operator implementations).
 //
 // There is one dataflow path. Edges carry batches of up to
 // Pipeline.BatchSize items and the operator driver hands each batch to
@@ -41,6 +42,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pjoin/internal/obs"
@@ -72,6 +74,7 @@ type Edge struct {
 	p      *Pipeline
 	ch     chan *stream.Batch
 	lane   *stream.Lane
+	wake   chan struct{} // the reading driver's doorbell (Spawn sets it; nil under a Sink)
 	size   int
 	linger time.Duration
 
@@ -203,20 +206,29 @@ func (e *Edge) flushLocked(forced bool) error {
 	}
 	select {
 	case e.ch <- b:
+		ring(e.wake)
 		return nil
 	case <-e.p.ctx.Done():
 		return fmt.Errorf("exec: pipeline cancelled: %w", context.Cause(e.p.ctx))
 	}
 }
 
+// ring leaves a token in a driver's doorbell unless one is there or wake
+// is nil. The driver polls every port after taking it, so one is enough.
+func ring(wake chan struct{}) {
+	select {
+	case wake <- struct{}{}:
+	default:
+	}
+}
+
 // close ends the edge's stream: sources call it when they are done, and
 // Run closes whatever is still open on its way out (an operator never
-// closes its output edge), which is what ends the downstream fan-in
-// goroutine. The remaining buffer is flushed first; every send happens
-// under the mutex and after a closed check, so neither a late Emit nor a
-// concurrently firing linger callback can send on the closed channel. The
-// linger timer is stopped; a callback already past Stop finds the edge
-// closed.
+// closes its output edge). The remaining buffer is flushed first; every
+// send happens under the mutex and after a closed check, so neither a late
+// Emit nor a concurrently firing linger callback can send on the closed
+// channel. The linger timer is stopped; a callback already past Stop finds
+// the edge closed. The doorbell is rung last, so the driver sees the close.
 func (e *Edge) close() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -229,6 +241,7 @@ func (e *Edge) close() {
 	}
 	_ = e.flushLocked(true)
 	close(e.ch)
+	ring(e.wake)
 }
 
 // Pipeline assembles sources, operators and sinks, then runs them all
@@ -248,10 +261,6 @@ type Pipeline struct {
 	// IdlePoll is how often an operator with stalled inputs gets an
 	// OnIdle call (0 disables; default 5ms). Set before Run.
 	IdlePoll time.Duration
-
-	// BufferSize is the channel capacity for new edges, in batches
-	// (default 256).
-	BufferSize int
 
 	// BatchSize is the dataflow granularity of edges created after it is
 	// set: each edge delivers batches of up to BatchSize items, and ≤ 1
@@ -302,34 +311,33 @@ func NewPipeline() *Pipeline {
 	ctx, cancel := context.WithCancelCause(context.Background())
 	return &Pipeline{
 		ctx: ctx, cancel: cancel,
-		IdlePoll: 5 * time.Millisecond, BufferSize: 256,
-		pulls: make(map[op.Operator]*PullHandle),
+		IdlePoll: 5 * time.Millisecond,
+		pulls:    make(map[op.Operator]*PullHandle),
 	}
 }
 
-// laneSlack is how many batches an edge can have in flight around its
-// channel: the one being filled, one in the consumer's fan-in goroutine,
-// up to one per port in the driver's merged channel, the one being
-// processed — rounded up. The lane is that much deeper than the channel,
-// so that when a full edge drains every batch finds room on its way back:
-// a lane only as deep as the channel drops those few on every drain and
-// the edge allocates them, result slabs included, again on the next
-// build-up (a 12,000-tuple join on per-item edges allocated 7.1 MB that
-// way and 3.0 MB with the slack).
-const laneSlack = 8
+// edgeDepth is the channel capacity of an edge, in batches: what a
+// producer can run ahead of its consumer. Short on purpose — a saturated
+// source blocks within a few batches instead of queueing its input — and
+// counted in batches because the wakeup is what an edge costs, whatever
+// the batch holds. Sized by the sweep in EXPERIMENTS.md, issue 22: bytes
+// per tuple grow with the depth from 2 on, CPU per tuple and the open-loop
+// latency tail stop improving at 16.
+const edgeDepth = 16
+
+// edgeInFlight is every batch an edge can own at once, hence its lane's
+// depth: edgeDepth queued, one being filled or blocked in its send, one
+// being processed (DESIGN.md §12, "Short edges").
+const edgeInFlight = edgeDepth + 2
 
 // Edge allocates a new channel edge; its batch size and linger are fixed
 // here from BatchSize and BatchLinger.
 func (p *Pipeline) Edge() *Edge {
-	n := p.BufferSize
-	if n <= 0 {
-		n = 256
-	}
 	size := p.BatchSize
 	if size < 1 {
 		size = 1
 	}
-	e := &Edge{p: p, ch: make(chan *stream.Batch, n), lane: p.pool.Lane(n + laneSlack), size: size, linger: p.BatchLinger}
+	e := &Edge{p: p, ch: make(chan *stream.Batch, edgeDepth), lane: p.pool.Lane(edgeInFlight), size: size, linger: p.BatchLinger}
 	p.edges = append(p.edges, e)
 	return e
 }
@@ -429,12 +437,6 @@ func (p *Pipeline) SourceItems(out *Edge, items []stream.Item, paced bool) {
 	p.Source(out, withEOS, paced)
 }
 
-// portBatch tags a batch with the input port it arrived on.
-type portBatch struct {
-	port int
-	b    *stream.Batch
-}
-
 // PropagationPuller is implemented by operators that can be asked to
 // release propagable punctuations on demand (core.PJoin's pull mode,
 // paper §3.5).
@@ -448,15 +450,14 @@ type PropagationPuller interface {
 // operator's emitter path) never touch the operator directly. Requests
 // coalesce: while one is pending, further Request calls are no-ops.
 type PullHandle struct {
-	ch chan struct{}
+	pending atomic.Bool
+	wake    chan struct{} // the driver's doorbell
 }
 
 // Request asks for a propagation round. It never blocks.
 func (h *PullHandle) Request() {
-	select {
-	case h.ch <- struct{}{}:
-	default:
-	}
+	h.pending.Store(true)
+	ring(h.wake)
 }
 
 // Pull returns a handle that asks the (already spawned) operator to
@@ -480,19 +481,27 @@ func (p *Pipeline) Spawn(o op.Operator, inputs ...*Edge) error {
 	if o == nil {
 		return fmt.Errorf("exec: Spawn of nil operator")
 	}
-	if len(inputs) != o.NumPorts() {
-		return fmt.Errorf("exec: %s has %d ports, got %d inputs", o.Name(), o.NumPorts(), len(inputs))
+	if len(inputs) != o.NumPorts() || len(inputs) == 0 {
+		return fmt.Errorf("exec: %s has %d ports (it needs one at least), got %d inputs", o.Name(), o.NumPorts(), len(inputs))
 	}
 	for i, in := range inputs {
 		if in == nil {
 			return fmt.Errorf("exec: %s: nil input edge %d", o.Name(), i)
 		}
 	}
-	ins := make([]*Edge, len(inputs))
-	copy(ins, inputs)
-	h := &PullHandle{ch: make(chan struct{}, 1)}
+	ins := append([]*Edge(nil), inputs...)
+	h := &PullHandle{wake: make(chan struct{}, 1)}
+	for _, in := range ins {
+		in.wake = h.wake
+	}
 	p.pulls[o] = h
-	p.launched = append(p.launched, func() { p.runOperator(o, ins, h) })
+	p.launched = append(p.launched, func() {
+		p.wg.Add(1)
+		go func() { // the operator's one goroutine
+			defer p.wg.Done()
+			p.fail(p.drive(o, ins, h))
+		}()
+	})
 	return nil
 }
 
@@ -523,105 +532,95 @@ func restamp(oin *obs.Instr, port int, items []stream.Item, first stream.Time) (
 	return eos
 }
 
-// runOperator is the operator driver: one wakeup drains a whole input
-// batch, restamps its items (one clock read per batch: the items of a
-// batch arrived together and get consecutive stamps), and dispatches
-// through op.ProcessAll — an op.BatchProcessor gets the slice in one
-// call, any other operator sees one Process call per item, in order.
-func (p *Pipeline) runOperator(o op.Operator, inputs []*Edge, pull *PullHandle) {
-	merged := make(chan portBatch, len(inputs))
-	var fanIn sync.WaitGroup
-	for port, in := range inputs {
-		fanIn.Add(1)
-		go func(port int, in *Edge) {
-			defer fanIn.Done()
-			for b := range in.ch {
-				select {
-				case merged <- portBatch{port: port, b: b}:
-				case <-p.ctx.Done():
-					return
-				}
-			}
-		}(port, in)
+// drive is the operator driver. It reads its input edges itself: each
+// turn polls the ports round-robin from the one after the last served (a
+// non-blocking receive on an empty channel takes no lock), so a saturated
+// port cannot starve another, and blocks only when nothing is queued — on
+// the doorbell its edges and its pull handle ring, the idle tick and
+// cancellation. A batch is restamped (one clock read: its items arrived
+// together) and handed to op.ProcessAll. OnIdle fires at a tick that finds
+// nothing delivered since the tick before: one to two IdlePoll after the
+// last delivery, never while input is queued.
+func (p *Pipeline) drive(o op.Operator, inputs []*Edge, pull *PullHandle) error {
+	oin := p.Obs.Derive(o.Name(), -1)
+	var lastTs stream.Time
+	oin.Event(obs.KindOpStart, p.sysNow(lastTs), -1, 0, 0)
+	var tick <-chan time.Time
+	if p.IdlePoll > 0 {
+		t := time.NewTicker(p.IdlePoll)
+		defer t.Stop()
+		tick = t.C
 	}
-	go func() {
-		fanIn.Wait()
-		close(merged)
-	}()
-
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		oin := p.Obs.Derive(o.Name(), -1)
-		var lastTs stream.Time
-		oin.Event(obs.KindOpStart, p.sysNow(lastTs), -1, 0, 0)
-		eosSeen := 0
-		var idleTimer *time.Timer
-		var idleC <-chan time.Time
-		resetIdle := func() {
-			if p.IdlePoll <= 0 {
-				return
-			}
-			if idleTimer == nil {
-				idleTimer = time.NewTimer(p.IdlePoll)
-			} else {
-				idleTimer.Reset(p.IdlePoll)
-			}
-			idleC = idleTimer.C
-		}
-		resetIdle()
-		for {
-			select {
-			case pb, ok := <-merged:
-				if !ok {
-					// All input channels closed before every port sent
-					// EOS: a protocol violation upstream.
-					p.fail(fmt.Errorf("exec: %s: inputs closed with %d of %d EOS seen",
-						o.Name(), eosSeen, o.NumPorts()))
-					return
-				}
-				// Strictly increasing, at least the wall-clock offset
-				// since start.
-				items := pb.b.Items
-				first := p.sysNow(lastTs)
-				eosSeen += restamp(oin, pb.port, items, first)
-				lastTs = first + stream.Time(len(items)-1)
-				err := op.ProcessAll(o, pb.port, items)
-				inputs[pb.port].lane.Put(pb.b)
-				if err != nil {
-					p.fail(fmt.Errorf("exec: %s: %w", o.Name(), err))
-					return
-				}
-				if eosSeen == o.NumPorts() {
-					// Every port ended; flush and emit our own EOS.
-					if err := o.Finish(lastTs + 1); err != nil {
-						p.fail(fmt.Errorf("exec: %s: %w", o.Name(), err))
-						return
-					}
-					oin.Event(obs.KindOpFinish, lastTs+1, -1, 0, 0)
-					return
-				}
-				resetIdle()
-			case <-pull.ch:
-				pp, ok := o.(PropagationPuller)
-				if !ok {
-					break // requests to non-pullers are ignored
-				}
+	// chans[port] turns nil, never ready, at the port's EOS; live counts the ports to end.
+	chans := make([]chan *stream.Batch, len(inputs))
+	for port, in := range inputs {
+		chans[port] = in.ch
+	}
+	live := len(inputs)
+	port := 0         // the port served last
+	delivered := true // the first tick is never an idle one
+	for {
+		// Every turn: a saturated input never blocks. Non-pullers ignore requests.
+		if pull.pending.CompareAndSwap(true, false) {
+			if pp, ok := o.(PropagationPuller); ok {
 				if err := pp.RequestPropagation(p.sysNow(lastTs)); err != nil {
-					p.fail(fmt.Errorf("exec: %s pull: %w", o.Name(), err))
-					return
+					return fmt.Errorf("exec: %s pull: %w", o.Name(), err)
 				}
-			case <-idleC:
-				if _, err := o.OnIdle(p.sysNow(lastTs)); err != nil {
-					p.fail(fmt.Errorf("exec: %s idle: %w", o.Name(), err))
-					return
-				}
-				resetIdle()
-			case <-p.ctx.Done():
-				return
 			}
 		}
-	}()
+		var b *stream.Batch
+		for range chans {
+			if port++; port == len(chans) {
+				port = 0
+			}
+			select {
+			case b = <-chans[port]:
+			default:
+				continue
+			}
+			if b == nil { // the edge closed: a protocol violation upstream
+				return fmt.Errorf("exec: %s: input %d closed before its EOS (%d of %d ended)", o.Name(), port, len(chans)-live, len(chans))
+			}
+			break
+		}
+		if b == nil {
+			select {
+			case <-pull.wake:
+			case <-tick:
+				if !delivered {
+					if _, err := o.OnIdle(p.sysNow(lastTs)); err != nil {
+						return fmt.Errorf("exec: %s idle: %w", o.Name(), err)
+					}
+				}
+				delivered = false
+			case <-p.ctx.Done():
+				return nil
+			}
+			continue
+		}
+		// Strictly increasing, at least the wall-clock offset since start.
+		items := b.Items
+		first := p.sysNow(lastTs)
+		if restamp(oin, port, items, first) > 0 {
+			chans[port] = nil
+			live--
+		}
+		lastTs = first + stream.Time(len(items)-1)
+		err := op.ProcessAll(o, port, items)
+		inputs[port].lane.Put(b)
+		if err != nil {
+			return fmt.Errorf("exec: %s: %w", o.Name(), err)
+		}
+		if live == 0 {
+			// Every port ended; flush and emit our own EOS.
+			if err := o.Finish(lastTs + 1); err != nil {
+				return fmt.Errorf("exec: %s: %w", o.Name(), err)
+			}
+			oin.Event(obs.KindOpFinish, lastTs+1, -1, 0, 0)
+			return nil
+		}
+		delivered = true
+	}
 }
 
 // Watch polls probe on a wall-clock cadence and feeds the samples to

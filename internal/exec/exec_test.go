@@ -190,6 +190,9 @@ func TestSpawnValidation(t *testing.T) {
 	if err := p.Spawn(sel, nil); err == nil {
 		t.Error("nil edge should error")
 	}
+	if err := p.Spawn(&portLog{}); err == nil {
+		t.Error("an operator without input ports should error")
+	}
 }
 
 func TestExternalCancellation(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -19,9 +20,11 @@ import (
 // TestRunExitHygiene pins what Run leaves behind on each way out — clean
 // drain, an operator error, external cancellation — at batch size 1 and
 // 256, over a plan with an operator-fed edge (two sources → 2-shard
-// ShardedPJoin → select → sink): no goroutine Run started survives it
-// (the per-edge return lanes are free lists, not goroutines), and on a
-// clean drain every batch taken was put back — through an edge's lane or
+// ShardedPJoin → select → sink): while it runs every spawned operator is
+// exactly one goroutine (sampled in the cancel case, which idles long
+// enough to look), no goroutine Run started survives it (the per-edge
+// return lanes are free lists, not goroutines), and on a clean drain
+// every batch taken was put back — through an edge's lane or
 // from the pool behind it, both count in BatchPool.Stats, so a consumer
 // that returned a batch to nowhere, or a lane that handed one out twice,
 // shows as an imbalance (the dynamic twin of the poolsafe lint; the join's
@@ -77,10 +80,23 @@ func TestRunExitHygiene(t *testing.T) {
 
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
+				drivers := make(chan int, 1)
 				if exit == "cancel" {
-					time.AfterFunc(20*time.Millisecond, cancel)
+					time.AfterFunc(20*time.Millisecond, func() {
+						buf := make([]byte, 1<<20)
+						drivers <- strings.Count(string(buf[:runtime.Stack(buf, true)]),
+							"created by pjoin/internal/exec.(*Pipeline).Spawn")
+						cancel()
+					})
 				}
 				err = p.Run(ctx)
+				if exit == "cancel" {
+					// Anything Spawn's launcher starts beyond the driver —
+					// a reader per port, a closer — would show here.
+					if n := <-drivers; n != 2 {
+						t.Errorf("%d goroutines started by Spawn while running, want one per spawned operator (2)", n)
+					}
+				}
 				switch exit {
 				case "drain":
 					if err != nil {

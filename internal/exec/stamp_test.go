@@ -338,17 +338,22 @@ const fanoutWaves, fanoutKeys, fanoutPerKey = 8, 16, 52
 const fanoutResults = fanoutWaves * fanoutKeys * fanoutPerKey * fanoutPerKey
 
 func fanoutInput() (a, b []stream.Item) {
+	return fanoutInputOf(fanoutWaves, fanoutKeys, fanoutPerKey)
+}
+
+// fanoutInputOf is fanoutInput at any size: waves × keys × perKey² results.
+func fanoutInputOf(waves, keys, perKey int) (a, b []stream.Item) {
 	ts := stream.Time(0)
-	for w := 0; w < fanoutWaves; w++ {
-		for i := 0; i < fanoutKeys*fanoutPerKey; i++ {
-			k := value.Int(int64(w*fanoutKeys + i%fanoutKeys))
+	for w := 0; w < waves; w++ {
+		for i := 0; i < keys*perKey; i++ {
+			k := value.Int(int64(w*keys + i%keys))
 			ts++
 			a = append(a, stream.TupleItem(stream.MustTuple(gen.SchemaA, ts, k, value.Str("a"))))
 			ts++
 			b = append(b, stream.TupleItem(stream.MustTuple(gen.SchemaB, ts, k, value.Str("b"))))
 		}
-		for i := 0; i < fanoutKeys; i++ {
-			closed := punct.MustKeyOnly(2, gen.KeyAttr, punct.Const(value.Int(int64(w*fanoutKeys+i))))
+		for i := 0; i < keys; i++ {
+			closed := punct.MustKeyOnly(2, gen.KeyAttr, punct.Const(value.Int(int64(w*keys+i))))
 			ts++
 			a = append(a, stream.PunctItem(closed, ts))
 			ts++
@@ -362,51 +367,43 @@ func fanoutInput() (a, b []stream.Item) {
 // every Emit cuts a batch of one) with consume attached to the join's
 // output edge, checks the consumer's result count, and returns what the
 // whole Run allocated — goroutines, edges, state, index and pooled
-// batches included — per result. It is the least of three runs: how far
-// one racing source gets ahead of the other decides how much state the
-// join builds (2,900 to 8,200 allocations in one session), and that is
-// not what the guards are about.
+// batches included — per result. One run is enough: how far one racing
+// source gets ahead of the other still decides how much state the join
+// builds, but index nodes now come 256 to a chunk and an edge owns at most
+// edgeInFlight batches, so the count no longer follows it (0.0033 to 0.0038
+// allocations per dropped result over twenty runs; it was 2,900 to 8,200
+// objects a run when every node was one).
 func runFanout(t *testing.T, consume func(p *Pipeline, joined *Edge, out *stream.Schema) (results func() int)) (allocs, bytes float64) {
 	t.Helper()
 	a, b := fanoutInput()
-	for try := 0; try < 3; try++ {
-		p := NewPipeline()
-		p.BatchSize = 256
-		p.BatchLinger = time.Millisecond
-		// Eight batches per edge: at the default 256 the unpaced sources
-		// run a hundred batches ahead of the join, and those batches'
-		// 16 KB item arrays are the run's bytes whatever the result path
-		// does.
-		p.BufferSize = 8
-		srcA, srcB, joined := p.Edge(), p.Edge(), p.Edge()
-		j, err := core.New(core.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB}, joined)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.SourceItems(srcA, a, false)
-		p.SourceItems(srcB, b, false)
-		if err := p.Spawn(j, srcA, srcB); err != nil {
-			t.Fatal(err)
-		}
-		results := consume(p, joined, j.OutSchema())
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		if err := p.Run(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&after)
-		if got := results(); got != fanoutResults {
-			t.Fatalf("%d results, want %d", got, fanoutResults)
-		}
-		al := float64(after.Mallocs-before.Mallocs) / fanoutResults
-		by := float64(after.TotalAlloc-before.TotalAlloc) / fanoutResults
-		t.Logf("%d inputs, %d results (fan-out %.1f): %.4f allocations and %.1f B per result",
-			len(a)+len(b), fanoutResults, float64(fanoutResults)/float64(len(a)+len(b)), al, by)
-		if try == 0 || al < allocs {
-			allocs, bytes = al, by
-		}
+	p := NewPipeline()
+	p.BatchSize = 256
+	p.BatchLinger = time.Millisecond
+	srcA, srcB, joined := p.Edge(), p.Edge(), p.Edge()
+	j, err := core.New(core.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB}, joined)
+	if err != nil {
+		t.Fatal(err)
 	}
+	p.SourceItems(srcA, a, false)
+	p.SourceItems(srcB, b, false)
+	if err := p.Spawn(j, srcA, srcB); err != nil {
+		t.Fatal(err)
+	}
+	results := consume(p, joined, j.OutSchema())
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if err := p.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := results(); got != fanoutResults {
+		t.Fatalf("%d results, want %d", got, fanoutResults)
+	}
+	allocs = float64(after.Mallocs-before.Mallocs) / fanoutResults
+	bytes = float64(after.TotalAlloc-before.TotalAlloc) / fanoutResults
+	t.Logf("%d inputs, %d results (fan-out %.1f): %.4f allocations and %.1f B per result",
+		len(a)+len(b), fanoutResults, float64(fanoutResults)/float64(len(a)+len(b)), allocs, bytes)
 	return allocs, bytes
 }
 
@@ -415,11 +412,11 @@ func runFanout(t *testing.T, consume func(p *Pipeline, joined *Edge, out *stream
 // fan-out ≈ 26 join into a counting terminal operator. The edge builds
 // the results in the batch it is filling and the batch comes back through
 // the edge's lane, so a result the consumer drops is no heap object at
-// all: the whole Run stays under 0.02 allocations and 16 B per result. It
-// reads 0.012 and 7 B; with heap-built results (2 allocations and 5.4 KB
-// per chunk of 31, what every plain emitter still gets) the same run read
-// 0.072 and 202 B at the parent commit, and one tuple copy per hop or one
-// Tuple.Join per result is 1 to 3 allocations.
+// all: the whole Run stays under 0.01 allocations and 12 B per result. It
+// reads 0.0035 and 7 B (0.012 before index nodes came from slabs); with
+// heap-built results (2 allocations and 5.4 KB per chunk of 31, what every
+// plain emitter still gets) the same run read 0.072 and 202 B, and one
+// tuple copy per hop or one Tuple.Join per result is 1 to 3 allocations.
 func TestPipelineAllocsPerResult(t *testing.T) {
 	allocs, bytes := runFanout(t, func(p *Pipeline, joined *Edge, out *stream.Schema) func() int {
 		count := &terminal{in: out}
@@ -428,8 +425,8 @@ func TestPipelineAllocsPerResult(t *testing.T) {
 		}
 		return func() int { return count.tuples }
 	})
-	if allocs > 0.02 || bytes > 16 {
-		t.Errorf("%.4f allocations and %.1f B per result, want at most 0.02 and 16", allocs, bytes)
+	if allocs > 0.01 || bytes > 12 {
+		t.Errorf("%.4f allocations and %.1f B per result, want at most 0.01 and 12", allocs, bytes)
 	}
 }
 
@@ -437,17 +434,17 @@ func TestPipelineAllocsPerResult(t *testing.T) {
 // every result (Pipeline.Sink): it pays the one copy Collector makes of a
 // borrowed tuple — chunked, 2 allocations per 31 results like the heap
 // results it replaces — on top of the collector's own growth, and no more
-// than the same run cost when the join built every result on the heap:
-// 0.0725 to 0.08 allocations and 371 B per result at the parent commit,
-// 0.075 to 0.085 and 350 B now (a chunk is 31 results, not 32, and wastes
-// no size class; the spread is how much state the racing sources build).
+// than the same run cost when the join built every result on the heap
+// (0.0725 to 0.08 allocations and 371 B per result): 0.068 and 350 B, the
+// same every run (a chunk is 31 results, not 32, and wastes no size
+// class).
 func TestPipelineAllocsPerKeptResult(t *testing.T) {
 	allocs, bytes := runFanout(t, func(p *Pipeline, joined *Edge, _ *stream.Schema) func() int {
 		sink := p.Sink(joined)
 		return func() int { return len(sink.Tuples()) }
 	})
-	if allocs > 0.09 || bytes > 371 {
-		t.Errorf("%.4f allocations and %.1f B per result, want at most 0.09 and 371", allocs, bytes)
+	if allocs > 0.075 || bytes > 360 {
+		t.Errorf("%.4f allocations and %.1f B per result, want at most 0.075 and 360", allocs, bytes)
 	}
 }
 

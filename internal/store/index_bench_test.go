@@ -104,7 +104,7 @@ func TestIndexedProbeSpeedup(t *testing.T) {
 // TestInsertAllocsAmortised guards the slab/free-list machinery: after a
 // purge recycles index nodes, further inserts draw wrappers from the
 // current slab chunk and nodes from the free list — amortised well under
-// one allocation per insert (a fresh chunk every storedChunk inserts is
+// one allocation per insert (a fresh chunk every slabChunk inserts is
 // the only steady-state source).
 func TestInsertAllocsAmortised(t *testing.T) {
 	st := mkState(t, 4)

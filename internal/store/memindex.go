@@ -2,6 +2,7 @@ package store
 
 import (
 	"pjoin/internal/punct"
+	"pjoin/internal/slab"
 	"pjoin/internal/stream"
 	"pjoin/internal/value"
 )
@@ -25,32 +26,41 @@ import (
 // a suborder of the arrival list, each expired node is its group's head
 // — both removals stay O(1) per tuple.
 
-// storedChunk is the slab size for StoredTuple wrappers: one allocation
-// amortised over this many inserts. A surviving wrapper keeps its whole
-// chunk reachable; the stamped tuple headers (stream.Headers) and the
-// join results (stream.ResultSlab) are chunked the same way and accept
-// the same bounded amplification.
-const storedChunk = 256
+// slabChunk is the chunk length of the per-State allocator: one
+// allocation amortised over this many StoredTuple wrappers, group nodes
+// or groups. A surviving element keeps its whole chunk reachable; the
+// stamped tuple headers (stream.Headers) and the join results
+// (stream.ResultSlab) are chunked the same way and accept the same
+// bounded amplification.
+const slabChunk = 256
 
-// alloc is the per-State slab allocator. StoredTuple wrappers are
-// bump-allocated from chunks and never recycled — they escape the memory
-// index (purge buffers, disk reads, probe results hold them), so reuse
-// would risk aliasing; a chunk is garbage once its last wrapper is.
-// Group nodes and groups never leave the index, so they go on free
-// lists. The zero value is ready to use.
+// alloc is the per-State allocator: everything is carved from slabs that
+// forget a chunk once it is carved up (slab.NewOnce). StoredTuple
+// wrappers are never recycled — they escape the memory index (purge
+// buffers, disk reads, probe results hold them), so reuse would risk
+// aliasing; a chunk is garbage once its last wrapper is. Group nodes and
+// groups never leave the index, so they go on free lists (a recycled one
+// is still a pointer into its chunk).
 type alloc struct {
-	chunk      []StoredTuple
+	stored     slab.Slab[StoredTuple]
+	nodes      slab.Slab[groupNode]
+	groups     slab.Slab[group]
 	freeNodes  *groupNode // chained through anext
 	freeGroups *group     // chained through free
 }
 
-func (a *alloc) newStored(t *stream.Tuple) *StoredTuple {
-	if len(a.chunk) == cap(a.chunk) {
-		//pjoin:allow hotpath slab refill: one allocation per storedChunk inserts, amortized to ~0 per tuple (alloc guards pin it)
-		a.chunk = make([]StoredTuple, 0, storedChunk)
+func newAlloc() alloc {
+	return alloc{
+		stored: slab.NewOnce[StoredTuple](slabChunk),
+		nodes:  slab.NewOnce[groupNode](slabChunk),
+		groups: slab.NewOnce[group](slabChunk),
 	}
-	a.chunk = append(a.chunk, StoredTuple{T: t, PID: punct.NoPID, DTS: InMemory})
-	return &a.chunk[len(a.chunk)-1]
+}
+
+func (a *alloc) newStored(t *stream.Tuple) *StoredTuple {
+	s := &a.stored.Take(1)[0]
+	*s = StoredTuple{T: t, PID: punct.NoPID, DTS: InMemory}
+	return s
 }
 
 func (a *alloc) newNode() *groupNode {
@@ -59,8 +69,7 @@ func (a *alloc) newNode() *groupNode {
 		*n = groupNode{}
 		return n
 	}
-	//pjoin:allow hotpath free-list warmup: nodes are allocated once, then recycled via freeNode for the run's lifetime
-	return &groupNode{}
+	return &a.nodes.Take(1)[0]
 }
 
 func (a *alloc) freeNode(n *groupNode) {
@@ -74,8 +83,7 @@ func (a *alloc) newGroup() *group {
 		*g = group{}
 		return g
 	}
-	//pjoin:allow hotpath free-list warmup: groups are allocated once, then recycled via freeGroup for the run's lifetime
-	return &group{}
+	return &a.groups.Take(1)[0]
 }
 
 func (a *alloc) freeGroup(g *group) {

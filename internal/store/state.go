@@ -146,6 +146,7 @@ func NewState(name string, attr, nbuckets int, spill SpillStore) (*State, error)
 		occ:   newOccTracker(nbuckets),
 		hash:  value.Value.Hash,
 		arena: newScanArena(),
+		al:    newAlloc(),
 	}, nil
 }
 
@@ -202,10 +203,10 @@ func (st *State) BucketOf(key value.Value) int {
 }
 
 // Insert adds a new arrival to the memory-resident portion of its bucket
-// and returns the stored wrapper. The wrapper comes from a slab (one
-// allocation per storedChunk inserts) and its index node from a free
-// list, so steady-state insertion allocates far less than one object per
-// tuple.
+// and returns the stored wrapper. The wrapper and its index node (and a
+// new key's group) come from slabs — one allocation per slabChunk of each
+// — and purged nodes and groups from free lists, so insertion allocates
+// far less than one object per tuple from the first insert on.
 //
 //pjoin:hotpath
 func (st *State) Insert(t *stream.Tuple) (*StoredTuple, error) {
@@ -472,7 +473,7 @@ func (st *State) LargestMemBucket() int { return st.occ.largest() }
 const (
 	scanRetainChunks = 32
 	scanRetainBuf    = 512 << 10
-	scanRetainBytes  = scanRetainChunks*(storedChunk*24+stream.ArenaChunkBytes) + 2*scanRetainBuf
+	scanRetainBytes  = scanRetainChunks*(slabChunk*24+stream.ArenaChunkBytes) + 2*scanRetainBuf
 )
 
 // scanArena is where a scan's tuples are decoded: StoredTuple wrappers
@@ -484,7 +485,7 @@ type scanArena struct {
 }
 
 func newScanArena() scanArena {
-	return scanArena{stored: slab.New[StoredTuple](storedChunk), tuples: stream.NewArena()}
+	return scanArena{stored: slab.New[StoredTuple](slabChunk), tuples: stream.NewArena()}
 }
 
 // reset ends the lifetime of every tuple decoded so far and readies the

@@ -127,7 +127,8 @@ type Lane struct {
 	_    [64]byte // what follows is written: keep it off the line read by both sides
 
 	taken atomic.Int64 // batches taken from the ring; written by the taker only
-	_     [56]byte
+	fresh atomic.Int64 // batches taken from the pool because the ring was empty
+	_     [48]byte
 
 	kept    atomic.Int64 // batches put into the ring; written by the returner only
 	dropped atomic.Int64 // batches that found the ring full
@@ -155,6 +156,7 @@ func (p *BatchPool) Lane(depth int) *Lane {
 func (l *Lane) Get(n int) *Batch {
 	i := l.taken.Load()
 	if i == l.kept.Load() {
+		l.fresh.Add(1)
 		return l.pool.Get(n)
 	}
 	b := l.ring[i&l.mask]
@@ -178,4 +180,13 @@ func (l *Lane) Put(b *Batch) {
 	}
 	l.ring[i&l.mask] = b
 	l.kept.Store(i + 1)
+}
+
+// Stats returns how many batches the lane took from the pool because its
+// ring was empty and how many it left to the collector because the ring
+// was full. A lane as deep as everything its pair can have in flight
+// shows at most that many fresh batches and no drops, however long it
+// runs.
+func (l *Lane) Stats() (fresh, dropped int64) {
+	return l.fresh.Load(), l.dropped.Load()
 }
