@@ -42,12 +42,12 @@ import (
 )
 
 // metricsHandler serves the join's latency histograms, live gauges and
-// provenance-span counters in Prometheus text exposition format
-// (0.0.4). Latencies() snapshots are atomic reads, LastValues() is
-// mutex-guarded, and the span counters are mutex/atomic snapshots, so
-// scraping is safe while the pipeline runs. spans and sampler may be
-// nil (-trace off); the span families then render as zeros.
-func metricsHandler(join *core.PJoin, live *obs.Live, spans *span.JSONL, sampler *span.Sampler) http.HandlerFunc {
+// span counters in Prometheus text exposition format (0.0.4).
+// Latencies() snapshots are atomic reads, LastValues() is mutex-guarded,
+// and the span counters are atomic snapshots, so scraping is safe while
+// the pipeline runs. spans and sampler may be nil (no tracer attached);
+// the span families then render as zeros.
+func metricsHandler(join *core.PJoin, live *obs.Live, spans *span.Tee, sampler *span.Sampler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		gauges := map[string]float64{}
 		if live != nil {
@@ -62,12 +62,7 @@ func metricsHandler(join *core.PJoin, live *obs.Live, spans *span.JSONL, sampler
 			log.Printf("auctiond: /metrics: %v", err)
 			return
 		}
-		var counts []int64
-		if spans != nil {
-			c := spans.Counts()
-			counts = c[:]
-		}
-		if err := obs.WritePromSpans(w, "pjoin", counts, sampler.Sampled(), sampler.Dropped()); err != nil {
+		if err := obs.WritePromSpans(w, "pjoin", spans.Counts(), sampler.Sampled(), sampler.Dropped()); err != nil {
 			log.Printf("auctiond: /metrics: %v", err)
 		}
 	}
@@ -88,8 +83,8 @@ func main() {
 		cacheMB  = flag.Int("spill-cache-mb", 0, "wrap the join's spill stores in an LRU block cache of this many MiB (0 = no cache)")
 		batchN   = flag.Int("batch", 0, "deliver items to operators in batches of up to this size (<= 1 = batches of one); punctuations and EOS always flush the batch")
 		lingerMs = flag.Int("batch-linger-ms", 0, "bound how long a tuple may wait in an edge buffer before its batch is cut (0 = flush on every emit); only meaningful with -batch > 1")
-		tracePth = flag.String("trace", "", "write a provenance span trace (JSONL, .gz compresses) to this path; analyze with pjointrace")
-		traceN   = flag.Int("trace-sample", 64, "with -trace, admit one in N tuples into provenance tracing (1 = every tuple); punctuation and disk-pass spans are always recorded")
+		tracePth = flag.String("trace", "", "write the span trace (JSONL, .gz compresses) to this path; analyze with pjointrace")
+		traceN   = flag.Int("trace-sample", 64, "with -trace, admit one in N tuples into tracing (1 = every tuple); punctuation, disk-pass and point spans are always recorded")
 	)
 	flag.Parse()
 
@@ -135,16 +130,17 @@ func main() {
 			return map[string]any{"sampled_at_ms": at.Millis(), "gauges": vals}
 		}))
 	}
-	// The flight ring keeps the last operator trace events for the dump;
-	// it only spends memory when the health detector can fire.
+	// One tracer slot, up to two sinks behind it. The flight ring keeps
+	// the last spans for the dump; it only spends memory when the health
+	// detector can fire. -trace writes every span to a file: punctuation
+	// lifecycles, disk passes and point records always, tuples through
+	// the sampler.
+	var sinks []span.Tracer
 	var ring *obs.Ring
-	var tracer obs.Tracer
 	if healthOn {
 		ring = obs.NewRing(256)
-		tracer = ring
+		sinks = append(sinks, ring)
 	}
-	// -trace attaches the provenance span layer: punctuation lifecycles
-	// and disk passes are always recorded, tuples through the sampler.
 	var spanSink io.WriteCloser
 	var spans *span.JSONL
 	var sampler *span.Sampler
@@ -156,6 +152,14 @@ func main() {
 		}
 		spans = span.NewJSONL(spanSink)
 		sampler = span.NewSampler(*traceN)
+		sinks = append(sinks, spans)
+	}
+	// The tee also counts spans by kind, which is what /metrics scrapes.
+	var tee *span.Tee
+	var tracer span.Tracer
+	if len(sinks) > 0 {
+		tee = span.NewTee(sinks...)
+		tracer = tee
 	}
 
 	p := exec.NewPipeline()
@@ -164,20 +168,16 @@ func main() {
 	p.BatchSize = *batchN
 	p.BatchLinger = time.Duration(*lingerMs) * time.Millisecond
 	p.SpanSampler = sampler
-	var spTr span.Tracer
-	if spans != nil {
-		spTr = spans
-		// The pipeline handle carries the span tracer so the executor's
-		// own provenance (source ingest, edge cuts, driver delivery)
-		// lands in the same trace file as the join's.
-		p.Obs = obs.NewInstrSpans(nil, nil, spans, "exec")
-	}
+	// The pipeline handle carries the same tracer, so the executor's own
+	// spans (source ingest, edge cuts, driver delivery, operator
+	// start/finish) land where the join's do.
+	p.Obs = obs.NewInstr(tracer, nil, "exec")
 	srcOpen, srcBid, joined, grouped := p.Edge(), p.Edge(), p.Edge(), p.Edge()
 	cfg := core.Config{
 		SchemaA: gen.OpenSchema, SchemaB: gen.BidSchema,
 		AttrA: 0, AttrB: 0, OutName: "Out1",
 		VerifyPunctuations: true,
-		Instr:              obs.NewInstrSpans(tracer, live, spTr, "join"),
+		Instr:              obs.NewInstr(tracer, live, "join"),
 		DiskChunkBytes:     *chunkKB << 10,
 	}
 	cfg.Thresholds.Purge = *purge
@@ -225,7 +225,7 @@ func main() {
 	sink := p.Sink(grouped)
 
 	if *httpAddr != "" {
-		http.HandleFunc("/metrics", metricsHandler(join, live, spans, sampler))
+		http.HandleFunc("/metrics", metricsHandler(join, live, tee, sampler))
 		go func() {
 			if err := http.ListenAndServe(*httpAddr, nil); err != nil {
 				log.Printf("auctiond: http: %v", err)

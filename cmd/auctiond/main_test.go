@@ -18,7 +18,7 @@ import (
 // runSmallAuction drives the Fig. 1 join over a small auction workload
 // with provenance tracing on (sample rate 1) and returns everything
 // the /metrics handler scrapes.
-func runSmallAuction(t *testing.T) (*core.PJoin, *obs.Live, *span.JSONL, *span.Sampler) {
+func runSmallAuction(t *testing.T) (*core.PJoin, *obs.Live, *span.Tee, *span.Sampler) {
 	t.Helper()
 	arrs, err := gen.Auction(gen.AuctionConfig{
 		Seed: 1, Items: 20,
@@ -39,17 +39,17 @@ func runSmallAuction(t *testing.T) (*core.PJoin, *obs.Live, *span.JSONL, *span.S
 		}
 	}
 	live := obs.NewLive(10 * stream.Millisecond)
-	spans := span.NewJSONL(io.Discard)
+	spans := span.NewTee(span.NewJSONL(io.Discard))
 	sampler := span.NewSampler(1)
 	p := exec.NewPipeline()
 	p.SpanSampler = sampler
-	p.Obs = obs.NewInstrSpans(nil, nil, spans, "exec")
+	p.Obs = obs.NewInstr(spans, nil, "exec")
 	srcOpen, srcBid, joined := p.Edge(), p.Edge(), p.Edge()
 	cfg := core.Config{
 		SchemaA: gen.OpenSchema, SchemaB: gen.BidSchema,
 		AttrA: 0, AttrB: 0, OutName: "Out1",
 		VerifyPunctuations: true,
-		Instr:              obs.NewInstrSpans(nil, live, spans, "join"),
+		Instr:              obs.NewInstr(spans, live, "join"),
 	}
 	cfg.Thresholds.Purge = 1
 	cfg.Thresholds.PropagateCount = 1

@@ -11,7 +11,7 @@
 //	pjoinbench -fig 9 -quick     # 1/10th horizon smoke run
 //	pjoinbench -fig 7 -csv out.csv
 //	pjoinbench -fig scale1 -shards 1,4,16   # ShardedPJoin scaling sweep
-//	pjoinbench -fig 5 -trace fig5.jsonl     # JSONL event trace of the run
+//	pjoinbench -fig 5 -trace fig5.jsonl     # JSONL span trace of the run (read it with pjointrace)
 //	pjoinbench -fig 5 -live 10 -csv out.csv # sample live gauges every 10ms
 //	pjoinbench -bench3 BENCH_3.json         # perf summary: index micro-benches
 //	                                        # + per-experiment work counters
@@ -34,6 +34,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -42,6 +43,7 @@ import (
 	"pjoin/internal/bench"
 	"pjoin/internal/metrics"
 	"pjoin/internal/obs"
+	"pjoin/internal/obs/span"
 	"pjoin/internal/stream"
 )
 
@@ -55,7 +57,7 @@ func main() {
 		durMs  = flag.Int64("duration-ms", 0, "override virtual horizon in milliseconds")
 		csv    = flag.String("csv", "", "write the raw series to this CSV file")
 		shards = flag.String("shards", "", "comma-separated shard counts for the scaling experiments (e.g. 1,2,4,8)")
-		trace  = flag.String("trace", "", "write a JSONL operator event trace to this file")
+		trace  = flag.String("trace", "", "write the operators' spans, every tuple admitted, as a JSONL trace to this file (.gz compresses); analyze with pjointrace")
 		liveMs = flag.Int64("live", 0, "sample live operator gauges every N virtual milliseconds (series go to -csv)")
 		bench3 = flag.String("bench3", "", "write the performance summary JSON (index micro-benchmarks + per-experiment work counters) to this file")
 		bench4 = flag.String("bench4", "", "write the latency summary JSON (result-latency + punct-delay quantiles per punctuation rate) to this file")
@@ -101,107 +103,34 @@ func main() {
 		return
 	}
 
-	if *bench4 != "" {
-		rep, err := bench.RunBench4(*seed, *quick, os.Stderr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pjoinbench: bench4: %v\n", err)
-			os.Exit(1)
-		}
-		f, err := os.Create(*bench4)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := rep.WriteJSON(f); err != nil {
-			fmt.Fprintf(os.Stderr, "pjoinbench: bench4: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *bench4)
-		return
+	// The five summary files: run the sweep, write its JSON, done.
+	summaries := []struct {
+		name, path string
+		run        func() (jsonReport, error)
+	}{
+		{"bench4", *bench4, func() (jsonReport, error) { return bench.RunBench4(*seed, *quick, os.Stderr) }},
+		{"bench5", *bench5, func() (jsonReport, error) { return bench.RunBench5(*seed, *quick, os.Stderr) }},
+		{"bench6", *bench6, func() (jsonReport, error) {
+			return bench.RunBench6(bench.RunConfig{Seed: *seed, Quick: *quick, Batch: *batchN, BatchLingerMs: *lingerMs}, os.Stderr)
+		}},
+		{"bench7", *bench7, func() (jsonReport, error) {
+			return bench.RunBench7(bench.RunConfig{Seed: *seed, Quick: *quick, Batch: *batchN}, os.Stderr)
+		}},
+		{"bench3", *bench3, func() (jsonReport, error) { return bench.RunBench3(*seed, os.Stderr) }},
 	}
-
-	if *bench5 != "" {
-		rep, err := bench.RunBench5(*seed, *quick, os.Stderr)
+	for _, sm := range summaries {
+		if sm.path == "" {
+			continue
+		}
+		rep, err := sm.run()
+		if err == nil {
+			err = writeFile(sm.path, rep.WriteJSON)
+		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "pjoinbench: bench5: %v\n", err)
+			fmt.Fprintf(os.Stderr, "pjoinbench: %s: %v\n", sm.name, err)
 			os.Exit(1)
 		}
-		f, err := os.Create(*bench5)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := rep.WriteJSON(f); err != nil {
-			fmt.Fprintf(os.Stderr, "pjoinbench: bench5: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *bench5)
-		return
-	}
-
-	if *bench6 != "" {
-		rep, err := bench.RunBench6(bench.RunConfig{
-			Seed: *seed, Quick: *quick, Batch: *batchN, BatchLingerMs: *lingerMs,
-		}, os.Stderr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pjoinbench: bench6: %v\n", err)
-			os.Exit(1)
-		}
-		f, err := os.Create(*bench6)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := rep.WriteJSON(f); err != nil {
-			fmt.Fprintf(os.Stderr, "pjoinbench: bench6: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *bench6)
-		return
-	}
-
-	if *bench7 != "" {
-		rep, err := bench.RunBench7(bench.RunConfig{
-			Seed: *seed, Quick: *quick, Batch: *batchN,
-		}, os.Stderr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pjoinbench: bench7: %v\n", err)
-			os.Exit(1)
-		}
-		f, err := os.Create(*bench7)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := rep.WriteJSON(f); err != nil {
-			fmt.Fprintf(os.Stderr, "pjoinbench: bench7: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *bench7)
-		return
-	}
-
-	if *bench3 != "" {
-		rep, err := bench.RunBench3(*seed, os.Stderr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pjoinbench: bench3: %v\n", err)
-			os.Exit(1)
-		}
-		f, err := os.Create(*bench3)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := rep.WriteJSON(f); err != nil {
-			fmt.Fprintf(os.Stderr, "pjoinbench: bench3: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *bench3)
+		fmt.Printf("wrote %s\n", sm.path)
 		return
 	}
 
@@ -228,15 +157,16 @@ func main() {
 		Batch:         *batchN,
 		BatchLingerMs: *lingerMs,
 	}
-	var tracer *obs.JSONL
+	var tracer *span.JSONL
+	var traceSink io.WriteCloser
 	if *trace != "" {
-		f, err := obs.CreateSink(*trace) // .gz paths get gzip compression
+		var err error
+		traceSink, err = obs.CreateSink(*trace) // .gz paths get gzip compression
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		defer f.Close()
-		tracer = obs.NewJSONL(f)
+		tracer = span.NewJSONL(traceSink)
 		rc.Tracer = tracer
 	}
 
@@ -290,26 +220,45 @@ func main() {
 		}
 	}
 	if tracer != nil {
-		if err := tracer.Flush(); err != nil {
+		// Flush, then close (a .gz sink writes its trailer there), and only
+		// then report: a trace that did not reach the disk whole is an error.
+		err := tracer.Flush()
+		if cerr := traceSink.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "pjoinbench: trace: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("wrote %d events to %s\n", tracer.Events(), *trace)
+		fmt.Printf("wrote %d spans to %s\n", tracer.Events(), *trace)
 	}
 
 	if *csv != "" {
-		f, err := os.Create(*csv)
+		err := writeFile(*csv, func(w io.Writer) error { return metrics.WriteCSV(w, allSeries...) })
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := metrics.WriteCSV(f, allSeries...); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		fmt.Printf("wrote %s\n", *csv)
 	}
+}
+
+// jsonReport is what every -benchN sweep returns.
+type jsonReport interface{ WriteJSON(io.Writer) error }
+
+// writeFile creates path, lets write fill it and closes it, returning
+// the first error of the three: a file is reported written only once it
+// is closed (a deferred Close is skipped by os.Exit and loses its error).
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // parseShards turns "1,2,4,8" into shard counts; empty input keeps the

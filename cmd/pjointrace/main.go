@@ -1,9 +1,9 @@
-// Command pjointrace is the offline analyzer for span traces written
-// by the provenance layer (internal/obs/span). It reads one or more
-// JSONL trace files — gzip-compressed and/or truncated mid-trailer
-// (crashed runs) are fine — splits span lines from obs event lines
-// sharing the stream, reconstructs every punctuation lifecycle, sampled
-// tuple path and disk pass, and prints:
+// Command pjointrace is the offline analyzer for span traces
+// (internal/obs/span), whoever wrote them: auctiond -trace, pjoinbench
+// -trace, or a flight dump's ring. It reads one or more JSONL trace
+// files — gzip-compressed and/or truncated mid-trailer (crashed runs)
+// are fine — reconstructs every punctuation lifecycle, sampled tuple
+// path and disk pass, and prints:
 //
 //   - a per-punctuation report: state reclaimed (memory/disk/on-the-fly,
 //     tuples and bytes), purge wall time (deduplicated across the spans
@@ -15,8 +15,9 @@
 //     spill/cache I/O;
 //   - with -flight, a stall root-cause table cross-referencing a
 //     flight-recorder dump (internal/obs/health): which passes were in
-//     flight, which punctuations were unpropagated, and how much purge
-//     work fell inside the stall window;
+//     flight, which punctuations were unpropagated, how much purge
+//     work fell inside the stall window, and any spill errors; with no
+//     trace file the dump's own ring spans are what is analyzed;
 //   - lifecycle hygiene: orphaned (no arrive) and unclosed (no
 //     emit/eos_close) punctuation traces, and incomplete pass traces.
 //
@@ -24,6 +25,7 @@
 //
 //	pjointrace trace.jsonl.gz
 //	pjointrace -flight flight.jsonl.gz -top 5 trace.jsonl
+//	pjointrace -flight flight.jsonl.gz      # the dump alone
 //	pjointrace -strict trace.jsonl   # exit 2 on orphans/unclosed traces
 package main
 
@@ -49,11 +51,15 @@ func main() {
 		strict = flag.Bool("strict", false, "exit 2 if any lifecycle is orphaned, unclosed or incomplete")
 	)
 	flag.Parse()
-	if flag.NArg() == 0 {
+	paths := flag.Args()
+	if len(paths) == 0 && *flight != "" {
+		paths = []string{*flight}
+	}
+	if len(paths) == 0 {
 		fmt.Fprintln(os.Stderr, "usage: pjointrace [-flight dump.jsonl] [-top N] [-strict] trace.jsonl[.gz] ...")
 		os.Exit(1)
 	}
-	problems, err := analyze(os.Stdout, flag.Args(), *flight, *top)
+	problems, err := analyze(os.Stdout, paths, *flight, *top)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pjointrace: %v\n", err)
 		os.Exit(1)
@@ -143,6 +149,7 @@ type analysis struct {
 	passes    map[uint64]*passLife
 	purgeRuns map[purgeRun]*timedEvent
 	deferList []timedEvent
+	spillErrs []span.Span
 	traceless int64
 }
 
@@ -174,6 +181,13 @@ func (a *analysis) punct(s span.Span) *punctLife {
 func (a *analysis) add(s span.Span) {
 	a.spans++
 	a.kinds[s.Kind]++
+	if s.Kind.IsPoint() {
+		// Complete on its own: Trace 0 by design, never an orphan.
+		if s.Kind == span.KindSpillError {
+			a.spillErrs = append(a.spillErrs, s)
+		}
+		return
+	}
 	if s.Trace == 0 {
 		a.traceless++
 		return
@@ -369,7 +383,7 @@ func readFlight(path string) (*flightDump, error) {
 				return nil, fmt.Errorf("%s: hist line: %w", path, err)
 			}
 			d.hists = append(d.hists, h)
-		case strings.HasPrefix(line, `{"ev":`):
+		case strings.HasPrefix(line, `{"sp":`):
 			if d != nil {
 				d.ring++
 			}
@@ -432,19 +446,9 @@ func analyze(w io.Writer, paths []string, flightPath string, top int) (problems 
 		}
 	}
 
-	var punctSpans, passSpans, tupleSpans int64
-	for k := 0; k < span.NumKinds(); k++ {
-		switch {
-		case span.Kind(k).IsPunct():
-			punctSpans += a.kinds[k]
-		case span.Kind(k).IsPass():
-			passSpans += a.kinds[k]
-		default:
-			tupleSpans += a.kinds[k]
-		}
-	}
-	fmt.Fprintf(w, "pjointrace: %d file(s): %d spans (punct %d, pass %d, tuple %d), %d foreign line(s) skipped\n",
-		a.files, a.spans, punctSpans, passSpans, tupleSpans, a.skipped)
+	punctSpans, passSpans, tupleSpans, pointSpans := span.FamilyCounts(a.kinds)
+	fmt.Fprintf(w, "pjointrace: %d file(s): %d spans (punct %d, pass %d, tuple %d, point %d), %d foreign line(s) skipped\n",
+		a.files, a.spans, punctSpans, passSpans, tupleSpans, pointSpans, a.skipped)
 
 	// --- punctuation lifecycles -------------------------------------
 	lives := make([]*punctLife, 0, len(a.puncts))
@@ -644,7 +648,7 @@ func analyze(w io.Writer, paths []string, flightPath string, top int) (problems 
 		at := stream.Time(fd.AtNs)
 		fmt.Fprintf(w, "\n== stall root cause (flight: reason=%s at=%s lag=%s window=[%s, %s]) ==\n",
 			fd.Reason, fmtMs(fd.AtNs), fmtMs(fd.LagNs), fmtMs(int64(winStart)), fmtMs(fd.AtNs))
-		fmt.Fprintf(w, " recorder: tuples in %d / out %d, puncts out %d, %d ring event(s)\n",
+		fmt.Fprintf(w, " recorder: tuples in %d / out %d, puncts out %d, %d ring span(s)\n",
 			fd.TuplesIn, fd.TuplesOut, fd.PunctsOut, fd.ring)
 
 		openPasses := 0
@@ -717,12 +721,23 @@ func analyze(w io.Writer, paths []string, flightPath string, top int) (problems 
 			fmt.Fprintf(w, " deferrals in window: %d (disk pass in flight %d, own disk purge pending %d)\n",
 				wDefer, wDeferDisk, wDeferOwn)
 		}
-		if openPasses == 0 && openPuncts == 0 && wRuns == 0 && wDefer == 0 {
-			fmt.Fprintf(w, " no purge, pass or punctuation activity overlaps the stall window in this trace\n")
+		if n := len(a.spillErrs); n > 0 {
+			first := a.spillErrs[0]
+			fmt.Fprintf(w, " spill errors: %d; first at %s (%s side %d): %s\n",
+				n, fmtMs(int64(first.At)), first.Op, first.Side, first.Err)
 		}
-		for _, h := range fd.hists {
-			fmt.Fprintf(w, " hist %-20s count %-8d p50 %-10s p95 %-10s p99 %-10s max %s\n",
-				h.Name, h.Count, fmtMs(h.P50), fmtMs(h.P95), fmtMs(h.P99), fmtMs(h.Max))
+		if openPasses == 0 && openPuncts == 0 && wRuns == 0 && wDefer == 0 && len(a.spillErrs) == 0 {
+			fmt.Fprintf(w, " no purge, pass, punctuation or spill-error activity overlaps the stall window in this trace\n")
+		}
+		// In the histogram table's order; a dump from before the table
+		// holds fewer of them.
+		for _, d := range obs.Hists {
+			for _, h := range fd.hists {
+				if h.Name == d.Name {
+					fmt.Fprintf(w, " hist %-20s count %-8d p50 %-10s p95 %-10s p99 %-10s max %s\n",
+						h.Name, h.Count, fmtMs(h.P50), fmtMs(h.P95), fmtMs(h.P99), fmtMs(h.Max))
+				}
+			}
 		}
 	}
 	return problems, nil

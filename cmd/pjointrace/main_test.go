@@ -3,19 +3,21 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"pjoin/internal/obs"
+	"pjoin/internal/obs/span"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden report from the current analyzer output")
 
 // TestGoldenReport pins the full report on a committed mini trace (two
 // closed punctuation lifecycles, one unclosed, a chunked disk pass, a
-// sampled tuple with two results, one foreign obs line) cross-referenced
+// sampled tuple with two results, one purge_run point span) cross-referenced
 // against a committed flight dump. Every number in the report is derived
 // from the trace, so the output is bit-deterministic. Regenerate with
 // `go test ./cmd/pjointrace -update` after an intentional format change.
@@ -104,5 +106,87 @@ func TestAnalyzeRejectsMalformedSpan(t *testing.T) {
 	if _, err := analyze(&buf, []string{bad}, "", 10); err == nil ||
 		!strings.Contains(err.Error(), "span:") {
 		t.Fatalf("analyze(malformed) err = %v, want span parse error", err)
+	}
+}
+
+// TestPointSpansAreNotOrphans: Trace-0 records of the point family are
+// complete on their own — -strict must not count them — while a span of
+// any other family without a trace still is a problem.
+func TestPointSpansAreNotOrphans(t *testing.T) {
+	dir := t.TempDir()
+	points := filepath.Join(dir, "points.jsonl")
+	var lines []string
+	for k := 0; k < span.NumKinds(); k++ {
+		if span.Kind(k).IsPoint() {
+			lines = append(lines, fmt.Sprintf(`{"sp":"%s","id":%d,"t_ns":%d,"op":"pjoin","side":0}`, span.Kind(k), k+1, k))
+		}
+	}
+	if len(lines) == 0 {
+		t.Fatal("no point kinds in the table")
+	}
+	if err := os.WriteFile(points, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	problems, err := analyze(&buf, []string{points}, "", 10)
+	if err != nil || problems != 0 {
+		t.Fatalf("point-only trace: problems=%d err=%v, want 0, nil\n%s", problems, err, buf.String())
+	}
+	if want := fmt.Sprintf("point %d)", len(lines)); !strings.Contains(buf.String(), want) {
+		t.Errorf("header does not count the %d point spans:\n%s", len(lines), buf.String())
+	}
+	traceless := filepath.Join(dir, "traceless.jsonl")
+	if err := os.WriteFile(traceless, []byte(`{"sp":"punct_purge_mem","id":1,"t_ns":1,"n":3}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if problems, err := analyze(&buf, []string{traceless}, "", 10); err != nil || problems != 1 {
+		t.Fatalf("traceless lifecycle span: problems=%d err=%v, want 1, nil", problems, err)
+	}
+}
+
+// TestWireLinesByteIdentical pins the "sp" wire format: every line of
+// the committed mini trace — written in the format of the commits before
+// the event/span fold, bar its one point line — decodes and re-encodes
+// to the same bytes.
+func TestWireLinesByteIdentical(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "mini.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	j := span.NewJSONL(&out)
+	for i, line := range bytes.Split(bytes.TrimSpace(raw), []byte("\n")) {
+		s, ok, err := span.ParseLine(line)
+		if err != nil || !ok {
+			t.Fatalf("line %d: ok=%v err=%v", i, ok, err)
+		}
+		j.Emit(s)
+	}
+	if err := j.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), raw) {
+		t.Errorf("re-encoded trace differs:\n--- got ---\n%s--- want ---\n%s", out.Bytes(), raw)
+	}
+}
+
+// TestFlightDumpAlone: a flight dump is a trace too — its ring spans are
+// analyzed when it is the only input, and its spill_error reaches the
+// root-cause table.
+func TestFlightDumpAlone(t *testing.T) {
+	dump := filepath.Join("testdata", "mini_flight.jsonl")
+	var buf bytes.Buffer
+	if _, err := analyze(&buf, []string{dump}, dump, 10); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"1 spans (punct 0, pass 0, tuple 0, point 1), 3 foreign line(s) skipped",
+		"1 ring span(s)",
+		"spill errors: 1; first at 3.200ms (pjoin side 1): injected: unreadable spill sector",
+		"hist punct_delay_ns",
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("report lacks %q:\n%s", want, buf.String())
+		}
 	}
 }

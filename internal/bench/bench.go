@@ -16,6 +16,7 @@ import (
 	"pjoin/internal/joinbase"
 	"pjoin/internal/metrics"
 	"pjoin/internal/obs"
+	"pjoin/internal/obs/span"
 	"pjoin/internal/op"
 	"pjoin/internal/sim"
 	"pjoin/internal/store"
@@ -34,9 +35,10 @@ type RunConfig struct {
 	// Shards overrides the shard counts of the scaling experiments
 	// (default 1, 2, 4, 8).
 	Shards []int
-	// Tracer, when set, receives trace events from every operator the
-	// experiment builds (pjoinbench -trace).
-	Tracer obs.Tracer
+	// Tracer, when set, receives the spans of every operator the
+	// experiment builds, and makes the simulated drive admit every tuple
+	// into tracing (pjoinbench -trace).
+	Tracer span.Tracer
 	// Live, when set, samples every operator's live gauges on its tick
 	// (pjoinbench -live). Operators register gauges under distinct names,
 	// so one sampler serves a whole experiment.
@@ -90,6 +92,27 @@ type WorkLog struct {
 // (free to carry) when the run has neither tracer nor sampler.
 func (rc RunConfig) instr(name string) *obs.Instr {
 	return obs.NewInstr(rc.Tracer, rc.Live, name)
+}
+
+// admitted returns the schedule as the simulated drive feeds it: as is,
+// or — when, and only when, a tracer is attached — with every tuple
+// admitted into tracing, so the trace holds a tuple_probe per input
+// tuple. Copies before stamping, as exec.Pipeline.Source does: the
+// generator's tuples are shared across the runs of an experiment.
+func (rc RunConfig) admitted(arrs []gen.Arrival) []gen.Arrival {
+	if rc.Tracer == nil {
+		return arrs
+	}
+	out := make([]gen.Arrival, len(arrs))
+	for i, a := range arrs {
+		if a.Item.Kind == stream.KindTuple {
+			t := *a.Item.Tuple
+			t.Span = span.NewID()
+			a.Item = stream.TupleItem(&t)
+		}
+		out[i] = a
+	}
+	return out
 }
 
 func (rc RunConfig) shardCounts() []int {
@@ -257,7 +280,7 @@ func (rc RunConfig) simulate(j sim.MeteredJoin, arrs []gen.Arrival, horizon stre
 	if !rc.Indexed {
 		j = tableWalk{j}
 	}
-	res, err := sim.Run(j, arrs, sim.Config{SampleEvery: sampleEvery, Spills: spills})
+	res, err := sim.Run(j, rc.admitted(arrs), sim.Config{SampleEvery: sampleEvery, Spills: spills})
 	if err == nil && rc.Work != nil {
 		rc.Work.Rows = append(rc.Work.Rows, WorkRow{Op: j.Name(), M: res.Final})
 	}

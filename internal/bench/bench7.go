@@ -90,12 +90,12 @@ func bench7Once(rc RunConfig, batch int, sampleEvery int) (Bench7Cell, error) {
 	}
 	p := exec.NewPipeline()
 	p.BatchSize = batch
-	var spans *span.JSONL
+	var spans *span.Tee
 	var sampler *span.Sampler
 	if sampleEvery > 0 {
-		spans = span.NewJSONL(io.Discard)
+		spans = span.NewTee(span.NewJSONL(io.Discard))
 		sampler = span.NewSampler(sampleEvery)
-		p.Obs = obs.NewInstrSpans(nil, nil, spans, "exec")
+		p.Obs = obs.NewInstr(spans, nil, "exec")
 		p.SpanSampler = sampler
 	}
 	srcA, srcB, out := p.Edge(), p.Edge(), p.Edge()
@@ -106,7 +106,7 @@ func bench7Once(rc RunConfig, batch int, sampleEvery int) (Bench7Cell, error) {
 	cfg.Thresholds.Purge = 1
 	cfg.Thresholds.PropagateCount = 1
 	if spans != nil {
-		cfg.Instr = obs.NewInstrSpans(nil, nil, spans, "pjoin")
+		cfg.Instr = obs.NewInstr(spans, nil, "pjoin")
 	}
 	pj, err := core.New(cfg, out)
 	if err != nil {
@@ -134,20 +134,10 @@ func bench7Once(rc RunConfig, batch int, sampleEvery int) (Bench7Cell, error) {
 		TuplesPerSec: float64(in) / wall.Seconds(),
 	}
 	if spans != nil {
-		if err := spans.Flush(); err != nil {
-			return Bench7Cell{}, err
-		}
-		counts := spans.Counts()
-		cell.kinds = counts[:]
-		for k, c := range counts {
-			cell.Spans += c
-			switch {
-			case span.Kind(k).IsPunct():
-				cell.PunctSpans += c
-			case span.Kind(k).IsTuple():
-				cell.TupleSpans += c
-			}
-		}
+		cell.kinds = spans.Counts()
+		var pass, point int64
+		cell.PunctSpans, pass, cell.TupleSpans, point = span.FamilyCounts(cell.kinds)
+		cell.Spans = cell.PunctSpans + pass + cell.TupleSpans + point
 		cell.SampledIn = sampler.Sampled()
 		cell.DroppedIn = sampler.Dropped()
 	}

@@ -1,10 +1,12 @@
 package bench
 
 import (
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
+	"pjoin/internal/obs/span"
 	"pjoin/internal/stream"
 )
 
@@ -88,6 +90,31 @@ func TestFig5Shape(t *testing.T) {
 	// Same result counts: the purge never loses results.
 	if rep.Rows[1][4] != rep.Rows[2][4] {
 		t.Errorf("result counts differ: %s vs %s", rep.Rows[1][4], rep.Rows[2][4])
+	}
+}
+
+// TestTracedFigureHoldsARecordPerInputTuple: with a tracer attached
+// (pjoinbench -fig N -trace) the simulated drive admits every tuple, so
+// the trace holds one tuple_probe per input tuple of every operator the
+// figure ran — and the figure itself is what it is untraced, since the
+// admission only copies and stamps.
+func TestTracedFigureHoldsARecordPerInputTuple(t *testing.T) {
+	rec := &span.Recorder{}
+	work := &WorkLog{}
+	traced := runAt(t, "fig5", RunConfig{Quick: true, Tracer: rec, Work: work})
+	var in, purgeRuns int64
+	for _, row := range work.Rows {
+		in += row.M.TuplesIn[0] + row.M.TuplesIn[1]
+		purgeRuns += row.M.PurgeRuns
+	}
+	if got := rec.Count(span.KindTupleProbe); got != in || in == 0 {
+		t.Errorf("tuple_probe spans: %d, operators consumed %d tuples", got, in)
+	}
+	if got := rec.Count(span.KindPurgeRun); got != purgeRuns || purgeRuns == 0 {
+		t.Errorf("purge_run spans: %d, Metrics.PurgeRuns %d", got, purgeRuns)
+	}
+	if plain := quick(t, "fig5"); !reflect.DeepEqual(plain.Rows, traced.Rows) {
+		t.Errorf("tracing changed the figure:\n%v\n%v", plain.Rows, traced.Rows)
 	}
 }
 

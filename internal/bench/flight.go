@@ -4,7 +4,7 @@ package bench
 // `pjoinbench -flight-sample` and the fault-injection regression test:
 // a PJoin whose spill device fails on read wedges mid-run; input keeps
 // arriving while propagation is stuck, punctuation lag grows past the
-// SLO, the stall detector fires, and the last trace events + histogram
+// SLO, the stall detector fires, and the last spans + histogram
 // snapshots are dumped as a JSONL flight record.
 
 import (
@@ -30,8 +30,7 @@ type FlightOutcome struct {
 	// PunctsOut is how many punctuations had propagated before the
 	// wedge (nonzero: the run was healthy first).
 	PunctsOut int64
-	// RingEvents is how many trace events the flight ring held at dump
-	// time.
+	// RingEvents is how many spans the flight ring held at dump time.
 	RingEvents int64
 }
 

@@ -8,13 +8,15 @@ import (
 	"testing"
 
 	"pjoin/internal/obs"
+	"pjoin/internal/obs/span"
 )
 
 // TestFlightRegression is the fault-injection acceptance test for the
 // stall detector + flight recorder: a spill device that fails on read
 // wedges the join's purge passes, punctuation lag grows past the SLO
 // while input keeps arriving, the detector fires, and the dump is
-// parseable JSONL containing the spill-error trace events.
+// parseable JSONL containing the spill_error spans and every histogram
+// of the obs.Hists table.
 func TestFlightRegression(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "flight.jsonl.gz")
 	out, err := RunFlight(path)
@@ -35,7 +37,7 @@ func TestFlightRegression(t *testing.T) {
 	}
 
 	// The dump must round-trip through the gzip sink as JSONL: a flight
-	// header, the ring's events, then histogram summaries.
+	// header, the ring's spans, then histogram summaries.
 	src, err := obs.OpenSink(path)
 	if err != nil {
 		t.Fatal(err)
@@ -64,10 +66,14 @@ func TestFlightRegression(t *testing.T) {
 			histsSeen = append(histsSeen, m["name"].(string))
 		default:
 			events++
-			if m["ev"] == "spill_error" {
+			s, ok, err := span.ParseLine([]byte(line))
+			if err != nil || !ok {
+				t.Fatalf("line %d is not a span line (ok=%v err=%v): %s", i, ok, err, line)
+			}
+			if s.Kind == span.KindSpillError {
 				spillErrs++
-				if !strings.Contains(m["err"].(string), "injected") {
-					t.Errorf("spill_error event lost the error text: %v", m["err"])
+				if !strings.Contains(s.Err, "injected") || s.Trace != 0 {
+					t.Errorf("spill_error span lost the error text or gained a trace: %+v", s)
 				}
 			}
 		}
@@ -88,15 +94,14 @@ func TestFlightRegression(t *testing.T) {
 		t.Errorf("dumped %d events, ring held %d", events, out.RingEvents)
 	}
 	if spillErrs == 0 {
-		t.Error("flight ring contains no spill_error events — the recorder missed the fault")
+		t.Error("flight ring contains no spill_error spans — the recorder missed the fault")
 	}
-	want := []string{"result_latency_ns", "punct_delay_ns", "purge_duration_ns"}
-	if len(histsSeen) != len(want) {
-		t.Fatalf("hist lines = %v, want %v", histsSeen, want)
+	if len(histsSeen) != len(obs.Hists) {
+		t.Fatalf("hist lines = %v, want the %d of the table", histsSeen, len(obs.Hists))
 	}
-	for i, n := range want {
-		if histsSeen[i] != n {
-			t.Errorf("hist %d = %q, want %q", i, histsSeen[i], n)
+	for i, d := range obs.Hists {
+		if histsSeen[i] != d.Name {
+			t.Errorf("hist %d = %q, want %q", i, histsSeen[i], d.Name)
 		}
 	}
 }

@@ -68,6 +68,7 @@ func runScale1(rc RunConfig) (*Report, error) {
 		}
 	}
 	costs := sim.DefaultCosts()
+	arrs = rc.admitted(arrs)
 
 	var rows []scaleRow
 	for _, n := range rc.shardCounts() {

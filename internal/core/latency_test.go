@@ -3,7 +3,7 @@ package core
 import (
 	"testing"
 
-	"pjoin/internal/obs"
+	"pjoin/internal/obs/span"
 	"pjoin/internal/op"
 	"pjoin/internal/stream"
 )
@@ -15,7 +15,7 @@ import (
 // emit paths.
 func TestLatencyReconciliation(t *testing.T) {
 	t.Run("indexed", func(t *testing.T) {
-		cfg := obsConfig(obs.NewRecorder())
+		cfg := obsConfig(&span.Recorder{})
 		sink := &op.Collector{}
 		j, err := New(cfg, sink)
 		if err != nil {
@@ -64,7 +64,7 @@ func TestDiskLatencyReconciliation(t *testing.T) {
 			name = "chunked-indexed"
 		}
 		t.Run(name, func(t *testing.T) {
-			cfg := obsConfig(obs.NewRecorder())
+			cfg := obsConfig(&span.Recorder{})
 			cfg.DiskChunkBytes = chunkBytes
 			sink := &op.Collector{}
 			j, err := New(cfg, sink)
@@ -103,7 +103,7 @@ func TestDiskLatencyReconciliation(t *testing.T) {
 // result's timestamp is the probing tuple's own), while a punctuation
 // that must wait for the partner side's purge shows a positive delay.
 func TestLatencyValues(t *testing.T) {
-	cfg := obsConfig(obs.NewRecorder())
+	cfg := obsConfig(&span.Recorder{})
 	j, err := New(cfg, &op.Collector{})
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestLatencyValues(t *testing.T) {
 // TestXJoinStyleNoPropagationNoDelaySamples: with propagation disabled
 // the PunctDelay histogram stays empty while purges still record.
 func TestNoPropagationNoDelaySamples(t *testing.T) {
-	cfg := obsConfig(obs.NewRecorder())
+	cfg := obsConfig(&span.Recorder{})
 	cfg.DisablePropagation = true
 	j, err := New(cfg, &op.Collector{})
 	if err != nil {

@@ -4,8 +4,11 @@ import (
 	"errors"
 	"testing"
 
+	"pjoin/internal/gen"
 	"pjoin/internal/obs"
+	"pjoin/internal/obs/span"
 	"pjoin/internal/op"
+	"pjoin/internal/oracle/spancheck"
 	"pjoin/internal/store"
 	"pjoin/internal/stream"
 )
@@ -14,7 +17,7 @@ import (
 // purge, propagation, and a memory threshold low enough that the bulk
 // phase of the workload forces state relocation (and therefore a disk
 // pass at the end).
-func obsConfig(rec obs.Tracer) Config {
+func obsConfig(rec span.Tracer) Config {
 	cfg := defaultConfig()
 	cfg.Instr = obs.NewInstr(rec, nil, "pjoin")
 	cfg.Thresholds.Purge = 1
@@ -45,55 +48,47 @@ func obsWorkload() []feedItem {
 }
 
 // TestObsEventsReconcileWithMetrics is the trace/metrics consistency
-// contract: every counted state transition emits exactly one event, so
+// contract: every counted state transition emits exactly one span, so
 // an offline trace analysis reaches the same totals as the operator's
-// own counters.
+// own counters. The identities are the one reconciliation table
+// (spancheck.Check), run here over the fixed stream it ships.
 func TestObsEventsReconcileWithMetrics(t *testing.T) {
-	rec := obs.NewRecorder()
-	j, err := New(obsConfig(rec), &op.Collector{})
+	rec := &span.Recorder{}
+	cfg := obsConfig(rec)
+	cfg.SchemaA, cfg.SchemaB = gen.SchemaA, gen.SchemaB
+	j, err := New(cfg, &op.Collector{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	run(t, j, obsWorkload())
+	var items []feedItem
+	for _, a := range spancheck.Stream() {
+		items = append(items, feedItem{a.Port, a.Item})
+	}
+	run(t, j, items)
 
 	m := j.Metrics()
-	// The workload must actually reach the spill and propagation paths,
-	// or the reconciliation below is vacuous.
-	if m.Relocations == 0 || m.DiskPasses == 0 || m.PurgeRuns == 0 || m.PunctsOut == 0 {
+	// The workload must actually reach the spill, purge, drop and
+	// propagation paths, or the reconciliation below is vacuous.
+	if m.Relocations == 0 || m.DiskPasses == 0 || m.PurgeRuns == 0 || m.PunctsOut == 0 ||
+		m.DroppedOnFly == 0 || m.DiskJoins == 0 {
 		t.Fatalf("workload missed a traced path: %+v", m)
 	}
-	checks := []struct {
-		kind obs.Kind
-		want int64
-	}{
-		{obs.KindTupleIn, m.TuplesIn[0] + m.TuplesIn[1]},
-		{obs.KindProbe, m.TuplesIn[0] + m.TuplesIn[1]},
-		{obs.KindPunctIn, m.PunctsIn[0] + m.PunctsIn[1]},
-		{obs.KindPurge, m.PurgeRuns},
-		{obs.KindPropagate, m.PunctsOut},
-		{obs.KindRelocate, m.Relocations},
-		{obs.KindDiskPass, m.DiskPasses},
+	for _, d := range spancheck.Check(rec.Spans(), m, spancheck.Opts{Admitted: true}) {
+		t.Error(d)
 	}
-	for _, c := range checks {
-		if got := rec.Count(c.kind); got != c.want {
-			t.Errorf("%v events: got %d, want %d", c.kind, got, c.want)
+	// purge_run N counts memory removals (freed or parked);
+	// Metrics.Purged counts freed ones plus disk-pass drops.
+	var removed int64
+	for _, s := range rec.Spans() {
+		if s.Kind == span.KindPurgeRun {
+			removed += s.N
+		}
+		if s.Shard != -1 || s.Op != "pjoin" {
+			t.Fatalf("span %+v not stamped with the unsharded operator's identity", s)
 		}
 	}
-	// Purge work totals must reconcile too, not just run counts.
-	var removed, scanned int64
-	for _, e := range rec.Events() {
-		if e.Kind == obs.KindPurge {
-			removed += e.N
-			scanned += e.M
-		}
-	}
-	if scanned != m.PurgeScanned {
-		t.Errorf("purge events scanned %d tuples, metrics say %d", scanned, m.PurgeScanned)
-	}
-	// Event N counts memory removals only; Metrics.Purged additionally
-	// counts disk-pass drops, so it can only be larger.
-	if removed == 0 || removed > m.Purged {
-		t.Errorf("purge events removed %d tuples, metrics purged %d (want 0 < removed <= purged)", removed, m.Purged)
+	if removed == 0 {
+		t.Error("no purge_run span removed anything")
 	}
 }
 
@@ -101,7 +96,7 @@ func TestObsEventsReconcileWithMetrics(t *testing.T) {
 // propagation the lag is the full stream time; after the final
 // propagation it collapses to now - lastPropagation.
 func TestPunctLag(t *testing.T) {
-	j, err := New(obsConfig(obs.NewRecorder()), &op.Collector{})
+	j, err := New(obsConfig(&span.Recorder{}), &op.Collector{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,9 +137,9 @@ func TestPunctLag(t *testing.T) {
 
 // TestSpillAppendErrorSurfaces proves a failing spill device during
 // state relocation surfaces as a Process error (not a panic, not silent
-// state corruption) and is recorded as a spill-error trace event.
+// state corruption) and is recorded as a spill_error span.
 func TestSpillAppendErrorSurfaces(t *testing.T) {
-	rec := obs.NewRecorder()
+	rec := &span.Recorder{}
 	boom := errors.New("disk gone")
 	cfg := obsConfig(rec)
 	cfg.SpillA = store.NewFaultSpill(store.NewMemSpill(), store.FaultAppend, 1, boom)
@@ -162,15 +157,15 @@ func TestSpillAppendErrorSurfaces(t *testing.T) {
 	if !errors.Is(procErr, boom) {
 		t.Fatalf("Process error: got %v, want injected %v", procErr, boom)
 	}
-	if n := rec.Count(obs.KindSpillError); n == 0 {
-		t.Error("no spill-error event recorded")
+	if n := rec.Count(span.KindSpillError); n == 0 {
+		t.Error("no spill_error span recorded")
 	}
 }
 
 // TestSpillReadErrorSurfaces proves a read failure during the disk-join
 // pass surfaces from Finish and is traced.
 func TestSpillReadErrorSurfaces(t *testing.T) {
-	rec := obs.NewRecorder()
+	rec := &span.Recorder{}
 	boom := errors.New("unreadable sector")
 	cfg := obsConfig(rec)
 	cfg.SpillA = store.NewFaultSpill(store.NewMemSpill(), store.FaultRead, 1, boom)
@@ -201,7 +196,7 @@ func TestSpillReadErrorSurfaces(t *testing.T) {
 	if !errors.Is(runErr, boom) {
 		t.Fatalf("run error: got %v, want injected %v", runErr, boom)
 	}
-	if n := rec.Count(obs.KindSpillError); n == 0 {
-		t.Error("no spill-error event recorded")
+	if n := rec.Count(span.KindSpillError); n == 0 {
+		t.Error("no spill_error span recorded")
 	}
 }

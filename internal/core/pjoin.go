@@ -287,7 +287,7 @@ func New(cfg Config, out op.Emitter) (*PJoin, error) {
 // wait for the disk pass for a left-over one.
 func (j *PJoin) noteResult(ts stream.Time, sp uint64) {
 	j.lat.RecordResult(j.now, ts)
-	if sp != 0 && j.base.ResultSpans > 0 && j.obs.SpansEnabled() {
+	if sp != 0 && j.base.ResultSpans > 0 && j.obs.Enabled() {
 		j.base.ResultSpans--
 		j.obs.Span(span.KindTupleResult, sp, j.now, -1, 0, 0, 0, int64(j.now-ts))
 	}
@@ -298,41 +298,12 @@ func (j *PJoin) noteResult(ts stream.Time, sp uint64) {
 // they are safe because Live runs them from this operator's own
 // processing path (Instr.Tick inside Process) — see obs.Live.
 func (j *PJoin) registerGauges() {
-	lv := j.obs.Live()
+	lv, name := j.base.RegisterGauges(j.Name())
 	if lv == nil {
 		return
 	}
-	name := j.obs.Op()
-	if name == "" {
-		name = j.Name()
-	}
-	lv.Register(name+".mem_bytes.a", func() float64 { return float64(j.base.States[0].MemBytes()) })
-	lv.Register(name+".mem_bytes.b", func() float64 { return float64(j.base.States[1].MemBytes()) })
-	lv.Register(name+".disk_bytes", func() float64 {
-		a, b := j.StateStats()
-		return float64(a.DiskBytes + b.DiskBytes)
-	})
-	lv.Register(name+".state_tuples", func() float64 { return float64(j.StateTuples()) })
-	lv.Register(name+".bucket_skew", func() float64 {
-		sk := j.base.States[0].MemBucketSkew()
-		if s1 := j.base.States[1].MemBucketSkew(); s1 > sk {
-			sk = s1
-		}
-		return sk
-	})
-	lv.Register(name+".mem_groups", func() float64 {
-		a, b := j.StateStats()
-		return float64(a.MemGroups + b.MemGroups)
-	})
 	lv.Register(name+".punct_lag_ms", func() float64 { return j.PunctLag().Millis() })
-	// Cumulative; the output rate is its metrics.Series.Rate. tuples_in
-	// and puncts_out are what the health detector's stall window watches
-	// (auctiond polls LastValues — it must not read Metrics() while the
-	// operator goroutine runs).
-	lv.Register(name+".tuples_out", func() float64 { return float64(j.base.M.TuplesOut) })
-	lv.Register(name+".tuples_in", func() float64 {
-		return float64(j.base.M.TuplesIn[0] + j.base.M.TuplesIn[1])
-	})
+	// What the health detector's stall window watches next to tuples_in.
 	lv.Register(name+".puncts_out", func() float64 { return float64(j.base.M.PunctsOut) })
 }
 
@@ -528,7 +499,6 @@ func (j *PJoin) ProcessBatch(port int, items []stream.Item, now stream.Time) err
 // future partner, in which case the tuple is dropped on the fly.
 func (j *PJoin) processTuple(s int, t *stream.Tuple) error {
 	j.base.M.TuplesIn[s]++
-	j.obs.Event(obs.KindTupleIn, t.Ts, s, 0, 0)
 	if err := j.mon.TupleArrived(t.Ts); err != nil {
 		return err
 	}
@@ -557,8 +527,7 @@ func (j *PJoin) processTuple(s int, t *stream.Tuple) error {
 	if err != nil {
 		return err
 	}
-	j.obs.Event(obs.KindProbe, t.Ts, s, int64(matches), 0)
-	if t.Span != 0 && j.obs.SpansEnabled() {
+	if t.Span != 0 && j.obs.Enabled() {
 		j.obs.Span(span.KindTupleProbe, t.Span, t.Ts, s,
 			int64(matches), j.base.M.Examined-examBefore, 0, 0)
 	}
@@ -582,7 +551,7 @@ func (j *PJoin) processTuple(s int, t *stream.Tuple) error {
 			} else {
 				j.base.M.DroppedOnFly++
 			}
-			if e.TraceID != 0 && j.obs.SpansEnabled() {
+			if e.TraceID != 0 && j.obs.Enabled() {
 				var dropped, park int64 = 1, 0
 				if parked {
 					dropped, park = 0, 1
@@ -607,10 +576,10 @@ func (j *PJoin) processTuple(s int, t *stream.Tuple) error {
 // makes this operator the trace root.
 func (j *PJoin) processPunct(s int, p punct.Punctuation, ts stream.Time, trace uint64) error {
 	j.base.M.PunctsIn[s]++
-	j.obs.Event(obs.KindPunctIn, ts, s, 0, 0)
 	if p.IsEmpty() {
 		// An empty punctuation matches nothing: it carries no
 		// information and is dropped without counting toward thresholds.
+		j.obs.Span(span.KindPunctDiscard, 0, ts, s, 0, 0, 0, 0)
 		return nil
 	}
 	if p.Width() != j.schema(s).Width() {
@@ -622,7 +591,7 @@ func (j *PJoin) processPunct(s int, p punct.Punctuation, ts stream.Time, trace u
 		return err
 	}
 	e.ArrivedAt = int64(ts)
-	if j.obs.SpansEnabled() {
+	if j.obs.Enabled() {
 		if trace == 0 {
 			trace = span.NewID()
 		}
@@ -682,7 +651,7 @@ func (j *PJoin) purgeState(victim int, now stream.Time) error {
 	// per trace across the whole run and flush as one punct_purge_mem
 	// span per punctuation when the run ends. Only allocated when spans
 	// are on; the untraced purge path is unchanged.
-	spansOn := j.obs.SpansEnabled()
+	spansOn := j.obs.Enabled()
 	var shares map[uint64]*purgeShare
 	if spansOn {
 		shares = make(map[uint64]*purgeShare)
@@ -806,7 +775,7 @@ func (j *PJoin) purgeState(victim int, now stream.Time) error {
 	}
 	emitPurgeSpans()
 	j.lat.RecordPurge(time.Since(purgeStart).Nanoseconds())
-	j.obs.Event(obs.KindPurge, now, victim, removedRun, scannedRun)
+	j.obs.Span(span.KindPurgeRun, 0, now, victim, removedRun, scannedRun, 0, 0)
 	return nil
 }
 
@@ -972,7 +941,7 @@ func (j *PJoin) propagate(now stream.Time) error {
 		// A budgeted pass is in flight: defer the release to its
 		// completion (passDone re-invokes propagate), which is when the
 		// disk-pending marks clear.
-		if !j.propPending && j.obs.SpansEnabled() {
+		if !j.propPending && j.obs.Enabled() {
 			// Record the deferral once per in-flight pass on every
 			// punctuation that would otherwise release now, so
 			// pjointrace can apportion propagation delay to the pass.
@@ -1011,7 +980,7 @@ func (j *PJoin) propagate(now stream.Time) error {
 		}
 		for _, e := range j.psets[s].Propagable() {
 			if j.diskPending[s][e.PID] {
-				if e.TraceID != 0 && j.obs.SpansEnabled() {
+				if e.TraceID != 0 && j.obs.Enabled() {
 					j.obs.Span(span.KindPunctDefer, e.TraceID, now, s, int64(e.PID), 2, 0, 0)
 				}
 				continue
@@ -1031,8 +1000,7 @@ func (j *PJoin) propagate(now stream.Time) error {
 			j.base.M.PunctsOut++
 			j.lastPropTs = maxTime(j.lastPropTs, now)
 			j.lat.RecordPunctDelay(now, stream.Time(e.ArrivedAt))
-			j.obs.Event(obs.KindPropagate, now, s, 0, 0)
-			if e.TraceID != 0 && j.obs.SpansEnabled() {
+			if e.TraceID != 0 && j.obs.Enabled() {
 				j.obs.Span(span.KindPunctEmit, e.TraceID, now, s,
 					int64(e.PID), 0, 0, int64(now)-e.ArrivedAt)
 			}
@@ -1132,7 +1100,7 @@ func (j *PJoin) passHooks() joinbase.PassHooks {
 		hooks.DropDisk = func(side int, sd *store.StoredTuple) bool {
 			e := j.psets[1-side].FirstMatchAttr(j.attrs[1-side], sd.T.Values[j.attrs[side]])
 			drop := e != nil && e.PID <= j.dropBound[1-side]
-			if drop && e.TraceID != 0 && j.obs.SpansEnabled() {
+			if drop && e.TraceID != 0 && j.obs.Enabled() {
 				j.obs.Span(span.KindPunctPurgeDisk, e.TraceID, j.now, side,
 					1, 0, int64(sd.T.EncodedSize()), 0)
 			}
@@ -1247,7 +1215,7 @@ func (j *PJoin) Finish(now stream.Time) error {
 			return err
 		}
 	}
-	if j.obs.SpansEnabled() {
+	if j.obs.Enabled() {
 		// Close the lifecycle of every punctuation that never propagated
 		// (propagation disabled, count still positive, or disk-pending at
 		// the end) so no trace dangles: pjointrace treats punct_eos_close

@@ -193,7 +193,7 @@ func (e *Edge) flushLocked(forced bool) error {
 		return nil
 	}
 	e.buf = nil
-	if !e.sink && e.p.Obs.SpansEnabled() {
+	if !e.sink && e.p.Obs.Enabled() {
 		m := int64(0)
 		if forced {
 			m = 1
@@ -409,7 +409,7 @@ func (p *Pipeline) Source(out *Edge, items []stream.Item, paced bool) {
 						}
 					}
 				}
-				if it.Kind == stream.KindTuple && sin.SpansEnabled() && p.SpanSampler.Sample() {
+				if it.Kind == stream.KindTuple && sin.Enabled() && p.SpanSampler.Sample() {
 					// Copy before stamping the trace: the caller owns the
 					// tuple and may share it across sources or replays.
 					t := *it.Tuple
@@ -515,7 +515,7 @@ func (p *Pipeline) Spawn(o op.Operator, inputs ...*Edge) error {
 //
 //pjoin:hotpath
 func restamp(oin *obs.Instr, port int, items []stream.Item, first stream.Time) (eos int) {
-	spans := oin.SpansEnabled()
+	spans := oin.Enabled()
 	for i := range items {
 		it := &items[i]
 		ts := first + stream.Time(i)
@@ -544,7 +544,7 @@ func restamp(oin *obs.Instr, port int, items []stream.Item, first stream.Time) (
 func (p *Pipeline) drive(o op.Operator, inputs []*Edge, pull *PullHandle) error {
 	oin := p.Obs.Derive(o.Name(), -1)
 	var lastTs stream.Time
-	oin.Event(obs.KindOpStart, p.sysNow(lastTs), -1, 0, 0)
+	oin.Span(span.KindOpStart, 0, p.sysNow(lastTs), -1, 0, 0, 0, 0)
 	var tick <-chan time.Time
 	if p.IdlePoll > 0 {
 		t := time.NewTicker(p.IdlePoll)
@@ -616,7 +616,7 @@ func (p *Pipeline) drive(o op.Operator, inputs []*Edge, pull *PullHandle) error 
 			if err := o.Finish(lastTs + 1); err != nil {
 				return fmt.Errorf("exec: %s: %w", o.Name(), err)
 			}
-			oin.Event(obs.KindOpFinish, lastTs+1, -1, 0, 0)
+			oin.Span(span.KindOpFinish, 0, lastTs+1, -1, 0, 0, 0, 0)
 			return nil
 		}
 		delivered = true

@@ -3,7 +3,6 @@ package joinbase
 import (
 	"math"
 
-	"pjoin/internal/obs"
 	"pjoin/internal/obs/span"
 	"pjoin/internal/store"
 	"pjoin/internal/stream"
@@ -49,9 +48,6 @@ type ChunkPass struct {
 	hooks  PassHooks
 	budget int // bytes per chunk read
 	pairs  int // pair checks per join step
-
-	startExamined int64
-	startJoins    int64
 
 	bucket int         // next bucket index to open
 	cur    chunkBucket // the bucket in flight, when open is set
@@ -170,11 +166,7 @@ func (b *Base) StartChunkPass(hooks PassHooks, budget int) *ChunkPass {
 	if hooks.OnPassStart != nil {
 		hooks.OnPassStart()
 	}
-	return &ChunkPass{
-		b: b, hooks: hooks, budget: budget, pairs: pairsPerStep(budget),
-		startExamined: b.M.DiskExamined,
-		startJoins:    b.M.DiskJoins,
-	}
+	return &ChunkPass{b: b, hooks: hooks, budget: budget, pairs: pairsPerStep(budget)}
 }
 
 // Step performs one bounded unit of the pass at time now and reports
@@ -183,12 +175,9 @@ func (b *Base) StartChunkPass(hooks PassHooks, budget int) *ChunkPass {
 func (p *ChunkPass) Step(now stream.Time) (bool, error) {
 	b := p.b
 	b.ResultSpans = span.ResultCap
-	exBefore, joBefore := b.M.DiskExamined, b.M.DiskJoins
 	for {
 		if !p.open {
 			if p.bucket >= b.States[0].NumBuckets() {
-				b.Obs.Event(obs.KindDiskPass, now, -1,
-					b.M.DiskExamined-p.startExamined, b.M.DiskJoins-p.startJoins)
 				return true, nil
 			}
 			err := p.openBucket(p.bucket, now)
@@ -231,7 +220,7 @@ func (p *ChunkPass) Step(now stream.Time) (bool, error) {
 			if done {
 				cb.readSide++
 			}
-			p.step(now, exBefore, joBefore)
+			b.M.DiskChunks++
 			return false, nil
 		}
 
@@ -287,7 +276,7 @@ func (p *ChunkPass) Step(now stream.Time) (bool, error) {
 				}
 			}
 			if cb.xi < len(xs) {
-				p.step(now, exBefore, joBefore)
+				b.M.DiskChunks++
 				return false, nil
 			}
 		}
@@ -298,16 +287,9 @@ func (p *ChunkPass) Step(now stream.Time) (bool, error) {
 			return false, err
 		}
 		p.open = false
-		p.step(now, exBefore, joBefore)
+		b.M.DiskChunks++
 		return false, nil
 	}
-}
-
-// step records one executed chunk step.
-func (p *ChunkPass) step(now stream.Time, exBefore, joBefore int64) {
-	p.b.M.DiskChunks++
-	p.b.Obs.Event(obs.KindDiskChunk, now, -1,
-		p.b.M.DiskExamined-exBefore, p.b.M.DiskJoins-joBefore)
 }
 
 // openBucket snapshots bucket i into p.cur and sets p.open, unless the

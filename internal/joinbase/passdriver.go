@@ -100,7 +100,7 @@ func (d *PassDriver) step(now stream.Time) error {
 		d.start = time.Now()
 		d.beginPassTrace(now)
 	}
-	spansOn := b.Obs.SpansEnabled()
+	spansOn := b.Obs.Enabled()
 	var stepIO passIO
 	if spansOn {
 		stepIO = d.passIO()
@@ -112,16 +112,18 @@ func (d *PassDriver) step(now stream.Time) error {
 		d.pass = nil
 		return err
 	}
-	stepWall := time.Since(stepStart).Nanoseconds()
-	if spansOn {
-		// One pass_chunk span per step, so pjointrace can show how a
-		// pass's work spread across event-loop pumps.
-		io := d.passIO()
-		b.Obs.Span(span.KindPassChunk, d.trace, now, -1,
-			b.M.DiskExamined-stepExam, b.M.DiskJoins-stepJoin, io.bytes-stepIO.bytes, stepWall)
-	}
 	if !done {
+		stepWall := time.Since(stepStart).Nanoseconds()
 		d.lat.RecordDiskChunk(stepWall)
+		if spansOn {
+			// One pass_chunk span per Metrics.DiskChunks step (the call
+			// that only finds the pass complete is neither), so
+			// pjointrace can show how a pass's work spread across
+			// event-loop pumps.
+			io := d.passIO()
+			b.Obs.Span(span.KindPassChunk, d.trace, now, -1,
+				b.M.DiskExamined-stepExam, b.M.DiskJoins-stepJoin, io.bytes-stepIO.bytes, stepWall)
+		}
 		//pjoin:allow spanpair a pass stays open across steps by design; the completing step closes it, EOS-close covers aborts
 		return nil
 	}
@@ -160,7 +162,7 @@ func (d *PassDriver) passIO() passIO {
 //
 //pjoin:span begin pass
 func (d *PassDriver) beginPassTrace(now stream.Time) {
-	if !d.b.Obs.SpansEnabled() {
+	if !d.b.Obs.Enabled() {
 		return
 	}
 	d.trace = span.NewID()
@@ -179,7 +181,7 @@ func (d *PassDriver) beginPassTrace(now stream.Time) {
 //
 //pjoin:span end pass
 func (d *PassDriver) endPassTrace(now stream.Time, wall int64) {
-	if !d.b.Obs.SpansEnabled() {
+	if !d.b.Obs.Enabled() {
 		return
 	}
 	io := d.passIO()

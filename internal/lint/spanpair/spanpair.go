@@ -1,6 +1,6 @@
 // Package spanpair implements the pjoinlint analyzer for span
 // lifecycle pairing — the static mirror of the traced-oracle's "every
-// lifecycle closes" reconciliation (DESIGN.md §13).
+// lifecycle closes" reconciliation (DESIGN.md §7).
 //
 // Two rules:
 //
@@ -16,10 +16,18 @@
 //     KindPunctEOSClose for punctuations, an end-marked function or
 //     KindPassEnd for passes. This catches lifecycles whose halves
 //     span event handlers, where path analysis cannot follow.
+//
+// Both rules follow the span package's kind table. Its point family
+// (purge_run, relocate, spill_error, op_start, op_finish, punct_discard)
+// opens nothing, so a package that emits only point kinds — xjoin's
+// discarded punctuations, exec's operator start/finish — owes no
+// terminal; what a point kind does owe is Trace 0, and a call that
+// passes one next to any other trace argument is reported.
 package spanpair
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
 	"sort"
@@ -39,6 +47,14 @@ var Analyzer = &analysis.Analyzer{
 var terminalKinds = map[string][]string{
 	"pass":  {"KindPassEnd"},
 	"punct": {"KindPunctEmit", "KindPunctEOSClose"},
+}
+
+// isPoint reports whether a span-package constant belongs to the kind
+// table's point family, read off the table itself the way
+// span.Kind.IsPoint does: the kinds from KindPurgeRun on.
+func isPoint(spanPkg *types.Package, c *types.Const) bool {
+	first, ok := spanPkg.Scope().Lookup("KindPurgeRun").(*types.Const)
+	return ok && types.Identical(c.Type(), first.Type()) && constant.Compare(c.Val(), token.GEQ, first.Val())
 }
 
 func run(pass *analysis.Pass) error {
@@ -334,6 +350,7 @@ func checkPackageLevel(pass *analysis.Pass, g *analysis.CallGraph, begins, ends 
 	if spanPkg == nil || spanPkg == pass.Pkg {
 		return
 	}
+	checkPointTraces(pass, spanPkg)
 	arrivePos := referencesAnyKind(pass, spanPkg, []string{"KindPunctArrive"})
 	if arrivePos == 0 {
 		return
@@ -341,6 +358,39 @@ func checkPackageLevel(pass *analysis.Pass, g *analysis.CallGraph, begins, ends 
 	if referencesAnyKind(pass, spanPkg, terminalKinds["punct"]) == 0 {
 		pass.Reportf(arrivePos,
 			"package emits span.KindPunctArrive but never a punctuation terminal (KindPunctEmit / KindPunctEOSClose): lifecycles opened here can never close")
+	}
+}
+
+// checkPointTraces reports every call whose first argument is a point
+// kind and whose second — the trace, in Instr.Span's order — is anything
+// but the constant 0: a point record filed under a trace would read as a
+// lifecycle that never opened.
+func checkPointTraces(pass *analysis.Pass, spanPkg *types.Package) {
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) < 2 {
+				return true
+			}
+			var id *ast.Ident
+			switch k := call.Args[0].(type) {
+			case *ast.Ident:
+				id = k
+			case *ast.SelectorExpr:
+				id = k.Sel
+			default:
+				return true
+			}
+			obj, ok := pass.Info.Uses[id].(*types.Const)
+			if !ok || obj.Pkg() != spanPkg || !isPoint(spanPkg, obj) {
+				return true
+			}
+			if tv := pass.Info.Types[call.Args[1]]; tv.Value == nil || tv.Value.String() != "0" {
+				pass.Reportf(call.Args[1].Pos(),
+					"point kind span.%s emitted under a trace: point kinds have no lifecycle and carry Trace 0", id.Name)
+			}
+			return true
+		})
 	}
 }
 

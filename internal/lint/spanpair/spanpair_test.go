@@ -7,5 +7,5 @@ import (
 )
 
 func TestSpanpair(t *testing.T) {
-	linttest.Run(t, "testdata", Analyzer, "spans", "nopair", "arrive")
+	linttest.Run(t, "testdata", Analyzer, "spans", "nopair", "arrive", "point")
 }

@@ -4,11 +4,16 @@ package span
 // Kind tags a span.
 type Kind uint8
 
-// The lifecycle kinds.
+// The lifecycle kinds, then (from KindPurgeRun on) some of the point
+// family.
 const (
 	KindPassBegin Kind = iota
 	KindPassEnd
 	KindPunctArrive
 	KindPunctEmit
 	KindPunctEOSClose
+	KindPurgeRun
+	KindOpStart
+	KindOpFinish
+	KindPunctDiscard
 )

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"errors"
 	"testing"
 
 	"pjoin/internal/obs/span"
@@ -18,7 +19,7 @@ func TestNilInstrDoesNotAllocate(t *testing.T) {
 		if in.Enabled() {
 			t.Fatal("unreachable")
 		}
-		in.Event(KindProbe, 1, 0, 2, 3)
+		in.Span(span.KindPurgeRun, 0, 1, 0, 2, 3, 0, 0)
 		in.Tick(1)
 	})
 	if allocs != 0 {
@@ -27,13 +28,14 @@ func TestNilInstrDoesNotAllocate(t *testing.T) {
 }
 
 func TestNopTracerInstrDoesNotAllocate(t *testing.T) {
-	in := NewInstr(Nop, nil, "pjoin")
+	in := NewInstr(span.Nop, nil, "pjoin")
+	boom := errors.New("boom")
 	allocs := testing.AllocsPerRun(1000, func() {
 		if in.Enabled() {
 			t.Fatal("unreachable")
 		}
-		in.Event(KindProbe, 1, 0, 2, 3)
-		in.SpillError(1, 0, nil)
+		in.Span(span.KindPurgeRun, 0, 1, 0, 2, 3, 0, 0)
+		in.SpillError(1, 0, boom)
 	})
 	if allocs != 0 {
 		t.Errorf("Nop-tracer hot path allocates %.1f/op, want 0", allocs)
@@ -41,13 +43,16 @@ func TestNopTracerInstrDoesNotAllocate(t *testing.T) {
 }
 
 func TestDetachedSpansDoNotAllocate(t *testing.T) {
-	// Detached provenance: span call sites are compiled in and called
-	// unconditionally, but no span tracer is attached. This is the
-	// bench7 "detached" cell's contract — one branch, zero allocations.
-	in := NewInstr(Nop, nil, "pjoin")
+	// Detached tracing: span call sites are compiled in and called
+	// unconditionally, but the tracer behind the handle records nothing —
+	// here a flight ring after Detach. This is the bench7 "detached"
+	// cell's contract — one branch, zero allocations.
+	ring := NewRing(8)
+	ring.Detach()
+	in := NewInstr(ring, nil, "pjoin")
 	var smp *span.Sampler
 	allocs := testing.AllocsPerRun(1000, func() {
-		if in.SpansEnabled() {
+		if in.Enabled() {
 			t.Fatal("unreachable")
 		}
 		in.Span(span.KindTupleProbe, 7, 1, 0, 3, 12, 0, 0)

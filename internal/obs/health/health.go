@@ -14,8 +14,8 @@
 //     work wants operators to export.
 //
 // When either trips, the Detector fires ONCE (latched) and the caller
-// dumps a flight-recorder bundle: the last N trace events from an
-// obs.Ring plus latency-histogram snapshots, as JSONL, for post-mortem.
+// dumps a flight-recorder bundle: the last N spans from an obs.Ring plus
+// latency-histogram snapshots, as JSONL, for post-mortem.
 package health
 
 import (
@@ -25,7 +25,7 @@ import (
 	"sync"
 
 	"pjoin/internal/obs"
-	"pjoin/internal/obs/hist"
+	"pjoin/internal/obs/span"
 	"pjoin/internal/stream"
 )
 
@@ -132,16 +132,17 @@ func (d *Detector) Fired() bool {
 // Dump writes the flight-recorder bundle as JSONL:
 //
 //	{"type":"flight","reason":...}   — one header line
-//	{"ev":...}                       — the ring's retained trace events,
-//	                                   oldest → newest (obs.JSONL format)
-//	{"type":"hist","name":...}       — one summary per latency histogram
+//	{"sp":...}                       — the ring's retained spans, oldest
+//	                                   → newest (span.JSONL format)
+//	{"type":"hist","name":...}       — one summary per histogram of the
+//	                                   obs.Hists table
 //
-// ring may be nil (no events section); every line is independently
+// ring may be nil (no span section); every line is independently
 // parseable JSON, so a truncated dump still yields its prefix.
 func Dump(w io.Writer, r Report, ring *obs.Ring, lat obs.LatSnapshot) error {
-	var events []obs.Event
+	var spans []span.Span
 	if ring != nil {
-		events = ring.Snapshot()
+		spans = ring.Snapshot()
 	}
 	header := struct {
 		Type      string `json:"type"`
@@ -157,27 +158,21 @@ func Dump(w io.Writer, r Report, ring *obs.Ring, lat obs.LatSnapshot) error {
 		Type: "flight", Reason: r.Reason, AtNs: int64(r.At),
 		WindowNs: int64(r.Window), LagNs: int64(r.Lag),
 		TuplesIn: r.Last.TuplesIn, TuplesOut: r.Last.TuplesOut,
-		PunctsOut: r.Last.PunctsOut, Events: len(events),
+		PunctsOut: r.Last.PunctsOut, Events: len(spans),
 	}
 	enc := json.NewEncoder(w)
 	if err := enc.Encode(header); err != nil {
 		return err
 	}
-	sink := obs.NewJSONL(w)
-	for _, e := range events {
-		sink.Trace(e)
+	sink := span.NewJSONL(w)
+	for _, s := range spans {
+		sink.Emit(s)
 	}
 	if err := sink.Flush(); err != nil {
 		return err
 	}
-	for _, h := range []struct {
-		name string
-		s    hist.Snapshot
-	}{
-		{"result_latency_ns", lat.Result},
-		{"punct_delay_ns", lat.PunctDelay},
-		{"purge_duration_ns", lat.Purge},
-	} {
+	for _, d := range obs.Hists {
+		h := d.Of(&lat)
 		line := struct {
 			Type  string `json:"type"`
 			Name  string `json:"name"`
@@ -188,9 +183,9 @@ func Dump(w io.Writer, r Report, ring *obs.Ring, lat obs.LatSnapshot) error {
 			P95   int64  `json:"p95"`
 			P99   int64  `json:"p99"`
 		}{
-			Type: "hist", Name: h.name, Count: h.s.Count, Sum: h.s.Sum,
-			Max: h.s.Max, P50: h.s.Quantile(0.5), P95: h.s.Quantile(0.95),
-			P99: h.s.Quantile(0.99),
+			Type: "hist", Name: d.Name, Count: h.Count, Sum: h.Sum,
+			Max: h.Max, P50: h.Quantile(0.5), P95: h.Quantile(0.95),
+			P99: h.Quantile(0.99),
 		}
 		if err := enc.Encode(line); err != nil {
 			return err

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"pjoin/internal/obs"
+	"pjoin/internal/obs/span"
 	"pjoin/internal/stream"
 )
 
@@ -105,7 +106,7 @@ func TestDetectorDisabledBounds(t *testing.T) {
 func TestDumpParseable(t *testing.T) {
 	ring := obs.NewRing(4)
 	for i := 0; i < 9; i++ { // overflow the ring: keep newest 4
-		ring.Trace(obs.Event{Kind: obs.KindSpillError, At: stream.Time(i), Op: "pjoin", Shard: -1, Side: 0, Err: "disk gone"})
+		ring.Emit(span.Span{ID: uint64(i + 1), Kind: span.KindSpillError, At: stream.Time(i), Op: "pjoin", Shard: -1, Side: 0, Err: "disk gone"})
 	}
 	lat := obs.NewLat()
 	lat.RecordResult(100*ms, 40*ms)
@@ -126,27 +127,29 @@ func TestDumpParseable(t *testing.T) {
 		}
 		lines = append(lines, m)
 	}
-	// 1 header + 4 ring events + 3 hist summaries.
-	if len(lines) != 8 {
-		t.Fatalf("got %d lines, want 8", len(lines))
+	// 1 header + 4 ring spans + one summary per histogram of the table.
+	if len(lines) != 5+len(obs.Hists) {
+		t.Fatalf("got %d lines, want %d", len(lines), 5+len(obs.Hists))
 	}
 	h := lines[0]
 	if h["type"] != "flight" || h["reason"] != "stall" || h["events"] != float64(4) {
 		t.Fatalf("header = %v", h)
 	}
 	for i, l := range lines[1:5] {
-		if l["ev"] != "spill_error" || l["err"] != "disk gone" {
+		if l["sp"] != "spill_error" || l["err"] != "disk gone" {
 			t.Fatalf("event line %d = %v", i, l)
 		}
 		if l["t_ns"] != float64(5+i) { // newest 4 of 9, oldest first
 			t.Fatalf("event line %d t_ns = %v, want %d", i, l["t_ns"], 5+i)
 		}
 	}
-	names := []string{"result_latency_ns", "punct_delay_ns", "purge_duration_ns"}
 	for i, l := range lines[5:] {
-		if l["type"] != "hist" || l["name"] != names[i] {
-			t.Fatalf("hist line %d = %v", i, l)
+		if l["type"] != "hist" || l["name"] != obs.Hists[i].Name {
+			t.Fatalf("hist line %d = %v, want %s", i, l, obs.Hists[i].Name)
 		}
+	}
+	if lines[7]["name"] != "purge_duration_ns" || lines[7]["max"] != float64(12345) {
+		t.Fatalf("purge hist summary = %v", lines[7])
 	}
 	if lines[5]["count"] != float64(1) || lines[5]["sum"] != float64(60*ms) {
 		t.Fatalf("result hist summary = %v", lines[5])
@@ -156,7 +159,7 @@ func TestDumpParseable(t *testing.T) {
 func TestDumpToFileGzip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "flight.jsonl.gz")
 	ring := obs.NewRing(2)
-	ring.Trace(obs.Event{Kind: obs.KindPurge, At: 1, Shard: -1, Side: 0})
+	ring.Emit(span.Span{ID: 1, Kind: span.KindPurgeRun, At: 1, Shard: -1, Side: 0})
 	if err := DumpToFile(path, Report{Reason: "lag_slo", At: 5}, ring, obs.LatSnapshot{}); err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +177,7 @@ func TestDumpToFileGzip(t *testing.T) {
 		}
 		n++
 	}
-	if n != 5 { // header + 1 event + 3 hists
-		t.Fatalf("got %d lines, want 5", n)
+	if want := 2 + len(obs.Hists); n != want { // header + 1 span + the histograms
+		t.Fatalf("got %d lines, want %d", n, want)
 	}
 }

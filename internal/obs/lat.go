@@ -1,11 +1,44 @@
 package obs
 
 import (
+	"reflect"
+
 	"pjoin/internal/obs/hist"
 	"pjoin/internal/stream"
 )
 
-// Lat bundles the three latency histograms every join operator keeps.
+// HistDef is one row of the histogram table.
+type HistDef struct {
+	Field string // the Lat / LatSnapshot field holding it
+	Name  string // wire name: the <prefix>_<Name> Prometheus family, the flight dump's "name"
+	Help  string // Prometheus HELP text
+	// Router: a sharded join records it once, join-wide, at its router
+	// (the delay is arrival → alignment-complete; shard-local sub-batches
+	// would inflate the fill count by the fan-out). The other rows are
+	// recorded by the shards — each result, purge run, disk chunk and
+	// pass belongs to exactly one — and merged.
+	Router bool
+}
+
+// Hists is the one declaration of the latency histograms: NewLat,
+// Snapshot, Merge, WriteProm, the flight dump and the sharded join's
+// merge all iterate it, so a new histogram is one field in Lat, one in
+// LatSnapshot and one row here.
+var Hists = []HistDef{
+	{"Result", "result_latency_ns", "Tuple-arrival to result-emit latency (virtual ns).", false},
+	{"PunctDelay", "punct_delay_ns", "Punctuation-arrival to downstream-propagation delay (virtual ns).", true},
+	{"Purge", "purge_duration_ns", "Wall-clock duration of one state-purge pass (ns).", false},
+	{"DiskChunk", "disk_chunk_duration_ns", "Wall-clock duration of one incremental disk-join step (ns).", false},
+	{"DiskPass", "disk_pass_duration_ns", "Wall-clock duration of one complete disk-join pass (ns).", false},
+	{"BatchFill", "batch_fill", "Items per delivered input batch (count; empty when driven through Process directly).", true},
+}
+
+// Of returns d's histogram in s.
+func (d HistDef) Of(s *LatSnapshot) *hist.Snapshot {
+	return reflect.ValueOf(s).Elem().FieldByName(d.Field).Addr().Interface().(*hist.Snapshot)
+}
+
+// Lat bundles the latency histograms every join operator keeps.
 // All values are nanoseconds; Result and PunctDelay are *virtual* time
 // (the stream clock the operator advances on arrivals), Purge is wall
 // clock (purge passes run inside one operator call, so virtual time
@@ -45,10 +78,12 @@ type Lat struct {
 
 // NewLat returns a Lat with all histograms allocated.
 func NewLat() *Lat {
-	return &Lat{
-		Result: hist.New(), PunctDelay: hist.New(), Purge: hist.New(),
-		DiskChunk: hist.New(), DiskPass: hist.New(), BatchFill: hist.New(),
+	l := &Lat{}
+	v := reflect.ValueOf(l).Elem()
+	for _, d := range Hists {
+		v.FieldByName(d.Field).Set(reflect.ValueOf(hist.New()))
 	}
+	return l
 }
 
 // RecordResult records one emitted result's latency (now − result ts).
@@ -115,26 +150,30 @@ type LatSnapshot struct {
 
 // Snapshot copies all histograms. Nil-safe (returns an empty snapshot).
 func (l *Lat) Snapshot() LatSnapshot {
+	var s LatSnapshot
 	if l == nil {
-		return LatSnapshot{}
+		return s
 	}
-	return LatSnapshot{
-		Result:     l.Result.Snapshot(),
-		PunctDelay: l.PunctDelay.Snapshot(),
-		Purge:      l.Purge.Snapshot(),
-		DiskChunk:  l.DiskChunk.Snapshot(),
-		DiskPass:   l.DiskPass.Snapshot(),
-		BatchFill:  l.BatchFill.Snapshot(),
+	v := reflect.ValueOf(l).Elem()
+	for _, d := range Hists {
+		*d.Of(&s) = v.FieldByName(d.Field).Interface().(*hist.Hist).Snapshot()
+	}
+	return s
+}
+
+// Merge accumulates o into s.
+func (s *LatSnapshot) Merge(o LatSnapshot) {
+	for _, d := range Hists {
+		d.Of(s).Merge(*d.Of(&o))
 	}
 }
 
-// Merge accumulates o into s — how a sharded operator's router builds
-// the global latency view from per-shard snapshots.
-func (s *LatSnapshot) Merge(o LatSnapshot) {
-	s.Result.Merge(o.Result)
-	s.PunctDelay.Merge(o.PunctDelay)
-	s.Purge.Merge(o.Purge)
-	s.DiskChunk.Merge(o.DiskChunk)
-	s.DiskPass.Merge(o.DiskPass)
-	s.BatchFill.Merge(o.BatchFill)
+// MergeShard accumulates one shard's snapshot into s, the sharded join's
+// join-wide view: every row but the router's own (HistDef.Router).
+func (s *LatSnapshot) MergeShard(o LatSnapshot) {
+	for _, d := range Hists {
+		if !d.Router {
+			d.Of(s).Merge(*d.Of(&o))
+		}
+	}
 }

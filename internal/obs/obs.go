@@ -1,6 +1,7 @@
-// Package obs is the operator observability layer: low-overhead
-// structured tracing plus live, tick-sampled metrics, threaded through
-// every operator (PJoin, XJoin, ShardedPJoin, the executor).
+// Package obs is the operator observability layer: one handle (Instr)
+// threaded through every operator (PJoin, XJoin, ShardedPJoin, the
+// executor), carrying the operator's identity and the two things a
+// running join reports into.
 //
 // The paper's whole argument rests on measuring what punctuations buy —
 // state size over time, purge work, output rate, disk I/O (§4 figures).
@@ -9,20 +10,18 @@
 // inter-operator feedback and adaptive-partitioning lines of follow-on
 // work (PAPERS.md), which both presuppose runtime-visible signals.
 //
-// # Design
-//
-// Two complementary facilities share one handle (Instr):
-//
-//   - Tracing: typed Events (tuple/punctuation arrival, probe, purge,
-//     propagation, spill relocation, disk-join pass, shard route/merge,
-//     spill errors, operator lifecycle) carrying virtual timestamps,
-//     written to a Tracer. The JSONL sink renders one JSON object per
-//     event; the Recorder collects events for tests.
+//   - Tracing: spans (internal/obs/span — the one record type, kind
+//     table, Tracer interface and JSONL encoding) handed to the attached
+//     span.Tracer: span.JSONL writes a file, span.Recorder collects for
+//     tests, Ring keeps the last N for the flight recorder.
 //
 //   - Live metrics: gauges registered by the operators (state bytes,
 //     disk bytes, bucket skew, punctuation lag, cumulative output) and
 //     sampled by Live on a configurable virtual-time tick, exported as
 //     metrics.Series so the existing CSV/chart tooling renders them.
+//
+// Latency histograms (Lat, declared once in the Hists table) are kept by
+// the operators themselves and snapshotted on request.
 //
 // # Overhead budget
 //
@@ -31,7 +30,7 @@
 // disabled tracer short-circuits after one branch and performs ZERO
 // allocations — enforced by AllocsPerRun guards in alloc_test.go,
 // matching the hot-path convention of internal/joinbase and
-// internal/punct. Events are plain value structs handed to the Tracer by
+// internal/punct. Spans are plain value structs handed to the Tracer by
 // value; building one allocates nothing.
 package obs
 
@@ -42,108 +41,13 @@ import (
 	"pjoin/internal/stream"
 )
 
-// Kind discriminates trace events.
-type Kind uint8
-
-// The event taxonomy. N/M carry kind-specific payloads (documented per
-// kind); Side is the input side where meaningful, -1 otherwise.
-const (
-	// KindTupleIn: a data tuple arrived. Side = port.
-	KindTupleIn Kind = iota
-	// KindPunctIn: a punctuation arrived. Side = port.
-	KindPunctIn
-	// KindProbe: a memory probe completed. Side = probing side,
-	// N = matches emitted.
-	KindProbe
-	// KindPurge: one state-purge run completed. Side = victim state,
-	// N = tuples purged or parked this run, M = tuples scanned.
-	KindPurge
-	// KindPropagate: one punctuation was released downstream.
-	// Side = the input side the punctuation came from.
-	KindPropagate
-	// KindRelocate: one bucket was spilled to disk. Side = spilled
-	// state, N = tuples moved, M = bucket index.
-	KindRelocate
-	// KindDiskPass: one full disk-join pass completed. N = candidate
-	// pairs examined, M = results produced.
-	KindDiskPass
-	// KindSpillError: a spill-store operation failed. Side = state if
-	// known; Err carries the error text. The operator surfaces the same
-	// error to its caller — this event is the trace-side record.
-	KindSpillError
-	// KindShardRoute: the sharded router dispatched a data tuple.
-	// Side = port, N = target shard.
-	KindShardRoute
-	// KindShardMerge: a punctuation completed merge alignment (the last
-	// shard propagated it) and was forwarded. N = shard count.
-	KindShardMerge
-	// KindOpStart: the executor started driving an operator.
-	KindOpStart
-	// KindOpFinish: the operator finished (post-EOS flush done).
-	KindOpFinish
-	// KindDiskChunk: one bounded step of an incremental disk pass
-	// completed. N = candidate pairs examined this step, M = results
-	// produced this step.
-	KindDiskChunk
-
-	numKinds = int(KindDiskChunk) + 1
-)
-
-var kindNames = [numKinds]string{
-	"tuple_in", "punct_in", "probe", "purge", "propagate", "relocate",
-	"disk_pass", "spill_error", "shard_route", "shard_merge",
-	"op_start", "op_finish", "disk_chunk",
-}
-
-// String returns the kind's wire name (the "ev" field of the JSONL sink).
-func (k Kind) String() string {
-	if int(k) < numKinds {
-		return kindNames[k]
-	}
-	return "unknown"
-}
-
-// Event is one trace record. At is a virtual timestamp: stream time
-// under the simulator, wall-clock offset under the live executor —
-// whichever clock stamped the items the operator processed.
-type Event struct {
-	Kind  Kind
-	At    stream.Time
-	Op    string // operator instance name
-	Shard int32  // shard index, -1 when unsharded
-	Side  int8   // input side / port, -1 when not applicable
-	N     int64  // kind-specific payload (see Kind docs)
-	M     int64  // kind-specific payload (see Kind docs)
-	Err   string // error text, KindSpillError only
-}
-
-// Tracer receives trace events. Implementations must be safe for
-// concurrent use: shards and the executor emit from several goroutines.
-type Tracer interface {
-	// Enabled reports whether Trace does anything; operators skip event
-	// construction entirely when false.
-	Enabled() bool
-	// Trace records one event.
-	Trace(Event)
-}
-
-type nopTracer struct{}
-
-func (nopTracer) Enabled() bool { return false }
-func (nopTracer) Trace(Event)   {}
-
-// Nop is the no-op default Tracer.
-var Nop Tracer = nopTracer{}
-
-// Instr is the instrumentation handle an operator carries: a tracer,
-// an optional live sampler, an optional span tracer (provenance — see
-// internal/obs/span), and the operator's identity (name + shard). A
-// nil *Instr is fully inert — every method is a cheap no-op — so
-// operators call unconditionally.
+// Instr is the instrumentation handle an operator carries: a span
+// tracer, an optional live sampler, and the operator's identity (name +
+// shard). A nil *Instr is fully inert — every method is a cheap no-op —
+// so operators call unconditionally.
 type Instr struct {
-	tr    Tracer
+	tr    span.Tracer
 	live  *Live
-	sp    span.Tracer
 	op    string
 	shard int32
 }
@@ -151,36 +55,29 @@ type Instr struct {
 // NewInstr builds a handle for the named operator. tr may be nil (no
 // tracing); live may be nil (no sampling). Returns nil when both are
 // nil, so "observability off" stays a single nil check.
-func NewInstr(tr Tracer, live *Live, op string) *Instr {
-	return NewInstrSpans(tr, live, nil, op)
-}
-
-// NewInstrSpans is NewInstr with a provenance span tracer attached.
-// Any argument may be nil; returns nil when all three are nil.
-func NewInstrSpans(tr Tracer, live *Live, sp span.Tracer, op string) *Instr {
-	if tr == nil && live == nil && sp == nil {
+func NewInstr(tr span.Tracer, live *Live, op string) *Instr {
+	if tr == nil && live == nil {
 		return nil
 	}
 	if tr == nil {
-		tr = Nop
+		tr = span.Nop
 	}
-	return &Instr{tr: tr, live: live, sp: sp, op: op, shard: -1}
+	return &Instr{tr: tr, live: live, op: op, shard: -1}
 }
 
 // Derive returns a handle for a sub-component (e.g. one shard) sharing
-// the parent's tracer, sampler and span tracer. shard < 0 means
-// unsharded. Deriving from a nil handle yields nil.
+// the parent's tracer and sampler. shard < 0 means unsharded. Deriving
+// from a nil handle yields nil.
 func (in *Instr) Derive(op string, shard int) *Instr {
 	if in == nil {
 		return nil
 	}
-	return &Instr{tr: in.tr, live: in.live, sp: in.sp, op: op, shard: int32(shard)}
+	return &Instr{tr: in.tr, live: in.live, op: op, shard: int32(shard)}
 }
 
 // WithoutLive returns a copy whose live sampler is detached (tracing
-// and spans kept). The sharded join hands this to its shards: shard
-// goroutines must not run the aggregated gauges, which take the shard
-// locks.
+// kept). The sharded join hands this to its shards: shard goroutines
+// must not run the aggregated gauges, which take the shard locks.
 func (in *Instr) WithoutLive() *Instr {
 	if in == nil {
 		return nil
@@ -188,10 +85,10 @@ func (in *Instr) WithoutLive() *Instr {
 	if in.live == nil {
 		return in
 	}
-	if in.tr == Nop && in.sp == nil {
+	if in.tr == span.Nop {
 		return nil
 	}
-	return &Instr{tr: in.tr, sp: in.sp, op: in.op, shard: in.shard}
+	return &Instr{tr: in.tr, op: in.op, shard: in.shard}
 }
 
 // Op returns the operator name ("" on a nil handle).
@@ -211,69 +108,48 @@ func (in *Instr) Live() *Live {
 }
 
 // Enabled reports whether tracing is active. The disabled path is one
-// nil check plus one interface call; zero allocations.
+// nil check plus one interface call — zero allocations — so operators
+// gate span bookkeeping (attribution maps, byte sums) on it from hot
+// paths.
 func (in *Instr) Enabled() bool {
 	return in != nil && in.tr.Enabled()
 }
 
-// Event records a trace event with the handle's identity filled in.
-// No-op (and allocation-free) when tracing is disabled.
-//
-//pjoin:hotpath
-func (in *Instr) Event(k Kind, at stream.Time, side int, n, m int64) {
-	if in == nil || !in.tr.Enabled() {
-		return
-	}
-	in.tr.Trace(Event{Kind: k, At: at, Op: in.op, Shard: in.shard, Side: int8(side), N: n, M: m})
-}
-
-// SpillError records a spill-store failure alongside the error the
-// operator returns to its caller.
-func (in *Instr) SpillError(at stream.Time, side int, err error) {
-	if in == nil || !in.tr.Enabled() || err == nil {
-		return
-	}
-	in.tr.Trace(Event{Kind: KindSpillError, At: at, Op: in.op, Shard: in.shard, Side: int8(side), Err: err.Error()})
-}
-
-// Spans returns the attached span tracer, or nil.
-func (in *Instr) Spans() span.Tracer {
-	if in == nil {
-		return nil
-	}
-	return in.sp
-}
-
-// SpansEnabled reports whether provenance spans are active. Like
-// Enabled, the disabled path is branches only — zero allocations — so
-// operators gate span bookkeeping (attribution maps, byte sums) on it
-// from hot paths.
-func (in *Instr) SpansEnabled() bool {
-	return in != nil && in.sp != nil && in.sp.Enabled()
-}
-
-// Span emits a provenance span with the handle's identity filled in,
-// allocating a fresh span ID. Punctuation and pass spans are stamped
-// with the process wall clock (purge wall time and cross-shard ordering
-// need it, and those spans are rare); tuple spans are not — they are
-// the volume class under full sampling, their analysis runs on At and D
-// alone, and a time.Now per result span is measurable against the
-// bench7 overhead budget. No-op (and allocation-free) when spans are
-// disabled.
+// Span emits a span with the handle's identity filled in, allocating a
+// fresh span ID; trace 0 makes it a point record. Every family but the
+// tuple one is stamped with the process wall clock (purge wall time and
+// cross-shard ordering need it, and those spans are rare); tuple spans
+// are not — they are the volume class under full sampling, their
+// analysis runs on At and D alone, and a time.Now per result span is
+// measurable against the bench7 overhead budget. No-op (and
+// allocation-free) when tracing is disabled.
 //
 //pjoin:hotpath
 func (in *Instr) Span(k span.Kind, trace uint64, at stream.Time, side int, n, m, bytes, dur int64) {
-	if in == nil || in.sp == nil || !in.sp.Enabled() {
+	if in == nil || !in.tr.Enabled() {
 		return
 	}
 	var wall int64
 	if !k.IsTuple() {
-		//pjoin:allow hotpath non-tuple spans (punct, pass) are rare and need real wall time for purge latency and cross-shard ordering
+		//pjoin:allow hotpath non-tuple spans (punct, pass, point) are rare and need real wall time for purge latency and cross-shard ordering
 		wall = time.Now().UnixNano()
 	}
-	in.sp.Emit(span.Span{
+	in.tr.Emit(span.Span{
 		ID: span.NewID(), Trace: trace, Kind: k, At: at, Wall: wall,
 		Op: in.op, Shard: in.shard, Side: int8(side), N: n, M: m, B: bytes, D: dur,
+	})
+}
+
+// SpillError records a spill-store failure (a spill_error point span
+// carrying the error text) alongside the error the operator returns to
+// its caller.
+func (in *Instr) SpillError(at stream.Time, side int, err error) {
+	if in == nil || !in.tr.Enabled() || err == nil {
+		return
+	}
+	in.tr.Emit(span.Span{
+		ID: span.NewID(), Kind: span.KindSpillError, At: at, Wall: time.Now().UnixNano(),
+		Op: in.op, Shard: in.shard, Side: int8(side), Err: err.Error(),
 	})
 }
 

@@ -70,36 +70,15 @@ func promSanitize(name string) string {
 	return string(out)
 }
 
-// WriteProm renders the full /metrics payload: the latency histograms
-// under <prefix>_result_latency_ns / <prefix>_punct_delay_ns /
-// <prefix>_purge_duration_ns / <prefix>_disk_chunk_duration_ns /
-// <prefix>_disk_pass_duration_ns / <prefix>_batch_fill, then one gauge
-// per live sample, sorted by name for deterministic scrapes.
+// WriteProm renders the full /metrics payload: every histogram of the
+// Hists table under <prefix>_<wire name>, then one gauge per live
+// sample, sorted by name for deterministic scrapes.
 func WriteProm(w io.Writer, prefix string, lat LatSnapshot, gauges map[string]float64) error {
 	prefix = promSanitize(prefix)
-	if err := writePromHist(w, prefix+"_result_latency_ns",
-		"Tuple-arrival to result-emit latency (virtual ns).", lat.Result); err != nil {
-		return err
-	}
-	if err := writePromHist(w, prefix+"_punct_delay_ns",
-		"Punctuation-arrival to downstream-propagation delay (virtual ns).", lat.PunctDelay); err != nil {
-		return err
-	}
-	if err := writePromHist(w, prefix+"_purge_duration_ns",
-		"Wall-clock duration of one state-purge pass (ns).", lat.Purge); err != nil {
-		return err
-	}
-	if err := writePromHist(w, prefix+"_disk_chunk_duration_ns",
-		"Wall-clock duration of one incremental disk-join step (ns).", lat.DiskChunk); err != nil {
-		return err
-	}
-	if err := writePromHist(w, prefix+"_disk_pass_duration_ns",
-		"Wall-clock duration of one complete disk-join pass (ns).", lat.DiskPass); err != nil {
-		return err
-	}
-	if err := writePromHist(w, prefix+"_batch_fill",
-		"Items per delivered input batch (count; empty when driven through Process directly).", lat.BatchFill); err != nil {
-		return err
+	for _, d := range Hists {
+		if err := writePromHist(w, prefix+"_"+d.Name, d.Help, *d.Of(&lat)); err != nil {
+			return err
+		}
 	}
 	names := make([]string, 0, len(gauges))
 	for n := range gauges {
@@ -116,30 +95,17 @@ func WriteProm(w io.Writer, prefix string, lat LatSnapshot, gauges map[string]fl
 	return nil
 }
 
-// WritePromSpans renders the provenance-span counter families:
-// per-group span emission totals (punctuation lifecycle, disk-pass,
-// sampled-tuple) plus the tuple sampler's admit/drop decisions — the
-// drop count is what tells an operator how much provenance the sample
-// rate is leaving on the floor. counts is indexed by span.Kind (as
-// span.JSONL.Counts() returns); nil/short slices read as zero, so the
-// scrape schema is stable whether or not a span tracer is attached.
-// Counter families only — CheckPromFormat applies unchanged.
+// WritePromSpans renders the span counter families: per-family emission
+// totals (punctuation lifecycle, disk-pass, sampled-tuple, point) plus
+// the tuple sampler's admit/drop decisions — the drop count is what
+// tells an operator how much provenance the sample rate is leaving on
+// the floor. counts is indexed by span.Kind (as span.Tee.Counts()
+// returns); nil/short slices read as zero, so the scrape schema is
+// stable whether or not a tracer is attached. Counter families only —
+// CheckPromFormat applies unchanged.
 func WritePromSpans(w io.Writer, prefix string, counts []int64, sampled, dropped int64) error {
 	prefix = promSanitize(prefix)
-	var punct, pass, tuple int64
-	for i, c := range counts {
-		if i >= span.NumKinds() {
-			break
-		}
-		switch k := span.Kind(i); {
-		case k.IsPunct():
-			punct += c
-		case k.IsPass():
-			pass += c
-		default:
-			tuple += c
-		}
-	}
+	punct, pass, tuple, point := span.FamilyCounts(counts)
 	families := []struct {
 		name string
 		help string
@@ -147,7 +113,8 @@ func WritePromSpans(w io.Writer, prefix string, counts []int64, sampled, dropped
 	}{
 		{"span_punct_total", "Punctuation-lifecycle provenance spans emitted (arrive/purge/defer/emit).", punct},
 		{"span_pass_total", "Disk-pass provenance spans emitted (start/chunk/io/end).", pass},
-		{"span_tuple_total", "Sampled-tuple provenance spans emitted (ingest/cut/deliver/probe/result).", tuple},
+		{"span_tuple_total", "Sampled-tuple provenance spans emitted (ingest/cut/deliver/probe/result/route).", tuple},
+		{"span_point_total", "Point spans emitted (purge run, relocation, spill error, operator start/finish, discarded punctuation).", point},
 		{"span_sampler_sampled_total", "Tuples admitted into provenance tracing by the span sampler.", sampled},
 		{"span_sampler_dropped_total", "Tuples passed over by the span sampler (provenance left unrecorded).", dropped},
 	}

@@ -2,10 +2,13 @@ package obs
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"pjoin/internal/obs/hist"
 	"pjoin/internal/obs/span"
 )
 
@@ -87,6 +90,8 @@ func TestWritePromSpansFormat(t *testing.T) {
 	counts[span.KindPassEnd] = 1
 	counts[span.KindTupleIngest] = 7
 	counts[span.KindTupleResult] = 5
+	counts[span.KindPurgeRun] = 4
+	counts[span.KindPunctDiscard] = 2
 
 	var buf bytes.Buffer
 	snap, gauges := promFixture()
@@ -108,6 +113,8 @@ func TestWritePromSpansFormat(t *testing.T) {
 		"pjoin_span_pass_total 2",
 		"# TYPE pjoin_span_tuple_total counter",
 		"pjoin_span_tuple_total 12",
+		"# TYPE pjoin_span_point_total counter",
+		"pjoin_span_point_total 6",
 		"# TYPE pjoin_span_sampler_sampled_total counter",
 		"pjoin_span_sampler_sampled_total 7",
 		"# TYPE pjoin_span_sampler_dropped_total counter",
@@ -128,6 +135,93 @@ func TestWritePromSpansFormat(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "pjoin_span_punct_total 0") {
 		t.Errorf("nil counts should render zero families:\n%s", buf.String())
+	}
+}
+
+// TestHistTableComplete: the Hists table is the whole declaration. Every
+// LatSnapshot field has exactly one row (reflection, the way
+// joinbase's Metrics.Add is guarded), and a sample recorded in each
+// histogram shows in the snapshot, in WriteProm's output under the
+// row's wire name, and survives Merge — so a histogram added to the
+// struct but not the table, or dropped by one of the walkers, fails
+// here. (health.TestDumpParseable holds the flight dump to the same
+// table.)
+func TestHistTableComplete(t *testing.T) {
+	st := reflect.TypeOf(LatSnapshot{})
+	if st.NumField() != len(Hists) || reflect.TypeOf(Lat{}).NumField() != len(Hists) {
+		t.Fatalf("Lat has %d fields, LatSnapshot %d, the table %d rows",
+			reflect.TypeOf(Lat{}).NumField(), st.NumField(), len(Hists))
+	}
+	lat := NewLat()
+	lv := reflect.ValueOf(lat).Elem()
+	seen := map[string]bool{}
+	for i, d := range Hists {
+		if _, ok := st.FieldByName(d.Field); !ok || seen[d.Field] || seen[d.Name] || d.Help == "" {
+			t.Fatalf("row %d (%+v): unknown field, duplicate or no help", i, d)
+		}
+		seen[d.Field], seen[d.Name] = true, true
+		for n := 0; n <= i; n++ { // row i gets i+1 samples: rows cannot stand in for each other
+			lv.FieldByName(d.Field).Interface().(*hist.Hist).Record(int64(1000 + i))
+		}
+	}
+	snap := lat.Snapshot()
+	var merged LatSnapshot
+	merged.Merge(snap)
+	merged.Merge(snap)
+	var shard LatSnapshot
+	shard.MergeShard(snap)
+	var buf bytes.Buffer
+	if err := WriteProm(&buf, "p", snap, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range Hists {
+		want := int64(i + 1)
+		if got := d.Of(&snap).Count; got != want {
+			t.Errorf("%s: Snapshot count %d, want %d", d.Field, got, want)
+		}
+		if got := d.Of(&merged).Count; got != 2*want {
+			t.Errorf("%s: count %d after merging twice, want %d", d.Field, got, 2*want)
+		}
+		if got, keep := d.Of(&shard).Count, !d.Router; (got == want) != keep || (got == 0) == keep {
+			t.Errorf("%s: MergeShard count %d (router-owned: %v)", d.Field, got, d.Router)
+		}
+		if line := fmt.Sprintf("p_%s_count %d\n", d.Name, want); !strings.Contains(buf.String(), line) {
+			t.Errorf("%s: WriteProm output lacks %q", d.Field, line)
+		}
+	}
+}
+
+// TestRingOnlyInstrCountsSpans: a process with only the flight ring
+// behind its handle (auctiond with a health SLO and no -trace) still
+// scrapes what it emitted — the counts come from the tee in front of the
+// sinks, not from a file writer that may not exist.
+func TestRingOnlyInstrCountsSpans(t *testing.T) {
+	ring := NewRing(4)
+	tee := span.NewTee(ring)
+	in := NewInstr(tee, nil, "join")
+	in.Span(span.KindPunctArrive, 1, 1, 0, 1, 0, 0, 0)
+	in.Span(span.KindPassStart, 2, 2, -1, 0, 0, 0, 0)
+	in.Span(span.KindTupleProbe, 3, 3, 0, 0, 0, 0, 0)
+	in.Span(span.KindPurgeRun, 0, 4, 0, 0, 0, 0, 0)
+	in.SpillError(5, 0, errors.New("boom"))
+	if got := len(ring.Snapshot()); got != 4 || ring.Total() != 5 {
+		t.Fatalf("ring holds %d of %d spans, want the last 4 of 5", got, ring.Total())
+	}
+	var buf bytes.Buffer
+	if err := WritePromSpans(&buf, "pjoin", tee.Counts(), 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"pjoin_span_punct_total 1\n", "pjoin_span_pass_total 1\n",
+		"pjoin_span_tuple_total 1\n", "pjoin_span_point_total 2\n",
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("missing %q in:\n%s", want, buf.String())
+		}
+	}
+	ring.Detach()
+	if in.Enabled() {
+		t.Error("a tee whose only sink detached still reports enabled")
 	}
 }
 

@@ -4,38 +4,39 @@ import (
 	"sync"
 	"testing"
 
+	"pjoin/internal/obs/span"
 	"pjoin/internal/stream"
 )
 
 func TestRecorderEventsAndCount(t *testing.T) {
-	r := NewRecorder()
+	r := &span.Recorder{}
 	if !r.Enabled() {
 		t.Fatal("recorder must be enabled")
 	}
-	r.Trace(Event{Kind: KindTupleIn, At: 1})
-	r.Trace(Event{Kind: KindPurge, At: 2})
-	r.Trace(Event{Kind: KindTupleIn, At: 3})
-	if got := r.Count(KindTupleIn); got != 2 {
-		t.Fatalf("Count(tuple_in) = %d, want 2", got)
+	r.Emit(span.Span{Kind: span.KindTupleProbe, At: 1})
+	r.Emit(span.Span{Kind: span.KindPurgeRun, At: 2})
+	r.Emit(span.Span{Kind: span.KindTupleProbe, At: 3})
+	if got := r.Count(span.KindTupleProbe); got != 2 {
+		t.Fatalf("Count(tuple_probe) = %d, want 2", got)
 	}
-	if got := r.Count(KindPropagate); got != 0 {
-		t.Fatalf("Count(propagate) = %d, want 0", got)
+	if got := r.Count(span.KindPunctEmit); got != 0 {
+		t.Fatalf("Count(punct_emit) = %d, want 0", got)
 	}
-	evs := r.Events()
+	evs := r.Spans()
 	if len(evs) != 3 {
-		t.Fatalf("Events len = %d, want 3", len(evs))
+		t.Fatalf("Spans len = %d, want 3", len(evs))
 	}
-	// Events returns a copy — mutating it must not affect the recorder.
-	evs[0].Kind = KindPurge
-	if got := r.Count(KindPurge); got != 1 {
-		t.Fatalf("Events() aliases internal storage: Count(purge) = %d", got)
+	// Spans returns a copy — mutating it must not affect the recorder.
+	evs[0].Kind = span.KindPurgeRun
+	if got := r.Count(span.KindPurgeRun); got != 1 {
+		t.Fatalf("Spans() aliases internal storage: Count(purge_run) = %d", got)
 	}
 }
 
 func TestRingPartialFill(t *testing.T) {
 	r := NewRing(8)
 	for i := 0; i < 5; i++ {
-		r.Trace(Event{Kind: KindTupleIn, At: stream.Time(i)})
+		r.Emit(span.Span{Kind: span.KindTupleProbe, At: stream.Time(i)})
 	}
 	snap := r.Snapshot()
 	if len(snap) != 5 {
@@ -57,7 +58,7 @@ func TestRingWrapAround(t *testing.T) {
 	const capacity, n = 8, 27
 	r := NewRing(capacity)
 	for i := 0; i < n; i++ {
-		r.Trace(Event{Kind: KindTupleIn, At: stream.Time(i)})
+		r.Emit(span.Span{Kind: span.KindTupleProbe, At: stream.Time(i)})
 	}
 	snap := r.Snapshot()
 	if len(snap) != capacity {
@@ -76,8 +77,8 @@ func TestRingWrapAround(t *testing.T) {
 
 func TestRingMinimumCapacity(t *testing.T) {
 	r := NewRing(0) // clamps to 1
-	r.Trace(Event{At: 1})
-	r.Trace(Event{At: 2})
+	r.Emit(span.Span{At: 1})
+	r.Emit(span.Span{At: 2})
 	snap := r.Snapshot()
 	if len(snap) != 1 || snap[0].At != 2 {
 		t.Fatalf("snapshot = %+v, want just the newest event", snap)
@@ -86,7 +87,7 @@ func TestRingMinimumCapacity(t *testing.T) {
 
 // TestRingConcurrentDetach hammers a ring from writer goroutines while
 // another goroutine detaches it and snapshots — the -race proof that
-// Detach is safe against in-flight Trace calls.
+// Detach is safe against in-flight Emit calls.
 func TestRingConcurrentDetach(t *testing.T) {
 	r := NewRing(64)
 	var wg sync.WaitGroup
@@ -100,7 +101,7 @@ func TestRingConcurrentDetach(t *testing.T) {
 				if !r.Enabled() {
 					return
 				}
-				r.Trace(Event{Kind: KindProbe, At: stream.Time(i), Shard: int32(w)})
+				r.Emit(span.Span{Kind: span.KindTupleProbe, At: stream.Time(i), Shard: int32(w)})
 			}
 		}(w)
 	}
@@ -119,10 +120,10 @@ func TestRingConcurrentDetach(t *testing.T) {
 		t.Fatal("ring still enabled after Detach")
 	}
 	totalAtDetach := r.Total()
-	// Post-detach traces are dropped.
-	r.Trace(Event{At: 999})
+	// Post-detach spans are dropped.
+	r.Emit(span.Span{At: 999})
 	if r.Total() != totalAtDetach {
-		t.Fatalf("Trace after Detach recorded: total %d -> %d", totalAtDetach, r.Total())
+		t.Fatalf("Emit after Detach recorded: total %d -> %d", totalAtDetach, r.Total())
 	}
 	if len(r.Snapshot()) > 64 {
 		t.Fatalf("snapshot exceeds capacity: %d", len(r.Snapshot()))

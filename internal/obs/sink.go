@@ -41,8 +41,20 @@ func (s *gzipSink) Close() error {
 
 // OpenSink opens a trace file for reading, transparently ungzipping
 // ".gz" paths — the read-side counterpart of CreateSink, used by tests
-// and post-mortem tooling.
-func OpenSink(path string) (io.ReadCloser, error) {
+// and post-mortem tooling. Strict: a missing gzip trailer is an error.
+func OpenSink(path string) (io.ReadCloser, error) { return openSink(path, false) }
+
+// OpenSinkTolerant is OpenSink for traces that may be missing their
+// gzip trailer: a process that crashed (or was flight-recorded) mid-run
+// leaves a stream whose deflate tail and CRC/length footer never hit
+// the disk, which the strict reader surfaces as io.ErrUnexpectedEOF on
+// the very last read. Tolerant mode returns every byte that decoded
+// cleanly and then reports a clean EOF, so `pjointrace` can analyze a
+// crashed run's prefix. Corruption mid-stream is still surfaced: only
+// errors at the point the file itself is exhausted are forgiven.
+func OpenSinkTolerant(path string) (io.ReadCloser, error) { return openSink(path, true) }
+
+func openSink(path string, tolerant bool) (io.ReadCloser, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -55,61 +67,22 @@ func OpenSink(path string) (io.ReadCloser, error) {
 		f.Close()
 		return nil, err
 	}
-	return &gzipSource{zr: zr, f: f}, nil
+	return &gzipSource{zr: zr, f: f, tolerant: tolerant}, nil
 }
 
 type gzipSource struct {
-	zr *gzip.Reader
-	f  *os.File
+	zr       *gzip.Reader
+	f        *os.File
+	tolerant bool
+	done     bool
 }
 
-func (s *gzipSource) Read(p []byte) (int, error) { return s.zr.Read(p) }
-
-func (s *gzipSource) Close() error {
-	zerr := s.zr.Close()
-	ferr := s.f.Close()
-	if zerr != nil {
-		return zerr
-	}
-	return ferr
-}
-
-// OpenSinkTolerant is OpenSink for traces that may be missing their
-// gzip trailer: a process that crashed (or was flight-recorded) mid-run
-// leaves a stream whose deflate tail and CRC/length footer never hit
-// the disk, which the strict reader surfaces as io.ErrUnexpectedEOF on
-// the very last read. Tolerant mode returns every byte that decoded
-// cleanly and then reports a clean EOF, so `pjointrace` can analyze a
-// crashed run's prefix. Corruption mid-stream is still surfaced: only
-// errors at the point the file itself is exhausted are forgiven.
-func OpenSinkTolerant(path string) (io.ReadCloser, error) {
-	if !strings.HasSuffix(path, ".gz") {
-		return os.Open(path)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	zr, err := gzip.NewReader(f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &tolerantGzipSource{zr: zr, f: f}, nil
-}
-
-type tolerantGzipSource struct {
-	zr   *gzip.Reader
-	f    *os.File
-	done bool
-}
-
-func (s *tolerantGzipSource) Read(p []byte) (int, error) {
+func (s *gzipSource) Read(p []byte) (int, error) {
 	if s.done {
 		return 0, io.EOF
 	}
 	n, err := s.zr.Read(p)
-	if err == io.ErrUnexpectedEOF {
+	if s.tolerant && err == io.ErrUnexpectedEOF {
 		// Truncated trailer: the compressed payload ran out before the
 		// footer. Whatever decoded up to here is complete lines of the
 		// prefix; end the stream cleanly.
@@ -122,9 +95,13 @@ func (s *tolerantGzipSource) Read(p []byte) (int, error) {
 	return n, err
 }
 
-func (s *tolerantGzipSource) Close() error {
+func (s *gzipSource) Close() error {
 	// zr.Close on a truncated stream reports the missing checksum; the
 	// whole point of tolerant mode is to forgive exactly that.
-	_ = s.zr.Close()
-	return s.f.Close()
+	zerr := s.zr.Close()
+	ferr := s.f.Close()
+	if zerr != nil && !s.tolerant {
+		return zerr
+	}
+	return ferr
 }

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"pjoin/internal/obs/span"
 	"pjoin/internal/stream"
 )
 
@@ -20,9 +21,9 @@ func traceSome(t *testing.T, path string, n int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := NewJSONL(w)
+	j := span.NewJSONL(w)
 	for i := 0; i < n; i++ {
-		j.Trace(Event{Kind: KindTupleIn, At: stream.Time(i), Op: "pjoin", Shard: -1, Side: int8(i % 2)})
+		j.Emit(span.Span{ID: uint64(i + 1), Trace: 1, Kind: span.KindTupleProbe, At: stream.Time(i), Op: "pjoin", Shard: -1, Side: int8(i % 2)})
 	}
 	if err := j.Flush(); err != nil {
 		t.Fatal(err)
@@ -72,13 +73,13 @@ func TestSinkGzipRoundTrip(t *testing.T) {
 	}
 	// Every line is valid JSON with the expected fields.
 	var rec struct {
-		Ev  string `json:"ev"`
+		Ev  string `json:"sp"`
 		TNs int64  `json:"t_ns"`
 	}
 	if err := json.Unmarshal([]byte(zipLines[n-1]), &rec); err != nil {
 		t.Fatalf("last line not JSON: %v", err)
 	}
-	if rec.Ev != "tuple_in" || rec.TNs != n-1 {
+	if rec.Ev != "tuple_probe" || rec.TNs != n-1 {
 		t.Fatalf("last line = %+v", rec)
 	}
 
@@ -129,7 +130,7 @@ func TestSinkCloseFlushesGzipFooter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := []byte(`{"ev":"probe","t_ns":1}` + "\n")
+	payload := []byte(`{"sp":"tuple_probe","id":1,"t_ns":1}` + "\n")
 	if _, err := w.Write(payload); err != nil {
 		t.Fatal(err)
 	}

@@ -16,18 +16,16 @@ import (
 //	{"sp":"punct_purge_mem","id":17,"tr":3,"t_ns":120000000,"w_ns":...,
 //	 "op":"pjoin","side":0,"n":42,"b":2048,"d_ns":91000}
 //
-// Zero-valued optional fields (shard < 0, side < 0, n/m/b/d zero, op
-// empty) are omitted. Encoding is hand-rolled with strconv.Append* so
-// a traced run pays no encoding/json reflection per span; the hot cost
-// is one mutex and a buffered write. Span lines are deliberately
-// disjoint from the obs.JSONL event encoding ("sp" vs "ev"), so both
-// tracers may share one output stream and pjointrace can split them.
+// Zero-valued optional fields (tr 0, shard < 0, side < 0, n/m/b/d zero,
+// op/err empty) are omitted. Encoding is hand-rolled with
+// strconv.Append* so a traced run pays no encoding/json reflection per
+// span; the hot cost is one mutex and a buffered write.
 type JSONL struct {
-	mu    sync.Mutex //pjoin:lockrank leaf
-	w     *bufio.Writer
-	buf   []byte
-	kinds [numKinds]int64
-	err   error
+	mu     sync.Mutex //pjoin:lockrank leaf
+	w      *bufio.Writer
+	buf    []byte
+	events int64
+	err    error
 }
 
 // NewJSONL returns a tracer writing to w. Call Flush before reading
@@ -52,9 +50,7 @@ func (j *JSONL) Emit(s Span) {
 		j.err = err
 		return
 	}
-	if int(s.Kind) < numKinds {
-		j.kinds[s.Kind]++
-	}
+	j.events++
 }
 
 // appendSpan renders one span as a JSON line.
@@ -101,6 +97,10 @@ func appendSpan(b []byte, s Span) []byte {
 		b = append(b, `,"d_ns":`...)
 		b = strconv.AppendInt(b, s.D, 10)
 	}
+	if s.Err != "" {
+		b = append(b, `,"err":`...)
+		b = strconv.AppendQuote(b, s.Err)
+	}
 	return append(b, '}', '\n')
 }
 
@@ -119,23 +119,11 @@ func appendOpString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
-// Counts returns how many spans of each kind were written successfully,
-// indexed by Kind. The total feeds the Prometheus span families.
-func (j *JSONL) Counts() [numKinds]int64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.kinds
-}
-
-// Events returns the total number of spans written successfully.
+// Events returns the number of spans written successfully.
 func (j *JSONL) Events() int64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	var n int64
-	for _, c := range j.kinds {
-		n += c
-	}
-	return n
+	return j.events
 }
 
 // Flush drains the buffer and returns the first error seen on the
@@ -152,7 +140,7 @@ func (j *JSONL) Flush() error {
 var _ Tracer = (*JSONL)(nil)
 
 // ParseLine decodes one JSONL span line. Lines that are not span lines
-// (no "sp" key — e.g. obs event lines sharing the stream) return
+// (no "sp" key — e.g. a flight dump's header and histogram lines) return
 // ok == false with a nil error; malformed span lines return an error.
 // The parser is hand-rolled for the fixed field set appendSpan emits:
 // pjointrace reads multi-gigabyte traces, and encoding/json per line
@@ -186,7 +174,7 @@ func ParseLine(line []byte) (Span, bool, error) {
 			return s, false, fmt.Errorf("span: bad separator in %q", line)
 		}
 		rest = rest[1:]
-		if rest[0] != '"' {
+		if len(rest) == 0 || rest[0] != '"' {
 			return s, false, fmt.Errorf("span: bad key in %q", line)
 		}
 		q = bytes.IndexByte(rest[1:], '"')
@@ -199,20 +187,18 @@ func ParseLine(line []byte) (Span, bool, error) {
 			return s, false, fmt.Errorf("span: missing value for %q in %q", key, line)
 		}
 		rest = rest[1:]
-		if key == "op" {
-			if len(rest) == 0 || rest[0] != '"' {
-				return s, false, fmt.Errorf("span: bad op in %q", line)
-			}
-			end := bytes.IndexByte(rest[1:], '"')
-			if end < 0 {
-				return s, false, fmt.Errorf("span: unterminated op in %q", line)
-			}
-			op, err := strconv.Unquote(string(rest[:end+2]))
+		if key == "op" || key == "err" {
+			end := quotedEnd(rest)
+			str, err := strconv.Unquote(string(rest[:end]))
 			if err != nil {
-				return s, false, fmt.Errorf("span: bad op in %q: %v", line, err)
+				return s, false, fmt.Errorf("span: bad %s in %q: %v", key, line, err)
 			}
-			s.Op = op
-			rest = rest[end+2:]
+			if key == "op" {
+				s.Op = str
+			} else {
+				s.Err = str
+			}
+			rest = rest[end:]
 			continue
 		}
 		end := 0
@@ -250,4 +236,22 @@ func ParseLine(line []byte) (Span, bool, error) {
 		rest = rest[end:]
 	}
 	return s, false, fmt.Errorf("span: unterminated object in %q", line)
+}
+
+// quotedEnd returns the length of the quoted string rest starts with,
+// closing quote included and backslash escapes skipped; 0 when rest does
+// not hold one (strconv.Unquote then rejects the empty slice).
+func quotedEnd(rest []byte) int {
+	if len(rest) == 0 || rest[0] != '"' {
+		return 0
+	}
+	for i := 1; i < len(rest); i++ {
+		switch rest[i] {
+		case '\\':
+			i++
+		case '"':
+			return i + 1
+		}
+	}
+	return 0
 }

@@ -2,8 +2,8 @@ package span
 
 import "sync"
 
-// Recorder is a Tracer that collects spans in memory, for tests and
-// the oracle's reconciliation checks.
+// Recorder is a Tracer that keeps every span in memory, for tests and
+// for reconciling a trace against operator metrics.
 type Recorder struct {
 	mu    sync.Mutex //pjoin:lockrank leaf
 	spans []Span
@@ -28,11 +28,17 @@ func (r *Recorder) Spans() []Span {
 	return out
 }
 
-// Count returns the number of recorded spans.
-func (r *Recorder) Count() int {
+// Count returns how many spans of the given kind were recorded.
+func (r *Recorder) Count(k Kind) int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.spans)
+	var n int64
+	for _, s := range r.spans {
+		if s.Kind == k {
+			n++
+		}
+	}
+	return n
 }
 
 // ByTrace groups the recorded spans by trace ID, preserving emission

@@ -1,41 +1,81 @@
-// Package span is the provenance layer of the obs stack: causally
-// linked spans with process-unique IDs that follow (a) every
+// Package span is the trace record of the obs stack: one Span type, one
+// Tracer interface, one JSONL encoding. Spans carry process-unique IDs
+// and are causally linked through a Trace ID that follows (a) every
 // punctuation through its lifecycle — arrival, each memory/disk purge
 // step, deferred propagation, final emit — with per-span tuples-dropped
 // and bytes-reclaimed attribution, (b) sampled tuples through
-// ingest → edge batch → operator delivery → probe → result emit, and
-// (c) disk-join passes, so spill/cache I/O is attributed to the pass
-// that caused it.
+// ingest → edge batch → operator delivery → route → probe → result emit,
+// and (c) disk-join passes, so spill/cache I/O is attributed to the pass
+// that caused it. Records that belong to no lifecycle — a purge run, a
+// relocation, a spill failure, an operator starting — are point spans:
+// Trace 0, complete on their own. `cmd/pjointrace` reads the JSONL
+// output offline and reconstructs lifecycles.
 //
-// The flat counters and histograms of PRs 2/4 say *how much* state was
-// purged and *how long* results took; spans say *which punctuation*
-// purged *what* and *where* a tuple's latency went. `cmd/pjointrace`
-// reads the JSONL output offline and reconstructs lifecycles.
+// # The kind table
 //
-// # Trace model
+// Every kind, its family (IsPunct / IsPass / IsTuple / IsPoint partition
+// the taxonomy), who emits it, what N/M/B/D/Err carry (B is always
+// bytes, D always nanoseconds), and the joinbase.Metrics counter it
+// reconciles with (oracle/spancheck holds the identities):
 //
-// Every span carries a Trace ID grouping it with its cause:
+//	punct family — one trace per punctuation, never sampled
+//	punct_arrive      core, parallel router   Side = input side, N = PID the set assigned (router: Shard -1,
+//	                  N 0, marks trace birth before the broadcast). Per side, with punct_discard: PunctsIn
+//	punct_purge_mem   core     one punctuation's share of one memory-purge run: Side = victim state,
+//	                  N = tuples freed, M = parked to the purge buffer, B = bytes freed, D = the run's
+//	                  wall time (shared by the run's spans). Σ N with punct_purge_disk: Purged
+//	punct_drop_fly    core     a tuple dropped on the fly (§4.3): Side = its port, N = 1 dropped / M = 1
+//	                  parked instead (disk portion pending), B = bytes. Σ N: DroppedOnFly
+//	punct_purge_disk  core     one tuple dropped from the disk portion during a pass, attributed to the
+//	                  punctuation in force at bucket open: Side = victim state, N = 1, B = bytes
+//	punct_defer       core     propagation of a ready punctuation deferred: N = PID, M = 1 a disk pass is
+//	                  in flight, 2 its own disk purge is pending
+//	punct_emit        core, parallel merger   released downstream, the terminal of a healthy lifecycle:
+//	                  N = PID, D = propagation delay in stream time. The merger's join-wide terminal has
+//	                  Shard -1 (N = shard count); shard-local emits carry their shard. Shard < 0: PunctsOut
+//	punct_eos_close   core     Finish found the punctuation unpropagated; closed so no lifecycle dangles
 //
-//   - A punctuation trace is allocated when the punctuation first
-//     enters the join graph (the sharded router, else the join core)
-//     and rides stream.Item.Span across operator edges, so shard-local
-//     spans from all shards group under the one trace. Every purge
-//     span attributes its freed tuples to the earliest-arrived
-//     matching punctuation — the same entry the purge logic resolves.
-//   - A tuple trace is allocated by the source-side sampler and rides
-//     stream.Tuple.Span; Tuple.Join propagates it to result tuples.
-//   - A pass trace is allocated per disk-join pass and groups its
-//     start/chunk/io/end spans.
+//	pass family — one trace per disk pass, never sampled
+//	pass_start        joinbase N = 1 budgeted (resumable) pass, 0 run to completion
+//	pass_chunk        joinbase one bounded step: N = candidate pairs examined, M = results, B = spill
+//	                  bytes read, D = step wall. DiskChunks (the step that only finds the pass complete
+//	                  is not one)
+//	pass_io           joinbase once at pass end: N = read ops + chunk reads, M = spill-cache hits,
+//	                  B = bytes read post-cache
+//	pass_end          joinbase N = pairs examined, M = results, B = bytes read, D = pass wall (chunked:
+//	                  first step to last). DiskPasses
 //
-// # Overhead budget
+//	tuple family — one trace per tuple the Sampler admitted (Tuple.Span), no wall stamp
+//	tuple_ingest      exec     a source admitted the tuple. Side -1 (the deliver span knows the port)
+//	tuple_cut         exec     its batch was cut: N = batch length, M = 1 forced (punct/EOS/linger/close)
+//	tuple_deliver     exec     the driver delivered it, restamped: Side = port, D = queue + linger
+//	tuple_probe       core, xjoin   its probe completed: Side = probing side, N = matches, M = examined.
+//	                  With every tuple admitted: TuplesIn
+//	tuple_result      core, xjoin   a result descending from it was emitted: D = result latency. At most
+//	                  ResultCap per probe burst or pass step — tuple_probe.N has the exact match count
+//	tuple_route       parallel the router dispatched it: Side = port, N = target shard
 //
-// The conventions of package obs apply: a nil handle or disabled
-// tracer must cost one branch and ZERO allocations on hot paths
-// (guarded by AllocsPerRun tests), spans are plain value structs, and
-// tuple-side cost is bounded by the Sampler. Punctuation spans are not
-// sampled — punctuations are rare relative to tuples, and the
-// reconciliation guarantees (Σ purge-span drops == Metrics.Purged)
-// need every one.
+//	point family — Trace 0, no lifecycle, never an orphan
+//	purge_run         core     one purge run ended, matched or not: Side = victim state, N = tuples
+//	                  removed or parked, M = scanned. Count: PurgeRuns, Σ M: PurgeScanned
+//	relocate          joinbase a bucket spilled: Side = state, N = tuples moved, M = bucket. Relocations
+//	spill_error       joinbase a spill-store operation failed: Side = state, Err = the error text the
+//	                  operator also returns
+//	op_start          exec     the driver started an operator
+//	op_finish         exec     the operator finished (post-EOS flush done)
+//	punct_discard     xjoin, core   a punctuation was consumed and ignored (XJoin: all of them; PJoin:
+//	                  an empty one). Side = port. Per side, with punct_arrive: PunctsIn
+//
+// # Sampling and overhead
+//
+// Punctuation, pass and point spans are never sampled: they are rare
+// relative to tuples and the reconciliation identities need every one.
+// Tuple-granularity records follow the Sampler: a tuple is traced iff
+// its source admitted it, so tuple-side cost is bounded by the sample
+// rate (the simulated drive of `pjoinbench -trace` admits every tuple).
+// A nil handle or disabled tracer must cost one branch and ZERO
+// allocations on hot paths (guarded by AllocsPerRun tests); spans are
+// plain value structs.
 package span
 
 import (
@@ -44,100 +84,53 @@ import (
 	"pjoin/internal/stream"
 )
 
-// Kind discriminates span records.
+// Kind discriminates span records; see the package doc's kind table.
 type Kind uint8
 
-// The span taxonomy. N/M/B/D carry kind-specific payloads, documented
-// per kind; B is always bytes, D always a duration in nanoseconds.
 const (
-	// KindPunctArrive: a punctuation entered an operator. Side = input
-	// side, N = the PID the punctuation set assigned. The sharded
-	// router also emits one (Shard = -1, N = 0) when it allocates the
-	// trace, before broadcasting to shards.
 	KindPunctArrive Kind = iota
-	// KindPunctPurgeMem: one punctuation's share of one memory-purge
-	// run. Side = victim state, N = tuples freed (counted in
-	// Metrics.Purged), M = tuples parked to the purge buffer for a
-	// later disk pass, B = bytes reclaimed by the freed tuples,
-	// D = wall time of the whole purge run (shared by the run's spans).
 	KindPunctPurgeMem
-	// KindPunctDropFly: a tuple was dropped on the fly (§4.3). Side =
-	// the tuple's port, N = 1 if dropped immediately, M = 1 if parked
-	// to the purge buffer instead (disk portion pending), B = bytes.
 	KindPunctDropFly
-	// KindPunctPurgeDisk: one tuple dropped from the disk portion
-	// during a pass, attributed to the punctuation in force at bucket
-	// open. Side = victim state, N = 1, B = bytes.
 	KindPunctPurgeDisk
-	// KindPunctDefer: propagation of a ready punctuation was deferred.
-	// Side = punctuation's input side, N = PID, M = reason: 1 = a disk
-	// pass is in flight, 2 = the punctuation's own disk purge is
-	// pending.
 	KindPunctDefer
-	// KindPunctEmit: the punctuation was released downstream — the
-	// terminal span of a healthy lifecycle. Side = input side, N = PID,
-	// D = propagation delay in stream time (emit At − arrival At). The
-	// countdown merger of the sharded join emits the join-wide terminal
-	// span with Shard = -1 after the last shard propagates; shard-local
-	// emits carry their shard index.
 	KindPunctEmit
-	// KindPunctEOSClose: the run ended (Finish) while the punctuation
-	// had not propagated; the trace is closed administratively so no
-	// lifecycle dangles. Side = input side, N = PID.
 	KindPunctEOSClose
 
-	// KindPassStart: a disk-join pass began. N = 1 for a budgeted
-	// (resumable) pass, 0 for one run to completion.
 	KindPassStart
-	// KindPassChunk: one step of a pass. N = candidate
-	// pairs examined this step, M = results produced this step,
-	// B = spill bytes read this step (both sides), D = step wall ns.
 	KindPassChunk
-	// KindPassIO: the pass's spill/cache traffic, emitted once at pass
-	// end. N = read ops + chunk reads, M = spill-cache hits during the
-	// pass, B = bytes read from the spill stores (post-cache).
 	KindPassIO
-	// KindPassEnd: the pass completed. N = candidate pairs examined,
-	// M = results produced, B = bytes read total, D = pass wall ns
-	// (for a chunked pass: from first step to last, including time the
-	// event loop spent elsewhere between pumps).
 	KindPassEnd
 
-	// KindTupleIngest: a source admitted a sampled tuple. Side = -1 (a
-	// source does not know its consumer's port; the deliver span does).
 	KindTupleIngest
-	// KindTupleCut: the batch holding a sampled tuple was cut and sent
-	// on an edge. N = batch length, M = 1 if the cut was forced by a
-	// punctuation/EOS/flush rather than the batch filling.
 	KindTupleCut
-	// KindTupleDeliver: the operator driver delivered the sampled tuple
-	// (restamped). Side = port. The gap from ingest/cut to deliver is
-	// the queue + batch-linger component of result latency.
 	KindTupleDeliver
-	// KindTupleProbe: the sampled tuple's probe completed. Side =
-	// probing side, N = matches emitted, M = tuples examined.
 	KindTupleProbe
-	// KindTupleResult: a join result descending from the sampled tuple
-	// was emitted. D = result latency (emit At − result tuple Ts). At
-	// most ResultCap result spans are emitted per probe burst: a hot key
-	// can match thousands of partners, and a span per match is the one
-	// place span volume scales with output rather than input (the bench7
-	// overhead budget is where that bites). The probe span's N still
-	// carries the exact match count; result spans are latency samples.
 	KindTupleResult
+	KindTupleRoute
 
-	numKinds = int(KindTupleResult) + 1
+	KindPurgeRun
+	KindRelocate
+	KindSpillError
+	KindOpStart
+	KindOpFinish
+	KindPunctDiscard
+
+	numKinds = int(KindPunctDiscard) + 1
 )
 
 // ResultCap bounds KindTupleResult spans per probe burst (one tuple's
-// memory probe, or one disk-pass step). See the KindTupleResult docs.
+// memory probe, or one disk-pass step): a hot key can match thousands of
+// partners, and a span per match is the one place span volume scales
+// with output rather than input (the bench7 overhead budget is where
+// that bites). Result spans are latency samples.
 const ResultCap = 4
 
 var kindNames = [numKinds]string{
 	"punct_arrive", "punct_purge_mem", "punct_drop_fly", "punct_purge_disk",
 	"punct_defer", "punct_emit", "punct_eos_close",
 	"pass_start", "pass_chunk", "pass_io", "pass_end",
-	"tuple_ingest", "tuple_cut", "tuple_deliver", "tuple_probe", "tuple_result",
+	"tuple_ingest", "tuple_cut", "tuple_deliver", "tuple_probe", "tuple_result", "tuple_route",
+	"purge_run", "relocate", "spill_error", "op_start", "op_finish", "punct_discard",
 }
 
 // String returns the kind's wire name (the "sp" field of the JSONL sink).
@@ -168,26 +161,49 @@ func (k Kind) IsPunct() bool { return k <= KindPunctEOSClose }
 func (k Kind) IsPass() bool { return k >= KindPassStart && k <= KindPassEnd }
 
 // IsTuple reports whether k belongs to a sampled-tuple trace.
-func (k Kind) IsTuple() bool { return k >= KindTupleIngest }
+func (k Kind) IsTuple() bool { return k >= KindTupleIngest && k <= KindTupleRoute }
 
-// Span is one provenance record. At is the virtual timestamp of the
-// event (stream time under the simulator, wall-clock offset under the
-// live executor — the same clock as obs.Event.At); Wall is the
-// emitting process's wall clock in Unix nanoseconds, so purge wall
-// time and cross-shard ordering survive into offline analysis.
+// IsPoint reports whether k is a point kind: Trace 0, no lifecycle.
+func (k Kind) IsPoint() bool { return k >= KindPurgeRun && int(k) < numKinds }
+
+// FamilyCounts sums per-kind counts (indexed by Kind; short or nil
+// slices read as zero) into the four families.
+func FamilyCounts(counts []int64) (punct, pass, tuple, point int64) {
+	for i, c := range counts {
+		switch k := Kind(i); {
+		case k.IsPunct():
+			punct += c
+		case k.IsPass():
+			pass += c
+		case k.IsTuple():
+			tuple += c
+		case k.IsPoint():
+			point += c
+		}
+	}
+	return
+}
+
+// Span is one trace record. At is the virtual timestamp of the event
+// (stream time under the simulator, wall-clock offset under the live
+// executor — whichever clock stamped the items the operator processed);
+// Wall is the emitting process's wall clock in Unix nanoseconds, so
+// purge wall time and cross-shard ordering survive into offline
+// analysis.
 type Span struct {
 	ID    uint64 // process-unique span ID
-	Trace uint64 // the punctuation/tuple/pass trace this span belongs to
+	Trace uint64 // the punctuation/tuple/pass trace this span belongs to; 0 for point kinds
 	Kind  Kind
 	At    stream.Time
 	Wall  int64
 	Op    string // operator instance name
 	Shard int32  // shard index, -1 when unsharded / join-wide
 	Side  int8   // input side / port, -1 when not applicable
-	N     int64  // kind-specific count (see Kind docs)
-	M     int64  // kind-specific count (see Kind docs)
-	B     int64  // bytes (see Kind docs)
-	D     int64  // duration in nanoseconds (see Kind docs)
+	N     int64  // kind-specific count (see the kind table)
+	M     int64  // kind-specific count (see the kind table)
+	B     int64  // bytes
+	D     int64  // duration in nanoseconds
+	Err   string // error text, spill_error only
 }
 
 var idCounter atomic.Uint64

@@ -45,7 +45,8 @@ func TestNewIDUniqueConcurrent(t *testing.T) {
 }
 
 // TestKindRoundTrip: String/ParseKind are inverses over the whole
-// taxonomy, and the IsPunct/IsPass/IsTuple predicates partition it.
+// taxonomy, and the IsPunct/IsPass/IsTuple/IsPoint predicates partition
+// it.
 func TestKindRoundTrip(t *testing.T) {
 	for i := 0; i < NumKinds(); i++ {
 		k := Kind(i)
@@ -58,7 +59,7 @@ func TestKindRoundTrip(t *testing.T) {
 			t.Fatalf("ParseKind(%q) = %v, %v; want %v", name, back, ok, k)
 		}
 		groups := 0
-		for _, in := range []bool{k.IsPunct(), k.IsPass(), k.IsTuple()} {
+		for _, in := range []bool{k.IsPunct(), k.IsPass(), k.IsTuple(), k.IsPoint()} {
 			if in {
 				groups++
 			}
@@ -73,35 +74,50 @@ func TestKindRoundTrip(t *testing.T) {
 }
 
 // TestJSONLRoundTrip: spans with every field populated, and with the
-// optional fields zeroed, survive Emit → ParseLine unchanged; counts
-// track per kind; foreign (obs event) lines are skipped, not errors.
+// optional fields zeroed, survive Emit → ParseLine unchanged, as does one
+// span of every kind (err and a quoted op included); the Tee in front
+// counts per kind; foreign (flight header) lines are skipped, not
+// errors.
 func TestJSONLRoundTrip(t *testing.T) {
 	full := Span{
 		ID: 42, Trace: 7, Kind: KindPunctPurgeMem, At: 123456, Wall: 1700000000000000000,
 		Op: "pjoin", Shard: 3, Side: 1, N: 10, M: 2, B: 4096, D: 91000,
 	}
 	sparse := Span{ID: 43, Kind: KindTupleIngest, At: 5, Shard: -1, Side: -1}
+	all := []Span{full, sparse}
+	for k := 0; k < NumKinds(); k++ {
+		s := Span{ID: uint64(100 + k), Trace: 9, Kind: Kind(k), At: stream.Time(k), Op: `x"jo\in`, Shard: -1, Side: 0, N: int64(k)}
+		if s.Kind.IsPoint() {
+			s.Trace = 0
+		}
+		if s.Kind == KindSpillError {
+			s.Err = `disk "gone", \\ and } too`
+		}
+		all = append(all, s)
+	}
 
 	var buf bytes.Buffer
 	j := NewJSONL(&buf)
-	j.Emit(full)
-	j.Emit(sparse)
+	tee := NewTee(j)
+	for _, s := range all {
+		tee.Emit(s)
+	}
 	if err := j.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got := j.Events(); got != 2 {
-		t.Fatalf("Events() = %d, want 2", got)
+	if got := j.Events(); got != int64(len(all)) {
+		t.Fatalf("Events() = %d, want %d", got, len(all))
 	}
-	counts := j.Counts()
-	if counts[KindPunctPurgeMem] != 1 || counts[KindTupleIngest] != 1 {
+	counts := tee.Counts()
+	if counts[KindPunctPurgeMem] != 2 || counts[KindTupleIngest] != 2 || counts[KindSpillError] != 1 {
 		t.Fatalf("Counts() = %v", counts)
 	}
 
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines, want 2", len(lines))
+	if len(lines) != len(all) {
+		t.Fatalf("got %d lines, want %d", len(lines), len(all))
 	}
-	for i, want := range []Span{full, sparse} {
+	for i, want := range all {
 		got, ok, err := ParseLine([]byte(lines[i]))
 		if err != nil || !ok {
 			t.Fatalf("line %d: ParseLine ok=%v err=%v", i, ok, err)
@@ -111,9 +127,9 @@ func TestJSONLRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Lines from the obs event tracer sharing the stream are not spans.
+	// A flight dump's other lines sharing the stream are not spans.
 	for _, foreign := range []string{
-		`{"ev":"purge","t_ns":1,"op":"pjoin","n":3}`,
+		`{"type":"hist","name":"purge_duration_ns","count":3}`,
 		``,
 		`   `,
 	} {
@@ -127,6 +143,8 @@ func TestJSONLRoundTrip(t *testing.T) {
 		`{"sp":"nope","id":1,"t_ns":0}`,
 		`{"sp":"punct_arrive","id":xx}`,
 		`{"sp":"punct_arrive","id":1`,
+		`{"sp":"punct_arrive","id":1,`,
+		`{"sp":"spill_error","id":1,"err":"unterminated}`,
 	} {
 		if _, _, err := ParseLine([]byte(bad)); err == nil {
 			t.Fatalf("malformed line %q accepted", bad)
@@ -179,8 +197,8 @@ func TestRecorder(t *testing.T) {
 	r.Emit(Span{ID: 1, Trace: 10, Kind: KindPunctArrive, At: stream.Time(1)})
 	r.Emit(Span{ID: 2, Trace: 11, Kind: KindPunctArrive, At: stream.Time(2)})
 	r.Emit(Span{ID: 3, Trace: 10, Kind: KindPunctEmit, At: stream.Time(3)})
-	if r.Count() != 3 {
-		t.Fatalf("Count() = %d", r.Count())
+	if len(r.Spans()) != 3 || r.Count(KindPunctArrive) != 2 || r.Count(KindPassEnd) != 0 {
+		t.Fatalf("Spans() = %v", r.Spans())
 	}
 	byTrace := r.ByTrace()
 	if len(byTrace[10]) != 2 || len(byTrace[11]) != 1 {

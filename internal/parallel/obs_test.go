@@ -5,28 +5,24 @@ import (
 
 	"pjoin/internal/gen"
 	"pjoin/internal/obs"
-	"pjoin/internal/stream"
+	"pjoin/internal/obs/span"
+	"pjoin/internal/oracle/spancheck"
 )
 
-// TestObsShardEvents checks the sharded join's trace: the router emits
-// one route event per data tuple, the merger one merge event per
-// forwarded punctuation, and every shard-originated event carries its
+// TestObsShardEvents checks the sharded join's trace over the fixed
+// stream PJoin and XJoin reconcile on: the one reconciliation table
+// (spancheck.Check) holds across two shards, the router emits one route
+// span per admitted tuple, the merger one join-wide punct_emit per
+// forwarded punctuation, and every shard-originated span carries its
 // shard index so a trace can be demultiplexed offline.
 func TestObsShardEvents(t *testing.T) {
-	gc := gen.Config{
-		Seed: 3, MaxTuples: 600, Duration: 1 << 62, WindowKeys: 8,
-		A: gen.SideSpec{TupleMean: 2 * stream.Millisecond, PunctMean: 12},
-		B: gen.SideSpec{TupleMean: 2 * stream.Millisecond, PunctMean: 12},
-	}
-	arrs, err := gen.Synthetic(gc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	arrs := spancheck.Stream()
 	sum := gen.Summarize(arrs)
 
-	const shards = 4
-	rec := obs.NewRecorder()
+	const shards = 2
+	rec := &span.Recorder{}
 	cfg := baseConfig()
+	cfg.Thresholds.MemoryBytes = 256
 	sink := &lockedCollector{}
 	j, err := New(Config{Shards: shards, Join: cfg, Instr: obs.NewInstr(rec, nil, "sharded")}, sink)
 	if err != nil {
@@ -34,56 +30,66 @@ func TestObsShardEvents(t *testing.T) {
 	}
 	drive(t, j, arrs)
 	m := j.Metrics()
+	if m.Relocations == 0 || m.DiskPasses == 0 || m.PurgeRuns == 0 || m.PunctsOut == 0 {
+		t.Fatalf("workload missed a traced path: %+v", m)
+	}
+	for _, d := range spancheck.Check(rec.Spans(), m, spancheck.Opts{Shards: shards, Admitted: true}) {
+		t.Error(d)
+	}
 
 	wantTuples := int64(sum.Tuples[0] + sum.Tuples[1])
-	if got := rec.Count(obs.KindShardRoute); got != wantTuples {
-		t.Errorf("route events: got %d, want one per tuple (%d)", got, wantTuples)
+	if got := rec.Count(span.KindTupleRoute); got != wantTuples {
+		t.Errorf("route spans: got %d, want one per tuple (%d)", got, wantTuples)
 	}
-	if got := rec.Count(obs.KindShardMerge); got != m.PunctsOut {
-		t.Errorf("merge events: got %d, want one per forwarded punctuation (%d)", got, m.PunctsOut)
-	}
-	// Route events name the target shard; every shard must have been hit
-	// (8 keys over 4 shards with this seed).
+	// Route spans name the target shard; every shard must have been hit.
+	// Shard-side spans (arrivals, probes, purges...) are stamped with
+	// their shard index and the derived operator name; router and merger
+	// spans are not shard-stamped.
 	hit := map[int64]bool{}
-	for _, e := range rec.Events() {
-		if e.Kind == obs.KindShardRoute {
-			if e.N < 0 || e.N >= shards {
-				t.Fatalf("route event targets shard %d, want 0..%d", e.N, shards-1)
-			}
-			hit[e.N] = true
-		}
-	}
-	if len(hit) != shards {
-		t.Errorf("route events hit %d shards, want all %d", len(hit), shards)
-	}
-	// Shard-side events (arrivals, probes, purges...) are stamped with
-	// their shard index and the derived operator name; router/merger
-	// events are not shard-stamped.
 	perShard := map[int32]int64{}
-	for _, e := range rec.Events() {
-		switch e.Kind {
-		case obs.KindShardRoute, obs.KindShardMerge:
-			if e.Shard >= 0 {
-				t.Fatalf("router event %v stamped with shard %d", e.Kind, e.Shard)
+	var merged, shardProbes, shardArrives int64
+	for _, s := range rec.Spans() {
+		switch s.Kind {
+		case span.KindTupleRoute:
+			if s.N < 0 || s.N >= shards {
+				t.Fatalf("route span targets shard %d, want 0..%d", s.N, shards-1)
 			}
-		case obs.KindTupleIn, obs.KindProbe, obs.KindPunctIn, obs.KindPurge, obs.KindPropagate:
-			if e.Shard < 0 || e.Shard >= shards {
-				t.Fatalf("shard event %v has shard %d, want 0..%d", e.Kind, e.Shard, shards-1)
+			hit[s.N] = true
+			if s.Shard >= 0 {
+				t.Fatalf("router span %v stamped with shard %d", s.Kind, s.Shard)
 			}
-			perShard[e.Shard]++
+		case span.KindTupleProbe, span.KindPurgeRun, span.KindRelocate, span.KindPunctPurgeMem, span.KindPassEnd:
+			if s.Shard < 0 || s.Shard >= shards {
+				t.Fatalf("shard span %v has shard %d, want 0..%d", s.Kind, s.Shard, shards-1)
+			}
+			perShard[s.Shard]++
+			if s.Kind == span.KindTupleProbe {
+				shardProbes++
+			}
+		case span.KindPunctArrive:
+			if s.Shard >= 0 {
+				shardArrives++
+			}
+		case span.KindPunctEmit:
+			if s.Shard < 0 {
+				merged++
+				if s.N != shards {
+					t.Fatalf("merger's terminal span counts %d shards, want %d", s.N, shards)
+				}
+			}
 		}
 	}
-	if len(perShard) != shards {
-		t.Errorf("shard-stamped events from %d shards, want %d", len(perShard), shards)
+	if len(hit) != shards || len(perShard) != shards {
+		t.Errorf("route spans hit %d shards, shard-stamped spans came from %d, want all %d", len(hit), len(perShard), shards)
 	}
-	// Per-shard tuple arrivals must sum to the stream total (each tuple
-	// goes to exactly one shard).
-	if got := rec.Count(obs.KindTupleIn); got != wantTuples {
-		t.Errorf("shard tuple arrivals: got %d, want %d", got, wantTuples)
+	if merged != m.PunctsOut {
+		t.Errorf("join-wide emit spans: got %d, want one per forwarded punctuation (%d)", merged, m.PunctsOut)
 	}
-	// Punctuations fan out to every shard.
-	wantPuncts := int64(sum.Puncts[0]+sum.Puncts[1]) * shards
-	if got := rec.Count(obs.KindPunctIn); got != wantPuncts {
-		t.Errorf("shard punct arrivals: got %d, want %d (stream puncts x shards)", got, wantPuncts)
+	// Each tuple goes to exactly one shard; punctuations fan out to all.
+	if shardProbes != wantTuples {
+		t.Errorf("shard tuple arrivals: got %d, want %d", shardProbes, wantTuples)
+	}
+	if want := int64(sum.Puncts[0]+sum.Puncts[1]) * shards; shardArrives != want {
+		t.Errorf("shard punct arrivals: got %d, want %d (stream puncts x shards)", shardArrives, want)
 	}
 }

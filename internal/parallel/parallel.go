@@ -402,7 +402,9 @@ func (j *ShardedPJoin) ProcessBatch(port int, items []stream.Item, now stream.Ti
 		}
 		s := int(it.Tuple.Values[attr].Hash() % uint64(len(j.shards)))
 		j.shards[s].routed.Add(1)
-		j.instr.Event(obs.KindShardRoute, it.Ts, port, int64(s), 0)
+		if it.Tuple.Span != 0 {
+			j.instr.Span(span.KindTupleRoute, it.Tuple.Span, it.Ts, port, int64(s), 0, 0, 0)
+		}
 		if j.shardBufs[s] == nil {
 			j.shardBufs[s] = j.pool.Get(len(items))
 		}
@@ -448,7 +450,7 @@ func (j *ShardedPJoin) broadcast(port int, it stream.Item) error {
 			// punct_emit when alignment completes. The router-level
 			// arrive span (Shard = -1, N = 0) marks trace birth.
 			var trace uint64
-			if j.instr.SpansEnabled() {
+			if j.instr.Enabled() {
 				trace = span.NewID()
 				it.Span = trace
 				j.instr.Span(span.KindPunctArrive, trace, it.Ts, port, 0, 0, 0, 0)
@@ -574,23 +576,14 @@ func (j *ShardedPJoin) Metrics() joinbase.Metrics {
 // samples are intentionally excluded: they measure per-shard
 // propagation, not the join-wide promise.
 func (j *ShardedPJoin) Latencies() obs.LatSnapshot {
-	var out obs.LatSnapshot
+	// The router's own rows (obs.HistDef.Router), then every shard's.
+	out := j.lat.Snapshot()
 	for _, sh := range j.shards {
 		sh.mu.Lock()
 		s := sh.pj.Latencies()
 		sh.mu.Unlock()
-		out.Result.Merge(s.Result)
-		out.Purge.Merge(s.Purge)
-		out.DiskChunk.Merge(s.DiskChunk)
-		out.DiskPass.Merge(s.DiskPass)
+		out.MergeShard(s)
 	}
-	// PunctDelay and BatchFill are router-owned: the join-wide delay is
-	// arrival → alignment-complete, and the join-wide batch fill is the
-	// router's delivered batches (shard-local sub-batches would inflate
-	// the sample count by the fan-out).
-	snap := j.lat.Snapshot()
-	out.PunctDelay = snap.PunctDelay
-	out.BatchFill = snap.BatchFill
 	return out
 }
 
@@ -782,7 +775,6 @@ func (m *merger) emitter() op.Emitter {
 			} else {
 				delete(m.pending, key)
 			}
-			m.in.Event(obs.KindShardMerge, fwdTs, -1, int64(m.n), 0)
 			outIt := stream.PunctItem(it.Punct, fwdTs)
 			if trace != 0 {
 				// The join-wide terminal span (Shard = -1): the shards'

@@ -4,13 +4,16 @@ import (
 	"errors"
 	"testing"
 
+	"pjoin/internal/gen"
 	"pjoin/internal/obs"
+	"pjoin/internal/obs/span"
 	"pjoin/internal/op"
+	"pjoin/internal/oracle/spancheck"
 	"pjoin/internal/store"
 	"pjoin/internal/stream"
 )
 
-func obsConfig(rec obs.Tracer) Config {
+func obsConfig(rec span.Tracer) Config {
 	return Config{
 		SchemaA: schemaA, SchemaB: schemaB,
 		AttrA: 0, AttrB: 0,
@@ -31,43 +34,47 @@ func obsWorkload() []feedItem {
 	return items
 }
 
-// TestObsEventsReconcileWithMetrics: the baseline traces the same
-// arrival/probe/spill events as PJoin (minus anything
-// punctuation-related — XJoin has no purge or propagation).
+// TestObsEventsReconcileWithMetrics: the baseline reconciles under the
+// same table, over the same fixed stream, as PJoin (spancheck) — minus
+// anything punctuation-related: XJoin has no purge or propagation, and
+// records every punctuation it ignores as a punct_discard.
 func TestObsEventsReconcileWithMetrics(t *testing.T) {
-	rec := obs.NewRecorder()
-	j, err := New(obsConfig(rec), &op.Collector{})
+	rec := &span.Recorder{}
+	cfg := obsConfig(rec)
+	cfg.SchemaA, cfg.SchemaB = gen.SchemaA, gen.SchemaB
+	j, err := New(cfg, &op.Collector{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	run(t, j, obsWorkload())
+	arrs := spancheck.Stream()
+	var items []feedItem
+	for _, a := range arrs {
+		items = append(items, feedItem{a.Port, a.Item})
+	}
+	run(t, j, items)
 
 	m := j.Metrics()
-	if m.Relocations == 0 || m.DiskPasses == 0 {
+	if m.Relocations == 0 || m.DiskPasses == 0 || m.DiskJoins == 0 {
 		t.Fatalf("workload missed the spill path: %+v", m)
 	}
-	checks := []struct {
-		kind obs.Kind
-		want int64
-	}{
-		{obs.KindTupleIn, m.TuplesIn[0] + m.TuplesIn[1]},
-		{obs.KindProbe, m.TuplesIn[0] + m.TuplesIn[1]},
-		{obs.KindRelocate, m.Relocations},
-		{obs.KindDiskPass, m.DiskPasses},
-		{obs.KindPurge, 0},
-		{obs.KindPropagate, 0},
+	for _, d := range spancheck.Check(rec.Spans(), m, spancheck.Opts{Admitted: true}) {
+		t.Error(d)
 	}
-	for _, c := range checks {
-		if got := rec.Count(c.kind); got != c.want {
-			t.Errorf("%v events: got %d, want %d", c.kind, got, c.want)
+	sum := gen.Summarize(arrs)
+	if got, want := rec.Count(span.KindPunctDiscard), int64(sum.Puncts[0]+sum.Puncts[1]); got != want || want == 0 {
+		t.Errorf("punct_discard spans: got %d, want one per punctuation (%d)", got, want)
+	}
+	for _, k := range []span.Kind{span.KindPurgeRun, span.KindPunctArrive, span.KindPunctEmit, span.KindPunctPurgeMem} {
+		if got := rec.Count(k); got != 0 {
+			t.Errorf("%v spans: got %d, XJoin has no such path", k, got)
 		}
 	}
 }
 
 // TestSpillAppendErrorSurfaces: a failing spill device during XJoin's
-// state relocation surfaces as a Process error and a spill-error event.
+// state relocation surfaces as a Process error and a spill_error span.
 func TestSpillAppendErrorSurfaces(t *testing.T) {
-	rec := obs.NewRecorder()
+	rec := &span.Recorder{}
 	boom := errors.New("disk gone")
 	cfg := obsConfig(rec)
 	cfg.SpillA = store.NewFaultSpill(store.NewMemSpill(), store.FaultAppend, 1, boom)
@@ -85,7 +92,7 @@ func TestSpillAppendErrorSurfaces(t *testing.T) {
 	if !errors.Is(procErr, boom) {
 		t.Fatalf("Process error: got %v, want injected %v", procErr, boom)
 	}
-	if rec.Count(obs.KindSpillError) == 0 {
-		t.Error("no spill-error event recorded")
+	if rec.Count(span.KindSpillError) == 0 {
+		t.Error("no spill_error span recorded")
 	}
 }

@@ -147,7 +147,7 @@ func New(cfg Config, out op.Emitter) (*XJoin, error) {
 	}
 	x.base.Obs = cfg.Instr
 	x.disk = joinbase.NewPassDriver(x.base, x.lat, cfg.DiskChunkBytes, joinbase.PassHooks{}, nil)
-	x.registerGauges()
+	x.base.RegisterGauges(x.Name())
 
 	reg := event.NewRegistry()
 	relocate := event.ListenerFunc{ID: "state-relocation", Fn: func(e event.Event) error {
@@ -178,47 +178,10 @@ func New(cfg Config, out op.Emitter) (*XJoin, error) {
 // noteResult records one emitted result (see core.PJoin.noteResult).
 func (x *XJoin) noteResult(ts stream.Time, sp uint64) {
 	x.lat.RecordResult(x.now, ts)
-	if sp != 0 && x.base.ResultSpans > 0 && x.cfg.Instr.SpansEnabled() {
+	if sp != 0 && x.base.ResultSpans > 0 && x.cfg.Instr.Enabled() {
 		x.base.ResultSpans--
 		x.cfg.Instr.Span(span.KindTupleResult, sp, x.now, -1, 0, 0, 0, int64(x.now-ts))
 	}
-}
-
-// registerGauges exposes XJoin's live metrics through the attached
-// sampler; gauges run on the operator's own goroutine (see obs.Live).
-// XJoin never propagates punctuations, so there is no punct-lag gauge —
-// its absence IS the baseline's story.
-func (x *XJoin) registerGauges() {
-	lv := x.cfg.Instr.Live()
-	if lv == nil {
-		return
-	}
-	name := x.cfg.Instr.Op()
-	if name == "" {
-		name = x.Name()
-	}
-	lv.Register(name+".mem_bytes.a", func() float64 { return float64(x.base.States[0].MemBytes()) })
-	lv.Register(name+".mem_bytes.b", func() float64 { return float64(x.base.States[1].MemBytes()) })
-	lv.Register(name+".disk_bytes", func() float64 {
-		a, b := x.StateStats()
-		return float64(a.DiskBytes + b.DiskBytes)
-	})
-	lv.Register(name+".state_tuples", func() float64 { return float64(x.StateTuples()) })
-	lv.Register(name+".bucket_skew", func() float64 {
-		sk := x.base.States[0].MemBucketSkew()
-		if s1 := x.base.States[1].MemBucketSkew(); s1 > sk {
-			sk = s1
-		}
-		return sk
-	})
-	lv.Register(name+".mem_groups", func() float64 {
-		a, b := x.StateStats()
-		return float64(a.MemGroups + b.MemGroups)
-	})
-	lv.Register(name+".tuples_out", func() float64 { return float64(x.base.M.TuplesOut) })
-	lv.Register(name+".tuples_in", func() float64 {
-		return float64(x.base.M.TuplesIn[0] + x.base.M.TuplesIn[1])
-	})
 }
 
 // Name implements op.Operator.
@@ -265,7 +228,6 @@ func (x *XJoin) Process(port int, it stream.Item, now stream.Time) error {
 	case stream.KindTuple:
 		t := x.hdrs.Stamp(it)
 		x.base.M.TuplesIn[port]++
-		x.base.Obs.Event(obs.KindTupleIn, t.Ts, port, 0, 0)
 		if err := x.mon.TupleArrived(t.Ts); err != nil {
 			return err
 		}
@@ -274,8 +236,7 @@ func (x *XJoin) Process(port int, it stream.Item, now stream.Time) error {
 		if err != nil {
 			return err
 		}
-		x.base.Obs.Event(obs.KindProbe, t.Ts, port, int64(matches), 0)
-		if t.Span != 0 && x.cfg.Instr.SpansEnabled() {
+		if t.Span != 0 && x.cfg.Instr.Enabled() {
 			x.cfg.Instr.Span(span.KindTupleProbe, t.Span, t.Ts, port,
 				int64(matches), x.base.M.Examined-examBefore, 0, 0)
 		}
@@ -289,7 +250,7 @@ func (x *XJoin) Process(port int, it stream.Item, now stream.Time) error {
 	case stream.KindPunct:
 		// No constraint-exploiting mechanism: punctuations are ignored.
 		x.base.M.PunctsIn[port]++
-		x.base.Obs.Event(obs.KindPunctIn, it.Ts, port, 0, 0)
+		x.base.Obs.Span(span.KindPunctDiscard, 0, it.Ts, port, 0, 0, 0, 0)
 		return x.disk.Pump(x.now)
 	case stream.KindEOS:
 		if x.eos[port] {
