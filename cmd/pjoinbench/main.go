@@ -1,7 +1,11 @@
 // Command pjoinbench regenerates the paper's tables and figures: it
 // runs the reproduction experiments defined in internal/bench and
 // prints each figure's series as a summary table plus an ASCII chart,
-// optionally exporting the raw series as CSV.
+// optionally exporting the raw series as CSV. The figures and the two
+// sweeps (-bench4, -bench5) run on the simulator's virtual clock and
+// are gated byte for byte (`make figures-check`); only scale1 prints
+// wall-clock columns, which stay out of the CSV. What the engine costs
+// on the wall clock is measured by benchmark/ and nowhere else.
 //
 // Usage:
 //
@@ -13,17 +17,10 @@
 //	pjoinbench -fig scale1 -shards 1,4,16   # ShardedPJoin scaling sweep
 //	pjoinbench -fig 5 -trace fig5.jsonl     # JSONL span trace of the run (read it with pjointrace)
 //	pjoinbench -fig 5 -live 10 -csv out.csv # sample live gauges every 10ms
-//	pjoinbench -bench3 BENCH_3.json         # perf summary: index micro-benches
-//	                                        # + per-experiment work counters
 //	pjoinbench -bench4 BENCH_4.json         # latency summary: result-latency and
 //	                                        # punct-delay quantiles per punct rate
 //	pjoinbench -bench5 BENCH_5.json         # incremental disk-join sweep: latency
 //	                                        # quantiles per chunk budget + cache hit ratio
-//	pjoinbench -bench6 BENCH_6.json         # batched dataflow sweep: memoized-probe
-//	                                        # micro + pipeline throughput per batch x linger
-//	pjoinbench -bench6 b6.json -batch 256 -batch-linger-ms 1  # one cell vs batch size 1
-//	pjoinbench -bench7 BENCH_7.json         # provenance-tracing overhead sweep:
-//	                                        # detached / sampled 1-in-64 / full
 //	pjoinbench -fig 9 -disk-chunk-kb 64     # run any figure with incremental passes
 //	pjoinbench -fig 9 -spill-cache-mb 4     # ... and/or a spill block cache
 //	pjoinbench -flight-sample flight.jsonl.gz  # fault-injection flight dump
@@ -59,17 +56,12 @@ func main() {
 		shards = flag.String("shards", "", "comma-separated shard counts for the scaling experiments (e.g. 1,2,4,8)")
 		trace  = flag.String("trace", "", "write the operators' spans, every tuple admitted, as a JSONL trace to this file (.gz compresses); analyze with pjointrace")
 		liveMs = flag.Int64("live", 0, "sample live operator gauges every N virtual milliseconds (series go to -csv)")
-		bench3 = flag.String("bench3", "", "write the performance summary JSON (index micro-benchmarks + per-experiment work counters) to this file")
 		bench4 = flag.String("bench4", "", "write the latency summary JSON (result-latency + punct-delay quantiles per punctuation rate) to this file")
 		bench5 = flag.String("bench5", "", "write the incremental disk-join sweep JSON (result-latency quantiles per chunk budget + spill-cache hit ratio) to this file")
-		bench6 = flag.String("bench6", "", "write the batched-dataflow sweep JSON (memoized-probe micro + live-pipeline throughput and punct delay per batch x linger) to this file")
-		bench7 = flag.String("bench7", "", "write the provenance-tracing overhead sweep JSON (detached / sampled 1-in-64 / full, tuples/s regression vs detached) to this file")
 		flight = flag.String("flight-sample", "", "run the fault-injection flight-recorder scenario and write the dump to this file (.gz compresses)")
 
-		chunkKB  = flag.Int("disk-chunk-kb", 0, "run disk passes incrementally with this per-step read budget in KiB (0 = run each pass to completion)")
-		cacheMB  = flag.Int("spill-cache-mb", 0, "wrap spill stores in an LRU block cache of this many MiB (0 = no cache)")
-		batchN   = flag.Int("batch", 0, "exec batch size for the live-pipeline measurements (<=1 = batches of one; with -bench6, > 1 restricts the sweep to this cell)")
-		lingerMs = flag.Int("batch-linger-ms", 0, "bound on how long a tuple may wait in an edge batch buffer (0 = flush every emit)")
+		chunkKB = flag.Int("disk-chunk-kb", 0, "run disk passes incrementally with this per-step read budget in KiB (0 = run each pass to completion)")
+		cacheMB = flag.Int("spill-cache-mb", 0, "wrap spill stores in an LRU block cache of this many MiB (0 = no cache)")
 
 		oracleN      = flag.Int("oracle", 0, "differential oracle soak: check this many seeds (starting at -seed) across the full config matrix")
 		oracleOut    = flag.String("oracle-out", "", "oracle: write minimized replay specs of failing seeds to this file (CI failure artifact)")
@@ -103,20 +95,13 @@ func main() {
 		return
 	}
 
-	// The five summary files: run the sweep, write its JSON, done.
+	// The two simulated sweeps: run one, write its JSON, done.
 	summaries := []struct {
 		name, path string
 		run        func() (jsonReport, error)
 	}{
 		{"bench4", *bench4, func() (jsonReport, error) { return bench.RunBench4(*seed, *quick, os.Stderr) }},
 		{"bench5", *bench5, func() (jsonReport, error) { return bench.RunBench5(*seed, *quick, os.Stderr) }},
-		{"bench6", *bench6, func() (jsonReport, error) {
-			return bench.RunBench6(bench.RunConfig{Seed: *seed, Quick: *quick, Batch: *batchN, BatchLingerMs: *lingerMs}, os.Stderr)
-		}},
-		{"bench7", *bench7, func() (jsonReport, error) {
-			return bench.RunBench7(bench.RunConfig{Seed: *seed, Quick: *quick, Batch: *batchN}, os.Stderr)
-		}},
-		{"bench3", *bench3, func() (jsonReport, error) { return bench.RunBench3(*seed, os.Stderr) }},
 	}
 	for _, sm := range summaries {
 		if sm.path == "" {
@@ -148,14 +133,12 @@ func main() {
 	}
 
 	rc := bench.RunConfig{
-		Seed:          *seed,
-		Quick:         *quick,
-		Duration:      stream.Time(*durMs) * stream.Millisecond,
-		Shards:        shardCounts,
-		DiskChunkKB:   *chunkKB,
-		SpillCacheMB:  *cacheMB,
-		Batch:         *batchN,
-		BatchLingerMs: *lingerMs,
+		Seed:         *seed,
+		Quick:        *quick,
+		Duration:     stream.Time(*durMs) * stream.Millisecond,
+		Shards:       shardCounts,
+		DiskChunkKB:  *chunkKB,
+		SpillCacheMB: *cacheMB,
 	}
 	var tracer *span.JSONL
 	var traceSink io.WriteCloser

@@ -402,6 +402,16 @@ func readFlight(path string) (*flightDump, error) {
 // milliseconds. Deterministic: all inputs come from the trace.
 func fmtMs(ns int64) string { return fmt.Sprintf("%.3fms", float64(ns)/1e6) }
 
+// fmtHist renders one value of the obs.Hists row with the given wire
+// name: a duration when the name carries the unit (_ns), a plain count
+// otherwise (batch_fill).
+func fmtHist(name string, v int64) string {
+	if strings.HasSuffix(name, "_ns") {
+		return fmtMs(v)
+	}
+	return fmt.Sprint(v)
+}
+
 func fmtBytes(b int64) string {
 	switch {
 	case b >= 1<<20:
@@ -735,7 +745,7 @@ func analyze(w io.Writer, paths []string, flightPath string, top int) (problems 
 			for _, h := range fd.hists {
 				if h.Name == d.Name {
 					fmt.Fprintf(w, " hist %-20s count %-8d p50 %-10s p95 %-10s p99 %-10s max %s\n",
-						h.Name, h.Count, fmtMs(h.P50), fmtMs(h.P95), fmtMs(h.P99), fmtMs(h.Max))
+						h.Name, h.Count, fmtHist(h.Name, h.P50), fmtHist(h.Name, h.P95), fmtHist(h.Name, h.P99), fmtHist(h.Name, h.Max))
 				}
 			}
 		}

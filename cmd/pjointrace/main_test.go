@@ -180,13 +180,21 @@ func TestFlightDumpAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"1 spans (punct 0, pass 0, tuple 0, point 1), 3 foreign line(s) skipped",
+		"1 spans (punct 0, pass 0, tuple 0, point 1), 4 foreign line(s) skipped",
 		"1 ring span(s)",
 		"spill errors: 1; first at 3.200ms (pjoin side 1): injected: unreadable spill sector",
 		"hist punct_delay_ns",
+		"hist batch_fill",
 	} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("report lacks %q:\n%s", want, buf.String())
+		}
+	}
+	// batch_fill counts items per batch: its values are not durations.
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if strings.Contains(line, "hist batch_fill") &&
+			(strings.Contains(line, "ms") || !strings.Contains(line, "p50 16 ")) {
+			t.Errorf("batch_fill row is not printed as plain counts: %q", line)
 		}
 	}
 }

@@ -3,7 +3,9 @@
 // ablations for the design choices DESIGN.md calls out. Each experiment
 // generates its workload with internal/gen, runs the operators under the
 // cost-model simulator (internal/sim), and reports the same series the
-// paper's chart plots.
+// paper's chart plots. The package simulates the paper on a virtual
+// clock and its outputs are gated byte for byte (`make figures-check`);
+// measuring the engine on the wall clock is benchmark/'s job.
 package bench
 
 import (
@@ -50,12 +52,12 @@ type RunConfig struct {
 	// and index build walks the table (joinbase.Metrics.TableWalk) — the
 	// physics the paper's shapes (XJoin's declining rate, the purge sweet
 	// spot) are made of. true prices what the engine really examines:
-	// the same TuplesOut for far less work; `pjoinbench -bench3` records
-	// both so the saving is visible per experiment. The wall-clock
-	// experiments (scale1, bench6, bench7) never consult it.
+	// the same TuplesOut for far less work (bench4 and bench5 run both
+	// price lists; core's TestWalkCountersMatchOccupancy pins the two
+	// sets of counters against each other). scale1's wall-clock columns
+	// never consult it.
 	Indexed bool
-	// Work, when set, collects each simulated operator's final metrics
-	// (pjoinbench -bench3).
+	// Work, when set, collects each simulated operator's final metrics.
 	Work *WorkLog
 	// DiskChunkKB, when positive, runs every operator's disk passes as
 	// incremental background tasks with this per-step read budget in
@@ -65,15 +67,6 @@ type RunConfig struct {
 	// an LRU block cache of this many MiB (store.CachedSpill), so hot
 	// spilled partitions are re-joined from memory.
 	SpillCacheMB int
-	// Batch is the exec batch size (exec.Pipeline.BatchSize; <= 1 =
-	// batches of one) for the wall-clock pipeline measurements
-	// (pjoinbench -batch); the simulated reproduction figures always
-	// call Process per item — the paper's regime.
-	Batch int
-	// BatchLingerMs bounds how long a tuple may wait in an edge buffer
-	// before its batch is cut (pjoinbench -batch-linger-ms). 0 flushes on
-	// every emit. No effect at Batch <= 1.
-	BatchLingerMs int
 }
 
 // WorkRow is one simulated operator run's final work counters.

@@ -9,6 +9,8 @@ import (
 
 	"pjoin/internal/core"
 	"pjoin/internal/gen"
+	"pjoin/internal/joinbase"
+	"pjoin/internal/obs"
 	"pjoin/internal/op"
 	"pjoin/internal/parallel"
 	"pjoin/internal/punct"
@@ -45,7 +47,10 @@ func (a *tsAudit) ProcessBatch(port int, items []stream.Item, now stream.Time) e
 // the same comparison TestShardedPJoinPipeline uses), EOS reaches the
 // sink exactly once and last, and the join is handed strictly increasing
 // timestamps in batches no larger than the batch size. BatchSize 0 and 1
-// are the same cell twice: both deliver batches of one.
+// are the same cell twice: both deliver batches of one. The join's own
+// accounting holds in every cell too: each propagated punctuation's delay
+// is recorded once, every delivery is counted as a batch, and where every
+// Emit cuts (batch <= 1 or linger 0) the mean batch fill is exactly 1.
 func TestBatchedPipelineEquivalence(t *testing.T) {
 	a, b := splitSynthetic(t, 17, 600, 8)
 
@@ -60,7 +65,11 @@ func TestBatchedPipelineEquivalence(t *testing.T) {
 		// propagated punctuations makes the propagated multiset
 		// schedule-independent so it can be compared across cells.
 		cfg.RetainPropagated = true
-		var j op.Operator
+		var j interface {
+			op.Operator
+			Metrics() joinbase.Metrics
+			Latencies() obs.LatSnapshot
+		}
 		var err error
 		if shards > 1 {
 			j, err = parallel.New(parallel.Config{Shards: shards, Join: cfg}, out)
@@ -89,6 +98,15 @@ func TestBatchedPipelineEquivalence(t *testing.T) {
 				t.Errorf("batch=%d linger=%v shards=%d: sink item %d of %d is %v; want EOS exactly once, last",
 					batch, linger, shards, i, len(sink.Items), it.Kind)
 			}
+		}
+		m, lat := j.Metrics(), j.Latencies()
+		if lat.PunctDelay.Count != m.PunctsOut {
+			t.Errorf("batch=%d linger=%v shards=%d: PunctDelay.Count=%d, PunctsOut=%d: a propagation went unmeasured",
+				batch, linger, shards, lat.PunctDelay.Count, m.PunctsOut)
+		}
+		if fill := lat.BatchFill.Mean(); m.Batches <= 0 || ((batch <= 1 || linger == 0) && fill != 1) {
+			t.Errorf("batch=%d linger=%v shards=%d: %d batches, mean fill %v; want batches, and fill exactly 1 when every Emit cuts",
+				batch, linger, shards, m.Batches, fill)
 		}
 		vals := map[string]int{}
 		for _, tp := range sink.Tuples() {

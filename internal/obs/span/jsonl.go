@@ -107,7 +107,9 @@ func appendSpan(b []byte, s Span) []byte {
 // appendOpString quotes an operator name. Operator names are plain
 // ASCII identifiers in practice, so the common case skips
 // strconv.AppendQuote's per-rune escape analysis — under full sampling
-// this runs once per span and shows up in the bench7 profile.
+// this runs once per span and shows up in a traced run's CPU profile
+// (the detached figure it is read against is benchmark/'s
+// live.cpu_us_per_tuple).
 func appendOpString(b []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < 0x20 || c == '"' || c == '\\' || c >= 0x7f {

@@ -121,8 +121,9 @@ const (
 // ResultCap bounds KindTupleResult spans per probe burst (one tuple's
 // memory probe, or one disk-pass step): a hot key can match thousands of
 // partners, and a span per match is the one place span volume scales
-// with output rather than input (the bench7 overhead budget is where
-// that bites). Result spans are latency samples.
+// with output rather than input (a workload like benchmark/'s
+// fanout_sat, 26 results per input, traced in full is where that
+// bites). Result spans are latency samples.
 const ResultCap = 4
 
 var kindNames = [numKinds]string{

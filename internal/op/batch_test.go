@@ -118,8 +118,9 @@ func TestCollectorGrowAndEmitBatch(t *testing.T) {
 	}
 	// Growth must be geometric: a long run of 1-item batches may copy
 	// the backing array only O(log n) times, not once per batch. An
-	// exact-fit Grow turns sink collection quadratic (this hung the
-	// bench6 pipeline before the geometric rule).
+	// exact-fit Grow turns sink collection quadratic (this hung a
+	// two-source → PJoin → sink pipeline the size of benchmark/'s
+	// fanout_item_sat before the geometric rule).
 	copies := 0
 	for i := 0; i < 10_000; i++ {
 		before := cap(c.Items)

@@ -7,7 +7,8 @@
 // The join-key space is partitioned by hash: a router (the caller's
 // Process goroutine) hashes each data tuple's join attribute once and
 // forwards the tuple to the shard owning that hash slice over a bounded
-// queue, so every pair of matching tuples meets inside exactly one
+// queue of fixed depth (queueSize messages; a full queue blocks the
+// router), so every pair of matching tuples meets inside exactly one
 // shard. Each shard runs a full, unmodified core.PJoin — its own hash
 // buckets, punctuation sets, purge buffers, spill stores and event
 // monitor — on its own goroutine, which keeps the single-join invariants
@@ -81,20 +82,20 @@ import (
 	"pjoin/internal/stream"
 )
 
-// DefaultQueueSize is the per-shard input queue capacity when
-// Config.QueueSize is zero.
-const DefaultQueueSize = 1024
+// queueSize is the capacity of a shard's input queue, in messages (a
+// batch of routed tuples, or one broadcast punctuation). The router
+// blocks when a shard's queue is full, which is the operator's
+// back-pressure.
+const queueSize = 1024
 
-// Config configures a ShardedPJoin.
+// Config configures a ShardedPJoin: how many shards, what each shard's
+// join is, and what observes them. The shard queues' depth is not a
+// setting (queueSize).
 type Config struct {
 	// Shards is the number of key-space partitions (>= 1). Shards == 1
 	// is a single PJoin behind the routing/merge machinery (useful as a
 	// baseline; the equivalence tests exploit it).
 	Shards int
-	// QueueSize is the per-shard bounded input queue capacity (default
-	// DefaultQueueSize). The router blocks when a shard's queue is full,
-	// which is the operator's back-pressure.
-	QueueSize int
 	// Join is the per-shard PJoin configuration. SpillA/SpillB must be
 	// nil: every shard owns fresh spill stores. NumBuckets and
 	// Thresholds (purge, memory, propagation) apply per shard. Join.Instr
@@ -218,10 +219,6 @@ func New(cfg Config, out op.Emitter) (*ShardedPJoin, error) {
 	if cfg.Join.Instr != nil {
 		return nil, fmt.Errorf("parallel: per-shard instrumentation is derived internally; set Config.Instr, leave Join.Instr nil")
 	}
-	q := cfg.QueueSize
-	if q <= 0 {
-		q = DefaultQueueSize
-	}
 	j := &ShardedPJoin{
 		cfg:   cfg,
 		out:   out,
@@ -251,7 +248,7 @@ func New(cfg Config, out op.Emitter) (*ShardedPJoin, error) {
 			}
 			return nil, fmt.Errorf("parallel: shard %d: %w", i, err)
 		}
-		sh := &shard{pj: pj, in: make(chan message, q), done: make(chan struct{})}
+		sh := &shard{pj: pj, in: make(chan message, queueSize), done: make(chan struct{})}
 		j.shards = append(j.shards, sh)
 		go j.runShard(sh)
 	}
