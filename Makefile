@@ -1,7 +1,7 @@
 # Developer targets. `make check` is the tier-1 verification plus the
-# race detector — the sharded parallel join (internal/parallel) is the
-# first concurrent hot path, so every test run under -race is part of
-# its correctness argument.
+# race detector — the live executor (internal/exec) runs every operator,
+# a sharded join's shards included, on its own goroutine, so every test
+# run under -race is part of its correctness argument.
 
 GO ?= go
 
@@ -84,7 +84,7 @@ figures-check:
 # shrinks the tree lowers the ceiling to its measured figure, and one
 # that must grow it raises the ceiling in the same diff, where review
 # sees it.
-LOC_CEILING := 23576
+LOC_CEILING := 23371
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' \
 		! -path './.bench_build/*' ! -path './internal/lint/*/testdata/*' \

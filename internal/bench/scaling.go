@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"pjoin/internal/core"
@@ -18,9 +17,9 @@ func init() {
 }
 
 // Router and merge stage prices for the pipeline makespan. Routing is a
-// single hash plus a queue append — an order of magnitude cheaper than
+// single hash plus a hand-off — an order of magnitude cheaper than
 // PerTuple, which prices a full engine dispatch + state insert; the
-// merge forwards an already-built result under one lock.
+// merge forwards an already-built result.
 const (
 	perRoute = 10 * stream.Time(1_000) // 10 µs per routed/broadcast item
 	perMerge = 5 * stream.Time(1_000)  // 5 µs per merged output item
@@ -35,7 +34,6 @@ type scaleRow struct {
 	modelTput  float64     // tuples/s of model makespan
 	speedup    float64     // single-instance model time / makespan
 	skew       float64
-	highWater  int
 	punctsOut  int64
 	resultsOut int64
 }
@@ -43,14 +41,14 @@ type scaleRow struct {
 // runScale1 measures ShardedPJoin's throughput scaling on the fig5-style
 // high-rate symmetric workload at 1, 2, 4 and 8 shards.
 //
-// Two numbers are reported per shard count. Wall time is the honest
-// end-to-end time to drive the whole schedule through the operator on
-// this machine — it depends on GOMAXPROCS and shows real parallel
-// speedup only when cores are available. The cost-model makespan is the
-// machine-independent counterpart, consistent with the repository's
-// virtual-time methodology (internal/sim): each shard's actual recorded
-// work (its joinbase.Metrics after the run — probes, purge scans, purge
-// runs, punctuations) is priced with sim.DefaultCosts, the router and
+// Two numbers are reported per shard count. Wall time is the time to
+// drive the whole schedule through the operator's direct wiring, which
+// calls router, shards and merge one after another on one goroutine, so
+// it shows no parallel speedup at all. The cost-model makespan is the
+// scaling figure, consistent with the repository's virtual-time
+// methodology (internal/sim): each shard's actual recorded work (its
+// joinbase.Metrics after the run — probes, purge scans, purge runs,
+// punctuations) is priced with sim.DefaultCosts, the router and
 // merge stages are priced per item, and the pipeline makespan is the
 // slowest stage: max(router, slowest shard, merge). Data-tuple work
 // divides across shards; broadcast punctuation handling and per-shard
@@ -104,15 +102,12 @@ func runScale1(rc RunConfig) (*Report, error) {
 
 		stats := j.ShardStats()
 		var maxShard stream.Time
-		var routed, highWater int64
+		var routed int64
 		for _, s := range stats {
 			if c := costs.Charge(s.Join); c > maxShard {
 				maxShard = c
 			}
 			routed += s.Routed
-			if int64(s.QueueHighWater) > highWater {
-				highWater = int64(s.QueueHighWater)
-			}
 		}
 		m := j.Metrics()
 		// The router handles every data tuple once and every punctuation
@@ -133,7 +128,6 @@ func runScale1(rc RunConfig) (*Report, error) {
 			makespan:   makespan,
 			modelTput:  float64(tuples) / (float64(makespan) / 1e9),
 			skew:       parallel.Skew(stats),
-			highWater:  int(highWater),
 			punctsOut:  m.PunctsOut,
 			resultsOut: m.TuplesOut,
 		})
@@ -147,7 +141,7 @@ func runScale1(rc RunConfig) (*Report, error) {
 		Rows: [][]string{{
 			"shards", "wall ms", "wall tuples/s",
 			"model makespan ms", "model tuples/s", "model speedup",
-			"skew", "queue high-water",
+			"skew",
 		}},
 	}
 	speedupSeries := metrics.Series{Name: "model-speedup"}
@@ -163,7 +157,6 @@ func runScale1(rc RunConfig) (*Report, error) {
 			f1(r.modelTput),
 			fmt.Sprintf("%.2f", r.speedup),
 			fmt.Sprintf("%.2f", r.skew),
-			i64(int64(r.highWater)),
 		})
 		// x = shard count so the CSV rows read (shards, value).
 		speedupSeries.Add(float64(r.shards), r.speedup)
@@ -178,17 +171,16 @@ func runScale1(rc RunConfig) (*Report, error) {
 		skewNote,
 		fmt.Sprintf("results %d, propagated punctuations %d per run (identical across shard counts)",
 			base.resultsOut, base.punctsOut),
-		fmt.Sprintf("wall time measured at GOMAXPROCS=%d; the model makespan is machine-independent "+
-			"(per-shard recorded work priced with sim.DefaultCosts, makespan = slowest pipeline stage)",
-			runtime.GOMAXPROCS(0)),
+		"wall time is the direct drive, which runs router, shards and merge one after another on one goroutine; " +
+			"the model makespan is the scaling figure (per-shard recorded work priced with sim.DefaultCosts, " +
+			"makespan = slowest pipeline stage)",
 		"broadcast punctuations and per-shard purge runs are the serial fraction: they repeat in every shard, capping speedup as shards grow",
 	}
 	return rep, nil
 }
 
 // nullEmitter discards output; scale1 measures operator cost, not sink
-// cost. It must still be race-safe: shard goroutines emit concurrently
-// through the merge lock, so there is no state to protect.
+// cost.
 type nullEmitter struct{}
 
 func (nullEmitter) Emit(stream.Item) error { return nil }

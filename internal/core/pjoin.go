@@ -991,7 +991,7 @@ func (j *PJoin) propagate(now stream.Time) error {
 			}
 			outIt := stream.PunctItem(outP, now)
 			// The released punctuation keeps its provenance trace, so the
-			// sharded merger (and any downstream consumer) can close the
+			// sharded join's align (and any downstream consumer) can close the
 			// lifecycle under the same trace.
 			outIt.Span = e.TraceID
 			if err := j.out.Emit(outIt); err != nil {

@@ -23,8 +23,8 @@ import (
 
 // TestInFlightBoundPerEdge saturates two sources → PJoin → sink (unpaced
 // sources, far more batches than an edge holds) at batch {1, 8, 256} ×
-// linger {0, 1 ms} and reads every edge's lane afterwards: the batches it
-// ever took from the pool are at most edgeInFlight — edgeDepth queued, one
+// linger {0, 1 ms} and reads every edge's lane afterwards: the fresh
+// batches it ever allocated are at most edgeInFlight — edgeDepth queued, one
 // filling or blocked in its send, one being processed — and none was
 // dropped on its way back, so the edge ran its whole life on those few.
 func TestInFlightBoundPerEdge(t *testing.T) {
@@ -59,7 +59,7 @@ func TestInFlightBoundPerEdge(t *testing.T) {
 				for i, e := range p.edges {
 					fresh, dropped := e.lane.Stats()
 					if fresh > edgeInFlight || dropped != 0 {
-						t.Errorf("edge %d: %d batches taken from the pool, %d dropped; want at most %d and none",
+						t.Errorf("edge %d: %d fresh batches, %d dropped; want at most %d and none",
 							i, fresh, dropped, edgeInFlight)
 					}
 				}

@@ -30,12 +30,6 @@
 // Such an item is marked stream.Item.Borrowed: its tuple is valid until
 // the Process / ProcessBatch call that delivers it returns (op.Operator
 // rule 7, DESIGN.md §12).
-//
-// The restamping contract is shard-safe: a parallel operator such as
-// parallel.ShardedPJoin receives one strictly increasing sequence on its
-// driver goroutine, routes items to internal workers over FIFO queues,
-// and therefore hands every worker a subsequence that is again strictly
-// increasing — no shared clock or further coordination is needed.
 package exec
 
 import (
@@ -627,8 +621,7 @@ func (p *Pipeline) drive(o op.Operator, inputs []*Edge, pull *PullHandle) error 
 // the stall detector d; the first sample that fires invokes onFire
 // (once — the detector is latched) on the watcher goroutine. probe must
 // be safe to call concurrently with the running operators: build it
-// from concurrent-safe surfaces such as obs.Live.LastValues or
-// parallel.ShardedPJoin.Metrics-style locked snapshots, not from a
+// from concurrent-safe surfaces such as obs.Live.LastValues, not from a
 // single-goroutine method like core.PJoin.Metrics. The watcher stops
 // when the pipeline drains or is cancelled.
 func (p *Pipeline) Watch(d *health.Detector, every time.Duration, probe func() health.Progress, onFire func(health.Report)) {

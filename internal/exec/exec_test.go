@@ -12,7 +12,6 @@ import (
 	"pjoin/internal/core"
 	"pjoin/internal/gen"
 	"pjoin/internal/op"
-	"pjoin/internal/parallel"
 	"pjoin/internal/punct"
 	"pjoin/internal/stream"
 	"pjoin/internal/value"
@@ -348,125 +347,6 @@ func TestPullValidation(t *testing.T) {
 	other, _ := core.New(core.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB}, out)
 	if _, err := p.Pull(other); err == nil {
 		t.Error("unspawned operator should error")
-	}
-}
-
-// TestShardedPJoinPipeline drives a 4-shard parallel join through the
-// live executor: restamping happens on the operator's driver goroutine,
-// so each shard sees a strictly increasing subsequence (the shard-safe
-// restamping contract). The joined values must match a single-instance
-// pipeline run value-for-value (live restamps differ, so timestamps are
-// excluded from the comparison).
-func TestShardedPJoinPipeline(t *testing.T) {
-	arrs, err := gen.Synthetic(gen.Config{
-		Seed:      11,
-		MaxTuples: 600,
-		Duration:  1 << 62,
-		A:         gen.SideSpec{TupleMean: stream.Millisecond, PunctMean: 8},
-		B:         gen.SideSpec{TupleMean: stream.Millisecond, PunctMean: 8},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var a, b []stream.Item
-	for _, ar := range arrs {
-		if ar.Port == 0 {
-			a = append(a, ar.Item)
-		} else {
-			b = append(b, ar.Item)
-		}
-	}
-
-	run := func(shards int) map[string]int {
-		p := NewPipeline()
-		srcA, srcB, out := p.Edge(), p.Edge(), p.Edge()
-		cfg := core.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB}
-		cfg.Thresholds.PropagateCount = 1
-		var j op.Operator
-		if shards > 1 {
-			j, err = parallel.New(parallel.Config{Shards: shards, Join: cfg}, out)
-		} else {
-			j, err = core.New(cfg, out)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.SourceItems(srcA, a, false)
-		p.SourceItems(srcB, b, false)
-		if err := p.Spawn(j, srcA, srcB); err != nil {
-			t.Fatal(err)
-		}
-		sink := p.Sink(out)
-		if err := p.Run(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		vals := map[string]int{}
-		for _, tp := range sink.Tuples() {
-			key := ""
-			for _, v := range tp.Values {
-				key += v.String() + "|"
-			}
-			vals[key]++
-		}
-		if len(sink.Puncts()) == 0 {
-			t.Errorf("shards=%d: no punctuations propagated live", shards)
-		}
-		return vals
-	}
-
-	single := run(1)
-	sharded := run(4)
-	if len(single) == 0 {
-		t.Fatal("no join results")
-	}
-	for k, n := range single {
-		if sharded[k] != n {
-			t.Errorf("result %q: single %d, sharded %d", k, n, sharded[k])
-		}
-	}
-	if len(sharded) != len(single) {
-		t.Errorf("distinct results: single %d, sharded %d", len(single), len(sharded))
-	}
-}
-
-// TestShardedPullPropagation wires the sharded join into pull mode: the
-// request is broadcast to every shard and serviced asynchronously.
-func TestShardedPullPropagation(t *testing.T) {
-	p := NewPipeline()
-	srcA, srcB, out := p.Edge(), p.Edge(), p.Edge()
-	cfg := core.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB}
-	j, err := parallel.New(parallel.Config{Shards: 2, Join: cfg}, out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Spawn(j, srcA, srcB); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Pull(j); err != nil {
-		t.Fatalf("ShardedPJoin must be pullable: %v", err)
-	}
-	keyP := func(w int, k int64) stream.Item {
-		return stream.PunctItem(punct.MustKeyOnly(w, 0, punct.Const(value.Int(k))), 0)
-	}
-	a := []stream.Item{
-		stream.TupleItem(stream.MustTuple(gen.SchemaA, 0, value.Int(1), value.Str("a"))),
-		keyP(2, 1),
-	}
-	b := []stream.Item{
-		stream.TupleItem(stream.MustTuple(gen.SchemaB, 0, value.Int(1), value.Str("b"))),
-		keyP(2, 1),
-	}
-	p.SourceItems(srcA, a, false)
-	p.SourceItems(srcB, b, false)
-	sink := p.Sink(out)
-	if err := p.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(sink.Tuples()); got != 1 {
-		t.Errorf("results = %d", got)
-	}
-	if got := len(sink.Puncts()); got != 2 {
-		t.Errorf("propagated punctuations = %d, want 2", got)
 	}
 }
 

@@ -1,4 +1,4 @@
-package exec
+package exec_test
 
 import (
 	"context"
@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"pjoin/internal/core"
+	"pjoin/internal/exec"
 	"pjoin/internal/gen"
 	"pjoin/internal/op"
 	"pjoin/internal/parallel"
@@ -19,16 +20,16 @@ import (
 
 // TestRunExitHygiene pins what Run leaves behind on each way out — clean
 // drain, an operator error, external cancellation — at batch size 1 and
-// 256, over a plan with an operator-fed edge (two sources → 2-shard
-// ShardedPJoin → select → sink): while it runs every spawned operator is
-// exactly one goroutine (sampled in the cancel case, which idles long
-// enough to look), no goroutine Run started survives it (the per-edge
-// return lanes are free lists, not goroutines), and on a clean drain
-// every batch taken was put back — through an edge's lane or
-// from the pool behind it, both count in BatchPool.Stats, so a consumer
+// 256, over a plan with operator-fed edges: two sources → a 2-shard join
+// in parallel.Spawn's wiring (router, two shards, align) → select → sink.
+// While it runs every spawned operator is exactly one goroutine (sampled
+// in the cancel case, which idles long enough to look), no goroutine Run
+// started survives it (the per-edge return lanes are free lists, not
+// goroutines, and the shards are spawned operators like any other), and
+// on a clean drain every batch taken was put back — through an edge's
+// lane, fresh or recycled, both count in BatchPool.Stats, so a consumer
 // that returned a batch to nowhere, or a lane that handed one out twice,
-// shows as an imbalance (the dynamic twin of the poolsafe lint; the join's
-// own pool is checked the same way in internal/parallel).
+// shows as an imbalance (the dynamic twin of the poolsafe lint).
 func TestRunExitHygiene(t *testing.T) {
 	var a, b []stream.Item
 	for i := 0; i < 300; i++ {
@@ -41,16 +42,17 @@ func TestRunExitHygiene(t *testing.T) {
 	boom := errors.New("boom")
 
 	const shards = 2
+	const spawned = 1 + shards + 1 + 1 // router, shards, align, select
 	for _, batch := range []int{0, 256} {
 		for _, exit := range []string{"drain", "error", "cancel"} {
 			t.Run(fmt.Sprintf("batch%d_%s", batch, exit), func(t *testing.T) {
 				base := runtime.NumGoroutine()
 
-				p := NewPipeline()
+				p := exec.NewPipeline()
 				p.BatchSize = batch
 				p.BatchLinger = time.Millisecond
 				srcA, srcB, joined, out := p.Edge(), p.Edge(), p.Edge(), p.Edge()
-				j, err := parallel.New(parallel.Config{Shards: shards,
+				j, err := parallel.Spawn(p, parallel.Config{Shards: shards,
 					Join: core.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB}}, joined)
 				if err != nil {
 					t.Fatal(err)
@@ -93,8 +95,8 @@ func TestRunExitHygiene(t *testing.T) {
 				if exit == "cancel" {
 					// Anything Spawn's launcher starts beyond the driver —
 					// a reader per port, a closer — would show here.
-					if n := <-drivers; n != 2 {
-						t.Errorf("%d goroutines started by Spawn while running, want one per spawned operator (2)", n)
+					if n := <-drivers; n != spawned {
+						t.Errorf("%d goroutines started by Spawn while running, want one per spawned operator (%d)", n, spawned)
 					}
 				}
 				switch exit {
@@ -112,23 +114,16 @@ func TestRunExitHygiene(t *testing.T) {
 					}
 				}
 
-				// The shard goroutines belong to the join, not to Run:
-				// parallel.New starts them and only Finish stops them,
-				// which a failed or cancelled run never reaches.
-				want := base
-				if exit != "drain" {
-					want += shards
-				}
 				deadline := time.Now().Add(5 * time.Second)
-				for runtime.NumGoroutine() > want && time.Now().Before(deadline) {
+				for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
 					time.Sleep(time.Millisecond)
 				}
-				if n := runtime.NumGoroutine(); n > want {
+				if n := runtime.NumGoroutine(); n > base {
 					buf := make([]byte, 1<<16)
 					t.Errorf("%d goroutines after Run, want at most %d\n%s",
-						n, want, buf[:runtime.Stack(buf, true)])
+						n, base, buf[:runtime.Stack(buf, true)])
 				}
-				gets, puts := p.pool.Stats()
+				gets, puts := exec.PoolStats(p)
 				if exit == "drain" && (gets != puts || gets == 0) {
 					t.Errorf("pool: %d gets, %d puts after a clean run", gets, puts)
 				}

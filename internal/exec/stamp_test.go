@@ -10,14 +10,11 @@ import (
 
 	"pjoin/internal/core"
 	"pjoin/internal/gen"
-	"pjoin/internal/joinbase"
 	"pjoin/internal/op"
-	"pjoin/internal/parallel"
 	"pjoin/internal/punct"
 	"pjoin/internal/shj"
 	"pjoin/internal/stream"
 	"pjoin/internal/value"
-	"pjoin/internal/xjoin"
 )
 
 // The tests in this file pin the timestamp-ownership contract: tuples
@@ -91,113 +88,6 @@ func diffMultisets(t *testing.T, got, want map[string]int) {
 	}
 	if len(got) != len(want) {
 		t.Errorf("distinct results: got %d, want %d", len(got), len(want))
-	}
-}
-
-// arrivalAudit passes everything through to the join it wraps and
-// records the executor's arrival stamp of every tuple, by port and
-// payload.
-type arrivalAudit struct {
-	op.Operator
-	arrived [2]map[string]stream.Time
-}
-
-func newArrivalAudit(j op.Operator) *arrivalAudit {
-	return &arrivalAudit{Operator: j, arrived: [2]map[string]stream.Time{{}, {}}}
-}
-
-func (a *arrivalAudit) ProcessBatch(port int, items []stream.Item, now stream.Time) error {
-	for _, it := range items {
-		if it.Kind == stream.KindTuple {
-			a.arrived[port][it.Tuple.Values[1].StrVal()] = it.Ts
-		}
-	}
-	return op.ProcessAll(a.Operator, port, items)
-}
-
-// TestResultTsIsLaterPartnersArrival drives every join that retains
-// tuples through the live executor and checks, result by result, that
-// Ts is the later partner's executor arrival stamp — for memory-probe
-// results and for the left-over joins the disk passes produce. The
-// generated tuples carry virtual timestamps the executor never assigns,
-// so a join that reads a stale it.Tuple.Ts instead of it.Ts fails here
-// (an XJoin that skipped the ingress stamp passed every other test).
-func TestResultTsIsLaterPartnersArrival(t *testing.T) {
-	a, b := splitSynthetic(t, 23, 1200, 10)
-	want := shjMultiset(t, a, b)
-	if len(want) == 0 {
-		t.Fatal("workload joins nothing")
-	}
-
-	type metered interface{ Metrics() joinbase.Metrics }
-	joins := []struct {
-		name  string
-		spill bool
-		build func(out op.Emitter) (op.Operator, error)
-	}{
-		{"pjoin", false, func(out op.Emitter) (op.Operator, error) {
-			return core.New(core.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB}, out)
-		}},
-		{"xjoin_spill", true, func(out op.Emitter) (op.Operator, error) {
-			return xjoin.New(xjoin.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB, MemoryBytes: 4 << 10}, out)
-		}},
-		{"xjoin_spill_chunked", true, func(out op.Emitter) (op.Operator, error) {
-			return xjoin.New(xjoin.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB, MemoryBytes: 4 << 10, DiskChunkBytes: 512}, out)
-		}},
-		{"pjoin_spill", true, func(out op.Emitter) (op.Operator, error) {
-			cfg := core.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB}
-			cfg.Thresholds.MemoryBytes = 4 << 10
-			return core.New(cfg, out)
-		}},
-		{"sharded2", false, func(out op.Emitter) (op.Operator, error) {
-			return parallel.New(parallel.Config{Shards: 2, Join: core.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB}}, out)
-		}},
-	}
-	for _, jn := range joins {
-		for _, batch := range []int{1, 256} {
-			t.Run(fmt.Sprintf("%s_batch%d", jn.name, batch), func(t *testing.T) {
-				p := NewPipeline()
-				p.BatchSize = batch
-				srcA, srcB, out := p.Edge(), p.Edge(), p.Edge()
-				j, err := jn.build(out)
-				if err != nil {
-					t.Fatal(err)
-				}
-				audit := newArrivalAudit(j)
-				p.SourceItems(srcA, a, false)
-				p.SourceItems(srcB, b, false)
-				if err := p.Spawn(audit, srcA, srcB); err != nil {
-					t.Fatal(err)
-				}
-				sink := p.Sink(out)
-				if err := p.Run(context.Background()); err != nil {
-					t.Fatal(err)
-				}
-				got := map[string]int{}
-				bad := 0
-				for _, it := range sink.Items {
-					if it.Kind != stream.KindTuple {
-						continue
-					}
-					res := it.Tuple
-					got[valuesKey(res)]++
-					pa, pb := res.Values[1].StrVal(), res.Values[3].StrVal()
-					later := max(audit.arrived[0][pa], audit.arrived[1][pb])
-					if later == 0 {
-						t.Fatalf("result %s joins a tuple the audit never saw", res)
-					}
-					if (res.Ts != later || it.Ts != later) && bad < 5 {
-						bad++
-						t.Errorf("result (%s, %s): tuple Ts %d, item Ts %d, want the later arrival %d (A at %d, B at %d)",
-							pa, pb, res.Ts, it.Ts, later, audit.arrived[0][pa], audit.arrived[1][pb])
-					}
-				}
-				diffMultisets(t, got, want)
-				if m := j.(metered).Metrics(); jn.spill && (m.Relocations == 0 || m.DiskJoins == 0) {
-					t.Errorf("spill variant produced no left-over joins: %d relocations, %d disk joins", m.Relocations, m.DiskJoins)
-				}
-			})
-		}
 	}
 }
 

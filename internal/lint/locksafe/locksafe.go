@@ -15,7 +15,7 @@
 // Held-lock tracking is source-order within a function: Lock pushes,
 // Unlock pops, a deferred Unlock holds to the end. Closure bodies are
 // excluded from both tracking and summaries (a gauge closure locking
-// the merge mutex runs under the sampler, not at its definition site).
+// the align mutex runs under the sampler, not at its definition site).
 package locksafe
 
 import (

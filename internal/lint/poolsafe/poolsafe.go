@@ -1,6 +1,6 @@
 // Package poolsafe implements the pjoinlint analyzer for pooled-batch
-// discipline. The exec and parallel layers recycle stream.Batch values
-// through one shared pool type, stream.BatchPool, whose Get and Put are
+// discipline. The exec layer recycles stream.Batch values through one
+// shared type, stream.Lane (an edge's return path), whose Get and Put are
 // marked //pjoin:pool get and //pjoin:pool put; every batch obtained
 // from a get must, on every path out of the obtaining function, either
 // be recycled (put) or have its ownership transferred — sent on a
@@ -8,10 +8,9 @@
 // another function. After a put, the batch must not be touched again.
 //
 // Accessors are the functions carrying the markers in the package under
-// analysis, plus BatchPool.Get/Put and Lane.Get/Put (an edge's return
-// path in front of the pool) of an imported stream package: export data
-// carries no comments, so the shared pool's callers find it by name, the
-// way opcontract finds the stream types.
+// analysis, plus Lane.Get/Put of an imported stream package: export data
+// carries no comments, so the lane's callers find it by name, the way
+// opcontract finds the stream types.
 //
 // The analysis is flow-sensitive within a function and purely
 // structural: branches fork the tracking state and fall-throughs merge
@@ -52,11 +51,7 @@ func run(pass *analysis.Pass) error {
 		}
 	}
 	if streamPkg := analysis.ImportWithSuffix(pass.Pkg, "stream"); streamPkg != nil {
-		for _, typ := range []string{"BatchPool", "Lane"} {
-			tn, ok := streamPkg.Scope().Lookup(typ).(*types.TypeName)
-			if !ok {
-				continue
-			}
+		if tn, ok := streamPkg.Scope().Lookup("Lane").(*types.TypeName); ok {
 			for name, set := range map[string]map[*types.Func]bool{"Get": gets, "Put": puts} {
 				m, _, _ := types.LookupFieldOrMethod(types.NewPointer(tn.Type()), true, streamPkg, name)
 				if fn, ok := m.(*types.Func); ok {

@@ -76,8 +76,8 @@ func (in *Instr) Derive(op string, shard int) *Instr {
 }
 
 // WithoutLive returns a copy whose live sampler is detached (tracing
-// kept). The sharded join hands this to its shards: shard goroutines
-// must not run the aggregated gauges, which take the shard locks.
+// kept). The sharded join hands this to its shards: its router ticks the
+// sampler and registers the aggregated gauges, once for all shards.
 func (in *Instr) WithoutLive() *Instr {
 	if in == nil {
 		return nil

@@ -30,8 +30,8 @@
 //	                  punctuation in force at bucket open: Side = victim state, N = 1, B = bytes
 //	punct_defer       core     propagation of a ready punctuation deferred: N = PID, M = 1 a disk pass is
 //	                  in flight, 2 its own disk purge is pending
-//	punct_emit        core, parallel merger   released downstream, the terminal of a healthy lifecycle:
-//	                  N = PID, D = propagation delay in stream time. The merger's join-wide terminal has
+//	punct_emit        core, parallel align    released downstream, the terminal of a healthy lifecycle:
+//	                  N = PID, D = propagation delay in stream time. Align's join-wide terminal has
 //	                  Shard -1 (N = shard count); shard-local emits carry their shard. Shard < 0: PunctsOut
 //	punct_eos_close   core     Finish found the punctuation unpropagated; closed so no lifecycle dangles
 //
@@ -217,7 +217,7 @@ var idCounter atomic.Uint64
 func NewID() uint64 { return idCounter.Add(1) }
 
 // Tracer receives spans. Implementations must be safe for concurrent
-// use: shards, the router, the merger and the executor all emit.
+// use: shards, the router, align and the executor all emit.
 type Tracer interface {
 	// Enabled reports whether Emit does anything; instrumentation skips
 	// span construction entirely when false.

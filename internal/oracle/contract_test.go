@@ -31,7 +31,7 @@ func TestOperatorLifecycleContract(t *testing.T) {
 	for name, mk := range builders {
 		t.Run(name, func(t *testing.T) {
 			fresh := func() op.Operator {
-				j, err := mk(&lockedCollector{})
+				j, err := mk(&op.Collector{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -54,7 +54,7 @@ func TestOperatorLifecycleContract(t *testing.T) {
 			// Finish still premature with only one port ended.
 			mustErr("Finish with one EOS", j.Finish(3))
 			// Clean completion, then double Finish and Process after Finish.
-			sink := &lockedCollector{}
+			sink := &op.Collector{}
 			j2, err := mk(sink)
 			if err != nil {
 				t.Fatal(err)
@@ -69,7 +69,7 @@ func TestOperatorLifecycleContract(t *testing.T) {
 				t.Fatal(err)
 			}
 			var eos int
-			for _, it := range sink.items {
+			for _, it := range sink.Items {
 				if it.Kind == stream.KindEOS {
 					eos++
 				}

@@ -4,37 +4,12 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"pjoin/internal/joinbase"
 	"pjoin/internal/obs"
 	"pjoin/internal/op"
 	"pjoin/internal/stream"
 )
-
-// lockedCollector is an op.Emitter safe for concurrent emission
-// (ShardedPJoin's merger emits from shard goroutines).
-type lockedCollector struct {
-	mu    sync.Mutex
-	items []stream.Item
-}
-
-func (c *lockedCollector) Emit(it stream.Item) error {
-	c.mu.Lock()
-	c.items = append(c.items, it)
-	c.mu.Unlock()
-	return nil
-}
-
-// snapshot returns what has been emitted so far. A drive that stops on
-// an error (a fault row) returns while healthy shards are still working
-// off their queues and emitting, so the read takes the lock and the
-// capped slice keeps later appends out of the caller's view.
-func (c *lockedCollector) snapshot() []stream.Item {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.items[:len(c.items):len(c.items)]
-}
 
 // Outcome is one run's audited output: the result-tuple multiset
 // (keyed by full rendering — values and timestamp, both deterministic
@@ -78,13 +53,13 @@ func summarize(items []stream.Item) (tuples, puncts map[string]int, eos int) {
 // outcome. disableFault reruns a faulted variant with injection off
 // (the recovery half of the fault check).
 func Run(sc *Scenario, v Variant, disableFault bool) *Outcome {
-	sink := &lockedCollector{}
+	sink := &op.Collector{}
 	j, err := build(sc, v, sink, disableFault, nil)
 	if err != nil {
 		return &Outcome{Err: err}
 	}
 	out := drive(j, sc, v)
-	out.Tuples, out.Puncts, out.EOS = summarize(sink.snapshot())
+	out.Tuples, out.Puncts, out.EOS = summarize(sink.Items)
 	if jj, ok := j.(joinOp); ok {
 		out.Metrics = jj.Metrics()
 		out.Lat = jj.Latencies()
@@ -95,13 +70,13 @@ func Run(sc *Scenario, v Variant, disableFault bool) *Outcome {
 
 // RunOracle drives the brute-force shj join over the scenario.
 func RunOracle(sc *Scenario) *Outcome {
-	sink := &lockedCollector{}
+	sink := &op.Collector{}
 	j, err := buildOracle(sink)
 	if err != nil {
 		return &Outcome{Err: err}
 	}
 	out := drive(j, sc, Variant{})
-	out.Tuples, out.Puncts, out.EOS = summarize(sink.snapshot())
+	out.Tuples, out.Puncts, out.EOS = summarize(sink.Items)
 	return out
 }
 

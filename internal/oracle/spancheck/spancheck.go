@@ -21,7 +21,7 @@ import (
 // Opts says what kind of run produced the spans.
 type Opts struct {
 	// Shards > 1: a sharded join. Its shards' spans carry their shard
-	// index, router and merger spans carry -1, and Metrics().PunctsIn is
+	// index, router and align spans carry -1, and Metrics().PunctsIn is
 	// already normalised to the stream count.
 	Shards int
 	// Admitted: every input tuple carried a trace, so the tuple-family
@@ -58,7 +58,7 @@ func Check(spans []span.Span, m joinbase.Metrics, o Opts) []string {
 				punctsIn[s.Side]++
 			}
 		case span.KindPunctEmit:
-			if s.Shard < 0 { // the single instance, or the merger's join-wide terminal
+			if s.Shard < 0 { // the single instance, or align's join-wide terminal
 				emits++
 			}
 		}

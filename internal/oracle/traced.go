@@ -3,6 +3,7 @@ package oracle
 import (
 	"pjoin/internal/obs"
 	"pjoin/internal/obs/span"
+	"pjoin/internal/op"
 	"pjoin/internal/oracle/spancheck"
 )
 
@@ -30,13 +31,13 @@ func TracedSlice() []Variant {
 // captured in memory for reconciliation against its Metrics.
 func RunTraced(sc *Scenario, v Variant) (*Outcome, *span.Recorder) {
 	rec := &span.Recorder{}
-	sink := &lockedCollector{}
+	sink := &op.Collector{}
 	j, err := build(sc, v, sink, false, obs.NewInstr(rec, nil, v.Op))
 	if err != nil {
 		return &Outcome{Err: err}, rec
 	}
 	out := drive(j, sc, v)
-	out.Tuples, out.Puncts, out.EOS = summarize(sink.snapshot())
+	out.Tuples, out.Puncts, out.EOS = summarize(sink.Items)
 	if jj, ok := j.(joinOp); ok {
 		out.Metrics = jj.Metrics()
 		out.Lat = jj.Latencies()

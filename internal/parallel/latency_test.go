@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pjoin/internal/gen"
+	"pjoin/internal/op"
 	"pjoin/internal/stream"
 )
 
@@ -24,7 +25,7 @@ func TestShardedLatencyReconciliation(t *testing.T) {
 	}
 	for _, shards := range []int{1, 2, 4} {
 		t.Run(shardName(shards), func(t *testing.T) {
-			sink := &lockedCollector{}
+			sink := &op.Collector{}
 			j, err := New(Config{Shards: shards, Join: baseConfig()}, sink)
 			if err != nil {
 				t.Fatal(err)
@@ -45,7 +46,7 @@ func TestShardedLatencyReconciliation(t *testing.T) {
 			if lat.Purge.Count != m.PurgeRuns {
 				t.Errorf("Purge samples %d != PurgeRuns %d", lat.Purge.Count, m.PurgeRuns)
 			}
-			sum := summarize(sink.snapshot())
+			sum := summarize(sink.Items)
 			var results, puncts int64
 			for _, n := range sum.tuples {
 				results += int64(n)
@@ -65,7 +66,8 @@ func TestShardedLatencyReconciliation(t *testing.T) {
 			// give one sample per shard per punctuation, measuring
 			// shard-local rather than join-wide delay).
 			var shardResults, shardPurges int64
-			for _, s := range j.ShardLatencies() {
+			for _, pj := range j.shards {
+				s := pj.Latencies()
 				shardResults += s.Result.Count
 				shardPurges += s.Purge.Count
 			}
@@ -97,7 +99,7 @@ func TestShardedLatencyNoPropagation(t *testing.T) {
 	}
 	cfg := baseConfig()
 	cfg.DisablePropagation = true
-	sink := &lockedCollector{}
+	sink := &op.Collector{}
 	j, err := New(Config{Shards: 2, Join: cfg}, sink)
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"pjoin/internal/gen"
 	"pjoin/internal/obs"
 	"pjoin/internal/obs/span"
+	"pjoin/internal/op"
 	"pjoin/internal/oracle/spancheck"
 )
 
@@ -23,7 +24,7 @@ func TestObsShardEvents(t *testing.T) {
 	rec := &span.Recorder{}
 	cfg := baseConfig()
 	cfg.Thresholds.MemoryBytes = 256
-	sink := &lockedCollector{}
+	sink := &op.Collector{}
 	j, err := New(Config{Shards: shards, Join: cfg, Instr: obs.NewInstr(rec, nil, "sharded")}, sink)
 	if err != nil {
 		t.Fatal(err)

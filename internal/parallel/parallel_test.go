@@ -3,7 +3,6 @@ package parallel
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 
 	"pjoin/internal/core"
@@ -13,29 +12,6 @@ import (
 	"pjoin/internal/stream"
 	"pjoin/internal/value"
 )
-
-// lockedCollector is a goroutine-safe sink. Shard emitters call it
-// under the merge mutex already, but the race detector rightly treats
-// the final read from the test goroutine as a separate access.
-type lockedCollector struct {
-	mu    sync.Mutex
-	items []stream.Item
-}
-
-func (c *lockedCollector) Emit(it stream.Item) error {
-	c.mu.Lock()
-	c.items = append(c.items, it)
-	c.mu.Unlock()
-	return nil
-}
-
-func (c *lockedCollector) snapshot() []stream.Item {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]stream.Item, len(c.items))
-	copy(out, c.items)
-	return out
-}
 
 func baseConfig() core.Config {
 	cfg := core.Config{
@@ -126,17 +102,13 @@ func runSingle(t *testing.T, cfg core.Config, arrs []gen.Arrival) multiset {
 
 func runSharded(t *testing.T, cfg core.Config, shards int, arrs []gen.Arrival) (multiset, *ShardedPJoin) {
 	t.Helper()
-	sink := &lockedCollector{}
+	sink := &op.Collector{}
 	j, err := New(Config{Shards: shards, Join: cfg}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
 	drive(t, j, arrs)
-	// Finish has joined the shard goroutines: every routed batch is back.
-	if gets, puts := j.pool.Stats(); gets != puts || gets == 0 {
-		t.Errorf("shards=%d: batch pool has %d gets, %d puts after Finish", shards, gets, puts)
-	}
-	return summarize(sink.snapshot()), j
+	return summarize(sink.Items), j
 }
 
 // TestShardedMatchesSingleProperty is the sharding equivalence
@@ -260,7 +232,7 @@ func TestShardedMatchesSingleProperty(t *testing.T) {
 // result tuples are never held behind pending punctuations.
 func TestPunctuationAlignment(t *testing.T) {
 	cfg := baseConfig()
-	sink := &lockedCollector{}
+	sink := &op.Collector{}
 	j, err := New(Config{Shards: 4, Join: cfg}, sink)
 	if err != nil {
 		t.Fatal(err)
@@ -302,7 +274,7 @@ func TestPunctuationAlignment(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m := summarize(sink.snapshot())
+	m := summarize(sink.Items)
 	if len(m.tuples) != 8 {
 		t.Errorf("want 8 distinct join results, got %d", len(m.tuples))
 	}
@@ -320,7 +292,7 @@ func TestPunctuationAlignment(t *testing.T) {
 // propagated it.
 func TestPunctuationHeldWhileShardOwes(t *testing.T) {
 	cfg := baseConfig()
-	sink := &lockedCollector{}
+	sink := &op.Collector{}
 	j, err := New(Config{Shards: 4, Join: cfg}, sink)
 	if err != nil {
 		t.Fatal(err)
@@ -345,7 +317,7 @@ func TestPunctuationHeldWhileShardOwes(t *testing.T) {
 	if err := j.Finish(next()); err != nil {
 		t.Fatal(err)
 	}
-	m := summarize(sink.snapshot())
+	m := summarize(sink.Items)
 	if len(m.puncts) != 0 {
 		t.Errorf("punctuation with a live matching tuple must not be forwarded, got %v", m.puncts)
 	}
@@ -358,7 +330,7 @@ func TestPunctuationHeldWhileShardOwes(t *testing.T) {
 func TestRoutingDeterminism(t *testing.T) {
 	cfg := baseConfig()
 	cfg.DisablePropagation = true
-	sink := &lockedCollector{}
+	sink := &op.Collector{}
 	j, err := New(Config{Shards: 4, Join: cfg}, sink)
 	if err != nil {
 		t.Fatal(err)
@@ -440,13 +412,13 @@ func TestMetricsAggregation(t *testing.T) {
 }
 
 // TestShardFailurePropagates: an operator error inside a shard surfaces
-// on the driver goroutine.
+// from the router call that caused it.
 func TestShardFailurePropagates(t *testing.T) {
 	cfg := baseConfig()
 	// Keep the punctuation in the set (propagation would release and
 	// remove it before the violating tuple arrives).
 	cfg.DisablePropagation = true
-	sink := &lockedCollector{}
+	sink := &op.Collector{}
 	j, err := New(Config{Shards: 2, Join: cfg}, sink)
 	if err != nil {
 		t.Fatal(err)
@@ -458,17 +430,9 @@ func TestShardFailurePropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := stream.MustTuple(gen.SchemaA, 2, value.Int(1), value.Str("late"))
-	if err := j.Process(0, stream.TupleItem(bad), 2); err != nil {
-		t.Fatal(err) // queued; the failure is asynchronous
-	}
-	for port := 0; port < 2; port++ {
-		if err := j.Process(port, stream.EOSItem(stream.Time(3+port)), stream.Time(3+port)); err != nil {
-			// The router may already have observed the failure.
-			return
-		}
-	}
-	if err := j.Finish(6); err == nil {
-		t.Fatal("want shard failure surfaced by Finish")
+	err = j.Process(0, stream.TupleItem(bad), 2)
+	if err == nil || !strings.Contains(err.Error(), "violates punctuation semantics") {
+		t.Fatalf("Process of the violating tuple: err = %v, want the shard's integrity error", err)
 	}
 }
 
@@ -506,7 +470,7 @@ func TestSkew(t *testing.T) {
 // involving the shards.
 func TestDuplicateEOS(t *testing.T) {
 	cfg := baseConfig()
-	j, err := New(Config{Shards: 2, Join: cfg}, &lockedCollector{})
+	j, err := New(Config{Shards: 2, Join: cfg}, &op.Collector{})
 	if err != nil {
 		t.Fatal(err)
 	}

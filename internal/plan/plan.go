@@ -45,7 +45,8 @@ type JoinOptions struct {
 	// Verify enables punctuation integrity checking (PJoin only).
 	Verify bool
 	// Shards > 1 runs the PJoin hash-partitioned across that many
-	// parallel shards (internal/parallel). Punctuations spanning several
+	// parallel shards (internal/parallel: parallel.Spawn, each shard an
+	// operator of its own on the pipeline). Punctuations spanning several
 	// join keys then need RetainPropagated for exact equivalence; see the
 	// parallel package doc.
 	Shards int
@@ -58,8 +59,10 @@ type node struct {
 	name   string
 	inputs []string
 	// build constructs the operator bound to emit; inSchemas match
-	// inputs. Nil for sources and sinks.
-	build func(inSchemas []*stream.Schema, emit op.Emitter) (op.Operator, *stream.Schema, error)
+	// inputs. Run spawns it on the input edges; anything it needs
+	// spawned behind it (a sharded join's shards) it spawns on pipe. Nil
+	// for sources and sinks.
+	build func(pipe *exec.Pipeline, inSchemas []*stream.Schema, emit op.Emitter) (op.Operator, *stream.Schema, error)
 	// source fields
 	sourceItems []stream.Item
 	sourceSch   *stream.Schema
@@ -128,7 +131,7 @@ func (p *Plan) PJoin(name, left, right string, opts JoinOptions) {
 	p.add(&node{
 		name:   name,
 		inputs: []string{left, right},
-		build: func(in []*stream.Schema, emit op.Emitter) (op.Operator, *stream.Schema, error) {
+		build: func(pipe *exec.Pipeline, in []*stream.Schema, emit op.Emitter) (op.Operator, *stream.Schema, error) {
 			cfg := core.Config{
 				SchemaA: in[0], SchemaB: in[1],
 				AttrA: opts.LeftAttr, AttrB: opts.RightAttr,
@@ -143,7 +146,7 @@ func (p *Plan) PJoin(name, left, right string, opts JoinOptions) {
 				MemoryBytes:    opts.MemoryBytes,
 			}
 			if opts.Shards > 1 {
-				j, err := parallel.New(parallel.Config{Shards: opts.Shards, Join: cfg}, emit)
+				j, err := parallel.Spawn(pipe, parallel.Config{Shards: opts.Shards, Join: cfg}, emit)
 				if err != nil {
 					return nil, nil, err
 				}
@@ -163,7 +166,7 @@ func (p *Plan) XJoin(name, left, right string, opts JoinOptions) {
 	p.add(&node{
 		name:   name,
 		inputs: []string{left, right},
-		build: func(in []*stream.Schema, emit op.Emitter) (op.Operator, *stream.Schema, error) {
+		build: func(_ *exec.Pipeline, in []*stream.Schema, emit op.Emitter) (op.Operator, *stream.Schema, error) {
 			j, err := xjoin.New(xjoin.Config{
 				SchemaA: in[0], SchemaB: in[1],
 				AttrA: opts.LeftAttr, AttrB: opts.RightAttr,
@@ -183,7 +186,7 @@ func (p *Plan) GroupBy(name, input, groupField, aggField string, agg op.AggKind)
 	p.add(&node{
 		name:   name,
 		inputs: []string{input},
-		build: func(in []*stream.Schema, emit op.Emitter) (op.Operator, *stream.Schema, error) {
+		build: func(_ *exec.Pipeline, in []*stream.Schema, emit op.Emitter) (op.Operator, *stream.Schema, error) {
 			g, err := in[0].IndexOf(groupField)
 			if err != nil {
 				return nil, nil, err
@@ -213,7 +216,7 @@ func (p *Plan) Select(name, input string, pred func(*stream.Tuple) bool) {
 	p.add(&node{
 		name:   name,
 		inputs: []string{input},
-		build: func(in []*stream.Schema, emit op.Emitter) (op.Operator, *stream.Schema, error) {
+		build: func(_ *exec.Pipeline, in []*stream.Schema, emit op.Emitter) (op.Operator, *stream.Schema, error) {
 			s, err := op.NewSelect(in[0], pred, emit)
 			if err != nil {
 				return nil, nil, err
@@ -228,7 +231,7 @@ func (p *Plan) Project(name, input string, fields ...string) {
 	p.add(&node{
 		name:   name,
 		inputs: []string{input},
-		build: func(in []*stream.Schema, emit op.Emitter) (op.Operator, *stream.Schema, error) {
+		build: func(_ *exec.Pipeline, in []*stream.Schema, emit op.Emitter) (op.Operator, *stream.Schema, error) {
 			keep := make([]int, 0, len(fields))
 			for _, f := range fields {
 				i, err := in[0].IndexOf(f)
@@ -251,7 +254,7 @@ func (p *Plan) Union(name, left, right string) {
 	p.add(&node{
 		name:   name,
 		inputs: []string{left, right},
-		build: func(in []*stream.Schema, emit op.Emitter) (op.Operator, *stream.Schema, error) {
+		build: func(_ *exec.Pipeline, in []*stream.Schema, emit op.Emitter) (op.Operator, *stream.Schema, error) {
 			if in[0].Width() != in[1].Width() {
 				return nil, nil, fmt.Errorf("plan: union %q: schema widths differ", name)
 			}
@@ -269,7 +272,7 @@ func (p *Plan) KeyPunctuate(name, input, keyField string) {
 	p.add(&node{
 		name:   name,
 		inputs: []string{input},
-		build: func(in []*stream.Schema, emit op.Emitter) (op.Operator, *stream.Schema, error) {
+		build: func(_ *exec.Pipeline, in []*stream.Schema, emit op.Emitter) (op.Operator, *stream.Schema, error) {
 			k, err := in[0].IndexOf(keyField)
 			if err != nil {
 				return nil, nil, err
@@ -351,7 +354,7 @@ func (p *Plan) Run(ctx context.Context) (*RunResult, error) {
 				inEdges[i] = edges[in]
 			}
 			out := pipe.Edge()
-			o, outSchema, err := n.build(inSchemas, out)
+			o, outSchema, err := n.build(pipe, inSchemas, out)
 			if err != nil {
 				return nil, fmt.Errorf("plan: node %q: %w", n.name, err)
 			}

@@ -5,12 +5,11 @@ import (
 	"sync/atomic"
 )
 
-// Batch is a pooled run of items: the unit exec edges and the sharded
-// router move between goroutines. The receiver of a *Batch owns it and
-// recycles it (Lane.Put, BatchPool.Put) once the items have been
-// processed. The pointer, not the slice, is what travels and what the
-// pool holds, so a Put never boxes a slice header — recycling is
-// allocation-free even when every batch holds a single item.
+// Batch is a pooled run of items: the unit exec edges move between
+// goroutines. The receiver of a *Batch owns it and recycles it (Lane.Put)
+// once the items have been processed. The pointer, not the slice, is what
+// travels and what a lane holds, so a Put never boxes a slice header —
+// recycling is allocation-free even when every batch holds a single item.
 //
 // A batch also carries the storage of the tuples that were built for it
 // (AppendJoin, and Append of a borrowed item): they are valid until the
@@ -42,7 +41,7 @@ func (b *Batch) Append(it Item) {
 	b.Items = append(b.Items, it)
 }
 
-// recycle empties a consumed batch: the items are cleared so the pool
+// recycle empties a consumed batch: the items are cleared so the lane
 // pins no tuples, and the slab is rewound and zeroed.
 func (b *Batch) recycle() {
 	clear(b.Items)
@@ -50,54 +49,23 @@ func (b *Batch) recycle() {
 	b.res.rewind()
 }
 
-// BatchPool recycles batches between the goroutines that fill them and
-// the ones that consume them. The zero value is ready to use. Each
-// pipeline and each sharded join owns one, so the batches in a pool all
-// have the capacity its owner asks for (a process-wide pool would hand
-// the 256-item buffers of one pipeline to the one-item batches of the
-// next) and its counters describe one owner.
+// BatchPool is the batches of one owner (a pipeline): the lanes its edges
+// recycle through, and their counts. The zero value is ready to use. A
+// lane whose ring is empty allocates a fresh batch; nothing else makes
+// one, and nothing but a lane takes one back.
 type BatchPool struct {
-	pool       sync.Pool
-	gets, puts atomic.Int64
-
 	mu    sync.Mutex //pjoin:lockrank leaf
 	lanes []*Lane    // guarded by mu
 }
 
-// Get returns an empty batch with room for at least n items.
-//
-//pjoin:pool get
-func (p *BatchPool) Get(n int) *Batch {
-	p.gets.Add(1)
-	b, _ := p.pool.Get().(*Batch)
-	if b == nil {
-		b = &Batch{res: ResultSlab{recycled: true}}
-	}
-	if cap(b.Items) < n {
-		b.Items = make([]Item, 0, n)
-	}
-	return b
-}
-
-// Put recycles a consumed batch. The caller must not touch b afterwards.
-//
-//pjoin:pool put
-func (p *BatchPool) Put(b *Batch) {
-	b.recycle()
-	p.puts.Add(1)
-	p.pool.Put(b)
-}
-
 // Stats returns how many batches have been taken from and returned to
-// the pool, through the pool itself or through one of its lanes. The two
-// are equal whenever no batch is in flight: the dynamic twin of the
-// poolsafe lint.
+// the pool's lanes. The two are equal whenever no batch is in flight: the
+// dynamic twin of the poolsafe lint.
 func (p *BatchPool) Stats() (gets, puts int64) {
-	gets, puts = p.gets.Load(), p.puts.Load()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, l := range p.lanes {
-		gets += l.taken.Load()
+		gets += l.taken.Load() + l.fresh.Load()
 		puts += l.kept.Load() + l.dropped.Load()
 	}
 	return gets, puts
@@ -106,11 +74,10 @@ func (p *BatchPool) Stats() (gets, puts int64) {
 // Lane is the return path of one producer–consumer pair (an exec edge):
 // the consumer puts a batch back where the producer takes its next one,
 // so batches — and the result slabs they have grown — stay on the edge
-// they were sized for, change hands without a sync.Pool's cross-P steal,
-// and survive the GC cycles that empty one. It is a ring of idle batches
-// of bounded depth in front of a BatchPool, counted in the pool's Stats:
-// Get falls back to the pool when the ring is empty, Put leaves the batch
-// to the collector when it is full.
+// they were sized for and change hands without a lock. It is a ring of
+// idle batches of bounded depth, counted in its pool's Stats: Get
+// allocates a fresh batch when the ring is empty, Put leaves the batch to
+// the collector when it is full.
 //
 // Neither blocks, takes a lock or writes a word the other side writes, so
 // a consumer may Put while the producer holds its own mutex across a
@@ -121,13 +88,12 @@ func (p *BatchPool) Stats() (gets, puts int64) {
 // goroutine at a time (the edge's one consumer: an operator's driver, or
 // Sink).
 type Lane struct {
-	pool *BatchPool
 	ring []*Batch // a power of two long; slot i&mask holds the i-th batch kept
 	mask int64
 	_    [64]byte // what follows is written: keep it off the line read by both sides
 
 	taken atomic.Int64 // batches taken from the ring; written by the taker only
-	fresh atomic.Int64 // batches taken from the pool because the ring was empty
+	fresh atomic.Int64 // batches allocated because the ring was empty
 	_     [48]byte
 
 	kept    atomic.Int64 // batches put into the ring; written by the returner only
@@ -143,7 +109,7 @@ func (p *BatchPool) Lane(depth int) *Lane {
 	for size < depth {
 		size <<= 1
 	}
-	l := &Lane{pool: p, ring: make([]*Batch, size), mask: int64(size - 1)}
+	l := &Lane{ring: make([]*Batch, size), mask: int64(size - 1)}
 	p.mu.Lock()
 	p.lanes = append(p.lanes, l)
 	p.mu.Unlock()
@@ -157,7 +123,7 @@ func (l *Lane) Get(n int) *Batch {
 	i := l.taken.Load()
 	if i == l.kept.Load() {
 		l.fresh.Add(1)
-		return l.pool.Get(n)
+		return &Batch{Items: make([]Item, 0, n), res: ResultSlab{recycled: true}}
 	}
 	b := l.ring[i&l.mask]
 	l.ring[i&l.mask] = nil
@@ -182,9 +148,8 @@ func (l *Lane) Put(b *Batch) {
 	l.kept.Store(i + 1)
 }
 
-// Stats returns how many batches the lane took from the pool because its
-// ring was empty and how many it left to the collector because the ring
-// was full. A lane as deep as everything its pair can have in flight
+// Stats returns how many batches the lane allocated because its ring was
+// empty and how many it left to the collector because the ring was full. A lane as deep as everything its pair can have in flight
 // shows at most that many fresh batches and no drops, however long it
 // runs.
 func (l *Lane) Stats() (fresh, dropped int64) {

@@ -3,16 +3,17 @@ package stream
 import "testing"
 
 // TestBatchPoolSteadyStateAllocs pins the property per-item delivery
-// rests on: once a batch has been through the pool, taking it, filling it
+// rests on: once a batch has been through a lane, taking it, filling it
 // and putting it back allocates nothing — not even at batch size 1, where
 // a boxed slice header per Put would be one allocation per item per hop.
 func TestBatchPoolSteadyStateAllocs(t *testing.T) {
 	var pool BatchPool
+	lane := pool.Lane(1)
 	it := EOSItem(1)
 	cycle := func() {
-		b := pool.Get(1)
+		b := lane.Get(1)
 		b.Items = append(b.Items, it)
-		pool.Put(b)
+		lane.Put(b)
 	}
 	cycle() // first use allocates the batch
 	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
@@ -21,17 +22,19 @@ func TestBatchPoolSteadyStateAllocs(t *testing.T) {
 }
 
 // TestBatchPoolRecyclesClean checks what a Get hands out: empty, with
-// the requested room, pinning nothing from its previous use, and counted.
+// the requested room, pinning nothing from its previous use, and counted
+// in the pool.
 func TestBatchPoolRecyclesClean(t *testing.T) {
 	var pool BatchPool
-	b := pool.Get(4)
+	lane := pool.Lane(1)
+	b := lane.Get(4)
 	if len(b.Items) != 0 || cap(b.Items) < 4 {
 		t.Fatalf("Get(4): len %d cap %d", len(b.Items), cap(b.Items))
 	}
 	tup := &Tuple{}
 	b.Items = append(b.Items, TupleItem(tup), EOSItem(2))
 	held := b.Items
-	pool.Put(b)
+	lane.Put(b)
 	for i, it := range held {
 		if it.Tuple != nil || it.Kind != 0 || it.Ts != 0 {
 			t.Errorf("item %d not cleared by Put: %v", i, it)

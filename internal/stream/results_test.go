@@ -49,7 +49,8 @@ func TestSlabJoinIsFillJoin(t *testing.T) {
 	sameTuple(t, "holder's slab", own.Join(a, c), a.Join(c))
 
 	var pool BatchPool
-	b := pool.Get(4)
+	lane := pool.Lane(1)
+	b := lane.Get(4)
 	b.AppendJoin(a, c)
 	it := b.Items[0]
 	if it.Kind != KindTuple || !it.Borrowed || it.Ts != it.Tuple.Ts {
@@ -59,7 +60,7 @@ func TestSlabJoinIsFillJoin(t *testing.T) {
 	if ts, sp := JoinStamp(a, c); ts != it.Tuple.Ts || sp != it.Tuple.Span {
 		t.Errorf("JoinStamp = (%d, %d), the result carries (%d, %d)", ts, sp, it.Tuple.Ts, it.Tuple.Span)
 	}
-	pool.Put(b)
+	lane.Put(b)
 }
 
 // TestKeepCopiesOnlyBorrowed is the retention rule: an item that is not
@@ -188,13 +189,13 @@ func TestBatchSlabGrowsOnDemand(t *testing.T) {
 	}
 }
 
-// TestLaneCountsInThePool: lane hits, pool fallbacks and drops on a full
+// TestLaneCountsInThePool: lane hits, fresh batches and drops on a full
 // lane all count in the pool's two counters, so gets == puts says no
 // batch is in flight whichever way the batches went.
 func TestLaneCountsInThePool(t *testing.T) {
 	var pool BatchPool
 	lane := pool.Lane(1)
-	b1, b2 := lane.Get(2), lane.Get(2) // both from the pool: the lane is empty
+	b1, b2 := lane.Get(2), lane.Get(2) // both fresh: the lane is empty
 	if b1 == b2 {
 		t.Fatal("one batch handed out twice")
 	}
@@ -218,13 +219,14 @@ func TestStampKeepsBorrowedTuples(t *testing.T) {
 	a, c := pairOf(5)
 	want := a.Join(c)
 	var pool BatchPool
-	b := pool.Get(1)
+	lane := pool.Lane(1)
+	b := lane.Get(1)
 	b.AppendJoin(a, c)
 	it := b.Items[0]
 	it.Ts = 99 // the driver's restamp
 	var h Headers
 	got := h.Stamp(it)
-	pool.Put(b)
+	lane.Put(b)
 	want.Ts = 99
 	sameTuple(t, "stamped copy", got, want)
 
@@ -241,7 +243,7 @@ func TestStampKeepsBorrowedTuples(t *testing.T) {
 // TestLaneHandsEachBatchToOneOwner runs the lane the way an edge does — a
 // producer taking batches and sending them down a channel, a consumer
 // receiving and returning them — with a lane shallower than the traffic,
-// so hits, pool fallbacks and drops all happen, and checks that a batch is
+// so hits, fresh batches and drops all happen, and checks that a batch is
 // never in two hands (the race detector watches the unsynchronised mark),
 // comes back empty, and that the pool's counters balance at the end.
 func TestLaneHandsEachBatchToOneOwner(t *testing.T) {

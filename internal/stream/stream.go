@@ -312,7 +312,7 @@ func (k ItemKind) String() string {
 // provenance trace ID (internal/obs/span): the sharded router stamps
 // it before broadcasting so every shard's lifecycle spans group under
 // one trace. Tuple provenance rides Tuple.Span instead — an item
-// rebuild (merger forward) must preserve both.
+// rebuild (the sharded join's align forward) must preserve both.
 //
 // Borrowed marks a tuple that lives in the Batch that delivers the item
 // (Batch.AppendJoin: an exec edge builds a join's results there): the
