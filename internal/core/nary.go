@@ -321,7 +321,7 @@ func (j *NaryPJoin) RequestPropagation(now stream.Time) error {
 	if now > j.now {
 		j.now = now
 	}
-	return j.propagate(j.now)
+	return j.propagate(j.now, false)
 }
 
 func (j *NaryPJoin) decrement(side int, nt *naryTuple) {
@@ -336,7 +336,8 @@ func (j *NaryPJoin) decrement(side int, nt *naryTuple) {
 // propagate releases every punctuation whose own-state count reached
 // zero, rewritten over the output schema (its own positions keep their
 // patterns; every stream's join attribute inherits the join pattern).
-func (j *NaryPJoin) propagate(ts stream.Time) error {
+// final is Finish's call, after which no result follows.
+func (j *NaryPJoin) propagate(ts stream.Time, final bool) error {
 	offsets := make([]int, len(j.schemas))
 	off := 0
 	for i, sc := range j.schemas {
@@ -344,7 +345,7 @@ func (j *NaryPJoin) propagate(ts stream.Time) error {
 		off += sc.Width()
 	}
 	for s, set := range j.psets {
-		for _, e := range set.Propagable() {
+		for _, e := range set.Propagable(final) {
 			outP, err := e.P.Widen(j.outSc.Width(), offsets[s])
 			if err != nil {
 				return err
@@ -373,7 +374,7 @@ func (j *NaryPJoin) Finish(now stream.Time) error {
 	if now > j.now {
 		j.now = now
 	}
-	if err := j.propagate(j.now); err != nil {
+	if err := j.propagate(j.now, true); err != nil {
 		return err
 	}
 	j.finished = true

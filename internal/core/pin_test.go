@@ -27,13 +27,17 @@ type pinned struct {
 // pinGoldens were captured at the commit before joinbase.PassDriver,
 // from the separate run-to-completion pass it replaced: draining the
 // one pass implementation must reproduce that schedule's output order
-// and work exactly.
+// and work exactly. The punctuation sequences of pjoin seeds 112 and 143
+// were re-captured when propagation began to wait for earlier
+// overlapping entries (punct.Set.Propagable): the old sequences released
+// a punctuation before a result it matches. Results and work are the
+// captured ones.
 var pinGoldens = map[string]pinned{
 	"pjoin/seed=56":  {0xd9c47b726c59906b, 0x7c3612b4d9ceec7, 17, 4528, 848, 40, 1383},
 	"xjoin/seed=56":  {0x443428ddb9b4aba5, 0xcbf29ce484222325, 8, 6036, 910, 0, 1383},
-	"pjoin/seed=112": {0x10ec62f9038d46ec, 0x239150c147277a15, 25, 2083, 831, 203, 1292},
+	"pjoin/seed=112": {0x10ec62f9038d46ec, 0x9f146f9da111049d, 25, 2083, 831, 203, 1292},
 	"xjoin/seed=112": {0x2fbd89a874722caa, 0xcbf29ce484222325, 5, 30332, 939, 0, 1292},
-	"pjoin/seed=143": {0xe0c702a655fe5ac3, 0xa0adfd0862fb2ae1, 96, 596, 471, 117, 726},
+	"pjoin/seed=143": {0xe0c702a655fe5ac3, 0xa844f3f47b0ea6bd, 96, 596, 471, 117, 726},
 	"xjoin/seed=143": {0x6c3e6d8d92e5c6a9, 0xcbf29ce484222325, 28, 10322, 602, 0, 726},
 }
 

@@ -347,7 +347,7 @@ func (j *PJoin) buildRegistry() error {
 		return nil
 	}}
 	propagate := event.ListenerFunc{ID: "punctuation-propagation", Fn: func(e event.Event) error {
-		return j.propagate(e.At)
+		return j.propagate(e.At, false)
 	}}
 
 	if !j.cfg.DisablePurge {
@@ -935,8 +935,9 @@ func (j *PJoin) indexDiskTuple(side int, sd *store.StoredTuple) {
 // and remove it from the set. If left-over joins are still pending on
 // disk or in purge buffers, a disk pass runs first (§3.2: "when
 // punctuation propagation needs to finish up all the left-over joins,
-// will the disk join be scheduled to run").
-func (j *PJoin) propagate(now stream.Time) error {
+// will the disk join be scheduled to run"). final is Finish's call, after
+// which no result follows (punct.Set.Propagable).
+func (j *PJoin) propagate(now stream.Time, final bool) error {
 	if j.disk.InFlight() {
 		// A budgeted pass is in flight: defer the release to its
 		// completion (passDone re-invokes propagate), which is when the
@@ -946,7 +947,7 @@ func (j *PJoin) propagate(now stream.Time) error {
 			// punctuation that would otherwise release now, so
 			// pjointrace can apportion propagation delay to the pass.
 			for s := 0; s < 2; s++ {
-				for _, e := range j.psets[s].Propagable() {
+				for _, e := range j.psets[s].Propagable(final) {
 					if e.TraceID != 0 && !j.diskPending[s][e.PID] {
 						j.obs.Span(span.KindPunctDefer, e.TraceID, now, s, int64(e.PID), 1, 0, 0)
 					}
@@ -978,7 +979,7 @@ func (j *PJoin) propagate(now stream.Time) error {
 		if len(j.diskPending[s]) > 0 && !j.base.States[s].AnyDisk() {
 			j.diskPending[s] = make(map[punct.PID]bool)
 		}
-		for _, e := range j.psets[s].Propagable() {
+		for _, e := range j.psets[s].Propagable(final) {
 			if j.diskPending[s][e.PID] {
 				if e.TraceID != 0 && j.obs.Enabled() {
 					j.obs.Span(span.KindPunctDefer, e.TraceID, now, s, int64(e.PID), 2, 0, 0)
@@ -1129,7 +1130,7 @@ func (j *PJoin) passDone(now stream.Time) error {
 		j.propPending = false
 		j.indexBuild(0)
 		j.indexBuild(1)
-		return j.propagate(now)
+		return j.propagate(now, false)
 	}
 	return nil
 }
@@ -1211,7 +1212,7 @@ func (j *PJoin) Finish(now stream.Time) error {
 		return err
 	}
 	if !j.cfg.DisablePropagation {
-		if err := j.propagate(j.now); err != nil {
+		if err := j.propagate(j.now, true); err != nil {
 			return err
 		}
 	}

@@ -9,10 +9,12 @@ import (
 
 // TestPunctPathAllocs pins what handling a punctuation allocates in the
 // steady state of the benchmark's punct_sat regime — direct drive, eager
-// purge, propagation after every punctuation, constant patterns: the set
-// entry it becomes and the widened punctuation it is propagated as, and
-// nothing else. Plans, pending and propagable lists, the purged key group
-// and the index-build group all come from receiver-owned scratch.
+// purge, propagation after every punctuation, constant patterns: its set
+// entry's share of a chunk of 64, and nothing else — at most 1/32 of an
+// object. The punctuation it is propagated as is a view of the one it
+// arrived as (punct.Widen); plans, pending and propagable lists, the
+// purged key group and the index-build group all come from
+// receiver-owned scratch.
 func TestPunctPathAllocs(t *testing.T) {
 	cfg := defaultConfig()
 	cfg.Thresholds.Purge = 1
@@ -31,8 +33,8 @@ func TestPunctPathAllocs(t *testing.T) {
 	// Two tuples per side on every key, all resident before the first
 	// punctuation, so each measured punctuation purges a group on the
 	// opposite side and indexes one on its own.
-	const warm, runs = 64, 200
-	const keys = warm + runs + 1 // AllocsPerRun makes one extra warm-up call
+	const warm, runs = 64, 256
+	const keys = warm + 2*runs // AllocsPerRun warms up with one extra call
 	var ts stream.Time
 	feed := func(fi feedItem) {
 		t.Helper()
@@ -68,9 +70,15 @@ func TestPunctPathAllocs(t *testing.T) {
 	for next < warm {
 		round()
 	}
-	per := testing.AllocsPerRun(runs, round) / 2
-	if per > 2 {
-		t.Errorf("%.1f allocations per punctuation, want at most 2 (set entry + emitted punctuation)", per)
+	// One measured call of all the rounds: AllocsPerRun would round a
+	// per-round fraction down to zero.
+	per := testing.AllocsPerRun(1, func() {
+		for i := 0; i < runs; i++ {
+			round()
+		}
+	}) / (2 * runs)
+	if per > 1.0/32 {
+		t.Errorf("%.4f allocations per punctuation, want at most 1/32 (the set entry's share of its chunk)", per)
 	}
 
 	if want := 2 * next; puncts != want {

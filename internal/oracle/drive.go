@@ -20,7 +20,7 @@ import (
 type Outcome struct {
 	Tuples map[string]int
 	Puncts map[string]int
-	EOS    int
+	Order  string // the output's first breach of the order rules (checkOrder), "" if none
 
 	Metrics joinbase.Metrics
 	Lat     obs.LatSnapshot
@@ -34,19 +34,47 @@ type Outcome struct {
 	Err error // first operator error (faulted runs: must be ErrInjectedFault)
 }
 
-func summarize(items []stream.Item) (tuples, puncts map[string]int, eos int) {
-	tuples, puncts = map[string]int{}, map[string]int{}
+// summarize audits a run's output: its order first, then the multisets,
+// which forget it.
+func (out *Outcome) summarize(items []stream.Item) {
+	out.Order = checkOrder(items)
+	out.Tuples, out.Puncts = map[string]int{}, map[string]int{}
 	for _, it := range items {
 		switch it.Kind {
 		case stream.KindTuple:
-			tuples[it.Tuple.String()]++
+			out.Tuples[it.Tuple.String()]++
 		case stream.KindPunct:
-			puncts[it.Punct.String()]++
-		case stream.KindEOS:
-			eos++
+			out.Puncts[it.Punct.String()]++
 		}
 	}
-	return
+}
+
+// checkOrder holds an ordered output to Theorem 1 and the EOS rule: no
+// result tuple follows an output punctuation that matches it (by that
+// punctuation's own Matches over the result values), and EOS comes
+// exactly once, last. It returns the first breach, or "".
+func checkOrder(items []stream.Item) string {
+	var puncts []stream.Item
+	for i, it := range items {
+		switch it.Kind {
+		case stream.KindTuple:
+			for _, p := range puncts {
+				if p.Punct.Matches(it.Tuple.Values) {
+					return fmt.Sprintf("result %s (item %d) follows %s, which matches it", it.Tuple, i, p)
+				}
+			}
+		case stream.KindPunct:
+			puncts = append(puncts, it)
+		case stream.KindEOS:
+			if i != len(items)-1 {
+				return fmt.Sprintf("EOS is item %d of %d", i, len(items))
+			}
+		}
+	}
+	if len(items) == 0 || items[len(items)-1].Kind != stream.KindEOS {
+		return "the output does not end in EOS"
+	}
+	return ""
 }
 
 // Run drives the variant over the scenario and returns the audited
@@ -59,7 +87,7 @@ func Run(sc *Scenario, v Variant, disableFault bool) *Outcome {
 		return &Outcome{Err: err}
 	}
 	out := drive(j, sc, v)
-	out.Tuples, out.Puncts, out.EOS = summarize(sink.Items)
+	out.summarize(sink.Items)
 	if jj, ok := j.(joinOp); ok {
 		out.Metrics = jj.Metrics()
 		out.Lat = jj.Latencies()
@@ -76,7 +104,7 @@ func RunOracle(sc *Scenario) *Outcome {
 		return &Outcome{Err: err}
 	}
 	out := drive(j, sc, Variant{})
-	out.Tuples, out.Puncts, out.EOS = summarize(sink.Items)
+	out.summarize(sink.Items)
 	return out
 }
 
@@ -212,7 +240,7 @@ func driveBatched(j op.Operator, sc *Scenario, v Variant) *Outcome {
 // Divergence is one failed check from a comparison.
 type Divergence struct {
 	Variant Variant
-	Check   string // "results", "puncts", "obs", "error", "fault"
+	Check   string // "results", "order", "puncts", "obs", "spans", "error", "fault"
 	Detail  string
 }
 

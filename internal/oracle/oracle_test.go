@@ -8,6 +8,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"pjoin/internal/punct"
+	"pjoin/internal/stream"
+	"pjoin/internal/value"
 )
 
 // soakSeeds is how many seeds TestSoak checks. `make oracle` raises it
@@ -77,6 +81,13 @@ func TestSoak(t *testing.T) {
 //     final pass) while sharded runs kept it in memory, so they
 //     propagated different sets. Fixed by a final memory purge in
 //     Finish (under RetainPropagated).
+//   - seed 161 (a nested punctuation released early): B's <1, *> took
+//     the pid of a stored (1, "B1"); B's later <[0..7], *> found no tuple
+//     without a pid, counted zero and was propagated, and a result on key
+//     1 followed it. Every variant shared the release, so only the order
+//     check saw it. Fixed in punct.Set.Propagable: an entry waits for
+//     every earlier overlapping entry that still counts tuples. The
+//     FuzzOracle corpus pins the same bug as pinned-nested-punct-release.
 //
 // The third bug of the burn-down — removal-on-propagation making the
 // final purge schedule-dependent without RetainPropagated — is pinned
@@ -90,6 +101,7 @@ func TestRegressionSeeds(t *testing.T) {
 			"drop=0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23,24," +
 			"25,26,27,28,29,30,31,32,33,34,35,36,37,38,66,67,68,69,70,71,84,85,87," +
 			"88,89,90,91,92,93,94,95,96,97,98,103",
+		"seed=161 variant=pjoin check=order prefix=16 drop=0,1,2,5,6,7,8,9,10,11,13,14",
 	}
 	for _, raw := range specs {
 		spec, err := ParseSpec(raw)
@@ -222,3 +234,34 @@ func TestShrinkMinimizes(t *testing.T) {
 		t.Fatalf("non-reproducing shrink = %+v", unshrunk)
 	}
 }
+
+// TestCheckOrder holds the order check to its two rules on hand-built
+// outputs: a result after a punctuation that matches it, and EOS
+// anywhere but once at the end, are breaches; a result the punctuation
+// does not match, or one before it, is not.
+func TestCheckOrder(t *testing.T) {
+	res := func(k int64) stream.Item {
+		return stream.TupleItem(stream.MustTuple(resultSchema, 1, value.Int(k), value.Str("a"), value.Int(k), value.Str("b")))
+	}
+	p := stream.PunctItem(punct.MustKeyOnly(4, 2, punct.Const(value.Int(1))), 1)
+	eos := stream.EOSItem(2)
+	for _, c := range []struct {
+		items  []stream.Item
+		breach string
+	}{
+		{[]stream.Item{res(1), p, res(2), eos}, ""},
+		{[]stream.Item{res(2), p, res(1), eos}, "follows"},
+		{[]stream.Item{p, eos, res(2)}, "EOS is item 1 of 3"},
+		{[]stream.Item{p, eos, eos}, "EOS is item 1 of 3"},
+		{[]stream.Item{res(2), p}, "does not end in EOS"},
+		{nil, "does not end in EOS"},
+	} {
+		got := checkOrder(c.items)
+		if (c.breach == "") != (got == "") || !strings.Contains(got, c.breach) {
+			t.Errorf("checkOrder(%v) = %q, want a breach containing %q", c.items, got, c.breach)
+		}
+	}
+}
+
+var resultSchema = stream.MustSchema("out", stream.Field{Name: "ka", Kind: value.KindInt}, stream.Field{Name: "a", Kind: value.KindString},
+	stream.Field{Name: "kb", Kind: value.KindInt}, stream.Field{Name: "b", Kind: value.KindString})

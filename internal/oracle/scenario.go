@@ -20,6 +20,10 @@
 //     same punctuation multiset as the reference variant, so a
 //     configuration that purges too eagerly (losing results) or
 //     propagates too early (emitting an unsafe promise) diverges;
+//   - Theorem 1 on the ordered output: no result follows a propagated
+//     punctuation that matches it, and EOS comes once, last — a check
+//     that needs no reference, so a propagation bug every variant
+//     shares fails it too;
 //   - truthful observability: work counters and latency histograms
 //     reconcile against the driver's own accounting (see checkObs).
 //

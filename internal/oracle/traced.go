@@ -37,7 +37,7 @@ func RunTraced(sc *Scenario, v Variant) (*Outcome, *span.Recorder) {
 		return &Outcome{Err: err}, rec
 	}
 	out := drive(j, sc, v)
-	out.Tuples, out.Puncts, out.EOS = summarize(sink.Items)
+	out.summarize(sink.Items)
 	if jj, ok := j.(joinOp); ok {
 		out.Metrics = jj.Metrics()
 		out.Lat = jj.Latencies()
@@ -73,6 +73,9 @@ func CheckSeedTraced(seed uint64) []Divergence {
 		if out.Err != nil {
 			ds = append(ds, Divergence{Variant: v, Check: "error", Detail: out.Err.Error()})
 			continue
+		}
+		if out.Order != "" {
+			ds = append(ds, Divergence{Variant: v, Check: "order", Detail: out.Order})
 		}
 		ds = append(ds, checkSpans(v, out, rec)...)
 	}

@@ -208,22 +208,19 @@ func (s *Set) Compact(attr int) int {
 				j++
 				continue
 			}
-			// Merge b into a: a keeps its (earlier) pid and position.
+			// Merge b into a: a keeps its (earlier) pid and position; b
+			// leaves the set zeroed (see Entry).
 			pats := make([]Pattern, a.P.Width())
-			for k := 0; k < a.P.Width(); k++ {
+			for k := range pats {
 				pats[k] = a.P.PatternAt(k)
 			}
 			pats[attr] = u
-			merged, err := New(pats...)
-			if err != nil {
-				j++
-				continue
-			}
 			s.dropFromIndex(a)
 			s.dropFromIndex(b)
-			a.P = merged
+			a.P = Punctuation{pats: pats, width: a.P.width}
 			s.entries = append(s.entries[:j], s.entries[j+1:]...)
 			delete(s.byPID, b.PID)
+			*b = Entry{}
 			s.addToIndex(a)
 			removed++
 		}

@@ -144,9 +144,12 @@ func TestSetCompactRespectsOtherPatterns(t *testing.T) {
 	// Same second pattern: merge.
 	s2 := NewKeyedSet(0, false)
 	s2.Add(MustNew(Const(iv(1)), Const(iv(100))))
-	s2.Add(MustNew(Const(iv(2)), Const(iv(100))))
+	b, _ := s2.Add(MustNew(Const(iv(2)), Const(iv(100))))
 	if removed := s2.Compact(0); removed != 1 {
 		t.Errorf("removed = %d, want 1", removed)
+	}
+	if b.PID != NoPID || !b.P.IsZero() {
+		t.Errorf("merged-away entry left as pid %d %s, want zeroed", b.PID, b.P)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"pjoin/internal/punct"
 	"pjoin/internal/value"
 )
 
@@ -27,17 +28,24 @@ func sameTuple(t *testing.T, what string, got, want *Tuple) {
 }
 
 // TestItemSizeUnchangedByBorrowed: the lifetime mark sits in the padding
-// after Kind.
+// after Kind, and a punctuation is a slice and its window: 32 bytes, an
+// Item 64.
 func TestItemSizeUnchangedByBorrowed(t *testing.T) {
 	type before struct {
 		Kind  ItemKind
 		Tuple *Tuple
-		Punct [3]uintptr // punct.Punctuation is one slice
-		Ts    Time
-		Span  uint64
+		Punct struct {
+			pats       [3]uintptr
+			off, width int32
+		}
+		Ts   Time
+		Span uint64
 	}
 	if got, want := unsafe.Sizeof(Item{}), unsafe.Sizeof(before{}); got != want {
 		t.Errorf("Item is %d bytes, %d without the mark", got, want)
+	}
+	if got := unsafe.Sizeof(punct.Punctuation{}); got != 32 {
+		t.Errorf("punct.Punctuation is %d bytes, want 32", got)
 	}
 }
 
