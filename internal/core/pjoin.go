@@ -326,7 +326,7 @@ func (j *PJoin) buildRegistry() error {
 	j.reg = event.NewRegistry()
 
 	purge := event.ListenerFunc{ID: "state-purge", Fn: func(e event.Event) error {
-		side := e.Arg.(event.Side)
+		side := e.Side
 		if err := j.purgeState(int(side.Opposite()), e.At); err != nil {
 			return err
 		}

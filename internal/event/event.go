@@ -66,11 +66,14 @@ func (k Kind) String() string {
 	}
 }
 
-// Event is one occurrence dispatched through the registry.
+// Event is one occurrence dispatched through the registry. The payload
+// fields are typed, so dispatching boxes nothing; a kind that carries no
+// payload leaves them zero.
 type Event struct {
-	Kind Kind
-	At   stream.Time
-	Arg  any // event-specific payload (e.g. which side's threshold fired)
+	Kind  Kind
+	At    stream.Time
+	Side  Side  // PurgeThresholdReach: the side whose punctuations accumulated
+	Bytes int64 // StateFull: the in-memory state size that reached the threshold
 }
 
 // Listener is a component that can handle events: in PJoin, the state

@@ -62,7 +62,7 @@ func TestDispatchOrderAndPayload(t *testing.T) {
 	if err := r.Register(PurgeThresholdReach, nil, "", c); err != nil {
 		t.Fatal(err)
 	}
-	ev := Event{Kind: PurgeThresholdReach, At: 42, Arg: SideB}
+	ev := Event{Kind: PurgeThresholdReach, At: 42, Side: SideB}
 	if err := r.Dispatch(ev); err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestDispatchOrderAndPayload(t *testing.T) {
 		if len(rec.got) != 1 {
 			t.Fatalf("%s saw %d events", rec.name, len(rec.got))
 		}
-		if rec.got[0].At != 42 || rec.got[0].Arg != SideB {
+		if rec.got[0].At != 42 || rec.got[0].Side != SideB {
 			t.Errorf("%s event = %+v", rec.name, rec.got[0])
 		}
 	}
@@ -79,13 +79,13 @@ func TestDispatchOrderAndPayload(t *testing.T) {
 func TestDispatchCondition(t *testing.T) {
 	r := NewRegistry()
 	rec := &recorder{name: "x"}
-	cond := func(e Event) bool { return e.Arg == SideA }
+	cond := func(e Event) bool { return e.Side == SideA }
 	r.Register(PurgeThresholdReach, cond, "only side A", rec)
-	r.Dispatch(Event{Kind: PurgeThresholdReach, Arg: SideB})
+	r.Dispatch(Event{Kind: PurgeThresholdReach, Side: SideB})
 	if len(rec.got) != 0 {
 		t.Error("condition should have blocked dispatch")
 	}
-	r.Dispatch(Event{Kind: PurgeThresholdReach, Arg: SideA})
+	r.Dispatch(Event{Kind: PurgeThresholdReach, Side: SideA})
 	if len(rec.got) != 1 {
 		t.Error("condition should have passed dispatch")
 	}

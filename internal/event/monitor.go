@@ -87,15 +87,15 @@ func (m *Monitor) PunctsSincePurge(s Side) int { return m.punctsSincePurge[s] }
 // reach the thresholds. Counters reset when their event fires.
 //
 // A punctuation from side s purges the OPPOSITE state (§2.2 purge
-// rules), so the purge counter is tracked per arrival side and the event
-// argument carries the side whose punctuations accumulated.
+// rules), so the purge counter is tracked per arrival side and the
+// event's Side is the side whose punctuations accumulated.
 func (m *Monitor) PunctArrived(s Side, now stream.Time) error {
 	m.lastActivity = now
 	m.idleFired = false
 	m.punctsSincePurge[s]++
 	if m.th.Purge > 0 && m.punctsSincePurge[s] >= m.th.Purge {
 		m.punctsSincePurge[s] = 0
-		if err := m.reg.Dispatch(Event{Kind: PurgeThresholdReach, At: now, Arg: s}); err != nil {
+		if err := m.reg.Dispatch(Event{Kind: PurgeThresholdReach, At: now, Side: s}); err != nil {
 			return err
 		}
 	}
@@ -121,7 +121,7 @@ func (m *Monitor) TupleArrived(now stream.Time) error {
 // each time the size is at or above the memory threshold.
 func (m *Monitor) StateSize(bytes int64, now stream.Time) error {
 	if m.th.MemoryBytes > 0 && bytes >= m.th.MemoryBytes {
-		return m.reg.Dispatch(Event{Kind: StateFull, At: now, Arg: bytes})
+		return m.reg.Dispatch(Event{Kind: StateFull, At: now, Bytes: bytes})
 	}
 	return nil
 }

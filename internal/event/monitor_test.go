@@ -57,7 +57,7 @@ func TestPurgeEventCarriesSide(t *testing.T) {
 	r := NewRegistry()
 	var gotSide Side = -1
 	r.Register(PurgeThresholdReach, nil, "", ListenerFunc{ID: "p", Fn: func(e Event) error {
-		gotSide = e.Arg.(Side)
+		gotSide = e.Side
 		return nil
 	}})
 	m, _ := NewMonitor(r, Thresholds{Purge: 1})
@@ -121,10 +121,21 @@ func TestStateFull(t *testing.T) {
 	if *counts[StateFull] != 2 {
 		t.Errorf("fired %d times, want 2", *counts[StateFull])
 	}
+	// The size travels typed: the event carries it, and a dispatch boxes
+	// nothing (the relocation trigger fires on every oversized arrival).
+	var got int64
+	r.Register(StateFull, nil, "", ListenerFunc{ID: "size", Fn: func(e Event) error {
+		got = e.Bytes
+		return nil
+	}})
+	if allocs := testing.AllocsPerRun(100, func() { m.StateSize(2000, 3) }); allocs != 0 || got != 2000 {
+		t.Errorf("StateFull carried %d bytes and allocated %.1f objects per dispatch, want 2000 and 0", got, allocs)
+	}
 	// Disabled threshold never fires.
+	fired := *counts[StateFull]
 	m.SetThresholds(Thresholds{MemoryBytes: 0})
 	m.StateSize(1<<40, 4)
-	if *counts[StateFull] != 2 {
+	if *counts[StateFull] != fired {
 		t.Error("disabled memory threshold fired")
 	}
 }

@@ -43,6 +43,10 @@ import (
 // Since reachability is monotone, every non-overlapping pair is still
 // emitted exactly once: by the first pass whose bucket-open time
 // reaches it.
+//
+// A PassDriver owns one ChunkPass and re-arms it for every pass, so the
+// scratch below lives as long as the driver: a warm pass allocates
+// nothing.
 type ChunkPass struct {
 	b      *Base
 	hooks  PassHooks
@@ -52,16 +56,13 @@ type ChunkPass struct {
 	bucket int         // next bucket index to open
 	cur    chunkBucket // the bucket in flight, when open is set
 	open   bool
-
-	// Scratch reused across buckets: only one bucket is in flight at a
-	// time, and nothing below escapes a bucket's finalise.
-	diskBuf [2][]*store.StoredTuple
-	memBuf  [2][]*store.StoredTuple
-	sideBuf [2][]*store.StoredTuple
-	keys    keyIndex
+	keys   keyIndex
 }
 
-// chunkBucket is the in-flight state of one bucket's pass.
+// chunkBucket is the in-flight state of one bucket's pass. Its tuple
+// slices are scratch kept from bucket to bucket and pass to pass: only
+// one bucket is in flight at a time, and release clears every pointer in
+// them at its finalise.
 type chunkBucket struct {
 	i     int
 	tPass stream.Time // bucket-open time: the pass's "now" for this bucket
@@ -154,19 +155,24 @@ func pairsPerStep(budget int) int {
 	return p
 }
 
-// StartChunkPass begins a disk pass whose steps read at most budget
+// newChunkPass returns b's disk pass whose steps read at most budget
 // bytes each; budget <= 0 leaves the steps unbounded (a whole partition
-// per read, a whole bucket per join step). The pass counts as one
-// DiskPass; the caller drives it with Step until done.
-func (b *Base) StartChunkPass(hooks PassHooks, budget int) *ChunkPass {
+// per read, a whole bucket per join step).
+func newChunkPass(b *Base, hooks PassHooks, budget int) ChunkPass {
 	if budget <= 0 {
 		budget = math.MaxInt
 	}
-	b.M.DiskPasses++
-	if hooks.OnPassStart != nil {
-		hooks.OnPassStart()
+	return ChunkPass{b: b, hooks: hooks, budget: budget, pairs: pairsPerStep(budget)}
+}
+
+// start re-arms the pass at the first bucket. It counts as one
+// DiskPass; the caller drives it with Step until done.
+func (p *ChunkPass) start() {
+	p.bucket = 0
+	p.b.M.DiskPasses++
+	if p.hooks.OnPassStart != nil {
+		p.hooks.OnPassStart()
 	}
-	return &ChunkPass{b: b, hooks: hooks, budget: budget, pairs: pairsPerStep(budget)}
 }
 
 // Step performs one bounded unit of the pass at time now and reports
@@ -226,12 +232,9 @@ func (p *ChunkPass) Step(now stream.Time) (bool, error) {
 
 		if !cb.assembled {
 			for s := 0; s < 2; s++ {
-				all := p.sideBuf[s][:0]
-				all = append(all, cb.disk[s]...)
-				all = append(all, cb.purge[s]...)
-				all = append(all, cb.mem[s]...)
-				cb.sides[s] = all
-				p.sideBuf[s] = all
+				cb.sides[s] = append(cb.sides[s], cb.disk[s]...)
+				cb.sides[s] = append(cb.sides[s], cb.purge[s]...)
+				cb.sides[s] = append(cb.sides[s], cb.mem[s]...)
 			}
 			if len(cb.sides[0]) > 0 && len(cb.sides[1]) > 0 {
 				p.keys.build(b.States[1], cb.sides[1])
@@ -286,10 +289,26 @@ func (p *ChunkPass) Step(now stream.Time) (bool, error) {
 		if err := p.finishBucket(cb, now); err != nil {
 			return false, err
 		}
-		p.open = false
+		p.release()
 		b.M.DiskChunks++
 		return false, nil
 	}
+}
+
+// release ends the bucket in flight, if any: it clears every tuple
+// pointer in the bucket's scratch and empties the slices for the next
+// bucket, so between buckets, and so between passes, the pass pins no
+// purged, spilled or decoded tuple.
+func (p *ChunkPass) release() {
+	cb := &p.cur
+	for _, bufs := range [...]*[2][]*store.StoredTuple{&cb.disk, &cb.purge, &cb.mem, &cb.sides} {
+		for s := range bufs {
+			clear(bufs[s])
+			bufs[s] = bufs[s][:0]
+		}
+	}
+	p.keys.st, p.keys.ys = nil, nil
+	p.open = false
 }
 
 // openBucket snapshots bucket i into p.cur and sets p.open, unless the
@@ -301,8 +320,9 @@ func (p *ChunkPass) openBucket(i int, now stream.Time) error {
 		len(a.Bucket(i).PurgeBuf) == 0 && len(bb.Bucket(i).PurgeBuf) == 0 {
 		return nil
 	}
-	p.cur = chunkBucket{i: i, tPass: now, last: b.lastPass[i], yi: chainStart}
 	cb := &p.cur
+	*cb = chunkBucket{i: i, tPass: now, last: b.lastPass[i], yi: chainStart,
+		disk: cb.disk, purge: cb.purge, mem: cb.mem, sides: cb.sides}
 	if p.hooks.OnBucketOpen != nil {
 		p.hooks.OnBucketOpen()
 	}
@@ -314,10 +334,8 @@ func (p *ChunkPass) openBucket(i int, now stream.Time) error {
 			return err
 		}
 		cb.scans[s] = ds
-		cb.purge[s] = st.TakePurgeBuffer(i)
-		cb.mem[s] = st.Bucket(i).AppendMem(p.memBuf[s][:0])
-		p.memBuf[s] = cb.mem[s]
-		cb.disk[s] = p.diskBuf[s][:0]
+		cb.purge[s] = st.TakePurgeBuffer(i, cb.purge[s])
+		cb.mem[s] = st.Bucket(i).AppendMem(cb.mem[s])
 	}
 	p.open = true
 	return nil
@@ -359,7 +377,6 @@ func (p *ChunkPass) finishBucket(cb *chunkBucket, now stream.Time) error {
 			b.Obs.SpillError(now, s, err)
 			return err
 		}
-		p.diskBuf[s] = cb.disk[s][:0]
 	}
 	b.lastPass[cb.i] = cb.tPass
 	return nil

@@ -8,8 +8,9 @@ import (
 	"pjoin/internal/stream"
 )
 
-// PassDriver schedules a Base's disk join. It holds the in-flight pass,
-// times it (Lat.DiskChunk per step, Lat.DiskPass per pass) and traces it
+// PassDriver schedules a Base's disk join. It owns the one pass it runs,
+// re-armed for every pass so its scratch is reused, times it
+// (Lat.DiskChunk per step, Lat.DiskPass per pass) and traces it
 // (pass_start, one pass_chunk per step, pass_io + pass_end), so PJoin and
 // XJoin share one schedule and one trace shape.
 //
@@ -22,14 +23,14 @@ type PassDriver struct {
 	b      *Base
 	lat    *obs.Lat
 	budget int
-	hooks  PassHooks
 	// done, if non-nil, runs after every completed pass (after its trace
 	// closed); PJoin clears disk-pending marks and re-releases deferred
 	// propagation here.
 	done func(now stream.Time) error
 
-	pass  *ChunkPass
-	start time.Time
+	pass     ChunkPass
+	inFlight bool
+	start    time.Time
 	// Provenance trace of the in-flight pass and the counters at its
 	// start; maintained only when spans are on.
 	trace              uint64
@@ -40,11 +41,11 @@ type PassDriver struct {
 // NewPassDriver builds the driver for b's disk join. lat and done may be
 // nil.
 func NewPassDriver(b *Base, lat *obs.Lat, budget int, hooks PassHooks, done func(now stream.Time) error) *PassDriver {
-	return &PassDriver{b: b, lat: lat, budget: budget, hooks: hooks, done: done}
+	return &PassDriver{b: b, lat: lat, budget: budget, done: done, pass: newChunkPass(b, hooks, budget)}
 }
 
 // InFlight reports whether a pass has started and not yet completed.
-func (d *PassDriver) InFlight() bool { return d.pass != nil }
+func (d *PassDriver) InFlight() bool { return d.inFlight }
 
 // Pump gives a budgeted pass one step of background progress, starting
 // a pass if left-over work exists; operators call it after every input
@@ -80,7 +81,7 @@ func (d *PassDriver) Finish(now stream.Time) error {
 
 // drain steps the in-flight pass to completion.
 func (d *PassDriver) drain(now stream.Time) error {
-	for d.pass != nil {
+	for d.inFlight {
 		if err := d.step(now); err != nil {
 			return err
 		}
@@ -92,11 +93,12 @@ func (d *PassDriver) drain(now stream.Time) error {
 // is in flight and the state has left-over work.
 func (d *PassDriver) step(now stream.Time) error {
 	b := d.b
-	if d.pass == nil {
+	if !d.inFlight {
 		if !b.NeedsPass() {
 			return nil
 		}
-		d.pass = b.StartChunkPass(d.hooks, d.budget)
+		d.pass.start()
+		d.inFlight = true
 		d.start = time.Now()
 		d.beginPassTrace(now)
 	}
@@ -109,7 +111,8 @@ func (d *PassDriver) step(now stream.Time) error {
 	stepStart := time.Now()
 	done, err := d.pass.Step(now)
 	if err != nil {
-		d.pass = nil
+		d.inFlight = false
+		d.pass.release()
 		return err
 	}
 	if !done {
@@ -127,7 +130,7 @@ func (d *PassDriver) step(now stream.Time) error {
 		//pjoin:allow spanpair a pass stays open across steps by design; the completing step closes it, EOS-close covers aborts
 		return nil
 	}
-	d.pass = nil
+	d.inFlight = false
 	passWall := time.Since(d.start).Nanoseconds()
 	d.lat.RecordDiskPass(passWall)
 	d.endPassTrace(now, passWall)

@@ -246,10 +246,16 @@ func (c *CachedSpill) Close() error {
 }
 
 // OpenScan implements SpillStore. A hit scans the cached bytes with no
-// inner I/O. A miss delegates to the inner store's cursor and, if the
-// scan runs to completion while the partition is still exactly the
-// snapshot it read, installs the accumulated bytes.
-func (c *CachedSpill) OpenScan(partition int) (ScanCursor, error) {
+// inner I/O. A miss delegates to the inner store's cursor and, when the
+// partition fits the cache, accumulates what it reads and installs it if
+// the scan runs to completion while the partition is still exactly the
+// snapshot it read; a miss the cache could never hold accumulates
+// nothing.
+func (c *CachedSpill) OpenScan(partition int, reuse ScanCursor) (ScanCursor, error) {
+	s, ok := reuse.(*cacheScan)
+	if !ok {
+		s = new(cacheScan)
+	}
 	c.mu.Lock()
 	if e, ok := c.ent[partition]; ok {
 		c.hits++
@@ -257,31 +263,52 @@ func (c *CachedSpill) OpenScan(partition int) (ScanCursor, error) {
 		// data[:end] is immutable: in-place appends write beyond end and
 		// reallocation leaves this array behind, so the cursor can hold
 		// the slice without copying.
-		cur := &cacheScan{c: c, part: partition, gen: c.gens[partition], data: e.data[:len(e.data)]}
+		*s = cacheScan{c: c, part: partition, gen: c.gens[partition], hit: true,
+			data: e.data[:len(e.data)], inner: s.inner, acc: s.acc[:0]}
 		c.mu.Unlock()
-		return cur, nil
+		return s, nil
 	}
 	c.misses++
 	gen := c.gens[partition]
 	c.mu.Unlock()
-	ic, err := c.inner.OpenScan(partition)
+	fill := false
+	if c.cap > 0 {
+		sz, err := c.inner.Size(partition)
+		if err != nil {
+			return nil, err
+		}
+		fill = sz > 0 && sz <= c.cap
+	}
+	ic, err := c.inner.OpenScan(partition, s.inner)
 	if err != nil {
 		return nil, err
 	}
-	return &fillScan{c: c, part: partition, gen: gen, inner: ic}, nil
+	*s = cacheScan{c: c, part: partition, gen: gen, inner: ic, fill: fill, acc: s.acc[:0]}
+	return s, nil
 }
 
-// cacheScan serves a scan from cached bytes.
+// cacheScan is CachedSpill's ScanCursor, for a hit and a miss alike. A
+// hit reads data, the cached snapshot, with no inner I/O. A miss reads
+// through the inner cursor and, when fill is set, accumulates its chunks
+// in acc to install at EOF. Re-arming keeps the (closed) inner cursor and
+// acc's capacity, so a state's cursor flips between hits and misses
+// without allocating; acc fills only for a partition that fitted the
+// cache when the scan opened.
 type cacheScan struct {
 	c      *CachedSpill
 	part   int
 	gen    uint64
+	hit    bool
 	data   []byte
 	off    int
+	inner  ScanCursor
+	fill   bool
+	acc    []byte
+	done   bool
 	closed bool
 }
 
-// check reports why the cursor can no longer be read, if it cannot.
+// check reports why a hit cursor can no longer be read, if it cannot.
 func (s *cacheScan) check() error {
 	if s.closed {
 		return fmt.Errorf("store: use of closed scan cursor")
@@ -294,6 +321,9 @@ func (s *cacheScan) check() error {
 
 // Read implements ScanCursor.
 func (s *cacheScan) Read(p []byte) (int, error) {
+	if !s.hit {
+		return s.readThrough(p)
+	}
 	s.c.mu.Lock()
 	defer s.c.mu.Unlock()
 	if err := s.check(); err != nil {
@@ -307,9 +337,53 @@ func (s *cacheScan) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// Tail implements ScanCursor: bytes appended after the open. If the entry
-// was evicted meanwhile the tail falls back to a full inner read.
+// readThrough is a miss's Read: the inner cursor's, accumulating the
+// chunks of a snapshot the cache can hold.
+func (s *cacheScan) readThrough(p []byte) (int, error) {
+	n, err := s.inner.Read(p)
+	if err == io.EOF && !s.done {
+		s.done = true
+		s.tryInstall()
+		return 0, io.EOF
+	}
+	if err != nil {
+		return 0, err
+	}
+	if s.fill {
+		s.acc = append(s.acc, p[:n]...)
+	}
+	return n, nil
+}
+
+// tryInstall caches the accumulated snapshot if the partition still is
+// exactly that snapshot (no append or truncate raced with the scan). The
+// installed bytes belong to the cache from then on.
+func (s *cacheScan) tryInstall() {
+	if !s.fill || len(s.acc) == 0 {
+		return
+	}
+	s.c.mu.Lock()
+	defer s.c.mu.Unlock()
+	if s.c.gens[s.part] != s.gen {
+		return
+	}
+	if _, ok := s.c.ent[s.part]; ok {
+		return
+	}
+	sz, err := s.c.inner.Size(s.part)
+	if err != nil || sz != int64(len(s.acc)) {
+		return
+	}
+	s.c.install(s.part, s.acc)
+	s.acc = nil
+}
+
+// Tail implements ScanCursor. A hit whose entry was evicted meanwhile
+// falls back to a full inner read.
 func (s *cacheScan) Tail(dst []byte) ([]byte, error) {
+	if !s.hit {
+		return s.inner.Tail(dst)
+	}
 	s.c.mu.Lock()
 	defer s.c.mu.Unlock()
 	if err := s.check(); err != nil {
@@ -330,67 +404,16 @@ func (s *cacheScan) Tail(dst []byte) ([]byte, error) {
 	return append(dst, full[len(s.data):]...), nil
 }
 
-// Close implements ScanCursor.
+// Close implements ScanCursor. It lets go of a hit's snapshot, so a
+// cursor kept for re-arming pins no evicted entry.
 func (s *cacheScan) Close() error {
 	s.c.mu.Lock()
-	defer s.c.mu.Unlock()
-	s.closed = true
-	return nil
+	s.closed, s.data = true, nil
+	s.c.mu.Unlock()
+	if s.hit {
+		return nil
+	}
+	return s.inner.Close()
 }
-
-// fillScan delegates a scan to the inner store while accumulating the
-// chunks; a scan that reaches EOF with the partition unchanged installs
-// its bytes into the cache so the next pass hits.
-type fillScan struct {
-	c     *CachedSpill
-	part  int
-	gen   uint64
-	inner ScanCursor
-	acc   []byte
-	done  bool
-}
-
-// Read implements ScanCursor.
-func (s *fillScan) Read(p []byte) (int, error) {
-	n, err := s.inner.Read(p)
-	if err == io.EOF && !s.done {
-		s.done = true
-		s.tryInstall()
-		return 0, io.EOF
-	}
-	if err != nil {
-		return 0, err
-	}
-	s.acc = append(s.acc, p[:n]...)
-	return n, nil
-}
-
-// tryInstall caches the accumulated snapshot if the partition still is
-// exactly that snapshot (no append or truncate raced with the scan).
-func (s *fillScan) tryInstall() {
-	s.c.mu.Lock()
-	defer s.c.mu.Unlock()
-	if s.c.cap <= 0 || len(s.acc) == 0 {
-		return
-	}
-	if s.c.gens[s.part] != s.gen {
-		return
-	}
-	if _, ok := s.c.ent[s.part]; ok {
-		return
-	}
-	sz, err := s.c.inner.Size(s.part)
-	if err != nil || sz != int64(len(s.acc)) {
-		return
-	}
-	s.c.install(s.part, s.acc)
-	s.acc = nil
-}
-
-// Tail implements ScanCursor.
-func (s *fillScan) Tail(dst []byte) ([]byte, error) { return s.inner.Tail(dst) }
-
-// Close implements ScanCursor.
-func (s *fillScan) Close() error { return s.inner.Close() }
 
 var _ SpillStore = (*CachedSpill)(nil)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -133,7 +134,7 @@ func TestCachedSpillScanCompletionInstalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewCachedSpill(inner, 1<<20)
-	sc, err := c.OpenScan(1)
+	sc, err := c.OpenScan(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestCachedSpillScanCompletionInstalls(t *testing.T) {
 	}
 	// The next scan hits and touches no inner I/O.
 	before, _ := inner.Stats()
-	sc2, err := c.OpenScan(1)
+	sc2, err := c.OpenScan(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,8 @@ func TestCachedSpillHitRatio(t *testing.T) {
 
 // TestCachedSpillConcurrent hammers one cache from many goroutines —
 // appends, reads, scans, and truncates racing over a handful of
-// partitions — so `go test -race` can prove the locking. Readers accept
+// partitions — so `go test -race` can prove the locking. Each goroutine
+// re-arms its one cursor for every scan, as a state does. Readers accept
 // ErrScanTruncated (a truncate won the race) but nothing else.
 func TestCachedSpillConcurrent(t *testing.T) {
 	c := NewCachedSpill(NewMemSpill(), 512)
@@ -207,6 +209,7 @@ func TestCachedSpillConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			var prev ScanCursor
 			for i := 0; i < 200; i++ {
 				p := (g + i) % parts
 				switch i % 4 {
@@ -221,11 +224,12 @@ func TestCachedSpillConcurrent(t *testing.T) {
 						return
 					}
 				case 2:
-					sc, err := c.OpenScan(p)
+					sc, err := c.OpenScan(p, prev)
 					if err != nil {
 						report(fmt.Errorf("open scan: %w", err))
 						return
 					}
+					prev = sc
 					for {
 						_, err := nextChunk(sc, 8)
 						if errors.Is(err, io.EOF) || errors.Is(err, ErrScanTruncated) {
@@ -254,5 +258,117 @@ func TestCachedSpillConcurrent(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestCachedSpillMissOverCapacityAllocatesNothing: a miss scan over a
+// partition the cache can never hold — caching disabled, or a partition
+// larger than the capacity — reads through without accumulating it, so
+// it allocates nothing per chunk, and counts what a miss always counted.
+func TestCachedSpillMissOverCapacityAllocatesNothing(t *testing.T) {
+	payload := bytes.Repeat([]byte("0123456789abcdef"), 4096) // 64 KiB
+	for _, capacity := range []int64{0, 1 << 10} {
+		inner := NewMemSpill()
+		if err := inner.Append(0, payload); err != nil {
+			t.Fatal(err)
+		}
+		c := NewCachedSpill(inner, capacity)
+		sc, err := c.OpenScan(0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 1<<10)
+		read := 0
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for {
+			n, err := sc.Read(buf)
+			if errors.Is(err, io.EOF) {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			read += n
+		}
+		runtime.ReadMemStats(&after)
+		if err := sc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if objects := after.Mallocs - before.Mallocs; objects != 0 || read != len(payload) {
+			t.Errorf("capacity %d: the miss scan read %d bytes in 64 chunks and allocated %d objects, want %d and 0",
+				capacity, read, objects, len(payload))
+		}
+		if cs := c.CacheStats(); cs != (CacheStats{Misses: 1, Capacity: capacity}) {
+			t.Errorf("capacity %d: cache stats %+v, want one miss and nothing cached", capacity, cs)
+		}
+		want := IOStats{WriteOps: 1, BytesWritten: 1 << 16, ReadOps: 1, ChunkReads: 63, BytesRead: 1 << 16}
+		if io, err := inner.Stats(); err != nil || io != want {
+			t.Errorf("capacity %d: inner I/O %+v (%v), want %+v", capacity, io, err, want)
+		}
+	}
+}
+
+// TestScanCursorRearmAllocatesNothing: a closed cursor handed back to
+// OpenScan is re-armed, so a warm open, drain and close allocates
+// nothing — on the simulated disk, through the cache while its one
+// cursor flips between a hit and a miss, and through a fault wrapper,
+// which has the store beneath it re-arm its inner cursor too.
+func TestScanCursorRearmAllocatesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		wrap func(*MemSpill) (SpillStore, *CachedSpill)
+	}{
+		{"mem", func(m *MemSpill) (SpillStore, *CachedSpill) { return m, nil }},
+		{"cached", func(m *MemSpill) (SpillStore, *CachedSpill) {
+			c := NewCachedSpill(m, 64)
+			return c, c
+		}},
+		{"fault", func(m *MemSpill) (SpillStore, *CachedSpill) {
+			c := NewCachedSpill(m, 64)
+			return NewFaultSpill(c, FaultRead, 0, nil), c
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inner := NewMemSpill()
+			// Written behind the cache: partition 1 fits it, so its first
+			// scan is a miss that installs it and every later one a hit;
+			// partition 2 never fits, so every scan of it is a miss.
+			if err := inner.Append(1, bytes.Repeat([]byte("h"), 16)); err != nil {
+				t.Fatal(err)
+			}
+			if err := inner.Append(2, bytes.Repeat([]byte("m"), 256)); err != nil {
+				t.Fatal(err)
+			}
+			sp, cache := tc.wrap(inner)
+			var sc ScanCursor
+			buf := make([]byte, 32)
+			scan := func(part int) {
+				var err error
+				if sc, err = sp.OpenScan(part, sc); err != nil {
+					t.Fatal(err)
+				}
+				for {
+					if _, err := sc.Read(buf); errors.Is(err, io.EOF) {
+						break
+					} else if err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := sc.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			scan(1)
+			scan(2)
+			if allocs := testing.AllocsPerRun(20, func() { scan(1); scan(2) }); allocs != 0 {
+				t.Errorf("a warm pair of scans allocates %.1f objects, want 0", allocs)
+			}
+			if cache != nil {
+				if cs := cache.CacheStats(); cs.Hits != 21 || cs.Misses != 23 {
+					t.Errorf("cache stats %+v, want 21 hits and 23 misses", cs)
+				}
+			}
+		})
 	}
 }

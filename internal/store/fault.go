@@ -93,13 +93,19 @@ func (f *FaultSpill) Truncate(partition int) error {
 func (f *FaultSpill) Size(partition int) (int64, error) { return f.inner.Size(partition) }
 
 // OpenScan implements SpillStore. Opening is free (no data touched); the
-// cursor's chunk reads count toward FaultRead like Read does.
-func (f *FaultSpill) OpenScan(partition int) (ScanCursor, error) {
-	sc, err := f.inner.OpenScan(partition)
+// cursor's chunk reads count toward FaultRead like Read does. A re-armed
+// cursor hands its inner cursor to the inner store for re-arming too.
+func (f *FaultSpill) OpenScan(partition int, reuse ScanCursor) (ScanCursor, error) {
+	c, ok := reuse.(*faultScan)
+	if !ok {
+		c = new(faultScan)
+	}
+	sc, err := f.inner.OpenScan(partition, c.inner)
 	if err != nil {
 		return nil, err
 	}
-	return &faultScan{f: f, inner: sc}, nil
+	*c = faultScan{f: f, inner: sc}
+	return c, nil
 }
 
 // faultScan wraps an inner cursor so every chunk read counts toward the

@@ -31,7 +31,7 @@ func scanSuite(t *testing.T, mk func(t *testing.T) SpillStore) {
 		if err := sp.Append(4, payload); err != nil {
 			t.Fatal(err)
 		}
-		sc, err := sp.OpenScan(4)
+		sc, err := sp.OpenScan(4, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func scanSuite(t *testing.T, mk func(t *testing.T) SpillStore) {
 		if err := sp.Append(0, []byte("old-bytes")); err != nil {
 			t.Fatal(err)
 		}
-		sc, err := sp.OpenScan(0)
+		sc, err := sp.OpenScan(0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func scanSuite(t *testing.T, mk func(t *testing.T) SpillStore) {
 	t.Run("EmptyPartitionScansToEOF", func(t *testing.T) {
 		sp := mk(t)
 		defer sp.Close()
-		sc, err := sp.OpenScan(9)
+		sc, err := sp.OpenScan(9, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +126,7 @@ func scanSuite(t *testing.T, mk func(t *testing.T) SpillStore) {
 		if err := sp.Append(2, []byte("doomed-partition")); err != nil {
 			t.Fatal(err)
 		}
-		sc, err := sp.OpenScan(2)
+		sc, err := sp.OpenScan(2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func scanSuite(t *testing.T, mk func(t *testing.T) SpillStore) {
 		if err := sp.Append(2, []byte("fresh")); err != nil {
 			t.Fatal(err)
 		}
-		sc2, err := sp.OpenScan(2)
+		sc2, err := sp.OpenScan(2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,13 +158,56 @@ func scanSuite(t *testing.T, mk func(t *testing.T) SpillStore) {
 		}
 	})
 
+	t.Run("ReuseRearmsClosedCursor", func(t *testing.T) {
+		sp := mk(t)
+		defer sp.Close()
+		if err := sp.Append(3, []byte("first")); err != nil {
+			t.Fatal(err)
+		}
+		if err := sp.Append(6, []byte("second-partition")); err != nil {
+			t.Fatal(err)
+		}
+		var sc ScanCursor
+		for _, tc := range []struct {
+			part int
+			want string
+		}{{3, "first"}, {6, "second-partition"}, {3, "first"}} {
+			prev := sc
+			var err error
+			if sc, err = sp.OpenScan(tc.part, prev); err != nil {
+				t.Fatal(err)
+			}
+			if prev != nil && sc != prev {
+				t.Errorf("partition %d: OpenScan allocated a cursor instead of re-arming the closed one", tc.part)
+			}
+			var got []byte
+			for {
+				chunk, err := nextChunk(sc, 4)
+				if errors.Is(err, io.EOF) {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, chunk...)
+			}
+			if tail, err := sc.Tail(nil); string(got) != tc.want || err != nil || tail != nil {
+				t.Errorf("re-armed cursor over partition %d read %q, tail %q (%v); want %q and no tail",
+					tc.part, got, tail, err, tc.want)
+			}
+			if err := sc.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+
 	t.Run("ClosedCursorErrors", func(t *testing.T) {
 		sp := mk(t)
 		defer sp.Close()
 		if err := sp.Append(1, []byte("x")); err != nil {
 			t.Fatal(err)
 		}
-		sc, err := sp.OpenScan(1)
+		sc, err := sp.OpenScan(1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +253,7 @@ func TestScanStatsCounting(t *testing.T) {
 	if err := sp.Append(0, payload); err != nil {
 		t.Fatal(err)
 	}
-	sc, err := sp.OpenScan(0)
+	sc, err := sp.OpenScan(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,7 +62,10 @@ const DefaultScanChunk = 64 << 10
 //
 // Both methods write into memory the caller owns and allocate nothing of
 // their own: the copy out of the store is the read, and it is the only
-// copy. The caller sizes the buffer, so it also sets the chunk size.
+// copy. The caller sizes the buffer, so it also sets the chunk size. A
+// closed cursor can be handed back to OpenScan, which re-arms it for the
+// next scan instead of allocating one, so a caller that keeps its cursor
+// opens every scan after the first without allocating.
 type ScanCursor interface {
 	// Read fills p (not empty) with the next bytes of the snapshot and
 	// returns how many there were, at least one, or 0 and io.EOF once the
@@ -92,8 +95,11 @@ type SpillStore interface {
 	// Size returns the partition's length in bytes.
 	Size(partition int) (int64, error)
 	// OpenScan returns a cursor over the partition's current contents
-	// (see ScanCursor). Opening counts no I/O; the chunk reads do.
-	OpenScan(partition int) (ScanCursor, error)
+	// (see ScanCursor). Opening counts no I/O; the chunk reads do. reuse
+	// is nil or a closed cursor the caller gives up, in the shape of
+	// Tail(dst): a cursor of this store's kind is re-armed and returned,
+	// anything else is ignored and a new cursor allocated.
+	OpenScan(partition int, reuse ScanCursor) (ScanCursor, error)
 	// Stats returns cumulative I/O counters. Only successful operations
 	// are counted: a failed read or write contributes nothing.
 	Stats() (IOStats, error)
@@ -158,17 +164,22 @@ func (m *MemSpill) Truncate(partition int) error {
 }
 
 // OpenScan implements SpillStore.
-func (m *MemSpill) OpenScan(partition int) (ScanCursor, error) {
+func (m *MemSpill) OpenScan(partition int, reuse ScanCursor) (ScanCursor, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.done {
 		return nil, fmt.Errorf("store: scan on closed MemSpill")
 	}
-	return &memScan{
+	c, ok := reuse.(*memScan)
+	if !ok {
+		c = new(memScan)
+	}
+	*c = memScan{
 		m: m, part: partition,
 		gen: m.gens[partition],
 		end: int64(len(m.parts[partition])),
-	}, nil
+	}
+	return c, nil
 }
 
 // memScan is MemSpill's ScanCursor. All reads happen under the store's
@@ -413,7 +424,7 @@ func (f *FileSpill) Size(partition int) (int64, error) {
 }
 
 // OpenScan implements SpillStore.
-func (f *FileSpill) OpenScan(partition int) (ScanCursor, error) {
+func (f *FileSpill) OpenScan(partition int, reuse ScanCursor) (ScanCursor, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.done {
@@ -427,7 +438,12 @@ func (f *FileSpill) OpenScan(partition int) (ScanCursor, error) {
 		}
 		end = st.Size()
 	}
-	return &fileScan{f: f, part: partition, gen: f.gens[partition], end: end}, nil
+	c, ok := reuse.(*fileScan)
+	if !ok {
+		c = new(fileScan)
+	}
+	*c = fileScan{f: f, part: partition, gen: f.gens[partition], end: end}
+	return c, nil
 }
 
 // fileScan is FileSpill's ScanCursor, reading with ReadAt at a tracked

@@ -110,9 +110,10 @@ type State struct {
 	occ  occTracker
 	hash func(value.Value) uint64
 
-	// The one scan a state can have open, the arena its tuples are
-	// decoded into, and the scratch every spill write is encoded in: all
-	// reused from scan to scan, all bounded between scans (scanRetain*).
+	// The one scan a state can have open (with its spill cursor), the
+	// arena its tuples are decoded into, and the scratch every spill
+	// write is encoded in: all reused from scan to scan, all bounded
+	// between scans (scanRetain*).
 	scan  DiskScan
 	arena scanArena
 	enc   []byte
@@ -409,15 +410,17 @@ func (st *State) AddToPurgeBuffer(i int, s *StoredTuple, now stream.Time) {
 	st.stats.PurgeTuples++
 }
 
-// TakePurgeBuffer empties bucket i's purge buffer and returns its
-// contents; the caller completes their left-over joins and decrements
-// punctuation counts.
-func (st *State) TakePurgeBuffer(i int) []*StoredTuple {
+// TakePurgeBuffer appends bucket i's purge buffer to dst, empties it and
+// returns the extended slice; the caller completes their left-over joins
+// and decrements punctuation counts. The bucket keeps the buffer's
+// capacity for its next purges, cleared so it pins no tuple.
+func (st *State) TakePurgeBuffer(i int, dst []*StoredTuple) []*StoredTuple {
 	b := &st.bkts[i]
-	out := b.PurgeBuf
-	b.PurgeBuf = nil
-	st.stats.PurgeTuples -= len(out)
-	return out
+	dst = append(dst, b.PurgeBuf...)
+	st.stats.PurgeTuples -= len(b.PurgeBuf)
+	clear(b.PurgeBuf)
+	b.PurgeBuf = b.PurgeBuf[:0]
+	return dst
 }
 
 // SpillBucket relocates bucket i's entire memory portion to disk in
@@ -525,12 +528,14 @@ func (st *State) keepScratch(buf []byte) {
 // tuples that were on disk when it opened; tuples spilled afterwards are
 // left alone (FinishDiskScan preserves them through the cursor's tail).
 //
-// A State owns one DiskScan and reuses it, with its read buffer, for
-// every scan, so a state has at most one scan open at a time.
+// A State owns one DiskScan and reuses it, with its read buffer and its
+// spill cursor (re-armed by SpillStore.OpenScan), for every scan, so a
+// state has at most one scan open at a time.
 type DiskScan struct {
-	st  *State
-	i   int
-	cur ScanCursor // nil when no scan is open
+	st   *State
+	i    int
+	cur  ScanCursor // the state's one cursor, closed between scans; nil before the first
+	open bool
 	// buf is the read buffer (len == cap); buf[lo:hi] is read but not yet
 	// decoded — after a Next, the front of a record split across reads.
 	buf        []byte
@@ -552,15 +557,15 @@ func (st *State) OpenDiskScan(i int) (*DiskScan, error) {
 		return nil, nil
 	}
 	ds := &st.scan
-	if ds.cur != nil {
+	if ds.open {
 		return nil, fmt.Errorf("store: state %s: scan bucket %d: scan of bucket %d is still open", st.name, i, ds.i)
 	}
-	cur, err := st.spill.OpenScan(i)
+	cur, err := st.spill.OpenScan(i, ds.cur)
 	if err != nil {
 		return nil, fmt.Errorf("store: state %s: scan bucket %d: %w", st.name, i, err)
 	}
 	st.arena.reset()
-	*ds = DiskScan{st: st, i: i, cur: cur, buf: ds.buf, snapTuples: b.DiskTuples, snapBytes: b.DiskBytes}
+	*ds = DiskScan{st: st, i: i, cur: cur, open: true, buf: ds.buf, snapTuples: b.DiskTuples, snapBytes: b.DiskBytes}
 	return ds, nil
 }
 
@@ -644,7 +649,7 @@ func (ds *DiskScan) fill(budget int) error {
 // releases whatever the scan grew beyond the state's retention bound
 // (scanRetainBytes); the decoded tuples stay valid until the next open.
 func (st *State) FinishDiskScan(ds *DiskScan, keep []*StoredTuple, rewrite bool) error {
-	if ds != &st.scan || ds.cur == nil {
+	if ds != &st.scan || !ds.open {
 		return fmt.Errorf("store: state %s: finish of a scan that is not open", st.name)
 	}
 	defer st.closeScan()
@@ -687,12 +692,13 @@ func (st *State) FinishDiskScan(ds *DiskScan, keep []*StoredTuple, rewrite bool)
 	return nil
 }
 
-// closeScan closes the open scan's cursor and brings the scan memory
-// back under the retention bound.
+// closeScan closes the open scan's cursor, keeping it for the next
+// OpenDiskScan to re-arm, and brings the scan memory back under the
+// retention bound.
 func (st *State) closeScan() {
 	ds := &st.scan
 	ds.cur.Close()
-	ds.cur = nil
+	ds.open = false
 	if len(ds.buf) > scanRetainBuf {
 		ds.buf = nil
 	}

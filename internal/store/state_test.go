@@ -219,15 +219,28 @@ func TestPurgeBuffer(t *testing.T) {
 	if got := st.Stats(); got.PurgeTuples != 1 || got.TotalTuples() != 1 {
 		t.Errorf("stats = %+v", got)
 	}
-	taken := st.TakePurgeBuffer(bi)
+	taken := st.TakePurgeBuffer(bi, nil)
 	if len(taken) != 1 || taken[0] != s1 {
 		t.Error("TakePurgeBuffer wrong contents")
 	}
 	if got := st.Stats(); got.PurgeTuples != 0 || got.TotalTuples() != 0 {
 		t.Errorf("stats after take = %+v", got)
 	}
-	if got := st.TakePurgeBuffer(bi); got != nil {
+	if got := st.TakePurgeBuffer(bi, nil); len(got) != 0 {
 		t.Error("second take should be empty")
+	}
+	// The bucket keeps its buffer, emptied and cleared, and a take into a
+	// reused slice allocates nothing.
+	if pb := st.Bucket(bi).PurgeBuf; cap(pb) == 0 || pb[:cap(pb)][0] != nil {
+		t.Errorf("taken purge buffer: cap %d, pins %v", cap(pb), pb[:cap(pb)])
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		st.AddToPurgeBuffer(bi, s1, 42)
+		if taken = st.TakePurgeBuffer(bi, taken[:0]); len(taken) != 1 {
+			t.Fatalf("took %d tuples, want 1", len(taken))
+		}
+	}); allocs != 0 {
+		t.Errorf("purge and take allocate %.1f objects, want 0", allocs)
 	}
 }
 
