@@ -274,44 +274,6 @@ func retype(it stream.Item, side int) stream.Item {
 	return stream.TupleItem(t)
 }
 
-// BenchmarkNaryJoin measures the 3-way join's arrival path.
-func BenchmarkNaryJoin(b *testing.B) {
-	sink := op.EmitterFunc(func(stream.Item) error { return nil })
-	scC := stream.MustSchema("C",
-		stream.Field{Name: "k", Kind: value.KindInt},
-		stream.Field{Name: "payload", Kind: value.KindString},
-	)
-	j, err := core.NewNary(
-		[]*stream.Schema{gen.SchemaA, gen.SchemaB, scC},
-		[]int{0, 0, 0}, sink)
-	if err != nil {
-		b.Fatal(err)
-	}
-	schemas := []*stream.Schema{gen.SchemaA, gen.SchemaB, scC}
-	b.ReportAllocs()
-	b.ResetTimer()
-	// One key per (A, B, C) triple and a punctuation wave behind the
-	// arrivals keep the state bounded regardless of b.N — without the
-	// purge the cross product grows quadratically across iterations.
-	for i := 0; i < b.N; i++ {
-		side := i % 3
-		key := int64(i / 3)
-		t := stream.MustTuple(schemas[side], stream.Time(2*i+1),
-			value.Int(key), value.Str("p"))
-		if err := j.Process(side, stream.TupleItem(t), t.Ts); err != nil {
-			b.Fatal(err)
-		}
-		if side == 2 {
-			p := punct.MustKeyOnly(2, 0, punct.Const(value.Int(key)))
-			for s := 0; s < 3; s++ {
-				if err := j.Process(s, stream.PunctItem(p, stream.Time(2*i+2)), stream.Time(2*i+2)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-}
-
 // BenchmarkSetCompact measures punctuation-set compaction over a large
 // run of per-key constants.
 func BenchmarkSetCompact(b *testing.B) {

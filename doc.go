@@ -6,8 +6,8 @@
 //
 // The implementation lives under internal/:
 //
-//   - internal/core — PJoin itself (plus the §6 extensions: sliding
-//     windows and the n-ary join)
+//   - internal/core — PJoin itself (plus the §6 sliding-window
+//     extension; the §6 n-way join is a plan of binary PJoins)
 //   - internal/xjoin, internal/shj — the XJoin baseline and the naive
 //     symmetric hash join (correctness oracle)
 //   - internal/punct — punctuation patterns, sets and algebra

@@ -1,18 +1,21 @@
-// Nary: the paper's §6 n-ary extension — a three-way punctuated join.
-// An order-fulfilment scenario: Orders, Payments, and Shipments streams
-// joined on order_id. An order appears in the output once all three
-// events exist; punctuations (an order id will never appear again on a
-// stream) purge state and let results be certified complete.
+// Nary: the paper's §6 n-way extension, a three-way punctuated join run
+// as a plan of two binary PJoins. Orders, Payments and Shipments are
+// joined on order_id: `paid` = Orders ⋈ Payments, `fulfilled` = paid ⋈
+// Shipments. Each stream punctuates an order id once its stage is done;
+// that purges both joins' state, and the punctuations `paid` propagates
+// purge `fulfilled`'s too. It exits non-zero unless every order comes
+// out, both joins end empty and every punctuation is propagated.
 //
 // Run with: go run ./examples/nary
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"pjoin/internal/core"
-	"pjoin/internal/op"
+	"pjoin/internal/plan"
 	"pjoin/internal/punct"
 	"pjoin/internal/stream"
 	"pjoin/internal/value"
@@ -20,77 +23,65 @@ import (
 )
 
 func main() {
-	orders := stream.MustSchema("Orders",
-		stream.Field{Name: "order_id", Kind: value.KindInt},
-		stream.Field{Name: "customer", Kind: value.KindString},
-	)
-	payments := stream.MustSchema("Payments",
-		stream.Field{Name: "order_id", Kind: value.KindInt},
-		stream.Field{Name: "amount", Kind: value.KindFloat},
-	)
-	shipments := stream.MustSchema("Shipments",
-		stream.Field{Name: "order_id", Kind: value.KindInt},
-		stream.Field{Name: "carrier", Kind: value.KindString},
-	)
+	field := func(name string, kind value.Kind) stream.Field { return stream.Field{Name: name, Kind: kind} }
+	id := field("order_id", value.KindInt)
+	schemas := []*stream.Schema{
+		stream.MustSchema("Orders", id, field("customer", value.KindString)),
+		stream.MustSchema("Payments", id, field("amount", value.KindFloat)),
+		stream.MustSchema("Shipments", id, field("carrier", value.KindString)),
+	}
 
-	sink := &op.Collector{}
-	join, err := core.NewNary(
-		[]*stream.Schema{orders, payments, shipments},
-		[]int{0, 0, 0},
-		sink,
-	)
+	// Each order flows through the three stages in turn.
+	const nOrders = 8
+	rng := vtime.NewRNG(11)
+	var ts stream.Time
+	next := func() stream.Time { ts++; return ts }
+	in := make([][]stream.Item, len(schemas))
+	for id := int64(0); id < nOrders; id++ {
+		payloads := []value.Value{
+			value.Str([]string{"ada", "bob", "cho"}[rng.Intn(3)]),
+			value.Float(float64(10 + rng.Intn(90))),
+			value.Str([]string{"ups", "dhl"}[rng.Intn(2)]),
+		}
+		for s, v := range payloads {
+			in[s] = append(in[s], stream.TupleItem(stream.MustTuple(schemas[s], next(), value.Int(id), v)))
+			in[s] = append(in[s], stream.PunctItem(punct.MustKeyOnly(2, 0, punct.Const(value.Int(id))), next()))
+		}
+	}
+
+	// Retention: paid propagates a punctuation as soon as no stored tuple
+	// matches it, and would otherwise forget it and lose its purge power.
+	opts := plan.JoinOptions{Verify: true, RetainPropagated: true}
+	p := plan.New()
+	p.Source("orders", schemas[0], in[0], false)
+	p.Source("payments", schemas[1], in[1], false)
+	p.Source("shipments", schemas[2], in[2], false)
+	p.PJoin("paid", "orders", "payments", opts)
+	p.PJoin("fulfilled", "paid", "shipments", opts)
+	p.Sink("out", "fulfilled")
+	res, err := p.Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	rng := vtime.NewRNG(11)
-	customers := []string{"ada", "bob", "cho"}
-	carriers := []string{"ups", "dhl"}
-
-	var ts stream.Time
-	feed := func(port int, it stream.Item) {
-		if err := join.Process(port, it, it.Ts); err != nil {
-			log.Fatal(err)
-		}
-	}
-	next := func() stream.Time { ts++; return ts }
-
-	// Each order flows through the three stages; each stream punctuates
-	// the order id once its stage is done (ids are keys per stream).
-	const nOrders = 8
-	maxState := 0
-	for id := int64(0); id < nOrders; id++ {
-		feed(0, stream.TupleItem(stream.MustTuple(orders, next(),
-			value.Int(id), value.Str(customers[rng.Intn(len(customers))]))))
-		feed(0, stream.PunctItem(punct.MustKeyOnly(2, 0, punct.Const(value.Int(id))), next()))
-
-		feed(1, stream.TupleItem(stream.MustTuple(payments, next(),
-			value.Int(id), value.Float(float64(10+rng.Intn(90))))))
-		feed(1, stream.PunctItem(punct.MustKeyOnly(2, 0, punct.Const(value.Int(id))), next()))
-
-		if s := join.StateTuples(); s > maxState {
-			maxState = s
-		}
-
-		// Shipment arrives last and completes the result.
-		feed(2, stream.TupleItem(stream.MustTuple(shipments, next(),
-			value.Int(id), value.Str(carriers[rng.Intn(len(carriers))]))))
-		feed(2, stream.PunctItem(punct.MustKeyOnly(2, 0, punct.Const(value.Int(id))), next()))
-	}
-
-	for port := 0; port < 3; port++ {
-		feed(port, stream.EOSItem(next()))
-	}
-	if err := join.Finish(next()); err != nil {
-		log.Fatal(err)
-	}
-
+	out := res.Sinks["out"]
 	fmt.Println("fulfilled orders (order x payment x shipment):")
-	for _, t := range sink.Tuples() {
+	for _, t := range out.Tuples() {
 		fmt.Printf("  #%d %-3s paid %5.1f shipped via %s\n",
 			t.Values[0].IntVal(), t.Values[1].StrVal(), t.Values[3].FloatVal(), t.Values[5].StrVal())
 	}
-	fmt.Printf("\nresults=%d purged=%d dropped-on-fly=%d state=%d (max during run %d)\n",
-		join.ResultsOut(), join.Purged(), join.DroppedOnFly(), join.StateTuples(), maxState)
-	fmt.Printf("punctuations propagated: %d\n", len(sink.Puncts()))
+	state := 0
+	for _, name := range []string{"paid", "fulfilled"} {
+		j := res.Operators[name].(*core.PJoin)
+		m := j.Metrics()
+		fmt.Printf("%-9s results=%d purged=%d dropped-on-fly=%d state=%d\n",
+			name, m.TuplesOut, m.Purged, m.DroppedOnFly, j.StateTuples())
+		state += j.StateTuples()
+	}
+	puncts := len(out.Puncts())
+	fmt.Println("punctuations propagated:", puncts)
+	if got := len(out.Tuples()); got != nOrders || state != 0 || puncts != 3*nOrders {
+		log.Fatalf("want %d results, state 0 and %d punctuations; got %d, %d and %d",
+			nOrders, 3*nOrders, got, state, puncts)
+	}
 }

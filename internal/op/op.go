@@ -139,7 +139,7 @@ func (c *Collector) Reset() { c.Items = nil }
 //     items, not tuples. An operator may keep the *stream.Tuple it is
 //     handed but must not write it, and one that needs the arrival time
 //     on a tuple it retains stamps its own header
-//     (stream.Headers.Stamp): core.PJoin, xjoin and NaryPJoin do, so a
+//     (stream.Headers.Stamp): core.PJoin and xjoin do, so a
 //     join result's Ts is the later partner's arrival at the join (shj,
 //     the reference every driver feeds directly, does not). Drivers that
 //     deliver tuples whose Ts already equals the item's (direct drives,

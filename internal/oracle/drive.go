@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"pjoin/internal/gen"
 	"pjoin/internal/joinbase"
 	"pjoin/internal/obs"
 	"pjoin/internal/op"
@@ -75,6 +76,33 @@ func checkOrder(items []stream.Item) string {
 		return "the output does not end in EOS"
 	}
 	return ""
+}
+
+// checkLicensed holds a PJoin's propagated punctuations to its inputs:
+// an output pattern may appear at most as often as input punctuations
+// widen to it at their port's offset. The widening is done here, not by
+// core.OutputPunctuation, so a bug in that rewrite cannot license its
+// own output. It returns the unlicensed patterns, or "".
+func checkLicensed(sc *Scenario, puncts map[string]int) string {
+	wA := gen.SchemaA.Width()
+	licensed := map[string]int{}
+	for _, a := range sc.Arrivals {
+		if a.Item.Kind == stream.KindPunct {
+			p, err := a.Item.Punct.Widen(wA+gen.SchemaB.Width(), a.Port*wA)
+			if err != nil {
+				return err.Error()
+			}
+			licensed[p.String()]++
+		}
+	}
+	var bad []string
+	for p, n := range puncts {
+		if n > licensed[p] {
+			bad = append(bad, fmt.Sprintf("%s: emitted %d, licensed %d", p, n, licensed[p]))
+		}
+	}
+	sort.Strings(bad)
+	return strings.Join(bad, "; ")
 }
 
 // Run drives the variant over the scenario and returns the audited
@@ -240,7 +268,7 @@ func driveBatched(j op.Operator, sc *Scenario, v Variant) *Outcome {
 // Divergence is one failed check from a comparison.
 type Divergence struct {
 	Variant Variant
-	Check   string // "results", "order", "puncts", "obs", "spans", "error", "fault"
+	Check   string // "results", "order", "puncts", "licensed", "obs", "spans", "error", "fault"
 	Detail  string
 }
 

@@ -20,6 +20,8 @@ var RefVariant = Variant{Op: "pjoin", Shards: 1}
 //     variants (XJoin ignores punctuations and must propagate none),
 //   - the ordered output obeys Theorem 1 and ends in its one EOS
 //     (checkOrder),
+//   - every PJoin output punctuation is the output form of an input
+//     punctuation on its port, at most once per input (checkLicensed),
 //   - obs counters and latency histograms reconciled (checkObs),
 //   - faulted variants either surface exactly ErrInjectedFault and
 //     then succeed on a fault-free rerun (recovery), or never reach
@@ -98,6 +100,9 @@ func checkVariant(sc *Scenario, v Variant, ref *Outcome, punctRef map[string]int
 		if d := diffMultisets(out.Puncts, punctRef); d != "" {
 			ds = append(ds, Divergence{Variant: v, Check: "puncts",
 				Detail: fmt.Sprintf("vs %s: %s", RefVariant, d)})
+		}
+		if d := checkLicensed(sc, out.Puncts); d != "" {
+			ds = append(ds, Divergence{Variant: v, Check: "licensed", Detail: d})
 		}
 	case "xjoin":
 		if len(out.Puncts) != 0 {

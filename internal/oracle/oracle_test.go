@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"pjoin/internal/op"
 	"pjoin/internal/punct"
 	"pjoin/internal/stream"
 	"pjoin/internal/value"
@@ -259,6 +260,42 @@ func TestCheckOrder(t *testing.T) {
 		got := checkOrder(c.items)
 		if (c.breach == "") != (got == "") || !strings.Contains(got, c.breach) {
 			t.Errorf("checkOrder(%v) = %q, want a breach containing %q", c.items, got, c.breach)
+		}
+	}
+}
+
+// TestCheckLicensed pins seed 4 against a PJoin whose output form puts
+// port-1 punctuations at offset 0, as if B's columns were A's. Every
+// variant would share that bug, and the order check still passes (B's
+// promise on a key is one on A's key too), so only checkLicensed sees
+// it. Under that mutation of core.OutputPunctuation, 16 of the first 32
+// seeds fail the check and none fails any other.
+func TestCheckLicensed(t *testing.T) {
+	sc := FromSeed(4)
+	for _, misplace := range []bool{false, true} {
+		sink := &op.Collector{}
+		emit := op.EmitterFunc(func(it stream.Item) error {
+			p := it.Punct
+			if misplace && it.Kind == stream.KindPunct &&
+				p.PatternAt(0).Kind() == punct.Wildcard && p.PatternAt(1).Kind() == punct.Wildcard {
+				it.Punct = punct.MustNew(p.PatternAt(2), p.PatternAt(3), punct.Star(), punct.Star())
+			}
+			return sink.Emit(it)
+		})
+		j, err := build(sc, RefVariant, emit, false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := drive(j, sc, RefVariant)
+		if out.Err != nil {
+			t.Fatal(out.Err)
+		}
+		out.summarize(sink.Items)
+		if out.Order != "" {
+			t.Errorf("misplace=%v: order check: %s", misplace, out.Order)
+		}
+		if got := checkLicensed(sc, out.Puncts); (got != "") != misplace {
+			t.Errorf("misplace=%v: checkLicensed = %q", misplace, got)
 		}
 	}
 }

@@ -24,6 +24,9 @@
 //     punctuation that matches it, and EOS comes once, last — a check
 //     that needs no reference, so a propagation bug every variant
 //     shares fails it too;
+//   - licensed punctuations: every propagated punctuation is the output
+//     form of an input punctuation on its port, never an invented or
+//     misplaced pattern — again with no reference;
 //   - truthful observability: work counters and latency histograms
 //     reconcile against the driver's own accounting (see checkObs).
 //

@@ -77,6 +77,9 @@ func CheckSeedTraced(seed uint64) []Divergence {
 		if out.Order != "" {
 			ds = append(ds, Divergence{Variant: v, Check: "order", Detail: out.Order})
 		}
+		if d := checkLicensed(sc, out.Puncts); d != "" {
+			ds = append(ds, Divergence{Variant: v, Check: "licensed", Detail: d})
+		}
 		ds = append(ds, checkSpans(v, out, rec)...)
 	}
 	return ds

@@ -36,7 +36,8 @@ type JoinOptions struct {
 	// PurgeThreshold is PJoin's purge threshold (default 1 = eager).
 	PurgeThreshold int
 	// PropagateCount enables push-mode propagation every N punctuations
-	// (default 1; 0 disables push propagation).
+	// (0 means the default, 1; a negative value disables push
+	// propagation).
 	PropagateCount int
 	// MemoryBytes enables state relocation above this in-memory size.
 	MemoryBytes int64

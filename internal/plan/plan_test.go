@@ -294,3 +294,24 @@ func TestPlanShardedPJoin(t *testing.T) {
 		t.Errorf("row count: single %d, sharded %d", len(single), len(sharded))
 	}
 }
+
+// TestPlanPropagateCount: PropagateCount 0 builds the default push
+// propagation after every punctuation, and a negative value turns push
+// propagation off.
+func TestPlanPropagateCount(t *testing.T) {
+	for _, c := range []struct{ opt, want int }{{0, 1}, {-1, 0}, {4, 4}} {
+		p := New()
+		p.Source("a", gen.SchemaA, nil, false)
+		p.Source("b", gen.SchemaB, nil, false)
+		p.PJoin("j", "a", "b", JoinOptions{PropagateCount: c.opt})
+		p.Sink("out", "j")
+		res, err := p.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := res.Operators["j"].(*core.PJoin).Monitor().CurrentThresholds().PropagateCount
+		if got != c.want {
+			t.Errorf("PropagateCount %d built %d, want %d", c.opt, got, c.want)
+		}
+	}
+}
