@@ -1,11 +1,11 @@
 // Command pjoinbench regenerates the paper's tables and figures: it
 // runs the reproduction experiments defined in internal/bench and
 // prints each figure's series as a summary table plus an ASCII chart,
-// optionally exporting the raw series as CSV. The figures and the two
-// sweeps (-bench4, -bench5) run on the simulator's virtual clock and
-// are gated byte for byte (`make figures-check`); only scale1 prints
-// wall-clock columns, which stay out of the CSV. What the engine costs
-// on the wall clock is measured by benchmark/ and nowhere else.
+// optionally exporting the raw series as CSV. Every experiment runs on
+// the simulator's virtual clock and its series are gated byte for byte
+// (`make figures-check`); only scale1 prints wall-clock columns, which
+// stay out of the CSV. What the engine costs on the wall clock is
+// measured by benchmark/ and nowhere else.
 //
 // Usage:
 //
@@ -17,10 +17,7 @@
 //	pjoinbench -fig scale1 -shards 1,4,16   # ShardedPJoin scaling sweep
 //	pjoinbench -fig 5 -trace fig5.jsonl     # JSONL span trace of the run (read it with pjointrace)
 //	pjoinbench -fig 5 -live 10 -csv out.csv # sample live gauges every 10ms
-//	pjoinbench -bench4 BENCH_4.json         # latency summary: result-latency and
-//	                                        # punct-delay quantiles per punct rate
-//	pjoinbench -bench5 BENCH_5.json         # incremental disk-join sweep: latency
-//	                                        # quantiles per chunk budget + cache hit ratio
+//	pjoinbench -fig ext-latency             # latency quantiles per punct rate and chunk budget
 //	pjoinbench -fig 9 -disk-chunk-kb 64     # run any figure with incremental passes
 //	pjoinbench -fig 9 -spill-cache-mb 4     # ... and/or a spill block cache
 //	pjoinbench -flight-sample flight.jsonl.gz  # fault-injection flight dump
@@ -56,8 +53,6 @@ func main() {
 		shards = flag.String("shards", "", "comma-separated shard counts for the scaling experiments (e.g. 1,2,4,8)")
 		trace  = flag.String("trace", "", "write the operators' spans, every tuple admitted, as a JSONL trace to this file (.gz compresses); analyze with pjointrace")
 		liveMs = flag.Int64("live", 0, "sample live operator gauges every N virtual milliseconds (series go to -csv)")
-		bench4 = flag.String("bench4", "", "write the latency summary JSON (result-latency + punct-delay quantiles per punctuation rate) to this file")
-		bench5 = flag.String("bench5", "", "write the incremental disk-join sweep JSON (result-latency quantiles per chunk budget + spill-cache hit ratio) to this file")
 		flight = flag.String("flight-sample", "", "run the fault-injection flight-recorder scenario and write the dump to this file (.gz compresses)")
 
 		chunkKB = flag.Int("disk-chunk-kb", 0, "run disk passes incrementally with this per-step read budget in KiB (0 = run each pass to completion)")
@@ -92,30 +87,6 @@ func main() {
 		}
 		fmt.Printf("flight dump: %s fired at %v (wedged at %v, %d events, %d punctuations propagated before the fault)\nwrote %s\n",
 			out.Report.Reason, out.Report.At, out.WedgedAt, out.RingEvents, out.PunctsOut, *flight)
-		return
-	}
-
-	// The two simulated sweeps: run one, write its JSON, done.
-	summaries := []struct {
-		name, path string
-		run        func() (jsonReport, error)
-	}{
-		{"bench4", *bench4, func() (jsonReport, error) { return bench.RunBench4(*seed, *quick, os.Stderr) }},
-		{"bench5", *bench5, func() (jsonReport, error) { return bench.RunBench5(*seed, *quick, os.Stderr) }},
-	}
-	for _, sm := range summaries {
-		if sm.path == "" {
-			continue
-		}
-		rep, err := sm.run()
-		if err == nil {
-			err = writeFile(sm.path, rep.WriteJSON)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pjoinbench: %s: %v\n", sm.name, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", sm.path)
 		return
 	}
 
@@ -225,9 +196,6 @@ func main() {
 		fmt.Printf("wrote %s\n", *csv)
 	}
 }
-
-// jsonReport is what every -benchN sweep returns.
-type jsonReport interface{ WriteJSON(io.Writer) error }
 
 // writeFile creates path, lets write fill it and closes it, returning
 // the first error of the three: a file is reported written only once it

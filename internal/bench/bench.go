@@ -45,18 +45,6 @@ type RunConfig struct {
 	// (pjoinbench -live). Operators register gauges under distinct names,
 	// so one sampler serves a whole experiment.
 	Live *obs.Live
-	// Indexed selects which work counters the cost model prices. The
-	// engine is the same either way — one key-grouped state, one probe,
-	// purge and index-build path. The default (false) prices the paper's
-	// structure over it: every probe walks its bucket, every purge run
-	// and index build walks the table (joinbase.Metrics.TableWalk) — the
-	// physics the paper's shapes (XJoin's declining rate, the purge sweet
-	// spot) are made of. true prices what the engine really examines:
-	// the same TuplesOut for far less work (bench4 and bench5 run both
-	// price lists; core's TestWalkCountersMatchOccupancy pins the two
-	// sets of counters against each other). scale1's wall-clock columns
-	// never consult it.
-	Indexed bool
 	// Work, when set, collects each simulated operator's final metrics.
 	Work *WorkLog
 	// DiskChunkKB, when positive, runs every operator's disk passes as
@@ -256,24 +244,26 @@ func xjoinFor(rc RunConfig) (*xjoin.XJoin, error) {
 
 // tableWalk is a join whose Examined, PurgeScanned and IndexScanned read
 // what the paper's hash table would have walked, so the simulator charges
-// — and the reports print — that regime's work.
+// — and the reports print — that regime's work. The engine is one
+// key-grouped state; every figure prices the paper's structure over it:
+// each probe walks its bucket, each purge run and index build walks the
+// table — the physics the paper's shapes (XJoin's declining rate, the
+// purge sweet spot) are made of. core's TestWalkCountersMatchOccupancy
+// pins the walk counters against the ones the engine really examines.
 type tableWalk struct{ sim.MeteredJoin }
 
 func (w tableWalk) Metrics() joinbase.Metrics { return w.MeteredJoin.Metrics().TableWalk() }
 
-// simulate runs the join over the workload with default costs (spills,
-// if any, are charged for their I/O) and a sampling rate that yields a
-// readable chart, logging the operator's final work counters when the
-// run collects them (rc.Work).
+// simulate runs the join over the workload, priced as a table walk, with
+// default costs (spills, if any, are charged for their I/O) and a
+// sampling rate that yields a readable chart, logging the operator's
+// final work counters when the run collects them (rc.Work).
 func (rc RunConfig) simulate(j sim.MeteredJoin, arrs []gen.Arrival, horizon stream.Time, spills ...store.SpillStore) (*sim.Result, error) {
 	sampleEvery := horizon / 60
 	if sampleEvery < stream.Millisecond {
 		sampleEvery = stream.Millisecond
 	}
-	if !rc.Indexed {
-		j = tableWalk{j}
-	}
-	res, err := sim.Run(j, rc.admitted(arrs), sim.Config{SampleEvery: sampleEvery, Spills: spills})
+	res, err := sim.Run(tableWalk{j}, rc.admitted(arrs), sim.Config{SampleEvery: sampleEvery, Spills: spills})
 	if err == nil && rc.Work != nil {
 		rc.Work.Rows = append(rc.Work.Rows, WorkRow{Op: j.Name(), M: res.Final})
 	}

@@ -55,7 +55,7 @@ func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
 		"fig12", "fig13", "fig14", "table1",
-		"abl-dropfly", "abl-index", "abl-purge", "abl-compact", "ext-window",
+		"abl-dropfly", "abl-index", "abl-purge", "abl-compact", "ext-window", "ext-latency",
 		"scale1",
 	}
 	have := map[string]bool{}

@@ -100,7 +100,12 @@ var chartGlyphs = []byte{'*', '+', 'o', 'x', '#', '@', '%', '&'}
 
 // Chart renders the series as an ASCII line chart of the given width and
 // height (in characters), with a legend. All series share one x/y range.
+// More series than glyphs cannot be told apart, so they are not drawn.
 func Chart(w io.Writer, width, height int, series ...Series) error {
+	if len(series) > len(chartGlyphs) {
+		_, err := fmt.Fprintf(w, "(%d series: too many to chart)\n", len(series))
+		return err
+	}
 	if width < 16 {
 		width = 16
 	}

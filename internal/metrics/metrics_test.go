@@ -98,6 +98,20 @@ func TestChartEmpty(t *testing.T) {
 	}
 }
 
+func TestChartTooManySeries(t *testing.T) {
+	var b strings.Builder
+	many := make([]Series, len(chartGlyphs)+1)
+	for i := range many {
+		many[i] = sample()
+	}
+	if err := Chart(&b, 40, 8, many...); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "too many to chart") || strings.Contains(b.String(), "|") {
+		t.Errorf("chart of %d series = %q", len(many), b.String())
+	}
+}
+
 func TestChartDegenerateRanges(t *testing.T) {
 	var b strings.Builder
 	s := Series{Name: "flat"}
