@@ -90,7 +90,7 @@ figures-check:
 # shrinks the tree lowers the ceiling to its measured figure, and one
 # that must grow it raises the ceiling in the same diff, where review
 # sees it.
-LOC_CEILING := 23005
+LOC_CEILING := 23090
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' \
 		! -path './.bench_build/*' ! -path './internal/lint/*/testdata/*' \
@@ -101,11 +101,12 @@ loc-check:
 		{ echo "loc-check: $$n non-test Go lines, the ceiling is $(LOC_CEILING)" >&2; exit 1; }
 
 # Differential oracle soak: ORACLE_SEEDS seeded scenarios, each run
-# through the full 54-row operator configuration matrix (PJoin/XJoin x
+# through the full 59-row operator configuration matrix (PJoin/XJoin x
 # disk-pass schedule {drained, 512 B steps} x shards x spill cache x
-# fault injection, one 64 KiB-budget row per operator, and the
-# batched-delivery rows) against the brute-force shj oracle and each
-# other. Failures auto-shrink to a
+# fault injection, one 64 KiB-budget row per operator, the
+# batched-delivery rows, and the scrambled rows whose tuples' own Ts is
+# not their arrival time) against the brute-force shj oracle and each
+# other. About 8 s on a 2-vCPU Intel Xeon. Failures auto-shrink to a
 # one-line replay spec (feed it to `pjoinbench -oracle-replay`). See
 # DESIGN.md §11.
 ORACLE_SEEDS ?= 200
@@ -148,11 +149,13 @@ trace-sample:
 
 # Hot-path allocation micro-benchmarks (probe/insert, punctuation
 # matching; -benchmem semantics via b.ReportAllocs()), then the
-# end-to-end guard of the result path: what a whole live Run allocates
+# end-to-end guards of the result path: what a whole live Run allocates
 # per join result when the consumer drops the results (the edge builds
-# them in the batch it is filling: ~0.01 allocations, ~7 B) and when it
-# keeps them (one chunked copy). A regression of the reuse path shows in
-# those two lines without any timed row. Last, the spill path: the
+# them in the batch it is filling: ~0.003 allocations, ~7 B) and when it
+# keeps them (one chunked copy), and per input tuple at fan-out 1, where
+# what the state keeps of each arrival shows whole (~175-200 B). A
+# regression of the reuse path or of the stored tuple shows in those
+# lines without any timed row. Last, the spill path: the
 # objects a cold disk pass allocates (~46) and those of each pass of one
 # driver, where every pass after the first reads 0. CI's bench job
 # prints them.

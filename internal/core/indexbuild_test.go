@@ -142,7 +142,7 @@ func (r *idxRun) do(t *testing.T, what string, ts stream.Time, act func(*core.PJ
 			return func(sd *store.StoredTuple) {
 				if want := firstMatch(entries, sd, false); sd.PID != want {
 					t.Fatalf("%s: side %d %s %d tuple @%d %v carries pid %d, the first indexed match is pid %d",
-						what, s, where, i, sd.ATS(), sd.T.Values, sd.PID, want)
+						what, s, where, i, sd.ATS, sd.T.Values, sd.PID, want)
 				}
 				carried[sd.PID]++
 			}
@@ -158,7 +158,7 @@ func (r *idxRun) do(t *testing.T, what string, ts stream.Time, act func(*core.PJ
 			core.ForEachDiskForTest(t, st, i, func(sd *store.StoredTuple) {
 				if want := firstMatch(entries, sd, true); sd.PID != punct.NoPID && sd.PID != want {
 					t.Fatalf("%s: side %d disk %d tuple @%d %v carries pid %d, the first match is pid %d",
-						what, s, i, sd.ATS(), sd.T.Values, sd.PID, want)
+						what, s, i, sd.ATS, sd.T.Values, sd.PID, want)
 				}
 				carried[sd.PID]++
 			})

@@ -182,9 +182,9 @@ type PJoin struct {
 	// the inputs have run ahead of it.
 	lastPropTs stream.Time
 
-	// hdrs stamps arriving tuples whose header does not already carry
-	// their arrival time (see Process).
-	hdrs stream.Headers
+	// kept holds the copies of borrowed arrivals the state retains (see
+	// Process).
+	kept stream.ResultSlab
 
 	// idxGroup is indexKey's scratch for one key group.
 	idxGroup []*store.StoredTuple
@@ -262,9 +262,9 @@ func New(cfg Config, out op.Emitter) (*PJoin, error) {
 		// The output builds results itself (an exec edge, in the batch it
 		// is filling): hand it the pair and account for the result it
 		// will make.
-		j.base.EmitPair = func(a, c *stream.Tuple) error {
-			j.noteResult(stream.JoinStamp(a, c))
-			return je.EmitJoin(a, c)
+		j.base.EmitPair = func(a, c *stream.Tuple, ts stream.Time) error {
+			j.noteResult(ts, stream.JoinSpan(a, c))
+			return je.EmitJoin(a, c, ts)
 		}
 	}
 	j.psets[0] = punct.NewKeyedSet(cfg.AttrA, cfg.VerifyPunctuations)
@@ -283,8 +283,8 @@ func New(cfg Config, out op.Emitter) (*PJoin, error) {
 
 // noteResult records one emitted result, given the Ts and Span the
 // result carries. A result's timestamp is the later partner's arrival
-// (Tuple.FillJoin), so now − ts is zero for a memory-probe result and the
-// wait for the disk pass for a left-over one.
+// (joinbase's emitPair), so now − ts is zero for a memory-probe result
+// and the wait for the disk pass for a left-over one.
 func (j *PJoin) noteResult(ts stream.Time, sp uint64) {
 	j.lat.RecordResult(j.now, ts)
 	if sp != 0 && j.base.ResultSpans > 0 && j.obs.Enabled() {
@@ -433,14 +433,13 @@ func (j *PJoin) PunctSetSizes() (a, b int) {
 // executor and simulator both guarantee this); the duplicate-avoidance
 // logic of the disk join relies on it.
 //
-// A tuple's arrival time is it.Ts, not the Ts its shared header carries:
-// the join keeps the arrival on the tuple it stores (StoredTuple.ATS,
-// window expiry, result timestamps), so when the two differ — under the
-// executor, which restamps items and never tuples — it stores a header
-// of its own. Drivers that deliver tuples stamped with their item time
-// (direct drives, the simulator, the oracle) keep their tuples as they
-// are. A borrowed tuple (an upstream join's result, built in the batch
-// that delivers it) is copied by the same call.
+// A tuple's arrival time is it.Ts, not the Ts its shared header carries
+// (the executor restamps items and never tuples): the state stores the
+// delivered tuple as it is and the arrival beside it
+// (store.StoredTuple.ATS), which drives residence, window expiry and
+// result timestamps. Only a borrowed tuple (an upstream join's result,
+// built in the batch that delivers it) is copied first
+// (stream.ResultSlab.Keep).
 func (j *PJoin) Process(port int, it stream.Item, now stream.Time) error {
 	if err := op.ValidatePort(j.Name(), port, 2); err != nil {
 		return err
@@ -452,7 +451,7 @@ func (j *PJoin) Process(port int, it stream.Item, now stream.Time) error {
 	j.obs.Tick(j.now)
 	switch it.Kind {
 	case stream.KindTuple:
-		if err := j.processTuple(port, j.hdrs.Stamp(it)); err != nil {
+		if err := j.processTuple(port, j.kept.Keep(it).Tuple, it.Ts); err != nil {
 			return err
 		}
 		return j.disk.Pump(j.now)
@@ -479,7 +478,7 @@ func (j *PJoin) Process(port int, it stream.Item, now stream.Time) error {
 // a whole batch. Semantics are exactly per-item Process in order — the
 // batch path exists so the driver amortizes its per-call overhead and
 // so hot-key runs inside the batch hit the memoized probe (see
-// joinbase.Base.ProbeOpposite). The probe cache is released at the
+// joinbase.Base.ProbeOppositeAt). The probe cache is released at the
 // batch boundary so it never pins purged tuples across wakeups.
 func (j *PJoin) ProcessBatch(port int, items []stream.Item, now stream.Time) error {
 	j.base.M.Batches++
@@ -493,13 +492,14 @@ func (j *PJoin) ProcessBatch(port int, items []stream.Item, now stream.Time) err
 	return nil
 }
 
-// processTuple is the memory join (§3.2): probe the opposite state's
-// memory-resident portion, emit matches, then insert the tuple into its
-// own state — unless the opposite punctuation set already rules out any
-// future partner, in which case the tuple is dropped on the fly.
-func (j *PJoin) processTuple(s int, t *stream.Tuple) error {
+// processTuple is the memory join (§3.2) of tuple t arriving on side s at
+// time ts: probe the opposite state's memory-resident portion, emit
+// matches, then insert the tuple into its own state — unless the opposite
+// punctuation set already rules out any future partner, in which case
+// the tuple is dropped on the fly.
+func (j *PJoin) processTuple(s int, t *stream.Tuple, ts stream.Time) error {
 	j.base.M.TuplesIn[s]++
-	if err := j.mon.TupleArrived(t.Ts); err != nil {
+	if err := j.mon.TupleArrived(ts); err != nil {
 		return err
 	}
 	key := t.Values[j.attrs[s]]
@@ -512,8 +512,8 @@ func (j *PJoin) processTuple(s int, t *stream.Tuple) error {
 	// Sliding-window invalidation (§6): expire the out-of-window prefix
 	// of both buckets this key touches before probing, so the probe only
 	// sees in-window partners and the state stays bounded by the window.
-	if j.cfg.Window > 0 && t.Ts > j.cfg.Window {
-		cutoff := t.Ts - j.cfg.Window
+	if j.cfg.Window > 0 && ts > j.cfg.Window {
+		cutoff := ts - j.cfg.Window
 		bucket := j.base.States[s].BucketOf(key)
 		for side := 0; side < 2; side++ {
 			for _, sd := range j.base.States[side].ExpireMemPrefix(bucket, cutoff) {
@@ -523,12 +523,12 @@ func (j *PJoin) processTuple(s int, t *stream.Tuple) error {
 	}
 
 	examBefore := j.base.M.Examined
-	matches, err := j.base.ProbeOpposite(s, t)
+	matches, err := j.base.ProbeOppositeAt(s, t, ts)
 	if err != nil {
 		return err
 	}
 	if t.Span != 0 && j.obs.Enabled() {
-		j.obs.Span(span.KindTupleProbe, t.Span, t.Ts, s,
+		j.obs.Span(span.KindTupleProbe, t.Span, ts, s,
 			int64(matches), j.base.M.Examined-examBefore, 0, 0)
 	}
 
@@ -546,8 +546,7 @@ func (j *PJoin) processTuple(s int, t *stream.Tuple) error {
 			bucket := own.BucketOf(key)
 			parked := j.base.States[1-s].HasDisk(bucket)
 			if parked {
-				st := &store.StoredTuple{T: t, PID: punct.NoPID, DTS: store.InMemory}
-				own.AddToPurgeBuffer(bucket, st, t.Ts)
+				own.Park(bucket, t, ts)
 			} else {
 				j.base.M.DroppedOnFly++
 			}
@@ -556,17 +555,17 @@ func (j *PJoin) processTuple(s int, t *stream.Tuple) error {
 				if parked {
 					dropped, park = 0, 1
 				}
-				j.obs.Span(span.KindPunctDropFly, e.TraceID, t.Ts, s,
+				j.obs.Span(span.KindPunctDropFly, e.TraceID, ts, s,
 					dropped, park, int64(t.EncodedSize()), 0)
 			}
 			return nil
 		}
 	}
 
-	if _, err := j.base.States[s].Insert(t); err != nil {
+	if _, err := j.base.States[s].InsertAt(t, ts); err != nil {
 		return err
 	}
-	return j.mon.StateSize(j.base.States[0].MemBytes()+j.base.States[1].MemBytes(), t.Ts)
+	return j.mon.StateSize(j.base.States[0].MemBytes()+j.base.States[1].MemBytes(), ts)
 }
 
 // processPunct records a punctuation into its side's set and lets the
@@ -765,7 +764,7 @@ func (j *PJoin) purgeState(victim int, now stream.Time) error {
 		sort.Ints(buckets)
 		for _, i := range buckets {
 			removed := removedBy[i]
-			sort.Slice(removed, func(a, b int) bool { return removed[a].ATS() < removed[b].ATS() })
+			sort.Slice(removed, func(a, b int) bool { return removed[a].ATS < removed[b].ATS })
 			finish(i, removed)
 		}
 	}

@@ -126,7 +126,7 @@ func TestMultiKeyPurgeParksInArrivalOrder(t *testing.T) {
 	}
 	var got []stream.Time
 	for _, sd := range j.base.States[1].Bucket(0).PurgeBuf {
-		got = append(got, sd.ATS())
+		got = append(got, sd.ATS)
 	}
 	if len(want) != 9 {
 		t.Fatalf("fed %d matching tuples, want 9 (three keys, three tuples each)", len(want))

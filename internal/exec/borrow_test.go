@@ -13,11 +13,11 @@ import (
 // (DESIGN.md §12): an edge fed by a join builds the results in the batch
 // it is filling and delivers them borrowed; they are valid until the
 // Process / ProcessBatch call returns; whoever keeps one goes through
-// Keep (or Headers.Stamp), whoever forwards one to an edge needs nothing.
+// Keep, whoever forwards one to an edge needs nothing.
 
 // pairer emits, for every tuple it is handed, the join of the tuple with
-// itself through its output's EmitJoin: the smallest producer of
-// borrowed items.
+// itself, at the tuple's own Ts, through its output's EmitJoin: the
+// smallest producer of borrowed items.
 type pairer struct {
 	out op.Emitter
 	eos bool
@@ -29,7 +29,7 @@ func (p *pairer) OutSchema() *stream.Schema { return nil }
 func (p *pairer) Process(port int, it stream.Item, now stream.Time) error {
 	switch it.Kind {
 	case stream.KindTuple:
-		return p.out.(op.JoinEmitter).EmitJoin(it.Tuple, it.Tuple)
+		return p.out.(op.JoinEmitter).EmitJoin(it.Tuple, it.Tuple, it.Tuple.Ts)
 	case stream.KindEOS:
 		p.eos = true
 	}

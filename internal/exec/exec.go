@@ -20,9 +20,9 @@
 // shared — the same *stream.Tuple may be in several batches, pipelines
 // and join states at once — so the executor never writes or copies one:
 // arrival time is Item.Ts, and an operator that retains a tuple and
-// needs the arrival time on it stamps its own header
-// (stream.Headers.Stamp; the joins do, a result's Ts is the later
-// partner's arrival).
+// needs the arrival time keeps it beside the tuple (the joins store it
+// as store.StoredTuple.ATS; a result's Ts is the later partner's
+// arrival).
 //
 // The one exception to "shared" is a join's output: an Edge implements
 // op.JoinEmitter and builds the results of the join feeding it inside the
@@ -106,10 +106,10 @@ func (e *Edge) Emit(it stream.Item) error {
 	return e.cutLocked(it.Kind)
 }
 
-// EmitJoin implements op.JoinEmitter: the join result of a and c is
-// built in the batch being filled, under the mutex Emit takes, and
+// EmitJoin implements op.JoinEmitter: the join result of a and c at time
+// ts is built in the batch being filled, under the mutex Emit takes, and
 // delivered borrowed.
-func (e *Edge) EmitJoin(a, c *stream.Tuple) error {
+func (e *Edge) EmitJoin(a, c *stream.Tuple, ts stream.Time) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.buf == nil {
@@ -117,7 +117,7 @@ func (e *Edge) EmitJoin(a, c *stream.Tuple) error {
 			return err
 		}
 	}
-	e.buf.AppendJoin(a, c)
+	e.buf.AppendJoin(a, c, ts)
 	return e.cutLocked(stream.KindTuple)
 }
 

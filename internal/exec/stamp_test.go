@@ -19,8 +19,8 @@ import (
 
 // The tests in this file pin the timestamp-ownership contract: tuples
 // are immutable and shared, arrival time is Item.Ts, an operator that
-// retains a tuple stamps its own header, and a join result's Ts is the
-// later partner's arrival.
+// retains a tuple keeps the arrival time beside it, and a join result's
+// Ts is the later partner's arrival.
 
 // splitSynthetic generates a punctuated two-stream workload and returns
 // each port's items. Payloads ("A17", "B4") identify tuples uniquely.
@@ -253,19 +253,34 @@ func fanoutInputOf(waves, keys, perKey int) (a, b []stream.Item) {
 	return a, b
 }
 
-// runFanout runs the fan-out join at batch 256 (1 ms linger: without one
-// every Emit cuts a batch of one) with consume attached to the join's
-// output edge, checks the consumer's result count, and returns what the
-// whole Run allocated — goroutines, edges, state, index and pooled
-// batches included — per result. One run is enough: how far one racing
-// source gets ahead of the other still decides how much state the join
-// builds, but index nodes now come 256 to a chunk and an edge owns at most
-// edgeInFlight batches, so the count no longer follows it (0.0033 to 0.0038
-// allocations per dropped result over twenty runs; it was 2,900 to 8,200
-// objects a run when every node was one).
-func runFanout(t *testing.T, consume func(p *Pipeline, joined *Edge, out *stream.Schema) (results func() int)) (allocs, bytes float64) {
+// pairInput is a fan-out 1 input: keys keys, two tuples per key and
+// side, no punctuation — four results per key, one per input tuple, and a
+// state that keeps every tuple.
+func pairInput(keys int) (a, b []stream.Item) {
+	ts := stream.Time(0)
+	for i := 0; i < 2*keys; i++ {
+		k := value.Int(int64(i % keys))
+		ts++
+		a = append(a, stream.TupleItem(stream.MustTuple(gen.SchemaA, ts, k, value.Str("a"))))
+		ts++
+		b = append(b, stream.TupleItem(stream.MustTuple(gen.SchemaB, ts, k, value.Str("b"))))
+	}
+	return a, b
+}
+
+// runFanout runs the join of a and b, which make want results, at batch
+// 256 (1 ms linger: without one every Emit cuts a batch of one) with
+// consume attached to the join's output edge, checks the consumer's
+// result count, and returns what the whole Run allocated — goroutines,
+// edges, state, index and pooled batches included — per result. One run
+// is enough: how far one racing source gets ahead of the other still
+// decides how much state the join builds, but index nodes now come 256 to
+// a chunk and an edge owns at most edgeInFlight batches, so the count no
+// longer follows it (0.0033 to 0.0038 allocations per dropped result over
+// twenty runs of fanoutInput; it was 2,900 to 8,200 objects a run when
+// every node was one).
+func runFanout(t *testing.T, a, b []stream.Item, want int, consume func(p *Pipeline, joined *Edge, out *stream.Schema) (results func() int)) (allocs, bytes float64) {
 	t.Helper()
-	a, b := fanoutInput()
 	p := NewPipeline()
 	p.BatchSize = 256
 	p.BatchLinger = time.Millisecond
@@ -287,13 +302,13 @@ func runFanout(t *testing.T, consume func(p *Pipeline, joined *Edge, out *stream
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	if got := results(); got != fanoutResults {
-		t.Fatalf("%d results, want %d", got, fanoutResults)
+	if got := results(); got != want {
+		t.Fatalf("%d results, want %d", got, want)
 	}
-	allocs = float64(after.Mallocs-before.Mallocs) / fanoutResults
-	bytes = float64(after.TotalAlloc-before.TotalAlloc) / fanoutResults
+	allocs = float64(after.Mallocs-before.Mallocs) / float64(want)
+	bytes = float64(after.TotalAlloc-before.TotalAlloc) / float64(want)
 	t.Logf("%d inputs, %d results (fan-out %.1f): %.4f allocations and %.1f B per result",
-		len(a)+len(b), fanoutResults, float64(fanoutResults)/float64(len(a)+len(b)), allocs, bytes)
+		len(a)+len(b), want, float64(want)/float64(len(a)+len(b)), allocs, bytes)
 	return allocs, bytes
 }
 
@@ -302,21 +317,48 @@ func runFanout(t *testing.T, consume func(p *Pipeline, joined *Edge, out *stream
 // fan-out ≈ 26 join into a counting terminal operator. The edge builds
 // the results in the batch it is filling and the batch comes back through
 // the edge's lane, so a result the consumer drops is no heap object at
-// all: the whole Run stays under 0.01 allocations and 12 B per result. It
-// reads 0.0035 and 7 B (0.012 before index nodes came from slabs); with
-// heap-built results (2 allocations and 5.4 KB per chunk of 31, what every
-// plain emitter still gets) the same run read 0.072 and 202 B, and one
-// tuple copy per hop or one Tuple.Join per result is 1 to 3 allocations.
+// all: the whole Run stays under 0.01 allocations and 10 B per result. It
+// reads 0.003 and 7.4 B (8.8 B while every stored live tuple also had a
+// 40-byte arrival-stamped header: at fan-out 26 that is 1.6 B of a
+// result, which TestPipelineAllocsPerInput sees whole; 0.012 allocations
+// before index nodes came from slabs); with heap-built results (2
+// allocations and 5.4 KB per chunk of 31, what every plain emitter still
+// gets) the same run read 0.072 and 202 B, and one tuple copy per hop or
+// one Tuple.Join per result is 1 to 3 allocations.
 func TestPipelineAllocsPerResult(t *testing.T) {
-	allocs, bytes := runFanout(t, func(p *Pipeline, joined *Edge, out *stream.Schema) func() int {
+	fa, fb := fanoutInput()
+	allocs, bytes := runFanout(t, fa, fb, fanoutResults, countResults(t))
+	if allocs > 0.01 || bytes > 10 {
+		t.Errorf("%.4f allocations and %.1f B per result, want at most 0.01 and 10", allocs, bytes)
+	}
+}
+
+// countResults attaches a counting terminal operator to the join's
+// output edge.
+func countResults(t *testing.T) func(p *Pipeline, joined *Edge, out *stream.Schema) func() int {
+	return func(p *Pipeline, joined *Edge, out *stream.Schema) func() int {
 		count := &terminal{in: out}
 		if err := p.Spawn(count, joined); err != nil {
 			t.Fatal(err)
 		}
 		return func() int { return count.tuples }
-	})
-	if allocs > 0.01 || bytes > 12 {
-		t.Errorf("%.4f allocations and %.1f B per result, want at most 0.01 and 12", allocs, bytes)
+	}
+}
+
+// TestPipelineAllocsPerInput is the guard of what the join keeps of each
+// arrival: the dropped-result run at fan-out 1 (pairInput over 8,192
+// keys), where one result per input tuple leaves the state's own storage —
+// wrappers, index nodes, groups, slot tables — most of what a Run
+// allocates. Results equal inputs here, so bytes per result are bytes per
+// input tuple. Over ten runs it reads 174 to 201 B and 0.040 to 0.053
+// allocations (how many batches the racing sources leave in flight); while
+// every stored live tuple also had a 40-byte header stamped with its
+// arrival time, 256 to a chunk, it read 237 to 239 B and 0.056.
+func TestPipelineAllocsPerInput(t *testing.T) {
+	a, b := pairInput(8192)
+	allocs, bytes := runFanout(t, a, b, 8192*4, countResults(t))
+	if allocs > 0.06 || bytes > 215 {
+		t.Errorf("%.4f allocations and %.1f B per input tuple, want at most 0.06 and 215", allocs, bytes)
 	}
 }
 
@@ -325,17 +367,19 @@ func TestPipelineAllocsPerResult(t *testing.T) {
 // borrowed tuple — chunked, 2 allocations per 31 results like the heap
 // results it replaces — on top of the collector's own growth, and no more
 // than the same run cost when the join built every result on the heap
-// (0.0725 to 0.08 allocations and 371 B per result): 0.068 and 376 B, the
+// (0.0725 to 0.08 allocations and 371 B per result): 0.067 and 375 B, the
 // same every run (a chunk is 31 results, not 32, and wastes no size
-// class). The collector's growth of 64 B Items is most of the bytes; the
+// class; 376 B with the arrival-stamped headers the state no longer
+// makes). The collector's growth of 64 B Items is most of the bytes; the
 // byte bound keeps a 10 B margin over the reading.
 func TestPipelineAllocsPerKeptResult(t *testing.T) {
-	allocs, bytes := runFanout(t, func(p *Pipeline, joined *Edge, _ *stream.Schema) func() int {
+	fa, fb := fanoutInput()
+	allocs, bytes := runFanout(t, fa, fb, fanoutResults, func(p *Pipeline, joined *Edge, _ *stream.Schema) func() int {
 		sink := p.Sink(joined)
 		return func() int { return len(sink.Tuples()) }
 	})
-	if allocs > 0.075 || bytes > 386 {
-		t.Errorf("%.4f allocations and %.1f B per result, want at most 0.075 and 386", allocs, bytes)
+	if allocs > 0.075 || bytes > 385 {
+		t.Errorf("%.4f allocations and %.1f B per result, want at most 0.075 and 385", allocs, bytes)
 	}
 }
 

@@ -113,7 +113,7 @@ func warmPasses(t *testing.T, budget, passes int, check func(pass int, d *PassDr
 	const tuples, arrivals = 4096, 256
 	base := spilledBase(t, tuples, "")
 	joins := 0
-	base.EmitPair = func(_, _ *stream.Tuple) error { joins++; return nil }
+	base.EmitPair = func(_, _ *stream.Tuple, _ stream.Time) error { joins++; return nil }
 	d := NewPassDriver(base, nil, budget, PassHooks{}, nil)
 	ts := stream.Time(100 * tuples)
 	arriveAll := func() {

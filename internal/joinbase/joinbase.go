@@ -36,13 +36,13 @@ import (
 )
 
 // EmitFunc receives one join result (the A-side tuple's values followed
-// by the B-side tuple's values).
+// by the B-side tuple's values; Ts the later partner's arrival).
 type EmitFunc func(*stream.Tuple) error
 
-// PairFunc receives one join result unbuilt, as the A-side tuple and the
-// B-side tuple, for an output that builds results itself (an
-// op.JoinEmitter: see Base.EmitPair).
-type PairFunc func(a, c *stream.Tuple) error
+// PairFunc receives one join result unbuilt, as the A-side tuple, the
+// B-side tuple and the result's Ts, for an output that builds results
+// itself (an op.JoinEmitter: see Base.EmitPair).
+type PairFunc func(a, c *stream.Tuple, ts stream.Time) error
 
 // Metrics counts the work a join performed; the simulator charges costs
 // from these and the benches report them.
@@ -134,14 +134,14 @@ type Base struct {
 	Obs *obs.Instr
 
 	// ResultSpans is how many more tuple_result spans the owner's Emit may
-	// record for the current burst: ProbeOpposite and every disk-pass step
+	// record for the current burst: ProbeOppositeAt and every disk-pass step
 	// reset it to span.ResultCap, the owner's Emit counts it down.
 	ResultSpans int
 
 	lastPass []stream.Time // per bucket; both states share the bucket space
 
 	// probeCache and arrival are per-probe scratch reused across
-	// ProbeOpposite calls so the memory-join hot path performs no
+	// ProbeOppositeAt calls so the memory-join hot path performs no
 	// allocation of its own (result construction draws on the result
 	// slab below). probeCache[s] memoizes the last probe
 	// of States[s] (seq-guarded, see store.MemProbe), which turns a run
@@ -180,9 +180,9 @@ func New(a, b *store.State, out *stream.Schema, emit EmitFunc) (*Base, error) {
 }
 
 // emitPair emits the result for the pair, putting the side-0 tuple's
-// values first regardless of which side is "a" in the caller. It is the
-// one place results are built: the memory probe and the disk pass come
-// through here.
+// values first regardless of which side is "a" in the caller, at the
+// later partner's arrival. It is the one place results are built: the
+// memory probe and the disk pass come through here.
 //
 //pjoin:hotpath
 func (b *Base) emitPair(sideOfX int, x, y *store.StoredTuple) error {
@@ -190,32 +190,40 @@ func (b *Base) emitPair(sideOfX int, x, y *store.StoredTuple) error {
 		x, y = y, x
 	}
 	b.M.TuplesOut++
+	ts := max(x.ATS, y.ATS)
 	if b.EmitPair != nil {
-		return b.EmitPair(x.T, y.T)
+		return b.EmitPair(x.T, y.T, ts)
 	}
-	return b.Emit(b.res.Join(x.T, y.T))
+	return b.Emit(b.res.Join(x.T, y.T, ts))
 }
 
-// ProbeOpposite joins a new arrival on side s against the opposite
-// state's memory-resident portion, emitting all results. It returns the
-// number of matches produced. Probes are memoized through the opposite
-// state's seq-guarded MemProbe: an identical-key probe with no state
-// mutation in between (a hot-key run inside a batch) is answered from
-// the cache, with the examined count a fresh probe would have reported.
+// ProbeOpposite is ProbeOppositeAt at the tuple's own Ts, for callers
+// whose tuples carry their arrival time.
+func (b *Base) ProbeOpposite(s int, t *stream.Tuple) (int, error) {
+	return b.ProbeOppositeAt(s, t, t.Ts)
+}
+
+// ProbeOppositeAt joins a new arrival on side s, at time ats, against the
+// opposite state's memory-resident portion, emitting all results. It
+// returns the number of matches produced. Probes are memoized through the
+// opposite state's seq-guarded MemProbe: an identical-key probe with no
+// state mutation in between (a hot-key run inside a batch) is answered
+// from the cache, with the examined count a fresh probe would have
+// reported.
 //
 // The probe machinery itself is zero-alloc, and result construction
 // (emitPair) allocates only when a result chunk runs out (see
 // stream.ResultSlab), or not at all when the output builds the results.
 //
 //pjoin:hotpath
-func (b *Base) ProbeOpposite(s int, t *stream.Tuple) (int, error) {
+func (b *Base) ProbeOppositeAt(s int, t *stream.Tuple, ats stream.Time) (int, error) {
 	b.ResultSpans = span.ResultCap
 	opp := b.States[1-s]
 	key := b.States[s].Key(t)
 	matches, examined := opp.ProbeMemCached(key, &b.probeCache[1-s])
 	b.M.Examined += int64(examined)
 	b.M.ProbeWalk += int64(b.probeCache[1-s].Walked())
-	b.arrival = store.StoredTuple{T: t, DTS: store.InMemory}
+	b.arrival = store.StoredTuple{T: t, ATS: ats, DTS: store.InMemory}
 	for _, m := range matches {
 		if err := b.emitPair(1-s, m, &b.arrival); err != nil {
 			return 0, err
@@ -352,5 +360,5 @@ func (b *Base) NeedsPass() bool {
 // reachable reports whether pair (x, y) was reachable by a disk pass at
 // time T: one tuple had departed memory and the other had arrived.
 func reachable(x, y *store.StoredTuple, t stream.Time) bool {
-	return (x.DTS <= t && y.ATS() <= t) || (y.DTS <= t && x.ATS() <= t)
+	return (x.DTS <= t && y.ATS <= t) || (y.DTS <= t && x.ATS <= t)
 }

@@ -333,7 +333,7 @@ func TestNeedsPassFalseWhenClean(t *testing.T) {
 
 func TestReachable(t *testing.T) {
 	mk := func(ats, dts stream.Time) *store.StoredTuple {
-		return &store.StoredTuple{T: aTup(1, ats), DTS: dts}
+		return &store.StoredTuple{T: aTup(1, 0), ATS: ats, DTS: dts} // the field, not the tuple's Ts
 	}
 	cases := []struct {
 		name string

@@ -49,7 +49,8 @@ func TestProbeBurstAllocsPerResultChunk(t *testing.T) {
 }
 
 // TestPairEmitBuildsNoResult: with EmitPair set the base hands every
-// result over as its pair, side 0 first, counts it, and builds nothing.
+// result over as its pair, side 0 first, at the later partner's arrival
+// (the probe's), counts it, and builds nothing.
 func TestPairEmitBuildsNoResult(t *testing.T) {
 	const fanout = 26
 	base, probe := hotKeyBase(t, fanout, func(*stream.Tuple) error {
@@ -57,9 +58,9 @@ func TestPairEmitBuildsNoResult(t *testing.T) {
 		return nil
 	})
 	pairs := 0
-	base.EmitPair = func(a, c *stream.Tuple) error {
-		if a != probe || c == probe {
-			t.Fatalf("pair %d: side 0 is not the probing tuple", pairs)
+	base.EmitPair = func(a, c *stream.Tuple, ts stream.Time) error {
+		if a != probe || c == probe || ts != probe.Ts {
+			t.Fatalf("pair %d at %d: side 0 is not the probing tuple, or the time not its arrival %d", pairs, ts, probe.Ts)
 		}
 		pairs++
 		return nil

@@ -23,13 +23,13 @@
 //     outlives the call. An item may be borrowed (stream.Item.Borrowed:
 //     the tuple lives in the batch that delivered it and is recycled
 //     when the call returns); what is retained goes through
-//     ResultSlab.Keep or Headers.Stamp, what is forwarded goes to the
-//     Emitter. Taint starts at the parameters that carry delivered items
-//     (stream.Item, *stream.Item, []stream.Item), follows local
-//     assignments, ranges, .Tuple / .Values selections, append and
-//     composite literals, and crosses intra-package calls through the
-//     callee's parameters; a call result is clean (Keep, Stamp and every
-//     constructor return storage of their own), a single value indexed
+//     ResultSlab.Keep, what is forwarded goes to the Emitter. Taint
+//     starts at the parameters that carry delivered items (stream.Item,
+//     *stream.Item, []stream.Item), follows local assignments, ranges,
+//     .Tuple / .Values selections, append and composite literals, and
+//     crosses intra-package calls through the callee's parameters; a
+//     call result is clean (Keep and every constructor return storage
+//     of their own), a single value indexed
 //     out of Values is a plain value, and a tuple handed to a function
 //     of another package is that function's business.
 //
@@ -229,7 +229,7 @@ func checkRetention(pass *analysis.Pass, g *analysis.CallGraph, streamPkg *types
 		for i := 0; i < params.Len(); i++ {
 			// A *stream.Tuple parameter is a seed only when a caller
 			// passes it a delivered tuple (below): the joins hand their
-			// helpers the tuple Stamp returned.
+			// helpers the tuple Keep returned.
 			if t := params.At(i).Type(); carriesItems(t, streamPkg) && !isTuplePointer(t, streamPkg) {
 				tainted[params.At(i)] = true
 			}
@@ -333,7 +333,7 @@ func checkRetention(pass *analysis.Pass, g *analysis.CallGraph, streamPkg *types
 		}
 	}
 
-	const msg = "stores a delivered tuple past the call: a borrowed item's tuple is recycled with its batch when Process returns; retain it through ResultSlab.Keep or Headers.Stamp, or hand the item to the Emitter"
+	const msg = "stores a delivered tuple past the call: a borrowed item's tuple is recycled with its batch when Process returns; retain it through ResultSlab.Keep, or hand the item to the Emitter"
 	for _, fn := range fns {
 		sig := fn.Type().(*types.Signature)
 		ast.Inspect(g.Decls[fn].Body, func(n ast.Node) bool {

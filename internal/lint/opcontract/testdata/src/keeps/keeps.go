@@ -1,6 +1,6 @@
 // Package keeps holds one operator that stores what it is delivered in
-// every way the retention rule covers, and one that keeps, stamps or
-// forwards it the sanctioned way.
+// every way the retention rule covers, and one that keeps or forwards it
+// the sanctioned way.
 package keeps
 
 import (
@@ -36,7 +36,7 @@ func (h *Hoard) Process(in int, it stream.Item, em op.Emitter) error {
 		h.eos++
 		return nil
 	}
-	h.item = it                  // want "^stores a delivered tuple past the call: a borrowed item's tuple is recycled with its batch when Process returns; retain it through ResultSlab\\.Keep or Headers\\.Stamp, or hand the item to the Emitter$"
+	h.item = it                  // want "^stores a delivered tuple past the call: a borrowed item's tuple is recycled with its batch when Process returns; retain it through ResultSlab\\.Keep, or hand the item to the Emitter$"
 	h.tuple = it.Tuple           // want "stores a delivered tuple past the call"
 	h.vals = it.Tuple.Values[1:] // want "stores a delivered tuple past the call"
 	t := it.Tuple
@@ -71,19 +71,19 @@ func (h *Hoard) Finish(em op.Emitter) error {
 	return nil
 }
 
-// Keeper does everything Hoard does through Keep, Stamp or the Emitter,
-// and uses delivered tuples freely inside the call.
+// Keeper does everything Hoard does through Keep or the Emitter, and uses
+// delivered tuples freely inside the call.
 type Keeper struct {
-	eos    int
-	kept   stream.ResultSlab
-	hdrs   stream.Headers
-	item   stream.Item
-	tuple  *stream.Tuple
-	table  map[int][]*stream.Tuple
-	queue  []stream.Item
-	sum    int
-	seen   map[int]bool
-	widths []int
+	eos     int
+	kept    stream.ResultSlab
+	item    stream.Item
+	tuple   *stream.Tuple
+	arrived stream.Time
+	table   map[int][]*stream.Tuple
+	queue   []stream.Item
+	sum     int
+	seen    map[int]bool
+	widths  []int
 }
 
 func (k *Keeper) Process(in int, it stream.Item, em op.Emitter) error {
@@ -92,10 +92,10 @@ func (k *Keeper) Process(in int, it stream.Item, em op.Emitter) error {
 		return nil
 	}
 	k.item = k.kept.Keep(it)
-	k.tuple = k.hdrs.Stamp(it)
+	k.tuple = k.kept.Keep(it).Tuple
 	t := k.kept.Keep(it).Tuple
 	k.table[t.Values[0]] = append(k.table[t.Values[0]], t)
-	k.insert(k.hdrs.Stamp(it))
+	k.insert(k.kept.Keep(it).Tuple, it.Ts)
 	// Single values copied out of a delivered tuple are plain values.
 	k.sum += it.Tuple.Values[0]
 	k.seen[it.Tuple.Values[0]] = true
@@ -118,8 +118,9 @@ func (k *Keeper) ProcessBatch(in int, its []stream.Item, em op.Emitter) error {
 	return nil
 }
 
-func (k *Keeper) insert(t *stream.Tuple) {
+func (k *Keeper) insert(t *stream.Tuple, ats stream.Time) {
 	k.tuple = t
+	k.arrived = ats
 }
 
 func (k *Keeper) Finish(em op.Emitter) error {

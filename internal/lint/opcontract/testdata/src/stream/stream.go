@@ -39,11 +39,5 @@ type ResultSlab struct{}
 // Keep returns an item that outlives the call that delivered it.
 func (r *ResultSlab) Keep(it Item) Item { return it }
 
-// Headers stubs the arrival-stamping keeper.
-type Headers struct{ kept ResultSlab }
-
-// Stamp returns the tuple to retain for it.
-func (h *Headers) Stamp(it Item) *Tuple { return h.kept.Keep(it).Tuple }
-
 // EOSItem builds the end-of-stream item.
 func EOSItem(at Time) Item { return Item{Kind: KindEOS, At: at} }

@@ -23,15 +23,16 @@ type Emitter interface {
 }
 
 // JoinEmitter is optionally implemented by emitters that can build a
-// join result where it is going: EmitJoin(a, c) is observably
+// join result where it is going: EmitJoin(a, c, ts) is observably
 // Emit(stream.TupleItem(r)) with r the result stream.Tuple.FillJoin makes
-// of a (the join's side 0) and c, except that the emitter owns r's
-// storage and may deliver it borrowed (stream.Item.Borrowed). exec.Edge
-// builds it in the batch it is filling, so a result its consumer drops is
-// never a heap object. The binary joins probe for the interface once, at
-// construction; every other emitter gets heap-built results through Emit.
+// of a (the join's side 0) and c at time ts (the later partner's
+// arrival), except that the emitter owns r's storage and may deliver it
+// borrowed (stream.Item.Borrowed). exec.Edge builds it in the batch it is
+// filling, so a result its consumer drops is never a heap object. The
+// binary joins probe for the interface once, at construction; every other
+// emitter gets heap-built results through Emit.
 type JoinEmitter interface {
-	EmitJoin(a, c *stream.Tuple) error
+	EmitJoin(a, c *stream.Tuple, ts stream.Time) error
 }
 
 // EmitterFunc adapts a function to Emitter.
@@ -138,12 +139,11 @@ func (c *Collector) Reset() { c.Items = nil }
 //     whatever the tuple's creator set — the live executor restamps
 //     items, not tuples. An operator may keep the *stream.Tuple it is
 //     handed but must not write it, and one that needs the arrival time
-//     on a tuple it retains stamps its own header
-//     (stream.Headers.Stamp): core.PJoin and xjoin do, so a
-//     join result's Ts is the later partner's arrival at the join (shj,
-//     the reference every driver feeds directly, does not). Drivers that
-//     deliver tuples whose Ts already equals the item's (direct drives,
-//     the simulator, the oracle) see the tuple retained as it is.
+//     of a tuple it retains keeps it.Ts beside the pointer: core.PJoin
+//     and xjoin store it as store.StoredTuple.ATS, so a join result's Ts
+//     is the later partner's arrival at the join (shj, the reference
+//     every driver feeds directly, uses the tuples' own Ts, which direct
+//     drives, the simulator and the oracle set to the item's).
 //  7. An item marked Borrowed carries a tuple that lives in the batch
 //     that delivered it: the tuple and its Values may be read, and the
 //     item forwarded to the operator's Emitter, until the Process /
@@ -151,10 +151,9 @@ func (c *Collector) Reset() { c.Items = nil }
 //     batch already has — and are zeroed afterwards. An operator that
 //     stores the item, its Tuple or its Values anywhere that outlives the
 //     call first passes the item through stream.ResultSlab.Keep (a copy
-//     when borrowed, the item itself otherwise) or stream.Headers.Stamp,
-//     which does; pjoinlint's opcontract flags the stores that do not.
-//     Single attribute values copied out of Values are plain values and
-//     stay valid.
+//     when borrowed, the item itself otherwise); pjoinlint's opcontract
+//     flags the stores that do not. Single attribute values copied out
+//     of Values are plain values and stay valid.
 //
 // Operators differ in what Finish means — shj ignores punctuations and
 // just emits EOS; PJoin runs a final purge/disk pass and propagates

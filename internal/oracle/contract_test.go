@@ -17,7 +17,7 @@ import (
 func TestOperatorLifecycleContract(t *testing.T) {
 	sc := FromSeed(1)
 	builders := map[string]func(out op.Emitter) (op.Operator, error){
-		"shj": func(out op.Emitter) (op.Operator, error) { return buildOracle(out) },
+		"shj": func(out op.Emitter) (op.Operator, error) { return buildOracle(sc, 0, out) },
 		"pjoin": func(out op.Emitter) (op.Operator, error) {
 			return build(sc, Variant{Op: "pjoin", Shards: 1}, out, false, nil)
 		},

@@ -124,10 +124,11 @@ func Run(sc *Scenario, v Variant, disableFault bool) *Outcome {
 	return out
 }
 
-// RunOracle drives the brute-force shj join over the scenario.
-func RunOracle(sc *Scenario) *Outcome {
+// RunOracle drives the brute-force shj join over the scenario, keeping
+// only the pairs within window of each other when window is positive.
+func RunOracle(sc *Scenario, window stream.Time) *Outcome {
 	sink := &op.Collector{}
-	j, err := buildOracle(sink)
+	j, err := buildOracle(sc, window, sink)
 	if err != nil {
 		return &Outcome{Err: err}
 	}
@@ -143,8 +144,12 @@ func RunOracle(sc *Scenario) *Outcome {
 // prefixes), then Finish. All operators are held to the same contract
 // (documented in internal/op): items in timestamp order, EOS once per
 // port, Finish only after EOS on both ports. Variants with Batch > 1
-// take the batched delivery path instead (driveBatched).
+// take the batched delivery path instead (driveBatched); scrambled
+// variants get the scenario's tuples with their own Ts scrambled.
 func drive(j op.Operator, sc *Scenario, v Variant) *Outcome {
+	if v.Scramble {
+		sc = sc.scrambled()
+	}
 	if v.Batch > 1 {
 		return driveBatched(j, sc, v)
 	}

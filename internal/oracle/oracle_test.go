@@ -136,8 +136,8 @@ func TestGeneratorInvariants(t *testing.T) {
 
 func TestMatrixShape(t *testing.T) {
 	vs := Matrix()
-	if len(vs) != 54 {
-		t.Fatalf("matrix rows = %d, want 54", len(vs))
+	if len(vs) != 59 {
+		t.Fatalf("matrix rows = %d, want 59", len(vs))
 	}
 	seen := map[string]bool{}
 	for _, v := range vs {
@@ -156,11 +156,44 @@ func TestMatrixShape(t *testing.T) {
 	}
 }
 
+// TestScrambledRowsAreNotVacuous: a scrambled scenario delivers every
+// tuple with an own Ts that is not its arrival time and leaves the
+// scenario it came from untouched, and the window rows' reference drops
+// pairs on most seeds, so neither axis passes for want of a case.
+func TestScrambledRowsAreNotVacuous(t *testing.T) {
+	sc := FromSeed(3)
+	for i, a := range sc.scrambled().Arrivals {
+		orig := sc.Arrivals[i].Item
+		if a.Item.Kind != stream.KindTuple {
+			continue
+		}
+		if a.Item.Tuple.Ts == a.Item.Ts || a.Item.Tuple == orig.Tuple || a.Item.Ts != orig.Ts {
+			t.Fatalf("arrival %d: tuple %v at %d is not a scrambled copy", i, a.Item.Tuple, a.Item.Ts)
+		}
+		if orig.Tuple.Ts != orig.Ts {
+			t.Fatalf("arrival %d: scrambling wrote the scenario's tuple %v", i, orig.Tuple)
+		}
+	}
+	windowed := 0
+	for seed := uint64(1); seed <= 32; seed++ {
+		sc := FromSeed(seed)
+		all, in := RunOracle(sc, 0), RunOracle(sc, 20000)
+		if len(in.Tuples) < len(all.Tuples) {
+			windowed++
+		}
+	}
+	t.Logf("the 20,000 ns window drops pairs on %d of 32 seeds", windowed)
+	if windowed < 16 {
+		t.Errorf("the 20,000 ns window drops pairs on %d of 32 seeds", windowed)
+	}
+}
+
 func TestSpecRoundTrip(t *testing.T) {
 	specs := []Spec{
 		{Seed: 42, Variant: RefVariant, Check: "puncts", Prefix: -1},
 		{Seed: 7, Variant: Variant{Op: "pjoin", Chunk: 512, Shards: 4, Cache: true, Fault: true},
 			Check: "results", Prefix: 57, Drop: []int{3, 9, 14}},
+		{Seed: 9, Variant: Variant{Op: "pjoin", Shards: 1, Window: 20000, Scramble: true}, Check: "results", Prefix: -1},
 	}
 	for _, s := range specs {
 		back, err := ParseSpec(s.String())

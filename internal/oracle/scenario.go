@@ -421,6 +421,25 @@ func (sc *Scenario) Validate() error {
 	return nil
 }
 
+// scrambled returns the scenario with every tuple delivered as a copy
+// whose own Ts is its reverse rank among the arrivals — far below and
+// running against the schedule — while Item.Ts keeps the schedule. A
+// join must take every arrival time from Item.Ts, so its results,
+// timestamps included, are the unscrambled scenario's.
+func (sc *Scenario) scrambled() *Scenario {
+	out := *sc
+	out.Arrivals = make([]gen.Arrival, len(sc.Arrivals))
+	for i, a := range sc.Arrivals {
+		if a.Item.Kind == stream.KindTuple {
+			t := *a.Item.Tuple
+			t.Ts = stream.Time(len(sc.Arrivals) - i)
+			a.Item.Tuple = &t
+		}
+		out.Arrivals[i] = a
+	}
+	return &out
+}
+
 // Stats summarises the schedule for reports.
 func (sc *Scenario) Stats() (tuples, puncts [2]int) {
 	for _, a := range sc.Arrivals {

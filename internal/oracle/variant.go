@@ -34,10 +34,16 @@ type Variant struct {
 	Fault  bool        // wrap spills in store.NewFaultSpill(failAt = Scenario.FaultAt)
 	Batch  int         // ≤1 = per-item delivery; >1 = drive via ProcessBatch, batches up to this size
 	Linger stream.Time // virtual span a batch may cover (0 = unbounded); only meaningful with Batch > 1
+	Window stream.Time // core.Config.Window (pjoin only; memory-only, so MemoryBytes is cleared); 0 = none
+
+	// Scramble delivers every tuple as a copy whose own Ts is not its
+	// arrival time (Scenario.scrambled) while Item.Ts keeps the schedule,
+	// as the live executor does: it restamps items, never tuples.
+	Scramble bool
 }
 
 // String renders the variant in the replay-spec grammar, e.g.
-// "pjoin/chunk=512/shards=2/cache/batch=256/linger=1000000"
+// "pjoin/chunk=512/shards=2/cache/batch=256/linger=1000000/window=20000/scramble"
 // (flags omitted when off).
 func (v Variant) String() string {
 	parts := []string{v.Op}
@@ -59,6 +65,12 @@ func (v Variant) String() string {
 			parts = append(parts, "linger="+strconv.FormatInt(int64(v.Linger), 10))
 		}
 	}
+	if v.Window > 0 {
+		parts = append(parts, "window="+strconv.FormatInt(int64(v.Window), 10))
+	}
+	if v.Scramble {
+		parts = append(parts, "scramble")
+	}
 	return strings.Join(parts, "/")
 }
 
@@ -77,6 +89,8 @@ func ParseVariant(s string) (Variant, error) {
 			v.Cache = true
 		case p == "fault":
 			v.Fault = true
+		case p == "scramble":
+			v.Scramble = true
 		case strings.HasPrefix(p, "chunk="):
 			n, err := strconv.Atoi(p[len("chunk="):])
 			if err != nil || n < 0 {
@@ -101,6 +115,12 @@ func ParseVariant(s string) (Variant, error) {
 				return v, fmt.Errorf("oracle: bad variant part %q in %q", p, s)
 			}
 			v.Linger = stream.Time(n)
+		case strings.HasPrefix(p, "window="):
+			n, err := strconv.ParseInt(p[len("window="):], 10, 64)
+			if err != nil || n < 0 {
+				return v, fmt.Errorf("oracle: bad variant part %q in %q", p, s)
+			}
+			v.Window = stream.Time(n)
 		default:
 			return v, fmt.Errorf("oracle: bad variant part %q in %q", p, s)
 		}
@@ -121,7 +141,12 @@ func ParseVariant(s string) (Variant, error) {
 // five representative configurations — including a sharded row (router
 // batching), a chunked+cached row, and a fault row (the injected
 // sentinel must surface identically through the batch path): 20 more
-// rows, 54 total.
+// rows. Last, five scrambled rows (Variant.Scramble) — a single PJoin, a
+// chunked and cached one, a sharded batched one, an XJoin and a windowed
+// PJoin (Variant.Window) — deliver tuples whose own Ts is not their
+// arrival time, as the live executor does; every other row's tuples carry
+// it, so a join that reads Tuple.Ts where the arrival time belongs fails
+// these rows alone: 59 rows in all.
 func Matrix() []Variant {
 	var vs []Variant
 	for _, chunk := range []int{0, 512} {
@@ -154,7 +179,12 @@ func Matrix() []Variant {
 			}
 		}
 	}
-	return vs
+	return append(vs,
+		Variant{Op: "pjoin", Shards: 1, Scramble: true},
+		Variant{Op: "pjoin", Chunk: 512, Shards: 1, Cache: true, Scramble: true},
+		Variant{Op: "pjoin", Shards: 2, Batch: 256, Scramble: true},
+		Variant{Op: "xjoin", Chunk: 512, Shards: 1, Scramble: true},
+		Variant{Op: "pjoin", Shards: 1, Window: 20000, Scramble: true})
 }
 
 // spillStack assembles one side's spill store for the variant:
@@ -223,6 +253,10 @@ func build(sc *Scenario, v Variant, out op.Emitter, disableFault bool, instr *ob
 			// different (still sound) sets.
 			RetainPropagated:   true,
 			VerifyPunctuations: true,
+			Window:             fv.Window,
+		}
+		if fv.Window > 0 {
+			cfg.Thresholds.MemoryBytes = 0 // window mode is memory-only
 		}
 		if fv.Shards > 1 {
 			pcfg := parallel.Config{Shards: fv.Shards, Join: cfg, Instr: instr}
@@ -236,6 +270,9 @@ func build(sc *Scenario, v Variant, out op.Emitter, disableFault bool, instr *ob
 		cfg.SpillB = spillStack(sc, fv)
 		return core.New(cfg, out)
 	case "xjoin":
+		if fv.Window > 0 {
+			return nil, fmt.Errorf("oracle: variant %s: xjoin has no window", v)
+		}
 		cfg := xjoin.Config{
 			SchemaA:        gen.SchemaA,
 			SchemaB:        gen.SchemaB,
@@ -255,7 +292,29 @@ func build(sc *Scenario, v Variant, out op.Emitter, disableFault bool, instr *ob
 	}
 }
 
-// buildOracle constructs the brute-force shj result oracle.
-func buildOracle(out op.Emitter) (op.Operator, error) {
+// buildOracle constructs the brute-force shj result oracle. With a
+// positive window it passes on only the results whose partners arrived
+// within window of each other — the pairs core.Config.Window joins —
+// telling the partners by their payloads, which the generator makes unique
+// ("A17", "B4").
+func buildOracle(sc *Scenario, window stream.Time, out op.Emitter) (op.Operator, error) {
+	if window > 0 {
+		arrived := map[string]stream.Time{}
+		for _, a := range sc.Arrivals {
+			if a.Item.Kind == stream.KindTuple {
+				arrived[a.Item.Tuple.Values[1].StrVal()] = a.Item.Ts
+			}
+		}
+		all := out
+		out = op.EmitterFunc(func(it stream.Item) error {
+			if it.Kind == stream.KindTuple {
+				d := arrived[it.Tuple.Values[1].StrVal()] - arrived[it.Tuple.Values[3].StrVal()]
+				if d > window || -d > window {
+					return nil
+				}
+			}
+			return all.Emit(it)
+		})
+	}
 	return shj.New(gen.SchemaA, gen.SchemaB, gen.KeyAttr, gen.KeyAttr, out)
 }

@@ -6,9 +6,10 @@
 // again after the owner's next Reset instead of being left to the
 // collector, so what it hands out has a stated lifetime. A slab built by
 // NewOnce carves each chunk once and forgets it — the never-recycled
-// device of the insert path (store.alloc, stream.Headers) behind the same
-// call: a run lives as long as its holder keeps it, and a single
-// surviving run keeps its chunk, and only its chunk, reachable.
+// device of the insert path (store.alloc's StoredTuple wrappers, a
+// holder's own ResultSlab) behind the same call: a run lives as long as
+// its holder keeps it, and a single surviving run keeps its chunk, and
+// only its chunk, reachable.
 package slab
 
 // Slab hands out runs of T. A Slab built by New or NewOnce carves them

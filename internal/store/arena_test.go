@@ -27,7 +27,7 @@ func decodeStored(b []byte) (*StoredTuple, int, error) {
 // bytes — on fresh slabs, behind an earlier record, and on recycled ones.
 func FuzzDecodeStored(f *testing.F) {
 	rec := func(pid punct.PID, dts stream.Time, vals ...value.Value) []byte {
-		return appendStored(nil, &StoredTuple{T: &stream.Tuple{Values: vals, Ts: 5}, PID: pid, DTS: dts})
+		return appendStored(nil, &StoredTuple{T: &stream.Tuple{Values: vals, Ts: 5}, PID: pid, ATS: 6, DTS: dts})
 	}
 	good := rec(3, 7, value.Int(1), value.Str("payload"))
 	f.Add(good)
@@ -48,7 +48,7 @@ func FuzzDecodeStored(f *testing.F) {
 				t.Fatalf("round %d: arena decode n=%d err=%v; throwaway arena n=%d err=%v", round, n, err, wantN, wantErr)
 			}
 			if err == nil {
-				if got.PID != want.PID || got.DTS != want.DTS || got.T.Ts != want.T.Ts ||
+				if got.PID != want.PID || got.ATS != want.ATS || got.DTS != want.DTS || got.T.Ts != want.T.Ts ||
 					fmt.Sprint(got.T.Values) != fmt.Sprint(want.T.Values) {
 					t.Fatalf("round %d: arena decoded %+v %v, throwaway arena %+v %v", round, got, got.T, want, want.T)
 				}
@@ -69,13 +69,15 @@ func FuzzDecodeStored(f *testing.F) {
 // scanRetained returns the bytes of scan memory the state currently
 // holds for reuse: arena slab chunks, read buffer, encode scratch.
 func (st *State) scanRetained() int {
-	return st.arena.stored.Cap()*24 + st.arena.tuples.RetainedBytes() + cap(st.scan.buf) + cap(st.enc)
+	return st.arena.stored.Cap()*int(unsafe.Sizeof(StoredTuple{})) + st.arena.tuples.RetainedBytes() + cap(st.scan.buf) + cap(st.enc)
 }
 
-// The retention bound is stated in bytes, from these sizes.
+// The retention bound is stated in bytes, from these sizes, and the
+// StoredTuple chunk is the most wrappers, with the 8 B malloc header,
+// that fit the 8,192 B size class.
 func TestArenaElementSizes(t *testing.T) {
-	if s := unsafe.Sizeof(StoredTuple{}); s != 24 {
-		t.Errorf("StoredTuple is %d bytes, scanRetainBytes assumes 24", s)
+	if s := unsafe.Sizeof(StoredTuple{}); storedChunk*s+8 > 8192 || (storedChunk+1)*s+8 <= 8192 {
+		t.Errorf("StoredTuple is %d bytes: a chunk of %d is %d B with its malloc header, not the 8,192 B class filled", s, storedChunk, storedChunk*s+8)
 	}
 	if s := unsafe.Sizeof(stream.Tuple{}); s != 40 {
 		t.Errorf("stream.Tuple is %d bytes, stream.ArenaChunkBytes assumes 40", s)

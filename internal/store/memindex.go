@@ -27,12 +27,20 @@ import (
 // — both removals stay O(1) per tuple.
 
 // slabChunk is the chunk length of the per-State allocator: one
-// allocation amortised over this many StoredTuple wrappers, group nodes
-// or groups. A surviving element keeps its whole chunk reachable; the
-// stamped tuple headers (stream.Headers) and the join results
+// allocation amortised over this many group nodes or groups. A surviving
+// element keeps its whole chunk reachable; the join results
 // (stream.ResultSlab) are chunked the same way and accept the same
 // bounded amplification.
-const slabChunk = 256
+//
+// StoredTuple wrappers, one per tuple the state holds, come in chunks of
+// storedChunk instead: Go (≥ 1.22) puts an 8-byte header in front of a
+// pointerful object larger than 512 B, so 255 × 32 + 8 = 8,168 B fit the
+// 8,192 B size class (32.1 B per wrapper), where 256 wrappers would take
+// the 9,472 B class.
+const (
+	slabChunk   = 256
+	storedChunk = 255
+)
 
 // alloc is the per-State allocator: everything is carved from slabs that
 // forget a chunk once it is carved up (slab.NewOnce). StoredTuple
@@ -51,15 +59,15 @@ type alloc struct {
 
 func newAlloc() alloc {
 	return alloc{
-		stored: slab.NewOnce[StoredTuple](slabChunk),
+		stored: slab.NewOnce[StoredTuple](storedChunk),
 		nodes:  slab.NewOnce[groupNode](slabChunk),
 		groups: slab.NewOnce[group](slabChunk),
 	}
 }
 
-func (a *alloc) newStored(t *stream.Tuple) *StoredTuple {
+func (a *alloc) newStored(t *stream.Tuple, ats stream.Time) *StoredTuple {
 	s := &a.stored.Take(1)[0]
-	*s = StoredTuple{T: t, PID: punct.NoPID, DTS: InMemory}
+	*s = StoredTuple{T: t, PID: punct.NoPID, ATS: ats, DTS: InMemory}
 	return s
 }
 

@@ -306,7 +306,9 @@ func ownStored(in []*StoredTuple) []*StoredTuple {
 	for i, s := range in {
 		t := *s.T
 		t.Values = append([]value.Value(nil), t.Values...)
-		out[i] = &StoredTuple{T: &t, PID: s.PID, DTS: s.DTS}
+		c := *s
+		c.T = &t
+		out[i] = &c
 	}
 	return out
 }

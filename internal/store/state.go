@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"unsafe"
 
 	"pjoin/internal/punct"
 	"pjoin/internal/slab"
@@ -22,18 +23,21 @@ const InMemory stream.Time = math.MaxInt64
 
 // StoredTuple is a tuple held in a join state, augmented with the
 // punctuation-index pid (Fig. 2(b) of the paper; NoPID = null) and its
-// memory-residence interval end.
+// memory-residence interval [ATS, DTS).
+//
+// ATS is the tuple's arrival time at the join, the Ts of the item that
+// delivered it — not T.Ts, which is whatever the tuple's creator set:
+// tuples are shared, and the live executor restamps items, never tuples.
+// The state holds the delivered tuple itself (a copy only when it was
+// borrowed: stream.ResultSlab.Keep), so the arrival time lives here. A
+// spill record carries ATS in its tuple's Ts slot, so a tuple decoded
+// from disk has T.Ts == ATS.
 type StoredTuple struct {
 	T   *stream.Tuple
 	PID punct.PID
+	ATS stream.Time
 	DTS stream.Time
 }
-
-// ATS returns the tuple's arrival timestamp (start of memory residence).
-// It is T.Ts, so the join that owns the state inserts a tuple whose
-// header carries the arrival time — its own stamped header when the
-// incoming item's Ts differs from the shared tuple's (stream.Headers).
-func (s *StoredTuple) ATS() stream.Time { return s.T.Ts }
 
 // Resident reports whether the tuple is still memory-resident.
 func (s *StoredTuple) Resident() bool { return s.DTS == InMemory }
@@ -43,7 +47,7 @@ func (s *StoredTuple) Resident() bool { return s.DTS == InMemory }
 // memory join when the later one arrived, so disk joins must skip such
 // pairs.
 func (s *StoredTuple) Overlaps(o *StoredTuple) bool {
-	return s.ATS() < o.DTS && o.ATS() < s.DTS
+	return s.ATS < o.DTS && o.ATS < s.DTS
 }
 
 // Bucket is one hash bucket of a State: a key-grouped memory-resident
@@ -203,14 +207,19 @@ func (st *State) BucketOf(key value.Value) int {
 	return int(st.hash(key) % uint64(len(st.bkts)))
 }
 
-// Insert adds a new arrival to the memory-resident portion of its bucket
-// and returns the stored wrapper. The wrapper and its index node (and a
-// new key's group) come from slabs — one allocation per slabChunk of each
-// — and purged nodes and groups from free lists, so insertion allocates
-// far less than one object per tuple from the first insert on.
+// Insert is InsertAt at the tuple's own Ts, for callers whose tuples
+// carry their arrival time.
+func (st *State) Insert(t *stream.Tuple) (*StoredTuple, error) { return st.InsertAt(t, t.Ts) }
+
+// InsertAt adds a new arrival, at time ats, to the memory-resident
+// portion of its bucket and returns the stored wrapper. The wrapper and
+// its index node (and a new key's group) come from slabs — one allocation
+// per chunk of each — and purged nodes and groups from free lists, so
+// insertion allocates far less than one object per tuple from the first
+// insert on.
 //
 //pjoin:hotpath
-func (st *State) Insert(t *stream.Tuple) (*StoredTuple, error) {
+func (st *State) InsertAt(t *stream.Tuple, ats stream.Time) (*StoredTuple, error) {
 	if len(t.Values) <= st.attr {
 		//pjoin:allow hotpath malformed-tuple error path: never taken on schema-valid streams
 		return nil, fmt.Errorf("store: state %s: tuple width %d lacks join attribute %d", st.name, len(t.Values), st.attr)
@@ -218,7 +227,7 @@ func (st *State) Insert(t *stream.Tuple) (*StoredTuple, error) {
 	key := t.Values[st.attr]
 	h := st.hash(key)
 	i := int(h % uint64(len(st.bkts)))
-	s := st.al.newStored(t)
+	s := st.al.newStored(t, ats)
 	st.seq++
 	if st.bkts[i].mem.insert(&st.al, key, h, s) {
 		st.stats.MemGroups++
@@ -388,7 +397,7 @@ func (st *State) TakeKeyGroup(key value.Value) (bucket int, removed []*StoredTup
 func (st *State) ExpireMemPrefix(i int, cutoff stream.Time) []*StoredTuple {
 	b := &st.bkts[i]
 	var expired []*StoredTuple
-	for n := b.mem.ahead; n != nil && n.s.T.Ts < cutoff; {
+	for n := b.mem.ahead; n != nil && n.s.ATS < cutoff; {
 		next := n.anext
 		expired = append(expired, n.s)
 		st.removeAccounting(i, n.s, b.mem.unlink(&st.al, n))
@@ -408,6 +417,15 @@ func (st *State) AddToPurgeBuffer(i int, s *StoredTuple, now stream.Time) {
 	s.DTS = now
 	st.bkts[i].PurgeBuf = append(st.bkts[i].PurgeBuf, s)
 	st.stats.PurgeTuples++
+}
+
+// Park puts a new arrival at time ats straight into bucket i's purge
+// buffer, never into memory: a tuple dropped on the fly that still owes
+// joins against the opposite state's disk portion. Its residence
+// interval is the empty [ats, ats). The wrapper comes from the same slab
+// as Insert's.
+func (st *State) Park(i int, t *stream.Tuple, ats stream.Time) {
+	st.AddToPurgeBuffer(i, st.al.newStored(t, ats), ats)
 }
 
 // TakePurgeBuffer appends bucket i's purge buffer to dst, empties it and
@@ -468,7 +486,7 @@ func (st *State) LargestMemBucket() int { return st.occ.largest() }
 
 // What a State keeps between scans, so that the next scan allocates
 // nothing: scanRetainChunks slab chunks of each kind in the decode arena
-// (room for 8,192 tuples of up to four attributes), and a read buffer
+// (room for 8,160 tuples of up to four attributes), and a read buffer
 // and an encode scratch of at most scanRetainBuf bytes each. Whatever a
 // larger bucket needed beyond that is released when its scan finishes.
 // scanRetainBytes is the resulting bound on a State's retained scan
@@ -476,7 +494,7 @@ func (st *State) LargestMemBucket() int { return st.occ.largest() }
 const (
 	scanRetainChunks = 32
 	scanRetainBuf    = 512 << 10
-	scanRetainBytes  = scanRetainChunks*(slabChunk*24+stream.ArenaChunkBytes) + 2*scanRetainBuf
+	scanRetainBytes  = scanRetainChunks*(storedChunk*int(unsafe.Sizeof(StoredTuple{}))+stream.ArenaChunkBytes) + 2*scanRetainBuf
 )
 
 // scanArena is where a scan's tuples are decoded: StoredTuple wrappers
@@ -488,7 +506,7 @@ type scanArena struct {
 }
 
 func newScanArena() scanArena {
-	return scanArena{stored: slab.New[StoredTuple](slabChunk), tuples: stream.NewArena()}
+	return scanArena{stored: slab.New[StoredTuple](storedChunk), tuples: stream.NewArena()}
 }
 
 // reset ends the lifetime of every tuple decoded so far and readies the
@@ -743,15 +761,18 @@ func uvarintLen(v uint64) int {
 }
 
 // appendStored encodes a stored tuple: a uvarint body length, then the
-// body — pid uvarint, DTS 8 bytes, tuple encoding. The length prefix
-// lets a chunked scan distinguish a record split across chunk boundaries
-// from corruption.
+// body — pid uvarint, DTS 8 bytes, tuple encoding with ATS in its Ts
+// slot (the tuple's own Ts is not the state's business). The length
+// prefix lets a chunked scan distinguish a record split across chunk
+// boundaries from corruption.
 func appendStored(dst []byte, s *StoredTuple) []byte {
 	body := uvarintLen(uint64(s.PID)) + 8 + s.T.EncodedSize()
 	dst = binary.AppendUvarint(dst, uint64(body))
 	dst = binary.AppendUvarint(dst, uint64(s.PID))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(s.DTS))
-	return s.T.AppendBinary(dst)
+	arrived := *s.T
+	arrived.Ts = s.ATS
+	return arrived.AppendBinary(dst)
 }
 
 // storedSize returns the number of bytes appendStored emits for s.
@@ -804,6 +825,6 @@ func (a *scanArena) decodeStored(b []byte) (*StoredTuple, int, error) {
 		return nil, 0, errRecordMismatch
 	}
 	s := &a.stored.Take(1)[0]
-	*s = StoredTuple{T: t, PID: punct.PID(pid), DTS: dts}
+	*s = StoredTuple{T: t, PID: punct.PID(pid), ATS: t.Ts, DTS: dts}
 	return s, sz + int(body), nil
 }

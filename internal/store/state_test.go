@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/hex"
 	"testing"
 	"testing/quick"
 
@@ -56,7 +57,7 @@ func TestInsertAndProbe(t *testing.T) {
 	}
 	// Arrival order preserved.
 	for i := 1; i < len(matches); i++ {
-		if matches[i].ATS() < matches[i-1].ATS() {
+		if matches[i].ATS < matches[i-1].ATS {
 			t.Error("probe results out of arrival order")
 		}
 	}
@@ -102,9 +103,10 @@ func TestProbeMissesOtherKeys(t *testing.T) {
 }
 
 func TestStoredTupleOverlaps(t *testing.T) {
-	a := &StoredTuple{T: tup(t, 1, 10), DTS: 20}
-	b := &StoredTuple{T: tup(t, 1, 15), DTS: 30}
-	c := &StoredTuple{T: tup(t, 1, 25), DTS: InMemory}
+	// The tuples' own Ts (0) is not their arrival: ATS is.
+	a := &StoredTuple{T: tup(t, 1, 0), ATS: 10, DTS: 20}
+	b := &StoredTuple{T: tup(t, 1, 0), ATS: 15, DTS: 30}
+	c := &StoredTuple{T: tup(t, 1, 0), ATS: 25, DTS: InMemory}
 	if !a.Overlaps(b) || !b.Overlaps(a) {
 		t.Error("a and b overlap")
 	}
@@ -170,7 +172,7 @@ func TestTakeKeyGroupScratch(t *testing.T) {
 			t.Fatalf("key %d: bucket %d, %d tuples", k, bucket, len(removed))
 		}
 		for r, s := range removed {
-			if s.T.Values[0].IntVal() != k || s.ATS() != stream.Time(r*keys+int(k)+1) {
+			if s.T.Values[0].IntVal() != k || s.ATS != stream.Time(r*keys+int(k)+1) {
 				t.Fatalf("key %d: tuple %d is %s", k, r, s.T)
 			}
 		}
@@ -375,8 +377,9 @@ func TestBucketOfStable(t *testing.T) {
 func TestStoredRoundTripQuick(t *testing.T) {
 	f := func(key int64, pid uint32, ats, dts int64) bool {
 		s := &StoredTuple{
-			T:   stream.MustTuple(testSchema, stream.Time(ats), value.Int(key), value.Str("x")),
+			T:   stream.MustTuple(testSchema, stream.Time(key), value.Int(key), value.Str("x")),
 			PID: punct.PID(pid),
+			ATS: stream.Time(ats),
 			DTS: stream.Time(dts),
 		}
 		enc := appendStored(nil, s)
@@ -384,11 +387,75 @@ func TestStoredRoundTripQuick(t *testing.T) {
 		if err != nil || n != len(enc) {
 			return false
 		}
-		return got.PID == s.PID && got.DTS == s.DTS && got.T.Ts == s.T.Ts &&
+		// The record carries the arrival, not the tuple's own Ts.
+		return got.PID == s.PID && got.ATS == s.ATS && got.DTS == s.DTS && got.T.Ts == s.ATS &&
 			got.T.Values[0].Equal(s.T.Values[0])
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSpillKeepsATS: a spill record carries the arrival time in its
+// tuple's Ts slot, so the bytes are those a state wrote when the stored
+// tuple's own Ts was its arrival (golden, taken from that encoding), and a
+// scan reads ATS back from the slot. The tuples' own Ts (0) is not their
+// arrival, and does not reach the disk.
+func TestSpillKeepsATS(t *testing.T) {
+	const golden = "24ac0280841e00000000000287d6120000000000012a000000000000000306676f6c64656e" +
+		"1e0080841e00000000000237d8120000000000010700000000000000030178"
+	spill := NewMemSpill()
+	st, err := NewState("A", 0, 1, spill)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := st.InsertAt(stream.MustTuple(testSchema, 0, value.Int(42), value.Str("golden")), 1234567)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.PID = 300
+	if _, err := st.InsertAt(stream.MustTuple(testSchema, 0, value.Int(7), value.Str("x")), 1234999); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.SpillBucket(0, 2000000); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := spill.Read(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(raw); got != golden {
+		t.Errorf("spill record\n %s, want\n %s", got, golden)
+	}
+	back := readDisk(t, st, 0)
+	want := []struct {
+		key int64
+		pid punct.PID
+		ats stream.Time
+	}{{42, 300, 1234567}, {7, punct.NoPID, 1234999}}
+	if len(back) != len(want) {
+		t.Fatalf("scan read %d tuples, want %d", len(back), len(want))
+	}
+	for i, w := range want {
+		if g := back[i]; g.T.Values[0].IntVal() != w.key || g.PID != w.pid || g.ATS != w.ats || g.T.Ts != w.ats || g.DTS != 2000000 {
+			t.Errorf("tuple %d read back as %+v %v, want key %d pid %d ATS %d DTS 2000000", i, g, g.T, w.key, w.pid, w.ats)
+		}
+	}
+}
+
+// TestParkStoresArrival: a parked arrival goes straight to the purge
+// buffer with the empty residence interval [ats, ats), no pid, and the
+// tuple it was handed.
+func TestParkStoresArrival(t *testing.T) {
+	st := mkState(t, 4)
+	tu := tup(t, 3, 0)
+	st.Park(st.BucketOf(value.Int(3)), tu, 9)
+	buf := st.Bucket(st.BucketOf(value.Int(3))).PurgeBuf
+	if len(buf) != 1 || buf[0].T != tu || buf[0].ATS != 9 || buf[0].DTS != 9 || buf[0].PID != punct.NoPID {
+		t.Fatalf("purge buffer %+v, want the tuple at [9, 9) without a pid", buf)
+	}
+	if s := st.Stats(); s.PurgeTuples != 1 || s.MemTuples != 0 {
+		t.Errorf("stats %+v, want one purge-buffer tuple and none in memory", s)
 	}
 }
 

@@ -19,14 +19,13 @@ type Batch struct {
 	res   ResultSlab
 }
 
-// AppendJoin appends the join result of a and c as a borrowed tuple
-// item, built in the batch's own slab: a result the consumer drops costs
-// no heap, one it keeps (ResultSlab.Keep) costs the copy.
+// AppendJoin appends the join result of a and c at time ts as a borrowed
+// tuple item, built in the batch's own slab: a result the consumer drops
+// costs no heap, one it keeps (ResultSlab.Keep) costs the copy.
 //
 //pjoin:hotpath
-func (b *Batch) AppendJoin(a, c *Tuple) {
-	t := b.res.Join(a, c)
-	b.Items = append(b.Items, Item{Kind: KindTuple, Borrowed: true, Tuple: t, Ts: t.Ts})
+func (b *Batch) AppendJoin(a, c *Tuple, ts Time) {
+	b.Items = append(b.Items, Item{Kind: KindTuple, Borrowed: true, Tuple: b.res.Join(a, c, ts), Ts: ts})
 }
 
 // Append appends it. A borrowed tuple is re-homed — copied into this

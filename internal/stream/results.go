@@ -11,8 +11,8 @@ import (
 // 323 chunks, it does not create one 10,000-result slab that a single
 // retained result would keep alive. The price of chunking is that bound: a
 // retained result pins at most its own header chunk and its own value
-// chunk — the amplification store.storedChunk already imposes on every
-// StoredTuple.
+// chunk — the amplification the join state's slab (store.storedChunk)
+// already imposes on every StoredTuple.
 //
 // Both lengths are chosen to fill a malloc size class. Go (≥ 1.22) puts
 // an 8-byte header in front of a pointerful object larger than 512 B, so
@@ -72,12 +72,13 @@ func (r *ResultSlab) size() {
 	}
 }
 
-// Join builds the join result of a and c (Tuple.FillJoin) in the slab.
+// Join builds the join result of a and c at time ts (Tuple.FillJoin) in
+// the slab.
 //
 //pjoin:hotpath
-func (r *ResultSlab) Join(a, c *Tuple) *Tuple {
+func (r *ResultSlab) Join(a, c *Tuple, ts Time) *Tuple {
 	res, vals := r.carve(len(a.Values) + len(c.Values))
-	res.FillJoin(vals, a, c)
+	res.FillJoin(vals, a, c, ts)
 	return res
 }
 

@@ -9,6 +9,7 @@ import (
 	"pjoin/internal/value"
 )
 
+// pairOf returns a joining pair; c is the later of the two.
 func pairOf(k int64) (a, c *Tuple) {
 	a = &Tuple{Values: []value.Value{value.Int(k), value.Str("a")}, Ts: Time(10 + k), Span: 7}
 	c = &Tuple{Values: []value.Value{value.Int(k), value.Str("c")}, Ts: Time(20 + k), Span: 3}
@@ -50,23 +51,27 @@ func TestItemSizeUnchangedByBorrowed(t *testing.T) {
 }
 
 // TestSlabJoinIsFillJoin: a result built in a slab, a holder's or a
-// batch's, is the tuple Tuple.Join builds.
+// batch's, is the tuple Tuple.Join builds, and carries the time it is
+// built at, whatever its partners' own Ts.
 func TestSlabJoinIsFillJoin(t *testing.T) {
 	a, c := pairOf(1)
 	var own ResultSlab
-	sameTuple(t, "holder's slab", own.Join(a, c), a.Join(c))
+	sameTuple(t, "holder's slab", own.Join(a, c, c.Ts), a.Join(c))
+	if got := own.Join(a, c, 99); got.Ts != 99 || got.Span != JoinSpan(a, c) {
+		t.Errorf("a result built at 99 reads Ts %d span %d", got.Ts, got.Span)
+	}
 
 	var pool BatchPool
 	lane := pool.Lane(1)
 	b := lane.Get(4)
-	b.AppendJoin(a, c)
+	b.AppendJoin(a, c, c.Ts)
 	it := b.Items[0]
 	if it.Kind != KindTuple || !it.Borrowed || it.Ts != it.Tuple.Ts {
 		t.Fatalf("AppendJoin item: %+v", it)
 	}
 	sameTuple(t, "batch slab", it.Tuple, a.Join(c))
-	if ts, sp := JoinStamp(a, c); ts != it.Tuple.Ts || sp != it.Tuple.Span {
-		t.Errorf("JoinStamp = (%d, %d), the result carries (%d, %d)", ts, sp, it.Tuple.Ts, it.Tuple.Span)
+	if sp := JoinSpan(a, c); sp != it.Tuple.Span {
+		t.Errorf("JoinSpan = %d, the result carries %d", sp, it.Tuple.Span)
 	}
 	lane.Put(b)
 }
@@ -91,7 +96,7 @@ func TestKeepCopiesOnlyBorrowed(t *testing.T) {
 	var pool BatchPool
 	lane := pool.Lane(1)
 	b := lane.Get(4)
-	b.AppendJoin(a, c)
+	b.AppendJoin(a, c, c.Ts)
 	lent := b.Items[0]
 	kept := keeper.Keep(lent)
 	if kept.Borrowed || kept.Tuple == lent.Tuple || kept.Ts != lent.Ts || kept.Kind != KindTuple {
@@ -124,7 +129,7 @@ func TestBatchAppendRehomesBorrowed(t *testing.T) {
 
 	src := TupleItem(a)
 	b1 := up.Get(4)
-	b1.AppendJoin(a, c)
+	b1.AppendJoin(a, c, c.Ts)
 	b2 := down.Get(4)
 	b2.Append(b1.Items[0])
 	b2.Append(src)
@@ -144,7 +149,7 @@ func TestBatchAppendRehomesBorrowed(t *testing.T) {
 
 	if allocs := testing.AllocsPerRun(100, func() {
 		b1 := up.Get(4)
-		b1.AppendJoin(a, c)
+		b1.AppendJoin(a, c, c.Ts)
 		b2 := down.Get(4)
 		b2.Append(b1.Items[0])
 		up.Put(b1)
@@ -167,7 +172,7 @@ func TestBatchSlabGrowsOnDemand(t *testing.T) {
 	fill := func(n int) *Batch {
 		b := lane.Get(256)
 		for i := 0; i < n; i++ {
-			b.AppendJoin(a, c)
+			b.AppendJoin(a, c, c.Ts)
 		}
 		return b
 	}
@@ -220,34 +225,6 @@ func TestLaneCountsInThePool(t *testing.T) {
 	}
 }
 
-// TestStampKeepsBorrowedTuples: Headers.Stamp is Keep plus the arrival
-// stamp — a borrowed tuple comes back as the join's own copy with Ts =
-// the item's, in one header.
-func TestStampKeepsBorrowedTuples(t *testing.T) {
-	a, c := pairOf(5)
-	want := a.Join(c)
-	var pool BatchPool
-	lane := pool.Lane(1)
-	b := lane.Get(1)
-	b.AppendJoin(a, c)
-	it := b.Items[0]
-	it.Ts = 99 // the driver's restamp
-	var h Headers
-	got := h.Stamp(it)
-	lane.Put(b)
-	want.Ts = 99
-	sameTuple(t, "stamped copy", got, want)
-
-	own := &Tuple{Values: []value.Value{value.Int(1)}, Ts: 4}
-	if h.Stamp(TupleItem(own)) != own {
-		t.Error("a tuple already carrying its arrival time was not retained as it is")
-	}
-	shared := Item{Kind: KindTuple, Tuple: own, Ts: 8}
-	if st := h.Stamp(shared); st == own || st.Ts != 8 || &st.Values[0] != &own.Values[0] || own.Ts != 4 {
-		t.Errorf("restamped shared tuple: %v (source now %v)", st, own)
-	}
-}
-
 // TestLaneHandsEachBatchToOneOwner runs the lane the way an edge does — a
 // producer taking batches and sending them down a channel, a consumer
 // receiving and returning them — with a lane shallower than the traffic,
@@ -277,7 +254,7 @@ func TestLaneHandsEachBatchToOneOwner(t *testing.T) {
 		if len(b.Items) != 0 {
 			t.Fatalf("round %d: Get handed out a batch holding %v", i, b.Items)
 		}
-		b.AppendJoin(a, c)
+		b.AppendJoin(a, c, c.Ts)
 		b.Items[0].Ts = 1
 		ch <- b
 	}

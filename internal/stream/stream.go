@@ -141,11 +141,11 @@ func (s *Schema) String() string {
 // shared: a source may replay the same tuple through several pipelines,
 // and every operator on the way sees the same header. The time a tuple
 // arrived AT AN OPERATOR is therefore not a tuple field but Item.Ts; an
-// operator that retains a tuple and needs the arrival time on it (the
-// joins: state residence, window expiry, result timestamps) stamps its
-// own header copy with Headers.Stamp. (One kind of tuple is not shared: a
-// join result an exec edge built inside a batch, delivered by an item
-// marked Borrowed — see Item.)
+// operator that retains a tuple and needs the arrival time keeps it
+// beside the tuple (the joins: store.StoredTuple.ATS drives state
+// residence and window expiry, and a result's Ts is passed to FillJoin).
+// (One kind of tuple is not shared: a join result an exec edge built
+// inside a batch, delivered by an item marked Borrowed — see Item.)
 //
 // Span, when non-zero, is a provenance trace ID (internal/obs/span)
 // assigned by a source-side sampler; it rides the tuple through state
@@ -187,79 +187,36 @@ func (t *Tuple) Width() int { return len(t.Values) }
 
 // Join returns the concatenation of t and u as a fresh result tuple whose
 // timestamp is the later of the two inputs' timestamps. It is the
-// single-result form of FillJoin; the joins build their results through
+// single-result form of FillJoin for tuples whose Ts is their arrival
+// time (the shj reference); the joins build their results through
 // FillJoin into chunked storage instead (see ResultSlab).
 func (t *Tuple) Join(u *Tuple) *Tuple {
 	res := new(Tuple)
-	res.FillJoin(make([]value.Value, len(t.Values)+len(u.Values)), t, u)
+	res.FillJoin(make([]value.Value, len(t.Values)+len(u.Values)), t, u, max(t.Ts, u.Ts))
 	return res
 }
 
-// FillJoin makes res the join result of t and u — the one construction
-// rule for results: vals receives t's values followed by u's and becomes
-// res.Values (the caller provides it with length t.Width()+u.Width() and
-// gives up ownership), Ts is the later of the two inputs' timestamps, and
-// Span the earliest non-zero trace.
-func (res *Tuple) FillJoin(vals []value.Value, t, u *Tuple) {
+// FillJoin makes res the join result of t and u at time ts — the one
+// construction rule for results: vals receives t's values followed by
+// u's and becomes res.Values (the caller provides it with length
+// t.Width()+u.Width() and gives up ownership), Ts is ts, which a join
+// passes as the later partner's arrival, and Span is JoinSpan(t, u).
+func (res *Tuple) FillJoin(vals []value.Value, t, u *Tuple, ts Time) {
 	n := copy(vals, t.Values)
 	copy(vals[n:], u.Values)
-	res.Values = vals
-	res.Ts, res.Span = JoinStamp(t, u)
+	res.Values, res.Ts, res.Span = vals, ts, JoinSpan(t, u)
 }
 
-// JoinStamp returns the Ts and Span FillJoin gives the join result of t
-// and u, for a join that accounts for a result it hands to its emitter as
-// a pair (op.JoinEmitter) and never sees built.
-func JoinStamp(t, u *Tuple) (Time, uint64) {
+// JoinSpan returns the Span FillJoin gives the join result of t and u,
+// for a join that accounts for a result it hands to its emitter as a
+// pair (op.JoinEmitter) and never sees built.
+func JoinSpan(t, u *Tuple) uint64 {
 	// A result descends from both inputs; when both are traced the
 	// earlier-assigned trace wins so attribution stays deterministic.
-	sp := t.Span
-	if sp == 0 || (u.Span != 0 && u.Span < sp) {
-		sp = u.Span
+	if t.Span == 0 || (u.Span != 0 && u.Span < t.Span) {
+		return u.Span
 	}
-	return max(t.Ts, u.Ts), sp
-}
-
-// headerChunk is how many Tuple headers one Headers refill allocates.
-// It is the same device, size and rationale as the join state's
-// StoredTuple slab (store.storedChunk): one allocation per 256 retained
-// tuples instead of one each, at the price that a single surviving
-// header keeps its whole chunk (256 × 40 B) reachable.
-const headerChunk = 256
-
-// Headers hands out arrival-stamped Tuple headers carved from fixed-size
-// chunks. Headers are never recycled — they escape into operator state
-// and results — so a chunk is garbage once its last header is. The zero
-// value is ready to use; not safe for concurrent use.
-type Headers struct {
-	chunk []Tuple
-	kept  ResultSlab // copies of borrowed tuples
-}
-
-// Stamp returns the tuple an operator should retain for the tuple item
-// it was handed: the item's tuple itself when it already carries the
-// arrival time it.Ts (direct drives, the simulator and the oracle deliver
-// tuples stamped by their generator), otherwise a header with Ts = it.Ts
-// that shares the tuple's Values and Span — or, when the tuple is
-// borrowed, owns a copy of them (ResultSlab.Keep). The item's tuple is
-// never written.
-func (h *Headers) Stamp(it Item) *Tuple {
-	t := it.Tuple
-	if it.Borrowed {
-		// The copy is this holder's own until it is handed out, so the
-		// arrival time is written into it instead of a second header.
-		t = h.kept.Keep(it).Tuple
-		t.Ts = it.Ts
-		return t
-	}
-	if t.Ts == it.Ts {
-		return t
-	}
-	if len(h.chunk) == cap(h.chunk) {
-		h.chunk = make([]Tuple, 0, headerChunk)
-	}
-	h.chunk = append(h.chunk, Tuple{Values: t.Values, Ts: it.Ts, Span: t.Span})
-	return &h.chunk[len(h.chunk)-1]
+	return t.Span
 }
 
 // String renders "(v1, v2, ...)@ts".
@@ -321,9 +278,9 @@ func (k ItemKind) String() string {
 // itself — after which the batch is recycled and the header reads zero
 // (Values == nil). Reading it, or forwarding the item to an op.Emitter,
 // inside that call needs no care; retaining the item, the tuple or its
-// Values past it goes through ResultSlab.Keep (or Headers.Stamp, which
-// calls it). An item that is not borrowed — everything a source, a direct
-// drive or a plain emitter delivers — is shared and immutable as before.
+// Values past it goes through ResultSlab.Keep. An item that is not
+// borrowed — everything a source, a direct drive or a plain emitter
+// delivers — is shared and immutable as before.
 type Item struct {
 	Kind     ItemKind
 	Borrowed bool              // the tuple is valid only until the delivering call returns

@@ -74,9 +74,9 @@ type XJoin struct {
 	// are, like the absent punct-lag gauge, the baseline's story.
 	disk *joinbase.PassDriver
 
-	// hdrs stamps arriving tuples whose header does not already carry
-	// their arrival time (see core.PJoin.Process).
-	hdrs stream.Headers
+	// kept holds the copies of borrowed arrivals the state retains (see
+	// core.PJoin.Process).
+	kept stream.ResultSlab
 
 	now      stream.Time
 	eos      [2]bool
@@ -140,9 +140,9 @@ func New(cfg Config, out op.Emitter) (*XJoin, error) {
 	}
 	if je, ok := out.(op.JoinEmitter); ok {
 		// See core.New: the output builds the results.
-		x.base.EmitPair = func(a, c *stream.Tuple) error {
-			x.noteResult(stream.JoinStamp(a, c))
-			return je.EmitJoin(a, c)
+		x.base.EmitPair = func(a, c *stream.Tuple, ts stream.Time) error {
+			x.noteResult(ts, stream.JoinSpan(a, c))
+			return je.EmitJoin(a, c, ts)
 		}
 	}
 	x.base.Obs = cfg.Instr
@@ -226,24 +226,24 @@ func (x *XJoin) Process(port int, it stream.Item, now stream.Time) error {
 	x.base.Obs.Tick(x.now)
 	switch it.Kind {
 	case stream.KindTuple:
-		t := x.hdrs.Stamp(it)
+		t := x.kept.Keep(it).Tuple
 		x.base.M.TuplesIn[port]++
-		if err := x.mon.TupleArrived(t.Ts); err != nil {
+		if err := x.mon.TupleArrived(it.Ts); err != nil {
 			return err
 		}
 		examBefore := x.base.M.Examined
-		matches, err := x.base.ProbeOpposite(port, t)
+		matches, err := x.base.ProbeOppositeAt(port, t, it.Ts)
 		if err != nil {
 			return err
 		}
 		if t.Span != 0 && x.cfg.Instr.Enabled() {
-			x.cfg.Instr.Span(span.KindTupleProbe, t.Span, t.Ts, port,
+			x.cfg.Instr.Span(span.KindTupleProbe, t.Span, it.Ts, port,
 				int64(matches), x.base.M.Examined-examBefore, 0, 0)
 		}
-		if _, err := x.base.States[port].Insert(t); err != nil {
+		if _, err := x.base.States[port].InsertAt(t, it.Ts); err != nil {
 			return err
 		}
-		if err := x.mon.StateSize(x.base.States[0].MemBytes()+x.base.States[1].MemBytes(), t.Ts); err != nil {
+		if err := x.mon.StateSize(x.base.States[0].MemBytes()+x.base.States[1].MemBytes(), it.Ts); err != nil {
 			return err
 		}
 		return x.disk.Pump(x.now)
