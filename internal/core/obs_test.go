@@ -92,6 +92,66 @@ func TestObsEventsReconcileWithMetrics(t *testing.T) {
 	}
 }
 
+// TestPurgeDiskSpansReportDiskBytes: a punct_purge_disk span carries what
+// the partition loses when the pass drops a tuple — its whole spill
+// record, header included — so over a pass that drops disk tuples, with
+// no spill racing it and no pid written back (propagation off), the
+// spans' bytes sum to the fall in the states' DiskBytes.
+func TestPurgeDiskSpansReportDiskBytes(t *testing.T) {
+	rec := &span.Recorder{}
+	cfg := obsConfig(rec)
+	cfg.DisablePropagation = true
+	cfg.Thresholds.DiskJoinIdle = 10
+	j, err := New(cfg, &op.Collector{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Both sides spill as they fill; then side B closes ten keys, whose
+	// side-A tuples on disk the next pass drops.
+	var items []feedItem
+	ts := stream.Time(1)
+	for k := int64(0); k < 30; k++ {
+		items = append(items, tupA(k, "payload-a", ts), tupB(k, "payload-b", ts+1))
+		ts += 2
+	}
+	for k := int64(0); k < 10; k++ {
+		items = append(items, punctFor(1, k, ts))
+		ts++
+	}
+	for _, fi := range items {
+		if err := j.Process(fi.port, fi.item, fi.item.Ts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	diskBytes := func() int64 {
+		var n int64
+		for _, st := range j.StatesForTest() {
+			n += st.Stats().DiskBytes
+		}
+		return n
+	}
+	before, passes := diskBytes(), j.Metrics().DiskPasses
+	if _, err := j.OnIdle(ts + 100); err != nil {
+		t.Fatal(err)
+	}
+	if j.Metrics().DiskPasses != passes+1 {
+		t.Fatalf("the idle activation ran %d passes, want 1", j.Metrics().DiskPasses-passes)
+	}
+	var dropped, spanBytes int64
+	for _, s := range rec.Spans() {
+		if s.Kind == span.KindPunctPurgeDisk {
+			dropped += s.N
+			spanBytes += s.B
+		}
+	}
+	if dropped == 0 {
+		t.Fatal("the pass dropped no disk tuple")
+	}
+	if lost := before - diskBytes(); spanBytes != lost {
+		t.Errorf("%d disk tuples dropped: punct_purge_disk spans report %d bytes, the disk lost %d", dropped, spanBytes, lost)
+	}
+}
+
 // TestPunctLag checks the punctuation-lag gauge source: before any
 // propagation the lag is the full stream time; after the final
 // propagation it collapses to now - lastPropagation.

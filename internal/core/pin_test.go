@@ -41,14 +41,16 @@ var pinGoldens = map[string]pinned{
 	"xjoin/seed=143": {0x6c3e6d8d92e5c6a9, 0xcbf29ce484222325, 28, 10322, 602, 0, 726},
 }
 
-// keyedExamined is DiskExamined since the pass enumerates same-key
-// candidate pairs instead of every pair of a bucket (pinGoldens keeps
-// the nested loop's count): the one field re-captured, never higher
-// than the count it replaces, with everything else above unchanged.
+// keyedExamined is DiskExamined since the pass enumerates only same-key
+// candidate pairs with a member that arrived or left memory since the
+// bucket's last pass (joinbase.ChunkPass), instead of every pair of a
+// bucket (pinGoldens keeps the nested loop's count): the one field
+// re-captured, never higher than the count it replaces, with everything
+// else above unchanged.
 var keyedExamined = map[string]int64{
-	"pjoin/seed=56": 4528, "xjoin/seed=56": 6036,
-	"pjoin/seed=112": 1278, "xjoin/seed=112": 4242,
-	"pjoin/seed=143": 596, "xjoin/seed=143": 9974,
+	"pjoin/seed=56": 2073, "xjoin/seed=56": 2289,
+	"pjoin/seed=112": 1017, "xjoin/seed=112": 1733,
+	"pjoin/seed=143": 556, "xjoin/seed=143": 1228,
 }
 
 // TestRunToCompletionPin pins the DiskChunkBytes: 0 schedule — a pass

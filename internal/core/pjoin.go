@@ -915,11 +915,9 @@ func (j *PJoin) indexOne(e *punct.Entry, sd *store.StoredTuple) {
 }
 
 // indexDiskTuple assigns a pid to a disk-resident tuple that was spilled
-// before its matching punctuation arrived. Called from disk passes.
+// before its matching punctuation arrived. Called from disk passes, for
+// the tuples without a pid only.
 func (j *PJoin) indexDiskTuple(side int, sd *store.StoredTuple) {
-	if sd.PID != punct.NoPID {
-		return
-	}
 	j.base.M.IndexScanned++
 	j.base.M.IndexWalk++
 	if e := j.psets[side].FirstMatch(sd.T.Values); e != nil {
@@ -1097,12 +1095,12 @@ func (j *PJoin) passHooks() joinbase.PassHooks {
 			j.dropBound[0] = j.psets[0].MaxPID()
 			j.dropBound[1] = j.psets[1].MaxPID()
 		}
-		hooks.DropDisk = func(side int, sd *store.StoredTuple) bool {
-			e := j.psets[1-side].FirstMatchAttr(j.attrs[1-side], sd.T.Values[j.attrs[side]])
+		hooks.DropDisk = func(side int, key value.Value, size int) bool {
+			e := j.psets[1-side].FirstMatchAttr(j.attrs[1-side], key)
 			drop := e != nil && e.PID <= j.dropBound[1-side]
 			if drop && e.TraceID != 0 && j.obs.Enabled() {
-				j.obs.Span(span.KindPunctPurgeDisk, e.TraceID, j.now, side,
-					1, 0, int64(sd.T.EncodedSize()), 0)
+				// The bytes the partition loses: the whole spill record.
+				j.obs.Span(span.KindPunctPurgeDisk, e.TraceID, j.now, side, 1, 0, int64(size), 0)
 			}
 			return drop
 		}

@@ -1,6 +1,7 @@
 package joinbase
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -44,8 +45,8 @@ func arrive(base *Base, ts stream.Time, i int, payload string) error {
 }
 
 // passMallocs runs fn under a heap-allocation meter and returns the
-// number of objects it allocated.
-func passMallocs(tb testing.TB, fn func() error) uint64 {
+// number of objects and of bytes it allocated.
+func passMallocs(tb testing.TB, fn func() error) (objects, bytes uint64) {
 	tb.Helper()
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -54,22 +55,25 @@ func passMallocs(tb testing.TB, fn func() error) uint64 {
 		tb.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }
 
 // TestDiskPassAllocs is the allocation guard for a cold disk pass: a
 // whole first pass of a new driver over a spilled state (8,192 tuples on
 // disk in 64 buckets), at the unbounded budget (a pass run to
 // completion) and at the 64 KiB budget the spill benchmark runs. Both
-// measure 46 objects: one spill cursor per state, which the state
-// re-arms for every bucket, plus the first fill of the decode arena, the
-// string slab, the read buffers and the pass scratch, which later passes
-// reuse (TestDiskPassSteadyStateAllocs). The ceiling keeps the margin it
-// had over the 173 objects read when every bucket side opened its own
-// cursor. The pass allocates nothing per bucket, per decoded tuple
-// (24,960 objects when it did), per step or per candidate pair (173,046
-// of them here; 286,198 pair checks before the keyed enumeration), so
-// any of those overshoots the ceiling by multiples.
+// measure 71 objects (46 before a scan kept the bytes it read and its
+// record list, and a pass sized its fresh-key indexes): one spill cursor
+// per state, which the state re-arms for every bucket, plus the first
+// fill of the decode arena, the string slab, the read buffers, the record
+// lists and the pass scratch, which later passes reuse
+// (TestDiskPassSteadyStateAllocs). The ceiling keeps
+// the margin it had over the 173 objects read when every bucket side
+// opened its own cursor. The pass allocates nothing per bucket, per
+// decoded tuple (24,960 objects when it did), per step or per candidate
+// pair (173,046 of them here, every tuple of a first pass being fresh;
+// 286,198 pair checks before the keyed enumeration), so any of those
+// overshoots the ceiling by multiples.
 func TestDiskPassAllocs(t *testing.T) {
 	const tuples = 4096
 	now := stream.Time(100 * tuples)
@@ -83,7 +87,7 @@ func TestDiskPassAllocs(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			base := spilledBase(t, tuples, "x")
-			got := passMallocs(t, func() error {
+			got, _ := passMallocs(t, func() error {
 				return NewPassDriver(base, nil, tc.budget, PassHooks{}, nil).Finish(now)
 			})
 			if base.M.DiskPasses != 1 || base.M.DiskExamined != 173046 {
@@ -106,8 +110,9 @@ func TestDiskPassAllocs(t *testing.T) {
 // purge-buffer and memory tuples on each bucket side, and about 23,000
 // disk-join results, handed to EmitPair as pairs (an output that builds
 // its results itself). The payloads are empty strings: a string payload
-// decodes into the state's string slab, which is appended to and never
-// rewound (one object per 8 KiB decoded).
+// that a pass decodes goes to the state's string slab, which is appended
+// to and never rewound (one object per 8 KiB decoded);
+// TestDiskPassPayloadAllocs is the twin with payloads.
 func warmPasses(t *testing.T, budget, passes int, check func(pass int, d *PassDriver)) []uint64 {
 	t.Helper()
 	const tuples, arrivals = 4096, 256
@@ -138,7 +143,7 @@ func warmPasses(t *testing.T, budget, passes int, check func(pass int, d *PassDr
 		arriveAll()
 		ts += 2
 		before := joins
-		objects[pass] = passMallocs(t, func() error { return d.Finish(ts) })
+		objects[pass], _ = passMallocs(t, func() error { return d.Finish(ts) })
 		if joins-before < 20000 {
 			t.Fatalf("pass %d joined %d pairs, want a full pass", pass, joins-before)
 		}
@@ -151,16 +156,17 @@ func warmPasses(t *testing.T, budget, passes int, check func(pass int, d *PassDr
 
 // TestDiskPassSteadyStateAllocs is TestDiskPassAllocs's warm twin: one
 // driver, passes separated by arrivals and purges, at the unbounded and
-// the 64 KiB budget. Only the first pass fills the scratch; every pass
-// after it allocates nothing: the driver re-arms its one pass, each
-// state re-arms its one spill cursor, and the pass scratch, the purge
-// buffers, the decode arena and the read buffers all keep their
-// capacity. The heap meter counts the whole process, whose other
-// goroutines allocate now and then (the runtime's scavenger grows its
-// timer heap; the test runner reports under -v), so the 16 warm passes
-// are held, as testing.AllocsPerRun holds its runs, to an integer mean
-// of 0 objects: a few stray objects cannot fail the test, one object per
-// pass does.
+// the 64 KiB budget. Only the first pass fills the scratch (the
+// fresh-key indexes included, which a first pass sizes but, finding
+// every tuple fresh, does not build); every pass after it allocates
+// nothing: the driver re-arms its one pass, each state re-arms its one
+// spill cursor, and the pass scratch, the purge buffers, the decode
+// arena and the read buffers all keep their capacity. The heap meter
+// counts the whole process, whose other goroutines allocate now and then
+// (the runtime's scavenger grows its timer heap; the test runner reports
+// under -v), so the 16 warm passes are held, as testing.AllocsPerRun
+// holds its runs, to an integer mean of 0 objects: a few stray objects
+// cannot fail the test, one object per pass does.
 func TestDiskPassSteadyStateAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -176,6 +182,55 @@ func TestDiskPassSteadyStateAllocs(t *testing.T) {
 				t.Errorf("warm passes allocate %d objects each (%v), want 0", mean, objects)
 			}
 			t.Logf("objects per pass: %v", objects)
+		})
+	}
+}
+
+// TestDiskPassPayloadAllocs is the warm twin with real payloads: the
+// spilled state of TestDiskPassAllocs with a 24-byte string payload on
+// every tuple, and before each pass 8 arrivals per side on keys 0..3,
+// which stay in memory. The arrivals are a warm pass's only fresh tuples,
+// so it decodes in full only the disk records of keys 0..3 (about 350 of
+// 8,192) and parses the rest to their key; its allocations are then the
+// string slabs those payloads fill (value.Strings: one 8 KiB slab per
+// 8 KiB decoded, and the one a pass may start). The bound is that, from
+// Metrics.DiskDecoded, summed over the warm passes. On a 2-vCPU Intel
+// Xeon a warm pass allocated 197,521–198,104 B when every record was
+// decoded in full, and 8,970 B (358 records decoded) with the cut, at
+// either budget.
+func TestDiskPassPayloadAllocs(t *testing.T) {
+	const tuples, arrivals, passes = 4096, 8, 10
+	const payload = "payload-0123456789abcdef"
+	const slab = 8 << 10
+	for _, budget := range []int{0, 64 << 10} {
+		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
+			base := spilledBase(t, tuples, payload)
+			base.EmitPair = func(_, _ *stream.Tuple, _ stream.Time) error { return nil }
+			d := NewPassDriver(base, nil, budget, PassHooks{}, nil)
+			ts := stream.Time(100 * tuples)
+			var got, bound, decoded uint64
+			for pass := 0; pass < passes; pass++ {
+				for i := 0; i < arrivals; i++ {
+					ts += 2
+					if err := arrive(base, ts, i%4, payload); err != nil {
+						t.Fatal(err)
+					}
+				}
+				ts += 2
+				before := base.M.DiskDecoded
+				_, n := passMallocs(t, func() error { return d.Finish(ts) })
+				if pass == 0 {
+					continue // the cold pass
+				}
+				dec := uint64(base.M.DiskDecoded - before)
+				got, decoded = got+n, decoded+dec
+				bound += slab * (2 + dec*uint64(len(payload))/(slab-uint64(len(payload))))
+			}
+			warm := uint64(passes - 1)
+			if got > bound {
+				t.Errorf("warm passes allocate %d B each, decoding %d records each: bound %d B", got/warm, decoded/warm, bound/warm)
+			}
+			t.Logf("payload passes: %d bytes per warm pass, %d of %d records decoded", got/warm, decoded/warm, 2*tuples)
 		})
 	}
 }

@@ -2,8 +2,10 @@ package joinbase
 
 import (
 	"math"
+	"slices"
 
 	"pjoin/internal/obs/span"
+	"pjoin/internal/punct"
 	"pjoin/internal/store"
 	"pjoin/internal/stream"
 	"pjoin/internal/value"
@@ -44,6 +46,24 @@ import (
 // emitted exactly once: by the first pass whose bucket-open time
 // reaches it.
 //
+// # Only fresh tuples make new pairs
+//
+// Call a snapshot tuple fresh when it arrived after the bucket's last
+// pass or left memory since it: ATS > last, or last < DTS <= tPass. A
+// pair with no fresh member is reachable at last or unreachable at tPass
+// — if x.DTS <= tPass and x is not fresh then x.DTS <= last, and y.ATS <=
+// last, so the pair was reachable at last — and the filter rejects it. So
+// a bucket's sides hold only its fresh tuples and the others whose key is
+// the key of a fresh tuple on the opposite side, in the order of the full
+// sides (disk ++ purge ++ mem): every pair left out is one the filter
+// rejects, so the result sequence is the full sides' sequence. A disk
+// record is parsed to its header and key by the scan and decoded in full
+// only once it is selected, or for IndexDisk; the rest is never decoded.
+// A DTS stamped mid-pass (>= tPass) does not change what is emitted: a
+// stamp above tPass classifies like InMemory, and a stamp at tPass makes
+// a left-out tuple fresh only toward partners it overlaps or met by the
+// last pass.
+//
 // A PassDriver owns one ChunkPass and re-arms it for every pass, so the
 // scratch below lives as long as the driver: a warm pass allocates
 // nothing.
@@ -57,6 +77,8 @@ type ChunkPass struct {
 	cur    chunkBucket // the bucket in flight, when open is set
 	open   bool
 	keys   keyIndex
+	fresh  [2]keyIndex // per side, over the bucket's fresh tuples: the keys a stale tuple must meet
+	keep   []int       // the disk records a finalise writes back
 }
 
 // chunkBucket is the in-flight state of one bucket's pass. Its tuple
@@ -69,10 +91,11 @@ type chunkBucket struct {
 	last  stream.Time // lastPass watermark when the bucket opened
 
 	scans      [2]*store.DiskScan
-	disk       [2][]*store.StoredTuple
+	disk       [2][]*store.StoredTuple // every record of the scan, in spill order; T nil until decoded
 	purge      [2][]*store.StoredTuple
 	mem        [2][]*store.StoredTuple // snapshotted at open (see doc above)
-	sides      [2][]*store.StoredTuple // disk ++ purge ++ mem
+	fresh      [2][]*store.StoredTuple // the fresh tuples of disk ++ purge ++ mem
+	sides      [2][]*store.StoredTuple // what can pair, of disk ++ purge ++ mem
 	indexDirty [2]bool                 // IndexDisk assigned a pid → rewrite must persist it
 
 	readSide  int // 0, 1 while reading chunks; 2 = join phase
@@ -81,6 +104,12 @@ type chunkBucket struct {
 	// next same-key candidate in sides[1], chainStart before x's chain has
 	// been looked up, chainEnd once it is exhausted.
 	xi, yi int
+}
+
+// isFresh reports whether s arrived after the bucket's last pass or left
+// memory since it, by the bucket-open time (see ChunkPass).
+func (cb *chunkBucket) isFresh(s *store.StoredTuple) bool {
+	return s.ATS > cb.last || (cb.last < s.DTS && s.DTS <= cb.tPass)
 }
 
 // keyIndex is the pass's scratch index over one assembled bucket side:
@@ -115,23 +144,34 @@ func (ix *keyIndex) slot(key value.Value) int {
 	}
 }
 
+// tableSize returns the slot count for n tuples, the least power of two
+// (at least 4) that is at least 2n, and its shift.
+func tableSize(n int) (int, uint) {
+	size, shift := 4, uint(62)
+	for size < 2*n {
+		size, shift = size<<1, shift-1
+	}
+	return size, shift
+}
+
+// reserve grows the index's scratch to take n tuples without allocating.
+func (ix *keyIndex) reserve(n int) {
+	if size, _ := tableSize(n); cap(ix.slots) < size {
+		ix.slots = make([]int32, size)
+	}
+	if cap(ix.next) < n {
+		ix.next = make([]int32, n)
+	}
+}
+
 // build indexes ys (a side of st's bucket; fewer than 2^30 tuples).
 // Chains come out in ys order because the tuples are pushed back to
 // front.
 func (ix *keyIndex) build(st *store.State, ys []*store.StoredTuple) {
-	size, shift := 4, uint(62)
-	for size < 2*len(ys) {
-		size, shift = size<<1, shift-1
-	}
-	if cap(ix.slots) < size {
-		ix.slots = make([]int32, size)
-	} else {
-		ix.slots = ix.slots[:size]
-		clear(ix.slots)
-	}
-	if cap(ix.next) < len(ys) {
-		ix.next = make([]int32, len(ys))
-	}
+	ix.reserve(len(ys))
+	size, shift := tableSize(len(ys))
+	ix.slots = ix.slots[:size]
+	clear(ix.slots)
 	ix.st, ix.ys, ix.next, ix.shift = st, ys, ix.next[:len(ys)], shift
 	for j := len(ys) - 1; j >= 0; j-- {
 		i := ix.slot(st.Key(ys[j].T))
@@ -143,6 +183,9 @@ func (ix *keyIndex) build(st *store.State, ys []*store.StoredTuple) {
 // first returns the position of the first indexed tuple with the given
 // key, or chainEnd.
 func (ix *keyIndex) first(key value.Value) int { return int(ix.slots[ix.slot(key)]) - 1 }
+
+// has reports whether an indexed tuple has the given key.
+func (ix *keyIndex) has(key value.Value) bool { return ix.first(key) != chainEnd }
 
 // pairsPerStep converts the byte budget into the join phase's work
 // budget per step — same-key candidate pairs visited plus side-0 tuples
@@ -197,8 +240,9 @@ func (p *ChunkPass) Step(now stream.Time) (bool, error) {
 		}
 		cb := &p.cur
 
-		// Read phase: one spill chunk per step, side 0 then side 1,
-		// indexing disk tuples in spill order.
+		// Read phase: one spill chunk per step, side 0 then side 1, parsing
+		// the records in spill order and decoding the fresh ones and those
+		// IndexDisk must see.
 		if cb.readSide < 2 {
 			s := cb.readSide
 			ds := cb.scans[s]
@@ -214,13 +258,18 @@ func (p *ChunkPass) Step(now stream.Time) (bool, error) {
 				b.Obs.SpillError(now, s, err)
 				return false, err
 			}
-			if p.hooks.IndexDisk != nil {
-				for _, dt := range cb.disk[s][before:] {
-					pid := dt.PID
+			for j := before; j < len(cb.disk[s]); j++ {
+				dt := cb.disk[s][j]
+				index := p.hooks.IndexDisk != nil && dt.PID == punct.NoPID
+				if !index && !cb.isFresh(dt) {
+					continue
+				}
+				if err := p.decode(cb, s, j, now); err != nil {
+					return false, err
+				}
+				if index {
 					p.hooks.IndexDisk(s, dt)
-					if dt.PID != pid {
-						cb.indexDirty[s] = true
-					}
+					cb.indexDirty[s] = cb.indexDirty[s] || dt.PID != punct.NoPID
 				}
 			}
 			if done {
@@ -231,13 +280,8 @@ func (p *ChunkPass) Step(now stream.Time) (bool, error) {
 		}
 
 		if !cb.assembled {
-			for s := 0; s < 2; s++ {
-				cb.sides[s] = append(cb.sides[s], cb.disk[s]...)
-				cb.sides[s] = append(cb.sides[s], cb.purge[s]...)
-				cb.sides[s] = append(cb.sides[s], cb.mem[s]...)
-			}
-			if len(cb.sides[0]) > 0 && len(cb.sides[1]) > 0 {
-				p.keys.build(b.States[1], cb.sides[1])
+			if err := p.assemble(cb, now); err != nil {
+				return false, err
 			}
 			cb.assembled = true
 		}
@@ -295,19 +339,93 @@ func (p *ChunkPass) Step(now stream.Time) (bool, error) {
 	}
 }
 
+// decode decodes side s's disk record j in full, unless it is already,
+// and counts it.
+func (p *ChunkPass) decode(cb *chunkBucket, s, j int, now stream.Time) error {
+	if cb.disk[s][j].T != nil {
+		return nil
+	}
+	if err := cb.scans[s].Decode(j); err != nil {
+		p.b.Obs.SpillError(now, s, err)
+		return err
+	}
+	p.b.M.DiskDecoded++
+	return nil
+}
+
+// assemble selects the bucket's sides: every fresh tuple, and every other
+// tuple whose key a fresh tuple of the opposite side has (see ChunkPass),
+// each side in disk ++ purge ++ mem order, decoding the disk records
+// selected; then it indexes side 1 for the join phase. The fresh-key
+// indexes are sized for the whole side, as the selection is, even when
+// not built: a first pass finds every tuple fresh and builds none, and
+// the pass after it must find their scratch ready.
+func (p *ChunkPass) assemble(cb *chunkBucket, now stream.Time) error {
+	b := p.b
+	var stale [2]bool // side s has a tuple that is not fresh
+	for s := 0; s < 2; s++ {
+		n := len(cb.disk[s]) + len(cb.purge[s]) + len(cb.mem[s])
+		cb.fresh[s], cb.sides[s] = slices.Grow(cb.fresh[s], n), slices.Grow(cb.sides[s], n)
+		p.fresh[s].reserve(n)
+		for _, part := range [...][]*store.StoredTuple{cb.disk[s], cb.purge[s], cb.mem[s]} {
+			for _, t := range part {
+				if cb.isFresh(t) {
+					cb.fresh[s] = append(cb.fresh[s], t)
+				} else {
+					stale[s] = true
+				}
+			}
+		}
+	}
+	// A stale tuple pairs only with a fresh one of the same key: side s
+	// looks its stale tuples up in the other side's fresh keys, if both
+	// exist.
+	var look [2]bool
+	for s := 0; s < 2; s++ {
+		if look[s] = stale[s] && len(cb.fresh[1-s]) > 0; look[s] {
+			p.fresh[1-s].build(b.States[1-s], cb.fresh[1-s])
+		}
+	}
+	for s := 0; s < 2; s++ {
+		st, ds, keys := b.States[s], cb.scans[s], &p.fresh[1-s]
+		for j, t := range cb.disk[s] {
+			if !cb.isFresh(t) && !(look[s] && keys.has(ds.Key(j))) {
+				continue
+			}
+			if err := p.decode(cb, s, j, now); err != nil {
+				return err
+			}
+			cb.sides[s] = append(cb.sides[s], t)
+		}
+		for _, part := range [...][]*store.StoredTuple{cb.purge[s], cb.mem[s]} {
+			for _, t := range part {
+				if cb.isFresh(t) || look[s] && keys.has(st.Key(t.T)) {
+					cb.sides[s] = append(cb.sides[s], t)
+				}
+			}
+		}
+	}
+	if len(cb.sides[0]) > 0 && len(cb.sides[1]) > 0 {
+		p.keys.build(b.States[1], cb.sides[1])
+	}
+	return nil
+}
+
 // release ends the bucket in flight, if any: it clears every tuple
 // pointer in the bucket's scratch and empties the slices for the next
 // bucket, so between buckets, and so between passes, the pass pins no
 // purged, spilled or decoded tuple.
 func (p *ChunkPass) release() {
 	cb := &p.cur
-	for _, bufs := range [...]*[2][]*store.StoredTuple{&cb.disk, &cb.purge, &cb.mem, &cb.sides} {
+	for _, bufs := range [...]*[2][]*store.StoredTuple{&cb.disk, &cb.purge, &cb.mem, &cb.fresh, &cb.sides} {
 		for s := range bufs {
 			clear(bufs[s])
 			bufs[s] = bufs[s][:0]
 		}
 	}
-	p.keys.st, p.keys.ys = nil, nil
+	for _, ix := range [...]*keyIndex{&p.keys, &p.fresh[0], &p.fresh[1]} {
+		ix.st, ix.ys = nil, nil
+	}
 	p.open = false
 }
 
@@ -322,7 +440,7 @@ func (p *ChunkPass) openBucket(i int, now stream.Time) error {
 	}
 	cb := &p.cur
 	*cb = chunkBucket{i: i, tPass: now, last: b.lastPass[i], yi: chainStart,
-		disk: cb.disk, purge: cb.purge, mem: cb.mem, sides: cb.sides}
+		disk: cb.disk, purge: cb.purge, mem: cb.mem, fresh: cb.fresh, sides: cb.sides}
 	if p.hooks.OnBucketOpen != nil {
 		p.hooks.OnBucketOpen()
 	}
@@ -357,23 +475,21 @@ func (p *ChunkPass) finishBucket(cb *chunkBucket, now stream.Time) error {
 		if ds == nil {
 			continue
 		}
-		keep := cb.disk[s][:0]
-		dropped := false
-		for _, dt := range cb.disk[s] {
-			if p.hooks.DropDisk != nil && p.hooks.DropDisk(s, dt) {
+		p.keep = p.keep[:0]
+		for j, dt := range cb.disk[s] {
+			if p.hooks.DropDisk != nil && p.hooks.DropDisk(s, ds.Key(j), ds.Size(j)) {
 				if p.hooks.OnDiscard != nil {
 					p.hooks.OnDiscard(s, dt)
 				}
 				b.M.Purged++
-				dropped = true
 				continue
 			}
-			keep = append(keep, dt)
+			p.keep = append(p.keep, j)
 		}
 		// Rewrite when tuples were dropped or a pid assignment must
 		// persist; a pure re-scan leaves the partition untouched.
-		rewrite := dropped || cb.indexDirty[s]
-		if err := b.States[s].FinishDiskScan(ds, keep, rewrite); err != nil {
+		rewrite := len(p.keep) < len(cb.disk[s]) || cb.indexDirty[s]
+		if err := b.States[s].FinishDiskScan(ds, p.keep, rewrite); err != nil {
 			b.Obs.SpillError(now, s, err)
 			return err
 		}

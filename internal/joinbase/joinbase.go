@@ -23,7 +23,10 @@
 // overlapping pairs (already joined in memory). Since reachability is
 // monotone in T, each non-overlapping pair is emitted by exactly the
 // first pass at which it becomes reachable. A final pass at end-of-
-// stream reaches everything left.
+// stream reaches everything left. Such a pair always has a member that
+// arrived or left memory since the previous pass, which is what lets a
+// pass decode and pair only those tuples and their same-key partners
+// (see ChunkPass).
 package joinbase
 
 import (
@@ -33,6 +36,7 @@ import (
 	"pjoin/internal/obs/span"
 	"pjoin/internal/store"
 	"pjoin/internal/stream"
+	"pjoin/internal/value"
 )
 
 // EmitFunc receives one join result (the A-side tuple's values followed
@@ -53,6 +57,7 @@ type Metrics struct {
 	PunctsOut     int64    // punctuations propagated
 	Examined      int64    // stored tuples examined by memory probes
 	DiskExamined  int64    // same-key candidate pairs visited by disk passes (unequal-key pairs are never looked at: see keyIndex)
+	DiskDecoded   int64    // spill records disk passes decoded in full; the others were parsed to their key (see ChunkPass)
 	DiskJoins     int64    // results produced by disk passes
 	Relocations   int64    // buckets spilled
 	SpilledTuples int64    // tuples moved to disk
@@ -100,6 +105,7 @@ func (m *Metrics) Add(o Metrics) {
 	m.PunctsOut += o.PunctsOut
 	m.Examined += o.Examined
 	m.DiskExamined += o.DiskExamined
+	m.DiskDecoded += o.DiskDecoded
 	m.DiskJoins += o.DiskJoins
 	m.Relocations += o.Relocations
 	m.SpilledTuples += o.SpilledTuples
@@ -331,17 +337,19 @@ type PassHooks struct {
 	// against tuples parked after the bucket's snapshot belong to the
 	// NEXT pass — dropping on their account would lose those pairs.
 	OnBucketOpen func()
-	// IndexDisk is called for every disk-resident tuple read by the
-	// pass, letting PJoin assign pids to tuples that were spilled before
-	// a matching punctuation arrived.
+	// IndexDisk is called, as the pass reads them, for the disk-resident
+	// tuples without a pid, decoded in full, letting PJoin assign pids to
+	// tuples that were spilled before a matching punctuation arrived.
 	IndexDisk func(side int, s *store.StoredTuple)
-	// DropDisk reports whether a disk-resident tuple should be purged
-	// instead of written back after the pass (PJoin's disk-side purge).
-	DropDisk func(side int, s *store.StoredTuple) bool
+	// DropDisk reports whether a disk-resident tuple, given by its join
+	// key and the length of its spill record (what the partition loses if
+	// it goes), should be purged instead of written back after the pass
+	// (PJoin's disk-side purge).
+	DropDisk func(side int, key value.Value, size int) bool
 	// OnDiscard is called for every tuple that leaves the state during
 	// the pass: purge-buffer tuples (always discarded) and disk tuples
-	// for which DropDisk returned true. PJoin decrements punctuation
-	// counts here.
+	// for which DropDisk returned true — with a nil T when the pass did
+	// not decode them. PJoin decrements punctuation counts here.
 	OnDiscard func(side int, s *store.StoredTuple)
 }
 

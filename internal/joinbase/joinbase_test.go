@@ -257,17 +257,23 @@ func TestDiskPassHooks(t *testing.T) {
 	b.States[0].SpillBucket(0, 3)
 
 	var indexed, discarded []int64
+	droppedBytes := 0
 	hooks := PassHooks{
 		IndexDisk: func(side int, s *store.StoredTuple) {
 			indexed = append(indexed, s.T.Values[0].IntVal())
 		},
-		DropDisk: func(side int, s *store.StoredTuple) bool {
-			return s.T.Values[0].IntVal() == 1
+		DropDisk: func(side int, key value.Value, size int) bool {
+			if key.IntVal() != 1 {
+				return false
+			}
+			droppedBytes += size
+			return true
 		},
 		OnDiscard: func(side int, s *store.StoredTuple) {
 			discarded = append(discarded, s.T.Values[0].IntVal())
 		},
 	}
+	diskBefore := b.States[0].Stats().DiskBytes
 	if err := runPass(b, 10, hooks); err != nil {
 		t.Fatal(err)
 	}
@@ -279,6 +285,9 @@ func TestDiskPassHooks(t *testing.T) {
 	}
 	if got := b.States[0].Stats().DiskTuples; got != 1 {
 		t.Errorf("disk tuples after drop = %d", got)
+	}
+	if lost := diskBefore - b.States[0].Stats().DiskBytes; lost != int64(droppedBytes) {
+		t.Errorf("the partition lost %d bytes, DropDisk was told %d", lost, droppedBytes)
 	}
 	if b.M.Purged != 1 {
 		t.Errorf("Purged = %d", b.M.Purged)

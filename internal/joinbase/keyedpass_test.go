@@ -1,6 +1,7 @@
 package joinbase
 
 import (
+	"encoding/hex"
 	"fmt"
 	"math"
 	"sort"
@@ -64,18 +65,23 @@ func churn(t *testing.T, b *Base, rng *vtime.RNG, ts *stream.Time, n int) {
 
 // nestedLoopPass is the reference: the result sequence of one disk pass
 // over b at time now, computed the way the pass enumerated pairs before
-// it had a key index — every x of side 0 against every y of side 1, in
-// side order (disk ++ purge buffer ++ memory). It reads b and changes
-// nothing but spill read counters.
-func nestedLoopPass(t *testing.T, b *Base, now stream.Time) []string {
+// it had a key index or selected its sides — every x of side 0 against
+// every y of side 1, in side order (disk ++ purge buffer ++ memory), all
+// decoded in full. It also counts the disk records, and by brute force
+// over those sides the ones the fresh-tuple rule selects (see ChunkPass):
+// fresh, or with the key of a fresh tuple of the other side. It reads b
+// and changes nothing but spill read counters.
+func nestedLoopPass(t *testing.T, b *Base, now stream.Time) (want []string, selected, records int64) {
 	t.Helper()
-	var want []string
 	for i := 0; i < b.States[0].NumBuckets(); i++ {
 		if !b.States[0].HasDisk(i) && !b.States[1].HasDisk(i) &&
 			len(b.States[0].Bucket(i).PurgeBuf) == 0 && len(b.States[1].Bucket(i).PurgeBuf) == 0 {
 			continue
 		}
+		last := b.lastPass[i]
+		fresh := func(s *store.StoredTuple) bool { return s.ATS > last || (last < s.DTS && s.DTS <= now) }
 		var sides [2][]*store.StoredTuple
+		var ndisk [2]int
 		for s, st := range b.States {
 			if ds, err := st.OpenDiskScan(i); err != nil {
 				t.Fatal(err)
@@ -85,14 +91,31 @@ func nestedLoopPass(t *testing.T, b *Base, now stream.Time) []string {
 						t.Fatal(err)
 					}
 				}
+				for j := range sides[s] {
+					if err := ds.Decode(j); err != nil {
+						t.Fatal(err)
+					}
+				}
 				if err := st.FinishDiskScan(ds, nil, false); err != nil {
 					t.Fatal(err)
 				}
 			}
+			ndisk[s] = len(sides[s])
+			records += int64(ndisk[s])
 			sides[s] = append(sides[s], st.Bucket(i).PurgeBuf...)
 			sides[s] = st.Bucket(i).AppendMem(sides[s])
 		}
-		last := b.lastPass[i]
+		for s := 0; s < 2; s++ {
+			for _, x := range sides[s][:ndisk[s]] {
+				pick := fresh(x)
+				for _, y := range sides[1-s] {
+					pick = pick || fresh(y) && b.States[1-s].Key(y.T).Equal(b.States[s].Key(x.T))
+				}
+				if pick {
+					selected++
+				}
+			}
+		}
 		cb := struct{ xi, yi int }{}
 		for ys := sides[1]; cb.xi < len(sides[0]); cb.xi, cb.yi = cb.xi+1, 0 {
 			x := sides[0][cb.xi]
@@ -107,15 +130,19 @@ func nestedLoopPass(t *testing.T, b *Base, now stream.Time) []string {
 			}
 		}
 	}
-	return want
+	return want, selected, records
 }
 
 // TestKeyedPassPreservesOrder: enumerating a bucket's candidate pairs
-// through the key index yields the result SEQUENCE of the nested loop —
-// same pairs, same order — on buckets whose keys collide in the full
-// hash and whose sides mix disk, purge-buffer and memory tuples, for
-// first passes and for passes that follow one (a non-zero watermark), at
-// a drained budget, one far smaller than a bucket, and the benchmark's.
+// through the key index, over sides cut to what the fresh-tuple rule
+// selects, yields the result SEQUENCE of the nested loop over every tuple
+// — same pairs, same order — on buckets whose keys collide in the full
+// hash and whose sides mix disk, purge-buffer and memory tuples (with
+// string payloads), for first passes and for passes that follow one (a
+// non-zero watermark), at a drained budget, one far smaller than a
+// bucket, and the benchmark's. On every pass the disk records decoded in
+// full are exactly as many as the rule selects, and over the scenario
+// some records are never decoded.
 func TestKeyedPassPreservesOrder(t *testing.T) {
 	for _, budget := range []int{0, 512, 64 << 10} {
 		for seed := uint64(1); seed <= 12; seed++ {
@@ -124,15 +151,21 @@ func TestKeyedPassPreservesOrder(t *testing.T) {
 				b, results := orderBase(t)
 				var ts stream.Time
 				emitted := 0
+				var allRecords, allDecoded int64
 				for pass := 0; pass < 3; pass++ {
 					churn(t, b, rng, &ts, 150)
 					ts++
-					want := nestedLoopPass(t, b, ts)
+					want, selected, records := nestedLoopPass(t, b, ts)
 					*results = (*results)[:0]
-					before := b.M.DiskExamined
+					before, decoded := b.M.DiskExamined, b.M.DiskDecoded
 					if err := NewPassDriver(b, nil, budget, PassHooks{}, nil).Finish(ts); err != nil {
 						t.Fatal(err)
 					}
+					if got := b.M.DiskDecoded - decoded; got != selected {
+						t.Errorf("pass %d: %d of %d disk records decoded in full, the rule selects %d", pass, got, records, selected)
+					}
+					allRecords += records
+					allDecoded += b.M.DiskDecoded - decoded
 					if len(*results) != len(want) {
 						t.Fatalf("pass %d: %d results, nested loop %d", pass, len(*results), len(want))
 					}
@@ -149,8 +182,67 @@ func TestKeyedPassPreservesOrder(t *testing.T) {
 				if emitted == 0 {
 					t.Fatal("scenario produced no disk-join results")
 				}
+				if allDecoded >= allRecords {
+					t.Errorf("the passes decoded all %d disk records: the scenario never exercises the cut", allRecords)
+				}
 			})
 		}
+	}
+}
+
+// TestRewriteKeepsKeyOnlyRecords: a finalise that drops records and keeps
+// others the pass never decoded past their key writes back the bytes a
+// pass that decoded every record wrote (golden, taken from that pass):
+// each kept record under its pid and DTS, its tuple as it was read. Six
+// side-A records spill at 20; a first pass (all fresh) gives keys 2 and 3
+// a pid; a side-B arrival with key 5 at 40 is the only fresh tuple of the
+// second pass, which decodes key 5's record alone, drops keys 1 and 4,
+// and keeps 0, 2 and 3 without decoding them.
+func TestRewriteKeepsKeyOnlyRecords(t *testing.T) {
+	const golden = "2600140000000000000002010000000000000001000000000000000003097061796c6f61642d30" +
+		"27c801140000000000000002030000000000000001020000000000000003097061796c6f61642d32" +
+		"27ac02140000000000000002040000000000000001030000000000000003097061796c6f61642d33" +
+		"2600140000000000000002060000000000000001050000000000000003097061796c6f61642d35"
+	spill := store.NewMemSpill()
+	b, results := newBase(t, 1)
+	stA, err := store.NewState("A", 0, 1, spill)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.States[0] = stA
+	for k := int64(0); k < 6; k++ {
+		if _, err := stA.Insert(stream.MustTuple(scA, stream.Time(k+1), value.Int(k), value.Str(fmt.Sprintf("payload-%d", k)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := stA.SpillBucket(0, 20); err != nil {
+		t.Fatal(err)
+	}
+	if err := runPass(b, 30, PassHooks{IndexDisk: func(_ int, s *store.StoredTuple) {
+		if k := s.T.Values[0].IntVal(); k == 2 || k == 3 {
+			s.PID = punct.PID(100 * k)
+		}
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.States[1].Insert(bTup(5, 40)); err != nil {
+		t.Fatal(err)
+	}
+	decoded := b.M.DiskDecoded
+	if err := runPass(b, 50, PassHooks{DropDisk: func(_ int, key value.Value, _ int) bool {
+		return key.IntVal() == 1 || key.IntVal() == 4
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if n := b.M.DiskDecoded - decoded; n != 1 || len(*results) != 1 {
+		t.Fatalf("second pass decoded %d records and joined %d pairs, want key 5's record and its one pair", n, len(*results))
+	}
+	raw, err := spill.Read(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(raw); got != golden {
+		t.Errorf("partition after the rewrite\n %s, want\n %s", got, golden)
 	}
 }
 
@@ -189,24 +281,33 @@ func retainedRun(t *testing.T, hooked bool, budget int) {
 	// taken when it opens a bucket (see PassHooks.OnBucketOpen).
 	var closed, dropClosed [2][keys]bool
 	var discarded, indexed int
+	// pidOf: the pid assigned to each tuple (by payload). A tuple that
+	// comes back without it is one whose rewrite lost the assignment.
+	pidOf := map[string]punct.PID{}
 	hooks := PassHooks{}
 	if hooked {
 		hooks = PassHooks{
 			OnBucketOpen: func() { dropClosed = closed },
 			IndexDisk: func(side int, s *store.StoredTuple) {
-				key := s.T.Values[0].IntVal()
-				switch {
-				case s.PID != punct.NoPID && s.PID != punct.PID(key+1):
-					t.Errorf("disk tuple %v came back with pid %d, assigned %d", s.T, s.PID, key+1)
-				case s.PID == punct.NoPID && closed[side][key]:
+				key, payload := s.T.Values[0].IntVal(), s.T.Values[1].StrVal()
+				if pid, ok := pidOf[payload]; ok {
+					t.Errorf("disk tuple %v came back without its pid %d", s.T, pid)
+				}
+				if closed[side][key] {
 					s.PID = punct.PID(key + 1)
+					pidOf[payload] = s.PID
 					indexed++
 				}
 			},
-			DropDisk: func(side int, s *store.StoredTuple) bool {
-				return dropClosed[1-side][s.T.Values[0].IntVal()]
+			DropDisk: func(side int, key value.Value, _ int) bool {
+				return dropClosed[1-side][key.IntVal()]
 			},
-			OnDiscard: func(int, *store.StoredTuple) { discarded++ },
+			OnDiscard: func(side int, s *store.StoredTuple) {
+				if s.PID != punct.NoPID && (s.T != nil && s.PID != pidOf[s.T.Values[1].StrVal()] || s.PID > keys) {
+					t.Errorf("tuple %v leaves with pid %d", s.T, s.PID)
+				}
+				discarded++
+			},
 		}
 	}
 	disk := NewPassDriver(b, nil, budget, hooks, nil)

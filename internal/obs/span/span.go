@@ -27,7 +27,8 @@
 //	punct_drop_fly    core     a tuple dropped on the fly (§4.3): Side = its port, N = 1 dropped / M = 1
 //	                  parked instead (disk portion pending), B = bytes. Σ N: DroppedOnFly
 //	punct_purge_disk  core     one tuple dropped from the disk portion during a pass, attributed to the
-//	                  punctuation in force at bucket open: Side = victim state, N = 1, B = bytes
+//	                  punctuation in force at bucket open: Side = victim state, N = 1, B = its spill
+//	                  record's length (what the partition loses)
 //	punct_defer       core     propagation of a ready punctuation deferred: N = PID, M = 1 a disk pass is
 //	                  in flight, 2 its own disk purge is pending
 //	punct_emit        core, parallel align    released downstream, the terminal of a healthy lifecycle:

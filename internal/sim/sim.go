@@ -32,7 +32,7 @@ type CostModel struct {
 	PerPurgeScan  stream.Time // per tuple examined by a purge scan
 	PerPurgeRun   stream.Time // fixed cost per purge invocation (full table walk)
 	PerIndexScan  stream.Time // per tuple examined by index building
-	PerDiskPair   stream.Time // per same-key candidate pair a disk pass visits (Metrics.DiskExamined): its residence-interval checks
+	PerDiskPair   stream.Time // per same-key candidate pair a disk pass visits (Metrics.DiskExamined): its residence-interval checks; a pass visits only pairs with a fresh member, so re-reading old records is charged as I/O and steps, not pairs
 	PerDiskChunk  stream.Time // fixed cost per incremental disk-pass step (scheduling, cursor bookkeeping)
 	PerSpillTuple stream.Time // per tuple serialised during relocation
 	PerIOOp       stream.Time // per spill-store read/write operation (seek)

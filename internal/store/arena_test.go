@@ -13,18 +13,34 @@ import (
 	"pjoin/internal/value"
 )
 
-// decodeStored decodes one spill record into ordinary heap allocations:
-// the arena decoder run on a throwaway (zero) arena.
-func decodeStored(b []byte) (*StoredTuple, int, error) {
-	var heap scanArena
-	return heap.decodeStored(b)
+// decodeStored parses the spill record at the front of b to its key
+// (attribute 0) and then decodes its tuple in full, into a: the two steps
+// a scan takes for a record it decodes. A nil a is a throwaway (zero)
+// arena, which decodes into ordinary heap allocations. A record the parse
+// accepts must decode.
+func decodeStored(t *testing.T, a *scanArena, b []byte) (*StoredTuple, value.Value, int, error) {
+	if a == nil {
+		a = new(scanArena)
+	}
+	r, n, err := a.parseStored(b, 0)
+	if err != nil {
+		return nil, value.Value{}, 0, err
+	}
+	tu, tn, err := a.tuples.DecodeTuple(b[r.tup:r.end])
+	if err != nil || tn != r.end-r.tup {
+		t.Fatalf("a parsed record does not decode: %d of %d bytes, %v", tn, r.end-r.tup, err)
+	}
+	r.s.T = tu
+	return r.s, r.key, n, nil
 }
 
-// FuzzDecodeStored is FuzzDecodeTupleArena one layer up: decoding a spill
-// record into the state's recycling arena accepts and rejects exactly
-// what the throwaway arena does (a short record included), consumes the
-// same bytes, yields the same stored tuple, and re-encodes to the same
-// bytes — on fresh slabs, behind an earlier record, and on recycled ones.
+// FuzzDecodeStored is FuzzDecodeTupleArena one layer up: parsing a spill
+// record into the state's recycling arena, then decoding it, accepts and
+// rejects exactly what the throwaway arena does (a short record
+// included), consumes the same bytes, yields the same stored tuple and
+// key, and re-encodes to the same bytes — on fresh slabs, behind an
+// earlier record, and on recycled ones. Whatever the parse accepts
+// decodes, and its key is the decoded tuple's attribute 0.
 func FuzzDecodeStored(f *testing.F) {
 	rec := func(pid punct.PID, dts stream.Time, vals ...value.Value) []byte {
 		return appendStored(nil, &StoredTuple{T: &stream.Tuple{Values: vals, Ts: 5}, PID: pid, ATS: 6, DTS: dts})
@@ -40,16 +56,19 @@ func FuzzDecodeStored(f *testing.F) {
 	f.Add(append(rec(1, 2, value.Int(9)), 0xaa, 0xbb))       // trailing bytes are the next record's
 	f.Add([]byte{12, 1, 2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0}) // tuple shorter than its record
 	f.Fuzz(func(t *testing.T, b []byte) {
-		want, wantN, wantErr := decodeStored(b)
+		want, wantKey, wantN, wantErr := decodeStored(t, nil, b)
+		if wantErr == nil && !wantKey.Equal(want.T.Values[0]) {
+			t.Fatalf("parsed key %v, decoded tuple %v", wantKey, want.T)
+		}
 		a := newScanArena()
 		for round := 0; round < 3; round++ {
-			got, n, err := a.decodeStored(b)
+			got, key, n, err := decodeStored(t, &a, b)
 			if err != wantErr || n != wantN {
 				t.Fatalf("round %d: arena decode n=%d err=%v; throwaway arena n=%d err=%v", round, n, err, wantN, wantErr)
 			}
 			if err == nil {
 				if got.PID != want.PID || got.ATS != want.ATS || got.DTS != want.DTS || got.T.Ts != want.T.Ts ||
-					fmt.Sprint(got.T.Values) != fmt.Sprint(want.T.Values) {
+					fmt.Sprint(got.T.Values) != fmt.Sprint(want.T.Values) || key != wantKey {
 					t.Fatalf("round %d: arena decoded %+v %v, throwaway arena %+v %v", round, got, got.T, want, want.T)
 				}
 				if re, plain := appendStored(nil, got), appendStored(nil, want); !bytes.Equal(re, plain) {
@@ -67,9 +86,11 @@ func FuzzDecodeStored(f *testing.F) {
 }
 
 // scanRetained returns the bytes of scan memory the state currently
-// holds for reuse: arena slab chunks, read buffer, encode scratch.
+// holds for reuse: arena slab chunks, record list, read buffer, encode
+// scratch.
 func (st *State) scanRetained() int {
-	return st.arena.stored.Cap()*int(unsafe.Sizeof(StoredTuple{})) + st.arena.tuples.RetainedBytes() + cap(st.scan.buf) + cap(st.enc)
+	return st.arena.stored.Cap()*int(unsafe.Sizeof(StoredTuple{})) + st.arena.tuples.RetainedBytes() +
+		cap(st.scan.recs)*int(unsafe.Sizeof(diskRec{})) + cap(st.scan.buf) + cap(st.enc)
 }
 
 // The retention bound is stated in bytes, from these sizes, and the
@@ -191,7 +212,11 @@ func TestScanRetentionBound(t *testing.T) {
 		if during := st.scanRetained(); during <= scanRetainBytes {
 			t.Fatalf("scan of %d tuples holds %d bytes, not above the %d bound: the test proves nothing", tuples, during, scanRetainBytes)
 		}
-		if err := st.FinishDiskScan(ds, got, rewrite); err != nil {
+		all := make([]int, len(got))
+		for j := range all {
+			all[j] = j
+		}
+		if err := st.FinishDiskScan(ds, all, rewrite); err != nil {
 			t.Fatal(err)
 		}
 		if after := st.scanRetained(); after > scanRetainBytes {

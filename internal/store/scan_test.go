@@ -279,8 +279,22 @@ func TestScanStatsCounting(t *testing.T) {
 	}
 }
 
-// diskScanAll drains a DiskScan with the given byte budget.
+// diskScanAll drains a DiskScan with the given byte budget and decodes
+// every record.
 func diskScanAll(t *testing.T, ds *DiskScan, budget int) []*StoredTuple {
+	t.Helper()
+	out := diskParseAll(t, ds, budget)
+	for j := range out {
+		if err := ds.Decode(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// diskParseAll drains a DiskScan with the given byte budget, decoding
+// nothing past the records' keys.
+func diskParseAll(t *testing.T, ds *DiskScan, budget int) []*StoredTuple {
 	t.Helper()
 	var out []*StoredTuple
 	for i := 0; ; i++ {
@@ -331,16 +345,22 @@ func readDisk(t *testing.T, st *State, i int) []*StoredTuple {
 	return out
 }
 
-// rewriteDisk replaces bucket i's on-disk portion with keep: one
+// rewriteDisk replaces bucket i's on-disk portion with the records keep
+// accepts (by record number and decoded tuple; nil keeps none): one
 // unbounded scan finished with a rewrite.
-func rewriteDisk(t *testing.T, st *State, i int, keep []*StoredTuple) {
+func rewriteDisk(t *testing.T, st *State, i int, keep func(j int, s *StoredTuple) bool) {
 	t.Helper()
 	ds, err := st.OpenDiskScan(i)
 	if err != nil || ds == nil {
 		t.Fatalf("bucket %d: no disk portion to rewrite (err %v)", i, err)
 	}
-	diskScanAll(t, ds, math.MaxInt)
-	if err := st.FinishDiskScan(ds, keep, true); err != nil {
+	var kept []int
+	for j, s := range diskScanAll(t, ds, math.MaxInt) {
+		if keep != nil && keep(j, s) {
+			kept = append(kept, j)
+		}
+	}
+	if err := st.FinishDiskScan(ds, kept, true); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -418,10 +438,10 @@ func TestFinishDiskScanRewritePreservesTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Keep only even keys from the snapshot.
-	var keep []*StoredTuple
-	for _, s := range all {
+	var keep []int
+	for j, s := range all {
 		if k := s.T.Values[0].IntVal(); k%2 == 0 {
-			keep = append(keep, s)
+			keep = append(keep, j)
 		}
 	}
 	if err := st.FinishDiskScan(ds, keep, true); err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"unsafe"
 
 	"pjoin/internal/punct"
@@ -486,20 +487,24 @@ func (st *State) LargestMemBucket() int { return st.occ.largest() }
 
 // What a State keeps between scans, so that the next scan allocates
 // nothing: scanRetainChunks slab chunks of each kind in the decode arena
-// (room for 8,160 tuples of up to four attributes), and a read buffer
-// and an encode scratch of at most scanRetainBuf bytes each. Whatever a
-// larger bucket needed beyond that is released when its scan finishes.
-// scanRetainBytes is the resulting bound on a State's retained scan
-// memory (the arena's current 8 KiB string slab aside).
+// (room for 8,160 tuples of up to four attributes), the record list of
+// as many records, and a read buffer and an encode scratch of at most
+// scanRetainBuf bytes each. Whatever a larger bucket needed beyond that
+// is released when its scan finishes. scanRetainBytes is the resulting
+// bound on a State's retained scan memory (the arena's current 8 KiB
+// string slab aside).
 const (
 	scanRetainChunks = 32
+	scanRetainRecs   = scanRetainChunks * storedChunk
 	scanRetainBuf    = 512 << 10
-	scanRetainBytes  = scanRetainChunks*(storedChunk*int(unsafe.Sizeof(StoredTuple{}))+stream.ArenaChunkBytes) + 2*scanRetainBuf
+	scanRetainBytes  = scanRetainChunks*(storedChunk*int(unsafe.Sizeof(StoredTuple{}))+stream.ArenaChunkBytes) +
+		scanRetainRecs*int(unsafe.Sizeof(diskRec{})) + 2*scanRetainBuf
 )
 
-// scanArena is where a scan's tuples are decoded: StoredTuple wrappers
-// from a recyclable slab, the tuples themselves in a stream.Arena. The
-// zero scanArena decodes into ordinary heap allocations.
+// scanArena is where a scan's records are parsed and its tuples decoded:
+// StoredTuple wrappers from a recyclable slab, the tuples themselves (and
+// the join keys) in a stream.Arena. The zero scanArena decodes into
+// ordinary heap allocations.
 type scanArena struct {
 	stored slab.Slab[StoredTuple]
 	tuples stream.Arena
@@ -546,29 +551,48 @@ func (st *State) keepScratch(buf []byte) {
 // tuples that were on disk when it opened; tuples spilled afterwards are
 // left alone (FinishDiskScan preserves them through the cursor's tail).
 //
-// A State owns one DiskScan and reuses it, with its read buffer and its
-// spill cursor (re-armed by SpillStore.OpenScan), for every scan, so a
-// state has at most one scan open at a time.
+// A scan parses every record to its header and its join key (Next), and
+// decodes a record's tuple in full only when asked to (Decode): a disk
+// pass decodes only the records that can make a new pair. The bytes read
+// stay in the scan's buffer until it finishes, so a record is decoded,
+// and written back by the rewrite, from the bytes read once.
+//
+// A State owns one DiskScan and reuses it, with its buffer, its record
+// list and its spill cursor (re-armed by SpillStore.OpenScan), for every
+// scan, so a state has at most one scan open at a time.
 type DiskScan struct {
 	st   *State
 	i    int
 	cur  ScanCursor // the state's one cursor, closed between scans; nil before the first
 	open bool
-	// buf is the read buffer (len == cap); buf[lo:hi] is read but not yet
-	// decoded — after a Next, the front of a record split across reads.
+	// buf holds the snapshot bytes read so far, from the first record on
+	// (len == cap); buf[lo:hi] is read but not yet parsed — after a Next,
+	// the front of a record split across reads.
 	buf        []byte
 	lo, hi     int
-	snapTuples int   // DiskTuples when the scan opened
-	snapBytes  int64 // DiskBytes when the scan opened: sizes the reads
-	got        int64 // snapshot bytes read so far
-	read       int
+	recs       []diskRec // the records parsed so far, in spill order
+	snapTuples int       // DiskTuples when the scan opened
+	snapBytes  int64     // DiskBytes when the scan opened: sizes the reads
+	got        int64     // snapshot bytes read so far
 	eof        bool
+}
+
+// diskRec is what a scan knows of a record it has parsed: its
+// StoredTuple (T nil until Decode), its join key, and where its bytes are
+// in the scan's buffer — the record is buf[start:end], its tuple's
+// encoding buf[tup:end].
+type diskRec struct {
+	s               *StoredTuple
+	key             value.Value
+	start, tup, end int
 }
 
 // OpenDiskScan opens a scan of bucket i's on-disk portion, or returns
 // nil if the bucket has none. Opening a scan recycles the state's decode
 // arena: every tuple returned by an earlier scan of this state is dead
-// from here on (see DiskScan.Next).
+// from here on (see DiskScan.Next). A scan reads each record once; a
+// pass that finds nothing to pair in a record still reads it (for its key
+// and for the rewrite), but never decodes it past the key.
 func (st *State) OpenDiskScan(i int) (*DiskScan, error) {
 	b := &st.bkts[i]
 	if b.DiskTuples == 0 {
@@ -583,20 +607,28 @@ func (st *State) OpenDiskScan(i int) (*DiskScan, error) {
 		return nil, fmt.Errorf("store: state %s: scan bucket %d: %w", st.name, i, err)
 	}
 	st.arena.reset()
-	*ds = DiskScan{st: st, i: i, cur: cur, open: true, buf: ds.buf, snapTuples: b.DiskTuples, snapBytes: b.DiskBytes}
+	*ds = DiskScan{st: st, i: i, cur: cur, open: true, buf: ds.buf, recs: slices.Grow(ds.recs[:0], b.DiskTuples),
+		snapTuples: b.DiskTuples, snapBytes: b.DiskBytes}
 	return ds, nil
 }
 
 // Next reads up to budget more bytes of the snapshot (DefaultScanChunk
-// if budget <= 0), appends the decoded tuples to dst, and reports whether
-// the scan is exhausted. A record split across the read boundary is kept
-// and completed by the next call.
+// if budget <= 0), parses every record they complete, appends the
+// records' StoredTuples to dst, and reports whether the scan is
+// exhausted. A record split across the read boundary is kept and
+// completed by the next call.
 //
-// The tuples are decoded into the state's arena, not allocated: they
-// (StoredTuple, Tuple and Values) are valid until the next OpenDiskScan
-// on the same state and are zeroed by it, so a caller that wants one for
-// longer copies it. Attribute values copied out of a tuple (a join
-// result) stay valid: string payloads are never recycled.
+// Parsing checks the whole record, as a full decode would, but decodes
+// only its header (PID, DTS, ATS) and its join key: a StoredTuple comes
+// back with a nil T. Key and Size read the rest of what was parsed, and
+// Decode decodes the tuple in full. Records are numbered from 0 in the
+// order Next returns them.
+//
+// The StoredTuples and decoded tuples live in the state's arena, not on
+// the heap: they (StoredTuple, Tuple and Values) are valid until the next
+// OpenDiskScan on the same state and are zeroed by it, so a caller that
+// wants one for longer copies it. Attribute values copied out of a tuple
+// (a join result) stay valid: string payloads are never recycled.
 func (ds *DiskScan) Next(budget int, dst []*StoredTuple) ([]*StoredTuple, bool, error) {
 	if ds.eof && ds.lo == ds.hi {
 		return dst, true, nil
@@ -607,33 +639,54 @@ func (ds *DiskScan) Next(budget int, dst []*StoredTuple) ([]*StoredTuple, bool, 
 		}
 	}
 	for ds.lo < ds.hi {
-		s, n, err := ds.st.arena.decodeStored(ds.buf[ds.lo:ds.hi])
+		r, n, err := ds.st.arena.parseStored(ds.buf[ds.lo:ds.hi], ds.st.attr)
 		if err != nil {
 			if errors.Is(err, errShortRecord) && !ds.eof {
 				break // retry once the next read arrives
 			}
 			return dst, false, fmt.Errorf("store: state %s: decode bucket %d: %w", ds.st.name, ds.i, err)
 		}
-		dst = append(dst, s)
-		ds.read++
+		r.start, r.tup, r.end = ds.lo, ds.lo+r.tup, ds.lo+n
+		ds.recs = append(ds.recs, r)
+		dst = append(dst, r.s)
 		ds.lo += n
 	}
 	done := ds.eof && ds.lo == ds.hi
-	if done && ds.read != ds.snapTuples {
+	if done && len(ds.recs) != ds.snapTuples {
 		return dst, false, fmt.Errorf("store: state %s: bucket %d scan read %d tuples, accounting says %d",
-			ds.st.name, ds.i, ds.read, ds.snapTuples)
+			ds.st.name, ds.i, len(ds.recs), ds.snapTuples)
 	}
 	return dst, done, nil
 }
 
-// fill moves the undecoded remainder to the front of the buffer and reads
-// the next at-most-budget bytes of the snapshot behind it. The read is
-// sized by what the bucket's accounting says is left, so an unbounded
-// budget reads the partition in one piece; the accounting is only a
+// Key returns the join key of record j.
+func (ds *DiskScan) Key(j int) value.Value { return ds.recs[j].key }
+
+// Size returns the length of record j in the partition: what the
+// bucket's DiskBytes falls by when a rewrite leaves the record out.
+func (ds *DiskScan) Size(j int) int { return ds.recs[j].end - ds.recs[j].start }
+
+// Decode decodes record j's tuple in full into the state's arena and sets
+// it as the record's StoredTuple's T, unless it has one already.
+func (ds *DiskScan) Decode(j int) error {
+	r := &ds.recs[j]
+	if r.s.T != nil {
+		return nil
+	}
+	t, _, err := ds.st.arena.tuples.DecodeTuple(ds.buf[r.tup:r.end])
+	if err != nil {
+		return fmt.Errorf("store: state %s: decode bucket %d: %w", ds.st.name, ds.i, err)
+	}
+	r.s.T = t
+	return nil
+}
+
+// fill reads the next at-most-budget bytes of the snapshot behind those
+// already read. The read is sized by what the bucket's accounting says is
+// left, so an unbounded budget reads the partition in one piece, and the
+// buffer is grown to the whole snapshot at once; the accounting is only a
 // hint — the cursor decides where the snapshot ends.
 func (ds *DiskScan) fill(budget int) error {
-	ds.hi = copy(ds.buf, ds.buf[ds.lo:ds.hi])
-	ds.lo = 0
 	if budget <= 0 {
 		budget = DefaultScanChunk
 	}
@@ -643,7 +696,7 @@ func (ds *DiskScan) fill(budget int) error {
 	}
 	need := ds.hi + int(want)
 	if len(ds.buf) < need {
-		grown := make([]byte, need)
+		grown := make([]byte, max(need, int(ds.snapBytes)+1))
 		copy(grown, ds.buf[:ds.hi])
 		ds.buf = grown
 	}
@@ -661,12 +714,15 @@ func (ds *DiskScan) fill(budget int) error {
 }
 
 // FinishDiskScan closes the scan. With rewrite true, the bucket's on-disk
-// portion is replaced by keep plus whatever was spilled after the scan
-// opened (the cursor's tail), so the rewrite is safe against appends that
-// raced with the scan. Tuples keep their existing DTS stamps. Finishing
-// releases whatever the scan grew beyond the state's retention bound
-// (scanRetainBytes); the decoded tuples stay valid until the next open.
-func (st *State) FinishDiskScan(ds *DiskScan, keep []*StoredTuple, rewrite bool) error {
+// portion is replaced by the records keep lists (ascending record
+// numbers) plus whatever was spilled after the scan opened (the cursor's
+// tail), so the rewrite is safe against appends that raced with the scan.
+// A kept record is written back from the bytes read, under its
+// StoredTuple's current PID and its DTS stamp, whether or not it was
+// decoded. Finishing releases whatever the scan grew beyond the state's
+// retention bound (scanRetainBytes); the decoded tuples stay valid until
+// the next open.
+func (st *State) FinishDiskScan(ds *DiskScan, keep []int, rewrite bool) error {
 	if ds != &st.scan || !ds.open {
 		return fmt.Errorf("store: state %s: finish of a scan that is not open", st.name)
 	}
@@ -676,12 +732,14 @@ func (st *State) FinishDiskScan(ds *DiskScan, keep []*StoredTuple, rewrite bool)
 	}
 	b := &st.bkts[ds.i]
 	size := 0
-	for _, s := range keep {
-		size += storedSize(s)
+	for _, j := range keep {
+		r := &ds.recs[j]
+		size += recordSize(r.s.PID, r.end-r.tup)
 	}
 	buf := st.scratch(size)
-	for _, s := range keep {
-		buf = appendStored(buf, s)
+	for _, j := range keep {
+		r := &ds.recs[j]
+		buf = append(appendHeader(buf, r.s.PID, r.s.DTS, r.end-r.tup), ds.buf[r.tup:r.end]...)
 	}
 	buf, err := ds.cur.Tail(buf)
 	st.keepScratch(buf)
@@ -719,6 +777,10 @@ func (st *State) closeScan() {
 	ds.open = false
 	if len(ds.buf) > scanRetainBuf {
 		ds.buf = nil
+	}
+	clear(ds.recs) // the keys' string payloads
+	if cap(ds.recs) > scanRetainRecs {
+		ds.recs = nil
 	}
 	st.arena.trim()
 }
@@ -766,18 +828,27 @@ func uvarintLen(v uint64) int {
 // prefix lets a chunked scan distinguish a record split across chunk
 // boundaries from corruption.
 func appendStored(dst []byte, s *StoredTuple) []byte {
-	body := uvarintLen(uint64(s.PID)) + 8 + s.T.EncodedSize()
-	dst = binary.AppendUvarint(dst, uint64(body))
-	dst = binary.AppendUvarint(dst, uint64(s.PID))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(s.DTS))
+	dst = appendHeader(dst, s.PID, s.DTS, s.T.EncodedSize())
 	arrived := *s.T
 	arrived.Ts = s.ATS
 	return arrived.AppendBinary(dst)
 }
 
+// appendHeader appends what precedes a record's tuple encoding of n
+// bytes: the body length, the pid and the DTS.
+func appendHeader(dst []byte, pid punct.PID, dts stream.Time, n int) []byte {
+	dst = binary.AppendUvarint(dst, uint64(uvarintLen(uint64(pid))+8+n))
+	dst = binary.AppendUvarint(dst, uint64(pid))
+	return binary.LittleEndian.AppendUint64(dst, uint64(dts))
+}
+
 // storedSize returns the number of bytes appendStored emits for s.
-func storedSize(s *StoredTuple) int {
-	body := uvarintLen(uint64(s.PID)) + 8 + s.T.EncodedSize()
+func storedSize(s *StoredTuple) int { return recordSize(s.PID, s.T.EncodedSize()) }
+
+// recordSize returns the length of a record with the given pid whose
+// tuple encoding takes n bytes.
+func recordSize(pid punct.PID, n int) int {
+	body := uvarintLen(uint64(pid)) + 8 + n
 	return uvarintLen(uint64(body)) + body
 }
 
@@ -790,41 +861,44 @@ var (
 	errRecordMismatch = errors.New("record length does not match contents")
 )
 
-// decodeStored decodes the spill record at the front of b into the arena
-// and returns it with the number of bytes consumed. errShortRecord means
-// b ends inside the record.
+// parseStored parses the spill record at the front of b to its header and
+// the attr-th value of its tuple, into the arena, and returns it with the
+// number of bytes consumed; the record's offsets are relative to b, and
+// its StoredTuple has a nil T. errShortRecord means b ends inside the
+// record.
 //
 //pjoin:hotpath
-func (a *scanArena) decodeStored(b []byte) (*StoredTuple, int, error) {
+func (a *scanArena) parseStored(b []byte, attr int) (diskRec, int, error) {
 	body, sz := binary.Uvarint(b)
 	if sz == 0 {
-		return nil, 0, errShortRecord
+		return diskRec{}, 0, errShortRecord
 	}
 	if sz < 0 || body == 0 || body > maxStoredRecord {
-		return nil, 0, errRecordLen
+		return diskRec{}, 0, errRecordLen
 	}
 	if len(b) < sz+int(body) {
-		return nil, 0, errShortRecord
+		return diskRec{}, 0, errShortRecord
 	}
 	rec := b[sz : sz+int(body)]
 	pid, psz := binary.Uvarint(rec)
 	if psz <= 0 {
-		return nil, 0, errRecordPID
+		return diskRec{}, 0, errRecordPID
 	}
 	off := psz
 	if len(rec) < off+8 {
-		return nil, 0, errRecordDTS
+		return diskRec{}, 0, errRecordDTS
 	}
 	dts := stream.Time(binary.LittleEndian.Uint64(rec[off:]))
 	off += 8
-	t, n, err := a.tuples.DecodeTuple(rec[off:])
+	key, ats, n, err := a.tuples.DecodeKey(rec[off:], attr)
 	if err != nil {
-		return nil, 0, err
+		return diskRec{}, 0, err
 	}
 	if off+n != len(rec) {
-		return nil, 0, errRecordMismatch
+		return diskRec{}, 0, errRecordMismatch
 	}
 	s := &a.stored.Take(1)[0]
-	*s = StoredTuple{T: t, PID: punct.PID(pid), ATS: t.Ts, DTS: dts}
-	return s, sz + int(body), nil
+	*s = StoredTuple{PID: punct.PID(pid), ATS: ats, DTS: dts}
+	end := sz + int(body)
+	return diskRec{s: s, key: key, tup: sz + off, end: end}, end, nil
 }

@@ -321,15 +321,8 @@ func TestRewriteDisk(t *testing.T) {
 		st.Insert(tup(t, i, stream.Time(i)))
 	}
 	st.SpillBucket(0, 10)
-	all := readDisk(t, st, 0)
 	// Keep only odd keys.
-	var keep []*StoredTuple
-	for _, s := range all {
-		if s.T.Values[0].IntVal()%2 == 1 {
-			keep = append(keep, s)
-		}
-	}
-	rewriteDisk(t, st, 0, keep)
+	rewriteDisk(t, st, 0, func(_ int, s *StoredTuple) bool { return s.T.Values[0].IntVal()%2 == 1 })
 	if got := st.Stats().DiskTuples; got != 2 {
 		t.Errorf("DiskTuples = %d", got)
 	}
@@ -383,13 +376,13 @@ func TestStoredRoundTripQuick(t *testing.T) {
 			DTS: stream.Time(dts),
 		}
 		enc := appendStored(nil, s)
-		got, n, err := decodeStored(enc)
+		got, k, n, err := decodeStored(t, nil, enc)
 		if err != nil || n != len(enc) {
 			return false
 		}
 		// The record carries the arrival, not the tuple's own Ts.
 		return got.PID == s.PID && got.ATS == s.ATS && got.DTS == s.DTS && got.T.Ts == s.ATS &&
-			got.T.Values[0].Equal(s.T.Values[0])
+			got.T.Values[0].Equal(s.T.Values[0]) && k.Equal(s.T.Values[0])
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -463,9 +456,14 @@ func TestDecodeStoredErrors(t *testing.T) {
 	good := appendStored(nil, &StoredTuple{T: tup(t, 1, 2), PID: 3, DTS: 4})
 	bad := [][]byte{nil, {0x80}, good[:5], good[:len(good)-1]}
 	for i, b := range bad {
-		if s, _, err := decodeStored(b); err == nil {
+		if s, _, _, err := decodeStored(t, nil, b); err == nil {
 			t.Errorf("case %d: decodeStored succeeded: %v", i, s)
 		}
+	}
+	// A record whose tuple has no value at the state's key position.
+	var heap scanArena
+	if r, _, err := heap.parseStored(good, 2); err == nil {
+		t.Errorf("parsing a 2-value record to attribute 2 succeeded: %+v", r)
 	}
 }
 

@@ -47,6 +47,7 @@ var (
 	errDecodeCount     = errors.New("stream: decode tuple: bad value count")
 	errDecodeManyVals  = errors.New("stream: decode tuple: implausible value count")
 	errDecodeTimestamp = errors.New("stream: decode tuple: truncated timestamp")
+	errDecodeNoKey     = errors.New("stream: decode tuple: no value at the key position")
 )
 
 // Arena chunk lengths: tuple headers and attribute values per slab
@@ -116,20 +117,11 @@ func DecodeTuple(b []byte) (*Tuple, int, error) {
 //
 //pjoin:hotpath
 func (a *Arena) DecodeTuple(b []byte) (*Tuple, int, error) {
-	count, sz := binary.Uvarint(b)
-	if sz <= 0 {
-		return nil, 0, errDecodeCount
+	count, ts, off, err := decodeHeader(b)
+	if err != nil {
+		return nil, 0, err
 	}
-	if count > uint64(len(b)) { // each value takes at least one byte
-		return nil, 0, errDecodeManyVals
-	}
-	off := sz
-	if len(b) < off+8 {
-		return nil, 0, errDecodeTimestamp
-	}
-	ts := Time(binary.LittleEndian.Uint64(b[off:]))
-	off += 8
-	vals := a.vals.Take(int(count))
+	vals := a.vals.Take(count)
 	for i := range vals {
 		v, n, err := a.strs.Decode(b[off:])
 		if err != nil {
@@ -141,4 +133,52 @@ func (a *Arena) DecodeTuple(b []byte) (*Tuple, int, error) {
 	t := &a.hdrs.Take(1)[0]
 	t.Values, t.Ts = vals, ts
 	return t, off, nil
+}
+
+// DecodeKey reads the tuple encoded at the front of b with every check
+// DecodeTuple makes, but decodes only its timestamp and its attr-th value
+// (a string payload goes to the arena's Strings); the other values are
+// checked and skipped. n is the tuple's encoded length. No tuple header or
+// values slice is taken from the arena.
+//
+//pjoin:hotpath
+func (a *Arena) DecodeKey(b []byte, attr int) (key value.Value, ts Time, n int, err error) {
+	count, ts, off, err := decodeHeader(b)
+	if err != nil {
+		return value.Value{}, 0, 0, err
+	}
+	if attr >= count {
+		return value.Value{}, 0, 0, errDecodeNoKey
+	}
+	for i := 0; i < count; i++ {
+		var m int
+		if i == attr {
+			key, m, err = a.strs.Decode(b[off:])
+		} else {
+			m, err = value.Skip(b[off:])
+		}
+		if err != nil {
+			return value.Value{}, 0, 0, err
+		}
+		off += m
+	}
+	return key, ts, off, nil
+}
+
+// decodeHeader reads a tuple encoding's value count and timestamp and
+// returns them with the offset of its first value.
+//
+//pjoin:hotpath
+func decodeHeader(b []byte) (count int, ts Time, off int, err error) {
+	n, sz := binary.Uvarint(b)
+	if sz <= 0 {
+		return 0, 0, 0, errDecodeCount
+	}
+	if n > uint64(len(b)) { // each value takes at least one byte
+		return 0, 0, 0, errDecodeManyVals
+	}
+	if len(b) < sz+8 {
+		return 0, 0, 0, errDecodeTimestamp
+	}
+	return int(n), Time(binary.LittleEndian.Uint64(b[sz:])), sz + 8, nil
 }

@@ -76,6 +76,19 @@ func FuzzDecodeTupleArena(f *testing.F) {
 				}
 			}
 		}
+		// DecodeKey accepts what DecodeTuple accepts, provided the key
+		// position exists, and reads the same timestamp, key and length.
+		for attr := 0; attr < 3; attr++ {
+			key, ts, n, err := a.DecodeKey(b, attr)
+			switch {
+			case wantErr != nil || attr >= len(want.Values):
+				if err == nil {
+					t.Fatalf("attr %d: DecodeKey accepted what DecodeTuple rejects (%v) or has no key for", attr, wantErr)
+				}
+			case err != nil || n != wantN || ts != want.Ts || !key.Equal(want.Values[attr]):
+				t.Fatalf("attr %d: DecodeKey %v, %d, %d, %v; DecodeTuple %v, %d", attr, key, ts, n, err, want, wantN)
+			}
+		}
 	})
 }
 

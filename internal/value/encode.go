@@ -44,7 +44,10 @@ const stringSlabBytes = 8 << 10
 // appended to a fixed-size slab and handed out as substrings of it, one
 // allocation per stringSlabBytes of payload instead of one per string.
 // A string, once handed out, is immutable and valid forever; the slab is
-// only ever appended to, and is dropped (not reused) when full.
+// only ever appended to, and is dropped (not reused) when full. Only what
+// is decoded costs slab bytes: a disk scan decodes the join key of every
+// spill record but the rest of a record only when it decodes that record
+// in full, and a value passed over with Skip costs nothing.
 //
 // The zero Strings has no slab: every payload becomes its own string, as
 // a one-off Decode wants. NewStrings enables the slab. A Strings must
@@ -89,36 +92,65 @@ func Decode(b []byte) (Value, int, error) {
 //
 //pjoin:hotpath
 func (s *Strings) Decode(b []byte) (Value, int, error) {
+	k, p, n, err := frame(b)
+	if err != nil {
+		return Value{}, 0, err
+	}
+	switch k {
+	case KindString:
+		return Str(s.intern(p)), n, nil
+	case KindBool:
+		return Value{kind: k, num: uint64(p[0])}, n, nil
+	default:
+		return Value{kind: k, num: binary.LittleEndian.Uint64(p)}, n, nil
+	}
+}
+
+// Skip returns the length of the value encoded at the front of b, making
+// every check Decode makes, without decoding it: a string payload is
+// neither copied nor placed anywhere.
+//
+//pjoin:hotpath
+func Skip(b []byte) (int, error) {
+	_, _, n, err := frame(b)
+	return n, err
+}
+
+// frame checks the value encoding at the front of b and returns its kind,
+// its payload and its length: the one parse behind Decode and Skip.
+//
+//pjoin:hotpath
+func frame(b []byte) (Kind, []byte, int, error) {
 	if len(b) == 0 {
-		return Value{}, 0, errDecodeEmpty
+		return 0, nil, 0, errDecodeEmpty
 	}
 	k := Kind(b[0])
 	rest := b[1:]
 	switch k {
 	case KindInt, KindFloat:
 		if len(rest) < 8 {
-			return Value{}, 0, errDecodeTruncated
+			return 0, nil, 0, errDecodeTruncated
 		}
-		return Value{kind: k, num: binary.LittleEndian.Uint64(rest)}, 9, nil
+		return k, rest[:8], 9, nil
 	case KindBool:
 		if len(rest) < 1 {
-			return Value{}, 0, errDecodeTruncated
+			return 0, nil, 0, errDecodeTruncated
 		}
 		if rest[0] > 1 {
-			return Value{}, 0, errDecodeBool
+			return 0, nil, 0, errDecodeBool
 		}
-		return Value{kind: k, num: uint64(rest[0])}, 2, nil
+		return k, rest[:1], 2, nil
 	case KindString:
 		n, sz := binary.Uvarint(rest)
 		if sz <= 0 {
-			return Value{}, 0, errDecodeStrLen
+			return 0, nil, 0, errDecodeStrLen
 		}
 		if uint64(len(rest)-sz) < n {
-			return Value{}, 0, errDecodeTruncated
+			return 0, nil, 0, errDecodeTruncated
 		}
-		return Str(s.intern(rest[sz : sz+int(n)])), 1 + sz + int(n), nil
+		return k, rest[sz : sz+int(n)], 1 + sz + int(n), nil
 	default:
-		return Value{}, 0, errDecodeKind
+		return 0, nil, 0, errDecodeKind
 	}
 }
 

@@ -80,6 +80,11 @@ func FuzzDecodeSlab(f *testing.F) {
 				t.Fatalf("slab decode %v, %d, %v; plain decode %v, %d, %v", got, n, err, want, wantN, wantErr)
 			}
 		}
+		// Skip passes over exactly what Decode consumes and rejects what
+		// it rejects, with the same error.
+		if n, err := Skip(b); err != wantErr || n != wantN {
+			t.Fatalf("Skip %d, %v; Decode %d, %v", n, err, wantN, wantErr)
+		}
 	})
 }
 
