@@ -90,7 +90,7 @@ figures-check:
 # shrinks the tree lowers the ceiling to its measured figure, and one
 # that must grow it raises the ceiling in the same diff, where review
 # sees it.
-LOC_CEILING := 23359
+LOC_CEILING := 23494
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' \
 		! -path './.bench_build/*' ! -path './internal/lint/*/testdata/*' \
@@ -159,12 +159,15 @@ trace-sample:
 # objects a cold disk pass allocates (~71) and those of each pass of one
 # driver, where every pass after the first reads 0, and the bytes of a
 # warm pass over string payloads (~9 KB: the payloads of the records it
-# decodes in full; ~198 KB when it decoded every record). CI's bench job
-# prints them.
+# decodes in full; ~198 KB when it decoded every record). Then what
+# handling a punctuation allocates on the join's direct drive (0: a
+# punctuation set reuses the entries it removes). CI's bench job prints
+# them.
 bench-alloc:
 	$(GO) test -run=NONE -bench='Probe|Insert|SetMatch|Matches' ./internal/joinbase/ ./internal/punct/
 	$(GO) test -run='TestPipelineAllocsPer' -count=1 -v ./internal/exec/ | grep -E 'per result|^(ok|FAIL|---)'
 	$(GO) test -run='TestDiskPass.*Allocs' -count=1 -v ./internal/joinbase/ | grep -E 'objects|bytes per warm pass|^(ok|FAIL|---)'
+	$(GO) test -run='TestPunctPathAllocs' -count=1 -v ./internal/core/ | grep -E 'per punctuation|^(ok|FAIL|---)'
 
 # ShardedPJoin scaling sweep (wall clock + cost-model makespan).
 bench-scaling:

@@ -195,6 +195,45 @@ func TestPunctLag(t *testing.T) {
 	}
 }
 
+// TestPunctSetGauges: the live sampler carries each side's punctuation-set
+// size beside punct_lag_ms, the number PunctSetSizes returns. Without
+// retention a propagated punctuation leaves its set and the gauge; under
+// RetainPropagated it stays in both.
+func TestPunctSetGauges(t *testing.T) {
+	for _, retain := range []bool{false, true} {
+		lv := obs.NewLive(stream.Millisecond)
+		cfg := defaultConfig()
+		cfg.Instr = obs.NewInstr(nil, lv, "pjoin")
+		cfg.Thresholds.PropagateCount = 1
+		cfg.RetainPropagated = retain
+		j, err := New(cfg, &op.Collector{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A's tuple on key 1 holds A's punctuation on 1 back; A's on 2 and
+		// B's on 3 match nothing and are propagated.
+		for _, fi := range []feedItem{tupA(1, "a", 1), punctFor(0, 1, 2), punctFor(0, 2, 3), punctFor(1, 3, 4)} {
+			if err := j.Process(fi.port, fi.item, fi.item.Ts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lv.Flush(5)
+		last, _ := lv.LastValues()
+		a, b := j.PunctSetSizes()
+		wantA, wantB := 1, 0
+		if retain {
+			wantA, wantB = 2, 1
+		}
+		if a != wantA || b != wantB || last["pjoin.punct_set.a"] != float64(a) || last["pjoin.punct_set.b"] != float64(b) {
+			t.Errorf("retain=%v: PunctSetSizes %d, %d, gauges %v, %v, want %d, %d", retain, a, b,
+				last["pjoin.punct_set.a"], last["pjoin.punct_set.b"], wantA, wantB)
+		}
+		if m := j.Metrics(); m.PunctsOut != 2 {
+			t.Errorf("retain=%v: %d punctuations propagated, want 2", retain, m.PunctsOut)
+		}
+	}
+}
+
 // TestSpillAppendErrorSurfaces proves a failing spill device during
 // state relocation surfaces as a Process error (not a panic, not silent
 // state corruption) and is recorded as a spill_error span.

@@ -303,6 +303,8 @@ func (j *PJoin) registerGauges() {
 		return
 	}
 	lv.Register(name+".punct_lag_ms", func() float64 { return j.PunctLag().Millis() })
+	lv.Register(name+".punct_set.a", func() float64 { return float64(j.psets[0].Len()) })
+	lv.Register(name+".punct_set.b", func() float64 { return float64(j.psets[1].Len()) })
 	// What the health detector's stall window watches next to tuples_in.
 	lv.Register(name+".puncts_out", func() float64 { return float64(j.base.M.PunctsOut) })
 }
@@ -423,7 +425,8 @@ func (j *PJoin) StateTuples() int {
 }
 
 // PunctSetSizes returns the number of punctuations currently held per
-// side (arrived but not yet propagated).
+// side: arrived and not yet removed, which under RetainPropagated
+// includes the ones already propagated.
 func (j *PJoin) PunctSetSizes() (a, b int) {
 	return j.psets[0].Len(), j.psets[1].Len()
 }
@@ -790,11 +793,8 @@ type purgeShare struct {
 // match count (own side's index) is decremented, possibly making that
 // punctuation propagable.
 func (j *PJoin) discard(side int, sd *store.StoredTuple) {
-	if sd.PID == punct.NoPID {
-		return
-	}
-	if e := j.psets[side].Get(sd.PID); e != nil && e.Count > 0 {
-		e.Count--
+	if sd.PID != punct.NoPID {
+		j.psets[side].Unmatch(sd.PID)
 	}
 }
 
@@ -825,7 +825,7 @@ func (j *PJoin) indexBuild(s int) {
 	}
 	hasDisk := j.base.States[s].AnyDisk()
 	for _, e := range pending {
-		e.Indexed = true
+		j.psets[s].MarkIndexed(e)
 		if hasDisk {
 			j.diskPending[s][e.PID] = true
 		}

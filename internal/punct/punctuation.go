@@ -147,12 +147,16 @@ func (p Punctuation) And(q Punctuation) (Punctuation, error) {
 	return Punctuation{pats: out, width: p.width}, nil
 }
 
-// overlaps reports whether some tuple matches both punctuations.
-func (p Punctuation) overlaps(q Punctuation) bool {
+// overlaps reports whether some tuple matches both punctuations. Only
+// positions inside one of the two windows are tried: the wildcards
+// outside both overlap.
+func (p *Punctuation) overlaps(q *Punctuation) bool {
 	if p.width != q.width {
 		return false
 	}
-	for i := 0; i < p.Width(); i++ {
+	lo := int(min(p.off, q.off))
+	hi := max(int(p.off)+len(p.pats), int(q.off)+len(q.pats))
+	for i := lo; i < hi; i++ {
 		if p.PatternAt(i).Disjoint(q.PatternAt(i)) {
 			return false
 		}

@@ -2,6 +2,7 @@ package punct
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"pjoin/internal/slab"
@@ -22,10 +23,14 @@ const NoPID PID = 0
 // the count of state tuples currently matched to it, and whether the
 // index-build component has processed it yet.
 //
-// A Set carves its entries from chunks and zeroes an entry when it leaves
-// the set (Remove, or the entry Compact merges away), so a pointer to an
-// Entry is valid only while the entry is in its set: read what you need
-// before removing it.
+// A Set zeroes an entry when it leaves the set (Remove, or the entry
+// Compact merges away) and hands it out again to a later Add, so a
+// pointer to an Entry is valid only while the entry is in its set: read
+// what you need before removing it.
+//
+// Count may be raised directly (a tuple takes the entry's pid); lowering
+// it goes through Set.Unmatch and setting Indexed through
+// Set.MarkIndexed, which are where an entry can become propagable.
 type Entry struct {
 	PID     PID
 	P       Punctuation
@@ -52,6 +57,8 @@ type Entry struct {
 	// and drop attribution resolve the responsible entry and stamp its
 	// TraceID on the span; zero when tracing is off.
 	TraceID uint64
+
+	cand bool // on the set's candidate list (Set.cands)
 }
 
 // ExhaustiveOn reports whether the punctuation promises exhaustion of a
@@ -83,29 +90,44 @@ func exhaustiveOn(p Punctuation, attr int) bool {
 // (§2.2). It supports the two derived predicates the purge and
 // propagation rules need — setMatch and count-to-zero detection — and
 // optionally verifies the paper's nested-or-disjoint assumption over the
-// join attribute.
+// join attribute. Each per-punctuation operation costs the entries that
+// can answer it, not the set's size (see the fields).
 type Set struct {
-	entries []*Entry
+	entries []*Entry // in pid (arrival) order
 	next    PID
 	alloc   slab.Slab[Entry] // NewOnce: a chunk lives while one of its entries does
+	free    []*Entry         // zeroed entries Remove and Compact dropped, for Add to reuse
 
-	// verifyAttr >= 0 enables checking that each newly added punctuation's
-	// pattern on that attribute is either disjoint from or a superset of
-	// every earlier pattern (§2.2's Ptn_i ∧ Ptn_j ∈ {∅, Ptn_i}).
-	verifyAttr int
+	// verify enables checking that each newly added punctuation's pattern
+	// on the key attribute is either disjoint from or a superset of every
+	// earlier pattern (§2.2's Ptn_i ∧ Ptn_j ∈ {∅, Ptn_i}).
+	verify bool
 
-	// keyAttr >= 0 enables a fast-path index over that attribute for
-	// SetMatchAttr/FirstMatchAttr: entries whose key pattern is a
-	// constant live in constIdx, the rest in nonConst. Per-tuple set
-	// matching (drop-on-the-fly, purge scans) is then O(1) amortised for
-	// the common constant-punctuation workloads instead of O(set size).
+	// keyAttr >= 0 enables an index over that attribute, every list in
+	// pid order: entries exhaustive on it whose pattern there is a
+	// constant live in constIdx, the other exhaustive ones in nonConst,
+	// and the entries that are not exhaustive on it in partial. An entry
+	// whose key pattern is the constant v can meet — match a tuple with
+	// key v, or overlap a punctuation pinning the key to v — only the
+	// entries of constIdx[v], nonConst and partial, so per-tuple set
+	// matching (drop-on-the-fly, purge scans, relocation) and the held
+	// check are O(1) amortised for the common constant-punctuation
+	// workloads instead of O(set size).
 	keyAttr  int
 	constIdx map[value.Value]keyEntries
 	nonConst []*Entry
+	partial  []*Entry
 
-	// byPID resolves pids to entries in O(1); Get is on the per-purged-
-	// tuple path (count decrements).
-	byPID map[PID]*Entry
+	// cands holds, in pid order, every indexed entry whose count is zero
+	// and that is not propagated: what Propagable walks. Unmatch and
+	// MarkIndexed put an entry on it; an entry whose count was raised or
+	// that was marked propagated since stays on it until Propagable next
+	// walks past and drops it.
+	cands []*Entry
+
+	// unidx is the unindexed watermark: every entry with a smaller pid is
+	// indexed, so Unindexed starts its walk there.
+	unidx PID
 
 	// ents and vals back the slices Unindexed, Propagable and PurgePlan
 	// hand out: each such slice is valid until the next of those calls on
@@ -136,33 +158,41 @@ func (k keyEntries) insert(e *Entry) keyEntries {
 
 func (k keyEntries) remove(e *Entry) keyEntries {
 	if k.first != e {
-		k.more = removeEntry(k.more, e)
+		k.more = removeByPID(k.more, e)
 		return k
 	}
 	if len(k.more) == 0 {
 		return keyEntries{}
 	}
 	k.first = k.more[0]
-	k.more = removeEntry(k.more, k.first)
+	k.more = removeByPID(k.more, k.first)
 	return k
 }
 
-// insertByPID adds e to the pid-ordered es. A newly arrived entry has the
-// largest pid, so Add appends; only Compact, whose merged entry keeps an
-// earlier pid, inserts further up.
-func insertByPID(es []*Entry, e *Entry) []*Entry {
-	es = append(es, e)
-	for i := len(es) - 1; i > 0 && es[i].PID < es[i-1].PID; i-- {
-		es[i], es[i-1] = es[i-1], es[i]
+// searchPID returns the index of the first of the pid-ordered es whose
+// pid is at least pid (len(es) if none).
+func searchPID(es []*Entry, pid PID) int {
+	lo, hi := 0, len(es)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if es[mid].PID < pid {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	return es
+	return lo
 }
 
-func removeEntry(es []*Entry, e *Entry) []*Entry {
-	for i, x := range es {
-		if x == e {
-			return append(es[:i], es[i+1:]...)
-		}
+// insertByPID adds e to the pid-ordered es.
+func insertByPID(es []*Entry, e *Entry) []*Entry {
+	return slices.Insert(es, searchPID(es, e.PID), e)
+}
+
+// removeByPID deletes e from the pid-ordered es, if it is there.
+func removeByPID(es []*Entry, e *Entry) []*Entry {
+	if i := searchPID(es, e.PID); i < len(es) && es[i] == e {
+		return slices.Delete(es, i, i+1)
 	}
 	return es
 }
@@ -170,8 +200,7 @@ func removeEntry(es []*Entry, e *Entry) []*Entry {
 // NewSet returns an empty punctuation set with assumption verification
 // and key indexing disabled.
 func NewSet() *Set {
-	return &Set{next: 1, verifyAttr: -1, keyAttr: -1, byPID: make(map[PID]*Entry),
-		alloc: slab.NewOnce[Entry](entryChunk)}
+	return &Set{next: 1, unidx: 1, keyAttr: -1, alloc: slab.NewOnce[Entry](entryChunk)}
 }
 
 // entryChunk is how many entries one allocation of a set holds.
@@ -190,10 +219,7 @@ func NewKeyedSet(attr int, verify bool) *Set {
 		panic("punct: NewKeyedSet with negative attribute")
 	}
 	s := NewSet()
-	s.keyAttr, s.constIdx = attr, make(map[value.Value]keyEntries)
-	if verify {
-		s.verifyAttr = attr
-	}
+	s.keyAttr, s.constIdx, s.verify = attr, make(map[value.Value]keyEntries), verify
 	return s
 }
 
@@ -208,46 +234,85 @@ func (s *Set) Add(p Punctuation) (*Entry, error) {
 	if p.IsZero() {
 		return nil, fmt.Errorf("punct: Add of zero punctuation")
 	}
-	if s.verifyAttr >= 0 {
-		if s.verifyAttr >= p.Width() {
-			return nil, fmt.Errorf("punct: verified attribute %d out of range for width %d", s.verifyAttr, p.Width())
+	if s.verify {
+		if s.keyAttr >= p.Width() {
+			return nil, fmt.Errorf("punct: verified attribute %d out of range for width %d", s.keyAttr, p.Width())
 		}
-		np := p.PatternAt(s.verifyAttr)
-		for _, e := range s.entries {
-			old := e.P.PatternAt(s.verifyAttr)
-			// §2.2 requires each pair to be disjoint or nested. A new
-			// pattern CONTAINED in an earlier one is also accepted: it
-			// is a redundant re-promise (possible when the earlier
-			// entry is the union of compacted punctuations) and
-			// violates nothing semantically.
-			if !np.Disjoint(old) && !np.Contains(old) && !old.Contains(np) {
-				return nil, fmt.Errorf("punct: punctuation %s overlaps earlier %s on attribute %d without nesting",
-					p, e.P, s.verifyAttr)
-			}
+		if old := s.unnested(p.PatternAt(s.keyAttr)); old != nil {
+			return nil, fmt.Errorf("punct: punctuation %s overlaps earlier %s on attribute %d without nesting",
+				p, old.P, s.keyAttr)
 		}
 	}
-	e := &s.alloc.Take(1)[0]
+	var e *Entry
+	if n := len(s.free); n > 0 {
+		e, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		e = &s.alloc.Take(1)[0]
+	}
 	*e = Entry{PID: s.next, P: p}
 	s.next++
 	s.entries = append(s.entries, e)
-	s.byPID[e.PID] = e
 	s.addToIndex(e)
 	return e, nil
 }
 
-// addToIndex classifies an entry for the keyed fast path, keeping each
-// list in arrival (pid) order. Entries that are not exhaustive on the key
-// attribute are indexed NOWHERE: they can never satisfy an
-// attribute-exhaustion query.
-func (s *Set) addToIndex(e *Entry) {
-	if s.keyAttr < 0 || !exhaustiveOn(e.P, s.keyAttr) {
-		return
+// unnested returns the earliest entry whose key pattern np neither
+// avoids nor nests with (§2.2 requires each pair to be disjoint or
+// nested; a new pattern CONTAINED in an earlier one is also accepted: it
+// is a redundant re-promise, possible when the earlier entry is the union
+// of compacted punctuations, and violates nothing semantically), or nil.
+// A constant, wildcard or empty pattern on either side always passes —
+// a constant meets a pattern only by lying inside it — so only a range or
+// enumeration np is checked, and only against the entries whose key
+// pattern can be one: nonConst and partial. Every entry of a verified set
+// is wide enough to have a key pattern (Add checks).
+func (s *Set) unnested(np Pattern) (first *Entry) {
+	if np.kind != Range && np.kind != Enum {
+		return nil
 	}
-	if e.P.PatternAt(s.keyAttr).Kind() == Constant {
+	for _, es := range [2][]*Entry{s.nonConst, s.partial} {
+		for _, e := range es {
+			if first != nil && e.PID >= first.PID {
+				break
+			}
+			if old := e.P.PatternAt(s.keyAttr); !np.Disjoint(old) && !np.Contains(old) && !old.Contains(np) {
+				first = e
+				break
+			}
+		}
+	}
+	return first
+}
+
+// addToIndex files an entry under the key index, keeping each list in
+// pid order.
+func (s *Set) addToIndex(e *Entry) {
+	switch {
+	case s.keyAttr < 0:
+	case !exhaustiveOn(e.P, s.keyAttr):
+		s.partial = insertByPID(s.partial, e)
+	case e.P.PatternAt(s.keyAttr).Kind() == Constant:
 		v := e.P.PatternAt(s.keyAttr).ConstVal()
 		s.constIdx[v] = s.constIdx[v].insert(e)
-	} else {
+	default:
 		s.nonConst = insertByPID(s.nonConst, e)
+	}
+}
+
+func (s *Set) dropFromIndex(e *Entry) {
+	switch {
+	case s.keyAttr < 0:
+	case !exhaustiveOn(e.P, s.keyAttr):
+		s.partial = removeByPID(s.partial, e)
+	case e.P.PatternAt(s.keyAttr).Kind() == Constant:
+		v := e.P.PatternAt(s.keyAttr).ConstVal()
+		if es := s.constIdx[v].remove(e); es.first == nil {
+			delete(s.constIdx, v)
+		} else {
+			s.constIdx[v] = es
+		}
+	default:
+		s.nonConst = removeByPID(s.nonConst, e)
 	}
 }
 
@@ -256,39 +321,67 @@ func (s *Set) addToIndex(e *Entry) {
 func (s *Set) Entries() []*Entry { return s.entries }
 
 // Get returns the entry with the given pid, or nil.
-func (s *Set) Get(pid PID) *Entry { return s.byPID[pid] }
+//
+//pjoin:hotpath
+func (s *Set) Get(pid PID) *Entry {
+	if i := searchPID(s.entries, pid); i < len(s.entries) && s.entries[i].PID == pid {
+		return s.entries[i]
+	}
+	return nil
+}
 
 // Remove deletes the entry with the given pid, preserving arrival order
 // of the rest, and reports whether it was present. Propagated
 // punctuations "are immediately removed from the punctuation set" (§3.5).
-// The entry is zeroed (see Entry).
+// The entry is zeroed and kept for a later Add (see Entry).
 func (s *Set) Remove(pid PID) bool {
-	for i, e := range s.entries {
-		if e.PID == pid {
-			s.entries = append(s.entries[:i], s.entries[i+1:]...)
-			delete(s.byPID, pid)
-			s.dropFromIndex(e)
-			*e = Entry{}
-			return true
-		}
+	e := s.Get(pid)
+	if e == nil {
+		return false
 	}
-	return false
+	s.entries = removeByPID(s.entries, e)
+	s.recycle(e)
+	return true
 }
 
-func (s *Set) dropFromIndex(e *Entry) {
-	if s.keyAttr < 0 || !exhaustiveOn(e.P, s.keyAttr) {
-		return
+// recycle takes an entry that has left s.entries off the key index and
+// the candidate list, zeroes it and keeps it for Add.
+func (s *Set) recycle(e *Entry) {
+	s.dropFromIndex(e)
+	if e.cand {
+		s.cands = removeByPID(s.cands, e)
 	}
-	if e.P.PatternAt(s.keyAttr).Kind() == Constant {
-		v := e.P.PatternAt(s.keyAttr).ConstVal()
-		if es := s.constIdx[v].remove(e); es.first == nil {
-			delete(s.constIdx, v)
-		} else {
-			s.constIdx[v] = es
-		}
-		return
+	*e = Entry{}
+	s.free = append(s.free, e)
+}
+
+// MarkIndexed records that index build has processed e.
+//
+//pjoin:hotpath
+func (s *Set) MarkIndexed(e *Entry) {
+	e.Indexed = true
+	s.noteCandidate(e)
+}
+
+// Unmatch records that a state tuple carrying pid left the state: the
+// entry's count falls by one (never below zero; a pid no longer in the
+// set is ignored).
+//
+//pjoin:hotpath
+func (s *Set) Unmatch(pid PID) {
+	if e := s.Get(pid); e != nil && e.Count > 0 {
+		e.Count--
+		s.noteCandidate(e)
 	}
-	s.nonConst = removeEntry(s.nonConst, e)
+}
+
+// noteCandidate puts e on the candidate list if it qualifies and is not
+// there yet.
+func (s *Set) noteCandidate(e *Entry) {
+	if e.Count == 0 && e.Indexed && !e.Propagated && !e.cand {
+		e.cand = true
+		s.cands = insertByPID(s.cands, e)
+	}
 }
 
 // SetMatch implements setMatch(t, PS): whether any punctuation in the set
@@ -297,12 +390,7 @@ func (s *Set) dropFromIndex(e *Entry) {
 //
 //pjoin:hotpath
 func (s *Set) SetMatch(attrs []value.Value) bool {
-	for _, e := range s.entries {
-		if e.P.Matches(attrs) {
-			return true
-		}
-	}
-	return false
+	return s.FirstMatch(attrs) != nil
 }
 
 // SetMatchAttr reports whether any punctuation promises that no future
@@ -350,16 +438,36 @@ func (s *Set) FirstMatchAttr(attr int, v value.Value) *Entry {
 
 // FirstMatch returns the earliest-arrived entry whose punctuation matches
 // the tuple, or nil. The punctuation index always assigns a tuple "the
-// pid of the first arrived punctuation found to be matched" (§3.5).
+// pid of the first arrived punctuation found to be matched" (§3.5). A
+// keyed set looks at the entries filed under the tuple's key and at the
+// non-constant and partial ones only.
 //
 //pjoin:hotpath
 func (s *Set) FirstMatch(attrs []value.Value) *Entry {
-	for _, e := range s.entries {
+	if s.keyAttr < 0 || s.keyAttr >= len(attrs) {
+		return firstMatchIn(s.entries, nil, attrs)
+	}
+	k := s.constIdx[attrs[s.keyAttr]]
+	best := k.first
+	if best != nil && !best.P.Matches(attrs) {
+		best = firstMatchIn(k.more, nil, attrs)
+	}
+	best = firstMatchIn(s.nonConst, best, attrs)
+	return firstMatchIn(s.partial, best, attrs)
+}
+
+// firstMatchIn returns the earliest of the pid-ordered es that arrived
+// before best (any, if best is nil) and matches the tuple, or best.
+func firstMatchIn(es []*Entry, best *Entry, attrs []value.Value) *Entry {
+	for _, e := range es {
+		if best != nil && e.PID >= best.PID {
+			break
+		}
 		if e.P.Matches(attrs) {
 			return e
 		}
 	}
-	return nil
+	return best
 }
 
 // MaxPID returns the largest pid assigned so far (NoPID if the set has
@@ -383,17 +491,8 @@ func (s *Set) MaxPID() PID { return s.next - 1 }
 //
 //pjoin:hotpath
 func (s *Set) PurgePlan(attr int, after PID) (direct []value.Value, scan []*Entry) {
-	lo, hi := 0, len(s.entries)
-	for lo < hi { // first entry with PID > after
-		mid := int(uint(lo+hi) >> 1)
-		if s.entries[mid].PID <= after {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
 	direct, scan = s.vals[:0], s.ents[:0]
-	for _, e := range s.entries[lo:] {
+	for _, e := range s.entries[searchPID(s.entries, after+1):] {
 		if !exhaustiveOn(e.P, attr) {
 			continue
 		}
@@ -413,17 +512,23 @@ func (s *Set) PurgePlan(attr int, after PID) (direct []value.Value, scan []*Entr
 }
 
 // Unindexed returns the entries not yet processed by index build, in
-// arrival order (the pIndexSet of Fig. 3, lines 2-6). The slice is the
-// set's scratch: valid until the next Unindexed, Propagable or PurgePlan
-// on this set.
+// arrival order (the pIndexSet of Fig. 3, lines 2-6). It walks from the
+// earliest unindexed entry, found by binary search, so when index build
+// marks every entry it is handed — as it does — a call costs O(log n +
+// unindexed entries). The slice is the set's scratch: valid until the
+// next Unindexed, Propagable or PurgePlan on this set.
 //
 //pjoin:hotpath
 func (s *Set) Unindexed() []*Entry {
 	out := s.ents[:0]
-	for _, e := range s.entries {
+	for _, e := range s.entries[searchPID(s.entries, s.unidx):] {
 		if !e.Indexed {
 			out = append(out, e)
 		}
+	}
+	s.unidx = s.next
+	if len(out) > 0 {
+		s.unidx = out[0].PID
 	}
 	s.ents = out
 	return out
@@ -435,36 +540,62 @@ func (s *Set) Unindexed() []*Entry {
 // downstream now. final says the operator emits no further result (its
 // inputs ended and its left-over joins are done), so nothing can follow
 // a release and held entries go too. Entries retained after propagation
-// (Entry.Propagated) are excluded so they are released at most once. The
-// slice is the set's scratch: valid until the next Propagable, Unindexed
-// or PurgePlan on this set (Remove does not disturb the slice; it zeroes
-// the entry).
+// (Entry.Propagated) are excluded so they are released at most once.
+// Only the candidate list is walked, so a call costs the entries pending
+// release, not the set. The slice is the set's scratch: valid until the
+// next Propagable, Unindexed or PurgePlan on this set (Remove does not
+// disturb the slice; it zeroes the entry).
 //
 //pjoin:hotpath
 func (s *Set) Propagable(final bool) []*Entry {
-	out := s.ents[:0]
-	for i, e := range s.entries {
-		if e.Indexed && e.Count == 0 && !e.Propagated && (final || !s.held(i)) {
+	out, keep := s.ents[:0], s.cands[:0]
+	for _, e := range s.cands {
+		if e.Count > 0 || e.Propagated {
+			e.cand = false // back on the list when Unmatch takes it to zero
+			continue
+		}
+		keep = append(keep, e)
+		if final || !s.held(e) {
 			out = append(out, e)
 		}
 	}
-	s.ents = out
+	clear(s.cands[len(keep):])
+	s.cands, s.ents = keep, out
 	return out
 }
 
-// held reports whether an entry that arrived before entries[i] still
-// counts state tuples and overlaps it. Index build gives a tuple the pid
-// of the first punctuation it matches, so a tuple matching a nested or
-// overlapping later punctuation counts toward the earlier one, and the
-// later one's zero count does not show it.
-func (s *Set) held(i int) bool {
-	e := s.entries[i]
-	for _, f := range s.entries[:i] {
-		if f.Count > 0 && f.P.overlaps(e.P) {
+// held reports whether an entry that arrived before e still counts state
+// tuples and overlaps it. Index build gives a tuple the pid of the first
+// punctuation it matches, so a tuple matching a nested or overlapping
+// later punctuation counts toward the earlier one, and the later one's
+// zero count does not show it. When e pins the key to a constant, only
+// the entries filed under that constant, nonConst and partial can overlap
+// it; otherwise every earlier entry is tried.
+func (s *Set) held(e *Entry) bool {
+	if s.keyAttr < 0 || s.keyAttr >= e.P.Width() || e.P.PatternAt(s.keyAttr).kind != Constant {
+		return heldIn(s.entries, e)
+	}
+	k := s.constIdx[e.P.PatternAt(s.keyAttr).lo]
+	return holds(k.first, e) || heldIn(k.more, e) || heldIn(s.nonConst, e) || heldIn(s.partial, e)
+}
+
+// heldIn reports whether one of the pid-ordered es holds e (see held).
+func heldIn(es []*Entry, e *Entry) bool {
+	for _, f := range es {
+		if f.PID >= e.PID {
+			return false
+		}
+		if holds(f, e) {
 			return true
 		}
 	}
 	return false
+}
+
+// holds reports whether f (nil for none) arrived before e, counts tuples
+// and overlaps e.
+func holds(f, e *Entry) bool {
+	return f != nil && f.PID < e.PID && f.Count > 0 && f.P.overlaps(&e.P)
 }
 
 // String renders the set as "{pid:punct#count, ...}" for debugging.

@@ -91,10 +91,9 @@ func TestUnindexedAndPropagable(t *testing.T) {
 	if got := s.Unindexed(); len(got) != 2 {
 		t.Fatalf("Unindexed = %d entries", len(got))
 	}
-	e1.Indexed = true
 	e1.Count = 2
-	e2.Indexed = true
-	e2.Count = 0
+	s.MarkIndexed(e1)
+	s.MarkIndexed(e2)
 	if got := s.Unindexed(); len(got) != 0 {
 		t.Errorf("Unindexed after indexing = %d entries", len(got))
 	}
@@ -115,8 +114,8 @@ func TestUnindexedAndPropagable(t *testing.T) {
 // punctuation it matches, so a later punctuation that overlaps an
 // earlier one still counting tuples is not released on its own zero
 // count — unless no result can follow (final). Disjoint ones are. Keyed,
-// the constants find their earlier overlaps through the key index until
-// a non-exhaustive entry sends every lookup down the set.
+// the constants find their earlier overlaps through the key index, the
+// non-exhaustive entry through its partial list.
 func TestPropagableWaitsForEarlierOverlap(t *testing.T) {
 	for _, keyed := range []bool{true, false} {
 		s := NewSet()
@@ -129,7 +128,7 @@ func TestPropagableWaitsForEarlierOverlap(t *testing.T) {
 		c2, _ := s.Add(keyPunct(t, 1))
 		k3, _ := s.Add(keyPunct(t, 3))
 		for _, e := range s.Entries() {
-			e.Indexed = true
+			s.MarkIndexed(e)
 		}
 		check := func(what string, final bool, want ...*Entry) {
 			t.Helper()
@@ -142,15 +141,16 @@ func TestPropagableWaitsForEarlierOverlap(t *testing.T) {
 				t.Errorf("keyed=%v, %s: Propagable(%v) = %v, want %v", keyed, what, final, got, want)
 			}
 		}
-		c.Count = 1 // holds back the range containing it and its repeat
+		c.Count++ // holds back the range containing it and its repeat
 		check("<1, *> holds a tuple", false, d, k3)
-		c.Count, r.Count = 0, 1 // the range holds back the constants inside it
+		s.Unmatch(c.PID)
+		r.Count++ // the range holds back the constants inside it
 		check("the range holds a tuple", false, c, d)
 		n, _ := s.Add(MustNew(Const(iv(1)), Const(value.Str("x"))))
-		n.Indexed = true
+		s.MarkIndexed(n)
 		check("with a non-exhaustive entry", false, c, d)
 		check("final", true, c, d, c2, k3, n)
-		r.Count = 0
+		s.Unmatch(r.PID)
 		check("all drained", false, c, r, d, c2, k3, n)
 	}
 }
@@ -159,8 +159,8 @@ func TestPropagableWaitsForEarlierOverlap(t *testing.T) {
 // promise about the slices they return: right until the next of those
 // calls on the same set — Remove in between included, which is how
 // propagation uses Propagable — and costing no allocation once grown.
-// What a punctuation's way through the set does allocate is its entry's
-// share of a chunk: 1/64 of an object.
+// Nor does a punctuation's way through the set: Add reuses the entry an
+// earlier Remove zeroed.
 func TestSetScratchLifetime(t *testing.T) {
 	s := NewKeyedSet(0, false)
 	var es []*Entry
@@ -171,7 +171,7 @@ func TestSetScratchLifetime(t *testing.T) {
 	rng, _ := s.Add(MustKeyOnly(2, 0, MustRange(iv(10), iv(20))))
 	es = append(es, rng)
 	for _, e := range s.Unindexed() {
-		e.Indexed = true
+		s.MarkIndexed(e)
 	}
 	prop := s.Propagable(false)
 	if len(prop) != 5 {
@@ -196,9 +196,8 @@ func TestSetScratchLifetime(t *testing.T) {
 		t.Errorf("Unindexed on one set disturbed another's result")
 	}
 
-	// Steady state of the punctuation path: a chunk of entries every 64
-	// punctuations is the one object. One measured run of 640 keeps
-	// AllocsPerRun from rounding the fraction away.
+	// Steady state of the punctuation path: nothing. One measured run of
+	// 640 keeps AllocsPerRun from rounding a fraction of an object away.
 	p := keyPunct(t, 7)
 	const steps = 640
 	allocs := testing.AllocsPerRun(1, func() {
@@ -209,15 +208,15 @@ func TestSetScratchLifetime(t *testing.T) {
 				t.Fatalf("PurgePlan = %v, %v", direct, scan)
 			}
 			for _, u := range a.Unindexed() {
-				u.Indexed = true
+				a.MarkIndexed(u)
 			}
 			for _, r := range a.Propagable(false) {
 				a.Remove(r.PID)
 			}
 		}
 	}) / steps
-	if allocs > 1.0/entryChunk {
-		t.Errorf("add, plan, index, propagate, remove allocates %.4f objects, want at most 1/%d (the entry's chunk)", allocs, entryChunk)
+	if allocs != 0 {
+		t.Errorf("add, plan, index, propagate, remove allocates %.4f objects, want 0", allocs)
 	}
 }
 

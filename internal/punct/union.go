@@ -1,6 +1,8 @@
 package punct
 
 import (
+	"slices"
+
 	"pjoin/internal/value"
 )
 
@@ -209,18 +211,16 @@ func (s *Set) Compact(attr int) int {
 				continue
 			}
 			// Merge b into a: a keeps its (earlier) pid and position; b
-			// leaves the set zeroed (see Entry).
+			// leaves the set zeroed and kept for Add (see Entry).
 			pats := make([]Pattern, a.P.Width())
 			for k := range pats {
 				pats[k] = a.P.PatternAt(k)
 			}
 			pats[attr] = u
 			s.dropFromIndex(a)
-			s.dropFromIndex(b)
 			a.P = Punctuation{pats: pats, width: a.P.width}
-			s.entries = append(s.entries[:j], s.entries[j+1:]...)
-			delete(s.byPID, b.PID)
-			*b = Entry{}
+			s.entries = slices.Delete(s.entries, j, j+1)
+			s.recycle(b)
 			s.addToIndex(a)
 			removed++
 		}

@@ -122,8 +122,8 @@ func TestSetCompactMergesConstants(t *testing.T) {
 func TestSetCompactSkipsIndexedEntries(t *testing.T) {
 	s := NewKeyedSet(0, false)
 	e1, _ := s.Add(MustKeyOnly(2, 0, Const(iv(1))))
-	e1.Indexed = true
 	e1.Count = 3
+	s.MarkIndexed(e1)
 	s.Add(MustKeyOnly(2, 0, Const(iv(2))))
 	if removed := s.Compact(0); removed != 0 {
 		t.Errorf("compaction touched an indexed entry (removed %d)", removed)
