@@ -481,8 +481,7 @@ func (j *PJoin) Process(port int, it stream.Item, now stream.Time) error {
 // a whole batch. Semantics are exactly per-item Process in order — the
 // batch path exists so the driver amortizes its per-call overhead and
 // so hot-key runs inside the batch hit the memoized probe (see
-// joinbase.Base.ProbeOppositeAt). The probe cache is released at the
-// batch boundary so it never pins purged tuples across wakeups.
+// joinbase.Base.ProbeOppositeAt), across batch boundaries too.
 func (j *PJoin) ProcessBatch(port int, items []stream.Item, now stream.Time) error {
 	j.base.M.Batches++
 	j.lat.RecordBatchFill(len(items))
@@ -491,7 +490,6 @@ func (j *PJoin) ProcessBatch(port int, items []stream.Item, now stream.Time) err
 			return err
 		}
 	}
-	j.base.InvalidateProbeCache()
 	return nil
 }
 
@@ -521,6 +519,7 @@ func (j *PJoin) processTuple(s int, t *stream.Tuple, ts stream.Time) error {
 		for side := 0; side < 2; side++ {
 			for _, sd := range j.base.States[side].ExpireMemPrefix(bucket, cutoff) {
 				j.discard(side, sd)
+				j.base.States[side].Free(sd)
 			}
 		}
 	}
@@ -670,7 +669,7 @@ func (j *PJoin) purgeState(victim int, now stream.Time) error {
 
 	// finish completes the removal of one bucket's matching tuples,
 	// identically on every path: park them in the purge buffer when the
-	// opposite bucket still has disk-resident partners, else discard.
+	// opposite bucket still has disk-resident partners, else discard and free.
 	finish := func(i int, removed []*store.StoredTuple) {
 		if len(removed) == 0 {
 			return
@@ -703,6 +702,7 @@ func (j *PJoin) purgeState(victim int, now stream.Time) error {
 		} else {
 			for _, sd := range removed {
 				j.discard(victim, sd)
+				st.Free(sd)
 			}
 			j.base.M.Purged += int64(len(removed))
 		}
@@ -1227,7 +1227,6 @@ func (j *PJoin) Finish(now stream.Time) error {
 		}
 	}
 	j.finished = true
-	j.base.InvalidateProbeCache()
 	if lv := j.obs.Live(); lv != nil {
 		lv.Flush(j.now) // final sample so the series ends at the run's last state
 	}

@@ -23,13 +23,13 @@ type walkView struct {
 	indexed [2]map[punct.PID]bool // entries a build has processed
 	// resident maps every memory-resident tuple to whether it carries a
 	// pid; nullDisk counts the disk-resident tuples that carry none.
-	resident map[*store.StoredTuple]bool
+	resident map[*stream.Tuple]bool
 	nullDisk int64
 }
 
 func viewOf(t *testing.T, j *PJoin) walkView {
 	t.Helper()
-	v := walkView{resident: map[*store.StoredTuple]bool{}}
+	v := walkView{resident: map[*stream.Tuple]bool{}}
 	for s, st := range j.StatesForTest() {
 		v.m[s] = st.Stats()
 		v.indexed[s] = map[punct.PID]bool{}
@@ -39,7 +39,7 @@ func viewOf(t *testing.T, j *PJoin) walkView {
 			}
 		}
 		for i := 0; i < st.NumBuckets(); i++ {
-			st.Bucket(i).ForEachMem(func(sd *store.StoredTuple) { v.resident[sd] = sd.PID != punct.NoPID })
+			st.Bucket(i).ForEachMem(func(sd *store.StoredTuple) { v.resident[sd.T] = sd.PID != punct.NoPID })
 			ForEachDiskForTest(t, st, i, func(sd *store.StoredTuple) {
 				if sd.PID == punct.NoPID {
 					v.nullDisk++
@@ -179,10 +179,14 @@ func TestWalkCountersMatchOccupancy(t *testing.T) {
 				// Tuples indexed one at a time cost one each, in both
 				// accountings: the null-pid tuples a relocation moves to disk
 				// (the arrival itself may be among them), and the null-pid
-				// disk tuples a pass reads — every one there is.
+				// disk tuples a pass reads — every one there is. Only a
+				// tuple's arrival relocates, and nothing else takes a tuple
+				// out of memory in that call, so the moved ones are those
+				// no longer resident (by tuple: the state recycles the
+				// wrappers it spills).
 				var moved, movedNull int64
-				for sd, hasPID := range before.resident {
-					if !sd.Resident() && sd.DTS > it.Ts {
+				for tu, hasPID := range before.resident {
+					if _, still := after.resident[tu]; !still {
 						moved++
 						if !hasPID {
 							movedNull++

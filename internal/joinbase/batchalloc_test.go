@@ -8,11 +8,10 @@ import (
 )
 
 // TestBatchedProbeRunDoesNotAllocate pins the batched hot path to the
-// PR 1 zero-alloc budget: a batch-shaped run — one cache invalidation
-// (the batch boundary) followed by a run of probe misses served through
-// the seq-guarded memoizing probe — performs no allocation at batch
-// length 8. The first probe after the boundary memoizes into the
-// per-Base scratch; the rest are cache hits.
+// zero-alloc budget: a batch-shaped run of probes served through the
+// seq-guarded memoizing probe — a miss after an insert, then hits —
+// performs no allocation at batch length 8. The miss memoizes into the
+// per-Base scratch.
 func TestBatchedProbeRunDoesNotAllocate(t *testing.T) {
 	base := benchBase(&testing.B{})
 	for i := 0; i < 256; i++ {
@@ -27,9 +26,11 @@ func TestBatchedProbeRunDoesNotAllocate(t *testing.T) {
 	if _, err := base.ProbeOpposite(0, probe); err != nil {
 		t.Fatal(err)
 	}
-	base.InvalidateProbeCache()
+	other := stream.MustTuple(benchSchemaB, 1<<40, value.Int(1<<31), value.Str("y"))
 	allocs := testing.AllocsPerRun(100, func() {
-		base.InvalidateProbeCache()
+		if _, err := base.States[1].Insert(other); err != nil { // the state moves: the next probe misses
+			t.Fatal(err)
+		}
 		for j := 0; j < 8; j++ {
 			if _, err := base.ProbeOpposite(0, probe); err != nil {
 				t.Fatal(err)

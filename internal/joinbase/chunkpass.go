@@ -37,7 +37,8 @@ import (
 //     pointers, and a DTS moving from InMemory to some T' > tPass
 //     changes neither reachability at tPass nor overlap with any
 //     snapshot tuple (overlap compares intervals that both started
-//     before tPass).
+//     before tPass). A wrapper freed meanwhile waits untouched in limbo
+//     until the bucket's release (store.State.Hold).
 //   - Spills that race with the pass append to the partition after the
 //     cursor's snapshot end; the cursor never returns them (duplicate
 //     safety) and the rewrite preserves them via the cursor's tail.
@@ -414,7 +415,7 @@ func (p *ChunkPass) assemble(cb *chunkBucket, now stream.Time) error {
 // release ends the bucket in flight, if any: it clears every tuple
 // pointer in the bucket's scratch and empties the slices for the next
 // bucket, so between buckets, and so between passes, the pass pins no
-// purged, spilled or decoded tuple.
+// purged, spilled or decoded tuple; and it unholds the states.
 func (p *ChunkPass) release() {
 	cb := &p.cur
 	for _, bufs := range [...]*[2][]*store.StoredTuple{&cb.disk, &cb.purge, &cb.mem, &cb.fresh, &cb.sides} {
@@ -426,6 +427,8 @@ func (p *ChunkPass) release() {
 	for _, ix := range [...]*keyIndex{&p.keys, &p.fresh[0], &p.fresh[1]} {
 		ix.st, ix.ys = nil, nil
 	}
+	p.b.States[0].Unhold()
+	p.b.States[1].Unhold()
 	p.open = false
 }
 
@@ -446,6 +449,7 @@ func (p *ChunkPass) openBucket(i int, now stream.Time) error {
 	}
 	for s := 0; s < 2; s++ {
 		st := b.States[s]
+		st.Hold() // the snapshot below outlives this step: release unholds
 		ds, err := st.OpenDiskScan(i)
 		if err != nil {
 			b.Obs.SpillError(now, s, err)
@@ -468,6 +472,7 @@ func (p *ChunkPass) finishBucket(cb *chunkBucket, now stream.Time) error {
 			if p.hooks.OnDiscard != nil {
 				p.hooks.OnDiscard(s, pt)
 			}
+			b.States[s].Free(pt)
 		}
 	}
 	for s := 0; s < 2; s++ {

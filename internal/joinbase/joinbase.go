@@ -238,18 +238,6 @@ func (b *Base) ProbeOppositeAt(s int, t *stream.Tuple, ats stream.Time) (int, er
 	return len(matches), nil
 }
 
-// InvalidateProbeCache releases both sides' memoized probes so the
-// cache never pins tuples the states have purged or spilled. Owners
-// call it at batch boundaries and from Finish; correctness does not
-// depend on it (the seq guard already rejects stale hits), only GC
-// hygiene does.
-//
-//pjoin:hotpath
-func (b *Base) InvalidateProbeCache() {
-	b.probeCache[0].Release()
-	b.probeCache[1].Release()
-}
-
 // Relocate implements the memory-overflow resolution (paper §3.3,
 // following XJoin): while the combined memory-resident size is at or
 // above memBytes, spill the largest bucket of the larger state to disk.
@@ -306,6 +294,8 @@ func (b *Base) RegisterGauges(fallback string) (lv *obs.Live, name string) {
 	a, c := b.States[0], b.States[1]
 	lv.Register(name+".mem_bytes.a", func() float64 { return float64(a.MemBytes()) })
 	lv.Register(name+".mem_bytes.b", func() float64 { return float64(c.MemBytes()) })
+	lv.Register(name+".state_bytes.a", func() float64 { return float64(a.RetainedBytes()) })
+	lv.Register(name+".state_bytes.b", func() float64 { return float64(c.RetainedBytes()) })
 	lv.Register(name+".disk_bytes", func() float64 { return float64(a.Stats().DiskBytes + c.Stats().DiskBytes) })
 	lv.Register(name+".state_tuples", func() float64 {
 		return float64(a.Stats().TotalTuples() + c.Stats().TotalTuples())

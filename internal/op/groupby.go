@@ -58,6 +58,7 @@ type GroupBy struct {
 	states slab.Slab[aggState] // NewOnce: a chunk lives while one of its groups is open
 	order  []value.Value       // group creation order, for deterministic flush
 	closed *punct.Set          // punctuations already honoured (integrity check)
+	rows   stream.ResultSlab   // where the output rows are built
 
 	eos      bool
 	finished bool
@@ -297,7 +298,7 @@ func (g *GroupBy) emitGroup(key value.Value, ts stream.Time) error {
 		res = value.Float(st.sumF / float64(st.count))
 	}
 	*st = aggState{} // its chunk must not pin the group's min and max
-	t, err := stream.NewTuple(g.out, ts, key, res)
+	t, err := g.rows.NewTuple(g.out, ts, key, res)
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package op
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"pjoin/internal/punct"
@@ -154,6 +155,29 @@ func TestGroupByRangePunctuationClosesSeveral(t *testing.T) {
 	}
 	if g.Groups() != 3 {
 		t.Errorf("open groups = %d", g.Groups())
+	}
+}
+
+// TestGroupByRowsInChunks: the rows a group-by emits are built in its own
+// result slab, a chunk of headers and one of values for many rows, not two
+// objects each.
+func TestGroupByRowsInChunks(t *testing.T) {
+	g, _ := NewGroupBy(inSchema, 0, 1, AggSum, EmitterFunc(func(stream.Item) error { return nil }))
+	const groups = 1000
+	for k := int64(0); k < groups; k++ {
+		g.Process(0, tup(t, k, 1, stream.Time(k+1)), stream.Time(k+1))
+	}
+	g.Process(0, stream.EOSItem(groups+1), groups+1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := g.Finish(groups + 2); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	per := float64(after.Mallocs-before.Mallocs) / groups
+	t.Logf("%.3f objects per emitted row", per)
+	if per > 1.0/8 {
+		t.Errorf("%.3f objects per emitted row, want at most 1/8", per)
 	}
 }
 

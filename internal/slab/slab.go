@@ -1,15 +1,12 @@
-// Package slab provides the chunked allocator behind the spill-scan
-// decode arena (store.State, stream.Arena) and the join results
-// (stream.ResultSlab): runs of T are carved from fixed-size chunks.
+// Package slab provides the chunked allocator behind the join state
+// (store.State) and its spill-scan arena (stream.Arena) and the join
+// results (stream.ResultSlab): runs of T are carved from fixed-size chunks.
 //
-// A slab built by New is recyclable: the chunks are wiped and carved
-// again after the owner's next Reset instead of being left to the
-// collector, so what it hands out has a stated lifetime. A slab built by
-// NewOnce carves each chunk once and forgets it — the never-recycled
-// device of the insert path (store.alloc's StoredTuple wrappers, a
-// holder's own ResultSlab) behind the same call: a run lives as long as
-// its holder keeps it, and a single surviving run keeps its chunk, and
-// only its chunk, reachable.
+// A slab built by New keeps its chunks: carved again after the owner's
+// next Reset, or, never Reset, behind the owner's free lists (store.alloc).
+// A slab built by NewOnce carves each chunk once and forgets it, for
+// holders that cannot say when a run dies (a holder's own ResultSlab): a
+// single surviving run keeps its chunk, and only its chunk, reachable.
 package slab
 
 // Slab hands out runs of T. A Slab built by New or NewOnce carves them
@@ -73,6 +70,17 @@ func (s *Slab[T]) Reset() {
 	}
 	if s.ci < len(s.chunks) {
 		clear(s.chunks[s.ci][:s.off])
+	}
+	s.ci, s.off = 0, 0
+}
+
+// ResetTo is Reset leaving v, not zeroes, in what was carved (and handed
+// out again by Take): for an owner that overwrites what it takes.
+func (s *Slab[T]) ResetTo(v T) {
+	for i := 0; i < len(s.chunks) && i <= s.ci; i++ {
+		for j := range s.chunks[i][:min(s.size, s.off+(s.ci-i)*s.size)] { // whole chunks before ci
+			s.chunks[i][j] = v
+		}
 	}
 	s.ci, s.off = 0, 0
 }

@@ -96,3 +96,26 @@ func TestResetWipesWhatWasCarved(t *testing.T) {
 		t.Error("first Take after Reset did not reuse the first chunk")
 	}
 }
+
+// TestResetToFillsWhatWasCarved: ResetTo leaves its value in every run
+// handed out since the last reset, full chunks and the part-carved
+// current one alike, rewinds to the first chunk, and leaves the
+// never-carved rest zero.
+func TestResetToFillsWhatWasCarved(t *testing.T) {
+	s := New[int](4)
+	runs := [][]int{s.Take(4), s.Take(3)}
+	s.ResetTo(-1)
+	for i, r := range runs {
+		for _, v := range r {
+			if v != -1 {
+				t.Fatalf("run %d not filled: %v", i, r)
+			}
+		}
+	}
+	if rest := s.chunks[1][3]; rest != 0 {
+		t.Errorf("never-carved element holds %d, want 0", rest)
+	}
+	if again := s.Take(1); &again[0] != &runs[0][0] {
+		t.Error("first Take after ResetTo did not reuse the first chunk")
+	}
+}

@@ -77,7 +77,7 @@ func FuzzDecodeStored(f *testing.F) {
 			}
 			if round == 1 {
 				a.reset()
-				if err == nil && got.T != nil {
+				if err == nil && got.T != recycled.T {
 					t.Fatalf("reset left a decoded record readable: %+v", got)
 				}
 			}
@@ -127,8 +127,8 @@ func spillKeys(t *testing.T, st *State, keys int) {
 
 // TestScanArenaContract pins the lifetime DiskScan.Next documents: a
 // scan's tuples stay readable through its FinishDiskScan and are zeroed
-// when the state's next scan opens — loudly (nil T), not recycled under
-// the reader — while attribute values copied out of them stay good. A
+// when the state's next scan opens — loudly (nil T, or the poison under
+// the pjoin_poison tag), not recycled under the reader — while attribute values copied out of them stay good. A
 // state has one scan at a time, and a scan finishes once.
 func TestScanArenaContract(t *testing.T) {
 	st := mkState(t, 2)
@@ -166,7 +166,7 @@ func TestScanArenaContract(t *testing.T) {
 		t.Fatalf("open bucket 1: %v, %v", ds2, err)
 	}
 	for i, s := range first {
-		if s.T != nil || s.PID != 0 || s.DTS != 0 {
+		if s.T != recycled.T || s.PID != recycled.PID || s.DTS != recycled.DTS {
 			t.Fatalf("scan-1 tuple %d survived the next open: %+v", i, s)
 		}
 	}

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"slices"
+
 	"pjoin/internal/punct"
 	"pjoin/internal/slab"
 	"pjoin/internal/stream"
@@ -27,10 +29,7 @@ import (
 // — both removals stay O(1) per tuple.
 
 // slabChunk is the chunk length of the per-State allocator: one
-// allocation amortised over this many group nodes or groups. A surviving
-// element keeps its whole chunk reachable; the join results
-// (stream.ResultSlab) are chunked the same way and accept the same
-// bounded amplification.
+// allocation amortised over this many group nodes or groups.
 //
 // StoredTuple wrappers, one per tuple the state holds, come in chunks of
 // storedChunk instead: Go (≥ 1.22) puts an 8-byte header in front of a
@@ -42,33 +41,53 @@ const (
 	storedChunk = 255
 )
 
-// alloc is the per-State allocator: everything is carved from slabs that
-// forget a chunk once it is carved up (slab.NewOnce). StoredTuple
-// wrappers are never recycled — they escape the memory index (purge
-// buffers, disk reads, probe results hold them), so reuse would risk
-// aliasing; a chunk is garbage once its last wrapper is. Group nodes and
-// groups never leave the index, so they go on free lists (a recycled one
-// is still a pointer into its chunk).
+// alloc is the per-State allocator: wrappers, group nodes and groups come
+// from slabs the state keeps and go back on free lists, so its chunks
+// follow its peak live state. A wrapper leaves the index (purge buffers,
+// a pass's snapshot hold it), so it is freed where its last reader lets
+// go (State.Free), or waits untouched in limbo while held (State.Hold).
 type alloc struct {
-	stored     slab.Slab[StoredTuple]
-	nodes      slab.Slab[groupNode]
-	groups     slab.Slab[group]
-	freeNodes  *groupNode // chained through anext
-	freeGroups *group     // chained through free
+	stored      slab.Slab[StoredTuple]
+	nodes       slab.Slab[groupNode]
+	groups      slab.Slab[group]
+	free, limbo []*StoredTuple
+	held        bool
+	freeNodes   *groupNode // chained through anext
+	freeGroups  *group     // chained through free
 }
 
 func newAlloc() alloc {
 	return alloc{
-		stored: slab.NewOnce[StoredTuple](storedChunk),
-		nodes:  slab.NewOnce[groupNode](slabChunk),
-		groups: slab.NewOnce[group](slabChunk),
+		stored: slab.New[StoredTuple](storedChunk),
+		nodes:  slab.New[groupNode](slabChunk),
+		groups: slab.New[group](slabChunk),
 	}
 }
 
 func (a *alloc) newStored(t *stream.Tuple, ats stream.Time) *StoredTuple {
-	s := &a.stored.Take(1)[0]
+	var s *StoredTuple
+	if n := len(a.free); n > 0 {
+		s, a.free = a.free[n-1], a.free[:n-1]
+	} else {
+		s = &a.stored.Take(1)[0]
+	}
 	*s = StoredTuple{T: t, PID: punct.NoPID, ATS: ats, DTS: InMemory}
 	return s
+}
+
+// freeStored recycles s, zeroed (or poisoned: poison.go) so the free list
+// pins no tuple; the list grows at once to all wrappers carved, the most
+// it can hold.
+func (a *alloc) freeStored(s *StoredTuple) {
+	if a.held {
+		a.limbo = append(a.limbo, s)
+		return
+	}
+	*s = recycled
+	if len(a.free) == cap(a.free) {
+		a.free = slices.Grow(a.free, a.stored.Cap()-len(a.free))
+	}
+	a.free = append(a.free, s)
 }
 
 func (a *alloc) newNode() *groupNode {
@@ -314,11 +333,12 @@ func (m *memIndex) takeGroup(al *alloc, key value.Value, h uint64, dst []*Stored
 	return dst
 }
 
-// reset empties the index, recycling all nodes and groups but keeping
-// the slot array's capacity for the bucket's next life (post-spill).
+// reset empties the index, recycling its nodes, groups and wrappers but
+// keeping the slot array's capacity for the bucket's next life.
 func (m *memIndex) reset(al *alloc) {
 	for n := m.ahead; n != nil; {
 		next := n.anext
+		al.freeStored(n.s)
 		al.freeNode(n)
 		n = next
 	}

@@ -214,10 +214,9 @@ func (st *State) Insert(t *stream.Tuple) (*StoredTuple, error) { return st.Inser
 
 // InsertAt adds a new arrival, at time ats, to the memory-resident
 // portion of its bucket and returns the stored wrapper. The wrapper and
-// its index node (and a new key's group) come from slabs — one allocation
-// per chunk of each — and purged nodes and groups from free lists, so
-// insertion allocates far less than one object per tuple from the first
-// insert on.
+// its index node (and a new key's group) come from the state's free lists,
+// or its slabs when those are empty — one allocation per chunk of each —
+// so insertion allocates nothing once the state holds its peak.
 //
 //pjoin:hotpath
 func (st *State) InsertAt(t *stream.Tuple, ats stream.Time) (*StoredTuple, error) {
@@ -272,11 +271,12 @@ func (st *State) probe(key value.Value, dst []*StoredTuple) (matches []*StoredTu
 // MemProbe memoizes one ProbeMem result so a run of same-key probes
 // against an unchanged memory portion pays the hash + group lookup
 // once. The matches slice doubles as the probe's scratch buffer, so a
-// MemProbe also replaces a caller-held reusable []*StoredTuple.
+// MemProbe also replaces a caller-held reusable []*StoredTuple. The zero
+// MemProbe holds the probe of an empty state (seq 0). It pins no purged
+// or spilled tuple: the state recycles their wrappers (Free).
 type MemProbe struct {
 	seq      uint64
 	key      value.Value
-	valid    bool
 	matches  []*StoredTuple
 	examined int
 	walked   int
@@ -285,20 +285,6 @@ type MemProbe struct {
 // Walked returns the memory occupancy of the bucket the memoized probe
 // resolved in — like examined, what a fresh probe would report.
 func (mp *MemProbe) Walked() int { return mp.walked }
-
-// Release invalidates the memoized result and drops the stored-tuple
-// pointers (the slice capacity is kept). Call it when the probed state
-// may purge tuples the cache pins, e.g. at a batch boundary.
-//
-//pjoin:hotpath
-func (mp *MemProbe) Release() {
-	mp.valid = false
-	mp.key = value.Value{}
-	for i := range mp.matches {
-		mp.matches[i] = nil
-	}
-	mp.matches = mp.matches[:0]
-}
 
 // ProbeMemCached is ProbeMem with memoization: if mp holds the result
 // of a probe for the same key and the memory portion has not mutated
@@ -309,16 +295,12 @@ func (mp *MemProbe) Release() {
 //
 //pjoin:hotpath
 func (st *State) ProbeMemCached(key value.Value, mp *MemProbe) (matches []*StoredTuple, examined int) {
-	if mp.valid && mp.seq == st.seq && mp.key.Equal(key) {
+	if mp.seq == st.seq && mp.key.Equal(key) {
 		return mp.matches, mp.examined
-	}
-	for i := range mp.matches {
-		mp.matches[i] = nil
 	}
 	mp.matches, mp.examined, mp.walked = st.probe(key, mp.matches[:0])
 	mp.seq = st.seq
 	mp.key = key
-	mp.valid = true
 	return mp.matches, mp.examined
 }
 
@@ -423,10 +405,44 @@ func (st *State) AddToPurgeBuffer(i int, s *StoredTuple, now stream.Time) {
 // Park puts a new arrival at time ats straight into bucket i's purge
 // buffer, never into memory: a tuple dropped on the fly that still owes
 // joins against the opposite state's disk portion. Its residence
-// interval is the empty [ats, ats). The wrapper comes from the same slab
-// as Insert's.
+// interval is the empty [ats, ats). The wrapper comes from the same free
+// list as Insert's.
 func (st *State) Park(i int, t *stream.Tuple, ats stream.Time) {
 	st.AddToPurgeBuffer(i, st.al.newStored(t, ats), ats)
+}
+
+// Free gives back the wrapper of a discarded tuple, once nothing reads
+// it, for a later insert. SpillBucket frees its own; a disk scan's
+// wrappers are the scan arena's, never freed.
+func (st *State) Free(s *StoredTuple) { st.al.freeStored(s) }
+
+// Hold makes the wrappers freed until Unhold wait, untouched, in limbo:
+// a disk pass holds both states while a bucket is open, as its snapshot
+// points to wrappers the join may purge or relocate between steps.
+func (st *State) Hold() { st.al.held = true }
+
+// Unhold ends a Hold, recycling the wrappers freed during it.
+func (st *State) Unhold() {
+	st.al.held = false
+	for _, s := range st.al.limbo {
+		st.al.freeStored(s)
+	}
+	clear(st.al.limbo)
+	st.al.limbo = st.al.limbo[:0]
+}
+
+// RetainedBytes returns what the state holds beyond its bucket array:
+// wrapper, node and group chunks, free lists, slot arrays, and the scan
+// memory kept between scans (scanRetainBytes) or grown by an open one.
+func (st *State) RetainedBytes() int {
+	al, stored := &st.al, int(unsafe.Sizeof(StoredTuple{}))
+	n := (al.stored.Cap()+st.arena.stored.Cap())*stored + al.nodes.Cap()*int(unsafe.Sizeof(groupNode{})) +
+		al.groups.Cap()*int(unsafe.Sizeof(group{})) + (cap(al.free)+cap(al.limbo))*8 +
+		st.arena.tuples.RetainedBytes() + cap(st.scan.buf) + cap(st.scan.recs)*int(unsafe.Sizeof(diskRec{})) + cap(st.enc)
+	for i := range st.bkts {
+		n += cap(st.bkts[i].mem.slots) * 8
+	}
+	return n
 }
 
 // TakePurgeBuffer appends bucket i's purge buffer to dst, empties it and
@@ -444,8 +460,8 @@ func (st *State) TakePurgeBuffer(i int, dst []*StoredTuple) []*StoredTuple {
 
 // SpillBucket relocates bucket i's entire memory portion to disk in
 // arrival order, stamping each tuple's DTS with now (paper §3.3,
-// following XJoin's memory-overflow resolution). It returns the number
-// of tuples moved.
+// following XJoin's memory-overflow resolution), and frees the wrappers
+// (see Free). It returns the number of tuples moved.
 func (st *State) SpillBucket(i int, now stream.Time) (int, error) {
 	b := &st.bkts[i]
 	n := b.mem.ntuples
@@ -516,9 +532,13 @@ func newScanArena() scanArena {
 
 // reset ends the lifetime of every tuple decoded so far and readies the
 // slabs for reuse: the recycled memory is zeroed, so a StoredTuple held
-// across it has a nil T.
+// across it has a nil T (a poisoned one: poison.go).
 func (a *scanArena) reset() {
-	a.stored.Reset()
+	if poisoned() {
+		a.stored.ResetTo(recycled)
+	} else {
+		a.stored.Reset()
+	}
 	a.tuples.Reset()
 }
 

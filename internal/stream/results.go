@@ -27,8 +27,8 @@ const (
 )
 
 // ResultSlab is where tuples that are built rather than received live:
-// join results (Join) and the copies that let a borrowed tuple outlive
-// its batch (Keep). Headers and values are carved from chunks of
+// join results (Join), a group-by's rows (NewTuple) and the copies that
+// let a borrowed tuple outlive its batch (Keep). Headers and values are carved from chunks of
 // resultHdrs and resultVals elements (internal/slab). It is one type with
 // two kinds of owner:
 //
@@ -80,6 +80,17 @@ func (r *ResultSlab) Join(a, c *Tuple, ts Time) *Tuple {
 	res, vals := r.carve(len(a.Values) + len(c.Values))
 	res.FillJoin(vals, a, c, ts)
 	return res
+}
+
+// NewTuple is stream.NewTuple building the tuple in the slab.
+func (r *ResultSlab) NewTuple(s *Schema, ts Time, vals ...value.Value) (*Tuple, error) {
+	if err := validate(s, vals); err != nil {
+		return nil, err
+	}
+	t, vs := r.carve(len(vals))
+	copy(vs, vals)
+	t.Values, t.Ts = vs, ts
+	return t, nil
 }
 
 // Keep is how an item is retained past the call that delivered it: it

@@ -159,18 +159,26 @@ type Tuple struct {
 
 // NewTuple builds a tuple after validating the values against the schema.
 func NewTuple(s *Schema, ts Time, vals ...value.Value) (*Tuple, error) {
-	if len(vals) != s.Width() {
-		return nil, fmt.Errorf("stream: tuple width %d does not fit schema %s", len(vals), s)
-	}
-	for i, v := range vals {
-		if v.Kind() != s.fields[i].Kind {
-			return nil, fmt.Errorf("stream: field %q wants %s, got %s",
-				s.fields[i].Name, s.fields[i].Kind, v.Kind())
-		}
+	if err := validate(s, vals); err != nil {
+		return nil, err
 	}
 	vs := make([]value.Value, len(vals))
 	copy(vs, vals)
 	return &Tuple{Values: vs, Ts: ts}, nil
+}
+
+// validate checks vals against the schema's width and field kinds.
+func validate(s *Schema, vals []value.Value) error {
+	if len(vals) != s.Width() {
+		return fmt.Errorf("stream: tuple width %d does not fit schema %s", len(vals), s)
+	}
+	for i, v := range vals {
+		if v.Kind() != s.fields[i].Kind {
+			return fmt.Errorf("stream: field %q wants %s, got %s",
+				s.fields[i].Name, s.fields[i].Kind, v.Kind())
+		}
+	}
+	return nil
 }
 
 // MustTuple is NewTuple that panics on error.

@@ -276,7 +276,6 @@ func (x *XJoin) ProcessBatch(port int, items []stream.Item, now stream.Time) err
 			return err
 		}
 	}
-	x.base.InvalidateProbeCache()
 	return nil
 }
 
