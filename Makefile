@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint allow-count race exec-stress check examples figures-check loc loc-check oracle traced-oracle oracle-poison fuzz bench-alloc bench-scaling flight-sample trace-sample
+.PHONY: build test vet lint allow-count race exec-stress check examples figures-check loc loc-check oracle traced-oracle oracle-poison soak fuzz bench-alloc bench-scaling flight-sample trace-sample
 
 build:
 	$(GO) build ./...
@@ -90,7 +90,7 @@ figures-check:
 # shrinks the tree lowers the ceiling to its measured figure, and one
 # that must grow it raises the ceiling in the same diff, where review
 # sees it.
-LOC_CEILING := 23582
+LOC_CEILING := 23555
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' \
 		! -path './.bench_build/*' ! -path './internal/lint/*/testdata/*' \
@@ -130,6 +130,14 @@ traced-oracle:
 oracle-poison:
 	$(GO) test -tags=pjoin_poison ./internal/store/ -count=1
 	GOFLAGS=-tags=pjoin_poison $(MAKE) oracle traced-oracle
+
+# The long form of core's TestLifecycleSoak: 10^7 tuples through each of
+# its twelve runs (constant, range and mixed punctuations; one join and
+# two shards; with and without spilling), holding punctuation sets and
+# state under their bounds with no growth over the second half. The
+# tier-1 form feeds 16,000 tuples per run.
+soak:
+	$(GO) test -tags=pjoin_soak ./internal/core/ -run TestLifecycleSoak -count=1 -timeout 90m -v
 
 # Short coverage-guided fuzz of the oracle's scenario decoder + a
 # mechanism-diverse variant slice. Corpus under

@@ -60,7 +60,6 @@ func BenchmarkTable1(b *testing.B) { benchExperiment(b, "table1") }
 func BenchmarkAblationDropFly(b *testing.B) { benchExperiment(b, "abl-dropfly") }
 func BenchmarkAblationIndex(b *testing.B)   { benchExperiment(b, "abl-index") }
 func BenchmarkAblationPurge(b *testing.B)   { benchExperiment(b, "abl-purge") }
-func BenchmarkAblationCompact(b *testing.B) { benchExperiment(b, "abl-compact") }
 func BenchmarkExtWindow(b *testing.B)       { benchExperiment(b, "ext-window") }
 
 // --- micro benchmarks ---
@@ -272,23 +271,6 @@ func retype(it stream.Item, side int) stream.Item {
 	}
 	t := stream.MustTuple(gen.SchemaB, it.Tuple.Ts, it.Tuple.Values...)
 	return stream.TupleItem(t)
-}
-
-// BenchmarkSetCompact measures punctuation-set compaction over a large
-// run of per-key constants.
-func BenchmarkSetCompact(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		set := punct.NewKeyedSet(0, false)
-		for k := int64(0); k < 2_000; k++ {
-			set.Add(punct.MustKeyOnly(2, 0, punct.Const(value.Int(k))))
-		}
-		b.StartTimer()
-		if removed := set.Compact(0); removed != 1_999 {
-			b.Fatalf("removed %d", removed)
-		}
-	}
 }
 
 // BenchmarkSimulator measures the simulator's own overhead per arrival.

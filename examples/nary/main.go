@@ -49,9 +49,10 @@ func main() {
 		}
 	}
 
-	// Retention: paid propagates a punctuation as soon as no stored tuple
-	// matches it, and would otherwise forget it and lose its purge power.
-	opts := plan.JoinOptions{Verify: true, RetainPropagated: true}
+	// paid propagates a punctuation as soon as no stored tuple matches it;
+	// the punctuation stays in force there, purging and dropping, until
+	// it owes nothing.
+	opts := plan.JoinOptions{Verify: true}
 	p := plan.New()
 	p.Source("orders", schemas[0], in[0], false)
 	p.Source("payments", schemas[1], in[1], false)

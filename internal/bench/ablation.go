@@ -14,7 +14,6 @@ func init() {
 	register(Experiment{ID: "abl-dropfly", Title: "Ablation: drop-on-the-fly on/off (asymmetric rates)", Run: runAblDropFly})
 	register(Experiment{ID: "abl-index", Title: "Ablation: eager vs lazy punctuation index building", Run: runAblIndex})
 	register(Experiment{ID: "abl-purge", Title: "Ablation: purge disabled (PJoin degenerates to XJoin-like state)", Run: runAblPurge})
-	register(Experiment{ID: "abl-compact", Title: "Ablation: punctuation-set compaction on/off", Run: runAblCompact})
 	register(Experiment{ID: "ext-window", Title: "Extension (§6): sliding window combined with punctuations", Run: runExtWindow})
 }
 
@@ -127,44 +126,6 @@ func runAblPurge(rc RunConfig) (*Report, error) {
 	if len(report.Series) == 2 {
 		report.Notes = append(report.Notes, fmt.Sprintf(
 			"state ratio disabled/enabled: %.1fx", report.Series[1].Mean()/report.Series[0].Mean()))
-	}
-	return report, nil
-}
-
-// runAblCompact quantifies punctuation-set compaction (an extension
-// beyond the paper): in a long propagation-less run the sets otherwise
-// hold one entry per punctuation ever received.
-func runAblCompact(rc RunConfig) (*Report, error) {
-	report := &Report{
-		ID:    "abl-compact",
-		Title: "Punctuation-set compaction, punct inter-arrival 10, no propagation",
-		Paper: "compaction collapses per-key constants into ranges; results unchanged",
-		Rows:  [][]string{{"variant", "punct set entries (A+B)", "puncts in", "results"}},
-	}
-	for _, compact := range []bool{false, true} {
-		arrs, horizon, err := symmetricWorkload(rc, defShort, 10)
-		if err != nil {
-			return nil, err
-		}
-		pj, err := pjoinFor(rc, fmt.Sprintf("pjoin-compact-%t", compact), 1, func(c *core.Config) { c.CompactSets = compact })
-		if err != nil {
-			return nil, err
-		}
-		res, err := rc.simulate(pj, arrs, horizon)
-		if err != nil {
-			return nil, err
-		}
-		a, b := pj.PunctSetSizes()
-		name := "no compaction"
-		if compact {
-			name = "compaction"
-		}
-		report.Series = append(report.Series, outputSeries(name, res))
-		report.Rows = append(report.Rows, []string{
-			name, fmt.Sprintf("%d", a+b),
-			i64(res.Final.PunctsIn[0] + res.Final.PunctsIn[1]),
-			i64(res.Final.TuplesOut),
-		})
 	}
 	return report, nil
 }

@@ -55,7 +55,7 @@ func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
 		"fig12", "fig13", "fig14", "table1",
-		"abl-dropfly", "abl-index", "abl-purge", "abl-compact", "ext-window", "ext-latency",
+		"abl-dropfly", "abl-index", "abl-purge", "ext-window", "ext-latency",
 		"scale1",
 	}
 	have := map[string]bool{}
@@ -259,17 +259,6 @@ func TestAblationPurge(t *testing.T) {
 	on, off := cell(t, rep, 1, 1), cell(t, rep, 2, 1)
 	if on*2 > off {
 		t.Errorf("disabling purge should blow up the state: %g vs %g", on, off)
-	}
-}
-
-func TestAblationCompact(t *testing.T) {
-	rep := quick(t, "abl-compact")
-	off, on := cell(t, rep, 1, 1), cell(t, rep, 2, 1)
-	if on*10 > off {
-		t.Errorf("compaction left %g of %g entries", on, off)
-	}
-	if rep.Rows[1][3] != rep.Rows[2][3] {
-		t.Error("compaction changed the result count")
 	}
 }
 

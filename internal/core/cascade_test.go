@@ -29,14 +29,13 @@ type cascade struct{ j1, j2 *PJoin }
 
 // newCascade builds the two joins with push propagation after every
 // punctuation (what plan builds by default) and punctuation checking on.
-func newCascade(t *testing.T, retain bool, sink op.Emitter) *cascade {
+func newCascade(t *testing.T, sink op.Emitter) *cascade {
 	t.Helper()
 	c := &cascade{}
 	cfg := Config{
 		SchemaA: schemaA, SchemaB: schemaB,
 		Thresholds:         event.Thresholds{PropagateCount: 1},
 		VerifyPunctuations: true,
-		RetainPropagated:   retain,
 	}
 	var err error
 	c.j1, err = New(cfg, op.EmitterFunc(func(it stream.Item) error {
@@ -110,7 +109,7 @@ func theorem1(items []stream.Item) string {
 
 func TestNaryThreeWayJoin(t *testing.T) {
 	sink := &op.Collector{}
-	newCascade(t, false, sink).run(t, []feedItem{
+	newCascade(t, sink).run(t, []feedItem{
 		tupA(1, "a1", 1),
 		tupB(1, "b1", 2),
 		tupC(1, "c1", 3), // completes (a1,b1,c1)
@@ -145,7 +144,7 @@ func TestNaryCrossProductCount(t *testing.T) {
 			items = append(items, s.tup(7, fmt.Sprintf("x%d", i), ts))
 		}
 	}
-	newCascade(t, false, sink).run(t, items)
+	newCascade(t, sink).run(t, items)
 	if got := len(sink.Tuples()); got != 2*3*4 {
 		t.Errorf("results = %d, want 24", got)
 	}
@@ -155,7 +154,7 @@ func TestNaryCrossProductCount(t *testing.T) {
 // because a1 and a later B tuple can still complete a result with it.
 func TestNaryPurgeNeedsEmptyState(t *testing.T) {
 	sink := &op.Collector{}
-	c := newCascade(t, false, sink)
+	c := newCascade(t, sink)
 	for _, fi := range []feedItem{
 		tupA(1, "a1", 1),
 		tupB(1, "b1", 2),
@@ -175,7 +174,7 @@ func TestNaryPurgeNeedsEmptyState(t *testing.T) {
 // A punctuates key 1 with no A tuple stored: j1 purges b1 and propagates
 // the punctuation at once, which purges c1 from j2.
 func TestNaryPurgeWhenValueDead(t *testing.T) {
-	c := newCascade(t, false, &op.Collector{})
+	c := newCascade(t, &op.Collector{})
 	for _, fi := range []feedItem{
 		tupB(1, "b1", 1),
 		tupC(1, "c1", 2),
@@ -194,32 +193,26 @@ func TestNaryPurgeWhenValueDead(t *testing.T) {
 }
 
 // A closes key 5 while j1 holds no A tuple, so j1 propagates the
-// punctuation at once. Only a retained punctuation still drops the B
-// tuple that follows; without retention j1 has forgotten it and stores b1.
+// punctuation at once. It stays in force, so the B tuple that follows is
+// dropped on the fly and nothing is stored.
 func TestNaryDropOnTheFly(t *testing.T) {
-	for _, want := range []struct {
-		retain         bool
-		dropped, state int
-	}{{true, 1, 0}, {false, 0, 1}} {
-		c := newCascade(t, want.retain, &op.Collector{})
-		for _, fi := range []feedItem{punctFor(0, 5, 1), tupB(5, "b1", 2)} {
-			if err := c.feed(fi); err != nil {
-				t.Fatal(err)
-			}
+	c := newCascade(t, &op.Collector{})
+	for _, fi := range []feedItem{punctFor(0, 5, 1), tupB(5, "b1", 2)} {
+		if err := c.feed(fi); err != nil {
+			t.Fatal(err)
 		}
-		if got := int(c.j1.Metrics().DroppedOnFly); got != want.dropped || c.state() != want.state {
-			t.Errorf("retain=%v: dropped=%d state=%d, want %d and %d",
-				want.retain, got, c.state(), want.dropped, want.state)
-		}
+	}
+	if got := c.j1.Metrics().DroppedOnFly; got != 1 || c.state() != 0 {
+		t.Errorf("dropped=%d state=%d, want 1 and 0", got, c.state())
 	}
 }
 
 // Verify checks a tuple against its own stream's punctuation set. A
-// punctuation over an empty state propagates at once, so it is still in
-// the set to catch the lie only under retention.
+// punctuation over an empty state propagates at once and is still in the
+// set to catch the lie.
 func TestNaryPunctuationViolationDetected(t *testing.T) {
 	for _, bad := range []feedItem{tupA(5, "bad", 2), tupC(5, "bad", 2)} {
-		c := newCascade(t, true, &op.Collector{})
+		c := newCascade(t, &op.Collector{})
 		if err := c.feed(punctFor(bad.port, 5, 1)); err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +226,7 @@ func TestNaryPunctuationViolationDetected(t *testing.T) {
 // output, A's constraining column 0, B's column 2 and C's column 4.
 func TestNaryPropagation(t *testing.T) {
 	sink := &op.Collector{}
-	c := newCascade(t, false, sink)
+	c := newCascade(t, sink)
 	for _, fi := range []feedItem{
 		tupA(1, "a1", 1),
 		tupB(1, "b1", 2),
@@ -271,8 +264,7 @@ func TestNaryPropagation(t *testing.T) {
 
 // TestNaryDifferential: a random three-stream punctuated workload through
 // the cascade produces the exact 3-way equi-join (a nested-loop count),
-// with and without retention, and no result follows an output
-// punctuation that matches it.
+// and no result follows an output punctuation that matches it.
 func TestNaryDifferential(t *testing.T) {
 	tups := [3]func(int64, string, stream.Time) feedItem{tupA, tupB, tupC}
 	for seed := uint64(1); seed <= 300; seed++ {
@@ -306,15 +298,13 @@ func TestNaryDifferential(t *testing.T) {
 		for k := 0; k < nKeys; k++ {
 			want += planned[0][k] * planned[1][k] * planned[2][k]
 		}
-		for _, retain := range []bool{false, true} {
-			sink := &op.Collector{}
-			newCascade(t, retain, sink).run(t, items)
-			if got := len(sink.Tuples()); got != want {
-				t.Errorf("seed %d retain=%v: results = %d, want %d", seed, retain, got, want)
-			}
-			if breach := theorem1(sink.Items); breach != "" {
-				t.Errorf("seed %d retain=%v: %s", seed, retain, breach)
-			}
+		sink := &op.Collector{}
+		newCascade(t, sink).run(t, items)
+		if got := len(sink.Tuples()); got != want {
+			t.Errorf("seed %d: results = %d, want %d", seed, got, want)
+		}
+		if breach := theorem1(sink.Items); breach != "" {
+			t.Errorf("seed %d: %s", seed, breach)
 		}
 	}
 }

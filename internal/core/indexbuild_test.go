@@ -26,14 +26,32 @@ import (
 // zero, side by side in arrival order — and is compared as it is emitted.
 
 // idxStep is one action on the join at time ts.
-type idxStep func(j *core.PJoin, ts stream.Time) error
+type idxStep func(j *idxJoin, ts stream.Time) error
+
+// idxJoin is the join under test, remembering the punctuation each entry
+// arrived as: a released entry may coalesce with its neighbours, leaving
+// the set or taking their union as its pattern.
+type idxJoin struct {
+	*core.PJoin
+	arrived [2]map[punct.PID]punct.Punctuation
+}
+
+func (j *idxJoin) Process(port int, it stream.Item, now stream.Time) error {
+	set := j.SetsForTest()[port]
+	before := set.MaxPID()
+	err := j.PJoin.Process(port, it, now)
+	if pid := set.MaxPID(); pid != before {
+		j.arrived[port][pid] = it.Punct
+	}
+	return err
+}
 
 func idxTuple(port int, key int64, payload string) idxStep {
 	sc := gen.SchemaA
 	if port == 1 {
 		sc = gen.SchemaB
 	}
-	return func(j *core.PJoin, ts stream.Time) error {
+	return func(j *idxJoin, ts stream.Time) error {
 		tp := stream.MustTuple(sc, ts, value.Int(key), value.Str(payload))
 		return j.Process(port, stream.TupleItem(tp), ts)
 	}
@@ -41,7 +59,7 @@ func idxTuple(port int, key int64, payload string) idxStep {
 
 func idxPunct(port int, key, payload punct.Pattern) idxStep {
 	p := punct.MustNew(key, payload)
-	return func(j *core.PJoin, ts stream.Time) error {
+	return func(j *idxJoin, ts stream.Time) error {
 		return j.Process(port, stream.PunctItem(p, ts), ts)
 	}
 }
@@ -49,7 +67,7 @@ func idxPunct(port int, key, payload punct.Pattern) idxStep {
 // idxSpill relocates one bucket of one side to disk, so that what the
 // other side purges from that bucket afterwards parks in a purge buffer.
 func idxSpill(side, bucket int) idxStep {
-	return func(j *core.PJoin, ts stream.Time) error {
+	return func(j *idxJoin, ts stream.Time) error {
 		_, err := j.StatesForTest()[side].SpillBucket(bucket, ts)
 		return err
 	}
@@ -87,7 +105,7 @@ func collide(v value.Value) uint64 { return uint64(v.IntVal()) % 3 }
 // check saw of its index: which entries were indexed and propagated, and
 // how much of the output had been read.
 type idxRun struct {
-	j                   *core.PJoin
+	j                   *idxJoin
 	out                 *op.Collector
 	indexed, propagated [2]map[punct.PID]bool
 	seen                int
@@ -108,7 +126,7 @@ func newIdxRun(t *testing.T, cfg core.Config, colliding bool) *idxRun {
 			st.SetHashFuncForTest(collide)
 		}
 	}
-	r.j = j
+	r.j = &idxJoin{PJoin: j, arrived: [2]map[punct.PID]punct.Punctuation{{}, {}}}
 	return r
 }
 
@@ -126,7 +144,7 @@ func firstMatch(entries []*punct.Entry, sd *store.StoredTuple, all bool) punct.P
 
 // do applies one action at time ts and holds the join's index to the
 // brute-force one.
-func (r *idxRun) do(t *testing.T, what string, ts stream.Time, act func(*core.PJoin) error) {
+func (r *idxRun) do(t *testing.T, what string, ts stream.Time, act func(*idxJoin) error) {
 	t.Helper()
 	if err := act(r.j); err != nil {
 		t.Fatalf("%s: %v", what, err)
@@ -177,17 +195,22 @@ func (r *idxRun) do(t *testing.T, what string, ts stream.Time, act func(*core.PJ
 			case !e.Indexed:
 				pending++
 			}
-			if e.Propagated && !r.propagated[s][e.PID] {
-				r.propagated[s][e.PID] = true
-				if !e.Indexed || e.Count != 0 {
-					t.Fatalf("%s: side %d pid %d %s propagated with indexed=%v count=%d", what, s, e.PID, e.P, e.Indexed, e.Count)
-				}
-				outP, err := core.OutputPunctuation(gen.SchemaA, gen.SchemaB, s, e.P)
-				if err != nil {
-					t.Fatal(err)
-				}
-				released = append(released, outP)
+			if e.Propagated && (!e.Indexed || e.Count != 0) {
+				t.Fatalf("%s: side %d pid %d %s propagated with indexed=%v count=%d", what, s, e.PID, e.P, e.Indexed, e.Count)
 			}
+		}
+		// Released since the last check: propagated, or gone — only a
+		// released entry retires — in arrival order, as it arrived.
+		for pid := punct.PID(1); pid <= sets[s].MaxPID(); pid++ {
+			if e := sets[s].Get(pid); r.propagated[s][pid] || e != nil && !e.Propagated {
+				continue
+			}
+			r.propagated[s][pid] = true
+			outP, err := core.OutputPunctuation(gen.SchemaA, gen.SchemaB, s, r.j.arrived[s][pid])
+			if err != nil {
+				t.Fatal(err)
+			}
+			released = append(released, outP)
 		}
 		if built > 0 && pending > 0 {
 			t.Fatalf("%s: side %d build indexed %d entries and left %d pending: a build takes the whole batch", what, s, built, pending)
@@ -219,12 +242,12 @@ func (r *idxRun) finish(t *testing.T, ts stream.Time) {
 	t.Helper()
 	for port := 0; port < 2; port++ {
 		ts++
-		r.do(t, fmt.Sprintf("EOS port %d", port), ts, func(j *core.PJoin) error {
+		r.do(t, fmt.Sprintf("EOS port %d", port), ts, func(j *idxJoin) error {
 			return j.Process(port, stream.EOSItem(ts), ts)
 		})
 	}
 	ts++
-	r.do(t, "Finish", ts, func(j *core.PJoin) error { return j.Finish(ts) })
+	r.do(t, "Finish", ts, func(j *idxJoin) error { return j.Finish(ts) })
 	r.finished(t, "Finish")
 }
 
@@ -290,14 +313,14 @@ func TestIndexBuildKeyedMatchesScan(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/colliding=%v", sh.name, colliding), func(t *testing.T) {
 				cfg := core.Config{
 					SchemaA: gen.SchemaA, SchemaB: gen.SchemaB, AttrA: gen.KeyAttr, AttrB: gen.KeyAttr,
-					NumBuckets: 4, RetainPropagated: true, VerifyPunctuations: true,
+					NumBuckets: 4, VerifyPunctuations: true,
 					Thresholds: event.Thresholds{Purge: 1, PropagateCount: sh.propagateCount},
 				}
 				r := newIdxRun(t, cfg, colliding)
 				var ts stream.Time
 				for i, step := range sh.steps {
 					ts++
-					r.do(t, fmt.Sprintf("step %d", i), ts, func(j *core.PJoin) error { return step(j, ts) })
+					r.do(t, fmt.Sprintf("step %d", i), ts, func(j *idxJoin) error { return step(j, ts) })
 				}
 				keyed, scan := r.indexScanned()
 				if sh.wholeBatchScans && keyed != scan {
@@ -320,7 +343,7 @@ func TestIndexBuildKeyedVisitsPurgeBuffers(t *testing.T) {
 		t.Run(fmt.Sprintf("colliding=%v", colliding), func(t *testing.T) {
 			cfg := core.Config{
 				SchemaA: gen.SchemaA, SchemaB: gen.SchemaB, AttrA: gen.KeyAttr, AttrB: gen.KeyAttr,
-				NumBuckets: 1, RetainPropagated: true,
+				NumBuckets: 1,
 				// Pull mode: nothing propagates (and no disk pass empties the
 				// purge buffers) before the builds under test have run.
 				EagerIndex: true,
@@ -340,7 +363,7 @@ func TestIndexBuildKeyedVisitsPurgeBuffers(t *testing.T) {
 			var ts stream.Time
 			for i, step := range steps {
 				ts++
-				r.do(t, fmt.Sprintf("step %d", i), ts, func(j *core.PJoin) error { return step(j, ts) })
+				r.do(t, fmt.Sprintf("step %d", i), ts, func(j *idxJoin) error { return step(j, ts) })
 			}
 			if _, b := r.j.StateStats(); b.PurgeTuples != 4 || b.MemTuples != 2 {
 				t.Fatalf("side B holds %d parked and %d resident tuples, want 4 and 2", b.PurgeTuples, b.MemTuples)
@@ -353,7 +376,7 @@ func TestIndexBuildKeyedVisitsPurgeBuffers(t *testing.T) {
 				idxPunct(1, idxKey(0), punct.Star()),
 			} {
 				ts++
-				r.do(t, fmt.Sprintf("B punctuation %d", i), ts, func(j *core.PJoin) error { return step(j, ts) })
+				r.do(t, fmt.Sprintf("B punctuation %d", i), ts, func(j *idxJoin) error { return step(j, ts) })
 			}
 			for i, want := range []int{1, 1, 2} {
 				if e := r.j.SetsForTest()[1].Entries()[i]; e.Count != want || !e.Indexed {
@@ -383,7 +406,6 @@ func TestIndexBuildKeyedOnOracleScenarios(t *testing.T) {
 						DiskJoinIdle: sc.DiskJoinIdle, PropagateCount: propagateCount,
 					},
 					EagerIndex:         sc.EagerIndex,
-					RetainPropagated:   true,
 					VerifyPunctuations: true,
 				}
 				r := newIdxRun(t, cfg, colliding)
@@ -391,17 +413,17 @@ func TestIndexBuildKeyedOnOracleScenarios(t *testing.T) {
 				var last stream.Time
 				for i, a := range sc.Arrivals {
 					if sc.IdleEvery > 0 && i%sc.IdleEvery == sc.IdleEvery-1 && a.Item.Ts > last+1 {
-						r.do(t, fmt.Sprintf("%s: idle before arrival %d", name, i), a.Item.Ts-1, func(j *core.PJoin) error {
+						r.do(t, fmt.Sprintf("%s: idle before arrival %d", name, i), a.Item.Ts-1, func(j *idxJoin) error {
 							_, err := j.OnIdle(a.Item.Ts - 1)
 							return err
 						})
 					}
-					r.do(t, fmt.Sprintf("%s: arrival %d (%v)", name, i, a.Item), a.Item.Ts, func(j *core.PJoin) error {
+					r.do(t, fmt.Sprintf("%s: arrival %d (%v)", name, i, a.Item), a.Item.Ts, func(j *idxJoin) error {
 						return j.Process(a.Port, a.Item, a.Item.Ts)
 					})
 					last = a.Item.Ts
 				}
-				r.do(t, name+": Finish", last+1, func(j *core.PJoin) error { return j.Finish(last + 1) })
+				r.do(t, name+": Finish", last+1, func(j *idxJoin) error { return j.Finish(last + 1) })
 				r.finished(t, name)
 				if keyed, scan := r.indexScanned(); keyed > scan {
 					t.Errorf("%s: the build visited %d tuples, a table walk %d", name, keyed, scan)

@@ -92,6 +92,47 @@ func TestObsEventsReconcileWithMetrics(t *testing.T) {
 	}
 }
 
+// TestObsRetiredLifecyclesClose: without propagation nothing is ever
+// released, so a punctuation that retires into a neighbour gets its
+// punct_eos_close as it leaves the set and the survivors get theirs at
+// Finish: every lifecycle closes exactly once, and the one reconciliation
+// table holds.
+func TestObsRetiredLifecyclesClose(t *testing.T) {
+	rec := &span.Recorder{}
+	cfg := obsConfig(rec)
+	cfg.SchemaA, cfg.SchemaB = gen.SchemaA, gen.SchemaB
+	cfg.DisablePropagation = true
+	j, err := New(cfg, &op.Collector{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var items []feedItem
+	for _, a := range spancheck.Stream() {
+		items = append(items, feedItem{a.Port, a.Item})
+	}
+	run(t, j, items)
+	if a, b := j.PunctSetSizes(); a != 1 || b != 1 {
+		t.Errorf("%d and %d punctuations left after keys 0..29 closed on both sides, want one range each", a, b)
+	}
+	closes := map[uint64]int{}
+	for _, s := range rec.Spans() {
+		if s.Kind == span.KindPunctEOSClose {
+			closes[s.Trace]++
+		}
+	}
+	if m := j.Metrics(); int64(len(closes)) != m.PunctsIn[0]+m.PunctsIn[1] {
+		t.Errorf("%d lifecycles closed, %d punctuations arrived", len(closes), m.PunctsIn[0]+m.PunctsIn[1])
+	}
+	for trace, n := range closes {
+		if n != 1 {
+			t.Errorf("trace %d closed %d times", trace, n)
+		}
+	}
+	for _, d := range spancheck.Check(rec.Spans(), j.Metrics(), spancheck.Opts{Admitted: true}) {
+		t.Error(d)
+	}
+}
+
 // TestPurgeDiskSpansReportDiskBytes: a punct_purge_disk span carries what
 // the partition loses when the pass drops a tuple — its whole spill
 // record, header included — so over a pass that drops disk tuples, with
@@ -196,41 +237,34 @@ func TestPunctLag(t *testing.T) {
 }
 
 // TestPunctSetGauges: the live sampler carries each side's punctuation-set
-// size beside punct_lag_ms, the number PunctSetSizes returns. Without
-// retention a propagated punctuation leaves its set and the gauge; under
-// RetainPropagated it stays in both.
+// size beside punct_lag_ms, the number PunctSetSizes returns. A propagated
+// punctuation stays in its set and the gauge until it retires into a
+// neighbour.
 func TestPunctSetGauges(t *testing.T) {
-	for _, retain := range []bool{false, true} {
-		lv := obs.NewLive(stream.Millisecond)
-		cfg := defaultConfig()
-		cfg.Instr = obs.NewInstr(nil, lv, "pjoin")
-		cfg.Thresholds.PropagateCount = 1
-		cfg.RetainPropagated = retain
-		j, err := New(cfg, &op.Collector{})
-		if err != nil {
+	lv := obs.NewLive(stream.Millisecond)
+	cfg := defaultConfig()
+	cfg.Instr = obs.NewInstr(nil, lv, "pjoin")
+	cfg.Thresholds.PropagateCount = 1
+	j, err := New(cfg, &op.Collector{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A's tuple on key 1 holds A's punctuation on 1 back; A's on 2 and B's
+	// on 3 and 4 match nothing and are propagated, and B's two coalesce.
+	for _, fi := range []feedItem{tupA(1, "a", 1), punctFor(0, 1, 2), punctFor(0, 2, 3), punctFor(1, 3, 4), punctFor(1, 4, 5)} {
+		if err := j.Process(fi.port, fi.item, fi.item.Ts); err != nil {
 			t.Fatal(err)
 		}
-		// A's tuple on key 1 holds A's punctuation on 1 back; A's on 2 and
-		// B's on 3 match nothing and are propagated.
-		for _, fi := range []feedItem{tupA(1, "a", 1), punctFor(0, 1, 2), punctFor(0, 2, 3), punctFor(1, 3, 4)} {
-			if err := j.Process(fi.port, fi.item, fi.item.Ts); err != nil {
-				t.Fatal(err)
-			}
-		}
-		lv.Flush(5)
-		last, _ := lv.LastValues()
-		a, b := j.PunctSetSizes()
-		wantA, wantB := 1, 0
-		if retain {
-			wantA, wantB = 2, 1
-		}
-		if a != wantA || b != wantB || last["pjoin.punct_set.a"] != float64(a) || last["pjoin.punct_set.b"] != float64(b) {
-			t.Errorf("retain=%v: PunctSetSizes %d, %d, gauges %v, %v, want %d, %d", retain, a, b,
-				last["pjoin.punct_set.a"], last["pjoin.punct_set.b"], wantA, wantB)
-		}
-		if m := j.Metrics(); m.PunctsOut != 2 {
-			t.Errorf("retain=%v: %d punctuations propagated, want 2", retain, m.PunctsOut)
-		}
+	}
+	lv.Flush(6)
+	last, _ := lv.LastValues()
+	a, b := j.PunctSetSizes()
+	if a != 2 || b != 1 || last["pjoin.punct_set.a"] != float64(a) || last["pjoin.punct_set.b"] != float64(b) {
+		t.Errorf("PunctSetSizes %d, %d, gauges %v, %v, want 2, 1", a, b,
+			last["pjoin.punct_set.a"], last["pjoin.punct_set.b"])
+	}
+	if m := j.Metrics(); m.PunctsOut != 3 {
+		t.Errorf("%d punctuations propagated, want 3", m.PunctsOut)
 	}
 }
 

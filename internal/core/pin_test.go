@@ -121,7 +121,6 @@ func buildPinned(t *testing.T, opName string, sc *oracle.Scenario, out op.Emitte
 			DiskJoinIdle: sc.DiskJoinIdle, PropagateCount: sc.PropagateCount,
 		},
 		EagerIndex:         sc.EagerIndex,
-		RetainPropagated:   true,
 		VerifyPunctuations: true,
 	}, out)
 	if err != nil {

@@ -74,25 +74,6 @@ type Config struct {
 	// assumption on the join attribute and that no tuple arrives after a
 	// punctuation it matches (stream integrity).
 	VerifyPunctuations bool
-	// RetainPropagated keeps propagated punctuations in their set (marked
-	// Entry.Propagated) instead of removing them (§3.5 removes
-	// immediately). Retention trades set growth for purge power that is
-	// independent of propagation timing: a punctuation keeps dropping and
-	// purging matching tuples even after it was released downstream. This
-	// is what makes hash-partitioned parallel PJoin (internal/parallel)
-	// exactly equivalent to a single instance on punctuations that span
-	// several join keys — each partition reaches count zero at its own
-	// pace, and an early partition must not forget the punctuation while
-	// late tuples it covers can still arrive. An extension beyond the
-	// paper.
-	RetainPropagated bool
-	// CompactSets periodically merges not-yet-indexed punctuations whose
-	// join-attribute patterns union into one pattern (e.g. runs of
-	// per-key constants become one range). This keeps the punctuation
-	// sets — which purge and drop-on-the-fly consult — small in long
-	// runs without propagation. An extension beyond the paper; see
-	// punct.Set.Compact.
-	CompactSets bool
 	// Instr is the observability handle (tracing + live metrics). nil
 	// disables observability entirely; the hot paths then pay a single
 	// nil check and zero allocations (see internal/obs).
@@ -267,8 +248,23 @@ func New(cfg Config, out op.Emitter) (*PJoin, error) {
 			return je.EmitJoin(a, c, ts)
 		}
 	}
-	j.psets[0] = punct.NewKeyedSet(cfg.AttrA, cfg.VerifyPunctuations)
-	j.psets[1] = punct.NewKeyedSet(cfg.AttrB, cfg.VerifyPunctuations)
+	// A released punctuation stays in force until it owes nothing, then
+	// retires by coalescing (punct.Set.Applied). §3.5 removes it at once,
+	// and then a late opposite tuple it covers is stored until EOS.
+	// Retention also makes hash-partitioned parallel PJoin
+	// (internal/parallel) equal to a single instance on punctuations that
+	// span several join keys: each partition reaches count zero at its
+	// own pace. An extension beyond the paper.
+	for s, attr := range j.attrs {
+		ps := punct.NewKeyedSet(attr, cfg.VerifyPunctuations)
+		ps.NoRelease = cfg.DisablePropagation
+		ps.OnRetire = func(e *punct.Entry) {
+			if e.TraceID != 0 && !e.Propagated && j.obs.Enabled() {
+				j.obs.Span(span.KindPunctEOSClose, e.TraceID, j.now, s, int64(e.PID), 0, 0, 0)
+			}
+		}
+		j.psets[s] = ps
+	}
 
 	j.obs = cfg.Instr
 	j.base.Obs = j.obs
@@ -328,14 +324,7 @@ func (j *PJoin) buildRegistry() error {
 	j.reg = event.NewRegistry()
 
 	purge := event.ListenerFunc{ID: "state-purge", Fn: func(e event.Event) error {
-		side := e.Side
-		if err := j.purgeState(int(side.Opposite()), e.At); err != nil {
-			return err
-		}
-		if j.cfg.CompactSets {
-			j.psets[side].Compact(j.attrs[side])
-		}
-		return nil
+		return j.purgeState(int(e.Side.Opposite()), e.At)
 	}}
 	relocate := event.ListenerFunc{ID: "state-relocation", Fn: func(e event.Event) error {
 		return j.relocate(e.At)
@@ -425,8 +414,8 @@ func (j *PJoin) StateTuples() int {
 }
 
 // PunctSetSizes returns the number of punctuations currently held per
-// side: arrived and not yet removed, which under RetainPropagated
-// includes the ones already propagated.
+// side: those still owed something (tuples, a release, the opposite
+// purge) and the ranges the others retired into.
 func (j *PJoin) PunctSetSizes() (a, b int) {
 	return j.psets[0].Len(), j.psets[1].Len()
 }
@@ -626,12 +615,12 @@ func (j *PJoin) schema(s int) *stream.Schema {
 // (the run removed them and drop-on-the-fly keeps later matching
 // arrivals out — the entry stays in the set as long as it is in force),
 // so the next run only needs the entries that arrived since (purgeMark).
-// CompactSets preserves this: Compact runs right after a purge run, when
-// every entry — including the ones it merges into an earlier pid — is
-// already below the fresh watermark. PurgeScanned counts work actually
-// done: removed tuples on the direct path, full occupancy on scans;
-// PurgeWalk counts the victim's whole memory portion every run, which is
-// what a purge that walks the table examines.
+// The watermark is also what lets an entry retire (applyMarks): a range
+// entries coalesce into sits below it, as every one of them did.
+// PurgeScanned counts work actually done: removed tuples on the direct
+// path, full occupancy on scans; PurgeWalk counts the victim's whole
+// memory portion every run, which is what a purge that walks the table
+// examines.
 func (j *PJoin) purgeState(victim int, now stream.Time) error {
 	j.base.M.PurgeRuns++
 	j.base.M.PurgeWalk += int64(j.base.States[victim].Stats().MemTuples)
@@ -774,6 +763,7 @@ func (j *PJoin) purgeState(victim int, now stream.Time) error {
 
 	if !j.cfg.DisableDropOnTheFly {
 		j.purgeMark[victim] = pset.MaxPID()
+		j.applyMarks()
 	}
 	emitPurgeSpans()
 	j.lat.RecordPurge(time.Since(purgeStart).Nanoseconds())
@@ -787,6 +777,18 @@ func (j *PJoin) purgeState(victim int, now stream.Time) error {
 // same measure the state's MemBytes accounting uses).
 type purgeShare struct {
 	freed, parked, bytes int64
+}
+
+// applyMarks hands each punctuation set the watermark of the purge that
+// applies it (punct.Set.Applied), so the entries that owe nothing retire.
+// Not while a disk pass is in flight: a bucket's disk purge is bounded by
+// the pids present when it opened (dropBound), and a coalesced range
+// takes the latest pid of what it covers. passDone catches up.
+func (j *PJoin) applyMarks() {
+	if !j.disk.InFlight() {
+		j.psets[0].Applied(j.purgeMark[1])
+		j.psets[1].Applied(j.purgeMark[0])
+	}
 }
 
 // discard finalises a tuple's removal from the state: its punctuation's
@@ -928,8 +930,9 @@ func (j *PJoin) indexDiskTuple(side int, sd *store.StoredTuple) {
 
 // propagate implements Propagate (paper Fig. 3, lines 16-21): release
 // every indexed punctuation whose match count is zero — by Theorem 1 no
-// future join result can match it — rewritten over the output schema,
-// and remove it from the set. If left-over joins are still pending on
+// future join result can match it — rewritten over the output schema.
+// §3.5 then removes it from the set; here it stays in force until it owes
+// nothing (punct.Set.Release). If left-over joins are still pending on
 // disk or in purge buffers, a disk pass runs first (§3.2: "when
 // punctuation propagation needs to finish up all the left-over joins,
 // will the disk join be scheduled to run"). final is Finish's call, after
@@ -1002,11 +1005,7 @@ func (j *PJoin) propagate(now stream.Time, final bool) error {
 				j.obs.Span(span.KindPunctEmit, e.TraceID, now, s,
 					int64(e.PID), 0, 0, int64(now)-e.ArrivedAt)
 			}
-			if j.cfg.RetainPropagated {
-				e.Propagated = true
-			} else {
-				j.psets[s].Remove(e.PID)
-			}
+			j.psets[s].Release(e)
 		}
 	}
 	return nil
@@ -1123,6 +1122,7 @@ func (j *PJoin) passDone(now stream.Time) error {
 			}
 		}
 	}
+	j.applyMarks()
 	if j.propPending {
 		j.propPending = false
 		j.indexBuild(0)
@@ -1168,7 +1168,7 @@ func (j *PJoin) Finish(now stream.Time) error {
 		return fmt.Errorf("core: pjoin: Finish before EOS on both ports")
 	}
 	j.now = maxTime(j.now, now)
-	if !j.cfg.DisablePurge && j.cfg.RetainPropagated {
+	if !j.cfg.DisablePurge && !j.cfg.DisablePropagation {
 		// One last purge run per side before the final disk pass: the
 		// lazy purge threshold may not have fired since the last
 		// punctuations arrived, leaving purgeable tuples in memory and
@@ -1177,16 +1177,9 @@ func (j *PJoin) Finish(now stream.Time) error {
 		// happened to relocate those tuples to disk (where the final
 		// pass purges them) — i.e. on thresholds, not on stream
 		// content. The differential oracle holds the propagated
-		// multiset schedule-independent across the config matrix.
-		//
-		// Gated on RetainPropagated: only a retained set has
-		// schedule-independent purge power (see the Config comment).
-		// With removal-on-propagation, an entry whose own-side state
-		// is already clean propagates — and vanishes — the moment it
-		// arrives, before any purge can apply it to the opposite
-		// state, and *when* that happens differs between blocking and
-		// deferred (chunked) schedules; a final purge would amplify
-		// that difference into divergent propagation at Finish.
+		// multiset schedule-independent across the config matrix. This
+		// is sound because a released punctuation stays in force: its
+		// purge power does not depend on when it was released.
 		for victim := 0; victim < 2; victim++ {
 			if err := j.purgeState(victim, j.now); err != nil {
 				return err

@@ -483,10 +483,10 @@ func TestPropagationAfterPairOfPunctuations(t *testing.T) {
 			if !sawA || !sawB {
 				t.Errorf("expected one punctuation per side: A=%v B=%v", sawA, sawB)
 			}
-			// Sets are emptied.
+			// Released, both stay in force: one entry per side.
 			a, b := j.PunctSetSizes()
-			if a != 0 || b != 0 {
-				t.Errorf("punctuation sets not drained: %d, %d", a, b)
+			if a != 1 || b != 1 {
+				t.Errorf("punctuation sets hold %d, %d entries, want 1, 1", a, b)
 			}
 		})
 	}
@@ -921,17 +921,21 @@ func TestStateFullyDrainedAfterFullPunctuation(t *testing.T) {
 	}
 }
 
+// TestCompactSetsBoundsPunctuationSets: a punctuation that owes nothing
+// retires into its neighbours, so after 300 keys close on both sides a
+// few ranges are left, whether entries retire once released (push
+// propagation) or once applied (no propagation). defaultConfig alone has
+// no push threshold: its entries are still owed a release and stay.
 func TestCompactSetsBoundsPunctuationSets(t *testing.T) {
-	run := func(compact bool) (setLen int, results int) {
+	run := func(mutate func(*Config)) (setLen int, results int) {
 		cfg := defaultConfig()
-		cfg.CompactSets = compact
+		mutate(&cfg)
 		sink := &op.Collector{}
 		j, err := New(cfg, sink)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// A long run of per-key punctuations over consecutive keys: with
-		// compaction they collapse to a single range punctuation.
+		// A long run of per-key punctuations over consecutive keys.
 		var ts stream.Time
 		for k := int64(0); k < 300; k++ {
 			ts++
@@ -956,21 +960,43 @@ func TestCompactSetsBoundsPunctuationSets(t *testing.T) {
 		a, b := j.PunctSetSizes()
 		return a + b, len(sink.Tuples())
 	}
-	lenOff, resOff := run(false)
-	lenOn, resOn := run(true)
-	if resOff != resOn {
-		t.Fatalf("compaction changed results: %d vs %d", resOff, resOn)
+	for name, mutate := range map[string]func(*Config){
+		"push propagation": func(c *Config) { c.Thresholds.PropagateCount = 1 },
+		"no propagation":   func(c *Config) { c.DisablePropagation = true },
+	} {
+		n, results := run(mutate)
+		if results != 300 {
+			t.Errorf("%s: %d results, want 300", name, results)
+		}
+		if n > 4 {
+			t.Errorf("%s: %d punctuations left, want at most 4", name, n)
+		}
 	}
-	if lenOff != 600 {
-		t.Fatalf("without compaction expected 600 stored punctuations, got %d", lenOff)
+}
+
+// TestLateTupleAfterReleaseDropped: A closes key 5 while holding no A
+// tuple, so the punctuation is propagated at once. It stays in force: the
+// B tuple on key 5 that arrives after the release is dropped on the fly,
+// not stored for good.
+func TestLateTupleAfterReleaseDropped(t *testing.T) {
+	cfg := defaultConfig()
+	cfg.Thresholds.PropagateCount = 1
+	sink := &op.Collector{}
+	j, err := New(cfg, sink)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if lenOn > 4 {
-		t.Errorf("with compaction sets should collapse, got %d entries", lenOn)
+	run(t, j, []feedItem{punctFor(0, 5, 1), tupB(5, "late", 2)})
+	if n := len(sink.Puncts()); n != 1 || sink.Puncts()[0].Ts != 1 {
+		t.Fatalf("propagated %v, want A's punctuation at its arrival", sink.Puncts())
+	}
+	if m := j.Metrics(); m.DroppedOnFly != 1 || j.StateTuples() != 0 {
+		t.Errorf("dropped on the fly %d, state %d; want 1 and 0", m.DroppedOnFly, j.StateTuples())
 	}
 }
 
 // A larger-scale differential run: thousands of tuples with frequent
-// relocation, lazy purge, propagation and punctuation compaction all
+// relocation, lazy purge, propagation and punctuation retirement all
 // active at once. Catches interactions that small inputs miss (bucket
 // skew, repeated disk passes, purge buffers refilling).
 func TestDifferentialAtScale(t *testing.T) {
@@ -993,7 +1019,6 @@ func TestDifferentialAtScale(t *testing.T) {
 		cfg.Thresholds.Purge = 13
 		cfg.Thresholds.MemoryBytes = 2 << 10
 		cfg.Thresholds.PropagateCount = 9
-		cfg.CompactSets = true
 		cfg.VerifyPunctuations = true
 		sink := &op.Collector{}
 		j, err := New(cfg, sink)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"pjoin/internal/op"
@@ -9,7 +10,8 @@ import (
 
 // TestPunctPathAllocs pins what handling a punctuation allocates in the
 // steady state of the benchmark's punct_sat regime — direct drive, eager
-// purge, propagation after every punctuation, constant patterns: nothing.
+// purge, propagation after every punctuation, constant patterns: nothing,
+// with every released punctuation coalescing into its neighbour.
 // Its set entry is one an earlier propagation removed (punct.Set recycles
 // them), the punctuation it is propagated as is a view of the one it
 // arrived as (punct.Widen), and plans, pending and propagable lists, the
@@ -89,7 +91,10 @@ func TestPunctPathAllocs(t *testing.T) {
 		t.Errorf("purged %d tuples and index-scanned %d over %d closed keys, want %d and %d",
 			m.Purged, m.IndexScanned, next, 4*next, 2*next)
 	}
-	if a, b := j.PunctSetSizes(); a != 0 || b != 0 {
-		t.Errorf("punctuation sets hold %d and %d entries after every key closed on both sides", a, b)
+	// Every released punctuation coalesced: one range per side is left.
+	for s, set := range j.psets {
+		if es := set.Entries(); len(es) != 1 || es[0].P.PatternAt(0).String() != fmt.Sprintf("[0 .. %d]", next-1) {
+			t.Errorf("side %d holds %s after keys 0..%d closed on both sides, want one range", s, set, next-1)
+		}
 	}
 }

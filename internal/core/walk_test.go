@@ -107,7 +107,6 @@ func TestWalkCountersMatchOccupancy(t *testing.T) {
 			cfg := Config{
 				SchemaA: gen.SchemaA, SchemaB: gen.SchemaB,
 				AttrA: gen.KeyAttr, AttrB: gen.KeyAttr,
-				RetainPropagated: true,
 			}
 			row.mutate(&cfg)
 			j, err := New(cfg, &op.Collector{})

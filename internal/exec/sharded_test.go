@@ -190,10 +190,6 @@ func TestBatchedPipelineEquivalence(t *testing.T) {
 		srcA, srcB, out := p.Edge(), p.Edge(), p.Edge()
 		cfg := core.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB}
 		cfg.Thresholds.PropagateCount = 1
-		// Racing live sources interleave differently per run; retaining
-		// propagated punctuations makes the propagated multiset
-		// schedule-independent so it can be compared across cells.
-		cfg.RetainPropagated = true
 		var j interface {
 			op.Operator
 			Metrics() joinbase.Metrics

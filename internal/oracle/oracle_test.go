@@ -81,7 +81,7 @@ func TestSoak(t *testing.T) {
 //     single-instance runs relocated the state to disk (purged by the
 //     final pass) while sharded runs kept it in memory, so they
 //     propagated different sets. Fixed by a final memory purge in
-//     Finish (under RetainPropagated).
+//     Finish, run whenever purge and propagation are both on.
 //   - seed 161 (a nested punctuation released early): B's <1, *> took
 //     the pid of a stored (1, "B1"); B's later <[0..7], *> found no tuple
 //     without a pid, counted zero and was propagated, and a result on key
@@ -91,8 +91,9 @@ func TestSoak(t *testing.T) {
 //     FuzzOracle corpus pins the same bug as pinned-nested-punct-release.
 //
 // The third bug of the burn-down — removal-on-propagation making the
-// final purge schedule-dependent without RetainPropagated — is pinned
-// by internal/core's TestChunkedBlockingEquivalence.
+// final purge schedule-dependent — went with that mode: a released
+// punctuation stays in force until it owes nothing. internal/core's
+// TestChunkedBlockingEquivalence pins the schedule-independence.
 func TestRegressionSeeds(t *testing.T) {
 	specs := []string{
 		"seed=4 variant=pjoin/shards=2 check=obs",

@@ -246,12 +246,11 @@ func build(sc *Scenario, v Variant, out op.Emitter, disableFault bool, instr *ob
 
 			DiskChunkBytes: fv.Chunk,
 
-			// The cross-variant punctuation comparison needs the exact
-			// propagation multiset to be schedule-independent: without
-			// retention, the release schedule feeds back into pid
-			// assignment and correct chunked/sharded runs can propagate
-			// different (still sound) sets.
-			RetainPropagated:   true,
+			// The cross-variant punctuation comparison relies on the
+			// propagated multiset being schedule-independent, which holds
+			// because a released punctuation stays in force until it owes
+			// nothing (punct.Set.Applied): the release schedule does not
+			// feed back into pid assignment or purge power.
 			VerifyPunctuations: true,
 			Window:             fv.Window,
 		}

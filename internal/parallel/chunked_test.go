@@ -16,13 +16,10 @@ import (
 // interleaves tuples and punctuations, and the tiny budget splits each
 // pass into many steps.
 //
-// RetainPropagated is set for the same reason the batched variant of
-// TestShardedMatchesSingleProperty sets it (see the package doc), plus
-// a chunked-specific one: without retention, the punctuation RELEASE
-// schedule feeds back into pid assignment (a removed entry can no
-// longer index late-read disk tuples), so two correct schedules can
-// propagate slightly different punctuation sets. With retention the
-// assignment is schedule-independent and the comparison is exact.
+// The comparison is exact because a released punctuation stays in force
+// (see the package doc): the RELEASE schedule does not feed back into
+// pid assignment, which it would if a released entry left the set and
+// could no longer index late-read disk tuples.
 func TestShardedChunkedMatchesSingleBlocking(t *testing.T) {
 	gc := gen.Config{
 		MaxTuples: 1200, Duration: 1 << 62, WindowKeys: 16,
@@ -40,7 +37,6 @@ func TestShardedChunkedMatchesSingleBlocking(t *testing.T) {
 			cfg := baseConfig()
 			cfg.Thresholds.MemoryBytes = 2 << 10 // force relocation even at 4 shards
 			cfg.Thresholds.DiskJoinIdle = 1
-			cfg.RetainPropagated = true
 			want := runSingle(t, cfg, arrs)
 
 			chunked := cfg

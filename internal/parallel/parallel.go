@@ -24,10 +24,10 @@
 // rest after Pipeline.Run has returned.
 //
 // Results are exactly the single instance's, and so are propagated
-// punctuations — but punctuations spanning several keys (ranges) need
-// core.Config.RetainPropagated, or a shard owning part of a range forgets
-// it at its own count zero and loses purge and drop-on-the-fly power over
-// later arrivals in its slice (DESIGN.md §5).
+// punctuations, ranges spanning several shards' keys included: a shard
+// releases its copy of a punctuation at its own count zero, and the copy
+// stays in force — purging and dropping later arrivals in the shard's
+// slice — until it owes nothing (punct.Set.Applied, DESIGN.md §5).
 package parallel
 
 import (
@@ -446,6 +446,16 @@ func (j *ShardedPJoin) StateTuples() int {
 		total += pj.StateTuples()
 	}
 	return total
+}
+
+// PunctSetSizes returns the punctuations held per side, summed across
+// the shards (every shard holds its own copy of each).
+func (j *ShardedPJoin) PunctSetSizes() (a, b int) {
+	for _, pj := range j.shards {
+		sa, sb := pj.PunctSetSizes()
+		a, b = a+sa, b+sb
+	}
+	return a, b
 }
 
 // ShardStats is the per-shard monitoring view of a sharded join.

@@ -131,15 +131,14 @@ func TestShardedMatchesSingleProperty(t *testing.T) {
 			},
 		},
 		{
-			// Batched punctuations cover key RANGES that span shards, so
-			// exact equivalence needs RetainPropagated (see the package
-			// doc): without it, a shard that finishes its slice of a range
-			// early forgets the punctuation while other slices are live.
+			// Batched punctuations cover key RANGES that span shards: a
+			// shard that finishes its slice of a range early releases
+			// its copy, which stays in force while other slices are
+			// live (see the package doc).
 			name: "lazy-purge-batched",
 			mutate: func(c *core.Config) {
 				c.Thresholds.Purge = 7
 				c.Thresholds.PropagateCount = 3
-				c.RetainPropagated = true
 			},
 			gen: gen.Config{
 				MaxTuples: 1500, Duration: 1 << 62, WindowKeys: 10,

@@ -47,13 +47,9 @@ type JoinOptions struct {
 	Verify bool
 	// Shards > 1 runs the PJoin hash-partitioned across that many
 	// parallel shards (internal/parallel: parallel.Spawn, each shard an
-	// operator of its own on the pipeline). Punctuations spanning several
-	// join keys then need RetainPropagated for exact equivalence; see the
-	// parallel package doc.
+	// operator of its own on the pipeline), with the single instance's
+	// results and propagated punctuations (see the parallel package doc).
 	Shards int
-	// RetainPropagated keeps propagated punctuations in their sets; see
-	// core.Config.RetainPropagated.
-	RetainPropagated bool
 }
 
 type node struct {
@@ -139,7 +135,6 @@ func (p *Plan) PJoin(name, left, right string, opts JoinOptions) {
 				OutName:            name,
 				Window:             opts.Window,
 				VerifyPunctuations: opts.Verify,
-				RetainPropagated:   opts.RetainPropagated,
 			}
 			cfg.Thresholds = event.Thresholds{
 				Purge:          defaultInt(opts.PurgeThreshold, 1),

@@ -44,17 +44,20 @@ func ExampleSet() {
 	// false
 }
 
-// Compaction merges punctuations whose key patterns union cleanly:
-// a run of per-key constants becomes one range.
-func ExampleSet_Compact() {
+// A punctuation that owes nothing — no tuple counts toward it, it was
+// released (here: nothing is ever released) and the opposite purge has
+// applied it — retires by coalescing: a run of per-key constants becomes
+// one range.
+func ExampleSet_Applied() {
 	s := punct.NewKeyedSet(0, false)
+	s.NoRelease = true
 	for k := int64(0); k < 5; k++ {
 		s.Add(punct.MustKeyOnly(2, 0, punct.Const(value.Int(k))))
 	}
-	removed := s.Compact(0)
-	fmt.Println(removed, s.Entries()[0].P)
+	s.Applied(s.MaxPID())
+	fmt.Println(s.Len(), s.Entries()[0].P)
 	// Output:
-	// 4 <[0 .. 4], *>
+	// 1 <[0 .. 4], *>
 }
 
 func ExamplePattern_TryUnion() {

@@ -49,15 +49,15 @@ func TestKeyedSetRemoveMaintainsIndex(t *testing.T) {
 	if got := s.FirstMatchAttr(0, iv(1)); got != e1 {
 		t.Fatalf("first = pid %d", got.PID)
 	}
-	s.Remove(e1.PID)
+	remove(s, e1.PID)
 	if got := s.FirstMatchAttr(0, iv(1)); got != e2 {
 		t.Errorf("after remove, first = %v, want second const", got)
 	}
-	s.Remove(e2.PID)
+	remove(s, e2.PID)
 	if s.SetMatchAttr(0, iv(1)) {
 		t.Error("key 1 should be gone")
 	}
-	s.Remove(r.PID)
+	remove(s, r.PID)
 	if s.SetMatchAttr(0, iv(15)) {
 		t.Error("range should be gone")
 	}
@@ -82,8 +82,8 @@ func TestKeyedSetRepeatedKey(t *testing.T) {
 			if k, p := keyed.FirstMatchAttr(0, iv(1)), plain.FirstMatchAttr(0, iv(1)); k == nil || k.PID != p.PID {
 				t.Fatalf("order %v before removing entry %d: keyed %v, plain pid %d", order, i, k, p.PID)
 			}
-			keyed.Remove(pids[i])
-			plain.Remove(pids[i])
+			remove(keyed, pids[i])
+			remove(plain, pids[i])
 		}
 		if keyed.SetMatchAttr(0, iv(1)) {
 			t.Errorf("order %v: key 1 still matches after its three entries left", order)

@@ -23,10 +23,10 @@ const NoPID PID = 0
 // the count of state tuples currently matched to it, and whether the
 // index-build component has processed it yet.
 //
-// A Set zeroes an entry when it leaves the set (Remove, or the entry
-// Compact merges away) and hands it out again to a later Add, so a
-// pointer to an Entry is valid only while the entry is in its set: read
-// what you need before removing it.
+// A Set zeroes an entry when it leaves the set (it retired: see
+// Set.Applied) and hands it out again to a later Add, so a pointer to an
+// Entry is valid only while the entry is in its set: read what you need
+// before the call that can retire it (Release, Applied).
 //
 // Count may be raised directly (a tuple takes the entry's pid); lowering
 // it goes through Set.Unmatch and setting Indexed through
@@ -43,13 +43,13 @@ type Entry struct {
 	// punctuation's propagation delay (internal/obs.Lat.PunctDelay).
 	ArrivedAt int64
 
-	// Propagated marks an entry that was already released downstream but
-	// retained in the set (instead of removed, §3.5) so it keeps serving
-	// the purge and drop-on-the-fly rules. Retention keeps a set's
-	// membership independent of propagation timing, which hash-partitioned
-	// parallel joins need: each partition reaches count zero at its own
-	// pace, and an early partition must not lose the punctuation's purge
-	// power over later arrivals. See core.Config.RetainPropagated.
+	// Propagated marks an entry already released downstream (Set.Release).
+	// It stays in force — §3.5 removes it at once — so it keeps serving
+	// the purge and drop-on-the-fly rules until it retires. That keeps a
+	// set's promises independent of propagation timing, which
+	// hash-partitioned parallel joins need: each partition reaches count
+	// zero at its own pace, and an early partition must not lose the
+	// punctuation's purge power over later arrivals.
 	Propagated bool
 
 	// TraceID is the punctuation's provenance trace (internal/obs/span),
@@ -58,7 +58,10 @@ type Entry struct {
 	// TraceID on the span; zero when tracing is off.
 	TraceID uint64
 
-	cand bool // on the set's candidate list (Set.cands)
+	cand    bool      // on the set's candidate list (Set.cands)
+	recount bool      // on the set's recounted list, not settled yet
+	grown   bool      // P's key pattern is a union no single arrival stated (see Set.unnested)
+	own     []Pattern // the key pattern storage of a merge survivor (Set.merge); kept across reuse
 }
 
 // ExhaustiveOn reports whether the punctuation promises exhaustion of a
@@ -92,11 +95,34 @@ func exhaustiveOn(p Punctuation, attr int) bool {
 // optionally verifies the paper's nested-or-disjoint assumption over the
 // join attribute. Each per-punctuation operation costs the entries that
 // can answer it, not the set's size (see the fields).
+//
+// An entry has one lifecycle: it arrives (Add), is indexed, counts down,
+// is released downstream (Release) and stays in force until it owes
+// nothing; then it retires by coalescing with the entries that owe
+// nothing beside it (see Applied). So the set holds what is still owed
+// plus a few merged ranges, not everything that ever arrived.
 type Set struct {
 	entries []*Entry // in pid (arrival) order
 	next    PID
 	alloc   slab.Slab[Entry] // NewOnce: a chunk lives while one of its entries does
-	free    []*Entry         // zeroed entries Remove and Compact dropped, for Add to reuse
+	free    []*Entry         // zeroed entries retirement dropped, for Add to reuse
+
+	// NoRelease says nothing will ever be released from this set (its
+	// operator does not propagate), so an entry owes no release.
+	NoRelease bool
+	// OnRetire, when set, sees each entry that leaves the set, just
+	// before it is zeroed.
+	OnRetire func(*Entry)
+	// applied is the Applied watermark: the opposite side's purge has
+	// applied every entry with a pid at or below it.
+	applied PID
+	// near is settle's scratch: the constant entries it may merge with.
+	near []*Entry
+	// recounted holds the pids of entries Unmatch left owing nothing
+	// (their count rose after release, which only a stream that breaks
+	// its punctuations causes); the next Release or Applied settles them,
+	// and until each is settled no other entry merges with it.
+	recounted []PID
 
 	// verify enables checking that each newly added punctuation's pattern
 	// on the key attribute is either disjoint from or a superset of every
@@ -249,7 +275,7 @@ func (s *Set) Add(p Punctuation) (*Entry, error) {
 	} else {
 		e = &s.alloc.Take(1)[0]
 	}
-	*e = Entry{PID: s.next, P: p}
+	*e = Entry{PID: s.next, P: p, own: e.own}
 	s.next++
 	s.entries = append(s.entries, e)
 	s.addToIndex(e)
@@ -259,13 +285,14 @@ func (s *Set) Add(p Punctuation) (*Entry, error) {
 // unnested returns the earliest entry whose key pattern np neither
 // avoids nor nests with (§2.2 requires each pair to be disjoint or
 // nested; a new pattern CONTAINED in an earlier one is also accepted: it
-// is a redundant re-promise, possible when the earlier entry is the union
-// of compacted punctuations, and violates nothing semantically), or nil.
+// is a redundant re-promise and violates nothing semantically), or nil.
 // A constant, wildcard or empty pattern on either side always passes —
 // a constant meets a pattern only by lying inside it — so only a range or
 // enumeration np is checked, and only against the entries whose key
-// pattern can be one: nonConst and partial. Every entry of a verified set
-// is wide enough to have a key pattern (Add checks).
+// pattern can be one: nonConst and partial. A grown entry is skipped: its
+// range is the union of punctuations that np may each nest with or avoid
+// while straddling the union's end. Every entry of a verified set is
+// wide enough to have a key pattern (Add checks).
 func (s *Set) unnested(np Pattern) (first *Entry) {
 	if np.kind != Range && np.kind != Enum {
 		return nil
@@ -274,6 +301,9 @@ func (s *Set) unnested(np Pattern) (first *Entry) {
 		for _, e := range es {
 			if first != nil && e.PID >= first.PID {
 				break
+			}
+			if e.grown {
+				continue
 			}
 			if old := e.P.PatternAt(s.keyAttr); !np.Disjoint(old) && !np.Contains(old) && !old.Contains(np) {
 				first = e
@@ -330,29 +360,69 @@ func (s *Set) Get(pid PID) *Entry {
 	return nil
 }
 
-// Remove deletes the entry with the given pid, preserving arrival order
-// of the rest, and reports whether it was present. Propagated
-// punctuations "are immediately removed from the punctuation set" (§3.5).
-// The entry is zeroed and kept for a later Add (see Entry).
-func (s *Set) Remove(pid PID) bool {
-	e := s.Get(pid)
-	if e == nil {
-		return false
-	}
+// drop takes e out of the set for good — off the entries, the key index
+// and the candidate list — shows it to OnRetire, zeroes it and keeps it
+// for Add (see Entry).
+func (s *Set) drop(e *Entry) {
 	s.entries = removeByPID(s.entries, e)
-	s.recycle(e)
-	return true
-}
-
-// recycle takes an entry that has left s.entries off the key index and
-// the candidate list, zeroes it and keeps it for Add.
-func (s *Set) recycle(e *Entry) {
 	s.dropFromIndex(e)
 	if e.cand {
 		s.cands = removeByPID(s.cands, e)
 	}
-	*e = Entry{}
+	if s.OnRetire != nil {
+		s.OnRetire(e)
+	}
+	*e = Entry{own: e.own}
 	s.free = append(s.free, e)
+}
+
+// Release records that e, an entry Propagable returned, was propagated
+// downstream. It stays in force until it owes nothing, then retires (see
+// Applied).
+func (s *Set) Release(e *Entry) {
+	s.settleRecounted()
+	e.Propagated = true
+	s.settle(e)
+}
+
+func (s *Set) settleRecounted() {
+	for _, pid := range s.recounted {
+		if e := s.Get(pid); e != nil {
+			s.settle(e)
+		}
+	}
+	s.recounted = s.recounted[:0]
+}
+
+// Applied records that the opposite side's purge has applied every entry
+// with a pid up to pid: the opposite state holds no tuple they match, and
+// its caller keeps it so (drop-on-the-fly). An entry owes nothing once
+// its count is zero, it is released (or NoRelease is set) and it is
+// applied. Such an entry retires: it coalesces with the entries that owe
+// nothing, are exhaustive on the key as it is and are as wide, into the
+// pattern Pattern.TryUnion finds for the two key patterns (runs of
+// per-key constants become one range). The later-arrived entry
+// of a merge survives with the union as its pattern, so no key's first
+// match gets an earlier pid than it had; the earlier one leaves. Only
+// entries that owe nothing merge, so no output punctuation changes, and
+// the union of the set's promises never shrinks.
+//
+// Entries not exhaustive on the key, and every entry of an unkeyed set,
+// stay. The caller applies and releases outside a disk pass: a pass
+// bounds its disk purge by the pids present when a bucket opened.
+func (s *Set) Applied(pid PID) {
+	s.settleRecounted()
+	pid = min(pid, s.MaxPID()) // a later Add is not applied yet
+	for s.applied < pid {
+		i := searchPID(s.entries, s.applied+1)
+		if i == len(s.entries) || s.entries[i].PID > pid {
+			s.applied = pid
+			return
+		}
+		e := s.entries[i]
+		s.applied = e.PID
+		s.settle(e)
+	}
 }
 
 // MarkIndexed records that index build has processed e.
@@ -372,6 +442,10 @@ func (s *Set) Unmatch(pid PID) {
 	if e := s.Get(pid); e != nil && e.Count > 0 {
 		e.Count--
 		s.noteCandidate(e)
+		if s.owesNothing(e) && !e.recount {
+			e.recount = true
+			s.recounted = append(s.recounted, pid)
+		}
 	}
 }
 
@@ -539,12 +613,12 @@ func (s *Set) Unindexed() []*Entry {
 // been released yet: by Theorem 1 these punctuations can be propagated
 // downstream now. final says the operator emits no further result (its
 // inputs ended and its left-over joins are done), so nothing can follow
-// a release and held entries go too. Entries retained after propagation
-// (Entry.Propagated) are excluded so they are released at most once.
-// Only the candidate list is walked, so a call costs the entries pending
-// release, not the set. The slice is the set's scratch: valid until the
-// next Propagable, Unindexed or PurgePlan on this set (Remove does not
-// disturb the slice; it zeroes the entry).
+// a release and held entries go too. Released entries (Entry.Propagated)
+// are excluded so they are released at most once. Only the candidate
+// list is walked, so a call costs the entries pending release, not the
+// set. The slice is the set's scratch: valid until the next Propagable,
+// Unindexed or PurgePlan on this set (Release does not disturb the slice;
+// an entry it retires is zeroed, and only released entries retire).
 //
 //pjoin:hotpath
 func (s *Set) Propagable(final bool) []*Entry {

@@ -62,11 +62,11 @@ func TestSetRemoveAndGet(t *testing.T) {
 		t.Fatal("Get broken")
 	}
 	pid1 := e1.PID // the entry is zeroed once it leaves the set
-	if !s.Remove(pid1) {
-		t.Error("Remove existing should be true")
+	if !remove(s, pid1) {
+		t.Error("remove existing should be true")
 	}
-	if s.Remove(pid1) {
-		t.Error("double Remove should be false")
+	if remove(s, pid1) {
+		t.Error("double remove should be false")
 	}
 	if s.Get(pid1) != nil {
 		t.Error("removed entry still gettable")
@@ -82,6 +82,16 @@ func TestSetRemoveAndGet(t *testing.T) {
 	if e3.PID <= e2.PID {
 		t.Errorf("pid reuse: %d after %d", e3.PID, e2.PID)
 	}
+}
+
+// remove takes the entry with the given pid out of s as retirement does,
+// and reports whether it was there.
+func remove(s *Set, pid PID) bool {
+	e := s.Get(pid)
+	if e != nil {
+		s.drop(e)
+	}
+	return e != nil
 }
 
 func TestUnindexedAndPropagable(t *testing.T) {
@@ -157,10 +167,10 @@ func TestPropagableWaitsForEarlierOverlap(t *testing.T) {
 
 // TestSetScratchLifetime pins what Unindexed, Propagable and PurgePlan
 // promise about the slices they return: right until the next of those
-// calls on the same set — Remove in between included, which is how
-// propagation uses Propagable — and costing no allocation once grown.
-// Nor does a punctuation's way through the set: Add reuses the entry an
-// earlier Remove zeroed.
+// calls on the same set — Release in between included, which is how
+// propagation uses Propagable, also when it retires entries — and
+// costing no allocation once grown. Nor does a punctuation's way through
+// the set: Add reuses the entry an earlier retirement zeroed.
 func TestSetScratchLifetime(t *testing.T) {
 	s := NewKeyedSet(0, false)
 	var es []*Entry
@@ -173,18 +183,19 @@ func TestSetScratchLifetime(t *testing.T) {
 	for _, e := range s.Unindexed() {
 		s.MarkIndexed(e)
 	}
+	s.Applied(s.MaxPID())
 	prop := s.Propagable(false)
 	if len(prop) != 5 {
 		t.Fatalf("Propagable = %d entries, want 5", len(prop))
 	}
-	for i, e := range prop { // remove while ranging, as propagate does
+	for i, e := range prop { // release while ranging, as propagate does
 		if e != es[i] {
 			t.Fatalf("Propagable[%d] = pid %d, want pid %d", i, e.PID, es[i].PID)
 		}
-		s.Remove(e.PID)
+		s.Release(e)
 	}
-	if s.Len() != 0 {
-		t.Fatalf("%d entries left", s.Len())
+	if s.String() != "{4:<[0 .. 3], *>#0, 5:<[10 .. 20], *>#0}" {
+		t.Fatalf("released constants 0..3 did not coalesce: %s", s)
 	}
 
 	// Two sets share nothing: one's call leaves the other's slice alone.
@@ -210,13 +221,17 @@ func TestSetScratchLifetime(t *testing.T) {
 			for _, u := range a.Unindexed() {
 				a.MarkIndexed(u)
 			}
+			a.Applied(e.PID)
 			for _, r := range a.Propagable(false) {
-				a.Remove(r.PID)
+				a.Release(r)
 			}
 		}
 	}) / steps
 	if allocs != 0 {
-		t.Errorf("add, plan, index, propagate, remove allocates %.4f objects, want 0", allocs)
+		t.Errorf("add, plan, index, propagate, retire allocates %.4f objects, want 0", allocs)
+	}
+	if a.Len() != 2 {
+		t.Errorf("%d entries left after %d repeats of one key, want 2: %s", a.Len(), steps, a)
 	}
 }
 

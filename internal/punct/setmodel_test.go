@@ -3,6 +3,7 @@ package punct
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"pjoin/internal/value"
@@ -10,20 +11,26 @@ import (
 
 // modelEntry is one entry of setModel.
 type modelEntry struct {
-	pid                 PID
-	p                   Punctuation
-	count               int
-	indexed, propagated bool
+	pid                        PID
+	p                          Punctuation
+	count                      int
+	indexed, propagated, grown bool
 }
 
 // setModel is a brute-force Set: every question is answered by a walk
 // over all entries in arrival order, the definitions a Set had before it
 // kept a candidate list, an unindexed watermark and the key index's
-// partial list.
+// partial list. Retirement looks for what an entry merges with among all
+// entries, where the set looks through its key index.
 type setModel struct {
-	es     []*modelEntry
-	next   PID
-	verify int // key attribute checked for nesting, -1 for none
+	es        []*modelEntry
+	next      PID
+	verify    int // key attribute checked for nesting, -1 for none
+	key       int // key attribute entries retire on, -1 for none (unkeyed)
+	noRelease bool
+	applied   PID
+	recounted []PID
+	pending   map[PID]bool // recounted, not settled yet
 }
 
 func (m *setModel) find(pid PID) (int, *modelEntry) {
@@ -54,6 +61,9 @@ func (m *setModel) add(p Punctuation) error {
 		}
 		np := p.PatternAt(a)
 		for _, e := range m.es {
+			if e.grown {
+				continue
+			}
 			old := e.p.PatternAt(a)
 			if !np.Disjoint(old) && !np.Contains(old) && !old.Contains(np) {
 				return fmt.Errorf("punct: punctuation %s overlaps earlier %s on attribute %d without nesting", p, e.p, a)
@@ -65,18 +75,97 @@ func (m *setModel) add(p Punctuation) error {
 	return nil
 }
 
-func (m *setModel) remove(pid PID) bool {
-	i, _ := m.find(pid)
-	if i < 0 {
-		return false
+func (m *setModel) String() string {
+	var b strings.Builder
+	for _, e := range m.es {
+		fmt.Fprintf(&b, "%d:%s#%d ", e.pid, e.p, e.count)
 	}
-	m.es = append(m.es[:i], m.es[i+1:]...)
-	return true
+	return b.String()
 }
 
 func (m *setModel) unmatch(pid PID) {
 	if _, e := m.find(pid); e != nil && e.count > 0 {
 		e.count--
+		if m.owesNothing(e) && !m.pending[pid] {
+			m.pending[pid] = true
+			m.recounted = append(m.recounted, pid)
+		}
+	}
+}
+
+func (m *setModel) owesNothing(e *modelEntry) bool {
+	return e.count == 0 && (e.propagated || m.noRelease) && e.pid <= m.applied
+}
+
+func (m *setModel) settleRecounted() {
+	for _, pid := range m.recounted {
+		delete(m.pending, pid)
+		if _, e := m.find(pid); e != nil {
+			m.settle(e)
+		}
+	}
+	m.recounted = nil
+}
+
+func (m *setModel) release(pid PID) {
+	m.settleRecounted()
+	_, e := m.find(pid)
+	e.propagated = true
+	m.settle(e)
+}
+
+func (m *setModel) appliedTo(pid PID) {
+	m.settleRecounted()
+	pid = min(pid, m.next)
+	for m.applied < pid {
+		var next *modelEntry
+		for _, e := range m.es {
+			if e.pid > m.applied {
+				next = e
+				break
+			}
+		}
+		if next == nil || next.pid > pid {
+			m.applied = pid
+			return
+		}
+		m.applied = next.pid
+		m.settle(next)
+	}
+}
+
+// settle merges e, while it owes nothing, with the earliest entry that
+// owes nothing, is settled, is exhaustive on the key, is as wide and
+// whose key pattern merges with e's.
+func (m *setModel) settle(e *modelEntry) {
+	if m.key < 0 || !m.owesNothing(e) || !exhaustiveOn(e.p, m.key) {
+		return
+	}
+	for {
+		var f *modelEntry
+		var u Pattern
+		for _, c := range m.es {
+			if c == e || f != nil || m.pending[c.pid] || !m.owesNothing(c) || !exhaustiveOn(c.p, m.key) || c.p.Width() != e.p.Width() {
+				continue
+			}
+			if cu, ok := e.p.PatternAt(m.key).TryUnion(c.p.PatternAt(m.key)); ok {
+				f, u = c, cu
+			}
+		}
+		if f == nil {
+			return
+		}
+		a, b := e, f
+		if a.pid > b.pid {
+			a, b = b, a
+		}
+		i, _ := m.find(a.pid)
+		m.es = append(m.es[:i], m.es[i+1:]...)
+		if !u.Equal(b.p.PatternAt(m.key)) {
+			b.grown = a.grown || !u.Equal(a.p.PatternAt(m.key))
+			b.p = MustKeyOnly(b.p.Width(), m.key, u)
+		}
+		e = b
 	}
 }
 
@@ -125,38 +214,6 @@ func (m *setModel) firstMatchAttr(attr int, v value.Value) PID {
 	return NoPID
 }
 
-// compact is Set.Compact's merge rule over the model's entries.
-func (m *setModel) compact(attr int) int {
-	removed := 0
-	for i := 0; i < len(m.es); i++ {
-		a := m.es[i]
-		if a.indexed || attr >= a.p.Width() {
-			continue
-		}
-		for j := i + 1; j < len(m.es); {
-			b := m.es[j]
-			if b.indexed || b.p.Width() != a.p.Width() || !samePatternsExcept(a.p, b.p, attr) {
-				j++
-				continue
-			}
-			u, ok := a.p.PatternAt(attr).TryUnion(b.p.PatternAt(attr))
-			if !ok {
-				j++
-				continue
-			}
-			pats := make([]Pattern, a.p.Width())
-			for k := range pats {
-				pats[k] = a.p.PatternAt(k)
-			}
-			pats[attr] = u
-			a.p = MustNew(pats...)
-			m.es = append(m.es[:j], m.es[j+1:]...)
-			removed++
-		}
-	}
-	return removed
-}
-
 // randPunct draws a punctuation over small int domains: mostly two wide,
 // its key pattern (attribute key) a constant, enumeration, range,
 // wildcard or, rarely, empty, and in one in four a constant elsewhere,
@@ -194,12 +251,13 @@ func randPunct(r *rand.Rand, key int) Punctuation {
 // TestSetAgreesWithModel drives seeded random operation sequences — add
 // (constant, enumeration, range, wildcard and non-exhaustive keys, some
 // narrower or wider than the rest), mark indexed one entry or the whole
-// of Unindexed, raise and lower counts, remove, compact, propagate with
-// and without final and with removal or retention — against setModel,
-// and after every step holds Propagable, Unindexed, Get, FirstMatch,
-// FirstMatchAttr and the entries themselves to it. Sets of four shapes:
-// unkeyed, keyed on attribute 0, keyed and verified on 0, keyed on 1 (so
-// narrow punctuations have no key pattern).
+// of Unindexed, raise and lower counts, apply up to a pid, propagate with
+// and without final, releasing what Propagable returns — against
+// setModel, and after every step holds Propagable, Unindexed, Get,
+// FirstMatch, FirstMatchAttr and the entries themselves to it, what
+// retired included. Sets of four shapes: unkeyed, keyed on attribute 0,
+// keyed and verified on 0, keyed on 1 (so narrow punctuations have no key
+// pattern); in half the seeds the set has NoRelease.
 func TestSetAgreesWithModel(t *testing.T) {
 	seeds := 400
 	if testing.Short() {
@@ -214,15 +272,18 @@ func TestSetAgreesWithModel(t *testing.T) {
 
 func runSetModel(seed int64) error {
 	r := rand.New(rand.NewSource(seed))
-	s, m, key := NewSet(), &setModel{verify: -1}, 0
+	s, m, key := NewSet(), &setModel{verify: -1, key: -1, pending: map[PID]bool{}}, 0
 	switch seed % 4 {
 	case 1:
-		s = NewKeyedSet(0, false)
+		s, m.key = NewKeyedSet(0, false), 0
 	case 2:
-		s, m.verify = NewKeyedSet(0, true), 0
+		s, m.verify, m.key = NewKeyedSet(0, true), 0, 0
 	case 3:
-		s, key = NewKeyedSet(1, false), 1
+		s, m.key, key = NewKeyedSet(1, false), 1, 1
 	}
+	s.NoRelease, m.noRelease = seed%8 >= 4, seed%8 >= 4
+	retired := map[*Entry]bool{}
+	s.OnRetire = func(e *Entry) { retired[e] = true }
 	seen := map[*Entry]bool{} // every entry pointer Add handed out
 	peak := 0
 	pick := func() PID { // a pid in the set, or now and then one that is not
@@ -273,41 +334,35 @@ func runSetModel(seed int64) error {
 			what = fmt.Sprintf("count down %d", pid)
 			m.unmatch(pid)
 			s.Unmatch(pid)
-		case op < 86:
-			pid := pick()
-			what = fmt.Sprintf("remove %d", pid)
-			e := s.Get(pid)
-			if got, want := s.Remove(pid), m.remove(pid); got != want {
-				return fmt.Errorf("step %d, %s: Remove = %v, model %v", step, what, got, want)
-			}
-			if e != nil && (e.PID != NoPID || !e.P.IsZero()) {
-				return fmt.Errorf("step %d, %s: removed entry left as pid %d %s", step, what, e.PID, e.P)
-			}
-		case op < 89:
-			what = "compact"
-			if got, want := s.Compact(key), m.compact(key); got != want {
-				return fmt.Errorf("step %d: Compact removed %d, model %d", step, got, want)
-			}
+		case op < 88:
+			pid := PID(r.Intn(int(m.next) + 2))
+			what = fmt.Sprintf("applied %d", pid)
+			m.appliedTo(pid)
+			s.Applied(pid)
 		default:
-			final, retain := r.Intn(6) == 0, r.Intn(2) == 0
-			what = fmt.Sprintf("propagate final=%v retain=%v", final, retain)
+			final := r.Intn(6) == 0
+			what = fmt.Sprintf("propagate final=%v", final)
 			got := s.Propagable(final)
 			if err := samePIDs("Propagable", got, m.propagable(final)); err != nil {
 				return fmt.Errorf("step %d, %s: %v", step, what, err)
 			}
 			for _, e := range got {
-				_, me := m.find(e.PID)
-				if retain {
-					e.Propagated, me.propagated = true, true
-				} else {
-					s.Remove(e.PID)
-					m.remove(me.pid)
+				if m.noRelease {
+					break // nothing is released from such a set
 				}
+				m.release(e.PID)
+				s.Release(e)
 			}
+		}
+		for e := range retired {
+			if e.PID != NoPID || !e.P.IsZero() {
+				return fmt.Errorf("step %d, %s: retired entry left as pid %d %s", step, what, e.PID, e.P)
+			}
+			delete(retired, e)
 		}
 		peak = max(peak, s.Len())
 		if err := checkSetModel(r, s, m); err != nil {
-			return fmt.Errorf("step %d, after %s: %v\nset   %s", step, what, err, s)
+			return fmt.Errorf("step %d, after %s: %v\nset   %s\nmodel %s", step, what, err, s, m)
 		}
 	}
 	// Every entry that left was kept for a later Add: the set handed out

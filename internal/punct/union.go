@@ -6,83 +6,45 @@ import (
 	"pjoin/internal/value"
 )
 
-// maxUnionEnum bounds the size of enumeration patterns produced by
-// TryUnion so compaction never trades a small set of punctuations for
-// one enormous pattern.
-const maxUnionEnum = 32
-
-// TryUnion returns a single pattern matching exactly the union of the
-// values p and q match, when such a pattern exists (and is worth
-// having). It reports ok=false when the union is not representable as
-// one pattern — e.g. two disjoint, non-adjacent ranges.
-//
-// Unions are what punctuation-set compaction needs: two active
-// punctuations may be replaced by one that matches exactly their union,
-// since both promises are in force. (Contrast And/conjunction, which the
-// paper defines; union is this repository's extension.)
+// TryUnion returns the one pattern matching exactly the values p or q
+// matches, when a punctuation set may merge the two into it (see
+// Set.Applied): the one that covers the other, or the range two
+// constants or ranges of one ordered kind make when they overlap or
+// touch (succ(hi) = lo, over ints and bools). Otherwise ok is false:
+// ranges with a gap between them, or enumerations neither of which
+// covers the other. (Contrast And/conjunction, which the paper defines;
+// union is this repository's extension.)
 func (p Pattern) TryUnion(q Pattern) (Pattern, bool) {
-	if p.kind == Wildcard || q.kind == Wildcard {
-		return Star(), true
-	}
-	if p.kind == Empty {
-		return q, true
-	}
-	if q.kind == Empty {
+	switch {
+	case p.Contains(q):
 		return p, true
+	case q.Contains(p):
+		return q, true
+	case !p.interval() || !q.interval() || !sameOrderedKind(p.lo, q.lo):
+		return Pattern{}, false
 	}
-	// Normalise so ranges come first, then enums, then constants.
-	if rank(q.kind) < rank(p.kind) {
-		p, q = q, p
+	plo, phi := p.ends()
+	qlo, qhi := q.ends()
+	if qlo.Less(plo) {
+		plo, phi, qlo, qhi = qlo, qhi, plo, phi
 	}
-	switch p.kind {
-	case Range:
-		switch q.kind {
-		case Range:
-			return unionRanges(p, q)
-		case Enum:
-			return unionRangeValues(p, q.set)
-		case Constant:
-			return unionRangeValues(p, []value.Value{q.lo})
-		}
-	case Enum:
-		switch q.kind {
-		case Enum:
-			return unionEnums(append(append([]value.Value{}, p.set...), q.set...))
-		case Constant:
-			return unionEnums(append(append([]value.Value{}, p.set...), q.lo))
-		}
-	case Constant:
-		if q.kind == Constant {
-			if p.lo.Equal(q.lo) {
-				return p, true
-			}
-			if sameOrderedKind(p.lo, q.lo) {
-				lo, hi := p.lo, q.lo
-				if hi.Less(lo) {
-					lo, hi = hi, lo
-				}
-				if adjacent(lo, hi) {
-					r, err := NewRange(lo, hi)
-					return r, err == nil
-				}
-			}
-			return unionEnums([]value.Value{p.lo, q.lo})
-		}
+	if phi.Less(qlo) && !adjacent(phi, qlo) {
+		return Pattern{}, false
 	}
-	return Pattern{}, false
+	if phi.Less(qhi) {
+		phi = qhi
+	}
+	return Pattern{kind: Range, lo: plo, hi: phi}, true // neither covers the other, so plo < phi
 }
 
-func rank(k PatternKind) int {
-	switch k {
-	case Range:
-		return 0
-	case Enum:
-		return 1
-	case Constant:
-		return 2
-	default:
-		return 3
+func (p Pattern) interval() bool { return p.kind == Constant || p.kind == Range }
+
+// ends returns an interval's bounds; a constant's are its value.
+func (p Pattern) ends() (lo, hi value.Value) {
+	if p.kind == Constant {
+		return p.lo, p.lo
 	}
+	return p.lo, p.hi
 }
 
 func sameOrderedKind(a, b value.Value) bool {
@@ -94,148 +56,114 @@ func sameOrderedKind(a, b value.Value) bool {
 }
 
 // adjacent reports whether hi immediately follows lo in a discrete
-// domain (ints, bools), so [lo..hi] covers exactly {lo, hi}… or their
-// in-betweens when they are farther apart — callers only use it for the
-// "touching" test, i.e. succ(lo) == hi.
+// domain (ints, bools): succ(lo) == hi.
 func adjacent(lo, hi value.Value) bool {
 	s, ok := lo.Succ()
 	return ok && s.Equal(hi)
 }
 
-func unionRanges(p, q Pattern) (Pattern, bool) {
-	if !sameOrderedKind(p.lo, q.lo) {
-		return Pattern{}, false
-	}
-	// Overlapping or touching (for discrete kinds, off-by-one touching
-	// also merges).
-	overlaps := func(a, b Pattern) bool {
-		c1, _ := a.lo.Compare(b.hi)
-		c2, _ := b.lo.Compare(a.hi)
-		return c1 <= 0 && c2 <= 0
-	}
-	touching := adjacent(p.hi, q.lo) || adjacent(q.hi, p.lo)
-	if !overlaps(p, q) && !touching {
-		return Pattern{}, false
-	}
-	lo := p.lo
-	if q.lo.Less(lo) {
-		lo = q.lo
-	}
-	hi := p.hi
-	if hi.Less(q.hi) {
-		hi = q.hi
-	}
-	r, err := NewRange(lo, hi)
-	return r, err == nil
+// owesNothing reports whether e can retire (see Applied).
+func (s *Set) owesNothing(e *Entry) bool {
+	return e.Count == 0 && (e.Propagated || s.NoRelease) && e.PID <= s.applied
 }
 
-// unionRangeValues extends a range by values that are inside or
-// discretely adjacent to it; any value that would leave a gap defeats
-// the union.
-func unionRangeValues(r Pattern, vs []value.Value) (Pattern, bool) {
-	lo, hi := r.lo, r.hi
-	for _, v := range vs {
-		if !sameOrderedKind(lo, v) {
-			return Pattern{}, false
-		}
-		switch {
-		case r.Matches(v):
-			// already covered
-		case adjacent(v, lo):
-			lo = v
-		case adjacent(hi, v):
-			hi = v
-		default:
-			return Pattern{}, false
-		}
-		nr, err := NewRange(lo, hi)
-		if err != nil || nr.kind != Range {
-			return Pattern{}, false
-		}
-		r = nr
+// settle retires e if it owes nothing: it merges e with the earliest
+// entry it can merge with (see Applied) until there is none. Between
+// calls no two such entries can merge, so of a grown pattern's
+// neighbours only e's own are new: the constants e merges with are looked
+// up once, through the key index, and re-tried as it grows; the few
+// non-constant entries are tried every time.
+func (s *Set) settle(e *Entry) {
+	e.recount = false
+	if s.keyAttr < 0 || !s.owesNothing(e) || !exhaustiveOn(e.P, s.keyAttr) {
+		return
 	}
-	out, err := NewRange(lo, hi)
-	return out, err == nil
+	s.near = s.nearConstants(s.near[:0], e)
+	for {
+		key := e.P.PatternAt(s.keyAttr)
+		var f *Entry
+		var u Pattern
+		for _, c := range s.near {
+			f, u = s.earlier(e, key, c, f, u)
+		}
+		for _, c := range s.nonConst {
+			f, u = s.earlier(e, key, c, f, u)
+		}
+		if f == nil {
+			break
+		}
+		if i := slices.Index(s.near, f); i >= 0 {
+			s.near = slices.Delete(s.near, i, i+1)
+		}
+		e = s.merge(e, f, u)
+	}
+	clear(s.near)
 }
 
-func unionEnums(vs []value.Value) (Pattern, bool) {
-	p, err := NewEnum(vs...)
-	if err != nil {
-		return Pattern{}, false
+// earlier returns c and the union of key with c's key pattern if c is
+// not e, is as wide, owes nothing, is settled, arrived before best and
+// merges; otherwise best and bu.
+func (s *Set) earlier(e *Entry, key Pattern, c, best *Entry, bu Pattern) (*Entry, Pattern) {
+	if c == e || best != nil && c.PID >= best.PID || c.P.width != e.P.width || c.recount || !s.owesNothing(c) {
+		return best, bu
 	}
-	if p.kind == Enum && len(p.set) > maxUnionEnum {
-		return Pattern{}, false
+	if u, ok := key.TryUnion(c.P.PatternAt(s.keyAttr)); ok {
+		return c, u
 	}
-	// A dense integer enum collapses to a range.
-	if p.kind == Enum && p.set[0].Kind() == value.KindInt {
-		lo, hi := p.set[0].IntVal(), p.set[len(p.set)-1].IntVal()
-		if hi-lo+1 == int64(len(p.set)) {
-			r, err := NewRange(value.Int(lo), value.Int(hi))
-			if err == nil {
-				return r, true
-			}
-		}
-	}
-	return p, true
+	return best, bu
 }
 
-// Compact merges pairs of not-yet-indexed punctuations that differ only
-// in attribute attr and whose attr patterns union into a single pattern.
-// Indexed entries are left alone: stored tuples may reference their pids
-// and their counts must stay attributable. Compact returns the number of
-// entries removed.
-//
-// Compaction matters for long propagation-less runs: the purge and
-// drop-on-the-fly rules consult the punctuation set on every tuple, and
-// constant-per-key punctuations otherwise accumulate without bound.
-func (s *Set) Compact(attr int) int {
-	removed := 0
-	for i := 0; i < len(s.entries); i++ {
-		a := s.entries[i]
-		if a.Indexed || attr >= a.P.Width() {
-			continue
+// nearConstants appends the entries filed under a constant that e's key
+// pattern may merge with: for a constant v those on v and its
+// neighbours, for any other pattern every constant it merges with.
+func (s *Set) nearConstants(dst []*Entry, e *Entry) []*Entry {
+	key := e.P.PatternAt(s.keyAttr)
+	if key.kind != Constant {
+		for v, k := range s.constIdx {
+			if _, ok := key.TryUnion(Const(v)); ok {
+				dst = appendKeyEntries(dst, k)
+			}
 		}
-		for j := i + 1; j < len(s.entries); {
-			b := s.entries[j]
-			if b.Indexed || b.P.Width() != a.P.Width() {
-				j++
-				continue
-			}
-			if !samePatternsExcept(a.P, b.P, attr) {
-				j++
-				continue
-			}
-			u, ok := a.P.PatternAt(attr).TryUnion(b.P.PatternAt(attr))
-			if !ok {
-				j++
-				continue
-			}
-			// Merge b into a: a keeps its (earlier) pid and position; b
-			// leaves the set zeroed and kept for Add (see Entry).
-			pats := make([]Pattern, a.P.Width())
-			for k := range pats {
-				pats[k] = a.P.PatternAt(k)
-			}
-			pats[attr] = u
-			s.dropFromIndex(a)
-			a.P = Punctuation{pats: pats, width: a.P.width}
-			s.entries = slices.Delete(s.entries, j, j+1)
-			s.recycle(b)
-			s.addToIndex(a)
-			removed++
-		}
+		return dst
 	}
-	return removed
+	dst = appendKeyEntries(dst, s.constIdx[key.lo])
+	if v, ok := key.lo.Pred(); ok {
+		dst = appendKeyEntries(dst, s.constIdx[v])
+	}
+	if v, ok := key.lo.Succ(); ok {
+		dst = appendKeyEntries(dst, s.constIdx[v])
+	}
+	return dst
 }
 
-func samePatternsExcept(p, q Punctuation, attr int) bool {
-	for i := 0; i < p.Width(); i++ {
-		if i == attr {
-			continue
-		}
-		if !p.PatternAt(i).Equal(q.PatternAt(i)) {
-			return false
-		}
+func appendKeyEntries(dst []*Entry, k keyEntries) []*Entry {
+	if k.first != nil {
+		dst = append(dst, k.first)
 	}
-	return true
+	return append(dst, k.more...)
+}
+
+// merge coalesces two entries that owe nothing into u. The later-arrived
+// one survives with u as its key pattern, written into storage it owns:
+// its own pattern slice may be shared with the punctuation it was
+// released as (Widen views). The earlier one leaves the set, and its
+// storage moves to a survivor that has none, so a steady stream of
+// merges allocates nothing.
+func (s *Set) merge(a, b *Entry, u Pattern) *Entry {
+	if a.PID > b.PID {
+		a, b = b, a
+	}
+	grown := a.grown || !u.Equal(a.P.PatternAt(s.keyAttr))
+	s.drop(a)
+	if !u.Equal(b.P.PatternAt(s.keyAttr)) {
+		if b.own == nil {
+			b.own, a.own = a.own, nil
+		}
+		s.dropFromIndex(b)
+		b.own = append(b.own[:0], u)
+		b.P = Punctuation{pats: b.own, off: int32(s.keyAttr), width: b.P.width}
+		b.grown = grown
+		s.addToIndex(b)
+	}
+	return b
 }

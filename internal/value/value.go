@@ -277,3 +277,15 @@ func (v Value) Succ() (Value, bool) {
 		return Value{}, false
 	}
 }
+
+// Pred is Succ's mirror: the largest value strictly less than v, for
+// discrete kinds (int, bool), and whether there is one.
+func (v Value) Pred() (Value, bool) {
+	switch {
+	case v.kind == KindInt && int64(v.num) != math.MinInt64:
+		return Int(int64(v.num) - 1), true
+	case v.kind == KindBool && v.num == 1:
+		return Bool(false), true
+	}
+	return Value{}, false
+}
