@@ -45,7 +45,7 @@ func equivCases() []equivCase {
 			c.DisableDropOnTheFly = true
 		}},
 		{name: "compact-sets", batched: true, mutate: func(c *Config) {
-			c.Thresholds.Purge = 8 // retired range punctuations coalesce
+			c.Thresholds.Purge = 8 // retired range punctuations join the closed keys
 		}},
 		{name: "window", mutate: func(c *Config) {
 			c.Thresholds.Purge = 2

@@ -29,8 +29,8 @@ import (
 type idxStep func(j *idxJoin, ts stream.Time) error
 
 // idxJoin is the join under test, remembering the punctuation each entry
-// arrived as: a released entry may coalesce with its neighbours, leaving
-// the set or taking their union as its pattern.
+// arrived as: a released entry may retire, leaving the set for its
+// closed keys.
 type idxJoin struct {
 	*core.PJoin
 	arrived [2]map[punct.PID]punct.Punctuation

@@ -133,7 +133,51 @@ func TestObsRetiredLifecyclesClose(t *testing.T) {
 	}
 }
 
-// TestPurgeDiskSpansReportDiskBytes: a punct_purge_disk span carries what
+// TestClosedDropSpansParking: an arrival whose key only a retired
+// punctuation closes, while the opposite state's bucket has a disk
+// portion, parks instead of dropping, and its closed_drop span says so
+// with N and M 0.
+func TestClosedDropSpansParking(t *testing.T) {
+	rec := &span.Recorder{}
+	cfg := obsConfig(rec)
+	cfg.NumBuckets = 1
+	cfg.Thresholds.MemoryBytes = 1 << 20
+	cfg.DisablePropagation = true
+	j, err := New(cfg, &op.Collector{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed := func(fi feedItem) {
+		t.Helper()
+		if err := j.Process(fi.port, fi.item, fi.item.Ts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	feed(tupB(7, "on-disk", 1))
+	if _, err := j.StatesForTest()[1].SpillBucket(0, 2); err != nil {
+		t.Fatal(err)
+	}
+	feed(punctFor(1, 1, 3))
+	if n, c := j.psets[1].Len(), j.psets[1].ClosedLen(); n != 0 || c != 1 {
+		t.Fatalf("B's set holds %d entries and %d closed intervals, want its punctuation on 1 retired", n, c)
+	}
+	feed(tupA(1, "parks", 4))
+	var parkings []span.Span
+	for _, s := range rec.Spans() {
+		if s.Kind == span.KindClosedDrop {
+			parkings = append(parkings, s)
+		}
+	}
+	if len(parkings) != 1 || parkings[0].N != 0 || parkings[0].M != 0 || parkings[0].B == 0 {
+		t.Errorf("closed_drop spans %+v, want one parking (N 0, M 0, its bytes)", parkings)
+	}
+	if m := j.Metrics(); m.DroppedOnFly != 0 {
+		t.Errorf("dropped on the fly %d, want the arrival parked", m.DroppedOnFly)
+	}
+}
+
+// TestPurgeDiskSpansReportDiskBytes: a punct_purge_disk span — or a
+// closed_drop span, when the key's punctuation has retired — carries what
 // the partition loses when the pass drops a tuple — its whole spill
 // record, header included — so over a pass that drops disk tuples, with
 // no spill racing it and no pid written back (propagation off), the
@@ -180,8 +224,12 @@ func TestPurgeDiskSpansReportDiskBytes(t *testing.T) {
 	}
 	var dropped, spanBytes int64
 	for _, s := range rec.Spans() {
-		if s.Kind == span.KindPunctPurgeDisk {
+		switch s.Kind {
+		case span.KindPunctPurgeDisk:
 			dropped += s.N
+			spanBytes += s.B
+		case span.KindClosedDrop:
+			dropped += s.M
 			spanBytes += s.B
 		}
 	}
@@ -237,9 +285,8 @@ func TestPunctLag(t *testing.T) {
 }
 
 // TestPunctSetGauges: the live sampler carries each side's punctuation-set
-// size beside punct_lag_ms, the number PunctSetSizes returns. A propagated
-// punctuation stays in its set and the gauge until it retires into a
-// neighbour.
+// size beside punct_lag_ms, the number PunctSetSizes returns: live
+// punctuations plus the intervals the retired ones' keys make.
 func TestPunctSetGauges(t *testing.T) {
 	lv := obs.NewLive(stream.Millisecond)
 	cfg := defaultConfig()
@@ -250,7 +297,8 @@ func TestPunctSetGauges(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A's tuple on key 1 holds A's punctuation on 1 back; A's on 2 and B's
-	// on 3 and 4 match nothing and are propagated, and B's two coalesce.
+	// on 3 and 4 match nothing and are propagated; A's on 2 retires into an
+	// interval, and B's two into one.
 	for _, fi := range []feedItem{tupA(1, "a", 1), punctFor(0, 1, 2), punctFor(0, 2, 3), punctFor(1, 3, 4), punctFor(1, 4, 5)} {
 		if err := j.Process(fi.port, fi.item, fi.item.Ts); err != nil {
 			t.Fatal(err)

@@ -249,8 +249,9 @@ func New(cfg Config, out op.Emitter) (*PJoin, error) {
 		}
 	}
 	// A released punctuation stays in force until it owes nothing, then
-	// retires by coalescing (punct.Set.Applied). §3.5 removes it at once,
-	// and then a late opposite tuple it covers is stored until EOS.
+	// retires into its set's closed keys (punct.Set.Applied). §3.5
+	// removes it at once, and then a late opposite tuple it covers is
+	// stored until EOS.
 	// Retention also makes hash-partitioned parallel PJoin
 	// (internal/parallel) equal to a single instance on punctuations that
 	// span several join keys: each partition reaches count zero at its
@@ -299,8 +300,8 @@ func (j *PJoin) registerGauges() {
 		return
 	}
 	lv.Register(name+".punct_lag_ms", func() float64 { return j.PunctLag().Millis() })
-	lv.Register(name+".punct_set.a", func() float64 { return float64(j.psets[0].Len()) })
-	lv.Register(name+".punct_set.b", func() float64 { return float64(j.psets[1].Len()) })
+	lv.Register(name+".punct_set.a", func() float64 { return float64(setSize(j.psets[0])) })
+	lv.Register(name+".punct_set.b", func() float64 { return float64(setSize(j.psets[1])) })
 	// What the health detector's stall window watches next to tuples_in.
 	lv.Register(name+".puncts_out", func() float64 { return float64(j.base.M.PunctsOut) })
 }
@@ -413,12 +414,14 @@ func (j *PJoin) StateTuples() int {
 	return a.TotalTuples() + b.TotalTuples()
 }
 
-// PunctSetSizes returns the number of punctuations currently held per
-// side: those still owed something (tuples, a release, the opposite
-// purge) and the ranges the others retired into.
+// PunctSetSizes returns what each side's punctuation set holds: the
+// punctuations still owed something (tuples, a release, the opposite
+// purge) plus the intervals the others' keys retired into.
 func (j *PJoin) PunctSetSizes() (a, b int) {
-	return j.psets[0].Len(), j.psets[1].Len()
+	return setSize(j.psets[0]), setSize(j.psets[1])
 }
+
+func setSize(s *punct.Set) int { return s.Len() + s.ClosedLen() }
 
 // Process implements op.Operator. Items on each port must have strictly
 // increasing timestamps, and timestamps must be unique across ports (the
@@ -535,17 +538,19 @@ func (j *PJoin) processTuple(s int, t *stream.Tuple, ts stream.Time) error {
 		if e := j.psets[1-s].FirstMatchAttr(j.attrs[1-s], key); e != nil {
 			own := j.base.States[s]
 			bucket := own.BucketOf(key)
-			parked := j.base.States[1-s].HasDisk(bucket)
-			if parked {
+			var dropped, park int64 = 1, 0
+			if j.base.States[1-s].HasDisk(bucket) {
 				own.Park(bucket, t, ts)
+				dropped, park = 0, 1
 			} else {
 				j.base.M.DroppedOnFly++
 			}
-			if e.TraceID != 0 && j.obs.Enabled() {
-				var dropped, park int64 = 1, 0
-				if parked {
-					dropped, park = 0, 1
-				}
+			switch {
+			case !j.obs.Enabled():
+			case e.Retired():
+				// No lifecycle to charge; a parking has N and M 0.
+				j.obs.Span(span.KindClosedDrop, 0, ts, s, dropped, 0, int64(t.EncodedSize()), 0)
+			case e.TraceID != 0:
 				j.obs.Span(span.KindPunctDropFly, e.TraceID, ts, s,
 					dropped, park, int64(t.EncodedSize()), 0)
 			}
@@ -615,8 +620,8 @@ func (j *PJoin) schema(s int) *stream.Schema {
 // (the run removed them and drop-on-the-fly keeps later matching
 // arrivals out — the entry stays in the set as long as it is in force),
 // so the next run only needs the entries that arrived since (purgeMark).
-// The watermark is also what lets an entry retire (applyMarks): a range
-// entries coalesce into sits below it, as every one of them did.
+// The watermark is also what lets an entry retire (applyMarks): every
+// retired pid sits below it.
 // PurgeScanned counts work actually done: removed tuples on the direct
 // path, full occupancy on scans; PurgeWalk counts the victim's whole
 // memory portion every run, which is what a purge that walks the table
@@ -782,8 +787,9 @@ type purgeShare struct {
 // applyMarks hands each punctuation set the watermark of the purge that
 // applies it (punct.Set.Applied), so the entries that owe nothing retire.
 // Not while a disk pass is in flight: a bucket's disk purge is bounded by
-// the pids present when it opened (dropBound), and a coalesced range
-// takes the latest pid of what it covers. passDone catches up.
+// the pids present when it opened (dropBound), and a retired key answers
+// with a pid at most the watermark (punct.Set.FirstMatchAttr). passDone
+// catches up.
 func (j *PJoin) applyMarks() {
 	if !j.disk.InFlight() {
 		j.psets[0].Applied(j.purgeMark[1])
@@ -918,11 +924,12 @@ func (j *PJoin) indexOne(e *punct.Entry, sd *store.StoredTuple) {
 
 // indexDiskTuple assigns a pid to a disk-resident tuple that was spilled
 // before its matching punctuation arrived. Called from disk passes, for
-// the tuples without a pid only.
+// the tuples without a pid only. A tuple a retired punctuation of its own
+// stream matches (only a dishonest stream sends one) keeps no pid.
 func (j *PJoin) indexDiskTuple(side int, sd *store.StoredTuple) {
 	j.base.M.IndexScanned++
 	j.base.M.IndexWalk++
-	if e := j.psets[side].FirstMatch(sd.T.Values); e != nil {
+	if e := j.psets[side].FirstMatch(sd.T.Values); e != nil && !e.Retired() {
 		sd.PID = e.PID
 		e.Count++
 	}
@@ -1053,7 +1060,7 @@ func (j *PJoin) relocate(now stream.Time) error {
 			}
 			j.base.M.IndexScanned++
 			j.base.M.IndexWalk++
-			if e := j.psets[side].FirstMatch(sd.T.Values); e != nil {
+			if e := j.psets[side].FirstMatch(sd.T.Values); e != nil && !e.Retired() {
 				sd.PID = e.PID
 				e.Count++
 			}
@@ -1087,9 +1094,12 @@ func (j *PJoin) passHooks() joinbase.PassHooks {
 		// and tuples parked after the bucket's snapshot — those pairs are
 		// the next pass's job, so the next pass is also the earliest
 		// allowed to drop the disk side of them. FirstMatchAttr returns
-		// the earliest-arrived matching entry, so comparing its pid
-		// against the bound is exact. When a pass runs to completion
-		// nothing can interleave and the bound is vacuous.
+		// the earliest-arrived matching live entry, so comparing its pid
+		// against the bound is exact, or for a retired key a pid at most
+		// the Applied watermark, which applyMarks moves only between
+		// passes: at or below dropBound (and pendBound), so a retired key
+		// drops. When a pass runs to completion nothing can interleave
+		// and the bound is vacuous.
 		hooks.OnBucketOpen = func() {
 			j.dropBound[0] = j.psets[0].MaxPID()
 			j.dropBound[1] = j.psets[1].MaxPID()
@@ -1097,7 +1107,11 @@ func (j *PJoin) passHooks() joinbase.PassHooks {
 		hooks.DropDisk = func(side int, key value.Value, size int) bool {
 			e := j.psets[1-side].FirstMatchAttr(j.attrs[1-side], key)
 			drop := e != nil && e.PID <= j.dropBound[1-side]
-			if drop && e.TraceID != 0 && j.obs.Enabled() {
+			switch {
+			case !drop || !j.obs.Enabled():
+			case e.Retired():
+				j.obs.Span(span.KindClosedDrop, 0, j.now, side, 0, 1, int64(size), 0)
+			case e.TraceID != 0:
 				// The bytes the partition loses: the whole spill record.
 				j.obs.Span(span.KindPunctPurgeDisk, e.TraceID, j.now, side, 1, 0, int64(size), 0)
 			}

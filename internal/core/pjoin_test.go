@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -992,6 +993,42 @@ func TestLateTupleAfterReleaseDropped(t *testing.T) {
 	}
 	if m := j.Metrics(); m.DroppedOnFly != 1 || j.StateTuples() != 0 {
 		t.Errorf("dropped on the fly %d, state %d; want 1 and 0", m.DroppedOnFly, j.StateTuples())
+	}
+}
+
+// TestRetiredZeroLeavesNegativeZeroOpen: B's punctuation on the float key
+// 0 retires into B's closed intervals. Value.Equal tells -0 from 0, so an
+// A tuple with key -0 is not dropped against it, and a later B tuple with
+// key -0 (B never closed -0) joins it.
+func TestRetiredZeroLeavesNegativeZeroOpen(t *testing.T) {
+	fa := stream.MustSchema("FA", stream.Field{Name: "k", Kind: value.KindFloat}, stream.Field{Name: "pa", Kind: value.KindString})
+	fb := stream.MustSchema("FB", stream.Field{Name: "k", Kind: value.KindFloat}, stream.Field{Name: "pb", Kind: value.KindString})
+	cfg := Config{SchemaA: fa, SchemaB: fb, AttrA: 0, AttrB: 0}
+	cfg.Thresholds.PropagateCount = 1
+	sink := &op.Collector{}
+	j, err := New(cfg, sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero, negZero := value.Float(0), value.Float(math.Copysign(0, -1))
+	for _, fi := range []feedItem{
+		{0, stream.TupleItem(stream.MustTuple(fa, 1, zero, value.Str("a0")))},
+		{1, stream.PunctItem(punct.MustKeyOnly(2, 0, punct.Const(zero)), 2)},
+		{0, stream.PunctItem(punct.MustKeyOnly(2, 0, punct.Const(zero)), 3)},
+	} {
+		if err := j.Process(fi.port, fi.item, fi.item.Ts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, c := j.psets[1].Len(), j.psets[1].ClosedLen(); n != 0 || c != 1 {
+		t.Fatalf("B's set holds %d entries and %d closed intervals, want its punctuation on 0 retired", n, c)
+	}
+	run(t, j, []feedItem{
+		{0, stream.TupleItem(stream.MustTuple(fa, 4, negZero, value.Str("a-0")))},
+		{1, stream.TupleItem(stream.MustTuple(fb, 5, negZero, value.Str("b-0")))},
+	})
+	if m := j.Metrics(); m.DroppedOnFly != 0 || len(sink.Tuples()) != 1 {
+		t.Errorf("dropped on the fly %d, results %v; want 0 and the -0 pair", m.DroppedOnFly, sink.Tuples())
 	}
 }
 

@@ -1,17 +1,17 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"pjoin/internal/op"
 	"pjoin/internal/stream"
+	"pjoin/internal/value"
 )
 
 // TestPunctPathAllocs pins what handling a punctuation allocates in the
 // steady state of the benchmark's punct_sat regime — direct drive, eager
 // purge, propagation after every punctuation, constant patterns: nothing,
-// with every released punctuation coalescing into its neighbour.
+// with every released punctuation retiring into its set's closed keys.
 // Its set entry is one an earlier propagation removed (punct.Set recycles
 // them), the punctuation it is propagated as is a view of the one it
 // arrived as (punct.Widen), and plans, pending and propagable lists, the
@@ -91,10 +91,12 @@ func TestPunctPathAllocs(t *testing.T) {
 		t.Errorf("purged %d tuples and index-scanned %d over %d closed keys, want %d and %d",
 			m.Purged, m.IndexScanned, next, 4*next, 2*next)
 	}
-	// Every released punctuation coalesced: one range per side is left.
+	// Every released punctuation retired: one interval per side is left.
 	for s, set := range j.psets {
-		if es := set.Entries(); len(es) != 1 || es[0].P.PatternAt(0).String() != fmt.Sprintf("[0 .. %d]", next-1) {
-			t.Errorf("side %d holds %s after keys 0..%d closed on both sides, want one range", s, set, next-1)
+		if set.Len() != 0 || set.ClosedLen() != 1 || !set.SetMatchAttr(0, value.Int(0)) ||
+			!set.SetMatchAttr(0, value.Int(int64(next-1))) || set.SetMatchAttr(0, value.Int(int64(next))) {
+			t.Errorf("side %d holds %s and %d intervals after keys 0..%d closed on both sides, want one [0 .. %d]",
+				s, set, set.ClosedLen(), next-1, next-1)
 		}
 	}
 }

@@ -63,11 +63,16 @@ type soakJoin interface {
 }
 
 // TestLifecycleSoak runs each workload, on one join and on two shards,
-// with and without spilling, and samples the punctuation sets and the
-// state as it goes. Both must stay under a bound that follows from the
-// workload — punctuations: two per open key and side, per shard; tuples:
-// twice the open keys times the tuples both sides send per punctuation —
-// and neither may grow over the second half of the run.
+// with and without spilling, the join's output feeding a group-by on the
+// join attribute as in the paper's Fig. 1 plan, and samples the
+// punctuation sets, the state and the group-by's closed intervals as it
+// goes. Each must stay under a bound that follows from the workload —
+// punctuations: two per open key and side, per shard; tuples: twice the
+// open keys times the tuples both sides send per punctuation; closed
+// intervals: one, plus one per gap below the highest key closed, and a
+// gap needs a key A has not closed downstream yet: open, or its
+// punctuation held in the join — and none may grow over the second half
+// of the run.
 func TestLifecycleSoak(t *testing.T) {
 	for _, sc := range soakCases() {
 		for _, shards := range []int{1, 2} {
@@ -75,22 +80,25 @@ func TestLifecycleSoak(t *testing.T) {
 				name := fmt.Sprintf("%s/shards=%d/spill=%v", sc.name, shards, spill)
 				t.Run(name, func(t *testing.T) {
 					start := time.Now()
-					sets, state := soakRun(t, sc, shards, spill)
+					sets, state, closed := soakRun(t, sc, shards, spill)
 					setBound := 2 * soakWindow * 2 * shards
 					stateBound := int(2 * soakWindow * (sc.a.PunctMean + sc.b.PunctMean))
+					closedBound := 1 + soakWindow + setBound/2
 					checkSoak(t, "punctuations held", sets, setBound)
 					checkSoak(t, "state tuples", state, stateBound)
-					t.Logf("%d tuples in %v: punctuations held peak %d (bound %d), state tuples peak %d (bound %d)",
-						soakTuples, time.Since(start).Round(time.Millisecond), peak(sets), setBound, peak(state), stateBound)
+					checkSoak(t, "group-by closed intervals", closed, closedBound)
+					t.Logf("%d tuples in %v: punctuations held peak %d (bound %d), state tuples peak %d (bound %d), group-by closed intervals peak %d (bound %d)",
+						soakTuples, time.Since(start).Round(time.Millisecond), peak(sets), setBound, peak(state), stateBound, peak(closed), closedBound)
 				})
 			}
 		}
 	}
 }
 
-// soakRun feeds soakTuples tuples of sc through a join and returns the
-// punctuations held and the state tuples, sampled 200 times.
-func soakRun(t *testing.T, sc soakCase, shards int, spill bool) (sets, state []int) {
+// soakRun feeds soakTuples tuples of sc through a join into a group-by
+// counting per join key, and returns the punctuations held, the state
+// tuples and the group-by's closed intervals, sampled 200 times.
+func soakRun(t *testing.T, sc soakCase, shards int, spill bool) (sets, state, closed []int) {
 	t.Helper()
 	cfg := core.Config{
 		SchemaA: gen.SchemaA, SchemaB: gen.SchemaB,
@@ -104,12 +112,18 @@ func soakRun(t *testing.T, sc soakCase, shards int, spill bool) (sets, state []i
 		cfg.DiskChunkBytes = 4 << 10
 	}
 	var j soakJoin
+	var g *op.GroupBy
 	var err error
+	out := op.EmitterFunc(func(it stream.Item) error { return g.Process(0, it, it.Ts) })
 	if shards == 1 {
-		j, err = core.New(cfg, op.EmitterFunc(func(stream.Item) error { return nil }))
+		j, err = core.New(cfg, out)
 	} else {
-		j, err = parallel.New(parallel.Config{Shards: shards, Join: cfg}, op.EmitterFunc(func(stream.Item) error { return nil }))
+		j, err = parallel.New(parallel.Config{Shards: shards, Join: cfg}, out)
 	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err = op.NewGroupBy(j.OutSchema(), gen.KeyAttr, 0, op.AggCount, op.EmitterFunc(func(stream.Item) error { return nil }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,6 +148,7 @@ func soakRun(t *testing.T, sc soakCase, shards int, spill bool) (sets, state []i
 		if fed++; fed%every == 0 {
 			a, b := j.PunctSetSizes()
 			sets, state = append(sets, a+b), append(state, j.StateTuples())
+			closed = append(closed, g.ClosedIntervals())
 		}
 	}
 	// gen holds a schedule in memory, so a long run is generated a chunk
@@ -191,10 +206,16 @@ func soakRun(t *testing.T, sc soakCase, shards int, spill bool) (sets, state []i
 	if err := j.Finish(last + 1); err != nil {
 		t.Fatal(err)
 	}
+	if err := g.Finish(last + 1); err != nil {
+		t.Fatal(err)
+	}
 	if m := j.Metrics(); spill && (m.Relocations == 0 || m.DiskPasses == 0) {
 		t.Fatalf("the spilling run relocated %d times in %d disk passes", m.Relocations, m.DiskPasses)
 	}
-	return sets, state
+	if g.EarlyEmitted() == 0 {
+		t.Fatal("no punctuation closed a group early")
+	}
+	return sets, state, closed
 }
 
 // shiftKey moves a key-only punctuation's constant or range by off.

@@ -20,7 +20,7 @@ import (
 // walkView is what one call's expectations are computed from.
 type walkView struct {
 	m       [2]store.Stats
-	indexed [2]map[punct.PID]bool // entries a build has processed
+	indexed [2]map[punct.PID]bool // entries a build has processed, the retired ones included
 	// resident maps every memory-resident tuple to whether it carries a
 	// pid; nullDisk counts the disk-resident tuples that carry none.
 	resident map[*stream.Tuple]bool
@@ -33,9 +33,12 @@ func viewOf(t *testing.T, j *PJoin) walkView {
 	for s, st := range j.StatesForTest() {
 		v.m[s] = st.Stats()
 		v.indexed[s] = map[punct.PID]bool{}
-		for _, e := range j.SetsForTest()[s].Entries() {
-			if e.Indexed {
-				v.indexed[s][e.PID] = true
+		set := j.SetsForTest()[s]
+		for pid := punct.PID(1); pid <= set.MaxPID(); pid++ {
+			// Every row propagates, so an entry that retired was released,
+			// and indexed before that.
+			if e := set.Get(pid); e == nil || e.Indexed {
+				v.indexed[s][pid] = true
 			}
 		}
 		for i := 0; i < st.NumBuckets(); i++ {

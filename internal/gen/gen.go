@@ -276,7 +276,7 @@ func Synthetic(cfg Config) ([]Arrival, error) {
 // generated workload.
 func Validate(arrs []Arrival) error {
 	var last stream.Time = -1
-	sets := [2]*punct.Set{punct.NewKeyedSet(KeyAttr, false), punct.NewKeyedSet(KeyAttr, false)}
+	closed := [2]punct.Closed{punct.NewClosed(KeyAttr), punct.NewClosed(KeyAttr)}
 	for i, a := range arrs {
 		if a.Item.Ts <= last {
 			return fmt.Errorf("gen: arrival %d: timestamp %d not increasing (prev %d)", i, a.Item.Ts, last)
@@ -288,14 +288,12 @@ func Validate(arrs []Arrival) error {
 		switch a.Item.Kind {
 		case stream.KindTuple:
 			key := a.Item.Tuple.Values[KeyAttr]
-			if sets[a.Port].SetMatchAttr(KeyAttr, key) {
+			if closed[a.Port].Has(key) {
 				return fmt.Errorf("gen: arrival %d: tuple %s violates an earlier punctuation on port %d",
 					i, a.Item.Tuple, a.Port)
 			}
 		case stream.KindPunct:
-			if _, err := sets[a.Port].Add(a.Item.Punct); err != nil {
-				return err
-			}
+			closed[a.Port].Add(a.Item.Punct)
 		}
 	}
 	return nil

@@ -66,6 +66,10 @@
 //	op_finish         exec     the operator finished (post-EOS flush done)
 //	punct_discard     xjoin, core   a punctuation was consumed and ignored (XJoin: all of them; PJoin:
 //	                  an empty one). Side = port. Per side, with punct_arrive: PunctsIn
+//	closed_drop       core     a tuple dropped against a retired key (no lifecycle to charge): Side = its
+//	                  state, N = 1 on the fly / M = 1 from the disk portion / both 0 parked instead
+//	                  (disk portion pending), B = bytes. Σ N with punct_drop_fly: DroppedOnFly;
+//	                  Σ M with punct_purge_*: Purged
 //
 // # Sampling and overhead
 //
@@ -115,8 +119,9 @@ const (
 	KindOpStart
 	KindOpFinish
 	KindPunctDiscard
+	KindClosedDrop
 
-	numKinds = int(KindPunctDiscard) + 1
+	numKinds = int(KindClosedDrop) + 1
 )
 
 // ResultCap bounds KindTupleResult spans per probe burst (one tuple's
@@ -132,7 +137,7 @@ var kindNames = [numKinds]string{
 	"punct_defer", "punct_emit", "punct_eos_close",
 	"pass_start", "pass_chunk", "pass_io", "pass_end",
 	"tuple_ingest", "tuple_cut", "tuple_deliver", "tuple_probe", "tuple_result", "tuple_route",
-	"purge_run", "relocate", "spill_error", "op_start", "op_finish", "punct_discard",
+	"purge_run", "relocate", "spill_error", "op_start", "op_finish", "punct_discard", "closed_drop",
 }
 
 // String returns the kind's wire name (the "sp" field of the JSONL sink).

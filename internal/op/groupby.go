@@ -44,7 +44,8 @@ func (k AggKind) String() string {
 // punctuations for early output (the paper's Fig. 1 query plan: group-by
 // over the join's output, producing the bid sum per item as soon as the
 // join propagates the item's punctuation). Without punctuations it emits
-// everything at end-of-stream.
+// everything at end-of-stream. Its state is the open groups plus the
+// closed keys, kept as intervals (punct.Closed) to reject a late tuple.
 type GroupBy struct {
 	name      string
 	in        *stream.Schema
@@ -57,7 +58,7 @@ type GroupBy struct {
 	groups map[value.Value]*aggState
 	states slab.Slab[aggState] // NewOnce: a chunk lives while one of its groups is open
 	order  []value.Value       // group creation order, for deterministic flush
-	closed *punct.Set          // punctuations already honoured (integrity check)
+	closed punct.Closed        // keys punctuations closed (integrity check)
 	rows   stream.ResultSlab   // where the output rows are built
 
 	eos      bool
@@ -131,7 +132,7 @@ func NewGroupBy(in *stream.Schema, groupAttr, aggAttr int, agg AggKind, emit Emi
 		emit:      emit,
 		groups:    make(map[value.Value]*aggState),
 		states:    slab.NewOnce[aggState](aggChunk),
-		closed:    punct.NewKeyedSet(groupAttr, false),
+		closed:    punct.NewClosed(groupAttr),
 	}, nil
 }
 
@@ -151,6 +152,9 @@ func (g *GroupBy) Groups() int { return len(g.groups) }
 // EarlyEmitted returns how many groups punctuations allowed out before
 // end-of-stream.
 func (g *GroupBy) EarlyEmitted() int64 { return g.early }
+
+// ClosedIntervals returns how many intervals the closed keys make.
+func (g *GroupBy) ClosedIntervals() int { return g.closed.Len() }
 
 // RequestPunctuations registers the paper's pull propagation mode
 // (§3.5): whenever the number of open groups reaches threshold, f is
@@ -194,7 +198,7 @@ func (g *GroupBy) processTuple(t *stream.Tuple) error {
 		return fmt.Errorf("op: %s: tuple width %d, schema width %d", g.name, len(t.Values), g.in.Width())
 	}
 	key := t.Values[g.groupAttr]
-	if g.closed.SetMatchAttr(g.groupAttr, key) {
+	if g.closed.Has(key) {
 		return fmt.Errorf("op: %s: tuple for group %s arrived after its punctuation", g.name, key)
 	}
 	st, ok := g.groups[key]
@@ -232,8 +236,8 @@ func (g *GroupBy) processTuple(t *stream.Tuple) error {
 }
 
 // processPunct emits every group the punctuation closes, releases a
-// matching punctuation downstream, and remembers the pattern so late
-// tuples are detected. Only the group attribute's pattern matters; the
+// matching punctuation downstream, and remembers the keys it closed so
+// late tuples are detected. Only the group attribute's pattern matters; the
 // other patterns must be wildcard for the punctuation to close whole
 // groups (otherwise it only rules out part of a group and is dropped).
 func (g *GroupBy) processPunct(p punct.Punctuation, ts stream.Time) error {
@@ -265,9 +269,7 @@ func (g *GroupBy) processPunct(p punct.Punctuation, ts stream.Time) error {
 		}
 		g.order = kept
 	}
-	if _, err := g.closed.Add(p); err != nil {
-		return err
-	}
+	g.closed.Add(p)
 	// Propagate: the group's result row is final, so the same pattern
 	// holds over the output schema (group attribute, wildcard aggregate).
 	outP, err := p.Place(g.groupAttr, 2, 0)

@@ -2,6 +2,7 @@ package op
 
 import (
 	"errors"
+	"math"
 	"runtime"
 	"testing"
 
@@ -140,6 +141,33 @@ func TestGroupByEarlyEmissionOnPunctuation(t *testing.T) {
 	}
 }
 
+// TestGroupByFloatKeysCloseAsMatches: the group-by closes float keys as
+// Pattern.Matches does. A punctuation on 0 leaves the -0 group open; a
+// float range ending at 0 closes -0 too, and every NaN.
+func TestGroupByFloatKeysCloseAsMatches(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	g, _ := NewGroupBy(inSchema, 1, 0, AggCount, &Collector{})
+	closeKeys := func(p punct.Pattern, ts stream.Time) {
+		t.Helper()
+		if err := g.Process(0, stream.PunctItem(punct.MustKeyOnly(2, 1, p), ts), ts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	closeKeys(punct.Const(value.Float(0)), 1)
+	if err := g.Process(0, tup(t, 1, negZero, 2), 2); err != nil {
+		t.Errorf("a -0 tuple after the punctuation on 0: %v", err)
+	}
+	if err := g.Process(0, tup(t, 1, 0, 3), 3); err == nil {
+		t.Error("a 0 tuple after the punctuation on 0 was accepted")
+	}
+	closeKeys(punct.MustRange(value.Float(-1), value.Float(0)), 4)
+	for _, v := range []float64{negZero, math.NaN()} {
+		if err := g.Process(0, tup(t, 1, v, 5), 5); err == nil {
+			t.Errorf("a %v tuple after the punctuation on [-1 .. 0] was accepted", v)
+		}
+	}
+}
+
 func TestGroupByRangePunctuationClosesSeveral(t *testing.T) {
 	sink := &Collector{}
 	g, _ := NewGroupBy(inSchema, 0, 1, AggCount, sink)
@@ -178,6 +206,43 @@ func TestGroupByRowsInChunks(t *testing.T) {
 	t.Logf("%.3f objects per emitted row", per)
 	if per > 1.0/8 {
 		t.Errorf("%.3f objects per emitted row, want at most 1/8", per)
+	}
+}
+
+// TestGroupByPunctAllocs: the keys a group-by has closed cost it no
+// object per punctuation once warm — consecutive constants extend one
+// interval — where a set of the punctuations themselves grows by an entry
+// and an index slot each.
+func TestGroupByPunctAllocs(t *testing.T) {
+	g, _ := NewGroupBy(inSchema, 0, 1, AggSum, EmitterFunc(func(stream.Item) error { return nil }))
+	const warm, closes = 64, 10_000
+	ps := make([]stream.Item, warm+2*closes) // AllocsPerRun calls its function twice
+	for k := range ps {
+		ps[k] = keyPunct(int64(k), stream.Time(k+1))
+	}
+	next := 0
+	closeNext := func() {
+		if err := g.Process(0, ps[next], ps[next].Ts); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	for next < warm {
+		closeNext()
+	}
+	// One measured call of all the closes: AllocsPerRun would round a
+	// per-punctuation fraction down to zero.
+	per := testing.AllocsPerRun(1, func() {
+		for i := 0; i < closes; i++ {
+			closeNext()
+		}
+	}) / closes
+	t.Logf("%.4f objects per punctuation, %d closed intervals", per, g.ClosedIntervals())
+	if per != 0 {
+		t.Errorf("%.4f objects per punctuation, want 0", per)
+	}
+	if g.ClosedIntervals() != 1 {
+		t.Errorf("%d keys closed in order make %d intervals, want 1", next, g.ClosedIntervals())
 	}
 }
 

@@ -77,10 +77,13 @@ func Check(spans []span.Span, m joinbase.Metrics, o Opts) []string {
 	eq("Σ pass_end.N / DiskExamined", sumN[span.KindPassEnd], m.DiskExamined)
 	eq("Σ pass_end.M / DiskJoins", sumM[span.KindPassEnd], m.DiskJoins)
 	// Purge-buffer parkings ride the M field and are not in Purged /
-	// DroppedOnFly.
-	eq("Σ punct_purge_mem.N + punct_purge_disk.N / Purged",
-		sumN[span.KindPunctPurgeMem]+sumN[span.KindPunctPurgeDisk], m.Purged)
-	eq("Σ punct_drop_fly.N / DroppedOnFly", sumN[span.KindPunctDropFly], m.DroppedOnFly)
+	// DroppedOnFly. A drop against a retired key has no lifecycle: a
+	// closed_drop point span, N on the fly and M from the disk portion
+	// (both 0 for a parking).
+	eq("Σ punct_purge_mem.N + punct_purge_disk.N + closed_drop.M / Purged",
+		sumN[span.KindPunctPurgeMem]+sumN[span.KindPunctPurgeDisk]+sumM[span.KindClosedDrop], m.Purged)
+	eq("Σ punct_drop_fly.N + closed_drop.N / DroppedOnFly",
+		sumN[span.KindPunctDropFly]+sumN[span.KindClosedDrop], m.DroppedOnFly)
 	eq("join-wide punct_emit / PunctsOut", emits, m.PunctsOut)
 	n := int64(max(o.Shards, 1))
 	for side := 0; side < 2; side++ {

@@ -99,20 +99,47 @@ func TestAndBoundedByOperands(t *testing.T) {
 	}
 }
 
-// Property: TryUnion is an upper bound — the union contains both
-// operands.
+// Property: the union Closed keeps is an upper bound — it contains both
+// operands. A constant or range lies inside one interval (its values
+// touch, so they coalesce), an enumeration's members are each closed, and
+// a wildcard closes everything.
 func TestUnionContainsOperands(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 2000; trial++ {
 		a, b := randomPattern(rng), randomPattern(rng)
-		u, ok := a.TryUnion(b)
-		if !ok {
-			continue
-		}
-		if !u.Contains(a) || !u.Contains(b) {
-			t.Fatalf("%v ∪ %v = %v does not contain both", a, b, u)
+		c := closedOf(a, b)
+		for _, op := range []Pattern{a, b} {
+			if !closedContains(c, op) {
+				t.Fatalf("%v then %v close %v, which does not contain %v", a, b, c.ivs, op)
+			}
 		}
 	}
+}
+
+// closedContains reports whether c closes every value p matches.
+func closedContains(c *Closed, p Pattern) bool {
+	switch p.Kind() {
+	case Wildcard:
+		return c.all
+	case Empty:
+		return true
+	case Enum:
+		for _, v := range p.Members() {
+			if !c.Has(v) {
+				return false
+			}
+		}
+		return true
+	}
+	if c.all {
+		return true
+	}
+	for _, iv := range c.ivs {
+		if MustRange(iv.lo, iv.hi).Contains(p) {
+			return true
+		}
+	}
+	return false
 }
 
 // quick.Check variant over arbitrary int64 constants: containment of

@@ -46,8 +46,8 @@ func ExampleSet() {
 
 // A punctuation that owes nothing — no tuple counts toward it, it was
 // released (here: nothing is ever released) and the opposite purge has
-// applied it — retires by coalescing: a run of per-key constants becomes
-// one range.
+// applied it — retires: it leaves the set, and its key joins the set's
+// closed intervals, where a run of per-key constants is one interval.
 func ExampleSet_Applied() {
 	s := punct.NewKeyedSet(0, false)
 	s.NoRelease = true
@@ -55,16 +55,21 @@ func ExampleSet_Applied() {
 		s.Add(punct.MustKeyOnly(2, 0, punct.Const(value.Int(k))))
 	}
 	s.Applied(s.MaxPID())
-	fmt.Println(s.Len(), s.Entries()[0].P)
+	fmt.Println(s.Len(), s.ClosedLen(), s.SetMatchAttr(0, value.Int(3)))
 	// Output:
-	// 1 <[0 .. 4], *>
+	// 0 1 true
 }
 
-func ExamplePattern_TryUnion() {
-	a := punct.MustRange(value.Int(1), value.Int(5))
-	b := punct.Const(value.Int(6))
-	u, ok := a.TryUnion(b)
-	fmt.Println(u, ok)
+// A Closed keeps only the union of what punctuations closed on one
+// attribute: adjacent ints coalesce, an enumeration goes in as its
+// members, and a punctuation that pins another attribute closes nothing.
+func ExampleClosed() {
+	c := punct.NewClosed(0)
+	c.Add(punct.MustKeyOnly(2, 0, punct.MustRange(value.Int(1), value.Int(5))))
+	c.Add(punct.MustKeyOnly(2, 0, punct.Const(value.Int(6))))
+	c.Add(punct.MustKeyOnly(2, 0, punct.MustEnum(value.Int(9), value.Int(11))))
+	c.Add(punct.MustNew(punct.Const(value.Int(7)), punct.Const(value.Int(0))))
+	fmt.Println(c.Len(), c.Has(value.Int(6)), c.Has(value.Int(7)), c.Has(value.Int(10)))
 	// Output:
-	// [1 .. 6] true
+	// 3 true false false
 }

@@ -9,6 +9,7 @@ package punct
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -27,22 +28,14 @@ const (
 	Empty                       // matches nothing
 )
 
+var kindNames = [...]string{"wildcard", "constant", "range", "enum", "empty"}
+
 // String returns the kind's name.
 func (k PatternKind) String() string {
-	switch k {
-	case Wildcard:
-		return "wildcard"
-	case Constant:
-		return "constant"
-	case Range:
-		return "range"
-	case Enum:
-		return "enum"
-	case Empty:
-		return "empty"
-	default:
-		return fmt.Sprintf("PatternKind(%d)", uint8(k))
+	if int(k) < len(kindNames) {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("PatternKind(%d)", uint8(k))
 }
 
 // Pattern is a predicate over a single attribute value. Patterns are
@@ -265,13 +258,8 @@ func (p Pattern) And(q Pattern) Pattern {
 		case Enum:
 			return filterEnum(q.set, p.Matches)
 		}
-	case Enum:
-		switch q.kind {
-		case Range:
-			return filterEnum(p.set, q.Matches)
-		case Enum:
-			return filterEnum(p.set, q.Matches)
-		}
+	case Enum: // q is a range or an enumeration
+		return filterEnum(p.set, q.Matches)
 	}
 	return None()
 }
@@ -310,15 +298,7 @@ func (p Pattern) Equal(q Pattern) bool {
 	case Range:
 		return p.lo.Equal(q.lo) && p.hi.Equal(q.hi)
 	case Enum:
-		if len(p.set) != len(q.set) {
-			return false
-		}
-		for i := range p.set {
-			if !p.set[i].Equal(q.set[i]) {
-				return false
-			}
-		}
-		return true
+		return slices.EqualFunc(p.set, q.set, value.Value.Equal)
 	default:
 		return false
 	}
@@ -402,16 +382,11 @@ func (p Pattern) String() string {
 	case Range:
 		return "[" + p.lo.String() + " .. " + p.hi.String() + "]"
 	case Enum:
-		var b strings.Builder
-		b.WriteByte('{')
+		members := make([]string, len(p.set))
 		for i, v := range p.set {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(v.String())
+			members[i] = v.String()
 		}
-		b.WriteByte('}')
-		return b.String()
+		return "{" + strings.Join(members, ", ") + "}"
 	default:
 		return "<bad pattern>"
 	}

@@ -26,7 +26,8 @@ const NoPID PID = 0
 // A Set zeroes an entry when it leaves the set (it retired: see
 // Set.Applied) and hands it out again to a later Add, so a pointer to an
 // Entry is valid only while the entry is in its set: read what you need
-// before the call that can retire it (Release, Applied).
+// before the call that can retire it (Release, Applied, Unmatch). A
+// retired key's lookup answers with the set's closed entry (Retired).
 //
 // Count may be raised directly (a tuple takes the entry's pid); lowering
 // it goes through Set.Unmatch and setting Indexed through
@@ -58,11 +59,12 @@ type Entry struct {
 	// TraceID on the span; zero when tracing is off.
 	TraceID uint64
 
-	cand    bool      // on the set's candidate list (Set.cands)
-	recount bool      // on the set's recounted list, not settled yet
-	grown   bool      // P's key pattern is a union no single arrival stated (see Set.unnested)
-	own     []Pattern // the key pattern storage of a merge survivor (Set.merge); kept across reuse
+	cand bool // on the set's candidate list (Set.cands)
 }
+
+// Retired reports whether e is a set's closed entry (Set.FirstMatchAttr):
+// no punctuation, trace or lifecycle, and a Count nothing reads.
+func (e *Entry) Retired() bool { return e.P.IsZero() }
 
 // ExhaustiveOn reports whether the punctuation promises exhaustion of a
 // single attribute: "no future tuple whose attribute attr has value v"
@@ -74,15 +76,14 @@ func (e *Entry) ExhaustiveOn(attr int) bool {
 	return exhaustiveOn(e.P, attr)
 }
 
+// exhaustiveOn looks at p's window only: every pattern outside it is
+// the wildcard.
 func exhaustiveOn(p Punctuation, attr int) bool {
 	if attr >= p.Width() {
 		return false
 	}
-	for i := 0; i < p.Width(); i++ {
-		if i == attr {
-			continue
-		}
-		if p.PatternAt(i).Kind() != Wildcard {
+	for i, pat := range p.pats {
+		if i+int(p.off) != attr && pat.kind != Wildcard {
 			return false
 		}
 	}
@@ -98,9 +99,9 @@ func exhaustiveOn(p Punctuation, attr int) bool {
 //
 // An entry has one lifecycle: it arrives (Add), is indexed, counts down,
 // is released downstream (Release) and stays in force until it owes
-// nothing; then it retires by coalescing with the entries that owe
-// nothing beside it (see Applied). So the set holds what is still owed
-// plus a few merged ranges, not everything that ever arrived.
+// nothing; then it retires, and its key pattern joins the set's Closed
+// intervals (see Applied). So the set holds what is still owed plus a
+// few intervals, not everything that ever arrived.
 type Set struct {
 	entries []*Entry // in pid (arrival) order
 	next    PID
@@ -116,13 +117,12 @@ type Set struct {
 	// applied is the Applied watermark: the opposite side's purge has
 	// applied every entry with a pid at or below it.
 	applied PID
-	// near is settle's scratch: the constant entries it may merge with.
-	near []*Entry
-	// recounted holds the pids of entries Unmatch left owing nothing
-	// (their count rose after release, which only a stream that breaks
-	// its punctuations causes); the next Release or Applied settles them,
-	// and until each is settled no other entry merges with it.
-	recounted []PID
+
+	// closed holds the retired entries' key patterns, all closedWidth
+	// wide; hit, with the latest retired pid, answers for them.
+	closed      Closed
+	closedWidth int
+	hit         Entry
 
 	// verify enables checking that each newly added punctuation's pattern
 	// on the key attribute is either disjoint from or a superset of every
@@ -246,11 +246,16 @@ func NewKeyedSet(attr int, verify bool) *Set {
 	}
 	s := NewSet()
 	s.keyAttr, s.constIdx, s.verify = attr, make(map[value.Value]keyEntries), verify
+	s.closed = NewClosed(attr)
 	return s
 }
 
-// Len returns the number of punctuations currently in the set.
+// Len returns the number of punctuations in the set, retired ones not
+// counted.
 func (s *Set) Len() int { return len(s.entries) }
+
+// ClosedLen returns the number of intervals the retired keys make.
+func (s *Set) ClosedLen() int { return s.closed.Len() }
 
 // Add appends p to the set, assigning the next pid, and returns its
 // entry. If verification is enabled and p violates the nested-or-disjoint
@@ -275,7 +280,7 @@ func (s *Set) Add(p Punctuation) (*Entry, error) {
 	} else {
 		e = &s.alloc.Take(1)[0]
 	}
-	*e = Entry{PID: s.next, P: p, own: e.own}
+	*e = Entry{PID: s.next, P: p}
 	s.next++
 	s.entries = append(s.entries, e)
 	s.addToIndex(e)
@@ -289,10 +294,10 @@ func (s *Set) Add(p Punctuation) (*Entry, error) {
 // A constant, wildcard or empty pattern on either side always passes —
 // a constant meets a pattern only by lying inside it — so only a range or
 // enumeration np is checked, and only against the entries whose key
-// pattern can be one: nonConst and partial. A grown entry is skipped: its
-// range is the union of punctuations that np may each nest with or avoid
-// while straddling the union's end. Every entry of a verified set is
-// wide enough to have a key pattern (Add checks).
+// pattern can be one: nonConst and partial. Retired entries are not
+// checked: no tuple with a key they closed can follow, so a punctuation
+// overlapping them promises nothing new there. Every entry of a verified
+// set is wide enough to have a key pattern (Add checks).
 func (s *Set) unnested(np Pattern) (first *Entry) {
 	if np.kind != Range && np.kind != Enum {
 		return nil
@@ -301,9 +306,6 @@ func (s *Set) unnested(np Pattern) (first *Entry) {
 		for _, e := range es {
 			if first != nil && e.PID >= first.PID {
 				break
-			}
-			if e.grown {
-				continue
 			}
 			if old := e.P.PatternAt(s.keyAttr); !np.Disjoint(old) && !np.Contains(old) && !old.Contains(np) {
 				first = e
@@ -322,7 +324,7 @@ func (s *Set) addToIndex(e *Entry) {
 	case !exhaustiveOn(e.P, s.keyAttr):
 		s.partial = insertByPID(s.partial, e)
 	case e.P.PatternAt(s.keyAttr).Kind() == Constant:
-		v := e.P.PatternAt(s.keyAttr).ConstVal()
+		v := e.P.PatternAt(s.keyAttr).lo
 		s.constIdx[v] = s.constIdx[v].insert(e)
 	default:
 		s.nonConst = insertByPID(s.nonConst, e)
@@ -335,7 +337,7 @@ func (s *Set) dropFromIndex(e *Entry) {
 	case !exhaustiveOn(e.P, s.keyAttr):
 		s.partial = removeByPID(s.partial, e)
 	case e.P.PatternAt(s.keyAttr).Kind() == Constant:
-		v := e.P.PatternAt(s.keyAttr).ConstVal()
+		v := e.P.PatternAt(s.keyAttr).lo
 		if es := s.constIdx[v].remove(e); es.first == nil {
 			delete(s.constIdx, v)
 		} else {
@@ -372,7 +374,7 @@ func (s *Set) drop(e *Entry) {
 	if s.OnRetire != nil {
 		s.OnRetire(e)
 	}
-	*e = Entry{own: e.own}
+	*e = Entry{}
 	s.free = append(s.free, e)
 }
 
@@ -380,38 +382,26 @@ func (s *Set) drop(e *Entry) {
 // downstream. It stays in force until it owes nothing, then retires (see
 // Applied).
 func (s *Set) Release(e *Entry) {
-	s.settleRecounted()
 	e.Propagated = true
 	s.settle(e)
-}
-
-func (s *Set) settleRecounted() {
-	for _, pid := range s.recounted {
-		if e := s.Get(pid); e != nil {
-			s.settle(e)
-		}
-	}
-	s.recounted = s.recounted[:0]
 }
 
 // Applied records that the opposite side's purge has applied every entry
 // with a pid up to pid: the opposite state holds no tuple they match, and
 // its caller keeps it so (drop-on-the-fly). An entry owes nothing once
 // its count is zero, it is released (or NoRelease is set) and it is
-// applied. Such an entry retires: it coalesces with the entries that owe
-// nothing, are exhaustive on the key as it is and are as wide, into the
-// pattern Pattern.TryUnion finds for the two key patterns (runs of
-// per-key constants become one range). The later-arrived entry
-// of a merge survives with the union as its pattern, so no key's first
-// match gets an earlier pid than it had; the earlier one leaves. Only
-// entries that owe nothing merge, so no output punctuation changes, and
-// the union of the set's promises never shrinks.
+// applied. Such an entry retires: it leaves the set, and its key pattern
+// joins the set's Closed intervals (runs of per-key constants become one
+// interval). Only entries that owe nothing retire, so no output
+// punctuation changes, and the union of the set's promises never
+// shrinks.
 //
-// Entries not exhaustive on the key, and every entry of an unkeyed set,
-// stay. The caller applies and releases outside a disk pass: a pass
-// bounds its disk purge by the pids present when a bucket opened.
+// Entries not exhaustive on the key or not as wide as those retired
+// before, and every entry of an unkeyed set, stay. The caller applies
+// outside a disk pass: a pass bounds its disk purge by the pids present
+// when a bucket opened, and a retired key's pid is at most the watermark
+// (see FirstMatchAttr).
 func (s *Set) Applied(pid PID) {
-	s.settleRecounted()
 	pid = min(pid, s.MaxPID()) // a later Add is not applied yet
 	for s.applied < pid {
 		i := searchPID(s.entries, s.applied+1)
@@ -425,6 +415,24 @@ func (s *Set) Applied(pid PID) {
 	}
 }
 
+// owesNothing reports whether e can retire (see Applied).
+func (s *Set) owesNothing(e *Entry) bool {
+	return e.Count == 0 && (e.Propagated || s.NoRelease) && e.PID <= s.applied
+}
+
+// settle retires e if it owes nothing and is exhaustive on the key: its
+// key pattern goes into closed and it leaves the set.
+func (s *Set) settle(e *Entry) {
+	if s.keyAttr < 0 || !s.owesNothing(e) || !exhaustiveOn(e.P, s.keyAttr) ||
+		s.closedWidth != 0 && e.P.Width() != s.closedWidth {
+		return
+	}
+	s.closed.Add(e.P)
+	s.closedWidth = e.P.Width()
+	s.hit = Entry{PID: max(s.hit.PID, e.PID), Indexed: true, Propagated: true}
+	s.drop(e)
+}
+
 // MarkIndexed records that index build has processed e.
 //
 //pjoin:hotpath
@@ -435,17 +443,16 @@ func (s *Set) MarkIndexed(e *Entry) {
 
 // Unmatch records that a state tuple carrying pid left the state: the
 // entry's count falls by one (never below zero; a pid no longer in the
-// set is ignored).
+// set is ignored). An entry it leaves owing nothing retires (its count
+// rose after release, which only a stream that breaks its punctuations
+// causes).
 //
 //pjoin:hotpath
 func (s *Set) Unmatch(pid PID) {
 	if e := s.Get(pid); e != nil && e.Count > 0 {
 		e.Count--
 		s.noteCandidate(e)
-		if s.owesNothing(e) && !e.recount {
-			e.recount = true
-			s.recounted = append(s.recounted, pid)
-		}
+		s.settle(e)
 	}
 }
 
@@ -485,19 +492,29 @@ func (s *Set) SetMatchAttr(attr int, v value.Value) bool {
 // FirstMatchAttr returns the earliest-arrived entry that exhausts value
 // v on attribute attr (see SetMatchAttr), or nil. When attr is the
 // set's indexed key attribute the lookup is O(1) plus the number of
-// non-constant patterns.
+// non-constant patterns, and then one binary search of the retired keys.
+//
+// A retired key answers with the set's closed entry (Entry.Retired),
+// whose pid is the latest retired one, unless a live match arrived
+// earlier: at most the Applied watermark, then, as is any retired pid.
 //
 //pjoin:hotpath
 func (s *Set) FirstMatchAttr(attr int, v value.Value) *Entry {
+	var best *Entry
 	if attr != s.keyAttr {
 		for _, e := range s.entries {
 			if exhaustiveOn(e.P, attr) && e.P.PatternAt(attr).Matches(v) {
-				return e
+				best = e
+				break
 			}
 		}
-		return nil
+		// Only a retired wildcard closes the other attributes.
+		if s.closedFirst(best) && s.closed.all && attr < s.closedWidth {
+			return &s.hit
+		}
+		return best
 	}
-	best := s.constIdx[v].first // the earliest-arrived constant on v, if any
+	best = s.constIdx[v].first // the earliest-arrived constant on v, if any
 	for _, e := range s.nonConst {
 		if best != nil && e.PID >= best.PID {
 			break // nonConst is in arrival order; nothing earlier follows
@@ -507,7 +524,16 @@ func (s *Set) FirstMatchAttr(attr int, v value.Value) *Entry {
 			break
 		}
 	}
+	if s.closedFirst(best) && s.closed.Has(v) {
+		return &s.hit
+	}
 	return best
+}
+
+// closedFirst reports whether the retired keys may answer a lookup whose
+// live match, best, is nil or arrived after every retired entry.
+func (s *Set) closedFirst(best *Entry) bool {
+	return s.hit.PID != NoPID && (best == nil || best.PID > s.hit.PID)
 }
 
 // FirstMatch returns the earliest-arrived entry whose punctuation matches
@@ -516,18 +542,26 @@ func (s *Set) FirstMatchAttr(attr int, v value.Value) *Entry {
 // keyed set looks at the entries filed under the tuple's key and at the
 // non-constant and partial ones only.
 //
+// A retired key answers with the set's closed entry, as FirstMatchAttr
+// does: shared by every lookup, it must not count a tuple.
+//
 //pjoin:hotpath
 func (s *Set) FirstMatch(attrs []value.Value) *Entry {
 	if s.keyAttr < 0 || s.keyAttr >= len(attrs) {
 		return firstMatchIn(s.entries, nil, attrs)
 	}
-	k := s.constIdx[attrs[s.keyAttr]]
+	key := attrs[s.keyAttr]
+	k := s.constIdx[key]
 	best := k.first
 	if best != nil && !best.P.Matches(attrs) {
 		best = firstMatchIn(k.more, nil, attrs)
 	}
 	best = firstMatchIn(s.nonConst, best, attrs)
-	return firstMatchIn(s.partial, best, attrs)
+	best = firstMatchIn(s.partial, best, attrs)
+	if s.closedFirst(best) && len(attrs) == s.closedWidth && s.closed.Has(key) {
+		return &s.hit
+	}
+	return best
 }
 
 // firstMatchIn returns the earliest of the pid-ordered es that arrived

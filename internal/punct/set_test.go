@@ -194,8 +194,8 @@ func TestSetScratchLifetime(t *testing.T) {
 		}
 		s.Release(e)
 	}
-	if s.String() != "{4:<[0 .. 3], *>#0, 5:<[10 .. 20], *>#0}" {
-		t.Fatalf("released constants 0..3 did not coalesce: %s", s)
+	if s.Len() != 0 || s.ClosedLen() != 2 {
+		t.Fatalf("released constants 0..3 and [10 .. 20] left %s and %d intervals, want none and 2", s, s.ClosedLen())
 	}
 
 	// Two sets share nothing: one's call leaves the other's slice alone.
@@ -230,8 +230,8 @@ func TestSetScratchLifetime(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("add, plan, index, propagate, retire allocates %.4f objects, want 0", allocs)
 	}
-	if a.Len() != 2 {
-		t.Errorf("%d entries left after %d repeats of one key, want 2: %s", a.Len(), steps, a)
+	if a.Len() != 0 || a.ClosedLen() != 2 {
+		t.Errorf("%s and %d intervals left after %d repeats of one key, want none and 2 (keys 1 and 7)", a, a.ClosedLen(), steps)
 	}
 }
 

@@ -11,17 +11,17 @@ import (
 
 // modelEntry is one entry of setModel.
 type modelEntry struct {
-	pid                        PID
-	p                          Punctuation
-	count                      int
-	indexed, propagated, grown bool
+	pid                 PID
+	p                   Punctuation
+	count               int
+	indexed, propagated bool
 }
 
 // setModel is a brute-force Set: every question is answered by a walk
 // over all entries in arrival order, the definitions a Set had before it
 // kept a candidate list, an unindexed watermark and the key index's
-// partial list. Retirement looks for what an entry merges with among all
-// entries, where the set looks through its key index.
+// partial list. A retired entry leaves the list and its key pattern
+// joins closed, which lookups walk too, where the set keeps intervals.
 type setModel struct {
 	es        []*modelEntry
 	next      PID
@@ -29,8 +29,10 @@ type setModel struct {
 	key       int // key attribute entries retire on, -1 for none (unkeyed)
 	noRelease bool
 	applied   PID
-	recounted []PID
-	pending   map[PID]bool // recounted, not settled yet
+
+	closed      []Pattern // the key patterns of the retired entries
+	closedWidth int       // how wide they all are
+	closedPID   PID       // the latest retired pid
 }
 
 func (m *setModel) find(pid PID) (int, *modelEntry) {
@@ -61,9 +63,6 @@ func (m *setModel) add(p Punctuation) error {
 		}
 		np := p.PatternAt(a)
 		for _, e := range m.es {
-			if e.grown {
-				continue
-			}
 			old := e.p.PatternAt(a)
 			if !np.Disjoint(old) && !np.Contains(old) && !old.Contains(np) {
 				return fmt.Errorf("punct: punctuation %s overlaps earlier %s on attribute %d without nesting", p, e.p, a)
@@ -86,10 +85,7 @@ func (m *setModel) String() string {
 func (m *setModel) unmatch(pid PID) {
 	if _, e := m.find(pid); e != nil && e.count > 0 {
 		e.count--
-		if m.owesNothing(e) && !m.pending[pid] {
-			m.pending[pid] = true
-			m.recounted = append(m.recounted, pid)
-		}
+		m.settle(e)
 	}
 }
 
@@ -97,25 +93,13 @@ func (m *setModel) owesNothing(e *modelEntry) bool {
 	return e.count == 0 && (e.propagated || m.noRelease) && e.pid <= m.applied
 }
 
-func (m *setModel) settleRecounted() {
-	for _, pid := range m.recounted {
-		delete(m.pending, pid)
-		if _, e := m.find(pid); e != nil {
-			m.settle(e)
-		}
-	}
-	m.recounted = nil
-}
-
 func (m *setModel) release(pid PID) {
-	m.settleRecounted()
 	_, e := m.find(pid)
 	e.propagated = true
 	m.settle(e)
 }
 
 func (m *setModel) appliedTo(pid PID) {
-	m.settleRecounted()
 	pid = min(pid, m.next)
 	for m.applied < pid {
 		var next *modelEntry
@@ -134,39 +118,18 @@ func (m *setModel) appliedTo(pid PID) {
 	}
 }
 
-// settle merges e, while it owes nothing, with the earliest entry that
-// owes nothing, is settled, is exhaustive on the key, is as wide and
-// whose key pattern merges with e's.
+// settle retires e if it owes nothing, is exhaustive on the key and is
+// as wide as the entries retired before it.
 func (m *setModel) settle(e *modelEntry) {
-	if m.key < 0 || !m.owesNothing(e) || !exhaustiveOn(e.p, m.key) {
+	if m.key < 0 || !m.owesNothing(e) || !exhaustiveOn(e.p, m.key) ||
+		m.closedWidth != 0 && e.p.Width() != m.closedWidth {
 		return
 	}
-	for {
-		var f *modelEntry
-		var u Pattern
-		for _, c := range m.es {
-			if c == e || f != nil || m.pending[c.pid] || !m.owesNothing(c) || !exhaustiveOn(c.p, m.key) || c.p.Width() != e.p.Width() {
-				continue
-			}
-			if cu, ok := e.p.PatternAt(m.key).TryUnion(c.p.PatternAt(m.key)); ok {
-				f, u = c, cu
-			}
-		}
-		if f == nil {
-			return
-		}
-		a, b := e, f
-		if a.pid > b.pid {
-			a, b = b, a
-		}
-		i, _ := m.find(a.pid)
-		m.es = append(m.es[:i], m.es[i+1:]...)
-		if !u.Equal(b.p.PatternAt(m.key)) {
-			b.grown = a.grown || !u.Equal(a.p.PatternAt(m.key))
-			b.p = MustKeyOnly(b.p.Width(), m.key, u)
-		}
-		e = b
-	}
+	i, _ := m.find(e.pid)
+	m.es = append(m.es[:i], m.es[i+1:]...)
+	m.closed = append(m.closed, e.p.PatternAt(m.key))
+	m.closedWidth = e.p.Width()
+	m.closedPID = max(m.closedPID, e.pid)
 }
 
 func (m *setModel) propagable(final bool) []PID {
@@ -196,22 +159,47 @@ func (m *setModel) unindexed() []PID {
 	return out
 }
 
+// firstMatch and firstMatchAttr answer with the earliest live match, or
+// with the latest retired pid when a retired punctuation matches too and
+// the live match is not earlier than every retired one.
 func (m *setModel) firstMatch(attrs []value.Value) PID {
+	var best PID
 	for _, e := range m.es {
 		if e.p.Matches(attrs) {
-			return e.pid
+			best = e.pid
+			break
 		}
 	}
-	return NoPID
+	if m.closedFirst(best) && len(attrs) == m.closedWidth {
+		for _, c := range m.closed {
+			if MustKeyOnly(m.closedWidth, m.key, c).Matches(attrs) {
+				return m.closedPID
+			}
+		}
+	}
+	return best
 }
 
 func (m *setModel) firstMatchAttr(attr int, v value.Value) PID {
+	var best PID
 	for _, e := range m.es {
 		if exhaustiveOn(e.p, attr) && e.p.PatternAt(attr).Matches(v) {
-			return e.pid
+			best = e.pid
+			break
 		}
 	}
-	return NoPID
+	if m.closedFirst(best) {
+		for _, c := range m.closed {
+			if p := MustKeyOnly(m.closedWidth, m.key, c); exhaustiveOn(p, attr) && p.PatternAt(attr).Matches(v) {
+				return m.closedPID
+			}
+		}
+	}
+	return best
+}
+
+func (m *setModel) closedFirst(best PID) bool {
+	return m.closedPID != NoPID && (best == NoPID || best > m.closedPID)
 }
 
 // randPunct draws a punctuation over small int domains: mostly two wide,
@@ -254,8 +242,9 @@ func randPunct(r *rand.Rand, key int) Punctuation {
 // of Unindexed, raise and lower counts, apply up to a pid, propagate with
 // and without final, releasing what Propagable returns — against
 // setModel, and after every step holds Propagable, Unindexed, Get,
-// FirstMatch, FirstMatchAttr and the entries themselves to it, what
-// retired included. Sets of four shapes: unkeyed, keyed on attribute 0,
+// FirstMatch, FirstMatchAttr and the entries themselves to it, the
+// retired keys included, and the set's closed intervals to Closed's
+// canonical form. Sets of four shapes: unkeyed, keyed on attribute 0,
 // keyed and verified on 0, keyed on 1 (so narrow punctuations have no key
 // pattern); in half the seeds the set has NoRelease.
 func TestSetAgreesWithModel(t *testing.T) {
@@ -272,7 +261,7 @@ func TestSetAgreesWithModel(t *testing.T) {
 
 func runSetModel(seed int64) error {
 	r := rand.New(rand.NewSource(seed))
-	s, m, key := NewSet(), &setModel{verify: -1, key: -1, pending: map[PID]bool{}}, 0
+	s, m, key := NewSet(), &setModel{verify: -1, key: -1}, 0
 	switch seed % 4 {
 	case 1:
 		s, m.key = NewKeyedSet(0, false), 0
@@ -406,6 +395,16 @@ func checkSetModel(r *rand.Rand, s *Set, m *setModel) error {
 		if (e == nil) != (me == nil) || e != nil && e.PID != pid {
 			return fmt.Errorf("Get(%d) = %v, model has it: %v", pid, e, me != nil)
 		}
+	}
+	if err := canonical(&s.closed); err != nil {
+		return err
+	}
+	closes := false // a retired key pattern closed something
+	for _, c := range m.closed {
+		closes = closes || c.Kind() != Empty
+	}
+	if (s.ClosedLen() > 0) != closes {
+		return fmt.Errorf("ClosedLen %d, model retired %v", s.ClosedLen(), m.closed)
 	}
 	for probe := 0; probe < 8; probe++ {
 		width := 2

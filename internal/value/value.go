@@ -29,20 +29,14 @@ const (
 	KindBool
 )
 
+var kindNames = [...]string{KindInt: "int", KindFloat: "float", KindString: "string", KindBool: "bool"}
+
 // String returns the lower-case name of the kind.
 func (k Kind) String() string {
-	switch k {
-	case KindInt:
-		return "int"
-	case KindFloat:
-		return "float"
-	case KindString:
-		return "string"
-	case KindBool:
-		return "bool"
-	default:
+	if k == KindInvalid || int(k) >= len(kindNames) {
 		return "invalid"
 	}
+	return kindNames[k]
 }
 
 // Value is an immutable scalar. The zero Value is invalid; use the
@@ -259,7 +253,7 @@ func Parse(s string) (Value, error) {
 
 // Succ returns the smallest representable value strictly greater than v
 // for discrete kinds (int, bool) and reports whether such a value exists.
-// It is used to decide adjacency when merging integer range patterns.
+// punct.Closed coalesces intervals that touch through it.
 func (v Value) Succ() (Value, bool) {
 	switch v.kind {
 	case KindInt:
@@ -276,16 +270,4 @@ func (v Value) Succ() (Value, bool) {
 	default:
 		return Value{}, false
 	}
-}
-
-// Pred is Succ's mirror: the largest value strictly less than v, for
-// discrete kinds (int, bool), and whether there is one.
-func (v Value) Pred() (Value, bool) {
-	switch {
-	case v.kind == KindInt && int64(v.num) != math.MinInt64:
-		return Int(int64(v.num) - 1), true
-	case v.kind == KindBool && v.num == 1:
-		return Bool(false), true
-	}
-	return Value{}, false
 }

@@ -216,24 +216,6 @@ func TestInvalidString(t *testing.T) {
 	}
 }
 
-func TestPred(t *testing.T) {
-	if p, ok := Int(5).Pred(); !ok || p.IntVal() != 4 {
-		t.Errorf("Pred(5) = %v, %v", p, ok)
-	}
-	if _, ok := Int(math.MinInt64).Pred(); ok {
-		t.Error("Pred(MinInt64) should not exist")
-	}
-	if p, ok := Bool(true).Pred(); !ok || p.BoolVal() {
-		t.Error("Pred(true) should be false")
-	}
-	if _, ok := Bool(false).Pred(); ok {
-		t.Error("Pred(false) should not exist")
-	}
-	if _, ok := Str("a").Pred(); ok {
-		t.Error("Pred of a string should not exist")
-	}
-}
-
 func TestSucc(t *testing.T) {
 	if s, ok := Int(5).Succ(); !ok || s.IntVal() != 6 {
 		t.Errorf("Succ(5) = %v, %v", s, ok)
