@@ -57,10 +57,8 @@ func BenchmarkFig13(b *testing.B)  { benchExperiment(b, "fig13") }
 func BenchmarkFig14(b *testing.B)  { benchExperiment(b, "fig14") }
 func BenchmarkTable1(b *testing.B) { benchExperiment(b, "table1") }
 
-func BenchmarkAblationDropFly(b *testing.B) { benchExperiment(b, "abl-dropfly") }
-func BenchmarkAblationIndex(b *testing.B)   { benchExperiment(b, "abl-index") }
-func BenchmarkAblationPurge(b *testing.B)   { benchExperiment(b, "abl-purge") }
-func BenchmarkExtWindow(b *testing.B)       { benchExperiment(b, "ext-window") }
+func BenchmarkAblationIndex(b *testing.B) { benchExperiment(b, "abl-index") }
+func BenchmarkExtWindow(b *testing.B)     { benchExperiment(b, "ext-window") }
 
 // --- micro benchmarks ---
 
@@ -78,7 +76,7 @@ func synthTuples(n int, keys int) []stream.Item {
 func BenchmarkMemoryProbe(b *testing.B) {
 	sink := op.EmitterFunc(func(stream.Item) error { return nil })
 	j, err := core.New(core.Config{
-		SchemaA: gen.SchemaA, SchemaB: gen.SchemaB, DisablePurge: true,
+		SchemaA: gen.SchemaA, SchemaB: gen.SchemaB,
 	}, sink)
 	if err != nil {
 		b.Fatal(err)

@@ -151,6 +151,10 @@ type analysis struct {
 	deferList []timedEvent
 	spillErrs []span.Span
 	traceless int64
+	// closed sums the closed_drop spans (drops against a retired key, no
+	// lifecycle to charge); the reclaimed line adds them in, so it sums
+	// to the join's DroppedOnFly + Purged.
+	closed struct{ fly, disk, parked, bytes int64 }
 }
 
 func newAnalysis() *analysis {
@@ -183,8 +187,17 @@ func (a *analysis) add(s span.Span) {
 	a.kinds[s.Kind]++
 	if s.Kind.IsPoint() {
 		// Complete on its own: Trace 0 by design, never an orphan.
-		if s.Kind == span.KindSpillError {
+		switch s.Kind {
+		case span.KindSpillError:
 			a.spillErrs = append(a.spillErrs, s)
+		case span.KindClosedDrop:
+			a.closed.fly += s.N
+			a.closed.disk += s.M
+			if s.N == 0 && s.M == 0 {
+				a.closed.parked++
+			} else {
+				a.closed.bytes += s.B
+			}
 		}
 		return
 	}
@@ -507,7 +520,7 @@ func analyze(w io.Writer, paths []string, flightPath string, top int) (problems 
 	fmt.Fprintf(w, " traces %d: emitted %d, eos-closed %d, unclosed %d, orphaned %d\n",
 		len(lives), emitted, eosClosed, unclosed, orphans)
 	fmt.Fprintf(w, " reclaimed: memory %d tuples, disk %d tuples, on-the-fly %d tuples, %s total; %d parked for disk purge\n",
-		memFreed, diskFreed, flyFreed, fmtBytes(bytes), parked)
+		memFreed, diskFreed+a.closed.disk, flyFreed+a.closed.fly, fmtBytes(bytes+a.closed.bytes), parked+a.closed.parked)
 	fmt.Fprintf(w, " purge wall: %s over %d run(s)\n", fmtMs(purgeWall), totalRuns)
 	fmt.Fprintf(w, " propagation delay (%d join-wide emits): %s\n", delay.count(), delay.String())
 	fmt.Fprintf(w, " deferrals: %d (disk pass in flight %d, own disk purge pending %d)\n",

@@ -198,3 +198,21 @@ func TestFlightDumpAlone(t *testing.T) {
 		}
 	}
 }
+
+// TestClosedDropsReclaimed: drops against a retired key (closed_drop
+// point spans) count in the "reclaimed" line next to the lifecycles':
+// N as on-the-fly, M as disk, their bytes in the total, and a parking
+// (N = M = 0) as parked, so the line adds up to DroppedOnFly + Purged.
+func TestClosedDropsReclaimed(t *testing.T) {
+	var buf bytes.Buffer
+	problems, err := analyze(&buf, []string{filepath.Join("testdata", "closed.jsonl")}, "", 0)
+	if err != nil || problems != 0 {
+		t.Fatalf("problems=%d err=%v, want 0, nil\n%s", problems, err, buf.String())
+	}
+	// Lifecycle: 1 on the fly + 1 from disk, 90 B. Closed: 2 on the fly,
+	// 1 from disk, 140 B, 1 parked.
+	want := " reclaimed: memory 0 tuples, disk 2 tuples, on-the-fly 3 tuples, 230B total; 1 parked for disk purge\n"
+	if !strings.Contains(buf.String(), want) {
+		t.Errorf("report lacks %q:\n%s", want, buf.String())
+	}
+}

@@ -2,55 +2,20 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"pjoin/internal/core"
 	"pjoin/internal/gen"
 	"pjoin/internal/stream"
 )
 
-// Ablation experiments for the design choices DESIGN.md calls out. They
-// are not paper figures but quantify what each PJoin mechanism buys.
+// Ablation and extension experiments for the design choices DESIGN.md
+// calls out. They are not paper figures but quantify what a PJoin
+// mechanism buys. Purge and drop-on-the-fly have no ablation of their
+// own: without them PJoin is XJoin, which fig5 and fig10 plot.
 func init() {
-	register(Experiment{ID: "abl-dropfly", Title: "Ablation: drop-on-the-fly on/off (asymmetric rates)", Run: runAblDropFly})
 	register(Experiment{ID: "abl-index", Title: "Ablation: eager vs lazy punctuation index building", Run: runAblIndex})
-	register(Experiment{ID: "abl-purge", Title: "Ablation: purge disabled (PJoin degenerates to XJoin-like state)", Run: runAblPurge})
 	register(Experiment{ID: "ext-window", Title: "Extension (§6): sliding window combined with punctuations", Run: runExtWindow})
-}
-
-// runAblDropFly compares PJoin with and without drop-on-the-fly under
-// the asymmetric workload where the mechanism matters most (§4.3: "most
-// B tuples never become a part of the state").
-func runAblDropFly(rc RunConfig) (*Report, error) {
-	report := &Report{
-		ID:    "abl-dropfly",
-		Title: "Drop-on-the-fly ablation, A=10, B=40",
-		Paper: "with the optimisation, tuples already covered by an opposite punctuation never enter the state",
-		Rows:  [][]string{{"variant", "avg state", "dropped on fly", "purged", "results"}},
-	}
-	for _, disable := range []bool{false, true} {
-		arrs, horizon, err := asymmetricWorkload(rc, defShort, 10, 40, 4)
-		if err != nil {
-			return nil, err
-		}
-		pj, err := pjoinFor(rc, fmt.Sprintf("pjoin-nodrop-%t", disable), 1, func(c *core.Config) { c.DisableDropOnTheFly = disable })
-		if err != nil {
-			return nil, err
-		}
-		res, err := rc.simulate(pj, arrs, horizon)
-		if err != nil {
-			return nil, err
-		}
-		name := "drop-on-the-fly"
-		if disable {
-			name = "no drop-on-the-fly"
-		}
-		s := stateSeries(name, res)
-		report.Series = append(report.Series, s)
-		report.Rows = append(report.Rows, []string{
-			name, f1(s.Mean()), i64(res.Final.DroppedOnFly), i64(res.Final.Purged), i64(res.Final.TuplesOut),
-		})
-	}
-	return report, nil
 }
 
 // runAblIndex compares eager and lazy punctuation index building under
@@ -93,43 +58,6 @@ func runAblIndex(rc RunConfig) (*Report, error) {
 	return report, nil
 }
 
-// runAblPurge shows that PJoin with purging disabled accumulates state
-// like XJoin: the purge rules are what keeps the state bounded.
-func runAblPurge(rc RunConfig) (*Report, error) {
-	report := &Report{
-		ID:    "abl-purge",
-		Title: "Purge ablation, punct inter-arrival 40",
-		Paper: "without the purge component the punctuations are useless for memory",
-		Rows:  [][]string{{"variant", "avg state", "max state"}},
-	}
-	for _, disable := range []bool{false, true} {
-		arrs, horizon, err := symmetricWorkload(rc, defShort, 40)
-		if err != nil {
-			return nil, err
-		}
-		pj, err := pjoinFor(rc, fmt.Sprintf("pjoin-nopurge-%t", disable), 1, func(c *core.Config) { c.DisablePurge = disable })
-		if err != nil {
-			return nil, err
-		}
-		res, err := rc.simulate(pj, arrs, horizon)
-		if err != nil {
-			return nil, err
-		}
-		name := "purge enabled"
-		if disable {
-			name = "purge disabled"
-		}
-		s := stateSeries(name, res)
-		report.Series = append(report.Series, s)
-		report.Rows = append(report.Rows, []string{name, f1(s.Mean()), f1(s.Max())})
-	}
-	if len(report.Series) == 2 {
-		report.Notes = append(report.Notes, fmt.Sprintf(
-			"state ratio disabled/enabled: %.1fx", report.Series[1].Mean()/report.Series[0].Mean()))
-	}
-	return report, nil
-}
-
 // runExtWindow demonstrates the §6 sliding-window extension: state
 // bounds from punctuations alone, from a time window alone, and from
 // their combination — the combination is bounded by whichever mechanism
@@ -142,23 +70,24 @@ func runExtWindow(rc RunConfig) (*Report, error) {
 		Rows:  [][]string{{"variant", "avg state", "max state", "results"}},
 	}
 	const window = 1_000 * stream.Millisecond
+	withWindow := func(c *core.Config) { c.Window = window }
 	variants := []struct {
 		name   string
 		mutate func(*core.Config)
+		puncts bool
 	}{
-		{"punctuations only", nil},
-		{"window only", func(c *core.Config) {
-			c.DisablePurge = true
-			c.Window = window
-		}},
-		{"window + punctuations", func(c *core.Config) {
-			c.Window = window
-		}},
+		{"punctuations only", nil, true},
+		{"window only", withWindow, false},
+		{"window + punctuations", withWindow, true},
 	}
 	for vi, v := range variants {
 		arrs, horizon, err := symmetricWorkload(rc, defShort, 40)
 		if err != nil {
 			return nil, err
+		}
+		if !v.puncts {
+			// The same tuples at the same times, without their punctuations.
+			arrs = slices.DeleteFunc(arrs, func(a gen.Arrival) bool { return a.Item.Kind == stream.KindPunct })
 		}
 		pj, err := pjoinFor(rc, fmt.Sprintf("pjoin-v%d", vi), 1, v.mutate)
 		if err != nil {

@@ -55,7 +55,7 @@ func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
 		"fig12", "fig13", "fig14", "table1",
-		"abl-dropfly", "abl-index", "abl-purge", "ext-window", "ext-latency",
+		"abl-index", "ext-window", "ext-latency",
 		"scale1",
 	}
 	have := map[string]bool{}
@@ -240,25 +240,6 @@ func TestTable1(t *testing.T) {
 		if !strings.Contains(joined, want) {
 			t.Errorf("table1 missing %s:\n%s", want, joined)
 		}
-	}
-}
-
-func TestAblationDropFly(t *testing.T) {
-	rep := quick(t, "abl-dropfly")
-	dropped := cell(t, rep, 1, 2)
-	if dropped == 0 {
-		t.Error("drop-on-the-fly never triggered")
-	}
-	if rep.Rows[1][4] != rep.Rows[2][4] {
-		t.Error("ablation changed the result set")
-	}
-}
-
-func TestAblationPurge(t *testing.T) {
-	rep := quick(t, "abl-purge")
-	on, off := cell(t, rep, 1, 1), cell(t, rep, 2, 1)
-	if on*2 > off {
-		t.Errorf("disabling purge should blow up the state: %g vs %g", on, off)
 	}
 }
 

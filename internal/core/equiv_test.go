@@ -40,10 +40,6 @@ func equivCases() []equivCase {
 			c.Thresholds.MemoryBytes = 8 << 10
 			c.Thresholds.DiskJoinIdle = 4 * stream.Millisecond
 		}},
-		{name: "no-drop-on-the-fly", mutate: func(c *Config) {
-			c.Thresholds.Purge = 1
-			c.DisableDropOnTheFly = true
-		}},
 		{name: "compact-sets", batched: true, mutate: func(c *Config) {
 			c.Thresholds.Purge = 8 // retired range punctuations join the closed keys
 		}},
@@ -98,7 +94,6 @@ var scanPins = map[string][3][4]int64{
 	"eager-const-puncts": {{10567, 11639, 462, 62}, {10248, 11649, 452, 66}, {8121, 9867, 561, 44}},
 	"lazy-range-puncts":  {{10188, 1659, 1011, 69}, {10270, 1659, 1038, 71}, {8592, 1517, 975, 61}},
 	"relocation":         {{9338, 2934, 1071, 62}, {8602, 3222, 663, 66}, {7048, 2497, 1045, 44}},
-	"no-drop-on-the-fly": {{10567, 11851, 464, 62}, {10248, 11948, 453, 66}, {8121, 10179, 564, 44}},
 	"compact-sets":       {{10188, 2309, 411, 69}, {10261, 2207, 408, 71}, {8590, 1942, 714, 61}},
 	"window":             {{5679, 3387, 174, 73}, {4845, 3231, 147, 76}, {3963, 2681, 151, 68}},
 }

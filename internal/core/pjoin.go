@@ -45,7 +45,8 @@ type Config struct {
 	SpillA, SpillB store.SpillStore
 	// Thresholds are the monitor's initial runtime parameters. The zero
 	// value disables relocation, disk-join activation and push-mode
-	// propagation, and sets eager purge (threshold 1).
+	// propagation; a zero Purge means eager purge (threshold 1), and a
+	// negative one is rejected: the purge always runs.
 	Thresholds event.Thresholds
 	// DiskChunkBytes is the disk join's step budget (joinbase.PassDriver).
 	// When positive, disk joins run as a resumable background task that
@@ -64,12 +65,6 @@ type Config struct {
 	// punctuations still purge state but are never forwarded. Most of
 	// the paper's experiments run in this mode.
 	DisablePropagation bool
-	// DisableDropOnTheFly disables the optimisation of never inserting
-	// a tuple that already matches the opposite punctuation set (§4.3).
-	DisableDropOnTheFly bool
-	// DisablePurge turns the state-purge component off (for ablation:
-	// PJoin then keeps state like XJoin).
-	DisablePurge bool
 	// VerifyPunctuations enables checking the paper's nested-or-disjoint
 	// assumption on the join attribute and that no tuple arrives after a
 	// punctuation it matches (stream integrity).
@@ -102,7 +97,7 @@ func (c *Config) setDefaults() {
 	if c.SpillB == nil {
 		c.SpillB = store.NewMemSpill()
 	}
-	if c.Thresholds.Purge == 0 && !c.DisablePurge {
+	if c.Thresholds.Purge == 0 {
 		c.Thresholds.Purge = 1 // eager purge is the default strategy
 	}
 }
@@ -127,10 +122,10 @@ type PJoin struct {
 	diskPending [2]map[punct.PID]bool
 
 	// purgeMark, per victim side: the largest pid of the opposite
-	// punctuation set already applied by a purge run. Valid only while
-	// drop-on-the-fly is active — it guarantees no tuple matching an
-	// already-applied punctuation re-enters the state, so later runs
-	// need only the entries above the mark (see purgeState).
+	// punctuation set already applied by a purge run. Drop-on-the-fly
+	// keeps every tuple matching an applied punctuation out of the
+	// state, so later runs need only the entries above the mark (see
+	// purgeState).
 	purgeMark [2]punct.PID
 
 	// disk schedules, times and traces the disk join: Process pumps it
@@ -200,6 +195,9 @@ func New(cfg Config, out op.Emitter) (*PJoin, error) {
 	kb := cfg.SchemaB.FieldAt(cfg.AttrB).Kind
 	if ka != kb {
 		return nil, fmt.Errorf("core: join attribute kinds differ: %s vs %s", ka, kb)
+	}
+	if cfg.Thresholds.Purge < 0 {
+		return nil, fmt.Errorf("core: negative purge threshold %d", cfg.Thresholds.Purge)
 	}
 	if cfg.Window < 0 {
 		return nil, fmt.Errorf("core: negative window %d", cfg.Window)
@@ -342,10 +340,8 @@ func (j *PJoin) buildRegistry() error {
 		return j.propagate(e.At, false)
 	}}
 
-	if !j.cfg.DisablePurge {
-		if err := j.reg.Register(event.PurgeThresholdReach, nil, "purge threshold reached", purge); err != nil {
-			return err
-		}
+	if err := j.reg.Register(event.PurgeThresholdReach, nil, "purge threshold reached", purge); err != nil {
+		return err
 	}
 	if err := j.reg.Register(event.StateFull, nil, "memory threshold reached", relocate); err != nil {
 		return err
@@ -534,28 +530,26 @@ func (j *PJoin) processTuple(s int, t *stream.Tuple, ts stream.Time) error {
 	// disk pass. FirstMatchAttr (what SetMatchAttr wraps) also resolves
 	// the earliest punctuation promising the exhaustion — the one span
 	// tracing attributes the drop to.
-	if !j.cfg.DisableDropOnTheFly && !j.cfg.DisablePurge {
-		if e := j.psets[1-s].FirstMatchAttr(j.attrs[1-s], key); e != nil {
-			own := j.base.States[s]
-			bucket := own.BucketOf(key)
-			var dropped, park int64 = 1, 0
-			if j.base.States[1-s].HasDisk(bucket) {
-				own.Park(bucket, t, ts)
-				dropped, park = 0, 1
-			} else {
-				j.base.M.DroppedOnFly++
-			}
-			switch {
-			case !j.obs.Enabled():
-			case e.Retired():
-				// No lifecycle to charge; a parking has N and M 0.
-				j.obs.Span(span.KindClosedDrop, 0, ts, s, dropped, 0, int64(t.EncodedSize()), 0)
-			case e.TraceID != 0:
-				j.obs.Span(span.KindPunctDropFly, e.TraceID, ts, s,
-					dropped, park, int64(t.EncodedSize()), 0)
-			}
-			return nil
+	if e := j.psets[1-s].FirstMatchAttr(j.attrs[1-s], key); e != nil {
+		own := j.base.States[s]
+		bucket := own.BucketOf(key)
+		var dropped, park int64 = 1, 0
+		if j.base.States[1-s].HasDisk(bucket) {
+			own.Park(bucket, t, ts)
+			dropped, park = 0, 1
+		} else {
+			j.base.M.DroppedOnFly++
 		}
+		switch {
+		case !j.obs.Enabled():
+		case e.Retired():
+			// No lifecycle to charge; a parking has N and M 0.
+			j.obs.Span(span.KindClosedDrop, 0, ts, s, dropped, 0, int64(t.EncodedSize()), 0)
+		case e.TraceID != 0:
+			j.obs.Span(span.KindPunctDropFly, e.TraceID, ts, s,
+				dropped, park, int64(t.EncodedSize()), 0)
+		}
+		return nil
 	}
 
 	if _, err := j.base.States[s].InsertAt(t, ts); err != nil {
@@ -615,11 +609,11 @@ func (j *PJoin) schema(s int) *stream.Schema {
 // Punctuations whose join pattern is a constant or an enumeration purge
 // by direct key-group removal — cost O(tuples removed), no non-matching
 // group is touched — while range and wildcard patterns fall back to an
-// ordered scan of every bucket. With drop-on-the-fly active the run is
-// also incremental: after a run, no state tuple matches any set entry
-// (the run removed them and drop-on-the-fly keeps later matching
-// arrivals out — the entry stays in the set as long as it is in force),
-// so the next run only needs the entries that arrived since (purgeMark).
+// ordered scan of every bucket. The run is also incremental: after a
+// run, no state tuple matches any set entry (the run removed them and
+// drop-on-the-fly keeps later matching arrivals out — the entry stays
+// in the set as long as it is in force), so the next run only needs the
+// entries that arrived since (purgeMark).
 // The watermark is also what lets an entry retire (applyMarks): every
 // retired pid sits below it.
 // PurgeScanned counts work actually done: removed tuples on the direct
@@ -702,11 +696,7 @@ func (j *PJoin) purgeState(victim int, now stream.Time) error {
 		}
 	}
 
-	after := punct.NoPID
-	if !j.cfg.DisableDropOnTheFly {
-		after = j.purgeMark[victim]
-	}
-	direct, scanEntries := pset.PurgePlan(oppAttr, after)
+	direct, scanEntries := pset.PurgePlan(oppAttr, j.purgeMark[victim])
 
 	if len(direct) == 1 && len(scanEntries) == 0 {
 		// The dominant shape — one per-key constant punctuation under
@@ -766,10 +756,8 @@ func (j *PJoin) purgeState(victim int, now stream.Time) error {
 		}
 	}
 
-	if !j.cfg.DisableDropOnTheFly {
-		j.purgeMark[victim] = pset.MaxPID()
-		j.applyMarks()
-	}
+	j.purgeMark[victim] = pset.MaxPID()
+	j.applyMarks()
 	emitPurgeSpans()
 	j.lat.RecordPurge(time.Since(purgeStart).Nanoseconds())
 	j.obs.Span(span.KindPurgeRun, 0, now, victim, removedRun, scannedRun, 0, 0)
@@ -1072,39 +1060,33 @@ func (j *PJoin) relocate(now stream.Time) error {
 // passHooks assembles the disk-join component's callbacks (§3.2): on
 // top of finishing the left-over joins and clearing the purge buffers,
 // a PJoin pass purges disk-resident tuples that match the opposite
-// punctuation set (unless purge is off) and completes the punctuation
-// index over the disk portion (unless propagation is off).
+// punctuation set and completes the punctuation index over the disk
+// portion (unless propagation is off).
+//
+// The drop decision is bounded by the punctuations present when the
+// bucket opened (dropBound, captured in OnBucketOpen): a budgeted pass's
+// finalise runs after arrivals have interleaved with the bucket, and a
+// punctuation that arrived mid-pass may still owe left-over joins
+// between the disk tuples it matches and tuples parked after the
+// bucket's snapshot — those pairs are the next pass's job, so the next
+// pass is also the earliest allowed to drop the disk side of them.
+// FirstMatchAttr returns the earliest-arrived matching live entry, so
+// comparing its pid against the bound is exact, or for a retired key a
+// pid at most the Applied watermark, which applyMarks moves only between
+// passes: at or below dropBound (and pendBound), so a retired key drops.
+// When a pass runs to completion nothing can interleave and the bound is
+// vacuous.
 func (j *PJoin) passHooks() joinbase.PassHooks {
 	hooks := joinbase.PassHooks{
 		OnPassStart: func() {
 			j.pendBound[0] = j.psets[0].MaxPID()
 			j.pendBound[1] = j.psets[1].MaxPID()
 		},
-		OnDiscard: j.discard,
-	}
-	if !j.cfg.DisablePropagation {
-		hooks.IndexDisk = j.indexDiskTuple
-	}
-	if !j.cfg.DisablePurge {
-		// The drop decision is bounded by the punctuations present when
-		// the bucket opened (dropBound, captured in OnBucketOpen): a
-		// budgeted pass's finalise runs after arrivals have interleaved
-		// with the bucket, and a punctuation that arrived mid-pass may
-		// still owe left-over joins between the disk tuples it matches
-		// and tuples parked after the bucket's snapshot — those pairs are
-		// the next pass's job, so the next pass is also the earliest
-		// allowed to drop the disk side of them. FirstMatchAttr returns
-		// the earliest-arrived matching live entry, so comparing its pid
-		// against the bound is exact, or for a retired key a pid at most
-		// the Applied watermark, which applyMarks moves only between
-		// passes: at or below dropBound (and pendBound), so a retired key
-		// drops. When a pass runs to completion nothing can interleave
-		// and the bound is vacuous.
-		hooks.OnBucketOpen = func() {
+		OnBucketOpen: func() {
 			j.dropBound[0] = j.psets[0].MaxPID()
 			j.dropBound[1] = j.psets[1].MaxPID()
-		}
-		hooks.DropDisk = func(side int, key value.Value, size int) bool {
+		},
+		DropDisk: func(side int, key value.Value, size int) bool {
 			e := j.psets[1-side].FirstMatchAttr(j.attrs[1-side], key)
 			drop := e != nil && e.PID <= j.dropBound[1-side]
 			switch {
@@ -1116,7 +1098,11 @@ func (j *PJoin) passHooks() joinbase.PassHooks {
 				j.obs.Span(span.KindPunctPurgeDisk, e.TraceID, j.now, side, 1, 0, int64(size), 0)
 			}
 			return drop
-		}
+		},
+		OnDiscard: j.discard,
+	}
+	if !j.cfg.DisablePropagation {
+		hooks.IndexDisk = j.indexDiskTuple
 	}
 	return hooks
 }
@@ -1182,7 +1168,7 @@ func (j *PJoin) Finish(now stream.Time) error {
 		return fmt.Errorf("core: pjoin: Finish before EOS on both ports")
 	}
 	j.now = maxTime(j.now, now)
-	if !j.cfg.DisablePurge && !j.cfg.DisablePropagation {
+	if !j.cfg.DisablePropagation {
 		// One last purge run per side before the final disk pass: the
 		// lazy purge threshold may not have fired since the last
 		// punctuations arrived, leaving purgeable tuples in memory and

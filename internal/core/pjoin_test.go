@@ -270,27 +270,6 @@ func TestDropOnTheFly(t *testing.T) {
 	}
 }
 
-func TestDropOnTheFlyDisabled(t *testing.T) {
-	cfg := defaultConfig()
-	cfg.DisableDropOnTheFly = true
-	sink := &op.Collector{}
-	j, _ := New(cfg, sink)
-	seq := []feedItem{
-		tupA(5, "a1", 1),
-		punctFor(0, 5, 2),
-		tupB(5, "b1", 3),
-	}
-	for _, fi := range seq {
-		if err := j.Process(fi.port, fi.item, fi.item.Ts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_, b := j.StateStats()
-	if b.TotalTuples() != 1 {
-		t.Errorf("B state = %d, want 1 with drop-on-the-fly disabled", b.TotalTuples())
-	}
-}
-
 func TestLazyPurgeThreshold(t *testing.T) {
 	cfg := defaultConfig()
 	cfg.Thresholds.Purge = 3 // lazy purge: every 3 punctuations
@@ -322,23 +301,13 @@ func TestLazyPurgeThreshold(t *testing.T) {
 	}
 }
 
-func TestPurgeDisabledKeepsState(t *testing.T) {
+// TestNewRejectsNegativePurge: the purge always runs, so a purge
+// threshold below zero (one that never fires) is a configuration error.
+func TestNewRejectsNegativePurge(t *testing.T) {
 	cfg := defaultConfig()
-	cfg.DisablePurge = true
-	sink := &op.Collector{}
-	j, _ := New(cfg, sink)
-	seq := []feedItem{
-		tupB(1, "b", 1),
-		punctFor(0, 1, 2),
-		punctFor(0, 1, 3),
-	}
-	for _, fi := range seq {
-		if err := j.Process(fi.port, fi.item, fi.item.Ts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := j.StateTuples(); got != 1 {
-		t.Errorf("state = %d, want 1 (purge disabled)", got)
+	cfg.Thresholds.Purge = -1
+	if _, err := New(cfg, &op.Collector{}); err == nil {
+		t.Fatal("New accepted Thresholds.Purge = -1")
 	}
 }
 
@@ -862,11 +831,6 @@ func TestDifferentialAgainstOracle(t *testing.T) {
 			cfg := spillConfig()
 			cfg.Thresholds.Purge = 7
 			cfg.Thresholds.PropagateCount = 5
-			return cfg
-		},
-		"no-drop-on-fly": func() Config {
-			cfg := defaultConfig()
-			cfg.DisableDropOnTheFly = true
 			return cfg
 		},
 	}

@@ -81,7 +81,7 @@ func TestSoak(t *testing.T) {
 //     single-instance runs relocated the state to disk (purged by the
 //     final pass) while sharded runs kept it in memory, so they
 //     propagated different sets. Fixed by a final memory purge in
-//     Finish, run whenever purge and propagation are both on.
+//     Finish, run whenever propagation is on.
 //   - seed 161 (a nested punctuation released early): B's <1, *> took
 //     the pid of a stored (1, "B1"); B's later <[0..7], *> found no tuple
 //     without a pid, counted zero and was propagated, and a result on key
@@ -89,6 +89,13 @@ func TestSoak(t *testing.T) {
 //     check saw it. Fixed in punct.Set.Propagable: an entry waits for
 //     every earlier overlapping entry that still counts tuples. The
 //     FuzzOracle corpus pins the same bug as pinned-nested-punct-release.
+//   - seed 932 (a join-wide punctuation forwarded while a shard still
+//     owed results): both inputs' <*, *> widen to the one output
+//     <*, *, *, *>, and the sharded join's align counted propagations of
+//     that string from any shard. Shard 0 propagated both copies, so
+//     align forwarded the punctuation while shard 1's chunked disk pass
+//     still owed results on key 3. Fixed by counting per shard: the k-th
+//     copy goes out once every shard has emitted it k times.
 //
 // The third bug of the burn-down — removal-on-propagation making the
 // final purge schedule-dependent — went with that mode: a released
@@ -104,6 +111,13 @@ func TestRegressionSeeds(t *testing.T) {
 			"25,26,27,28,29,30,31,32,33,34,35,36,37,38,66,67,68,69,70,71,84,85,87," +
 			"88,89,90,91,92,93,94,95,96,97,98,103",
 		"seed=161 variant=pjoin check=order prefix=16 drop=0,1,2,5,6,7,8,9,10,11,13,14",
+		"seed=932 variant=pjoin/chunk=512/shards=2 check=order prefix=168 " +
+			"drop=1,3,4,5,6,8,11,13,16,18,19,20,22,25,26,28,29,30,31,36,41,46,47,50," +
+			"51,52,53,54,55,56,57,58,59,60,61,63,64,65,66,67,68,69,70,71,72,73,74," +
+			"75,76,77,78,79,80,81,82,83,84,85,86,87,88,89,90,91,92,93,94,95,96,97," +
+			"98,99,100,101,102,103,104,110,111,114,115,118,119,120,121,122,133,136," +
+			"139,140,142,143,144,145,146,149,150,152,153,154,155,156,157,160,161," +
+			"162,163,165,166",
 	}
 	for _, raw := range specs {
 		spec, err := ParseSpec(raw)

@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"pjoin/internal/obs"
@@ -19,8 +20,8 @@ type alignPort struct {
 func (p alignPort) Emit(it stream.Item) error { return p.a.Process(p.i, it, it.Ts) }
 
 // align is the fan-in: port i is shard i's output. It forwards results as
-// they come and a propagated punctuation once the last shard has
-// propagated it, and emits one EOS at Finish, after every port's.
+// they come and a propagated punctuation once every shard has propagated
+// it, and emits one EOS at Finish, after every port's.
 type align struct {
 	out   op.Emitter
 	outSc *stream.Schema
@@ -39,15 +40,19 @@ type align struct {
 	pending map[string]*pendingPunct
 }
 
-// pendingPunct is one punctuation's countdown: shards yet to propagate
-// it, the latest shard emission time (when the promise became true
-// join-wide), and the arrivals the router noted. A pattern may arrive
-// again before its first alignment completes; alignments complete in
-// arrival order, so each pops the front arrival.
+// pendingPunct is one output pattern's alignment state. Two input
+// punctuations can widen to the same pattern, so a shard may emit it
+// again before another shard has emitted it once; the promise holds
+// join-wide only once every shard has made it. owed[i] counts the copies
+// shard i emitted that are not yet forwarded, and ts[k] is the latest
+// emission time of the k-th of them over the shards (when that copy's
+// promise became true join-wide): the k-th copy is forwarded once every
+// shard has emitted it. arrivals are the arrivals the router noted;
+// alignments complete in arrival order, so each pops the front one.
 type pendingPunct struct {
-	remaining int
-	ts        stream.Time
-	arrivals  []arrival
+	owed     []int
+	ts       []stream.Time
+	arrivals []arrival
 }
 
 // arrival is a broadcast punctuation's arrival time at the router and its
@@ -71,7 +76,7 @@ func (a *align) Process(port int, it stream.Item, now stream.Time) error {
 	case stream.KindTuple:
 		return a.out.Emit(it)
 	case stream.KindPunct:
-		return a.punct(it)
+		return a.punct(port, it)
 	case stream.KindEOS:
 		a.eos++
 		a.maxTs = max(a.maxTs, it.Ts)
@@ -81,10 +86,10 @@ func (a *align) Process(port int, it stream.Item, now stream.Time) error {
 	}
 }
 
-// punct counts one shard's propagation down and forwards the punctuation
-// with the last shard's.
-func (a *align) punct(it stream.Item) error {
-	done, fwdTs, arr, noted := a.countDown(it.Punct.String(), it.Ts)
+// punct records shard's propagation and forwards the punctuation once
+// every shard has propagated it.
+func (a *align) punct(shard int, it stream.Item) error {
+	done, fwdTs, arr, noted := a.countDown(it.Punct.String(), shard, it.Ts)
 	if !done {
 		return nil // some shard may still produce matching results
 	}
@@ -102,26 +107,33 @@ func (a *align) punct(it stream.Item) error {
 	return a.out.Emit(out)
 }
 
-// countDown records one shard's propagation of key at ts; the last
-// shard's returns done, the forward time and the noted arrival, if any.
-func (a *align) countDown(key string, ts stream.Time) (done bool, fwdTs stream.Time, arr arrival, noted bool) {
+// countDown records shard's propagation of key at ts. The one that
+// completes a copy on every shard returns done, the forward time and the
+// noted arrival, if any.
+func (a *align) countDown(key string, shard int, ts stream.Time) (done bool, fwdTs stream.Time, arr arrival, noted bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	pp := a.entry(key)
-	pp.remaining--
-	pp.ts = max(pp.ts, ts)
-	if pp.remaining > 0 {
+	if k := pp.owed[shard]; k < len(pp.ts) {
+		pp.ts[k] = max(pp.ts[k], ts)
+	} else {
+		pp.ts = append(pp.ts, ts)
+	}
+	pp.owed[shard]++
+	if slices.Min(pp.owed) == 0 {
 		return false, 0, arrival{}, false
 	}
-	fwdTs = pp.ts
+	for i := range pp.owed {
+		pp.owed[i]--
+	}
+	fwdTs = pp.ts[0]
+	pp.ts = pp.ts[1:]
 	if len(pp.arrivals) > 0 {
 		arr, noted = pp.arrivals[0], true
 		pp.arrivals = pp.arrivals[1:]
 	}
-	if len(pp.arrivals) > 0 {
-		pp.remaining, pp.ts = a.n, 0 // the next alignment of a duplicate
-	} else {
-		delete(a.pending, key)
+	if len(pp.ts) == 0 && len(pp.arrivals) == 0 {
+		delete(a.pending, key) // every shard even, nothing noted left
 	}
 	return true, fwdTs, arr, noted
 }
@@ -138,7 +150,7 @@ func (a *align) note(key string, ts stream.Time, trace uint64) {
 func (a *align) entry(key string) *pendingPunct {
 	pp := a.pending[key]
 	if pp == nil {
-		pp = &pendingPunct{remaining: a.n}
+		pp = &pendingPunct{owed: make([]int, a.n)}
 		a.pending[key] = pp
 	}
 	return pp

@@ -7,6 +7,7 @@ import (
 
 	"pjoin/internal/core"
 	"pjoin/internal/gen"
+	"pjoin/internal/obs"
 	"pjoin/internal/op"
 	"pjoin/internal/punct"
 	"pjoin/internal/stream"
@@ -322,6 +323,47 @@ func TestPunctuationHeldWhileShardOwes(t *testing.T) {
 	}
 	if got := j.PendingPunctuations(); got != 1 {
 		t.Errorf("want 1 straggler-pending punctuation, got %d", got)
+	}
+}
+
+// TestAlignCountsPerShard drives align directly. Both inputs' <*, *>
+// widen to one output pattern, so a shard emits it twice; the copies of
+// one shard must not stand in for another shard's. Shard 0 emits P
+// twice, then shard 1 emits a result and P: the result comes out before
+// any P, and the first P only once shard 1 has made the promise.
+func TestAlignCountsPerShard(t *testing.T) {
+	sink := &op.Collector{}
+	a := &align{out: sink, n: 2, lat: obs.NewLat(), pending: make(map[string]*pendingPunct)}
+	p := punct.MustNew(punct.Star(), punct.Star(), punct.Star(), punct.Star())
+	res := stream.MustTuple(gen.SchemaA, 5, value.Int(3), value.Str("a"))
+	for i, step := range []struct {
+		shard int
+		it    stream.Item
+	}{
+		{0, stream.PunctItem(p, 1)},
+		{0, stream.PunctItem(p, 2)},
+		{1, stream.TupleItem(res)},
+		{1, stream.PunctItem(p, 6)},
+	} {
+		if err := a.Process(step.shard, step.it, step.it.Ts); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+	}
+	if len(sink.Items) != 2 || sink.Items[0].Kind != stream.KindTuple ||
+		sink.Items[1].Kind != stream.KindPunct || sink.Items[1].Ts != 6 {
+		t.Fatalf("want the result, then one P at 6; got %v", sink.Items)
+	}
+	if got := len(a.pending); got != 1 {
+		t.Errorf("shard 0's second copy is owed by shard 1: pending = %d, want 1", got)
+	}
+	if err := a.Process(1, stream.PunctItem(p, 7), 7); err != nil {
+		t.Fatal(err)
+	}
+	if len(sink.Items) != 3 || sink.Items[2].Ts != 7 {
+		t.Fatalf("want the second P at 7; got %v", sink.Items)
+	}
+	if got := len(a.pending); got != 0 {
+		t.Errorf("every shard even: pending = %d, want 0", got)
 	}
 }
 
