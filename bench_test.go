@@ -23,7 +23,6 @@ import (
 	"pjoin/internal/sim"
 	"pjoin/internal/stream"
 	"pjoin/internal/value"
-	"pjoin/internal/xjoin"
 )
 
 // benchExperiment runs one registered experiment per iteration.
@@ -225,7 +224,7 @@ func BenchmarkXJoinThroughput(b *testing.B) {
 		Process(int, stream.Item, stream.Time) error
 		Finish(stream.Time) error
 	}, error) {
-		return xjoin.New(xjoin.Config{
+		return core.NewXJoin(core.Config{
 			SchemaA: gen.SchemaA, SchemaB: gen.SchemaB,
 		}, emit)
 	})

@@ -7,9 +7,10 @@
 // The implementation lives under internal/:
 //
 //   - internal/core — PJoin itself (plus the §6 sliding-window
-//     extension; the §6 n-way join is a plan of binary PJoins)
-//   - internal/xjoin, internal/shj — the XJoin baseline and the naive
-//     symmetric hash join (correctness oracle)
+//     extension; the §6 n-way join is a plan of binary PJoins) and the
+//     XJoin baseline, the same operator without punctuation components
+//     (core.NewXJoin)
+//   - internal/shj — the naive symmetric hash join (correctness oracle)
 //   - internal/punct — punctuation patterns, sets and algebra
 //   - internal/stream, internal/value — the data model
 //   - internal/store — the hash-partitioned join state with spill-to-disk

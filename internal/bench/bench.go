@@ -23,7 +23,6 @@ import (
 	"pjoin/internal/sim"
 	"pjoin/internal/store"
 	"pjoin/internal/stream"
-	"pjoin/internal/xjoin"
 )
 
 // RunConfig controls an experiment run.
@@ -231,15 +230,15 @@ func (rc RunConfig) spillPair() (store.SpillStore, store.SpillStore) {
 		store.NewCachedSpill(store.NewMemSpill(), capBytes)
 }
 
-func xjoinFor(rc RunConfig) (*xjoin.XJoin, error) {
-	cfg := xjoin.Config{
+func xjoinFor(rc RunConfig) (*core.PJoin, error) {
+	cfg := core.Config{
 		SchemaA: gen.SchemaA, SchemaB: gen.SchemaB,
 		AttrA: gen.KeyAttr, AttrB: gen.KeyAttr,
 		Instr:          rc.instr("xjoin"),
 		DiskChunkBytes: rc.DiskChunkKB << 10,
 	}
 	cfg.SpillA, cfg.SpillB = rc.spillPair()
-	return xjoin.New(cfg, &op.Collector{})
+	return core.NewXJoin(cfg, &op.Collector{})
 }
 
 // tableWalk is a join whose Examined, PurgeScanned and IndexScanned read

@@ -50,6 +50,48 @@ func TestLatencyReconciliation(t *testing.T) {
 	})
 }
 
+// TestXJoinLatencyReconciliation is the same contract for XJoin: one
+// Result sample per emitted result across the memory and disk-pass emit
+// paths; PunctDelay and Purge stay empty (XJoin neither propagates nor
+// purges — the empty histograms are the baseline's story).
+func TestXJoinLatencyReconciliation(t *testing.T) {
+	t.Run("indexed", func(t *testing.T) {
+		sink := &op.Collector{}
+		x, err := NewXJoin(xjoinConfig(8), sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var items []feedItem
+		ts := stream.Time(1)
+		for k := int64(0); k < 40; k++ {
+			items = append(items, tupA(k%8, "a", ts))
+			ts++
+			items = append(items, tupB(k%8, "b", ts))
+			ts++
+		}
+		run(t, x, items)
+
+		m := x.Metrics()
+		lat := x.Latencies()
+		if m.TuplesOut == 0 || m.Relocations == 0 || m.DiskPasses == 0 {
+			t.Fatalf("workload vacuous (no spill exercised): %+v", m)
+		}
+		if lat.Result.Count != m.TuplesOut || lat.Result.Count != int64(len(sink.Tuples())) {
+			t.Errorf("Result samples %d, TuplesOut %d, collected results %d",
+				lat.Result.Count, m.TuplesOut, len(sink.Tuples()))
+		}
+		if lat.PunctDelay.Count != 0 || lat.Purge.Count != 0 {
+			t.Errorf("XJoin recorded PunctDelay=%d Purge=%d samples, want 0/0",
+				lat.PunctDelay.Count, lat.Purge.Count)
+		}
+		// Disk-pass results carry positive latency (the spilled partner
+		// waited); the distribution must reflect that.
+		if lat.Result.Max <= 0 {
+			t.Errorf("max result latency = %d, want > 0 (disk-pass results wait)", lat.Result.Max)
+		}
+	})
+}
+
 // TestDiskLatencyReconciliation extends the histogram-count contract to
 // the disk join: one DiskPass sample per completed pass and one
 // DiskChunk sample per executed step, on both schedules (DiskChunkBytes
@@ -134,7 +176,7 @@ func TestLatencyValues(t *testing.T) {
 	}
 }
 
-// TestXJoinStyleNoPropagationNoDelaySamples: with propagation disabled
+// TestNoPropagationNoDelaySamples: with propagation disabled
 // the PunctDelay histogram stays empty while purges still record.
 func TestNoPropagationNoDelaySamples(t *testing.T) {
 	cfg := obsConfig(&span.Recorder{})

@@ -318,28 +318,33 @@ func TestPunctSetGauges(t *testing.T) {
 
 // TestSpillAppendErrorSurfaces proves a failing spill device during
 // state relocation surfaces as a Process error (not a panic, not silent
-// state corruption) and is recorded as a spill_error span.
+// state corruption) and is recorded as a spill_error span, in PJoin and
+// in XJoin.
 func TestSpillAppendErrorSurfaces(t *testing.T) {
-	rec := &span.Recorder{}
-	boom := errors.New("disk gone")
-	cfg := obsConfig(rec)
-	cfg.SpillA = store.NewFaultSpill(store.NewMemSpill(), store.FaultAppend, 1, boom)
-	cfg.SpillB = store.NewFaultSpill(store.NewMemSpill(), store.FaultAppend, 1, boom)
-	j, err := New(cfg, &op.Collector{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var procErr error
-	for _, fi := range obsWorkload() {
-		if procErr = j.Process(fi.port, fi.item, fi.item.Ts); procErr != nil {
-			break
-		}
-	}
-	if !errors.Is(procErr, boom) {
-		t.Fatalf("Process error: got %v, want injected %v", procErr, boom)
-	}
-	if n := rec.Count(span.KindSpillError); n == 0 {
-		t.Error("no spill_error span recorded")
+	for _, jn := range joins {
+		t.Run(jn.name, func(t *testing.T) {
+			rec := &span.Recorder{}
+			boom := errors.New("disk gone")
+			cfg := obsConfig(rec)
+			cfg.SpillA = store.NewFaultSpill(store.NewMemSpill(), store.FaultAppend, 1, boom)
+			cfg.SpillB = store.NewFaultSpill(store.NewMemSpill(), store.FaultAppend, 1, boom)
+			j, err := jn.build(cfg, &op.Collector{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var procErr error
+			for _, fi := range obsWorkload() {
+				if procErr = j.Process(fi.port, fi.item, fi.item.Ts); procErr != nil {
+					break
+				}
+			}
+			if !errors.Is(procErr, boom) {
+				t.Fatalf("Process error: got %v, want injected %v", procErr, boom)
+			}
+			if n := rec.Count(span.KindSpillError); n == 0 {
+				t.Error("no spill_error span recorded")
+			}
+		})
 	}
 }
 

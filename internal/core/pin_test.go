@@ -12,7 +12,6 @@ import (
 	"pjoin/internal/op"
 	"pjoin/internal/oracle"
 	"pjoin/internal/stream"
-	"pjoin/internal/xjoin"
 )
 
 // pinned is what TestRunToCompletionPin holds fixed per (operator,
@@ -104,9 +103,10 @@ func TestRunToCompletionPin(t *testing.T) {
 func buildPinned(t *testing.T, opName string, sc *oracle.Scenario, out op.Emitter) (op.Operator, func() joinbase.Metrics) {
 	t.Helper()
 	if opName == "xjoin" {
-		x, err := xjoin.New(xjoin.Config{
+		x, err := core.NewXJoin(core.Config{
 			SchemaA: gen.SchemaA, SchemaB: gen.SchemaB, AttrA: gen.KeyAttr, AttrB: gen.KeyAttr,
-			NumBuckets: sc.NumBuckets, MemoryBytes: sc.MemoryBytes, DiskJoinIdle: sc.DiskJoinIdle,
+			NumBuckets: sc.NumBuckets,
+			Thresholds: event.Thresholds{MemoryBytes: sc.MemoryBytes, DiskJoinIdle: sc.DiskJoinIdle},
 		}, out)
 		if err != nil {
 			t.Fatal(err)

@@ -11,6 +11,9 @@
 // event-driven framework of internal/event (§3.6): the memory join is
 // the processing path; the other components are listeners invoked when
 // the monitor detects a threshold being reached.
+//
+// The paper's comparison baseline, XJoin (Urhan & Franklin), is the same
+// operator without the punctuation components: NewXJoin builds it.
 package core
 
 import (
@@ -168,6 +171,10 @@ type PJoin struct {
 	now      stream.Time
 	eos      [2]bool
 	finished bool
+
+	// xjoin makes this instance the XJoin baseline (NewXJoin): every
+	// punctuation is counted and discarded on arrival.
+	xjoin bool
 }
 
 var (
@@ -178,12 +185,35 @@ var (
 // New builds a PJoin with its event-listener registry configured from
 // cfg (paper Table 1) and bound to out for results and propagated
 // punctuations.
-func New(cfg Config, out op.Emitter) (*PJoin, error) {
+func New(cfg Config, out op.Emitter) (*PJoin, error) { return newJoin(cfg, out, false) }
+
+// NewXJoin builds the paper's baseline, XJoin (Urhan & Franklin): a
+// symmetric hash join with memory-overflow relocation, reactive
+// background disk joins and a final clean-up pass — PJoin's memory join,
+// state relocation and disk join without its punctuation components.
+// Every punctuation is counted and discarded, so nothing is purged,
+// dropped on the fly, indexed or propagated, and the state grows with the
+// streams. Window, VerifyPunctuations and EagerIndex belong to those
+// components and are rejected; propagation is off.
+func NewXJoin(cfg Config, out op.Emitter) (*PJoin, error) {
+	switch {
+	case cfg.Window != 0:
+		return nil, fmt.Errorf("core: xjoin has no window")
+	case cfg.VerifyPunctuations:
+		return nil, fmt.Errorf("core: xjoin verifies no punctuations")
+	case cfg.EagerIndex:
+		return nil, fmt.Errorf("core: xjoin builds no punctuation index")
+	}
+	cfg.DisablePropagation = true
+	return newJoin(cfg, out, true)
+}
+
+func newJoin(cfg Config, out op.Emitter, xjoin bool) (*PJoin, error) {
 	if cfg.SchemaA == nil || cfg.SchemaB == nil {
-		return nil, fmt.Errorf("core: PJoin needs both input schemas")
+		return nil, fmt.Errorf("core: a join needs both input schemas")
 	}
 	if out == nil {
-		return nil, fmt.Errorf("core: PJoin needs an output emitter")
+		return nil, fmt.Errorf("core: a join needs an output emitter")
 	}
 	if cfg.AttrA < 0 || cfg.AttrA >= cfg.SchemaA.Width() {
 		return nil, fmt.Errorf("core: join attribute A %d out of range for %s", cfg.AttrA, cfg.SchemaA)
@@ -228,7 +258,8 @@ func New(cfg Config, out op.Emitter) (*PJoin, error) {
 		diskPending: [2]map[punct.PID]bool{
 			make(map[punct.PID]bool), make(map[punct.PID]bool),
 		},
-		lat: obs.NewLat(),
+		lat:   obs.NewLat(),
+		xjoin: xjoin,
 	}
 	j.base, err = joinbase.New(stA, stB, outSc, func(t *stream.Tuple) error {
 		j.noteResult(t.Ts, t.Span)
@@ -294,7 +325,7 @@ func (j *PJoin) noteResult(ts stream.Time, sp uint64) {
 // processing path (Instr.Tick inside Process) — see obs.Live.
 func (j *PJoin) registerGauges() {
 	lv, name := j.base.RegisterGauges(j.Name())
-	if lv == nil {
+	if lv == nil || j.xjoin {
 		return
 	}
 	lv.Register(name+".punct_lag_ms", func() float64 { return j.PunctLag().Millis() })
@@ -340,8 +371,10 @@ func (j *PJoin) buildRegistry() error {
 		return j.propagate(e.At, false)
 	}}
 
-	if err := j.reg.Register(event.PurgeThresholdReach, nil, "purge threshold reached", purge); err != nil {
-		return err
+	if !j.xjoin {
+		if err := j.reg.Register(event.PurgeThresholdReach, nil, "purge threshold reached", purge); err != nil {
+			return err
+		}
 	}
 	if err := j.reg.Register(event.StateFull, nil, "memory threshold reached", relocate); err != nil {
 		return err
@@ -379,7 +412,12 @@ func (j *PJoin) buildRegistry() error {
 }
 
 // Name implements op.Operator.
-func (j *PJoin) Name() string { return "pjoin" }
+func (j *PJoin) Name() string {
+	if j.xjoin {
+		return "xjoin"
+	}
+	return "pjoin"
+}
 
 // NumPorts implements op.Operator.
 func (j *PJoin) NumPorts() int { return 2 }
@@ -436,7 +474,7 @@ func (j *PJoin) Process(port int, it stream.Item, now stream.Time) error {
 		return err
 	}
 	if j.finished {
-		return fmt.Errorf("core: pjoin: Process after Finish")
+		return fmt.Errorf("core: %s: Process after Finish", j.Name())
 	}
 	j.now = maxTime(j.now, now)
 	j.obs.Tick(j.now)
@@ -453,7 +491,7 @@ func (j *PJoin) Process(port int, it stream.Item, now stream.Time) error {
 		return j.disk.Pump(j.now)
 	case stream.KindEOS:
 		if j.eos[port] {
-			return fmt.Errorf("core: pjoin: duplicate EOS on port %d", port)
+			return fmt.Errorf("core: %s: duplicate EOS on port %d", j.Name(), port)
 		}
 		j.eos[port] = true
 		if j.eos[0] && j.eos[1] {
@@ -461,7 +499,7 @@ func (j *PJoin) Process(port int, it stream.Item, now stream.Time) error {
 		}
 		return nil
 	default:
-		return fmt.Errorf("core: pjoin: unknown item kind %v", it.Kind)
+		return fmt.Errorf("core: %s: unknown item kind %v", j.Name(), it.Kind)
 	}
 }
 
@@ -565,9 +603,9 @@ func (j *PJoin) processTuple(s int, t *stream.Tuple, ts stream.Time) error {
 // makes this operator the trace root.
 func (j *PJoin) processPunct(s int, p punct.Punctuation, ts stream.Time, trace uint64) error {
 	j.base.M.PunctsIn[s]++
-	if p.IsEmpty() {
-		// An empty punctuation matches nothing: it carries no
-		// information and is dropped without counting toward thresholds.
+	if j.xjoin || p.IsEmpty() {
+		// XJoin exploits no punctuation, and an empty one matches
+		// nothing: dropped without counting toward thresholds.
 		j.obs.Span(span.KindPunctDiscard, 0, ts, s, 0, 0, 0, 0)
 		return nil
 	}
@@ -1162,10 +1200,10 @@ func (j *PJoin) RequestPropagation(now stream.Time) error {
 // forwarded.
 func (j *PJoin) Finish(now stream.Time) error {
 	if j.finished {
-		return fmt.Errorf("core: pjoin: double Finish")
+		return fmt.Errorf("core: %s: double Finish", j.Name())
 	}
 	if !j.eos[0] || !j.eos[1] {
-		return fmt.Errorf("core: pjoin: Finish before EOS on both ports")
+		return fmt.Errorf("core: %s: Finish before EOS on both ports", j.Name())
 	}
 	j.now = maxTime(j.now, now)
 	if !j.cfg.DisablePropagation {

@@ -119,10 +119,14 @@ func TestNewValidation(t *testing.T) {
 		{"attrB range", Config{SchemaA: schemaA, SchemaB: schemaB, AttrB: -1}, sink},
 		{"kind mismatch", Config{SchemaA: schemaA, SchemaB: schemaB, AttrA: 0, AttrB: 1}, sink},
 	}
-	for _, c := range cases {
-		if _, err := New(c.cfg, c.out); err == nil {
-			t.Errorf("%s: expected error", c.name)
-		}
+	for _, jn := range joins {
+		t.Run(jn.name, func(t *testing.T) {
+			for _, c := range cases {
+				if _, err := jn.build(c.cfg, c.out); err == nil {
+					t.Errorf("%s: expected error", c.name)
+				}
+			}
+		})
 	}
 }
 
@@ -348,31 +352,37 @@ func TestEmptyPunctuationIgnored(t *testing.T) {
 }
 
 func TestEOSProtocol(t *testing.T) {
-	sink := &op.Collector{}
-	j, _ := New(defaultConfig(), sink)
-	if err := j.Finish(1); err == nil {
-		t.Error("Finish before EOS should error")
-	}
-	if err := j.Process(0, stream.EOSItem(1), 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Process(0, stream.EOSItem(2), 2); err == nil {
-		t.Error("duplicate EOS should error")
-	}
-	if err := j.Process(1, stream.EOSItem(3), 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Finish(4); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Finish(5); err == nil {
-		t.Error("double Finish should error")
-	}
-	if err := j.Process(0, tupA(1, "x", 6).item, 6); err == nil {
-		t.Error("Process after Finish should error")
-	}
-	if err := j.Process(9, tupA(1, "x", 7).item, 7); err == nil {
-		t.Error("bad port should error")
+	for _, jn := range joins {
+		t.Run(jn.name, func(t *testing.T) {
+			j, err := jn.build(defaultConfig(), &op.Collector{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Finish(1); err == nil {
+				t.Error("Finish before EOS should error")
+			}
+			if err := j.Process(0, stream.EOSItem(1), 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Process(0, stream.EOSItem(2), 2); err == nil {
+				t.Error("duplicate EOS should error")
+			}
+			if err := j.Process(1, stream.EOSItem(3), 3); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Finish(4); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Finish(5); err == nil {
+				t.Error("double Finish should error")
+			}
+			if err := j.Process(0, tupA(1, "x", 6).item, 6); err == nil {
+				t.Error("Process after Finish should error")
+			}
+			if err := j.Process(9, tupA(1, "x", 7).item, 7); err == nil {
+				t.Error("bad port should error")
+			}
+		})
 	}
 }
 

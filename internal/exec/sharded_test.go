@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"pjoin/internal/core"
+	"pjoin/internal/event"
 	"pjoin/internal/exec"
 	"pjoin/internal/gen"
 	"pjoin/internal/joinbase"
@@ -22,7 +23,6 @@ import (
 	"pjoin/internal/shj"
 	"pjoin/internal/stream"
 	"pjoin/internal/value"
-	"pjoin/internal/xjoin"
 )
 
 // TestShardedPJoinPipeline drives a 4-shard parallel join through the
@@ -330,10 +330,10 @@ func TestResultTsIsLaterPartnersArrival(t *testing.T) {
 			return core.New(core.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB}, out)
 		}},
 		{"xjoin_spill", true, func(out op.Emitter) (op.Operator, error) {
-			return xjoin.New(xjoin.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB, MemoryBytes: 4 << 10}, out)
+			return core.NewXJoin(core.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB, Thresholds: event.Thresholds{MemoryBytes: 4 << 10}}, out)
 		}},
 		{"xjoin_spill_chunked", true, func(out op.Emitter) (op.Operator, error) {
-			return xjoin.New(xjoin.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB, MemoryBytes: 4 << 10, DiskChunkBytes: 512}, out)
+			return core.NewXJoin(core.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB, Thresholds: event.Thresholds{MemoryBytes: 4 << 10}, DiskChunkBytes: 512}, out)
 		}},
 		{"pjoin_spill", true, func(out op.Emitter) (op.Operator, error) {
 			cfg := core.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB}
@@ -544,7 +544,7 @@ func TestBorrowedResultsEveryShape(t *testing.T) {
 		{name: "pjoin_sharded", a: a, b: b, first: pjoin, want: abc, wire: second(2), puncts: true},
 		{name: "xjoin_sink", a: a, b: b, want: multisetOf(ab), wire: direct,
 			first: func(out op.Emitter) (op.Operator, error) {
-				return xjoin.New(xjoin.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB, MemoryBytes: 2 << 10}, out)
+				return core.NewXJoin(core.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB, Thresholds: event.Thresholds{MemoryBytes: 2 << 10}}, out)
 			}},
 	}
 	for _, sh := range shapes {

@@ -255,7 +255,7 @@ func TestRewriteKeepsKeyOnlyRecords(t *testing.T) {
 // would read as another tuple's values (or panic) by then. With PJoin-
 // style hooks the pass also assigns pids (rewritten from arena tuples),
 // drops disk tuples whose key the other side has closed, and counts
-// discards; without hooks it is XJoin's pass.
+// discards; without hooks it is a pass that does no punctuation work.
 func TestRetainedDiskJoinResultsMatchReference(t *testing.T) {
 	for _, hooked := range []bool{false, true} {
 		for _, budget := range []int{0, 256} {

@@ -19,9 +19,8 @@
 //
 // Both rules follow the span package's kind table. Its point family
 // (purge_run, relocate, spill_error, op_start, op_finish, punct_discard)
-// opens nothing, so a package that emits only point kinds — xjoin's
-// discarded punctuations, exec's operator start/finish — owes no
-// terminal; what a point kind does owe is Trace 0, and a call that
+// opens nothing, so a package that emits only point kinds — exec's
+// operator start/finish — owes no terminal; what a point kind does owe is Trace 0, and a call that
 // passes one next to any other trace argument is reported.
 package spanpair
 

@@ -1,5 +1,5 @@
 // Package point emits only point kinds — discarded punctuations, an
-// operator's start and finish — the way xjoin and exec do: no lifecycle
+// operator's start and finish — the way exec does: no lifecycle
 // opens here, so the package owes no terminal and stays clean as long
 // as every point record carries Trace 0.
 package point

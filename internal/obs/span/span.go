@@ -50,9 +50,9 @@
 //	tuple_ingest      exec     a source admitted the tuple. Side -1 (the deliver span knows the port)
 //	tuple_cut         exec     its batch was cut: N = batch length, M = 1 forced (punct/EOS/linger/close)
 //	tuple_deliver     exec     the driver delivered it, restamped: Side = port, D = queue + linger
-//	tuple_probe       core, xjoin   its probe completed: Side = probing side, N = matches, M = examined.
+//	tuple_probe       core     its probe completed: Side = probing side, N = matches, M = examined.
 //	                  With every tuple admitted: TuplesIn
-//	tuple_result      core, xjoin   a result descending from it was emitted: D = result latency. At most
+//	tuple_result      core     a result descending from it was emitted: D = result latency. At most
 //	                  ResultCap per probe burst or pass step — tuple_probe.N has the exact match count
 //	tuple_route       parallel the router dispatched it: Side = port, N = target shard
 //
@@ -64,8 +64,8 @@
 //	                  operator also returns
 //	op_start          exec     the driver started an operator
 //	op_finish         exec     the operator finished (post-EOS flush done)
-//	punct_discard     xjoin, core   a punctuation was consumed and ignored (XJoin: all of them; PJoin:
-//	                  an empty one). Side = port. Per side, with punct_arrive: PunctsIn
+//	punct_discard     core     a punctuation was consumed and ignored (XJoin, core.NewXJoin: all of
+//	                  them; PJoin: an empty one). Side = port. Per side, with punct_arrive: PunctsIn
 //	closed_drop       core     a tuple dropped against a retired key (no lifecycle to charge): Side = its
 //	                  state, N = 1 on the fly / M = 1 from the disk portion / both 0 parked instead
 //	                  (disk portion pending), B = bytes. Σ N with punct_drop_fly: DroppedOnFly;

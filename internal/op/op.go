@@ -118,8 +118,8 @@ func (c *Collector) Reset() { c.Items = nil }
 //
 // Every driver (the live executor, the simulator, the differential
 // oracle's replay driver) holds every operator to the same lifecycle,
-// and every operator — stateless relational ops and all four joins
-// (shj, core.PJoin, xjoin, parallel.ShardedPJoin) — enforces it with
+// and every operator — stateless relational ops and every join (shj,
+// core.PJoin with XJoin, parallel.ShardedPJoin) — enforces it with
 // errors rather than undefined behaviour:
 //
 //  1. Process delivers items with non-decreasing now across ALL ports;
@@ -140,7 +140,7 @@ func (c *Collector) Reset() { c.Items = nil }
 //     items, not tuples. An operator may keep the *stream.Tuple it is
 //     handed but must not write it, and one that needs the arrival time
 //     of a tuple it retains keeps it.Ts beside the pointer: core.PJoin
-//     and xjoin store it as store.StoredTuple.ATS, so a join result's Ts
+//     stores it as store.StoredTuple.ATS, so a join result's Ts
 //     is the later partner's arrival at the join (shj, the reference
 //     every driver feeds directly, uses the tuples' own Ts, which direct
 //     drives, the simulator and the oracle set to the item's).
@@ -157,8 +157,8 @@ func (c *Collector) Reset() { c.Items = nil }
 //
 // Operators differ in what Finish means — shj ignores punctuations and
 // just emits EOS; PJoin runs a final purge/disk pass and propagates
-// what became propagable; xjoin drains its cleanup queue — but the
-// observable lifecycle above is identical, which is what lets the
+// what became propagable; XJoin only finishes its left-over disk joins
+// — but the observable lifecycle above is identical, which is what lets the
 // differential oracle drive every configuration through one driver and
 // compare outcomes. internal/oracle's contract test pins this.
 type Operator interface {

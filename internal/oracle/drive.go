@@ -334,14 +334,14 @@ func checkObs(v Variant, out *Outcome) []Divergence {
 	for _, n := range out.Puncts {
 		punctsOut += int64(n)
 	}
-	if v.Op == "pjoin" && m.PunctsOut != punctsOut {
+	if m.PunctsOut != punctsOut {
 		bad("PunctsOut=%d, sink saw %d", m.PunctsOut, punctsOut)
 	}
 	// PunctsIn: the sharded router broadcasts every punctuation to all
 	// shards and Metrics() normalises by /shards, so both shapes must
 	// equal the fed count.
 	for p := 0; p < 2; p++ {
-		if v.Op == "pjoin" && m.PunctsIn[p] != out.FedPuncts[p] {
+		if m.PunctsIn[p] != out.FedPuncts[p] {
 			bad("PunctsIn[%d]=%d, driver fed %d", p, m.PunctsIn[p], out.FedPuncts[p])
 		}
 	}
@@ -350,10 +350,8 @@ func checkObs(v Variant, out *Outcome) []Divergence {
 	if got := out.Lat.Result.Count; got != m.TuplesOut {
 		bad("Lat.Result.Count=%d, Metrics.TuplesOut=%d", got, m.TuplesOut)
 	}
-	if v.Op == "pjoin" {
-		if got := out.Lat.PunctDelay.Count; got != m.PunctsOut {
-			bad("Lat.PunctDelay.Count=%d, Metrics.PunctsOut=%d", got, m.PunctsOut)
-		}
+	if got := out.Lat.PunctDelay.Count; got != m.PunctsOut {
+		bad("Lat.PunctDelay.Count=%d, Metrics.PunctsOut=%d", got, m.PunctsOut)
 	}
 	if got := out.Lat.DiskChunk.Count; got != m.DiskChunks {
 		bad("Lat.DiskChunk.Count=%d, Metrics.DiskChunks=%d", got, m.DiskChunks)

@@ -1,10 +1,10 @@
 // Package spancheck is the one reconciliation of a trace against the
 // operator's own accounting: the identities between span kinds and
 // joinbase.Metrics counters the span package's kind table states. The
-// traced-oracle soak runs it over seeded scenarios; core, xjoin and
-// parallel run it over Stream, one fixed schedule that reaches
-// relocation, a disk pass, purge and propagation. It imports none of
-// them, so all four can.
+// traced-oracle soak runs it over seeded scenarios; core (PJoin and
+// XJoin) and parallel run it over Stream, one fixed schedule that
+// reaches relocation, a disk pass, purge and propagation. It imports
+// none of them, so all three can.
 package spancheck
 
 import (

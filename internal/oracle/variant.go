@@ -16,7 +16,6 @@ import (
 	"pjoin/internal/shj"
 	"pjoin/internal/store"
 	"pjoin/internal/stream"
-	"pjoin/internal/xjoin"
 )
 
 // ErrInjectedFault is the sentinel injected by faulted variants' spill
@@ -213,7 +212,7 @@ func (sc *Scenario) thresholds() event.Thresholds {
 }
 
 // joinOp is the slice of the operator surface the harness drives and
-// audits; core.PJoin, xjoin.XJoin and parallel.ShardedPJoin all
+// audits; core.PJoin (XJoin included) and parallel.ShardedPJoin both
 // implement it (shj.SHJ implements only op.Operator and is driven
 // separately as the result oracle).
 type joinOp interface {
@@ -233,30 +232,29 @@ func build(sc *Scenario, v Variant, out op.Emitter, disableFault bool, instr *ob
 	if disableFault {
 		fv.Fault = false
 	}
+	cfg := core.Config{
+		SchemaA:        gen.SchemaA,
+		SchemaB:        gen.SchemaB,
+		AttrA:          gen.KeyAttr,
+		AttrB:          gen.KeyAttr,
+		NumBuckets:     sc.NumBuckets,
+		Thresholds:     sc.thresholds(),
+		DiskChunkBytes: fv.Chunk,
+		Window:         fv.Window,
+	}
+	if fv.Window > 0 {
+		cfg.Thresholds.MemoryBytes = 0 // window mode is memory-only
+	}
+	newJoin := core.New
 	switch v.Op {
 	case "pjoin":
-		cfg := core.Config{
-			SchemaA:    gen.SchemaA,
-			SchemaB:    gen.SchemaB,
-			AttrA:      gen.KeyAttr,
-			AttrB:      gen.KeyAttr,
-			NumBuckets: sc.NumBuckets,
-			Thresholds: sc.thresholds(),
-			EagerIndex: sc.EagerIndex,
-
-			DiskChunkBytes: fv.Chunk,
-
-			// The cross-variant punctuation comparison relies on the
-			// propagated multiset being schedule-independent, which holds
-			// because a released punctuation stays in force until it owes
-			// nothing (punct.Set.Applied): the release schedule does not
-			// feed back into pid assignment or purge power.
-			VerifyPunctuations: true,
-			Window:             fv.Window,
-		}
-		if fv.Window > 0 {
-			cfg.Thresholds.MemoryBytes = 0 // window mode is memory-only
-		}
+		cfg.EagerIndex = sc.EagerIndex
+		// The cross-variant punctuation comparison relies on the
+		// propagated multiset being schedule-independent, which holds
+		// because a released punctuation stays in force until it owes
+		// nothing (punct.Set.Applied): the release schedule does not
+		// feed back into pid assignment or purge power.
+		cfg.VerifyPunctuations = true
 		if fv.Shards > 1 {
 			pcfg := parallel.Config{Shards: fv.Shards, Join: cfg, Instr: instr}
 			if fv.Cache || fv.Fault {
@@ -264,31 +262,18 @@ func build(sc *Scenario, v Variant, out op.Emitter, disableFault bool, instr *ob
 			}
 			return parallel.New(pcfg, out)
 		}
-		cfg.Instr = instr
-		cfg.SpillA = spillStack(sc, fv)
-		cfg.SpillB = spillStack(sc, fv)
-		return core.New(cfg, out)
 	case "xjoin":
-		if fv.Window > 0 {
-			return nil, fmt.Errorf("oracle: variant %s: xjoin has no window", v)
+		if fv.Shards > 1 {
+			return nil, fmt.Errorf("oracle: variant %s: xjoin has no shards", v)
 		}
-		cfg := xjoin.Config{
-			SchemaA:        gen.SchemaA,
-			SchemaB:        gen.SchemaB,
-			AttrA:          gen.KeyAttr,
-			AttrB:          gen.KeyAttr,
-			NumBuckets:     sc.NumBuckets,
-			MemoryBytes:    sc.MemoryBytes,
-			DiskJoinIdle:   sc.DiskJoinIdle,
-			DiskChunkBytes: fv.Chunk,
-			Instr:          instr,
-			SpillA:         spillStack(sc, fv),
-			SpillB:         spillStack(sc, fv),
-		}
-		return xjoin.New(cfg, out)
+		newJoin = core.NewXJoin
 	default:
 		return nil, fmt.Errorf("oracle: unknown variant op %q", v.Op)
 	}
+	cfg.Instr = instr
+	cfg.SpillA = spillStack(sc, fv)
+	cfg.SpillB = spillStack(sc, fv)
+	return newJoin(cfg, out)
 }
 
 // buildOracle constructs the brute-force shj result oracle. With a

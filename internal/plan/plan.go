@@ -25,7 +25,6 @@ import (
 	"pjoin/internal/op"
 	"pjoin/internal/parallel"
 	"pjoin/internal/stream"
-	"pjoin/internal/xjoin"
 )
 
 // JoinOptions configures a PJoin or XJoin node.
@@ -49,7 +48,26 @@ type JoinOptions struct {
 	// parallel shards (internal/parallel: parallel.Spawn, each shard an
 	// operator of its own on the pipeline), with the single instance's
 	// results and propagated punctuations (see the parallel package doc).
+	// PJoin only.
 	Shards int
+}
+
+// joinConfig is the core configuration of a PJoin or XJoin node named
+// name over inputs in. An XJoin rejects the PJoin-only options
+// (core.NewXJoin) and ignores the punctuation thresholds.
+func joinConfig(name string, in []*stream.Schema, opts JoinOptions) core.Config {
+	return core.Config{
+		SchemaA: in[0], SchemaB: in[1],
+		AttrA: opts.LeftAttr, AttrB: opts.RightAttr,
+		OutName:            name,
+		Window:             opts.Window,
+		VerifyPunctuations: opts.Verify,
+		Thresholds: event.Thresholds{
+			Purge:          defaultInt(opts.PurgeThreshold, 1),
+			PropagateCount: defaultInt(opts.PropagateCount, 1),
+			MemoryBytes:    opts.MemoryBytes,
+		},
+	}
 }
 
 type node struct {
@@ -129,18 +147,7 @@ func (p *Plan) PJoin(name, left, right string, opts JoinOptions) {
 		name:   name,
 		inputs: []string{left, right},
 		build: func(pipe *exec.Pipeline, in []*stream.Schema, emit op.Emitter) (op.Operator, *stream.Schema, error) {
-			cfg := core.Config{
-				SchemaA: in[0], SchemaB: in[1],
-				AttrA: opts.LeftAttr, AttrB: opts.RightAttr,
-				OutName:            name,
-				Window:             opts.Window,
-				VerifyPunctuations: opts.Verify,
-			}
-			cfg.Thresholds = event.Thresholds{
-				Purge:          defaultInt(opts.PurgeThreshold, 1),
-				PropagateCount: defaultInt(opts.PropagateCount, 1),
-				MemoryBytes:    opts.MemoryBytes,
-			}
+			cfg := joinConfig(name, in, opts)
 			if opts.Shards > 1 {
 				j, err := parallel.Spawn(pipe, parallel.Config{Shards: opts.Shards, Join: cfg}, emit)
 				if err != nil {
@@ -163,12 +170,10 @@ func (p *Plan) XJoin(name, left, right string, opts JoinOptions) {
 		name:   name,
 		inputs: []string{left, right},
 		build: func(_ *exec.Pipeline, in []*stream.Schema, emit op.Emitter) (op.Operator, *stream.Schema, error) {
-			j, err := xjoin.New(xjoin.Config{
-				SchemaA: in[0], SchemaB: in[1],
-				AttrA: opts.LeftAttr, AttrB: opts.RightAttr,
-				OutName:     name,
-				MemoryBytes: opts.MemoryBytes,
-			}, emit)
+			if opts.Shards > 1 {
+				return nil, nil, fmt.Errorf("plan: xjoin %q: no sharded XJoin (Shards %d)", name, opts.Shards)
+			}
+			j, err := core.NewXJoin(joinConfig(name, in, opts), emit)
 			if err != nil {
 				return nil, nil, err
 			}

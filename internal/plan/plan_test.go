@@ -165,6 +165,16 @@ func TestPlanXJoinNode(t *testing.T) {
 	}
 }
 
+// xjoinPlan is a two-source plan through one XJoin node.
+func xjoinPlan(opts JoinOptions) func(p *Plan) {
+	return func(p *Plan) {
+		p.Source("a", gen.SchemaA, nil, false)
+		p.Source("b", gen.SchemaB, nil, false)
+		p.XJoin("j", "a", "b", opts)
+		p.Sink("out", "j")
+	}
+}
+
 func TestPlanValidation(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -209,6 +219,11 @@ func TestPlanValidation(t *testing.T) {
 			p.Union("u", "s1", "s2")
 			p.Sink("out", "u")
 		}},
+		// An XJoin node refuses the PJoin-only options instead of
+		// dropping them.
+		{"xjoin shards", xjoinPlan(JoinOptions{Shards: 4})},
+		{"xjoin window", xjoinPlan(JoinOptions{Window: 10})},
+		{"xjoin verify", xjoinPlan(JoinOptions{Verify: true})},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -92,8 +92,8 @@ func (d CostModel) Charge(m joinbase.Metrics) stream.Time {
 }
 
 // MeteredJoin is the operator contract the simulator drives: a two-port
-// operator exposing its work counters and state size. core.PJoin and
-// xjoin.XJoin both satisfy it.
+// operator exposing its work counters and state size. core.PJoin, built
+// by core.New or core.NewXJoin, satisfies it.
 type MeteredJoin interface {
 	op.Operator
 	Metrics() joinbase.Metrics

@@ -8,7 +8,6 @@ import (
 	"pjoin/internal/op"
 	"pjoin/internal/store"
 	"pjoin/internal/stream"
-	"pjoin/internal/xjoin"
 )
 
 func workload(t *testing.T, dur stream.Time, punctMean float64) []gen.Arrival {
@@ -105,7 +104,7 @@ func TestPJoinStateSmallerThanXJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xj, err := xjoin.New(xjoin.Config{
+	xj, err := core.NewXJoin(core.Config{
 		SchemaA: gen.SchemaA, SchemaB: gen.SchemaB,
 	}, &op.Collector{})
 	if err != nil {

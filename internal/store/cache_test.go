@@ -280,6 +280,10 @@ func TestCachedSpillMissOverCapacityAllocatesNothing(t *testing.T) {
 		buf := make([]byte, 1<<10)
 		read := 0
 		var before, after runtime.MemStats
+		// One P, as testing.AllocsPerRun has it: with an idle P the
+		// world ReadMemStats restarts may wake a new OS thread, whose
+		// runtime structures would be charged to this meter.
+		procs := runtime.GOMAXPROCS(1)
 		runtime.ReadMemStats(&before)
 		for {
 			n, err := sc.Read(buf)
@@ -292,6 +296,7 @@ func TestCachedSpillMissOverCapacityAllocatesNothing(t *testing.T) {
 			read += n
 		}
 		runtime.ReadMemStats(&after)
+		runtime.GOMAXPROCS(procs)
 		if err := sc.Close(); err != nil {
 			t.Fatal(err)
 		}
