@@ -44,14 +44,15 @@ race:
 # ones: a send blocked under the edge mutex while the linger callback
 # fires, close during a blocked send, cancel while blocked. The tests that
 # reach them — exit hygiene, borrowed results, batched equivalence, the
-# in-flight bound and back-pressure — run twenty times under the race
+# in-flight bound, back-pressure and the driver's event-time alignment
+# (one progress test per release rule) — run twenty times under the race
 # detector on one, two and four Ps. About four minutes; CI's check job
 # runs it after `make check`.
 exec-stress:
 	@for procs in 1 2 4; do \
 		echo "GOMAXPROCS=$$procs"; \
 		GOMAXPROCS=$$procs $(GO) test -race -count=20 -timeout 900s ./internal/exec/ \
-			-run 'Hygiene|Borrowed|Batched|InFlight|Skew' || exit 1; \
+			-run 'Hygiene|Borrowed|Batched|InFlight|Skew|Align' || exit 1; \
 	done
 
 check: build vet lint race
@@ -103,7 +104,7 @@ figures-check:
 # shrinks the tree lowers the ceiling to its measured figure, and one
 # that must grow it raises the ceiling in the same diff, where review
 # sees it.
-LOC_CEILING := 23205
+LOC_CEILING := 23338
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' \
 		! -path './.bench_build/*' ! -path './internal/lint/*/testdata/*' \

@@ -1187,6 +1187,11 @@ func (j *PJoin) OnIdle(now stream.Time) (bool, error) {
 	return j.base.M.DiskChunks > before, nil
 }
 
+// AlignInputs implements exec.EventTimeAligned: a tuple stays in state
+// until the opposite stream's punctuation arrives, so the live driver keeps
+// the two inputs abreast in event time.
+func (j *PJoin) AlignInputs() {}
+
 // RequestPropagation serves the pull propagation mode (§3.5): a
 // downstream operator asks for whatever punctuations are propagable.
 func (j *PJoin) RequestPropagation(now stream.Time) error {

@@ -99,10 +99,8 @@ func (g *gated) Finish(stream.Time) error         { return nil }
 // stalled operator; two hops put a Select between them, so the pressure
 // has to cross an operator.
 //
-// What this does not bound is one source's lead over another feeding the
-// same join: a symmetric join takes whichever port has a batch, so while
-// the sources are the bottleneck the scheduler decides (EXPERIMENTS.md,
-// issue 22; BenchmarkLiveStatePeak reads it).
+// One source's lead over another feeding the same join is a different
+// bound, the driver's alignment's (align_test.go, TestLiveStatePeakBounded).
 func TestSkewBoundedByBackPressure(t *testing.T) {
 	for hops := 1; hops <= 2; hops++ {
 		t.Run(fmt.Sprintf("hops%d", hops), func(t *testing.T) {
@@ -170,7 +168,7 @@ func TestSkewBoundedByBackPressure(t *testing.T) {
 }
 
 // peakAudit wraps a join and records the most tuples its state held after
-// any delivery.
+// any delivery. It opts into alignment as the join it wraps does.
 type peakAudit struct {
 	*core.PJoin
 	peak int
@@ -182,55 +180,88 @@ func (a *peakAudit) ProcessBatch(port int, items []stream.Item, now stream.Time)
 	return err
 }
 
-// BenchmarkLiveStatePeak reports, next to the time of a saturated two-source
-// → PJoin → terminal run, how much state the join built against the same
-// input fed in timestamp order (peak_x_direct). The input closes every key
-// of a 16-key wave when the wave ends, so in timestamp order the join holds
-// one wave per side; live, it holds that plus however far one racing source
-// led the other. A measurement, not a guard: the lead builds up while the
-// sources are the bottleneck, where the scheduler picks who runs, and on 2
-// CPUs it spreads 6 to 20 times the direct peak on per-item edges and 1 to
-// 10 at batch 256 (30 and 7 to 17 under 256-batch edges).
-func BenchmarkLiveStatePeak(b *testing.B) {
-	ia, ib := fanoutInputOf(64, 16, 26)
-	newJoin := func(out op.Emitter) *peakAudit {
-		cfg := core.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB}
-		cfg.Thresholds.Purge = 1
-		j, err := core.New(cfg, out)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return &peakAudit{PJoin: j}
+func newPeakAudit(tb testing.TB, out op.Emitter) *peakAudit {
+	cfg := core.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB}
+	cfg.Thresholds.Purge = 1
+	j, err := core.New(cfg, out)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	direct := newJoin(op.EmitterFunc(func(stream.Item) error { return nil }))
-	for i := range ia { // the two streams interleave one to one in timestamp order
-		for port, it := range []stream.Item{ia[i], ib[i]} {
-			if err := direct.ProcessBatch(port, []stream.Item{it}, it.Ts); err != nil {
-				b.Fatal(err)
+	return &peakAudit{PJoin: j}
+}
+
+// directPeak is the join's peak state over a and b fed in timestamp order:
+// the two streams interleave one to one.
+func directPeak(tb testing.TB, a, b []stream.Item) int {
+	j := newPeakAudit(tb, op.EmitterFunc(func(stream.Item) error { return nil }))
+	for i := range a {
+		for port, it := range []stream.Item{a[i], b[i]} {
+			if err := j.ProcessBatch(port, []stream.Item{it}, it.Ts); err != nil {
+				tb.Fatal(err)
 			}
 		}
 	}
+	return j.peak
+}
+
+// livePeak runs two unpaced sources → PJoin → terminal over a and b at the
+// given batch size (1 ms linger) and returns the join's peak state.
+func livePeak(tb testing.TB, a, b []stream.Item, batch int) int {
+	p := NewPipeline()
+	p.BatchSize = batch
+	p.BatchLinger = time.Millisecond
+	srcA, srcB, joined := p.Edge(), p.Edge(), p.Edge()
+	j := newPeakAudit(tb, joined)
+	p.SourceItems(srcA, a, false)
+	p.SourceItems(srcB, b, false)
+	if err := p.Spawn(j, srcA, srcB); err != nil {
+		tb.Fatal(err)
+	}
+	if err := p.Spawn(&terminal{in: j.OutSchema()}, joined); err != nil {
+		tb.Fatal(err)
+	}
+	if err := p.Run(context.Background()); err != nil {
+		tb.Fatal(err)
+	}
+	return j.peak
+}
+
+// TestLiveStatePeakBounded guards the driver's alignment: a saturated
+// two-source → PJoin run builds at most twice the state the same input
+// builds fed in timestamp order, at every batch size, run after run. The
+// input closes every key of a 16-key wave when the wave ends, so in
+// timestamp order the join holds one wave per side; without alignment it
+// also held however far the racing sources drifted apart, 5 to 6.5 times
+// that at batch 1 (BenchmarkLiveStatePeak; EXPERIMENTS.md, "Live state
+// against the direct drive").
+func TestLiveStatePeakBounded(t *testing.T) {
+	a, b := fanoutInputOf(16, 16, 26)
+	direct := directPeak(t, a, b)
+	for _, batch := range []int{1, 8, 256} {
+		for run := 0; run < 3; run++ {
+			if live := livePeak(t, a, b, batch); live > 2*direct {
+				t.Errorf("batch %d run %d: live peak %d tuples, %.1f × the direct-drive peak %d; want at most 2 ×",
+					batch, run, live, float64(live)/float64(direct), direct)
+			}
+		}
+	}
+}
+
+// BenchmarkLiveStatePeak reports, next to the time of a saturated two-source
+// → PJoin → terminal run, how much state the join built against the same
+// input fed in timestamp order (peak_x_direct), over 64 waves.
+// TestLiveStatePeakBounded is the guard; this is the reporter. On 2 CPUs
+// it reads 1.00 at batch 1 and 8 and 0.94 at batch 256, where before the
+// driver's alignment it read 15 to 21, 6.5 to 22 and 0.9 to 4
+// (EXPERIMENTS.md, "Live state against the direct drive").
+func BenchmarkLiveStatePeak(b *testing.B) {
+	ia, ib := fanoutInputOf(64, 16, 26)
+	direct := directPeak(b, ia, ib)
 	for _, batch := range []int{1, 8, 256} {
 		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) {
 			var ratio float64
 			for i := 0; i < b.N; i++ {
-				p := NewPipeline()
-				p.BatchSize = batch
-				p.BatchLinger = time.Millisecond
-				srcA, srcB, joined := p.Edge(), p.Edge(), p.Edge()
-				live := newJoin(joined)
-				p.SourceItems(srcA, ia, false)
-				p.SourceItems(srcB, ib, false)
-				if err := p.Spawn(live, srcA, srcB); err != nil {
-					b.Fatal(err)
-				}
-				if err := p.Spawn(&terminal{in: live.OutSchema()}, joined); err != nil {
-					b.Fatal(err)
-				}
-				if err := p.Run(context.Background()); err != nil {
-					b.Fatal(err)
-				}
-				ratio += float64(live.peak) / float64(direct.peak)
+				ratio += float64(livePeak(b, ia, ib, batch)) / float64(direct)
 			}
 			b.ReportMetric(ratio/float64(b.N), "peak_x_direct")
 		})

@@ -83,6 +83,16 @@ type Edge struct {
 	// cut span per result — span volume scaling with output rate — and
 	// the emit → sink hop is already measured by tuple_result's D.
 	sink bool
+
+	// source marks an edge a Source feeds: its items carry the source's
+	// event time, and the source keeps promised. promised is the least Ts
+	// the source can still emit (a paced source stores its next item's Ts
+	// before waiting for it, an unpaced one each item's Ts after emitting
+	// it). wanted is raised by a driver holding another port back for this
+	// one; the next promise lowers it and rings the doorbell.
+	source   bool
+	promised atomic.Int64
+	wanted   atomic.Bool
 }
 
 var (
@@ -213,6 +223,15 @@ func ring(wake chan struct{}) {
 	select {
 	case wake <- struct{}{}:
 	default:
+	}
+}
+
+// promise records that the source feeding e emits nothing stamped before
+// ts, and wakes the reading driver if it is waiting for that.
+func (e *Edge) promise(ts stream.Time) {
+	e.promised.Store(int64(ts))
+	if e.wanted.Load() && e.wanted.CompareAndSwap(true, false) {
+		ring(e.wake)
 	}
 }
 
@@ -376,6 +395,17 @@ func (p *Pipeline) fail(err error) {
 // as fast as downstream accepts them. The source does NOT append an EOS
 // item: include one (or use SourceItems which does).
 func (p *Pipeline) Source(out *Edge, items []stream.Item, paced bool) {
+	p.source(out, items, paced, false)
+}
+
+// SourceItems is Source plus an automatic trailing EOS, stamped one past
+// the last item.
+func (p *Pipeline) SourceItems(out *Edge, items []stream.Item, paced bool) {
+	p.source(out, items, paced, true)
+}
+
+func (p *Pipeline) source(out *Edge, items []stream.Item, paced, eos bool) {
+	out.source = true
 	p.launched = append(p.launched, func() {
 		p.wg.Add(1)
 		go func() {
@@ -386,8 +416,10 @@ func (p *Pipeline) Source(out *Edge, items []stream.Item, paced bool) {
 			// either receives from it or ends the source, so it is always
 			// expired and drained when it is re-armed.
 			var pace *time.Timer
+			var last stream.Time
 			for _, it := range items {
 				if paced {
+					out.promise(it.Ts)
 					target := p.start.Add(time.Duration(it.Ts))
 					if d := time.Until(target); d > 0 {
 						if pace == nil {
@@ -403,6 +435,7 @@ func (p *Pipeline) Source(out *Edge, items []stream.Item, paced bool) {
 						}
 					}
 				}
+				last = it.Ts
 				if it.Kind == stream.KindTuple && sin.Enabled() && p.SpanSampler.Sample() {
 					// Copy before stamping the trace: the caller owns the
 					// tuple and may share it across sources or replays.
@@ -414,21 +447,15 @@ func (p *Pipeline) Source(out *Edge, items []stream.Item, paced bool) {
 				if err := out.Emit(it); err != nil {
 					return
 				}
+				if !paced {
+					out.promise(last)
+				}
+			}
+			if eos {
+				_ = out.Emit(stream.EOSItem(last + 1)) // a cancelled pipeline drops it; Run reports the cause
 			}
 		}()
 	})
-}
-
-// SourceItems is Source plus an automatic trailing EOS.
-func (p *Pipeline) SourceItems(out *Edge, items []stream.Item, paced bool) {
-	withEOS := make([]stream.Item, 0, len(items)+1)
-	withEOS = append(withEOS, items...)
-	var last stream.Time
-	if len(items) > 0 {
-		last = items[len(items)-1].Ts
-	}
-	withEOS = append(withEOS, stream.EOSItem(last+1))
-	p.Source(out, withEOS, paced)
 }
 
 // PropagationPuller is implemented by operators that can be asked to
@@ -436,6 +463,14 @@ func (p *Pipeline) SourceItems(out *Edge, items []stream.Item, paced bool) {
 // paper §3.5).
 type PropagationPuller interface {
 	RequestPropagation(now stream.Time) error
+}
+
+// EventTimeAligned is implemented by operators whose state grows with how
+// far one input leads another in event time: a join keeps each tuple until
+// the opposite stream's punctuation purges it (core.PJoin, XJoin included).
+// The driver keeps such an operator's source-fed ports abreast (drive).
+type EventTimeAligned interface {
+	AlignInputs()
 }
 
 // PullHandle requests propagation from a spawned operator. The request
@@ -529,12 +564,19 @@ func restamp(oin *obs.Instr, port int, items []stream.Item, first stream.Time) (
 // drive is the operator driver. It reads its input edges itself: each
 // turn polls the ports round-robin from the one after the last served (a
 // non-blocking receive on an empty channel takes no lock), so a saturated
-// port cannot starve another, and blocks only when nothing is queued — on
-// the doorbell its edges and its pull handle ring, the idle tick and
-// cancellation. A batch is restamped (one clock read: its items arrived
-// together) and handed to op.ProcessAll. OnIdle fires at a tick that finds
-// nothing delivered since the tick before: one to two IdlePoll after the
-// last delivery, never while input is queued.
+// port cannot starve another, and blocks only when nothing it may read is
+// queued — on the doorbell its edges and its pull handle ring, the idle
+// tick and cancellation. A batch is restamped (one clock read: its items
+// arrived together) and handed to op.ProcessAll.
+//
+// An EventTimeAligned operator's source-fed ports are kept abreast in
+// event time (an aligner): a port whose last delivered Ts is past another
+// port's frontier is not read while that other port has nothing queued.
+//
+// OnIdle fires at a tick that finds nothing delivered since the tick
+// before: one to two IdlePoll after the last delivery. Input can then be
+// queued only on a port the aligner holds back for a silent one, and that
+// tick or the next releases it.
 func (p *Pipeline) drive(o op.Operator, inputs []*Edge, pull *PullHandle) error {
 	oin := p.Obs.Derive(o.Name(), -1)
 	var lastTs stream.Time
@@ -549,6 +591,10 @@ func (p *Pipeline) drive(o op.Operator, inputs []*Edge, pull *PullHandle) error 
 	chans := make([]chan *stream.Batch, len(inputs))
 	for port, in := range inputs {
 		chans[port] = in.ch
+	}
+	var al *aligner
+	if _, ok := o.(EventTimeAligned); ok {
+		al = newAligner(inputs, p.IdlePoll)
 	}
 	live := len(inputs)
 	port := 0         // the port served last
@@ -566,6 +612,9 @@ func (p *Pipeline) drive(o op.Operator, inputs []*Edge, pull *PullHandle) error 
 		for range chans {
 			if port++; port == len(chans) {
 				port = 0
+			}
+			if chans[port] == nil || al.held(port) {
+				continue
 			}
 			select {
 			case b = <-chans[port]:
@@ -587,15 +636,19 @@ func (p *Pipeline) drive(o op.Operator, inputs []*Edge, pull *PullHandle) error 
 					}
 				}
 				delivered = false
+				al.tick(p.elapsed())
 			case <-p.ctx.Done():
 				return nil
 			}
 			continue
 		}
-		// Strictly increasing, at least the wall-clock offset since start.
 		items := b.Items
+		ts := items[len(items)-1].Ts // as it came off the edge
+		// Strictly increasing, at least the wall-clock offset since start.
 		first := p.sysNow(lastTs)
-		if restamp(oin, port, items, first) > 0 {
+		eos := restamp(oin, port, items, first) > 0
+		al.took(port, ts, first, eos)
+		if eos {
 			chans[port] = nil
 			live--
 		}
@@ -614,6 +667,81 @@ func (p *Pipeline) drive(o op.Operator, inputs []*Edge, pull *PullHandle) error 
 			return nil
 		}
 		delivered = true
+	}
+}
+
+// aligner is the driver's event-time alignment for an EventTimeAligned
+// operator. Only ports a Source feeds take part: their items carry event
+// time and their source keeps a promise, where an operator's output
+// carries that operator's arrival stamps. Port p is held while some other
+// counting port q has nothing queued and p's last delivered Ts is past q's
+// frontier: the larger of the last Ts taken from q and q's source's
+// promise. A port stops counting at its EOS, and at a tick when it has
+// delivered nothing for IdlePoll, until it delivers again. The silence is
+// measured on the pipeline clock, not in ticks: a tick that waited in the
+// ticker while the driver was busy comes early. A nil aligner holds
+// nothing.
+type aligner struct {
+	in     []*Edge
+	poll   time.Duration
+	taken  []stream.Time // per port: the last Ts delivered, as it came off the edge
+	at     []stream.Time // per port: when that delivery was received
+	counts []bool        // per port: source-fed, not ended, not silent for IdlePoll
+}
+
+func newAligner(in []*Edge, poll time.Duration) *aligner {
+	a := &aligner{in: in, poll: poll, taken: make([]stream.Time, len(in)), at: make([]stream.Time, len(in)), counts: make([]bool, len(in))}
+	for p, e := range in {
+		a.counts[p] = e.source
+	}
+	return a
+}
+
+// held reports whether port p, not ended, must wait for another port. It
+// marks the port waited for as wanted, so its source's next promise rings.
+// A held port's own silence does not release it: only the port it waits
+// for stops counting.
+func (a *aligner) held(p int) bool {
+	if a == nil || !a.in[p].source {
+		return false
+	}
+	for q, e := range a.in {
+		if q == p || !a.counts[q] || len(e.ch) > 0 || a.taken[p] <= a.frontier(q) {
+			continue
+		}
+		// Mark, then read again: a promise stored before the mark is seen
+		// here, one stored after it finds the mark and rings.
+		e.wanted.Store(true)
+		if a.taken[p] > a.frontier(q) {
+			return true
+		}
+	}
+	return false
+}
+
+func (a *aligner) frontier(q int) stream.Time {
+	return max(a.taken[q], stream.Time(a.in[q].promised.Load()))
+}
+
+// took records a batch from port p whose last item came stamped ts,
+// received at now; an EOS in it ends the port.
+func (a *aligner) took(p int, ts, now stream.Time, eos bool) {
+	if a == nil {
+		return
+	}
+	a.taken[p], a.at[p] = ts, now
+	a.counts[p] = a.in[p].source && !eos
+}
+
+// tick releases every port that has delivered nothing for IdlePoll.
+func (a *aligner) tick(now time.Duration) {
+	if a == nil {
+		return
+	}
+	for p, at := range a.at {
+		if now-time.Duration(at) >= a.poll {
+			a.counts[p] = false
+		}
 	}
 }
 
