@@ -1,4 +1,4 @@
-package exec_test
+package exec
 
 import (
 	"context"
@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"pjoin/internal/core"
-	"pjoin/internal/exec"
 	"pjoin/internal/gen"
 	"pjoin/internal/op"
 	"pjoin/internal/parallel"
@@ -20,16 +19,16 @@ import (
 
 // TestRunExitHygiene pins what Run leaves behind on each way out — clean
 // drain, an operator error, external cancellation — at batch size 1 and
-// 256, over a plan with operator-fed edges: two sources → a 2-shard join
-// in parallel.Spawn's wiring (router, two shards, align) → select → sink.
-// While it runs every spawned operator is exactly one goroutine (sampled
-// in the cancel case, which idles long enough to look), no goroutine Run
-// started survives it (the per-edge return lanes are free lists, not
-// goroutines, and the shards are spawned operators like any other), and
-// on a clean drain every batch taken was put back — through an edge's
-// lane, fresh or recycled, both count in BatchPool.Stats, so a consumer
-// that returned a batch to nowhere, or a lane that handed one out twice,
-// shows as an imbalance (the dynamic twin of the poolsafe lint).
+// 256, over a plan with an operator-fed edge: two sources → a 2-shard join
+// (one operator: its router, shards and align call each other) → select →
+// sink. While it runs every spawned operator is exactly one goroutine
+// (sampled in the cancel case, which idles long enough to look), no
+// goroutine Run started survives it (the per-edge return lanes are free
+// lists, not goroutines), and on a clean drain every batch taken was put
+// back — through an edge's lane, fresh or recycled, both count in
+// BatchPool.Stats, so a consumer that returned a batch to nowhere, or a
+// lane that handed one out twice, shows as an imbalance (the dynamic twin
+// of the poolsafe lint).
 func TestRunExitHygiene(t *testing.T) {
 	var a, b []stream.Item
 	for i := 0; i < 300; i++ {
@@ -41,18 +40,17 @@ func TestRunExitHygiene(t *testing.T) {
 		stream.Time(time.Hour), value.Int(1), value.Str("never")))}
 	boom := errors.New("boom")
 
-	const shards = 2
-	const spawned = 1 + shards + 1 + 1 // router, shards, align, select
+	const spawned = 2 // the join and the select
 	for _, batch := range []int{0, 256} {
 		for _, exit := range []string{"drain", "error", "cancel"} {
 			t.Run(fmt.Sprintf("batch%d_%s", batch, exit), func(t *testing.T) {
 				base := runtime.NumGoroutine()
 
-				p := exec.NewPipeline()
+				p := NewPipeline()
 				p.BatchSize = batch
 				p.BatchLinger = time.Millisecond
 				srcA, srcB, joined, out := p.Edge(), p.Edge(), p.Edge(), p.Edge()
-				j, err := parallel.Spawn(p, parallel.Config{Shards: shards,
+				j, err := parallel.New(parallel.Config{Shards: 2,
 					Join: core.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB}}, joined)
 				if err != nil {
 					t.Fatal(err)
@@ -123,7 +121,7 @@ func TestRunExitHygiene(t *testing.T) {
 					t.Errorf("%d goroutines after Run, want at most %d\n%s",
 						n, base, buf[:runtime.Stack(buf, true)])
 				}
-				gets, puts := exec.PoolStats(p)
+				gets, puts := p.pool.Stats()
 				if exit == "drain" && (gets != puts || gets == 0) {
 					t.Errorf("pool: %d gets, %d puts after a clean run", gets, puts)
 				}

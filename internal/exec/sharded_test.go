@@ -1,19 +1,14 @@
-package exec_test
-
-// The tests in this file build sharded joins. parallel imports exec
-// (parallel.Spawn wires a sharded join onto a Pipeline), so they live in
-// the external test package and reach exec's test helpers through
-// export_test.go.
+package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
 
 	"pjoin/internal/core"
 	"pjoin/internal/event"
-	"pjoin/internal/exec"
 	"pjoin/internal/gen"
 	"pjoin/internal/joinbase"
 	"pjoin/internal/obs"
@@ -25,91 +20,34 @@ import (
 	"pjoin/internal/value"
 )
 
-// TestShardedPJoinPipeline drives a 4-shard parallel join through the
-// live executor in its Spawn wiring: router, shards and align are
-// operators of their own, each restamped by its own driver. The joined
-// values must match a single-instance pipeline run value-for-value (live
-// restamps differ, so timestamps are excluded from the comparison).
-func TestShardedPJoinPipeline(t *testing.T) {
-	arrs, err := gen.Synthetic(gen.Config{
-		Seed:      11,
-		MaxTuples: 600,
-		Duration:  1 << 62,
-		A:         gen.SideSpec{TupleMean: stream.Millisecond, PunctMean: 8},
-		B:         gen.SideSpec{TupleMean: stream.Millisecond, PunctMean: 8},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var a, b []stream.Item
-	for _, ar := range arrs {
-		if ar.Port == 0 {
-			a = append(a, ar.Item)
-		} else {
-			b = append(b, ar.Item)
-		}
-	}
+// A sharded join spawned whole keeps its source-fed inputs abreast, as
+// one PJoin does.
+var _ EventTimeAligned = (*parallel.ShardedPJoin)(nil)
 
-	run := func(shards int) map[string]int {
-		p := exec.NewPipeline()
-		srcA, srcB, out := p.Edge(), p.Edge(), p.Edge()
-		cfg := core.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB}
-		cfg.Thresholds.PropagateCount = 1
-		var j op.Operator
-		if shards > 1 {
-			j, err = parallel.Spawn(p, parallel.Config{Shards: shards, Join: cfg}, out)
-		} else {
-			j, err = core.New(cfg, out)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.SourceItems(srcA, a, false)
-		p.SourceItems(srcB, b, false)
-		if err := p.Spawn(j, srcA, srcB); err != nil {
-			t.Fatal(err)
-		}
-		sink := p.Sink(out)
-		if err := p.Run(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		vals := map[string]int{}
-		for _, tp := range sink.Tuples() {
-			key := ""
-			for _, v := range tp.Values {
-				key += v.String() + "|"
-			}
-			vals[key]++
-		}
-		if len(sink.Puncts()) == 0 {
-			t.Errorf("shards=%d: no punctuations propagated live", shards)
-		}
-		return vals
-	}
-
-	single := run(1)
-	sharded := run(4)
-	if len(single) == 0 {
-		t.Fatal("no join results")
-	}
-	for k, n := range single {
-		if sharded[k] != n {
-			t.Errorf("result %q: single %d, sharded %d", k, n, sharded[k])
-		}
-	}
-	if len(sharded) != len(single) {
-		t.Errorf("distinct results: single %d, sharded %d", len(single), len(sharded))
-	}
-}
-
-// TestShardedPullPropagation wires the sharded join into pull mode: a
-// request to the router reaches every shard through the shard's own pull
-// handle and is serviced on the shard's driver.
+// TestShardedPullPropagation spawns a 2-shard join whole, with push
+// propagation off and input A held open by a paced item an hour out, so
+// its punctuations can come out before EOS only through a pull. Align
+// forwards a punctuation once every shard has propagated it: both coming
+// out shows that a pull of the router reached every shard.
 func TestShardedPullPropagation(t *testing.T) {
-	p := exec.NewPipeline()
-	srcA, srcB, out := p.Edge(), p.Edge(), p.Edge()
+	p := NewPipeline()
+	srcA, srcB := p.Edge(), p.Edge()
 	cfg := core.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB}
-	j, err := parallel.Spawn(p, parallel.Config{Shards: 2, Join: cfg}, out)
+	cfg.Thresholds.Purge = 1 // PropagateCount 0: no push propagation
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	var results, puncts int
+	j, err := parallel.New(parallel.Config{Shards: 2, Join: cfg}, op.EmitterFunc(func(it stream.Item) error {
+		switch it.Kind {
+		case stream.KindTuple:
+			results++
+		case stream.KindPunct:
+			if puncts++; puncts == 2 {
+				cancel()
+			}
+		}
+		return nil
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,29 +58,29 @@ func TestShardedPullPropagation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ShardedPJoin must be pullable: %v", err)
 	}
-	pull.Request() // the router's driver forwards it to each shard's handle
-	keyP := func(w int, k int64) stream.Item {
-		return stream.PunctItem(punct.MustKeyOnly(w, 0, punct.Const(value.Int(k))), 0)
+	keyP := func(k int64, ts stream.Time) stream.Item {
+		return stream.PunctItem(punct.MustKeyOnly(2, 0, punct.Const(value.Int(k))), ts)
 	}
-	a := []stream.Item{
-		stream.TupleItem(stream.MustTuple(gen.SchemaA, 0, value.Int(1), value.Str("a"))),
-		keyP(2, 1),
+	p.SourceItems(srcA, []stream.Item{
+		stream.TupleItem(stream.MustTuple(gen.SchemaA, 1, value.Int(1), value.Str("a"))),
+		keyP(1, 2),
+		stream.TupleItem(stream.MustTuple(gen.SchemaA, stream.Time(time.Hour), value.Int(2), value.Str("never"))),
+	}, true)
+	p.SourceItems(srcB, []stream.Item{
+		stream.TupleItem(stream.MustTuple(gen.SchemaB, 1, value.Int(1), value.Str("b"))),
+		keyP(1, 2),
+	}, false)
+	go func() { // pull until both punctuations are out
+		for ctx.Err() == nil {
+			pull.Request()
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	if err := p.Run(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run: %v; want both punctuations out before the deadline (%d of 2)", err, puncts)
 	}
-	b := []stream.Item{
-		stream.TupleItem(stream.MustTuple(gen.SchemaB, 0, value.Int(1), value.Str("b"))),
-		keyP(2, 1),
-	}
-	p.SourceItems(srcA, a, false)
-	p.SourceItems(srcB, b, false)
-	sink := p.Sink(out)
-	if err := p.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(sink.Tuples()); got != 1 {
-		t.Errorf("results = %d", got)
-	}
-	if got := len(sink.Puncts()); got != 2 {
-		t.Errorf("propagated punctuations = %d, want 2", got)
+	if results != 1 || puncts != 2 {
+		t.Errorf("%d results, %d punctuations; want 1 and 2", results, puncts)
 	}
 }
 
@@ -170,21 +108,21 @@ func (a *tsAudit) ProcessBatch(port int, items []stream.Item, now stream.Time) e
 // TestBatchedPipelineEquivalence pins the tentpole claim: the batch size
 // is a value, not a mode. The same workload runs through every cell of
 // BatchSize {0, 1, 8, 256} × linger {0, 1 ms} × shards {1, 2} (a sharded
-// cell is parallel.Spawn's wiring, the audit wrapping its router); joined
-// value multisets and propagated punctuation multisets must match the
-// first cell exactly (live restamps differ, so timestamps are excluded —
-// the same comparison TestShardedPJoinPipeline uses), EOS reaches the
-// sink exactly once and last, and the join is handed strictly increasing
-// timestamps in batches no larger than the batch size. BatchSize 0 and 1
-// are the same cell twice: both deliver batches of one. The join's own
-// accounting holds in every cell too: each propagated punctuation's delay
-// is recorded once, every delivery is counted as a batch, and where every
-// Emit cuts (batch <= 1 or linger 0) the mean batch fill is exactly 1.
+// cell spawns parallel.New whole, the audit wrapping it); joined value
+// multisets and propagated punctuation multisets must match the first
+// cell exactly (live restamps differ, so timestamps are excluded), EOS
+// reaches the sink exactly once and last, and the join is handed strictly
+// increasing timestamps in batches no larger than the batch size.
+// BatchSize 0 and 1 are the same cell twice: both deliver batches of one.
+// The join's own accounting holds in every cell too: each propagated
+// punctuation's delay is recorded once, every delivery is counted as a
+// batch, and where every Emit cuts (batch <= 1 or linger 0) the mean batch
+// fill is exactly 1.
 func TestBatchedPipelineEquivalence(t *testing.T) {
-	a, b := exec.SplitSynthetic(t, 17, 600, 8)
+	a, b := splitSynthetic(t, 17, 600, 8)
 
 	run := func(batch int, linger time.Duration, shards int) (map[string]int, map[string]int) {
-		p := exec.NewPipeline()
+		p := NewPipeline()
 		p.BatchSize = batch
 		p.BatchLinger = linger
 		srcA, srcB, out := p.Edge(), p.Edge(), p.Edge()
@@ -197,7 +135,7 @@ func TestBatchedPipelineEquivalence(t *testing.T) {
 		}
 		var err error
 		if shards > 1 {
-			j, err = parallel.Spawn(p, parallel.Config{Shards: shards, Join: cfg}, out)
+			j, err = parallel.New(parallel.Config{Shards: shards, Join: cfg}, out)
 		} else {
 			j, err = core.New(cfg, out)
 		}
@@ -235,7 +173,7 @@ func TestBatchedPipelineEquivalence(t *testing.T) {
 		}
 		vals := map[string]int{}
 		for _, tp := range sink.Tuples() {
-			vals[exec.ValuesKey(tp)]++
+			vals[valuesKey(tp)]++
 		}
 		puncts := map[string]int{}
 		for _, it := range sink.Puncts() {
@@ -314,8 +252,8 @@ func (a *arrivalAudit) ProcessBatch(port int, items []stream.Item, now stream.Ti
 // so a join that reads a stale it.Tuple.Ts instead of it.Ts fails here
 // (an XJoin that skipped the ingress stamp passed every other test).
 func TestResultTsIsLaterPartnersArrival(t *testing.T) {
-	a, b := exec.SplitSynthetic(t, 23, 1200, 10)
-	want := exec.ShjMultiset(t, a, b)
+	a, b := splitSynthetic(t, 23, 1200, 10)
+	want := shjMultiset(t, a, b)
 	if len(want) == 0 {
 		t.Fatal("workload joins nothing")
 	}
@@ -347,7 +285,7 @@ func TestResultTsIsLaterPartnersArrival(t *testing.T) {
 	for _, jn := range joins {
 		for _, batch := range []int{1, 256} {
 			t.Run(fmt.Sprintf("%s_batch%d", jn.name, batch), func(t *testing.T) {
-				p := exec.NewPipeline()
+				p := NewPipeline()
 				p.BatchSize = batch
 				srcA, srcB, out := p.Edge(), p.Edge(), p.Edge()
 				j, err := jn.build(out)
@@ -371,7 +309,7 @@ func TestResultTsIsLaterPartnersArrival(t *testing.T) {
 						continue
 					}
 					res := it.Tuple
-					got[exec.ValuesKey(res)]++
+					got[valuesKey(res)]++
 					pa, pb := res.Values[1].StrVal(), res.Values[3].StrVal()
 					later := max(audit.arrived[0][pa], audit.arrived[1][pb])
 					if later == 0 {
@@ -383,7 +321,7 @@ func TestResultTsIsLaterPartnersArrival(t *testing.T) {
 							pa, pb, res.Ts, it.Ts, later, audit.arrived[0][pa], audit.arrived[1][pb])
 					}
 				}
-				exec.DiffMultisets(t, got, want)
+				diffMultisets(t, got, want)
 				if m := j.(metered).Metrics(); jn.spill && (m.Relocations == 0 || m.DiskJoins == 0) {
 					t.Errorf("spill variant produced no left-over joins: %d relocations, %d disk joins", m.Relocations, m.DiskJoins)
 				}
@@ -445,7 +383,7 @@ func multisetOf(items []stream.Item) map[string]int {
 	m := map[string]int{}
 	for _, it := range items {
 		if it.Kind == stream.KindTuple {
-			m[exec.ValuesKey(it.Tuple)]++
+			m[valuesKey(it.Tuple)]++
 		}
 	}
 	return m
@@ -484,13 +422,13 @@ func TestBorrowedResultsEveryShape(t *testing.T) {
 		a, b    []stream.Item
 		first   func(out op.Emitter) (op.Operator, error)
 		want    map[string]int
-		wire    func(p *exec.Pipeline, joined *exec.Edge) (*exec.Edge, error)
+		wire    func(p *Pipeline, joined *Edge) (*Edge, error)
 		puncts  bool // the sink must see punctuations
 		checkFn func(t *testing.T, sink *op.Collector)
 	}
-	direct := func(p *exec.Pipeline, joined *exec.Edge) (*exec.Edge, error) { return joined, nil }
-	second := func(shards int) func(p *exec.Pipeline, joined *exec.Edge) (*exec.Edge, error) {
-		return func(p *exec.Pipeline, joined *exec.Edge) (*exec.Edge, error) {
+	direct := func(p *Pipeline, joined *Edge) (*Edge, error) { return joined, nil }
+	second := func(shards int) func(p *Pipeline, joined *Edge) (*Edge, error) {
+		return func(p *Pipeline, joined *Edge) (*Edge, error) {
 			srcC, out := p.Edge(), p.Edge()
 			cfg := core.Config{SchemaA: abSchema, SchemaB: scC, VerifyPunctuations: true}
 			var j2 op.Operator
@@ -510,7 +448,7 @@ func TestBorrowedResultsEveryShape(t *testing.T) {
 	shapes := []shape{
 		{name: "pjoin_sink", a: a, b: b, first: pjoin, want: multisetOf(ab), wire: direct, puncts: true},
 		{name: "pjoin_select_sink", a: a, b: b, first: pjoin, want: multisetOf(ab), puncts: true,
-			wire: func(p *exec.Pipeline, joined *exec.Edge) (*exec.Edge, error) {
+			wire: func(p *Pipeline, joined *Edge) (*Edge, error) {
 				out := p.Edge()
 				sel, err := op.NewSelect(abSchema, func(*stream.Tuple) bool { return true }, out)
 				if err != nil {
@@ -520,7 +458,7 @@ func TestBorrowedResultsEveryShape(t *testing.T) {
 			}},
 		{name: "pjoin_keypunct_sink", a: a1, b: b1, first: pjoin, puncts: true,
 			want: multisetOf(shjJoin(t, gen.SchemaA, gen.SchemaB, a1, b1)),
-			wire: func(p *exec.Pipeline, joined *exec.Edge) (*exec.Edge, error) {
+			wire: func(p *Pipeline, joined *Edge) (*Edge, error) {
 				out := p.Edge()
 				kp, err := op.NewKeyPunctuator(abSchema, 0, out)
 				if err != nil {
@@ -554,7 +492,7 @@ func TestBorrowedResultsEveryShape(t *testing.T) {
 		for _, batch := range []int{0, 1, 8, 256} {
 			for _, linger := range []time.Duration{0, time.Millisecond} {
 				t.Run(fmt.Sprintf("%s_batch%d_linger%v", sh.name, batch, linger), func(t *testing.T) {
-					p := exec.NewPipeline()
+					p := NewPipeline()
 					p.BatchSize = batch
 					p.BatchLinger = linger
 					srcA, srcB, joined := p.Edge(), p.Edge(), p.Edge()
@@ -583,14 +521,14 @@ func TestBorrowedResultsEveryShape(t *testing.T) {
 							t.Fatalf("sink item %d of %d is %v; want EOS exactly once, last", i, len(sink.Items), it.Kind)
 						}
 					}
-					exec.DiffMultisets(t, multisetOf(sink.Items), sh.want)
+					diffMultisets(t, multisetOf(sink.Items), sh.want)
 					if sh.puncts && len(sink.Puncts()) == 0 {
 						t.Error("no punctuation reached the sink")
 					}
 					if sh.checkFn != nil {
 						sh.checkFn(t, sink)
 					}
-					if gets, puts := exec.PoolStats(p); gets != puts {
+					if gets, puts := p.pool.Stats(); gets != puts {
 						t.Errorf("pool: %d gets, %d puts after a clean run", gets, puts)
 					}
 				})

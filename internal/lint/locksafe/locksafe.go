@@ -14,8 +14,8 @@
 //
 // Held-lock tracking is source-order within a function: Lock pushes,
 // Unlock pops, a deferred Unlock holds to the end. Closure bodies are
-// excluded from both tracking and summaries (a gauge closure locking
-// the align mutex runs under the sampler, not at its definition site).
+// excluded from both tracking and summaries (a gauge closure that takes
+// a lock runs under the sampler, not at its definition site).
 package locksafe
 
 import (

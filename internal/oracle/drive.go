@@ -138,60 +138,15 @@ func RunOracle(sc *Scenario, window stream.Time) *Outcome {
 }
 
 // drive runs the shared schedule: every arrival at its own timestamp,
-// deterministic OnIdle pulses every IdleEvery arrivals (so the
-// reactive disk join and chunk pump run identically across variants),
-// EOS appended for any port the schedule left open (the shrinker cuts
-// prefixes), then Finish. All operators are held to the same contract
-// (documented in internal/op): items in timestamp order, EOS once per
-// port, Finish only after EOS on both ports. Variants with Batch > 1
-// take the batched delivery path instead (driveBatched); scrambled
-// variants get the scenario's tuples with their own Ts scrambled.
-func drive(j op.Operator, sc *Scenario, v Variant) *Outcome {
-	if v.Scramble {
-		sc = sc.scrambled()
-	}
-	if v.Batch > 1 {
-		return driveBatched(j, sc, v)
-	}
-	out := &Outcome{}
-	var last stream.Time
-	var eos [2]bool
-	fail := func(err error) *Outcome { out.Err = err; return out }
-	for i, a := range sc.Arrivals {
-		if sc.IdleEvery > 0 && i%sc.IdleEvery == sc.IdleEvery-1 && a.Item.Ts > last+1 {
-			if _, err := j.OnIdle(a.Item.Ts - 1); err != nil {
-				return fail(fmt.Errorf("OnIdle before arrival %d: %w", i, err))
-			}
-		}
-		if err := j.Process(a.Port, a.Item, a.Item.Ts); err != nil {
-			return fail(fmt.Errorf("arrival %d (%v): %w", i, a.Item.Kind, err))
-		}
-		last = a.Item.Ts
-		switch a.Item.Kind {
-		case stream.KindTuple:
-			out.FedTuples[a.Port]++
-		case stream.KindPunct:
-			out.FedPuncts[a.Port]++
-		case stream.KindEOS:
-			eos[a.Port] = true
-		}
-	}
-	for port := 0; port < 2; port++ {
-		if eos[port] {
-			continue
-		}
-		last++
-		if err := j.Process(port, stream.EOSItem(last), last); err != nil {
-			return fail(fmt.Errorf("EOS port %d: %w", port, err))
-		}
-	}
-	if err := j.Finish(last + 1); err != nil {
-		return fail(fmt.Errorf("Finish: %w", err))
-	}
-	return out
-}
-
-// driveBatched delivers the same schedule through op.ProcessAll in
+// deterministic OnIdle pulses every IdleEvery arrivals (so the reactive
+// disk join and chunk pump run identically across variants), EOS appended
+// for any port the schedule left open (the shrinker cuts prefixes), then
+// Finish. All operators are held to the same contract (documented in
+// internal/op): items in timestamp order, EOS once per port, Finish only
+// after EOS on both ports. Scrambled variants get the scenario's tuples
+// with their own Ts scrambled.
+//
+// Variants with Batch > 1 get the schedule through op.ProcessAll in
 // batches of up to v.Batch consecutive same-port items — the oracle's
 // analogue of the executor's batched edges. Cut rules mirror exec:
 // non-tuple items (punctuations, EOS) always terminate their batch, a
@@ -199,11 +154,15 @@ func drive(j op.Operator, sc *Scenario, v Variant) *Outcome {
 // positive Linger bounds the virtual-time span one batch may cover
 // (Linger 0 leaves the span unbounded, so size is the only cap), and
 // OnIdle pulses fire only between batches, after everything earlier in
-// the schedule has been delivered. op.BatchProcessor's equivalence
-// contract makes this observably identical to drive(); the differential
-// checks against the per-item shj oracle and the per-item reference
-// punctuation multiset are the enforcement.
-func driveBatched(j op.Operator, sc *Scenario, v Variant) *Outcome {
+// the schedule has been delivered. Batch <= 1 is per-item delivery: every
+// item is a batch of one, handed to Process. op.BatchProcessor's
+// equivalence contract makes the two observably identical; the
+// differential checks against the per-item shj oracle and the per-item
+// reference punctuation multiset are the enforcement.
+func drive(j op.Operator, sc *Scenario, v Variant) *Outcome {
+	if v.Scramble {
+		sc = sc.scrambled()
+	}
 	out := &Outcome{}
 	var (
 		last    stream.Time
@@ -216,7 +175,12 @@ func driveBatched(j op.Operator, sc *Scenario, v Variant) *Outcome {
 		if len(buf) == 0 {
 			return nil
 		}
-		err := op.ProcessAll(j, bufPort, buf)
+		var err error
+		if v.Batch <= 1 {
+			err = j.Process(bufPort, buf[0], buf[0].Ts)
+		} else {
+			err = op.ProcessAll(j, bufPort, buf)
+		}
 		last = buf[len(buf)-1].Ts
 		buf = buf[:0]
 		return err
@@ -362,11 +326,15 @@ func checkObs(v Variant, out *Outcome) []Divergence {
 	// Batched delivery records one BatchFill sample per ProcessBatch
 	// call. The sharded router's Metrics sums per-shard sub-batches while
 	// its BatchFill histogram counts router-level batches, so the
-	// identity holds only for single-instance operators (and trivially —
-	// zero on both sides — for per-item rows).
+	// identity holds only for single-instance operators. A per-item row
+	// goes through Process alone, so it counts no batch (the router
+	// always hands its shards batches).
 	if v.Shards <= 1 {
 		if got := out.Lat.BatchFill.Count; got != m.Batches {
 			bad("Lat.BatchFill.Count=%d, Metrics.Batches=%d", got, m.Batches)
+		}
+		if v.Batch <= 1 && m.Batches != 0 {
+			bad("Metrics.Batches=%d on a per-item row", m.Batches)
 		}
 	}
 	return ds

@@ -7,21 +7,17 @@
 //     hash, so every matching pair meets in exactly one shard; it
 //     broadcasts punctuations and EOS and notes each punctuation's arrival.
 //   - The shards: N unmodified core.PJoin instances.
-//   - Align, an N-port operator fed by the shards, passes results through,
-//     forwards a propagated punctuation once the last shard has propagated
-//     it (only then is "no more results matching p" true join-wide) and
-//     ends the output with one EOS.
+//   - Align, fed by the shards, passes results through, forwards a
+//     propagated punctuation once the last shard has propagated it (only
+//     then is "no more results matching p" true join-wide) and ends the
+//     output with one EOS.
 //
-// New wires the parts by direct calls on the caller's goroutine: one
+// The parts call each other directly, on the caller's goroutine: one
 // ProcessBatch per routed run (a shard's tuples between two punctuations
 // of one ProcessBatch call, in order, now = the run's last timestamp), one
 // Process per broadcast item. The result is an ordinary single-threaded,
 // deterministic operator: what direct drives use (the oracle, scale1,
-// benchmark/), and what an exec pipeline can spawn whole. Spawn wires the
-// same parts onto an exec.Pipeline as ordinary operators (router → two
-// edges per shard → shard drivers → align), which then get exec's cancel,
-// close-on-exit, recycled batches and restamping; read Metrics and the
-// rest after Pipeline.Run has returned.
+// benchmark/), and what an exec pipeline spawns whole, as one operator.
 //
 // Results are exactly the single instance's, and so are propagated
 // punctuations, ranges spanning several shards' keys included: a shard
@@ -34,7 +30,6 @@ import (
 	"fmt"
 
 	"pjoin/internal/core"
-	"pjoin/internal/exec"
 	"pjoin/internal/joinbase"
 	"pjoin/internal/obs"
 	"pjoin/internal/obs/span"
@@ -60,30 +55,18 @@ type Config struct {
 	// Instr is the sharded operator's observability handle. Tracing is
 	// forwarded to the shards (each stamps its shard index). The live
 	// sampler is not: the router ticks it and registers the aggregated
-	// gauges, which read every shard, so Spawn refuses one.
+	// gauges, which read every shard.
 	Instr *obs.Instr
-}
-
-// target is the router's view of one shard: calls *core.PJoin has. In
-// the direct wiring it is the shard itself; under Spawn, the shard's
-// input edges.
-type target interface {
-	Process(port int, it stream.Item, now stream.Time) error
-	ProcessBatch(port int, items []stream.Item, now stream.Time) error
-	OnIdle(now stream.Time) (bool, error)
-	RequestPropagation(now stream.Time) error
 }
 
 // ShardedPJoin is the router of a sharded join and owns its shards and
 // align: an op.BatchProcessor with two ports, like core.PJoin, and pullable.
 type ShardedPJoin struct {
-	cfg     Config
-	shards  []*core.PJoin
-	to      []target // to[i] reaches shards[i]
-	align   *align
-	spawned bool // Spawn's wiring: shards and align finish on their own drivers
-	attrs   [2]int
-	instr   *obs.Instr
+	cfg    Config
+	shards []*core.PJoin
+	align  *align
+	attrs  [2]int
+	instr  *obs.Instr
 	// lat holds the router-level histograms: batch fill, and the
 	// join-wide punctuation delay (arrival here → alignment complete),
 	// which align records. Latencies merges the shards' into it.
@@ -104,55 +87,6 @@ var _ op.BatchProcessor = (*ShardedPJoin)(nil)
 // New builds a sharded join whose router, shards and align call each
 // other directly, on the caller's goroutine.
 func New(cfg Config, out op.Emitter) (*ShardedPJoin, error) {
-	j, err := build(cfg, out, func(a *align, i int) op.Emitter { return alignPort{a, i} })
-	if err != nil {
-		return nil, err
-	}
-	for _, pj := range j.shards {
-		j.to = append(j.to, pj)
-	}
-	j.registerGauges()
-	return j, nil
-}
-
-// Spawn builds a sharded join on p: it spawns every shard on a new pair of
-// edges and align on the shards' output edges, emitting into out. It
-// returns the router, which the caller spawns on the join's two inputs
-// like any operator (p.Spawn(j, a, b)); p.Pull(j) then reaches every
-// shard.
-func Spawn(p *exec.Pipeline, cfg Config, out op.Emitter) (*ShardedPJoin, error) {
-	if cfg.Instr.Live() != nil {
-		return nil, fmt.Errorf("parallel: Spawn: a live sampler needs the direct wiring (New): its gauges read every shard")
-	}
-	var outs []*exec.Edge
-	j, err := build(cfg, out, func(*align, int) op.Emitter {
-		e := p.Edge()
-		outs = append(outs, e)
-		return e
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, pj := range j.shards {
-		in := edges{in: [2]*exec.Edge{p.Edge(), p.Edge()}}
-		if err := p.Spawn(pj, in.in[0], in.in[1]); err != nil {
-			return nil, err
-		}
-		if in.pull, err = p.Pull(pj); err != nil {
-			return nil, err
-		}
-		j.to = append(j.to, in)
-	}
-	if err := p.Spawn(j.align, outs...); err != nil {
-		return nil, err
-	}
-	j.spawned = true
-	return j, nil
-}
-
-// build makes the router, align and the shards; shard i emits into
-// shardOut(align, i).
-func build(cfg Config, out op.Emitter, shardOut func(a *align, i int) op.Emitter) (*ShardedPJoin, error) {
 	if out == nil {
 		return nil, fmt.Errorf("parallel: ShardedPJoin needs an output emitter")
 	}
@@ -184,13 +118,13 @@ func build(cfg Config, out op.Emitter, shardOut func(a *align, i int) op.Emitter
 			shardCfg.SpillA = cfg.SpillFactory(i, 0)
 			shardCfg.SpillB = cfg.SpillFactory(i, 1)
 		}
-		pj, err := core.New(shardCfg, shardOut(j.align, i))
+		pj, err := core.New(shardCfg, alignPort{j.align, i})
 		if err != nil {
 			return nil, fmt.Errorf("parallel: shard %d: %w", i, err)
 		}
 		j.shards = append(j.shards, pj)
 	}
-	j.align.outSc = j.shards[0].OutSchema()
+	j.registerGauges()
 	return j, nil
 }
 
@@ -227,7 +161,12 @@ func (j *ShardedPJoin) Name() string { return fmt.Sprintf("sharded-pjoin[%d]", l
 func (j *ShardedPJoin) NumPorts() int { return 2 }
 
 // OutSchema implements op.Operator.
-func (j *ShardedPJoin) OutSchema() *stream.Schema { return j.align.outSc }
+func (j *ShardedPJoin) OutSchema() *stream.Schema { return j.shards[0].OutSchema() }
+
+// AlignInputs implements exec.EventTimeAligned: like one PJoin, the
+// shards keep each tuple until the opposite stream's punctuation purges
+// it, so state grows with how far one input leads the other.
+func (j *ShardedPJoin) AlignInputs() {}
 
 // Shards returns the shard count.
 func (j *ShardedPJoin) Shards() int { return len(j.shards) }
@@ -290,14 +229,14 @@ func (j *ShardedPJoin) route(port int, tuples []stream.Item) error {
 	}
 	shardOf := j.shardOf[:len(tuples)]
 	for i, it := range tuples {
-		s := int(it.Tuple.Values[j.attrs[port]].Hash() % uint64(len(j.to)))
+		s := int(it.Tuple.Values[j.attrs[port]].Hash() % uint64(len(j.shards)))
 		shardOf[i] = s
 		j.routed[s]++
 		if it.Tuple.Span != 0 {
 			j.instr.Span(span.KindTupleRoute, it.Tuple.Span, it.Ts, port, int64(s), 0, 0, 0)
 		}
 	}
-	for s, t := range j.to {
+	for s, pj := range j.shards {
 		run := j.run[:0]
 		for i, it := range tuples {
 			if shardOf[i] == s {
@@ -307,7 +246,7 @@ func (j *ShardedPJoin) route(port int, tuples []stream.Item) error {
 		if len(run) == 0 {
 			continue
 		}
-		err := t.ProcessBatch(port, run, run[len(run)-1].Ts)
+		err := pj.ProcessBatch(port, run, run[len(run)-1].Ts)
 		clear(run)
 		if err != nil {
 			return j.shardErr(s, err)
@@ -352,8 +291,8 @@ func (j *ShardedPJoin) broadcast(port int, it stream.Item) error {
 	default:
 		return fmt.Errorf("parallel: %s: unknown item kind %v", j.Name(), it.Kind)
 	}
-	for s, t := range j.to {
-		if err := t.Process(port, it, it.Ts); err != nil {
+	for s, pj := range j.shards {
+		if err := pj.Process(port, it, it.Ts); err != nil {
 			return j.shardErr(s, err)
 		}
 	}
@@ -366,8 +305,8 @@ func (j *ShardedPJoin) OnIdle(now stream.Time) (bool, error) {
 		return false, nil
 	}
 	worked := false
-	for s, t := range j.to {
-		w, err := t.OnIdle(now)
+	for s, pj := range j.shards {
+		w, err := pj.OnIdle(now)
 		if err != nil {
 			return worked, j.shardErr(s, err)
 		}
@@ -382,8 +321,8 @@ func (j *ShardedPJoin) RequestPropagation(now stream.Time) error {
 	if j.finished {
 		return fmt.Errorf("parallel: %s: RequestPropagation after Finish", j.Name())
 	}
-	for s, t := range j.to {
-		if err := t.RequestPropagation(now); err != nil {
+	for s, pj := range j.shards {
+		if err := pj.RequestPropagation(now); err != nil {
 			return j.shardErr(s, err)
 		}
 	}
@@ -392,8 +331,7 @@ func (j *ShardedPJoin) RequestPropagation(now stream.Time) error {
 
 // Finish implements op.Operator: it finishes every shard (final disk
 // passes and propagation), then align, which emits the one downstream
-// EOS. Under Spawn the shards and align finish on their own drivers, at
-// the EOS the router broadcast.
+// EOS.
 func (j *ShardedPJoin) Finish(now stream.Time) error {
 	if j.finished {
 		return fmt.Errorf("parallel: %s: double Finish", j.Name())
@@ -402,9 +340,6 @@ func (j *ShardedPJoin) Finish(now stream.Time) error {
 		return fmt.Errorf("parallel: %s: Finish before EOS on both ports", j.Name())
 	}
 	j.finished = true
-	if j.spawned {
-		return nil
-	}
 	for s, pj := range j.shards {
 		if err := pj.Finish(now); err != nil {
 			return j.shardErr(s, err)
@@ -494,33 +429,4 @@ func Skew(stats []ShardStats) float64 {
 // PendingPunctuations returns how many punctuations align holds for
 // stragglers (propagated by some but not all shards) — a liveness metric
 // for the alignment invariant.
-func (j *ShardedPJoin) PendingPunctuations() int {
-	j.align.mu.Lock()
-	defer j.align.mu.Unlock()
-	return len(j.align.pending)
-}
-
-// edges is a shard under Spawn as the router reaches it: its two input
-// edges and its pull handle. Its idle signal is its own driver's.
-type edges struct {
-	in   [2]*exec.Edge
-	pull *exec.PullHandle
-}
-
-func (e edges) Process(port int, it stream.Item, _ stream.Time) error { return e.in[port].Emit(it) }
-
-func (e edges) ProcessBatch(port int, items []stream.Item, _ stream.Time) error {
-	for _, it := range items {
-		if err := e.in[port].Emit(it); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (edges) OnIdle(stream.Time) (bool, error) { return false, nil }
-
-func (e edges) RequestPropagation(stream.Time) error {
-	e.pull.Request()
-	return nil
-}
+func (j *ShardedPJoin) PendingPunctuations() int { return len(j.align.pending) }

@@ -345,7 +345,7 @@ func TestAlignCountsPerShard(t *testing.T) {
 		{1, stream.TupleItem(res)},
 		{1, stream.PunctItem(p, 6)},
 	} {
-		if err := a.Process(step.shard, step.it, step.it.Ts); err != nil {
+		if err := a.take(step.shard, step.it); err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
 	}
@@ -356,7 +356,7 @@ func TestAlignCountsPerShard(t *testing.T) {
 	if got := len(a.pending); got != 1 {
 		t.Errorf("shard 0's second copy is owed by shard 1: pending = %d, want 1", got)
 	}
-	if err := a.Process(1, stream.PunctItem(p, 7), 7); err != nil {
+	if err := a.take(1, stream.PunctItem(p, 7)); err != nil {
 		t.Fatal(err)
 	}
 	if len(sink.Items) != 3 || sink.Items[2].Ts != 7 {

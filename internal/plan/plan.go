@@ -3,7 +3,10 @@
 // relational operators, sinks) that is validated up front and then
 // instantiated onto the live executor. It plays the role the Raindrop
 // query plans play for the paper's PJoin (§4: "implemented ... as a
-// query operator in the Raindrop XQuery subscription system").
+// query operator in the Raindrop XQuery subscription system"). Every
+// node is one operator on its own goroutine, a join node one core.PJoin;
+// a sharded join (internal/parallel) is spawned on an exec.Pipeline
+// whole, outside a plan.
 //
 //	p := plan.New()
 //	p.Source("open", gen.OpenSchema, openItems, false)
@@ -23,7 +26,6 @@ import (
 	"pjoin/internal/event"
 	"pjoin/internal/exec"
 	"pjoin/internal/op"
-	"pjoin/internal/parallel"
 	"pjoin/internal/stream"
 )
 
@@ -44,12 +46,6 @@ type JoinOptions struct {
 	Window stream.Time
 	// Verify enables punctuation integrity checking (PJoin only).
 	Verify bool
-	// Shards > 1 runs the PJoin hash-partitioned across that many
-	// parallel shards (internal/parallel: parallel.Spawn, each shard an
-	// operator of its own on the pipeline), with the single instance's
-	// results and propagated punctuations (see the parallel package doc).
-	// PJoin only.
-	Shards int
 }
 
 // joinConfig is the core configuration of a PJoin or XJoin node named
@@ -74,10 +70,8 @@ type node struct {
 	name   string
 	inputs []string
 	// build constructs the operator bound to emit; inSchemas match
-	// inputs. Run spawns it on the input edges; anything it needs
-	// spawned behind it (a sharded join's shards) it spawns on pipe. Nil
-	// for sources and sinks.
-	build func(pipe *exec.Pipeline, inSchemas []*stream.Schema, emit op.Emitter) (op.Operator, *stream.Schema, error)
+	// inputs. Run spawns it on the input edges. Nil for sources and sinks.
+	build func(inSchemas []*stream.Schema, emit op.Emitter) (op.Operator, *stream.Schema, error)
 	// source fields
 	sourceItems []stream.Item
 	sourceSch   *stream.Schema
@@ -146,16 +140,8 @@ func (p *Plan) PJoin(name, left, right string, opts JoinOptions) {
 	p.add(&node{
 		name:   name,
 		inputs: []string{left, right},
-		build: func(pipe *exec.Pipeline, in []*stream.Schema, emit op.Emitter) (op.Operator, *stream.Schema, error) {
-			cfg := joinConfig(name, in, opts)
-			if opts.Shards > 1 {
-				j, err := parallel.Spawn(pipe, parallel.Config{Shards: opts.Shards, Join: cfg}, emit)
-				if err != nil {
-					return nil, nil, err
-				}
-				return j, j.OutSchema(), nil
-			}
-			j, err := core.New(cfg, emit)
+		build: func(in []*stream.Schema, emit op.Emitter) (op.Operator, *stream.Schema, error) {
+			j, err := core.New(joinConfig(name, in, opts), emit)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -169,10 +155,7 @@ func (p *Plan) XJoin(name, left, right string, opts JoinOptions) {
 	p.add(&node{
 		name:   name,
 		inputs: []string{left, right},
-		build: func(_ *exec.Pipeline, in []*stream.Schema, emit op.Emitter) (op.Operator, *stream.Schema, error) {
-			if opts.Shards > 1 {
-				return nil, nil, fmt.Errorf("plan: xjoin %q: no sharded XJoin (Shards %d)", name, opts.Shards)
-			}
+		build: func(in []*stream.Schema, emit op.Emitter) (op.Operator, *stream.Schema, error) {
 			j, err := core.NewXJoin(joinConfig(name, in, opts), emit)
 			if err != nil {
 				return nil, nil, err
@@ -187,7 +170,7 @@ func (p *Plan) GroupBy(name, input, groupField, aggField string, agg op.AggKind)
 	p.add(&node{
 		name:   name,
 		inputs: []string{input},
-		build: func(_ *exec.Pipeline, in []*stream.Schema, emit op.Emitter) (op.Operator, *stream.Schema, error) {
+		build: func(in []*stream.Schema, emit op.Emitter) (op.Operator, *stream.Schema, error) {
 			g, err := in[0].IndexOf(groupField)
 			if err != nil {
 				return nil, nil, err
@@ -217,7 +200,7 @@ func (p *Plan) Select(name, input string, pred func(*stream.Tuple) bool) {
 	p.add(&node{
 		name:   name,
 		inputs: []string{input},
-		build: func(_ *exec.Pipeline, in []*stream.Schema, emit op.Emitter) (op.Operator, *stream.Schema, error) {
+		build: func(in []*stream.Schema, emit op.Emitter) (op.Operator, *stream.Schema, error) {
 			s, err := op.NewSelect(in[0], pred, emit)
 			if err != nil {
 				return nil, nil, err
@@ -232,7 +215,7 @@ func (p *Plan) Project(name, input string, fields ...string) {
 	p.add(&node{
 		name:   name,
 		inputs: []string{input},
-		build: func(_ *exec.Pipeline, in []*stream.Schema, emit op.Emitter) (op.Operator, *stream.Schema, error) {
+		build: func(in []*stream.Schema, emit op.Emitter) (op.Operator, *stream.Schema, error) {
 			keep := make([]int, 0, len(fields))
 			for _, f := range fields {
 				i, err := in[0].IndexOf(f)
@@ -255,7 +238,7 @@ func (p *Plan) Union(name, left, right string) {
 	p.add(&node{
 		name:   name,
 		inputs: []string{left, right},
-		build: func(_ *exec.Pipeline, in []*stream.Schema, emit op.Emitter) (op.Operator, *stream.Schema, error) {
+		build: func(in []*stream.Schema, emit op.Emitter) (op.Operator, *stream.Schema, error) {
 			if in[0].Width() != in[1].Width() {
 				return nil, nil, fmt.Errorf("plan: union %q: schema widths differ", name)
 			}
@@ -273,7 +256,7 @@ func (p *Plan) KeyPunctuate(name, input, keyField string) {
 	p.add(&node{
 		name:   name,
 		inputs: []string{input},
-		build: func(_ *exec.Pipeline, in []*stream.Schema, emit op.Emitter) (op.Operator, *stream.Schema, error) {
+		build: func(in []*stream.Schema, emit op.Emitter) (op.Operator, *stream.Schema, error) {
 			k, err := in[0].IndexOf(keyField)
 			if err != nil {
 				return nil, nil, err
@@ -355,7 +338,7 @@ func (p *Plan) Run(ctx context.Context) (*RunResult, error) {
 				inEdges[i] = edges[in]
 			}
 			out := pipe.Edge()
-			o, outSchema, err := n.build(pipe, inSchemas, out)
+			o, outSchema, err := n.build(inSchemas, out)
 			if err != nil {
 				return nil, fmt.Errorf("plan: node %q: %w", n.name, err)
 			}

@@ -8,7 +8,6 @@ import (
 	"pjoin/internal/core"
 	"pjoin/internal/gen"
 	"pjoin/internal/op"
-	"pjoin/internal/parallel"
 	"pjoin/internal/stream"
 	"pjoin/internal/value"
 )
@@ -221,7 +220,6 @@ func TestPlanValidation(t *testing.T) {
 		}},
 		// An XJoin node refuses the PJoin-only options instead of
 		// dropping them.
-		{"xjoin shards", xjoinPlan(JoinOptions{Shards: 4})},
 		{"xjoin window", xjoinPlan(JoinOptions{Window: 10})},
 		{"xjoin verify", xjoinPlan(JoinOptions{Verify: true})},
 	}
@@ -258,55 +256,6 @@ func TestPlanGroupByCount(t *testing.T) {
 		if r.Values[1].IntVal() != 3 {
 			t.Errorf("count = %v", r)
 		}
-	}
-}
-
-// TestPlanShardedPJoin runs the fig.1 auction plan with the join
-// hash-partitioned across 4 shards and checks the aggregate results
-// match the single-instance plan value-for-value.
-func TestPlanShardedPJoin(t *testing.T) {
-	open, bid := auctionItems(t)
-	run := func(shards int) map[string]int {
-		p := New()
-		p.Source("open", gen.OpenSchema, open, false)
-		p.Source("bid", gen.BidSchema, bid, false)
-		p.PJoin("j", "open", "bid", JoinOptions{Verify: true, Shards: shards})
-		p.GroupBySum("totals", "j", "item_id", "bid_increase")
-		p.Sink("out", "totals")
-		res, err := p.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if shards > 1 {
-			j, ok := res.Operators["j"].(*parallel.ShardedPJoin)
-			if !ok {
-				t.Fatal("sharded join operator not exposed")
-			}
-			if j.Shards() != shards {
-				t.Errorf("shards = %d, want %d", j.Shards(), shards)
-			}
-			if j.StateTuples() != 0 {
-				t.Errorf("residual sharded state = %d", j.StateTuples())
-			}
-		}
-		rows := map[string]int{}
-		for _, r := range res.Sinks["out"].Tuples() {
-			rows[fmt.Sprintf("%v|%v", r.Values[0], r.Values[1])]++
-		}
-		return rows
-	}
-	single := run(1)
-	sharded := run(4)
-	if len(single) == 0 {
-		t.Fatal("no aggregate rows")
-	}
-	for k, n := range single {
-		if sharded[k] != n {
-			t.Errorf("row %q: single %d, sharded %d", k, n, sharded[k])
-		}
-	}
-	if len(sharded) != len(single) {
-		t.Errorf("row count: single %d, sharded %d", len(single), len(sharded))
 	}
 }
 
