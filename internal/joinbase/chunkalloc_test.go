@@ -161,7 +161,9 @@ func warmPasses(t *testing.T, budget, passes int, check func(pass int, d *PassDr
 // every tuple fresh, does not build); every pass after it allocates
 // nothing: the driver re-arms its one pass, each state re-arms its one
 // spill cursor, and the pass scratch, the purge buffers, the decode
-// arena and the read buffers all keep their capacity. The heap meter
+// arena and the read buffers all keep their capacity. These passes drop
+// no disk record, so they rewrite no partition, and nothing is relocated
+// between them: TestDiskPassRewriteAllocs guards that cycle. The heap meter
 // counts the whole process, whose other goroutines allocate now and then
 // (the runtime's scavenger grows its timer heap; the test runner reports
 // under -v), so the 16 warm passes are held, as testing.AllocsPerRun
@@ -182,6 +184,83 @@ func TestDiskPassSteadyStateAllocs(t *testing.T) {
 				t.Errorf("warm passes allocate %d objects each (%v), want 0", mean, objects)
 			}
 			t.Logf("objects per pass: %v", objects)
+		})
+	}
+}
+
+// TestDiskPassRewriteAllocs is the steady-state guard for the cycle a
+// spilling join runs, which TestDiskPassSteadyStateAllocs's passes never
+// reach: between passes 256 tuples arrive per side and Relocate spills
+// the whole memory portion (SpillBucket appends to every partition), and
+// the pass's DropDisk drops, key by key, as many of the oldest records as
+// arrived, so every partition is rewritten (truncated and appended
+// again) to the size it had a cycle before and the disk footprint stays
+// flat. A warm cycle, relocation and pass, allocates nothing: the spill
+// store refills a truncated partition's extent, and the read buffers and
+// the encode scratch keep their capacity. It is held, as its twin, to an
+// integer mean of 0 objects over 16 warm cycles; while a truncated
+// partition was discarded, every cycle regrew its partitions.
+func TestDiskPassRewriteAllocs(t *testing.T) {
+	const tuples, arrivals, cycles = 4096, 256, 17
+	keys := [2]int{97, 89} // arrive's keys per side
+	for _, budget := range []int{0, 64 << 10} {
+		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
+			base := spilledBase(t, tuples, "")
+			base.EmitPair = func(_, _ *stream.Tuple, _ stream.Time) error { return nil }
+			var quota, dropped [2][]int
+			for s := range quota {
+				quota[s], dropped[s] = make([]int, keys[s]), make([]int, keys[s])
+				for i := 0; i < arrivals; i++ {
+					quota[s][i%keys[s]]++
+				}
+			}
+			hooks := PassHooks{
+				OnPassStart: func() { clear(dropped[0]); clear(dropped[1]) },
+				DropDisk: func(s int, key value.Value, _ int) bool {
+					k := key.IntVal()
+					if dropped[s][k] == quota[s][k] {
+						return false
+					}
+					dropped[s][k]++ // records come oldest first
+					return true
+				},
+			}
+			d := NewPassDriver(base, nil, budget, hooks, nil)
+			ts := stream.Time(100 * tuples)
+			objects := make([]uint64, cycles)
+			for c := range objects {
+				for i := 0; i < arrivals; i++ {
+					ts += 2
+					if err := arrive(base, ts, i, ""); err != nil {
+						t.Fatal(err)
+					}
+				}
+				ts += 2
+				relocations, purged := base.M.Relocations, base.M.Purged
+				objects[c], _ = passMallocs(t, func() error {
+					if err := base.Relocate(ts, 1, nil); err != nil {
+						return err
+					}
+					return d.Finish(ts)
+				})
+				if base.M.Relocations == relocations || base.M.Purged-purged != 2*arrivals {
+					t.Fatalf("cycle %d: %d relocations, %d records dropped; want some and %d",
+						c, base.M.Relocations-relocations, base.M.Purged-purged, 2*arrivals)
+				}
+				for s, st := range base.States {
+					if got := st.Stats().DiskTuples; got != tuples {
+						t.Fatalf("cycle %d: side %d holds %d tuples on disk, want a flat %d", c, s, got, tuples)
+					}
+				}
+			}
+			var warm uint64
+			for _, n := range objects[1:] {
+				warm += n
+			}
+			if mean := warm / uint64(len(objects)-1); mean != 0 {
+				t.Errorf("warm rewrite cycles allocate %d objects each (%v), want 0", mean, objects)
+			}
+			t.Logf("objects per rewrite cycle: %v", objects)
 		})
 	}
 }

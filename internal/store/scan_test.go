@@ -120,41 +120,82 @@ func scanSuite(t *testing.T, mk func(t *testing.T) SpillStore) {
 		}
 	})
 
+	// A store may reuse a truncated partition's memory for the bytes
+	// appended after it (MemSpill keeps the extent), so the refill is
+	// checked at the old length and past it: the stale cursor still
+	// fails, a fresh one reads only the new bytes, and nothing handed
+	// out earlier changes under a later Append.
 	t.Run("TruncateInvalidatesCursor", func(t *testing.T) {
-		sp := mk(t)
-		defer sp.Close()
-		if err := sp.Append(2, []byte("doomed-partition")); err != nil {
-			t.Fatal(err)
-		}
-		sc, err := sp.OpenScan(2, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sc.Close()
-		if _, err := nextChunk(sc, 4); err != nil {
-			t.Fatal(err)
-		}
-		if err := sp.Truncate(2); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := nextChunk(sc, 4); !errors.Is(err, ErrScanTruncated) {
-			t.Errorf("Read after Truncate = %v, want ErrScanTruncated", err)
-		}
-		if _, err := sc.Tail(nil); !errors.Is(err, ErrScanTruncated) {
-			t.Errorf("Tail after Truncate = %v, want ErrScanTruncated", err)
-		}
-		// A fresh cursor over the re-filled partition works.
-		if err := sp.Append(2, []byte("fresh")); err != nil {
-			t.Fatal(err)
-		}
-		sc2, err := sp.OpenScan(2, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sc2.Close()
-		chunk, err := nextChunk(sc2, 0)
-		if err != nil || string(chunk) != "fresh" {
-			t.Errorf("fresh cursor read %q, %v", chunk, err)
+		const doomed = "doomed-partition"
+		for _, refill := range []string{"REFILLED-BYTES!!", "refilled-and-longer-than-the-first"} {
+			sp := mk(t)
+			defer sp.Close()
+			if err := sp.Append(2, []byte(doomed)); err != nil {
+				t.Fatal(err)
+			}
+			whole, err := sp.Read(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc, err := sp.OpenScan(2, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sc.Close()
+			first, err := nextChunk(sc, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sp.Truncate(2); err != nil {
+				t.Fatal(err)
+			}
+			stale := func(when string) {
+				t.Helper()
+				if _, err := nextChunk(sc, 4); !errors.Is(err, ErrScanTruncated) {
+					t.Errorf("%s: Read = %v, want ErrScanTruncated", when, err)
+				}
+				if _, err := sc.Tail(nil); !errors.Is(err, ErrScanTruncated) {
+					t.Errorf("%s: Tail = %v, want ErrScanTruncated", when, err)
+				}
+			}
+			stale("after Truncate")
+			if err := sp.Append(2, []byte(refill)); err != nil {
+				t.Fatal(err)
+			}
+			stale("after refill of " + refill)
+			if n, err := sp.Size(2); n != int64(len(refill)) || err != nil {
+				t.Errorf("Size after refill of %q = %d, %v; want %d", refill, n, err, len(refill))
+			}
+			sc2, err := sp.OpenScan(2, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sc2.Close()
+			var got []byte
+			for {
+				chunk, err := nextChunk(sc2, 4)
+				if errors.Is(err, io.EOF) {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, chunk...)
+			}
+			if tail, err := sc2.Tail(nil); string(got) != refill || tail != nil || err != nil {
+				t.Errorf("fresh cursor read %q, tail %q (%v); want %q and no tail", got, tail, err, refill)
+			}
+			again, err := sp.Read(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sp.Append(2, []byte("+appended")); err != nil {
+				t.Fatal(err)
+			}
+			if string(whole) != doomed || string(first) != doomed[:4] || string(again) != refill {
+				t.Errorf("earlier reads changed under later appends: %q, %q, %q; want %q, %q, %q",
+					whole, first, again, doomed, doomed[:4], refill)
+			}
 		}
 	})
 

@@ -4,10 +4,9 @@
 // buffer for tuples that are logically purged but may still owe left-over
 // joins against disk-resident tuples of the opposite state.
 //
-// The on-disk portion is abstracted behind SpillStore with two
-// implementations: a real temp-file store and an in-memory simulated disk
-// with byte/op accounting (used by the cost-model simulator so
-// experiments do not depend on host filesystem speed).
+// The on-disk portion is behind SpillStore: FileSpill writes real files;
+// MemSpill, a simulated disk that counts every byte and op, is core.Config's
+// default and so the disk of every command, figure, oracle row and benchmark.
 package store
 
 import (
@@ -108,8 +107,9 @@ type SpillStore interface {
 }
 
 // MemSpill is an in-memory SpillStore simulating a disk: contents live in
-// byte slices but all traffic is counted, letting the simulator charge
-// I/O costs deterministically.
+// byte slices but all traffic is counted, letting the simulator charge I/O
+// costs deterministically. Truncate empties a partition's slice but keeps
+// its array, so each partition holds its high-water extent until Close.
 type MemSpill struct {
 	mu    sync.Mutex //pjoin:lockrank leaf
 	parts map[int][]byte
@@ -158,7 +158,7 @@ func (m *MemSpill) Truncate(partition int) error {
 	if m.done {
 		return fmt.Errorf("store: truncate on closed MemSpill")
 	}
-	delete(m.parts, partition)
+	m.parts[partition] = m.parts[partition][:0]
 	m.gens[partition]++
 	return nil
 }

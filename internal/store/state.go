@@ -548,10 +548,13 @@ func (a *scanArena) trim() {
 	a.tuples.Trim(scanRetainChunks)
 }
 
+// grownSize is a size-c buffer's new size for n > c bytes: 2c to scanRetainBuf, or n.
+func grownSize(c, n int) int { return max(n, min(2*c, scanRetainBuf)) }
+
 // scratch returns the empty encode buffer with room for size bytes.
 func (st *State) scratch(size int) []byte {
 	if cap(st.enc) < size {
-		st.enc = make([]byte, 0, size)
+		st.enc = make([]byte, 0, grownSize(cap(st.enc), size))
 	}
 	return st.enc[:0]
 }
@@ -703,20 +706,17 @@ func (ds *DiskScan) Decode(j int) error {
 
 // fill reads the next at-most-budget bytes of the snapshot behind those
 // already read. The read is sized by what the bucket's accounting says is
-// left, so an unbounded budget reads the partition in one piece, and the
-// buffer is grown to the whole snapshot at once; the accounting is only a
-// hint — the cursor decides where the snapshot ends.
+// left, so an unbounded budget reads the partition in one piece; a short
+// buffer grows at most once a scan, to the snapshot or more (grownSize). The
+// accounting is only a hint — the cursor decides where the snapshot ends.
 func (ds *DiskScan) fill(budget int) error {
 	if budget <= 0 {
 		budget = DefaultScanChunk
 	}
-	want := max(ds.snapBytes-ds.got, 1) // the read that finds io.EOF still needs room
-	if int64(budget) < want {
-		want = int64(budget)
-	}
+	want := min(max(ds.snapBytes-ds.got, 1), int64(budget)) // the read that finds io.EOF still needs room
 	need := ds.hi + int(want)
 	if len(ds.buf) < need {
-		grown := make([]byte, max(need, int(ds.snapBytes)+1))
+		grown := make([]byte, grownSize(len(ds.buf), max(need, int(ds.snapBytes)+1)))
 		copy(grown, ds.buf[:ds.hi])
 		ds.buf = grown
 	}
