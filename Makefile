@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint allow-count race exec-stress check examples figures-check loc loc-check oracle traced-oracle oracle-poison soak fuzz bench-alloc bench-scaling flight-sample trace-sample
+.PHONY: build test vet lint census allow-count race exec-stress check examples figures-check loc loc-check oracle traced-oracle oracle-poison soak fuzz bench-alloc bench-scaling flight-sample trace-sample
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,13 @@ vet:
 # justification. See DESIGN.md §14.
 lint:
 	$(GO) run ./cmd/pjoinlint ./...
+
+# Reachability census: builds every main package with -dumpdep and fails
+# on a non-test function or method no program reaches that is not in
+# internal/lint/testdata/census.golden (test support, with its reason).
+# `go test ./...` runs it too; this prints the count. See DESIGN.md §14.
+census:
+	$(GO) test -count=1 -v -run TestCensus ./internal/lint/
 
 # Suppression budget: the lines that spell //pjoin:allow in non-test Go
 # files — the markers themselves plus the nine places the linter's own
@@ -104,7 +111,7 @@ figures-check:
 # shrinks the tree lowers the ceiling to its measured figure, and one
 # that must grow it raises the ceiling in the same diff, where review
 # sees it.
-LOC_CEILING := 23160
+LOC_CEILING := 22566
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' \
 		! -path './.bench_build/*' ! -path './internal/lint/*/testdata/*' \

@@ -12,27 +12,24 @@ import (
 	"log"
 
 	"pjoin/internal/core"
+	"pjoin/internal/gen"
 	"pjoin/internal/op"
-	"pjoin/internal/punct"
 	"pjoin/internal/stream"
-	"pjoin/internal/value"
-	"pjoin/internal/vtime"
 )
 
 func main() {
-	readings := stream.MustSchema("Readings",
-		stream.Field{Name: "epoch", Kind: value.KindInt},
-		stream.Field{Name: "sensor", Kind: value.KindString},
-		stream.Field{Name: "temp", Kind: value.KindFloat},
-	)
-	alerts := stream.MustSchema("Alerts",
-		stream.Field{Name: "epoch", Kind: value.KindInt},
-		stream.Field{Name: "zone", Kind: value.KindString},
-	)
+	// 20 epochs of 10ms each: sensors report a few readings per epoch,
+	// about every other epoch a zone alert fires, and when an epoch ends
+	// both streams punctuate it — the base station knows no more data for
+	// that epoch will arrive (gen.Sensors).
+	arrs, err := gen.Sensors(gen.SensorConfig{Seed: 7, Epochs: 20, EpochLength: 10 * stream.Millisecond})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	sink := &op.Collector{}
 	cfg := core.Config{
-		SchemaA: readings, SchemaB: alerts,
+		SchemaA: gen.ReadingsSchema, SchemaB: gen.AlertsSchema,
 		AttrA: 0, AttrB: 0,
 		Window:             50 * stream.Millisecond,
 		VerifyPunctuations: true,
@@ -44,60 +41,20 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Simulate 20 epochs of 10ms each: sensors report a few readings per
-	// epoch, occasionally a zone alert fires, and when an epoch ends both
-	// streams punctuate it — the base station knows no more data for that
-	// epoch will arrive.
-	rng := vtime.NewRNG(7)
-	sensors := []string{"s1", "s2", "s3", "s4"}
-	zones := []string{"north", "south"}
-	var ts stream.Time
-	stamp := func(at stream.Time) stream.Time {
-		if at <= ts {
-			at = ts + 1
-		}
-		ts = at
-		return ts
-	}
 	feed := func(port int, it stream.Item) {
 		if err := join.Process(port, it, it.Ts); err != nil {
 			log.Fatal(err)
 		}
 	}
-
-	const epochLen = 10 * stream.Millisecond
+	var ts stream.Time
 	maxState := 0
-	for epoch := int64(0); epoch < 20; epoch++ {
-		start := stream.Time(epoch) * epochLen
-		// Readings within the epoch.
-		n := 2 + rng.Intn(4)
-		for i := 0; i < n; i++ {
-			at := stamp(start + stream.Time(rng.Int63n(int64(epochLen))))
-			t := stream.MustTuple(readings, at,
-				value.Int(epoch),
-				value.Str(sensors[rng.Intn(len(sensors))]),
-				value.Float(15+10*rng.Float64()),
-			)
-			feed(0, stream.TupleItem(t))
-		}
-		// Maybe an alert for this epoch.
-		if rng.Intn(3) != 0 {
-			at := stamp(start + stream.Time(rng.Int63n(int64(epochLen))))
-			t := stream.MustTuple(alerts, at,
-				value.Int(epoch), value.Str(zones[rng.Intn(len(zones))]))
-			feed(1, stream.TupleItem(t))
-		}
-		if s := join.StateTuples(); s > maxState {
-			maxState = s
-		}
-		// Epoch over: both streams punctuate it.
-		for _, pw := range []struct{ port, width int }{{0, readings.Width()}, {1, alerts.Width()}} {
-			p := punct.MustKeyOnly(pw.width, 0, punct.Const(value.Int(epoch)))
-			feed(pw.port, stream.PunctItem(p, stamp(start+epochLen)))
-		}
+	for _, a := range arrs {
+		feed(a.Port, a.Item)
+		ts = a.Item.Ts
+		maxState = max(maxState, join.StateTuples())
 	}
-	feed(0, stream.EOSItem(stamp(ts+1)))
-	feed(1, stream.EOSItem(stamp(ts+1)))
+	feed(gen.SensorPortReadings, stream.EOSItem(ts+1))
+	feed(gen.SensorPortAlerts, stream.EOSItem(ts+1))
 	if err := join.Finish(ts + 1); err != nil {
 		log.Fatal(err)
 	}
@@ -111,11 +68,4 @@ func main() {
 	fmt.Printf("max state during run: %d tuples; final state: %d\n", maxState, join.StateTuples())
 	m := join.Metrics()
 	fmt.Printf("purged=%d dropped-on-fly=%d\n", m.Purged, m.DroppedOnFly)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"pjoin/internal/event"
 	"pjoin/internal/op"
 	"pjoin/internal/stream"
 )
@@ -143,13 +142,12 @@ func TestLazyIndexDefersScans(t *testing.T) {
 	}
 }
 
-// TestRuntimeReconfiguration exercises §3.6's claim that the registry
-// and thresholds can be changed while the join runs: the purge strategy
-// switches from lazy to eager mid-stream, and the purge component can be
-// unplugged entirely.
-func TestRuntimeReconfiguration(t *testing.T) {
+// TestLazyPurgeDefersCoveredTuples checks §3.4's lazy purge over many
+// keys: with a purge threshold of 11, ten punctuations that each cover a
+// stored tuple purge nothing, and the eleventh purges all ten.
+func TestLazyPurgeDefersCoveredTuples(t *testing.T) {
 	cfg := defaultConfig()
-	cfg.Thresholds.Purge = 100 // start very lazy
+	cfg.Thresholds.Purge = 11
 	sink := &op.Collector{}
 	j, _ := New(cfg, sink)
 	var ts stream.Time
@@ -167,25 +165,9 @@ func TestRuntimeReconfiguration(t *testing.T) {
 	if got := j.StateTuples(); got != 10 {
 		t.Fatalf("lazy threshold purged early: state = %d", got)
 	}
-	// Switch to eager purge at runtime.
-	th := j.Monitor().CurrentThresholds()
-	th.Purge = 1
-	j.Monitor().SetThresholds(th)
 	ts++
-	feed(punctFor(0, 10, ts)) // any punctuation now triggers a purge
+	feed(punctFor(0, 10, ts)) // the threshold is reached: one purge
 	if got := j.StateTuples(); got != 0 {
-		t.Fatalf("eager purge after reconfiguration left state = %d", got)
-	}
-	// Unplug the purge component from the registry entirely: further
-	// punctuations stop purging.
-	if !j.Registry().Unregister(event.PurgeThresholdReach, "state-purge") {
-		t.Fatal("state-purge listener not found")
-	}
-	ts++
-	feed(tupB(50, "b", ts))
-	ts++
-	feed(punctFor(0, 50, ts))
-	if got := j.StateTuples(); got != 1 {
-		t.Errorf("unplugged purge still ran: state = %d", got)
+		t.Fatalf("purge at the threshold left state = %d", got)
 	}
 }

@@ -425,11 +425,11 @@ func (j *PJoin) NumPorts() int { return 2 }
 // OutSchema implements op.Operator.
 func (j *PJoin) OutSchema() *stream.Schema { return j.outSc }
 
-// Registry exposes the event-listener registry for runtime
-// reconfiguration and Table-1-style introspection.
+// Registry exposes the event-listener registry for Table-1-style
+// introspection.
 func (j *PJoin) Registry() *event.Registry { return j.reg }
 
-// Monitor exposes the monitor so thresholds can be changed at runtime.
+// Monitor exposes the monitor and the thresholds the join was built with.
 func (j *PJoin) Monitor() *event.Monitor { return j.mon }
 
 // Metrics returns the work counters accumulated so far.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"pjoin/internal/event"
@@ -79,13 +80,15 @@ func TestXJoinOperatorMetadata(t *testing.T) {
 	}
 	// The baseline's components: relocation and the disk join, nothing
 	// a punctuation fires.
+	reg := j.Registry().String()
 	for _, k := range []event.Kind{event.PurgeThresholdReach, event.PropagateCountReach, event.PropagateRequest} {
-		if ls := j.Registry().Listeners(k); len(ls) != 0 {
-			t.Errorf("%s listeners %v, want none", k, ls)
+		if strings.Contains(reg, k.String()) {
+			t.Errorf("registry has a %s row, want no punctuation listeners:\n%s", k, reg)
 		}
 	}
-	if ls := j.Registry().Listeners(event.StreamEmpty); len(ls) != 1 || ls[0] != "disk-join" {
-		t.Errorf("StreamEmpty listeners %v, want [disk-join]", ls)
+	if row := "StreamEmptyEvent [both inputs ended] -> disk-join\n"; !strings.Contains(reg, row) ||
+		strings.Count(reg, "StreamEmptyEvent") != 1 {
+		t.Errorf("registry's StreamEmpty rows are not the one %q:\n%s", row, reg)
 	}
 }
 

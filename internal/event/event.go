@@ -3,9 +3,11 @@
 // an event-listener registry whose entries pair an event with guard
 // conditions and an ordered list of listener components, and a monitor
 // that tracks runtime parameters against thresholds and invokes events
-// when thresholds are reached. Registry entries and thresholds can be
-// changed at runtime, which is how the paper's "flexible configuration of
-// different join solutions" is realised.
+// when thresholds are reached. The paper's "flexible configuration of
+// different join solutions" is realised at construction: the join builds
+// its registry rows and thresholds from its Config, and both are fixed
+// for the run. The registry is the dispatch table, and its String is the
+// Table 1 printout.
 package event
 
 import (
@@ -80,8 +82,8 @@ type Event struct {
 // purge, state relocation, disk join, index build and punctuation
 // propagation components.
 type Listener interface {
-	// Name identifies the component in the registry (for ordering,
-	// removal, and Table-1-style printouts).
+	// Name identifies the component in the registry's Table-1-style
+	// printout and in dispatch errors.
 	Name() string
 	// Handle processes the event. Errors abort the dispatch and surface
 	// to the operator.
@@ -114,8 +116,8 @@ type entry struct {
 // Registry is the event-listener registry: for each event kind, the
 // guard condition and the ordered listeners that handle it ("if an event
 // has multiple listeners, these listeners will be executed in an order
-// specified in the event-listener registry"). It may be updated at
-// runtime between dispatches.
+// specified in the event-listener registry"). The join registers its
+// rows while it is built; none is removed.
 type Registry struct {
 	entries [numKinds][]entry
 }
@@ -142,48 +144,6 @@ func (r *Registry) Register(kind Kind, cond Condition, condDesc string, listener
 	copy(ls, listeners)
 	r.entries[kind] = append(r.entries[kind], entry{cond: cond, condDesc: condDesc, listeners: ls})
 	return nil
-}
-
-// Unregister removes the named listener from every row of the given
-// kind, dropping rows that become empty. It reports whether anything was
-// removed. This is the runtime-reconfiguration hook.
-func (r *Registry) Unregister(kind Kind, name string) bool {
-	if kind >= numKinds {
-		return false
-	}
-	removed := false
-	rows := r.entries[kind][:0]
-	for _, e := range r.entries[kind] {
-		kept := e.listeners[:0]
-		for _, l := range e.listeners {
-			if l.Name() == name {
-				removed = true
-			} else {
-				kept = append(kept, l)
-			}
-		}
-		e.listeners = kept
-		if len(e.listeners) > 0 {
-			rows = append(rows, e)
-		}
-	}
-	r.entries[kind] = rows
-	return removed
-}
-
-// Listeners returns the names of the listeners registered for kind, in
-// dispatch order.
-func (r *Registry) Listeners(kind Kind) []string {
-	if kind >= numKinds {
-		return nil
-	}
-	var out []string
-	for _, e := range r.entries[kind] {
-		for _, l := range e.listeners {
-			out = append(out, l.Name())
-		}
-	}
-	return out
 }
 
 // Dispatch delivers the event to every matching row's listeners in

@@ -121,35 +121,6 @@ func TestDispatchErrorAborts(t *testing.T) {
 	}
 }
 
-func TestUnregister(t *testing.T) {
-	r := NewRegistry()
-	a := &recorder{name: "a"}
-	b := &recorder{name: "b"}
-	r.Register(StateFull, nil, "", a, b)
-	if !r.Unregister(StateFull, "a") {
-		t.Fatal("Unregister should report removal")
-	}
-	if r.Unregister(StateFull, "a") {
-		t.Error("second Unregister should report false")
-	}
-	if r.Unregister(Kind(99), "a") {
-		t.Error("unknown kind Unregister should report false")
-	}
-	r.Dispatch(Event{Kind: StateFull})
-	if len(a.got) != 0 || len(b.got) != 1 {
-		t.Error("unregistered listener still receiving")
-	}
-	got := r.Listeners(StateFull)
-	if len(got) != 1 || got[0] != "b" {
-		t.Errorf("Listeners = %v", got)
-	}
-	// Removing the last listener drops the row entirely.
-	r.Unregister(StateFull, "b")
-	if got := r.Listeners(StateFull); len(got) != 0 {
-		t.Errorf("Listeners after emptying = %v", got)
-	}
-}
-
 func TestListenerFunc(t *testing.T) {
 	calls := 0
 	l := ListenerFunc{ID: "fn", Fn: func(Event) error { calls++; return nil }}

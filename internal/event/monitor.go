@@ -29,8 +29,9 @@ func (s Side) Opposite() Side { return 1 - s }
 
 // Thresholds are the monitor's runtime parameters (paper §3.6: "all
 // parameters for invoking the events ... are specified inside the
-// monitor and can also be changed at runtime"). Zero or negative values
-// disable the corresponding event.
+// monitor"). They are fixed when the monitor is built; the paper's
+// "can also be changed at runtime" has no caller here (DESIGN.md §14).
+// Zero or negative values disable the corresponding event.
 type Thresholds struct {
 	// Purge is the number of punctuations to arrive between two state
 	// purges (§3.4). 1 = eager purge.
@@ -64,16 +65,13 @@ type Monitor struct {
 }
 
 // NewMonitor returns a monitor dispatching through reg with the given
-// initial thresholds.
+// thresholds.
 func NewMonitor(reg *Registry, th Thresholds) (*Monitor, error) {
 	if reg == nil {
 		return nil, fmt.Errorf("event: NewMonitor: nil registry")
 	}
 	return &Monitor{reg: reg, th: th}, nil
 }
-
-// SetThresholds replaces the runtime parameters; effective immediately.
-func (m *Monitor) SetThresholds(th Thresholds) { m.th = th }
 
 // CurrentThresholds returns the active runtime parameters.
 func (m *Monitor) CurrentThresholds() Thresholds { return m.th }

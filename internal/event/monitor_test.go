@@ -131,10 +131,10 @@ func TestStateFull(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { m.StateSize(2000, 3) }); allocs != 0 || got != 2000 {
 		t.Errorf("StateFull carried %d bytes and allocated %.1f objects per dispatch, want 2000 and 0", got, allocs)
 	}
-	// Disabled threshold never fires.
+	// A monitor built with the threshold disabled never fires it.
 	fired := *counts[StateFull]
-	m.SetThresholds(Thresholds{MemoryBytes: 0})
-	m.StateSize(1<<40, 4)
+	off, _ := NewMonitor(r, Thresholds{MemoryBytes: 0})
+	off.StateSize(1<<40, 4)
 	if *counts[StateFull] != fired {
 		t.Error("disabled memory threshold fired")
 	}
@@ -210,20 +210,6 @@ func TestStreamsEndedAndPullRequest(t *testing.T) {
 	m.RequestPropagation(10)
 	if *counts[PropagateRequest] != 1 {
 		t.Error("PropagateRequest not dispatched")
-	}
-}
-
-func TestThresholdsChangeableAtRuntime(t *testing.T) {
-	r, counts := countingRegistry(PurgeThresholdReach)
-	m, _ := NewMonitor(r, Thresholds{Purge: 100})
-	m.PunctArrived(SideA, 1)
-	m.SetThresholds(Thresholds{Purge: 2})
-	if got := m.CurrentThresholds().Purge; got != 2 {
-		t.Fatalf("threshold = %d", got)
-	}
-	m.PunctArrived(SideA, 2)
-	if *counts[PurgeThresholdReach] != 1 {
-		t.Error("lowered threshold should fire with existing counter")
 	}
 }
 

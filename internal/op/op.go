@@ -2,8 +2,7 @@
 // (the paper hosts PJoin inside the Raindrop system; this package plus
 // internal/exec is our minimal equivalent), together with the
 // punctuation-aware relational operators used downstream of the join:
-// select, project, group-by (with early emission on punctuations), and
-// union.
+// select, project and group-by (with early emission on punctuations).
 //
 // Operators are single-threaded state machines driven by Process calls;
 // concurrency is the executor's business. This makes the same operator

@@ -434,82 +434,3 @@ func TestProjectValidation(t *testing.T) {
 		t.Error("nil schema should error")
 	}
 }
-
-// --- Union ---
-
-func TestUnionTuplesPassThrough(t *testing.T) {
-	sink := &Collector{}
-	u, err := NewUnion(inSchema, sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u.Process(0, tup(t, 1, 1, 1), 1)
-	u.Process(1, tup(t, 2, 2, 2), 2)
-	if len(sink.Tuples()) != 2 {
-		t.Errorf("union passed %d tuples", len(sink.Tuples()))
-	}
-}
-
-func TestUnionPunctuationNeedsBothSides(t *testing.T) {
-	sink := &Collector{}
-	u, _ := NewUnion(inSchema, sink)
-	u.Process(0, keyPunct(5, 1), 1)
-	if len(sink.Puncts()) != 0 {
-		t.Fatal("one-sided punctuation must not pass")
-	}
-	// The other input punctuates the same key: conjunction is emitted.
-	u.Process(1, keyPunct(5, 2), 2)
-	ps := sink.Puncts()
-	if len(ps) != 1 {
-		t.Fatalf("puncts = %d", len(ps))
-	}
-	if ps[0].Punct.PatternAt(0).Kind() != punct.Constant {
-		t.Errorf("conjunction punctuation = %v", ps[0].Punct)
-	}
-	// Disjoint keys produce nothing.
-	sink.Reset()
-	u.Process(0, keyPunct(6, 3), 3)
-	u.Process(1, keyPunct(7, 4), 4)
-	if len(sink.Puncts()) != 0 {
-		t.Error("disjoint punctuations should not combine")
-	}
-}
-
-func TestUnionEOSReleasesOtherSide(t *testing.T) {
-	sink := &Collector{}
-	u, _ := NewUnion(inSchema, sink)
-	u.Process(0, keyPunct(1, 1), 1)
-	u.Process(1, stream.EOSItem(2), 2)
-	// Port 1 ended: its promise is total, so port 0's punctuation passes.
-	if got := len(sink.Puncts()); got != 1 {
-		t.Fatalf("after EOS, puncts = %d", got)
-	}
-	// New punctuations on the live side also pass directly now.
-	u.Process(0, keyPunct(2, 3), 3)
-	if got := len(sink.Puncts()); got != 2 {
-		t.Errorf("live-side punctuation after EOS: %d", got)
-	}
-	u.Process(0, stream.EOSItem(4), 4)
-	if err := u.Finish(5); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestUnionProtocol(t *testing.T) {
-	sink := &Collector{}
-	u, _ := NewUnion(inSchema, sink)
-	if err := u.Finish(1); err == nil {
-		t.Error("Finish before EOS should error")
-	}
-	u.Process(0, stream.EOSItem(1), 1)
-	if err := u.Process(0, stream.EOSItem(2), 2); err == nil {
-		t.Error("dup EOS should error")
-	}
-	u.Process(1, stream.EOSItem(3), 3)
-	if err := u.Finish(4); err != nil {
-		t.Fatal(err)
-	}
-	if err := u.Finish(5); err == nil {
-		t.Error("double Finish should error")
-	}
-}

@@ -223,114 +223,3 @@ func (p *Project) Finish(now stream.Time) error {
 	p.finished = true
 	return p.emit.Emit(stream.EOSItem(p.now))
 }
-
-// Union merges two streams with identical schemas. A punctuation can
-// only be released once BOTH inputs have promised it: on each arrival of
-// a punctuation on one input, the conjunction with every punctuation
-// from the other input that yields a non-empty punctuation is emitted.
-type Union struct {
-	name     string
-	in       *stream.Schema
-	emit     Emitter
-	sets     [2]*punct.Set
-	eos      [2]bool
-	finished bool
-	now      stream.Time
-}
-
-var _ Operator = (*Union)(nil)
-
-// NewUnion builds a union of two streams sharing schema in.
-func NewUnion(in *stream.Schema, emit Emitter) (*Union, error) {
-	if in == nil || emit == nil {
-		return nil, fmt.Errorf("op: union: schema and emitter required")
-	}
-	return &Union{
-		name: "union", in: in, emit: emit,
-		sets: [2]*punct.Set{punct.NewSet(), punct.NewSet()},
-	}, nil
-}
-
-// Name implements Operator.
-func (u *Union) Name() string { return u.name }
-
-// NumPorts implements Operator.
-func (u *Union) NumPorts() int { return 2 }
-
-// OutSchema implements Operator.
-func (u *Union) OutSchema() *stream.Schema { return u.in }
-
-// Process implements Operator.
-func (u *Union) Process(port int, it stream.Item, now stream.Time) error {
-	if err := ValidatePort(u.name, port, 2); err != nil {
-		return err
-	}
-	if u.finished {
-		return fmt.Errorf("op: union: Process after Finish")
-	}
-	if now > u.now {
-		u.now = now
-	}
-	switch it.Kind {
-	case stream.KindTuple:
-		return u.emit.Emit(it)
-	case stream.KindPunct:
-		if it.Punct.Width() != u.in.Width() {
-			return fmt.Errorf("op: union: punctuation width %d", it.Punct.Width())
-		}
-		if _, err := u.sets[port].Add(it.Punct); err != nil {
-			return err
-		}
-		// If the other input already ended, its punctuation promise is
-		// total: the new punctuation passes as-is.
-		if u.eos[1-port] {
-			return u.emit.Emit(it)
-		}
-		for _, e := range u.sets[1-port].Entries() {
-			both, err := it.Punct.And(e.P)
-			if err != nil {
-				return err
-			}
-			if both.IsEmpty() {
-				continue
-			}
-			if err := u.emit.Emit(stream.PunctItem(both, it.Ts)); err != nil {
-				return err
-			}
-		}
-		return nil
-	case stream.KindEOS:
-		if u.eos[port] {
-			return fmt.Errorf("op: union: duplicate EOS on port %d", port)
-		}
-		u.eos[port] = true
-		// The ended side now promises everything: the other side's
-		// pending punctuations become releasable as-is.
-		for _, e := range u.sets[1-port].Entries() {
-			if err := u.emit.Emit(stream.PunctItem(e.P, it.Ts)); err != nil {
-				return err
-			}
-		}
-		return nil
-	default:
-		return fmt.Errorf("op: union: unknown item kind %v", it.Kind)
-	}
-}
-
-// OnIdle implements Operator.
-func (u *Union) OnIdle(stream.Time) (bool, error) { return false, nil }
-
-// Finish implements Operator.
-func (u *Union) Finish(now stream.Time) error {
-	if u.finished {
-		return fmt.Errorf("op: union: double Finish")
-	}
-	if !u.eos[0] || !u.eos[1] {
-		return fmt.Errorf("op: union: Finish before EOS on both ports")
-	}
-	if now > u.now {
-		u.now = now
-	}
-	u.finished = true
-	return u.emit.Emit(stream.EOSItem(u.now))
-}

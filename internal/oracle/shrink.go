@@ -204,13 +204,3 @@ func shrinkWith(seed uint64, d Divergence, n int, fails func(prefix int, drop []
 	sort.Ints(spec.Drop)
 	return spec
 }
-
-// ShrinkFirst checks the seed and, if it fails, shrinks the first
-// divergence. The (Spec, divergences) pair is what soak loops report.
-func ShrinkFirst(seed uint64) (Spec, []Divergence) {
-	ds := CheckSeed(seed)
-	if len(ds) == 0 {
-		return Spec{}, nil
-	}
-	return Shrink(seed, ds[0]), ds
-}

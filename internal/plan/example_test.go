@@ -6,6 +6,7 @@ import (
 	"log"
 
 	"pjoin/internal/gen"
+	"pjoin/internal/op"
 	"pjoin/internal/plan"
 	"pjoin/internal/punct"
 	"pjoin/internal/stream"
@@ -43,7 +44,7 @@ func Example() {
 	p.Source("open", gen.OpenSchema, open, false)
 	p.Source("bid", gen.BidSchema, bid, false)
 	p.PJoin("j", "open", "bid", plan.JoinOptions{})
-	p.GroupBySum("totals", "j", "item_id", "bid_increase")
+	p.GroupBy("totals", "j", "item_id", "bid_increase", op.AggSum)
 	p.Sink("out", "totals")
 
 	res, err := p.Run(context.Background())

@@ -12,7 +12,7 @@
 //	p.Source("open", gen.OpenSchema, openItems, false)
 //	p.Source("bid", gen.BidSchema, bidItems, false)
 //	p.PJoin("j", "open", "bid", plan.JoinOptions{PurgeThreshold: 1})
-//	p.GroupBySum("totals", "j", "item_id", "bid_increase")
+//	p.GroupBy("totals", "j", "item_id", "bid_increase", op.AggSum)
 //	p.Sink("out", "totals")
 //	results, err := p.Run(ctx)
 //	rows := results["out"].Tuples()
@@ -29,7 +29,7 @@ import (
 	"pjoin/internal/stream"
 )
 
-// JoinOptions configures a PJoin or XJoin node.
+// JoinOptions configures a PJoin node.
 type JoinOptions struct {
 	// LeftAttr and RightAttr are the join attribute positions (default
 	// 0, 0).
@@ -42,15 +42,14 @@ type JoinOptions struct {
 	PropagateCount int
 	// MemoryBytes enables state relocation above this in-memory size.
 	MemoryBytes int64
-	// Window enables sliding-window semantics (PJoin only).
+	// Window enables sliding-window semantics.
 	Window stream.Time
-	// Verify enables punctuation integrity checking (PJoin only).
+	// Verify enables punctuation integrity checking.
 	Verify bool
 }
 
-// joinConfig is the core configuration of a PJoin or XJoin node named
-// name over inputs in. An XJoin rejects the PJoin-only options
-// (core.NewXJoin) and ignores the punctuation thresholds.
+// joinConfig is the core configuration of a PJoin node named name over
+// inputs in.
 func joinConfig(name string, in []*stream.Schema, opts JoinOptions) core.Config {
 	return core.Config{
 		SchemaA: in[0], SchemaB: in[1],
@@ -150,21 +149,6 @@ func (p *Plan) PJoin(name, left, right string, opts JoinOptions) {
 	})
 }
 
-// XJoin adds the baseline join (ignores punctuations).
-func (p *Plan) XJoin(name, left, right string, opts JoinOptions) {
-	p.add(&node{
-		name:   name,
-		inputs: []string{left, right},
-		build: func(in []*stream.Schema, emit op.Emitter) (op.Operator, *stream.Schema, error) {
-			j, err := core.NewXJoin(joinConfig(name, in, opts), emit)
-			if err != nil {
-				return nil, nil, err
-			}
-			return j, j.OutSchema(), nil
-		},
-	})
-}
-
 // GroupBy adds a grouped aggregate over the named attributes.
 func (p *Plan) GroupBy(name, input, groupField, aggField string, agg op.AggKind) {
 	p.add(&node{
@@ -188,11 +172,6 @@ func (p *Plan) GroupBy(name, input, groupField, aggField string, agg op.AggKind)
 			return gb, gb.OutSchema(), nil
 		},
 	})
-}
-
-// GroupBySum is GroupBy with the sum aggregate.
-func (p *Plan) GroupBySum(name, input, groupField, sumField string) {
-	p.GroupBy(name, input, groupField, sumField, op.AggSum)
 }
 
 // Select adds a filter.
@@ -229,24 +208,6 @@ func (p *Plan) Project(name, input string, fields ...string) {
 				return nil, nil, err
 			}
 			return pr, pr.OutSchema(), nil
-		},
-	})
-}
-
-// Union adds a two-input union (inputs must share a schema).
-func (p *Plan) Union(name, left, right string) {
-	p.add(&node{
-		name:   name,
-		inputs: []string{left, right},
-		build: func(in []*stream.Schema, emit op.Emitter) (op.Operator, *stream.Schema, error) {
-			if in[0].Width() != in[1].Width() {
-				return nil, nil, fmt.Errorf("plan: union %q: schema widths differ", name)
-			}
-			u, err := op.NewUnion(in[0], emit)
-			if err != nil {
-				return nil, nil, err
-			}
-			return u, u.OutSchema(), nil
 		},
 	})
 }

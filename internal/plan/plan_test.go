@@ -38,7 +38,7 @@ func TestFig1PlanEndToEnd(t *testing.T) {
 	p.Source("open", gen.OpenSchema, open, false)
 	p.Source("bid", gen.BidSchema, bid, false)
 	p.PJoin("j", "open", "bid", JoinOptions{Verify: true})
-	p.GroupBySum("totals", "j", "item_id", "bid_increase")
+	p.GroupBy("totals", "j", "item_id", "bid_increase", op.AggSum)
 	p.Sink("out", "totals")
 	res, err := p.Run(context.Background())
 	if err != nil {
@@ -125,55 +125,6 @@ func TestPlanKeyPunctuateFeedsJoin(t *testing.T) {
 	}
 }
 
-func TestPlanUnion(t *testing.T) {
-	mk := func(n int, base int64) []stream.Item {
-		var out []stream.Item
-		for i := 0; i < n; i++ {
-			out = append(out, stream.TupleItem(stream.MustTuple(gen.SchemaA,
-				stream.Time(i+1), value.Int(base+int64(i)), value.Str("x"))))
-		}
-		return out
-	}
-	p := New()
-	p.Source("a1", gen.SchemaA, mk(5, 0), false)
-	p.Source("a2", gen.SchemaA, mk(7, 100), false)
-	p.Union("u", "a1", "a2")
-	p.Sink("out", "u")
-	res, err := p.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(res.Sinks["out"].Tuples()); got != 12 {
-		t.Errorf("union tuples = %d", got)
-	}
-}
-
-func TestPlanXJoinNode(t *testing.T) {
-	open, bid := auctionItems(t)
-	p := New()
-	p.Source("open", gen.OpenSchema, open, false)
-	p.Source("bid", gen.BidSchema, bid, false)
-	p.XJoin("j", "open", "bid", JoinOptions{})
-	p.Sink("out", "j")
-	res, err := p.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Sinks["out"].Tuples()) == 0 {
-		t.Error("xjoin produced nothing")
-	}
-}
-
-// xjoinPlan is a two-source plan through one XJoin node.
-func xjoinPlan(opts JoinOptions) func(p *Plan) {
-	return func(p *Plan) {
-		p.Source("a", gen.SchemaA, nil, false)
-		p.Source("b", gen.SchemaB, nil, false)
-		p.XJoin("j", "a", "b", opts)
-		p.Sink("out", "j")
-	}
-}
-
 func TestPlanValidation(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -212,16 +163,6 @@ func TestPlanValidation(t *testing.T) {
 			p.Project("pr", "s", "no_such_field")
 			p.Sink("out", "pr")
 		}},
-		{"union width mismatch", func(p *Plan) {
-			p.Source("s1", gen.SchemaA, nil, false)
-			p.Source("s2", gen.OpenSchema, nil, false)
-			p.Union("u", "s1", "s2")
-			p.Sink("out", "u")
-		}},
-		// An XJoin node refuses the PJoin-only options instead of
-		// dropping them.
-		{"xjoin window", xjoinPlan(JoinOptions{Window: 10})},
-		{"xjoin verify", xjoinPlan(JoinOptions{Verify: true})},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

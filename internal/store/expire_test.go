@@ -86,60 +86,3 @@ func TestExpireMemPrefixStopsAtFirstValid(t *testing.T) {
 		t.Errorf("remaining = %v", rest)
 	}
 }
-
-func TestStateWithFileSpill(t *testing.T) {
-	// The full spill/read/rewrite cycle against a real filesystem-backed
-	// store, proving MemSpill and FileSpill are interchangeable.
-	fs, err := NewFileSpill(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	st, err := NewState("A", 0, 4, fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var keys []int64
-	for i := int64(0); i < 50; i++ {
-		k := i % 7
-		keys = append(keys, k)
-		if _, err := st.Insert(tup(t, k, stream.Time(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Spill every bucket.
-	for b := 0; b < st.NumBuckets(); b++ {
-		if _, err := st.SpillBucket(b, 1000); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st.Stats().MemTuples != 0 || st.Stats().DiskTuples != 50 {
-		t.Fatalf("stats = %+v", st.Stats())
-	}
-	// Read everything back and verify the key multiset survived.
-	got := map[int64]int{}
-	for b := 0; b < st.NumBuckets(); b++ {
-		for _, s := range readDisk(t, st, b) {
-			got[s.T.Values[0].IntVal()]++
-		}
-	}
-	want := map[int64]int{}
-	for _, k := range keys {
-		want[k]++
-	}
-	for k, n := range want {
-		if got[k] != n {
-			t.Errorf("key %d: got %d, want %d", k, got[k], n)
-		}
-	}
-	// Rewrite one bucket with a filtered subset, re-read, verify.
-	if st.HasDisk(0) {
-		rewriteDisk(t, st, 0, func(j int, _ *StoredTuple) bool { return j == 0 })
-		if back := readDisk(t, st, 0); len(back) != 1 {
-			t.Errorf("rewritten bucket holds %d", len(back))
-		}
-	}
-	if st, err := fs.Stats(); err != nil || st.BytesWritten == 0 || st.BytesRead == 0 {
-		t.Errorf("file spill stats empty or errored: %+v, %v", st, err)
-	}
-}

@@ -265,16 +265,6 @@ func TestMemSpillScan(t *testing.T) {
 	scanSuite(t, func(t *testing.T) SpillStore { return NewMemSpill() })
 }
 
-func TestFileSpillScan(t *testing.T) {
-	scanSuite(t, func(t *testing.T) SpillStore {
-		fs, err := NewFileSpill(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fs
-	})
-}
-
 func TestCachedSpillScan(t *testing.T) {
 	scanSuite(t, func(t *testing.T) SpillStore {
 		return NewCachedSpill(NewMemSpill(), 1<<20)

@@ -4,18 +4,16 @@
 // buffer for tuples that are logically purged but may still owe left-over
 // joins against disk-resident tuples of the opposite state.
 //
-// The on-disk portion is behind SpillStore: FileSpill writes real files;
-// MemSpill, a simulated disk that counts every byte and op, is core.Config's
-// default and so the disk of every command, figure, oracle row and benchmark.
+// The on-disk portion is behind SpillStore. MemSpill, a simulated disk
+// that counts every byte and op, is the one backing store: the disk of
+// every command, figure, oracle row and benchmark. FaultSpill (injected
+// I/O errors) and CachedSpill (a read cache) wrap it.
 package store
 
 import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"slices"
 	"sync"
 )
 
@@ -276,309 +274,4 @@ func (m *MemSpill) Close() error {
 	return nil
 }
 
-// FileSpill is a SpillStore backed by one file per partition under a
-// directory, for running the operators against a real disk.
-type FileSpill struct {
-	mu    sync.Mutex //pjoin:lockrank leaf
-	dir   string
-	files map[int]*os.File
-	gens  map[int]uint64 // bumped on Truncate to invalidate open cursors
-	stats IOStats
-	done  bool
-}
-
-// NewFileSpill creates a spill store in a fresh subdirectory of dir
-// (os.TempDir() if dir is empty). Close removes the directory.
-func NewFileSpill(dir string) (*FileSpill, error) {
-	d, err := os.MkdirTemp(dir, "pjoin-spill-*")
-	if err != nil {
-		return nil, fmt.Errorf("store: create spill dir: %w", err)
-	}
-	return &FileSpill{dir: d, files: make(map[int]*os.File), gens: make(map[int]uint64)}, nil
-}
-
-// Dir returns the directory holding the partition files.
-func (f *FileSpill) Dir() string { return f.dir }
-
-func (f *FileSpill) partPath(partition int) string {
-	return filepath.Join(f.dir, fmt.Sprintf("part-%06d.bin", partition))
-}
-
-func (f *FileSpill) file(partition int) (*os.File, error) {
-	if fh, ok := f.files[partition]; ok {
-		return fh, nil
-	}
-	fh, err := os.OpenFile(f.partPath(partition), os.O_RDWR|os.O_CREATE, 0o600)
-	if err != nil {
-		return nil, fmt.Errorf("store: open partition %d: %w", partition, err)
-	}
-	f.files[partition] = fh
-	return fh, nil
-}
-
-// Append implements SpillStore.
-func (f *FileSpill) Append(partition int, data []byte) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.done {
-		return fmt.Errorf("store: append to closed FileSpill")
-	}
-	fh, err := f.file(partition)
-	if err != nil {
-		return err
-	}
-	if _, err := fh.Seek(0, 2); err != nil {
-		return fmt.Errorf("store: seek partition %d: %w", partition, err)
-	}
-	n, err := fh.Write(data)
-	if err != nil {
-		return fmt.Errorf("store: write partition %d: %w", partition, err)
-	}
-	f.stats.WriteOps++
-	f.stats.BytesWritten += int64(n)
-	return nil
-}
-
-// Read implements SpillStore.
-func (f *FileSpill) Read(partition int) ([]byte, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.done {
-		return nil, fmt.Errorf("store: read from closed FileSpill")
-	}
-	fh, err := f.file(partition)
-	if err != nil {
-		return nil, err
-	}
-	st, err := fh.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("store: stat partition %d: %w", partition, err)
-	}
-	buf, err := readAt(fh, st.Size())
-	if err != nil {
-		return nil, fmt.Errorf("store: read partition %d: %w", partition, err)
-	}
-	f.stats.ReadOps++
-	f.stats.BytesRead += int64(len(buf))
-	return buf, nil
-}
-
-// readAt reads exactly size bytes from offset 0. The io.ReaderAt contract
-// allows a read that ends exactly at end-of-input to return either nil or
-// io.EOF, so a full read with io.EOF is success; every other error is an
-// error, including on a zero-length input.
-func readAt(r io.ReaderAt, size int64) ([]byte, error) {
-	buf := make([]byte, size)
-	n, err := r.ReadAt(buf, 0)
-	if errors.Is(err, io.EOF) && int64(n) == size {
-		err = nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// Truncate implements SpillStore. The partition's file is closed and
-// removed (not merely truncated): a discarded partition must not keep an
-// open descriptor pinning a deleted inode. A later Append re-creates the
-// file lazily.
-func (f *FileSpill) Truncate(partition int) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.done {
-		return fmt.Errorf("store: truncate on closed FileSpill")
-	}
-	f.gens[partition]++
-	fh, ok := f.files[partition]
-	if !ok {
-		return nil
-	}
-	delete(f.files, partition)
-	closeErr := fh.Close()
-	if err := os.Remove(f.partPath(partition)); err != nil {
-		return fmt.Errorf("store: remove partition %d: %w", partition, err)
-	}
-	if closeErr != nil {
-		return fmt.Errorf("store: close partition %d: %w", partition, closeErr)
-	}
-	return nil
-}
-
-// Size implements SpillStore.
-func (f *FileSpill) Size(partition int) (int64, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.done {
-		return 0, fmt.Errorf("store: size on closed FileSpill")
-	}
-	fh, ok := f.files[partition]
-	if !ok {
-		return 0, nil
-	}
-	st, err := fh.Stat()
-	if err != nil {
-		return 0, fmt.Errorf("store: stat partition %d: %w", partition, err)
-	}
-	return st.Size(), nil
-}
-
-// OpenScan implements SpillStore.
-func (f *FileSpill) OpenScan(partition int, reuse ScanCursor) (ScanCursor, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.done {
-		return nil, fmt.Errorf("store: scan on closed FileSpill")
-	}
-	var end int64
-	if fh, ok := f.files[partition]; ok {
-		st, err := fh.Stat()
-		if err != nil {
-			return nil, fmt.Errorf("store: stat partition %d: %w", partition, err)
-		}
-		end = st.Size()
-	}
-	c, ok := reuse.(*fileScan)
-	if !ok {
-		c = new(fileScan)
-	}
-	*c = fileScan{f: f, part: partition, gen: f.gens[partition], end: end}
-	return c, nil
-}
-
-// fileScan is FileSpill's ScanCursor, reading with ReadAt at a tracked
-// offset under the store's mutex.
-type fileScan struct {
-	f       *FileSpill
-	part    int
-	gen     uint64
-	off     int64
-	end     int64 // snapshot extent, fixed at open
-	started bool
-	closed  bool
-}
-
-func (c *fileScan) check() error {
-	if c.closed {
-		return fmt.Errorf("store: use of closed scan cursor")
-	}
-	if c.f.done {
-		return fmt.Errorf("store: scan on closed FileSpill")
-	}
-	if c.f.gens[c.part] != c.gen {
-		return ErrScanTruncated
-	}
-	return nil
-}
-
-// readRange fills p from the partition starting at off, tolerating
-// io.EOF on a read that ends exactly at end-of-file (same contract as
-// readAt).
-func (c *fileScan) readRange(p []byte, off int64) error {
-	fh, ok := c.f.files[c.part]
-	if !ok {
-		// The snapshot said there were bytes but the file is gone without
-		// a generation bump; treat it as a truncation race.
-		return ErrScanTruncated
-	}
-	rn, err := fh.ReadAt(p, off)
-	if errors.Is(err, io.EOF) && rn == len(p) {
-		err = nil
-	}
-	if err != nil {
-		return fmt.Errorf("store: scan partition %d: %w", c.part, err)
-	}
-	return nil
-}
-
-// Read implements ScanCursor.
-func (c *fileScan) Read(p []byte) (int, error) {
-	c.f.mu.Lock()
-	defer c.f.mu.Unlock()
-	if err := c.check(); err != nil {
-		return 0, err
-	}
-	if c.off >= c.end {
-		return 0, io.EOF
-	}
-	if left := c.end - c.off; int64(len(p)) > left {
-		p = p[:left]
-	}
-	if err := c.readRange(p, c.off); err != nil {
-		return 0, err
-	}
-	c.off += int64(len(p))
-	c.f.stats.countScanRead(&c.started, len(p))
-	return len(p), nil
-}
-
-// Tail implements ScanCursor.
-func (c *fileScan) Tail(dst []byte) ([]byte, error) {
-	c.f.mu.Lock()
-	defer c.f.mu.Unlock()
-	if err := c.check(); err != nil {
-		return dst, err
-	}
-	fh, ok := c.f.files[c.part]
-	if !ok {
-		return dst, nil // never appended to, or snapshot was empty
-	}
-	st, err := fh.Stat()
-	if err != nil {
-		return dst, fmt.Errorf("store: stat partition %d: %w", c.part, err)
-	}
-	n := int(st.Size() - c.end)
-	if n <= 0 {
-		return dst, nil
-	}
-	out := slices.Grow(dst, n)[:len(dst)+n]
-	if err := c.readRange(out[len(dst):], c.end); err != nil {
-		return dst, err
-	}
-	c.f.stats.ChunkReads++
-	c.f.stats.BytesRead += int64(n)
-	return out, nil
-}
-
-// Close implements ScanCursor.
-func (c *fileScan) Close() error {
-	c.f.mu.Lock()
-	defer c.f.mu.Unlock()
-	c.closed = true
-	return nil
-}
-
-// Stats implements SpillStore.
-func (f *FileSpill) Stats() (IOStats, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.done {
-		return IOStats{}, fmt.Errorf("store: stats on closed FileSpill")
-	}
-	return f.stats, nil
-}
-
-// Close implements SpillStore, removing all partition files.
-func (f *FileSpill) Close() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.done {
-		return nil
-	}
-	f.done = true
-	var firstErr error
-	for _, fh := range f.files {
-		if err := fh.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if err := os.RemoveAll(f.dir); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
-}
-
-var (
-	_ SpillStore = (*MemSpill)(nil)
-	_ SpillStore = (*FileSpill)(nil)
-)
+var _ SpillStore = (*MemSpill)(nil)

@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"os"
 	"testing"
 )
 
@@ -121,38 +120,6 @@ func spillSuite(t *testing.T, mk func(t *testing.T) SpillStore) {
 
 func TestMemSpill(t *testing.T) {
 	spillSuite(t, func(t *testing.T) SpillStore { return NewMemSpill() })
-}
-
-func TestFileSpill(t *testing.T) {
-	spillSuite(t, func(t *testing.T) SpillStore {
-		fs, err := NewFileSpill(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fs
-	})
-}
-
-func TestFileSpillCloseRemovesDir(t *testing.T) {
-	fs, err := NewFileSpill(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs.Append(0, []byte("data"))
-	dir := fs.Dir()
-	if _, err := os.Stat(dir); err != nil {
-		t.Fatalf("spill dir missing before close: %v", err)
-	}
-	if err := fs.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(dir); !os.IsNotExist(err) {
-		t.Errorf("spill dir still exists after close: %v", err)
-	}
-	// Double close is fine.
-	if err := fs.Close(); err != nil {
-		t.Errorf("second Close: %v", err)
-	}
 }
 
 func TestMemSpillReadReturnsCopy(t *testing.T) {

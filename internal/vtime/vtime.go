@@ -1,7 +1,7 @@
 // Package vtime provides the deterministic time and randomness substrate
 // for workload generation and simulation: a seedable 64-bit RNG with
 // exponential sampling (Poisson inter-arrival times, as the paper's
-// benchmark system uses), a virtual clock, and a discrete-event queue.
+// benchmark system uses) and a discrete-event queue.
 //
 // Everything here is deterministic given a seed, so every experiment in
 // the harness is exactly reproducible.
@@ -97,31 +97,6 @@ func (r *RNG) ExpDuration(mean stream.Time) stream.Time {
 	return d
 }
 
-// Clock is a virtual clock. The zero Clock starts at time 0.
-type Clock struct {
-	now stream.Time
-}
-
-// Now returns the current virtual time.
-func (c *Clock) Now() stream.Time { return c.now }
-
-// Advance moves the clock forward by d. It panics on negative d: virtual
-// time is monotonic.
-func (c *Clock) Advance(d stream.Time) {
-	if d < 0 {
-		panic("vtime: Advance by negative duration")
-	}
-	c.now += d
-}
-
-// AdvanceTo moves the clock to t if t is later than now; earlier values
-// are ignored (events processed at the current instant keep the clock).
-func (c *Clock) AdvanceTo(t stream.Time) {
-	if t > c.now {
-		c.now = t
-	}
-}
-
 // Event is an entry in the discrete-event queue: a time and a payload.
 type Event struct {
 	At      stream.Time
@@ -146,15 +121,6 @@ func (q *EventQueue) Len() int { return len(q.h) }
 func (q *EventQueue) Push(at stream.Time, payload any) {
 	q.seq++
 	heap.Push(&q.h, Event{At: at, Payload: payload, seq: q.seq})
-}
-
-// Peek returns the earliest event without removing it. It panics on an
-// empty queue; check Len first.
-func (q *EventQueue) Peek() Event {
-	if len(q.h) == 0 {
-		panic("vtime: Peek on empty EventQueue")
-	}
-	return q.h[0]
 }
 
 // Pop removes and returns the earliest event. It panics on an empty

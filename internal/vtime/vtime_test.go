@@ -119,32 +119,6 @@ func TestExpDurationPositive(t *testing.T) {
 	}
 }
 
-func TestClock(t *testing.T) {
-	var c Clock
-	if c.Now() != 0 {
-		t.Error("zero clock should start at 0")
-	}
-	c.Advance(10)
-	c.Advance(0)
-	if c.Now() != 10 {
-		t.Errorf("Now = %d", c.Now())
-	}
-	c.AdvanceTo(5) // earlier: ignored
-	if c.Now() != 10 {
-		t.Errorf("AdvanceTo backwards moved clock to %d", c.Now())
-	}
-	c.AdvanceTo(25)
-	if c.Now() != 25 {
-		t.Errorf("AdvanceTo = %d", c.Now())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Advance(-1) should panic")
-		}
-	}()
-	c.Advance(-1)
-}
-
 func TestEventQueueOrdering(t *testing.T) {
 	q := NewEventQueue()
 	q.Push(30, "c")
@@ -174,19 +148,10 @@ func TestEventQueueFIFOTies(t *testing.T) {
 	}
 }
 
-func TestEventQueuePeek(t *testing.T) {
-	q := NewEventQueue()
-	q.Push(5, "x")
-	if e := q.Peek(); e.At != 5 || q.Len() != 1 {
-		t.Error("Peek should not remove")
-	}
-}
-
 func TestEventQueueEmptyPanics(t *testing.T) {
 	q := NewEventQueue()
 	for name, f := range map[string]func(){
-		"Pop":  func() { q.Pop() },
-		"Peek": func() { q.Peek() },
+		"Pop": func() { q.Pop() },
 	} {
 		func() {
 			defer func() {
