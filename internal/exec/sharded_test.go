@@ -356,13 +356,17 @@ func threeStreams(keys, perKey int) (a, b, c []stream.Item, scC *stream.Schema) 
 }
 
 // shjJoin is the brute-force reference for one join: the result tuples
-// of l ⋈ r on attribute 0, through the direct-fed shj.
+// of l ⋈ r on attribute 0, through the direct-fed shj. Its results are
+// borrowed, so the ones returned are Keep'd copies.
 func shjJoin(t testing.TB, scL, scR *stream.Schema, l, r []stream.Item) []stream.Item {
 	t.Helper()
-	var out []stream.Item
+	var (
+		out  []stream.Item
+		kept stream.ResultSlab
+	)
 	ref, err := shj.New(scL, scR, 0, 0, op.EmitterFunc(func(it stream.Item) error {
 		if it.Kind == stream.KindTuple {
-			out = append(out, it)
+			out = append(out, kept.Keep(it))
 		}
 		return nil
 	}))

@@ -79,18 +79,13 @@ func Auction(cfg AuctionConfig) ([]Arrival, error) {
 	sellers := []string{"ada", "bob", "cho", "dee", "eli", "fay"}
 	bidders := []string{"gus", "hal", "ivy", "jon", "kim", "lou", "mia", "ned"}
 
+	// An open, its punctuation, a close and the Poisson bids of its run.
+	perItem := 3 + float64(cfg.AuctionLength)/float64(cfg.BidMean)
 	var (
-		out    []Arrival
-		lastTs stream.Time
+		out    = make([]Arrival, 0, sized(float64(cfg.Items)*perItem))
+		stamp  = new(clock).stamp
 		bidSeq int
 	)
-	stamp := func(t stream.Time) stream.Time {
-		if t <= lastTs {
-			t = lastTs + 1
-		}
-		lastTs = t
-		return t
-	}
 
 	for q.Len() > 0 {
 		ev := q.Pop()

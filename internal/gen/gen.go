@@ -173,18 +173,11 @@ func Synthetic(cfg Config) ([]Arrival, error) {
 	}
 
 	var (
-		out     []Arrival
-		lastTs  stream.Time
+		out     = make([]Arrival, 0, sized(cfg.expected()))
+		stamp   = new(clock).stamp
 		tuples  int
 		pending [2][]stream.Item // punctuations to emit right after the tuple
 	)
-	stamp := func(t stream.Time) stream.Time {
-		if t <= lastTs {
-			t = lastTs + 1
-		}
-		lastTs = t
-		return t
-	}
 
 	for {
 		// Next side to emit a tuple.
@@ -264,10 +257,44 @@ func Synthetic(cfg Config) ([]Arrival, error) {
 				pi.Ts = stamp(ts)
 				out = append(out, Arrival{Port: s2, Item: pi})
 			}
-			pending[s2] = nil
+			pending[s2] = pending[s2][:0]
 		}
 	}
 	return out, nil
+}
+
+// expected is a schedule's expected length: the tuples, their total
+// capped by MaxTuples, and each side's punctuations at 1/PunctMean, twice
+// over when both sides close every key (AlignedPunctuation).
+func (cfg Config) expected() float64 {
+	rate := [2]float64{1 / float64(cfg.A.TupleMean), 1 / float64(cfg.B.TupleMean)}
+	tuples := float64(cfg.Duration) * (rate[0] + rate[1])
+	if cfg.MaxTuples > 0 && (cfg.Duration <= 0 || tuples > float64(cfg.MaxTuples)) {
+		tuples = float64(cfg.MaxTuples)
+	}
+	n := tuples
+	for i, s := range []SideSpec{cfg.A, cfg.B} {
+		if s.PunctMean > 0 {
+			n += tuples * rate[i] / (rate[0] + rate[1]) / s.PunctMean
+		}
+	}
+	if cfg.AlignedPunctuation {
+		n += tuples / cfg.A.PunctMean
+	}
+	return n
+}
+
+// sized is the capacity a generator gives a schedule of expected length
+// n: a margin of several standard deviations, so it is allocated once.
+func sized(n float64) int { return int(n*1.03) + 64 }
+
+// clock stamps a schedule's arrivals: t, or one past the last stamp when
+// t is not later, so timestamps strictly increase.
+type clock stream.Time
+
+func (c *clock) stamp(t stream.Time) stream.Time {
+	*c = clock(max(t, stream.Time(*c)+1))
+	return stream.Time(*c)
 }
 
 // Validate checks a schedule's invariants: strictly increasing

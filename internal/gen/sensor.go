@@ -79,17 +79,8 @@ func Sensors(cfg SensorConfig) ([]Arrival, error) {
 
 	rng := vtime.NewRNG(cfg.Seed)
 	zones := []string{"north", "south", "east", "west"}
-	var (
-		out    []Arrival
-		lastTs stream.Time
-	)
-	stamp := func(t stream.Time) stream.Time {
-		if t <= lastTs {
-			t = lastTs + 1
-		}
-		lastTs = t
-		return t
-	}
+	var out []Arrival
+	stamp := new(clock).stamp
 	for epoch := int64(0); epoch < int64(cfg.Epochs); epoch++ {
 		start := stream.Time(epoch) * cfg.EpochLength
 		end := start + cfg.EpochLength

@@ -133,26 +133,27 @@ func (c *Collector) Reset() { c.Items = nil }
 //  5. OnIdle may be called at any point before Finish with the same
 //     non-decreasing now domain as Process (the executor clamps idle
 //     pulses so an operator's clock never runs backwards).
-//  6. Tuples are immutable and shared; an item's arrival time is it.Ts
-//     (every driver passes it as now), never it.Tuple.Ts, which is
-//     whatever the tuple's creator set — the live executor restamps
+//  6. Tuples are immutable and shared (borrowed ones, like shj's
+//     results, only until their call returns: rule 7); an item's arrival
+//     time is it.Ts (every driver passes it as now), never it.Tuple.Ts
+//     (whatever the tuple's creator set) — the live executor restamps
 //     items, not tuples. An operator may keep the *stream.Tuple it is
 //     handed but must not write it, and one that needs the arrival time
 //     of a tuple it retains keeps it.Ts beside the pointer: core.PJoin
-//     stores it as store.StoredTuple.ATS, so a join result's Ts
-//     is the later partner's arrival at the join (shj, the reference
-//     every driver feeds directly, uses the tuples' own Ts, which direct
-//     drives, the simulator and the oracle set to the item's).
+//     stores it as store.StoredTuple.ATS, so a join result's Ts is the
+//     later partner's arrival at the join (shj uses the tuples' own Ts,
+//     which direct drives, the simulator and the oracle set to the item's).
 //  7. An item marked Borrowed carries a tuple that lives in the batch
-//     that delivered it: the tuple and its Values may be read, and the
-//     item forwarded to the operator's Emitter, until the Process /
-//     ProcessBatch call returns — the lifetime the items slice of a
-//     batch already has — and are zeroed afterwards. An operator that
-//     stores the item, its Tuple or its Values anywhere that outlives the
-//     call first passes the item through stream.ResultSlab.Keep (a copy
-//     when borrowed, the item itself otherwise); pjoinlint's opcontract
-//     flags the stores that do not. Single attribute values copied out
-//     of Values are plain values and stay valid.
+//     that delivered it, or in the slab of the shj that emitted it: the
+//     tuple and its Values may be read, and the item forwarded to the
+//     operator's Emitter, until the Process / ProcessBatch call returns
+//     — the lifetime the items slice of a batch already has — and are
+//     zeroed afterwards. An operator that stores the item, its Tuple or
+//     its Values anywhere that outlives the call first passes the item
+//     through stream.ResultSlab.Keep (a copy when borrowed, the item
+//     itself otherwise); pjoinlint's opcontract flags the stores that do
+//     not. Single attribute values copied out of Values are plain values
+//     and stay valid.
 //
 // Operators differ in what Finish means — shj ignores punctuations and
 // just emits EOS; PJoin runs a final purge/disk pass and propagates

@@ -5,6 +5,10 @@
 // the paper's motivating "basic stream join solution" (§1.1) and this
 // repository's correctness oracle: on any finite input its result set is
 // the exact equi-join.
+//
+// Its results are borrowed (op.Operator rule 7): built in a slab the join
+// rewinds when the Process call returns, so an emitter that only reads
+// them costs no heap, and one that keeps them calls ResultSlab.Keep.
 package shj
 
 import (
@@ -20,10 +24,10 @@ import (
 type SHJ struct {
 	out      op.Emitter
 	attrs    [2]int
-	schemas  [2]*stream.Schema
 	outSc    *stream.Schema
 	tables   [2]map[value.Value][]*stream.Tuple
 	kept     stream.ResultSlab // copies of the borrowed tuples the tables hold
+	res      stream.ResultSlab // the results of one Process call, rewound when it returns
 	sizes    [2]int
 	eos      [2]bool
 	finished bool
@@ -50,16 +54,17 @@ func New(a, b *stream.Schema, attrA, attrB int, out op.Emitter) (*SHJ, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &SHJ{
-		out:     out,
-		attrs:   [2]int{attrA, attrB},
-		schemas: [2]*stream.Schema{a, b},
-		outSc:   outSc,
+	j := &SHJ{
+		out:   out,
+		attrs: [2]int{attrA, attrB},
+		outSc: outSc,
 		tables: [2]map[value.Value][]*stream.Tuple{
 			make(map[value.Value][]*stream.Tuple),
 			make(map[value.Value][]*stream.Tuple),
 		},
-	}, nil
+	}
+	j.res.Rewind()
+	return j, nil
 }
 
 // Name implements op.Operator.
@@ -87,16 +92,16 @@ func (j *SHJ) Process(port int, it stream.Item, now stream.Time) error {
 	}
 	switch it.Kind {
 	case stream.KindTuple:
+		defer j.res.Rewind() // the results are borrowed: they die with the call
 		t := j.kept.Keep(it).Tuple
 		key := t.Values[j.attrs[port]]
 		for _, m := range j.tables[1-port][key] {
-			var res *stream.Tuple
-			if port == 0 {
-				res = t.Join(m)
-			} else {
-				res = m.Join(t)
+			a, c := t, m
+			if port == 1 {
+				a, c = m, t
 			}
-			if err := j.out.Emit(stream.TupleItem(res)); err != nil {
+			res := j.res.Join(a, c, max(t.Ts, m.Ts))
+			if err := j.out.Emit(stream.Item{Kind: stream.KindTuple, Borrowed: true, Tuple: res, Ts: res.Ts}); err != nil {
 				return err
 			}
 		}

@@ -1,12 +1,14 @@
 package shj
 
 import (
+	"fmt"
 	"testing"
 
 	"pjoin/internal/op"
 	"pjoin/internal/punct"
 	"pjoin/internal/stream"
 	"pjoin/internal/value"
+	"pjoin/internal/vtime"
 )
 
 var (
@@ -125,5 +127,126 @@ func TestMetadata(t *testing.T) {
 	j, _ := New(scA, scB, 0, 0, sink)
 	if j.Name() != "shj" || j.NumPorts() != 2 || j.OutSchema().Width() != 4 {
 		t.Error("metadata wrong")
+	}
+}
+
+// result renders a result for a multiset: values, Ts and Span.
+func result(t *stream.Tuple) string { return fmt.Sprintf("%v span %d", t, t.Span) }
+
+func same(a, b *stream.Tuple) bool {
+	if a.Ts != b.Ts || a.Span != b.Span || len(a.Values) != len(b.Values) {
+		return false
+	}
+	for i, v := range a.Values {
+		if v != b.Values[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestBorrowedResults: over a random input, every result arrives
+// Borrowed, every result of one Process call stays intact until the call
+// returns and reads as the zero header after it, and the Keep'd copies
+// are the nested-loop join's multiset: side 0's values first, Ts the
+// later partner's, Span JoinSpan.
+func TestBorrowedResults(t *testing.T) {
+	rng := vtime.NewRNG(44)
+	var (
+		kept   stream.ResultSlab
+		call   []*stream.Tuple // the results of the current call, as lent
+		copies []*stream.Tuple // their Keep'd copies
+		got    = map[string]int{}
+	)
+	sink := op.EmitterFunc(func(it stream.Item) error {
+		if it.Kind != stream.KindTuple {
+			return nil
+		}
+		if !it.Borrowed {
+			t.Fatalf("result %v not Borrowed", it.Tuple)
+		}
+		for i, r := range call {
+			if !same(r, copies[i]) {
+				t.Fatalf("result %d of the call reads %v before the call returned, was %v", i, r, copies[i])
+			}
+		}
+		c := kept.Keep(it)
+		if c.Borrowed || c.Tuple == it.Tuple || c.Ts != it.Tuple.Ts {
+			t.Fatalf("Keep returned %+v for %+v", c, it)
+		}
+		call, copies = append(call, it.Tuple), append(copies, c.Tuple)
+		got[result(c.Tuple)]++
+		return nil
+	})
+	j, err := New(scA, scB, 0, 0, sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var in [2][]*stream.Tuple
+	for ts := stream.Time(1); ts <= 600; ts++ {
+		port := rng.Intn(2)
+		sc := scA
+		if port == 1 {
+			sc = scB
+		}
+		tp := stream.MustTuple(sc, ts, value.Int(int64(rng.Intn(8))), value.Str(fmt.Sprint(ts)))
+		if rng.Intn(3) == 0 {
+			tp.Span = uint64(1 + rng.Intn(50))
+		}
+		in[port] = append(in[port], tp)
+		call, copies = call[:0], copies[:0]
+		if err := j.Process(port, stream.TupleItem(tp), ts); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range call {
+			if r.Values != nil || r.Ts != 0 || r.Span != 0 {
+				t.Fatalf("result %v still readable after its call returned", r)
+			}
+		}
+	}
+	want := map[string]int{}
+	for _, a := range in[0] {
+		for _, b := range in[1] {
+			if a.Values[0] == b.Values[0] {
+				want[result(a.Join(b))]++
+			}
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("%d distinct results, want %d", len(got), len(want))
+	}
+	for k, n := range want {
+		if got[k] != n {
+			t.Errorf("result %s: %d, want %d", k, got[k], n)
+		}
+	}
+}
+
+// TestResultsAllocateNothing: once its slab has grown, a probe allocates
+// no object per result, for a key with one match and for one with 1,000.
+func TestResultsAllocateNothing(t *testing.T) {
+	for _, matches := range []int{1, 1000} {
+		j, err := New(scA, scB, 0, 0, op.EmitterFunc(func(stream.Item) error { return nil }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < matches; i++ {
+			if err := j.Process(1, stream.TupleItem(stream.MustTuple(scB, stream.Time(i), value.Int(1), value.Str("b"))), stream.Time(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const runs = 50
+		j.tables[0][value.Int(1)] = make([]*stream.Tuple, 0, runs+1) // the probes' own inserts do not grow the table
+		probe := stream.TupleItem(stream.MustTuple(scA, stream.Time(matches), value.Int(1), value.Str("a")))
+		perCall := testing.AllocsPerRun(runs, func() {
+			if err := j.Process(0, probe, probe.Ts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		perResult := perCall / float64(matches)
+		t.Logf("shj objects per result, key with %4d matches: %.4f", matches, perResult)
+		if perResult != 0 {
+			t.Errorf("%d matches: %.4f objects per result, want 0", matches, perResult)
+		}
 	}
 }

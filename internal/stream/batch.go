@@ -45,7 +45,7 @@ func (b *Batch) Append(it Item) {
 func (b *Batch) recycle() {
 	clear(b.Items)
 	b.Items = b.Items[:0]
-	b.res.rewind()
+	b.res.Rewind()
 }
 
 // BatchPool is the batches of one owner (a pipeline): the lanes its edges

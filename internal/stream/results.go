@@ -36,12 +36,12 @@ const (
 //     plain op.Emitter, a collector, a hash table — and is never rewound:
 //     a chunk is carved once and then forgotten, so a tuple lives for as
 //     long as something refers to it.
-//   - A Batch owns a recycled one: it retains its chunks, growing by one
-//     chunk whenever a batch holds more results than it ever did before
-//     (never sized to the batch capacity up front: a punctuation-cut batch
-//     of eight results stays one chunk), and Batch recycling rewinds and
-//     zeroes it. Its tuples are valid until then, and the items that carry
-//     them say so (Item.Borrowed).
+//   - A Batch, and shj for one Process call's results, owns a recycled
+//     one: it keeps its chunks, growing by one whenever its owner holds
+//     more results than it ever did (never sized to the batch capacity up
+//     front: a punctuation-cut batch of eight results stays one chunk),
+//     and Rewind zeroes it when the batch is recycled or the call returns.
+//     Its tuples are valid until then, and their items say so (Borrowed).
 //
 // Not safe for concurrent use; must not be copied after first use.
 type ResultSlab struct {
@@ -119,11 +119,16 @@ func (r *ResultSlab) copyOf(t *Tuple) *Tuple {
 // grown to.
 func (r *ResultSlab) RetainedBytes() int { return r.hdrs.Cap()*40 + r.vals.Cap()*32 }
 
-// rewind ends the lifetime of every tuple of a recycled slab: what was
-// carved is zeroed — a stale reader finds a header with nil Values, and
-// the slab pins no payload — and the next tuple starts over at the first
-// chunk.
-func (r *ResultSlab) rewind() {
+// Rewind makes r a recycled slab, a Batch's kind, and ends the lifetime
+// of every tuple carved since the last Rewind: what was carved is zeroed
+// (a stale reader finds nil Values; the slab pins no payload) and the
+// next tuple starts at the first chunk. An owner that lends its tuples
+// (Item.Borrowed) calls it before its first tuple and when they die.
+func (r *ResultSlab) Rewind() {
+	if r.sized && !r.recycled {
+		panic("stream: Rewind of a holder's own ResultSlab")
+	}
+	r.recycled = true
 	r.hdrs.Reset()
 	r.vals.Reset()
 }

@@ -159,6 +159,32 @@ func TestBatchAppendRehomesBorrowed(t *testing.T) {
 	}
 }
 
+// TestRewindLendsAndRefusesAHoldersSlab: a slab rewound before its first
+// tuple is a recycled one — a second Rewind zeroes what it carved and the
+// next tuple reuses the chunk — and rewinding a holder's own slab after
+// it has carved panics, since its tuples belong to their holders.
+func TestRewindLendsAndRefusesAHoldersSlab(t *testing.T) {
+	a, c := pairOf(4)
+	var lent ResultSlab
+	lent.Rewind()
+	r := lent.Join(a, c, c.Ts)
+	lent.Rewind()
+	if r.Values != nil || r.Ts != 0 || r.Span != 0 {
+		t.Fatalf("a lent tuple reads %v after Rewind, want the zero header", r)
+	}
+	if again := lent.Join(a, c, c.Ts); again != r {
+		t.Error("the first tuple after Rewind did not reuse the first slot")
+	}
+	var own ResultSlab
+	own.Join(a, c, c.Ts)
+	defer func() {
+		if recover() == nil {
+			t.Error("Rewind of a holder's slab that had carved did not panic")
+		}
+	}()
+	own.Rewind()
+}
+
 // TestBatchSlabGrowsOnDemand: a batch's slab is never sized to the batch
 // capacity up front — a batch that holds eight results retains one chunk
 // of each kind — it grows to what the batch holds, and from then on

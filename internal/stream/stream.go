@@ -196,8 +196,8 @@ func (t *Tuple) Width() int { return len(t.Values) }
 // Join returns the concatenation of t and u as a fresh result tuple whose
 // timestamp is the later of the two inputs' timestamps. It is the
 // single-result form of FillJoin for tuples whose Ts is their arrival
-// time (the shj reference); the joins build their results through
-// FillJoin into chunked storage instead (see ResultSlab).
+// time (tests' references, the benchmark's drill); the joins, shj too,
+// build their results through FillJoin into chunked storage (ResultSlab).
 func (t *Tuple) Join(u *Tuple) *Tuple {
 	res := new(Tuple)
 	res.FillJoin(make([]value.Value, len(t.Values)+len(u.Values)), t, u, max(t.Ts, u.Ts))
@@ -280,14 +280,15 @@ func (k ItemKind) String() string {
 // rebuild (the sharded join's align forward) must preserve both.
 //
 // Borrowed marks a tuple that lives in the Batch that delivers the item
-// (Batch.AppendJoin: an exec edge builds a join's results there): the
-// tuple and its Values are valid until the Process / ProcessBatch call
-// that delivered the item returns — the lifetime of the items slice
-// itself — after which the batch is recycled and the header reads zero
-// (Values == nil). Reading it, or forwarding the item to an op.Emitter,
-// inside that call needs no care; retaining the item, the tuple or its
-// Values past it goes through ResultSlab.Keep. An item that is not
-// borrowed — everything a source, a direct drive or a plain emitter
+// (Batch.AppendJoin: an exec edge builds a join's results there) or in
+// the slab of the shj that emits it: the tuple and its Values are valid
+// until the Process / ProcessBatch call that delivered the item returns
+// — the lifetime of the items slice itself — after which the batch is
+// recycled (shj's slab rewound) and the header reads zero (Values ==
+// nil). Reading it, or forwarding the item to an op.Emitter, inside that
+// call needs no care; retaining the item, the tuple or its Values past
+// it goes through ResultSlab.Keep. An item that is not borrowed —
+// everything a source, a direct drive of PJoin or another plain emitter
 // delivers — is shared and immutable as before.
 type Item struct {
 	Kind     ItemKind
