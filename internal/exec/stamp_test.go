@@ -318,7 +318,8 @@ func runFanout(t *testing.T, a, b []stream.Item, want int, consume func(p *Pipel
 // the results in the batch it is filling and the batch comes back through
 // the edge's lane, so a result the consumer drops is no heap object at
 // all: the whole Run stays under 0.01 allocations and 10 B per result. It
-// reads 0.003 and 7.4 B (8.8 B while every stored live tuple also had a
+// reads 0.003 and 5.7 B (6.6 B while an Item was 64 bytes; 8.8 B while
+// every stored live tuple also had a
 // 40-byte arrival-stamped header: at fan-out 26 that is 1.6 B of a
 // result, which TestPipelineAllocsPerInput sees whole; 0.012 allocations
 // before index nodes came from slabs); with heap-built results (2
@@ -367,19 +368,21 @@ func TestPipelineAllocsPerInput(t *testing.T) {
 // borrowed tuple — chunked, 2 allocations per 31 results like the heap
 // results it replaces — on top of the collector's own growth, and no more
 // than the same run cost when the join built every result on the heap
-// (0.0725 to 0.08 allocations and 371 B per result): 0.067 and 375 B, the
+// (0.0725 to 0.08 allocations and 371 B per result): 0.067 and 325 B, the
 // same every run (a chunk is 31 results, not 32, and wastes no size
-// class; 376 B with the arrival-stamped headers the state no longer
-// makes). The collector's growth of 64 B Items is most of the bytes; the
-// byte bound keeps a 10 B margin over the reading.
+// class; 374 B while an Item was 64 bytes, 376 B with the
+// arrival-stamped headers the state no longer makes). The collector's
+// growth of 48 B Items is the largest share of the bytes (38%), its
+// chunked copies the next; the byte bound keeps a 10 B margin over the
+// reading.
 func TestPipelineAllocsPerKeptResult(t *testing.T) {
 	fa, fb := fanoutInput()
 	allocs, bytes := runFanout(t, fa, fb, fanoutResults, func(p *Pipeline, joined *Edge, _ *stream.Schema) func() int {
 		sink := p.Sink(joined)
 		return func() int { return len(sink.Tuples()) }
 	})
-	if allocs > 0.075 || bytes > 385 {
-		t.Errorf("%.4f allocations and %.1f B per result, want at most 0.075 and 385", allocs, bytes)
+	if allocs > 0.075 || bytes > 335 {
+		t.Errorf("%.4f allocations and %.1f B per result, want at most 0.075 and 335", allocs, bytes)
 	}
 }
 

@@ -2,7 +2,9 @@ package punct
 
 import (
 	"fmt"
+	"math"
 	"strings"
+	"unsafe"
 
 	"pjoin/internal/value"
 )
@@ -13,18 +15,45 @@ import (
 // the pattern at the same position. The semantics promise that no tuple
 // arriving after p in its stream matches p.
 //
-// A Punctuation is a window over a pattern slice: pats holds the patterns
-// of positions off, off+1, …, off+len(pats)-1 of a punctuation width
-// attributes wide, and every position outside the window is the wildcard.
-// New and Parse build a window over the whole width; Widen and Place
-// return views that share their receiver's slice. Nothing writes into a
-// pattern slice once a constructor has returned it, so the sharing is
-// safe: code in this package builds a new slice, never modifies one.
+// A Punctuation is a window over a pattern array: its n patterns hold
+// positions off, off+1, …, off+n-1 of a punctuation width attributes wide,
+// and every position outside the window is the wildcard. New and Parse
+// build a window over the whole width; Widen and Place return views that
+// share their receiver's array. Nothing writes into a pattern array once a
+// constructor has returned it, so the sharing is safe: code in this
+// package builds a new array, never modifies one.
+//
+// The window is 16 bytes, a pointer to its first pattern and three
+// int16, so a stream.Item carrying one is 48; a punctuation is at most
+// math.MaxInt16 attributes wide. Compare punctuations with Equal: ==
+// compares array addresses, and reflect.DeepEqual sees only the first
+// pattern. Keep it to four fields, the most the compiler holds in
+// registers (DESIGN.md §3).
 type Punctuation struct {
-	pats  []Pattern
-	off   int32
-	width int32
+	base  *Pattern // the window's first pattern; nil when n == 0
+	n     int16
+	off   int16
+	width int16
 }
+
+// window builds the punctuation whose patterns at off, off+1, … are pats,
+// width attributes wide; every constructor goes through it, with off and
+// off+len(pats) at most width, so bounding width bounds the offsets.
+func window(pats []Pattern, off, width int) (Punctuation, error) {
+	if width > math.MaxInt16 {
+		return Punctuation{}, fmt.Errorf("punct: width %d above %d", width, math.MaxInt16)
+	}
+	p := Punctuation{n: int16(len(pats)), off: int16(off), width: int16(width)}
+	if len(pats) > 0 {
+		p.base = &pats[0]
+	}
+	return p, nil
+}
+
+// pats returns the window's patterns. The unsafe.Slice is sound: window
+// took base from a slice at least n long, so the n patterns lie in one
+// array, which base keeps alive and nothing writes into.
+func (p Punctuation) pats() []Pattern { return unsafe.Slice(p.base, p.n) }
 
 // New builds a punctuation from its per-attribute patterns. At least one
 // pattern is required: a zero-width punctuation has no meaning.
@@ -34,7 +63,7 @@ func New(patterns ...Pattern) (Punctuation, error) {
 	}
 	ps := make([]Pattern, len(patterns))
 	copy(ps, patterns)
-	return Punctuation{pats: ps, width: int32(len(ps))}, nil
+	return window(ps, 0, len(ps))
 }
 
 // MustNew is New that panics on error; for tests and literals.
@@ -57,7 +86,7 @@ func KeyOnly(width, attr int, pat Pattern) (Punctuation, error) {
 	if attr < 0 || attr >= width {
 		return Punctuation{}, fmt.Errorf("punct: attribute %d out of range [0,%d)", attr, width)
 	}
-	return Punctuation{pats: []Pattern{pat}, off: int32(attr), width: int32(width)}, nil
+	return window([]Pattern{pat}, attr, width)
 }
 
 // MustKeyOnly is KeyOnly that panics on error.
@@ -78,7 +107,7 @@ func (p Punctuation) Widen(width, off int) (Punctuation, error) {
 	if p.IsZero() || off < 0 || off+p.Width() > width {
 		return Punctuation{}, fmt.Errorf("punct: cannot widen %s to width %d at offset %d", p, width, off)
 	}
-	return Punctuation{pats: p.pats, off: p.off + int32(off), width: int32(width)}, nil
+	return window(p.pats(), int(p.off)+off, width)
 }
 
 // Place returns the punctuation width attributes wide whose pattern at
@@ -90,11 +119,11 @@ func (p Punctuation) Place(attr, width, off int) (Punctuation, error) {
 	if attr < 0 || attr >= p.Width() || off < 0 || off >= width {
 		return Punctuation{}, fmt.Errorf("punct: cannot place attribute %d of %s at offset %d of width %d", attr, p, off, width)
 	}
-	out := Punctuation{off: int32(off), width: int32(width)}
-	if i := attr - int(p.off); i >= 0 && i < len(p.pats) {
-		out.pats = p.pats[i : i+1 : i+1]
+	pats := p.pats()
+	if i := attr - int(p.off); i >= 0 && i < len(pats) {
+		return window(pats[i:i+1], off, width)
 	}
-	return out, nil
+	return window(nil, off, width)
 }
 
 // IsZero reports whether p is the zero Punctuation (no patterns).
@@ -110,8 +139,8 @@ func (p Punctuation) PatternAt(i int) Pattern {
 	if uint(i) >= uint(p.width) {
 		panic("punct: PatternAt out of range")
 	}
-	if i -= int(p.off); i >= 0 && i < len(p.pats) {
-		return p.pats[i]
+	if i -= int(p.off); i >= 0 && i < int(p.n) {
+		return p.pats()[i]
 	}
 	return Pattern{}
 }
@@ -126,7 +155,7 @@ func (p Punctuation) Matches(attrs []value.Value) bool {
 		return false
 	}
 	attrs = attrs[p.off:]
-	for i, pat := range p.pats {
+	for i, pat := range p.pats() {
 		if !pat.Matches(attrs[i]) {
 			return false
 		}
@@ -144,7 +173,7 @@ func (p Punctuation) And(q Punctuation) (Punctuation, error) {
 	for i := range out {
 		out[i] = p.PatternAt(i).And(q.PatternAt(i))
 	}
-	return Punctuation{pats: out, width: p.width}, nil
+	return window(out, 0, len(out))
 }
 
 // overlaps reports whether some tuple matches both punctuations. Only
@@ -155,7 +184,7 @@ func (p *Punctuation) overlaps(q *Punctuation) bool {
 		return false
 	}
 	lo := int(min(p.off, q.off))
-	hi := max(int(p.off)+len(p.pats), int(q.off)+len(q.pats))
+	hi := max(int(p.off)+int(p.n), int(q.off)+int(q.n))
 	for i := lo; i < hi; i++ {
 		if p.PatternAt(i).Disjoint(q.PatternAt(i)) {
 			return false
@@ -168,7 +197,7 @@ func (p *Punctuation) overlaps(q *Punctuation) bool {
 // some attribute pattern is Empty. Empty punctuations carry no
 // information and operators drop them.
 func (p Punctuation) IsEmpty() bool {
-	for _, pat := range p.pats {
+	for _, pat := range p.pats() {
 		if pat.Kind() == Empty {
 			return true
 		}

@@ -1,6 +1,7 @@
 package punct
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -213,5 +214,59 @@ func TestPunctuationStringFormat(t *testing.T) {
 	s := MustNew(Const(iv(5)), Star()).String()
 	if !strings.HasPrefix(s, "<") || !strings.HasSuffix(s, ">") || !strings.Contains(s, "*") {
 		t.Errorf("unexpected punctuation format %q", s)
+	}
+}
+
+// TestWindowWidthLimit: a window's width and offsets are int16, so every
+// constructor accepts math.MaxInt16 and refuses one more instead of
+// truncating it. And cannot be handed a wider punctuation than its
+// inputs, so only its widest legal case is tried.
+func TestWindowWidthLimit(t *testing.T) {
+	const limit = math.MaxInt16
+	c := Const(iv(1))
+	stars := func(n int) []Pattern {
+		ps := make([]Pattern, n)
+		ps[n-1] = c
+		return ps
+	}
+	text := func(n int) string {
+		return "<" + strings.Repeat("*, ", n-1) + "1>"
+	}
+	one := MustNew(c)
+	and := func(n int) (Punctuation, error) {
+		p, err := New(stars(n)...)
+		if err != nil {
+			return p, err
+		}
+		return p.And(p)
+	}
+	for _, tc := range []struct {
+		name string
+		make func(n int) (Punctuation, error)
+	}{
+		{"New", func(n int) (Punctuation, error) { return New(stars(n)...) }},
+		{"KeyOnly", func(n int) (Punctuation, error) { return KeyOnly(n, n-1, c) }},
+		{"Widen", func(n int) (Punctuation, error) { return one.Widen(n, n-1) }},
+		{"Place", func(n int) (Punctuation, error) { return one.Place(0, n, n-1) }},
+		{"Parse", func(n int) (Punctuation, error) { return Parse(text(n)) }},
+		{"And", and},
+	} {
+		p, err := tc.make(limit)
+		if err != nil {
+			t.Fatalf("%s at width %d: %v", tc.name, limit, err)
+		}
+		if p.Width() != limit || !p.PatternAt(limit-1).Equal(c) || p.PatternAt(limit-2).Kind() != Wildcard {
+			t.Errorf("%s at width %d: width %d, last patterns %s %s",
+				tc.name, limit, p.Width(), p.PatternAt(limit-2), p.PatternAt(limit-1))
+		}
+		if !p.Matches(append(make([]value.Value, limit-1), iv(1))) {
+			t.Errorf("%s at width %d does not match its own row", tc.name, limit)
+		}
+		if tc.name == "And" {
+			continue
+		}
+		if p, err := tc.make(limit + 1); err == nil {
+			t.Errorf("%s at width %d: no error, width %d", tc.name, limit+1, p.Width())
+		}
 	}
 }

@@ -82,7 +82,7 @@ func exhaustiveOn(p Punctuation, attr int) bool {
 	if attr >= p.Width() {
 		return false
 	}
-	for i, pat := range p.pats {
+	for i, pat := range p.pats() {
 		if i+int(p.off) != attr && pat.kind != Wildcard {
 			return false
 		}

@@ -3,8 +3,6 @@ package punct
 import (
 	"math/rand"
 	"testing"
-
-	"pjoin/internal/value"
 )
 
 // TestWidenViewMatchesCopy holds the view Widen returns to the copy it
@@ -60,37 +58,14 @@ func TestWidenViewMatchesCopy(t *testing.T) {
 // differently.
 func sameAsCopy(t *testing.T, rng *rand.Rand, view, cp Punctuation) {
 	t.Helper()
-	if view.String() != cp.String() {
-		t.Fatalf("view %q, copy %q", view.String(), cp.String())
-	}
 	w := cp.Width()
-	if view.Width() != w || view.IsEmpty() != cp.IsEmpty() || view.IsZero() {
-		t.Fatalf("%s: view width %d empty %v zero %v, copy width %d empty %v",
-			cp, view.Width(), view.IsEmpty(), view.IsZero(), w, cp.IsEmpty())
+	full := make([]Pattern, w)
+	for i := range full {
+		full[i] = cp.PatternAt(i)
 	}
-	for i := 0; i < w; i++ {
-		if !view.PatternAt(i).Equal(cp.PatternAt(i)) {
-			t.Fatalf("%s: view pattern %d is %s", cp, i, view.PatternAt(i))
-		}
-	}
-	if !view.Equal(cp) || !cp.Equal(view) {
-		t.Fatalf("%s: view and copy are not Equal", cp)
-	}
-	row := func() []value.Value {
-		vs := make([]value.Value, w)
-		for i := range vs {
-			vs[i] = iv(rng.Int63n(8))
-		}
-		return vs
-	}
-	for r := 0; r < 32; r++ {
-		vs := row()
-		if view.Matches(vs) != cp.Matches(vs) {
-			t.Fatalf("%s: Matches(%v) is %v on the view", cp, vs, view.Matches(vs))
-		}
-	}
-	if view.Matches(append(row(), iv(0))) {
-		t.Fatalf("%s: view matches a wider row", cp)
+	agreesWithFull(t, view, full)
+	if view.IsEmpty() != cp.IsEmpty() || view.IsZero() {
+		t.Fatalf("%s: view empty %v zero %v, copy empty %v", cp, view.IsEmpty(), view.IsZero(), cp.IsEmpty())
 	}
 	other := make([]Pattern, w)
 	for i := range other {

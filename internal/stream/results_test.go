@@ -29,24 +29,24 @@ func sameTuple(t *testing.T, what string, got, want *Tuple) {
 }
 
 // TestItemSizeUnchangedByBorrowed: the lifetime mark sits in the padding
-// after Kind, and a punctuation is a slice and its window: 32 bytes, an
-// Item 64.
+// after Kind, and a punctuation is a pointer and its window: 16 bytes, an
+// Item 48.
 func TestItemSizeUnchangedByBorrowed(t *testing.T) {
 	type before struct {
 		Kind  ItemKind
 		Tuple *Tuple
 		Punct struct {
-			pats       [3]uintptr
-			off, width int32
+			base          uintptr
+			n, off, width int16
 		}
 		Ts   Time
 		Span uint64
 	}
-	if got, want := unsafe.Sizeof(Item{}), unsafe.Sizeof(before{}); got != want {
-		t.Errorf("Item is %d bytes, %d without the mark", got, want)
+	if got, want := unsafe.Sizeof(Item{}), unsafe.Sizeof(before{}); got != want || got != 48 {
+		t.Errorf("Item is %d bytes, %d without the mark, want 48", got, want)
 	}
-	if got := unsafe.Sizeof(punct.Punctuation{}); got != 32 {
-		t.Errorf("punct.Punctuation is %d bytes, want 32", got)
+	if got := unsafe.Sizeof(punct.Punctuation{}); got != 16 {
+		t.Errorf("punct.Punctuation is %d bytes, want 16", got)
 	}
 }
 
