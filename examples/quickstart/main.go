@@ -95,5 +95,5 @@ func main() {
 	fmt.Printf("\nresults=%d purged=%d punctuations out=%d\n",
 		m.TuplesOut, m.Purged, m.PunctsOut)
 	fmt.Println("\nevent-listener registry (paper Table 1 style):")
-	fmt.Print(join.Registry().String())
+	fmt.Print(join.Table1())
 }
