@@ -6,15 +6,15 @@
 //
 // The implementation lives under internal/:
 //
-//   - internal/core — PJoin itself (plus the §6 sliding-window
-//     extension; the §6 n-way join is a plan of binary PJoins) and the
+//   - internal/core — PJoin itself, with the §3.6 event table and
+//     monitor that run its components (plus the §6 sliding-window
+//     extension; the §6 n-way join is a plan of binary PJoins), and the
 //     XJoin baseline, the same operator without punctuation components
 //     (core.NewXJoin)
 //   - internal/shj — the naive symmetric hash join (correctness oracle)
 //   - internal/punct — punctuation patterns, sets and algebra
 //   - internal/stream, internal/value — the data model
 //   - internal/store — the hash-partitioned join state with spill-to-disk
-//   - internal/event — the event-driven component framework (§3.6)
 //   - internal/op, internal/exec — downstream operators and the live
 //     channel executor
 //   - internal/gen, internal/sim, internal/metrics, internal/bench — the

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"pjoin/internal/event"
 	"pjoin/internal/op"
 	"pjoin/internal/punct"
 	"pjoin/internal/stream"
@@ -34,7 +33,7 @@ func newCascade(t *testing.T, sink op.Emitter) *cascade {
 	c := &cascade{}
 	cfg := Config{
 		SchemaA: schemaA, SchemaB: schemaB,
-		Thresholds:         event.Thresholds{PropagateCount: 1},
+		Thresholds:         Thresholds{PropagateCount: 1},
 		VerifyPunctuations: true,
 	}
 	var err error

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"pjoin/internal/core"
-	"pjoin/internal/event"
 	"pjoin/internal/gen"
 	"pjoin/internal/op"
 	"pjoin/internal/oracle"
@@ -314,7 +313,7 @@ func TestIndexBuildKeyedMatchesScan(t *testing.T) {
 				cfg := core.Config{
 					SchemaA: gen.SchemaA, SchemaB: gen.SchemaB, AttrA: gen.KeyAttr, AttrB: gen.KeyAttr,
 					NumBuckets: 4, VerifyPunctuations: true,
-					Thresholds: event.Thresholds{Purge: 1, PropagateCount: sh.propagateCount},
+					Thresholds: core.Thresholds{Purge: 1, PropagateCount: sh.propagateCount},
 				}
 				r := newIdxRun(t, cfg, colliding)
 				var ts stream.Time
@@ -401,7 +400,7 @@ func TestIndexBuildKeyedOnOracleScenarios(t *testing.T) {
 				cfg := core.Config{
 					SchemaA: gen.SchemaA, SchemaB: gen.SchemaB, AttrA: gen.KeyAttr, AttrB: gen.KeyAttr,
 					NumBuckets: sc.NumBuckets,
-					Thresholds: event.Thresholds{
+					Thresholds: core.Thresholds{
 						Purge: sc.Purge, MemoryBytes: sc.MemoryBytes,
 						DiskJoinIdle: sc.DiskJoinIdle, PropagateCount: propagateCount,
 					},

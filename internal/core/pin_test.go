@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"pjoin/internal/core"
-	"pjoin/internal/event"
 	"pjoin/internal/gen"
 	"pjoin/internal/joinbase"
 	"pjoin/internal/op"
@@ -106,7 +105,7 @@ func buildPinned(t *testing.T, opName string, sc *oracle.Scenario, out op.Emitte
 		x, err := core.NewXJoin(core.Config{
 			SchemaA: gen.SchemaA, SchemaB: gen.SchemaB, AttrA: gen.KeyAttr, AttrB: gen.KeyAttr,
 			NumBuckets: sc.NumBuckets,
-			Thresholds: event.Thresholds{MemoryBytes: sc.MemoryBytes, DiskJoinIdle: sc.DiskJoinIdle},
+			Thresholds: core.Thresholds{MemoryBytes: sc.MemoryBytes, DiskJoinIdle: sc.DiskJoinIdle},
 		}, out)
 		if err != nil {
 			t.Fatal(err)
@@ -116,7 +115,7 @@ func buildPinned(t *testing.T, opName string, sc *oracle.Scenario, out op.Emitte
 	j, err := core.New(core.Config{
 		SchemaA: gen.SchemaA, SchemaB: gen.SchemaB, AttrA: gen.KeyAttr, AttrB: gen.KeyAttr,
 		NumBuckets: sc.NumBuckets,
-		Thresholds: event.Thresholds{
+		Thresholds: core.Thresholds{
 			Purge: sc.Purge, MemoryBytes: sc.MemoryBytes,
 			DiskJoinIdle: sc.DiskJoinIdle, PropagateCount: sc.PropagateCount,
 		},

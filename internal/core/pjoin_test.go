@@ -391,7 +391,7 @@ func TestRegistryTableMatchesConfig(t *testing.T) {
 	cfg.Thresholds.PropagateCount = 2
 	sink := &op.Collector{}
 	j, _ := New(cfg, sink)
-	table := j.Registry().String()
+	table := j.Table1()
 	for _, want := range []string{"state-purge", "state-relocation", "disk-join", "index-build", "punctuation-propagation"} {
 		if !strings.Contains(table, want) {
 			t.Errorf("registry table missing %s:\n%s", want, table)
@@ -405,7 +405,7 @@ func TestRegistryTableMatchesConfig(t *testing.T) {
 	// Eager index building drops the coupled index-build listener.
 	cfg.EagerIndex = true
 	j2, _ := New(cfg, sink)
-	for _, line := range strings.Split(j2.Registry().String(), "\n") {
+	for _, line := range strings.Split(j2.Table1(), "\n") {
 		if strings.Contains(line, "PropagateCountReachEvent") && strings.Contains(line, "index-build") {
 			t.Errorf("eager config still couples index build to propagation: %s", line)
 		}

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"pjoin/internal/event"
 	"pjoin/internal/gen"
 	"pjoin/internal/obs"
 	"pjoin/internal/obs/span"
@@ -80,8 +79,8 @@ func TestXJoinOperatorMetadata(t *testing.T) {
 	}
 	// The baseline's components: relocation and the disk join, nothing
 	// a punctuation fires.
-	reg := j.Registry().String()
-	for _, k := range []event.Kind{event.PurgeThresholdReach, event.PropagateCountReach, event.PropagateRequest} {
+	reg := j.Table1()
+	for _, k := range []event{purgeThresholdReach, propagateCountReach, propagateRequest} {
 		if strings.Contains(reg, k.String()) {
 			t.Errorf("registry has a %s row, want no punctuation listeners:\n%s", k, reg)
 		}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"pjoin/internal/core"
-	"pjoin/internal/event"
 	"pjoin/internal/gen"
 	"pjoin/internal/joinbase"
 	"pjoin/internal/obs"
@@ -268,10 +267,10 @@ func TestResultTsIsLaterPartnersArrival(t *testing.T) {
 			return core.New(core.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB}, out)
 		}},
 		{"xjoin_spill", true, func(out op.Emitter) (op.Operator, error) {
-			return core.NewXJoin(core.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB, Thresholds: event.Thresholds{MemoryBytes: 4 << 10}}, out)
+			return core.NewXJoin(core.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB, Thresholds: core.Thresholds{MemoryBytes: 4 << 10}}, out)
 		}},
 		{"xjoin_spill_chunked", true, func(out op.Emitter) (op.Operator, error) {
-			return core.NewXJoin(core.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB, Thresholds: event.Thresholds{MemoryBytes: 4 << 10}, DiskChunkBytes: 512}, out)
+			return core.NewXJoin(core.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB, Thresholds: core.Thresholds{MemoryBytes: 4 << 10}, DiskChunkBytes: 512}, out)
 		}},
 		{"pjoin_spill", true, func(out op.Emitter) (op.Operator, error) {
 			cfg := core.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB}
@@ -486,7 +485,7 @@ func TestBorrowedResultsEveryShape(t *testing.T) {
 		{name: "pjoin_sharded", a: a, b: b, first: pjoin, want: abc, wire: second(2), puncts: true},
 		{name: "xjoin_sink", a: a, b: b, want: multisetOf(ab), wire: direct,
 			first: func(out op.Emitter) (op.Operator, error) {
-				return core.NewXJoin(core.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB, Thresholds: event.Thresholds{MemoryBytes: 2 << 10}}, out)
+				return core.NewXJoin(core.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB, Thresholds: core.Thresholds{MemoryBytes: 2 << 10}}, out)
 			}},
 	}
 	for _, sh := range shapes {

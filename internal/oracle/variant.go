@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"pjoin/internal/core"
-	"pjoin/internal/event"
 	"pjoin/internal/gen"
 	"pjoin/internal/joinbase"
 	"pjoin/internal/obs"
@@ -202,8 +201,8 @@ func spillStack(sc *Scenario, v Variant) store.SpillStore {
 	return s
 }
 
-func (sc *Scenario) thresholds() event.Thresholds {
-	return event.Thresholds{
+func (sc *Scenario) thresholds() core.Thresholds {
+	return core.Thresholds{
 		Purge:          sc.Purge,
 		MemoryBytes:    sc.MemoryBytes,
 		DiskJoinIdle:   sc.DiskJoinIdle,

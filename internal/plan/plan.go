@@ -23,7 +23,6 @@ import (
 	"fmt"
 
 	"pjoin/internal/core"
-	"pjoin/internal/event"
 	"pjoin/internal/exec"
 	"pjoin/internal/op"
 	"pjoin/internal/stream"
@@ -57,7 +56,7 @@ func joinConfig(name string, in []*stream.Schema, opts JoinOptions) core.Config 
 		OutName:            name,
 		Window:             opts.Window,
 		VerifyPunctuations: opts.Verify,
-		Thresholds: event.Thresholds{
+		Thresholds: core.Thresholds{
 			Purge:          defaultInt(opts.PurgeThreshold, 1),
 			PropagateCount: defaultInt(opts.PropagateCount, 1),
 			MemoryBytes:    opts.MemoryBytes,

@@ -8,6 +8,7 @@ import (
 	"pjoin/internal/core"
 	"pjoin/internal/gen"
 	"pjoin/internal/op"
+	"pjoin/internal/punct"
 	"pjoin/internal/stream"
 	"pjoin/internal/value"
 )
@@ -202,11 +203,19 @@ func TestPlanGroupByCount(t *testing.T) {
 
 // TestPlanPropagateCount: PropagateCount 0 builds the default push
 // propagation after every punctuation, and a negative value turns push
-// propagation off.
+// propagation off. Five punctuations arrive on the left input; push
+// propagation releases them in groups of the threshold, each group
+// stamped with the arrival that reached it, and Finish releases the rest
+// at the end of the streams.
 func TestPlanPropagateCount(t *testing.T) {
-	for _, c := range []struct{ opt, want int }{{0, 1}, {-1, 0}, {4, 4}} {
+	var left []stream.Item
+	for k := int64(1); k <= 5; k++ {
+		p := punct.MustKeyOnly(gen.SchemaA.Width(), gen.KeyAttr, punct.Const(value.Int(k)))
+		left = append(left, stream.PunctItem(p, stream.Time(10*k)))
+	}
+	for _, c := range []struct{ opt, stamps int }{{0, 5}, {-1, 1}, {4, 2}} {
 		p := New()
-		p.Source("a", gen.SchemaA, nil, false)
+		p.Source("a", gen.SchemaA, left, false)
 		p.Source("b", gen.SchemaB, nil, false)
 		p.PJoin("j", "a", "b", JoinOptions{PropagateCount: c.opt})
 		p.Sink("out", "j")
@@ -214,9 +223,15 @@ func TestPlanPropagateCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := res.Operators["j"].(*core.PJoin).Monitor().CurrentThresholds().PropagateCount
-		if got != c.want {
-			t.Errorf("PropagateCount %d built %d, want %d", c.opt, got, c.want)
+		stamps := map[stream.Time]bool{}
+		for _, it := range res.Sinks["out"].Items {
+			if it.Kind == stream.KindPunct {
+				stamps[it.Ts] = true
+			}
+		}
+		if len(stamps) != c.stamps {
+			t.Errorf("PropagateCount %d released the punctuations at %d distinct times, want %d: %v",
+				c.opt, len(stamps), c.stamps, stamps)
 		}
 	}
 }
