@@ -70,9 +70,6 @@ func NewCachedSpill(inner SpillStore, capacity int64) *CachedSpill {
 	}
 }
 
-// Inner returns the wrapped store.
-func (c *CachedSpill) Inner() SpillStore { return c.inner }
-
 // CacheStats returns the cache counters.
 func (c *CachedSpill) CacheStats() CacheStats {
 	c.mu.Lock()

@@ -65,10 +65,6 @@ type Bucket struct {
 // MemLen returns the number of memory-resident tuples in the bucket.
 func (b *Bucket) MemLen() int { return b.mem.ntuples }
 
-// MemGroups returns the number of distinct join keys resident in the
-// bucket.
-func (b *Bucket) MemGroups() int { return b.mem.ngroups }
-
 // ForEachMem calls fn for every memory-resident tuple in arrival order.
 // fn must not mutate the state.
 func (b *Bucket) ForEachMem(fn func(*StoredTuple)) {
@@ -167,9 +163,6 @@ func (st *State) SetHashFuncForTest(fn func(value.Value) uint64) {
 
 // Name returns the state's stream name.
 func (st *State) Name() string { return st.name }
-
-// Attr returns the join attribute index.
-func (st *State) Attr() int { return st.attr }
 
 // NumBuckets returns the bucket count.
 func (st *State) NumBuckets() int { return len(st.bkts) }
