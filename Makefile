@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint census allow-count race exec-stress check examples figures-check loc loc-check oracle traced-oracle oracle-poison soak fuzz bench-alloc bench-scaling flight-sample trace-sample
+.PHONY: build test vet lint census allow-count race exec-stress check examples figures-check loc loc-check oracle traced-oracle oracle-poison soak fuzz bench-alloc flight-sample trace-sample
 
 build:
 	$(GO) build ./...
@@ -75,9 +75,8 @@ examples:
 
 # Paper reproduction gate: every experiment is deterministic — virtual
 # clock, seeded workloads — so every plotted series of `pjoinbench -all`
-# must come back byte for byte as committed in results.csv (scale1's
-# cost-model rows and ext-latency's latency quantiles included; scale1's
-# wall-clock columns are not in the CSV). About 34 s on a 2-vCPU Intel
+# must come back byte for byte as committed in results.csv (ext-latency's
+# latency quantiles included). About 34 s on a 2-vCPU Intel
 # Xeon; 49 s on the same machine while the latency sweeps still ran
 # apart, as -bench4 / -bench5 JSON files with every cell run twice.
 # CI's check job runs it after `make check`. A change that means
@@ -111,7 +110,7 @@ figures-check:
 # shrinks the tree lowers the ceiling to its measured figure, and one
 # that must grow it raises the ceiling in the same diff, where review
 # sees it.
-LOC_CEILING := 22419
+LOC_CEILING := 21716
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' \
 		! -path './.bench_build/*' ! -path './internal/lint/*/testdata/*' \
@@ -122,17 +121,18 @@ loc-check:
 		{ echo "loc-check: $$n non-test Go lines, the ceiling is $(LOC_CEILING)" >&2; exit 1; }
 
 # Differential oracle soak: ORACLE_SEEDS seeded scenarios, each run
-# through the full 59-row operator configuration matrix (PJoin/XJoin x
-# disk-pass schedule {drained, 512 B steps} x shards x spill cache x
-# fault injection, one 64 KiB-budget row per operator, the
-# batched-delivery rows, and the scrambled rows whose tuples' own Ts is
-# not their arrival time; XJoin is core.NewXJoin, the join without its
-# punctuation components) against the brute-force shj oracle and each
-# other, every row's counters against what it was fed and emitted. About
-# 8 s on a 2-vCPU Intel Xeon. Failures auto-shrink to a
+# through the full 38-row operator configuration matrix (PJoin/XJoin x
+# disk-pass schedule {drained, 512 B steps} x spill cache x fault
+# injection, one 64 KiB-budget row per operator, the batched-delivery
+# rows, and the scrambled rows whose tuples' own Ts is not their arrival
+# time; XJoin is core.NewXJoin, the join without its punctuation
+# components) against the brute-force shj oracle and each other, every
+# row's counters against what it was fed and emitted. About 15 s for
+# 400 seeds on a 2-vCPU Intel Xeon, where 200 seeds took 12-13 s while
+# the matrix still had its 21 sharded rows. Failures auto-shrink to a
 # one-line replay spec (feed it to `pjoinbench -oracle-replay`). See
 # DESIGN.md §11.
-ORACLE_SEEDS ?= 200
+ORACLE_SEEDS ?= 400
 oracle:
 	ORACLE_SEEDS=$(ORACLE_SEEDS) $(GO) test ./internal/oracle/ -run TestSoak -count=1 -timeout 600s -v
 
@@ -155,8 +155,8 @@ oracle-poison:
 	GOFLAGS=-tags=pjoin_poison $(MAKE) oracle traced-oracle
 
 # The long form of core's TestLifecycleSoak: 10^7 tuples through each of
-# its twelve runs (constant, range and mixed punctuations; one join and
-# two shards; with and without spilling), holding punctuation sets and
+# its six runs (constant, range and mixed punctuations; with and without
+# spilling), holding punctuation sets and
 # state under their bounds with no growth over the second half. The
 # tier-1 form feeds 16,000 tuples per run.
 soak:
@@ -220,7 +220,3 @@ bench-alloc:
 	$(GO) test -run='TestPunctPathAllocs' -count=1 -v ./internal/core/ | grep -E 'per punctuation|^(ok|FAIL|---)'
 	$(GO) test -run='TestGroupByPunctAllocs' -count=1 -v ./internal/op/ | grep -E 'per punctuation|^(ok|FAIL|---)'
 	$(GO) test -run='TestInsertPurgeCycleReusesWrappers' -count=1 -v ./internal/store/ | grep -E 'wrapper chunks|^(ok|FAIL|---)'
-
-# ShardedPJoin scaling sweep (wall clock + cost-model makespan).
-bench-scaling:
-	$(GO) run ./cmd/pjoinbench -fig scale1

@@ -3,8 +3,7 @@
 // prints each figure's series as a summary table plus an ASCII chart,
 // optionally exporting the raw series as CSV. Every experiment runs on
 // the simulator's virtual clock and its series are gated byte for byte
-// (`make figures-check`); only scale1 prints wall-clock columns, which
-// stay out of the CSV. What the engine costs on the wall clock is
+// (`make figures-check`). What the engine costs on the wall clock is
 // measured by benchmark/ and nowhere else.
 //
 // Usage:
@@ -14,7 +13,6 @@
 //	pjoinbench -all              # every figure and table
 //	pjoinbench -fig 9 -quick     # 1/10th horizon smoke run
 //	pjoinbench -fig 7 -csv out.csv
-//	pjoinbench -fig scale1 -shards 1,4,16   # ShardedPJoin scaling sweep
 //	pjoinbench -fig 5 -trace fig5.jsonl     # JSONL span trace of the run (read it with pjointrace)
 //	pjoinbench -fig 5 -live 10 -csv out.csv # sample live gauges every 10ms
 //	pjoinbench -fig ext-latency             # latency quantiles per punct rate and chunk budget
@@ -30,8 +28,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"pjoin/internal/bench"
@@ -50,7 +46,6 @@ func main() {
 		seed   = flag.Uint64("seed", 1, "workload seed")
 		durMs  = flag.Int64("duration-ms", 0, "override virtual horizon in milliseconds")
 		csv    = flag.String("csv", "", "write the raw series to this CSV file")
-		shards = flag.String("shards", "", "comma-separated shard counts for the scaling experiments (e.g. 1,2,4,8)")
 		trace  = flag.String("trace", "", "write the operators' spans, every tuple admitted, as a JSONL trace to this file (.gz compresses); analyze with pjointrace")
 		liveMs = flag.Int64("live", 0, "sample live operator gauges every N virtual milliseconds (series go to -csv)")
 		flight = flag.String("flight-sample", "", "run the fault-injection flight-recorder scenario and write the dump to this file (.gz compresses)")
@@ -60,7 +55,7 @@ func main() {
 
 		oracleN      = flag.Int("oracle", 0, "differential oracle soak: check this many seeds (starting at -seed) across the full config matrix")
 		oracleOut    = flag.String("oracle-out", "", "oracle: write minimized replay specs of failing seeds to this file (CI failure artifact)")
-		oracleReplay = flag.String("oracle-replay", "", "replay one minimized oracle spec, e.g. \"seed=42 variant=pjoin/shards=2 check=puncts prefix=107 drop=3,9\"")
+		oracleReplay = flag.String("oracle-replay", "", "replay one minimized oracle spec, e.g. \"seed=42 variant=pjoin/chunk=512 check=puncts prefix=107 drop=3,9\"")
 	)
 	flag.Parse()
 
@@ -90,12 +85,6 @@ func main() {
 		return
 	}
 
-	shardCounts, err := parseShards(*shards)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
 	if *list {
 		for _, e := range bench.Experiments() {
 			fmt.Printf("%-8s %s\n", e.ID, e.Title)
@@ -107,7 +96,6 @@ func main() {
 		Seed:         *seed,
 		Quick:        *quick,
 		Duration:     stream.Time(*durMs) * stream.Millisecond,
-		Shards:       shardCounts,
 		DiskChunkKB:  *chunkKB,
 		SpillCacheMB: *cacheMB,
 	}
@@ -210,21 +198,4 @@ func writeFile(path string, write func(io.Writer) error) error {
 		err = cerr
 	}
 	return err
-}
-
-// parseShards turns "1,2,4,8" into shard counts; empty input keeps the
-// experiments' defaults.
-func parseShards(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("pjoinbench: bad -shards value %q (want positive integers, e.g. 1,2,4,8)", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }

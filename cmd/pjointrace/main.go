@@ -97,10 +97,9 @@ type punctLife struct {
 // purgeRun identifies one purge run; its spans (one per attributed
 // punctuation) share a wall duration that must be counted once.
 type purgeRun struct {
-	at    stream.Time
-	shard int32
-	side  int8
-	d     int64
+	at   stream.Time
+	side int8
+	d    int64
 }
 
 // tupleLife is one sampled tuple's reconstructed path.
@@ -220,7 +219,7 @@ func (a *analysis) add(s span.Span) {
 		p.memFreed += s.N
 		p.parked += s.M
 		p.bytes += s.B
-		run := purgeRun{at: s.At, shard: s.Shard, side: s.Side, d: s.D}
+		run := purgeRun{at: s.At, side: s.Side, d: s.D}
 		if _, seen := p.runs[run]; !seen {
 			p.runs[run] = struct{}{}
 			p.purgeWall += s.D
@@ -253,7 +252,7 @@ func (a *analysis) add(s span.Span) {
 	case span.KindPunctEmit:
 		p := a.punct(s)
 		p.emitted = true
-		if s.Shard < 0 && s.D > p.emitDelay {
+		if s.D > p.emitDelay {
 			p.emitDelay = s.D
 		}
 	case span.KindPunctEOSClose:

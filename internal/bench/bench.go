@@ -33,9 +33,6 @@ type RunConfig struct {
 	Duration stream.Time
 	// Quick shortens the run for tests and smoke benches.
 	Quick bool
-	// Shards overrides the shard counts of the scaling experiments
-	// (default 1, 2, 4, 8).
-	Shards []int
 	// Tracer, when set, receives the spans of every operator the
 	// experiment builds, and makes the simulated drive admit every tuple
 	// into tracing (pjoinbench -trace).
@@ -93,13 +90,6 @@ func (rc RunConfig) admitted(arrs []gen.Arrival) []gen.Arrival {
 		out[i] = a
 	}
 	return out
-}
-
-func (rc RunConfig) shardCounts() []int {
-	if len(rc.Shards) > 0 {
-		return rc.Shards
-	}
-	return []int{1, 2, 4, 8}
 }
 
 func (rc RunConfig) seed() uint64 {

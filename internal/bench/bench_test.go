@@ -56,7 +56,6 @@ func TestRegistryComplete(t *testing.T) {
 		"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
 		"fig12", "fig13", "fig14", "table1",
 		"abl-index", "ext-window", "ext-latency",
-		"scale1",
 	}
 	have := map[string]bool{}
 	for _, e := range Experiments() {
@@ -305,43 +304,5 @@ func TestShapesRobustAcrossSeeds(t *testing.T) {
 		if !(rP1 < rX && rX < rLazy) {
 			t.Errorf("seed %d: fig12 ordering lost: %g %g %g", seed, rP1, rX, rLazy)
 		}
-	}
-}
-
-// TestScale1Shape asserts the tentpole acceptance criterion: 4 shards
-// reach at least 2x the single-instance model throughput, and more
-// shards never reduce it. Wall-clock columns are machine-dependent and
-// not asserted; the model speedup (column 5) is deterministic.
-func TestScale1Shape(t *testing.T) {
-	rep := quick(t, "scale1")
-	if len(rep.Rows) != 5 {
-		t.Fatalf("rows = %d, want header + 4 shard counts", len(rep.Rows))
-	}
-	s1 := cell(t, rep, 1, 5)
-	s2 := cell(t, rep, 2, 5)
-	s4 := cell(t, rep, 3, 5)
-	s8 := cell(t, rep, 4, 5)
-	if s1 != 1.0 {
-		t.Errorf("single-shard speedup = %.2f, want 1.00", s1)
-	}
-	if s4 < 2.0 {
-		t.Errorf("4-shard model speedup = %.2f, want >= 2x single instance", s4)
-	}
-	if !(s1 < s2 && s2 < s4 && s4 < s8) {
-		t.Errorf("speedup not monotone: %v %v %v %v", s1, s2, s4, s8)
-	}
-	// Routing balance: hash partitioning keeps skew near 1.
-	for row := 1; row <= 4; row++ {
-		if skew := cell(t, rep, row, 6); skew > 1.5 {
-			t.Errorf("row %d: shard skew %.2f too high", row, skew)
-		}
-	}
-	// The custom shard sweep is honoured.
-	rep2 := runAt(t, "scale1", RunConfig{Quick: true, Shards: []int{1, 3}})
-	if len(rep2.Rows) != 3 {
-		t.Fatalf("custom sweep rows = %d, want header + 2", len(rep2.Rows))
-	}
-	if got := cell(t, rep2, 2, 0); got != 3 {
-		t.Errorf("custom sweep shard count = %v, want 3", got)
 	}
 }

@@ -279,10 +279,6 @@ func newJoin(cfg Config, out op.Emitter, xjoin bool) (*PJoin, error) {
 	// retires into its set's closed keys (punct.Set.Applied). §3.5
 	// removes it at once, and then a late opposite tuple it covers is
 	// stored until EOS.
-	// Retention also makes hash-partitioned parallel PJoin
-	// (internal/parallel) equal to a single instance on punctuations that
-	// span several join keys: each partition reaches count zero at its
-	// own pace. An extension beyond the paper.
 	for s, attr := range j.attrs {
 		ps := punct.NewKeyedSet(attr, cfg.VerifyPunctuations)
 		ps.NoRelease = cfg.DisablePropagation
@@ -533,8 +529,8 @@ func (j *PJoin) processTuple(s int, t *stream.Tuple, ts stream.Time) error {
 
 // processPunct records a punctuation into its side's set and fires the
 // events the monitor finds due (state purge, index build, propagation).
-// trace is the punctuation's provenance trace if an upstream component
-// (the sharded router) already allocated one; 0 makes this operator the
+// trace is the punctuation's provenance trace if an upstream join already
+// allocated one (it rides the item: Item.Span); 0 makes this operator the
 // trace root.
 func (j *PJoin) processPunct(s int, p punct.Punctuation, ts stream.Time, trace uint64) error {
 	j.base.M.PunctsIn[s]++
@@ -968,9 +964,8 @@ func (j *PJoin) propagate(now stream.Time, final bool) error {
 				return err
 			}
 			outIt := stream.PunctItem(outP, now)
-			// The released punctuation keeps its provenance trace, so the
-			// sharded join's align (and any downstream consumer) can close the
-			// lifecycle under the same trace.
+			// The released punctuation keeps its provenance trace, so a
+			// downstream join continues the lifecycle under the same trace.
 			outIt.Span = e.TraceID
 			if err := j.out.Emit(outIt); err != nil {
 				return err
@@ -1000,10 +995,8 @@ func (j *PJoin) outputPunctuation(s int, p punct.Punctuation) (punct.Punctuation
 	return OutputPunctuation(j.cfg.SchemaA, j.cfg.SchemaB, s, p)
 }
 
-// OutputPunctuation is the rewrite as a standalone function, shared with
-// the sharded join's router (internal/parallel), which must compute the
-// same output form to key its merge-alignment bookkeeping before the
-// shards propagate.
+// OutputPunctuation is the rewrite as a standalone function, for callers
+// that predict a join's output form from its inputs.
 func OutputPunctuation(schemaA, schemaB *stream.Schema, s int, p punct.Punctuation) (punct.Punctuation, error) {
 	off := 0
 	if s == 1 {

@@ -7,9 +7,7 @@ import (
 
 	"pjoin/internal/core"
 	"pjoin/internal/gen"
-	"pjoin/internal/joinbase"
 	"pjoin/internal/op"
-	"pjoin/internal/parallel"
 	"pjoin/internal/punct"
 	"pjoin/internal/stream"
 	"pjoin/internal/value"
@@ -54,20 +52,12 @@ func soakCases() []soakCase {
 	}
 }
 
-// soakJoin is what the soak reads of a single or sharded join.
-type soakJoin interface {
-	op.Operator
-	StateTuples() int
-	PunctSetSizes() (a, b int)
-	Metrics() joinbase.Metrics
-}
-
-// TestLifecycleSoak runs each workload, on one join and on two shards,
-// with and without spilling, the join's output feeding a group-by on the
-// join attribute as in the paper's Fig. 1 plan, and samples the
+// TestLifecycleSoak runs each workload with and without spilling, the
+// join's output feeding a group-by on the join attribute as in the
+// paper's Fig. 1 plan, and samples the
 // punctuation sets, the state and the group-by's closed intervals as it
 // goes. Each must stay under a bound that follows from the workload —
-// punctuations: two per open key and side, per shard; tuples: twice the
+// punctuations: two per open key and side; tuples: twice the
 // open keys times the tuples both sides send per punctuation; closed
 // intervals: one, plus one per gap below the highest key closed, and a
 // gap needs a key A has not closed downstream yet: open, or its
@@ -75,22 +65,19 @@ type soakJoin interface {
 // of the run.
 func TestLifecycleSoak(t *testing.T) {
 	for _, sc := range soakCases() {
-		for _, shards := range []int{1, 2} {
-			for _, spill := range []bool{false, true} {
-				name := fmt.Sprintf("%s/shards=%d/spill=%v", sc.name, shards, spill)
-				t.Run(name, func(t *testing.T) {
-					start := time.Now()
-					sets, state, closed := soakRun(t, sc, shards, spill)
-					setBound := 2 * soakWindow * 2 * shards
-					stateBound := int(2 * soakWindow * (sc.a.PunctMean + sc.b.PunctMean))
-					closedBound := 1 + soakWindow + setBound/2
-					checkSoak(t, "punctuations held", sets, setBound)
-					checkSoak(t, "state tuples", state, stateBound)
-					checkSoak(t, "group-by closed intervals", closed, closedBound)
-					t.Logf("%d tuples in %v: punctuations held peak %d (bound %d), state tuples peak %d (bound %d), group-by closed intervals peak %d (bound %d)",
-						soakTuples, time.Since(start).Round(time.Millisecond), peak(sets), setBound, peak(state), stateBound, peak(closed), closedBound)
-				})
-			}
+		for _, spill := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/spill=%v", sc.name, spill), func(t *testing.T) {
+				start := time.Now()
+				sets, state, closed := soakRun(t, sc, spill)
+				setBound := 2 * soakWindow * 2
+				stateBound := int(2 * soakWindow * (sc.a.PunctMean + sc.b.PunctMean))
+				closedBound := 1 + soakWindow + setBound/2
+				checkSoak(t, "punctuations held", sets, setBound)
+				checkSoak(t, "state tuples", state, stateBound)
+				checkSoak(t, "group-by closed intervals", closed, closedBound)
+				t.Logf("%d tuples in %v: punctuations held peak %d (bound %d), state tuples peak %d (bound %d), group-by closed intervals peak %d (bound %d)",
+					soakTuples, time.Since(start).Round(time.Millisecond), peak(sets), setBound, peak(state), stateBound, peak(closed), closedBound)
+			})
 		}
 	}
 }
@@ -98,7 +85,7 @@ func TestLifecycleSoak(t *testing.T) {
 // soakRun feeds soakTuples tuples of sc through a join into a group-by
 // counting per join key, and returns the punctuations held, the state
 // tuples and the group-by's closed intervals, sampled 200 times.
-func soakRun(t *testing.T, sc soakCase, shards int, spill bool) (sets, state, closed []int) {
+func soakRun(t *testing.T, sc soakCase, spill bool) (sets, state, closed []int) {
 	t.Helper()
 	cfg := core.Config{
 		SchemaA: gen.SchemaA, SchemaB: gen.SchemaB,
@@ -111,15 +98,8 @@ func soakRun(t *testing.T, sc soakCase, shards int, spill bool) (sets, state, cl
 		cfg.Thresholds.DiskJoinIdle = stream.Millisecond
 		cfg.DiskChunkBytes = 4 << 10
 	}
-	var j soakJoin
 	var g *op.GroupBy
-	var err error
-	out := op.EmitterFunc(func(it stream.Item) error { return g.Process(0, it, it.Ts) })
-	if shards == 1 {
-		j, err = core.New(cfg, out)
-	} else {
-		j, err = parallel.New(parallel.Config{Shards: shards, Join: cfg}, out)
-	}
+	j, err := core.New(cfg, op.EmitterFunc(func(it stream.Item) error { return g.Process(0, it, it.Ts) }))
 	if err != nil {
 		t.Fatal(err)
 	}

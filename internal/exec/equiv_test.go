@@ -2,7 +2,6 @@ package exec
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -10,78 +9,12 @@ import (
 	"pjoin/internal/core"
 	"pjoin/internal/gen"
 	"pjoin/internal/joinbase"
-	"pjoin/internal/obs"
 	"pjoin/internal/op"
-	"pjoin/internal/parallel"
 	"pjoin/internal/punct"
 	"pjoin/internal/shj"
 	"pjoin/internal/stream"
 	"pjoin/internal/value"
 )
-
-// A sharded join spawned whole keeps its source-fed inputs abreast, as
-// one PJoin does.
-var _ EventTimeAligned = (*parallel.ShardedPJoin)(nil)
-
-// TestShardedPullPropagation spawns a 2-shard join whole, with push
-// propagation off and input A held open by a paced item an hour out, so
-// its punctuations can come out before EOS only through a pull. Align
-// forwards a punctuation once every shard has propagated it: both coming
-// out shows that a pull of the router reached every shard.
-func TestShardedPullPropagation(t *testing.T) {
-	p := NewPipeline()
-	srcA, srcB := p.Edge(), p.Edge()
-	cfg := core.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB}
-	cfg.Thresholds.Purge = 1 // PropagateCount 0: no push propagation
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	var results, puncts int
-	j, err := parallel.New(parallel.Config{Shards: 2, Join: cfg}, op.EmitterFunc(func(it stream.Item) error {
-		switch it.Kind {
-		case stream.KindTuple:
-			results++
-		case stream.KindPunct:
-			if puncts++; puncts == 2 {
-				cancel()
-			}
-		}
-		return nil
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Spawn(j, srcA, srcB); err != nil {
-		t.Fatal(err)
-	}
-	pull, err := p.Pull(j)
-	if err != nil {
-		t.Fatalf("ShardedPJoin must be pullable: %v", err)
-	}
-	keyP := func(k int64, ts stream.Time) stream.Item {
-		return stream.PunctItem(punct.MustKeyOnly(2, 0, punct.Const(value.Int(k))), ts)
-	}
-	p.SourceItems(srcA, []stream.Item{
-		stream.TupleItem(stream.MustTuple(gen.SchemaA, 1, value.Int(1), value.Str("a"))),
-		keyP(1, 2),
-		stream.TupleItem(stream.MustTuple(gen.SchemaA, stream.Time(time.Hour), value.Int(2), value.Str("never"))),
-	}, true)
-	p.SourceItems(srcB, []stream.Item{
-		stream.TupleItem(stream.MustTuple(gen.SchemaB, 1, value.Int(1), value.Str("b"))),
-		keyP(1, 2),
-	}, false)
-	go func() { // pull until both punctuations are out
-		for ctx.Err() == nil {
-			pull.Request()
-			time.Sleep(time.Millisecond)
-		}
-	}()
-	if err := p.Run(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Run: %v; want both punctuations out before the deadline (%d of 2)", err, puncts)
-	}
-	if results != 1 || puncts != 2 {
-		t.Errorf("%d results, %d punctuations; want 1 and 2", results, puncts)
-	}
-}
 
 // tsAudit wraps the operator under test and checks the driver's
 // restamping contract on what it is handed: one strictly increasing
@@ -104,10 +37,9 @@ func (a *tsAudit) ProcessBatch(port int, items []stream.Item, now stream.Time) e
 	return op.ProcessAll(a.Operator, port, items)
 }
 
-// TestBatchedPipelineEquivalence pins the tentpole claim: the batch size
-// is a value, not a mode. The same workload runs through every cell of
-// BatchSize {0, 1, 8, 256} × linger {0, 1 ms} × shards {1, 2} (a sharded
-// cell spawns parallel.New whole, the audit wrapping it); joined value
+// TestBatchedPipelineEquivalence pins that the batch size is a value, not
+// a mode. The same workload runs through every cell of BatchSize {0, 1,
+// 8, 256} × linger {0, 1 ms}, plus batch 64 at 1 ms; joined value
 // multisets and propagated punctuation multisets must match the first
 // cell exactly (live restamps differ, so timestamps are excluded), EOS
 // reaches the sink exactly once and last, and the join is handed strictly
@@ -120,24 +52,14 @@ func (a *tsAudit) ProcessBatch(port int, items []stream.Item, now stream.Time) e
 func TestBatchedPipelineEquivalence(t *testing.T) {
 	a, b := splitSynthetic(t, 17, 600, 8)
 
-	run := func(batch int, linger time.Duration, shards int) (map[string]int, map[string]int) {
+	run := func(batch int, linger time.Duration) (map[string]int, map[string]int) {
 		p := NewPipeline()
 		p.BatchSize = batch
 		p.BatchLinger = linger
 		srcA, srcB, out := p.Edge(), p.Edge(), p.Edge()
 		cfg := core.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB}
 		cfg.Thresholds.PropagateCount = 1
-		var j interface {
-			op.Operator
-			Metrics() joinbase.Metrics
-			Latencies() obs.LatSnapshot
-		}
-		var err error
-		if shards > 1 {
-			j, err = parallel.New(parallel.Config{Shards: shards, Join: cfg}, out)
-		} else {
-			j, err = core.New(cfg, out)
-		}
+		j, err := core.New(cfg, out)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,26 +71,26 @@ func TestBatchedPipelineEquivalence(t *testing.T) {
 		}
 		sink := p.Sink(out)
 		if err := p.Run(context.Background()); err != nil {
-			t.Fatalf("batch=%d linger=%v shards=%d: %v", batch, linger, shards, err)
+			t.Fatalf("batch=%d linger=%v: %v", batch, linger, err)
 		}
 		if audit.maxLen > max(batch, 1) {
-			t.Errorf("batch=%d linger=%v shards=%d: delivered a batch of %d items",
-				batch, linger, shards, audit.maxLen)
+			t.Errorf("batch=%d linger=%v: delivered a batch of %d items",
+				batch, linger, audit.maxLen)
 		}
 		for i, it := range sink.Items {
 			if (it.Kind == stream.KindEOS) != (i == len(sink.Items)-1) {
-				t.Errorf("batch=%d linger=%v shards=%d: sink item %d of %d is %v; want EOS exactly once, last",
-					batch, linger, shards, i, len(sink.Items), it.Kind)
+				t.Errorf("batch=%d linger=%v: sink item %d of %d is %v; want EOS exactly once, last",
+					batch, linger, i, len(sink.Items), it.Kind)
 			}
 		}
 		m, lat := j.Metrics(), j.Latencies()
 		if lat.PunctDelay.Count != m.PunctsOut {
-			t.Errorf("batch=%d linger=%v shards=%d: PunctDelay.Count=%d, PunctsOut=%d: a propagation went unmeasured",
-				batch, linger, shards, lat.PunctDelay.Count, m.PunctsOut)
+			t.Errorf("batch=%d linger=%v: PunctDelay.Count=%d, PunctsOut=%d: a propagation went unmeasured",
+				batch, linger, lat.PunctDelay.Count, m.PunctsOut)
 		}
 		if fill := lat.BatchFill.Mean(); m.Batches <= 0 || ((batch <= 1 || linger == 0) && fill != 1) {
-			t.Errorf("batch=%d linger=%v shards=%d: %d batches, mean fill %v; want batches, and fill exactly 1 when every Emit cuts",
-				batch, linger, shards, m.Batches, fill)
+			t.Errorf("batch=%d linger=%v: %d batches, mean fill %v; want batches, and fill exactly 1 when every Emit cuts",
+				batch, linger, m.Batches, fill)
 		}
 		vals := map[string]int{}
 		for _, tp := range sink.Tuples() {
@@ -184,17 +106,14 @@ func TestBatchedPipelineEquivalence(t *testing.T) {
 	type cell struct {
 		batch  int
 		linger time.Duration
-		shards int
 	}
 	var cells []cell
 	for _, batch := range []int{0, 1, 8, 256} {
 		for _, linger := range []time.Duration{0, time.Millisecond} {
-			for _, shards := range []int{1, 2} {
-				cells = append(cells, cell{batch, linger, shards})
-			}
+			cells = append(cells, cell{batch, linger})
 		}
 	}
-	cells = append(cells, cell{64, time.Millisecond, 2})
+	cells = append(cells, cell{64, time.Millisecond})
 	diff := func(t *testing.T, name string, got, want map[string]int) {
 		t.Helper()
 		for k, n := range want {
@@ -208,14 +127,14 @@ func TestBatchedPipelineEquivalence(t *testing.T) {
 	}
 	var wantVals, wantPuncts map[string]int
 	for i, c := range cells {
-		vals, puncts := run(c.batch, c.linger, c.shards)
+		vals, puncts := run(c.batch, c.linger)
 		if i == 0 {
 			wantVals, wantPuncts = vals, puncts
 			if len(wantVals) == 0 || len(wantPuncts) == 0 {
 				t.Fatalf("first cell: %d results, %d punct patterns", len(wantVals), len(wantPuncts))
 			}
 		}
-		t.Run(fmt.Sprintf("batch%d_linger%v_shards%d", c.batch, c.linger, c.shards), func(t *testing.T) {
+		t.Run(fmt.Sprintf("batch%d_linger%v", c.batch, c.linger), func(t *testing.T) {
 			diff(t, "result", vals, wantVals)
 			diff(t, "punct", puncts, wantPuncts)
 		})
@@ -276,9 +195,6 @@ func TestResultTsIsLaterPartnersArrival(t *testing.T) {
 			cfg := core.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB}
 			cfg.Thresholds.MemoryBytes = 4 << 10
 			return core.New(cfg, out)
-		}},
-		{"sharded2", false, func(out op.Emitter) (op.Operator, error) {
-			return parallel.New(parallel.Config{Shards: 2, Join: core.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB}}, out)
 		}},
 	}
 	for _, jn := range joins {
@@ -394,8 +310,8 @@ func multisetOf(items []stream.Item) map[string]int {
 
 // TestBorrowedResultsEveryShape runs every way a join's borrowed results
 // are retained or forwarded — collected (Sink), forwarded by a Select and
-// by a KeyPunctuator, retained by a second PJoin, routed by a
-// ShardedPJoin (direct wiring) to its shards, and produced by XJoin — against
+// by a KeyPunctuator, retained by a second PJoin, and produced by XJoin —
+// against
 // the brute-force shj reference, at batch {0, 1, 8, 256} × linger {0,
 // 1 ms}. What the sink holds is compared after Run, when every batch has
 // been recycled: a consumer that kept a borrowed tuple without Keep holds
@@ -430,23 +346,14 @@ func TestBorrowedResultsEveryShape(t *testing.T) {
 		checkFn func(t *testing.T, sink *op.Collector)
 	}
 	direct := func(p *Pipeline, joined *Edge) (*Edge, error) { return joined, nil }
-	second := func(shards int) func(p *Pipeline, joined *Edge) (*Edge, error) {
-		return func(p *Pipeline, joined *Edge) (*Edge, error) {
-			srcC, out := p.Edge(), p.Edge()
-			cfg := core.Config{SchemaA: abSchema, SchemaB: scC, VerifyPunctuations: true}
-			var j2 op.Operator
-			var err error
-			if shards > 1 {
-				j2, err = parallel.New(parallel.Config{Shards: shards, Join: cfg}, out)
-			} else {
-				j2, err = core.New(cfg, out)
-			}
-			if err != nil {
-				return nil, err
-			}
-			p.SourceItems(srcC, c, false)
-			return out, p.Spawn(j2, joined, srcC)
+	second := func(p *Pipeline, joined *Edge) (*Edge, error) {
+		srcC, out := p.Edge(), p.Edge()
+		j2, err := core.New(core.Config{SchemaA: abSchema, SchemaB: scC, VerifyPunctuations: true}, out)
+		if err != nil {
+			return nil, err
 		}
+		p.SourceItems(srcC, c, false)
+		return out, p.Spawn(j2, joined, srcC)
 	}
 	shapes := []shape{
 		{name: "pjoin_sink", a: a, b: b, first: pjoin, want: multisetOf(ab), wire: direct, puncts: true},
@@ -481,8 +388,7 @@ func TestBorrowedResultsEveryShape(t *testing.T) {
 					}
 				}
 			}},
-		{name: "pjoin_pjoin", a: a, b: b, first: pjoin, want: abc, wire: second(1), puncts: true},
-		{name: "pjoin_sharded", a: a, b: b, first: pjoin, want: abc, wire: second(2), puncts: true},
+		{name: "pjoin_pjoin", a: a, b: b, first: pjoin, want: abc, wire: second, puncts: true},
 		{name: "xjoin_sink", a: a, b: b, want: multisetOf(ab), wire: direct,
 			first: func(out op.Emitter) (op.Operator, error) {
 				return core.NewXJoin(core.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB, Thresholds: core.Thresholds{MemoryBytes: 2 << 10}}, out)

@@ -411,7 +411,7 @@ func (p *Pipeline) source(out *Edge, items []stream.Item, paced, eos bool) {
 		go func() {
 			defer p.wg.Done()
 			defer out.close()
-			sin := p.Obs.Derive("source", -1)
+			sin := p.Obs.Derive("source")
 			// pace is the one timer a paced source waits on. Every wait
 			// either receives from it or ends the source, so it is always
 			// expired and drained when it is re-armed.
@@ -578,7 +578,7 @@ func restamp(oin *obs.Instr, port int, items []stream.Item, first stream.Time) (
 // queued only on a port the aligner holds back for a silent one, and that
 // tick or the next releases it.
 func (p *Pipeline) drive(o op.Operator, inputs []*Edge, pull *PullHandle) error {
-	oin := p.Obs.Derive(o.Name(), -1)
+	oin := p.Obs.Derive(o.Name())
 	var lastTs stream.Time
 	oin.Span(span.KindOpStart, 0, p.sysNow(lastTs), -1, 0, 0, 0, 0)
 	var tick <-chan time.Time

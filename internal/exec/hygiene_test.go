@@ -12,16 +12,14 @@ import (
 	"pjoin/internal/core"
 	"pjoin/internal/gen"
 	"pjoin/internal/op"
-	"pjoin/internal/parallel"
 	"pjoin/internal/stream"
 	"pjoin/internal/value"
 )
 
 // TestRunExitHygiene pins what Run leaves behind on each way out — clean
 // drain, an operator error, external cancellation — at batch size 1 and
-// 256, over a plan with an operator-fed edge: two sources → a 2-shard join
-// (one operator: its router, shards and align call each other) → select →
-// sink. While it runs every spawned operator is exactly one goroutine
+// 256, over a plan with an operator-fed edge: two sources → a join →
+// select → sink. While it runs every spawned operator is exactly one goroutine
 // (sampled in the cancel case, which idles long enough to look), no
 // goroutine Run started survives it (the per-edge return lanes are free
 // lists, not goroutines), and on a clean drain every batch taken was put
@@ -50,8 +48,7 @@ func TestRunExitHygiene(t *testing.T) {
 				p.BatchSize = batch
 				p.BatchLinger = time.Millisecond
 				srcA, srcB, joined, out := p.Edge(), p.Edge(), p.Edge(), p.Edge()
-				j, err := parallel.New(parallel.Config{Shards: 2,
-					Join: core.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB}}, joined)
+				j, err := core.New(core.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB}, joined)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -91,37 +91,6 @@ func (m Metrics) TableWalk() Metrics {
 	return m
 }
 
-// Add accumulates o into m field by field. Parallel joins (a sharded
-// PJoin is N independent instances over a partitioned key space) sum
-// their shards' counters through it; each shard's Metrics value is a
-// snapshot taken under that shard's lock, so the aggregation itself
-// involves no shared mutable state.
-func (m *Metrics) Add(o Metrics) {
-	for s := 0; s < 2; s++ {
-		m.TuplesIn[s] += o.TuplesIn[s]
-		m.PunctsIn[s] += o.PunctsIn[s]
-	}
-	m.TuplesOut += o.TuplesOut
-	m.PunctsOut += o.PunctsOut
-	m.Examined += o.Examined
-	m.DiskExamined += o.DiskExamined
-	m.DiskDecoded += o.DiskDecoded
-	m.DiskJoins += o.DiskJoins
-	m.Relocations += o.Relocations
-	m.SpilledTuples += o.SpilledTuples
-	m.DiskPasses += o.DiskPasses
-	m.DiskChunks += o.DiskChunks
-	m.Purged += o.Purged
-	m.PurgeScanned += o.PurgeScanned
-	m.PurgeRuns += o.PurgeRuns
-	m.DroppedOnFly += o.DroppedOnFly
-	m.IndexScanned += o.IndexScanned
-	m.Batches += o.Batches
-	m.ProbeWalk += o.ProbeWalk
-	m.PurgeWalk += o.PurgeWalk
-	m.IndexWalk += o.IndexWalk
-}
-
 // Base is the symmetric two-state core of a binary equi-join.
 type Base struct {
 	States [2]*store.State

@@ -106,7 +106,7 @@ func TestDetectorDisabledBounds(t *testing.T) {
 func TestDumpParseable(t *testing.T) {
 	ring := obs.NewRing(4)
 	for i := 0; i < 9; i++ { // overflow the ring: keep newest 4
-		ring.Emit(span.Span{ID: uint64(i + 1), Kind: span.KindSpillError, At: stream.Time(i), Op: "pjoin", Shard: -1, Side: 0, Err: "disk gone"})
+		ring.Emit(span.Span{ID: uint64(i + 1), Kind: span.KindSpillError, At: stream.Time(i), Op: "pjoin", Side: 0, Err: "disk gone"})
 	}
 	lat := obs.NewLat()
 	lat.RecordResult(100*ms, 40*ms)
@@ -159,7 +159,7 @@ func TestDumpParseable(t *testing.T) {
 func TestDumpToFileGzip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "flight.jsonl.gz")
 	ring := obs.NewRing(2)
-	ring.Emit(span.Span{ID: 1, Kind: span.KindPurgeRun, At: 1, Shard: -1, Side: 0})
+	ring.Emit(span.Span{ID: 1, Kind: span.KindPurgeRun, At: 1, Side: 0})
 	if err := DumpToFile(path, Report{Reason: "lag_slo", At: 5}, ring, obs.LatSnapshot{}); err != nil {
 		t.Fatal(err)
 	}

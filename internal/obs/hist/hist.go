@@ -11,8 +11,8 @@
 // maximum is observed) a CAS. Operators therefore record one sample per
 // emitted result / propagated punctuation / purge run unconditionally on
 // their hot paths. The intended discipline is single-writer per
-// histogram (each operator instance owns its histograms; shards own
-// theirs and a router merges snapshots), but because every counter is
+// histogram (each operator instance owns its histograms), but because
+// every counter is
 // atomic the structure degrades gracefully — concurrent writers are safe,
 // never lost, merely unordered.
 //
@@ -108,8 +108,8 @@ func (h *Hist) Record(v int64) {
 	}
 }
 
-// Snapshot is a point-in-time copy of a histogram, safe to read, merge
-// and serialise at leisure. The zero value is an empty snapshot.
+// Snapshot is a point-in-time copy of a histogram, safe to read and
+// serialise at leisure. The zero value is an empty snapshot.
 type Snapshot struct {
 	Count  int64
 	Sum    int64
@@ -132,26 +132,6 @@ func (h *Hist) Snapshot() Snapshot {
 	s.Sum = h.sum.Load()
 	s.Max = h.max.Load()
 	return s
-}
-
-// Merge accumulates o into s (bucket-wise sum, max of maxes). Merging
-// into an empty snapshot copies o. This is how a sharded operator's
-// router builds the global view from per-shard snapshots.
-func (s *Snapshot) Merge(o Snapshot) {
-	if len(o.Counts) == 0 {
-		return
-	}
-	if len(s.Counts) == 0 {
-		s.Counts = make([]int64, NumBuckets)
-	}
-	for i, c := range o.Counts {
-		s.Counts[i] += c
-	}
-	s.Count += o.Count
-	s.Sum += o.Sum
-	if o.Max > s.Max {
-		s.Max = o.Max
-	}
 }
 
 // Quantile returns an upper bound for the q-quantile (0 <= q <= 1) of

@@ -98,35 +98,6 @@ func TestEmptyAndNil(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a, b := New(), New()
-	for v := int64(0); v < 100; v++ {
-		a.Record(v)
-		b.Record(v * 1000)
-	}
-	var m Snapshot
-	m.Merge(a.Snapshot())
-	m.Merge(b.Snapshot())
-	m.Merge(Snapshot{}) // empty merge is a no-op
-	if m.Count != 200 {
-		t.Fatalf("merged Count = %d", m.Count)
-	}
-	if m.Max != 99_000 {
-		t.Fatalf("merged Max = %d", m.Max)
-	}
-	if want := a.Snapshot().Sum + b.Snapshot().Sum; m.Sum != want {
-		t.Fatalf("merged Sum = %d, want %d", m.Sum, want)
-	}
-	// The merged bucket array is the element-wise sum.
-	var total int64
-	for _, c := range m.Counts {
-		total += c
-	}
-	if total != 200 {
-		t.Fatalf("merged bucket total = %d", total)
-	}
-}
-
 func TestCumulativeAtOrBelow(t *testing.T) {
 	h := New()
 	for _, v := range []int64{1, 10, 100, 1000, 100_000} {

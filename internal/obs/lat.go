@@ -12,25 +12,18 @@ type HistDef struct {
 	Field string // the Lat / LatSnapshot field holding it
 	Name  string // wire name: the <prefix>_<Name> Prometheus family, the flight dump's "name"
 	Help  string // Prometheus HELP text
-	// Router: a sharded join records it once, join-wide, at its router
-	// (the delay is arrival → alignment-complete; shard-local sub-batches
-	// would inflate the fill count by the fan-out). The other rows are
-	// recorded by the shards — each result, purge run, disk chunk and
-	// pass belongs to exactly one — and merged.
-	Router bool
 }
 
 // Hists is the one declaration of the latency histograms: NewLat,
-// Snapshot, Merge, WriteProm, the flight dump and the sharded join's
-// merge all iterate it, so a new histogram is one field in Lat, one in
+// Snapshot, WriteProm and the flight dump all iterate it, so a new histogram is one field in Lat, one in
 // LatSnapshot and one row here.
 var Hists = []HistDef{
-	{"Result", "result_latency_ns", "Tuple-arrival to result-emit latency (virtual ns).", false},
-	{"PunctDelay", "punct_delay_ns", "Punctuation-arrival to downstream-propagation delay (virtual ns).", true},
-	{"Purge", "purge_duration_ns", "Wall-clock duration of one state-purge pass (ns).", false},
-	{"DiskChunk", "disk_chunk_duration_ns", "Wall-clock duration of one incremental disk-join step (ns).", false},
-	{"DiskPass", "disk_pass_duration_ns", "Wall-clock duration of one complete disk-join pass (ns).", false},
-	{"BatchFill", "batch_fill", "Items per delivered input batch (count; empty when driven through Process directly).", true},
+	{"Result", "result_latency_ns", "Tuple-arrival to result-emit latency (virtual ns)."},
+	{"PunctDelay", "punct_delay_ns", "Punctuation-arrival to downstream-propagation delay (virtual ns)."},
+	{"Purge", "purge_duration_ns", "Wall-clock duration of one state-purge pass (ns)."},
+	{"DiskChunk", "disk_chunk_duration_ns", "Wall-clock duration of one incremental disk-join step (ns)."},
+	{"DiskPass", "disk_pass_duration_ns", "Wall-clock duration of one complete disk-join pass (ns)."},
+	{"BatchFill", "batch_fill", "Items per delivered input batch (count; empty when driven through Process directly)."},
 }
 
 // Of returns d's histogram in s.
@@ -137,8 +130,7 @@ func (l *Lat) RecordBatchFill(n int) {
 	l.BatchFill.Record(int64(n))
 }
 
-// LatSnapshot is a point-in-time copy of a Lat, safe to merge and
-// serialise. The zero value is empty and merge-ready.
+// LatSnapshot is a point-in-time copy of a Lat, safe to serialise.
 type LatSnapshot struct {
 	Result     hist.Snapshot
 	PunctDelay hist.Snapshot
@@ -159,21 +151,4 @@ func (l *Lat) Snapshot() LatSnapshot {
 		*d.Of(&s) = v.FieldByName(d.Field).Interface().(*hist.Hist).Snapshot()
 	}
 	return s
-}
-
-// Merge accumulates o into s.
-func (s *LatSnapshot) Merge(o LatSnapshot) {
-	for _, d := range Hists {
-		d.Of(s).Merge(*d.Of(&o))
-	}
-}
-
-// MergeShard accumulates one shard's snapshot into s, the sharded join's
-// join-wide view: every row but the router's own (HistDef.Router).
-func (s *LatSnapshot) MergeShard(o LatSnapshot) {
-	for _, d := range Hists {
-		if !d.Router {
-			d.Of(s).Merge(*d.Of(&o))
-		}
-	}
 }

@@ -16,7 +16,7 @@ import (
 // path (via Instr.Tick), so gauge closures run on the goroutine that owns
 // the operator state — they may read that state without extra locking.
 // The tick claim is a single atomic compare-and-swap, so concurrent
-// callers (several shards offering the same tick) sample at most once,
+// callers (several operators offering the same tick) sample at most once,
 // and a not-yet-due tick costs one atomic load and zero allocations.
 // Readers (Series, LastValues) take the sample mutex and may run on any
 // goroutine — that is how the expvar endpoint observes a running

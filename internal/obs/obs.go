@@ -1,6 +1,5 @@
 // Package obs is the operator observability layer: one handle (Instr)
-// threaded through every operator (PJoin, XJoin, ShardedPJoin, the
-// executor), carrying the operator's identity and the two things a
+// threaded through every operator (PJoin, XJoin, the executor), carrying the operator's identity and the two things a
 // running join reports into.
 //
 // The paper's whole argument rests on measuring what punctuations buy —
@@ -42,14 +41,12 @@ import (
 )
 
 // Instr is the instrumentation handle an operator carries: a span
-// tracer, an optional live sampler, and the operator's identity (name +
-// shard). A nil *Instr is fully inert — every method is a cheap no-op —
+// tracer, an optional live sampler, and the operator's name. A nil *Instr is fully inert — every method is a cheap no-op —
 // so operators call unconditionally.
 type Instr struct {
-	tr    span.Tracer
-	live  *Live
-	op    string
-	shard int32
+	tr   span.Tracer
+	live *Live
+	op   string
 }
 
 // NewInstr builds a handle for the named operator. tr may be nil (no
@@ -62,33 +59,17 @@ func NewInstr(tr span.Tracer, live *Live, op string) *Instr {
 	if tr == nil {
 		tr = span.Nop
 	}
-	return &Instr{tr: tr, live: live, op: op, shard: -1}
+	return &Instr{tr: tr, live: live, op: op}
 }
 
-// Derive returns a handle for a sub-component (e.g. one shard) sharing
-// the parent's tracer and sampler. shard < 0 means unsharded. Deriving
-// from a nil handle yields nil.
-func (in *Instr) Derive(op string, shard int) *Instr {
+// Derive returns a handle for another operator (a source, a driven
+// operator) sharing the parent's tracer and sampler. Deriving from a nil
+// handle yields nil.
+func (in *Instr) Derive(op string) *Instr {
 	if in == nil {
 		return nil
 	}
-	return &Instr{tr: in.tr, live: in.live, op: op, shard: int32(shard)}
-}
-
-// WithoutLive returns a copy whose live sampler is detached (tracing
-// kept). The sharded join hands this to its shards: its router ticks the
-// sampler and registers the aggregated gauges, once for all shards.
-func (in *Instr) WithoutLive() *Instr {
-	if in == nil {
-		return nil
-	}
-	if in.live == nil {
-		return in
-	}
-	if in.tr == span.Nop {
-		return nil
-	}
-	return &Instr{tr: in.tr, op: in.op, shard: in.shard}
+	return &Instr{tr: in.tr, live: in.live, op: op}
 }
 
 // Op returns the operator name ("" on a nil handle).
@@ -118,7 +99,7 @@ func (in *Instr) Enabled() bool {
 // Span emits a span with the handle's identity filled in, allocating a
 // fresh span ID; trace 0 makes it a point record. Every family but the
 // tuple one is stamped with the process wall clock (purge wall time and
-// cross-shard ordering need it, and those spans are rare); tuple spans
+// cross-operator ordering need it, and those spans are rare); tuple spans
 // are not — they are the volume class under full sampling, their
 // analysis runs on At and D alone, and a time.Now per result span is
 // measurable in a fully traced run's CPU per tuple against the detached
@@ -132,12 +113,12 @@ func (in *Instr) Span(k span.Kind, trace uint64, at stream.Time, side int, n, m,
 	}
 	var wall int64
 	if !k.IsTuple() {
-		//pjoin:allow hotpath non-tuple spans (punct, pass, point) are rare and need real wall time for purge latency and cross-shard ordering
+		//pjoin:allow hotpath non-tuple spans (punct, pass, point) are rare and need real wall time for purge latency and cross-operator ordering
 		wall = time.Now().UnixNano()
 	}
 	in.tr.Emit(span.Span{
 		ID: span.NewID(), Trace: trace, Kind: k, At: at, Wall: wall,
-		Op: in.op, Shard: in.shard, Side: int8(side), N: n, M: m, B: bytes, D: dur,
+		Op: in.op, Side: int8(side), N: n, M: m, B: bytes, D: dur,
 	})
 }
 
@@ -150,7 +131,7 @@ func (in *Instr) SpillError(at stream.Time, side int, err error) {
 	}
 	in.tr.Emit(span.Span{
 		ID: span.NewID(), Kind: span.KindSpillError, At: at, Wall: time.Now().UnixNano(),
-		Op: in.op, Shard: in.shard, Side: int8(side), Err: err.Error(),
+		Op: in.op, Side: int8(side), Err: err.Error(),
 	})
 }
 

@@ -28,11 +28,11 @@ func TestKindStrings(t *testing.T) {
 		t.Error("out-of-range kind should be unknown")
 	}
 	for event, kind := range map[string]string{
-		"punct_in": "punct_arrive", "propagate": "punct_emit", "shard_merge": "punct_emit",
+		"punct_in": "punct_arrive", "propagate": "punct_emit",
 		"disk_pass": "pass_end", "disk_chunk": "pass_chunk", "probe": "tuple_probe",
 		"purge": "purge_run", "relocate": "relocate", "spill_error": "spill_error",
 		"op_start": "op_start", "op_finish": "op_finish",
-		"shard_route": "tuple_route", "tuple_in": "tuple_probe",
+		"tuple_in": "tuple_probe",
 	} {
 		k, ok := span.ParseKind(kind)
 		if !ok {
@@ -44,7 +44,7 @@ func TestKindStrings(t *testing.T) {
 			if !k.IsPoint() {
 				t.Errorf("event %s -> %s should be a point kind", event, kind)
 			}
-		case "shard_route", "tuple_in", "probe":
+		case "tuple_in", "probe":
 			if !k.IsTuple() {
 				t.Errorf("event %s -> %s should follow the sampler (tuple family)", event, kind)
 			}
@@ -60,7 +60,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	j := span.NewJSONL(&buf)
 	in := NewInstr(j, nil, "pjoin")
 	in.Span(span.KindPurgeRun, 0, 120*stream.Millisecond, 1, 42, 900, 0, 0)
-	in.Derive("x\"join", 3).SpillError(5, -1, errors.New(`disk "gone"`))
+	in.Derive("x\"join").SpillError(5, -1, errors.New(`disk "gone"`))
 	in.Span(span.KindTupleProbe, 7, 0, 0, 0, 0, 0, 0)
 	if err := j.Flush(); err != nil {
 		t.Fatal(err)
@@ -74,16 +74,15 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 	// Every line must be valid JSON that encoding/json agrees with.
 	type rec struct {
-		Sp    string `json:"sp"`
-		Tr    uint64 `json:"tr"`
-		TNs   int64  `json:"t_ns"`
-		WNs   int64  `json:"w_ns"`
-		Op    string `json:"op"`
-		Shard *int   `json:"shard"`
-		Side  *int   `json:"side"`
-		N     int64  `json:"n"`
-		M     int64  `json:"m"`
-		Err   string `json:"err"`
+		Sp   string `json:"sp"`
+		Tr   uint64 `json:"tr"`
+		TNs  int64  `json:"t_ns"`
+		WNs  int64  `json:"w_ns"`
+		Op   string `json:"op"`
+		Side *int   `json:"side"`
+		N    int64  `json:"n"`
+		M    int64  `json:"m"`
+		Err  string `json:"err"`
 	}
 	var r rec
 	if err := json.Unmarshal([]byte(lines[0]), &r); err != nil {
@@ -95,9 +94,6 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if r.WNs == 0 {
 		t.Error("a point span carries the wall clock")
 	}
-	if r.Shard != nil {
-		t.Error("shard -1 should be omitted")
-	}
 	if r.Side == nil || *r.Side != 1 {
 		t.Error("side 1 should be present")
 	}
@@ -108,9 +104,6 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if r.Sp != "spill_error" || r.Op != `x"join` || r.Err != `disk "gone"` || r.Side != nil {
 		t.Errorf("line 1 = %+v", r)
 	}
-	if r.Shard == nil || *r.Shard != 3 {
-		t.Error("shard 3 should be present")
-	}
 	r = rec{}
 	if err := json.Unmarshal([]byte(lines[2]), &r); err != nil {
 		t.Fatalf("line 2 not JSON: %v (%s)", err, lines[2])
@@ -120,9 +113,9 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 	// And the one decoder reads back what the handle stamped.
 	for i, want := range []span.Span{
-		{Kind: span.KindPurgeRun, At: 120 * stream.Millisecond, Op: "pjoin", Shard: -1, Side: 1, N: 42, M: 900},
-		{Kind: span.KindSpillError, At: 5, Op: `x"join`, Shard: 3, Side: -1, Err: `disk "gone"`},
-		{Kind: span.KindTupleProbe, Trace: 7, Op: "pjoin", Shard: -1, Side: 0},
+		{Kind: span.KindPurgeRun, At: 120 * stream.Millisecond, Op: "pjoin", Side: 1, N: 42, M: 900},
+		{Kind: span.KindSpillError, At: 5, Op: `x"join`, Side: -1, Err: `disk "gone"`},
+		{Kind: span.KindTupleProbe, Trace: 7, Op: "pjoin", Side: 0},
 	} {
 		got, ok, err := span.ParseLine([]byte(lines[i]))
 		if err != nil || !ok {
@@ -184,11 +177,8 @@ func TestInstrNilSafe(t *testing.T) {
 	in.Span(span.KindPurgeRun, 0, 0, 0, 1, 2, 0, 0)
 	in.SpillError(0, 0, errors.New("x"))
 	in.Tick(0)
-	if in.Derive("child", 2) != nil {
+	if in.Derive("child") != nil {
 		t.Error("Derive on nil should be nil")
-	}
-	if in.WithoutLive() != nil {
-		t.Error("WithoutLive on nil should be nil")
 	}
 	if in.Op() != "" || in.Live() != nil {
 		t.Error("nil accessors")
@@ -202,7 +192,7 @@ func TestInstrIdentityStamping(t *testing.T) {
 	r := &span.Recorder{}
 	in := NewInstr(r, nil, "pjoin")
 	in.Span(span.KindTupleProbe, 5, 7, 1, 3, 0, 0, 0)
-	sh := in.Derive("pjoin.shard", 4)
+	sh := in.Derive("source")
 	sh.Span(span.KindPurgeRun, 0, 9, 0, 10, 20, 0, 0)
 	sh.SpillError(11, 1, errors.New("boom"))
 	sh.SpillError(11, 1, nil) // nil error is dropped
@@ -210,13 +200,13 @@ func TestInstrIdentityStamping(t *testing.T) {
 	if len(evs) != 3 {
 		t.Fatalf("got %d spans", len(evs))
 	}
-	if evs[0].Op != "pjoin" || evs[0].Shard != -1 || evs[0].Side != 1 || evs[0].N != 3 || evs[0].Trace != 5 {
+	if evs[0].Op != "pjoin" || evs[0].Side != 1 || evs[0].N != 3 || evs[0].Trace != 5 {
 		t.Errorf("sp0 = %+v", evs[0])
 	}
-	if evs[1].Op != "pjoin.shard" || evs[1].Shard != 4 || evs[1].M != 20 {
+	if evs[1].Op != "source" || evs[1].M != 20 {
 		t.Errorf("sp1 = %+v", evs[1])
 	}
-	if evs[2].Kind != span.KindSpillError || evs[2].Err != "boom" || evs[2].Shard != 4 || evs[2].Trace != 0 {
+	if evs[2].Kind != span.KindSpillError || evs[2].Err != "boom" || evs[2].Op != "source" || evs[2].Trace != 0 {
 		t.Errorf("sp2 = %+v", evs[2])
 	}
 	ids := map[uint64]bool{}
@@ -225,30 +215,6 @@ func TestInstrIdentityStamping(t *testing.T) {
 			t.Errorf("span ID %d missing or reused", e.ID)
 		}
 		ids[e.ID] = true
-	}
-}
-
-func TestWithoutLiveKeepsTracingDropsSampling(t *testing.T) {
-	r := &span.Recorder{}
-	lv := NewLive(stream.Millisecond)
-	in := NewInstr(r, lv, "op")
-	bare := in.WithoutLive()
-	if bare == nil || bare.Live() != nil {
-		t.Fatal("WithoutLive should keep a live-less handle")
-	}
-	bare.Span(span.KindTupleProbe, 1, 1, 0, 1, 0, 0, 0)
-	if r.Count(span.KindTupleProbe) != 1 {
-		t.Error("tracing lost")
-	}
-	// Live-only handle: stripping live leaves nothing worth keeping.
-	liveOnly := NewInstr(nil, lv, "op")
-	if liveOnly.WithoutLive() != nil {
-		t.Error("live-only handle minus live should be nil")
-	}
-	// No live attached: same handle comes back.
-	noLive := NewInstr(r, nil, "op")
-	if noLive.WithoutLive() != noLive {
-		t.Error("handle without live should be returned unchanged")
 	}
 }
 

@@ -113,7 +113,7 @@ func WritePromSpans(w io.Writer, prefix string, counts []int64, sampled, dropped
 	}{
 		{"span_punct_total", "Punctuation-lifecycle provenance spans emitted (arrive/purge/defer/emit).", punct},
 		{"span_pass_total", "Disk-pass provenance spans emitted (start/chunk/io/end).", pass},
-		{"span_tuple_total", "Sampled-tuple provenance spans emitted (ingest/cut/deliver/probe/result/route).", tuple},
+		{"span_tuple_total", "Sampled-tuple provenance spans emitted (ingest/cut/deliver/probe/result).", tuple},
 		{"span_point_total", "Point spans emitted (purge run, relocation, spill error, operator start/finish, discarded punctuation).", point},
 		{"span_sampler_sampled_total", "Tuples admitted into provenance tracing by the span sampler.", sampled},
 		{"span_sampler_dropped_total", "Tuples passed over by the span sampler (provenance left unrecorded).", dropped},

@@ -101,7 +101,7 @@ func TestRingConcurrentDetach(t *testing.T) {
 				if !r.Enabled() {
 					return
 				}
-				r.Emit(span.Span{Kind: span.KindTupleProbe, At: stream.Time(i), Shard: int32(w)})
+				r.Emit(span.Span{Kind: span.KindTupleProbe, At: stream.Time(i), Side: int8(w)})
 			}
 		}(w)
 	}

@@ -23,7 +23,7 @@ func traceSome(t *testing.T, path string, n int) {
 	}
 	j := span.NewJSONL(w)
 	for i := 0; i < n; i++ {
-		j.Emit(span.Span{ID: uint64(i + 1), Trace: 1, Kind: span.KindTupleProbe, At: stream.Time(i), Op: "pjoin", Shard: -1, Side: int8(i % 2)})
+		j.Emit(span.Span{ID: uint64(i + 1), Trace: 1, Kind: span.KindTupleProbe, At: stream.Time(i), Op: "pjoin", Side: int8(i % 2)})
 	}
 	if err := j.Flush(); err != nil {
 		t.Fatal(err)

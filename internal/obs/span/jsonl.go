@@ -16,7 +16,7 @@ import (
 //	{"sp":"punct_purge_mem","id":17,"tr":3,"t_ns":120000000,"w_ns":...,
 //	 "op":"pjoin","side":0,"n":42,"b":2048,"d_ns":91000}
 //
-// Zero-valued optional fields (tr 0, shard < 0, side < 0, n/m/b/d zero,
+// Zero-valued optional fields (tr 0, side < 0, n/m/b/d zero,
 // op/err empty) are omitted. Encoding is hand-rolled with
 // strconv.Append* so a traced run pays no encoding/json reflection per
 // span; the hot cost is one mutex and a buffered write.
@@ -72,10 +72,6 @@ func appendSpan(b []byte, s Span) []byte {
 	if s.Op != "" {
 		b = append(b, `,"op":`...)
 		b = appendOpString(b, s.Op)
-	}
-	if s.Shard >= 0 {
-		b = append(b, `,"shard":`...)
-		b = strconv.AppendInt(b, int64(s.Shard), 10)
 	}
 	if s.Side >= 0 {
 		b = append(b, `,"side":`...)
@@ -149,7 +145,7 @@ var _ Tracer = (*JSONL)(nil)
 // is the difference between seconds and minutes there.
 func ParseLine(line []byte) (Span, bool, error) {
 	var s Span
-	s.Shard, s.Side = -1, -1
+	s.Side = -1
 	line = bytes.TrimSpace(line)
 	if len(line) == 0 {
 		return s, false, nil
@@ -220,8 +216,6 @@ func ParseLine(line []byte) (Span, bool, error) {
 			s.At = stream.Time(v)
 		case "w_ns":
 			s.Wall = v
-		case "shard":
-			s.Shard = int32(v)
 		case "side":
 			s.Side = int8(v)
 		case "n":

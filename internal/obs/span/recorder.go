@@ -41,14 +41,4 @@ func (r *Recorder) Count(k Kind) int64 {
 	return n
 }
 
-// ByTrace groups the recorded spans by trace ID, preserving emission
-// order within each trace.
-func (r *Recorder) ByTrace() map[uint64][]Span {
-	out := map[uint64][]Span{}
-	for _, s := range r.Spans() {
-		out[s.Trace] = append(out[s.Trace], s)
-	}
-	return out
-}
-
 var _ Tracer = (*Recorder)(nil)

@@ -4,7 +4,7 @@
 // punctuation through its lifecycle — arrival, each memory/disk purge
 // step, deferred propagation, final emit — with per-span tuples-dropped
 // and bytes-reclaimed attribution, (b) sampled tuples through
-// ingest → edge batch → operator delivery → route → probe → result emit,
+// ingest → edge batch → operator delivery → probe → result emit,
 // and (c) disk-join passes, so spill/cache I/O is attributed to the pass
 // that caused it. Records that belong to no lifecycle — a purge run, a
 // relocation, a spill failure, an operator starting — are point spans:
@@ -19,8 +19,8 @@
 // reconciles with (oracle/spancheck holds the identities):
 //
 //	punct family — one trace per punctuation, never sampled
-//	punct_arrive      core, parallel router   Side = input side, N = PID the set assigned (router: Shard -1,
-//	                  N 0, marks trace birth before the broadcast). Per side, with punct_discard: PunctsIn
+//	punct_arrive      core     Side = input side, N = PID the set assigned. Per side, with
+//	                  punct_discard: PunctsIn
 //	punct_purge_mem   core     one punctuation's share of one memory-purge run: Side = victim state,
 //	                  N = tuples freed, M = parked to the purge buffer, B = bytes freed, D = the run's
 //	                  wall time (shared by the run's spans). Σ N with punct_purge_disk: Purged
@@ -31,9 +31,8 @@
 //	                  record's length (what the partition loses)
 //	punct_defer       core     propagation of a ready punctuation deferred: N = PID, M = 1 a disk pass is
 //	                  in flight, 2 its own disk purge is pending
-//	punct_emit        core, parallel align    released downstream, the terminal of a healthy lifecycle:
-//	                  N = PID, D = propagation delay in stream time. Align's join-wide terminal has
-//	                  Shard -1 (N = shard count); shard-local emits carry their shard. Shard < 0: PunctsOut
+//	punct_emit        core     released downstream, the terminal of a healthy lifecycle: N = PID,
+//	                  D = propagation delay in stream time. Count: PunctsOut
 //	punct_eos_close   core     Finish found the punctuation unpropagated; closed so no lifecycle dangles
 //
 //	pass family — one trace per disk pass, never sampled
@@ -54,7 +53,6 @@
 //	                  With every tuple admitted: TuplesIn
 //	tuple_result      core     a result descending from it was emitted: D = result latency. At most
 //	                  ResultCap per probe burst or pass step — tuple_probe.N has the exact match count
-//	tuple_route       parallel the router dispatched it: Side = port, N = target shard
 //
 //	point family — Trace 0, no lifecycle, never an orphan
 //	purge_run         core     one purge run ended, matched or not: Side = victim state, N = tuples
@@ -111,7 +109,6 @@ const (
 	KindTupleDeliver
 	KindTupleProbe
 	KindTupleResult
-	KindTupleRoute
 
 	KindPurgeRun
 	KindRelocate
@@ -136,7 +133,7 @@ var kindNames = [numKinds]string{
 	"punct_arrive", "punct_purge_mem", "punct_drop_fly", "punct_purge_disk",
 	"punct_defer", "punct_emit", "punct_eos_close",
 	"pass_start", "pass_chunk", "pass_io", "pass_end",
-	"tuple_ingest", "tuple_cut", "tuple_deliver", "tuple_probe", "tuple_result", "tuple_route",
+	"tuple_ingest", "tuple_cut", "tuple_deliver", "tuple_probe", "tuple_result",
 	"purge_run", "relocate", "spill_error", "op_start", "op_finish", "punct_discard", "closed_drop",
 }
 
@@ -168,7 +165,7 @@ func (k Kind) IsPunct() bool { return k <= KindPunctEOSClose }
 func (k Kind) IsPass() bool { return k >= KindPassStart && k <= KindPassEnd }
 
 // IsTuple reports whether k belongs to a sampled-tuple trace.
-func (k Kind) IsTuple() bool { return k >= KindTupleIngest && k <= KindTupleRoute }
+func (k Kind) IsTuple() bool { return k >= KindTupleIngest && k <= KindTupleResult }
 
 // IsPoint reports whether k is a point kind: Trace 0, no lifecycle.
 func (k Kind) IsPoint() bool { return k >= KindPurgeRun && int(k) < numKinds }
@@ -195,8 +192,8 @@ func FamilyCounts(counts []int64) (punct, pass, tuple, point int64) {
 // (stream time under the simulator, wall-clock offset under the live
 // executor — whichever clock stamped the items the operator processed);
 // Wall is the emitting process's wall clock in Unix nanoseconds, so
-// purge wall time and cross-shard ordering survive into offline
-// analysis.
+// purge wall time and the order of spans from different operators
+// survive into offline analysis.
 type Span struct {
 	ID    uint64 // process-unique span ID
 	Trace uint64 // the punctuation/tuple/pass trace this span belongs to; 0 for point kinds
@@ -204,7 +201,6 @@ type Span struct {
 	At    stream.Time
 	Wall  int64
 	Op    string // operator instance name
-	Shard int32  // shard index, -1 when unsharded / join-wide
 	Side  int8   // input side / port, -1 when not applicable
 	N     int64  // kind-specific count (see the kind table)
 	M     int64  // kind-specific count (see the kind table)
@@ -216,14 +212,14 @@ type Span struct {
 var idCounter atomic.Uint64
 
 // NewID returns a process-unique, non-zero ID. Safe for concurrent use
-// from any number of shards; IDs are dense but carry no ordering
+// from any number of operators; IDs are dense but carry no ordering
 // meaning beyond uniqueness.
 //
 //pjoin:hotpath
 func NewID() uint64 { return idCounter.Add(1) }
 
 // Tracer receives spans. Implementations must be safe for concurrent
-// use: shards, the router, align and the executor all emit.
+// use: every operator of a pipeline and the executor emit.
 type Tracer interface {
 	// Enabled reports whether Emit does anything; instrumentation skips
 	// span construction entirely when false.

@@ -10,8 +10,8 @@ import (
 )
 
 // TestNewIDUniqueConcurrent hammers the ID allocator from many
-// goroutines (shards, the router, the merger and the executor all
-// allocate concurrently in a sharded traced run) and requires every ID
+// goroutines (every operator of a traced pipeline and the executor
+// allocate concurrently) and requires every ID
 // to be unique and non-zero. Run under -race by `make race`.
 func TestNewIDUniqueConcurrent(t *testing.T) {
 	const workers = 8
@@ -81,12 +81,12 @@ func TestKindRoundTrip(t *testing.T) {
 func TestJSONLRoundTrip(t *testing.T) {
 	full := Span{
 		ID: 42, Trace: 7, Kind: KindPunctPurgeMem, At: 123456, Wall: 1700000000000000000,
-		Op: "pjoin", Shard: 3, Side: 1, N: 10, M: 2, B: 4096, D: 91000,
+		Op: "pjoin", Side: 1, N: 10, M: 2, B: 4096, D: 91000,
 	}
-	sparse := Span{ID: 43, Kind: KindTupleIngest, At: 5, Shard: -1, Side: -1}
+	sparse := Span{ID: 43, Kind: KindTupleIngest, At: 5, Side: -1}
 	all := []Span{full, sparse}
 	for k := 0; k < NumKinds(); k++ {
-		s := Span{ID: uint64(100 + k), Trace: 9, Kind: Kind(k), At: stream.Time(k), Op: `x"jo\in`, Shard: -1, Side: 0, N: int64(k)}
+		s := Span{ID: uint64(100 + k), Trace: 9, Kind: Kind(k), At: stream.Time(k), Op: `x"jo\in`, Side: 0, N: int64(k)}
 		if s.Kind.IsPoint() {
 			s.Trace = 0
 		}
@@ -199,12 +199,5 @@ func TestRecorder(t *testing.T) {
 	r.Emit(Span{ID: 3, Trace: 10, Kind: KindPunctEmit, At: stream.Time(3)})
 	if len(r.Spans()) != 3 || r.Count(KindPunctArrive) != 2 || r.Count(KindPassEnd) != 0 {
 		t.Fatalf("Spans() = %v", r.Spans())
-	}
-	byTrace := r.ByTrace()
-	if len(byTrace[10]) != 2 || len(byTrace[11]) != 1 {
-		t.Fatalf("ByTrace() = %v", byTrace)
-	}
-	if byTrace[10][0].Kind != KindPunctArrive || byTrace[10][1].Kind != KindPunctEmit {
-		t.Fatal("trace 10 out of order")
 	}
 }

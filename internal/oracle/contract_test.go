@@ -10,7 +10,7 @@ import (
 
 // TestOperatorLifecycleContract pins the driver contract documented on
 // op.Operator: every join the oracle drives — the shj result oracle,
-// single-instance PJoin, XJoin, and the sharded wrapper — must reject
+// PJoin and XJoin — must reject
 // the same lifecycle violations with errors instead of corrupting
 // state. One differential driver (drive) is only sound if every
 // operator means the same thing by Process/EOS/Finish.
@@ -19,13 +19,10 @@ func TestOperatorLifecycleContract(t *testing.T) {
 	builders := map[string]func(out op.Emitter) (op.Operator, error){
 		"shj": func(out op.Emitter) (op.Operator, error) { return buildOracle(sc, 0, out) },
 		"pjoin": func(out op.Emitter) (op.Operator, error) {
-			return build(sc, Variant{Op: "pjoin", Shards: 1}, out, false, nil)
+			return build(sc, Variant{Op: "pjoin"}, out, false, nil)
 		},
 		"xjoin": func(out op.Emitter) (op.Operator, error) {
-			return build(sc, Variant{Op: "xjoin", Shards: 1}, out, false, nil)
-		},
-		"sharded": func(out op.Emitter) (op.Operator, error) {
-			return build(sc, Variant{Op: "pjoin", Shards: 2}, out, false, nil)
+			return build(sc, Variant{Op: "xjoin"}, out, false, nil)
 		},
 	}
 	for name, mk := range builders {

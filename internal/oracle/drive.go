@@ -116,11 +116,7 @@ func Run(sc *Scenario, v Variant, disableFault bool) *Outcome {
 	}
 	out := drive(j, sc, v)
 	out.summarize(sink.Items)
-	if jj, ok := j.(joinOp); ok {
-		out.Metrics = jj.Metrics()
-		out.Lat = jj.Latencies()
-		out.HasObs = true
-	}
+	out.Metrics, out.Lat, out.HasObs = j.Metrics(), j.Latencies(), true
 	return out
 }
 
@@ -301,9 +297,6 @@ func checkObs(v Variant, out *Outcome) []Divergence {
 	if m.PunctsOut != punctsOut {
 		bad("PunctsOut=%d, sink saw %d", m.PunctsOut, punctsOut)
 	}
-	// PunctsIn: the sharded router broadcasts every punctuation to all
-	// shards and Metrics() normalises by /shards, so both shapes must
-	// equal the fed count.
 	for p := 0; p < 2; p++ {
 		if m.PunctsIn[p] != out.FedPuncts[p] {
 			bad("PunctsIn[%d]=%d, driver fed %d", p, m.PunctsIn[p], out.FedPuncts[p])
@@ -324,18 +317,13 @@ func checkObs(v Variant, out *Outcome) []Divergence {
 		bad("Lat.DiskPass.Count=%d, Metrics.DiskPasses=%d", got, m.DiskPasses)
 	}
 	// Batched delivery records one BatchFill sample per ProcessBatch
-	// call. The sharded router's Metrics sums per-shard sub-batches while
-	// its BatchFill histogram counts router-level batches, so the
-	// identity holds only for single-instance operators. A per-item row
-	// goes through Process alone, so it counts no batch (the router
-	// always hands its shards batches).
-	if v.Shards <= 1 {
-		if got := out.Lat.BatchFill.Count; got != m.Batches {
-			bad("Lat.BatchFill.Count=%d, Metrics.Batches=%d", got, m.Batches)
-		}
-		if v.Batch <= 1 && m.Batches != 0 {
-			bad("Metrics.Batches=%d on a per-item row", m.Batches)
-		}
+	// call. A per-item row goes through Process alone, so it counts no
+	// batch.
+	if got := out.Lat.BatchFill.Count; got != m.Batches {
+		bad("Lat.BatchFill.Count=%d, Metrics.Batches=%d", got, m.Batches)
+	}
+	if v.Batch <= 1 && m.Batches != 0 {
+		bad("Metrics.Batches=%d on a per-item row", m.Batches)
 	}
 	return ds
 }

@@ -9,7 +9,7 @@ import (
 // RefVariant is the canonical PJoin configuration whose propagated
 // punctuation multiset every other PJoin variant is compared against:
 // single instance, indexed, disk passes run to completion, plain spills.
-var RefVariant = Variant{Op: "pjoin", Shards: 1}
+var RefVariant = Variant{Op: "pjoin"}
 
 // CheckScenario runs the full differential matrix over the scenario:
 // the shj brute-force oracle once, then every Matrix() variant,

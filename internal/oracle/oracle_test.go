@@ -71,17 +71,6 @@ func TestSoak(t *testing.T) {
 // TestRegressionSeeds pins the minimized replay specs of bugs the
 // oracle found, so each stays fixed. Each spec must replay clean.
 //
-//   - seed 4 (sharded PunctDelay undercount): duplicate punctuation
-//     patterns in flight through ShardedPJoin's merger shared one
-//     alignment entry; completing the first deleted the entry and the
-//     second forwarded untracked, so Lat.PunctDelay.Count fell short of
-//     Metrics.PunctsOut. Fixed with an arrival-time FIFO per pattern.
-//   - seed 42 (Finish-time purge gap): a punctuation whose matching
-//     state happened to be memory-resident at Finish was never purged —
-//     single-instance runs relocated the state to disk (purged by the
-//     final pass) while sharded runs kept it in memory, so they
-//     propagated different sets. Fixed by a final memory purge in
-//     Finish, run whenever propagation is on.
 //   - seed 161 (a nested punctuation released early): B's <1, *> took
 //     the pid of a stored (1, "B1"); B's later <[0..7], *> found no tuple
 //     without a pid, counted zero and was propagated, and a result on key
@@ -89,35 +78,22 @@ func TestSoak(t *testing.T) {
 //     check saw it. Fixed in punct.Set.Propagable: an entry waits for
 //     every earlier overlapping entry that still counts tuples. The
 //     FuzzOracle corpus pins the same bug as pinned-nested-punct-release.
-//   - seed 932 (a join-wide punctuation forwarded while a shard still
-//     owed results): both inputs' <*, *> widen to the one output
-//     <*, *, *, *>, and the sharded join's align counted propagations of
-//     that string from any shard. Shard 0 propagated both copies, so
-//     align forwarded the punctuation while shard 1's chunked disk pass
-//     still owed results on key 3. Fixed by counting per shard: the k-th
-//     copy goes out once every shard has emitted it k times.
 //
-// The third bug of the burn-down — removal-on-propagation making the
-// final purge schedule-dependent — went with that mode: a released
+// Three more specs left with the sharded rows: seed 4 (the sharded
+// join's PunctDelay undercount), seed 42 (a Finish-time purge gap that
+// only a sharded run's different spill schedule showed; Finish's final
+// memory purge fixed it) and seed 932 (align forwarded a punctuation
+// while a shard still owed results). Seed 932's align is still the
+// benchmark's sharded drive: parallel:TestAlignCountsPerShard pins its
+// per-shard count.
+//
+// The third bug of the first burn-down — removal-on-propagation making
+// the final purge schedule-dependent — went with that mode: a released
 // punctuation stays in force until it owes nothing. internal/core's
 // TestChunkedBlockingEquivalence pins the schedule-independence.
 func TestRegressionSeeds(t *testing.T) {
 	specs := []string{
-		"seed=4 variant=pjoin/shards=2 check=obs",
-		"seed=4 variant=pjoin/chunk=512/shards=4/cache check=obs",
-		"seed=42 variant=pjoin/shards=2 check=puncts",
-		"seed=42 variant=pjoin/shards=2 check=puncts prefix=107 " +
-			"drop=0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23,24," +
-			"25,26,27,28,29,30,31,32,33,34,35,36,37,38,66,67,68,69,70,71,84,85,87," +
-			"88,89,90,91,92,93,94,95,96,97,98,103",
 		"seed=161 variant=pjoin check=order prefix=16 drop=0,1,2,5,6,7,8,9,10,11,13,14",
-		"seed=932 variant=pjoin/chunk=512/shards=2 check=order prefix=168 " +
-			"drop=1,3,4,5,6,8,11,13,16,18,19,20,22,25,26,28,29,30,31,36,41,46,47,50," +
-			"51,52,53,54,55,56,57,58,59,60,61,63,64,65,66,67,68,69,70,71,72,73,74," +
-			"75,76,77,78,79,80,81,82,83,84,85,86,87,88,89,90,91,92,93,94,95,96,97," +
-			"98,99,100,101,102,103,104,110,111,114,115,118,119,120,121,122,133,136," +
-			"139,140,142,143,144,145,146,149,150,152,153,154,155,156,157,160,161," +
-			"162,163,165,166",
 	}
 	for _, raw := range specs {
 		spec, err := ParseSpec(raw)
@@ -151,8 +127,8 @@ func TestGeneratorInvariants(t *testing.T) {
 
 func TestMatrixShape(t *testing.T) {
 	vs := Matrix()
-	if len(vs) != 59 {
-		t.Fatalf("matrix rows = %d, want 59", len(vs))
+	if len(vs) != 38 {
+		t.Fatalf("matrix rows = %d, want 38", len(vs))
 	}
 	seen := map[string]bool{}
 	for _, v := range vs {
@@ -206,9 +182,9 @@ func TestScrambledRowsAreNotVacuous(t *testing.T) {
 func TestSpecRoundTrip(t *testing.T) {
 	specs := []Spec{
 		{Seed: 42, Variant: RefVariant, Check: "puncts", Prefix: -1},
-		{Seed: 7, Variant: Variant{Op: "pjoin", Chunk: 512, Shards: 4, Cache: true, Fault: true},
+		{Seed: 7, Variant: Variant{Op: "pjoin", Chunk: 512, Cache: true, Fault: true},
 			Check: "results", Prefix: 57, Drop: []int{3, 9, 14}},
-		{Seed: 9, Variant: Variant{Op: "pjoin", Shards: 1, Window: 20000, Scramble: true}, Check: "results", Prefix: -1},
+		{Seed: 9, Variant: Variant{Op: "pjoin", Window: 20000, Scramble: true}, Check: "results", Prefix: -1},
 	}
 	for _, s := range specs {
 		back, err := ParseSpec(s.String())
@@ -221,7 +197,7 @@ func TestSpecRoundTrip(t *testing.T) {
 	}
 	// Replay specs recorded against rows the matrix no longer enumerates
 	// (every chunk=65536 combination but two) still parse and run.
-	old, err := ParseSpec("seed=4 variant=pjoin/chunk=65536/shards=4/cache/fault check=results")
+	old, err := ParseSpec("seed=4 variant=pjoin/chunk=65536/cache/fault check=results")
 	if err != nil || old.Variant.Chunk != 64<<10 {
 		t.Errorf("off-matrix spec: %+v, %v", old, err)
 	}
@@ -231,10 +207,13 @@ func TestSpecRoundTrip(t *testing.T) {
 	if _, err := ParseSpec("variant=nope"); err == nil {
 		t.Error("bad variant accepted")
 	}
-	// The index axis is gone from the grammar with the scan regime: a spec
-	// recorded against it names a configuration that no longer exists.
-	if _, err := ParseVariant("pjoin/idx/shards=2"); err == nil || !strings.Contains(err.Error(), `bad variant part "idx"`) {
-		t.Errorf("retired idx token: err = %v, want bad variant part", err)
+	// The index axis is gone from the grammar with the scan regime, and
+	// the shard axis with the sharded rows: a spec recorded against either
+	// names a configuration that no longer exists.
+	for _, retired := range []string{"idx", "shards=2"} {
+		if _, err := ParseVariant("pjoin/" + retired); err == nil || !strings.Contains(err.Error(), `bad variant part "`+retired+`"`) {
+			t.Errorf("retired %s token: err = %v, want bad variant part", retired, err)
+		}
 	}
 }
 

@@ -2,8 +2,8 @@
 // it generates seeded adversarial workloads (skewed keys, mixed
 // constant/range/enum/wildcard punctuation patterns, bursty
 // interleavings, early end-of-stream) and drives every operator
-// configuration — PJoin and XJoin, index on/off, drained and budgeted
-// disk passes, 1..N shards, cached and fault-injected spill stores —
+// configuration — PJoin and XJoin, drained and budgeted disk passes,
+// cached and fault-injected spill stores, batched and scrambled delivery —
 // over the same schedule, comparing each against the brute-force
 // symmetric hash join (internal/shj, the exact equi-join oracle) and
 // the PJoin variants against each other.

@@ -15,7 +15,7 @@ import (
 // name the matrix row and the property that diverged. Its String form
 // is what CI prints and what `pjoinbench -oracle -replay` accepts:
 //
-//	seed=42 variant=pjoin/shards=2 check=puncts prefix=57 drop=3,9,14
+//	seed=42 variant=pjoin/chunk=512 check=puncts prefix=57 drop=3,9,14
 type Spec struct {
 	Seed    uint64
 	Variant Variant
@@ -146,7 +146,7 @@ func Shrink(seed uint64, d Divergence) Spec {
 func shrinkWith(seed uint64, d Divergence, n int, fails func(prefix int, drop []int) bool) Spec {
 	spec := Spec{Seed: seed, Variant: d.Variant, Check: d.Check, Prefix: -1}
 	if !fails(-1, nil) {
-		// Not reproducible in isolation (e.g. flaky under sharding):
+		// Not reproducible in isolation:
 		// return the unshrunk spec so the seed is still pinned.
 		return spec
 	}

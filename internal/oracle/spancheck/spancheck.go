@@ -2,9 +2,9 @@
 // operator's own accounting: the identities between span kinds and
 // joinbase.Metrics counters the span package's kind table states. The
 // traced-oracle soak runs it over seeded scenarios; core (PJoin and
-// XJoin) and parallel run it over Stream, one fixed schedule that
-// reaches relocation, a disk pass, purge and propagation. It imports
-// none of them, so all three can.
+// XJoin) runs it over Stream, one fixed schedule that reaches
+// relocation, a disk pass, purge and propagation. It imports neither, so
+// both can.
 package spancheck
 
 import (
@@ -20,10 +20,6 @@ import (
 
 // Opts says what kind of run produced the spans.
 type Opts struct {
-	// Shards > 1: a sharded join. Its shards' spans carry their shard
-	// index, router and align spans carry -1, and Metrics().PunctsIn is
-	// already normalised to the stream count.
-	Shards int
 	// Admitted: every input tuple carried a trace, so the tuple-family
 	// identities are exact too.
 	Admitted bool
@@ -39,7 +35,6 @@ func Check(spans []span.Span, m joinbase.Metrics, o Opts) []string {
 	count := make([]int64, span.NumKinds())
 	sumN, sumM := make([]int64, span.NumKinds()), make([]int64, span.NumKinds())
 	var punctsIn [2]int64
-	var emits int64
 	byTrace := map[uint64][]span.Span{}
 	for _, s := range spans {
 		count[s.Kind]++
@@ -52,15 +47,7 @@ func Check(spans []span.Span, m joinbase.Metrics, o Opts) []string {
 		byTrace[s.Trace] = append(byTrace[s.Trace], s)
 		switch s.Kind {
 		case span.KindPunctArrive, span.KindPunctDiscard:
-			// An operator instance's own arrivals: the shards' in a
-			// sharded run (the router's arrive only marks trace birth).
-			if (s.Shard >= 0) == (o.Shards > 1) {
-				punctsIn[s.Side]++
-			}
-		case span.KindPunctEmit:
-			if s.Shard < 0 { // the single instance, or align's join-wide terminal
-				emits++
-			}
+			punctsIn[s.Side]++
 		}
 	}
 	eq := func(what string, got, want int64) {
@@ -84,23 +71,19 @@ func Check(spans []span.Span, m joinbase.Metrics, o Opts) []string {
 		sumN[span.KindPunctPurgeMem]+sumN[span.KindPunctPurgeDisk]+sumM[span.KindClosedDrop], m.Purged)
 	eq("Σ punct_drop_fly.N + closed_drop.N / DroppedOnFly",
 		sumN[span.KindPunctDropFly]+sumN[span.KindClosedDrop], m.DroppedOnFly)
-	eq("join-wide punct_emit / PunctsOut", emits, m.PunctsOut)
-	n := int64(max(o.Shards, 1))
+	eq("punct_emit count / PunctsOut", count[span.KindPunctEmit], m.PunctsOut)
 	for side := 0; side < 2; side++ {
-		eq(fmt.Sprintf("punct_arrive + punct_discard side %d / PunctsIn", side), punctsIn[side], n*m.PunctsIn[side])
+		eq(fmt.Sprintf("punct_arrive + punct_discard side %d / PunctsIn", side), punctsIn[side], m.PunctsIn[side])
 	}
 	if o.Admitted {
 		in := m.TuplesIn[0] + m.TuplesIn[1]
 		eq("tuple_probe count / TuplesIn", count[span.KindTupleProbe], in)
 		eq("Σ tuple_probe.N / memory results", sumN[span.KindTupleProbe], m.TuplesOut-m.DiskJoins)
 		eq("Σ tuple_probe.M / Examined", sumM[span.KindTupleProbe], m.Examined)
-		if o.Shards > 1 {
-			eq("tuple_route count / TuplesIn", count[span.KindTupleRoute], in)
-		}
 	}
 
-	// Lifecycles: every punctuation trace has an arrive and a terminal
-	// (across all shards of the trace), every pass trace is start/io/end.
+	// Lifecycles: every punctuation trace has an arrive and a terminal,
+	// every pass trace is start/io/end.
 	for trace, ss := range byTrace {
 		var punct, arrived, closed bool
 		var starts, ios, ends int

@@ -9,20 +9,17 @@ import (
 
 // TracedSlice is the mechanism-diverse variant slice the provenance
 // reconciliation runs over: drained and budgeted disk passes, cached
-// spills, 2- and 4-shard parallel runs, batched delivery, and the XJoin
-// baseline (pass traces only — XJoin has no punctuation lifecycle).
-// Small by design: the full 54-row matrix is the correctness net; this
-// slice is the provenance net, and each row exercises a distinct
-// span-emission path.
+// spills, batched delivery, and the XJoin baseline (pass traces only —
+// XJoin has no punctuation lifecycle). Small by design: the full 38-row
+// matrix is the correctness net; this slice is the provenance net, and
+// each row exercises a distinct span-emission path.
 func TracedSlice() []Variant {
 	return []Variant{
-		{Op: "pjoin", Shards: 1},
-		{Op: "pjoin", Chunk: 512, Shards: 1},
-		{Op: "pjoin", Chunk: 512, Shards: 1, Cache: true},
-		{Op: "pjoin", Shards: 4},
-		{Op: "pjoin", Chunk: 512, Shards: 2},
-		{Op: "pjoin", Shards: 1, Batch: 256},
-		{Op: "xjoin", Chunk: 512, Shards: 1},
+		{Op: "pjoin"},
+		{Op: "pjoin", Chunk: 512},
+		{Op: "pjoin", Chunk: 512, Cache: true},
+		{Op: "pjoin", Batch: 256},
+		{Op: "xjoin", Chunk: 512},
 	}
 }
 
@@ -38,11 +35,7 @@ func RunTraced(sc *Scenario, v Variant) (*Outcome, *span.Recorder) {
 	}
 	out := drive(j, sc, v)
 	out.summarize(sink.Items)
-	if jj, ok := j.(joinOp); ok {
-		out.Metrics = jj.Metrics()
-		out.Lat = jj.Latencies()
-		out.HasObs = true
-	}
+	out.Metrics, out.Lat, out.HasObs = j.Metrics(), j.Latencies(), true
 	return out, rec
 }
 
@@ -53,7 +46,7 @@ func RunTraced(sc *Scenario, v Variant) (*Outcome, *span.Recorder) {
 // of checkObs.
 func checkSpans(v Variant, out *Outcome, rec *span.Recorder) []Divergence {
 	var ds []Divergence
-	for _, d := range spancheck.Check(rec.Spans(), out.Metrics, spancheck.Opts{Shards: v.Shards}) {
+	for _, d := range spancheck.Check(rec.Spans(), out.Metrics, spancheck.Opts{}) {
 		ds = append(ds, Divergence{Variant: v, Check: "spans", Detail: d})
 	}
 	return ds

@@ -10,11 +10,11 @@ import (
 )
 
 // TestTracedOracle is the provenance soak: seeded scenarios through the
-// traced slice (drained/budgeted disk passes, scan/indexed purge, cached
-// spills, 2/4 shards, batched delivery), every run's span stream
-// reconciled against the operator's own accounting by checkSpans —
-// purge attribution sums exactly to Metrics.Purged, drop-on-the-fly to
-// DroppedOnFly, join-wide emits to PunctsOut, and every punctuation
+// traced slice (drained/budgeted disk passes, cached spills, batched
+// delivery), every run's span stream reconciled against the operator's
+// own accounting by checkSpans — purge attribution sums exactly to
+// Metrics.Purged, drop-on-the-fly to DroppedOnFly, emits to PunctsOut,
+// and every punctuation
 // lifecycle closes with no orphans.
 func TestTracedOracle(t *testing.T) {
 	n := soakSeeds(t)
@@ -50,14 +50,13 @@ func TestTracedOracle(t *testing.T) {
 // TestTracedRunEmitsLifecycles sanity-pins the traced runner itself on
 // one seed: a run with punctuations must actually produce punctuation
 // lifecycles (a reconciliation that trivially passes on zero spans
-// would be vacuous), and sharded runs must carry shard-local spans of
-// one trace from more than one place.
+// would be vacuous).
 func TestTracedRunEmitsLifecycles(t *testing.T) {
 	sc := FromSeed(1)
 	if err := sc.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	out, rec := RunTraced(sc, Variant{Op: "pjoin", Shards: 1})
+	out, rec := RunTraced(sc, Variant{Op: "pjoin"})
 	if out.Err != nil {
 		t.Fatal(out.Err)
 	}
@@ -79,27 +78,4 @@ func TestTracedRunEmitsLifecycles(t *testing.T) {
 			got, out.FedPuncts[0]+out.FedPuncts[1])
 	}
 
-	// Sharded: the router's trace groups spans from router AND shards.
-	out4, rec4 := RunTraced(sc, Variant{Op: "pjoin", Shards: 4})
-	if out4.Err != nil {
-		t.Fatal(out4.Err)
-	}
-	multi := false
-	for _, ss := range rec4.ByTrace() {
-		shards := map[int32]bool{}
-		punct := false
-		for _, s := range ss {
-			if s.Kind.IsPunct() {
-				punct = true
-				shards[s.Shard] = true
-			}
-		}
-		if punct && len(shards) > 1 {
-			multi = true
-			break
-		}
-	}
-	if !multi {
-		t.Fatal("no sharded punctuation trace spans more than one emitter (router trace not shared with shards)")
-	}
 }

@@ -8,10 +8,8 @@ import (
 
 	"pjoin/internal/core"
 	"pjoin/internal/gen"
-	"pjoin/internal/joinbase"
 	"pjoin/internal/obs"
 	"pjoin/internal/op"
-	"pjoin/internal/parallel"
 	"pjoin/internal/shj"
 	"pjoin/internal/store"
 	"pjoin/internal/stream"
@@ -27,7 +25,6 @@ var ErrInjectedFault = errors.New("oracle: injected spill fault")
 type Variant struct {
 	Op     string      // "pjoin" or "xjoin"
 	Chunk  int         // DiskChunkBytes: 0 runs each pass to completion, else the per-step budget
-	Shards int         // 1 = single instance; >1 = parallel.ShardedPJoin (pjoin only)
 	Cache  bool        // wrap spills in store.CachedSpill
 	Fault  bool        // wrap spills in store.NewFaultSpill(failAt = Scenario.FaultAt)
 	Batch  int         // ≤1 = per-item delivery; >1 = drive via ProcessBatch, batches up to this size
@@ -41,15 +38,12 @@ type Variant struct {
 }
 
 // String renders the variant in the replay-spec grammar, e.g.
-// "pjoin/chunk=512/shards=2/cache/batch=256/linger=1000000/window=20000/scramble"
+// "pjoin/chunk=512/cache/batch=256/linger=1000000/window=20000/scramble"
 // (flags omitted when off).
 func (v Variant) String() string {
 	parts := []string{v.Op}
 	if v.Chunk > 0 {
 		parts = append(parts, "chunk="+strconv.Itoa(v.Chunk))
-	}
-	if v.Shards > 1 {
-		parts = append(parts, "shards="+strconv.Itoa(v.Shards))
 	}
 	if v.Cache {
 		parts = append(parts, "cache")
@@ -80,7 +74,6 @@ func ParseVariant(s string) (Variant, error) {
 		return v, fmt.Errorf("oracle: bad variant %q (want pjoin/... or xjoin/...)", s)
 	}
 	v.Op = parts[0]
-	v.Shards = 1
 	for _, p := range parts[1:] {
 		switch {
 		case p == "cache":
@@ -95,12 +88,6 @@ func ParseVariant(s string) (Variant, error) {
 				return v, fmt.Errorf("oracle: bad variant part %q in %q", p, s)
 			}
 			v.Chunk = n
-		case strings.HasPrefix(p, "shards="):
-			n, err := strconv.Atoi(p[len("shards="):])
-			if err != nil || n < 1 {
-				return v, fmt.Errorf("oracle: bad variant part %q in %q", p, s)
-			}
-			v.Shards = n
 		case strings.HasPrefix(p, "batch="):
 			n, err := strconv.Atoi(p[len("batch="):])
 			if err != nil || n < 1 {
@@ -126,48 +113,41 @@ func ParseVariant(s string) (Variant, error) {
 	return v, nil
 }
 
-// Matrix returns the full configuration matrix: PJoin ×
-// {DiskChunkBytes ∈ {0, 512}} × {1,2,4 shards} × {CachedSpill on/off}
-// × {FaultSpill off/on}, plus XJoin over the same non-sharded dimensions
-// (XJoin has no sharded wrapper): 24 PJoin rows + 8 XJoin rows, all
-// driven per item. The chunk axis is two schedules of the one disk-pass
-// implementation — every pass drained inside the call that starts it,
-// and passes stepped in the background at a budget small enough to split
-// every partition read; one pjoin and one xjoin row add the 64 KiB budget
-// the spill benchmark runs. On top of those, batched delivery
-// (ProcessBatch with batch ∈ {8, 256} × linger ∈ {0, 1ms virtual}) over
-// five representative configurations — including a sharded row (router
-// batching), a chunked+cached row, and a fault row (the injected
-// sentinel must surface identically through the batch path): 20 more
-// rows. Last, five scrambled rows (Variant.Scramble) — a single PJoin, a
-// chunked and cached one, a sharded batched one, an XJoin and a windowed
-// PJoin (Variant.Window) — deliver tuples whose own Ts is not their
-// arrival time, as the live executor does; every other row's tuples carry
-// it, so a join that reads Tuple.Ts where the arrival time belongs fails
-// these rows alone: 59 rows in all.
+// Matrix returns the full configuration matrix: PJoin and XJoin ×
+// {DiskChunkBytes ∈ {0, 512}} × {CachedSpill on/off} × {FaultSpill
+// off/on}: 8 PJoin rows + 8 XJoin rows, all driven per item. The chunk
+// axis is two schedules of the one disk-pass implementation — every pass
+// drained inside the call that starts it, and passes stepped in the
+// background at a budget small enough to split every partition read; one
+// pjoin and one xjoin row add the 64 KiB budget the spill benchmark runs.
+// On top of those, batched delivery (ProcessBatch with batch ∈ {8, 256} ×
+// linger ∈ {0, 1ms virtual}) over four representative configurations —
+// including a chunked+cached row and a fault row (the injected sentinel
+// must surface identically through the batch path): 16 more rows. Last,
+// four scrambled rows (Variant.Scramble) — a single PJoin, a chunked and
+// cached one, an XJoin and a windowed PJoin (Variant.Window) — deliver
+// tuples whose own Ts is not their arrival time, as the live executor
+// does; every other row's tuples carry it, so a join that reads Tuple.Ts
+// where the arrival time belongs fails these rows alone: 38 rows in all.
 func Matrix() []Variant {
 	var vs []Variant
 	for _, chunk := range []int{0, 512} {
 		for _, cache := range []bool{false, true} {
 			for _, fault := range []bool{false, true} {
-				for _, shards := range []int{1, 2, 4} {
-					vs = append(vs, Variant{Op: "pjoin", Chunk: chunk,
-						Shards: shards, Cache: cache, Fault: fault})
+				for _, o := range []string{"pjoin", "xjoin"} {
+					vs = append(vs, Variant{Op: o, Chunk: chunk, Cache: cache, Fault: fault})
 				}
-				vs = append(vs, Variant{Op: "xjoin", Chunk: chunk,
-					Shards: 1, Cache: cache, Fault: fault})
 			}
 		}
 	}
 	vs = append(vs,
-		Variant{Op: "pjoin", Chunk: 64 << 10, Shards: 1},
-		Variant{Op: "xjoin", Chunk: 64 << 10, Shards: 1})
+		Variant{Op: "pjoin", Chunk: 64 << 10},
+		Variant{Op: "xjoin", Chunk: 64 << 10})
 	reps := []Variant{
-		{Op: "pjoin", Shards: 1},
-		{Op: "pjoin", Chunk: 512, Shards: 1, Cache: true},
-		{Op: "pjoin", Shards: 2},
-		{Op: "pjoin", Shards: 1, Fault: true},
-		{Op: "xjoin", Shards: 1},
+		{Op: "pjoin"},
+		{Op: "pjoin", Chunk: 512, Cache: true},
+		{Op: "pjoin", Fault: true},
+		{Op: "xjoin"},
 	}
 	for _, batch := range []int{8, 256} {
 		for _, linger := range []stream.Time{0, stream.Millisecond} {
@@ -178,11 +158,10 @@ func Matrix() []Variant {
 		}
 	}
 	return append(vs,
-		Variant{Op: "pjoin", Shards: 1, Scramble: true},
-		Variant{Op: "pjoin", Chunk: 512, Shards: 1, Cache: true, Scramble: true},
-		Variant{Op: "pjoin", Shards: 2, Batch: 256, Scramble: true},
-		Variant{Op: "xjoin", Chunk: 512, Shards: 1, Scramble: true},
-		Variant{Op: "pjoin", Shards: 1, Window: 20000, Scramble: true})
+		Variant{Op: "pjoin", Scramble: true},
+		Variant{Op: "pjoin", Chunk: 512, Cache: true, Scramble: true},
+		Variant{Op: "xjoin", Chunk: 512, Scramble: true},
+		Variant{Op: "pjoin", Window: 20000, Scramble: true})
 }
 
 // spillStack assembles one side's spill store for the variant:
@@ -210,23 +189,12 @@ func (sc *Scenario) thresholds() core.Thresholds {
 	}
 }
 
-// joinOp is the slice of the operator surface the harness drives and
-// audits; core.PJoin (XJoin included) and parallel.ShardedPJoin both
-// implement it (shj.SHJ implements only op.Operator and is driven
-// separately as the result oracle).
-type joinOp interface {
-	op.Operator
-	Metrics() joinbase.Metrics
-	Latencies() obs.LatSnapshot
-}
-
-// build constructs the variant's operator over the scenario's shared
-// thresholds, emitting into out. disableFault builds the
-// fault-recovery rerun: same variant, fault injection off. instr (nil
-// for plain runs) threads an observability handle through — the traced
-// oracle attaches a span recorder this way; sharded variants hand it
-// to parallel.Config so shards derive their own handles.
-func build(sc *Scenario, v Variant, out op.Emitter, disableFault bool, instr *obs.Instr) (op.Operator, error) {
+// build constructs the variant's join over the scenario's shared
+// thresholds, emitting into out. disableFault builds the fault-recovery
+// rerun: same variant, fault injection off. instr (nil for plain runs)
+// threads an observability handle through — the traced oracle attaches
+// a span recorder this way.
+func build(sc *Scenario, v Variant, out op.Emitter, disableFault bool, instr *obs.Instr) (*core.PJoin, error) {
 	fv := v
 	if disableFault {
 		fv.Fault = false
@@ -240,11 +208,13 @@ func build(sc *Scenario, v Variant, out op.Emitter, disableFault bool, instr *ob
 		Thresholds:     sc.thresholds(),
 		DiskChunkBytes: fv.Chunk,
 		Window:         fv.Window,
+		Instr:          instr,
+		SpillA:         spillStack(sc, fv),
+		SpillB:         spillStack(sc, fv),
 	}
 	if fv.Window > 0 {
 		cfg.Thresholds.MemoryBytes = 0 // window mode is memory-only
 	}
-	newJoin := core.New
 	switch v.Op {
 	case "pjoin":
 		cfg.EagerIndex = sc.EagerIndex
@@ -254,25 +224,12 @@ func build(sc *Scenario, v Variant, out op.Emitter, disableFault bool, instr *ob
 		// nothing (punct.Set.Applied): the release schedule does not
 		// feed back into pid assignment or purge power.
 		cfg.VerifyPunctuations = true
-		if fv.Shards > 1 {
-			pcfg := parallel.Config{Shards: fv.Shards, Join: cfg, Instr: instr}
-			if fv.Cache || fv.Fault {
-				pcfg.SpillFactory = func(int, int) store.SpillStore { return spillStack(sc, fv) }
-			}
-			return parallel.New(pcfg, out)
-		}
+		return core.New(cfg, out)
 	case "xjoin":
-		if fv.Shards > 1 {
-			return nil, fmt.Errorf("oracle: variant %s: xjoin has no shards", v)
-		}
-		newJoin = core.NewXJoin
+		return core.NewXJoin(cfg, out)
 	default:
 		return nil, fmt.Errorf("oracle: unknown variant op %q", v.Op)
 	}
-	cfg.Instr = instr
-	cfg.SpillA = spillStack(sc, fv)
-	cfg.SpillB = spillStack(sc, fv)
-	return newJoin(cfg, out)
 }
 
 // buildOracle constructs the brute-force shj result oracle. With a

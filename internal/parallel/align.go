@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"pjoin/internal/obs"
-	"pjoin/internal/obs/span"
 	"pjoin/internal/op"
 	"pjoin/internal/stream"
 )
@@ -22,15 +20,12 @@ func (p alignPort) Emit(it stream.Item) error { return p.a.take(p.i, it) }
 // as they come and a propagated punctuation once every shard has
 // propagated it, and emits one EOS at Finish, after every shard's.
 type align struct {
-	out   op.Emitter
-	n     int
-	instr *obs.Instr
-	lat   *obs.Lat // the router's
+	out op.Emitter
+	n   int
 
-	punctsOut int64
-	eos       int
-	maxTs     stream.Time
-	pending   map[string]*pendingPunct
+	eos     int
+	maxTs   stream.Time
+	pending map[string]*pendingPunct
 }
 
 // pendingPunct is one output pattern's alignment state. Two input
@@ -40,19 +35,10 @@ type align struct {
 // shard i emitted that are not yet forwarded, and ts[k] is the latest
 // emission time of the k-th of them over the shards (when that copy's
 // promise became true join-wide): the k-th copy is forwarded once every
-// shard has emitted it. arrivals are the arrivals the router noted;
-// alignments complete in arrival order, so each pops the front one.
+// shard has emitted it.
 type pendingPunct struct {
-	owed     []int
-	ts       []stream.Time
-	arrivals []arrival
-}
-
-// arrival is a broadcast punctuation's arrival time at the router and its
-// provenance trace (zero when spans are off).
-type arrival struct {
-	ts    stream.Time
-	trace uint64
+	owed []int
+	ts   []stream.Time
 }
 
 // take handles an item shard emitted.
@@ -76,7 +62,11 @@ func (a *align) take(shard int, it stream.Item) error {
 // those copies' emission times.
 func (a *align) punct(shard int, it stream.Item) error {
 	key := it.Punct.String()
-	pp := a.entry(key)
+	pp := a.pending[key]
+	if pp == nil {
+		pp = &pendingPunct{owed: make([]int, a.n)}
+		a.pending[key] = pp
+	}
 	if k := pp.owed[shard]; k < len(pp.ts) {
 		pp.ts[k] = max(pp.ts[k], it.Ts)
 	} else {
@@ -91,39 +81,10 @@ func (a *align) punct(shard int, it stream.Item) error {
 	}
 	fwdTs := pp.ts[0]
 	pp.ts = pp.ts[1:]
-	a.punctsOut++
-	out := stream.PunctItem(it.Punct, fwdTs)
-	if len(pp.arrivals) > 0 {
-		arr := pp.arrivals[0]
-		pp.arrivals = pp.arrivals[1:]
-		a.lat.RecordPunctDelay(fwdTs, arr.ts)
-		if arr.trace != 0 {
-			// The join-wide terminal span (Shard = -1, N = shards); the
-			// shards' own punct_emit spans count shard alignments.
-			out.Span = arr.trace
-			a.instr.Span(span.KindPunctEmit, arr.trace, fwdTs, -1, int64(a.n), 0, 0, int64(fwdTs)-int64(arr.ts))
-		}
+	if len(pp.ts) == 0 {
+		delete(a.pending, key) // every shard even
 	}
-	if len(pp.ts) == 0 && len(pp.arrivals) == 0 {
-		delete(a.pending, key) // every shard even, nothing noted left
-	}
-	return a.out.Emit(out)
-}
-
-// note records a broadcast punctuation's arrival under its align key.
-func (a *align) note(key string, ts stream.Time, trace uint64) {
-	pp := a.entry(key)
-	pp.arrivals = append(pp.arrivals, arrival{ts: ts, trace: trace})
-}
-
-// entry returns key's countdown, creating it.
-func (a *align) entry(key string) *pendingPunct {
-	pp := a.pending[key]
-	if pp == nil {
-		pp = &pendingPunct{owed: make([]int, a.n)}
-		a.pending[key] = pp
-	}
-	return pp
+	return a.out.Emit(stream.PunctItem(it.Punct, fwdTs))
 }
 
 // Finish emits the one EOS, stamped no earlier than any shard's.
@@ -131,9 +92,5 @@ func (a *align) Finish(now stream.Time) error {
 	if a.eos != a.n {
 		return fmt.Errorf("parallel: align: %d of %d shards emitted EOS", a.eos, a.n)
 	}
-	ts := max(now, a.maxTs)
-	if lv := a.instr.Live(); lv != nil {
-		lv.Flush(ts) // final aggregated sample; every shard has finished
-	}
-	return a.out.Emit(stream.EOSItem(ts))
+	return a.out.Emit(stream.EOSItem(max(now, a.maxTs)))
 }

@@ -4,9 +4,7 @@
 // instantiated onto the live executor. It plays the role the Raindrop
 // query plans play for the paper's PJoin (§4: "implemented ... as a
 // query operator in the Raindrop XQuery subscription system"). Every
-// node is one operator on its own goroutine, a join node one core.PJoin;
-// a sharded join (internal/parallel) is spawned on an exec.Pipeline
-// whole, outside a plan.
+// node is one operator on its own goroutine, a join node one core.PJoin.
 //
 //	p := plan.New()
 //	p.Source("open", gen.OpenSchema, openItems, false)

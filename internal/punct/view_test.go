@@ -8,8 +8,8 @@ import (
 // TestWidenViewMatchesCopy holds the view Widen returns to the copy it
 // replaced — the patterns placed in a fresh full-width slice — on every
 // pattern kind, widths 1 to 6, every legal offset and a Widen of a Widen:
-// every query answers alike, String byte for byte (the sharded join's
-// align keys on it), and so do a set's lookups over the two. Place is
+// every query answers alike, String byte for byte (the oracle's
+// punctuation multisets and parallel's align key on it), and so do a set's lookups over the two. Place is
 // held to its copy the same way.
 func TestWidenViewMatchesCopy(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))

@@ -73,8 +73,7 @@ func DefaultCosts() CostModel {
 // Charge prices the cumulative work recorded in m from a zero baseline
 // (spill-store I/O is charged separately, from store.IOStats). Because
 // the model is linear, the cost of a work delta is the difference of
-// two Charge values; parallel compositions use Charge directly to price
-// each shard's work when computing pipeline makespans (bench scale1).
+// two Charge values.
 func (d CostModel) Charge(m joinbase.Metrics) stream.Time {
 	var cost stream.Time
 	cost += d.PerTuple * stream.Time(m.TuplesIn[0]+m.TuplesIn[1])

@@ -274,10 +274,10 @@ func (k ItemKind) String() string {
 // for a tuple item Ts and Tuple.Ts agree only until the first restamp.
 //
 // Span, when non-zero on a KindPunct item, is the punctuation's
-// provenance trace ID (internal/obs/span): the sharded router stamps
-// it before broadcasting so every shard's lifecycle spans group under
-// one trace. Tuple provenance rides Tuple.Span instead — an item
-// rebuild (the sharded join's align forward) must preserve both.
+// provenance trace ID (internal/obs/span): a join stamps the punctuation
+// it propagates, so a downstream join's lifecycle spans group under the
+// same trace. Tuple provenance rides Tuple.Span instead — an item
+// rebuild must preserve both.
 //
 // Borrowed marks a tuple that lives in the Batch that delivers the item
 // (Batch.AppendJoin: an exec edge builds a join's results there) or in
