@@ -2,9 +2,11 @@ package exec
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"pjoin/internal/gen"
 	"pjoin/internal/op"
@@ -147,4 +149,129 @@ func TestLingerBoundsTupleDelay(t *testing.T) {
 		t.Errorf("first tuple was processed only %v before EOS; the %v linger "+
 			"timer did not flush it during the %v source stall", gap, linger, stall)
 	}
+}
+
+// roomLog records, for each batch it is handed, the batch's room
+// (cap(items)) and the identity of its array, and the kind and own Ts of
+// every item, in delivery order.
+type roomLog struct {
+	rooms  []int
+	arrays []uintptr
+	seq    []stream.Time // a tuple's own Ts, -1 for a punctuation, -2 for EOS
+}
+
+func (r *roomLog) Name() string              { return "room-log" }
+func (r *roomLog) NumPorts() int             { return 1 }
+func (r *roomLog) OutSchema() *stream.Schema { return gen.SchemaA }
+
+func (r *roomLog) ProcessBatch(port int, items []stream.Item, now stream.Time) error {
+	r.rooms = append(r.rooms, cap(items))
+	r.arrays = append(r.arrays, uintptr(unsafe.Pointer(unsafe.SliceData(items))))
+	for _, it := range items {
+		switch it.Kind {
+		case stream.KindTuple:
+			r.seq = append(r.seq, it.Tuple.Ts)
+		case stream.KindPunct:
+			r.seq = append(r.seq, -1)
+		default:
+			r.seq = append(r.seq, -2)
+		}
+	}
+	return nil
+}
+
+// logRooms prints how many batches had each room: the line make
+// bench-alloc shows.
+func (r *roomLog) logRooms(t *testing.T, input string) {
+	t.Helper()
+	counts := map[int]int{}
+	for _, room := range r.rooms {
+		counts[room]++
+	}
+	t.Logf("%s input: %d items in %d batches, by room: %v", input, len(r.seq), len(r.rooms), counts)
+}
+
+func (r *roomLog) Process(port int, it stream.Item, now stream.Time) error {
+	return r.ProcessBatch(port, []stream.Item{it}, now)
+}
+
+func (r *roomLog) OnIdle(stream.Time) (bool, error) { return false, nil }
+func (r *roomLog) Finish(stream.Time) error         { return nil }
+
+// runRoomLog runs an unpaced source of in into a roomLog at the given
+// batch size, with a linger no run outlives: only a full batch, a
+// punctuation or the EOS cuts.
+func runRoomLog(t *testing.T, in []stream.Item, batch int) *roomLog {
+	t.Helper()
+	p := NewPipeline()
+	p.BatchSize = batch
+	p.BatchLinger = time.Hour
+	src := p.Edge()
+	r := &roomLog{}
+	p.SourceItems(src, in, false)
+	if err := p.Spawn(r, src); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestEdgeBatchesFollowWhatTheyCarry pins how an edge sizes its batches
+// at BatchSize 256: born with room for birthRoom items while none has
+// filled, so a punctuation-cut input never pays for 256-item arrays, and
+// born full size once one fills, so a dense input is not cut at 64. The
+// items, their order and their kinds are those of per-item delivery.
+func TestEdgeBatchesFollowWhatTheyCarry(t *testing.T) {
+	tuples := items(t, 4000)
+	closed := stream.PunctItem(punct.MustKeyOnly(2, 0, punct.Const(value.Int(1))), 0)
+	// sparse cuts a punctuation after every run of 1, 2, …, 35 tuples.
+	var sparse []stream.Item
+	for i, run := 0, 1; i < len(tuples); run = run%35 + 1 {
+		end := min(i+run, len(tuples))
+		sparse = append(append(sparse, tuples[i:end]...), closed)
+		i = end
+	}
+	// dense has a punctuation after every 1,000 tuples.
+	var dense []stream.Item
+	for i := 0; i < len(tuples); i += 1000 {
+		dense = append(append(dense, tuples[i:i+1000]...), closed)
+	}
+	t.Run("sparse", func(t *testing.T) {
+		r := runRoomLog(t, sparse, 256)
+		r.logRooms(t, "punctuation-cut")
+		for i, room := range r.rooms {
+			if room > birthRoom {
+				t.Fatalf("batch %d of a punctuation-cut input has room for %d items, want at most %d", i, room, birthRoom)
+			}
+		}
+		if want := runRoomLog(t, sparse, 1).seq; !slices.Equal(r.seq, want) {
+			t.Errorf("batch 256 delivered %d items, batch 1 %d, or another order", len(r.seq), len(want))
+		}
+	})
+	t.Run("dense", func(t *testing.T) {
+		r := runRoomLog(t, dense, 256)
+		r.logRooms(t, "dense")
+		if r.rooms[0] != birthRoom {
+			t.Fatalf("the first batch has room for %d items, want %d", r.rooms[0], birthRoom)
+		}
+		// The first batch fills and is recycled with its room: it is the
+		// one array of that size the edge ever has.
+		full := 0
+		for i, room := range r.rooms {
+			switch {
+			case room == 256:
+				full++
+			case room != birthRoom || r.arrays[i] != r.arrays[0]:
+				t.Fatalf("batch %d has room for %d items in a new array; after the first batch filled, want 256", i, room)
+			}
+		}
+		if full == 0 {
+			t.Error("no batch has room for 256 items after the first one filled")
+		}
+		if want := runRoomLog(t, dense, 1).seq; !slices.Equal(r.seq, want) {
+			t.Errorf("batch 256 delivered %d items, batch 1 %d, or another order", len(r.seq), len(want))
+		}
+	})
 }

@@ -6,11 +6,12 @@
 // op.Operator implementations).
 //
 // There is one dataflow path. Edges carry batches of up to
-// Pipeline.BatchSize items and the operator driver hands each batch to
-// op.ProcessAll; per-item delivery is that same path at batch size 1 (the
-// default). The one rule the plan around a join relies on (paper §3.5,
-// Fig. 1: punctuations must reach the group-by early) lives in Edge: a
-// punctuation or EOS is never queued behind buffered tuples.
+// Pipeline.BatchSize items, each cut when full (Edge), and the operator
+// driver hands each batch to op.ProcessAll; per-item delivery is that
+// same path at batch size 1 (the default). The one rule the plan around
+// a join relies on (paper §3.5, Fig. 1: punctuations must reach the
+// group-by early) lives in Edge: a punctuation or EOS is never queued
+// behind buffered tuples.
 //
 // The executor owns arrival timestamping: every item entering an
 // operator has its Item.Ts overwritten with a strictly increasing
@@ -51,15 +52,20 @@ import (
 //
 // The channel carries pooled batches (stream.Batch): Emit accumulates
 // under mu and a cut sends the whole buffer in one channel operation. A
-// cut happens when the buffer reaches the batch size fixed at creation
-// (Pipeline.BatchSize; at size 1 every Emit is a cut, which is per-item
-// delivery), when a punctuation or EOS is emitted — it flushes the
-// buffer with itself as the last element, so constraint information is
-// never delayed behind buffered data — and when the linger budget runs
-// out: with BatchLinger > 0 a tuple may wait in the buffer for at most
-// that long (the edge's one timer, re-armed for each waiting buffer, cuts
-// the batch); with linger zero every Emit flushes, so a larger batch size
-// adds no latency and no fill.
+// cut happens when the buffer is full (at size 1 every Emit is a cut,
+// which is per-item delivery), when a punctuation or EOS is emitted — it
+// flushes the buffer with itself as the last element, so constraint
+// information is never delayed behind buffered data — and when the
+// linger budget runs out: with BatchLinger > 0 a tuple may wait in the
+// buffer for at most that long (the edge's one timer, re-armed for each
+// waiting buffer, cuts the batch); with linger zero every Emit flushes,
+// so a larger batch size adds no latency and no fill.
+//
+// Full means at the batch's own room, never above the batch size fixed
+// at creation (Pipeline.BatchSize). Until a batch of the edge fills, a
+// fresh one is born with room for min(size, birthRoom) items; the first
+// that fills switches the edge to size for every fresh batch after it. A
+// recycled batch keeps the room it was born with (stream.Lane.Get).
 //
 // Consumed batches come back through lane, the edge's own return path:
 // the batches of an edge, with the result slabs a join has grown in them,
@@ -74,6 +80,7 @@ type Edge struct {
 
 	mu     sync.Mutex //pjoin:lockrank leaf
 	buf    *stream.Batch
+	room   int         // the room a fresh batch is born with
 	timer  *time.Timer // the linger timer: created at the first arming, Reset after
 	armed  bool        // its callback is pending
 	closed bool
@@ -136,7 +143,7 @@ func (e *Edge) openLocked() error {
 	if e.closed {
 		return fmt.Errorf("exec: emit on a closed edge")
 	}
-	e.buf = e.lane.Get(e.size)
+	e.buf = e.lane.Get(e.room)
 	return nil
 }
 
@@ -149,7 +156,9 @@ func (e *Edge) cutLocked(kind stream.ItemKind) error {
 		// so downstream purge/propagation latency is never queued
 		// behind buffered tuples.
 		return e.flushLocked(true)
-	case len(e.buf.Items) >= e.size:
+	case len(e.buf.Items) == cap(e.buf.Items):
+		// Full: every fresh batch from now on is born full size.
+		e.room = e.size
 		return e.flushLocked(false)
 	case e.linger <= 0:
 		// No linger budget: every Emit flushes, so latency is that of
@@ -276,12 +285,12 @@ type Pipeline struct {
 	IdlePoll time.Duration
 
 	// BatchSize is the dataflow granularity of edges created after it is
-	// set: each edge delivers batches of up to BatchSize items, and ≤ 1
-	// (the default) means batches of one — per-item delivery. The value
-	// changes only how much channel and wakeup overhead an item pays:
-	// punctuations and EOS always cut batches, and operators see the same
-	// items in the same order through op.ProcessAll at every size. Set
-	// before creating edges.
+	// set: each edge delivers batches of up to BatchSize items, cut when
+	// full (Edge), and ≤ 1 (the default) means batches of one — per-item
+	// delivery. The value changes only how much channel and wakeup
+	// overhead an item pays: punctuations and EOS always cut batches, and
+	// operators see the same items in the same order through
+	// op.ProcessAll at every size. Set before creating edges.
 	BatchSize int
 
 	// BatchLinger bounds how long a tuple may wait in an edge buffer
@@ -343,6 +352,12 @@ const edgeDepth = 16
 // being processed (DESIGN.md §12, "Short edges").
 const edgeInFlight = edgeDepth + 2
 
+// birthRoom is the room, in items, of a batch an edge is born with while
+// none of its batches has filled: 64 48-byte items and the object header
+// are 3,080 B, in the 3,200-B size class. An edge whose punctuations cut
+// every run shorter never holds a larger batch (DESIGN.md §12, "Edges").
+const birthRoom = 64
+
 // Edge allocates a new channel edge; its batch size and linger are fixed
 // here from BatchSize and BatchLinger.
 func (p *Pipeline) Edge() *Edge {
@@ -350,7 +365,7 @@ func (p *Pipeline) Edge() *Edge {
 	if size < 1 {
 		size = 1
 	}
-	e := &Edge{p: p, ch: make(chan *stream.Batch, edgeDepth), lane: p.pool.Lane(edgeInFlight), size: size, linger: p.BatchLinger}
+	e := &Edge{p: p, ch: make(chan *stream.Batch, edgeDepth), lane: p.pool.Lane(edgeInFlight), size: size, room: min(size, birthRoom), linger: p.BatchLinger}
 	p.edges = append(p.edges, e)
 	return e
 }

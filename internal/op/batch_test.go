@@ -104,8 +104,8 @@ func TestProcessAllEmptyAndErrors(t *testing.T) {
 func TestCollectorGrowAndEmitBatch(t *testing.T) {
 	var c Collector
 	c.Grow(4)
-	if len(c.Items) != 0 || cap(c.Items) < 4 {
-		t.Fatalf("after Grow(4): len=%d cap=%d", len(c.Items), cap(c.Items))
+	if len(c.Items) != 0 || cap(c.Items) != 256 {
+		t.Fatalf("after Grow(4): len=%d cap=%d, want 0 and 256", len(c.Items), cap(c.Items))
 	}
 	if err := c.EmitBatch(batchItems(3)); err != nil {
 		t.Fatal(err)
@@ -127,8 +127,8 @@ func TestCollectorGrowAndEmitBatch(t *testing.T) {
 		c.Grow(1)
 		if cap(c.Items) != before {
 			copies++
-			if cap(c.Items) < 2*before {
-				t.Fatalf("Grow(1) at cap %d grew to %d, want >= %d", before, cap(c.Items), 2*before)
+			if n := cap(c.Items); n < 2*before || n&(n-1) != 0 {
+				t.Fatalf("Grow(1) at cap %d grew to %d, want a power of two >= %d", before, n, 2*before)
 			}
 		}
 		c.Items = append(c.Items, stream.Item{})

@@ -59,13 +59,15 @@ func (c *Collector) Emit(it stream.Item) error {
 // Growth is geometric (at least double), never exact-fit: an exact-fit
 // grow would leave zero spare after the batch lands and re-copy the
 // whole collector on every subsequent batch — quadratic in total items.
+// The capacities are powers of two from 256, so what the collector
+// allocates does not depend on where its producer cut the first batch.
 func (c *Collector) Grow(n int) {
 	if n <= 0 || cap(c.Items)-len(c.Items) >= n {
 		return
 	}
-	newCap := 2 * cap(c.Items)
-	if newCap < len(c.Items)+n {
-		newCap = len(c.Items) + n
+	newCap := 256
+	for newCap < len(c.Items)+n || newCap < 2*cap(c.Items) {
+		newCap <<= 1
 	}
 	grown := make([]stream.Item, len(c.Items), newCap)
 	copy(grown, c.Items)

@@ -115,7 +115,10 @@ func (p *BatchPool) Lane(depth int) *Lane {
 	return l
 }
 
-// Get returns an empty batch with room for at least n items.
+// Get returns an empty batch: a fresh one has room for n items, a
+// recycled one keeps the room it was born with, whatever n is. An edge
+// sizes the batches it asks for by what it carries, so a batch born
+// small stays small and one born full size is never outgrown.
 //
 //pjoin:pool get
 func (l *Lane) Get(n int) *Batch {
@@ -127,9 +130,6 @@ func (l *Lane) Get(n int) *Batch {
 	b := l.ring[i&l.mask]
 	l.ring[i&l.mask] = nil
 	l.taken.Store(i + 1)
-	if cap(b.Items) < n {
-		b.Items = make([]Item, 0, n)
-	}
 	return b
 }
 
@@ -148,9 +148,9 @@ func (l *Lane) Put(b *Batch) {
 }
 
 // Stats returns how many batches the lane allocated because its ring was
-// empty and how many it left to the collector because the ring was full. A lane as deep as everything its pair can have in flight
-// shows at most that many fresh batches and no drops, however long it
-// runs.
+// empty and how many it left to the collector because the ring was full.
+// A lane as deep as everything its pair can have in flight shows at most
+// that many fresh batches and no drops, however long it runs.
 func (l *Lane) Stats() (fresh, dropped int64) {
 	return l.fresh.Load(), l.dropped.Load()
 }

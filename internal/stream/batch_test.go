@@ -44,3 +44,23 @@ func TestBatchPoolRecyclesClean(t *testing.T) {
 		t.Errorf("stats: %d gets, %d puts; want 1 and 1", gets, puts)
 	}
 }
+
+// TestLaneGetKeepsRecycledRoom: a fresh batch is born with the room asked
+// for, and a recycled one keeps the room it was born with, whatever the
+// next Get asks — an edge sizes its batches by what it carries, and a
+// reallocation here would undo that for every batch it recycles.
+func TestLaneGetKeepsRecycledRoom(t *testing.T) {
+	var pool BatchPool
+	lane := pool.Lane(1)
+	b := lane.Get(64)
+	if cap(b.Items) != 64 {
+		t.Fatalf("fresh Get(64): room %d", cap(b.Items))
+	}
+	lane.Put(b)
+	if again := lane.Get(256); again != b || cap(again.Items) != 64 {
+		t.Errorf("Get(256) of a recycled 64-room batch: same batch %v, room %d; want the same batch, room 64", again == b, cap(again.Items))
+	}
+	if fresh := lane.Get(256); cap(fresh.Items) != 256 {
+		t.Errorf("fresh Get(256): room %d", cap(fresh.Items))
+	}
+}
