@@ -65,8 +65,13 @@ exec-stress:
 check: build vet lint race
 
 # The examples are self-checking demos: each exits non-zero when its run
-# goes wrong (examples/nary unless all 8 orders come out, both joins end
-# empty and 24 punctuations are propagated). CI's check job runs them.
+# goes wrong, on facts that do not depend on the schedule (never the
+# purged / dropped-on-the-fly split). auction: 594 results, 40 of 40
+# totals emitted early, 80 punctuations out, join state 0. nary: 8
+# orders out, both joins' state 0, 24 punctuations. pipeline: one derived
+# punctuation per Open tuple (60), join state 0, some per-bidder totals.
+# quickstart: 2 results, 2 punctuations out, state 1 (item 2 is never
+# punctuated). sensors: 37 results, state 0. CI's check job runs them.
 examples:
 	@for e in ./examples/*/; do \
 		echo "$$e"; \
@@ -110,7 +115,7 @@ figures-check:
 # shrinks the tree lowers the ceiling to its measured figure, and one
 # that must grow it raises the ceiling in the same diff, where review
 # sees it.
-LOC_CEILING := 21733
+LOC_CEILING := 21470
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' \
 		! -path './.bench_build/*' ! -path './internal/lint/*/testdata/*' \

@@ -94,4 +94,8 @@ func main() {
 	fmt.Printf("group-by: %d of %d groups emitted early (before end-of-stream)\n",
 		groupBy.EarlyEmitted(), groupBy.EarlyEmitted()+int64(groupBy.Groups()))
 	fmt.Printf("join state at end: %d tuples (fully purged by punctuations)\n", join.StateTuples())
+	if m.TuplesOut != 594 || groupBy.EarlyEmitted() != 40 || groupBy.Groups() != 0 || m.PunctsOut != 80 || join.StateTuples() != 0 {
+		log.Fatalf("want 594 results, 40 of 40 groups early, 80 punctuations out and state 0; got %d, %d of %d, %d and %d",
+			m.TuplesOut, groupBy.EarlyEmitted(), groupBy.EarlyEmitted()+int64(groupBy.Groups()), m.PunctsOut, join.StateTuples())
+	}
 }

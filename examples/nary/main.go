@@ -1,5 +1,5 @@
 // Nary: the paper's §6 n-way extension, a three-way punctuated join run
-// as a plan of two binary PJoins. Orders, Payments and Shipments are
+// as a pipeline of two binary PJoins. Orders, Payments and Shipments are
 // joined on order_id: `paid` = Orders ⋈ Payments, `fulfilled` = paid ⋈
 // Shipments. Each stream punctuates an order id once its stage is done;
 // that purges both joins' state, and the punctuations `paid` propagates
@@ -15,7 +15,7 @@ import (
 	"log"
 
 	"pjoin/internal/core"
-	"pjoin/internal/plan"
+	"pjoin/internal/exec"
 	"pjoin/internal/punct"
 	"pjoin/internal/stream"
 	"pjoin/internal/value"
@@ -52,31 +52,41 @@ func main() {
 	// paid propagates a punctuation as soon as no stored tuple matches it;
 	// the punctuation stays in force there, purging and dropping, until
 	// it owes nothing.
-	opts := plan.JoinOptions{Verify: true}
-	p := plan.New()
-	p.Source("orders", schemas[0], in[0], false)
-	p.Source("payments", schemas[1], in[1], false)
-	p.Source("shipments", schemas[2], in[2], false)
-	p.PJoin("paid", "orders", "payments", opts)
-	p.PJoin("fulfilled", "paid", "shipments", opts)
-	p.Sink("out", "fulfilled")
-	res, err := p.Run(context.Background())
-	if err != nil {
+	p := exec.NewPipeline()
+	src := []*exec.Edge{p.Edge(), p.Edge(), p.Edge()}
+	for s, items := range in {
+		p.SourceItems(src[s], items, false)
+	}
+	// join spawns a PJoin named name on inputs a and b and returns it with
+	// its output edge.
+	join := func(name string, a, b *exec.Edge, sa, sb *stream.Schema) (*core.PJoin, *exec.Edge) {
+		out := p.Edge()
+		j, err := core.New(core.Config{SchemaA: sa, SchemaB: sb, OutName: name, VerifyPunctuations: true, Thresholds: core.Thresholds{PropagateCount: 1}}, out)
+		if err == nil {
+			err = p.Spawn(j, a, b)
+		}
+		if err != nil {
+			log.Fatal(err)
+		}
+		return j, out
+	}
+	paid, paidOut := join("paid", src[0], src[1], schemas[0], schemas[1])
+	fulfilled, fulfilledOut := join("fulfilled", paidOut, src[2], paid.OutSchema(), schemas[2])
+	out := p.Sink(fulfilledOut)
+	if err := p.Run(context.Background()); err != nil {
 		log.Fatal(err)
 	}
 
-	out := res.Sinks["out"]
 	fmt.Println("fulfilled orders (order x payment x shipment):")
 	for _, t := range out.Tuples() {
 		fmt.Printf("  #%d %-3s paid %5.1f shipped via %s\n",
 			t.Values[0].IntVal(), t.Values[1].StrVal(), t.Values[3].FloatVal(), t.Values[5].StrVal())
 	}
 	state := 0
-	for _, name := range []string{"paid", "fulfilled"} {
-		j := res.Operators[name].(*core.PJoin)
+	for _, j := range []*core.PJoin{paid, fulfilled} {
 		m := j.Metrics()
 		fmt.Printf("%-9s results=%d purged=%d dropped-on-fly=%d state=%d\n",
-			name, m.TuplesOut, m.Purged, m.DroppedOnFly, j.StateTuples())
+			j.OutSchema().Name(), m.TuplesOut, m.Purged, m.DroppedOnFly, j.StateTuples())
 		state += j.StateTuples()
 	}
 	puncts := len(out.Puncts())

@@ -96,4 +96,8 @@ func main() {
 		m.TuplesOut, m.Purged, m.PunctsOut)
 	fmt.Println("\nevent-listener registry (paper Table 1 style):")
 	fmt.Print(join.Table1())
+	if m.TuplesOut != 2 || m.PunctsOut != 2 || join.StateTuples() != 1 {
+		log.Fatalf("want 2 results, 2 punctuations out and state 1; got %d, %d and %d",
+			m.TuplesOut, m.PunctsOut, join.StateTuples())
+	}
 }

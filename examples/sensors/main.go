@@ -68,4 +68,7 @@ func main() {
 	fmt.Printf("max state during run: %d tuples; final state: %d\n", maxState, join.StateTuples())
 	m := join.Metrics()
 	fmt.Printf("purged=%d dropped-on-fly=%d\n", m.Purged, m.DroppedOnFly)
+	if got := len(sink.Tuples()); got != 37 || join.StateTuples() != 0 {
+		log.Fatalf("want 37 results and final state 0; got %d and %d", got, join.StateTuples())
+	}
 }

@@ -27,7 +27,7 @@ func tupC(key int64, payload string, ts stream.Time) feedItem {
 type cascade struct{ j1, j2 *PJoin }
 
 // newCascade builds the two joins with push propagation after every
-// punctuation (what plan builds by default) and punctuation checking on.
+// punctuation (what examples/nary builds) and punctuation checking on.
 func newCascade(t *testing.T, sink op.Emitter) *cascade {
 	t.Helper()
 	c := &cascade{}

@@ -37,6 +37,26 @@ func (a *tsAudit) ProcessBatch(port int, items []stream.Item, now stream.Time) e
 	return op.ProcessAll(a.Operator, port, items)
 }
 
+// punctFirst wraps an operator and records whether a tuple reached port
+// 0 after a punctuation had: whether that input was punctuated while its
+// tuples still flowed, not only after them. It hides a join's
+// EventTimeAligned marker, which changes nothing when port 0 is fed by
+// an operator: the driver aligns only source-fed ports against each other.
+type punctFirst struct {
+	op.Operator
+	punct, tupleAfter bool
+}
+
+func (w *punctFirst) ProcessBatch(port int, items []stream.Item, now stream.Time) error {
+	if port == 0 {
+		for _, it := range items {
+			w.tupleAfter = w.tupleAfter || w.punct && it.Kind == stream.KindTuple
+			w.punct = w.punct || it.Kind == stream.KindPunct
+		}
+	}
+	return op.ProcessAll(w.Operator, port, items)
+}
+
 // TestBatchedPipelineEquivalence pins that the batch size is a value, not
 // a mode. The same workload runs through every cell of BatchSize {0, 1,
 // 8, 256} × linger {0, 1 ms}, plus batch 64 at 1 ms; joined value
@@ -309,13 +329,16 @@ func multisetOf(items []stream.Item) map[string]int {
 }
 
 // TestBorrowedResultsEveryShape runs every way a join's borrowed results
-// are retained or forwarded — collected (Sink), forwarded by a Select and
-// by a KeyPunctuator, retained by a second PJoin, and produced by XJoin —
+// are retained or forwarded — collected (Sink), forwarded by a Select,
+// filtered by a Select and rebuilt by a Project, forwarded by a
+// KeyPunctuator, retained by a second PJoin, and produced by XJoin —
 // against
 // the brute-force shj reference, at batch {0, 1, 8, 256} × linger {0,
 // 1 ms}. What the sink holds is compared after Run, when every batch has
 // been recycled: a consumer that kept a borrowed tuple without Keep holds
-// zeroed or overwritten results and fails its cell.
+// zeroed or overwritten results and fails its cell. The cascade of two
+// PJoins also checks that the first one's propagated punctuations purge
+// the second's state.
 func TestBorrowedResultsEveryShape(t *testing.T) {
 	a, b, c, scC := threeStreams(24, 3)
 	a1, b1, _, _ := threeStreams(40, 1) // unique keys: the KeyPunctuator's constraint
@@ -333,6 +356,13 @@ func TestBorrowedResultsEveryShape(t *testing.T) {
 		return sc
 	}()
 	abc := multisetOf(shjJoin(t, abSchema, scC, ab, c))
+	even := func(tp *stream.Tuple) bool { return tp.Values[0].IntVal()%2 == 0 }
+	evenSlim := map[string]int{} // ab's results with an even key, as (k, B's payload)
+	for _, it := range ab {
+		if even(it.Tuple) {
+			evenSlim[valuesKey(&stream.Tuple{Values: []value.Value{it.Tuple.Values[0], it.Tuple.Values[3]}})]++
+		}
+	}
 
 	// Each shape wires what follows the first join's output edge and
 	// returns the edge the sink drains.
@@ -346,12 +376,14 @@ func TestBorrowedResultsEveryShape(t *testing.T) {
 		checkFn func(t *testing.T, sink *op.Collector)
 	}
 	direct := func(p *Pipeline, joined *Edge) (*Edge, error) { return joined, nil }
+	var j2 *punctFirst // the second join of the cell running now
 	second := func(p *Pipeline, joined *Edge) (*Edge, error) {
 		srcC, out := p.Edge(), p.Edge()
-		j2, err := core.New(core.Config{SchemaA: abSchema, SchemaB: scC, VerifyPunctuations: true}, out)
+		j, err := core.New(core.Config{SchemaA: abSchema, SchemaB: scC, VerifyPunctuations: true}, out)
 		if err != nil {
 			return nil, err
 		}
+		j2 = &punctFirst{Operator: j}
 		p.SourceItems(srcC, c, false)
 		return out, p.Spawn(j2, joined, srcC)
 	}
@@ -365,6 +397,22 @@ func TestBorrowedResultsEveryShape(t *testing.T) {
 					return nil, err
 				}
 				return out, p.Spawn(sel, joined)
+			}},
+		{name: "pjoin_select_project_sink", a: a, b: b, first: pjoin, want: evenSlim, puncts: true,
+			wire: func(p *Pipeline, joined *Edge) (*Edge, error) {
+				mid, out := p.Edge(), p.Edge()
+				sel, err := op.NewSelect(abSchema, even, mid)
+				if err != nil {
+					return nil, err
+				}
+				pr, err := op.NewProject(abSchema, []int{0, 3}, out)
+				if err != nil {
+					return nil, err
+				}
+				if err := p.Spawn(sel, joined); err != nil {
+					return nil, err
+				}
+				return out, p.Spawn(pr, mid)
 			}},
 		{name: "pjoin_keypunct_sink", a: a1, b: b1, first: pjoin, puncts: true,
 			want: multisetOf(shjJoin(t, gen.SchemaA, gen.SchemaB, a1, b1)),
@@ -388,7 +436,26 @@ func TestBorrowedResultsEveryShape(t *testing.T) {
 					}
 				}
 			}},
-		{name: "pjoin_pjoin", a: a, b: b, first: pjoin, want: abc, wire: second, puncts: true},
+		{name: "pjoin_pjoin", a: a, b: b, first: pjoin, want: abc, wire: second, puncts: true,
+			checkFn: func(t *testing.T, sink *op.Collector) {
+				// The punctuations the first join propagates reach the
+				// second while results still flow, and purge its state
+				// (§3.5: propagation pays off downstream).
+				j := j2.Operator.(*core.PJoin)
+				m := j.Metrics()
+				if m.PunctsIn[0] == 0 {
+					t.Error("no punctuation flowed from the first join into the second")
+				}
+				if !j2.tupleAfter {
+					t.Error("the first join propagated nothing before its last result")
+				}
+				if m.Purged == 0 && m.DroppedOnFly == 0 {
+					t.Error("the second join exploited no punctuation")
+				}
+				if got := j.StateTuples(); got != 0 {
+					t.Errorf("the second join holds %d tuples at the end", got)
+				}
+			}},
 		{name: "xjoin_sink", a: a, b: b, want: multisetOf(ab), wire: direct,
 			first: func(out op.Emitter) (op.Operator, error) {
 				return core.NewXJoin(core.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB, Thresholds: core.Thresholds{MemoryBytes: 2 << 10}}, out)

@@ -36,6 +36,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -520,7 +521,9 @@ func (p *Pipeline) Pull(o op.Operator) (*PullHandle, error) {
 
 // Spawn wires the operator to its input edges (one per port, in port
 // order) and schedules it to run. The operator's emitter must already
-// point at an Edge created from this pipeline (or any op.Emitter).
+// point at an Edge created from this pipeline (or any op.Emitter). An
+// edge has one reader: Spawn refuses an edge another operator or a Sink
+// already reads, or one edge on two ports.
 func (p *Pipeline) Spawn(o op.Operator, inputs ...*Edge) error {
 	if o == nil {
 		return fmt.Errorf("exec: Spawn of nil operator")
@@ -531,6 +534,9 @@ func (p *Pipeline) Spawn(o op.Operator, inputs ...*Edge) error {
 	for i, in := range inputs {
 		if in == nil {
 			return fmt.Errorf("exec: %s: nil input edge %d", o.Name(), i)
+		}
+		if in.wake != nil || in.sink || slices.Contains(inputs[:i], in) {
+			return fmt.Errorf("exec: %s: input edge %d already has a reader", o.Name(), i)
 		}
 	}
 	ins := append([]*Edge(nil), inputs...)
@@ -798,10 +804,15 @@ func (p *Pipeline) Watch(d *health.Detector, every time.Duration, probe func() h
 }
 
 // Sink attaches a draining collector to an edge and returns it. The
-// collector's contents are complete once Run returns.
+// collector's contents are complete once Run returns. A Sink on an edge
+// that already has a reader makes Run fail before it launches anything.
 func (p *Pipeline) Sink(in *Edge) *op.Collector {
-	in.sink = true
 	c := &op.Collector{}
+	if in.wake != nil || in.sink {
+		p.fail(fmt.Errorf("exec: Sink on an edge that already has a reader"))
+		return c
+	}
+	in.sink = true
 	p.launched = append(p.launched, func() {
 		p.wg.Add(1)
 		go func() {
@@ -830,8 +841,11 @@ func (p *Pipeline) Sink(in *Edge) *op.Collector {
 }
 
 // Run launches everything and blocks until the pipeline drains or the
-// context is cancelled. It returns the first operator error, if any.
+// context is cancelled. It returns the first wiring or operator error.
 func (p *Pipeline) Run(ctx context.Context) error {
+	if p.err != nil { // a wiring error (Sink): launch nothing
+		return p.err
+	}
 	p.start = time.Now()
 	stop := context.AfterFunc(ctx, func() {
 		p.fail(fmt.Errorf("exec: external cancellation: %w", context.Cause(ctx)))

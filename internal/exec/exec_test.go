@@ -159,6 +159,58 @@ func TestLiveFig1Plan(t *testing.T) {
 	}
 }
 
+// TestKeyPunctuatorFeedsJoin derives the Open stream's punctuations in
+// the pipeline instead of at the source (paper §1.1: item_id is a key of
+// Open): a KeyPunctuator in front of the join's left input punctuates
+// each Open tuple's item_id after it, so the join probes a later bid of
+// that item and drops it on the fly: no Open tuple can join it again.
+func TestKeyPunctuatorFeedsJoin(t *testing.T) {
+	arrs, err := gen.Auction(gen.AuctionConfig{
+		Seed: 3, Items: 20,
+		OpenMean: stream.Time(200_000), AuctionLength: stream.Time(3_000_000),
+		BidMean: stream.Time(500_000), UniqueOpenPunct: false,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var open, bid []stream.Item
+	for _, a := range arrs {
+		if a.Port == gen.AuctionPortOpen {
+			open = append(open, a.Item)
+		} else {
+			bid = append(bid, a.Item)
+		}
+	}
+	p := NewPipeline()
+	raw, srcO, srcB, joined := p.Edge(), p.Edge(), p.Edge(), p.Edge()
+	kp, err := op.NewKeyPunctuator(gen.OpenSchema, 0, srcO)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := core.New(core.Config{SchemaA: gen.OpenSchema, SchemaB: gen.BidSchema, Thresholds: core.Thresholds{PropagateCount: 1}}, joined)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.SourceItems(raw, open, false)
+	p.SourceItems(srcB, bid, false)
+	if err := p.Spawn(kp, raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Spawn(j, srcO, srcB); err != nil {
+		t.Fatal(err)
+	}
+	p.Sink(joined)
+	if err := p.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := kp.Derived(); got != 20 {
+		t.Errorf("derived %d punctuations, want one per Open tuple (20)", got)
+	}
+	if j.Metrics().DroppedOnFly == 0 {
+		t.Error("derived punctuations never let the join drop a tuple on the fly")
+	}
+}
+
 func TestOperatorErrorPropagates(t *testing.T) {
 	p := NewPipeline()
 	src, out := p.Edge(), p.Edge()
@@ -191,6 +243,73 @@ func TestSpawnValidation(t *testing.T) {
 	}
 	if err := p.Spawn(&portLog{}); err == nil {
 		t.Error("an operator without input ports should error")
+	}
+
+	// An edge has one reader. Each case below wires a second one onto a
+	// source's edge: Spawn refuses it and leaves the first reader's wiring
+	// runnable, or, for a Sink, Run fails before launching anything (no
+	// batch is ever drawn).
+	selectOn := func(p *Pipeline, in *Edge) error {
+		out := p.Edge()
+		sel, _ := op.NewSelect(gen.SchemaA, func(*stream.Tuple) bool { return true }, out)
+		if err := p.Spawn(sel, in); err != nil {
+			return err
+		}
+		p.Sink(out)
+		return nil
+	}
+	for _, c := range []struct {
+		name  string
+		atRun bool // a Sink returns no error: Run refuses the pipeline
+		wire  func(p *Pipeline, src *Edge) error
+	}{
+		{"spawn_after_spawn", false, func(p *Pipeline, src *Edge) error {
+			if err := selectOn(p, src); err != nil {
+				t.Fatal(err)
+			}
+			return selectOn(p, src)
+		}},
+		{"spawn_after_sink", false, func(p *Pipeline, src *Edge) error {
+			p.Sink(src)
+			return selectOn(p, src)
+		}},
+		{"one_edge_two_ports", false, func(p *Pipeline, src *Edge) error {
+			j, err := core.New(core.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaA}, p.Edge())
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = p.Spawn(j, src, src)
+			p.Sink(src)
+			return err
+		}},
+		{"sink_after_spawn", true, func(p *Pipeline, src *Edge) error {
+			if err := selectOn(p, src); err != nil {
+				t.Fatal(err)
+			}
+			p.Sink(src)
+			return nil
+		}},
+		{"sink_after_sink", true, func(p *Pipeline, src *Edge) error {
+			p.Sink(src)
+			p.Sink(src)
+			return nil
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p := NewPipeline()
+			src := p.Edge()
+			p.SourceItems(src, items(t, 20), false)
+			wireErr := c.wire(p, src)
+			err := p.Run(context.Background())
+			switch gets, _ := p.pool.Stats(); {
+			case !c.atRun && wireErr == nil:
+				t.Errorf("a second reader on one edge was accepted (Run: %v)", err)
+			case !c.atRun && err != nil:
+				t.Errorf("the refused reader broke the first one's run: %v", err)
+			case c.atRun && (err == nil || gets != 0):
+				t.Errorf("Run with a second reader on one edge drew %d batches and returned %v", gets, err)
+			}
+		})
 	}
 }
 

@@ -84,8 +84,8 @@ func (p *BatchPool) Stats() (gets, puts int64) {
 // and one load of the other side's counter each way. The price is the
 // single-producer, single-consumer contract: Get is called by one
 // goroutine at a time (an edge calls it under its mutex) and Put by one
-// goroutine at a time (the edge's one consumer: an operator's driver, or
-// Sink).
+// goroutine at a time (the edge's one consumer, an operator's driver or
+// a Sink: exec refuses a second).
 type Lane struct {
 	ring []*Batch // a power of two long; slot i&mask holds the i-th batch kept
 	mask int64
