@@ -331,10 +331,10 @@ func multisetOf(items []stream.Item) map[string]int {
 // TestBorrowedResultsEveryShape runs every way a join's borrowed results
 // are retained or forwarded — collected (Sink), forwarded by a Select,
 // filtered by a Select and rebuilt by a Project, forwarded by a
-// KeyPunctuator, retained by a second PJoin, and produced by XJoin —
-// against
-// the brute-force shj reference, at batch {0, 1, 8, 256} × linger {0,
-// 1 ms}. What the sink holds is compared after Run, when every batch has
+// KeyPunctuator, retained by a second PJoin, and produced by XJoin — and
+// the rows a group-by lends in turn, collected or forwarded by a Select,
+// against the brute-force shj reference (per-key sums for the group-by),
+// at batch {0, 1, 8, 256} × linger {0, 1 ms}. What the sink holds is compared after Run, when every batch has
 // been recycled: a consumer that kept a borrowed tuple without Keep holds
 // zeroed or overwritten results and fails its cell. The cascade of two
 // PJoins also checks that the first one's propagated punctuations purge
@@ -362,6 +362,23 @@ func TestBorrowedResultsEveryShape(t *testing.T) {
 		if even(it.Tuple) {
 			evenSlim[valuesKey(&stream.Tuple{Values: []value.Value{it.Tuple.Values[0], it.Tuple.Values[3]}})]++
 		}
+	}
+
+	sums := map[int64]int64{} // ab's results summed per key over B's key
+	for _, it := range ab {
+		sums[it.Tuple.Values[0].IntVal()] += it.Tuple.Values[2].IntVal()
+	}
+	perKey := map[string]int{}
+	for k, sum := range sums {
+		perKey[valuesKey(&stream.Tuple{Values: []value.Value{value.Int(k), value.Int(sum)}})]++
+	}
+	groupBy := func(p *Pipeline, joined *Edge) (*Edge, *op.GroupBy, error) {
+		out := p.Edge()
+		gb, err := op.NewGroupBy(abSchema, 0, 2, op.AggSum, out)
+		if err != nil {
+			return nil, nil, err
+		}
+		return out, gb, p.Spawn(gb, joined)
 	}
 
 	// Each shape wires what follows the first join's output edge and
@@ -413,6 +430,24 @@ func TestBorrowedResultsEveryShape(t *testing.T) {
 					return nil, err
 				}
 				return out, p.Spawn(pr, mid)
+			}},
+		{name: "pjoin_groupby_sink", a: a, b: b, first: pjoin, want: perKey, puncts: true,
+			wire: func(p *Pipeline, joined *Edge) (*Edge, error) {
+				out, _, err := groupBy(p, joined)
+				return out, err
+			}},
+		{name: "pjoin_groupby_select_sink", a: a, b: b, first: pjoin, want: perKey, puncts: true,
+			wire: func(p *Pipeline, joined *Edge) (*Edge, error) {
+				grouped, gb, err := groupBy(p, joined)
+				if err != nil {
+					return nil, err
+				}
+				out := p.Edge()
+				sel, err := op.NewSelect(gb.OutSchema(), func(*stream.Tuple) bool { return true }, out)
+				if err != nil {
+					return nil, err
+				}
+				return out, p.Spawn(sel, grouped)
 			}},
 		{name: "pjoin_keypunct_sink", a: a1, b: b1, first: pjoin, puncts: true,
 			want: multisetOf(shjJoin(t, gen.SchemaA, gen.SchemaB, a1, b1)),

@@ -523,10 +523,14 @@ func (p *Pipeline) Pull(o op.Operator) (*PullHandle, error) {
 // order) and schedules it to run. The operator's emitter must already
 // point at an Edge created from this pipeline (or any op.Emitter). An
 // edge has one reader: Spawn refuses an edge another operator or a Sink
-// already reads, or one edge on two ports.
+// already reads, or one edge on two ports. An operator has one driver:
+// Spawn refuses an operator it already spawned.
 func (p *Pipeline) Spawn(o op.Operator, inputs ...*Edge) error {
 	if o == nil {
 		return fmt.Errorf("exec: Spawn of nil operator")
+	}
+	if _, ok := p.pulls[o]; ok {
+		return fmt.Errorf("exec: %s is already spawned", o.Name())
 	}
 	if len(inputs) != o.NumPorts() || len(inputs) == 0 {
 		return fmt.Errorf("exec: %s has %d ports (it needs one at least), got %d inputs", o.Name(), o.NumPorts(), len(inputs))

@@ -282,6 +282,20 @@ func TestSpawnValidation(t *testing.T) {
 			p.Sink(src)
 			return err
 		}},
+		{"spawn_same_operator_twice", false, func(p *Pipeline, src *Edge) error {
+			// The second edge is read by a Sink whether or not the
+			// second Spawn is refused: accepted, it would make Run fail.
+			out, other := p.Edge(), p.Edge()
+			sel, _ := op.NewSelect(gen.SchemaA, func(*stream.Tuple) bool { return true }, out)
+			if err := p.Spawn(sel, src); err != nil {
+				t.Fatal(err)
+			}
+			p.Sink(out)
+			p.SourceItems(other, items(t, 20), false)
+			err := p.Spawn(sel, other)
+			p.Sink(other)
+			return err
+		}},
 		{"sink_after_spawn", true, func(p *Pipeline, src *Edge) error {
 			if err := selectOn(p, src); err != nil {
 				t.Fatal(err)
@@ -303,7 +317,7 @@ func TestSpawnValidation(t *testing.T) {
 			err := p.Run(context.Background())
 			switch gets, _ := p.pool.Stats(); {
 			case !c.atRun && wireErr == nil:
-				t.Errorf("a second reader on one edge was accepted (Run: %v)", err)
+				t.Errorf("a second reader was accepted (Run: %v)", err)
 			case !c.atRun && err != nil:
 				t.Errorf("the refused reader broke the first one's run: %v", err)
 			case c.atRun && (err == nil || gets != 0):

@@ -46,6 +46,12 @@ func (k AggKind) String() string {
 // join propagates the item's punctuation). Without punctuations it emits
 // everything at end-of-stream. Its state is the open groups plus the
 // closed keys, kept as intervals (punct.Closed) to reject a late tuple.
+//
+// It allocates nothing per group once warm: a closed group's aggregate
+// goes on a free list the next group takes from, and its row is lent
+// (op.Operator rule 7) from a slab rewound when the Process or Finish call
+// that built it returns — the items are Borrowed, and a consumer that
+// keeps one goes through stream.ResultSlab.Keep.
 type GroupBy struct {
 	name      string
 	in        *stream.Schema
@@ -56,10 +62,11 @@ type GroupBy struct {
 	emit      Emitter
 
 	groups map[value.Value]*aggState
-	states slab.Slab[aggState] // NewOnce: a chunk lives while one of its groups is open
-	order  []value.Value       // group creation order, for deterministic flush
+	states slab.Slab[aggState] // NewOnce: a chunk lives while one of its states is open or free
+	free   []*aggState         // zeroed states of closed groups, taken before the slab
+	order  []value.Value       // group creation order, for deterministic flush; may hold closed keys
 	closed punct.Closed        // keys punctuations closed (integrity check)
-	rows   stream.ResultSlab   // where the output rows are built
+	rows   stream.ResultSlab   // the rows of one Process or Finish call, rewound when it returns
 
 	eos      bool
 	finished bool
@@ -122,7 +129,7 @@ func NewGroupBy(in *stream.Schema, groupAttr, aggAttr int, agg AggKind, emit Emi
 	if err != nil {
 		return nil, err
 	}
-	return &GroupBy{
+	g := &GroupBy{
 		name:      fmt.Sprintf("groupby(%s,%s)", in.FieldAt(groupAttr).Name, agg),
 		in:        in,
 		out:       out,
@@ -133,7 +140,9 @@ func NewGroupBy(in *stream.Schema, groupAttr, aggAttr int, agg AggKind, emit Emi
 		groups:    make(map[value.Value]*aggState),
 		states:    slab.NewOnce[aggState](aggChunk),
 		closed:    punct.NewClosed(groupAttr),
-	}, nil
+	}
+	g.rows.Rewind()
+	return g, nil
 }
 
 // Name implements Operator.
@@ -181,6 +190,7 @@ func (g *GroupBy) Process(port int, it stream.Item, now stream.Time) error {
 	case stream.KindTuple:
 		return g.processTuple(it.Tuple)
 	case stream.KindPunct:
+		defer g.rows.Rewind() // the rows are borrowed: they die with the call
 		return g.processPunct(it.Punct, it.Ts)
 	case stream.KindEOS:
 		if g.eos {
@@ -203,7 +213,11 @@ func (g *GroupBy) processTuple(t *stream.Tuple) error {
 	}
 	st, ok := g.groups[key]
 	if !ok {
-		st = &g.states.Take(1)[0]
+		if n := len(g.free); n > 0 {
+			st, g.free = g.free[n-1], g.free[:n-1]
+		} else {
+			st = &g.states.Take(1)[0]
+		}
 		g.groups[key] = st
 		g.order = append(g.order, key)
 		if g.pull != nil && g.pullAt > 0 && len(g.groups) >= g.pullAt {
@@ -250,16 +264,24 @@ func (g *GroupBy) processPunct(p punct.Punctuation, ts stream.Time) error {
 		}
 	}
 	pat := p.PatternAt(g.groupAttr)
-	if pat.Kind() == punct.Wildcard {
+	switch pat.Kind() {
+	case punct.Wildcard:
 		// The whole stream is closed; equivalent to EOS for grouping.
 		if err := g.flushAll(ts, true); err != nil {
 			return err
 		}
-	} else {
-		kept := g.order[:0]
+	case punct.Constant:
+		// A constant matches by Value ==, which is map-key equality: the
+		// one group it closes is found without a scan.
+		if key := pat.ConstVal(); g.groups[key] != nil {
+			if err := g.emitGroup(key, ts); err != nil {
+				return err
+			}
+			g.early++
+		}
+	default:
 		for _, key := range g.order {
-			if !pat.Matches(key) {
-				kept = append(kept, key)
+			if g.groups[key] == nil || !pat.Matches(key) {
 				continue
 			}
 			if err := g.emitGroup(key, ts); err != nil {
@@ -267,7 +289,10 @@ func (g *GroupBy) processPunct(p punct.Punctuation, ts stream.Time) error {
 			}
 			g.early++
 		}
-		g.order = kept
+	}
+	// Closed keys leave order once they outnumber the open ones.
+	if len(g.order) > 2*len(g.groups) {
+		g.compact()
 	}
 	g.closed.Add(p)
 	// Propagate: the group's result row is final, so the same pattern
@@ -299,12 +324,27 @@ func (g *GroupBy) emitGroup(key value.Value, ts stream.Time) error {
 	case AggAvg:
 		res = value.Float(st.sumF / float64(st.count))
 	}
-	*st = aggState{} // its chunk must not pin the group's min and max
+	*st = aggState{} // the free list must not pin the group's min and max
+	g.free = append(g.free, st)
 	t, err := g.rows.NewTuple(g.out, ts, key, res)
 	if err != nil {
 		return err
 	}
-	return g.emit.Emit(stream.TupleItem(t))
+	return g.emit.Emit(stream.Item{Kind: stream.KindTuple, Borrowed: true, Tuple: t, Ts: ts})
+}
+
+// compact drops the keys of closed groups from order, keeping the
+// creation order of the open ones; the spare capacity is cleared so it
+// pins no key's string.
+func (g *GroupBy) compact() {
+	kept := g.order[:0]
+	for _, key := range g.order {
+		if g.groups[key] != nil {
+			kept = append(kept, key)
+		}
+	}
+	clear(g.order[len(kept):])
+	g.order = kept
 }
 
 func (g *GroupBy) flushAll(ts stream.Time, early bool) error {
@@ -337,6 +377,7 @@ func (g *GroupBy) Finish(now stream.Time) error {
 	if now > g.now {
 		g.now = now
 	}
+	defer g.rows.Rewind()
 	if err := g.flushAll(g.now, false); err != nil {
 		return err
 	}

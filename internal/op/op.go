@@ -146,16 +146,18 @@ func (c *Collector) Reset() { c.Items = nil }
 //     later partner's arrival at the join (shj uses the tuples' own Ts,
 //     which direct drives, the simulator and the oracle set to the item's).
 //  7. An item marked Borrowed carries a tuple that lives in the batch
-//     that delivered it, or in the slab of the shj that emitted it: the
-//     tuple and its Values may be read, and the item forwarded to the
-//     operator's Emitter, until the Process / ProcessBatch call returns
-//     — the lifetime the items slice of a batch already has — and are
-//     zeroed afterwards. An operator that stores the item, its Tuple or
-//     its Values anywhere that outlives the call first passes the item
-//     through stream.ResultSlab.Keep (a copy when borrowed, the item
-//     itself otherwise); pjoinlint's opcontract flags the stores that do
-//     not. Single attribute values copied out of Values are plain values
-//     and stay valid.
+//     that delivered it, or in the slab of the shj or GroupBy that
+//     emitted it (the lenders): the tuple and its Values may be read,
+//     and the item forwarded to the operator's Emitter, until the
+//     Process / ProcessBatch call returns — the lifetime the items slice
+//     of a batch already has; for a lender's own emitter, until the
+//     lender's Process or Finish returns — and are zeroed afterwards.
+//     An operator that stores the item, its Tuple or its Values anywhere
+//     that outlives the call first passes the item through
+//     stream.ResultSlab.Keep (a copy when borrowed, the item itself
+//     otherwise); pjoinlint's opcontract flags the stores that do not.
+//     Single attribute values copied out of Values are plain values and
+//     stay valid.
 //
 // Operators differ in what Finish means — shj ignores punctuations and
 // just emits EOS; PJoin runs a final purge/disk pass and propagates

@@ -36,11 +36,12 @@ const (
 //     plain op.Emitter, a collector, a hash table — and is never rewound:
 //     a chunk is carved once and then forgotten, so a tuple lives for as
 //     long as something refers to it.
-//   - A Batch, and shj for one Process call's results, owns a recycled
-//     one: it keeps its chunks, growing by one whenever its owner holds
-//     more results than it ever did (never sized to the batch capacity up
-//     front: a punctuation-cut batch of eight results stays one chunk),
-//     and Rewind zeroes it when the batch is recycled or the call returns.
+//   - A Batch, and shj or a group-by for one call's results or rows,
+//     owns a recycled one: it keeps its chunks, growing by one whenever
+//     its owner holds more results than it ever did (never sized to the
+//     batch capacity up front: a punctuation-cut batch of eight results
+//     stays one chunk), and Rewind zeroes it when the batch is recycled
+//     or the call returns.
 //     Its tuples are valid until then, and their items say so (Borrowed).
 //
 // Not safe for concurrent use; must not be copied after first use.
