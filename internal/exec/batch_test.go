@@ -198,18 +198,27 @@ func (r *roomLog) Process(port int, it stream.Item, now stream.Time) error {
 func (r *roomLog) OnIdle(stream.Time) (bool, error) { return false, nil }
 func (r *roomLog) Finish(stream.Time) error         { return nil }
 
-// runRoomLog runs an unpaced source of in into a roomLog at the given
-// batch size, with a linger no run outlives: only a full batch, a
-// punctuation or the EOS cuts.
+// runRoomLog runs an unpaced source of in through a pass-through select
+// into a roomLog at the given batch size, with a linger no run outlives:
+// only a full batch, a punctuation or the EOS cuts. The roomLog reads the
+// select's output edge: a source's edge lends views of its input and has
+// no batches of its own to size.
 func runRoomLog(t *testing.T, in []stream.Item, batch int) *roomLog {
 	t.Helper()
 	p := NewPipeline()
 	p.BatchSize = batch
 	p.BatchLinger = time.Hour
-	src := p.Edge()
+	src, fed := p.Edge(), p.Edge()
+	sel, err := op.NewSelect(gen.SchemaA, func(*stream.Tuple) bool { return true }, fed)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := &roomLog{}
 	p.SourceItems(src, in, false)
-	if err := p.Spawn(r, src); err != nil {
+	if err := p.Spawn(sel, src); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Spawn(r, fed); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Run(context.Background()); err != nil {
@@ -218,11 +227,12 @@ func runRoomLog(t *testing.T, in []stream.Item, batch int) *roomLog {
 	return r
 }
 
-// TestEdgeBatchesFollowWhatTheyCarry pins how an edge sizes its batches
-// at BatchSize 256: born with room for birthRoom items while none has
-// filled, so a punctuation-cut input never pays for 256-item arrays, and
-// born full size once one fills, so a dense input is not cut at 64. The
-// items, their order and their kinds are those of per-item delivery.
+// TestEdgeBatchesFollowWhatTheyCarry pins how an operator-fed edge sizes
+// its batches at BatchSize 256: born with room for birthRoom items while
+// none has filled, so a punctuation-cut input never pays for 256-item
+// arrays, and born full size once one fills, so a dense input is not cut
+// at 64. The items, their order and their kinds are those of per-item
+// delivery.
 func TestEdgeBatchesFollowWhatTheyCarry(t *testing.T) {
 	tuples := items(t, 4000)
 	closed := stream.PunctItem(punct.MustKeyOnly(2, 0, punct.Const(value.Int(1))), 0)

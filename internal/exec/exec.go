@@ -13,6 +13,11 @@
 // group-by early) lives in Edge: a punctuation or EOS is never queued
 // behind buffered tuples.
 //
+// A source copies nothing: its edge carries views of the caller's slice
+// (stream.Batch.Lend), cut by the same rule, and the reading driver
+// restamps its own copy of each. The caller's items are read and never
+// written, and must not change until Run returns.
+//
 // The executor owns arrival timestamping: every item entering an
 // operator has its Item.Ts overwritten with a strictly increasing
 // timestamp (never below the wall-clock elapsed time when its batch was
@@ -71,6 +76,13 @@ import (
 // Consumed batches come back through lane, the edge's own return path:
 // the batches of an edge, with the result slabs a join has grown in them,
 // stay on that edge.
+//
+// An edge a Source feeds holds no items of its own: its batches are bare
+// headers, each lent a view of the source's input (lend), which its driver
+// copies before restamping and a Sink reads as they are. The caller's
+// slice is read and never written, and must not change until Run returns.
+// Its runs are cut by the same rule (cut); the source's own pace stands in
+// for the linger timer.
 type Edge struct {
 	p      *Pipeline
 	ch     chan *stream.Batch
@@ -116,7 +128,7 @@ func (e *Edge) Emit(it stream.Item) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.buf == nil {
-		if err := e.openLocked(); err != nil {
+		if err := e.openLocked(e.room); err != nil {
 			return err
 		}
 	}
@@ -131,7 +143,7 @@ func (e *Edge) EmitJoin(a, c *stream.Tuple, ts stream.Time) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.buf == nil {
-		if err := e.openLocked(); err != nil {
+		if err := e.openLocked(e.room); err != nil {
 			return err
 		}
 	}
@@ -139,31 +151,50 @@ func (e *Edge) EmitJoin(a, c *stream.Tuple, ts stream.Time) error {
 	return e.cutLocked(stream.KindTuple)
 }
 
-// openLocked starts the next batch; a closed edge never has one.
-func (e *Edge) openLocked() error {
+// lend sends run, a view of a source's input, as one lent batch
+// (stream.Batch.Lend): the edge copies no item. forced is flushLocked's.
+func (e *Edge) lend(run []stream.Item, forced bool) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if err := e.openLocked(0); err != nil {
+		return err
+	}
+	e.buf.Lend(run)
+	return e.flushLocked(forced)
+}
+
+// openLocked starts the next batch, born with room for room items; a
+// closed edge never has one.
+func (e *Edge) openLocked(room int) error {
 	if e.closed {
 		return fmt.Errorf("exec: emit on a closed edge")
 	}
-	e.buf = e.lane.Get(e.room)
+	e.buf = e.lane.Get(room)
 	return nil
 }
 
-// cutLocked decides, after an item of the given kind was appended,
-// whether the buffer is cut now.
+// cut is an edge's one cut rule, for Emit's buffer (cutLocked) and a
+// source's runs (feed) alike: whether a run with room for room items ends
+// at its n-th item, of the given kind, and whether it ends full. A
+// punctuation or EOS always ends it, so downstream purge/propagation
+// latency is never queued behind buffered tuples; with no linger budget
+// every item does, so latency is that of batch size 1 whatever the size.
+// A run not cut waits at most linger.
+func (e *Edge) cut(kind stream.ItemKind, n, room int) (cut, full bool) {
+	full = kind == stream.KindTuple && n == room
+	return full || kind != stream.KindTuple || e.linger <= 0, full
+}
+
+// cutLocked applies the cut rule after an item of the given kind was
+// appended to the buffer, at the room it was born with; until the run is
+// cut, the linger timer is armed.
 func (e *Edge) cutLocked(kind stream.ItemKind) error {
-	switch {
-	case kind != stream.KindTuple:
-		// Punctuations and EOS are batch boundaries: flush immediately
-		// so downstream purge/propagation latency is never queued
-		// behind buffered tuples.
-		return e.flushLocked(true)
-	case len(e.buf.Items) == cap(e.buf.Items):
-		// Full: every fresh batch from now on is born full size.
+	switch cut, full := e.cut(kind, len(e.buf.Items), cap(e.buf.Items)); {
+	case full:
+		// Every fresh batch from now on is born full size.
 		e.room = e.size
 		return e.flushLocked(false)
-	case e.linger <= 0:
-		// No linger budget: every Emit flushes, so latency is that of
-		// batch size 1 whatever the size.
+	case cut:
 		return e.flushLocked(true)
 	default:
 		if !e.armed {
@@ -410,12 +441,16 @@ func (p *Pipeline) fail(err error) {
 // (interpreted as an offset from pipeline start); otherwise items flow
 // as fast as downstream accepts them. The source does NOT append an EOS
 // item: include one (or use SourceItems which does).
+//
+// The source lends its input rather than copying it: out carries views of
+// runs of items, cut where Emit would cut them. items is read and never
+// written, and must not change until Run returns.
 func (p *Pipeline) Source(out *Edge, items []stream.Item, paced bool) {
 	p.source(out, items, paced, false)
 }
 
 // SourceItems is Source plus an automatic trailing EOS, stamped one past
-// the last item.
+// the last item. items is lent as Source lends it.
 func (p *Pipeline) SourceItems(out *Edge, items []stream.Item, paced bool) {
 	p.source(out, items, paced, true)
 }
@@ -427,51 +462,95 @@ func (p *Pipeline) source(out *Edge, items []stream.Item, paced, eos bool) {
 		go func() {
 			defer p.wg.Done()
 			defer out.close()
-			sin := p.Obs.Derive("source")
-			// pace is the one timer a paced source waits on. Every wait
-			// either receives from it or ends the source, so it is always
-			// expired and drained when it is re-armed.
-			var pace *time.Timer
-			var last stream.Time
-			for _, it := range items {
-				if paced {
-					out.promise(it.Ts)
-					target := p.start.Add(time.Duration(it.Ts))
-					if d := time.Until(target); d > 0 {
-						if pace == nil {
-							pace = time.NewTimer(d)
-							defer pace.Stop()
-						} else {
-							pace.Reset(d)
-						}
-						select {
-						case <-pace.C:
-						case <-p.ctx.Done():
-							return
-						}
-					}
-				}
-				last = it.Ts
-				if it.Kind == stream.KindTuple && sin.Enabled() && p.SpanSampler.Sample() {
-					// Copy before stamping the trace: the caller owns the
-					// tuple and may share it across sources or replays.
-					t := *it.Tuple
-					t.Span = span.NewID()
-					it = stream.TupleItem(&t)
-					sin.Span(span.KindTupleIngest, t.Span, it.Ts, -1, 0, 0, 0, 0)
-				}
-				if err := out.Emit(it); err != nil {
-					return
-				}
-				if !paced {
-					out.promise(last)
-				}
-			}
-			if eos {
-				_ = out.Emit(stream.EOSItem(last + 1)) // a cancelled pipeline drops it; Run reports the cause
-			}
+			p.feed(out, items, paced, eos)
 		}()
 	})
+}
+
+// feed is a source's goroutine: it lends out the runs of items in order,
+// then the trailing EOS if eos, and returns early when the pipeline ends.
+// A run ends where the edge's cut rule (Edge.cut) ends it. A paced run
+// also ends before an item that joins it more than linger after its first
+// item did — where Emit's linger timer would have cut it, so a source edge
+// needs no timer — and before a sampled tuple, whose stamped copy travels
+// in a slice of its own, as the trailing EOS does.
+func (p *Pipeline) feed(out *Edge, items []stream.Item, paced, eos bool) {
+	sin := p.Obs.Derive("source")
+	// send lends a run unless it is empty; an unpaced source then promises
+	// its last Ts.
+	send := func(run []stream.Item, forced bool) bool {
+		if len(run) == 0 {
+			return true
+		}
+		if out.lend(run, forced) != nil {
+			return false
+		}
+		if !paced {
+			out.promise(run[len(run)-1].Ts)
+		}
+		return true
+	}
+	// pace is the one timer a paced source waits on. Every wait either
+	// receives from it or ends the source, so it is always expired and
+	// drained when it is re-armed.
+	var pace *time.Timer
+	var last stream.Time
+	var opened time.Duration // when the paced run's first item joined it
+	i := 0                   // the run gathered so far is items[i:j]
+	for j, it := range items {
+		if paced {
+			out.promise(it.Ts)
+			due, now := time.Duration(it.Ts), time.Since(p.start)
+			at := max(due, now) // when it joins a run
+			if i < j && at-opened > out.linger {
+				if !send(items[i:j], true) {
+					return
+				}
+				i = j
+			}
+			if due > now {
+				if pace == nil {
+					pace = time.NewTimer(due - now)
+					defer pace.Stop()
+				} else {
+					pace.Reset(due - now)
+				}
+				select {
+				case <-pace.C:
+				case <-p.ctx.Done():
+					return
+				}
+			}
+			if i == j {
+				opened = at
+			}
+		}
+		last = it.Ts
+		if it.Kind == stream.KindTuple && sin.Enabled() && p.SpanSampler.Sample() {
+			// Copy before stamping the trace: the caller owns the tuple
+			// and may share it across sources or replays.
+			if !send(items[i:j], true) {
+				return
+			}
+			t := *it.Tuple
+			t.Span = span.NewID()
+			sin.Span(span.KindTupleIngest, t.Span, it.Ts, -1, 0, 0, 0, 0)
+			if !send([]stream.Item{stream.TupleItem(&t)}, out.size > 1) {
+				return
+			}
+			i = j + 1
+			continue
+		}
+		if cut, full := out.cut(it.Kind, j+1-i, out.size); cut {
+			if !send(items[i:j+1], !full) {
+				return
+			}
+			i = j + 1
+		}
+	}
+	if send(items[i:], true) && eos {
+		send([]stream.Item{stream.EOSItem(last + 1)}, true) // a cancelled pipeline drops it; Run reports the cause
+	}
 }
 
 // PropagationPuller is implemented by operators that can be asked to
@@ -561,11 +640,12 @@ func (p *Pipeline) Spawn(o op.Operator, inputs ...*Edge) error {
 
 // restamp assigns the items of one received batch their arrival
 // timestamps, first, first+1, …, in place: the consumer owns the batch
-// once received, and only Item.Ts is written — never the tuple, which
-// other batches, pipelines and join states may share. It returns how
-// many EOS items the batch holds. A sampled tuple gets a deliver span
-// whose D is the restamp delta: its time queued on the edge (plus batch
-// linger) since the upstream hop stamped or emitted it.
+// once received (of a lent batch, the copy drive makes), and only Item.Ts
+// is written — never the tuple, which other batches, pipelines and join
+// states may share. It returns how many EOS items the batch holds. A
+// sampled tuple gets a deliver span whose D is the restamp delta: its time
+// queued on the edge (plus batch linger) since the upstream hop stamped or
+// emitted it.
 //
 //pjoin:hotpath
 func restamp(oin *obs.Instr, port int, items []stream.Item, first stream.Time) (eos int) {
@@ -592,7 +672,8 @@ func restamp(oin *obs.Instr, port int, items []stream.Item, first stream.Time) (
 // port cannot starve another, and blocks only when nothing it may read is
 // queued — on the doorbell its edges and its pull handle ring, the idle
 // tick and cancellation. A batch is restamped (one clock read: its items
-// arrived together) and handed to op.ProcessAll.
+// arrived together) and handed to op.ProcessAll; a lent batch is copied
+// first.
 //
 // An EventTimeAligned operator's source-fed ports are kept abreast in
 // event time (an aligner): a port whose last delivered Ts is past another
@@ -622,8 +703,9 @@ func (p *Pipeline) drive(o op.Operator, inputs []*Edge, pull *PullHandle) error 
 		al = newAligner(inputs, p.IdlePoll)
 	}
 	live := len(inputs)
-	port := 0         // the port served last
-	delivered := true // the first tick is never an idle one
+	port := 0                 // the port served last
+	delivered := true         // the first tick is never an idle one
+	var scratch []stream.Item // a lent batch's copy, as large as its edge's batches
 	for {
 		// Every turn: a saturated input never blocks. Non-pullers ignore requests.
 		if pull.pending.CompareAndSwap(true, false) {
@@ -668,6 +750,14 @@ func (p *Pipeline) drive(o op.Operator, inputs []*Edge, pull *PullHandle) error 
 			continue
 		}
 		items := b.Items
+		if b.Lent() {
+			// A view of a source's input, which is never written: the
+			// restamp goes to the driver's one copy.
+			if cap(scratch) < len(items) {
+				scratch = make([]stream.Item, 0, max(len(items), inputs[port].size))
+			}
+			items = append(scratch[:0], items...)
+		}
 		ts := items[len(items)-1].Ts // as it came off the edge
 		// Strictly increasing, at least the wall-clock offset since start.
 		first := p.sysNow(lastTs)

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -26,12 +27,19 @@ import (
 // each port's items. Payloads ("A17", "B4") identify tuples uniquely.
 func splitSynthetic(t testing.TB, seed uint64, tuples int, punctMean float64) (a, b []stream.Item) {
 	t.Helper()
+	return splitSyntheticEvery(t, seed, tuples, punctMean, stream.Millisecond)
+}
+
+// splitSyntheticEvery is splitSynthetic with tuples tupleMean apart on
+// each side.
+func splitSyntheticEvery(t testing.TB, seed uint64, tuples int, punctMean float64, tupleMean stream.Time) (a, b []stream.Item) {
+	t.Helper()
 	arrs, err := gen.Synthetic(gen.Config{
 		Seed:      seed,
 		MaxTuples: tuples,
 		Duration:  1 << 62,
-		A:         gen.SideSpec{TupleMean: stream.Millisecond, PunctMean: punctMean},
-		B:         gen.SideSpec{TupleMean: stream.Millisecond, PunctMean: punctMean},
+		A:         gen.SideSpec{TupleMean: tupleMean, PunctMean: punctMean},
+		B:         gen.SideSpec{TupleMean: tupleMean, PunctMean: punctMean},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -127,15 +135,23 @@ func (c *terminal) Finish(now stream.Time) error {
 }
 
 // TestPipelinesLeaveSharedInputUntouched runs one []stream.Item input
-// through two consecutive pipelines (sources → PJoin → select →
-// terminal). The benchmark and every replaying caller reuse one
-// generated input across runs, so the executor and the operators must
-// treat source tuples as read-only: afterwards every tuple's Ts, Span
-// and Values are what they were, and both runs join the same multiset.
-// Restamping the shared tuple in place instead of Item.Ts fails both
-// halves.
+// through a series of pipelines: sources → PJoin → select → terminal, plus
+// a third source lending A's items to a Sink that reads its edge directly.
+// The sources run unpaced and paced, at batch {1, 256} × linger {0, 1 ms},
+// and twice cancelled mid-stream. A source lends its input (its edge
+// carries views of the caller's slice) and the benchmark and every
+// replaying caller reuse one generated input across runs, so the executor
+// and the operators must treat it as read-only: after each run every
+// item's Kind, Ts, Tuple, Punct and Span and every tuple's Ts, Span and
+// Values are what they were, every complete run joins the reference
+// multiset, and the Sink got A's items as they are, then one EOS.
+// Restamping a lent view in place fails it at the first run, and so does
+// a recycle that clears a lent view, or restamping the shared tuple in
+// place instead of Item.Ts.
 func TestPipelinesLeaveSharedInputUntouched(t *testing.T) {
-	a, b := splitSynthetic(t, 29, 800, 12)
+	// Tuples 10 µs apart on each side keep a paced run to a few
+	// milliseconds while a 1 ms linger still cuts runs.
+	a, b := splitSyntheticEvery(t, 29, 800, 12, stream.Millisecond/100)
 	type frozen struct {
 		item  stream.Item
 		ts    stream.Time
@@ -155,66 +171,126 @@ func TestPipelinesLeaveSharedInputUntouched(t *testing.T) {
 			before = append(before, f)
 		}
 	}
-
-	run := func(batch int) map[string]int {
-		p := NewPipeline()
-		p.BatchSize = batch
-		srcA, srcB, joined, selected := p.Edge(), p.Edge(), p.Edge(), p.Edge()
-		cfg := core.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB}
-		cfg.Thresholds.PropagateCount = 1
-		j, err := core.New(cfg, joined)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sel, err := op.NewSelect(j.OutSchema(), func(*stream.Tuple) bool { return true }, selected)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seen := map[string]int{}
-		p.SourceItems(srcA, a, false)
-		p.SourceItems(srcB, b, false)
-		for _, err := range []error{
-			p.Spawn(j, srcA, srcB), p.Spawn(sel, joined), p.Spawn(&terminal{in: j.OutSchema(), seen: seen}, selected),
-		} {
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := p.Run(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		return seen
+	same := func(it, was stream.Item) bool {
+		return it.Kind == was.Kind && it.Borrowed == was.Borrowed && it.Ts == was.Ts &&
+			it.Tuple == was.Tuple && it.Punct.Equal(was.Punct) && it.Span == was.Span
 	}
-	first := run(256)
-	second := run(1)
-	if len(first) == 0 {
-		t.Fatal("workload joins nothing")
-	}
-	diffMultisets(t, second, first)
-	diffMultisets(t, first, shjMultiset(t, a, b))
-
-	i := 0
-	for _, items := range [][]stream.Item{a, b} {
-		for _, it := range items {
-			f := before[i]
-			i++
-			if it.Kind != f.item.Kind || it.Ts != f.item.Ts || it.Tuple != f.item.Tuple || it.Span != f.item.Span {
-				t.Fatalf("input item %d changed: %v, was %v", i-1, it, f.item)
-			}
-			if it.Kind != stream.KindTuple {
-				continue
-			}
-			tp := f.item.Tuple
-			if tp.Ts != f.ts || tp.Span != f.span || len(tp.Values) != len(f.vals) || &tp.Values[0] != f.first {
-				t.Fatalf("source tuple %d header changed: %v span %d, was Ts %d span %d", i-1, tp, tp.Span, f.ts, f.span)
-			}
-			for k, v := range tp.Values {
-				if v != f.vals[k] {
-					t.Fatalf("source tuple %d value %d changed: %v, was %v", i-1, k, v, f.vals[k])
+	untouched := func(t *testing.T) {
+		t.Helper()
+		i := 0
+		for _, items := range [][]stream.Item{a, b} {
+			for _, it := range items {
+				f := before[i]
+				i++
+				if !same(it, f.item) {
+					t.Fatalf("input item %d changed: %v stamped %d, was %v stamped %d", i-1, it, it.Ts, f.item, f.item.Ts)
+				}
+				if it.Kind != stream.KindTuple {
+					continue
+				}
+				tp := f.item.Tuple
+				if tp.Ts != f.ts || tp.Span != f.span || len(tp.Values) != len(f.vals) || &tp.Values[0] != f.first {
+					t.Fatalf("source tuple %d header changed: %v span %d, was Ts %d span %d", i-1, tp, tp.Span, f.ts, f.span)
+				}
+				for k, v := range tp.Values {
+					if v != f.vals[k] {
+						t.Fatalf("source tuple %d value %d changed: %v, was %v", i-1, k, v, f.vals[k])
+					}
 				}
 			}
 		}
 	}
+	want := shjMultiset(t, a, b)
+	if len(want) == 0 {
+		t.Fatal("workload joins nothing")
+	}
+
+	type cell struct {
+		paced  bool
+		batch  int
+		linger time.Duration
+		cancel bool // cancel the run once the join has been handed a quarter of its input
+	}
+	var cells []cell
+	for _, paced := range []bool{false, true} {
+		for _, batch := range []int{1, 256} {
+			for _, linger := range []time.Duration{0, time.Millisecond} {
+				cells = append(cells, cell{paced, batch, linger, false})
+			}
+		}
+	}
+	cells = append(cells, cell{true, 256, time.Millisecond, true}, cell{false, 1, 0, true})
+	for _, c := range cells {
+		t.Run(fmt.Sprintf("paced%v_batch%d_linger%v_cancel%v", c.paced, c.batch, c.linger, c.cancel), func(t *testing.T) {
+			p := NewPipeline()
+			p.BatchSize = c.batch
+			p.BatchLinger = c.linger
+			srcA, srcB, srcC, joined, selected := p.Edge(), p.Edge(), p.Edge(), p.Edge(), p.Edge()
+			cfg := core.Config{SchemaA: gen.SchemaA, SchemaB: gen.SchemaB}
+			cfg.Thresholds.PropagateCount = 1
+			j, err := core.New(cfg, joined)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sel, err := op.NewSelect(j.OutSchema(), func(*stream.Tuple) bool { return true }, selected)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var join op.Operator = j
+			if c.cancel {
+				join = &cancelAfter{Operator: j, n: (len(a) + len(b)) / 4, cancel: cancel}
+			}
+			seen := map[string]int{}
+			p.SourceItems(srcA, a, c.paced)
+			p.SourceItems(srcB, b, c.paced)
+			p.SourceItems(srcC, a, c.paced)
+			sink := p.Sink(srcC)
+			for _, err := range []error{
+				p.Spawn(join, srcA, srcB), p.Spawn(sel, joined), p.Spawn(&terminal{in: j.OutSchema(), seen: seen}, selected),
+			} {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			err = p.Run(ctx)
+			untouched(t)
+			if c.cancel {
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("err = %v, want context.Canceled", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			diffMultisets(t, seen, want)
+			if n := len(sink.Items); n != len(a)+1 || sink.Items[n-1].Kind != stream.KindEOS {
+				t.Fatalf("the sink got %d items, want A's %d and an EOS", n, len(a))
+			}
+			for i, it := range sink.Items[:len(a)] {
+				if !same(it, a[i]) {
+					t.Fatalf("the sink's item %d is %v, want A's %v", i, it, a[i])
+				}
+			}
+		})
+	}
+}
+
+// cancelAfter passes everything to the operator it wraps and cancels the
+// run once it has been handed n items.
+type cancelAfter struct {
+	op.Operator
+	n      int
+	cancel context.CancelFunc
+}
+
+func (c *cancelAfter) ProcessBatch(port int, items []stream.Item, now stream.Time) error {
+	if c.n -= len(items); c.n <= 0 {
+		c.cancel()
+	}
+	return op.ProcessAll(c.Operator, port, items)
 }
 
 // fanoutInput builds two streams in fanoutWaves waves of fanoutKeys fresh
@@ -318,9 +394,10 @@ func runFanout(t *testing.T, a, b []stream.Item, want int, consume func(p *Pipel
 // the results in the batch it is filling and the batch comes back through
 // the edge's lane, so a result the consumer drops is no heap object at
 // all: the whole Run stays under 0.01 allocations and 10 B per result. It
-// reads 0.003 and 5.7 B (6.6 B while an Item was 64 bytes; 8.8 B while
-// every stored live tuple also had a
-// 40-byte arrival-stamped header: at fan-out 26 that is 1.6 B of a
+// reads 0.003 and 4.1 to 4.3 B (5.5 to 5.7 B while each source copied its
+// input into batches of its own, up to edgeInFlight per source edge; 6.6
+// B while an Item was 64 bytes; 8.8 B while every stored live tuple also
+// had a 40-byte arrival-stamped header: at fan-out 26 that is 1.6 B of a
 // result, which TestPipelineAllocsPerInput sees whole; 0.012 allocations
 // before index nodes came from slabs); with heap-built results (2
 // allocations and 5.4 KB per chunk of 31, what every plain emitter still
@@ -351,15 +428,20 @@ func countResults(t *testing.T) func(p *Pipeline, joined *Edge, out *stream.Sche
 // keys), where one result per input tuple leaves the state's own storage —
 // wrappers, index nodes, groups, slot tables — most of what a Run
 // allocates. Results equal inputs here, so bytes per result are bytes per
-// input tuple. Over ten runs it reads 174 to 201 B and 0.040 to 0.053
-// allocations (how many batches the racing sources leave in flight); while
-// every stored live tuple also had a 40-byte header stamped with its
+// input tuple. Over ten runs it reads 178.1 to 180.0 B and 0.052 to
+// 0.053 allocations, and at most 180.7 B in 25 more at GOMAXPROCS 1, 4, 8
+// and under -race (some read lower, down to 153 B). The bound keeps a
+// 7 B margin. While each source copied its input into batches of its own
+// — up to edgeInFlight 256-item arrays per source edge, 13.6 KB each — it
+// read 191.9 to 193.9 B over ten runs at GOMAXPROCS 2 (174 to 201 B at an
+// older commit, as many batches as the racing sources left in flight);
+// while every stored live tuple also had a 40-byte header stamped with its
 // arrival time, 256 to a chunk, it read 237 to 239 B and 0.056.
 func TestPipelineAllocsPerInput(t *testing.T) {
 	a, b := pairInput(8192)
 	allocs, bytes := runFanout(t, a, b, 8192*4, countResults(t))
-	if allocs > 0.06 || bytes > 215 {
-		t.Errorf("%.4f allocations and %.1f B per input tuple, want at most 0.06 and 215", allocs, bytes)
+	if allocs > 0.06 || bytes > 188 {
+		t.Errorf("%.4f allocations and %.1f B per input tuple, want at most 0.06 and 188", allocs, bytes)
 	}
 }
 
@@ -368,13 +450,13 @@ func TestPipelineAllocsPerInput(t *testing.T) {
 // borrowed tuple — chunked, 2 allocations per 31 results like the heap
 // results it replaces — on top of the collector's own growth, and no more
 // than the same run cost when the join built every result on the heap
-// (0.0725 to 0.08 allocations and 371 B per result): 0.067 and 325 B, the
+// (0.0725 to 0.08 allocations and 371 B per result): 0.067 and 323 B, the
 // same every run (a chunk is 31 results, not 32, and wastes no size
-// class; 374 B while an Item was 64 bytes, 376 B with the
-// arrival-stamped headers the state no longer makes). The collector's
-// growth of 48 B Items is the largest share of the bytes (38%), its
-// chunked copies the next; the byte bound keeps a 10 B margin over the
-// reading.
+// class; 324.4 B while each source copied its input into batches of its
+// own; 374 B while an Item was 64 bytes, 376 B with the arrival-stamped
+// headers the state no longer makes). The collector's growth of 48 B
+// Items is the largest share of the bytes (38%), its chunked copies the
+// next; the byte bound keeps a 12 B margin over the reading.
 func TestPipelineAllocsPerKeptResult(t *testing.T) {
 	fa, fb := fanoutInput()
 	allocs, bytes := runFanout(t, fa, fb, fanoutResults, func(p *Pipeline, joined *Edge, _ *stream.Schema) func() int {

@@ -14,10 +14,26 @@ import (
 // A batch also carries the storage of the tuples that were built for it
 // (AppendJoin, and Append of a borrowed item): they are valid until the
 // batch is recycled, which is what Item.Borrowed says of them.
+//
+// A lent batch (Lend) owns no items: Items is a view of a run of someone
+// else's slice — an exec source's input — and is read, never written. Its
+// reader copies what it has to change, and recycling drops the view
+// without clearing it.
 type Batch struct {
 	Items []Item
 	res   ResultSlab
+	lent  bool
 }
+
+// Lend points an empty batch at run, capped at its length, instead of
+// copying it: the batch reads the caller's items, whose owner must leave
+// them unchanged until the batch is recycled.
+func (b *Batch) Lend(run []Item) {
+	b.Items, b.lent = run[:len(run):len(run)], true
+}
+
+// Lent reports whether the batch's items are a view it does not own.
+func (b *Batch) Lent() bool { return b.lent }
 
 // AppendJoin appends the join result of a and c at time ts as a borrowed
 // tuple item, built in the batch's own slab: a result the consumer drops
@@ -41,10 +57,15 @@ func (b *Batch) Append(it Item) {
 }
 
 // recycle empties a consumed batch: the items are cleared so the lane
-// pins no tuples, and the slab is rewound and zeroed.
+// pins no tuples, and the slab is rewound and zeroed. A lent view is
+// dropped, not cleared: clearing it would zero its owner's items.
 func (b *Batch) recycle() {
-	clear(b.Items)
-	b.Items = b.Items[:0]
+	if b.lent {
+		b.Items, b.lent = nil, false
+	} else {
+		clear(b.Items)
+		b.Items = b.Items[:0]
+	}
 	b.res.Rewind()
 }
 
@@ -76,7 +97,9 @@ func (p *BatchPool) Stats() (gets, puts int64) {
 // they were sized for and change hands without a lock. It is a ring of
 // idle batches of bounded depth, counted in its pool's Stats: Get
 // allocates a fresh batch when the ring is empty, Put leaves the batch to
-// the collector when it is full.
+// the collector when it is full. A lane whose producer only lends (an
+// exec source's edge) circulates bare headers: Get(0) allocates no item
+// array, and Put drops the view.
 //
 // Neither blocks, takes a lock or writes a word the other side writes, so
 // a consumer may Put while the producer holds its own mutex across a
