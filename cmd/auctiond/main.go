@@ -11,9 +11,7 @@
 //	auctiond -paced -http :6060   # expvar gauges, pprof and /metrics
 //	auctiond -paced -http :6060 -lag-slo-ms 500 -stall-ms 2000 \
 //	         -flight flight.jsonl.gz   # health SLOs + flight recorder
-//	auctiond -disk-chunk-kb 64 -spill-cache-mb 4 \
-//	         -http :6060              # incremental disk join + spill block
-//	                                  # cache (hit-ratio gauges on /metrics)
+//	auctiond -disk-chunk-kb 64 -http :6060   # incremental disk join
 //	auctiond -batch 256 -batch-linger-ms 1   # batched edge delivery
 //	                                  # (punctuations still flush immediately)
 package main
@@ -37,7 +35,6 @@ import (
 	"pjoin/internal/obs/health"
 	"pjoin/internal/obs/span"
 	"pjoin/internal/op"
-	"pjoin/internal/store"
 	"pjoin/internal/stream"
 )
 
@@ -80,7 +77,6 @@ func main() {
 		stallMs  = flag.Int64("stall-ms", 0, "fire the health detector when no output progress happens for this many ms while input flows (0 disables)")
 		flight   = flag.String("flight", "flight.jsonl.gz", "where a firing health detector dumps the flight record (.gz compresses)")
 		chunkKB  = flag.Int("disk-chunk-kb", 0, "run disk passes incrementally with this per-step read budget in KiB (0 = run each pass to completion)")
-		cacheMB  = flag.Int("spill-cache-mb", 0, "wrap the join's spill stores in an LRU block cache of this many MiB (0 = no cache)")
 		batchN   = flag.Int("batch", 0, "deliver items to operators in batches of up to this size (<= 1 = batches of one); punctuations and EOS always flush the batch")
 		lingerMs = flag.Int("batch-linger-ms", 0, "bound how long a tuple may wait in an edge buffer before its batch is cut (0 = flush on every emit); only meaningful with -batch > 1")
 		tracePth = flag.String("trace", "", "write the span trace (JSONL, .gz compresses) to this path; analyze with pjointrace")
@@ -182,29 +178,6 @@ func main() {
 	}
 	cfg.Thresholds.Purge = *purge
 	cfg.Thresholds.PropagateCount = 1
-	if *cacheMB > 0 {
-		capBytes := int64(*cacheMB) << 20
-		spillA := store.NewCachedSpill(store.NewMemSpill(), capBytes)
-		spillB := store.NewCachedSpill(store.NewMemSpill(), capBytes)
-		cfg.SpillA, cfg.SpillB = spillA, spillB
-		if live != nil {
-			// Cache behaviour rides the same sampler as the join gauges, so
-			// it shows up in expvar, /metrics and the health probe's view.
-			merged := func() store.CacheStats {
-				a, b := spillA.CacheStats(), spillB.CacheStats()
-				return store.CacheStats{
-					Hits: a.Hits + b.Hits, Misses: a.Misses + b.Misses,
-					Evictions: a.Evictions + b.Evictions,
-					Bytes:     a.Bytes + b.Bytes,
-				}
-			}
-			live.Register("join.spill_cache_hit_ratio", func() float64 { return merged().HitRatio() })
-			live.Register("join.spill_cache_hits", func() float64 { return float64(merged().Hits) })
-			live.Register("join.spill_cache_misses", func() float64 { return float64(merged().Misses) })
-			live.Register("join.spill_cache_evictions", func() float64 { return float64(merged().Evictions) })
-			live.Register("join.spill_cache_bytes", func() float64 { return float64(merged().Bytes) })
-		}
-	}
 	join, err := core.New(cfg, joined)
 	if err != nil {
 		log.Fatal(err)

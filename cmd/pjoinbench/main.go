@@ -17,7 +17,6 @@
 //	pjoinbench -fig 5 -live 10 -csv out.csv # sample live gauges every 10ms
 //	pjoinbench -fig ext-latency             # latency quantiles per punct rate and chunk budget
 //	pjoinbench -fig 9 -disk-chunk-kb 64     # run any figure with incremental passes
-//	pjoinbench -fig 9 -spill-cache-mb 4     # ... and/or a spill block cache
 //	pjoinbench -flight-sample flight.jsonl.gz  # fault-injection flight dump
 //
 // Trace files with a .gz suffix are written gzip-compressed.
@@ -51,7 +50,6 @@ func main() {
 		flight = flag.String("flight-sample", "", "run the fault-injection flight-recorder scenario and write the dump to this file (.gz compresses)")
 
 		chunkKB = flag.Int("disk-chunk-kb", 0, "run disk passes incrementally with this per-step read budget in KiB (0 = run each pass to completion)")
-		cacheMB = flag.Int("spill-cache-mb", 0, "wrap spill stores in an LRU block cache of this many MiB (0 = no cache)")
 
 		oracleN      = flag.Int("oracle", 0, "differential oracle soak: check this many seeds (starting at -seed) across the full config matrix")
 		oracleOut    = flag.String("oracle-out", "", "oracle: write minimized replay specs of failing seeds to this file (CI failure artifact)")
@@ -93,11 +91,10 @@ func main() {
 	}
 
 	rc := bench.RunConfig{
-		Seed:         *seed,
-		Quick:        *quick,
-		Duration:     stream.Time(*durMs) * stream.Millisecond,
-		DiskChunkKB:  *chunkKB,
-		SpillCacheMB: *cacheMB,
+		Seed:        *seed,
+		Quick:       *quick,
+		Duration:    stream.Time(*durMs) * stream.Millisecond,
+		DiskChunkKB: *chunkKB,
 	}
 	var tracer *span.JSONL
 	var traceSink io.WriteCloser

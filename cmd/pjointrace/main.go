@@ -12,7 +12,7 @@
 //   - a critical-path summary for sampled tuples: batch linger, queue +
 //     restamp delay, probe work, and result latency;
 //   - a disk-pass summary: chunked vs drained, candidate pairs,
-//     spill/cache I/O;
+//     spill I/O;
 //   - with -flight, a stall root-cause table cross-referencing a
 //     flight-recorder dump (internal/obs/health): which passes were in
 //     flight, which punctuations were unpropagated, how much purge
@@ -118,15 +118,15 @@ type tupleLife struct {
 
 // passLife is one disk-join pass.
 type passLife struct {
-	trace              uint64
-	started, ended     bool
-	chunked            bool
-	startAt, endAt     stream.Time
-	chunks             int
-	examined, results  int64
-	readOps, cacheHits int64
-	bytes              int64
-	wall               int64
+	trace             uint64
+	started, ended    bool
+	chunked           bool
+	startAt, endAt    stream.Time
+	chunks            int
+	examined, results int64
+	readOps           int64
+	bytes             int64
+	wall              int64
 }
 
 // timedEvent is a purge run or deferral pinned to the virtual clock,
@@ -267,7 +267,6 @@ func (a *analysis) add(s span.Span) {
 	case span.KindPassIO:
 		ps := a.pass(s)
 		ps.readOps += s.N
-		ps.cacheHits += s.M
 	case span.KindPassEnd:
 		ps := a.pass(s)
 		ps.ended, ps.endAt = true, s.At
@@ -627,9 +626,9 @@ func analyze(w io.Writer, paths []string, flightPath string, top int) (problems 
 	}
 	sort.Slice(pls, func(i, j int) bool { return pls[i].trace < pls[j].trace })
 	var (
-		chunked, drained, chunks, incomplete         int
-		pExamined, pResults, readOps, cacheHits, ioB int64
-		passWall                                     dist
+		chunked, drained, chunks, incomplete int
+		pExamined, pResults, readOps, ioB    int64
+		passWall                             dist
 	)
 	for _, p := range pls {
 		if !p.started || !p.ended {
@@ -645,7 +644,6 @@ func analyze(w io.Writer, paths []string, flightPath string, top int) (problems 
 		pExamined += p.examined
 		pResults += p.results
 		readOps += p.readOps
-		cacheHits += p.cacheHits
 		ioB += p.bytes
 		passWall.add(p.wall)
 	}
@@ -653,8 +651,8 @@ func analyze(w io.Writer, paths []string, flightPath string, top int) (problems 
 	fmt.Fprintf(w, " passes %d (chunked %d, drained %d, incomplete %d), %d chunk step(s)\n",
 		len(pls), chunked, drained, incomplete, chunks)
 	if chunked+drained > 0 {
-		fmt.Fprintf(w, " examined %d candidate pair(s), %d result(s); %d read op(s), %d cache hit(s), %s read\n",
-			pExamined, pResults, readOps, cacheHits, fmtBytes(ioB))
+		fmt.Fprintf(w, " examined %d candidate pair(s), %d result(s); %d read op(s), %s read\n",
+			pExamined, pResults, readOps, fmtBytes(ioB))
 		fmt.Fprintf(w, " pass wall: %s\n", passWall.String())
 	}
 	problems += incomplete

@@ -47,10 +47,6 @@ type RunConfig struct {
 	// incremental background tasks with this per-step read budget in
 	// KiB (core.Config.DiskChunkBytes). 0 runs each pass to completion.
 	DiskChunkKB int
-	// SpillCacheMB, when positive, wraps each operator's spill stores in
-	// an LRU block cache of this many MiB (store.CachedSpill), so hot
-	// spilled partitions are re-joined from memory.
-	SpillCacheMB int
 }
 
 // WorkRow is one simulated operator run's final work counters.
@@ -202,22 +198,10 @@ func pjoinFor(rc RunConfig, name string, purge int, mutate func(*core.Config)) (
 	cfg.Thresholds.Purge = purge
 	cfg.DisablePropagation = true // most experiments measure join-only behaviour
 	cfg.DiskChunkBytes = rc.DiskChunkKB << 10
-	cfg.SpillA, cfg.SpillB = rc.spillPair()
 	if mutate != nil {
 		mutate(&cfg)
 	}
 	return core.New(cfg, &op.Collector{})
-}
-
-// spillPair builds the spill stores for one operator: plain in-memory
-// stores, wrapped in an LRU block cache when the run asks for one.
-func (rc RunConfig) spillPair() (store.SpillStore, store.SpillStore) {
-	if rc.SpillCacheMB <= 0 {
-		return nil, nil // operator defaults (plain MemSpill)
-	}
-	capBytes := int64(rc.SpillCacheMB) << 20
-	return store.NewCachedSpill(store.NewMemSpill(), capBytes),
-		store.NewCachedSpill(store.NewMemSpill(), capBytes)
 }
 
 func xjoinFor(rc RunConfig) (*core.PJoin, error) {
@@ -227,7 +211,6 @@ func xjoinFor(rc RunConfig) (*core.PJoin, error) {
 		Instr:          rc.instr("xjoin"),
 		DiskChunkBytes: rc.DiskChunkKB << 10,
 	}
-	cfg.SpillA, cfg.SpillB = rc.spillPair()
 	return core.NewXJoin(cfg, &op.Collector{})
 }
 

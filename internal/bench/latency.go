@@ -18,12 +18,12 @@ package bench
 // every pass drained inside the call that schedules it (chunk budget 0)
 // the operator stalls for a whole pass while arrivals queue; a chunk
 // budget (core.Config.DiskChunkBytes) bounds each step, so the tail is
-// set by pass progress rate instead of pass duration. The spill stores
-// sit behind an LRU block cache (store.CachedSpill) and their I/O is
-// charged by the simulator, so reads the cache absorbs show in the
-// latency column. Chunking reschedules left-over joins and never changes
-// them: results and propagated punctuations agree across the budgets of
-// one rate.
+// set by pass progress rate instead of pass duration. Each side spills
+// to a plain simulated disk (store.MemSpill) that counts every read a
+// pass makes: spill_read_ops and spill_bytes_read are the stores' own
+// counters. Chunking reschedules left-over joins and never changes them:
+// results and propagated punctuations agree across the budgets of one
+// rate.
 
 import (
 	"fmt"
@@ -48,9 +48,6 @@ var (
 	latencyChunkKBs = []int{0, 16, 64, 256}
 )
 
-// latencySpillCacheMB is the block-cache budget per spill store.
-const latencySpillCacheMB = 4
-
 // latencyFields names what ext-latency records per cell, in CSV order.
 // Latencies are virtual-time nanoseconds.
 var latencyFields = []string{
@@ -59,7 +56,6 @@ var latencyFields = []string{
 	"result_latency.p95_ns", "result_latency.p99_ns", "result_latency.max_ns",
 	"punct_delay.count", "punct_delay.mean_ns", "punct_delay.p50_ns",
 	"punct_delay.p95_ns", "punct_delay.p99_ns", "punct_delay.max_ns",
-	"cache_hit_ratio", "cache_hits", "cache_misses", "cache_evictions",
 	"spill_read_ops", "spill_bytes_read",
 }
 
@@ -71,9 +67,7 @@ func latencyCell(rc RunConfig, punctMean, chunkKB int) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	capBytes := int64(latencySpillCacheMB) << 20
-	spillA := store.NewCachedSpill(store.NewMemSpill(), capBytes)
-	spillB := store.NewCachedSpill(store.NewMemSpill(), capBytes)
+	spillA, spillB := store.NewMemSpill(), store.NewMemSpill()
 	pj, err := pjoinFor(rc, fmt.Sprintf("pjoin-pm%d-c%dk", punctMean, chunkKB), 1, func(c *core.Config) {
 		c.DisablePropagation = false
 		c.Thresholds.PropagateCount = 1
@@ -92,18 +86,13 @@ func latencyCell(rc RunConfig, punctMean, chunkKB int) ([]float64, error) {
 		return []float64{float64(s.Count), s.Mean(),
 			float64(s.Quantile(0.50)), float64(s.Quantile(0.95)), float64(s.Quantile(0.99)), float64(s.Max)}
 	}
-	// CachedSpill.Stats, and so res.IO, report the inner stores'
-	// traffic: exactly the reads the cache did not absorb.
-	csA, csB := spillA.CacheStats(), spillB.CacheStats()
-	cache := store.CacheStats{Hits: csA.Hits + csB.Hits, Misses: csA.Misses + csB.Misses, Evictions: csA.Evictions + csB.Evictions}
 	lat := pj.Latencies()
 	f := res.Final
 	v := []float64{float64(f.TuplesOut), float64(f.PunctsOut), float64(f.PurgeRuns),
 		float64(f.DiskPasses), float64(f.DiskChunks), float64(f.SpilledTuples)}
 	v = append(v, dist(lat.Result)...)
 	v = append(v, dist(lat.PunctDelay)...)
-	return append(v, cache.HitRatio(), float64(cache.Hits), float64(cache.Misses), float64(cache.Evictions),
-		float64(res.IO.ReadOps), float64(res.IO.BytesRead)), nil
+	return append(v, float64(res.IO.ReadOps), float64(res.IO.BytesRead)), nil
 }
 
 // latencyField returns the position of name in latencyFields.
@@ -119,14 +108,14 @@ func latencyField(name string) int {
 // runExtLatency sweeps latencyPunctMeans x latencyChunkKBs. Each series
 // is one (rate, field), named "pm<rate>/<field>", with one point per
 // chunk budget (x = KiB). Each cell sets its own chunk budget and spill
-// stores, so RunConfig.DiskChunkKB and SpillCacheMB do not apply.
+// stores, so RunConfig.DiskChunkKB does not apply.
 func runExtLatency(rc RunConfig) (*Report, error) {
 	report := &Report{
 		ID:    "ext-latency",
 		Title: "Result latency and punctuation delay vs punct inter-arrival and disk-pass chunk budget",
 		Paper: "beyond the paper: sparse punctuation spills the state and a blocking disk pass stalls results; chunked passes bound the stall",
 		Rows: [][]string{{"punct", "chunk KiB", "results", "puncts out", "passes", "chunks",
-			"lat mean ms", "lat p99 ms", "lat max ms", "delay max ms", "cache hit"}},
+			"lat mean ms", "lat p99 ms", "lat max ms", "delay max ms"}},
 	}
 	for _, pm := range latencyPunctMeans {
 		series := make([]metrics.Series, len(latencyFields))
@@ -148,15 +137,15 @@ func runExtLatency(rc RunConfig) (*Report, error) {
 				fmt.Sprint(pm), fmt.Sprint(kb),
 				count("tuples_out"), count("puncts_out"), count("disk_passes"), count("disk_chunks"),
 				ms("result_latency.mean_ns"), ms("result_latency.p99_ns"), ms("result_latency.max_ns"),
-				ms("punct_delay.max_ns"), fmt.Sprintf("%.2f", v[latencyField("cache_hit_ratio")]),
+				ms("punct_delay.max_ns"),
 			})
 			max := v[latencyField("result_latency.max_ns")]
 			if kb == 0 {
 				blockMax = max
 			} else if blockMax > 0 {
 				report.Notes = append(report.Notes, fmt.Sprintf(
-					"punct-mean %d, chunk %d KiB: max result latency %.1f ms, %+.1f%% vs blocking %.1f ms, cache hit ratio %.2f",
-					pm, kb, max/1e6, (max/blockMax-1)*100, blockMax/1e6, v[latencyField("cache_hit_ratio")]))
+					"punct-mean %d, chunk %d KiB: max result latency %.1f ms, %+.1f%% vs blocking %.1f ms",
+					pm, kb, max/1e6, (max/blockMax-1)*100, blockMax/1e6))
 			}
 		}
 		report.Series = append(report.Series, series...)

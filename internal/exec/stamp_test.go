@@ -437,9 +437,22 @@ func countResults(t *testing.T) func(p *Pipeline, joined *Edge, out *stream.Sche
 // older commit, as many batches as the racing sources left in flight);
 // while every stored live tuple also had a 40-byte header stamped with its
 // arrival time, 256 to a chunk, it read 237 to 239 B and 0.056.
+//
+// The test runs at GOMAXPROCS 2 whatever -cpu asks for, and checks the
+// largest of three readings. Part of what a run allocates follows the
+// schedule: at 4 and more Ps a copying source read 177 to 193 B, and a
+// lending one as low as 160 B at 8. Pinned to 2, a lending source read
+// 170.3 to 180.1 B in 60 runs; a copying one mostly 191.9 to 193.9 B but
+// as low as 166.7 B, and the largest of its three readings fell below
+// the bound in 1 of 75 tests.
 func TestPipelineAllocsPerInput(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	a, b := pairInput(8192)
-	allocs, bytes := runFanout(t, a, b, 8192*4, countResults(t))
+	var allocs, bytes float64
+	for range 3 {
+		n, nb := runFanout(t, a, b, 8192*4, countResults(t))
+		allocs, bytes = max(allocs, n), max(bytes, nb)
+	}
 	if allocs > 0.06 || bytes > 188 {
 		t.Errorf("%.4f allocations and %.1f B per input tuple, want at most 0.06 and 188", allocs, bytes)
 	}

@@ -141,10 +141,10 @@ func (d *PassDriver) step(now stream.Time) error {
 }
 
 // passIO is the spill-side traffic picture a pass trace attributes: read
-// operations (seeks + chunk continuations), spill-cache hits and bytes
-// actually read (post-cache), summed over both states.
+// operations (seeks + chunk continuations) and bytes read, summed over
+// both states.
 type passIO struct {
-	reads, hits, bytes int64
+	reads, bytes int64
 }
 
 func (d *PassDriver) passIO() passIO {
@@ -154,7 +154,6 @@ func (d *PassDriver) passIO() passIO {
 			p.reads += io.ReadOps + io.ChunkReads
 			p.bytes += io.BytesRead
 		}
-		p.hits += st.SpillCacheStats().Hits
 	}
 	return p
 }
@@ -179,7 +178,7 @@ func (d *PassDriver) beginPassTrace(now stream.Time) {
 }
 
 // endPassTrace closes a pass trace: one pass_io span attributing the
-// spill/cache traffic the pass caused, one pass_end span with the pass's
+// spill traffic the pass caused, one pass_end span with the pass's
 // work totals and wall time. No-op with spans disabled.
 //
 //pjoin:span end pass
@@ -189,7 +188,7 @@ func (d *PassDriver) endPassTrace(now stream.Time, wall int64) {
 	}
 	io := d.passIO()
 	d.b.Obs.Span(span.KindPassIO, d.trace, now, -1,
-		io.reads-d.ioBase.reads, io.hits-d.ioBase.hits, io.bytes-d.ioBase.bytes, 0)
+		io.reads-d.ioBase.reads, 0, io.bytes-d.ioBase.bytes, 0)
 	d.b.Obs.Span(span.KindPassEnd, d.trace, now, -1,
 		d.b.M.DiskExamined-d.examBase, d.b.M.DiskJoins-d.joinBase,
 		io.bytes-d.ioBase.bytes, wall)

@@ -40,8 +40,7 @@
 //	pass_chunk        joinbase one bounded step: N = candidate pairs examined, M = results, B = spill
 //	                  bytes read, D = step wall. DiskChunks (the step that only finds the pass complete
 //	                  is not one)
-//	pass_io           joinbase once at pass end: N = read ops + chunk reads, M = spill-cache hits,
-//	                  B = bytes read post-cache
+//	pass_io           joinbase once at pass end: N = read ops + chunk reads, B = bytes read
 //	pass_end          joinbase N = pairs examined, M = results, B = bytes read, D = pass wall (chunked:
 //	                  first step to last). DiskPasses
 //

@@ -5,12 +5,12 @@ import "testing"
 // fuzzVariants is the diverse slice of the matrix each fuzz input is
 // checked against: full-matrix checking (CheckScenario) costs ~1s per
 // input, which starves the mutation engine, so the fuzz target covers
-// each mechanism once — drained and budgeted disk passes, spill cache
-// and fault injection — and the seed soak (TestSoak / make
+// each mechanism once — drained and budgeted disk passes and fault
+// injection — and the seed soak (TestSoak / make
 // oracle) covers the cross-product.
 var fuzzVariants = []Variant{
 	{Op: "pjoin"},
-	{Op: "pjoin", Chunk: 512, Cache: true},
+	{Op: "pjoin", Chunk: 512},
 	{Op: "pjoin", Chunk: 512, Fault: true},
 	{Op: "xjoin", Chunk: 512},
 }

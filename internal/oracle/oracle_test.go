@@ -127,8 +127,8 @@ func TestGeneratorInvariants(t *testing.T) {
 
 func TestMatrixShape(t *testing.T) {
 	vs := Matrix()
-	if len(vs) != 38 {
-		t.Fatalf("matrix rows = %d, want 38", len(vs))
+	if len(vs) != 30 {
+		t.Fatalf("matrix rows = %d, want 30", len(vs))
 	}
 	seen := map[string]bool{}
 	for _, v := range vs {
@@ -182,7 +182,7 @@ func TestScrambledRowsAreNotVacuous(t *testing.T) {
 func TestSpecRoundTrip(t *testing.T) {
 	specs := []Spec{
 		{Seed: 42, Variant: RefVariant, Check: "puncts", Prefix: -1},
-		{Seed: 7, Variant: Variant{Op: "pjoin", Chunk: 512, Cache: true, Fault: true},
+		{Seed: 7, Variant: Variant{Op: "pjoin", Chunk: 512, Fault: true},
 			Check: "results", Prefix: 57, Drop: []int{3, 9, 14}},
 		{Seed: 9, Variant: Variant{Op: "pjoin", Window: 20000, Scramble: true}, Check: "results", Prefix: -1},
 	}
@@ -197,7 +197,7 @@ func TestSpecRoundTrip(t *testing.T) {
 	}
 	// Replay specs recorded against rows the matrix no longer enumerates
 	// (every chunk=65536 combination but two) still parse and run.
-	old, err := ParseSpec("seed=4 variant=pjoin/chunk=65536/cache/fault check=results")
+	old, err := ParseSpec("seed=4 variant=pjoin/chunk=65536/fault check=results")
 	if err != nil || old.Variant.Chunk != 64<<10 {
 		t.Errorf("off-matrix spec: %+v, %v", old, err)
 	}
@@ -207,10 +207,11 @@ func TestSpecRoundTrip(t *testing.T) {
 	if _, err := ParseSpec("variant=nope"); err == nil {
 		t.Error("bad variant accepted")
 	}
-	// The index axis is gone from the grammar with the scan regime, and
-	// the shard axis with the sharded rows: a spec recorded against either
-	// names a configuration that no longer exists.
-	for _, retired := range []string{"idx", "shards=2"} {
+	// The index axis is gone from the grammar with the scan regime, the
+	// shard axis with the sharded rows and the cache axis with the spill
+	// cache: a spec recorded against any of them names a configuration
+	// that no longer exists.
+	for _, retired := range []string{"idx", "shards=2", "cache"} {
 		if _, err := ParseVariant("pjoin/" + retired); err == nil || !strings.Contains(err.Error(), `bad variant part "`+retired+`"`) {
 			t.Errorf("retired %s token: err = %v, want bad variant part", retired, err)
 		}

@@ -3,7 +3,7 @@
 // constant/range/enum/wildcard punctuation patterns, bursty
 // interleavings, early end-of-stream) and drives every operator
 // configuration — PJoin and XJoin, drained and budgeted disk passes,
-// cached and fault-injected spill stores, batched and scrambled delivery —
+// plain and fault-injected spill stores, batched and scrambled delivery —
 // over the same schedule, comparing each against the brute-force
 // symmetric hash join (internal/shj, the exact equi-join oracle) and
 // the PJoin variants against each other.
@@ -132,8 +132,8 @@ func decode(seed uint64, data []byte) *Scenario {
 		EagerIndex:     e.bool(30),
 		FaultAt:        int64(1 + e.intn(48)),
 	}
-	// Most scenarios force relocation so the disk join, spill cache and
-	// fault injection paths actually run.
+	// Most scenarios force relocation so the disk join and fault
+	// injection paths actually run.
 	switch e.intn(4) {
 	case 0:
 		sc.MemoryBytes = 0 // memory-only: disk machinery must stay inert

@@ -8,16 +8,15 @@ import (
 )
 
 // TracedSlice is the mechanism-diverse variant slice the provenance
-// reconciliation runs over: drained and budgeted disk passes, cached
-// spills, batched delivery, and the XJoin baseline (pass traces only —
-// XJoin has no punctuation lifecycle). Small by design: the full 38-row
+// reconciliation runs over: drained and budgeted disk passes, batched
+// delivery, and the XJoin baseline (pass traces only — XJoin has no
+// punctuation lifecycle). Small by design: the full 30-row
 // matrix is the correctness net; this slice is the provenance net, and
 // each row exercises a distinct span-emission path.
 func TracedSlice() []Variant {
 	return []Variant{
 		{Op: "pjoin"},
 		{Op: "pjoin", Chunk: 512},
-		{Op: "pjoin", Chunk: 512, Cache: true},
 		{Op: "pjoin", Batch: 256},
 		{Op: "xjoin", Chunk: 512},
 	}

@@ -10,8 +10,8 @@ import (
 )
 
 // TestTracedOracle is the provenance soak: seeded scenarios through the
-// traced slice (drained/budgeted disk passes, cached spills, batched
-// delivery), every run's span stream reconciled against the operator's
+// traced slice (drained/budgeted disk passes, batched delivery), every
+// run's span stream reconciled against the operator's
 // own accounting by checkSpans — purge attribution sums exactly to
 // Metrics.Purged, drop-on-the-fly to DroppedOnFly, emits to PunctsOut,
 // and every punctuation

@@ -25,7 +25,6 @@ var ErrInjectedFault = errors.New("oracle: injected spill fault")
 type Variant struct {
 	Op     string      // "pjoin" or "xjoin"
 	Chunk  int         // DiskChunkBytes: 0 runs each pass to completion, else the per-step budget
-	Cache  bool        // wrap spills in store.CachedSpill
 	Fault  bool        // wrap spills in store.NewFaultSpill(failAt = Scenario.FaultAt)
 	Batch  int         // ≤1 = per-item delivery; >1 = drive via ProcessBatch, batches up to this size
 	Linger stream.Time // virtual span a batch may cover (0 = unbounded); only meaningful with Batch > 1
@@ -38,15 +37,12 @@ type Variant struct {
 }
 
 // String renders the variant in the replay-spec grammar, e.g.
-// "pjoin/chunk=512/cache/batch=256/linger=1000000/window=20000/scramble"
+// "pjoin/chunk=512/fault/batch=256/linger=1000000/window=20000/scramble"
 // (flags omitted when off).
 func (v Variant) String() string {
 	parts := []string{v.Op}
 	if v.Chunk > 0 {
 		parts = append(parts, "chunk="+strconv.Itoa(v.Chunk))
-	}
-	if v.Cache {
-		parts = append(parts, "cache")
 	}
 	if v.Fault {
 		parts = append(parts, "fault")
@@ -76,8 +72,6 @@ func ParseVariant(s string) (Variant, error) {
 	v.Op = parts[0]
 	for _, p := range parts[1:] {
 		switch {
-		case p == "cache":
-			v.Cache = true
 		case p == "fault":
 			v.Fault = true
 		case p == "scramble":
@@ -114,29 +108,27 @@ func ParseVariant(s string) (Variant, error) {
 }
 
 // Matrix returns the full configuration matrix: PJoin and XJoin ×
-// {DiskChunkBytes ∈ {0, 512}} × {CachedSpill on/off} × {FaultSpill
-// off/on}: 8 PJoin rows + 8 XJoin rows, all driven per item. The chunk
+// {DiskChunkBytes ∈ {0, 512}} × {FaultSpill off/on}: 4 PJoin rows + 4
+// XJoin rows, all driven per item. The chunk
 // axis is two schedules of the one disk-pass implementation — every pass
 // drained inside the call that starts it, and passes stepped in the
 // background at a budget small enough to split every partition read; one
 // pjoin and one xjoin row add the 64 KiB budget the spill benchmark runs.
 // On top of those, batched delivery (ProcessBatch with batch ∈ {8, 256} ×
 // linger ∈ {0, 1ms virtual}) over four representative configurations —
-// including a chunked+cached row and a fault row (the injected sentinel
-// must surface identically through the batch path): 16 more rows. Last,
-// four scrambled rows (Variant.Scramble) — a single PJoin, a chunked and
-// cached one, an XJoin and a windowed PJoin (Variant.Window) — deliver
-// tuples whose own Ts is not their arrival time, as the live executor
-// does; every other row's tuples carry it, so a join that reads Tuple.Ts
-// where the arrival time belongs fails these rows alone: 38 rows in all.
+// including a chunked row and a fault row (the injected sentinel must
+// surface identically through the batch path): 16 more rows. Last, four
+// scrambled rows (Variant.Scramble) — a single PJoin, a chunked one, an
+// XJoin and a windowed PJoin (Variant.Window) — deliver tuples whose own
+// Ts is not their arrival time, as the live executor does; every other
+// row's tuples carry it, so a join that reads Tuple.Ts where the arrival
+// time belongs fails these rows alone: 30 rows in all.
 func Matrix() []Variant {
 	var vs []Variant
 	for _, chunk := range []int{0, 512} {
-		for _, cache := range []bool{false, true} {
-			for _, fault := range []bool{false, true} {
-				for _, o := range []string{"pjoin", "xjoin"} {
-					vs = append(vs, Variant{Op: o, Chunk: chunk, Cache: cache, Fault: fault})
-				}
+		for _, fault := range []bool{false, true} {
+			for _, o := range []string{"pjoin", "xjoin"} {
+				vs = append(vs, Variant{Op: o, Chunk: chunk, Fault: fault})
 			}
 		}
 	}
@@ -145,7 +137,7 @@ func Matrix() []Variant {
 		Variant{Op: "xjoin", Chunk: 64 << 10})
 	reps := []Variant{
 		{Op: "pjoin"},
-		{Op: "pjoin", Chunk: 512, Cache: true},
+		{Op: "pjoin", Chunk: 512},
 		{Op: "pjoin", Fault: true},
 		{Op: "xjoin"},
 	}
@@ -159,25 +151,19 @@ func Matrix() []Variant {
 	}
 	return append(vs,
 		Variant{Op: "pjoin", Scramble: true},
-		Variant{Op: "pjoin", Chunk: 512, Cache: true, Scramble: true},
+		Variant{Op: "pjoin", Chunk: 512, Scramble: true},
 		Variant{Op: "xjoin", Chunk: 512, Scramble: true},
 		Variant{Op: "pjoin", Window: 20000, Scramble: true})
 }
 
-// spillStack assembles one side's spill store for the variant:
-// MemSpill at the bottom, fault injection above it (faults surface
-// from the "device"), LRU cache on top (cache hits must not mask a
-// faulted device's read errors on misses — matching production
-// layering cache-over-disk).
+// spillStack assembles one side's spill store for the variant: a
+// MemSpill, wrapped in fault injection on a faulted row (faults surface
+// from the "device").
 func spillStack(sc *Scenario, v Variant) store.SpillStore {
-	var s store.SpillStore = store.NewMemSpill()
 	if v.Fault {
-		s = store.NewFaultSpill(s, store.FaultAny, sc.FaultAt, ErrInjectedFault)
+		return store.NewFaultSpill(store.NewMemSpill(), store.FaultAny, sc.FaultAt, ErrInjectedFault)
 	}
-	if v.Cache {
-		s = store.NewCachedSpill(s, 1<<20)
-	}
-	return s
+	return store.NewMemSpill()
 }
 
 func (sc *Scenario) thresholds() core.Thresholds {

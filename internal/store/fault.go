@@ -9,8 +9,10 @@ import (
 // its failure trigger.
 type FaultOp uint8
 
-// Fault-countable operations. FaultAny counts every data-path operation
-// (Append, Read and Truncate); Size, Stats and Close never fault.
+// Fault-countable operations. FaultRead counts every Read and Tail of a
+// scan cursor the store opened; FaultAny counts every data-path operation
+// (Append, cursor reads and Truncate). Opening a scan, Stats and Close
+// never fault.
 const (
 	FaultAppend FaultOp = 1 << iota
 	FaultRead
@@ -43,13 +45,6 @@ func NewFaultSpill(inner SpillStore, mask FaultOp, failAt int64, err error) *Fau
 	return &FaultSpill{inner: inner, mask: mask, err: err, failAt: failAt}
 }
 
-// Ops returns how many counted operations have been observed.
-func (f *FaultSpill) Ops() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.count
-}
-
 // tick counts one operation of the given kind and reports the injected
 // error once the trigger is reached.
 func (f *FaultSpill) tick(op FaultOp) error {
@@ -73,14 +68,6 @@ func (f *FaultSpill) Append(partition int, data []byte) error {
 	return f.inner.Append(partition, data)
 }
 
-// Read implements SpillStore.
-func (f *FaultSpill) Read(partition int) ([]byte, error) {
-	if err := f.tick(FaultRead); err != nil {
-		return nil, err
-	}
-	return f.inner.Read(partition)
-}
-
 // Truncate implements SpillStore.
 func (f *FaultSpill) Truncate(partition int) error {
 	if err := f.tick(FaultTruncate); err != nil {
@@ -89,11 +76,8 @@ func (f *FaultSpill) Truncate(partition int) error {
 	return f.inner.Truncate(partition)
 }
 
-// Size implements SpillStore.
-func (f *FaultSpill) Size(partition int) (int64, error) { return f.inner.Size(partition) }
-
 // OpenScan implements SpillStore. Opening is free (no data touched); the
-// cursor's chunk reads count toward FaultRead like Read does. A re-armed
+// cursor's reads count toward FaultRead. A re-armed
 // cursor hands its inner cursor to the inner store for re-arming too.
 func (f *FaultSpill) OpenScan(partition int, reuse ScanCursor) (ScanCursor, error) {
 	c, ok := reuse.(*faultScan)

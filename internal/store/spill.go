@@ -6,8 +6,10 @@
 //
 // The on-disk portion is behind SpillStore. MemSpill, a simulated disk
 // that counts every byte and op, is the one backing store: the disk of
-// every command, figure, oracle row and benchmark. FaultSpill (injected
-// I/O errors) and CachedSpill (a read cache) wrap it.
+// every command, figure, oracle row and benchmark; FaultSpill (injected
+// I/O errors) wraps it for the tests and the oracle. A disk pass reads a
+// partition through one path: State.OpenDiskScan opens a ScanCursor
+// (SpillStore.OpenScan) on the store.
 package store
 
 import (
@@ -84,13 +86,8 @@ type SpillStore interface {
 	// not retain data: the caller reuses the slice as soon as Append
 	// returns (State encodes every spill into one scratch buffer).
 	Append(partition int, data []byte) error
-	// Read returns the partition's entire contents. The returned slice
-	// must not be retained across the next Append/Truncate.
-	Read(partition int) ([]byte, error)
 	// Truncate discards the partition's contents.
 	Truncate(partition int) error
-	// Size returns the partition's length in bytes.
-	Size(partition int) (int64, error)
 	// OpenScan returns a cursor over the partition's current contents
 	// (see ScanCursor). Opening counts no I/O; the chunk reads do. reuse
 	// is nil or a closed cursor the caller gives up, in the shape of
@@ -132,21 +129,6 @@ func (m *MemSpill) Append(partition int, data []byte) error {
 	m.stats.WriteOps++
 	m.stats.BytesWritten += int64(len(data))
 	return nil
-}
-
-// Read implements SpillStore.
-func (m *MemSpill) Read(partition int) ([]byte, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.done {
-		return nil, fmt.Errorf("store: read from closed MemSpill")
-	}
-	p := m.parts[partition]
-	m.stats.ReadOps++
-	m.stats.BytesRead += int64(len(p))
-	out := make([]byte, len(p))
-	copy(out, p)
-	return out, nil
 }
 
 // Truncate implements SpillStore.
@@ -243,16 +225,6 @@ func (c *memScan) Close() error {
 	defer c.m.mu.Unlock()
 	c.closed = true
 	return nil
-}
-
-// Size implements SpillStore.
-func (m *MemSpill) Size(partition int) (int64, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.done {
-		return 0, fmt.Errorf("store: size on closed MemSpill")
-	}
-	return int64(len(m.parts[partition])), nil
 }
 
 // Stats implements SpillStore.

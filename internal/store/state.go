@@ -40,9 +40,6 @@ type StoredTuple struct {
 	DTS stream.Time
 }
 
-// Resident reports whether the tuple is still memory-resident.
-func (s *StoredTuple) Resident() bool { return s.DTS == InMemory }
-
 // Overlaps reports whether the memory-residence intervals of s and o
 // overlapped. Two tuples whose residence overlapped were joined by the
 // memory join when the later one arrived, so disk joins must skip such
@@ -178,16 +175,6 @@ func (st *State) Stats() Stats { return st.stats }
 // provenance (internal/obs/span) snapshots these around a pass so the
 // spill reads a pass caused are attributed to its trace.
 func (st *State) IOStats() (IOStats, error) { return st.spill.Stats() }
-
-// SpillCacheStats returns the spill cache's counters when the spill
-// store is (or wraps) a cache, and the zero value otherwise — the
-// cache-hit side of a pass's I/O attribution.
-func (st *State) SpillCacheStats() CacheStats {
-	if c, ok := st.spill.(interface{ CacheStats() CacheStats }); ok {
-		return c.CacheStats()
-	}
-	return CacheStats{}
-}
 
 // Key returns t's join-attribute value.
 func (st *State) Key(t *stream.Tuple) value.Value { return t.Values[st.attr] }

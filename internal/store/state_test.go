@@ -116,9 +116,6 @@ func TestStoredTupleOverlaps(t *testing.T) {
 	if !b.Overlaps(c) || !c.Overlaps(b) {
 		t.Error("b was resident when c arrived")
 	}
-	if !c.Resident() || a.Resident() {
-		t.Error("Resident broken")
-	}
 }
 
 func TestFilterMem(t *testing.T) {
@@ -413,7 +410,7 @@ func TestSpillKeepsATS(t *testing.T) {
 	if _, err := st.SpillBucket(0, 2000000); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := spill.Read(0)
+	raw, err := readPart(spill, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
