@@ -62,8 +62,9 @@ func passMallocs(tb testing.TB, fn func() error) (objects, bytes uint64) {
 // whole first pass of a new driver over a spilled state (8,192 tuples on
 // disk in 64 buckets), at the unbounded budget (a pass run to
 // completion) and at the 64 KiB budget the spill benchmark runs. Both
-// measure 71 objects (46 before a scan kept the bytes it read and its
-// record list, and a pass sized its fresh-key indexes): one spill cursor
+// measure 61 objects (71 while a pass decoded every fresh record, 46
+// before a scan kept the bytes it read and its record list, and a pass
+// sized its fresh-key indexes): one spill cursor
 // per state, which the state re-arms for every bucket, plus the first
 // fill of the decode arena, the string slab, the read buffers, the record
 // lists and the pass scratch, which later passes reuse
@@ -195,9 +196,10 @@ func TestDiskPassSteadyStateAllocs(t *testing.T) {
 // the pass's DropDisk drops, key by key, as many of the oldest records as
 // arrived, so every partition is rewritten (truncated and appended
 // again) to the size it had a cycle before and the disk footprint stays
-// flat. A warm cycle, relocation and pass, allocates nothing: the spill
-// store refills a truncated partition's extent, and the read buffers and
-// the encode scratch keep their capacity. It is held, as its twin, to an
+// flat. A warm cycle, relocation and pass, allocates nothing: a truncated
+// partition's blocks go back on the spill store's free list, which the
+// rewrite and the next spills take from, and the read buffers and the
+// encode scratch keep their capacity. It is held, as its twin, to an
 // integer mean of 0 objects over 16 warm cycles; while a truncated
 // partition was discarded, every cycle regrew its partitions.
 func TestDiskPassRewriteAllocs(t *testing.T) {
@@ -269,14 +271,17 @@ func TestDiskPassRewriteAllocs(t *testing.T) {
 // spilled state of TestDiskPassAllocs with a 24-byte string payload on
 // every tuple, and before each pass 8 arrivals per side on keys 0..3,
 // which stay in memory. The arrivals are a warm pass's only fresh tuples,
-// so it decodes in full only the disk records of keys 0..3 (about 350 of
-// 8,192) and parses the rest to their key; its allocations are then the
-// string slabs those payloads fill (value.Strings: one 8 KiB slab per
-// 8 KiB decoded, and the one a pass may start). The bound is that, from
-// Metrics.DiskDecoded, summed over the warm passes. On a 2-vCPU Intel
-// Xeon a warm pass allocated 197,521–198,104 B when every record was
-// decoded in full, and 8,970 B (358 records decoded) with the cut, at
-// either budget.
+// so only the disk records of keys 0..3 (about 350 of 8,192) are in a
+// pair it emits; it decodes those in full and parses the rest to their
+// key. Its allocations are then the string slabs those payloads fill
+// (value.Strings: one 8 KiB slab per 8 KiB decoded, and the one a pass
+// may start). The bound is that, from Metrics.DiskDecoded, summed over
+// the warm passes. On a 2-vCPU Intel Xeon a warm pass allocated
+// 197,521–198,104 B when every record was decoded in full, 8,970 B (358
+// records decoded) when the selected records were, and 11,416 B (the
+// same 358) now that the records in an emitted pair are, at either
+// budget: the cold pass decodes fewer records, so five of the nine warm
+// passes refill both states' string slabs instead of four.
 func TestDiskPassPayloadAllocs(t *testing.T) {
 	const tuples, arrivals, passes = 4096, 8, 10
 	const payload = "payload-0123456789abcdef"

@@ -58,8 +58,9 @@ import (
 // the key of a fresh tuple on the opposite side, in the order of the full
 // sides (disk ++ purge ++ mem): every pair left out is one the filter
 // rejects, so the result sequence is the full sides' sequence. A disk
-// record is parsed to its header and key by the scan and decoded in full
-// only once it is selected, or for IndexDisk; the rest is never decoded.
+// record is parsed to its header and key by the scan, selected and
+// indexed by that key, and decoded in full only just before a pair it is
+// in emits, or for IndexDisk; the rest is never decoded.
 // A DTS stamped mid-pass (>= tPass) does not change what is emitted: a
 // stamp above tPass classifies like InMemory, and a stamp at tPass makes
 // a left-out tuple fresh only toward partners it overlaps or met by the
@@ -95,8 +96,8 @@ type chunkBucket struct {
 	disk       [2][]*store.StoredTuple // every record of the scan, in spill order; T nil until decoded
 	purge      [2][]*store.StoredTuple
 	mem        [2][]*store.StoredTuple // snapshotted at open (see doc above)
-	fresh      [2][]*store.StoredTuple // the fresh tuples of disk ++ purge ++ mem
-	sides      [2][]*store.StoredTuple // what can pair, of disk ++ purge ++ mem
+	fresh      [2][]sideTuple          // the fresh tuples of disk ++ purge ++ mem
+	sides      [2][]sideTuple          // what can pair, of disk ++ purge ++ mem
 	indexDirty [2]bool                 // IndexDisk assigned a pid → rewrite must persist it
 
 	readSide  int // 0, 1 while reading chunks; 2 = join phase
@@ -105,6 +106,38 @@ type chunkBucket struct {
 	// next same-key candidate in sides[1], chainStart before x's chain has
 	// been looked up, chainEnd once it is exhausted.
 	xi, yi int
+}
+
+// sideTuple is a tuple of an assembled side and, for a disk record, its
+// record number in the scan (else -1): a disk record's key comes from
+// the scan, so the record is selected, indexed and joined with its T
+// still nil until it is in a pair that emits.
+type sideTuple struct {
+	t   *store.StoredTuple
+	rec int
+}
+
+// size returns the number of tuples of side s's disk ++ purge ++ mem.
+func (cb *chunkBucket) size(s int) int { return len(cb.disk[s]) + len(cb.purge[s]) + len(cb.mem[s]) }
+
+// at returns tuple i of side s's disk ++ purge ++ mem.
+func (cb *chunkBucket) at(s, i int) sideTuple {
+	if i < len(cb.disk[s]) {
+		return sideTuple{cb.disk[s][i], i}
+	}
+	if i -= len(cb.disk[s]); i < len(cb.purge[s]) {
+		return sideTuple{cb.purge[s][i], -1}
+	}
+	return sideTuple{cb.mem[s][i-len(cb.purge[s])], -1}
+}
+
+// sideKey returns the join key of a tuple of st's side, whose disk
+// records ds parsed.
+func sideKey(st *store.State, ds *store.DiskScan, e sideTuple) value.Value {
+	if e.rec >= 0 {
+		return ds.Key(e.rec)
+	}
+	return st.Key(e.t.T)
 }
 
 // isFresh reports whether s arrived after the bucket's last pass or left
@@ -120,11 +153,12 @@ func (cb *chunkBucket) isFresh(s *store.StoredTuple) bool {
 // state's own value hash, equality confirmed on the chain head's key, so
 // colliding hashes only lengthen a lookup.
 type keyIndex struct {
-	st    *store.State         // the indexed side's state: its hash, its key attribute
-	ys    []*store.StoredTuple // the indexed side
-	slots []int32              // 1 + position of a chain's first tuple, 0 = empty
-	next  []int32              // next[j]: position of the next tuple with ys[j]'s key, or chainEnd
-	shift uint                 // 64 - log2(len(slots))
+	st    *store.State    // the indexed side's state: its hash, its key attribute
+	ds    *store.DiskScan // the indexed side's scan: its records' keys
+	ys    []sideTuple     // the indexed side
+	slots []int32         // 1 + position of a chain's first tuple, 0 = empty
+	next  []int32         // next[j]: position of the next tuple with ys[j]'s key, or chainEnd
+	shift uint            // 64 - log2(len(slots))
 }
 
 const (
@@ -139,7 +173,7 @@ func (ix *keyIndex) slot(key value.Value) int {
 	mask := len(ix.slots) - 1
 	for i := int(ix.st.Hash(key) * 0x9E3779B97F4A7C15 >> ix.shift); ; i = (i + 1) & mask {
 		head := ix.slots[i]
-		if head == 0 || ix.st.Key(ix.ys[head-1].T).Equal(key) {
+		if head == 0 || sideKey(ix.st, ix.ds, ix.ys[head-1]).Equal(key) {
 			return i
 		}
 	}
@@ -168,14 +202,14 @@ func (ix *keyIndex) reserve(n int) {
 // build indexes ys (a side of st's bucket; fewer than 2^30 tuples).
 // Chains come out in ys order because the tuples are pushed back to
 // front.
-func (ix *keyIndex) build(st *store.State, ys []*store.StoredTuple) {
+func (ix *keyIndex) build(st *store.State, ds *store.DiskScan, ys []sideTuple) {
 	ix.reserve(len(ys))
 	size, shift := tableSize(len(ys))
 	ix.slots = ix.slots[:size]
 	clear(ix.slots)
-	ix.st, ix.ys, ix.next, ix.shift = st, ys, ix.next[:len(ys)], shift
+	ix.st, ix.ds, ix.ys, ix.next, ix.shift = st, ds, ys, ix.next[:len(ys)], shift
 	for j := len(ys) - 1; j >= 0; j-- {
-		i := ix.slot(st.Key(ys[j].T))
+		i := ix.slot(sideKey(st, ds, ys[j]))
 		ix.next[j] = ix.slots[i] - 1 // an empty slot's 0 becomes chainEnd
 		ix.slots[i] = int32(j) + 1
 	}
@@ -242,8 +276,7 @@ func (p *ChunkPass) Step(now stream.Time) (bool, error) {
 		cb := &p.cur
 
 		// Read phase: one spill chunk per step, side 0 then side 1, parsing
-		// the records in spill order and decoding the fresh ones and those
-		// IndexDisk must see.
+		// the records in spill order and decoding those IndexDisk must see.
 		if cb.readSide < 2 {
 			s := cb.readSide
 			ds := cb.scans[s]
@@ -259,19 +292,16 @@ func (p *ChunkPass) Step(now stream.Time) (bool, error) {
 				b.Obs.SpillError(now, s, err)
 				return false, err
 			}
-			for j := before; j < len(cb.disk[s]); j++ {
+			for j := before; p.hooks.IndexDisk != nil && j < len(cb.disk[s]); j++ {
 				dt := cb.disk[s][j]
-				index := p.hooks.IndexDisk != nil && dt.PID == punct.NoPID
-				if !index && !cb.isFresh(dt) {
+				if dt.PID != punct.NoPID {
 					continue
 				}
 				if err := p.decode(cb, s, j, now); err != nil {
 					return false, err
 				}
-				if index {
-					p.hooks.IndexDisk(s, dt)
-					cb.indexDirty[s] = cb.indexDirty[s] || dt.PID != punct.NoPID
-				}
+				p.hooks.IndexDisk(s, dt)
+				cb.indexDirty[s] = cb.indexDirty[s] || dt.PID != punct.NoPID
 			}
 			if done {
 				cb.readSide++
@@ -281,9 +311,7 @@ func (p *ChunkPass) Step(now stream.Time) (bool, error) {
 		}
 
 		if !cb.assembled {
-			if err := p.assemble(cb, now); err != nil {
-				return false, err
-			}
+			p.assemble(cb)
 			cb.assembled = true
 		}
 
@@ -291,28 +319,35 @@ func (p *ChunkPass) Step(now stream.Time) (bool, error) {
 		// side 0, in order, meets the side-1 tuples with its key, in side
 		// order — the order a nested loop over both sides produces its
 		// matches in — resuming where the last step left off; every
-		// predicate is evaluated at the bucket-open time tPass.
+		// predicate is evaluated at the bucket-open time tPass, and a disk
+		// record is decoded only for a pair that emits.
 		if xs, ys := cb.sides[0], cb.sides[1]; cb.xi < len(xs) && len(ys) > 0 {
 			for pairs := p.pairs; cb.xi < len(xs) && pairs > 0; {
 				x := xs[cb.xi]
 				if cb.yi == chainStart {
-					cb.yi = p.keys.first(b.States[0].Key(x.T))
+					cb.yi = p.keys.first(sideKey(b.States[0], cb.scans[0], x))
 				}
 				for cb.yi != chainEnd && pairs > 0 {
 					y := ys[cb.yi]
 					cb.yi = int(p.keys.next[cb.yi])
 					pairs--
 					b.M.DiskExamined++
-					if x.Overlaps(y) {
+					if x.t.Overlaps(y.t) {
 						continue // already joined by the memory join
 					}
-					if reachable(x, y, cb.last) {
+					if reachable(x.t, y.t, cb.last) {
 						continue // already joined by an earlier pass
 					}
-					if !reachable(x, y, cb.tPass) {
+					if !reachable(x.t, y.t, cb.tPass) {
 						continue // a later pass's responsibility
 					}
-					if err := b.emitPair(0, x, y); err != nil {
+					if err := p.decode(cb, 0, x.rec, now); err != nil {
+						return false, err
+					}
+					if err := p.decode(cb, 1, y.rec, now); err != nil {
+						return false, err
+					}
+					if err := b.emitPair(0, x.t, y.t); err != nil {
 						return false, err
 					}
 					b.M.DiskJoins++
@@ -340,10 +375,10 @@ func (p *ChunkPass) Step(now stream.Time) (bool, error) {
 	}
 }
 
-// decode decodes side s's disk record j in full, unless it is already,
-// and counts it.
+// decode decodes side s's disk record j in full, unless j is -1 (not a
+// disk record) or the record is decoded already, and counts it.
 func (p *ChunkPass) decode(cb *chunkBucket, s, j int, now stream.Time) error {
-	if cb.disk[s][j].T != nil {
+	if j < 0 || cb.disk[s][j].T != nil {
 		return nil
 	}
 	if err := cb.scans[s].Decode(j); err != nil {
@@ -356,25 +391,23 @@ func (p *ChunkPass) decode(cb *chunkBucket, s, j int, now stream.Time) error {
 
 // assemble selects the bucket's sides: every fresh tuple, and every other
 // tuple whose key a fresh tuple of the opposite side has (see ChunkPass),
-// each side in disk ++ purge ++ mem order, decoding the disk records
-// selected; then it indexes side 1 for the join phase. The fresh-key
+// each side in disk ++ purge ++ mem order, a disk record by the key its
+// scan parsed; then it indexes side 1 for the join phase. The fresh-key
 // indexes are sized for the whole side, as the selection is, even when
 // not built: a first pass finds every tuple fresh and builds none, and
 // the pass after it must find their scratch ready.
-func (p *ChunkPass) assemble(cb *chunkBucket, now stream.Time) error {
+func (p *ChunkPass) assemble(cb *chunkBucket) {
 	b := p.b
 	var stale [2]bool // side s has a tuple that is not fresh
 	for s := 0; s < 2; s++ {
-		n := len(cb.disk[s]) + len(cb.purge[s]) + len(cb.mem[s])
+		n := cb.size(s)
 		cb.fresh[s], cb.sides[s] = slices.Grow(cb.fresh[s], n), slices.Grow(cb.sides[s], n)
 		p.fresh[s].reserve(n)
-		for _, part := range [...][]*store.StoredTuple{cb.disk[s], cb.purge[s], cb.mem[s]} {
-			for _, t := range part {
-				if cb.isFresh(t) {
-					cb.fresh[s] = append(cb.fresh[s], t)
-				} else {
-					stale[s] = true
-				}
+		for i := range n {
+			if e := cb.at(s, i); cb.isFresh(e.t) {
+				cb.fresh[s] = append(cb.fresh[s], e)
+			} else {
+				stale[s] = true
 			}
 		}
 	}
@@ -384,32 +417,20 @@ func (p *ChunkPass) assemble(cb *chunkBucket, now stream.Time) error {
 	var look [2]bool
 	for s := 0; s < 2; s++ {
 		if look[s] = stale[s] && len(cb.fresh[1-s]) > 0; look[s] {
-			p.fresh[1-s].build(b.States[1-s], cb.fresh[1-s])
+			p.fresh[1-s].build(b.States[1-s], cb.scans[1-s], cb.fresh[1-s])
 		}
 	}
 	for s := 0; s < 2; s++ {
 		st, ds, keys := b.States[s], cb.scans[s], &p.fresh[1-s]
-		for j, t := range cb.disk[s] {
-			if !cb.isFresh(t) && !(look[s] && keys.has(ds.Key(j))) {
-				continue
-			}
-			if err := p.decode(cb, s, j, now); err != nil {
-				return err
-			}
-			cb.sides[s] = append(cb.sides[s], t)
-		}
-		for _, part := range [...][]*store.StoredTuple{cb.purge[s], cb.mem[s]} {
-			for _, t := range part {
-				if cb.isFresh(t) || look[s] && keys.has(st.Key(t.T)) {
-					cb.sides[s] = append(cb.sides[s], t)
-				}
+		for i := range cb.size(s) {
+			if e := cb.at(s, i); cb.isFresh(e.t) || look[s] && keys.has(sideKey(st, ds, e)) {
+				cb.sides[s] = append(cb.sides[s], e)
 			}
 		}
 	}
 	if len(cb.sides[0]) > 0 && len(cb.sides[1]) > 0 {
-		p.keys.build(b.States[1], cb.sides[1])
+		p.keys.build(b.States[1], cb.scans[1], cb.sides[1])
 	}
-	return nil
 }
 
 // release ends the bucket in flight, if any: it clears every tuple
@@ -418,14 +439,20 @@ func (p *ChunkPass) assemble(cb *chunkBucket, now stream.Time) error {
 // purged, spilled or decoded tuple; and it unholds the states.
 func (p *ChunkPass) release() {
 	cb := &p.cur
-	for _, bufs := range [...]*[2][]*store.StoredTuple{&cb.disk, &cb.purge, &cb.mem, &cb.fresh, &cb.sides} {
+	for _, bufs := range [...]*[2][]*store.StoredTuple{&cb.disk, &cb.purge, &cb.mem} {
+		for s := range bufs {
+			clear(bufs[s])
+			bufs[s] = bufs[s][:0]
+		}
+	}
+	for _, bufs := range [...]*[2][]sideTuple{&cb.fresh, &cb.sides} {
 		for s := range bufs {
 			clear(bufs[s])
 			bufs[s] = bufs[s][:0]
 		}
 	}
 	for _, ix := range [...]*keyIndex{&p.keys, &p.fresh[0], &p.fresh[1]} {
-		ix.st, ix.ys = nil, nil
+		ix.st, ix.ds, ix.ys = nil, nil, nil
 	}
 	p.b.States[0].Unhold()
 	p.b.States[1].Unhold()

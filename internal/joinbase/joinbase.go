@@ -57,7 +57,7 @@ type Metrics struct {
 	PunctsOut     int64    // punctuations propagated
 	Examined      int64    // stored tuples examined by memory probes
 	DiskExamined  int64    // same-key candidate pairs visited by disk passes (unequal-key pairs are never looked at: see keyIndex)
-	DiskDecoded   int64    // spill records disk passes decoded in full; the others were parsed to their key (see ChunkPass)
+	DiskDecoded   int64    // spill records disk passes decoded in full, for a pair they emitted or for IndexDisk; the others were parsed to their key (see ChunkPass)
 	DiskJoins     int64    // results produced by disk passes
 	Relocations   int64    // buckets spilled
 	SpilledTuples int64    // tuples moved to disk

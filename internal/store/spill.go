@@ -7,15 +7,19 @@
 // The on-disk portion is behind SpillStore. MemSpill, a simulated disk
 // that counts every byte and op, is the one backing store: the disk of
 // every command, figure, oracle row and benchmark; FaultSpill (injected
-// I/O errors) wraps it for the tests and the oracle. A disk pass reads a
+// I/O errors) wraps it for the tests and the oracle. MemSpill keeps its
+// partitions in fixed-size blocks from one free list, so a store holds
+// its live bytes, not every partition's high water. A disk pass reads a
 // partition through one path: State.OpenDiskScan opens a ScanCursor
-// (SpillStore.OpenScan) on the store.
+// (SpillStore.OpenScan) on the store, and decodes a record in full only
+// when the pass asks (DiskScan.Decode).
 package store
 
 import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -101,21 +105,71 @@ type SpillStore interface {
 	Close() error
 }
 
-// MemSpill is an in-memory SpillStore simulating a disk: contents live in
-// byte slices but all traffic is counted, letting the simulator charge I/O
-// costs deterministically. Truncate empties a partition's slice but keeps
-// its array, so each partition holds its high-water extent until Close.
+// MemSpill is an in-memory SpillStore simulating a disk: all traffic is
+// counted, letting the simulator charge I/O costs deterministically. A
+// partition is a chain of fixed-size blocks from one free list that the
+// whole store shares: Append fills the tail block and takes more from the
+// list, Truncate hands the chain back, and a chunk of blocks is carved
+// only when the list is empty. So a store holds at most its peak live
+// bytes plus one partly filled block per partition and one chunk.
 type MemSpill struct {
 	mu    sync.Mutex //pjoin:lockrank leaf
-	parts map[int][]byte
-	gens  map[int]uint64 // bumped on Truncate to invalidate open cursors
+	parts map[int]memPart
+	free  *spillBlock // the free list, chained through next
 	stats IOStats
 	done  bool
 }
 
+const (
+	spillBlockSize   = 1<<10 - 8 // bytes per block: a block and its link take 1 KiB
+	spillChunkBlocks = 64        // blocks carved at a time: a 64 KiB chunk
+)
+
+type spillBlock struct {
+	next *spillBlock
+	data [spillBlockSize]byte
+}
+
+// memPart is one partition: size bytes in the chain head → … → tail,
+// every block but the tail full.
+type memPart struct {
+	head, tail *spillBlock
+	size       int64
+	gen        uint64 // bumped on Truncate to invalidate open cursors
+}
+
+// copyChain fills dst with the chain's bytes from offset o of block b on
+// and returns where the copy ended. An offset of spillBlockSize is the
+// end of b, so the copy goes on at the start of b.next.
+func copyChain(dst []byte, b *spillBlock, o int) (*spillBlock, int) {
+	for n := 0; n < len(dst); {
+		if o == spillBlockSize {
+			b, o = b.next, 0
+		}
+		k := copy(dst[n:], b.data[o:])
+		n, o = n+k, o+k
+	}
+	return b, o
+}
+
 // NewMemSpill returns an empty simulated disk.
 func NewMemSpill() *MemSpill {
-	return &MemSpill{parts: make(map[int][]byte), gens: make(map[int]uint64)}
+	return &MemSpill{parts: make(map[int]memPart)}
+}
+
+// block takes a block off the free list, carving a chunk when it is
+// empty.
+func (m *MemSpill) block() *spillBlock {
+	if m.free == nil {
+		chunk := new([spillChunkBlocks]spillBlock)
+		for i := range chunk[1:] {
+			chunk[i].next = &chunk[i+1]
+		}
+		m.free = &chunk[0]
+	}
+	b := m.free
+	m.free, b.next = b.next, nil
+	return b
 }
 
 // Append implements SpillStore.
@@ -125,21 +179,45 @@ func (m *MemSpill) Append(partition int, data []byte) error {
 	if m.done {
 		return fmt.Errorf("store: append to closed MemSpill")
 	}
-	m.parts[partition] = append(m.parts[partition], data...)
 	m.stats.WriteOps++
 	m.stats.BytesWritten += int64(len(data))
+	p := m.parts[partition]
+	for len(data) > 0 {
+		o := int(p.size % spillBlockSize)
+		if o == 0 {
+			b := m.block()
+			if p.tail == nil {
+				p.head = b
+			} else {
+				p.tail.next = b
+			}
+			p.tail = b
+		}
+		n := copy(p.tail.data[o:], data)
+		data = data[n:]
+		p.size += int64(n)
+	}
+	m.parts[partition] = p
 	return nil
 }
 
-// Truncate implements SpillStore.
+// Truncate implements SpillStore. Built with the pjoin_poison tag it
+// zeroes the blocks it frees, which parseStored rejects at every offset
+// (errRecordLen): a read of a freed block fails instead of parsing.
 func (m *MemSpill) Truncate(partition int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.done {
 		return fmt.Errorf("store: truncate on closed MemSpill")
 	}
-	m.parts[partition] = m.parts[partition][:0]
-	m.gens[partition]++
+	p := m.parts[partition]
+	if p.tail != nil {
+		for b := p.head; poisoned() && b != nil; b = b.next {
+			clear(b.data[:])
+		}
+		p.tail.next, m.free = m.free, p.head
+	}
+	m.parts[partition] = memPart{gen: p.gen + 1}
 	return nil
 }
 
@@ -154,22 +232,28 @@ func (m *MemSpill) OpenScan(partition int, reuse ScanCursor) (ScanCursor, error)
 	if !ok {
 		c = new(memScan)
 	}
-	*c = memScan{
-		m: m, part: partition,
-		gen: m.gens[partition],
-		end: int64(len(m.parts[partition])),
+	p := m.parts[partition]
+	*c = memScan{m: m, part: partition, gen: p.gen, end: p.size, blk: p.head}
+	if p.size > 0 {
+		c.endBlk, c.endOff = p.tail, int((p.size-1)%spillBlockSize)+1
 	}
 	return c, nil
 }
 
 // memScan is MemSpill's ScanCursor. All reads happen under the store's
 // mutex, so cursors are safe against concurrent appends and truncates.
+// It keeps the block its next Read starts in, and the one its snapshot
+// ends in, where Tail starts; neither read walks the chain from its head.
 type memScan struct {
 	m       *MemSpill
 	part    int
 	gen     uint64
 	off     int64
 	end     int64 // snapshot extent, fixed at open
+	blk     *spillBlock
+	bo      int // off's offset in blk
+	endBlk  *spillBlock
+	endOff  int // end's offset in endBlk; endBlk is nil for an empty snapshot
 	started bool
 	closed  bool
 }
@@ -181,7 +265,7 @@ func (c *memScan) check() error {
 	if c.m.done {
 		return fmt.Errorf("store: scan on closed MemSpill")
 	}
-	if c.m.gens[c.part] != c.gen {
+	if c.m.parts[c.part].gen != c.gen {
 		return ErrScanTruncated
 	}
 	return nil
@@ -197,7 +281,8 @@ func (c *memScan) Read(p []byte) (int, error) {
 	if c.off >= c.end {
 		return 0, io.EOF
 	}
-	n := copy(p, c.m.parts[c.part][c.off:c.end])
+	n := int(min(int64(len(p)), c.end-c.off))
+	c.blk, c.bo = copyChain(p[:n], c.blk, c.bo)
 	c.off += int64(n)
 	c.m.stats.countScanRead(&c.started, n)
 	return n, nil
@@ -211,12 +296,19 @@ func (c *memScan) Tail(dst []byte) ([]byte, error) {
 		return dst, err
 	}
 	p := c.m.parts[c.part]
-	if int64(len(p)) <= c.end {
+	n := int(p.size - c.end)
+	if n <= 0 {
 		return dst, nil
 	}
 	c.m.stats.ChunkReads++
-	c.m.stats.BytesRead += int64(len(p)) - c.end
-	return append(dst, p[c.end:]...), nil
+	c.m.stats.BytesRead += int64(n)
+	b, o := c.endBlk, c.endOff
+	if b == nil {
+		b = p.head
+	}
+	dst = slices.Grow(dst, n)
+	copyChain(dst[len(dst):len(dst)+n], b, o)
+	return dst[:len(dst)+n], nil
 }
 
 // Close implements ScanCursor.
@@ -242,7 +334,7 @@ func (m *MemSpill) Close() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.done = true
-	m.parts = nil
+	m.parts, m.free = nil, nil
 	return nil
 }
 

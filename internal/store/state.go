@@ -556,7 +556,7 @@ func (st *State) keepScratch(buf []byte) {
 //
 // A scan parses every record to its header and its join key (Next), and
 // decodes a record's tuple in full only when asked to (Decode): a disk
-// pass decodes only the records that can make a new pair. The bytes read
+// pass decodes only the records in a pair it emits. The bytes read
 // stay in the scan's buffer until it finishes, so a record is decoded,
 // and written back by the rewrite, from the bytes read once.
 //
