@@ -193,7 +193,7 @@ func TestPipelinesLeaveSharedInputUntouched(t *testing.T) {
 					t.Fatalf("source tuple %d header changed: %v span %d, was Ts %d span %d", i-1, tp, tp.Span, f.ts, f.span)
 				}
 				for k, v := range tp.Values {
-					if v != f.vals[k] {
+					if !v.Equal(f.vals[k]) {
 						t.Fatalf("source tuple %d value %d changed: %v, was %v", i-1, k, v, f.vals[k])
 					}
 				}
@@ -393,21 +393,25 @@ func runFanout(t *testing.T, a, b []stream.Item, want int, consume func(p *Pipel
 // fan-out ≈ 26 join into a counting terminal operator. The edge builds
 // the results in the batch it is filling and the batch comes back through
 // the edge's lane, so a result the consumer drops is no heap object at
-// all: the whole Run stays under 0.01 allocations and 10 B per result. It
-// reads 0.003 and 4.1 to 4.3 B (5.5 to 5.7 B while each source copied its
-// input into batches of its own, up to edgeInFlight per source edge; 6.6
-// B while an Item was 64 bytes; 8.8 B while every stored live tuple also
-// had a 40-byte arrival-stamped header: at fan-out 26 that is 1.6 B of a
-// result, which TestPipelineAllocsPerInput sees whole; 0.012 allocations
-// before index nodes came from slabs); with heap-built results (2
-// allocations and 5.4 KB per chunk of 31, what every plain emitter still
-// gets) the same run read 0.072 and 202 B, and one tuple copy per hop or
-// one Tuple.Join per result is 1 to 3 allocations.
+// all: the whole Run stays under 0.01 allocations and 4 B per result. It
+// reads 0.003 and 3.2 to 3.4 B at GOMAXPROCS 1 to 16 (2.1 to 3.1 B under
+// -race), what the edges' batches and their value chunks cost while they
+// grow; 4.1 to 4.4 B while a Value was 32 bytes, which the bound fails
+// (it read 2.9 and 3.8 B once each in 37 runs). It read 5.5 to 5.7 B
+// while each source copied its input into batches of its own, up to
+// edgeInFlight per source edge; 6.6 B while an Item was 64 bytes; 8.8 B
+// while every stored live tuple also had a 40-byte arrival-stamped
+// header: at fan-out 26 that is 1.6 B of a result, which
+// TestPipelineAllocsPerInput sees whole; 0.012 allocations before index
+// nodes came from slabs. With heap-built results (2 allocations and 5.4
+// KB per chunk of 31, what every plain emitter still gets) the same run
+// read 0.072 and 202 B, and one tuple copy per hop or one Tuple.Join per
+// result is 1 to 3 allocations.
 func TestPipelineAllocsPerResult(t *testing.T) {
 	fa, fb := fanoutInput()
 	allocs, bytes := runFanout(t, fa, fb, fanoutResults, countResults(t))
-	if allocs > 0.01 || bytes > 10 {
-		t.Errorf("%.4f allocations and %.1f B per result, want at most 0.01 and 10", allocs, bytes)
+	if allocs > 0.01 || bytes > 4 {
+		t.Errorf("%.4f allocations and %.1f B per result, want at most 0.01 and 4", allocs, bytes)
 	}
 }
 
@@ -428,10 +432,12 @@ func countResults(t *testing.T) func(p *Pipeline, joined *Edge, out *stream.Sche
 // keys), where one result per input tuple leaves the state's own storage —
 // wrappers, index nodes, groups, slot tables — most of what a Run
 // allocates. Results equal inputs here, so bytes per result are bytes per
-// input tuple. Over ten runs it reads 178.1 to 180.0 B and 0.052 to
-// 0.053 allocations, and at most 180.7 B in 25 more at GOMAXPROCS 1, 4, 8
-// and under -race (some read lower, down to 153 B). The bound keeps a
-// 7 B margin. While each source copied its input into batches of its own
+// input tuple. The largest of three readings is 162.9 to 163.8 B over
+// ten tests, and 0.052 allocations (144 to 146 B under -race). The bound
+// keeps a 7 B margin. While a Value was 32 bytes, so a stored tuple's
+// two values and each result's four took twice the room, the largest
+// read 178.6 to 180.7 B (some readings lower, down to 153 B), which the
+// bound fails. While each source copied its input into batches of its own
 // — up to edgeInFlight 256-item arrays per source edge, 13.6 KB each — it
 // read 191.9 to 193.9 B over ten runs at GOMAXPROCS 2 (174 to 201 B at an
 // older commit, as many batches as the racing sources left in flight);
@@ -453,8 +459,8 @@ func TestPipelineAllocsPerInput(t *testing.T) {
 		n, nb := runFanout(t, a, b, 8192*4, countResults(t))
 		allocs, bytes = max(allocs, n), max(bytes, nb)
 	}
-	if allocs > 0.06 || bytes > 188 {
-		t.Errorf("%.4f allocations and %.1f B per input tuple, want at most 0.06 and 188", allocs, bytes)
+	if allocs > 0.06 || bytes > 171 {
+		t.Errorf("%.4f allocations and %.1f B per input tuple, want at most 0.06 and 171", allocs, bytes)
 	}
 }
 
@@ -463,21 +469,23 @@ func TestPipelineAllocsPerInput(t *testing.T) {
 // borrowed tuple — chunked, 2 allocations per 31 results like the heap
 // results it replaces — on top of the collector's own growth, and no more
 // than the same run cost when the join built every result on the heap
-// (0.0725 to 0.08 allocations and 371 B per result): 0.067 and 323 B, the
-// same every run (a chunk is 31 results, not 32, and wastes no size
-// class; 324.4 B while each source copied its input into batches of its
-// own; 374 B while an Item was 64 bytes, 376 B with the arrival-stamped
-// headers the state no longer makes). The collector's growth of 48 B
-// Items is the largest share of the bytes (38%), its chunked copies the
-// next; the byte bound keeps a 12 B margin over the reading.
+// (0.0725 to 0.08 allocations and 371 B per result): 0.067 and 256 B, the
+// same every run at GOMAXPROCS 1 to 16 and under -race (a chunk is 31
+// results, not 32, and wastes no size class; 323 B while a Value was 32
+// bytes, which the bound fails; 324.4 B while each source copied its
+// input into batches of its own; 374 B while an Item was 64 bytes, 376 B
+// with the arrival-stamped headers the state no longer makes). The
+// collector's growth of 48 B Items is the largest share of the bytes
+// (48%), its chunked copies (107 B a result) the next; the byte bound
+// keeps a 12 B margin over the reading.
 func TestPipelineAllocsPerKeptResult(t *testing.T) {
 	fa, fb := fanoutInput()
 	allocs, bytes := runFanout(t, fa, fb, fanoutResults, func(p *Pipeline, joined *Edge, _ *stream.Schema) func() int {
 		sink := p.Sink(joined)
 		return func() int { return len(sink.Tuples()) }
 	})
-	if allocs > 0.075 || bytes > 335 {
-		t.Errorf("%.4f allocations and %.1f B per result, want at most 0.075 and 335", allocs, bytes)
+	if allocs > 0.075 || bytes > 268 {
+		t.Errorf("%.4f allocations and %.1f B per result, want at most 0.075 and 268", allocs, bytes)
 	}
 }
 

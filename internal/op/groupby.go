@@ -61,7 +61,7 @@ type GroupBy struct {
 	agg       AggKind
 	emit      Emitter
 
-	groups map[value.Value]*aggState
+	groups map[value.Key]*aggState
 	states slab.Slab[aggState] // NewOnce: a chunk lives while one of its states is open or free
 	free   []*aggState         // zeroed states of closed groups, taken before the slab
 	order  []value.Value       // group creation order, for deterministic flush; may hold closed keys
@@ -137,7 +137,7 @@ func NewGroupBy(in *stream.Schema, groupAttr, aggAttr int, agg AggKind, emit Emi
 		aggAttr:   aggAttr,
 		agg:       agg,
 		emit:      emit,
-		groups:    make(map[value.Value]*aggState),
+		groups:    make(map[value.Key]*aggState),
 		states:    slab.NewOnce[aggState](aggChunk),
 		closed:    punct.NewClosed(groupAttr),
 	}
@@ -211,14 +211,15 @@ func (g *GroupBy) processTuple(t *stream.Tuple) error {
 	if g.closed.Has(key) {
 		return fmt.Errorf("op: %s: tuple for group %s arrived after its punctuation", g.name, key)
 	}
-	st, ok := g.groups[key]
+	k := key.Key()
+	st, ok := g.groups[k]
 	if !ok {
 		if n := len(g.free); n > 0 {
 			st, g.free = g.free[n-1], g.free[:n-1]
 		} else {
 			st = &g.states.Take(1)[0]
 		}
-		g.groups[key] = st
+		g.groups[k] = st
 		g.order = append(g.order, key)
 		if g.pull != nil && g.pullAt > 0 && len(g.groups) >= g.pullAt {
 			g.pull()
@@ -271,9 +272,9 @@ func (g *GroupBy) processPunct(p punct.Punctuation, ts stream.Time) error {
 			return err
 		}
 	case punct.Constant:
-		// A constant matches by Value ==, which is map-key equality: the
-		// one group it closes is found without a scan.
-		if key := pat.ConstVal(); g.groups[key] != nil {
+		// A constant matches by Value.Equal, which is map-key equality
+		// on Key: the one group it closes is found without a scan.
+		if key := pat.ConstVal(); g.groups[key.Key()] != nil {
 			if err := g.emitGroup(key, ts); err != nil {
 				return err
 			}
@@ -281,7 +282,7 @@ func (g *GroupBy) processPunct(p punct.Punctuation, ts stream.Time) error {
 		}
 	default:
 		for _, key := range g.order {
-			if g.groups[key] == nil || !pat.Matches(key) {
+			if g.groups[key.Key()] == nil || !pat.Matches(key) {
 				continue
 			}
 			if err := g.emitGroup(key, ts); err != nil {
@@ -305,8 +306,9 @@ func (g *GroupBy) processPunct(p punct.Punctuation, ts stream.Time) error {
 }
 
 func (g *GroupBy) emitGroup(key value.Value, ts stream.Time) error {
-	st := g.groups[key]
-	delete(g.groups, key)
+	k := key.Key()
+	st := g.groups[k]
+	delete(g.groups, k)
 	var res value.Value
 	switch g.agg {
 	case AggCount:
@@ -339,7 +341,7 @@ func (g *GroupBy) emitGroup(key value.Value, ts stream.Time) error {
 func (g *GroupBy) compact() {
 	kept := g.order[:0]
 	for _, key := range g.order {
-		if g.groups[key] != nil {
+		if g.groups[key.Key()] != nil {
 			kept = append(kept, key)
 		}
 	}
@@ -349,7 +351,7 @@ func (g *GroupBy) compact() {
 
 func (g *GroupBy) flushAll(ts stream.Time, early bool) error {
 	for _, key := range g.order {
-		if _, ok := g.groups[key]; !ok {
+		if _, ok := g.groups[key.Key()]; !ok {
 			continue
 		}
 		if err := g.emitGroup(key, ts); err != nil {

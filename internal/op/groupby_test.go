@@ -94,7 +94,7 @@ func TestGroupByAllocsPerGroup(t *testing.T) {
 // attribute 0 and rejects a tuple a punctuation closed by matching it
 // against every closing pattern.
 type scanModel struct {
-	groups map[value.Value]*float64
+	groups map[value.Key]*float64
 	order  []value.Value
 	closed []punct.Pattern
 	early  int64
@@ -110,11 +110,12 @@ func (m *scanModel) process(sc *stream.Schema, it stream.Item) error {
 				return fmt.Errorf("late tuple for %s", key)
 			}
 		}
-		if m.groups[key] == nil {
-			m.groups[key] = new(float64)
+		k := key.Key()
+		if m.groups[k] == nil {
+			m.groups[k] = new(float64)
 			m.order = append(m.order, key)
 		}
-		*m.groups[key] += it.Tuple.Values[1].FloatVal()
+		*m.groups[k] += it.Tuple.Values[1].FloatVal()
 	case stream.KindPunct:
 		p := it.Punct
 		if p.PatternAt(1).Kind() != punct.Wildcard {
@@ -148,8 +149,8 @@ func (m *scanModel) process(sc *stream.Schema, it stream.Item) error {
 }
 
 func (m *scanModel) emit(sc *stream.Schema, key value.Value, ts stream.Time) {
-	m.out = append(m.out, stream.TupleItem(stream.MustTuple(sc, ts, key, value.Float(*m.groups[key]))))
-	delete(m.groups, key)
+	m.out = append(m.out, stream.TupleItem(stream.MustTuple(sc, ts, key, value.Float(*m.groups[key.Key()]))))
+	delete(m.groups, key.Key())
 }
 
 // TestGroupByMatchesScanModel holds the group-by to scanModel over random
@@ -188,7 +189,7 @@ func checkScanModel(t *testing.T, seed int64, sc *stream.Schema, key func(*rand.
 		t.Fatal(err)
 	}
 	outSc := g.OutSchema()
-	m := &scanModel{groups: map[value.Value]*float64{}}
+	m := &scanModel{groups: map[value.Key]*float64{}}
 	groupPat := func() punct.Pattern {
 		switch r.Intn(10) {
 		case 0:

@@ -23,7 +23,7 @@ type KeyPunctuator struct {
 	in       *stream.Schema
 	keyAttr  int
 	emit     Emitter
-	seen     map[value.Value]bool
+	seen     map[value.Key]bool
 	eos      bool
 	finished bool
 	now      stream.Time
@@ -43,7 +43,7 @@ func NewKeyPunctuator(in *stream.Schema, keyAttr int, emit Emitter) (*KeyPunctua
 	}
 	return &KeyPunctuator{
 		in: in, keyAttr: keyAttr, emit: emit,
-		seen: make(map[value.Value]bool),
+		seen: make(map[value.Key]bool),
 	}, nil
 }
 
@@ -77,10 +77,11 @@ func (k *KeyPunctuator) Process(port int, it stream.Item, now stream.Time) error
 			return fmt.Errorf("op: key-punctuator: tuple width %d", len(t.Values))
 		}
 		key := t.Values[k.keyAttr]
-		if k.seen[key] {
+		id := key.Key()
+		if k.seen[id] {
 			return fmt.Errorf("op: key-punctuator: duplicate key %s violates the declared constraint", key)
 		}
-		k.seen[key] = true
+		k.seen[id] = true
 		if err := k.emit.Emit(it); err != nil {
 			return err
 		}

@@ -54,13 +54,13 @@ func TestPurgePlanAdversarial(t *testing.T) {
 				entries[len(entries)/2].PID, set.MaxPID()}
 			for _, after := range afters {
 				direct, scan := set.PurgePlan(gen.KeyAttr, after)
-				inDirect := map[value.Value]bool{}
+				inDirect := map[value.Key]bool{}
 				for _, v := range direct {
-					inDirect[v] = true
+					inDirect[v.Key()] = true
 				}
 				for k := int64(0); k <= maxKey+2; k++ {
 					v := value.Int(k)
-					planned := inDirect[v]
+					planned := inDirect[v.Key()]
 					for _, e := range scan {
 						if e.P.PatternAt(gen.KeyAttr).Matches(v) {
 							planned = true

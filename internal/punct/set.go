@@ -140,7 +140,7 @@ type Set struct {
 	// check are O(1) amortised for the common constant-punctuation
 	// workloads instead of O(set size).
 	keyAttr  int
-	constIdx map[value.Value]keyEntries
+	constIdx map[value.Key]keyEntries
 	nonConst []*Entry
 	partial  []*Entry
 
@@ -245,7 +245,7 @@ func NewKeyedSet(attr int, verify bool) *Set {
 		panic("punct: NewKeyedSet with negative attribute")
 	}
 	s := NewSet()
-	s.keyAttr, s.constIdx, s.verify = attr, make(map[value.Value]keyEntries), verify
+	s.keyAttr, s.constIdx, s.verify = attr, make(map[value.Key]keyEntries), verify
 	s.closed = NewClosed(attr)
 	return s
 }
@@ -324,7 +324,7 @@ func (s *Set) addToIndex(e *Entry) {
 	case !exhaustiveOn(e.P, s.keyAttr):
 		s.partial = insertByPID(s.partial, e)
 	case e.P.PatternAt(s.keyAttr).Kind() == Constant:
-		v := e.P.PatternAt(s.keyAttr).lo
+		v := e.P.PatternAt(s.keyAttr).lo.Key()
 		s.constIdx[v] = s.constIdx[v].insert(e)
 	default:
 		s.nonConst = insertByPID(s.nonConst, e)
@@ -337,7 +337,7 @@ func (s *Set) dropFromIndex(e *Entry) {
 	case !exhaustiveOn(e.P, s.keyAttr):
 		s.partial = removeByPID(s.partial, e)
 	case e.P.PatternAt(s.keyAttr).Kind() == Constant:
-		v := e.P.PatternAt(s.keyAttr).lo
+		v := e.P.PatternAt(s.keyAttr).lo.Key()
 		if es := s.constIdx[v].remove(e); es.first == nil {
 			delete(s.constIdx, v)
 		} else {
@@ -514,7 +514,7 @@ func (s *Set) FirstMatchAttr(attr int, v value.Value) *Entry {
 		}
 		return best
 	}
-	best = s.constIdx[v].first // the earliest-arrived constant on v, if any
+	best = s.constIdx[v.Key()].first // the earliest-arrived constant on v, if any
 	for _, e := range s.nonConst {
 		if best != nil && e.PID >= best.PID {
 			break // nonConst is in arrival order; nothing earlier follows
@@ -551,7 +551,7 @@ func (s *Set) FirstMatch(attrs []value.Value) *Entry {
 		return firstMatchIn(s.entries, nil, attrs)
 	}
 	key := attrs[s.keyAttr]
-	k := s.constIdx[key]
+	k := s.constIdx[key.Key()]
 	best := k.first
 	if best != nil && !best.P.Matches(attrs) {
 		best = firstMatchIn(k.more, nil, attrs)
@@ -683,7 +683,7 @@ func (s *Set) held(e *Entry) bool {
 	if s.keyAttr < 0 || s.keyAttr >= e.P.Width() || e.P.PatternAt(s.keyAttr).kind != Constant {
 		return heldIn(s.entries, e)
 	}
-	k := s.constIdx[e.P.PatternAt(s.keyAttr).lo]
+	k := s.constIdx[e.P.PatternAt(s.keyAttr).lo.Key()]
 	return holds(k.first, e) || heldIn(k.more, e) || heldIn(s.nonConst, e) || heldIn(s.partial, e)
 }
 

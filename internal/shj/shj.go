@@ -25,7 +25,7 @@ type SHJ struct {
 	out      op.Emitter
 	attrs    [2]int
 	outSc    *stream.Schema
-	tables   [2]map[value.Value][]*stream.Tuple
+	tables   [2]map[value.Key][]*stream.Tuple
 	kept     stream.ResultSlab // copies of the borrowed tuples the tables hold
 	res      stream.ResultSlab // the results of one Process call, rewound when it returns
 	sizes    [2]int
@@ -58,9 +58,9 @@ func New(a, b *stream.Schema, attrA, attrB int, out op.Emitter) (*SHJ, error) {
 		out:   out,
 		attrs: [2]int{attrA, attrB},
 		outSc: outSc,
-		tables: [2]map[value.Value][]*stream.Tuple{
-			make(map[value.Value][]*stream.Tuple),
-			make(map[value.Value][]*stream.Tuple),
+		tables: [2]map[value.Key][]*stream.Tuple{
+			make(map[value.Key][]*stream.Tuple),
+			make(map[value.Key][]*stream.Tuple),
 		},
 	}
 	j.res.Rewind()
@@ -94,7 +94,7 @@ func (j *SHJ) Process(port int, it stream.Item, now stream.Time) error {
 	case stream.KindTuple:
 		defer j.res.Rewind() // the results are borrowed: they die with the call
 		t := j.kept.Keep(it).Tuple
-		key := t.Values[j.attrs[port]]
+		key := t.Values[j.attrs[port]].Key()
 		for _, m := range j.tables[1-port][key] {
 			a, c := t, m
 			if port == 1 {

@@ -138,7 +138,7 @@ func same(a, b *stream.Tuple) bool {
 		return false
 	}
 	for i, v := range a.Values {
-		if v != b.Values[i] {
+		if !v.Equal(b.Values[i]) {
 			return false
 		}
 	}
@@ -207,7 +207,7 @@ func TestBorrowedResults(t *testing.T) {
 	want := map[string]int{}
 	for _, a := range in[0] {
 		for _, b := range in[1] {
-			if a.Values[0] == b.Values[0] {
+			if a.Values[0].Equal(b.Values[0]) {
 				want[result(a.Join(b))]++
 			}
 		}
@@ -236,7 +236,7 @@ func TestResultsAllocateNothing(t *testing.T) {
 			}
 		}
 		const runs = 50
-		j.tables[0][value.Int(1)] = make([]*stream.Tuple, 0, runs+1) // the probes' own inserts do not grow the table
+		j.tables[0][value.Int(1).Key()] = make([]*stream.Tuple, 0, runs+1) // the probes' own inserts do not grow the table
 		probe := stream.TupleItem(stream.MustTuple(scA, stream.Time(matches), value.Int(1), value.Str("a")))
 		perCall := testing.AllocsPerRun(runs, func() {
 			if err := j.Process(0, probe, probe.Ts); err != nil {

@@ -68,7 +68,7 @@ func FuzzDecodeStored(f *testing.F) {
 			}
 			if err == nil {
 				if got.PID != want.PID || got.ATS != want.ATS || got.DTS != want.DTS || got.T.Ts != want.T.Ts ||
-					fmt.Sprint(got.T.Values) != fmt.Sprint(want.T.Values) || key != wantKey {
+					fmt.Sprint(got.T.Values) != fmt.Sprint(want.T.Values) || !key.Equal(wantKey) {
 					t.Fatalf("round %d: arena decoded %+v %v, throwaway arena %+v %v", round, got, got.T, want, want.T)
 				}
 				if re, plain := appendStored(nil, got), appendStored(nil, want); !bytes.Equal(re, plain) {
@@ -93,18 +93,31 @@ func (st *State) scanRetained() int {
 		cap(st.scan.recs)*int(unsafe.Sizeof(diskRec{})) + cap(st.scan.buf) + cap(st.enc)
 }
 
-// The retention bound is stated in bytes, from these sizes, and the
+// The retention bound is stated in bytes, from the element sizes. The
 // StoredTuple chunk is the most wrappers, with the 8 B malloc header,
-// that fit the 8,192 B size class.
+// that fit the 8,192 B size class, and one chunk of each kind in the
+// decode arena, stream.ArenaChunkBytes, is room for as many tuples of
+// width 4: what "room for 8,160 tuples" above scanRetainBytes counts.
 func TestArenaElementSizes(t *testing.T) {
 	if s := unsafe.Sizeof(StoredTuple{}); storedChunk*s+8 > 8192 || (storedChunk+1)*s+8 <= 8192 {
 		t.Errorf("StoredTuple is %d bytes: a chunk of %d is %d B with its malloc header, not the 8,192 B class filled", s, storedChunk, storedChunk*s+8)
 	}
-	if s := unsafe.Sizeof(stream.Tuple{}); s != 40 {
-		t.Errorf("stream.Tuple is %d bytes, stream.ArenaChunkBytes assumes 40", s)
+	per := int(unsafe.Sizeof(stream.Tuple{}) + 4*unsafe.Sizeof(value.Value{}))
+	if stream.ArenaChunkBytes != storedChunk*per {
+		t.Errorf("stream.ArenaChunkBytes is %d, want %d tuples of width 4 at %d B each", stream.ArenaChunkBytes, storedChunk, per)
 	}
-	if s := unsafe.Sizeof(value.Value{}); s != 32 {
-		t.Errorf("value.Value is %d bytes, stream.ArenaChunkBytes assumes 32", s)
+	enc := stream.MustTuple(stream.MustSchema("S",
+		stream.Field{Name: "k", Kind: value.KindInt}, stream.Field{Name: "a", Kind: value.KindInt},
+		stream.Field{Name: "b", Kind: value.KindFloat}, stream.Field{Name: "c", Kind: value.KindString},
+	), 1, value.Int(1), value.Int(2), value.Float(3), value.Str("four")).AppendBinary(nil)
+	a := stream.NewArena()
+	for i := 0; i <= storedChunk; i++ {
+		if _, _, err := a.DecodeTuple(enc); err != nil {
+			t.Fatal(err)
+		}
+		if want := stream.ArenaChunkBytes * (1 + i/storedChunk); a.RetainedBytes() != want {
+			t.Fatalf("after %d tuples of width 4 the arena retains %d B, want %d", i+1, a.RetainedBytes(), want)
+		}
 	}
 }
 

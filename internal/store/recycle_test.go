@@ -97,7 +97,7 @@ func TestHeldWrappersWaitInLimbo(t *testing.T) {
 	st.Hold()
 	closeKey(st, 1)
 	b, _ := st.Insert(tup(t, 2, 2))
-	if a == b || a.T == nil || a.T.Values[0] != value.Int(1) || a.ATS != 1 {
+	if a == b || a.T == nil || !a.T.Values[0].Equal(value.Int(1)) || a.ATS != 1 {
 		t.Fatalf("a wrapper freed while held was changed or reused: %+v", *a)
 	}
 	st.Unhold()

@@ -371,7 +371,7 @@ func TestTruncatePoisonsFreedBlocks(t *testing.T) {
 		if !errors.Is(err, errRecordLen) {
 			t.Errorf("a poisoned freed block parses as %+v, %v; want errRecordLen", r, err)
 		}
-	} else if err != nil || r.key != value.Int(7) {
+	} else if err != nil || !r.key.Equal(value.Int(7)) {
 		t.Errorf("an unpoisoned freed block parses as %+v, %v; want the stale record", r, err)
 	}
 }

@@ -51,13 +51,17 @@ var (
 )
 
 // Arena chunk lengths: tuple headers and attribute values per slab
-// chunk. A tuple wider than arenaValues gets a values slice of its own.
-// ArenaChunkBytes is what one chunk of each occupies (40-byte headers,
-// 32-byte values; a test pins the sizes).
+// chunk, room for 255 tuples of width 4, as many as a chunk of the join
+// state's wrappers (store.storedChunk). A tuple wider than arenaValues
+// gets a values slice of its own. Each chunk fills its malloc size class
+// with the 8-byte header: 255 × 40 + 8 = 10,208 B in the 10,240 class,
+// 1,020 × 16 + 8 = 16,328 B in the 16,384 class (256 headers took the
+// 10,880 class, and 1,024 values would take 18,432). ArenaChunkBytes is
+// what one chunk of each occupies.
 const (
-	arenaTuples     = 256
-	arenaValues     = 1024
-	ArenaChunkBytes = arenaTuples*40 + arenaValues*32
+	arenaTuples     = 255
+	arenaValues     = 4 * arenaTuples
+	ArenaChunkBytes = arenaTuples*tupleBytes + arenaValues*valueBytes
 )
 
 // Arena is where decoded tuples live: headers and value slices are
@@ -103,7 +107,7 @@ func (a *Arena) Trim(keep int) {
 
 // RetainedBytes returns the size of the slab chunks the arena holds on
 // to.
-func (a *Arena) RetainedBytes() int { return a.hdrs.Cap()*40 + a.vals.Cap()*32 }
+func (a *Arena) RetainedBytes() int { return a.hdrs.Cap()*tupleBytes + a.vals.Cap()*valueBytes }
 
 // DecodeTuple decodes one tuple from the front of b, returning the tuple
 // and the number of bytes consumed.

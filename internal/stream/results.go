@@ -1,6 +1,8 @@
 package stream
 
 import (
+	"unsafe"
+
 	"pjoin/internal/slab"
 	"pjoin/internal/value"
 )
@@ -17,13 +19,22 @@ import (
 // Both lengths are chosen to fill a malloc size class. Go (≥ 1.22) puts
 // an 8-byte header in front of a pointerful object larger than 512 B, so
 // 31 headers are 31 × 40 + 8 = 1,248 B in the 1,280 class and 124 values
-// 124 × 32 + 8 = 3,976 B in the 4,096 class: 5,376 B per 31 results of
-// width 4, 173 B each. (32 and 128 land in the 1,408 and 4,864 classes,
-// 196 B per result for the same 168 B of payload.) At other widths the
-// two chunks simply run out at different results.
+// 124 × 16 + 8 = 1,992 B in the 2,048 class: 3,328 B per 31 results of
+// width 4, 107 B each, for 104 B of payload. (248 values, 3,976 B in the
+// 4,096 class, cost the same per result and halve the value chunks a
+// holder's slab allocates, but a retained result then pins 4 KiB of
+// values, and the two chunks no longer run out together.) At other
+// widths the two chunks simply run out at different results.
 const (
 	resultHdrs = 31
 	resultVals = 124
+)
+
+// The element sizes chunk byte counts are derived from: a Tuple header
+// is 40 bytes, a Value 16 (TestItemSizeUnchangedByBorrowed pins both).
+const (
+	tupleBytes = int(unsafe.Sizeof(Tuple{}))
+	valueBytes = int(unsafe.Sizeof(value.Value{}))
 )
 
 // ResultSlab is where tuples that are built rather than received live:
@@ -118,7 +129,7 @@ func (r *ResultSlab) copyOf(t *Tuple) *Tuple {
 // RetainedBytes returns the size of the chunks the slab holds on to: the
 // pair being carved for a holder's own slab, every chunk a batch's has
 // grown to.
-func (r *ResultSlab) RetainedBytes() int { return r.hdrs.Cap()*40 + r.vals.Cap()*32 }
+func (r *ResultSlab) RetainedBytes() int { return r.hdrs.Cap()*tupleBytes + r.vals.Cap()*valueBytes }
 
 // Rewind makes r a recycled slab, a Batch's kind, and ends the lifetime
 // of every tuple carved since the last Rewind: what was carved is zeroed

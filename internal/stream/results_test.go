@@ -22,7 +22,7 @@ func sameTuple(t *testing.T, what string, got, want *Tuple) {
 		t.Fatalf("%s: %v span %d, want %v span %d", what, got, got.Span, want, want.Span)
 	}
 	for i := range want.Values {
-		if got.Values[i] != want.Values[i] {
+		if !got.Values[i].Equal(want.Values[i]) {
 			t.Fatalf("%s: value %d is %v, want %v", what, i, got.Values[i], want.Values[i])
 		}
 	}
@@ -30,7 +30,8 @@ func sameTuple(t *testing.T, what string, got, want *Tuple) {
 
 // TestItemSizeUnchangedByBorrowed: the lifetime mark sits in the padding
 // after Kind, and a punctuation is a pointer and its window: 16 bytes, an
-// Item 48.
+// Item 48. A value is a pointer and 8 bytes, 16, and a tuple header 40:
+// the sizes the chunk arithmetic in results.go and encode.go is done in.
 func TestItemSizeUnchangedByBorrowed(t *testing.T) {
 	type before struct {
 		Kind  ItemKind
@@ -47,6 +48,12 @@ func TestItemSizeUnchangedByBorrowed(t *testing.T) {
 	}
 	if got := unsafe.Sizeof(punct.Punctuation{}); got != 16 {
 		t.Errorf("punct.Punctuation is %d bytes, want 16", got)
+	}
+	if got := unsafe.Sizeof(value.Value{}); got != 16 {
+		t.Errorf("value.Value is %d bytes, want 16", got)
+	}
+	if got := unsafe.Sizeof(Tuple{}); got != 40 {
+		t.Errorf("Tuple is %d bytes, want 40", got)
 	}
 }
 
@@ -203,14 +210,14 @@ func TestBatchSlabGrowsOnDemand(t *testing.T) {
 		return b
 	}
 	b := fill(8)
-	oneChunk := resultHdrs*40 + resultVals*32
+	oneChunk := resultHdrs*tupleBytes + resultVals*valueBytes
 	if got := b.res.RetainedBytes(); got != oneChunk {
 		t.Errorf("a batch of 8 results retains %d B of slab, want one chunk of each kind, %d B", got, oneChunk)
 	}
 	lane.Put(b)
 	b = fill(256)
 	grown := b.res.RetainedBytes()
-	if grown < 256*(40+4*32) || grown > 256*(40+4*32)+oneChunk {
+	if payload := 256 * (tupleBytes + 4*valueBytes); grown < payload || grown > payload+oneChunk {
 		t.Errorf("a batch of 256 results retains %d B of slab", grown)
 	}
 	for i, it := range b.Items {

@@ -11,15 +11,16 @@ import (
 // 8 little-endian bytes for int/float, 1 byte for bool, and a uvarint
 // length-prefixed byte string for strings. Decode reverses it.
 func (v Value) AppendBinary(dst []byte) []byte {
-	dst = append(dst, byte(v.kind))
-	switch v.kind {
+	k := v.kind()
+	dst = append(dst, byte(k))
+	switch k {
 	case KindInt, KindFloat:
-		dst = binary.LittleEndian.AppendUint64(dst, v.num)
+		dst = binary.LittleEndian.AppendUint64(dst, v.n)
 	case KindBool:
-		dst = append(dst, byte(v.num))
+		dst = append(dst, byte(v.n))
 	case KindString:
-		dst = binary.AppendUvarint(dst, uint64(len(v.str)))
-		dst = append(dst, v.str...)
+		dst = binary.AppendUvarint(dst, v.n)
+		dst = append(dst, v.str()...)
 	}
 	return dst
 }
@@ -100,9 +101,9 @@ func (s *Strings) Decode(b []byte) (Value, int, error) {
 	case KindString:
 		return Str(s.intern(p)), n, nil
 	case KindBool:
-		return Value{kind: k, num: uint64(p[0])}, n, nil
+		return of(k, uint64(p[0])), n, nil
 	default:
-		return Value{kind: k, num: binary.LittleEndian.Uint64(p)}, n, nil
+		return of(k, binary.LittleEndian.Uint64(p)), n, nil
 	}
 }
 
@@ -158,13 +159,13 @@ func frame(b []byte) (Kind, []byte, int, error) {
 // The store uses it for memory/disk accounting without materialising the
 // encoding.
 func (v Value) EncodedSize() int {
-	switch v.kind {
+	switch v.kind() {
 	case KindInt, KindFloat:
 		return 9
 	case KindBool:
 		return 2
 	case KindString:
-		return 1 + uvarintLen(uint64(len(v.str))) + len(v.str)
+		return 1 + uvarintLen(v.n) + int(v.n)
 	default:
 		return 1
 	}

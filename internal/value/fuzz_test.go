@@ -63,7 +63,8 @@ func FuzzDecode(f *testing.F) {
 // FuzzDecodeSlab checks that decoding string payloads into a slab changes
 // nothing observable: the slab-backed decoder accepts and rejects what
 // Decode does, consumes the same bytes and yields the same value — also
-// when the payload lands behind earlier ones in a part-filled slab.
+// when the payload lands behind earlier ones in a part-filled slab — and
+// that value does what its model does (model_test.go).
 func FuzzDecodeSlab(f *testing.F) {
 	for _, v := range []Value{Int(-1), Float(3.5), Str("abc"), Str(""), Bool(true)} {
 		f.Add(v.AppendBinary(nil))
@@ -76,8 +77,12 @@ func FuzzDecodeSlab(f *testing.F) {
 		ss.intern([]byte("earlier payload"))
 		for round := 0; round < 2; round++ {
 			got, n, err := ss.Decode(b)
-			if (err == nil) != (wantErr == nil) || n != wantN || got != want {
+			if (err == nil) != (wantErr == nil) || n != wantN || !got.Equal(want) {
 				t.Fatalf("slab decode %v, %d, %v; plain decode %v, %d, %v", got, n, err, want, wantN, wantErr)
+			}
+			if err == nil {
+				agrees(t, got, modelOf(want))
+				agreePair(t, got, want, modelOf(want), modelOf(want))
 			}
 		}
 		// Skip passes over exactly what Decode consumes and rejects what

@@ -14,6 +14,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind identifies the dynamic type of a Value.
@@ -39,22 +40,59 @@ func (k Kind) String() string {
 	return kindNames[k]
 }
 
-// Value is an immutable scalar. The zero Value is invalid; use the
-// constructors Int, Float, Str and Bool.
+// Value is an immutable scalar in two words. A string keeps its data
+// pointer in p and its length in n; a value of any other kind points p at
+// its kind's byte of sentinels and keeps its bits in n (int64 bits,
+// float64 bits, or 0/1 for bool). The empty string points at
+// sentinels[KindString], so every "" is one Value, and the zero Value has
+// p == nil. The zero-length func array makes Value incomparable: compare
+// with Equal, and key a map with Key.
+//
+// The zero Value is invalid; use the constructors Int, Float, Str and
+// Bool.
 type Value struct {
-	kind Kind
-	num  uint64 // int64 bits, float64 bits, or 0/1 for bool
-	str  string
+	_ [0]func()
+	p unsafe.Pointer
+	n uint64
 }
 
+// sentinels gives each non-string kind, and the empty string, an address
+// no string data has: a Value's kind is where p points.
+var sentinels [KindBool + 1]byte
+
+// of returns the Value at kind k's sentinel with bits n: a non-string
+// value, or the empty string (KindString, 0).
+func of(k Kind, n uint64) Value { return Value{p: unsafe.Pointer(&sentinels[k]), n: n} }
+
+// kind decodes v's kind from p: a sentinel names its kind, nil is the
+// zero Value, any other address is string data.
+func (v Value) kind() Kind {
+	if d := uintptr(v.p) - uintptr(unsafe.Pointer(&sentinels)); d < uintptr(len(sentinels)) {
+		return Kind(d)
+	}
+	if v.p == nil {
+		return KindInvalid
+	}
+	return KindString
+}
+
+// str returns the payload of a string value.
+func (v Value) str() string { return unsafe.String((*byte)(v.p), int(v.n)) }
+
 // Int returns an integer value.
-func Int(v int64) Value { return Value{kind: KindInt, num: uint64(v)} }
+func Int(v int64) Value { return of(KindInt, uint64(v)) }
 
 // Float returns a floating-point value.
-func Float(v float64) Value { return Value{kind: KindFloat, num: math.Float64bits(v)} }
+func Float(v float64) Value { return of(KindFloat, math.Float64bits(v)) }
 
-// Str returns a string value.
-func Str(v string) Value { return Value{kind: KindString, str: v} }
+// Str returns a string value. It refers to v's bytes; strings are
+// immutable, so they stay what the value holds.
+func Str(v string) Value {
+	if len(v) == 0 {
+		return of(KindString, 0)
+	}
+	return Value{p: unsafe.Pointer(unsafe.StringData(v)), n: uint64(len(v))}
+}
 
 // Bool returns a boolean value.
 func Bool(v bool) Value {
@@ -62,70 +100,104 @@ func Bool(v bool) Value {
 	if v {
 		n = 1
 	}
-	return Value{kind: KindBool, num: n}
+	return of(KindBool, n)
+}
+
+// Key is the comparable form of a Value, for map keys: two Values are
+// Equal exactly when their Keys are ==.
+type Key struct {
+	kind Kind
+	num  uint64
+	str  string
+}
+
+// Key returns v's map key.
+//
+//pjoin:hotpath
+func (v Value) Key() Key {
+	if k := v.kind(); k != KindString {
+		return Key{kind: k, num: v.n}
+	}
+	return Key{kind: KindString, str: v.str()}
 }
 
 // Kind reports the dynamic kind of v.
-func (v Value) Kind() Kind { return v.kind }
+func (v Value) Kind() Kind { return v.kind() }
 
 // IsValid reports whether v is a constructed value (not the zero Value).
-func (v Value) IsValid() bool { return v.kind != KindInvalid }
+func (v Value) IsValid() bool { return v.p != nil }
 
 // IntVal returns the integer payload. It panics if v is not an int.
 func (v Value) IntVal() int64 {
-	if v.kind != KindInt {
-		panic(fmt.Sprintf("value: IntVal on %s value", v.kind))
+	if k := v.kind(); k != KindInt {
+		panic(fmt.Sprintf("value: IntVal on %s value", k))
 	}
-	return int64(v.num)
+	return int64(v.n)
 }
 
 // FloatVal returns the float payload. It panics if v is not a float.
 func (v Value) FloatVal() float64 {
-	if v.kind != KindFloat {
-		panic(fmt.Sprintf("value: FloatVal on %s value", v.kind))
+	if k := v.kind(); k != KindFloat {
+		panic(fmt.Sprintf("value: FloatVal on %s value", k))
 	}
-	return math.Float64frombits(v.num)
+	return math.Float64frombits(v.n)
 }
 
 // StrVal returns the string payload. It panics if v is not a string.
 func (v Value) StrVal() string {
-	if v.kind != KindString {
-		panic(fmt.Sprintf("value: StrVal on %s value", v.kind))
+	if k := v.kind(); k != KindString {
+		panic(fmt.Sprintf("value: StrVal on %s value", k))
 	}
-	return v.str
+	return v.str()
 }
 
 // BoolVal returns the boolean payload. It panics if v is not a bool.
 func (v Value) BoolVal() bool {
-	if v.kind != KindBool {
-		panic(fmt.Sprintf("value: BoolVal on %s value", v.kind))
+	if k := v.kind(); k != KindBool {
+		panic(fmt.Sprintf("value: BoolVal on %s value", k))
 	}
-	return v.num != 0
+	return v.n != 0
 }
 
-// Equal reports whether v and w are the same kind and payload.
+// Equal reports whether v and w are the same kind and payload: the same
+// bits for int, float and bool (so -0 and 0 differ, and a NaN equals
+// itself), the same bytes for strings wherever they are stored.
 //
 //pjoin:hotpath
-func (v Value) Equal(w Value) bool { return v == w }
+func (v Value) Equal(w Value) bool {
+	if v.p == w.p {
+		return v.n == w.n
+	}
+	// At two addresses only two strings of one length can be equal. A
+	// value at a sentinel is no string, and neither is the zero Value, but
+	// its n is 0, which no string away from the sentinels has.
+	return v.n == w.n && !sentinel(v.p) && !sentinel(w.p) && v.str() == w.str()
+}
+
+// sentinel reports whether p is one of the sentinels.
+func sentinel(p unsafe.Pointer) bool {
+	return uintptr(p)-uintptr(unsafe.Pointer(&sentinels)) < uintptr(len(sentinels))
+}
 
 // Compare orders two values of the same kind: -1 if v < w, 0 if equal,
 // +1 if v > w. It returns an error for mixed kinds or invalid values.
 //
 //pjoin:hotpath
 func (v Value) Compare(w Value) (int, error) {
-	if v.kind != w.kind {
+	k := v.kind()
+	if wk := w.kind(); k != wk {
 		//pjoin:allow hotpath mixed-kind error path: never taken when both sides come from one schema-checked stream
-		return 0, fmt.Errorf("value: cannot compare %s with %s", v.kind, w.kind)
+		return 0, fmt.Errorf("value: cannot compare %s with %s", k, wk)
 	}
-	switch v.kind {
+	switch k {
 	case KindInt:
-		return cmpOrdered(int64(v.num), int64(w.num)), nil
+		return cmpOrdered(int64(v.n), int64(w.n)), nil
 	case KindFloat:
-		return cmpOrdered(math.Float64frombits(v.num), math.Float64frombits(w.num)), nil
+		return cmpOrdered(math.Float64frombits(v.n), math.Float64frombits(w.n)), nil
 	case KindString:
-		return strings.Compare(v.str, w.str), nil
+		return strings.Compare(v.str(), w.str()), nil
 	case KindBool:
-		return cmpOrdered(v.num, w.num), nil
+		return cmpOrdered(v.n, w.n), nil
 	default:
 		//pjoin:allow hotpath invalid-value error path: unreachable for values built by the constructors
 		return 0, fmt.Errorf("value: cannot compare invalid values")
@@ -155,44 +227,59 @@ func cmpOrdered[T int64 | uint64 | float64](a, b T) int {
 
 // Hash returns a 64-bit hash of the value, suitable for hash partitioning.
 // Equal values hash equal; values of different kinds hash differently with
-// high probability.
+// high probability. It is FNV-1a over the kind byte, then the string's
+// bytes or the payload's eight little-endian bytes; both loops are
+// unrolled, so the multiplications are all that is left in series.
 func (v Value) Hash() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	h ^= uint64(v.kind)
-	h *= prime64
-	if v.kind == KindString {
-		for i := 0; i < len(v.str); i++ {
-			h ^= uint64(v.str[i])
-			h *= prime64
+	k := v.kind()
+	if k == KindString {
+		// The bytes are read in place, which keeps Hash a leaf without a
+		// stack frame, four to an iteration.
+		h, p, n := fnvKind(KindString), v.p, uintptr(v.n)
+		i := uintptr(0)
+		for ; i+4 <= n; i += 4 {
+			h = (h ^ uint64(*(*byte)(unsafe.Add(p, i)))) * fnvPrime
+			h = (h ^ uint64(*(*byte)(unsafe.Add(p, i+1)))) * fnvPrime
+			h = (h ^ uint64(*(*byte)(unsafe.Add(p, i+2)))) * fnvPrime
+			h = (h ^ uint64(*(*byte)(unsafe.Add(p, i+3)))) * fnvPrime
+		}
+		for ; i < n; i++ {
+			h = (h ^ uint64(*(*byte)(unsafe.Add(p, i)))) * fnvPrime
 		}
 		return h
 	}
-	n := v.num
+	n, h := v.n, fnvKind(k)
 	// Normalise float payloads so +0.0 and -0.0 hash identically, matching
 	// Equal-after-Compare semantics used by enumeration patterns.
-	if v.kind == KindFloat && math.Float64frombits(n) == 0 {
+	if k == KindFloat && math.Float64frombits(n) == 0 {
 		n = 0
 	}
-	for i := 0; i < 8; i++ {
-		h ^= n & 0xff
-		h *= prime64
-		n >>= 8
-	}
-	return h
+	h = (h ^ n&0xff) * fnvPrime
+	h = (h ^ n>>8&0xff) * fnvPrime
+	h = (h ^ n>>16&0xff) * fnvPrime
+	h = (h ^ n>>24&0xff) * fnvPrime
+	h = (h ^ n>>32&0xff) * fnvPrime
+	h = (h ^ n>>40&0xff) * fnvPrime
+	h = (h ^ n>>48&0xff) * fnvPrime
+	return (h ^ n>>56) * fnvPrime
 }
+
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnvKind is FNV-1a's state after the kind byte k.
+func fnvKind(k Kind) uint64 { return (fnvOffset ^ uint64(k)) * fnvPrime }
 
 // String renders the value as it appears in punctuation syntax: integers
 // and floats in decimal, strings double-quoted, booleans as true/false.
 func (v Value) String() string {
-	switch v.kind {
+	switch v.kind() {
 	case KindInt:
-		return strconv.FormatInt(int64(v.num), 10)
+		return strconv.FormatInt(int64(v.n), 10)
 	case KindFloat:
-		f := math.Float64frombits(v.num)
+		f := math.Float64frombits(v.n)
 		t := strconv.FormatFloat(f, 'g', -1, 64)
 		// Keep the text unambiguously a float so Parse round-trips:
 		// "-2" would re-parse as an int. Inf/NaN are already
@@ -202,9 +289,9 @@ func (v Value) String() string {
 		}
 		return t
 	case KindString:
-		return strconv.Quote(v.str)
+		return strconv.Quote(v.str())
 	case KindBool:
-		return strconv.FormatBool(v.num != 0)
+		return strconv.FormatBool(v.n != 0)
 	default:
 		return "<invalid>"
 	}
@@ -255,15 +342,15 @@ func Parse(s string) (Value, error) {
 // for discrete kinds (int, bool) and reports whether such a value exists.
 // punct.Closed coalesces intervals that touch through it.
 func (v Value) Succ() (Value, bool) {
-	switch v.kind {
+	switch v.kind() {
 	case KindInt:
-		i := int64(v.num)
+		i := int64(v.n)
 		if i == math.MaxInt64 {
 			return Value{}, false
 		}
 		return Int(i + 1), true
 	case KindBool:
-		if v.num == 0 {
+		if v.n == 0 {
 			return Bool(true), true
 		}
 		return Value{}, false
