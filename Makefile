@@ -116,7 +116,7 @@ figures-check:
 # shrinks the tree lowers the ceiling to its measured figure, and one
 # that must grow it raises the ceiling in the same diff, where review
 # sees it.
-LOC_CEILING := 21306
+LOC_CEILING := 20974
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' \
 		! -path './.bench_build/*' ! -path './internal/lint/*/testdata/*' \

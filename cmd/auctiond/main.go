@@ -40,26 +40,19 @@ import (
 
 // metricsHandler serves the join's latency histograms, live gauges and
 // span counters in Prometheus text exposition format (0.0.4).
-// Latencies() snapshots are atomic reads, LastValues() is mutex-guarded,
-// and the span counters are atomic snapshots, so scraping is safe while
-// the pipeline runs. spans and sampler may be nil (no tracer attached);
-// the span families then render as zeros.
-func metricsHandler(join *core.PJoin, live *obs.Live, spans *span.Tee, sampler *span.Sampler) http.HandlerFunc {
+// Latencies() snapshots are atomic reads, the board hands out a copy
+// taken under its lock, and the span counters are atomic snapshots, so
+// scraping is safe while the pipeline runs. board, spans and sampler may
+// be nil: no gauges are rendered, and the span families read zero.
+func metricsHandler(join *core.PJoin, board *obs.Board, spans *span.Tee, sampler *span.Sampler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		gauges := map[string]float64{}
-		if live != nil {
-			vals, at := live.LastValues()
-			for k, v := range vals {
-				gauges[k] = v
-			}
-			gauges["sampled_at_ms"] = at.Millis()
+		var g *obs.Gauges
+		if board != nil {
+			snap := board.Gauges()
+			g = &snap
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := obs.WriteProm(w, "pjoin", join.Latencies(), gauges); err != nil {
-			log.Printf("auctiond: /metrics: %v", err)
-			return
-		}
-		if err := obs.WritePromSpans(w, "pjoin", spans.Counts(), sampler.Sampled(), sampler.Dropped()); err != nil {
+		if err := obs.WriteProm(w, "pjoin", join.Latencies(), g, obs.CountSpans(spans, sampler)); err != nil {
 			log.Printf("auctiond: /metrics: %v", err)
 		}
 	}
@@ -115,16 +108,13 @@ func main() {
 	// With -http, the join's live gauges are published through expvar
 	// and /metrics: curl the endpoint mid-run (use -paced so the run
 	// lasts) to watch state size and punctuation lag move. Timestamps
-	// are the executor's wall-clock restamps, so a 10ms sampling tick is
-	// real time here. The health watcher polls the same gauges, so it
-	// needs the sampler even without -http.
-	var live *obs.Live
+	// are the executor's wall-clock restamps, so the board's 10ms tick is
+	// real time here. The health watcher reads the same board, so it
+	// needs one even without -http.
+	var board *obs.Board
 	if *httpAddr != "" || healthOn {
-		live = obs.NewLive(10 * stream.Millisecond)
-		expvar.Publish("pjoin", expvar.Func(func() any {
-			vals, at := live.LastValues()
-			return map[string]any{"sampled_at_ms": at.Millis(), "gauges": vals}
-		}))
+		board = obs.NewBoard(10 * stream.Millisecond)
+		expvar.Publish("pjoin", expvar.Func(func() any { return board.Gauges() }))
 	}
 	// One tracer slot, up to two sinks behind it. The flight ring keeps
 	// the last spans for the dump; it only spends memory when the health
@@ -173,7 +163,7 @@ func main() {
 		SchemaA: gen.OpenSchema, SchemaB: gen.BidSchema,
 		AttrA: 0, AttrB: 0, OutName: "Out1",
 		VerifyPunctuations: true,
-		Instr:              obs.NewInstr(tracer, live, "join"),
+		Instr:              obs.NewInstr(tracer, board, "join"),
 		DiskChunkBytes:     *chunkKB << 10,
 	}
 	cfg.Thresholds.Purge = *purge
@@ -198,7 +188,7 @@ func main() {
 	sink := p.Sink(grouped)
 
 	if *httpAddr != "" {
-		http.HandleFunc("/metrics", metricsHandler(join, live, tee, sampler))
+		http.HandleFunc("/metrics", metricsHandler(join, board, tee, sampler))
 		go func() {
 			if err := http.ListenAndServe(*httpAddr, nil); err != nil {
 				log.Printf("auctiond: http: %v", err)
@@ -213,18 +203,18 @@ func main() {
 			StallWindow: stream.Time(*stallMs) * stream.Millisecond,
 			LagSLO:      stream.Time(*lagSLO) * stream.Millisecond,
 		})
-		// The probe reads the sampler's last gauge values, never the
-		// operator itself: PJoin's counters belong to its own goroutine,
-		// the gauges are published through the mutex-guarded Live.
+		// The probe reads the board's last snapshot, never the operator
+		// itself: PJoin's counters belong to its own goroutine, which
+		// publishes copies of them on the board.
 		p.Watch(d, 50*time.Millisecond, func() health.Progress {
-			vals, _ := live.LastValues()
+			g := board.Gauges()
 			return health.Progress{
 				//pjoin:allow opcontract the health probe compares live wall progress against gauges; it never feeds operators
 				Now:       stream.Time(time.Since(start)),
-				TuplesIn:  int64(vals["join.tuples_in"]),
-				TuplesOut: int64(vals["join.tuples_out"]),
-				PunctsOut: int64(vals["join.puncts_out"]),
-				PunctLag:  stream.Time(vals["join.punct_lag_ms"] * float64(stream.Millisecond)),
+				TuplesIn:  g.TuplesIn,
+				TuplesOut: g.TuplesOut,
+				PunctsOut: g.PunctsOut,
+				PunctLag:  g.PunctLag,
 			}
 		}, func(r health.Report) {
 			log.Printf("auctiond: health: %s", r.String())

@@ -14,9 +14,7 @@
 //	pjoinbench -fig 9 -quick     # 1/10th horizon smoke run
 //	pjoinbench -fig 7 -csv out.csv
 //	pjoinbench -fig 5 -trace fig5.jsonl     # JSONL span trace of the run (read it with pjointrace)
-//	pjoinbench -fig 5 -live 10 -csv out.csv # sample live gauges every 10ms
 //	pjoinbench -fig ext-latency             # latency quantiles per punct rate and chunk budget
-//	pjoinbench -fig 9 -disk-chunk-kb 64     # run any figure with incremental passes
 //	pjoinbench -flight-sample flight.jsonl.gz  # fault-injection flight dump
 //
 // Trace files with a .gz suffix are written gzip-compressed.
@@ -30,7 +28,6 @@ import (
 	"time"
 
 	"pjoin/internal/bench"
-	"pjoin/internal/metrics"
 	"pjoin/internal/obs"
 	"pjoin/internal/obs/span"
 	"pjoin/internal/stream"
@@ -46,26 +43,14 @@ func main() {
 		durMs  = flag.Int64("duration-ms", 0, "override virtual horizon in milliseconds")
 		csv    = flag.String("csv", "", "write the raw series to this CSV file")
 		trace  = flag.String("trace", "", "write the operators' spans, every tuple admitted, as a JSONL trace to this file (.gz compresses); analyze with pjointrace")
-		liveMs = flag.Int64("live", 0, "sample live operator gauges every N virtual milliseconds (series go to -csv)")
 		flight = flag.String("flight-sample", "", "run the fault-injection flight-recorder scenario and write the dump to this file (.gz compresses)")
 
-		chunkKB = flag.Int("disk-chunk-kb", 0, "run disk passes incrementally with this per-step read budget in KiB (0 = run each pass to completion)")
-
-		oracleN      = flag.Int("oracle", 0, "differential oracle soak: check this many seeds (starting at -seed) across the full config matrix")
-		oracleOut    = flag.String("oracle-out", "", "oracle: write minimized replay specs of failing seeds to this file (CI failure artifact)")
 		oracleReplay = flag.String("oracle-replay", "", "replay one minimized oracle spec, e.g. \"seed=42 variant=pjoin/chunk=512 check=puncts prefix=107 drop=3,9\"")
 	)
 	flag.Parse()
 
 	if *oracleReplay != "" {
 		if err := runOracleReplay(*oracleReplay, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "pjoinbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *oracleN > 0 {
-		if err := runOracle(*oracleN, *seed, *oracleOut, os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "pjoinbench: %v\n", err)
 			os.Exit(1)
 		}
@@ -91,10 +76,9 @@ func main() {
 	}
 
 	rc := bench.RunConfig{
-		Seed:        *seed,
-		Quick:       *quick,
-		Duration:    stream.Time(*durMs) * stream.Millisecond,
-		DiskChunkKB: *chunkKB,
+		Seed:     *seed,
+		Quick:    *quick,
+		Duration: stream.Time(*durMs) * stream.Millisecond,
 	}
 	var tracer *span.JSONL
 	var traceSink io.WriteCloser
@@ -129,13 +113,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	var allSeries []metrics.Series
+	var allSeries []bench.Series
 	for _, e := range exps {
-		// A fresh sampler per experiment keeps gauge series from
-		// different experiments (which reuse operator names) apart.
-		if *liveMs > 0 {
-			rc.Live = obs.NewLive(stream.Time(*liveMs) * stream.Millisecond)
-		}
 		start := time.Now()
 		rep, err := e.Run(rc)
 		if err != nil {
@@ -150,12 +129,6 @@ func main() {
 		for _, s := range rep.Series {
 			s.Name = rep.ID + "/" + s.Name
 			allSeries = append(allSeries, s)
-		}
-		if rc.Live != nil {
-			for _, s := range rc.Live.Series() {
-				s.Name = rep.ID + "/live/" + s.Name
-				allSeries = append(allSeries, s)
-			}
 		}
 	}
 	if tracer != nil {
@@ -173,7 +146,7 @@ func main() {
 	}
 
 	if *csv != "" {
-		err := writeFile(*csv, func(w io.Writer) error { return metrics.WriteCSV(w, allSeries...) })
+		err := writeFile(*csv, func(w io.Writer) error { return bench.WriteCSV(w, allSeries...) })
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

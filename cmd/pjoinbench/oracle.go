@@ -3,77 +3,9 @@ package main
 import (
 	"fmt"
 	"io"
-	"os"
-	"runtime"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"pjoin/internal/oracle"
 )
-
-// runOracle soaks n seeds (starting at firstSeed) through the full
-// differential matrix, shrinking every failure to a minimal replay spec.
-// Specs are printed and, when specOut is non-empty, appended to that
-// file — CI uploads it as the failure artifact. Returns an error iff
-// any seed diverged.
-func runOracle(n int, firstSeed uint64, specOut string, w io.Writer) error {
-	start := time.Now()
-	var next atomic.Int64
-	var done atomic.Int64
-	var mu sync.Mutex
-	var specs []oracle.Spec
-	var wg sync.WaitGroup
-	workers := runtime.NumCPU()
-	if workers > 8 {
-		workers = 8
-	}
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				k := next.Add(1) - 1
-				if k >= int64(n) {
-					return
-				}
-				seed := firstSeed + uint64(k)
-				ds := oracle.CheckSeed(seed)
-				if len(ds) != 0 {
-					spec := oracle.Shrink(seed, ds[0])
-					mu.Lock()
-					specs = append(specs, spec)
-					fmt.Fprintf(w, "seed %d FAILED (%d divergences, first shrunk to %d arrivals):\n%s  replay spec: %s\n",
-						seed, len(ds), len(spec.Scenario().Arrivals), indent(oracle.Report(ds[:min(len(ds), 4)])), spec)
-					mu.Unlock()
-				}
-				if d := done.Add(1); d%50 == 0 {
-					fmt.Fprintf(w, "oracle: %d/%d seeds checked (%s)\n", d, n, time.Since(start).Round(time.Second))
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	fmt.Fprintf(w, "oracle: %d seeds x %d variants in %s: %d failed\n",
-		n, len(oracle.Matrix()), time.Since(start).Round(time.Millisecond), len(specs))
-	if len(specs) == 0 {
-		return nil
-	}
-	if specOut != "" {
-		f, err := os.Create(specOut)
-		if err != nil {
-			return err
-		}
-		for _, s := range specs {
-			fmt.Fprintln(f, s)
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "oracle: wrote %d replay specs to %s\n", len(specs), specOut)
-	}
-	return fmt.Errorf("oracle: %d of %d seeds diverged", len(specs), n)
-}
 
 // runOracleReplay re-runs one minimized spec, printing its scenario
 // stats and every divergence it still reproduces. A clean replay exits
@@ -95,36 +27,4 @@ func runOracleReplay(raw string, w io.Writer) error {
 	}
 	fmt.Fprint(w, oracle.Report(ds))
 	return fmt.Errorf("oracle: replay reproduced %d divergence(s)", len(ds))
-}
-
-func indent(s string) string {
-	out := ""
-	for _, line := range splitLines(s) {
-		out += "    " + line + "\n"
-	}
-	return out
-}
-
-func splitLines(s string) []string {
-	var lines []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			if i > start {
-				lines = append(lines, s[start:i])
-			}
-			start = i + 1
-		}
-	}
-	if start < len(s) {
-		lines = append(lines, s[start:])
-	}
-	return lines
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -17,8 +17,8 @@
 //   - internal/store — the hash-partitioned join state with spill-to-disk
 //   - internal/op, internal/exec — downstream operators and the live
 //     channel executor
-//   - internal/gen, internal/sim, internal/metrics, internal/bench — the
-//     benchmark system, cost-model simulator and per-figure experiments
+//   - internal/gen, internal/sim, internal/bench — the benchmark
+//     system, cost-model simulator and per-figure experiments
 //
 // The runnable entry points are cmd/pjoinbench (regenerate any figure),
 // cmd/auctiond (the paper's Fig. 1 plan, live), and the programs under

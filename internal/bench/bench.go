@@ -16,7 +16,6 @@ import (
 	"pjoin/internal/core"
 	"pjoin/internal/gen"
 	"pjoin/internal/joinbase"
-	"pjoin/internal/metrics"
 	"pjoin/internal/obs"
 	"pjoin/internal/obs/span"
 	"pjoin/internal/op"
@@ -37,16 +36,8 @@ type RunConfig struct {
 	// experiment builds, and makes the simulated drive admit every tuple
 	// into tracing (pjoinbench -trace).
 	Tracer span.Tracer
-	// Live, when set, samples every operator's live gauges on its tick
-	// (pjoinbench -live). Operators register gauges under distinct names,
-	// so one sampler serves a whole experiment.
-	Live *obs.Live
 	// Work, when set, collects each simulated operator's final metrics.
 	Work *WorkLog
-	// DiskChunkKB, when positive, runs every operator's disk passes as
-	// incremental background tasks with this per-step read budget in
-	// KiB (core.Config.DiskChunkBytes). 0 runs each pass to completion.
-	DiskChunkKB int
 }
 
 // WorkRow is one simulated operator run's final work counters.
@@ -62,9 +53,9 @@ type WorkLog struct {
 }
 
 // instr builds the observability handle for one operator instance; nil
-// (free to carry) when the run has neither tracer nor sampler.
+// (free to carry) when the run has no tracer.
 func (rc RunConfig) instr(name string) *obs.Instr {
-	return obs.NewInstr(rc.Tracer, rc.Live, name)
+	return obs.NewInstr(rc.Tracer, nil, name)
 }
 
 // admitted returns the schedule as the simulated drive feeds it: as is,
@@ -111,7 +102,7 @@ type Report struct {
 	ID     string
 	Title  string
 	Paper  string // the shape the paper reports
-	Series []metrics.Series
+	Series []Series
 	Rows   [][]string
 	Notes  []string
 }
@@ -127,13 +118,13 @@ func (r *Report) Render(w io.Writer) error {
 		}
 	}
 	if len(r.Rows) > 0 {
-		if err := metrics.Table(w, r.Rows); err != nil {
+		if err := Table(w, r.Rows); err != nil {
 			return err
 		}
 		fmt.Fprintln(w)
 	}
 	if len(r.Series) > 0 {
-		if err := metrics.Chart(w, 72, 16, r.Series...); err != nil {
+		if err := Chart(w, 72, 16, r.Series...); err != nil {
 			return err
 		}
 		fmt.Fprintln(w)
@@ -187,8 +178,8 @@ func ids() []string {
 
 // pjoinFor builds a PJoin over the synthetic schemas with the given
 // purge threshold (1 = eager) and otherwise experiment-default settings.
-// name identifies the instance in traces and live-gauge series; it must
-// be unique within one experiment run.
+// name identifies the instance in traces; it must be unique within one
+// experiment run.
 func pjoinFor(rc RunConfig, name string, purge int, mutate func(*core.Config)) (*core.PJoin, error) {
 	cfg := core.Config{
 		SchemaA: gen.SchemaA, SchemaB: gen.SchemaB,
@@ -197,7 +188,6 @@ func pjoinFor(rc RunConfig, name string, purge int, mutate func(*core.Config)) (
 	}
 	cfg.Thresholds.Purge = purge
 	cfg.DisablePropagation = true // most experiments measure join-only behaviour
-	cfg.DiskChunkBytes = rc.DiskChunkKB << 10
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -208,8 +198,7 @@ func xjoinFor(rc RunConfig) (*core.PJoin, error) {
 	cfg := core.Config{
 		SchemaA: gen.SchemaA, SchemaB: gen.SchemaB,
 		AttrA: gen.KeyAttr, AttrB: gen.KeyAttr,
-		Instr:          rc.instr("xjoin"),
-		DiskChunkBytes: rc.DiskChunkKB << 10,
+		Instr: rc.instr("xjoin"),
 	}
 	return core.NewXJoin(cfg, &op.Collector{})
 }
@@ -244,8 +233,8 @@ func (rc RunConfig) simulate(j sim.MeteredJoin, arrs []gen.Arrival, horizon stre
 
 // stateSeries extracts the join-state-size-over-time series (the y axis
 // of the paper's memory-overhead figures).
-func stateSeries(name string, res *sim.Result) metrics.Series {
-	s := metrics.Series{Name: name}
+func stateSeries(name string, res *sim.Result) Series {
+	s := Series{Name: name}
 	for _, p := range res.Samples {
 		s.Add(float64(p.T)/1e6, float64(p.StateTuples))
 	}
@@ -254,8 +243,8 @@ func stateSeries(name string, res *sim.Result) metrics.Series {
 
 // outputSeries extracts the cumulative-output-tuples series (the y axis
 // of the paper's output-rate figures).
-func outputSeries(name string, res *sim.Result) metrics.Series {
-	s := metrics.Series{Name: name}
+func outputSeries(name string, res *sim.Result) Series {
+	s := Series{Name: name}
 	for _, p := range res.Samples {
 		s.Add(float64(p.T)/1e6, float64(p.TuplesOut))
 	}
@@ -264,8 +253,8 @@ func outputSeries(name string, res *sim.Result) metrics.Series {
 
 // punctOutSeries extracts the cumulative propagated-punctuation series
 // (Fig. 14's y axis).
-func punctOutSeries(name string, res *sim.Result) metrics.Series {
-	s := metrics.Series{Name: name}
+func punctOutSeries(name string, res *sim.Result) Series {
+	s := Series{Name: name}
 	for _, p := range res.Samples {
 		s.Add(float64(p.T)/1e6, float64(p.PunctsOut))
 	}

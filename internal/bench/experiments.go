@@ -5,7 +5,6 @@ import (
 
 	"pjoin/internal/core"
 	"pjoin/internal/gen"
-	"pjoin/internal/metrics"
 	"pjoin/internal/op"
 	"pjoin/internal/stream"
 )
@@ -65,7 +64,7 @@ func runFig5(rc RunConfig) (*Report, error) {
 		ID:     "fig5",
 		Title:  "PJoin vs XJoin, memory overhead, punct inter-arrival 40 tuples/punct",
 		Paper:  "PJoin state is almost insignificant compared to XJoin; XJoin grows with the stream",
-		Series: []metrics.Series{sp, sx},
+		Series: []Series{sp, sx},
 		Rows: [][]string{
 			{"operator", "avg state (tuples)", "max state", "final state", "results"},
 			{"PJoin-1", f1(sp.Mean()), f1(sp.Max()), f1(sp.Last()), i64(resP.Final.TuplesOut)},
@@ -130,7 +129,7 @@ func runFig7(rc RunConfig) (*Report, error) {
 	op1 := outputSeries("PJoin-1", resP)
 	ox := outputSeries("XJoin", resX)
 	// Output rate over the first vs second half shows the decline.
-	halfRate := func(s metrics.Series) (first, second float64) {
+	halfRate := func(s Series) (first, second float64) {
 		r := s.Rate("r")
 		if r.Len() < 2 {
 			return 0, 0
@@ -152,7 +151,7 @@ func runFig7(rc RunConfig) (*Report, error) {
 		ID:     "fig7",
 		Title:  "PJoin vs XJoin, cumulative tuple output",
 		Paper:  "PJoin output rate steady; XJoin output rate drops as its state grows",
-		Series: []metrics.Series{op1, ox},
+		Series: []Series{op1, ox},
 		Rows: [][]string{
 			{"operator", "rate 1st half (tuples/s)", "rate 2nd half", "done at (ms)", "results"},
 			{"PJoin-1", f1(pf), f1(ps), f1(float64(resP.Done) / 1e6), i64(resP.Final.TuplesOut)},
@@ -396,7 +395,7 @@ func runFig14(rc RunConfig) (*Report, error) {
 		ID:     "fig14",
 		Title:  "Punctuation propagation, aligned punctuations every 40 tuples",
 		Paper:  "steady punctuation output rate over time",
-		Series: []metrics.Series{s},
+		Series: []Series{s},
 		Rows: [][]string{
 			{"metric", "value"},
 			{"punctuations in", i64(res.Final.PunctsIn[0] + res.Final.PunctsIn[1])},

@@ -29,7 +29,6 @@ import (
 	"fmt"
 
 	"pjoin/internal/core"
-	"pjoin/internal/metrics"
 	"pjoin/internal/obs/hist"
 	"pjoin/internal/store"
 )
@@ -108,7 +107,7 @@ func latencyField(name string) int {
 // runExtLatency sweeps latencyPunctMeans x latencyChunkKBs. Each series
 // is one (rate, field), named "pm<rate>/<field>", with one point per
 // chunk budget (x = KiB). Each cell sets its own chunk budget and spill
-// stores, so RunConfig.DiskChunkKB does not apply.
+// stores.
 func runExtLatency(rc RunConfig) (*Report, error) {
 	report := &Report{
 		ID:    "ext-latency",
@@ -118,7 +117,7 @@ func runExtLatency(rc RunConfig) (*Report, error) {
 			"lat mean ms", "lat p99 ms", "lat max ms", "delay max ms"}},
 	}
 	for _, pm := range latencyPunctMeans {
-		series := make([]metrics.Series, len(latencyFields))
+		series := make([]Series, len(latencyFields))
 		for i, name := range latencyFields {
 			series[i].Name = fmt.Sprintf("pm%d/%s", pm, name)
 		}

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"pjoin/internal/metrics"
 	"pjoin/internal/stream"
 )
 
@@ -34,7 +33,7 @@ func latencyAt(t *testing.T) func(pm int, field string, i int) float64 {
 	if extLatencyQuick.err != nil {
 		t.Fatal(extLatencyQuick.err)
 	}
-	byName := map[string]metrics.Series{}
+	byName := map[string]Series{}
 	for _, s := range extLatencyQuick.rep.Series {
 		byName[s.Name] = s
 	}

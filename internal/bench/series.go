@@ -1,8 +1,8 @@
-// Package metrics holds the time-series and reporting helpers the
-// experiment harness uses to render the paper's charts: series
-// collection, derived rate series, CSV export, ASCII line charts for the
-// terminal, and aligned text tables.
-package metrics
+package bench
+
+// The time-series and reporting helpers the experiments render the
+// paper's charts with: series collection, derived rate series, CSV
+// export, ASCII line charts for the terminal, and aligned text tables.
 
 import (
 	"fmt"

@@ -284,13 +284,13 @@ func TestPunctLag(t *testing.T) {
 	}
 }
 
-// TestPunctSetGauges: the live sampler carries each side's punctuation-set
-// size beside punct_lag_ms, the number PunctSetSizes returns: live
+// TestPunctSetGauges: the gauge board carries each side's punctuation-set
+// size beside the punctuation lag, the number PunctSetSizes returns: live
 // punctuations plus the intervals the retired ones' keys make.
 func TestPunctSetGauges(t *testing.T) {
-	lv := obs.NewLive(stream.Millisecond)
+	board := obs.NewBoard(stream.Millisecond)
 	cfg := defaultConfig()
-	cfg.Instr = obs.NewInstr(nil, lv, "pjoin")
+	cfg.Instr = obs.NewInstr(nil, board, "pjoin")
 	cfg.Thresholds.PropagateCount = 1
 	j, err := New(cfg, &op.Collector{})
 	if err != nil {
@@ -299,20 +299,36 @@ func TestPunctSetGauges(t *testing.T) {
 	// A's tuple on key 1 holds A's punctuation on 1 back; A's on 2 and B's
 	// on 3 and 4 match nothing and are propagated; A's on 2 retires into an
 	// interval, and B's two into one.
-	for _, fi := range []feedItem{tupA(1, "a", 1), punctFor(0, 1, 2), punctFor(0, 2, 3), punctFor(1, 3, 4), punctFor(1, 4, 5)} {
-		if err := j.Process(fi.port, fi.item, fi.item.Ts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	lv.Flush(6)
-	last, _ := lv.LastValues()
+	items := []feedItem{tupA(1, "a", 1), punctFor(0, 1, 2), punctFor(0, 2, 3), punctFor(1, 3, 4), punctFor(1, 4, 5)}
+	run(t, j, items)
+	g := board.Gauges()
 	a, b := j.PunctSetSizes()
-	if a != 2 || b != 1 || last["pjoin.punct_set.a"] != float64(a) || last["pjoin.punct_set.b"] != float64(b) {
-		t.Errorf("PunctSetSizes %d, %d, gauges %v, %v, want 2, 1", a, b,
-			last["pjoin.punct_set.a"], last["pjoin.punct_set.b"])
+	if a != 2 || b != 1 || g.PunctSetA != int64(a) || g.PunctSetB != int64(b) {
+		t.Errorf("PunctSetSizes %d, %d, gauges %d, %d, want 2, 1", a, b, g.PunctSetA, g.PunctSetB)
 	}
-	if m := j.Metrics(); m.PunctsOut != 3 {
-		t.Errorf("%d punctuations propagated, want 3", m.PunctsOut)
+	if m := j.Metrics(); m.PunctsOut != 3 || g.PunctsOut != 3 || g.PunctLag != j.PunctLag() {
+		t.Errorf("%d punctuations propagated, gauge %d, lag gauge %v of %v, want 3", m.PunctsOut, g.PunctsOut, g.PunctLag, j.PunctLag())
+	}
+}
+
+// TestBoardPublishedAtConstruction: a join publishes its first snapshot
+// when it is built, under its handle's operator name, so a run shorter
+// than one tick still has gauges; Finish publishes the run's last state.
+func TestBoardPublishedAtConstruction(t *testing.T) {
+	board := obs.NewBoard(stream.Time(1 << 60)) // due only at the first arrival
+	cfg := defaultConfig()
+	cfg.Instr = obs.NewInstr(nil, board, "join")
+	j, err := New(cfg, &op.Collector{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := board.Gauges(); g.Op != "join" || !g.Punct || g.At != 0 || g.TuplesIn != 0 {
+		t.Fatalf("snapshot after construction %+v, want join's empty state at 0", g)
+	}
+	run(t, j, []feedItem{tupA(1, "a", 1), tupB(1, "b", 2), tupB(2, "c", 3)})
+	g := board.Gauges()
+	if g.TuplesIn != 3 || g.TuplesOut != 1 || g.StateTuples != 3 || g.MemBytesA <= 0 || g.At < 3 {
+		t.Errorf("snapshot after Finish %+v, want 3 in, 1 out, 3 held", g)
 	}
 }
 

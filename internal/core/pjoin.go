@@ -155,6 +155,9 @@ type PJoin struct {
 	// run). Always allocated — recording is lock-free atomic adds, cheap
 	// enough to stay on unconditionally (see internal/obs/hist).
 	lat *obs.Lat
+	// gauges is the snapshot publishGauges fills when the handle carries
+	// a gauge board.
+	gauges obs.Gauges
 	// lastPropTs is the arrival timestamp of the newest punctuation whose
 	// propagation has been released downstream; PunctLag measures how far
 	// the inputs have run ahead of it.
@@ -167,7 +170,10 @@ type PJoin struct {
 	// idxGroup is indexKey's scratch for one key group.
 	idxGroup []*store.StoredTuple
 
-	now      stream.Time
+	now stream.Time
+	// nextArr is the least Ts the next tuple or punctuation may keep
+	// (Process).
+	nextArr  stream.Time
 	eos      [2]bool
 	finished bool
 
@@ -293,9 +299,16 @@ func newJoin(cfg Config, out op.Emitter, xjoin bool) (*PJoin, error) {
 	j.obs = cfg.Instr
 	j.base.Obs = j.obs
 	j.disk = joinbase.NewPassDriver(j.base, j.lat, cfg.DiskChunkBytes, j.passHooks(), j.passDone)
-	j.registerGauges()
 	j.table = newTable(&j.cfg, xjoin)
 	j.mon = monitor{th: j.cfg.Thresholds}
+	if b := j.obs.Board(); b != nil {
+		// A first snapshot, so a run shorter than one tick has gauges.
+		j.gauges.Op, j.gauges.Punct = j.obs.Op(), !xjoin
+		if j.gauges.Op == "" {
+			j.gauges.Op = j.Name()
+		}
+		j.publishGauges(b)
+	}
 	return j, nil
 }
 
@@ -311,20 +324,28 @@ func (j *PJoin) noteResult(ts stream.Time, sp uint64) {
 	}
 }
 
-// registerGauges exposes the operator's live metrics through the
-// attached sampler. The gauge closures read operator state directly;
-// they are safe because Live runs them from this operator's own
-// processing path (Instr.Tick inside Process) — see obs.Live.
-func (j *PJoin) registerGauges() {
-	lv, name := j.base.RegisterGauges(j.Name())
-	if lv == nil || j.xjoin {
-		return
+// publishGauges fills the join's gauge snapshot and publishes a copy on
+// b. It reads operator state, so it runs on the join's own goroutine:
+// on its virtual-time tick (Process), at construction and at Finish.
+func (j *PJoin) publishGauges(b *obs.Board) {
+	a, c := j.base.States[0], j.base.States[1]
+	sa, sc := a.Stats(), c.Stats()
+	g := &j.gauges
+	g.At = j.now
+	g.MemBytesA, g.MemBytesB = a.MemBytes(), c.MemBytes()
+	g.StateBytesA, g.StateBytesB = int64(a.RetainedBytes()), int64(c.RetainedBytes())
+	g.DiskBytes = sa.DiskBytes + sc.DiskBytes
+	g.StateTuples = int64(sa.TotalTuples() + sc.TotalTuples())
+	g.BucketSkew = max(a.MemBucketSkew(), c.MemBucketSkew())
+	g.MemGroups = int64(sa.MemGroups + sc.MemGroups)
+	g.TuplesOut = j.base.M.TuplesOut
+	g.TuplesIn = j.base.M.TuplesIn[0] + j.base.M.TuplesIn[1]
+	if g.Punct {
+		g.PunctLag = j.PunctLag()
+		g.PunctSetA, g.PunctSetB = int64(setSize(j.psets[0])), int64(setSize(j.psets[1]))
+		g.PunctsOut = j.base.M.PunctsOut
 	}
-	lv.Register(name+".punct_lag_ms", func() float64 { return j.PunctLag().Millis() })
-	lv.Register(name+".punct_set.a", func() float64 { return float64(setSize(j.psets[0])) })
-	lv.Register(name+".punct_set.b", func() float64 { return float64(setSize(j.psets[1])) })
-	// What the health detector's stall window watches next to tuples_in.
-	lv.Register(name+".puncts_out", func() float64 { return float64(j.base.M.PunctsOut) })
+	b.Publish(g)
 }
 
 // Latencies returns a snapshot of the operator's latency histograms.
@@ -384,9 +405,11 @@ func (j *PJoin) PunctSetSizes() (a, b int) {
 func setSize(s *punct.Set) int { return s.Len() + s.ClosedLen() }
 
 // Process implements op.Operator. Items on each port must have strictly
-// increasing timestamps, and timestamps must be unique across ports (the
-// executor and simulator both guarantee this); the duplicate-avoidance
-// logic of the disk join relies on it.
+// increasing timestamps. Across ports a timestamp may repeat (op.Operator
+// rule 1; a cascade hands a result on at its arrival's Ts), but the disk
+// join's [ATS, DTS) cannot order two events at one timestamp: a tuple or
+// punctuation at or below the previous arrival's Ts is stamped one past
+// it.
 //
 // A tuple's arrival time is it.Ts, not the Ts its shared header carries
 // (the executor restamps items and never tuples): the state stores the
@@ -402,16 +425,23 @@ func (j *PJoin) Process(port int, it stream.Item, now stream.Time) error {
 	if j.finished {
 		return fmt.Errorf("core: %s: Process after Finish", j.Name())
 	}
-	j.now = maxTime(j.now, now)
-	j.obs.Tick(j.now)
+	ts := it.Ts
+	if it.Kind != stream.KindEOS {
+		ts = maxTime(ts, j.nextArr)
+		j.nextArr = ts + 1
+	}
+	j.now = maxTime(j.now, maxTime(now, ts))
+	if b := j.obs.Board(); b.Due(j.now) {
+		j.publishGauges(b)
+	}
 	switch it.Kind {
 	case stream.KindTuple:
-		if err := j.processTuple(port, j.kept.Keep(it).Tuple, it.Ts); err != nil {
+		if err := j.processTuple(port, j.kept.Keep(it).Tuple, ts); err != nil {
 			return err
 		}
 		return j.disk.Pump(j.now)
 	case stream.KindPunct:
-		if err := j.processPunct(port, it.Punct, it.Ts, it.Span); err != nil {
+		if err := j.processPunct(port, it.Punct, ts, it.Span); err != nil {
 			return err
 		}
 		return j.disk.Pump(j.now)
@@ -1202,8 +1232,8 @@ func (j *PJoin) Finish(now stream.Time) error {
 		}
 	}
 	j.finished = true
-	if lv := j.obs.Live(); lv != nil {
-		lv.Flush(j.now) // final sample so the series ends at the run's last state
+	if b := j.obs.Board(); b != nil {
+		j.publishGauges(b) // the run's last state
 	}
 	return j.out.Emit(stream.EOSItem(j.now))
 }

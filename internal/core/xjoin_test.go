@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -52,23 +53,35 @@ func TestNewXJoinRejects(t *testing.T) {
 }
 
 func TestXJoinOperatorMetadata(t *testing.T) {
-	lv := obs.NewLive(stream.Millisecond)
+	board := obs.NewBoard(1) // a fill at every arrival, before it
 	cfg := defaultConfig()
-	cfg.Instr = obs.NewInstr(nil, lv, "xjoin")
+	cfg.Instr = obs.NewInstr(nil, board, "xjoin")
 	cfg.Thresholds.PropagateCount = 2
 	j, err := NewXJoin(cfg, &op.Collector{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The state gauges, none of the punctuation ones.
-	lv.Flush(1)
-	last, _ := lv.LastValues()
-	if _, ok := last["xjoin.tuples_in"]; !ok {
-		t.Errorf("no xjoin.tuples_in gauge: %v", last)
+	if err := j.Process(0, tupA(1, "a", 1).item, 1); err != nil {
+		t.Fatal(err)
 	}
-	for _, g := range []string{"punct_lag_ms", "punct_set.a", "punct_set.b", "puncts_out"} {
-		if _, ok := last["xjoin."+g]; ok {
-			t.Errorf("XJoin registered the punctuation gauge %s", g)
+	if err := j.Process(1, punctFor(1, 1, 2).item, 2); err != nil {
+		t.Fatal(err)
+	}
+	g := board.Gauges()
+	if g.Op != "xjoin" || g.TuplesIn != 1 {
+		t.Errorf("no xjoin tuples_in gauge: %+v", g)
+	}
+	var buf bytes.Buffer
+	if err := obs.WriteProm(&buf, "p", j.Latencies(), &g, obs.SpanCounts{}); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "p_xjoin_tuples_in 1\n") {
+		t.Errorf("no xjoin tuples_in gauge rendered:\n%s", buf.String())
+	}
+	for _, d := range obs.GaugeDefs {
+		if d.Punct && (g.Punct || strings.Contains(buf.String(), "p_xjoin_"+d.Name)) {
+			t.Errorf("XJoin exposes the punctuation gauge %s", d.Name)
 		}
 	}
 	if j.Name() != "xjoin" || j.NumPorts() != 2 {

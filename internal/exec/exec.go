@@ -864,7 +864,7 @@ func (a *aligner) tick(now time.Duration) {
 // the stall detector d; the first sample that fires invokes onFire
 // (once — the detector is latched) on the watcher goroutine. probe must
 // be safe to call concurrently with the running operators: build it
-// from concurrent-safe surfaces such as obs.Live.LastValues, not from a
+// from concurrent-safe surfaces such as obs.Board.Gauges, not from a
 // single-goroutine method like core.PJoin.Metrics. The watcher stops
 // when the pipeline drains or is cancelled.
 func (p *Pipeline) Watch(d *health.Detector, every time.Duration, probe func() health.Progress, onFire func(health.Report)) {

@@ -248,38 +248,6 @@ func (b *Base) Relocate(now stream.Time, memBytes int64, beforeSpill func(side, 
 	return nil
 }
 
-// RegisterGauges registers the live metrics every Base-backed join
-// exposes with the attached sampler, under the handle's operator name
-// (fallback when it has none), and returns sampler and name so the owner
-// can add its own; a nil sampler means none is attached. The gauges read
-// Base state, so they run on the owner's goroutine (see obs.Live).
-func (b *Base) RegisterGauges(fallback string) (lv *obs.Live, name string) {
-	if lv = b.Obs.Live(); lv == nil {
-		return nil, ""
-	}
-	if name = b.Obs.Op(); name == "" {
-		name = fallback
-	}
-	a, c := b.States[0], b.States[1]
-	lv.Register(name+".mem_bytes.a", func() float64 { return float64(a.MemBytes()) })
-	lv.Register(name+".mem_bytes.b", func() float64 { return float64(c.MemBytes()) })
-	lv.Register(name+".state_bytes.a", func() float64 { return float64(a.RetainedBytes()) })
-	lv.Register(name+".state_bytes.b", func() float64 { return float64(c.RetainedBytes()) })
-	lv.Register(name+".disk_bytes", func() float64 { return float64(a.Stats().DiskBytes + c.Stats().DiskBytes) })
-	lv.Register(name+".state_tuples", func() float64 {
-		return float64(a.Stats().TotalTuples() + c.Stats().TotalTuples())
-	})
-	lv.Register(name+".bucket_skew", func() float64 { return max(a.MemBucketSkew(), c.MemBucketSkew()) })
-	lv.Register(name+".mem_groups", func() float64 { return float64(a.Stats().MemGroups + c.Stats().MemGroups) })
-	// Cumulative; the output rate is tuples_out's metrics.Series.Rate.
-	// tuples_in is what the health detector's stall window watches
-	// (auctiond polls LastValues — it must not read Metrics() while the
-	// operator goroutine runs).
-	lv.Register(name+".tuples_out", func() float64 { return float64(b.M.TuplesOut) })
-	lv.Register(name+".tuples_in", func() float64 { return float64(b.M.TuplesIn[0] + b.M.TuplesIn[1]) })
-	return lv, name
-}
-
 // PassHooks customise a disk pass. All fields may be nil.
 type PassHooks struct {
 	// OnPassStart is called once when a pass starts, before its first

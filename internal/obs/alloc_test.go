@@ -20,7 +20,9 @@ func TestNilInstrDoesNotAllocate(t *testing.T) {
 			t.Fatal("unreachable")
 		}
 		in.Span(span.KindPurgeRun, 0, 1, 0, 2, 3, 0, 0)
-		in.Tick(1)
+		if in.Board().Due(1) {
+			t.Fatal("unreachable")
+		}
 	})
 	if allocs != 0 {
 		t.Errorf("nil Instr hot path allocates %.1f/op, want 0", allocs)
@@ -68,15 +70,37 @@ func TestDetachedSpansDoNotAllocate(t *testing.T) {
 	}
 }
 
+// TestLiveTickNotDueDoesNotAllocate: the join asks its board on every
+// arrival, and publishes a snapshot when one is due; neither allocates.
 func TestLiveTickNotDueDoesNotAllocate(t *testing.T) {
-	lv := NewLive(stream.Time(1 << 60)) // never due after the first claim
-	lv.Register("g", func() float64 { return 0 })
-	in := NewInstr(nil, lv, "pjoin")
-	in.Tick(0) // consume the initial sample
+	b := NewBoard(stream.Time(1 << 60)) // never due after the first claim
+	in := NewInstr(nil, b, "pjoin")
+	if !in.Board().Due(0) {
+		t.Fatal("the first tick is not due")
+	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		in.Tick(1)
+		if in.Board().Due(1) {
+			t.Fatal("tick due")
+		}
 	})
 	if allocs != 0 {
-		t.Errorf("not-due Tick allocates %.1f/op, want 0", allocs)
+		t.Errorf("not-due tick allocates %.1f/op, want 0", allocs)
+	}
+	every := NewBoard(1)
+	g := Gauges{Op: "pjoin", Punct: true}
+	now := stream.Time(0)
+	allocs = testing.AllocsPerRun(1000, func() {
+		now++
+		if !every.Due(now) {
+			t.Fatal("tick not due")
+		}
+		g.At, g.TuplesIn = now, int64(now)
+		every.Publish(&g)
+	})
+	if allocs != 0 {
+		t.Errorf("due publish allocates %.1f/op, want 0", allocs)
+	}
+	if got := every.Gauges(); got.TuplesIn != int64(now) || got.At != now {
+		t.Errorf("board holds %+v, want the last publish at %v", got, now)
 	}
 }

@@ -31,7 +31,7 @@ import (
 
 // Progress is one observation of an operator's externally visible
 // counters. The probe that builds it must be safe on the goroutine it
-// runs on (auctiond reads Live.LastValues; the simulator reads operator
+// runs on (auctiond reads the join's obs.Board; the simulator reads operator
 // metrics between drive steps).
 type Progress struct {
 	Now       stream.Time // operator virtual clock

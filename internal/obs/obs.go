@@ -14,13 +14,15 @@
 //     span.Tracer: span.JSONL writes a file, span.Recorder collects for
 //     tests, Ring keeps the last N for the flight recorder.
 //
-//   - Live metrics: gauges registered by the operators (state bytes,
-//     disk bytes, bucket skew, punctuation lag, cumulative output) and
-//     sampled by Live on a configurable virtual-time tick, exported as
-//     metrics.Series so the existing CSV/chart tooling renders them.
+//   - Live gauges: a join's state bytes, disk bytes, bucket skew,
+//     punctuation lag and cumulative input and output, one typed
+//     snapshot (Gauges, declared once in the GaugeDefs table) that the
+//     join fills on a virtual-time tick and publishes on a Board, where
+//     other goroutines read the latest copy.
 //
 // Latency histograms (Lat, declared once in the Hists table) are kept by
-// the operators themselves and snapshotted on request.
+// the operators themselves and snapshotted on request. WriteProm renders
+// histograms, gauges and span counters from their tables.
 //
 // # Overhead budget
 //
@@ -41,35 +43,35 @@ import (
 )
 
 // Instr is the instrumentation handle an operator carries: a span
-// tracer, an optional live sampler, and the operator's name. A nil *Instr is fully inert — every method is a cheap no-op —
+// tracer, an optional gauge board, and the operator's name. A nil *Instr is fully inert — every method is a cheap no-op —
 // so operators call unconditionally.
 type Instr struct {
-	tr   span.Tracer
-	live *Live
-	op   string
+	tr    span.Tracer
+	board *Board
+	op    string
 }
 
 // NewInstr builds a handle for the named operator. tr may be nil (no
-// tracing); live may be nil (no sampling). Returns nil when both are
+// tracing); board may be nil (no gauges). Returns nil when both are
 // nil, so "observability off" stays a single nil check.
-func NewInstr(tr span.Tracer, live *Live, op string) *Instr {
-	if tr == nil && live == nil {
+func NewInstr(tr span.Tracer, board *Board, op string) *Instr {
+	if tr == nil && board == nil {
 		return nil
 	}
 	if tr == nil {
 		tr = span.Nop
 	}
-	return &Instr{tr: tr, live: live, op: op}
+	return &Instr{tr: tr, board: board, op: op}
 }
 
 // Derive returns a handle for another operator (a source, a driven
-// operator) sharing the parent's tracer and sampler. Deriving from a nil
-// handle yields nil.
+// operator) sharing the parent's tracer; a board belongs to one join, so
+// the derived handle has none. Deriving from a nil handle yields nil.
 func (in *Instr) Derive(op string) *Instr {
 	if in == nil {
 		return nil
 	}
-	return &Instr{tr: in.tr, live: in.live, op: op}
+	return &Instr{tr: in.tr, op: op}
 }
 
 // Op returns the operator name ("" on a nil handle).
@@ -80,12 +82,12 @@ func (in *Instr) Op() string {
 	return in.op
 }
 
-// Live returns the live sampler, or nil.
-func (in *Instr) Live() *Live {
+// Board returns the gauge board, or nil.
+func (in *Instr) Board() *Board {
 	if in == nil {
 		return nil
 	}
-	return in.live
+	return in.board
 }
 
 // Enabled reports whether tracing is active. The disabled path is one
@@ -133,13 +135,4 @@ func (in *Instr) SpillError(at stream.Time, side int, err error) {
 		ID: span.NewID(), Kind: span.KindSpillError, At: at, Wall: time.Now().UnixNano(),
 		Op: in.op, Side: int8(side), Err: err.Error(),
 	})
-}
-
-// Tick offers the live sampler a chance to sample at the given virtual
-// time. Free when no sampler is attached or the tick is not yet due.
-func (in *Instr) Tick(now stream.Time) {
-	if in == nil || in.live == nil {
-		return
-	}
-	in.live.Tick(now)
 }

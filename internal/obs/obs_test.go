@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -176,11 +178,10 @@ func TestInstrNilSafe(t *testing.T) {
 	}
 	in.Span(span.KindPurgeRun, 0, 0, 0, 1, 2, 0, 0)
 	in.SpillError(0, 0, errors.New("x"))
-	in.Tick(0)
 	if in.Derive("child") != nil {
 		t.Error("Derive on nil should be nil")
 	}
-	if in.Op() != "" || in.Live() != nil {
+	if in.Op() != "" || in.Board() != nil {
 		t.Error("nil accessors")
 	}
 	if NewInstr(nil, nil, "x") != nil {
@@ -218,70 +219,68 @@ func TestInstrIdentityStamping(t *testing.T) {
 	}
 }
 
+// TestLiveSampling: a board is due at its first tick and then once per
+// period of virtual time; it hands out the last published snapshot, a
+// copy its publisher may go on filling.
 func TestLiveSampling(t *testing.T) {
-	lv := NewLive(10 * stream.Millisecond)
-	var state float64
-	lv.Register("state_bytes", func() float64 { return state })
-	lv.Register("disk_bytes", func() float64 { return state * 2 })
-
-	state = 5
-	lv.Tick(0) // first tick samples (deadline starts at 0)
-	state = 7
-	lv.Tick(3 * stream.Millisecond) // not due
-	state = 9
-	lv.Tick(12 * stream.Millisecond) // due
-	state = 11
-	lv.Flush(15 * stream.Millisecond) // forced
-
-	series := lv.Series()
-	if len(series) != 2 {
-		t.Fatalf("got %d series", len(series))
-	}
-	// Sorted by name: disk_bytes, state_bytes.
-	sb := series[1]
-	if sb.Name != "state_bytes" {
-		t.Fatalf("series order: %q", sb.Name)
-	}
-	if sb.Len() != 4 {
-		t.Fatalf("points = %d, want 4 (register@0, tick@0, tick@12, flush@15)", sb.Len())
-	}
-	want := []float64{0, 5, 9, 11}
-	for i, w := range want {
-		if sb.Points[i].V != w {
-			t.Errorf("point %d = %g, want %g", i, sb.Points[i].V, w)
+	b := NewBoard(10 * stream.Millisecond)
+	var due []stream.Time
+	var g Gauges
+	for _, now := range []stream.Time{0, 3 * stream.Millisecond, 12 * stream.Millisecond, 15 * stream.Millisecond, 22 * stream.Millisecond} {
+		if !b.Due(now) {
+			continue
 		}
+		due = append(due, now)
+		g.At, g.MemBytesA = now, int64(now)
+		b.Publish(&g)
 	}
-	last, at := lv.LastValues()
-	if last["state_bytes"] != 11 || last["disk_bytes"] != 22 {
-		t.Errorf("LastValues = %v", last)
+	if want := []stream.Time{0, 12 * stream.Millisecond, 22 * stream.Millisecond}; !reflect.DeepEqual(due, want) {
+		t.Errorf("due at %v, want %v", due, want)
 	}
-	if at != 15*stream.Millisecond {
-		t.Errorf("lastAt = %v", at)
+	g.MemBytesA = -1 // the publisher's own copy
+	if got := b.Gauges(); got.At != 22*stream.Millisecond || got.MemBytesA != int64(22*stream.Millisecond) {
+		t.Errorf("board holds %+v", got)
+	}
+	var none *Board
+	if none.Due(0) || none.Gauges() != (Gauges{}) {
+		t.Error("a nil board is not inert")
 	}
 }
 
-func TestLiveConcurrentTickSamplesOnce(t *testing.T) {
-	lv := NewLive(10 * stream.Millisecond)
-	calls := 0
-	lv.Register("g", func() float64 { calls++; return 0 })
-	if calls != 1 {
-		t.Fatalf("registration should sample once, got %d calls", calls)
+// TestBoardRetentionBounded: an hour of a 10 ms tick, 360,000 fills of
+// every gauge, leaves the board's heap where it was — a long run must
+// not grow with its gauges (a board that kept every fill holds ~57 MB
+// here).
+func TestBoardRetentionBounded(t *testing.T) {
+	const ticks, bound = 360_000, 64 << 10
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
 	}
-	calls = 0
-	done := make(chan struct{})
-	for i := 0; i < 8; i++ {
-		go func() {
-			lv.Tick(5 * stream.Millisecond)
-			done <- struct{}{}
-		}()
+	before := heap()
+	b := NewBoard(10 * stream.Millisecond)
+	g := Gauges{Op: "join", Punct: true}
+	for i := 0; i < ticks; i++ {
+		now := stream.Time(i) * 10 * stream.Millisecond
+		if !b.Due(now) {
+			t.Fatalf("tick %d not due", i)
+		}
+		v := int64(i)
+		g.At = now
+		g.MemBytesA, g.MemBytesB, g.StateBytesA, g.StateBytesB = v, v, v, v
+		g.DiskBytes, g.StateTuples, g.BucketSkew, g.MemGroups = v, v, float64(v), v
+		g.TuplesOut, g.TuplesIn, g.PunctLag = v, v, stream.Time(v)
+		g.PunctSetA, g.PunctSetB, g.PunctsOut = v, v, v
+		b.Publish(&g)
 	}
-	for i := 0; i < 8; i++ {
-		<-done
+	after := heap()
+	if got := b.Gauges(); got.PunctsOut != ticks-1 {
+		t.Fatalf("board holds %+v, want the last fill", got)
 	}
-	lv.mu.Lock()
-	got := calls
-	lv.mu.Unlock()
-	if got != 1 {
-		t.Errorf("gauge ran %d times for one due tick", got)
+	if after > before && after-before > bound {
+		t.Errorf("an hour of ticks kept %d bytes of heap, want under %d", after-before, bound)
 	}
+	runtime.KeepAlive(b)
 }

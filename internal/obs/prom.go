@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -12,11 +11,12 @@ import (
 	"pjoin/internal/obs/span"
 )
 
-// Prometheus text exposition (version 0.0.4) for the latency histograms
-// and live gauges — what `auctiond -http` serves at /metrics alongside
-// the existing expvar endpoint. Everything is rendered from snapshots
-// (hist atomics, Live.LastValues), so a scrape never touches operator
-// state and is safe while the operator runs.
+// Prometheus text exposition (version 0.0.4) for the latency histograms,
+// the live gauges and the span counters — what `auctiond -http` serves at
+// /metrics alongside the expvar endpoint. Everything is rendered from
+// snapshots (hist atomics, a Board's copy, the tee's and sampler's
+// atomic counts) through the declaration tables, so a scrape never
+// touches operator state and is safe while the operator runs.
 
 // promHistBounds are the cumulative `le` bucket bounds, in ns. Powers
 // of two are exact edges of the hist bucket layout, so each cumulative
@@ -70,62 +70,80 @@ func promSanitize(name string) string {
 	return string(out)
 }
 
-// WriteProm renders the full /metrics payload: every histogram of the
-// Hists table under <prefix>_<wire name>, then one gauge per live
-// sample, sorted by name for deterministic scrapes.
-func WriteProm(w io.Writer, prefix string, lat LatSnapshot, gauges map[string]float64) error {
+// SpanCounts are the span counter families' values: the spans emitted
+// per family and the tuple sampler's decisions.
+type SpanCounts struct {
+	Punct, Pass, Tuple, Point int64
+	Sampled, Dropped          int64
+}
+
+// CountSpans reads a tee's per-kind counts and a sampler's decisions.
+// Either may be nil (no tracer attached): its families read zero, so the
+// scrape schema does not depend on tracing.
+func CountSpans(t *span.Tee, s *span.Sampler) SpanCounts {
+	var c SpanCounts
+	c.Punct, c.Pass, c.Tuple, c.Point = span.FamilyCounts(t.Counts())
+	c.Sampled, c.Dropped = s.Sampled(), s.Dropped()
+	return c
+}
+
+// CounterDef is one row of the span counter table.
+type CounterDef struct {
+	Name string // wire name after <prefix>_
+	Help string // Prometheus HELP text
+	Of   func(*SpanCounts) int64
+}
+
+// SpanCounters is the one declaration of the span counter families. The
+// drop count is what tells an operator how much provenance the sample
+// rate leaves on the floor.
+var SpanCounters = []CounterDef{
+	{"span_punct_total", "Punctuation-lifecycle provenance spans emitted (arrive/purge/defer/emit).", func(c *SpanCounts) int64 { return c.Punct }},
+	{"span_pass_total", "Disk-pass provenance spans emitted (start/chunk/io/end).", func(c *SpanCounts) int64 { return c.Pass }},
+	{"span_tuple_total", "Sampled-tuple provenance spans emitted (ingest/cut/deliver/probe/result).", func(c *SpanCounts) int64 { return c.Tuple }},
+	{"span_point_total", "Point spans emitted (purge run, relocation, spill error, operator start/finish, discarded punctuation).", func(c *SpanCounts) int64 { return c.Point }},
+	{"span_sampler_sampled_total", "Tuples admitted into provenance tracing by the span sampler.", func(c *SpanCounts) int64 { return c.Sampled }},
+	{"span_sampler_dropped_total", "Tuples passed over by the span sampler (provenance left unrecorded).", func(c *SpanCounts) int64 { return c.Dropped }},
+}
+
+// WriteProm renders the full /metrics payload: every histogram of Hists
+// under <prefix>_<wire name>; when g is not nil, the snapshot's time as
+// <prefix>_sampled_at_ms and every row of GaugeDefs under
+// <prefix>_<op>_<wire name> (the Punct rows only for a join that keeps
+// punctuations); then every span counter family.
+func WriteProm(w io.Writer, prefix string, lat LatSnapshot, g *Gauges, sc SpanCounts) error {
 	prefix = promSanitize(prefix)
 	for _, d := range Hists {
 		if err := writePromHist(w, prefix+"_"+d.Name, d.Help, *d.Of(&lat)); err != nil {
 			return err
 		}
 	}
-	names := make([]string, 0, len(gauges))
-	for n := range gauges {
-		names = append(names, n)
+	if g != nil {
+		if err := writePromLine(w, prefix+"_sampled_at_ms", "Virtual time of the gauge snapshot (ms).", "gauge", strconv.FormatFloat(g.At.Millis(), 'g', -1, 64)); err != nil {
+			return err
+		}
+		op := prefix + "_" + promSanitize(g.Op) + "_"
+		for _, d := range GaugeDefs {
+			if d.Punct && !g.Punct {
+				continue
+			}
+			if err := writePromLine(w, op+d.Name, d.Help, "gauge", strconv.FormatFloat(d.Of(g), 'g', -1, 64)); err != nil {
+				return err
+			}
+		}
 	}
-	sort.Strings(names)
-	for _, n := range names {
-		mn := prefix + "_" + promSanitize(n)
-		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %s\n", mn, mn,
-			strconv.FormatFloat(gauges[n], 'g', -1, 64)); err != nil {
+	for _, d := range SpanCounters {
+		if err := writePromLine(w, prefix+"_"+d.Name, d.Help, "counter", strconv.FormatInt(d.Of(&sc), 10)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// WritePromSpans renders the span counter families: per-family emission
-// totals (punctuation lifecycle, disk-pass, sampled-tuple, point) plus
-// the tuple sampler's admit/drop decisions — the drop count is what
-// tells an operator how much provenance the sample rate is leaving on
-// the floor. counts is indexed by span.Kind (as span.Tee.Counts()
-// returns); nil/short slices read as zero, so the scrape schema is
-// stable whether or not a tracer is attached. Counter families only —
-// CheckPromFormat applies unchanged.
-func WritePromSpans(w io.Writer, prefix string, counts []int64, sampled, dropped int64) error {
-	prefix = promSanitize(prefix)
-	punct, pass, tuple, point := span.FamilyCounts(counts)
-	families := []struct {
-		name string
-		help string
-		val  int64
-	}{
-		{"span_punct_total", "Punctuation-lifecycle provenance spans emitted (arrive/purge/defer/emit).", punct},
-		{"span_pass_total", "Disk-pass provenance spans emitted (start/chunk/io/end).", pass},
-		{"span_tuple_total", "Sampled-tuple provenance spans emitted (ingest/cut/deliver/probe/result).", tuple},
-		{"span_point_total", "Point spans emitted (purge run, relocation, spill error, operator start/finish, discarded punctuation).", point},
-		{"span_sampler_sampled_total", "Tuples admitted into provenance tracing by the span sampler.", sampled},
-		{"span_sampler_dropped_total", "Tuples passed over by the span sampler (provenance left unrecorded).", dropped},
-	}
-	for _, f := range families {
-		n := prefix + "_" + f.name
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n",
-			n, f.help, n, n, f.val); err != nil {
-			return err
-		}
-	}
-	return nil
+// writePromLine renders a one-sample family with its HELP and TYPE.
+func writePromLine(w io.Writer, name, help, typ, val string) error {
+	_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %s\n", name, help, name, typ, name, val)
+	return err
 }
 
 var (

@@ -10,34 +10,34 @@ import (
 
 	"pjoin/internal/obs/hist"
 	"pjoin/internal/obs/span"
+	"pjoin/internal/stream"
 )
 
-func promFixture() (LatSnapshot, map[string]float64) {
+func promFixture() (LatSnapshot, *Gauges) {
 	lat := NewLat()
 	for i := int64(1); i <= 100; i++ {
 		lat.Result.Record(i * 1000)      // 1µs..100µs
 		lat.PunctDelay.Record(i * 50000) // 50µs..5ms
 	}
 	lat.Purge.Record(1 << 20)
-	gauges := map[string]float64{
-		"state_bytes": 4096,
-		"punct-lag":   1.5e6, // needs sanitizing
-		"skew":        0.25,
+	g := &Gauges{
+		Op: "my-join", At: 15 * stream.Millisecond, Punct: true, // the name needs sanitizing
+		StateBytesA: 4096, BucketSkew: 0.25, PunctLag: 3 * stream.Millisecond / 2,
 	}
-	return lat.Snapshot(), gauges
+	return lat.Snapshot(), g
 }
 
 func TestWritePromFormat(t *testing.T) {
-	snap, gauges := promFixture()
+	snap, g := promFixture()
 	var buf bytes.Buffer
-	if err := WriteProm(&buf, "pjoin", snap, gauges); err != nil {
+	if err := WriteProm(&buf, "pjoin", snap, g, SpanCounts{}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
 	if err := CheckPromFormat(buf.Bytes()); err != nil {
 		t.Fatalf("format check failed: %v\n%s", err, out)
 	}
-	// The three histogram families and the sanitized gauge are present.
+	// The three histogram families and the sanitized gauges are present.
 	for _, want := range []string{
 		"# TYPE pjoin_result_latency_ns histogram",
 		"# TYPE pjoin_punct_delay_ns histogram",
@@ -46,8 +46,11 @@ func TestWritePromFormat(t *testing.T) {
 		"pjoin_result_latency_ns_count 100",
 		"pjoin_punct_delay_ns_count 100",
 		"pjoin_purge_duration_ns_count 1",
-		"# TYPE pjoin_punct_lag gauge",
-		"pjoin_state_bytes 4096",
+		"# TYPE pjoin_my_join_punct_lag_ms gauge",
+		"pjoin_my_join_punct_lag_ms 1.5\n",
+		"pjoin_my_join_state_bytes_a 4096\n",
+		"pjoin_my_join_bucket_skew 0.25\n",
+		"pjoin_sampled_at_ms 15\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in output:\n%s", want, out)
@@ -66,7 +69,7 @@ func TestWritePromFormat(t *testing.T) {
 
 func TestWritePromEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteProm(&buf, "op", LatSnapshot{}, nil); err != nil {
+	if err := WriteProm(&buf, "op", LatSnapshot{}, nil, SpanCounts{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := CheckPromFormat(buf.Bytes()); err != nil {
@@ -75,30 +78,35 @@ func TestWritePromEmpty(t *testing.T) {
 	if !strings.Contains(buf.String(), `op_result_latency_ns_bucket{le="+Inf"} 0`) {
 		t.Errorf("empty histogram should still expose zero buckets:\n%s", buf.String())
 	}
+	if strings.Contains(buf.String(), "gauge") {
+		t.Errorf("no snapshot, yet gauges rendered:\n%s", buf.String())
+	}
 }
 
 // TestWritePromSpansFormat: the provenance-span counter families pass
 // the strict format check, expose HELP/TYPE for every family, group the
-// per-kind counts correctly, and compose with WriteProm in one payload
-// (as the auctiond /metrics handler emits them).
+// per-kind counts a tee keeps correctly, and render as zeros with no
+// tracer attached.
 func TestWritePromSpansFormat(t *testing.T) {
-	counts := make([]int64, span.NumKinds())
-	counts[span.KindPunctArrive] = 3
-	counts[span.KindPunctPurgeMem] = 2
-	counts[span.KindPunctEmit] = 3
-	counts[span.KindPassStart] = 1
-	counts[span.KindPassEnd] = 1
-	counts[span.KindTupleIngest] = 7
-	counts[span.KindTupleResult] = 5
-	counts[span.KindPurgeRun] = 4
-	counts[span.KindPunctDiscard] = 2
+	tee := span.NewTee(span.Nop)
+	for k, n := range map[span.Kind]int{
+		span.KindPunctArrive: 3, span.KindPunctPurgeMem: 2, span.KindPunctEmit: 3,
+		span.KindPassStart: 1, span.KindPassEnd: 1,
+		span.KindTupleIngest: 7, span.KindTupleResult: 5,
+		span.KindPurgeRun: 4, span.KindPunctDiscard: 2,
+	} {
+		for i := 0; i < n; i++ {
+			tee.Emit(span.Span{Kind: k})
+		}
+	}
+	smp := span.NewSampler(64)
+	for i := 0; i < 448; i++ {
+		smp.Sample()
+	}
 
 	var buf bytes.Buffer
-	snap, gauges := promFixture()
-	if err := WriteProm(&buf, "pjoin", snap, gauges); err != nil {
-		t.Fatal(err)
-	}
-	if err := WritePromSpans(&buf, "pjoin", counts, 7, 441); err != nil {
+	snap, g := promFixture()
+	if err := WriteProm(&buf, "pjoin", snap, g, CountSpans(tee, smp)); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -125,9 +133,9 @@ func TestWritePromSpansFormat(t *testing.T) {
 		}
 	}
 
-	// No span tracer attached: nil counts still expose the full schema.
+	// No span tracer attached: the families still render, as zeros.
 	buf.Reset()
-	if err := WritePromSpans(&buf, "pjoin", nil, 0, 0); err != nil {
+	if err := WriteProm(&buf, "pjoin", snap, nil, CountSpans(nil, nil)); err != nil {
 		t.Fatal(err)
 	}
 	if err := CheckPromFormat(buf.Bytes()); err != nil {
@@ -135,6 +143,51 @@ func TestWritePromSpansFormat(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "pjoin_span_punct_total 0") {
 		t.Errorf("nil counts should render zero families:\n%s", buf.String())
+	}
+}
+
+// TestGaugeTableComplete: GaugeDefs is the whole declaration. Every
+// gauge field of Gauges has exactly one row (reflection), each row reads
+// its own field, and WriteProm renders every row with a HELP line — the
+// punctuation rows only for a join that keeps punctuations.
+func TestGaugeTableComplete(t *testing.T) {
+	gt := reflect.TypeOf(Gauges{})
+	const header = 3 // Op, At, Punct
+	if gt.NumField()-header != len(GaugeDefs) {
+		t.Fatalf("Gauges has %d gauge fields, the table %d rows", gt.NumField()-header, len(GaugeDefs))
+	}
+	var g Gauges
+	gv := reflect.ValueOf(&g).Elem()
+	for i := header; i < gt.NumField(); i++ {
+		switch f := gv.Field(i); f.Kind() {
+		case reflect.Float64:
+			f.SetFloat(float64(i))
+		default:
+			f.SetInt(int64(i))
+		}
+	}
+	g.PunctLag *= stream.Millisecond // the row reads ms
+	seen := map[float64]bool{}
+	names := map[string]bool{}
+	for _, d := range GaugeDefs {
+		v := d.Of(&g)
+		if seen[v] || names[d.Name] || d.Help == "" {
+			t.Errorf("row %s: reads a field another row reads, repeats a name or has no help", d.Name)
+		}
+		seen[v], names[d.Name] = true, true
+	}
+	for _, punct := range []bool{true, false} {
+		g.Op, g.Punct = "j", punct
+		var buf bytes.Buffer
+		if err := WriteProm(&buf, "p", LatSnapshot{}, &g, SpanCounts{}); err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range GaugeDefs {
+			help := "# HELP p_j_" + d.Name + " "
+			if got := strings.Contains(buf.String(), help); got != (punct || !d.Punct) {
+				t.Errorf("punct %v: %s rendered %v", punct, d.Name, got)
+			}
+		}
 	}
 }
 
@@ -164,7 +217,7 @@ func TestHistTableComplete(t *testing.T) {
 	}
 	snap := lat.Snapshot()
 	var buf bytes.Buffer
-	if err := WriteProm(&buf, "p", snap, nil); err != nil {
+	if err := WriteProm(&buf, "p", snap, nil, SpanCounts{}); err != nil {
 		t.Fatal(err)
 	}
 	for i, d := range Hists {
@@ -195,7 +248,7 @@ func TestRingOnlyInstrCountsSpans(t *testing.T) {
 		t.Fatalf("ring holds %d of %d spans, want the last 4 of 5", got, ring.Total())
 	}
 	var buf bytes.Buffer
-	if err := WritePromSpans(&buf, "pjoin", tee.Counts(), 0, 0); err != nil {
+	if err := WriteProm(&buf, "pjoin", LatSnapshot{}, nil, CountSpans(tee, nil)); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{

@@ -120,11 +120,15 @@ func (c *Collector) Reset() { c.Items = nil }
 // Every driver (the live executor, the simulator, the differential
 // oracle's replay driver) holds every operator to the same lifecycle,
 // and every operator — stateless relational ops and every join (shj,
-// core.PJoin with XJoin, parallel.ShardedPJoin) — enforces it with
-// errors rather than undefined behaviour:
+// core.PJoin with XJoin) — enforces it with errors rather than
+// undefined behaviour:
 //
 //  1. Process delivers items with non-decreasing now across ALL ports;
-//     an operator may clamp its internal clock to max(now seen).
+//     an operator may clamp its internal clock to max(now seen). Two
+//     ports may deliver at one now (a cascade hands a join's result to
+//     the next join at its arrival's Ts); an operator that must order
+//     arrivals strictly stamps a tie past the previous arrival
+//     (core.PJoin does).
 //  2. EOS arrives exactly once per port (duplicate EOS is an error) and
 //     is the last item on its port.
 //  3. Finish is called exactly once, only after every port saw EOS

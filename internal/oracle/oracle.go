@@ -11,35 +11,6 @@ import (
 // single instance, indexed, disk passes run to completion, plain spills.
 var RefVariant = Variant{Op: "pjoin"}
 
-// CheckScenario runs the full differential matrix over the scenario:
-// the shj brute-force oracle once, then every Matrix() variant,
-// asserting
-//
-//   - result-tuple multisets bit-identical to the oracle's (for a window
-//     row, to the oracle's pairs that lie within the window),
-//   - propagated-punctuation multisets identical across all unwindowed
-//     PJoin variants (XJoin ignores punctuations and must propagate none),
-//   - the ordered output obeys Theorem 1 and ends in its one EOS
-//     (checkOrder),
-//   - every PJoin output punctuation is the output form of an input
-//     punctuation on its port, at most once per input (checkLicensed),
-//   - obs counters and latency histograms reconciled (checkObs),
-//   - faulted variants either surface exactly ErrInjectedFault and
-//     then succeed on a fault-free rerun (recovery), or never reach
-//     the fault and pass the full checks.
-//
-// The returned divergences are empty iff the scenario passes.
-func CheckScenario(sc *Scenario) []Divergence {
-	ref, punctRef, ds := checkPrologue(sc)
-	if ds != nil {
-		return ds
-	}
-	for _, v := range Matrix() {
-		ds = append(ds, checkVariant(sc, v, ref, punctRef)...)
-	}
-	return ds
-}
-
 // CheckOne runs the checks for a single variant (plus the oracle and
 // reference runs they compare against). The shrinker's predicate.
 func CheckOne(sc *Scenario, v Variant) []Divergence {
@@ -120,12 +91,6 @@ func checkVariant(sc *Scenario, v Variant, ref *Outcome, punctRef map[string]int
 		}
 	}
 	return append(ds, checkObs(v, out)...)
-}
-
-// CheckSeed decodes and checks one seed. The convenience entry point
-// for soak loops and pinned regression tests.
-func CheckSeed(seed uint64) []Divergence {
-	return CheckScenario(FromSeed(seed))
 }
 
 // Report renders divergences for humans, one per line.

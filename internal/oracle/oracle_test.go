@@ -15,8 +15,9 @@ import (
 	"pjoin/internal/value"
 )
 
-// soakSeeds is how many seeds TestSoak checks. `make oracle` raises it
-// via the ORACLE_SEEDS environment variable (200 by default there);
+// soakSeeds is how many seeds TestSoak checks. `make oracle` and CI's
+// soaks raise it via the ORACLE_SEEDS environment variable (400 by
+// default there);
 // plain `go test ./...` keeps a smaller always-on allotment so the
 // differential harness runs on every test invocation.
 func soakSeeds(t *testing.T) int {

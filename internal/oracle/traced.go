@@ -52,8 +52,8 @@ func checkSpans(v Variant, out *Outcome, rec *span.Recorder) []Divergence {
 }
 
 // CheckSeedTraced runs the traced slice over one seed's scenario and
-// reconciles every run's span stream. The traced counterpart of
-// CheckSeed, used by the CI traced-oracle job.
+// reconciles every run's span stream: the traced counterpart of TestSoak's
+// seed check, run by TestTracedOracle.
 func CheckSeedTraced(seed uint64) []Divergence {
 	sc := FromSeed(seed)
 	if err := sc.Validate(); err != nil {

@@ -107,55 +107,6 @@ func ParseVariant(s string) (Variant, error) {
 	return v, nil
 }
 
-// Matrix returns the full configuration matrix: PJoin and XJoin ×
-// {DiskChunkBytes ∈ {0, 512}} × {FaultSpill off/on}: 4 PJoin rows + 4
-// XJoin rows, all driven per item. The chunk
-// axis is two schedules of the one disk-pass implementation — every pass
-// drained inside the call that starts it, and passes stepped in the
-// background at a budget small enough to split every partition read; one
-// pjoin and one xjoin row add the 64 KiB budget the spill benchmark runs.
-// On top of those, batched delivery (ProcessBatch with batch ∈ {8, 256} ×
-// linger ∈ {0, 1ms virtual}) over four representative configurations —
-// including a chunked row and a fault row (the injected sentinel must
-// surface identically through the batch path): 16 more rows. Last, four
-// scrambled rows (Variant.Scramble) — a single PJoin, a chunked one, an
-// XJoin and a windowed PJoin (Variant.Window) — deliver tuples whose own
-// Ts is not their arrival time, as the live executor does; every other
-// row's tuples carry it, so a join that reads Tuple.Ts where the arrival
-// time belongs fails these rows alone: 30 rows in all.
-func Matrix() []Variant {
-	var vs []Variant
-	for _, chunk := range []int{0, 512} {
-		for _, fault := range []bool{false, true} {
-			for _, o := range []string{"pjoin", "xjoin"} {
-				vs = append(vs, Variant{Op: o, Chunk: chunk, Fault: fault})
-			}
-		}
-	}
-	vs = append(vs,
-		Variant{Op: "pjoin", Chunk: 64 << 10},
-		Variant{Op: "xjoin", Chunk: 64 << 10})
-	reps := []Variant{
-		{Op: "pjoin"},
-		{Op: "pjoin", Chunk: 512},
-		{Op: "pjoin", Fault: true},
-		{Op: "xjoin"},
-	}
-	for _, batch := range []int{8, 256} {
-		for _, linger := range []stream.Time{0, stream.Millisecond} {
-			for _, r := range reps {
-				r.Batch, r.Linger = batch, linger
-				vs = append(vs, r)
-			}
-		}
-	}
-	return append(vs,
-		Variant{Op: "pjoin", Scramble: true},
-		Variant{Op: "pjoin", Chunk: 512, Scramble: true},
-		Variant{Op: "xjoin", Chunk: 512, Scramble: true},
-		Variant{Op: "pjoin", Window: 20000, Scramble: true})
-}
-
 // spillStack assembles one side's spill store for the variant: a
 // MemSpill, wrapped in fault injection on a faulted row (faults surface
 // from the "device").
