@@ -19,13 +19,16 @@ vet:
 # Static invariants: the five pjoinlint analyzers (hotpath, opcontract,
 # poolsafe, spanpair, locksafe) over the whole tree. Zero unsuppressed
 # diagnostics is the gate; suppressions need a //pjoin:allow with a
-# justification. See DESIGN.md §14.
+# justification. locksafe's one rule is no lock taken under another;
+# copies of lock-bearing values are go vet's copylocks, which `vet`
+# runs. See DESIGN.md §14.
 lint:
 	$(GO) run ./cmd/pjoinlint ./...
 
 # Reachability census: builds every main package with -dumpdep and fails
-# on a non-test function or method no program reaches that is not in
-# internal/lint/testdata/census.golden (test support, with its reason).
+# on a non-test function or method no program reaches, or a method of a
+# live type the linker drops, that is not in
+# internal/lint/testdata/census.golden with the reason it stays.
 # `go test ./...` runs it too; this prints the count. See DESIGN.md §14.
 census:
 	$(GO) test -count=1 -v -run TestCensus ./internal/lint/
@@ -116,7 +119,7 @@ figures-check:
 # shrinks the tree lowers the ceiling to its measured figure, and one
 # that must grow it raises the ceiling in the same diff, where review
 # sees it.
-LOC_CEILING := 20974
+LOC_CEILING := 20694
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' \
 		! -path './.bench_build/*' ! -path './internal/lint/*/testdata/*' \

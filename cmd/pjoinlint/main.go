@@ -2,6 +2,9 @@
 // runs the internal/lint analyzer suite (hotpath, opcontract,
 // poolsafe, spanpair, locksafe) over the tree and fails if any
 // diagnostic is not covered by a justified //pjoin:allow suppression.
+// It complements go vet rather than repeating it: locksafe checks that
+// no lock is taken under another, and copies of lock-bearing values
+// are vet's copylocks check (`make vet`).
 //
 // Usage:
 //

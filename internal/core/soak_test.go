@@ -25,12 +25,15 @@ var soakTuples = 16_000
 // keys with them. With runs set, each side's per-key constants are held
 // and sent as one range over every runs consecutive keys (gen's Batched
 // closes a backlog the other side's constants open, so it cannot be both
-// sides).
+// sides). With narrow set, each key punctuation follows one on that key
+// and a payload no tuple carries: it is not exhaustive on the key, so it
+// never purges or drops a tuple, and it must still retire once released.
 type soakCase struct {
 	name    string
 	a, b    gen.SideSpec
 	aligned bool
 	runs    int
+	narrow  bool
 }
 
 const soakWindow = 32 // gen.Config.WindowKeys
@@ -39,7 +42,8 @@ func soakSide(punctMean float64, batched bool) gen.SideSpec {
 	return gen.SideSpec{TupleMean: 2 * stream.Millisecond, PunctMean: punctMean, Batched: batched}
 }
 
-// soakCases: per-key constants, ranges, and one side of each. In mixed,
+// soakCases: per-key constants, ranges, one side of each, and per-key
+// constants each with a narrow punctuation. In mixed,
 // A punctuates every 2 of its tuples and closes about one key in seven
 // (e^-2) without having sent a tuple for it, while B, closing its backlog
 // with one of gen's Batched ranges every 8 of its tuples, keeps sending
@@ -49,6 +53,7 @@ func soakCases() []soakCase {
 		{name: "constant", a: soakSide(2, false), b: soakSide(2, false), aligned: true},
 		{name: "range", a: soakSide(2, false), b: soakSide(2, false), aligned: true, runs: 8},
 		{name: "mixed", a: soakSide(2, false), b: soakSide(8, true)},
+		{name: "narrow", a: soakSide(2, false), b: soakSide(2, false), aligned: true, narrow: true},
 	}
 }
 
@@ -166,6 +171,9 @@ func soakRun(t *testing.T, sc soakCase, spill bool) (sets, state, closed []int) 
 					ks := held[a.Port]
 					it.Punct = punct.MustKeyOnly(2, gen.KeyAttr, punct.MustRange(value.Int(ks[0]), value.Int(ks[len(ks)-1])))
 					held[a.Port] = ks[:0]
+				}
+				if sc.narrow {
+					feed(a.Port, stream.PunctItem(punct.MustNew(it.Punct.PatternAt(gen.KeyAttr), punct.Const(value.Str("-"))), it.Ts))
 				}
 			}
 			feed(a.Port, it)

@@ -337,7 +337,7 @@ func TestPortClosedWithoutEOS(t *testing.T) {
 	never := []stream.Item{stream.TupleItem(stream.MustTuple(gen.SchemaA,
 		stream.Time(time.Hour), value.Int(1), value.Str("never")))}
 	p.SourceItems(ins[0], never, true)
-	p.Source(ins[1], items(t, 3), false) // no EOS
+	p.source(ins[1], items(t, 3), false, false) // no EOS
 	p.SourceItems(ins[2], items(t, 40), false)
 	if err := p.Spawn(l, ins...); err != nil {
 		t.Fatal(err)

@@ -91,7 +91,7 @@ type Edge struct {
 	size   int
 	linger time.Duration
 
-	mu     sync.Mutex //pjoin:lockrank leaf
+	mu     sync.Mutex
 	buf    *stream.Batch
 	room   int         // the room a fresh batch is born with
 	timer  *time.Timer // the linger timer: created at the first arming, Reset after
@@ -436,21 +436,15 @@ func (p *Pipeline) fail(err error) {
 	})
 }
 
-// Source feeds the given items into out in order and closes it. If paced
-// is true, each item is released no earlier than its own timestamp
-// (interpreted as an offset from pipeline start); otherwise items flow
-// as fast as downstream accepts them. The source does NOT append an EOS
-// item: include one (or use SourceItems which does).
+// SourceItems feeds the given items into out in order, then an EOS
+// stamped one past the last item, and closes out. If paced is true, each
+// item is released no earlier than its own timestamp (interpreted as an
+// offset from pipeline start); otherwise items flow as fast as
+// downstream accepts them.
 //
 // The source lends its input rather than copying it: out carries views of
 // runs of items, cut where Emit would cut them. items is read and never
 // written, and must not change until Run returns.
-func (p *Pipeline) Source(out *Edge, items []stream.Item, paced bool) {
-	p.source(out, items, paced, false)
-}
-
-// SourceItems is Source plus an automatic trailing EOS, stamped one past
-// the last item. items is lent as Source lends it.
 func (p *Pipeline) SourceItems(out *Edge, items []stream.Item, paced bool) {
 	p.source(out, items, paced, true)
 }

@@ -356,7 +356,7 @@ func TestIncompleteEOSDetected(t *testing.T) {
 	src, out := p.Edge(), p.Edge()
 	sel, _ := op.NewSelect(gen.SchemaA, func(*stream.Tuple) bool { return true }, out)
 	// Source WITHOUT EOS: channel closes early.
-	p.Source(src, items(t, 3), false)
+	p.source(src, items(t, 3), false, false)
 	if err := p.Spawn(sel, src); err != nil {
 		t.Fatal(err)
 	}
@@ -542,7 +542,7 @@ func TestOnIdleClockNeverRunsBackwards(t *testing.T) {
 	// reads the wall, not Clock). With the clock frozen, every item
 	// restamp rides the +1 bump, so item timestamps (1, 2, 3, ...) run
 	// ahead of the reported wall time (0).
-	p.Source(src, append(items(t, 5), stream.EOSItem(stream.Time(20*time.Millisecond))), true)
+	p.source(src, append(items(t, 5), stream.EOSItem(stream.Time(20*time.Millisecond))), true, false)
 	if err := p.Spawn(audit, src); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,8 @@
 // Package analysis is the hermetic core of pjoinlint: a small,
 // stdlib-only re-implementation of the golang.org/x/tools/go/analysis
 // surface the suite needs (Analyzer, Pass, Diagnostic), plus the
-// pjoin marker grammar, an export-data package loader and the shared
+// pjoin marker grammar, an export-data package loader whose type check
+// (CheckFiles) the fixture driver in linttest shares, and the shared
 // intra-package call-graph machinery.
 //
 // The repo deliberately has zero module dependencies (go.mod pins
@@ -14,7 +15,8 @@
 // # Marker grammar
 //
 // Analyzers are steered by machine-checked source markers (DESIGN.md
-// §14 documents each analyzer's semantics):
+// §14 documents each analyzer's semantics); locksafe and opcontract
+// need none, and an unknown verb is itself a diagnostic:
 //
 //	//pjoin:hotpath
 //	    on a function: the function and everything it calls
@@ -26,10 +28,6 @@
 //	//pjoin:span begin <family> | //pjoin:span end <family>
 //	    on a function: it opens / closes a provenance trace family;
 //	    spanpair pairs them on all paths.
-//	//pjoin:lockrank <n|leaf>
-//	    on a mutex field declaration: its position in the documented
-//	    lock hierarchy; locksafe enforces strictly increasing ranks
-//	    and forbids any acquisition under a leaf.
 //	//pjoin:allow <analyzer> <reason>
 //	    on (or immediately above) a diagnosed line: suppress that
 //	    analyzer's findings there. The reason is mandatory.

@@ -151,23 +151,27 @@ func checkPackage(fset *token.FileSet, imp types.Importer, t listedPkg) (*Packag
 		}
 		files = append(files, f)
 	}
-	info := NewInfo()
+	return CheckFiles(fset, imp, t.ImportPath, t.Dir, files)
+}
+
+// CheckFiles type-checks one package's files, parsed with
+// parser.ParseComments, against imp and indexes its markers. It fails
+// on the first type error. Load and the fixture loader in linttest
+// both build their packages through it.
+func CheckFiles(fset *token.FileSet, imp types.Importer, path, dir string, files []*ast.File) (*Package, error) {
+	info := newInfo()
 	var typeErrs []error
 	conf := types.Config{
 		Importer: imp,
 		Error:    func(err error) { typeErrs = append(typeErrs, err) },
 	}
-	pkgName := "main"
-	if len(files) > 0 {
-		pkgName = files[0].Name.Name
-	}
-	tpkg, _ := conf.Check(t.ImportPath, fset, files, info)
+	tpkg, _ := conf.Check(path, fset, files, info)
 	if len(typeErrs) > 0 {
-		return nil, fmt.Errorf("type-checking %s (%s): %v", t.ImportPath, pkgName, typeErrs[0])
+		return nil, fmt.Errorf("type-checking %s: %v", path, typeErrs[0])
 	}
 	return &Package{
-		PkgPath: t.ImportPath,
-		Dir:     t.Dir,
+		PkgPath: path,
+		Dir:     dir,
 		Files:   files,
 		Types:   tpkg,
 		Info:    info,
@@ -175,9 +179,9 @@ func checkPackage(fset *token.FileSet, imp types.Importer, t listedPkg) (*Packag
 	}, nil
 }
 
-// NewInfo returns a types.Info with every map analyzers rely on
-// populated. Shared with the fixture loader in linttest.
-func NewInfo() *types.Info {
+// newInfo returns a types.Info with every map analyzers rely on
+// populated.
+func newInfo() *types.Info {
 	return &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),

@@ -8,7 +8,7 @@ import (
 
 // Directive is one parsed //pjoin: marker comment.
 type Directive struct {
-	Verb string   // "hotpath", "allow", "lockrank", "pool", "span"
+	Verb string   // "hotpath", "allow", "pool", "span"
 	Args []string // verb-specific arguments (see package doc)
 	// Reason is the free-text tail of an allow directive.
 	Reason string
@@ -39,11 +39,10 @@ type MarkerSet struct {
 const prefix = "//pjoin:"
 
 var verbs = map[string]struct{ minArgs, maxArgs int }{
-	"hotpath":  {0, 0},
-	"pool":     {1, 1}, // get | put
-	"span":     {2, 2}, // begin|end <family>
-	"lockrank": {1, 1}, // <n> | leaf
-	"allow":    {2, -1},
+	"hotpath": {0, 0},
+	"pool":    {1, 1}, // get | put
+	"span":    {2, 2}, // begin|end <family>
+	"allow":   {2, -1},
 }
 
 // CollectMarkers parses every //pjoin: directive in files (which must
@@ -124,22 +123,11 @@ func parseDirective(fset *token.FileSet, c *ast.Comment) (*Directive, *BadDirect
 
 // FuncDirectives parses the markers in a function's doc comment.
 func FuncDirectives(decl *ast.FuncDecl) []Directive {
-	return groupDirectives(decl.Doc)
-}
-
-// FieldDirectives parses the markers attached to a struct field, in
-// either its doc comment or its trailing line comment.
-func FieldDirectives(field *ast.Field) []Directive {
-	ds := groupDirectives(field.Doc)
-	return append(ds, groupDirectives(field.Comment)...)
-}
-
-func groupDirectives(cg *ast.CommentGroup) []Directive {
-	if cg == nil {
+	if decl.Doc == nil {
 		return nil
 	}
 	var ds []Directive
-	for _, c := range cg.List {
+	for _, c := range decl.Doc.List {
 		text, isMarker := strings.CutPrefix(c.Text, prefix)
 		if !isMarker {
 			continue

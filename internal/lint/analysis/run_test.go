@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"go/types"
 	"strings"
 	"testing"
 )
@@ -23,7 +22,7 @@ var flagC int
 //pjoin:allow demo stale: nothing is reported on the next line
 var quiet int
 
-//pjoin:frobnicate
+//pjoin:lockrank leaf
 var other int
 
 //pjoin:pool recycle
@@ -60,18 +59,11 @@ func loadSrc(t *testing.T, src string) (*token.FileSet, *Package) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info := NewInfo()
-	tpkg, err := (&types.Config{}).Check("fix", fset, []*ast.File{f}, info)
+	pkg, err := CheckFiles(fset, nil, "fix", "", []*ast.File{f})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fset, &Package{
-		PkgPath: "fix",
-		Files:   []*ast.File{f},
-		Types:   tpkg,
-		Info:    info,
-		Markers: CollectMarkers(fset, []*ast.File{f}),
-	}
+	return fset, pkg
 }
 
 func TestRunSuppressionAndMarkers(t *testing.T) {
@@ -106,7 +98,7 @@ func TestRunSuppressionAndMarkers(t *testing.T) {
 		switch {
 		case d.Analyzer == "allow":
 			stale = d
-		case d.Analyzer == "marker" && strings.Contains(d.Message, "frobnicate"):
+		case d.Analyzer == "marker" && strings.Contains(d.Message, "lockrank"):
 			badVerb = d
 		case d.Analyzer == "marker" && strings.Contains(d.Message, "pool"):
 			badArgs = d
@@ -115,7 +107,7 @@ func TestRunSuppressionAndMarkers(t *testing.T) {
 	if stale == nil || !strings.Contains(stale.Message, "stale //pjoin:allow demo") {
 		t.Errorf("want a stale-allow diagnostic, got %+v", stale)
 	}
-	if badVerb == nil || !strings.Contains(badVerb.Message, "unknown //pjoin: verb frobnicate") {
+	if badVerb == nil || !strings.Contains(badVerb.Message, "unknown //pjoin: verb lockrank") {
 		t.Errorf("want an unknown-verb marker diagnostic, got %+v", badVerb)
 	}
 	if badArgs == nil || !strings.Contains(badArgs.Message, "want get or put") {

@@ -19,17 +19,16 @@ import (
 // TestCensus is the reachability census: every function and method of
 // the module's non-test code must be reached from one of its main
 // packages, or be listed in testdata/census.golden with the reason it
-// stays (cross-package test support). The call graph is the linker's
-// own: each main is built with inlining off for the module's packages
-// (so a helper the compiler would inline still shows as an edge) and
-// -dumpdep, which prints one "from -> to" line per symbol the linker's
-// dead-code pass keeps. A function is reported when no edge reaches it.
-// A method is reported only when no edge reaches it and its receiver
-// type has no type descriptor either: a method called through an
-// interface is kept by the descriptor's method table, so a method of a
-// type that is live in any form is the census's blind spot (DESIGN.md
-// §14). The census logs those methods, the ones the linker drops from a
-// live type, without failing on them.
+// stays. The call graph is the linker's own: each main is built with
+// inlining off for the module's packages (so a helper the compiler
+// would inline still shows as an edge) and -dumpdep, which prints one
+// "from -> to" line per symbol the linker's dead-code pass keeps. A
+// function is reported when no edge reaches it.
+// A method no edge reaches is reported too: as unreached when its
+// receiver type has no type descriptor either, and as dropped when the
+// type is live (DESIGN.md §14). A dropped method may still be needed,
+// to satisfy an interface or as a marker found by type assertion, so
+// the linker cannot tell it from dead code; the golden says which.
 func TestCensus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds every main package of the module")
@@ -59,8 +58,8 @@ func TestCensus(t *testing.T) {
 		t.Fatal("no -dumpdep edges parsed: the linker's output format changed")
 	}
 
-	got := make(map[string]string) // symbol -> position
-	var dropped []string           // methods of live types no edge reaches
+	got := make(map[string]string)     // symbol -> position
+	dropped := make(map[string]string) // methods of live types no edge reaches
 	fset := token.NewFileSet()
 	for _, p := range pkgs {
 		for _, name := range p.GoFiles {
@@ -80,7 +79,7 @@ func TestCensus(t *testing.T) {
 					sym = recv + "." + fd.Name.Name
 					if reached[recv] {
 						if !reached[sym] {
-							dropped = append(dropped, sym)
+							dropped[sym] = fset.Position(fd.Pos()).String()
 						}
 						continue
 					}
@@ -99,18 +98,21 @@ func TestCensus(t *testing.T) {
 			bad = append(bad, fmt.Sprintf("unreached from every main: %s (%s): give it a caller or delete it", sym, pos))
 		}
 	}
+	for sym, pos := range dropped {
+		if !want[sym] {
+			bad = append(bad, fmt.Sprintf("method of a live type the linker drops: %s (%s): give it a caller, delete it, or list it with the reason it stays", sym, pos))
+		}
+	}
 	for sym := range want {
-		if _, ok := got[sym]; !ok {
+		_, unreached := got[sym]
+		_, drop := dropped[sym]
+		if !unreached && !drop {
 			bad = append(bad, fmt.Sprintf("listed in census.golden but reached or gone: %s: drop its line", sym))
 		}
 	}
 	sort.Strings(bad)
 	for _, b := range bad {
 		t.Error(b)
-	}
-	sort.Strings(dropped)
-	for _, sym := range dropped {
-		t.Logf("method of a live type the linker drops: %s", sym)
 	}
 	t.Logf("census: %d symbols reached from %d mains, %d unreached, %d methods of live types dropped",
 		len(reached), mains, len(got), len(dropped))

@@ -2,7 +2,7 @@
 // prove, at compile time, invariants the dynamic tiers (alloc guards,
 // race detector, oracle soak) can only sample: the zero-alloc hot
 // paths, the operator driver contract, pooled-batch recycling, span
-// lifecycle pairing, and the lock hierarchy. See DESIGN.md §14.
+// lifecycle pairing, and no lock taken under another. See DESIGN.md §14.
 package lint
 
 import (

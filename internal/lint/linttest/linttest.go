@@ -165,23 +165,9 @@ func (l *loader) load(pkgPath string) (*analysis.Package, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("fixture %s: no .go files", pkgPath)
 	}
-	info := analysis.NewInfo()
-	var typeErrs []error
-	conf := types.Config{
-		Importer: l,
-		Error:    func(err error) { typeErrs = append(typeErrs, err) },
-	}
-	tpkg, _ := conf.Check(pkgPath, l.fset, files, info)
-	if len(typeErrs) > 0 {
-		return nil, fmt.Errorf("type-checking fixture %s: %v", pkgPath, typeErrs[0])
-	}
-	pkg := &analysis.Package{
-		PkgPath: pkgPath,
-		Dir:     dir,
-		Files:   files,
-		Types:   tpkg,
-		Info:    info,
-		Markers: analysis.CollectMarkers(l.fset, files),
+	pkg, err := analysis.CheckFiles(l.fset, l, pkgPath, dir, files)
+	if err != nil {
+		return nil, err
 	}
 	l.pkgs[pkgPath] = pkg
 	return pkg, nil

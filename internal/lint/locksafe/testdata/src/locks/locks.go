@@ -1,60 +1,50 @@
-// Package locks exercises locksafe: the copylocks check and the
-// //pjoin:lockrank acquisition-order check.
+// Package locks exercises locksafe: nothing may be acquired while a
+// lock is held.
 package locks
 
 import "sync"
 
 type inner struct {
-	mu sync.Mutex //pjoin:lockrank 10
+	mu sync.Mutex
 	n  int
 }
 
 type outer struct {
-	mu sync.Mutex //pjoin:lockrank 20
+	mu sync.RWMutex
 }
 
-type leafy struct {
-	mu sync.Mutex //pjoin:lockrank leaf
-}
-
-// byValue copies its receiver's mutex on every call.
-func (i inner) byValue() {} // want "^receives lock-bearing inner by value: it contains sync\\.Mutex; use a pointer$"
-
-// use copies its parameter's mutex on every call.
-func use(v inner) {} // want "passes lock-bearing inner by value: it contains sync\\.Mutex; use a pointer"
-
-// copies demonstrates value copies of lock-bearing values.
-func copies(p *inner, xs []inner) {
-	v := *p // want "assignment copies a lock-bearing value: it contains sync\\.Mutex"
-	_ = &v
-	for _, x := range xs { // want "range copies a lock-bearing value: it contains sync\\.Mutex"
-		_ = &x
-	}
-	use(*p) // want "call passes a lock-bearing value: it contains sync\\.Mutex"
-}
-
-// goodOrder acquires in strictly increasing rank: clean.
-func goodOrder(i *inner, o *outer) {
+// one lock at a time: clean.
+func sequential(i *inner, o *outer) {
 	i.mu.Lock()
-	o.mu.Lock()
-	o.mu.Unlock()
+	i.n++
 	i.mu.Unlock()
-}
-
-// wrongOrder acquires rank 10 while holding rank 20.
-func wrongOrder(o *outer, i *inner) {
 	o.mu.Lock()
-	i.mu.Lock() // want "^lock order violation: acquires sync\\.Mutex field mu \\(rank 10\\) while holding sync\\.Mutex field mu \\(rank 20\\); ranks must strictly increase$"
-	i.mu.Unlock()
 	o.mu.Unlock()
 }
 
-// underLeaf acquires while holding a leaf lock.
-func underLeaf(l *leafy, i *inner) {
-	l.mu.Lock()
-	i.mu.Lock() // want "acquires a lock while holding leaf-ranked sync\\.Mutex field mu"
+// nested acquires one lock while holding another.
+func nested(o *outer, i *inner) {
+	o.mu.Lock()
+	i.mu.Lock() // want "^acquires a lock while holding sync\\.RWMutex field mu: nothing may be acquired under a lock$"
 	i.mu.Unlock()
-	l.mu.Unlock()
+	o.mu.Unlock()
+}
+
+// readLocked acquires under a read lock.
+func readLocked(o *outer, i *inner) {
+	o.mu.RLock()
+	i.mu.Lock() // want "^acquires a lock while holding sync\\.RWMutex field mu: nothing may be acquired under a lock$"
+	i.mu.Unlock()
+	o.mu.RUnlock()
+}
+
+// local acquires while holding a local mutex.
+func local(i *inner) {
+	var mu sync.Mutex
+	mu.Lock()
+	i.mu.Lock() // want "^acquires a lock while holding sync\\.Mutex variable mu: nothing may be acquired under a lock$"
+	i.mu.Unlock()
+	mu.Unlock()
 }
 
 // lockInner's may-acquire summary includes inner.mu.
@@ -64,18 +54,27 @@ func lockInner(i *inner) {
 	i.mu.Unlock()
 }
 
-// viaCall hits the same inversion transitively, through a callee.
+// viaCall acquires through a callee.
 func viaCall(o *outer, i *inner) {
 	o.mu.Lock()
-	lockInner(i) // want "calls lockInner, which may acquire sync\\.Mutex field mu \\(rank 10\\), while holding sync\\.Mutex field mu \\(rank 20\\)"
+	lockInner(i) // want "^calls lockInner, which may acquire sync\\.Mutex field mu, while holding sync\\.RWMutex field mu$"
 	o.mu.Unlock()
 }
 
-// deferred unlocks hold to function end; acquiring upward under them
-// is still clean.
+// deferred unlocks hold to function end.
 func deferred(i *inner, o *outer) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	o.mu.Lock()
+	o.mu.Lock() // want "^acquires a lock while holding sync\\.Mutex field mu: nothing may be acquired under a lock$"
 	o.mu.Unlock()
+}
+
+// closures are out of scope: the lock is taken where the closure runs.
+func closure(i *inner, o *outer) func() {
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	return func() {
+		o.mu.Lock()
+		o.mu.Unlock()
+	}
 }

@@ -47,13 +47,11 @@ func TestNopTracerInstrDoesNotAllocate(t *testing.T) {
 func TestDetachedSpansDoNotAllocate(t *testing.T) {
 	// Detached tracing: span call sites are compiled in and called
 	// unconditionally, but the tracer behind the handle records nothing —
-	// here a flight ring after Detach. This is the contract the
+	// here a tee whose one sink is off. This is the contract the
 	// benchmark's untraced rows (benchmark/: allocs_per_tuple,
 	// live.cpu_us_per_tuple) are measured under — one branch, zero
 	// allocations.
-	ring := NewRing(8)
-	ring.Detach()
-	in := NewInstr(ring, nil, "pjoin")
+	in := NewInstr(span.NewTee(span.Nop), nil, "pjoin")
 	var smp *span.Sampler
 	allocs := testing.AllocsPerRun(1000, func() {
 		if in.Enabled() {

@@ -69,7 +69,7 @@ type Board struct {
 	every stream.Time
 	next  stream.Time // the owner's goroutine only
 
-	mu sync.Mutex //pjoin:lockrank leaf
+	mu sync.Mutex
 	g  Gauges
 }
 

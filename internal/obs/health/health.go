@@ -78,7 +78,7 @@ func (r Report) String() string {
 type Detector struct {
 	cfg Config
 
-	mu       sync.Mutex //pjoin:lockrank leaf
+	mu       sync.Mutex
 	started  bool
 	fired    bool
 	anchor   Progress    // sample at the last output/propagation advance

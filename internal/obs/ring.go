@@ -2,7 +2,6 @@ package obs
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"pjoin/internal/obs/span"
 )
@@ -11,16 +10,8 @@ import (
 // — the flight recorder's store. Older spans are overwritten in place,
 // so a long run costs a fixed amount of memory and the tail of the trace
 // is always available for a post-mortem dump.
-//
-// Detach atomically turns the ring off: Enabled flips to false, which
-// the Instr fast path reads before building a Span, so a detached ring
-// stops costing anything on the record path. Detach may race with
-// in-flight Emit calls; those either land or don't, but never corrupt
-// the buffer (writes stay under the mutex).
 type Ring struct {
-	detached atomic.Bool
-
-	mu    sync.Mutex //pjoin:lockrank leaf
+	mu    sync.Mutex
 	buf   []span.Span
 	next  int   // next write slot
 	total int64 // spans ever offered (not capped)
@@ -35,13 +26,10 @@ func NewRing(capacity int) *Ring {
 }
 
 // Enabled implements span.Tracer.
-func (r *Ring) Enabled() bool { return !r.detached.Load() }
+func (r *Ring) Enabled() bool { return true }
 
 // Emit implements span.Tracer.
 func (r *Ring) Emit(e span.Span) {
-	if r.detached.Load() {
-		return
-	}
 	r.mu.Lock()
 	if len(r.buf) < cap(r.buf) {
 		r.buf = append(r.buf, e)
@@ -77,9 +65,5 @@ func (r *Ring) Total() int64 {
 	defer r.mu.Unlock()
 	return r.total
 }
-
-// Detach turns the ring off. Safe to call from any goroutine, including
-// concurrently with Emit.
-func (r *Ring) Detach() { r.detached.Store(true) }
 
 var _ span.Tracer = (*Ring)(nil)

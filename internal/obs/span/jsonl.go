@@ -21,7 +21,7 @@ import (
 // strconv.Append* so a traced run pays no encoding/json reflection per
 // span; the hot cost is one mutex and a buffered write.
 type JSONL struct {
-	mu     sync.Mutex //pjoin:lockrank leaf
+	mu     sync.Mutex
 	w      *bufio.Writer
 	buf    []byte
 	events int64

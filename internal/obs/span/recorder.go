@@ -5,7 +5,7 @@ import "sync"
 // Recorder is a Tracer that keeps every span in memory, for tests and
 // for reconciling a trace against operator metrics.
 type Recorder struct {
-	mu    sync.Mutex //pjoin:lockrank leaf
+	mu    sync.Mutex
 	spans []Span
 }
 

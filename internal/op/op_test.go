@@ -403,9 +403,6 @@ func TestProjectTuplesAndPunctuations(t *testing.T) {
 	if len(sink.Puncts()) != 0 {
 		t.Error("unprojectable punctuation leaked")
 	}
-	if p.DroppedPuncts() != 1 {
-		t.Errorf("DroppedPuncts = %d", p.DroppedPuncts())
-	}
 	// Punctuation constraining only the kept attribute: projects cleanly.
 	pi := stream.PunctItem(punct.MustNew(punct.Star(), punct.Const(value.Float(2.5))), 3)
 	p.Process(0, pi, 3)

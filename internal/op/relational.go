@@ -101,7 +101,6 @@ type Project struct {
 	eos      bool
 	finished bool
 	now      stream.Time
-	dropped  int64 // punctuations that could not be projected
 }
 
 var _ Operator = (*Project)(nil)
@@ -145,9 +144,6 @@ func (p *Project) NumPorts() int { return 1 }
 // OutSchema implements Operator.
 func (p *Project) OutSchema() *stream.Schema { return p.out }
 
-// DroppedPuncts returns how many punctuations could not be projected.
-func (p *Project) DroppedPuncts() int64 { return p.dropped }
-
 // Process implements Operator.
 func (p *Project) Process(port int, it stream.Item, now stream.Time) error {
 	if err := ValidatePort(p.name, port, 1); err != nil {
@@ -182,7 +178,6 @@ func (p *Project) Process(port int, it stream.Item, now stream.Time) error {
 		}
 		for i := 0; i < pt.Width(); i++ {
 			if !kept[i] && pt.PatternAt(i).Kind() != punct.Wildcard {
-				p.dropped++
 				return nil
 			}
 		}

@@ -332,19 +332,23 @@ func TestSetCompactSkipsIndexedEntries(t *testing.T) {
 
 func TestSetCompactRespectsOtherPatterns(t *testing.T) {
 	s := NewKeyedSet(0, false)
-	// Constants that are not exhaustive on the key stay.
+	// Constants that are not exhaustive on the key retire and close
+	// nothing.
 	s.Add(MustNew(Const(iv(1)), Const(iv(100))))
 	s.Add(MustNew(Const(iv(2)), Const(iv(100))))
 	// Exhaustive ones retire while they are as wide as the first did.
 	s.Add(MustKeyOnly(2, 0, Const(iv(1))))
 	s.Add(MustKeyOnly(3, 0, Const(iv(2))))
 	retireAll(s)
-	if s.Len() != 3 || s.ClosedLen() != 1 {
-		t.Errorf("%s with %d intervals, want the three that cannot retire and one interval", s, s.ClosedLen())
+	if s.Len() != 1 || s.ClosedLen() != 1 {
+		t.Errorf("%s with %d intervals, want the one that cannot retire and one interval", s, s.ClosedLen())
+	}
+	if e := s.FirstMatch([]value.Value{iv(2), iv(100)}); e != nil {
+		t.Errorf("FirstMatch(2, 100) = %v, want nil: a retired <2, 100> closes nothing", e)
 	}
 	b, _ := s.Add(MustKeyOnly(2, 0, Const(iv(2))))
 	s.Applied(b.PID)
-	if s.Len() != 3 || s.ClosedLen() != 1 || !s.SetMatchAttr(0, iv(2)) {
+	if s.Len() != 1 || s.ClosedLen() != 1 || !s.SetMatchAttr(0, iv(2)) {
 		t.Errorf("<2, *> did not join <1, *>'s interval: %s with %d intervals", s, s.ClosedLen())
 	}
 	// A retired key answers for a tuple as wide as the retired entries only.

@@ -175,14 +175,14 @@ func TestSetMatchAttrRequiresExhaustiveness(t *testing.T) {
 
 func TestEntryExhaustiveOn(t *testing.T) {
 	e := &Entry{P: MustNew(Const(iv(1)), Star())}
-	if !e.ExhaustiveOn(0) {
+	if !exhaustiveOn(e.P, 0) {
 		t.Error("keyed punctuation should be exhaustive on its key")
 	}
-	if e.ExhaustiveOn(5) {
+	if exhaustiveOn(e.P, 5) {
 		t.Error("attribute beyond width cannot be exhausted")
 	}
 	mixed := &Entry{P: MustNew(Const(iv(1)), Const(iv(2)))}
-	if mixed.ExhaustiveOn(0) || mixed.ExhaustiveOn(1) {
+	if exhaustiveOn(mixed.P, 0) || exhaustiveOn(mixed.P, 1) {
 		t.Error("multi-constraint punctuation exhausts no single attribute")
 	}
 }

@@ -66,16 +66,6 @@ type Entry struct {
 // no punctuation, trace or lifecycle, and a Count nothing reads.
 func (e *Entry) Retired() bool { return e.P.IsZero() }
 
-// ExhaustiveOn reports whether the punctuation promises exhaustion of a
-// single attribute: "no future tuple whose attribute attr has value v"
-// follows from a punctuation only when EVERY other pattern is wildcard
-// (otherwise it merely excludes a subset of such tuples). This is the
-// precondition for using a punctuation in the cross-stream purge and
-// drop-on-the-fly rules, which reason about the join attribute alone.
-func (e *Entry) ExhaustiveOn(attr int) bool {
-	return exhaustiveOn(e.P, attr)
-}
-
 // exhaustiveOn looks at p's window only: every pattern outside it is
 // the wildcard.
 func exhaustiveOn(p Punctuation, attr int) bool {
@@ -100,8 +90,9 @@ func exhaustiveOn(p Punctuation, attr int) bool {
 // An entry has one lifecycle: it arrives (Add), is indexed, counts down,
 // is released downstream (Release) and stays in force until it owes
 // nothing; then it retires, and its key pattern joins the set's Closed
-// intervals (see Applied). So the set holds what is still owed plus a
-// few intervals, not everything that ever arrived.
+// intervals if it is exhaustive on the key (see Applied). So the set
+// holds what is still owed plus a few intervals, not everything that
+// ever arrived.
 type Set struct {
 	entries []*Entry // in pid (arrival) order
 	next    PID
@@ -296,8 +287,10 @@ func (s *Set) Add(p Punctuation) (*Entry, error) {
 // enumeration np is checked, and only against the entries whose key
 // pattern can be one: nonConst and partial. Retired entries are not
 // checked: no tuple with a key they closed can follow, so a punctuation
-// overlapping them promises nothing new there. Every entry of a verified
-// set is wide enough to have a key pattern (Add checks).
+// overlapping them promises nothing new there; and one that closed
+// nothing (not exhaustive on the key) counts no tuple, so a punctuation
+// overlapping it counts the tuples they share itself. Every entry of a
+// verified set is wide enough to have a key pattern (Add checks).
 func (s *Set) unnested(np Pattern) (first *Entry) {
 	if np.kind != Range && np.kind != Enum {
 		return nil
@@ -396,8 +389,9 @@ func (s *Set) Release(e *Entry) {
 // punctuation changes, and the union of the set's promises never
 // shrinks.
 //
-// Entries not exhaustive on the key or not as wide as those retired
-// before, and every entry of an unkeyed set, stay. The caller applies
+// An entry not exhaustive on the key retires without a trace in Closed
+// (see settle). Exhaustive entries not as wide as those retired before,
+// and every entry of an unkeyed set, stay. The caller applies
 // outside a disk pass: a pass bounds its disk purge by the pids present
 // when a bucket opened, and a retired key's pid is at most the watermark
 // (see FirstMatchAttr).
@@ -420,16 +414,25 @@ func (s *Set) owesNothing(e *Entry) bool {
 	return e.Count == 0 && (e.Propagated || s.NoRelease) && e.PID <= s.applied
 }
 
-// settle retires e if it owes nothing and is exhaustive on the key: its
-// key pattern goes into closed and it leaves the set.
+// settle retires e if it owes nothing. An entry exhaustive on the key
+// leaves its key pattern in closed. One that is not leaves nothing: the
+// join asks the set only about its key, and FirstMatchAttr and
+// PurgePlan pass such an entry by, so it never purged or dropped a
+// tuple. Retired, it no longer gives FirstMatch a pid for a tuple that
+// matches it, which only a stream breaking its promise sends, nor takes
+// part in unnested's check.
 func (s *Set) settle(e *Entry) {
-	if s.keyAttr < 0 || !s.owesNothing(e) || !exhaustiveOn(e.P, s.keyAttr) ||
-		s.closedWidth != 0 && e.P.Width() != s.closedWidth {
+	if s.keyAttr < 0 || !s.owesNothing(e) {
 		return
 	}
-	s.closed.Add(e.P)
-	s.closedWidth = e.P.Width()
-	s.hit = Entry{PID: max(s.hit.PID, e.PID), Indexed: true, Propagated: true}
+	if exhaustiveOn(e.P, s.keyAttr) {
+		if s.closedWidth != 0 && e.P.Width() != s.closedWidth {
+			return
+		}
+		s.closed.Add(e.P)
+		s.closedWidth = e.P.Width()
+		s.hit = Entry{PID: max(s.hit.PID, e.PID), Indexed: true, Propagated: true}
+	}
 	s.drop(e)
 }
 

@@ -118,18 +118,24 @@ func (m *setModel) appliedTo(pid PID) {
 	}
 }
 
-// settle retires e if it owes nothing, is exhaustive on the key and is
-// as wide as the entries retired before it.
+// settle retires e if it owes nothing and, when it is exhaustive on the
+// key, is as wide as the entries retired before it; only an exhaustive
+// entry's key pattern joins closed.
 func (m *setModel) settle(e *modelEntry) {
-	if m.key < 0 || !m.owesNothing(e) || !exhaustiveOn(e.p, m.key) ||
-		m.closedWidth != 0 && e.p.Width() != m.closedWidth {
+	if m.key < 0 || !m.owesNothing(e) {
+		return
+	}
+	exhaustive := exhaustiveOn(e.p, m.key)
+	if exhaustive && m.closedWidth != 0 && e.p.Width() != m.closedWidth {
 		return
 	}
 	i, _ := m.find(e.pid)
 	m.es = append(m.es[:i], m.es[i+1:]...)
-	m.closed = append(m.closed, e.p.PatternAt(m.key))
-	m.closedWidth = e.p.Width()
-	m.closedPID = max(m.closedPID, e.pid)
+	if exhaustive {
+		m.closed = append(m.closed, e.p.PatternAt(m.key))
+		m.closedWidth = e.p.Width()
+		m.closedPID = max(m.closedPID, e.pid)
+	}
 }
 
 func (m *setModel) propagable(final bool) []PID {

@@ -30,9 +30,9 @@ type FaultSpill struct {
 	inner  SpillStore
 	mask   FaultOp
 	err    error
-	mu     sync.Mutex //pjoin:lockrank leaf
-	count  int64      // counted ops seen so far
-	failAt int64      // 1-based index of the first failing op
+	mu     sync.Mutex
+	count  int64 // counted ops seen so far
+	failAt int64 // 1-based index of the first failing op
 }
 
 // NewFaultSpill wraps inner so that the failAt-th operation matching mask

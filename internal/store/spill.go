@@ -113,7 +113,7 @@ type SpillStore interface {
 // only when the list is empty. So a store holds at most its peak live
 // bytes plus one partly filled block per partition and one chunk.
 type MemSpill struct {
-	mu    sync.Mutex //pjoin:lockrank leaf
+	mu    sync.Mutex
 	parts map[int]memPart
 	free  *spillBlock // the free list, chained through next
 	stats IOStats

@@ -74,8 +74,8 @@ func (b *Batch) recycle() {
 // lane whose ring is empty allocates a fresh batch; nothing else makes
 // one, and nothing but a lane takes one back.
 type BatchPool struct {
-	mu    sync.Mutex //pjoin:lockrank leaf
-	lanes []*Lane    // guarded by mu
+	mu    sync.Mutex
+	lanes []*Lane // guarded by mu
 }
 
 // Stats returns how many batches have been taken from and returned to

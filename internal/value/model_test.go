@@ -135,7 +135,7 @@ func modelOf(v Value) model {
 	case KindString:
 		return model{kind: KindString, str: v.StrVal()}
 	case KindBool:
-		if v.BoolVal() {
+		if v.n != 0 {
 			return model{kind: KindBool, num: 1}
 		}
 		return model{kind: KindBool}

@@ -151,14 +151,6 @@ func (v Value) StrVal() string {
 	return v.str()
 }
 
-// BoolVal returns the boolean payload. It panics if v is not a bool.
-func (v Value) BoolVal() bool {
-	if k := v.kind(); k != KindBool {
-		panic(fmt.Sprintf("value: BoolVal on %s value", k))
-	}
-	return v.n != 0
-}
-
 // Equal reports whether v and w are the same kind and payload: the same
 // bits for int, float and bool (so -0 and 0 differ, and a NaN equals
 // itself), the same bytes for strings wherever they are stored.

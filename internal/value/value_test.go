@@ -17,7 +17,7 @@ func TestConstructorsAndAccessors(t *testing.T) {
 	if got := Str("abc").StrVal(); got != "abc" {
 		t.Errorf("Str(abc).StrVal() = %q", got)
 	}
-	if !Bool(true).BoolVal() || Bool(false).BoolVal() {
+	if !Bool(true).Equal(Bool(true)) || Bool(false).Equal(Bool(true)) || Bool(false).Kind() != KindBool {
 		t.Errorf("Bool round-trip broken")
 	}
 }
@@ -66,7 +66,6 @@ func TestAccessorPanics(t *testing.T) {
 	mustPanic("IntVal on string", func() { Str("x").IntVal() })
 	mustPanic("FloatVal on int", func() { Int(1).FloatVal() })
 	mustPanic("StrVal on bool", func() { Bool(true).StrVal() })
-	mustPanic("BoolVal on float", func() { Float(1).BoolVal() })
 }
 
 func TestCompareSameKind(t *testing.T) {
@@ -223,7 +222,7 @@ func TestSucc(t *testing.T) {
 	if _, ok := Int(math.MaxInt64).Succ(); ok {
 		t.Error("Succ(MaxInt64) should not exist")
 	}
-	if s, ok := Bool(false).Succ(); !ok || !s.BoolVal() {
+	if s, ok := Bool(false).Succ(); !ok || !s.Equal(Bool(true)) {
 		t.Error("Succ(false) should be true")
 	}
 	if _, ok := Bool(true).Succ(); ok {
